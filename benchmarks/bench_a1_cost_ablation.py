@@ -58,7 +58,9 @@ def run_sweep():
     ]
     rows = []
     for name, driver in drivers:
-        result = Optimizer(system, cost_model=driver).optimize(plan, depth=2, beam=8)
+        result = Optimizer(system, cost_model=driver).optimize_with(
+            "beam", plan, depth=2, beam=8
+        )
         judged = measure(result.best, system)  # judge by the oracle
         rows.append(
             (name, judged.bytes, judged.time * 1000, judged.scalar() * 1000)

@@ -60,12 +60,12 @@ def run_sweep():
 def optimizer_overhead():
     system, plan, _ = build(150)
     started = time.perf_counter()
-    Optimizer(system).optimize(plan, depth=2, beam=4)
+    Optimizer(system).optimize_with("beam", plan, depth=2, beam=4)
     plain_ms = (time.perf_counter() - started) * 1000
     verifier = lambda a, b: check_equivalence(a, b, system).equivalent
     started = time.perf_counter()
-    Optimizer(system, verifier=verifier).optimize(
-        plan, depth=2, beam=4, verify=True
+    Optimizer(system, verifier=verifier).optimize_with(
+        "beam", plan, depth=2, beam=4, verify=True
     )
     verified_ms = (time.perf_counter() - started) * 1000
     return plain_ms, verified_ms

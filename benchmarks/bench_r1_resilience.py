@@ -139,7 +139,10 @@ def run_mode(seed: int, fault_seed, rounds: int, recover: bool):
         "failed": sum(1 for job in report.jobs if job.status == "failed"),
         "availability": len(done) / max(1, len(report.jobs)),
         "p95": _p95(latencies),
-        "faults": dict(report.faults),
+        "faults": {
+            dict(counter.labels)["kind"]: counter.value
+            for counter in report.registry.counters("faults")
+        },
     }
 
 

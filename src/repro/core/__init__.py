@@ -19,7 +19,7 @@ Quick taste — Example 1 of the paper (pushing selections), end to end:
 ...           params=("d",), name="sel")
 >>> plan = Plan(QueryApply(QueryRef(q, "client"), (DocExpr("cat", "data"),)),
 ...             "client")
->>> result = Optimizer(system).optimize(plan, depth=2)
+>>> result = Optimizer(system).optimize_with("beam", plan, depth=2)
 >>> result.best_cost.bytes < result.original_cost.bytes
 True
 """

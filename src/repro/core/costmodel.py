@@ -25,8 +25,8 @@ This module redesigns the cost wiring as an API, mirroring the
   frontier analytically and oracle-checks only the final plan (plus the
   original, so the reported costs and the improvement ratio stay
   oracle-true, and the chosen plan is provably never worse than naive);
-* :class:`CallableCostModel` — the deprecation shim wrapping any bare
-  ``cost_fn`` callable as an anonymous model.
+* :class:`CallableCostModel` — any bare ``plan -> Cost`` callable
+  handed to ``cost_model=``, wrapped as an anonymous model.
 
 Models are registered by name (:func:`register_cost_model`) so callers
 write ``Session(cost_model="hybrid")`` and third parties can plug in
@@ -229,11 +229,10 @@ class HybridCostModel:
 
 
 class CallableCostModel:
-    """Anonymous model wrapping a bare ``cost_fn`` callable.
+    """Anonymous model wrapping a bare ``plan -> Cost`` callable.
 
-    The migration shim behind the deprecated ``cost_fn=`` kwargs: any
-    ``plan -> Cost`` callable becomes a model whose cache behavior
-    matches what the lambda era did (unsalted keys).
+    What ``cost_model=<callable>`` resolves to: the callable becomes a
+    model with unsalted cache keys (an empty cache token).
     """
 
     final_check = False
@@ -241,7 +240,7 @@ class CallableCostModel:
     def __init__(self, fn: Callable[[Plan], Cost], name: Optional[str] = None) -> None:
         if not callable(fn):
             raise OptimizerError(
-                f"cost_fn must be callable (plan -> Cost), got {fn!r}"
+                f"a cost model callable must be plan -> Cost, got {fn!r}"
             )
         self.fn = fn
         self.name = name or getattr(fn, "__name__", None) or "custom"

@@ -148,7 +148,7 @@ class ExpressionEvaluator:
         self.partial = False
         self.losses: List[LostPart] = []
         self.job_retries = 0
-        #: Run-wide recovery counters, folded into ``ServingReport.faults``.
+        #: Run-wide recovery counters, folded into ``ServingReport.registry``.
         self.counters: Dict[str, int] = {}
 
     # -- recovery context --------------------------------------------------------

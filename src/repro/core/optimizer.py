@@ -3,16 +3,10 @@
 The search algorithms themselves live in :mod:`repro.core.strategies`
 behind the :class:`~repro.core.strategies.OptimizerStrategy` protocol,
 and candidate pricing lives in :mod:`repro.core.costmodel` behind the
-:class:`~repro.core.costmodel.CostModel` protocol; this module keeps the
-historical :class:`Optimizer` entry points as thin delegating wrappers:
-
-* :meth:`Optimizer.optimize` — bounded best-first search
-  (:class:`~repro.core.strategies.BeamSearchStrategy`);
-* :meth:`Optimizer.optimize_greedy` — hill climbing
-  (:class:`~repro.core.strategies.GreedyStrategy`);
-* :meth:`Optimizer.optimize_with` — any strategy, by registered name or
-  instance (also covers the bounded
-  :class:`~repro.core.strategies.ExhaustiveStrategy`).
+:class:`~repro.core.costmodel.CostModel` protocol; :class:`Optimizer`
+binds a system, a rule set, a cost model and a shared plan cache, and
+:meth:`Optimizer.optimize_with` runs any strategy — by registered name
+or instance — over that space.
 
 Every strategy result passes through one finalize step: for models with
 a final check (``hybrid``), the chosen and original plans are re-judged
@@ -42,7 +36,6 @@ from .strategies import (
     OptimizationResult,
     OptimizerStrategy,
     SearchSpace,
-    _shim_cost_fn,
     make_strategy,
 )
 
@@ -56,7 +49,6 @@ class Optimizer:
         self,
         system: AXMLSystem,
         rules: Sequence[RewriteRule] = DEFAULT_RULES,
-        cost_fn: Optional[CostFn] = None,
         verifier: Optional[Callable[[Plan, Plan], bool]] = None,
         cache: Optional[PlanCache] = None,
         cost_model: Union[str, CostModel, CostFn, None] = None,
@@ -73,14 +65,6 @@ class Optimizer:
         self.cache = cache
         #: Labeled metrics shared by every search space (rule_errors etc.).
         self.registry = registry if registry is not None else MetricsRegistry()
-        if cost_fn is not None:
-            if cost_model is not None:
-                from ..errors import OptimizerError
-
-                raise OptimizerError(
-                    "pass either cost_model= or the deprecated cost_fn=, not both"
-                )
-            cost_model = _shim_cost_fn(cost_fn)
         self.cost_model: CostModel = make_cost_model(
             cost_model if cost_model is not None else "oracle",
             system,
@@ -89,11 +73,6 @@ class Optimizer:
             cache=cache,
             **cost_model_options,
         )
-
-    @property
-    def cost_fn(self) -> CostFn:
-        """Back-compat view of the model's scorer (prefer ``cost_model``)."""
-        return self.cost_model.score
 
     # -- search space ----------------------------------------------------------
     def search_space(self, verify: bool = False) -> SearchSpace:
@@ -140,7 +119,7 @@ class Optimizer:
         result.cache = space.metrics.copy()
         return result
 
-    # -- strategy entry points -------------------------------------------------
+    # -- strategy entry point --------------------------------------------------
     def optimize_with(
         self,
         strategy: Union[str, OptimizerStrategy],
@@ -152,26 +131,3 @@ class Optimizer:
         space = self.search_space(verify)
         result = make_strategy(strategy, **options).search(plan, space)
         return self._finalize(plan, result, space)
-
-    def optimize(
-        self,
-        plan: Plan,
-        depth: int = 3,
-        beam: int = 8,
-        verify: bool = False,
-    ) -> OptimizationResult:
-        """Bounded best-first search.
-
-        ``depth`` bounds rewrite chain length; ``beam`` bounds how many
-        frontier plans survive per level.  ``verify`` re-checks each kept
-        candidate for state equivalence with the original (slow, sound).
-        """
-        return self.optimize_with(
-            "beam", plan, verify=verify, depth=depth, beam=beam
-        )
-
-    def optimize_greedy(
-        self, plan: Plan, max_steps: int = 8
-    ) -> OptimizationResult:
-        """Hill climbing: take the single cheapest improving rewrite."""
-        return self.optimize_with("greedy", plan, max_steps=max_steps)

@@ -7,10 +7,9 @@ verifier — is captured once by :class:`SearchSpace`; *how* it is searched
 is a :class:`OptimizerStrategy`:
 
 * :class:`BeamSearchStrategy` — bounded best-first search keeping a beam
-  of the cheapest frontier plans per level (the historical
-  ``Optimizer.optimize``);
+  of the cheapest frontier plans per level;
 * :class:`GreedyStrategy` — hill climbing on the single best improving
-  rewrite (the historical ``Optimizer.optimize_greedy``);
+  rewrite;
 * :class:`ExhaustiveStrategy` — breadth-first enumeration of the whole
   rewrite space, bounded only by depth and a plan budget; the quality
   yardstick the cheaper strategies are judged against (E12).
@@ -23,7 +22,6 @@ their own search without touching this module.
 from __future__ import annotations
 
 import sys
-import warnings
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -41,7 +39,7 @@ from ..errors import FragmentUnavailableError, OptimizerError, PeerDownError
 from ..obs.metrics import MetricsRegistry
 from ..peers.system import AXMLSystem
 from .cost import Cost
-from .costmodel import CallableCostModel, CostModel, OracleCostModel
+from .costmodel import CostModel, OracleCostModel
 from .planspace import (
     CacheStats,
     PlanCache,
@@ -65,20 +63,6 @@ __all__ = [
 ]
 
 CostFn = Callable[[Plan], Cost]
-
-COST_FN_DEPRECATION = (
-    "cost_fn= is deprecated and will be removed; pass cost_model= instead "
-    "(a registered name like 'oracle'/'analytic'/'hybrid', a CostModel "
-    "instance, or any plan -> Cost callable — see README 'Cost models')"
-)
-
-
-def _shim_cost_fn(cost_fn: Optional[CostFn]) -> Optional[CostModel]:
-    """Wrap a deprecated bare ``cost_fn`` callable as an anonymous model."""
-    if cost_fn is None:
-        return None
-    warnings.warn(COST_FN_DEPRECATION, DeprecationWarning, stacklevel=3)
-    return CallableCostModel(cost_fn)
 
 
 def _model_token(model: CostModel) -> str:
@@ -161,7 +145,6 @@ class SearchSpace:
         self,
         system: AXMLSystem,
         rules: Sequence[RewriteRule] = DEFAULT_RULES,
-        cost_fn: Optional[CostFn] = None,
         verifier: Optional[Callable[[Plan, Plan], bool]] = None,
         verify: bool = False,
         cache: Optional[PlanCache] = None,
@@ -170,12 +153,6 @@ class SearchSpace:
     ) -> None:
         self.system = system
         self.rules = list(rules)
-        if cost_fn is not None:
-            if cost_model is not None:
-                raise OptimizerError(
-                    "pass either cost_model= or the deprecated cost_fn=, not both"
-                )
-            cost_model = _shim_cost_fn(cost_fn)
         self.cost_model: CostModel = cost_model or OracleCostModel(system)
         # computed once: spaces are constructed fresh per search
         self._cost_token = _model_token(self.cost_model)
@@ -184,11 +161,6 @@ class SearchSpace:
         self.cache = cache
         self.metrics = CacheStats()
         self.registry = registry if registry is not None else MetricsRegistry()
-
-    @property
-    def cost_fn(self) -> CostFn:
-        """Back-compat view of the model's scorer (prefer ``cost_model``)."""
-        return self.cost_model.score
 
     @property
     def memoized(self) -> bool:

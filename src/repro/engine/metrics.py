@@ -10,25 +10,16 @@ utilization of the contended compute queues.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
+from ..obs.metrics import percentile
 from .jobs import DONE, FAILED, QueryJob
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..session import ExecutionReport
 
 __all__ = ["FleetMetrics", "ServingReport", "percentile"]
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (``q`` in [0, 100]); 0.0 on empty input."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 @dataclass
@@ -98,18 +89,13 @@ class ServingReport:
     #: churn failover) when a :class:`repro.placement.PlacementActor`
     #: rode the run; empty for static placement.
     actions: List[str] = field(default_factory=list)
-    #: Fault/recovery counters for the run (messages dropped, transfers
-    #: corrupted, retries spent, parts lost, …) merged from the installed
-    #: :class:`repro.faults.FaultState` and the evaluator; empty for a
-    #: fault-free run.  Kept byte-identical for compatibility — the
-    #: structured view of the same counts lives on :attr:`registry`
-    #: (``registry.flatten("faults", "kind")`` rebuilds this dict).
-    faults: Dict[str, int] = field(default_factory=dict)
     #: Labeled metrics for the run (:class:`repro.obs.MetricsRegistry`):
-    #: fault counters, job latency histogram, per-peer utilization,
-    #: network totals by message kind, placement-action count.  Always
-    #: populated by the scheduler; supersedes :attr:`faults`/:attr:`actions`
-    #: as the structured surface.
+    #: fault/recovery counters (``faults{kind=…}``: messages dropped,
+    #: transfers corrupted, retries spent, parts lost, … merged from the
+    #: installed :class:`repro.faults.FaultState` and the evaluator; none
+    #: for a fault-free run), job latency histogram, per-peer
+    #: utilization, network totals by message kind, placement-action
+    #: count.  Always populated by the scheduler.
     registry: Optional[object] = None
     #: Virtual-clock span trees (:class:`repro.obs.Trace`) when the
     #: session had a :class:`repro.obs.Tracer` installed; ``None``
@@ -135,10 +121,12 @@ class ServingReport:
             lines.append("placement actions:")
             for action in self.actions:
                 lines.append(f"  {action}")
-        if self.faults:
+        registry = self.registry
+        faults = registry.counters("faults") if registry is not None else ()
+        if faults:
             lines.append("faults:")
-            for key in sorted(self.faults):
-                lines.append(f"  {key}: {self.faults[key]}")
+            for counter in faults:
+                lines.append(f"  {dict(counter.labels)['kind']}: {counter.value}")
         return "\n".join(lines)
 
 

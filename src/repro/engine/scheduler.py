@@ -39,15 +39,14 @@ implements for one query's transfers.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import replace
 from random import Random
 from time import perf_counter as _perf_counter
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple, Union
 
 from ..core.evaluator import ExpressionEvaluator
-from ..errors import DeadlineExceededError, ReproError, SessionError
-from ..faults.recovery import PartialAnswer
+from ..errors import ReproError, SessionError
+from ..obs.metrics import MetricsRegistry
 from ..peers.registry import POLICIES, PickPolicy
 from ..peers.system import AXMLSystem
 from .jobs import DONE, FAILED, PENDING, RUNNING, JobRequest, QueryJob, plan_peers
@@ -156,9 +155,6 @@ class Scheduler:
         #: Serving Σ and the job being admitted (set during drain).
         self._target: Optional[AXMLSystem] = None
         self._current_job: Optional[QueryJob] = None
-        #: The session's tracer for the duration of a drain (``None`` when
-        #: tracing is off — every hook below is one ``is None`` check).
-        self._tracer = None
 
     @property
     def drained(self) -> bool:
@@ -215,21 +211,15 @@ class Scheduler:
         if self._state != "open":
             raise SessionError("this engine was already drained")
         self._state = "running"
-        target = self._serving_system()
-        self._target = target
-        tracer = self.session.tracer
-        self._tracer = tracer
-        if tracer is not None:
-            tracer.reset()
-            target.network.tracer = tracer
-        evaluator = ExpressionEvaluator(
-            target,
-            _ChargingPolicy(self.admission, self),
-            recovery=self.session.retry,
-            tracer=tracer,
-            profiler=self.session.profiler,
+        evaluator = self.session._evaluator(
+            _ChargingPolicy(self.admission, self)
         )
-        self.session._install_faults(target)
+        target = self._target = evaluator.system
+        if not self.session.isolate and self.session.plan_cache is not None:
+            # serving will mutate the live Σ; start planning from a
+            # coherent table and let it warm over the run itself
+            self.session.plan_cache.clear()
+        tracer = self.session.tracer
         try:
             if feed is not None:
                 self.submit_all(feed.initial())
@@ -237,9 +227,7 @@ class Scheduler:
                 # fault/churn actors must install their state *before* the
                 # first admission — the first job may already hit a window
                 for note in self.actor.on_start(target) or ():
-                    self.actions.append(f"0.000000000 {note}")
-                    if tracer is not None:
-                        tracer.run_span(note, "placement", 0.0, 0.0)
+                    self._note(0.0, note)
             if self.actor is not None and self._heap:
                 self._push(self.actor.interval, _TICK, None)
             while self._heap:
@@ -263,18 +251,13 @@ class Scheduler:
             peer_id: target.peer(peer_id).busy_time
             for peer_id in target.peers
         }
-        stats = target.network.stats
-        faults = {}
         state = target.network.faults
-        if state is not None:
-            faults.update(state.counters)
-        for key, value in evaluator.counters.items():
-            faults[key] = faults.get(key, 0) + value
         metrics = summarize(self.jobs, busy)
-        if tracer is not None and state is not None:
+        trace = None
+        if tracer is not None:
             # the scripted fault windows, as run-level spans next to the
             # job trees (instants — crash/rejoin — render zero-width)
-            for event in state.plan.events:
+            for event in state.plan.events if state is not None else ():
                 tracer.run_span(
                     f"fault {event.kind}",
                     "fault",
@@ -282,38 +265,32 @@ class Scheduler:
                     max(event.start, event.end),
                     detail=event.describe(),
                 )
-        report = ServingReport(
+            trace = tracer.trace()
+        return ServingReport(
             jobs=list(self.jobs),
             metrics=metrics,
-            network={
-                "bytes": stats.bytes,
-                "messages": stats.messages,
-                "bytes_by_kind": dict(stats.bytes_by_kind),
-                "messages_by_kind": dict(stats.by_kind),
-            },
+            network=target.network.stats.snapshot(),
             peers=target.stats_snapshot(),
             events=list(self.events),
             actions=list(self.actions),
-            faults=faults,
-            registry=self._build_registry(metrics, busy, stats, faults),
-            trace=tracer.trace() if tracer is not None else None,
+            registry=self._build_registry(
+                metrics, busy, target.network, evaluator.counters
+            ),
+            trace=trace,
         )
-        return report
 
-    def _build_registry(self, metrics, busy, stats, faults):
+    def _build_registry(self, metrics, busy, network, recovery) -> MetricsRegistry:
         """Fold the run's counters into a labeled MetricsRegistry.
 
         Pure dict/list work on values already computed — no RNG, no
-        clock; the registry is the structured successor of the ad-hoc
-        ``faults``/``actions`` dicts (which stay populated, byte-identical,
-        for compatibility: ``registry.flatten("faults", "kind")``
-        rebuilds ``report.faults`` exactly).
+        clock.  ``faults{kind=…}`` sums the evaluator's ``recovery``
+        tallies with the installed fault state's injection tallies.
         """
-        from ..obs.metrics import MetricsRegistry
-
         registry = MetricsRegistry()
-        for kind, value in faults.items():
-            registry.counter("faults", kind=kind).inc(value)
+        stats = network.stats
+        for counters in (recovery, getattr(network.faults, "counters", {})):
+            for kind, value in counters.items():
+                registry.counter("faults", kind=kind).inc(value)
         latency = registry.histogram("job_latency")
         for job in self.jobs:
             registry.counter("jobs", status=job.status).inc()
@@ -331,17 +308,6 @@ class Scheduler:
         registry.counter("placement_actions").inc(len(self.actions))
         return registry
 
-    def _serving_system(self) -> AXMLSystem:
-        if self.session.isolate:
-            return self.session.system.clone()
-        target = self.session.system
-        target.reset()
-        if self.session.plan_cache is not None:
-            # serving will mutate the live Σ; start planning from a
-            # coherent table and let it warm over the run itself
-            self.session.plan_cache.clear()
-        return target
-
     def _tick(self, now: float, target: AXMLSystem) -> None:
         """One placement-actor heartbeat on the virtual clock.
 
@@ -355,13 +321,17 @@ class Scheduler:
         """
         notes = self.actor.on_tick(target, now)
         for note in notes:
-            self.actions.append(f"{now:.9f} {note}")
-            if self._tracer is not None:
-                self._tracer.run_span(note, "placement", now, now)
+            self._note(now, note)
         if notes and self.session.plan_cache is not None:
             self.session.plan_cache.clear()
         if self._heap:
             self._push(now + self.actor.interval, _TICK, None)
+
+    def _note(self, now: float, note: str) -> None:
+        """Append one actor note to the placement-action trace."""
+        self.actions.append(f"{now:.9f} {note}")
+        if self.session.tracer is not None:
+            self.session.tracer.run_span(note, "placement", now, now)
 
     def _admit(
         self,
@@ -376,118 +346,83 @@ class Scheduler:
         if request.write is not None:
             self._admit_write(job, now, target)
             return
-        deadline_at = (
-            now + request.deadline if request.deadline is not None else math.inf
-        )
-        tracer = self._tracer
+        tracer = self.session.tracer
+        report = None
         self._current_job = job
-        evaluator.begin_job(deadline_at=deadline_at, partial=request.partial)
-        if tracer is not None:
-            tracer.begin_job(job.name, job.arrival, site=request.at)
         try:
             plan_wall = _perf_counter() if tracer is not None else 0.0
             report = self.session.plan_job(request)
-            if tracer is not None:
-                # planning burns wall time but zero virtual time: a
-                # zero-duration span at the admission instant, carrying
-                # the search stats (and the wall cost) as attributes
-                tracer.record(
-                    "plan",
-                    "plan",
-                    now,
-                    now,
-                    strategy=report.strategy,
-                    cost_model=getattr(
-                        getattr(self.session, "cost_model", None),
-                        "name",
-                        "custom",
-                    ),
-                    explored=report.explored,
-                    site=report.plan.site,
-                    cache_hits=(
-                        report.plan_cache.cost_hits + report.plan_cache.expand_hits
-                        if report.plan_cache is not None
-                        else 0
-                    ),
-                    wall_ms=(_perf_counter() - plan_wall) * 1000.0,
-                )
             job.peers = plan_peers(report.plan.expr, report.plan.site)
             for peer_id in job.peers:
                 target.peer(peer_id).enqueue_job()
             job.started_at = max(
                 now, target.peer(report.plan.site).busy_until
             )
-            if tracer is not None:
-                if job.started_at > now:
-                    tracer.record(
-                        "admission-queue",
-                        "queue",
-                        now,
-                        job.started_at,
-                        resource=f"cpu {report.plan.site}",
-                    )
-                tracer.push("eval", "eval", now)
-            outcome = evaluator.eval(
-                report.plan.expr, report.plan.site, ready_at=now
+            self.session._run_report(
+                report,
+                evaluator,
+                job.name,
+                arrival=job.arrival,
+                ready_at=now,
+                deadline=request.deadline,
+                partial=request.partial,
+                trace_admission=lambda tracer: self._trace_admission(
+                    tracer, report, now, job.started_at, plan_wall
+                ),
+                site=request.at,
             )
         except ReproError as exc:
             job.status = FAILED
             job.error = exc
-            job.finished_at = now
-            if tracer is not None:
-                tracer.pop(now)
-                tracer.end_job(
-                    now, status="failed", error=type(exc).__name__
-                )
-            self._push(now, _COMPLETION, job)
-            return
+            # a late answer fails when its deadline ran out (the instant
+            # its error carries); anything else failed right at admission
+            late = report is not None and report.executed
+            job.finished_at = exc.at if late else now
+            if report is None and tracer is not None:
+                # planning failed, so the job never reached the execution
+                # path that owns the span tree: leave its failed root
+                tracer.begin_job(job.name, job.arrival, site=request.at)
+                tracer.end_job(now, status="failed", error=type(exc).__name__)
+        else:
+            job.status = DONE
+            job.finished_at = report.completed_at
+            job.partial = report.partial
+            job.report = report
         finally:
             self._current_job = None
-        if tracer is not None:
-            tracer.pop(outcome.completed_at)
-        losses = tuple(evaluator.losses)
-        late = outcome.completed_at > deadline_at
-        if late and not request.partial:
-            # the answer exists but nobody is waiting for it any more:
-            # the client's budget ran out at deadline_at
-            evaluator._count("deadlines_exceeded")
-            job.status = FAILED
-            job.error = DeadlineExceededError(
-                f"job {job.name!r} settled at {outcome.completed_at:.6f}, "
-                f"past its deadline {deadline_at:.6f}",
-                at=deadline_at,
-            )
-            job.finished_at = deadline_at
-            if tracer is not None:
-                tracer.end_job(
-                    deadline_at, status="failed", error="DeadlineExceededError"
-                )
-            self._push(job.finished_at, _COMPLETION, job)
-            return
-        job.status = DONE
-        job.finished_at = outcome.completed_at
-        report.items = list(outcome.items)
-        report.executed = True
-        report.completed_at = outcome.completed_at
-        if request.partial and (losses or late):
-            if late:
-                evaluator._count("deadlines_exceeded")
-            job.partial = PartialAnswer(
-                lost=losses,
-                retries=evaluator.job_retries,
-                deadline_exceeded=late,
-            )
-            report.partial = job.partial
-            evaluator._count("partial_answers")
-        job.report = report
-        if tracer is not None:
-            tracer.mark("settle", "mark", job.finished_at)
-            tracer.end_job(
-                job.finished_at,
-                status="done",
-                partial=job.partial is not None,
-            )
         self._push(job.finished_at, _COMPLETION, job)
+
+    def _trace_admission(self, tracer, report, now, started_at, plan_wall) -> None:
+        """A served job's spans ahead of its ``eval`` subtree.
+
+        Planning burns wall time but zero virtual time: a zero-duration
+        span at the admission instant, carrying the search stats (and
+        the wall cost) as attributes; then the wait for the site CPU.
+        """
+        tracer.record(
+            "plan",
+            "plan",
+            now,
+            now,
+            strategy=report.strategy,
+            cost_model=getattr(self.session.cost_model, "name", "custom"),
+            explored=report.explored,
+            site=report.plan.site,
+            cache_hits=(
+                report.plan_cache.cost_hits + report.plan_cache.expand_hits
+                if report.plan_cache is not None
+                else 0
+            ),
+            wall_ms=(_perf_counter() - plan_wall) * 1000.0,
+        )
+        if started_at > now:
+            tracer.record(
+                "admission-queue",
+                "queue",
+                now,
+                started_at,
+                resource=f"cpu {report.plan.site}",
+            )
 
     def _admit_write(self, job: QueryJob, now: float, target: AXMLSystem) -> None:
         """Apply a write job's op against the serving Σ.
@@ -503,7 +438,7 @@ class Scheduler:
 
         request = job.request
         job.started_at = now
-        tracer = self._tracer
+        tracer = self.session.tracer
         if tracer is not None:
             tracer.begin_job(job.name, job.arrival, write=True)
         try:

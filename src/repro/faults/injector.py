@@ -40,7 +40,7 @@ class FaultState:
     Installed as ``network.faults``; ``None`` there (the default) means
     the exact historical fault-free code path runs.  ``counters`` is a
     plain dict accumulated across the run and folded into
-    ``ServingReport.faults``.
+    ``ServingReport.registry`` as ``faults{kind=…}`` counters.
     """
 
     def __init__(self, plan: FaultPlan) -> None:

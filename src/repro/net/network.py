@@ -17,7 +17,6 @@ lowest-cost path.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -102,8 +101,14 @@ class NetworkStats:
             self.bytes_by_kind.get(message.kind, 0) + message.size
         )
 
-    def snapshot(self) -> Dict[str, int]:
-        return {"messages": self.messages, "bytes": self.bytes}
+    def snapshot(self) -> Dict[str, object]:
+        """The totals execution and serving reports carry (copied dicts)."""
+        return {
+            "bytes": self.bytes,
+            "messages": self.messages,
+            "bytes_by_kind": dict(self.bytes_by_kind),
+            "messages_by_kind": dict(self.by_kind),
+        }
 
 
 @dataclass
@@ -137,8 +142,7 @@ class Network:
     * :meth:`deliver` — ship a :class:`Message`, returning its arrival
       time, charging link occupancy and statistics;
     * :meth:`reset_clocks` — clear busy state between benchmark runs while
-      keeping the topology (``reset_clock`` survives as a deprecated
-      alias).
+      keeping the topology.
 
     The paper makes no assumption about network structure (Section 2);
     accordingly, any digraph is accepted and routing falls back to the
@@ -398,15 +402,6 @@ class Network:
         """
         for link in self._links.values():
             link.busy_until = 0.0
-
-    def reset_clock(self) -> None:
-        """Deprecated alias for :meth:`reset_clocks`."""
-        warnings.warn(
-            "Network.reset_clock() is deprecated; use reset_clocks()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.reset_clocks()
 
     def reset_stats(self) -> None:
         self.stats = NetworkStats()

@@ -8,8 +8,7 @@ The package splits observation along the clock it observes:
   RNG and charges no virtual time; with no tracer installed every hook
   is one ``is None`` check.
 * :class:`MetricsRegistry` — labeled counters/gauges/histograms; the
-  structured successor of the ad-hoc ``ServingReport.faults``/
-  ``actions`` dicts.
+  one metrics surface of a serving run (``ServingReport.registry``).
 * :func:`analyze` / :func:`decompose` — critical-path decomposition of
   each job's latency into queue/link/cpu/backoff/stall segments that
   sum exactly to the measured latency, naming the bottleneck resource.

@@ -1,12 +1,9 @@
 """Labeled metrics: counters, gauges, and histograms for serving runs.
 
-The :class:`MetricsRegistry` is the structured successor of the ad-hoc
-``ServingReport.faults`` / ``ServingReport.actions`` dicts: the engine
-folds fault/recovery counters, placement actions, per-job latencies and
-per-peer utilization into one registry with labeled instruments, so
-benches and the CLI read a single shape instead of scraping dicts.
-(The legacy dict fields remain populated with byte-identical content —
-they are now *views* the registry absorbs, kept for compatibility.)
+The engine folds fault/recovery counters, the placement-action count,
+per-job latencies and per-peer utilization into one
+:class:`MetricsRegistry` with labeled instruments, so benches and the
+CLI read a single shape instead of scraping dicts.
 
 Instruments are deterministic, allocation-light python objects — no
 background threads, no wall clocks — so a registry can ride a serving
@@ -15,12 +12,22 @@ run without perturbing it.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "percentile"]
 
 #: A label set, canonically ordered so equal label dicts are one key.
 LabelKey = Tuple[Tuple[str, str], ...]
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (``q`` in [0, 100]); 0.0 on empty input."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
 
 
 def _label_key(labels: Dict[str, object]) -> LabelKey:
@@ -88,8 +95,6 @@ class Histogram:
         return self.sum / self.count if self.values else 0.0
 
     def percentile(self, q: float) -> float:
-        from ..engine.metrics import percentile
-
         return percentile(self.values, q)
 
 
@@ -138,21 +143,6 @@ class MetricsRegistry:
         key = (name, _label_key(labels))
         instrument = self._counters.get(key)
         return instrument.value if instrument is not None else 0
-
-    def flatten(self, name: str, label: str) -> Dict[str, int]:
-        """Counters named ``name`` as a ``{label_value: count}`` dict.
-
-        The compatibility bridge: ``flatten("faults", "kind")`` rebuilds
-        exactly the legacy ``ServingReport.faults`` mapping.
-        """
-        out: Dict[str, int] = {}
-        for (n, labels), instrument in self._counters.items():
-            if n != name:
-                continue
-            for key, value in labels:
-                if key == label:
-                    out[value] = out.get(value, 0) + instrument.value
-        return out
 
     def to_dict(self) -> Dict[str, object]:
         """A stable, JSON-ready image of every instrument."""

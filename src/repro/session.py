@@ -37,7 +37,8 @@ one-line constructor re-exported as ``repro.connect``.
 
 from __future__ import annotations
 
-import warnings
+import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -72,7 +73,14 @@ from .core.strategies import (
     make_strategy,
 )
 from .core.verify import VerificationResult, check_equivalence
-from .errors import DecompositionError, SessionError, XQueryError
+from .errors import (
+    DeadlineExceededError,
+    DecompositionError,
+    SessionError,
+    XQueryError,
+)
+from .faults.injector import FaultState
+from .faults.recovery import PartialAnswer
 from .peers.system import AXMLSystem
 from .xmlcore.model import Element
 from .xmlcore.serializer import serialize
@@ -80,6 +88,9 @@ from .xquery import Query
 from .xquery.decompose import Decomposition, free_variables, push_selection
 
 __all__ = ["ExecutionReport", "Session", "connect"]
+
+#: What :meth:`Session._phase` hands out when no profiler is installed.
+_NO_PHASE = nullcontext()
 
 #: Value types accepted on the right-hand side of a parameter binding.
 Binding = Union[str, Tuple[str, str], Expression, Element]
@@ -226,8 +237,7 @@ class Session:
         Machine-check every rewrite kept during the search *and* the
         finally chosen plan against the original (slow, sound).
     trace:
-        Keep the full search trace on each report.  (Passing a
-        :class:`repro.obs.Tracer` here is deprecated — use ``tracer=``.)
+        Keep the full search trace on each report (a bool).
     tracer:
         A :class:`repro.obs.Tracer` instance turning on virtual-clock
         span recording for executions and serving runs.
@@ -243,8 +253,7 @@ class Session:
         to the named factory; ``statistics`` seeds the analytic
         estimator's selectivity table.
     rules / pick_policy:
-        Forwarded to the optimizer and evaluator.  ``cost_fn`` is the
-        deprecated spelling of a callable ``cost_model``.
+        Forwarded to the optimizer and evaluator.
     isolate:
         When true (default), plans execute against a clone of Σ so the
         session's system is never mutated by a run — matching the
@@ -272,10 +281,9 @@ class Session:
         *,
         strategy: Union[str, OptimizerStrategy] = "beam",
         verify: bool = False,
-        trace=None,
+        trace: bool = False,
         tracer=None,
         rules: Sequence[RewriteRule] = DEFAULT_RULES,
-        cost_fn=None,
         cost_model: Union[str, CostModel, None] = None,
         cost_model_options: Optional[Mapping] = None,
         statistics: Optional[Statistics] = None,
@@ -290,31 +298,17 @@ class Session:
         self.system = system
         self.strategy = make_strategy(strategy, **dict(strategy_options or {}))
         self.verify = verify
-        # ``trace`` is the legacy search-trace flag (record the rewrite
-        # trace on reports); ``tracer`` installs a :class:`repro.obs.Tracer`
-        # for virtual-clock span recording.  Passing a Tracer instance
-        # through ``trace=`` still works but is deprecated.
-        if isinstance(trace, bool) or trace is None:
-            self.trace = bool(trace)
-            #: Installed :class:`repro.obs.Tracer`; executions and drains
-            #: reset and fill it, surfacing the result on
-            #: :attr:`ExecutionReport.spans` / ``ServingReport.trace``.
-            self.tracer = tracer
-        else:
-            warnings.warn(
-                "passing a Tracer through Session(trace=...) is deprecated; "
-                "use Session(tracer=...) — trace= stays the bool "
-                "search-trace flag",
-                DeprecationWarning,
-                stacklevel=2,
+        if not isinstance(trace, bool):
+            raise SessionError(
+                f"trace= is the bool search-trace flag, got {trace!r}; "
+                "pass a Tracer through tracer="
             )
-            if tracer is not None:
-                raise SessionError(
-                    "pass the Tracer through tracer= only, not both "
-                    "trace= and tracer="
-                )
-            self.trace = False
-            self.tracer = trace
+        #: Record the rewrite-search trace on every report.
+        self.trace = trace
+        #: Installed :class:`repro.obs.Tracer`; executions and drains
+        #: reset and fill it, surfacing the result on
+        #: :attr:`ExecutionReport.spans` / ``ServingReport.trace``.
+        self.tracer = tracer
         #: Optional :class:`repro.obs.WallProfiler` timing the pipeline's
         #: wall-clock phases (parse / optimize / evaluate / serialize).
         self.profiler = profiler
@@ -336,20 +330,20 @@ class Session:
                 )
             plan_cache = PlanCache()
         self.plan_cache = plan_cache
-        #: Equivalence verdicts from the current pipeline run, keyed by
-        #: plan pair, so the finally chosen plan is not re-verified after
-        #: the search already checked it (check_equivalence is the slow,
-        #: evaluate-both-sides path).
+        #: Equivalence verdicts of the job being planned, keyed by the
+        #: pair of ``SearchSpace.plan_key`` values (content fingerprint +
+        #: doc-epoch signature), so the finally chosen plan is not
+        #: re-verified after the search already checked it
+        #: (check_equivalence is the slow, evaluate-both-sides path).
         self._verify_cache: Dict[Tuple[str, str], VerificationResult] = {}
         #: The open serving engine, created lazily by :meth:`submit`.
         self._engine = None
-        verifier = self._verified_equivalent if verify else None
         self.optimizer = Optimizer(
             system,
             rules=rules,
-            cost_fn=cost_fn,
             cost_model=cost_model,
-            verifier=verifier,
+            # a VerificationResult is truthy exactly when equivalent
+            verifier=self._check_equivalence if verify else None,
             cache=self.plan_cache,
             pick_policy=pick_policy,
             statistics=statistics,
@@ -359,11 +353,9 @@ class Session:
         #: this session's searches (``session.cost_model.name`` names it).
         self.cost_model = self.optimizer.cost_model
 
-    def _verified_equivalent(self, left: Plan, right: Plan) -> bool:
-        return self._check_equivalence(left, right).equivalent
-
     def _check_equivalence(self, left: Plan, right: Plan) -> VerificationResult:
-        key = (left.describe(), right.describe())
+        space = self.optimizer.search_space()
+        key = (space.plan_key(left), space.plan_key(right))
         result = self._verify_cache.get(key)
         if result is None:
             result = check_equivalence(left, right, self.system, self.pick_policy)
@@ -380,10 +372,8 @@ class Session:
         """Parse XQuery text into a :class:`Query` (idempotent on queries)."""
         if isinstance(source, Query):
             return source
-        if self.profiler is not None:
-            with self.profiler.phase("parse"):
-                return Query(source, params=params, name=name)
-        return Query(source, params=params, name=name)
+        with self._phase("parse"):
+            return Query(source, params=params, name=name)
 
     def plan(
         self,
@@ -571,14 +561,11 @@ class Session:
         the touched documents' epochs, and epoch-salted cache keys
         (:func:`repro.core.planspace.doc_epoch_signature`) orphan
         exactly the stale entries while every other document's memos
-        keep serving hits.  Only the equivalence-verifier cache, which
-        is keyed on plan pairs alone, is dropped wholesale.
+        keep serving hits.
         """
         from .writes import DocumentWriter
 
-        result = DocumentWriter(self.system).apply(op, now=now)
-        self._verify_cache.clear()
-        return result
+        return DocumentWriter(self.system).apply(op, now=now)
 
     def insert(self, doc: str, item, ordinal: Optional[int] = None, now: float = 0.0):
         """Insert ``item`` as child ``ordinal`` of ``doc`` (None appends)."""
@@ -710,20 +697,17 @@ class Session:
         closed-loop source, ``actor`` an optional background placement
         actor ticked on the virtual clock between query events (its
         action trace lands on :attr:`ServingReport.actions
-        <repro.engine.metrics.ServingReport.actions>`).  Uses a private
-        engine so pending :meth:`submit` state is never mixed in (raises
-        if the session already has an open engine).
+        <repro.engine.metrics.ServingReport.actions>`).  Raises if the
+        session already has an open engine, so pending :meth:`submit`
+        state is never mixed in.
         """
-        from .engine.scheduler import Scheduler
-
         if self._engine is not None and not self._engine.drained:
             raise SessionError(
                 "session has an open engine with pending jobs; "
                 "drain() it before calling serve()"
             )
-        engine = Scheduler(self, seed=seed, admission=admission, actor=actor)
-        engine.submit_all(requests)
-        return engine.drain(feed)
+        self.engine(seed, admission, actor).submit_all(requests)
+        return self.drain(feed)
 
     def plan_job(self, request) -> ExecutionReport:
         """Plan (and optimize) one serving job without executing it.
@@ -738,7 +722,48 @@ class Session:
             request.source, params=tuple(request.bind or {}), name=request.name
         )
         plan = self.plan(query, request.at, bind=request.bind, name=request.name)
-        result = self._optimize(plan, request.optimize)
+        return self._plan_report(
+            plan, request.optimize, source=query.source, name=query.name
+        )
+
+    # -- internals ----------------------------------------------------------------
+    def _try_decompose(self, query: Query) -> Optional[Decomposition]:
+        try:
+            return push_selection(query)
+        except (DecompositionError, XQueryError):
+            return None
+
+    def _phase(self, name: str):
+        """The profiler's wall-clock timer for ``name`` (a no-op without one)."""
+        return self.profiler.phase(name) if self.profiler is not None else _NO_PHASE
+
+    def _plan_report(
+        self,
+        plan: Plan,
+        optimize: bool,
+        source: Optional[str] = None,
+        name: Optional[str] = None,
+        decomposition: Optional[Decomposition] = None,
+    ) -> ExecutionReport:
+        """Search → verify → the not-yet-executed report: the one planning path."""
+        self._verify_cache.clear()  # verdicts are per job: Σ may have changed
+        with self._phase("optimize"):
+            if optimize:
+                result = self.optimizer.optimize_with(
+                    self.strategy, plan, verify=self.verify
+                )
+            else:
+                space = self.optimizer.search_space()
+                cost = space.score_original(plan)
+                result = OptimizationResult(
+                    best=plan,
+                    best_cost=cost,
+                    original_cost=cost,
+                    explored=1,
+                    trace=[(plan, cost, "original")],
+                    strategy="none",
+                    cache=space.metrics.copy(),
+                )
         verification: Optional[VerificationResult] = None
         if self.verify:
             if result.best is plan:
@@ -752,40 +777,13 @@ class Session:
             original_cost=result.original_cost,
             explored=result.explored,
             strategy=result.strategy or getattr(self.strategy, "name", "?"),
-            source=query.source,
-            name=query.name,
+            source=source,
+            name=name,
             trace=list(result.trace) if self.trace else [],
             verification=verification,
+            decomposition=decomposition,
             plan_cache=result.cache,
         )
-
-    # -- internals ----------------------------------------------------------------
-    def _try_decompose(self, query: Query) -> Optional[Decomposition]:
-        try:
-            return push_selection(query)
-        except (DecompositionError, XQueryError):
-            return None
-
-    def _optimize(self, plan: Plan, optimize: bool) -> OptimizationResult:
-        if self.profiler is not None:
-            with self.profiler.phase("optimize"):
-                return self._optimize_inner(plan, optimize)
-        return self._optimize_inner(plan, optimize)
-
-    def _optimize_inner(self, plan: Plan, optimize: bool) -> OptimizationResult:
-        if not optimize:
-            space = self.optimizer.search_space()
-            cost = space.score_original(plan)
-            return OptimizationResult(
-                best=plan,
-                best_cost=cost,
-                original_cost=cost,
-                explored=1,
-                trace=[(plan, cost, "original")],
-                strategy="none",
-                cache=space.metrics.copy(),
-            )
-        return self.optimizer.optimize_with(self.strategy, plan, verify=self.verify)
 
     def _pipeline(
         self,
@@ -798,133 +796,139 @@ class Session:
         deadline: Optional[float] = None,
         partial: bool = False,
     ) -> ExecutionReport:
-        self._verify_cache.clear()  # Σ may have changed since the last run
         if self.plan_cache is not None and not self.isolate:
             # non-isolated executions mutate Σ, so cached costs are stale
             self.plan_cache.clear()
-        result = self._optimize(plan, optimize)
-        verification: Optional[VerificationResult] = None
-        if self.verify:
-            if result.best is plan:
-                verification = VerificationResult(True, "plan unchanged")
-            else:
-                verification = self._check_equivalence(plan, result.best)
-        report = ExecutionReport(
-            plan=result.best,
-            original=plan,
-            best_cost=result.best_cost,
-            original_cost=result.original_cost,
-            explored=result.explored,
-            strategy=result.strategy or getattr(self.strategy, "name", "?"),
-            source=source,
-            name=name,
-            trace=list(result.trace) if self.trace else [],
-            verification=verification,
-            decomposition=decomposition,
-            plan_cache=result.cache,
-        )
+        report = self._plan_report(plan, optimize, source, name, decomposition)
         if execute:
-            self._execute(report, deadline=deadline, partial=partial)
+            evaluator = self._evaluator(self.pick_policy)
+            self._run_report(
+                report,
+                evaluator,
+                report.name or "query",
+                deadline=deadline,
+                partial=partial,
+                site=report.plan.site,
+                strategy=report.strategy,
+                explored=report.explored,
+            )
+            if self.tracer is not None:
+                report.spans = self.tracer.trace()
+            report.network = evaluator.system.network.stats.snapshot()
+            report.peers = evaluator.system.stats_snapshot()
         return report
 
-    def _install_faults(self, target: AXMLSystem) -> None:
-        """Compile the session's fault plan onto ``target``'s network.
+    def _evaluator(self, pick_policy) -> ExpressionEvaluator:
+        """The evaluator every job of one run goes through.
 
-        No plan (or an empty one) installs nothing — ``network.faults``
-        stays ``None`` and the exact historical code paths run.
+        Its ``system`` is the run's target Σ — a clone under ``isolate``,
+        else the live system reset to a clean measurement baseline — with
+        the session's fault plan and tracer installed.  No plan (or an
+        empty one) installs nothing: ``network.faults`` stays ``None``
+        and the exact historical code paths run.
         """
-        if self.fault_plan is not None and self.fault_plan:
-            from .faults.injector import FaultState
-
-            state = getattr(target.network, "faults", None)
-            if state is None or state.plan is not self.fault_plan:
-                target.network.faults = FaultState(self.fault_plan)
-
-    def _execute(
-        self,
-        report: ExecutionReport,
-        deadline: Optional[float] = None,
-        partial: bool = False,
-    ) -> None:
-        """Evaluate the chosen plan; fill in answers and accounting."""
-        import math as _math
-
         if self.isolate:
             target = self.system.clone()
         else:
             target = self.system
             target.reset()
-        self._install_faults(target)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.reset()
-            target.network.tracer = tracer
-        evaluator = ExpressionEvaluator(
+        if self.fault_plan:
+            state = target.network.faults
+            if state is None or state.plan is not self.fault_plan:
+                target.network.faults = FaultState(self.fault_plan)
+        if self.tracer is not None:
+            self.tracer.reset()
+            target.network.tracer = self.tracer
+        return ExpressionEvaluator(
             target,
-            self.pick_policy,
+            pick_policy,
             recovery=self.retry,
-            tracer=tracer,
+            tracer=self.tracer,
             profiler=self.profiler,
         )
-        deadline_at = deadline if deadline is not None else _math.inf
+
+    def _run_report(
+        self,
+        report: ExecutionReport,
+        evaluator: ExpressionEvaluator,
+        name: str,
+        *,
+        arrival: float = 0.0,
+        ready_at: float = 0.0,
+        deadline: Optional[float] = None,
+        partial: bool = False,
+        trace_admission=None,
+        **job_attrs,
+    ) -> None:
+        """Run a planned job through ``evaluator``: the one execution path.
+
+        Evaluates ``report.plan`` from ``ready_at`` (zero for a lone
+        :meth:`query`, the admission instant for a served job), resolves
+        ``deadline`` (virtual seconds past ``ready_at``) and ``partial``,
+        and fills in the report's execution half.  A tracer on the
+        evaluator gets the job's span tree: a root ``name`` opened at
+        ``arrival`` with ``job_attrs``, whatever ``trace_admission(tracer)``
+        records, then the ``eval`` subtree — closed however the job ends.
+
+        Raises the evaluator's typed errors unchanged, and
+        :class:`~repro.errors.DeadlineExceededError` (``at`` = the
+        deadline) for an answer that settled too late without ``partial``;
+        only then is the report already marked executed.
+        """
+        tracer = evaluator.tracer
+        deadline_at = ready_at + deadline if deadline is not None else math.inf
         evaluator.begin_job(deadline_at=deadline_at, partial=partial)
         if tracer is not None:
-            tracer.begin_job(
-                report.name or "query",
-                0.0,
-                site=report.plan.site,
-                strategy=report.strategy,
-                explored=report.explored,
-            )
-            tracer.push("eval", "eval", 0.0)
+            tracer.begin_job(name, arrival, **job_attrs)
+            if trace_admission is not None:
+                trace_admission(tracer)
+            tracer.push("eval", "eval", ready_at)
         try:
-            if self.profiler is not None:
-                with self.profiler.phase("evaluate"):
-                    outcome: EvalOutcome = evaluator.eval(
-                        report.plan.expr, report.plan.site
-                    )
-            else:
-                outcome = evaluator.eval(report.plan.expr, report.plan.site)
-        except BaseException:
+            with self._phase("evaluate"):
+                outcome: EvalOutcome = evaluator.eval(
+                    report.plan.expr, report.plan.site, ready_at=ready_at
+                )
+        except BaseException as exc:
             if tracer is not None:
-                tracer.pop(target.clock)
-                tracer.end_job(target.clock, status="failed")
+                tracer.pop(ready_at)
+                tracer.end_job(
+                    ready_at, status="failed", error=type(exc).__name__
+                )
             raise
-        if tracer is not None:
-            tracer.pop(outcome.completed_at)
-            tracer.mark("settle", "mark", outcome.completed_at)
-            tracer.end_job(outcome.completed_at, status="done")
-            report.spans = tracer.trace()
-        if outcome.completed_at > deadline_at and not partial:
-            from .errors import DeadlineExceededError
-
-            raise DeadlineExceededError(
-                f"query {report.name or '(anonymous)'} settled at "
-                f"{outcome.completed_at:.6f}, past its deadline "
-                f"{deadline_at:.6f}",
-                at=deadline_at,
-            )
-        if partial and (
-            evaluator.losses or outcome.completed_at > deadline_at
-        ):
-            from .faults.recovery import PartialAnswer
-
-            report.partial = PartialAnswer(
-                lost=tuple(evaluator.losses),
-                retries=evaluator.job_retries,
-                deadline_exceeded=outcome.completed_at > deadline_at,
-            )
-        stats = target.network.stats
         report.items = list(outcome.items)
         report.executed = True
         report.completed_at = outcome.completed_at
-        report.network = {
-            "bytes": stats.bytes,
-            "messages": stats.messages,
-            "bytes_by_kind": dict(stats.bytes_by_kind),
-            "messages_by_kind": dict(stats.by_kind),
-        }
-        report.peers = target.stats_snapshot()
+        late = outcome.completed_at > deadline_at
+        if late:
+            evaluator._count("deadlines_exceeded")
+        if partial and (evaluator.losses or late):
+            report.partial = PartialAnswer(
+                lost=tuple(evaluator.losses),
+                retries=evaluator.job_retries,
+                deadline_exceeded=late,
+            )
+            evaluator._count("partial_answers")
+        if tracer is not None:
+            tracer.pop(outcome.completed_at)
+            if late and not partial:
+                tracer.end_job(
+                    deadline_at, status="failed", error="DeadlineExceededError"
+                )
+            else:
+                tracer.mark("settle", "mark", outcome.completed_at)
+                tracer.end_job(
+                    outcome.completed_at,
+                    status="done",
+                    partial=report.partial is not None,
+                )
+        if late and not partial:
+            # the answer exists but nobody is waiting for it any more:
+            # the client's budget ran out at deadline_at
+            raise DeadlineExceededError(
+                f"job {name!r} settled at {outcome.completed_at:.6f}, "
+                f"past its deadline {deadline_at:.6f}",
+                at=deadline_at,
+            )
 
 
 def connect(

@@ -37,22 +37,18 @@ from .generator import (
     ScenarioSpec,
 )
 from .harness import (
-    CostModelCheckResult,
-    CostModelSweepReport,
     DEFAULT_COST_MODELS,
     DEFAULT_STRATEGIES,
     DifferentialHarness,
     FaultCheckResult,
     FaultSweepReport,
-    FragmentedQueryResult,
-    FragmentedSweepReport,
     HarnessReport,
     Mismatch,
+    ParityResult,
+    ParitySweepReport,
     QueryDifferential,
     ScenarioReport,
     StrategyOutcome,
-    WriteCheckResult,
-    WriteSweepReport,
 )
 
 __all__ = [
@@ -74,14 +70,10 @@ __all__ = [
     "QueryDifferential",
     "StrategyOutcome",
     "Mismatch",
-    "FragmentedQueryResult",
-    "FragmentedSweepReport",
-    "WriteCheckResult",
-    "WriteSweepReport",
+    "ParityResult",
+    "ParitySweepReport",
     "FaultCheckResult",
     "FaultSweepReport",
-    "CostModelCheckResult",
-    "CostModelSweepReport",
     "DEFAULT_STRATEGIES",
     "DEFAULT_COST_MODELS",
 ]

@@ -50,14 +50,10 @@ __all__ = [
     "ScenarioReport",
     "HarnessReport",
     "Mismatch",
-    "FragmentedQueryResult",
-    "FragmentedSweepReport",
-    "WriteCheckResult",
-    "WriteSweepReport",
+    "ParityResult",
+    "ParitySweepReport",
     "FaultCheckResult",
     "FaultSweepReport",
-    "CostModelCheckResult",
-    "CostModelSweepReport",
     "DifferentialHarness",
     "DEFAULT_STRATEGIES",
     "DEFAULT_COST_MODELS",
@@ -317,27 +313,28 @@ class HarnessReport:
 
 
 @dataclass
-class FragmentedQueryResult:
-    """One fragmented query vs its whole-document baseline.
+class ParityResult:
+    """One query's serialized answers, per variant, against a byte baseline.
 
-    ``baseline_answers`` are the *serialized* answers (byte form, order
-    kept) of the query with every ``@dist`` binding rewritten to the
-    concrete ``@home`` document; ``answers`` maps each strategy to its
-    serialized answers over the fragmented binding.  The contract is
-    byte equality, stronger than the canonical-multiset agreement of the
-    plain differential check: fragmentation must be invisible.
+    ``baseline_answers`` are *serialized* answers (byte form, order
+    kept) from the reference run; ``answers`` maps each variant — a
+    strategy, or a cost model — to what it serialized for the same
+    query.  The contract is byte equality, stronger than the
+    canonical-multiset agreement of the plain differential check; what
+    the baseline *is* (the whole document, a from-scratch rebuild, the
+    oracle cost model) is the business of the sweep that built it.
     """
 
     query: GeneratedQuery
     baseline_answers: Tuple[str, ...]
     answers: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    #: The strategy the cell searched with, when the variants are cost
+    #: models rather than strategies.
+    strategy: Optional[str] = None
 
     @property
     def ok(self) -> bool:
-        return all(
-            candidate == self.baseline_answers
-            for candidate in self.answers.values()
-        )
+        return not self.disagreeing
 
     @property
     def disagreeing(self) -> List[str]:
@@ -348,106 +345,85 @@ class FragmentedQueryResult:
 
 
 @dataclass
-class FragmentedSweepReport:
-    """Aggregate byte-equality verdict over a fragmented sweep."""
+class ParitySweepReport:
+    """Aggregate byte-equality verdict over one kind of parity sweep.
 
-    scenarios: int = 0
-    results: List[FragmentedQueryResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(result.ok for result in self.results)
-
-    @property
-    def queries_checked(self) -> int:
-        return len(self.results)
-
-    @property
-    def failures(self) -> List[FragmentedQueryResult]:
-        return [result for result in self.results if not result.ok]
-
-    def describe(self) -> str:
-        verdict = "ok" if self.ok else f"{len(self.failures)} FAILURES"
-        lines = [
-            f"fragmented sweep: {self.scenarios} scenarios, "
-            f"{self.queries_checked} fragmented queries -> {verdict}"
-        ]
-        for failure in self.failures:
-            lines.append(
-                f"  query {failure.query.name!r} ({failure.query.shape}): "
-                f"{', '.join(failure.disagreeing)} diverged from the "
-                "whole-document baseline"
-            )
-        return "\n".join(lines)
-
-
-@dataclass
-class WriteCheckResult:
-    """One query over incrementally-written state vs the rebuilt baseline.
-
-    ``baseline_answers`` are the serialized answers after *rebuilding
-    from scratch*: the scenario's write sequence applied to each written
-    document's whole tree, then all distributed state (fragments,
-    mirrors, catalog entries) dropped and re-derived from the rebuilt
-    tree.  ``answers`` maps each strategy to its answers after applying
-    the same writes *incrementally* through
-    :meth:`Session.write <repro.session.Session.write>`.  The contract
-    is byte equality: incremental maintenance must be invisible.
+    The cost-model sweep adds a second invariant: every recorded
+    estimate/oracle ratio stays within ``max_ratio`` in *both*
+    directions.  A wildly-off estimate may still pick the right plan by
+    luck; the bound catches the model drifting even when the ranking
+    survives.
     """
 
-    query: GeneratedQuery
-    baseline_answers: Tuple[str, ...]
-    answers: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(
-            candidate == self.baseline_answers
-            for candidate in self.answers.values()
-        )
-
-    @property
-    def disagreeing(self) -> List[str]:
-        return sorted(
-            name for name, candidate in self.answers.items()
-            if candidate != self.baseline_answers
-        )
-
-
-@dataclass
-class WriteSweepReport:
-    """Aggregate byte-equality verdict over a read/write-mix sweep."""
-
+    #: "fragmented", "write" or "cost-model".
+    kind: str
+    #: What every answer was compared against, for :meth:`describe`.
+    baseline: str
     scenarios: int = 0
+    results: List[ParityResult] = field(default_factory=list)
     writes_applied: int = 0
-    results: List[WriteCheckResult] = field(default_factory=list)
+    max_ratio: float = 100.0
+    #: Per-query scalar ratio (analytic estimate / oracle measurement)
+    #: of the naive plan, 1.0 meaning a perfect estimate.
+    ratios: List[float] = field(default_factory=list)
+
+    @property
+    def answers_ok(self) -> bool:
+        return all(result.ok for result in self.results)
+
+    @property
+    def ratios_ok(self) -> bool:
+        return all(
+            1.0 / self.max_ratio <= ratio <= self.max_ratio
+            for ratio in self.ratios
+        )
 
     @property
     def ok(self) -> bool:
-        return all(result.ok for result in self.results)
+        return self.answers_ok and self.ratios_ok
 
     @property
     def queries_checked(self) -> int:
         return len(self.results)
 
     @property
-    def failures(self) -> List[WriteCheckResult]:
+    def failures(self) -> List[ParityResult]:
         return [result for result in self.results if not result.ok]
 
     def describe(self) -> str:
-        verdict = "ok" if self.ok else f"{len(self.failures)} FAILURES"
-        lines = [
-            f"write sweep: {self.scenarios} scenarios, "
-            f"{self.writes_applied} writes applied, "
-            f"{self.queries_checked} queries -> {verdict}"
-        ]
-        for failure in self.failures:
-            lines.append(
-                f"  query {failure.query.name!r} ({failure.query.shape}): "
-                f"{', '.join(failure.disagreeing)} diverged from the "
-                "rebuild-from-scratch baseline"
+        verdict = "ok" if self.ok else (
+            f"{len(self.failures)} FAILURES"
+            if not self.answers_ok else "estimate ratio out of bounds"
+        )
+        extras = ""
+        if self.writes_applied:
+            extras += f", {self.writes_applied} writes applied"
+        if self.ratios:
+            worst = max(
+                (max(r, 1.0 / r) for r in self.ratios if r > 0), default=1.0
             )
+            extras += f", worst estimate ratio {worst:.2f}x"
+        lines = [
+            f"{self.kind} sweep: {self.scenarios} scenarios, "
+            f"{self.queries_checked} queries{extras} -> {verdict}"
+        ]
+        lines.extend(f"  {self._divergence(f)}" for f in self.failures)
         return "\n".join(lines)
+
+    def _divergence(self, failure: ParityResult) -> str:
+        cell = f" [{failure.strategy}]" if failure.strategy else ""
+        return (
+            f"query {failure.query.name!r} ({failure.query.shape}){cell}: "
+            f"{', '.join(failure.disagreeing)} diverged from {self.baseline}"
+        )
+
+    def raise_on_failure(self, scenario: Scenario) -> None:
+        """Raise :class:`DifferentialMismatchError` on the first failure."""
+        if not self.answers_ok:
+            raise DifferentialMismatchError(
+                f"{self.kind} sweep, scenario seed={scenario.seed} "
+                f"index={scenario.index}: {self._divergence(self.failures[0])}"
+            )
 
 
 #: Verdicts that satisfy the three-way fault invariant: a faulted run may
@@ -476,71 +452,47 @@ def _classify_fault_job(job, reference, fault_seed, strategy):
     """One faulted job against its fault-free reference answer."""
     from ..engine.jobs import DONE, FAILED
 
-    if reference is None:
+    def verdict(name, detail=""):
         return FaultCheckResult(
             job=job.name,
             fault_seed=fault_seed,
             strategy=strategy,
-            verdict="baseline-missing",
-            detail="fault-free run produced no answer to compare against",
+            verdict=name,
+            detail=detail,
+        )
+
+    if reference is None:
+        return verdict(
+            "baseline-missing",
+            "fault-free run produced no answer to compare against",
         )
     if job.status == FAILED:
         if isinstance(job.error, FAULT_TYPED_ERRORS):
-            return FaultCheckResult(
-                job=job.name,
-                fault_seed=fault_seed,
-                strategy=strategy,
-                verdict="typed-error",
-                detail=type(job.error).__name__,
-            )
-        return FaultCheckResult(
-            job=job.name,
-            fault_seed=fault_seed,
-            strategy=strategy,
-            verdict="untyped-error",
-            detail=f"{type(job.error).__name__}: {job.error}",
+            return verdict("typed-error", type(job.error).__name__)
+        return verdict(
+            "untyped-error", f"{type(job.error).__name__}: {job.error}"
         )
     if job.status != DONE or job.report is None:
-        return FaultCheckResult(
-            job=job.name,
-            fault_seed=fault_seed,
-            strategy=strategy,
-            verdict="unsettled",
-            detail=f"status {job.status!r} after drain",
-        )
+        return verdict("unsettled", f"status {job.status!r} after drain")
     counts = _canonical_counts(job.report.items)
     if counts == reference:
-        return FaultCheckResult(
-            job=job.name,
-            fault_seed=fault_seed,
-            strategy=strategy,
-            verdict="identical",
-        )
+        return verdict("identical")
     partial = getattr(job, "partial", None)
     if partial is not None and _is_subset(counts, reference):
         lost = len(getattr(partial, "lost", ()) or ())
-        return FaultCheckResult(
-            job=job.name,
-            fault_seed=fault_seed,
-            strategy=strategy,
-            verdict="partial-subset",
-            detail=f"{sum(counts.values())}/{sum(reference.values())} "
+        return verdict(
+            "partial-subset",
+            f"{sum(counts.values())}/{sum(reference.values())} "
             f"answers, {lost} parts lost",
         )
     if partial is not None:
-        return FaultCheckResult(
-            job=job.name,
-            fault_seed=fault_seed,
-            strategy=strategy,
-            verdict="partial-superset",
-            detail="partial answer contains items the fault-free run lacks",
+        return verdict(
+            "partial-superset",
+            "partial answer contains items the fault-free run lacks",
         )
-    return FaultCheckResult(
-        job=job.name,
-        fault_seed=fault_seed,
-        strategy=strategy,
-        verdict="silent-mismatch",
-        detail=f"{sum(counts.values())} answers vs "
+    return verdict(
+        "silent-mismatch",
+        f"{sum(counts.values())} answers vs "
         f"{sum(reference.values())} fault-free, no partial marker",
     )
 
@@ -632,100 +584,6 @@ class FaultSweepReport:
         return "\n".join(lines)
 
 
-@dataclass
-class CostModelCheckResult:
-    """One (query, strategy) cell run under every cost model.
-
-    ``answers`` maps each cost-model name to the *serialized* answers
-    (byte form, order kept) the session produced; the contract is byte
-    equality against the reference model (the first in the sweep's
-    model list, normally ``oracle``): how candidates were *priced*
-    during the search must never change what the chosen plan *answers*.
-    """
-
-    query: GeneratedQuery
-    strategy: str
-    answers: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    reference: str = "oracle"
-
-    @property
-    def ok(self) -> bool:
-        baseline = self.answers.get(self.reference, ())
-        return all(candidate == baseline for candidate in self.answers.values())
-
-    @property
-    def disagreeing(self) -> List[str]:
-        baseline = self.answers.get(self.reference, ())
-        return sorted(
-            name for name, candidate in self.answers.items()
-            if candidate != baseline
-        )
-
-
-@dataclass
-class CostModelSweepReport:
-    """Aggregate verdict of the cost-model parity sweep.
-
-    Two invariants, per generated query:
-
-    * **byte-identical answers** — every cost model, under every
-      strategy, serializes the same answers as the oracle reference;
-    * **bounded estimates** — the analytic estimate of the naive plan
-      stays within ``max_ratio`` of the oracle measurement in *both*
-      directions (``ratios`` records estimate/oracle per query).  A
-      wildly-off estimate may still pick the right plan by luck; the
-      ratio bound catches the model drifting even when the ranking
-      survives.
-    """
-
-    scenarios: int = 0
-    max_ratio: float = 100.0
-    results: List[CostModelCheckResult] = field(default_factory=list)
-    #: Per-query scalar ratio (analytic estimate / oracle measurement)
-    #: of the naive plan, 1.0 meaning a perfect estimate.
-    ratios: List[float] = field(default_factory=list)
-
-    @property
-    def answers_ok(self) -> bool:
-        return all(result.ok for result in self.results)
-
-    @property
-    def ratios_ok(self) -> bool:
-        return all(
-            1.0 / self.max_ratio <= ratio <= self.max_ratio
-            for ratio in self.ratios
-        )
-
-    @property
-    def ok(self) -> bool:
-        return self.answers_ok and self.ratios_ok
-
-    @property
-    def failures(self) -> List[CostModelCheckResult]:
-        return [result for result in self.results if not result.ok]
-
-    def describe(self) -> str:
-        verdict = "ok" if self.ok else (
-            f"{len(self.failures)} answer failures"
-            if not self.answers_ok else "estimate ratio out of bounds"
-        )
-        worst = max(
-            (max(r, 1.0 / r) for r in self.ratios if r > 0), default=1.0
-        )
-        lines = [
-            f"cost-model sweep: {self.scenarios} scenarios, "
-            f"{len(self.results)} cells, worst estimate ratio "
-            f"{worst:.2f}x -> {verdict}"
-        ]
-        for failure in self.failures:
-            lines.append(
-                f"  query {failure.query.name!r} [{failure.strategy}]: "
-                f"{', '.join(failure.disagreeing)} diverged from "
-                f"{failure.reference!r}"
-            )
-        return "\n".join(lines)
-
-
 class DifferentialHarness:
     """Run queries under every strategy and assert they agree.
 
@@ -780,6 +638,27 @@ class DifferentialHarness:
         self.share_plan_cache = share_plan_cache
 
     # -- running -----------------------------------------------------------------
+    def _session(
+        self,
+        system,
+        strategy: str,
+        plan_cache: Optional[PlanCache] = None,
+        **session_kwargs,
+    ) -> Session:
+        """A session searching with ``strategy`` under the harness's options.
+
+        ``plan_cache`` shares a transposition table with other cells;
+        without one the session keeps a private cache.
+        """
+        return Session(
+            system,
+            strategy=strategy,
+            strategy_options=self.strategy_options.get(strategy),
+            pick_policy=self.pick_policy,
+            plan_cache=plan_cache if plan_cache is not None else "auto",
+            **session_kwargs,
+        )
+
     def run_query(
         self,
         scenario: Scenario,
@@ -787,18 +666,8 @@ class DifferentialHarness:
         strategy: str,
         plan_cache: Optional[PlanCache] = None,
     ) -> StrategyOutcome:
-        """One (query, strategy) cell: run through the façade, canonicalize.
-
-        ``plan_cache`` shares a transposition table with other cells of
-        the same scenario; without one the session keeps a private cache.
-        """
-        session = Session(
-            scenario.system,
-            strategy=strategy,
-            strategy_options=self.strategy_options.get(strategy),
-            pick_policy=self.pick_policy,
-            plan_cache=plan_cache if plan_cache is not None else "auto",
-        )
+        """One (query, strategy) cell: run through the façade, canonicalize."""
+        session = self._session(scenario.system, strategy, plan_cache)
         report = session.query(**query.kwargs())
         answers = tuple(
             sorted(repr(canonical_form(item)) for item in report.items)
@@ -867,7 +736,7 @@ class DifferentialHarness:
         scenario: Scenario,
         query: GeneratedQuery,
         plan_cache: Optional[PlanCache] = None,
-    ) -> FragmentedQueryResult:
+    ) -> ParityResult:
         """Byte-compare one fragmented query against its baseline.
 
         The baseline rewrites every ``@dist`` binding to the concrete
@@ -884,29 +753,14 @@ class DifferentialHarness:
                 baseline_bind[param] = f"{name}@{homes[name]}"
             else:
                 baseline_bind[param] = target
-        reference = self.strategies[0]
-        baseline_session = Session(
-            scenario.system,
-            strategy=reference,
-            strategy_options=self.strategy_options.get(reference),
-            pick_policy=self.pick_policy,
-        )
-        baseline = baseline_session.query(
+        baseline = self._session(scenario.system, self.strategies[0]).query(
             query.source, query.at, bind=baseline_bind, name=query.name
         )
-        result = FragmentedQueryResult(
-            query=query, baseline_answers=tuple(baseline.answers)
-        )
+        result = ParityResult(query, tuple(baseline.answers))
         if plan_cache is None and self.share_plan_cache:
             plan_cache = PlanCache()
         for strategy in self.strategies:
-            session = Session(
-                scenario.system,
-                strategy=strategy,
-                strategy_options=self.strategy_options.get(strategy),
-                pick_policy=self.pick_policy,
-                plan_cache=plan_cache if plan_cache is not None else "auto",
-            )
+            session = self._session(scenario.system, strategy, plan_cache)
             report = session.query(**query.kwargs())
             result.answers[strategy] = tuple(report.answers)
         return result
@@ -915,33 +769,29 @@ class DifferentialHarness:
         self,
         scenarios: Iterable[Scenario],
         raise_on_mismatch: bool = False,
-    ) -> FragmentedSweepReport:
+    ) -> ParitySweepReport:
         """Sweep scenarios, byte-checking every ``@dist``-bound query.
 
         Queries without a fragmented binding are skipped here (the plain
         :meth:`check` sweep already covers them); a scenario generated
         from a spec with ``fragments=0`` contributes nothing.
         """
-        report = FragmentedSweepReport()
+        report = ParitySweepReport("fragmented", "the whole-document baseline")
         for scenario in scenarios:
             report.scenarios += 1
             plan_cache = PlanCache() if self.share_plan_cache else None
             for query in scenario.queries:
                 if not any(t.endswith("@dist") for _, t in query.bind):
                     continue
-                result = self.check_fragmented_query(scenario, query, plan_cache)
-                report.results.append(result)
-                if raise_on_mismatch and not result.ok:
-                    raise DifferentialMismatchError(
-                        f"fragmented answers diverged from the baseline on "
-                        f"query {query.name!r} of scenario "
-                        f"seed={scenario.seed} index={scenario.index} "
-                        f"(strategies: {', '.join(result.disagreeing)})"
-                    )
+                report.results.append(
+                    self.check_fragmented_query(scenario, query, plan_cache)
+                )
+            if raise_on_mismatch:
+                report.raise_on_failure(scenario)
         return report
 
     # -- write sweeps ----------------------------------------------------------------
-    def check_writes_scenario(self, scenario: Scenario) -> List[WriteCheckResult]:
+    def check_writes_scenario(self, scenario: Scenario) -> List[ParityResult]:
         """Byte-compare incremental writes against rebuild-from-scratch.
 
         The *incremental* side clones the pristine scenario system once
@@ -957,28 +807,15 @@ class DifferentialHarness:
         on every query — the two can only differ through distribution
         machinery, which is exactly what the check targets.
         """
-        rebuilt = self._rebuild_after_writes(scenario)
-        reference = self.strategies[0]
-        baseline_session = Session(
-            rebuilt,
-            strategy=reference,
-            strategy_options=self.strategy_options.get(reference),
-            pick_policy=self.pick_policy,
+        baseline_session = self._session(
+            self._rebuild_after_writes(scenario), self.strategies[0]
         )
         results = {}
         for query in scenario.queries:
             baseline = baseline_session.query(**query.kwargs())
-            results[query.name] = WriteCheckResult(
-                query=query, baseline_answers=tuple(baseline.answers)
-            )
+            results[query.name] = ParityResult(query, tuple(baseline.answers))
         for strategy in self.strategies:
-            written = scenario.system.clone()
-            session = Session(
-                written,
-                strategy=strategy,
-                strategy_options=self.strategy_options.get(strategy),
-                pick_policy=self.pick_policy,
-            )
+            session = self._session(scenario.system.clone(), strategy)
             for record in scenario.writes:
                 session.write(record.op())
             for query in scenario.queries:
@@ -990,26 +827,20 @@ class DifferentialHarness:
         self,
         scenarios: Iterable[Scenario],
         raise_on_mismatch: bool = False,
-    ) -> WriteSweepReport:
+    ) -> ParitySweepReport:
         """Sweep scenarios, byte-checking write-then-query vs rebuild.
 
         Scenarios without writes (``spec.writes=0``) contribute nothing.
         """
-        report = WriteSweepReport()
+        report = ParitySweepReport("write", "the rebuild-from-scratch baseline")
         for scenario in scenarios:
             if not scenario.writes:
                 continue
             report.scenarios += 1
             report.writes_applied += len(scenario.writes)
-            for result in self.check_writes_scenario(scenario):
-                report.results.append(result)
-                if raise_on_mismatch and not result.ok:
-                    raise DifferentialMismatchError(
-                        f"write-then-query diverged from rebuild on query "
-                        f"{result.query.name!r} of scenario "
-                        f"seed={scenario.seed} index={scenario.index} "
-                        f"(strategies: {', '.join(result.disagreeing)})"
-                    )
+            report.results.extend(self.check_writes_scenario(scenario))
+            if raise_on_mismatch:
+                report.raise_on_failure(scenario)
         return report
 
     def _rebuild_after_writes(self, scenario: Scenario):
@@ -1070,11 +901,11 @@ class DifferentialHarness:
         self,
         scenario: Scenario,
         cost_models: Sequence[str] = DEFAULT_COST_MODELS,
-        report: Optional[CostModelSweepReport] = None,
-    ) -> CostModelSweepReport:
+        report: Optional[ParitySweepReport] = None,
+    ) -> ParitySweepReport:
         """Parity-check every cost model on one scenario (see sweep doc)."""
-        report = report if report is not None else CostModelSweepReport()
-        reference = cost_models[0]
+        if report is None:
+            report = ParitySweepReport("cost-model", repr(cost_models[0]))
         probe = Session(scenario.system, pick_policy=self.pick_policy)
         estimator = CostEstimator(scenario.system, pick_policy=self.pick_policy)
         for query in scenario.queries:
@@ -1087,21 +918,21 @@ class DifferentialHarness:
                 # one cache per cell-row: the models salt their entries,
                 # so sharing is safe — and exactly what sessions do
                 plan_cache = PlanCache() if self.share_plan_cache else None
-                result = CostModelCheckResult(
-                    query=query, strategy=strategy, reference=reference
-                )
+                answers = {}
                 for model in cost_models:
-                    session = Session(
-                        scenario.system,
-                        strategy=strategy,
-                        strategy_options=self.strategy_options.get(strategy),
-                        pick_policy=self.pick_policy,
-                        cost_model=model,
-                        plan_cache=plan_cache if plan_cache is not None else "auto",
+                    session = self._session(
+                        scenario.system, strategy, plan_cache, cost_model=model
                     )
                     cell = session.query(**query.kwargs())
-                    result.answers[model] = tuple(cell.answers)
-                report.results.append(result)
+                    answers[model] = tuple(cell.answers)
+                report.results.append(
+                    ParityResult(
+                        query=query,
+                        baseline_answers=answers[cost_models[0]],
+                        answers=answers,
+                        strategy=strategy,
+                    )
+                )
         return report
 
     def check_cost_models(
@@ -1110,7 +941,7 @@ class DifferentialHarness:
         cost_models: Sequence[str] = DEFAULT_COST_MODELS,
         max_ratio: float = 100.0,
         raise_on_mismatch: bool = False,
-    ) -> CostModelSweepReport:
+    ) -> ParitySweepReport:
         """Sweep scenarios; every cost model must answer like the oracle.
 
         For each generated query and each strategy, the query runs once
@@ -1120,20 +951,16 @@ class DifferentialHarness:
         ``max_ratio`` of the oracle measurement in both directions —
         search-time pricing is allowed to be approximate, not unmoored.
         """
-        report = CostModelSweepReport(max_ratio=max_ratio)
+        report = ParitySweepReport(
+            "cost-model", repr(cost_models[0]), max_ratio=max_ratio
+        )
         for scenario in scenarios:
             report.scenarios += 1
             self.check_cost_models_scenario(
                 scenario, cost_models=cost_models, report=report
             )
-            if raise_on_mismatch and not report.answers_ok:
-                failure = report.failures[0]
-                raise DifferentialMismatchError(
-                    f"cost models diverged on query {failure.query.name!r} "
-                    f"[{failure.strategy}] of scenario seed={scenario.seed} "
-                    f"index={scenario.index} "
-                    f"(models: {', '.join(failure.disagreeing)})"
-                )
+            if raise_on_mismatch:
+                report.raise_on_failure(scenario)
         return report
 
     # -- fault sweeps ----------------------------------------------------------------
@@ -1174,13 +1001,9 @@ class DifferentialHarness:
         ]
         results: List[FaultCheckResult] = []
         for strategy in self.strategies:
-            baseline_session = Session(
-                scenario.system,
-                strategy=strategy,
-                strategy_options=self.strategy_options.get(strategy),
-                pick_policy=self.pick_policy,
+            baseline = self._session(scenario.system, strategy).serve(
+                list(requests)
             )
-            baseline = baseline_session.serve(list(requests))
             reference = {
                 job.name: _canonical_counts(job.report.items)
                 for job in baseline.jobs
@@ -1188,13 +1011,8 @@ class DifferentialHarness:
             }
             for fault_seed in fault_seeds:
                 plan = FaultPlan.generate(fault_seed, scenario.system, spec)
-                session = Session(
-                    scenario.system,
-                    strategy=strategy,
-                    strategy_options=self.strategy_options.get(strategy),
-                    pick_policy=self.pick_policy,
-                    retry=retry,
-                    fault_plan=plan,
+                session = self._session(
+                    scenario.system, strategy, retry=retry, fault_plan=plan
                 )
                 report = session.serve(list(requests), actor=FaultActor(plan))
                 for job in report.jobs:

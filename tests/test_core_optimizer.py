@@ -131,40 +131,40 @@ class TestCostEstimator:
 
 class TestOptimizer:
     def test_finds_cheaper_plan(self, system):
-        result = Optimizer(system).optimize(naive_plan(), depth=2, beam=6)
+        result = Optimizer(system).optimize_with("beam", naive_plan(), depth=2, beam=6)
         assert result.best_cost.scalar() <= result.original_cost.scalar()
         assert result.best_cost.bytes < result.original_cost.bytes
 
     def test_improvement_ratio(self, system):
-        result = Optimizer(system).optimize(naive_plan(), depth=2)
+        result = Optimizer(system).optimize_with("beam", naive_plan(), depth=2)
         assert result.improvement >= 1.0
 
     def test_best_plan_verified_equivalent(self, system):
         plan = naive_plan()
-        result = Optimizer(system).optimize(plan, depth=2)
+        result = Optimizer(system).optimize_with("beam", plan, depth=2)
         assert check_equivalence(plan, result.best, system).equivalent
 
     def test_trace_sorted_by_cost(self, system):
-        result = Optimizer(system).optimize(naive_plan(), depth=2)
+        result = Optimizer(system).optimize_with("beam", naive_plan(), depth=2)
         scalars = [cost.scalar() for _, cost, _ in result.trace]
         assert scalars == sorted(scalars)
 
     def test_greedy_never_worse_than_original(self, system):
-        result = Optimizer(system).optimize_greedy(naive_plan())
+        result = Optimizer(system).optimize_with("greedy", naive_plan())
         assert result.best_cost.scalar() <= result.original_cost.scalar()
 
     def test_greedy_vs_exhaustive(self, system):
         plan = naive_plan()
-        greedy = Optimizer(system).optimize_greedy(plan)
-        full = Optimizer(system).optimize(plan, depth=3, beam=8)
+        greedy = Optimizer(system).optimize_with("greedy", plan)
+        full = Optimizer(system).optimize_with("beam", plan, depth=3, beam=8)
         assert full.best_cost.scalar() <= greedy.best_cost.scalar() * 1.001
 
     def test_estimator_driven_search(self, system):
         estimator = CostEstimator(
             system, Statistics(selectivity={"sel": 0.05})
         )
-        result = Optimizer(system, cost_model=estimator).optimize(
-            naive_plan(), depth=2
+        result = Optimizer(system, cost_model=estimator).optimize_with(
+            "beam", naive_plan(), depth=2
         )
         # judged by *measured* cost, the estimator's pick must still win
         assert measure(result.best, system).bytes <= measure(
@@ -177,16 +177,16 @@ class TestOptimizer:
             system,
             verifier=lambda a, b: check_equivalence(a, b, system).equivalent,
         )
-        result = optimizer.optimize(plan, depth=2, verify=True)
+        result = optimizer.optimize_with("beam", plan, depth=2, verify=True)
         assert check_equivalence(plan, result.best, system).equivalent
 
     def test_unevaluable_plan_rejected(self, system):
         bad = Plan(DocExpr("missing-doc", "data"), "client")
         with pytest.raises(OptimizerError):
-            Optimizer(system).optimize(bad)
+            Optimizer(system).optimize_with("beam", bad)
 
     def test_describe_mentions_costs(self, system):
-        result = Optimizer(system).optimize(naive_plan(), depth=1)
+        result = Optimizer(system).optimize_with("beam", naive_plan(), depth=1)
         text = result.describe()
         assert "original:" in text and "best:" in text
 

@@ -138,7 +138,7 @@ class TestStrategyParity:
 
     def test_beam_matches_legacy_optimize(self, system):
         plan = naive_plan()
-        legacy = Optimizer(system).optimize(plan, depth=2, beam=6)
+        legacy = Optimizer(system).optimize_with("beam", plan, depth=2, beam=6)
         space = SearchSpace(system)
         direct = BeamSearchStrategy(depth=2, beam=6).search(plan, space)
         assert direct.best.describe() == legacy.best.describe()
@@ -147,7 +147,7 @@ class TestStrategyParity:
 
     def test_greedy_matches_legacy_optimize_greedy(self, system):
         plan = naive_plan()
-        legacy = Optimizer(system).optimize_greedy(plan)
+        legacy = Optimizer(system).optimize_with("greedy", plan)
         direct = GreedyStrategy().search(plan, SearchSpace(system))
         assert direct.best.describe() == legacy.best.describe()
         assert direct.best_cost == legacy.best_cost

@@ -121,39 +121,11 @@ class TestRegistry:
         # a bare CostEstimator is a plan -> Cost callable: it wraps
         result = Optimizer(
             system, cost_model=CostEstimator(system)
-        ).optimize(naive_plan(), depth=2)
+        ).optimize_with("beam", naive_plan(), depth=2)
         assert result.best_cost.scalar() <= result.original_cost.scalar()
 
 
 class TestCostFnShim:
-    def test_optimizer_cost_fn_warns_and_works(self, system):
-        plan = naive_plan()
-        with pytest.warns(DeprecationWarning, match="cost_fn= is deprecated"):
-            shimmed = Optimizer(
-                system, cost_fn=lambda p: measure(p, system)
-            ).optimize(plan, depth=2)
-        modern = Optimizer(system, cost_model="oracle").optimize(plan, depth=2)
-        assert shimmed.best_cost == modern.best_cost
-        assert shimmed.best.describe() == modern.best.describe()
-
-    def test_optimizer_rejects_both(self, system):
-        with pytest.raises(OptimizerError, match="not both"):
-            Optimizer(
-                system,
-                cost_fn=lambda p: measure(p, system),
-                cost_model="oracle",
-            )
-
-    def test_search_space_cost_fn_warns(self, system):
-        with pytest.warns(DeprecationWarning, match="cost_fn= is deprecated"):
-            space = SearchSpace(system, cost_fn=lambda p: measure(p, system))
-        assert isinstance(space.cost_model, CallableCostModel)
-
-    def test_session_cost_fn_warns(self, system):
-        with pytest.warns(DeprecationWarning, match="cost_fn= is deprecated"):
-            session = Session(system, cost_fn=lambda p: measure(p, system))
-        assert session.cost_model.name == "custom"
-
     def test_no_warning_on_modern_spelling(self, system):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -171,16 +143,9 @@ class TestTraceTracerSplit:
         session = Session(system, tracer=tracer)
         assert session.tracer is tracer and session.trace is False
 
-    def test_tracer_through_trace_warns(self, system):
-        tracer = Tracer()
-        with pytest.warns(DeprecationWarning, match="Session\\(tracer=...\\)"):
-            session = Session(system, trace=tracer)
-        assert session.tracer is tracer and session.trace is False
-
-    def test_both_given_rejected(self, system):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SessionError, match="tracer= only"):
-                Session(system, trace=Tracer(), tracer=Tracer())
+    def test_non_bool_trace_rejected(self, system):
+        with pytest.raises(SessionError, match="tracer="):
+            Session(system, trace=Tracer())
 
 
 class _ExplodingRule:
@@ -205,7 +170,7 @@ class TestRuleErrors:
         optimizer = Optimizer(
             system, rules=list(DEFAULT_RULES) + [_ExplodingRule()]
         )
-        result = optimizer.optimize(naive_plan(), depth=2)
+        result = optimizer.optimize_with("beam", naive_plan(), depth=2)
         assert result.best_cost.scalar() <= result.original_cost.scalar()
         # every expansion level hit the broken rule and counted it
         assert (
@@ -240,7 +205,9 @@ class _MisleadingModel:
 class TestHybridSafetyNet:
     def test_hybrid_costs_are_oracle_true(self, system):
         plan = naive_plan()
-        result = Optimizer(system, cost_model="hybrid").optimize(plan, depth=2)
+        result = Optimizer(system, cost_model="hybrid").optimize_with(
+            "beam", plan, depth=2
+        )
         assert result.original_cost == measure(plan, system)
         assert result.best_cost == measure(result.best, system)
 
@@ -248,7 +215,7 @@ class TestHybridSafetyNet:
         plan = naive_plan()
         result = Optimizer(
             system, cost_model=_MisleadingModel(system)
-        ).optimize(plan, depth=2)
+        ).optimize_with("beam", plan, depth=2)
         # the adversarial frontier picked the worst plan; the oracle
         # check rejected it and kept the original
         assert result.best.describe() == plan.describe()
@@ -257,7 +224,9 @@ class TestHybridSafetyNet:
 
     def test_hybrid_never_worse_than_original(self, system):
         plan = naive_plan()
-        result = Optimizer(system, cost_model="hybrid").optimize(plan, depth=3)
+        result = Optimizer(system, cost_model="hybrid").optimize_with(
+            "beam", plan, depth=3
+        )
         assert (
             measure(result.best, system).scalar()
             <= measure(plan, system).scalar() + 1e-9
@@ -334,7 +303,9 @@ class TestAnalyticAgreesWithOracle:
         plan = naive_plan()
         judged = {}
         for mode in ("oracle", "analytic", "hybrid"):
-            result = Optimizer(system, cost_model=mode).optimize(plan, depth=2)
+            result = Optimizer(system, cost_model=mode).optimize_with(
+                "beam", plan, depth=2
+            )
             judged[mode] = measure(result.best, system).scalar()
         assert judged["analytic"] == pytest.approx(judged["oracle"])
         assert judged["hybrid"] == pytest.approx(judged["oracle"])

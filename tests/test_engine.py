@@ -474,15 +474,6 @@ class TestResetPath:
             link.busy_until == 0.0 for link in mesh_system.network.links()
         )
 
-    def test_network_reset_clock_alias_deprecated(self, mesh_system):
-        for link in mesh_system.network.links():
-            link.busy_until = 9.0
-        with pytest.warns(DeprecationWarning):
-            mesh_system.network.reset_clock()
-        assert all(
-            link.busy_until == 0.0 for link in mesh_system.network.links()
-        )
-
     def test_evaluator_advances_system_clock(self, mesh_system):
         from repro.core import ExpressionEvaluator
 

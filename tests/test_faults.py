@@ -524,8 +524,9 @@ class TestSessionFaults:
         report = session.drain()
         assert job.status == "failed"
         assert isinstance(job.error, FaultError)
-        assert report.faults.get("messages_dropped", 0) >= 1
-        assert report.faults.get("transfer_faults", 0) >= 1
+        registry = report.registry
+        assert registry.counter_value("faults", kind="messages_dropped") >= 1
+        assert registry.counter_value("faults", kind="transfer_faults") >= 1
 
     def test_engine_deadline_fails_at_deadline_instant(self, system):
         session = connect(system)
@@ -575,8 +576,8 @@ class TestFaultActor:
             for k, q in enumerate(scenario.queries)
         ]
         report = session.serve(requests, actor=FaultActor(plan))
-        assert report.faults.get("peer_crashes") == 1
-        assert report.faults.get("peer_rejoins") == 1
+        assert report.registry.counter_value("faults", kind="peer_crashes") == 1
+        assert report.registry.counter_value("faults", kind="peer_rejoins") == 1
         # the actor's plan note leads the action trace
         assert any("fault plan seed=1" in action for action in report.actions)
         # every job settled: no hangs, no unsettled states
@@ -604,7 +605,7 @@ class TestFaultActor:
         ).serve(list(requests))
         assert plain.events == guarded.events
         assert plain.metrics.makespan == guarded.metrics.makespan
-        assert guarded.faults == {}
+        assert guarded.registry.counters("faults") == []
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,11 @@ class TestFaultInvariantTier1:
                 for k, q in enumerate(scenario.queries)
             ]
             report = session.serve(requests, actor=FaultActor(plan))
-            return list(report.events), dict(report.faults)
+            faults = {
+                counter.labels: counter.value
+                for counter in report.registry.counters("faults")
+            }
+            return list(report.events), faults
 
         first_events, first_faults = serve_events()
         second_events, second_faults = serve_events()

@@ -67,7 +67,7 @@ class TestDistributedQueryPipeline:
             "laptop",
         )
         naive_cost = measure(plan, system)
-        result = Optimizer(system).optimize(plan, depth=2, beam=6)
+        result = Optimizer(system).optimize_with("beam", plan, depth=2, beam=6)
         assert result.best_cost.bytes < naive_cost.bytes / 2
         assert check_equivalence(plan, result.best, system).equivalent
 

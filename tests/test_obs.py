@@ -4,8 +4,7 @@ Covers the tracer's zero-cost contract (tracing off and tracing on both
 leave the scheduler event trace and every answer byte-identical, across
 fault-free and faulted seeded scenarios), the critical-path analyzer's
 exactness invariant (segments sum to the measured latency), the JSONL
-round trip and Chrome-trace export schema, the metrics registry's
-compatibility with the legacy ``ServingReport.faults`` dict, the
+round trip and Chrome-trace export schema, the metrics registry, the
 wall-clock profiler, and the satellite fixes that rode along: the
 ``percentile`` edge cases, ``ServingReport.job`` KeyError, and the
 makespan window spanning failed jobs on faulted runs.
@@ -81,6 +80,10 @@ def serve_faulted(seed, fault_seed, tracer=None):
     )
 
 
+def fault_counts(report):
+    return {c.labels: c.value for c in report.registry.counters("faults")}
+
+
 def answers_of(report):
     return {job.name: tuple(job.answers) for job in report.jobs
             if job.status == DONE}
@@ -107,7 +110,7 @@ class TestTracingIsInvisible:
         on = serve_faulted(seed, fault_seed, tracer=Tracer())
         assert off.events == on.events
         assert answers_of(off) == answers_of(on)
-        assert off.faults == on.faults
+        assert fault_counts(off) == fault_counts(on)
         # the faulted trace carries run-level fault windows and, per job,
         # whatever backoff/stall spans the recovery machinery spent
         assert any(s.cat == CAT_FAULT for s in on.trace.run)
@@ -209,11 +212,6 @@ class TestExport:
 # ---------------------------------------------------------------------------
 
 class TestMetricsRegistry:
-    def test_flatten_rebuilds_legacy_faults_dict(self):
-        report = serve_faulted(3, 1)
-        assert report.registry is not None
-        assert report.registry.flatten("faults", "kind") == report.faults
-
     def test_registry_absorbs_fleet_counters(self):
         report = serve_plain(7)
         registry = report.registry
