@@ -43,7 +43,7 @@ HEADLINES = {
     "BENCH_writes": ("incremental_vs_rebuild_speedup", "higher"),
     "BENCH_resilience": ("availability_under_faults", "higher"),
     "BENCH_observe": ("tracing_overhead_ratio", "lower"),
-    "BENCH_speed": ("hybrid_vs_oracle_wall_speedup", "higher"),
+    "BENCH_speed": ("hybrid_vs_oracle_planning_speedup", "higher"),
 }
 
 #: Rolling per-bench history: how many ``{sha, date, headline}`` points a

@@ -113,6 +113,10 @@ def main(argv=None) -> int:
             print(f"  {line}")
     else:
         print(report.metrics.describe())
+    planning = session.plan_cache.stats
+    print(f"planning: {planning.prepared_misses} searches run, "
+          f"{planning.prepared_hits} prepared hits "
+          f"({planning.prepared_evictions} evicted)")
     return 1 if report.metrics.failed else 0
 
 

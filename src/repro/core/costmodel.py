@@ -77,7 +77,11 @@ class CostModel(Protocol):
     :class:`~repro.core.strategies.SearchSpace` when a plan cache is
     attached).  Models with ``final_check = True`` additionally expose
     ``check(plan)``, the expensive exact judgment the optimizer applies
-    to the chosen plan only.
+    to the chosen plan only.  A model may declare ``name_blind = True``:
+    its scores see a query's name only through the name's serialized
+    width, so one prepared plan (:mod:`repro.core.planspace`) serves
+    every equally wide job name; models that do not are keyed by the
+    exact names.
     """
 
     name: str
@@ -98,6 +102,9 @@ class OracleCostModel:
     name = "oracle"
     #: The score is already exact; nothing to re-check after the search.
     final_check = False
+    #: A simulated run ships the name (``name=`` on every ``x-query``,
+    #: the names of deployed services) and never reads it.
+    name_blind = True
 
     def __init__(
         self,
@@ -157,6 +164,11 @@ class AnalyticCostModel:
             **estimator_options,
         )
 
+    @property
+    def name_blind(self) -> bool:
+        """False once the statistics table prices any query by its name."""
+        return not (self.statistics.selectivity or self.statistics.result_bytes)
+
     def score(self, plan: Plan) -> Cost:
         return self.estimator.estimate(plan)
 
@@ -209,6 +221,10 @@ class HybridCostModel:
             **estimator_options,
         )
         self.oracle = OracleCostModel(system, pick_policy=pick_policy)
+
+    @property
+    def name_blind(self) -> bool:
+        return self.analytic.name_blind
 
     def score(self, plan: Plan) -> Cost:
         return self.analytic.score(plan)

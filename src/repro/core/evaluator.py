@@ -925,7 +925,7 @@ class ExpressionEvaluator:
         name = query.name or "q"
         service_name = f"sent-{name}-{self._deploy_counter}"
         target.install_service(
-            DeclarativeService(service_name, Query(query.source, query.params, service_name))
+            DeclarativeService(service_name, query.copy(service_name))
         )
         outcome.deployed.append((service_name, dest.peer))
         outcome.completed_at = clock

@@ -14,7 +14,11 @@ memoize per key.
   identity), interned so equal plans share one key object;
 * :class:`PlanCache` — the transposition table: plan cost and rule
   expansions per fingerprint, plus the :class:`~repro.core.cost.CostEstimator`'s
-  subtree/doc-size/compiled-query memos, with hit/miss/dedup counters;
+  subtree/doc-size/compiled-query memos, with hit/miss/dedup counters —
+  and, in front of the search, the *prepared-plan table*: whole search
+  outcomes per (naive plan, search configuration), so a job that repeats
+  an already-planned query skips the search (:func:`relabel` gives the
+  stored plan the new job's query names);
 * :class:`CacheStats` — the counter block, snapshot-diffable so each
   search can report exactly its own share of a shared cache's traffic.
 
@@ -29,10 +33,22 @@ mutate the system and the table must be :meth:`~PlanCache.clear`-ed.
 from __future__ import annotations
 
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
 
-from .expressions import DocExpr, FragmentedDoc, GenericDoc, walk
+from ..xquery import Query
+from ..xquery.decompose import DERIVED_SUFFIX
+from .expressions import (
+    DocExpr,
+    Expression,
+    FragmentedDoc,
+    GenericDoc,
+    QueryApply,
+    QueryRef,
+    transform,
+    walk,
+)
 from .rules import Plan, Rewrite
 from .serialize import expression_fingerprint
 
@@ -42,6 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "plan_fingerprint",
     "doc_epoch_signature",
+    "relabel",
     "CacheStats",
     "PlanCache",
 ]
@@ -50,16 +67,23 @@ __all__ = [
 #: failing candidate is not re-measured on every re-reach.
 UNEVALUABLE = object()
 
+#: Prepared plans one cache keeps; the least recently served goes first.
+PREPARED_PLANS = 256
 
-def plan_fingerprint(plan: Plan) -> str:
+
+def plan_fingerprint(plan: Plan, name_widths: bool = False) -> str:
     """Canonical, interned key for a plan: site + structural expression digest.
 
     Two plans share a key iff they have the same evaluation site and
     structurally equal expressions (tree literals compared by content).
     The string is interned so every holder of an equal plan carries the
     *same* key object and dict lookups degrade to pointer comparisons.
+    ``name_widths`` keys query names by their serialized width only (see
+    :func:`~repro.core.serialize.expression_fingerprint`).
     """
-    return sys.intern(f"{plan.site}|{expression_fingerprint(plan.expr)}")
+    return sys.intern(
+        f"{plan.site}|{expression_fingerprint(plan.expr, name_widths)}"
+    )
 
 
 def doc_epoch_signature(system, expr) -> str:
@@ -87,6 +111,66 @@ def doc_epoch_signature(system, expr) -> str:
     return ",".join(sorted(touched))
 
 
+def _query_refs(expr: Expression) -> List[QueryRef]:
+    """Every query reference of ``expr``, in traversal order."""
+    refs: List[QueryRef] = []
+    for node in walk(expr):
+        if isinstance(node, QueryRef):
+            refs.append(node)
+        elif isinstance(node, QueryApply) and isinstance(node.query, QueryRef):
+            refs.append(node.query)
+    return refs
+
+
+def relabel(chosen: Plan, planned: Plan, plan: Plan) -> Plan:
+    """``chosen`` — the plan a search picked for ``planned`` — for ``plan``.
+
+    ``plan`` is ``planned`` under other query names: the same naive
+    plan up to how its queries are labelled.  The result is the plan a
+    search of ``plan`` would have picked: ``chosen`` with every query of
+    ``planned`` replaced by its counterpart in ``plan``, and every query
+    the rewrite rules derived from one (``<name>-inner`` / ``-outer`` /
+    ``-composed``) renamed after the counterpart, sharing its parsed
+    module.
+    """
+    if chosen is planned:
+        return plan
+    queries: Dict[int, Query] = {}
+    names: Dict[str, str] = {}
+    for old, new in zip(_query_refs(planned.expr), _query_refs(plan.expr)):
+        queries[id(old.query)] = new.query
+        if old.query.name and old.query.name != new.query.name:
+            names[old.query.name] = new.query.name
+    if not names:
+        return chosen
+
+    # longest first: a derived name extends the name it came from
+    olds = sorted(names, key=len, reverse=True)
+
+    def renamed(query: Query) -> Query:
+        twin = queries.get(id(query))
+        if twin is None:
+            twin = query
+            name = query.name or ""
+            for old in olds:
+                if name.startswith(old) and DERIVED_SUFFIX.fullmatch(name, len(old)):
+                    twin = query.copy(names[old] + name[len(old):])
+                    break
+            queries[id(query)] = twin
+        return twin
+
+    def visit(node: Expression) -> Optional[Expression]:
+        if isinstance(node, QueryRef):
+            twin = renamed(node.query)
+            return None if twin is node.query else QueryRef(twin, node.home)
+        if isinstance(node, QueryApply) and isinstance(node.query, QueryRef):
+            head = visit(node.query)
+            return None if head is None else QueryApply(head, node.args)
+        return None
+
+    return Plan(transform(chosen.expr, visit), chosen.site)
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/dedup counters for one cache (or one search's delta).
@@ -104,6 +188,11 @@ class CacheStats:
     plans_deduped: int = 0
     estimator_hits: int = 0
     estimator_misses: int = 0
+    #: Searches skipped / run (then stored) / stored outcomes evicted by
+    #: the prepared-plan table.
+    prepared_hits: int = 0
+    prepared_misses: int = 0
+    prepared_evictions: int = 0
 
     @property
     def cost_calls_saved(self) -> int:
@@ -134,7 +223,8 @@ class CacheStats:
         return (
             f"cache: {self.cost_hits} cost hits / {self.cost_misses} misses "
             f"({self.hit_rate:.0%} hit rate), {self.plans_deduped} plans "
-            f"deduped, {self.expand_hits} expansions reused"
+            f"deduped, {self.expand_hits} expansions reused, "
+            f"{self.prepared_hits} searches skipped"
         )
 
 
@@ -145,15 +235,23 @@ class PlanCache:
     and the full list of rule rewrites; and, for the static
     :class:`~repro.core.cost.CostEstimator`, per-(subexpression, site)
     cost deltas, per-(document, peer) sizes, and compiled logical plans
-    per query source.  ``stats`` accumulates over the cache's lifetime;
-    callers wanting per-search numbers snapshot and diff via
-    :meth:`CacheStats.delta_since`.
+    per query source.  In front of all of these sits the prepared-plan
+    table: per (naive plan with query names reduced to their widths,
+    doc epochs, search configuration) the whole outcome of a search —
+    at most :data:`PREPARED_PLANS` of them, least recently served
+    evicted first.  It lives under the module's one contract (valid
+    while Σ's observable statistics are stable) and :meth:`clear`
+    empties it with the other tables.  ``stats`` accumulates over the
+    cache's lifetime; callers wanting per-search numbers snapshot and
+    diff via :meth:`CacheStats.delta_since`.
     """
 
     def __init__(self) -> None:
         self.stats = CacheStats()
         self._costs: Dict[str, object] = {}
         self._expansions: Dict[str, Tuple[Rewrite, ...]] = {}
+        #: prepared-plan key -> search outcome, least recently served first
+        self._prepared: "OrderedDict[Hashable, object]" = OrderedDict()
         #: (statistics token, expression fingerprint, site) ->
         #: (value size, bytes, msgs, time); the token keeps estimators
         #: with different Statistics from replaying each other's deltas
@@ -198,6 +296,26 @@ class PlanCache:
     def store_expansions(self, key: str, rewrites: List[Rewrite]) -> None:
         self._expansions[key] = tuple(rewrites)
 
+    # -- prepared plans ------------------------------------------------------
+    def lookup_prepared(self, key: Hashable) -> Optional[object]:
+        """The outcome stored under ``key`` (counted as a hit), or ``None``."""
+        outcome = self._prepared.get(key)
+        if outcome is None:
+            self.stats.prepared_misses += 1
+            return None
+        self._prepared.move_to_end(key)
+        self.stats.prepared_hits += 1
+        return outcome
+
+    def store_prepared(self, key: Hashable, outcome: object) -> int:
+        """Keep ``outcome`` under ``key``; returns how many it evicted."""
+        self._prepared[key] = outcome
+        if len(self._prepared) <= PREPARED_PLANS:
+            return 0
+        self._prepared.popitem(last=False)
+        self.stats.prepared_evictions += 1
+        return 1
+
     # -- bookkeeping --------------------------------------------------------
     def __len__(self) -> int:
         return len(self._costs)
@@ -211,6 +329,7 @@ class PlanCache:
         """Forget everything (call after mutating Σ); counters survive."""
         self._costs.clear()
         self._expansions.clear()
+        self._prepared.clear()
         self.subtree_costs.clear()
         self.doc_sizes.clear()
         self.compiled_queries.clear()
@@ -223,6 +342,7 @@ class PlanCache:
         return (
             f"{self.distinct_plans} plans cached, "
             f"{len(self._expansions)} expansions, "
+            f"{len(self._prepared)} prepared plans, "
             f"{len(self.subtree_costs)} subtree estimates; "
             + self.stats.describe()
         )

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List
 from ..errors import ExpressionError
 from ..xmlcore.model import Element, NodeId, element
 from ..xmlcore.parser import parse as parse_xml
-from ..xmlcore.serializer import serialize as serialize_xml
+from ..xmlcore.serializer import escape_attr, serialize as serialize_xml
 from ..xquery import Query
 from .expressions import (
     ANY,
@@ -236,7 +236,7 @@ def expression_size(expr: Expression) -> int:
 # Structural fingerprints
 # ---------------------------------------------------------------------------
 
-def expression_fingerprint(expr: Expression) -> str:
+def expression_fingerprint(expr: Expression, name_widths: bool = False) -> str:
     """Digest of the expression's XML form, without building or copying it.
 
     Two expressions fingerprint equal iff their :func:`to_xml` serializations
@@ -246,13 +246,21 @@ def expression_fingerprint(expr: Expression) -> str:
     into a hash, and folds in the (cached) content fingerprint of each
     :class:`TreeExpr` subtree.  Cost is one walk of the expression, O(1)
     per already-fingerprinted tree literal.
+
+    ``name_widths`` reduces every query name to the number of bytes its
+    ``name=`` attribute serializes to.  Evaluation sees a query's name
+    only as that many bytes on the wire, so expressions that differ only
+    in how their queries are *labelled*, at equal width, then share a
+    digest (the prepared-plan key of :mod:`repro.core.planspace`).
     """
     digest = blake2b(digest_size=12)
-    _fingerprint_into(expr, digest.update)
+    _fingerprint_into(expr, digest.update, name_widths)
     return digest.hexdigest()
 
 
-def _fingerprint_into(expr: Expression, feed: Callable[[bytes], None]) -> None:
+def _fingerprint_into(
+    expr: Expression, feed: Callable[[bytes], None], name_widths: bool = False
+) -> None:
     def token(*parts: str) -> None:
         for part in parts:
             feed(part.encode("utf-8"))
@@ -269,40 +277,43 @@ def _fingerprint_into(expr: Expression, feed: Callable[[bytes], None]) -> None:
     elif isinstance(expr, Gather):
         token("x-gather", str(len(expr.parts)))
         for part in expr.parts:
-            _fingerprint_into(part, feed)
+            _fingerprint_into(part, feed, name_widths)
     elif isinstance(expr, QueryRef):
+        name = expr.query.name or ""
+        if name and name_widths:
+            name = str(len(escape_attr(name).encode("utf-8")))
         token(
             "x-query",
             expr.home,
             " ".join(expr.query.params),
-            expr.query.name or "",
+            name,
             expr.query.source,
         )
     elif isinstance(expr, GenericService):
         token("x-service", expr.name, ANY)
     elif isinstance(expr, QueryApply):
         token("x-apply")
-        _fingerprint_into(expr.query, feed)
+        _fingerprint_into(expr.query, feed, name_widths)
         token("x-args", str(len(expr.args)))
         for arg in expr.args:
-            _fingerprint_into(arg, feed)
+            _fingerprint_into(arg, feed, name_widths)
     elif isinstance(expr, ServiceCallExpr):
         token("x-sc", expr.provider, expr.service, str(len(expr.params)))
         for param in expr.params:
-            _fingerprint_into(param, feed)
+            _fingerprint_into(param, feed, name_widths)
         for target in expr.forwards:
             token("x-forw", str(target))
     elif isinstance(expr, Send):
         token("x-send", " ".join(expr.via))
         _fingerprint_dest(expr.dest, token)
-        _fingerprint_into(expr.payload, feed)
+        _fingerprint_into(expr.payload, feed, name_widths)
     elif isinstance(expr, EvalAt):
         token("x-eval", expr.peer)
-        _fingerprint_into(expr.expr, feed)
+        _fingerprint_into(expr.expr, feed, name_widths)
     elif isinstance(expr, Seq):
         token("x-seq", str(len(expr.steps)))
         for step in expr.steps:
-            _fingerprint_into(step, feed)
+            _fingerprint_into(step, feed, name_widths)
     else:
         raise ExpressionError(f"cannot fingerprint {type(expr).__name__}")
 

@@ -16,9 +16,10 @@ Mechanics:
   byte-stable for a fixed seed;
 * each admission optimizes the job through the session's strategy with
   the session's shared :class:`~repro.core.planspace.PlanCache`
-  (warm-cache serving: the second job over a hot document plans almost
-  for free), then evaluates the chosen plan with ``ready_at`` equal to
-  the admission instant — *not* zero — so the job queues behind every
+  (warm-cache serving: a job repeating an already-planned query at the
+  same site skips the search and runs its prepared plan), then
+  evaluates the chosen plan with ``ready_at`` equal to the admission
+  instant — *not* zero — so the job queues behind every
   resource commitment made by earlier arrivals;
 * peers are contended resources with explicit **compute queues**: the
   scheduler charges every peer the chosen plan names for the job's
@@ -45,6 +46,7 @@ from time import perf_counter as _perf_counter
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple, Union
 
 from ..core.evaluator import ExpressionEvaluator
+from ..core.planspace import CacheStats
 from ..errors import ReproError, SessionError
 from ..obs.metrics import MetricsRegistry
 from ..peers.registry import POLICIES, PickPolicy
@@ -399,6 +401,7 @@ class Scheduler:
         span at the admission instant, carrying the search stats (and
         the wall cost) as attributes; then the wait for the site CPU.
         """
+        cache = report.plan_cache or CacheStats()
         tracer.record(
             "plan",
             "plan",
@@ -408,11 +411,8 @@ class Scheduler:
             cost_model=getattr(self.session.cost_model, "name", "custom"),
             explored=report.explored,
             site=report.plan.site,
-            cache_hits=(
-                report.plan_cache.cost_hits + report.plan_cache.expand_hits
-                if report.plan_cache is not None
-                else 0
-            ),
+            cache_hits=cache.cost_hits + cache.expand_hits,
+            prepared=cache.prepared_hits > 0,
             wall_ms=(_perf_counter() - plan_wall) * 1000.0,
         )
         if started_at > now:

@@ -24,7 +24,6 @@ from ..net.network import Network
 from ..net import topology as topo
 from ..xmlcore.canon import canonical_form
 from ..xmlcore.model import Element
-from ..xquery import Query
 from .peer import Peer
 from .registry import GenericRegistry
 from .service import DeclarativeService, NativeService, Service
@@ -236,13 +235,12 @@ class AXMLSystem:
 
 def _clone_service(service: Service) -> Service:
     if isinstance(service, DeclarativeService):
-        clone = DeclarativeService(
+        return DeclarativeService(
             service.name,
-            Query(service.query.source, service.query.params, service.query.name),
+            service.query.copy(service.query.name),
             service.signature,
             service.continuous,
         )
-        return clone
     if isinstance(service, NativeService):
         return NativeService(
             service.name,

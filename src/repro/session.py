@@ -14,9 +14,9 @@ transfer/compute statistics pulled from the network simulator.
 >>> from repro.xmlcore import parse
 >>> system = AXMLSystem.with_peers(["laptop", "server"], bandwidth=50_000.0)
 >>> _ = system.peer("server").install_document("cat", parse(
-...     "<c>" + "".join(f"<i><p>{n}</p></i>" for n in range(40)) + "</c>"))
+...     "<c>" + "".join(f"<i><p>{n}</p></i>" for n in range(200)) + "</c>"))
 >>> report = connect(system).query(
-...     "for $i in $d//i where $i/p > 37 return $i/p", at="laptop",
+...     "for $i in $d//i where $i/p > 197 return $i/p", at="laptop",
 ...     bind={"d": "cat@server"})
 >>> len(report.items)
 2
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Dict,
     Iterable,
@@ -64,11 +64,18 @@ from .core.expressions import (
     TreeExpr,
 )
 from .core.optimizer import Optimizer
-from .core.planspace import CacheStats, PlanCache
+from .core.planspace import (
+    CacheStats,
+    PlanCache,
+    doc_epoch_signature,
+    plan_fingerprint,
+    relabel,
+)
 from .core.rules import DEFAULT_RULES, Plan, RewriteRule
 from .core.strategies import (
     OptimizationResult,
     OptimizerStrategy,
+    _model_token,
     improvement_ratio,
     make_strategy,
 )
@@ -142,7 +149,9 @@ class ExecutionReport:
     #: deduped).  Always populated by the built-in strategies —
     #: ``cost_misses`` counts actual cost-function invocations even when
     #: memoization is disabled (hits are then simply zero); ``None``
-    #: only for third-party strategies that do not report metrics.
+    #: only for third-party strategies that do not report metrics.  A
+    #: run served from the prepared-plan table made no lookups at all:
+    #: ``prepared_hits`` is 1 and everything else 0.
     plan_cache: Optional[CacheStats] = None
     #: Provenance of a degraded answer (:class:`repro.faults.PartialAnswer`)
     #: when the run executed with ``partial=True`` under faults and lost
@@ -181,6 +190,8 @@ class ExecutionReport:
             f"improvement: x{self.improvement:.2f}  "
             f"({self.explored} plans explored, {self.strategy} strategy)"
         )
+        if self.plan_cache is not None and self.plan_cache.prepared_hits:
+            lines.append(f"{'':13s}prepared plan (search skipped)")
         if self.decomposition is not None:
             lines.append(
                 "decompose:   rule (11) applies "
@@ -266,13 +277,20 @@ class Session:
         (:class:`~repro.core.planspace.PlanCache`).  By default the
         session creates its own, so every distinct plan is costed and
         rule-expanded at most once per search — and, because isolated
-        runs never mutate Σ, the table keeps paying off across runs.
-        Pass an existing cache to share it between sessions over the
-        *same* system state, or ``plan_cache=None`` to disable
-        memoization entirely (debugging aid: same best plans, but every
-        search re-costs and re-expands the whole space from scratch).
-        Sessions with ``isolate=False`` clear the table before each
-        run, since executions mutate Σ.
+        runs never mutate Σ, the table keeps paying off across runs:
+        a job repeating an already-planned query (same text, site,
+        bindings and name width, same document epochs) skips the search
+        altogether and runs the *prepared plan*, relabelled with its own
+        query names.  Pass an existing cache to share it between
+        sessions over the *same* system state (prepared plans are keyed
+        by the session's search configuration, so differently configured
+        sessions never serve each other's), or ``plan_cache=None`` to
+        disable memoization entirely (debugging aid: same best plans,
+        but every search re-costs and re-expands the whole space from
+        scratch).  Sessions with ``isolate=False`` clear the table
+        before each run, since executions mutate Σ; sessions with
+        ``verify=True`` or ``trace=True`` always search, because they
+        report what only a search produces.
     """
 
     def __init__(
@@ -336,6 +354,9 @@ class Session:
         #: re-verified after the search already checked it
         #: (check_equivalence is the slow, evaluate-both-sides path).
         self._verify_cache: Dict[Tuple[str, str], VerificationResult] = {}
+        #: The first :class:`Query` compiled from each source text; later
+        #: :meth:`compile` calls copy it instead of parsing again.
+        self._compiled: Dict[str, Query] = {}
         #: The open serving engine, created lazily by :meth:`submit`.
         self._engine = None
         self.optimizer = Optimizer(
@@ -369,11 +390,20 @@ class Session:
         params: Sequence[str] = (),
         name: Optional[str] = None,
     ) -> Query:
-        """Parse XQuery text into a :class:`Query` (idempotent on queries)."""
+        """Parse XQuery text into a :class:`Query` (idempotent on queries).
+
+        A source text is parsed once per session: compiling it again
+        returns a copy sharing the parsed module
+        (:meth:`Query.copy <repro.xquery.Query.copy>`).
+        """
         if isinstance(source, Query):
             return source
         with self._phase("parse"):
-            return Query(source, params=params, name=name)
+            known = self._compiled.get(source)
+            if known is not None:
+                return known.copy(name, params)
+            query = self._compiled[source] = Query(source, params=params, name=name)
+            return query
 
     def plan(
         self,
@@ -413,11 +443,7 @@ class Session:
         # params; widen it so their bindings become arguments, not no-ops
         extra = sorted((implicit & set(bind)) - set(query.params))
         if extra:
-            query = Query(
-                query.source,
-                params=tuple(query.params) + tuple(extra),
-                name=query.name,
-            )
+            query = query.copy(query.name, tuple(query.params) + tuple(extra))
         args = tuple(self._resolve_binding(bind[p], at) for p in query.params)
         return Plan(QueryApply(QueryRef(query, at), args), at)
 
@@ -715,7 +741,8 @@ class Session:
         The scheduler's planning half: builds the naive plan for a
         :class:`~repro.engine.jobs.JobRequest`, searches it through the
         session's strategy with the shared plan cache (warm-cache
-        serving), optionally verifies the winner, and returns the
+        serving: a repeated query skips the search), optionally
+        verifies the winner, and returns the
         not-yet-executed report for the engine to run.
         """
         query = self.compile(
@@ -737,6 +764,32 @@ class Session:
         """The profiler's wall-clock timer for ``name`` (a no-op without one)."""
         return self.profiler.phase(name) if self.profiler is not None else _NO_PHASE
 
+    def _prepared_key(self, plan: Plan, optimize: bool) -> Tuple:
+        """Everything the outcome of searching ``plan`` depends on.
+
+        The naive plan itself — with query names reduced to their
+        serialized widths when the cost model sees no more of them
+        (``name_blind``), exact otherwise — the epochs of the documents
+        it reads, and what shapes this session's searches: strategy type
+        and options, cost model and its cache token, rule set, pick
+        policy, and which Σ.
+        """
+        model = self.cost_model
+        strategy = self.strategy
+        options = getattr(strategy, "__dict__", None)
+        return (
+            plan_fingerprint(plan, getattr(model, "name_blind", False)),
+            doc_epoch_signature(self.system, plan.expr),
+            optimize,
+            type(strategy),
+            strategy if options is None else repr(sorted(options.items())),
+            model.name,
+            _model_token(model),
+            tuple(self.optimizer.rules),
+            self.pick_policy,
+            self.system,
+        )
+
     def _plan_report(
         self,
         plan: Plan,
@@ -745,10 +798,30 @@ class Session:
         name: Optional[str] = None,
         decomposition: Optional[Decomposition] = None,
     ) -> ExecutionReport:
-        """Search → verify → the not-yet-executed report: the one planning path."""
+        """Search → verify → the not-yet-executed report: the one planning path.
+
+        The search is skipped when the session's plan cache holds its
+        outcome already (see :meth:`_prepared_key`); the stored plan is
+        relabelled with this job's query names, so everything downstream
+        — wire bytes, deployed-service names, event traces — is what a
+        search would have produced.
+        """
         self._verify_cache.clear()  # verdicts are per job: Σ may have changed
+        # verify and trace ask for a search's by-products; no table keeps those
+        table = None if self.verify or self.trace else self.plan_cache
+        key = prepared = None
+        if table is not None:
+            key = self._prepared_key(plan, optimize)
+            prepared = table.lookup_prepared(key)
         with self._phase("optimize"):
-            if optimize:
+            if prepared is not None:
+                planned, found = prepared
+                result = replace(
+                    found,
+                    best=relabel(found.best, planned, plan),
+                    cache=CacheStats(prepared_hits=1),
+                )
+            elif optimize:
                 result = self.optimizer.optimize_with(
                     self.strategy, plan, verify=self.verify
                 )
@@ -764,6 +837,14 @@ class Session:
                     strategy="none",
                     cache=space.metrics.copy(),
                 )
+        if table is not None and prepared is None:
+            # without the trace and the counters: they pin every plan scored
+            evicted = table.store_prepared(
+                key, (plan, replace(result, trace=[], cache=None))
+            )
+            if result.cache is not None:
+                result.cache.prepared_misses = 1
+                result.cache.prepared_evictions = evicted
         verification: Optional[VerificationResult] = None
         if self.verify:
             if result.best is plan:

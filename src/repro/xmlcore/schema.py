@@ -226,9 +226,9 @@ class Schema:
     """A collection of named types with validation.
 
     >>> s = Schema()
-    >>> s.define("item", ElementType("item", Sequence(ElementType("name"),
-    ...                                               ElementType("price"))))
-    >>> from .model import element
+    >>> _ = s.define("item", ElementType("item", Sequence(ElementType("name"),
+    ...                                                   ElementType("price"))))
+    >>> from repro.xmlcore.model import element
     >>> s.is_valid(element("item", element("name"), element("price")), "item")
     True
     """

@@ -79,31 +79,55 @@ class Query:
         doc_resolver=None,
     ) -> None:
         self.source = source
-        self.params: Tuple[str, ...] = tuple(params)
         self.name = name
         self.module: Module = parse_query(source)
+        self.params = self._with_externals(params)
         self._evaluator = Evaluator(doc_resolver)
-        declared_external = {
-            v.name for v in self.module.variables if v.value is None
-        }
-        # params may also be declared 'external' in the prolog; merge.
-        for extra in declared_external:
-            if extra not in self.params:
-                self.params = self.params + (extra,)
+        #: data parameter -> what :func:`push_selection` found for this
+        #: query (a ``Decomposition``, or the refusal's message).
+        self._splits: Dict[Optional[str], object] = {}
+
+    def _with_externals(self, params: Sequence[str]) -> Tuple[str, ...]:
+        """``params`` plus the prolog's ``external`` variables not among them."""
+        merged = tuple(params)
+        for variable in self.module.variables:
+            if variable.value is None and variable.name not in merged:
+                merged += (variable.name,)
+        return merged
 
     @property
     def arity(self) -> int:
         return len(self.params)
 
-    def bind_resolver(self, doc_resolver) -> "Query":
-        """Return a copy whose ``doc()`` resolves through ``doc_resolver``."""
+    def copy(
+        self,
+        name: Optional[str],
+        params: Optional[Sequence[str]] = None,
+        doc_resolver=None,
+    ) -> "Query":
+        """A query over the *same parsed module*: nothing is parsed again.
+
+        ``name`` labels the copy; ``params`` (default: this query's)
+        replaces the parameter list; ``doc()`` resolves through
+        ``doc_resolver``.  A split depends on the module, the name and
+        the parameters, so a copy that changes neither name nor
+        parameters also shares what :func:`push_selection` found.
+        """
         clone = Query.__new__(Query)
         clone.source = self.source
-        clone.params = self.params
-        clone.name = self.name
+        clone.name = name
         clone.module = self.module
+        clone.params = (
+            self.params if params is None else clone._with_externals(params)
+        )
         clone._evaluator = Evaluator(doc_resolver)
+        same = name == self.name and clone.params == self.params
+        clone._splits = self._splits if same else {}
         return clone
+
+    def bind_resolver(self, doc_resolver) -> "Query":
+        """Return a copy whose ``doc()`` resolves through ``doc_resolver``."""
+        return self.copy(self.name, doc_resolver=doc_resolver)
 
     def run(
         self,

@@ -21,6 +21,7 @@ optimizer to *un*-split when shipping whole queries is cheaper.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
@@ -35,6 +36,11 @@ __all__ = ["Decomposition", "push_selection", "compose", "free_variables"]
 
 #: Envelope tag wrapping the inner query's results so they travel as one tree.
 ENVELOPE_TAG = "q-inner-result"
+
+#: What the name of a query built here adds to the name of the query it
+#: was built from (:func:`push_selection`: ``-inner`` / ``-outer``;
+#: :func:`compose`: ``-composed``), any number of times over.
+DERIVED_SUFFIX = re.compile(r"(?:-inner|-outer|-composed)*")
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,25 @@ def push_selection(query: Query, data_param: Optional[str] = None) -> Decomposit
     outer query is the original minus the where clause, re-rooted at the
     envelope.  Per Example 1 of the paper, only the (typically small)
     selected subset is ever shipped.
+
+    The verdict is remembered on ``query``: the rewrite rules ask again
+    at every plan that still applies it.  A refusal is kept as its
+    message and raised fresh — a stored exception would carry, and keep
+    alive, the traceback of every frame that ever caught it.
     """
+    verdict = query._splits.get(data_param)
+    if verdict is None:
+        try:
+            verdict = _split(query, data_param)
+        except DecompositionError as refusal:
+            verdict = refusal.args
+        query._splits[data_param] = verdict
+    if isinstance(verdict, tuple):
+        raise DecompositionError(*verdict)
+    return verdict
+
+
+def _split(query: Query, data_param: Optional[str]) -> Decomposition:
     if data_param is None:
         if not query.params:
             raise DecompositionError("query has no parameters")

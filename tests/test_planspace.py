@@ -251,9 +251,11 @@ class TestSessionIntegration:
             bind={"d": "cat@data"},
         )
         assert second.best_cost == first.best_cost
-        # the second run's search is answered entirely from the table
+        # the second run is answered from the table: the whole search is
+        # prepared, so not even a cost lookup is made
         assert second.plan_cache.cost_misses == 0
-        assert second.plan_cache.cost_hits > 0
+        assert second.plan_cache.prepared_hits == 1
+        assert second.plan.describe() == first.plan.describe()
 
     def test_non_isolated_session_clears_cache_between_runs(self, system):
         session = Session(system, strategy="beam", isolate=False)

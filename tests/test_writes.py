@@ -311,13 +311,18 @@ class TestEpochs:
         inv_before = tuple(ask("inv").answers)
         session.update("cat", 1, "price", "424242")
 
-        # the untouched doc keeps serving warm cost memos...
+        # the untouched doc keeps serving its warm memos (the whole
+        # search outcome: nothing is re-costed)...
         warm = ask("inv")
-        assert warm.plan_cache is not None and warm.plan_cache.cost_hits > 0
+        assert warm.plan_cache.prepared_hits == 1
+        assert warm.plan_cache.cost_misses == 0
         assert tuple(warm.answers) == inv_before
-        # ...while the written doc's answers reflect the write, not a
-        # stale cached estimate of the old content
-        assert "<name>n1</name>" in ask("cat").answers
+        # ...while the written doc is planned again, and its answers
+        # reflect the write, not a stale cached estimate of the old content
+        cold = ask("cat")
+        assert cold.plan_cache.prepared_misses == 1
+        assert cold.plan_cache.cost_misses > 0
+        assert "<name>n1</name>" in cold.answers
 
     def test_doc_size_keys_fold_epoch(self):
         from repro.core.cost import CostEstimator
