@@ -51,6 +51,9 @@ from repro.xmlcore import element  # noqa: E402
 BENCH_ID = "M1"
 JSON_NAME = "BENCH_writes"
 
+#: Timed repetitions per mode (fastest kept, like S1's ``PLAN_REPS``).
+TIMED_REPS = 3
+
 DOC = "cat"
 HOME = "p0"
 DATA_PEERS = ("p0", "p1", "p2")
@@ -125,7 +128,7 @@ def run_rebuild(system: AXMLSystem, ops) -> AXMLSystem:
     target = system.clone()
     home = target.peer(HOME)
     for op in ops:
-        tree = home.documents[DOC]
+        tree = home.own_document(DOC)
         apply_to_tree(tree, op)
         home.allocator.assign(tree)
         fragments = target.fragments.fragments(DOC)
@@ -145,6 +148,16 @@ def run_rebuild(system: AXMLSystem, ops) -> AXMLSystem:
         target.fragments.drop(DOC)
         Fragmenter(target).fragment(DOC, HOME, across, replicas=replicas)
     return target
+
+
+def fastest(fn):
+    """``(result, seconds)`` of the fastest of :data:`TIMED_REPS` runs.
+
+    Each run starts from its own clone of the pristine system, so the
+    repetitions are identical work; one-shot timings of one commit read
+    x7.7 to x11.2 here, enough to trip the trajectory gate by noise.
+    """
+    return min((timed_run(fn) for _ in range(TIMED_REPS)), key=lambda run: run[1])
 
 
 def probe_answers(system: AXMLSystem):
@@ -175,8 +188,8 @@ def main(argv=None) -> int:
     for op in ops:
         kinds[type(op).__name__.replace("Op", "").lower()] += 1
 
-    written, incremental_s = timed_run(lambda: run_incremental(system, ops))
-    rebuilt, rebuild_s = timed_run(lambda: run_rebuild(system, ops))
+    written, incremental_s = fastest(lambda: run_incremental(system, ops))
+    rebuilt, rebuild_s = fastest(lambda: run_rebuild(system, ops))
     speedup = rebuild_s / max(1e-9, incremental_s)
 
     written_answers = probe_answers(written)

@@ -11,17 +11,20 @@ prices candidate plans:
 * ``hybrid``  — the frontier is priced analytically, only the chosen
   plan (plus the original) is oracle-checked.
 
-The claim under test: estimation changes *how fast the optimizer runs*,
-never *what it answers*.  Every mode must produce byte-identical
+The claim under test: estimation *avoids simulation*, and never changes
+*what the optimizer answers*.  Every mode must produce byte-identical
 answers and byte-identical virtual-time metrics (makespan, latency
 percentiles) on the served stream, while hybrid *plans* the scenario's
-distinct queries cold at >=5x the oracle's wall-clock rate.
+distinct queries cold with <=1/5 of the oracle's simulations
+(:func:`repro.core.cost.measure` calls — an exact count, so the gate
+does not move when simulating gets cheaper or the host gets noisy).
+The cold-planning wall ratio is reported beside it, not gated.
 
-The ratio is taken on cold planning (``Session.explain`` of each
-distinct query on a fresh session), not on the served stream: a served
-job that repeats an already-planned query skips the search under every
-cost model (the prepared-plan table), so the longer the stream, the
-less of its wall time any cost model touches.
+Both are taken on cold planning (``Session.explain`` of each distinct
+query on a fresh session), not on the served stream: a served job that
+repeats an already-planned query skips the search under every cost
+model (the prepared-plan table), so the longer the stream, the less of
+it any cost model touches.
 """
 
 import argparse
@@ -33,6 +36,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from common import emit, emit_json, format_table, timed_run  # noqa: E402
 
+from repro.core import costmodel  # noqa: E402
 from repro.engine import LoadGenerator  # noqa: E402
 from repro.session import Session  # noqa: E402
 from repro.workloads import ScenarioGenerator, ScenarioSpec  # noqa: E402
@@ -52,9 +56,9 @@ CONCURRENCY = 4
 JOBS = 32
 QUICK_JOBS = 16
 
-#: The acceptance floor: hybrid must plan the workload's distinct
-#: queries cold at >=5x the oracle's wall-clock rate.
-MIN_HYBRID_SPEEDUP = 5.0
+#: The acceptance floor: planning the workload's distinct queries cold,
+#: the oracle must simulate >=5x as many plans as hybrid does.
+MIN_MEASURE_RATIO = 5.0
 #: Cold-planning repetitions per mode (fresh session each; fastest kept).
 PLAN_REPS = 3
 
@@ -72,20 +76,41 @@ def serve_mode(mode: str, seed: int, jobs: int):
     return timed_run(lambda: session.serve(feed=feed, seed=seed))
 
 
-def plan_mode(mode: str, seed: int) -> float:
-    """Wall seconds to plan every distinct query cold under ``mode``."""
+def plan_mode(mode: str, seed: int):
+    """Plan every distinct query cold under ``mode``.
+
+    Returns ``(wall seconds, simulations)``: the fastest repetition's
+    wall time and the number of ``measure`` calls one repetition makes
+    (the same in each — asserted).
+    """
     best = float("inf")
-    for _ in range(PLAN_REPS):
-        scenario = ScenarioGenerator(seed=seed, spec=SPEC).scenario(0)
-        session = Session(scenario.system, cost_model=mode)
-        _, seconds = timed_run(
-            lambda: [
-                session.explain(q.source, q.at, q.bindings, q.name)
-                for q in scenario.queries
-            ]
-        )
-        best = min(best, seconds)
-    return best
+    counts = set()
+    measure = costmodel.measure
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return measure(*args, **kwargs)
+
+    costmodel.measure = counting
+    try:
+        for _ in range(PLAN_REPS):
+            calls = 0
+            scenario = ScenarioGenerator(seed=seed, spec=SPEC).scenario(0)
+            session = Session(scenario.system, cost_model=mode)
+            _, seconds = timed_run(
+                lambda: [
+                    session.explain(q.source, q.at, q.bindings, q.name)
+                    for q in scenario.queries
+                ]
+            )
+            best = min(best, seconds)
+            counts.add(calls)
+    finally:
+        costmodel.measure = measure
+    assert len(counts) == 1, f"measure calls varied across repetitions: {counts}"
+    return best, counts.pop()
 
 
 def run_modes(seed: int, jobs: int):
@@ -98,14 +123,16 @@ def run_modes(seed: int, jobs: int):
         metrics = report.metrics
         assert metrics.failed == 0, f"{metrics.failed} jobs failed under {mode}"
         wall_qps = metrics.jobs / max(1e-9, seconds)
-        plan_seconds = plan_mode(mode, seed)
+        plan_seconds, simulations = plan_mode(mode, seed)
         rows.append((
-            mode, plan_seconds * 1000, metrics.jobs, seconds * 1000, wall_qps,
+            mode, plan_seconds * 1000, simulations, metrics.jobs,
+            seconds * 1000, wall_qps,
             metrics.makespan * 1000, metrics.latency_p50 * 1000,
             metrics.latency_p95 * 1000,
         ))
         modes[mode] = {
             "cold_plan_seconds": round(plan_seconds, 4),
+            "cold_plan_measure_calls": simulations,
             "jobs": metrics.jobs,
             "wall_seconds": round(seconds, 4),
             "wall_qps": round(wall_qps, 2),
@@ -139,7 +166,7 @@ def main(argv=None) -> int:
         f"cold planning and serving speed by cost model, {jobs} jobs at "
         f"concurrency {CONCURRENCY}",
         format_table(
-            ["model", "cold plan ms", "jobs", "wall ms", "wall qps",
+            ["model", "cold plan ms", "simulations", "jobs", "wall ms", "wall qps",
              "makespan ms", "p50 ms", "p95 ms"],
             rows,
         ),
@@ -150,6 +177,9 @@ def main(argv=None) -> int:
     analytic_speedup = oracle_plan / max(
         1e-9, modes["analytic"]["cold_plan_seconds"]
     )
+    oracle_measures = modes["oracle"]["cold_plan_measure_calls"]
+    hybrid_measures = modes["hybrid"]["cold_plan_measure_calls"]
+    measure_ratio = oracle_measures / max(1, hybrid_measures)
     answers_identical = all(
         answers[mode] == answers["oracle"] for mode in COST_MODELS
     )
@@ -164,6 +194,7 @@ def main(argv=None) -> int:
         "jobs": jobs,
         "concurrency": CONCURRENCY,
         "modes": modes,
+        "oracle_vs_hybrid_measure_ratio": round(measure_ratio, 3),
         "hybrid_vs_oracle_planning_speedup": round(hybrid_speedup, 3),
         "analytic_vs_oracle_planning_speedup": round(analytic_speedup, 3),
         "identical_answers_across_models": answers_identical,
@@ -172,12 +203,15 @@ def main(argv=None) -> int:
     emit_json(JSON_NAME, payload, quick=args.quick)
 
     print(
-        f"\ncold planning: hybrid {modes['hybrid']['cold_plan_seconds'] * 1000:.0f} ms "
-        f"vs oracle {oracle_plan * 1000:.0f} ms (x{hybrid_speedup:.2f}); "
+        f"\ncold planning: hybrid simulates {hybrid_measures} plans vs oracle "
+        f"{oracle_measures} (x{measure_ratio:.2f}), analytic "
+        f"{modes['analytic']['cold_plan_measure_calls']}; wall: hybrid "
+        f"{modes['hybrid']['cold_plan_seconds'] * 1000:.0f} ms vs oracle "
+        f"{oracle_plan * 1000:.0f} ms (x{hybrid_speedup:.2f}), "
         f"analytic x{analytic_speedup:.2f}"
     )
 
-    # regression gates: estimation must buy wall speed without touching
+    # regression gates: estimation must avoid simulation without touching
     # a single observable — answers and virtual time are the contract
     if not answers_identical:
         print("FAIL: answers diverged across cost models")
@@ -185,10 +219,13 @@ def main(argv=None) -> int:
     if not vtime_identical:
         print("FAIL: virtual-time metrics diverged across cost models")
         return 1
-    if hybrid_speedup < MIN_HYBRID_SPEEDUP:
+    if modes["analytic"]["cold_plan_measure_calls"]:
+        print("FAIL: the analytic model simulated a plan")
+        return 1
+    if measure_ratio < MIN_MEASURE_RATIO:
         print(
-            f"FAIL: hybrid planning speedup x{hybrid_speedup:.2f} fell below "
-            f"the x{MIN_HYBRID_SPEEDUP:.1f} floor"
+            f"FAIL: oracle/hybrid simulation ratio x{measure_ratio:.2f} fell "
+            f"below the x{MIN_MEASURE_RATIO:.1f} floor"
         )
         return 1
     return 0

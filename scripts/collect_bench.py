@@ -43,7 +43,7 @@ HEADLINES = {
     "BENCH_writes": ("incremental_vs_rebuild_speedup", "higher"),
     "BENCH_resilience": ("availability_under_faults", "higher"),
     "BENCH_observe": ("tracing_overhead_ratio", "lower"),
-    "BENCH_speed": ("hybrid_vs_oracle_planning_speedup", "higher"),
+    "BENCH_speed": ("oracle_vs_hybrid_measure_ratio", "higher"),
 }
 
 #: Rolling per-bench history: how many ``{sha, date, headline}`` points a
@@ -84,9 +84,14 @@ def extend_history(baseline, fresh: dict, cap: int = HISTORY_CAP) -> dict:
     never clobbers the full-run point for that commit, or vice versa),
     capped to the most recent ``cap`` entries.  The gate itself still
     compares only the latest baseline headline; the history is the
-    CI-tracked trajectory.
+    CI-tracked trajectory.  A bench whose headline was re-pointed at
+    another metric starts a new trajectory: points carry no metric name.
     """
     history = list((baseline or {}).get("history", ()))
+    old = (baseline or {}).get("headline")
+    new = fresh.get("headline")
+    if old and new and old.get("metric") != new.get("metric"):
+        history = []
     if fresh.get("headline"):
         point = {
             "sha": fresh.get("git_sha", "unknown"),

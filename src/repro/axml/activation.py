@@ -64,6 +64,7 @@ class ActivationEngine:
     ) -> ActivationResult:
         """Run one activation; returns responses and completion time."""
         caller = self.system.peer(document.peer_id)
+        call = document.own(caller, call)
         provider_id = self._resolve_provider(call, document.peer_id)
         provider = self.system.peer(provider_id)
         try:
@@ -156,15 +157,10 @@ class ActivationEngine:
         return [parent.node_id]
 
     def _insert_response(self, target: NodeId, response: Element) -> None:
-        peer = self.system.peer(target.peer)
-        node = peer.find_node(target)
-        if node is None:
+        if self.system.peer(target.peer).deliver(target, response) is None:
             raise ServiceCallError(
                 f"forward target {target} does not exist on {target.peer!r}"
             )
-        copy = response.copy_without_ids()
-        peer.allocator.assign(copy)
-        node.append(copy)
 
     def _fire_chained(
         self, document: AXMLDocument, completed: ServiceCall, ready_at: float

@@ -28,6 +28,7 @@ from ..xmlcore.model import (
     NodeId,
     Text,
     element,
+    find_by_id,
     iter_elements,
 )
 
@@ -218,6 +219,27 @@ class AXMLDocument:
                 continue
             pending.append(call)
         return pending
+
+    def own(self, peer, call: ServiceCall) -> ServiceCall:
+        """Re-anchor this view and ``call`` before an in-place edit.
+
+        A tree shared with another Σ is frozen; activation edits the
+        document (responses accumulate, the ``sc`` is marked), so the view
+        follows ``peer`` to its private copy
+        (:meth:`Peer.own_document <repro.peers.peer.Peer.own_document>`)
+        and a ``call`` parsed from the shared tree is found again there
+        by node id.
+        """
+        if not call.node.frozen:
+            return call
+        self.root = peer.own_document(self.name)
+        node_id = call.node.node_id
+        node = find_by_id(self.root, node_id) if node_id is not None else None
+        if node is None:
+            raise ServiceCallError(
+                f"{call} is not a call of document {self.name!r}@{self.peer_id}"
+            )
+        return ServiceCall.parse(node)
 
     def mark_activated(self, call: ServiceCall) -> None:
         """Record activation both in-memory and *in the document itself*.

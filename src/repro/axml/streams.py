@@ -94,15 +94,10 @@ class StreamChannel:
             headers={"stream": self.name, "target": str(target)},
         )
         arrival = self.system.network.deliver(message, ready_at)
-        peer = self.system.peer(target.peer)
-        node = peer.find_node(target)
-        if node is None:
+        if self.system.peer(target.peer).deliver(target, tree) is None:
             raise AXMLError(
                 f"stream {self.name!r}: target {target} not found"
             )
-        copy = tree.copy_without_ids()
-        peer.allocator.assign(copy)
-        node.append(copy)
         subscription.delivered += 1
         return arrival
 

@@ -4,9 +4,11 @@ Two interchangeable cost functions drive the optimizer:
 
 * :func:`measure` — clone Σ, actually evaluate the plan with the
   definitional evaluator, read the network statistics and the virtual
-  completion time.  Exact by construction; affordable because Σ in this
-  reproduction is in-memory.  This is the reference the estimator is
-  validated against (ablation A1).
+  completion time.  Exact by construction, and the clone is cheap:
+  document trees are shared with Σ, not copied
+  (:meth:`AXMLSystem.clone <repro.peers.system.AXMLSystem.clone>`).
+  This is the reference the estimator is validated against (ablation
+  A1).
 * :class:`CostEstimator` — a static model walking the expression:
   document sizes come from Σ, query selectivities from a statistics
   table (default applied when unknown), link costs from the topology.
@@ -144,7 +146,12 @@ def _static_payloads(params) -> Optional[Tuple]:
 
 
 def measure(plan: Plan, system: AXMLSystem, pick_policy=None) -> Cost:
-    """Oracle cost: evaluate on a clone of Σ, return the real accounting."""
+    """Oracle cost: evaluate on a clone of Σ, return the real accounting.
+
+    ``system`` is left as it was — documents, read counters, clocks and
+    network statistics: the clone shares its trees (frozen) and the
+    evaluation copies what it changes.
+    """
     twin = system.clone()
     evaluator = ExpressionEvaluator(twin, pick_policy)
     outcome = evaluator.eval(plan.expr, plan.site)

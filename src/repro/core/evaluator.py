@@ -394,7 +394,29 @@ class ExpressionEvaluator:
                 f"document {expr.name!r} is homed on dead peer {expr.home!r}"
             )
         tree = home.document(expr.name)
-        inner = TreeExpr(tree, expr.home)
+        if tree.has_service_calls():
+            home_outcome = self._activate_document(
+                home, expr.name, tree, ready_at, depth
+            )
+        else:
+            # plain data: activation is the identity, so the stored tree
+            # is the value — no copy, no re-install, Σ is only read
+            home_outcome = EvalOutcome(items=[tree], completed_at=ready_at)
+        if at == expr.home:
+            return home_outcome
+        return self._ship_items(
+            home_outcome, expr.home, at, home_outcome.completed_at
+        )
+
+    def _activate_document(
+        self, home, name: str, tree: Element, ready_at: float, depth: int
+    ) -> EvalOutcome:
+        """Fire the calls embedded in ``name@home`` there; store the result.
+
+        "p2 has replaced this local tree with the result of eval" — the
+        activated version (a copy, definition (1)) becomes the stored
+        document.
+        """
         # A partial-mode activation that lost a service call must NOT
         # become the stored document: the lost sc node is dropped from
         # the *answer* copy, and committing that copy would silently
@@ -403,19 +425,12 @@ class ExpressionEvaluator:
         # three-way fault invariant forbids).  The loss watermark tells
         # degraded activations apart from complete ones.
         losses_before = len(self.losses)
-        if at == expr.home:
-            outcome = self.eval(inner, at, ready_at, depth + 1)
-            # "p2 has replaced this local tree with the result of eval" —
-            # the activated version becomes the stored document.
-            if len(outcome.items) == 1 and len(self.losses) == losses_before:
-                home.install_document(expr.name, outcome.items[0], replace=True)
-            return outcome
-        home_outcome = self.eval(inner, expr.home, ready_at, depth + 1)
-        if len(home_outcome.items) == 1 and len(self.losses) == losses_before:
-            home.install_document(expr.name, home_outcome.items[0], replace=True)
-        return self._ship_items(
-            home_outcome, expr.home, at, home_outcome.completed_at
+        outcome = self.eval(
+            TreeExpr(tree, home.peer_id), home.peer_id, ready_at, depth + 1
         )
+        if len(outcome.items) == 1 and len(self.losses) == losses_before:
+            home.install_document(name, outcome.items[0], replace=True)
+        return outcome
 
     def _eval_generic_doc(
         self, expr: GenericDoc, at: str, ready_at: float, depth: int
@@ -1028,15 +1043,10 @@ class ExpressionEvaluator:
             headers={"target": str(target)},
         )
         arrival = self._deliver(message, ready_at)
-        peer = self.system.peer(target.peer)
-        node = peer.find_node(target)
-        if node is None:
+        if self.system.peer(target.peer).deliver(target, item) is None:
             raise ExpressionError(
                 f"forward target {target} does not exist on {target.peer!r}"
             )
-        copy = item.copy_without_ids()
-        peer.allocator.assign(copy)
-        node.append(copy)
         outcome.delivered.append(target)
         return arrival
 

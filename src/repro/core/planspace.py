@@ -232,7 +232,8 @@ class PlanCache:
     """Transposition table over canonical plan fingerprints.
 
     Stores, per plan key: the plan's cost (or an "unevaluable" verdict)
-    and the full list of rule rewrites; and, for the static
+    and, per plan key and rule set, the full list of rule rewrites; and,
+    for the static
     :class:`~repro.core.cost.CostEstimator`, per-(subexpression, site)
     cost deltas, per-(document, peer) sizes, and compiled logical plans
     per query source.  In front of all of these sits the prepared-plan
@@ -249,7 +250,8 @@ class PlanCache:
     def __init__(self) -> None:
         self.stats = CacheStats()
         self._costs: Dict[str, object] = {}
-        self._expansions: Dict[str, Tuple[Rewrite, ...]] = {}
+        #: (plan key, rule set) -> the rewrites those rules propose
+        self._expansions: Dict[Hashable, Tuple[Rewrite, ...]] = {}
         #: prepared-plan key -> search outcome, least recently served first
         self._prepared: "OrderedDict[Hashable, object]" = OrderedDict()
         #: (statistics token, expression fingerprint, site) ->
@@ -289,11 +291,11 @@ class PlanCache:
     def store_cost(self, key: str, cost: Optional["Cost"]) -> None:
         self._costs[key] = UNEVALUABLE if cost is None else cost
 
-    def lookup_expansions(self, key: str) -> Optional[List[Rewrite]]:
+    def lookup_expansions(self, key: Hashable) -> Optional[List[Rewrite]]:
         cached = self._expansions.get(key)
         return None if cached is None else list(cached)
 
-    def store_expansions(self, key: str, rewrites: List[Rewrite]) -> None:
+    def store_expansions(self, key: Hashable, rewrites: List[Rewrite]) -> None:
         self._expansions[key] = tuple(rewrites)
 
     # -- prepared plans ------------------------------------------------------

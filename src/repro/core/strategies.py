@@ -153,6 +153,10 @@ class SearchSpace:
     ) -> None:
         self.system = system
         self.rules = list(rules)
+        #: Salt of the expansions table: what a plan expands to depends on
+        #: the rule set, and spaces with different ones may share a cache
+        #: (same token as the session's prepared-plan key).
+        self._rules_token = tuple(self.rules)
         self.cost_model: CostModel = cost_model or OracleCostModel(system)
         # computed once: spaces are constructed fresh per search
         self._cost_token = _model_token(self.cost_model)
@@ -189,7 +193,7 @@ class SearchSpace:
     def expand(self, plan: Plan, key: Optional[str] = None) -> List[Rewrite]:
         """Every rewrite any rule proposes for ``plan`` (memoized)."""
         if self.cache is not None:
-            key = key or self.plan_key(plan)
+            key = (key or self.plan_key(plan), self._rules_token)
             cached = self.cache.lookup_expansions(key)
             if cached is not None:
                 self.metrics.expand_hits += 1

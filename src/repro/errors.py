@@ -42,6 +42,18 @@ class ValidationError(XMLError):
     """Raised when a tree does not conform to a schema type."""
 
 
+class FrozenTreeError(XMLError):
+    """Raised when a mutator is called on a tree that two states Σ share.
+
+    :meth:`AXMLSystem.clone <repro.peers.system.AXMLSystem.clone>` shares
+    document trees by reference and freezes them; an in-place edit would
+    show through to the other holder.  Nothing has been changed when this
+    is raised.  Edit a stored document through
+    :meth:`Peer.own_document <repro.peers.peer.Peer.own_document>` (or
+    any public write path), or take a private ``tree.copy()`` first.
+    """
+
+
 class XQueryError(ReproError):
     """Base class for XQuery subsystem errors."""
 

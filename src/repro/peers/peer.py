@@ -21,7 +21,7 @@ from ..errors import (
     UnknownDocumentError,
     UnknownServiceError,
 )
-from ..xmlcore.model import Element, NodeId, NodeIdAllocator, iter_elements, tree_size
+from ..xmlcore.model import Element, NodeId, NodeIdAllocator, find_by_id, tree_size
 from ..xquery import Query
 from .service import DeclarativeService, Service
 
@@ -67,25 +67,50 @@ class Peer:
 
         The paper forbids two documents agreeing on ``(d, p)``; installing
         an existing name raises unless ``replace`` is set (used by stream
-        re-materialization).
+        re-materialization).  A frozen ``tree`` is copied first — id
+        assignment is an edit its other holder would see — so the
+        installed (returned) tree is then not the one handed in.
         """
         if name in self.documents and not replace:
             raise DuplicateNameError(
                 f"document {name!r} already exists on peer {self.peer_id!r}"
             )
+        if tree.frozen:
+            tree = tree.copy()
         self.allocator.assign(tree)
         self.documents[name] = tree
         return tree
 
     def document(self, name: str) -> Element:
+        """The stored tree, for *reading* (counted in :attr:`doc_reads`).
+
+        The tree may be shared with a clone of Σ and frozen; to edit it
+        in place, ask :meth:`own_document` instead.
+        """
+        tree = self._stored(name)
+        self.doc_reads[name] = self.doc_reads.get(name, 0) + 1
+        return tree
+
+    def own_document(self, name: str) -> Element:
+        """The stored tree, for *editing in place* (not counted as a read).
+
+        The one place a document shared with another Σ is un-shared: a
+        frozen tree is replaced in :attr:`documents` by a private copy
+        (node ids kept) and the copy is returned; the other holder keeps
+        the frozen original.  An unshared tree is returned as is.
+        """
+        tree = self._stored(name)
+        if tree.frozen:
+            tree = self.documents[name] = tree.copy()
+        return tree
+
+    def _stored(self, name: str) -> Element:
         try:
-            tree = self.documents[name]
+            return self.documents[name]
         except KeyError:
             raise UnknownDocumentError(
                 f"no document {name!r} on peer {self.peer_id!r}"
             ) from None
-        self.doc_reads[name] = self.doc_reads.get(name, 0) + 1
-        return tree
 
     def has_document(self, name: str) -> bool:
         return name in self.documents
@@ -104,13 +129,35 @@ class Peer:
         return self.document(name)
 
     def find_node(self, node_id: NodeId) -> Optional[Element]:
-        """Locate a node by id across all hosted documents."""
+        """Locate a node by id across all hosted documents (for reading)."""
         if node_id.peer != self.peer_id:
             return None
         for tree in self.documents.values():
-            for node in iter_elements(tree):
-                if node.node_id == node_id:
-                    return node
+            node = find_by_id(tree, node_id)
+            if node is not None:
+                return node
+        return None
+
+    def deliver(self, target: NodeId, tree: Element) -> Optional[Element]:
+        """Append an id-free copy of ``tree`` under the node ``target``.
+
+        How forwarded results and stream items arrive (Section 2.3).  The
+        containing document is owned first (:meth:`own_document`), the
+        copy gets fresh ids from this peer.  Returns the appended copy,
+        or ``None`` when no hosted document holds ``target``.
+        """
+        if target.peer != self.peer_id:
+            return None
+        for name, stored in self.documents.items():
+            node = find_by_id(stored, target)
+            if node is None:
+                continue
+            if stored.frozen:
+                node = find_by_id(self.own_document(name), target)
+            copy = tree.copy_without_ids()
+            self.allocator.assign(copy)
+            node.append(copy)
+            return copy
         return None
 
     # -- services -----------------------------------------------------------------

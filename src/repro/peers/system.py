@@ -10,8 +10,18 @@ module provides:
   (document canonical forms per peer plus service inventories), used by
   the rewrite verifier (:mod:`repro.core.verify`) to check
   ``eval(e)(Σ) = eval(e')(Σ)``;
-* :meth:`AXMLSystem.clone` — a deep copy so both sides of an equivalence
-  can be evaluated from the same starting state.
+* :meth:`AXMLSystem.clone` — a second Σ so both sides of an equivalence
+  can be evaluated from the same starting state.  A clone is *copy on
+  write*: its peers hold the same document trees as the original's, by
+  reference, and those trees are frozen from then on
+  (:meth:`Element.freeze <repro.xmlcore.model.Element.freeze>`).
+  Whichever side wants to edit a stored document in place takes its own
+  copy first through :meth:`Peer.own_document
+  <repro.peers.peer.Peer.own_document>` — every write path in the library
+  does — so an edit on one side never shows on the other, and an in-place
+  edit of what :meth:`Peer.document <repro.peers.peer.Peer.document>`
+  returns raises :class:`~repro.errors.FrozenTreeError` instead of
+  corrupting the other Σ.  Cloning costs O(documents), not O(nodes).
 """
 
 from __future__ import annotations
@@ -134,10 +144,16 @@ class AXMLSystem:
         return image
 
     def clone(self) -> "AXMLSystem":
-        """Deep-copy Σ onto a fresh network with identical topology.
+        """A second Σ with the same state, on a fresh identical network.
 
         Link qualities are copied; statistics and busy state start clean,
         so both sides of an equivalence check begin from the same ground.
+        Document trees are not copied: the twin's peers hold the *same*
+        trees, frozen by this call on both sides (see the module
+        docstring for the copy-before-write rule, and call
+        ``tree.copy()`` for physically distinct nodes).  Node-id
+        allocators resume where the original's stand, so ids handed out
+        on the twin never collide with ids its trees already carry.
         """
         twin_network = Network()
         for link in self.network.links():
@@ -150,8 +166,10 @@ class AXMLSystem:
         for peer_id, peer in self.peers.items():
             twin_peer = twin.add_peer(peer_id, peer.compute_speed)
             twin_peer.alive = peer.alive
+            twin_peer.allocator.next_serial = peer.allocator.next_serial
             for name, tree in peer.documents.items():
-                twin_peer.install_document(name, tree.copy())
+                tree.freeze()
+                twin_peer.documents[name] = tree
             for name, service in peer.services.items():
                 twin_peer.install_service(_clone_service(service))
         for generic, members in self.registry._documents.items():
@@ -160,7 +178,7 @@ class AXMLSystem:
         for generic, members in self.registry._services.items():
             for member in members:
                 twin.registry.register_service(generic, member.name, member.peer)
-        # fragment *documents* were cloned with their hosting peers above;
+        # fragment *documents* were shared with their hosting peers above;
         # the catalog copy is independent, so registering/dropping on one
         # side never shows through to the other.
         twin.fragments = self.fragments.copy()

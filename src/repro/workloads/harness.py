@@ -864,7 +864,7 @@ class DifferentialHarness:
                 written.append(record.doc)
         for name in written:
             home = homes[name]
-            tree = system.peer(home).documents[name]
+            tree = system.peer(home).own_document(name)
             for record in scenario.writes:
                 if record.doc == name:
                     apply_to_tree(tree, record.op())

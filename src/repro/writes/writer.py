@@ -136,10 +136,10 @@ class DocumentWriter:
                 f"every copy of {op.doc!r} is on a dead peer ({', '.join(hosts)})"
             )
         primary = live[0]
-        tree = system.peers[primary].documents[op.doc]
-        op = self._concretize(op, len(tree.children))
-        apply_to_tree(tree, op)
-        system.peers[primary].allocator.assign(tree)
+        op = self._concretize(
+            op, len(system.peers[primary].documents[op.doc].children)
+        )
+        self._edit(primary, op.doc, op)
 
         settled = now
         shipped: List[str] = []
@@ -147,9 +147,7 @@ class DocumentWriter:
         # same-name copies on other live peers
         for pid in live[1:]:
             settled = max(settled, self._ship_delta(primary, pid, op.doc, op, now))
-            peer = system.peers[pid]
-            apply_to_tree(peer.documents[op.doc], op)
-            peer.allocator.assign(peer.documents[op.doc])
+            self._edit(pid, op.doc, op)
             shipped.append(pid)
         # generic-class mirrors under other names (e.g. "d0.r1" in "g-d0")
         for generic in system.registry.document_classes(op.doc, primary):
@@ -164,8 +162,7 @@ class DocumentWriter:
                     settled,
                     self._ship_delta(primary, member.peer, member.name, op, now),
                 )
-                apply_to_tree(peer.documents[member.name], op)
-                peer.allocator.assign(peer.documents[member.name])
+                self._edit(member.peer, member.name, op)
                 shipped.append(member.peer)
                 touched.add(member.name)
 
@@ -192,10 +189,7 @@ class DocumentWriter:
         primary = self._primary_copy(owner)
 
         lo, hi = owner.ordinals
-        primary_peer = system.peers[primary]
-        primary_tree = primary_peer.documents[owner.name]
-        apply_to_tree(primary_tree, op, offset=lo)
-        primary_peer.allocator.assign(primary_tree)
+        primary_tree = self._edit(primary, owner.name, op, offset=lo)
 
         settled = now
         shipped: List[str] = []
@@ -207,8 +201,7 @@ class DocumentWriter:
             if peer is None or not peer.alive or not peer.has_document(owner.name):
                 continue
             settled = max(settled, self._ship_delta(primary, pid, owner.name, op, now))
-            apply_to_tree(peer.documents[owner.name], op, offset=lo)
-            peer.allocator.assign(peer.documents[owner.name])
+            self._edit(pid, owner.name, op, offset=lo)
             shipped.append(pid)
         # whole-document baselines kept alongside the fragments
         # (Fragmenter's keep_original) edit at the absolute ordinal
@@ -219,8 +212,7 @@ class DocumentWriter:
             if pid != primary:
                 settled = max(settled, self._ship_delta(primary, pid, op.doc, op, now))
                 shipped.append(pid)
-            apply_to_tree(peer.documents[op.doc], op)
-            peer.allocator.assign(peer.documents[op.doc])
+            self._edit(pid, op.doc, op)
 
         self._refresh_catalog(info, owner, op, primary_tree)
 
@@ -240,6 +232,18 @@ class DocumentWriter:
             settled_at=settled,
             epoch=system.doc_epoch(op.doc),
         )
+
+    def _edit(self, pid: str, name: str, op: WriteOp, offset: int = 0) -> Element:
+        """Apply ``op`` to ``name``@``pid`` in place; returns the edited tree.
+
+        The tree is owned first (:meth:`Peer.own_document`): a copy this Σ
+        shares with a clone is un-shared before it changes.
+        """
+        peer = self.system.peers[pid]
+        tree = peer.own_document(name)
+        apply_to_tree(tree, op, offset)
+        peer.allocator.assign(tree)
+        return tree
 
     # -- routing helpers ----------------------------------------------------
     @staticmethod

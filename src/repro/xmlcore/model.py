@@ -19,10 +19,11 @@ the identifier of the hosting peer, so forward lists (``forw`` children of
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
+
+from ..errors import FrozenTreeError
 
 __all__ = [
     "NodeId",
@@ -75,11 +76,16 @@ class NodeIdAllocator:
 
     def __init__(self, peer: str, start: int = 1) -> None:
         self.peer = peer
-        self._counter = itertools.count(start)
+        #: Serial the next :meth:`fresh` hands out.  A cloned Σ starts its
+        #: allocators here, not at 1: the twin's trees carry this peer's
+        #: ids, and restarting would hand the same ids out a second time.
+        self.next_serial = start
 
     def fresh(self) -> NodeId:
         """Return the next unused node identifier on this peer."""
-        return NodeId(self.peer, next(self._counter))
+        serial = self.next_serial
+        self.next_serial = serial + 1
+        return NodeId(self.peer, serial)
 
     def assign(self, root: "Element") -> None:
         """Assign fresh ids to every element in ``root`` lacking one."""
@@ -169,9 +175,28 @@ class Element(Node):
     ``serialized_size`` / ``content_fingerprint`` of every ancestor; use
     them rather than touching ``children`` or ``attrs`` directly when
     restructuring live documents, or stale caches will follow.
+
+    **Frozen trees.**  A tree that two states Σ hold (see
+    :meth:`AXMLSystem.clone <repro.peers.system.AXMLSystem.clone>`) is
+    frozen at its root (:meth:`freeze`), for life.  Every mutating helper
+    of every node under a frozen root raises
+    :class:`~repro.errors.FrozenTreeError` *before* changing anything, and
+    so does adopting a node that still hangs in one.  Whoever wants to
+    change a frozen tree takes a :meth:`copy` first — copies are never
+    frozen.  Direct edits of ``children``, ``attrs``, ``node_id`` or
+    ``Text.value`` bypass the guard as they bypass the caches.
     """
 
-    __slots__ = ("tag", "attrs", "children", "node_id", "_size_cache", "_fp_cache")
+    __slots__ = (
+        "tag",
+        "attrs",
+        "children",
+        "node_id",
+        "_size_cache",
+        "_fp_cache",
+        "_sc_cache",
+        "_frozen",
+    )
 
     def __init__(
         self,
@@ -187,24 +212,74 @@ class Element(Node):
         self.node_id = node_id
         self._size_cache: Optional[int] = None
         self._fp_cache: Optional[str] = None
+        self._sc_cache: Optional[bool] = None
+        #: Meaningful on a root only; see :meth:`freeze`.
+        self._frozen = False
         if children:
             for child in children:
                 self.append(child)
 
     # -- construction / mutation -----------------------------------------
     def _invalidate_content(self) -> None:
-        """Drop cached size/fingerprint here and on every ancestor."""
-        node: Optional[Element] = self
-        while node is not None:
+        """Drop the content-derived caches here and on every ancestor.
+
+        Every mutator calls this *first*: the walk ends at the root, and a
+        frozen root refuses the edit before any of it has been applied.
+        """
+        node = self
+        while True:
             node._size_cache = None
             node._fp_cache = None
+            node._sc_cache = None
+            if node.parent is None:
+                break
             node = node.parent
+        if node._frozen:
+            raise FrozenTreeError(
+                f"<{self.tag}> belongs to a frozen tree (root <{node.tag}>) "
+                "shared with another state; edit a private copy() — for a "
+                "stored document, the one Peer.own_document() returns"
+            )
+
+    @staticmethod
+    def _refuse_shared(child: Node) -> None:
+        """Refuse to adopt a node that still hangs in a frozen tree.
+
+        The tree's other holder navigates it by the very parent pointer
+        the adoption would move.
+        """
+        if child.parent.frozen:
+            raise FrozenTreeError(
+                f"{child!r} still hangs in a frozen tree; adopt a copy()"
+            )
+
+    def _root(self) -> "Element":
+        node = self
+        while node.parent is not None:
+            node = node.parent
+        return node
+
+    @property
+    def frozen(self) -> bool:
+        """Whether the tree this element hangs in is frozen."""
+        return self._root()._frozen
+
+    def freeze(self) -> None:
+        """Freeze the whole tree this element hangs in (one-way).
+
+        Called when a second holder is handed the tree by reference.
+        From then on it cannot change, which is what makes sharing it —
+        cached size, fingerprint and all — sound.
+        """
+        self._root()._frozen = True
 
     def append(self, child: Node) -> Node:
         """Append ``child`` as the last child and set its parent pointer."""
+        self._invalidate_content()
+        if child.parent is not None:
+            self._refuse_shared(child)
         child.parent = self
         self.children.append(child)
-        self._invalidate_content()
         return child
 
     def extend(self, children: Iterable[Node]) -> None:
@@ -212,9 +287,11 @@ class Element(Node):
             self.append(child)
 
     def insert(self, index: int, child: Node) -> Node:
+        self._invalidate_content()
+        if child.parent is not None:
+            self._refuse_shared(child)
         child.parent = self
         self.children.insert(index, child)
-        self._invalidate_content()
         return child
 
     def insert_after(self, anchor: Node, child: Node) -> Node:
@@ -227,16 +304,18 @@ class Element(Node):
         return self.insert(index + 1, child)
 
     def remove(self, child: Node) -> None:
+        self._invalidate_content()
         self.children.remove(child)
         child.parent = None
-        self._invalidate_content()
 
     def replace_child(self, old: Node, new: Node) -> None:
         index = self.index_of(old)
+        self._invalidate_content()
+        if new.parent is not None:
+            self._refuse_shared(new)
         old.parent = None
         new.parent = self
         self.children[index] = new
-        self._invalidate_content()
 
     def set_attr(self, name: str, value: str) -> None:
         """Set an attribute, invalidating cached sizes/fingerprints.
@@ -244,8 +323,8 @@ class Element(Node):
         The cache-safe counterpart of ``self.attrs[name] = value`` for
         trees that may already have been measured.
         """
-        self.attrs[name] = value
         self._invalidate_content()
+        self.attrs[name] = value
 
     def detach(self) -> "Element":
         """Remove this element from its parent (if any) and return it."""
@@ -288,6 +367,19 @@ class Element(Node):
         """True when this element is an ``sc`` (service-call) node."""
         return self.tag == SC_LABEL
 
+    def has_service_calls(self) -> bool:
+        """True when an ``sc`` node lives anywhere in this subtree.
+
+        Cached with the size and the fingerprint (same invalidation), so
+        asking again of an unchanged document costs nothing: a document
+        without calls is plain data, and activating it is the identity.
+        """
+        if self._sc_cache is None:
+            self._sc_cache = any(
+                node.tag == SC_LABEL for node in iter_elements(self)
+            )
+        return self._sc_cache
+
     # -- lifecycle ---------------------------------------------------------
     def copy(self) -> "Element":
         """Deep copy; node ids are preserved on the copy, parents cleared.
@@ -299,10 +391,12 @@ class Element(Node):
         clone = Element(self.tag, dict(self.attrs), node_id=self.node_id)
         for child in self.children:
             clone.append(child.copy())
-        # The clone starts cache-cold: sharing ``_size_cache``/``_fp_cache``
-        # with the original would let a stale measurement (e.g. after a
-        # direct ``Text.value`` assignment that bypassed the mutation
-        # helpers) survive into a tree that never computed it.
+        # The clone starts cache-cold and unfrozen: sharing ``_size_cache``/
+        # ``_fp_cache`` with the original would let a stale measurement
+        # (e.g. after a direct ``Text.value`` assignment that bypassed the
+        # mutation helpers) survive into a tree that never computed it.
+        # A *frozen* tree shared by reference (``AXMLSystem.clone``) does
+        # share them, soundly, exactly because it can no longer change.
         return clone
 
     def copy_without_ids(self) -> "Element":

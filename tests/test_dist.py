@@ -26,7 +26,7 @@ from repro.core.serialize import (
     expression_to_text,
 )
 from repro.dist import Fragmenter, fragment_can_match, selection_bounds
-from repro.errors import FragmentationError, SessionError
+from repro.errors import FragmentationError, FrozenTreeError, SessionError
 from repro.peers import AXMLSystem
 from repro.peers.registry import GenericMember, QueueDepthPolicy
 from repro.workloads import (
@@ -343,12 +343,21 @@ class TestSystemLifecycleWithCatalog:
         Fragmenter(twin).fragment("other", "client", ["d0", "d1"])
         assert twin.fragments.is_fragmented("other")
         assert not system.fragments.is_fragmented("other")
-        # fragment *documents* are deep copies: mutating the twin's
-        # fragment tree leaves the original's canonical form untouched
+        # fragment *documents* are shared until written: editing the
+        # twin's fragment (owned first) leaves the original's canonical
+        # form untouched, and vice versa; the read path refuses edits
         original_frag = system.peer("d1").document("cat.f1")
         before = canonical_form(original_frag)
-        twin.peer("d1").document("cat.f1").append(parse("<item><price>99</price></item>"))
+        extra = parse("<item><price>99</price></item>")
+        with pytest.raises(FrozenTreeError):
+            twin.peer("d1").document("cat.f1").append(extra)
+        twin.peer("d1").own_document("cat.f1").append(extra)
         assert canonical_form(original_frag) == before
+        after = canonical_form(twin.peer("d1").document("cat.f1"))
+        assert after != before
+        system.peer("d1").own_document("cat.f1").append(extra.copy())
+        system.peer("d1").own_document("cat.f1").append(extra.copy())
+        assert canonical_form(twin.peer("d1").document("cat.f1")) == after
         # and dropping on the original leaves the twin queryable
         system.fragments.drop("cat")
         assert twin.fragments.is_fragmented("cat")

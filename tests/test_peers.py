@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import (
     DuplicateNameError,
+    FrozenTreeError,
     GenericResolutionError,
     ServiceCallError,
     UnknownDocumentError,
@@ -32,6 +33,7 @@ from repro.xmlcore import (
     equivalent,
     iter_elements,
     parse,
+    serialize,
 )
 from repro.xquery import Query
 
@@ -302,13 +304,19 @@ class TestSystem:
         assert s1.snapshot() != s2.snapshot()
 
     def test_clone_is_deep(self):
+        # observationally deep: an edit made through the owning accessor
+        # on either side never shows on the other
         system = AXMLSystem.with_peers(["a", "b"])
         system.peer("a").install_document("d", parse("<r/>"))
         twin = system.clone()
-        twin.peer("a").document("d").append(element("new"))
+        twin.peer("a").own_document("d").append(element("new"))
+        assert serialize(system.peer("a").document("d"), with_ids=False) == "<r/>"
         assert not equivalent(
             system.peer("a").document("d"), twin.peer("a").document("d")
         )
+        system.peer("a").own_document("d").append(element("other"))
+        assert [c.tag for c in twin.peer("a").document("d").children] == ["new"]
+        assert [c.tag for c in system.peer("a").document("d").children] == ["other"]
 
     def test_clone_copies_services_and_registry(self):
         system = AXMLSystem.with_peers(["a"])
@@ -392,10 +400,21 @@ class TestCloneIndependence:
         assert twin.peer("a").busy_until > 0.0
 
     def test_clone_documents_share_no_nodes(self):
+        # ... that either side could change: the read path hands out the
+        # shared tree, frozen; the owning accessor hands out a private one
         system = self.build()
         twin = system.clone()
-        original = system.peer("a").document("d")
-        cloned = twin.peer("a").document("d")
-        original_ids = {id(n) for n in iter_elements(original)}
-        cloned_ids = {id(n) for n in iter_elements(cloned)}
-        assert not original_ids & cloned_ids
+        shared = system.peer("a").document("d")
+        assert twin.peer("a").document("d") is shared
+        with pytest.raises(FrozenTreeError):
+            shared.append(element("y"))
+        with pytest.raises(FrozenTreeError):
+            shared.element_children[0].set_attr("k", "v")
+        owned = twin.peer("a").own_document("d")
+        assert twin.peer("a").document("d") is owned
+        assert system.peer("a").document("d") is shared
+        original_ids = {id(n) for n in iter_elements(shared)}
+        owned_ids = {id(n) for n in iter_elements(owned)}
+        assert not original_ids & owned_ids
+        owned.append(element("y"))
+        assert serialize(shared, with_ids=False) == "<r><x/></r>"

@@ -273,6 +273,35 @@ class TestSessionIntegration:
         # Σ was mutated by the first execution, so nothing stale survives
         assert second.plan_cache.cost_misses > 0
 
+    @pytest.mark.parametrize("full_first", [True, False])
+    def test_shared_cache_keeps_rule_sets_apart(self, system, full_first):
+        """The expansions table is keyed by rule set too: two sessions
+        with different ``rules=`` sharing one cache used to replay each
+        other's expansions."""
+        from repro.core import DEFAULT_RULES
+        from repro.core.rules import PushSelection
+
+        cache = PlanCache()
+        reduced = [r for r in DEFAULT_RULES if not isinstance(r, PushSelection)]
+        configs = [DEFAULT_RULES, reduced] if full_first else [reduced, DEFAULT_RULES]
+        proposed = {}
+        for rules in configs:
+            # trace=True: the search runs (no prepared hit) and is recorded
+            session = Session(
+                system, strategy="exhaustive", rules=rules,
+                plan_cache=cache, trace=True,
+            )
+            report = session.explain(naive_plan())
+            proposed[len(rules)] = {rule for _, _, rule in report.trace}
+            alone = Session(
+                system, strategy="exhaustive", rules=rules,
+                plan_cache=None, trace=True,
+            ).explain(naive_plan())
+            assert proposed[len(rules)] == {rule for _, _, rule in alone.trace}
+            assert report.best_cost == alone.best_cost
+        assert PushSelection.name in proposed[len(DEFAULT_RULES)]
+        assert PushSelection.name not in proposed[len(reduced)]
+
     def test_invalid_plan_cache_rejected(self, system):
         from repro.errors import SessionError
 
