@@ -17,8 +17,8 @@ paper's "activated just after a response to another activated call".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..errors import ServiceCallError, UnknownServiceError
 from ..net.message import Message, MessageKind
@@ -26,7 +26,7 @@ from ..peers.registry import PickPolicy
 from ..peers.system import AXMLSystem
 from ..xmlcore.model import Element, NodeId
 from ..xmlcore.serializer import serialize
-from .document import ANY_PROVIDER, ActivationMode, AXMLDocument, ServiceCall
+from .document import ActivationMode, AXMLDocument, ServiceCall
 
 __all__ = ["ActivationResult", "ActivationEngine"]
 

@@ -24,7 +24,6 @@ from ..errors import ServiceCallError
 from ..xmlcore.model import (
     SC_LABEL,
     Element,
-    Node,
     NodeId,
     Text,
     element,

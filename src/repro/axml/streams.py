@@ -22,8 +22,8 @@ Two pieces implement this:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence
 
 from ..errors import AXMLError
 from ..net.message import Message, MessageKind

@@ -41,7 +41,6 @@ from .expressions import (
     FragmentedDoc,
     Gather,
     GenericDoc,
-    GenericService,
     NodesDest,
     PeerDest,
     QueryApply,

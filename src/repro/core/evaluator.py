@@ -26,17 +26,29 @@ Mapping from the paper's definitions to code paths:
 (9)        ``GenericDoc`` / ``GenericService``: resolved through the
            registry's pick functions, then re-evaluated concretely
 =========  ==================================================================
+
+That is all this module knows.  Whatever a run adds on top — injected
+failures and the retries, timeouts, failover and degraded answers that
+survive them, span recording, wall-clock timing — attaches from outside
+``core`` by overriding the *effect seam*, six primitives whose bodies
+here are the fault-free semantics: ``_deliver`` is ``network.deliver``;
+``_call_provider`` is one delivery; ``_on_cpu`` starts work the instant
+it is ready and nobody watches; ``_lost`` re-raises what took a part of
+the answer away; ``_read_fragment`` follows a fragment's one reference;
+``_activate_document`` stores what activation produced.  (A seventh
+override point, ``_serialize_forest``, is pure and exists to be timed.)
+A :class:`~repro.session.Session` runs a subclass that is that layer;
+:func:`repro.core.cost.measure` and
+:func:`repro.core.verify.check_equivalence` run this class as is.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..axml.document import ServiceCall
 from ..errors import (
-    DeadlineExceededError,
     EvaluationUndefinedError,
     ExpressionError,
     FaultError,
@@ -45,18 +57,13 @@ from ..errors import (
     PeerDownError,
     ReproError,
     ServiceCallError,
-    ServiceCallFaultError,
-    TransferFaultError,
-    TransferTimeoutError,
     UnknownServiceError,
 )
-from ..faults.plan import SERVICE_HANG
-from ..faults.recovery import LostPart, RetryPolicy
 from ..net.message import Message, MessageKind
 from ..peers.registry import PickPolicy
-from ..peers.service import DeclarativeService, Service
+from ..peers.service import DeclarativeService
 from ..peers.system import AXMLSystem
-from ..xmlcore.model import Element, NodeId, Text, iter_elements, tree_size
+from ..xmlcore.model import Element, NodeId, Text
 from ..xmlcore.serializer import serialize
 from ..xquery import Query
 from ..xquery.runtime import string_value
@@ -79,11 +86,26 @@ from .expressions import (
     ServiceCallExpr,
     TreeExpr,
 )
-from .serialize import expression_size, expression_to_text
+from .serialize import expression_to_text
 
 __all__ = ["EvalOutcome", "ExpressionEvaluator"]
 
 _MAX_ACTIVATION_DEPTH = 64
+
+#: Expression type -> the evaluator method applying its definition.
+_DEFINITIONS = {
+    TreeExpr: "_eval_tree",
+    DocExpr: "_eval_doc",
+    GenericDoc: "_eval_generic_doc",
+    FragmentedDoc: "_eval_fragmented_doc",
+    Gather: "_eval_gather",
+    QueryRef: "_eval_query_ref",
+    QueryApply: "_eval_apply",
+    ServiceCallExpr: "_eval_service_call",
+    Send: "_eval_send",
+    EvalAt: "_eval_eval_at",
+    Seq: "_eval_seq",
+}
 
 
 @dataclass
@@ -120,125 +142,59 @@ class ExpressionEvaluator:
     """
 
     def __init__(
-        self,
-        system: AXMLSystem,
-        pick_policy: Optional[PickPolicy] = None,
-        recovery: Optional[RetryPolicy] = None,
-        tracer=None,
-        profiler=None,
+        self, system: AXMLSystem, pick_policy: Optional[PickPolicy] = None
     ) -> None:
         self.system = system
         self.pick_policy = pick_policy
-        #: Retry/timeout behavior under injected faults (:mod:`repro.faults`).
-        #: ``None`` (the default) means faults propagate as typed errors on
-        #: first occurrence — the exact historical code path when no fault
-        #: state is installed on the network either.
-        self.recovery = recovery
-        #: Optional :class:`repro.obs.Tracer` — purely observational; every
-        #: instrumentation point below is a single ``is None`` check when
-        #: unset, and recording never consults the RNG or the clock.
-        self.tracer = tracer
-        #: Optional :class:`repro.obs.WallProfiler` timing the wall-clock
-        #: cost of serialization on the hot path.
-        self.profiler = profiler
         self._deploy_counter = 0
         self._install_counter = 0
-        # per-job recovery context (reset by begin_job)
-        self.deadline_at = math.inf
-        self.partial = False
-        self.losses: List[LostPart] = []
-        self.job_retries = 0
-        #: Run-wide recovery counters, folded into ``ServingReport.registry``.
-        self.counters: Dict[str, int] = {}
 
-    # -- recovery context --------------------------------------------------------
-    def begin_job(
-        self, deadline_at: float = math.inf, partial: bool = False
-    ) -> None:
-        """Reset per-job recovery context (deadline, losses, retry count)."""
-        self.deadline_at = deadline_at
-        self.partial = partial
-        self.losses = []
-        self.job_retries = 0
-
-    def _count(self, key: str, n: int = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + n
-
-    def _record_loss(self, kind: str, name: str, peers, exc: Exception) -> None:
-        self.losses.append(
-            LostPart(
-                kind=kind,
-                name=name,
-                peers=tuple(peers),
-                error=type(exc).__name__,
-                at=getattr(exc, "at", 0.0),
-            )
-        )
-        self._count("parts_lost")
-
-    def _stalled(self, peer_id: str, at: float) -> float:
-        """Push ``at`` past any injected stall window on ``peer_id``."""
-        faults = self.system.network.faults
-        if faults is None:
-            return at
-        ready = faults.stall_until(peer_id, at)
-        if ready > at:
-            self._count("stall_waits")
-            if self.tracer is not None:
-                self.tracer.record(
-                    f"stall {peer_id}", "stall", at, ready, peer=peer_id
-                )
-        return ready
-
+    # -- the effect seam (see the module docstring) --------------------------------
     def _deliver(self, message: Message, ready_at: float) -> float:
-        """Network delivery with bounded, clock-charged retries.
+        """Ship ``message``; returns its arrival instant."""
+        return self.system.network.deliver(message, ready_at)
 
-        Without a recovery policy (or without installed fault state) this
-        is exactly ``network.deliver`` — transfer faults, if any, propagate
-        typed on first occurrence.  With one, each lost/corrupted transfer
-        is retried after a seeded exponential backoff until it succeeds,
-        the attempt budget runs out (:class:`TransferTimeoutError`), or the
-        next attempt would start past the job deadline
-        (:class:`DeadlineExceededError`).
+    def _call_provider(self, message: Message, ready_at: float) -> float:
+        """Hand a CALL message to the service ``headers["service"]`` names
+        on ``message.dst``: one delivery."""
+        return self._deliver(message, ready_at)
+
+    def _on_cpu(self, peer_id: str, label: str, ready_at: float, work: Callable):
+        """Run ``work(start) -> (value, done)`` on ``peer_id``'s CPU: it
+        starts the instant it is ready, and nobody watches."""
+        return work(ready_at)
+
+    def _lost(self, kind: str, name: str, peers: Sequence[str], exc: ReproError):
+        """A part of the answer (fragment, service call, gather branch)
+        failed with ``exc``: an answer missing a part is no answer."""
+        raise exc
+
+    def _read_fragment(
+        self, fragment, ref: Expression, live, at: str, ready_at: float, depth: int
+    ) -> EvalOutcome:
+        """Read ``fragment`` through ``ref``, its one reference (``live``
+        names every peer still holding a copy)."""
+        return self.eval(ref, at, ready_at, depth + 1)
+
+    def _activate_document(
+        self, home, name: str, tree: Element, ready_at: float, depth: int
+    ) -> EvalOutcome:
+        """Fire the calls embedded in ``name@home`` there; store the result.
+
+        "p2 has replaced this local tree with the result of eval" — the
+        activated version (a copy, definition (1)) becomes the stored
+        document.
         """
-        network = self.system.network
-        policy = self.recovery
-        if policy is None or network.faults is None:
-            return network.deliver(message, ready_at)
-        key = f"{message.src}->{message.dst}:{message.kind}"
-        clock = ready_at
-        last: Optional[TransferFaultError] = None
-        for attempt in range(policy.max_attempts):
-            try:
-                return network.deliver(message, clock)
-            except TransferFaultError as exc:
-                last = exc
-                self._count("transfer_faults")
-                if attempt + 1 >= policy.max_attempts:
-                    break
-                retry_at = exc.at + policy.delay(attempt, key)
-                if retry_at > self.deadline_at:
-                    raise DeadlineExceededError(
-                        f"transfer {key} would retry at {retry_at:.6f}, "
-                        f"past the deadline {self.deadline_at:.6f}",
-                        at=exc.at,
-                    ) from exc
-                self.job_retries += 1
-                self._count("retries")
-                if self.tracer is not None:
-                    self.tracer.record(
-                        f"backoff {key}",
-                        "backoff",
-                        exc.at,
-                        retry_at,
-                        attempt=attempt + 1,
-                    )
-                clock = retry_at
-        raise TransferTimeoutError(
-            f"transfer {key} failed {policy.max_attempts} attempts "
-            f"(retry budget exhausted)",
-            at=last.at if last is not None else ready_at,
-        ) from last
+        outcome = self.eval(
+            TreeExpr(tree, home.peer_id), home.peer_id, ready_at, depth + 1
+        )
+        if len(outcome.items) == 1:
+            home.install_document(name, outcome.items[0], replace=True)
+        return outcome
+
+    def _serialize_forest(self, items: Sequence[Element]) -> str:
+        """The wire form of a forest (pure; overridden only to be timed)."""
+        return "".join(serialize(item) for item in items)
 
     # -- entry point -------------------------------------------------------------
     def eval(
@@ -267,32 +223,13 @@ class ExpressionEvaluator:
         site = self.system.peer(at)  # validate the site exists
         if not site.alive:
             raise PeerDownError(f"evaluation site {at!r} has left the system")
-        if isinstance(expr, TreeExpr):
-            return self._eval_tree(expr, at, ready_at, _depth)
-        if isinstance(expr, DocExpr):
-            return self._eval_doc(expr, at, ready_at, _depth)
-        if isinstance(expr, GenericDoc):
-            return self._eval_generic_doc(expr, at, ready_at, _depth)
-        if isinstance(expr, FragmentedDoc):
-            return self._eval_fragmented_doc(expr, at, ready_at, _depth)
-        if isinstance(expr, Gather):
-            return self._eval_gather(expr, at, ready_at, _depth)
-        if isinstance(expr, QueryRef):
-            return self._eval_query_ref(expr, at, ready_at)
+        definition = _DEFINITIONS.get(type(expr))
+        if definition is not None:
+            return getattr(self, definition)(expr, at, ready_at, _depth)
         if isinstance(expr, GenericService):
             raise ExpressionError(
                 "a generic service can only appear as a call/apply head"
             )
-        if isinstance(expr, QueryApply):
-            return self._eval_apply(expr, at, ready_at, _depth)
-        if isinstance(expr, ServiceCallExpr):
-            return self._eval_service_call(expr, at, ready_at, _depth)
-        if isinstance(expr, Send):
-            return self._eval_send(expr, at, ready_at, _depth)
-        if isinstance(expr, EvalAt):
-            return self._eval_eval_at(expr, at, ready_at, _depth)
-        if isinstance(expr, Seq):
-            return self._eval_seq(expr, at, ready_at, _depth)
         raise ExpressionError(f"cannot evaluate {type(expr).__name__}")
 
     # -- definitions (1) and (5): trees ----------------------------------------------
@@ -302,9 +239,7 @@ class ExpressionEvaluator:
         if at != expr.home:
             # definition (5): the home evaluates, then ships the result here.
             home_outcome = self.eval(expr, expr.home, ready_at, depth + 1)
-            return self._ship_items(
-                home_outcome, expr.home, at, home_outcome.completed_at
-            )
+            return self._ship_items(home_outcome, expr.home, at)
         # definition (1) at home: copy, activate embedded calls via (6).
         outcome = EvalOutcome(completed_at=ready_at)
         evaluated = self._activate_tree(
@@ -345,18 +280,15 @@ class ExpressionEvaluator:
             try:
                 sub = self.eval(call_expr, at, ready_at, depth + 1)
             except (FaultError, PeerDownError) as exc:
-                if not self.partial:
-                    raise
-                # graceful degradation: the call's results never arrive,
-                # so the sc node simply disappears from the copy (exactly
-                # what an unactivated call looks like) and the loss is
-                # recorded in the PartialAnswer provenance
-                self._record_loss(
+                self._lost(
                     "service",
                     f"{call.service}@{call.provider}",
                     (call.provider,),
                     exc,
                 )
+                # tolerated: the call's results never arrive, so the sc
+                # node disappears from the copy (exactly what an
+                # unactivated call looks like)
                 return None
             outcome.merge_effects(sub)
             outcome.completed_at = max(outcome.completed_at, sub.completed_at)
@@ -404,51 +336,28 @@ class ExpressionEvaluator:
             home_outcome = EvalOutcome(items=[tree], completed_at=ready_at)
         if at == expr.home:
             return home_outcome
-        return self._ship_items(
-            home_outcome, expr.home, at, home_outcome.completed_at
-        )
-
-    def _activate_document(
-        self, home, name: str, tree: Element, ready_at: float, depth: int
-    ) -> EvalOutcome:
-        """Fire the calls embedded in ``name@home`` there; store the result.
-
-        "p2 has replaced this local tree with the result of eval" — the
-        activated version (a copy, definition (1)) becomes the stored
-        document.
-        """
-        # A partial-mode activation that lost a service call must NOT
-        # become the stored document: the lost sc node is dropped from
-        # the *answer* copy, and committing that copy would silently
-        # erase the call from Σ — every later job would then miss its
-        # data with no partial marker (the exact silent-wrong-answer the
-        # three-way fault invariant forbids).  The loss watermark tells
-        # degraded activations apart from complete ones.
-        losses_before = len(self.losses)
-        outcome = self.eval(
-            TreeExpr(tree, home.peer_id), home.peer_id, ready_at, depth + 1
-        )
-        if len(outcome.items) == 1 and len(self.losses) == losses_before:
-            home.install_document(name, outcome.items[0], replace=True)
-        return outcome
+        return self._ship_items(home_outcome, expr.home, at)
 
     def _eval_generic_doc(
         self, expr: GenericDoc, at: str, ready_at: float, depth: int
     ) -> EvalOutcome:
         # definition (9): pickDoc, then evaluate the concrete reference.
+        member = self._pick("pick_document", expr.name, at)
+        return self.eval(DocExpr(member.name, member.peer), at, ready_at, depth + 1)
+
+    def _pick(self, pick: str, name: str, at: str):
+        """The registry's ``pick`` function under this evaluator's policy."""
         try:
-            member = self.system.registry.pick_document(
-                expr.name, at, self.system, self.pick_policy
+            return getattr(self.system.registry, pick)(
+                name, at, self.system, self.pick_policy
             )
         except ReproError:
             raise
         except Exception as exc:
             # a buggy pick policy must surface typed, never a bare KeyError
             raise GenericResolutionError(
-                f"pick_document({expr.name!r}) raised "
-                f"{type(exc).__name__}: {exc}"
+                f"{pick}({name!r}) raised {type(exc).__name__}: {exc}"
             ) from exc
-        return self.eval(DocExpr(member.name, member.peer), at, ready_at, depth + 1)
 
     # -- fragmented documents (repro.dist): scatter-gather ----------------------------
     def _eval_fragmented_doc(
@@ -472,15 +381,8 @@ class ExpressionEvaluator:
             try:
                 sub = self._eval_fragment(fragment, at, ready_at, depth)
             except (FaultError, FragmentUnavailableError, PeerDownError) as exc:
-                if not self.partial:
-                    raise
-                # graceful degradation: record the lost slice and keep
-                # reassembling what did arrive — the PartialAnswer
-                # provenance names exactly this fragment as missing
-                self._record_loss(
-                    "fragment", fragment.name, fragment.peers, exc
-                )
-                continue
+                self._lost("fragment", fragment.name, fragment.peers, exc)
+                continue  # tolerated: reassemble what did arrive
             outcome.merge_effects(sub)
             outcome.completed_at = max(outcome.completed_at, sub.completed_at)
             for item in sub.items:
@@ -496,14 +398,9 @@ class ExpressionEvaluator:
     def _eval_fragment(
         self, fragment, at: str, ready_at: float, depth: int
     ) -> EvalOutcome:
-        """Fetch one fragment, failing over across its surviving copies.
-
-        Without a recovery policy this is the exact historical path: one
-        reference (generic when replicated, else the first live copy),
-        faults propagate.  With one, a copy whose transfers kept failing
-        (or whose peer died mid-read) is abandoned and the next live copy
-        serves the read instead.
-        """
+        """Fetch one fragment from a surviving copy: the generic class
+        when it is replicated (the pick policy chooses), else the first
+        live holder."""
         live = [
             pid
             for pid in fragment.peers
@@ -513,38 +410,19 @@ class ExpressionEvaluator:
         ]
         if not live:
             # every copy died with its peer: refuse loudly rather
-            # than reassemble a partial document (a wrong answer).
+            # than reassemble an incomplete document (a wrong answer).
             raise FragmentUnavailableError(fragment.name, fragment.peers)
-        candidates: List[Expression] = []
-        if fragment.generic is not None:
-            candidates.append(GenericDoc(fragment.generic))
-            if self.recovery is not None:
-                candidates.extend(DocExpr(fragment.name, pid) for pid in live)
-        else:
-            candidates.append(DocExpr(fragment.name, live[0]))
-            if self.recovery is not None:
-                candidates.extend(
-                    DocExpr(fragment.name, pid) for pid in live[1:]
-                )
-        last_exc: Optional[ReproError] = None
-        for ref in candidates:
-            try:
-                return self.eval(ref, at, ready_at, depth + 1)
-            except GenericResolutionError:
-                # the registry lost the last live member (e.g. churn
-                # cleanup raced a concurrent retire): same typed failure.
-                raise FragmentUnavailableError(
-                    fragment.name, fragment.peers
-                ) from None
-            except (TransferTimeoutError, PeerDownError) as exc:
-                # this copy is unreachable; re-pick among the survivors,
-                # starting no earlier than the failure was detected
-                last_exc = exc
-                self._count("fragment_failovers")
-                ready_at = max(ready_at, getattr(exc, "at", ready_at))
-                continue
-        assert last_exc is not None
-        raise last_exc
+        ref: Expression = (
+            GenericDoc(fragment.generic)
+            if fragment.generic is not None
+            else DocExpr(fragment.name, live[0])
+        )
+        try:
+            return self._read_fragment(fragment, ref, live, at, ready_at, depth)
+        except GenericResolutionError:
+            # the registry lost the last live member (e.g. churn
+            # cleanup raced a concurrent retire): same typed failure.
+            raise FragmentUnavailableError(fragment.name, fragment.peers) from None
 
     def _eval_gather(
         self, expr: Gather, at: str, ready_at: float, depth: int
@@ -555,9 +433,7 @@ class ExpressionEvaluator:
             try:
                 sub = self.eval(part, at, ready_at, depth + 1)
             except (FaultError, FragmentUnavailableError, PeerDownError) as exc:
-                if not self.partial:
-                    raise
-                self._record_loss("branch", type(part).__name__, (), exc)
+                self._lost("branch", type(part).__name__, (), exc)
                 continue
             outcome.merge_effects(sub)
             outcome.items.extend(sub.items)
@@ -566,7 +442,7 @@ class ExpressionEvaluator:
 
     # -- queries as values (and definition (8) deployment) ------------------------------
     def _eval_query_ref(
-        self, expr: QueryRef, at: str, ready_at: float
+        self, expr: QueryRef, at: str, ready_at: float, depth: int
     ) -> EvalOutcome:
         if at == expr.home:
             return EvalOutcome(query=expr.query, completed_at=ready_at)
@@ -595,35 +471,21 @@ class ExpressionEvaluator:
             latest = max(latest, sub.completed_at)
 
         peer = self.system.peer(at)
-        latest = self._stalled(at, latest)
-        busy_before = peer.busy_until
-        result, done = peer.evaluate(query, arg_values, latest)
-        if self.tracer is not None:
-            self.tracer.cpu(
-                at, f"apply {query.name or 'query'}", latest, busy_before, done
-            )
+        result, done = self._on_cpu(
+            at,
+            f"apply {query.name or 'query'}",
+            latest,
+            lambda start: peer.evaluate(query, arg_values, start),
+        )
         outcome.items = _as_forest(result)
         outcome.completed_at = done
         return outcome
-
-    def _pick_service(self, name: str, at: str):
-        """Registry pick with the untyped-exception guard (audit fix)."""
-        try:
-            return self.system.registry.pick_service(
-                name, at, self.system, self.pick_policy
-            )
-        except ReproError:
-            raise
-        except Exception as exc:
-            raise GenericResolutionError(
-                f"pick_service({name!r}) raised {type(exc).__name__}: {exc}"
-            ) from exc
 
     def _resolve_apply_head(
         self, head, at: str, ready_at: float
     ) -> Tuple[Query, float]:
         if isinstance(head, GenericService):
-            member = self._pick_service(head.name, at)
+            member = self._pick("pick_service", head.name, at)
             service = self.system.peer(member.peer).service(member.name)
             if not isinstance(service, DeclarativeService):
                 raise ExpressionError(
@@ -632,14 +494,8 @@ class ExpressionEvaluator:
                 )
             head = QueryRef(service.query, member.peer)
         assert isinstance(head, QueryRef)
-        if head.home == at:
-            return head.query, ready_at
         # definition (7): the defining peer ships the query text here.
-        message = Message(
-            src=head.home, dst=at, kind=MessageKind.QUERY, payload=head.query.source
-        )
-        arrival = self._deliver(message, ready_at)
-        return head.query, arrival
+        return head.query, self._eval_query_ref(head, at, ready_at, 0).completed_at
 
     # -- definition (6): service calls ------------------------------------------------
     def _eval_service_call(
@@ -647,7 +503,7 @@ class ExpressionEvaluator:
     ) -> EvalOutcome:
         provider_id = expr.provider
         if provider_id == ANY:
-            member = self._pick_service(expr.service, at)
+            member = self._pick("pick_service", expr.service, at)
             provider_id = member.peer
             service_name = member.name
         else:
@@ -682,32 +538,25 @@ class ExpressionEvaluator:
             payload=payload,
             headers={"service": service_name},
         )
-        arrival = self._call_provider(
-            call_message, provider_id, service_name, latest
-        )
-        arrival = self._stalled(provider_id, arrival)
+        arrival = self._call_provider(call_message, latest)
 
-        try:
-            responses = service.invoke(param_values, provider)
-        except ReproError:
-            raise
-        except Exception as exc:
-            # audit fix: a buggy native implementation surfaces typed,
-            # never a bare KeyError/TypeError from inside the callable
-            raise ServiceCallError(
-                f"service {service_name!r} on {provider_id!r} raised "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        busy_before = provider.busy_until
-        done = provider.charge(service.work_units(param_values), arrival)
-        if self.tracer is not None:
-            self.tracer.cpu(
-                provider_id,
-                f"service {service_name}",
-                arrival,
-                busy_before,
-                done,
-            )
+        def serve(start: float) -> Tuple[List[Element], float]:
+            try:
+                responses = service.invoke(param_values, provider)
+            except ReproError:
+                raise
+            except Exception as exc:
+                # audit fix: a buggy native implementation surfaces typed,
+                # never a bare KeyError/TypeError from inside the callable
+                raise ServiceCallError(
+                    f"service {service_name!r} on {provider_id!r} raised "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+            return responses, provider.charge(service.work_units(param_values), start)
+
+        responses, done = self._on_cpu(
+            provider_id, f"service {service_name}", arrival, serve
+        )
 
         # responses may embed further service calls — activate them at the
         # provider before shipping (the response must be a data tree).
@@ -721,130 +570,25 @@ class ExpressionEvaluator:
             settled.extend(sub.items)
 
         if expr.forwards:
-            last = done
-            for response in settled:
-                for target in expr.forwards:
-                    last = max(
-                        last,
-                        self._deliver_to_node(
-                            provider_id, target, response, done, outcome
-                        ),
-                    )
-            outcome.completed_at = last
+            outcome.completed_at = self._deliver_to_nodes(
+                provider_id, expr.forwards, settled, done, outcome
+            )
             return outcome
 
         # default: results return to the caller (siblings of the sc node).
-        if provider_id == at:
-            outcome.items = settled
-            outcome.completed_at = done
-            return outcome
         last = done
-        for response in settled:
-            message = Message(
-                src=provider_id,
-                dst=at,
-                kind=MessageKind.RESULT,
-                payload=self._serialize_forest((response,)),
-            )
-            last = max(last, self._deliver(message, done))
+        if provider_id != at:
+            for response in settled:
+                message = Message(
+                    src=provider_id,
+                    dst=at,
+                    kind=MessageKind.RESULT,
+                    payload=self._serialize_forest((response,)),
+                )
+                last = max(last, self._deliver(message, done))
         outcome.items = settled
         outcome.completed_at = last
         return outcome
-
-    def _call_provider(
-        self,
-        message: Message,
-        provider_id: str,
-        service_name: str,
-        ready_at: float,
-    ) -> float:
-        """Ship the CALL message, surviving injected service faults.
-
-        A ``service-fail`` window covering the arrival fails the call
-        immediately; a ``service-hang`` window delays the answer to the
-        window's end (bounded virtual time — never a real hang).  With a
-        recovery policy, a hung call is *cancelled* at the per-call
-        timeout budget and retried like a failure; without one, failures
-        raise :class:`ServiceCallFaultError` on first occurrence and
-        hangs simply wait the window out.
-        """
-        faults = self.system.network.faults
-        policy = self.recovery
-        clock = ready_at
-        attempt = 0
-        while True:
-            arrival = self._deliver(message, clock)
-            verdict = (
-                faults.service_verdict(provider_id, service_name, arrival)
-                if faults is not None
-                else None
-            )
-            if verdict is None:
-                return arrival
-            faults.count("service_faults")
-            if verdict.kind == SERVICE_HANG:
-                if policy is None or arrival + policy.timeout("call") >= verdict.end:
-                    # wait out the window: slow, bounded, still correct
-                    faults.count("calls_hung")
-                    if self.tracer is not None:
-                        self.tracer.record(
-                            f"hang {service_name}@{provider_id}",
-                            "stall",
-                            arrival,
-                            verdict.end,
-                            peer=provider_id,
-                            service=service_name,
-                        )
-                    return verdict.end
-                # cancel the hung call at its timeout budget, then retry
-                failure_at = arrival + policy.timeout("call")
-                detail = "hung (cancelled at timeout)"
-                faults.count("calls_cancelled")
-                if self.tracer is not None:
-                    self.tracer.record(
-                        f"hang-cancel {service_name}@{provider_id}",
-                        "stall",
-                        arrival,
-                        failure_at,
-                        peer=provider_id,
-                        service=service_name,
-                    )
-            else:
-                failure_at = arrival
-                detail = "failed"
-            if policy is None:
-                raise ServiceCallFaultError(
-                    f"service {service_name!r} on {provider_id!r} {detail}",
-                    at=failure_at,
-                )
-            attempt += 1
-            if attempt >= policy.max_attempts:
-                raise ServiceCallFaultError(
-                    f"service {service_name!r} on {provider_id!r} {detail} "
-                    f"after {attempt} attempts",
-                    at=failure_at,
-                )
-            retry_at = failure_at + policy.delay(
-                attempt - 1, f"call:{provider_id}:{service_name}"
-            )
-            if retry_at > self.deadline_at:
-                raise DeadlineExceededError(
-                    f"call to {service_name!r} on {provider_id!r} would "
-                    f"retry at {retry_at:.6f}, past the deadline "
-                    f"{self.deadline_at:.6f}",
-                    at=failure_at,
-                )
-            self.job_retries += 1
-            self._count("retries")
-            if self.tracer is not None:
-                self.tracer.record(
-                    f"backoff call:{service_name}@{provider_id}",
-                    "backoff",
-                    failure_at,
-                    retry_at,
-                    attempt=attempt,
-                )
-            clock = retry_at
 
     # -- definitions (3), (4), (8): send -------------------------------------------------
     def _eval_send(
@@ -886,7 +630,10 @@ class ExpressionEvaluator:
                 src=relay_from, dst=dest.peer, kind=MessageKind.DATA, payload=data
             )
             clock = self._deliver(message, clock)
-            name = self._install_anonymous(dest.peer, inner.items)
+            peer = self.system.peer(dest.peer)
+            self._install_counter += 1
+            name = peer.fresh_document_name(f"recv-{self._install_counter}")
+            peer.install_document(name, _forest_to_document(inner.items, name))
             outcome.installed.append((name, dest.peer))
         elif isinstance(dest, DocDest):
             message = Message(
@@ -901,16 +648,9 @@ class ExpressionEvaluator:
             self.system.peer(dest.peer).install_document(dest.name, root)
             outcome.installed.append((dest.name, dest.peer))
         elif isinstance(dest, NodesDest):
-            last = clock
-            for item in inner.items:
-                for target in dest.nodes:
-                    last = max(
-                        last,
-                        self._deliver_to_node(
-                            relay_from, target, item, clock, outcome
-                        ),
-                    )
-            clock = last
+            clock = self._deliver_to_nodes(
+                relay_from, dest.nodes, inner.items, clock, outcome
+            )
         else:
             raise ExpressionError(
                 f"unknown destination {type(dest).__name__}"
@@ -929,10 +669,7 @@ class ExpressionEvaluator:
                 "a query can only be sent to a peer destination"
             )
         query = inner.query
-        message = Message(
-            src=at, dst=dest.peer, kind=MessageKind.QUERY, payload=query.source
-        )
-        clock = self._deliver(message, inner.completed_at)
+        clock = self._ship_items(inner, at, dest.peer).completed_at
         target = self.system.peer(dest.peer)
         # The paper names the deployed service send_{p→p'}(q); we use a
         # fresh concrete name with the same flavour.
@@ -944,8 +681,7 @@ class ExpressionEvaluator:
         )
         outcome.deployed.append((service_name, dest.peer))
         outcome.completed_at = clock
-        outcome.items = []
-        return outcome
+        return outcome  # its value is ∅, like any send's
 
     # -- EvalAt and Seq -------------------------------------------------------------------
     def _eval_eval_at(
@@ -966,7 +702,7 @@ class ExpressionEvaluator:
             # pure side effects (e.g. sc with forward lists): nothing to
             # ship back — exactly why rule (15) is free to relocate calls.
             return remote
-        return self._ship_items(remote, expr.peer, at, remote.completed_at)
+        return self._ship_items(remote, expr.peer, at)
 
     def _eval_seq(
         self, expr: Seq, at: str, ready_at: float, depth: int
@@ -984,78 +720,57 @@ class ExpressionEvaluator:
         return outcome
 
     # -- shared helpers -----------------------------------------------------------------
-    def _serialize_forest(self, items: Sequence[Element]) -> str:
-        """Serialize a forest, wall-timed when a profiler is installed.
-
-        Serialization dominates the wall cost of simulating large
-        transfers (the payload string exists only to be measured), which
-        is exactly what the raw-speed profiling needs attributed.
-        """
-        profiler = self.profiler
-        if profiler is None:
-            return "".join(serialize(item) for item in items)
-        with profiler.phase("serialize"):
-            return "".join(serialize(item) for item in items)
-
-    def _ship_items(
-        self, outcome: EvalOutcome, src: str, dst: str, ready_at: float
-    ) -> EvalOutcome:
-        """Ship a value forest from src to dst; returns the dst-side outcome."""
-        if src == dst or (not outcome.items and outcome.query is None):
-            shipped = EvalOutcome(
-                items=[item.copy() for item in outcome.items],
-                query=outcome.query,
-                completed_at=ready_at,
-            )
-            shipped.merge_effects(outcome)
-            return shipped
-        if outcome.query is not None and not outcome.items:
+    def _ship_items(self, outcome: EvalOutcome, src: str, dst: str) -> EvalOutcome:
+        """Ship a settled value from src to dst; returns the dst-side outcome."""
+        ready_at = outcome.completed_at
+        query = outcome.query
+        if src == dst or (not outcome.items and query is None):
+            arrival = ready_at  # nothing crosses the network
+        elif not outcome.items:
             message = Message(
-                src=src, dst=dst, kind=MessageKind.QUERY, payload=outcome.query.source
+                src=src, dst=dst, kind=MessageKind.QUERY, payload=query.source
             )
             arrival = self._deliver(message, ready_at)
-            shipped = EvalOutcome(query=outcome.query, completed_at=arrival)
-            shipped.merge_effects(outcome)
-            return shipped
-        payload = self._serialize_forest(outcome.items)
-        message = Message(src=src, dst=dst, kind=MessageKind.DATA, payload=payload)
-        arrival = self._deliver(message, ready_at)
+        else:
+            payload = self._serialize_forest(outcome.items)
+            message = Message(src=src, dst=dst, kind=MessageKind.DATA, payload=payload)
+            arrival = self._deliver(message, ready_at)
+            query = None  # a forest ships as data alone
         shipped = EvalOutcome(
             items=[item.copy() for item in outcome.items],
+            query=query,
             completed_at=arrival,
         )
         shipped.merge_effects(outcome)
         return shipped
 
-    def _deliver_to_node(
+    def _deliver_to_nodes(
         self,
         src: str,
-        target: NodeId,
-        item: Element,
+        targets: Sequence[NodeId],
+        items: Sequence[Element],
         ready_at: float,
         outcome: EvalOutcome,
     ) -> float:
-        message = Message(
-            src=src,
-            dst=target.peer,
-            kind=MessageKind.FORWARD,
-            payload=self._serialize_forest((item,)),
-            headers={"target": str(target)},
-        )
-        arrival = self._deliver(message, ready_at)
-        if self.system.peer(target.peer).deliver(target, item) is None:
-            raise ExpressionError(
-                f"forward target {target} does not exist on {target.peer!r}"
-            )
-        outcome.delivered.append(target)
-        return arrival
-
-    def _install_anonymous(self, peer_id: str, items: List[Element]) -> str:
-        peer = self.system.peer(peer_id)
-        self._install_counter += 1
-        name = peer.fresh_document_name(f"recv-{self._install_counter}")
-        peer.install_document(name, _forest_to_document(items, name))
-        return name
+        """Forward every item to every target node, all from ``ready_at``;
+        returns the last arrival."""
+        last = ready_at
+        for item in items:
+            for target in targets:
+                message = Message(
+                    src=src,
+                    dst=target.peer,
+                    kind=MessageKind.FORWARD,
+                    payload=self._serialize_forest((item,)),
+                    headers={"target": str(target)},
+                )
+                last = max(last, self._deliver(message, ready_at))
+                if self.system.peer(target.peer).deliver(target, item) is None:
+                    raise ExpressionError(
+                        f"forward target {target} does not exist on {target.peer!r}"
+                    )
+                outcome.delivered.append(target)
+        return last
 
 
 def _as_forest(result: List) -> List[Element]:
@@ -1064,13 +779,10 @@ def _as_forest(result: List) -> List[Element]:
     for item in result:
         if isinstance(item, Element):
             forest.append(item.copy())
-        elif isinstance(item, Text):
-            wrapper = Element("value")
-            wrapper.append(Text(item.value))
-            forest.append(wrapper)
         else:
+            text = item.value if isinstance(item, Text) else string_value(item)
             wrapper = Element("value")
-            wrapper.append(Text(string_value(item)))
+            wrapper.append(Text(text))
             forest.append(wrapper)
     return forest
 

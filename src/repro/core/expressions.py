@@ -32,7 +32,7 @@ lives in :mod:`repro.core.serialize`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple, Union
 
 from ..errors import ExpressionError

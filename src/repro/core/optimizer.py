@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from ..obs.metrics import MetricsRegistry
 from ..peers.system import AXMLSystem
-from .cost import Cost, Statistics
+from .cost import Statistics
 from .costmodel import CostModel, make_cost_model
 from .planspace import PlanCache
 from .rules import DEFAULT_RULES, Plan, RewriteRule

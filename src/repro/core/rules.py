@@ -30,15 +30,14 @@ Paper-to-class map:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..dist.pruning import fragment_can_match, selection_bounds
-from ..errors import DecompositionError, RewriteError
+from ..errors import DecompositionError
 from ..peers.service import DeclarativeService
 from ..peers.system import AXMLSystem
-from ..xquery import Query
 from ..xquery.decompose import push_selection
 from .expressions import (
     ANY,

@@ -14,7 +14,7 @@ literals round-trip by content).
 from __future__ import annotations
 
 from hashlib import blake2b
-from typing import Callable, Dict, List
+from typing import Callable
 
 from ..errors import ExpressionError
 from ..xmlcore.model import Element, NodeId, element

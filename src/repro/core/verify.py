@@ -19,8 +19,8 @@ to "for any Σ" as an executable check gets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from ..peers.system import AXMLSystem
 from ..xmlcore.canon import canonical_form

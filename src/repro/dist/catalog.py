@@ -24,7 +24,7 @@ fully independent catalog without deep-copying trees — the fragment
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import FragmentationError

@@ -10,7 +10,7 @@ clock, the peers whose compute queues the job occupies, and the final
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
 
 from ..core.expressions import (

@@ -45,16 +45,16 @@ from random import Random
 from time import perf_counter as _perf_counter
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple, Union
 
-from ..core.evaluator import ExpressionEvaluator
 from ..core.planspace import CacheStats
 from ..errors import ReproError, SessionError
 from ..obs.metrics import MetricsRegistry
 from ..peers.registry import POLICIES, PickPolicy
 from ..peers.system import AXMLSystem
-from .jobs import DONE, FAILED, PENDING, RUNNING, JobRequest, QueryJob, plan_peers
+from .jobs import DONE, FAILED, RUNNING, JobRequest, QueryJob, plan_peers
 from .metrics import ServingReport, summarize
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..faults.recovery import RecoveringEvaluator
     from ..session import Session
 
 __all__ = ["Scheduler"]
@@ -340,7 +340,7 @@ class Scheduler:
         job: QueryJob,
         now: float,
         target: AXMLSystem,
-        evaluator: ExpressionEvaluator,
+        evaluator: RecoveringEvaluator,
     ) -> None:
         job.status = RUNNING
         job.admitted_at = now

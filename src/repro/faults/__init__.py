@@ -4,8 +4,9 @@ The paper's peers live on an unreliable wide-area network; this package
 makes that unreliability a *first-class, reproducible* input.  A
 :class:`FaultPlan` scripts link drops/degradations, transfer
 corruption, service failures/hangs, peer stalls, and crash/rejoin pairs
-on the virtual clock; :class:`RetryPolicy` gives the evaluator bounded
-retries with seeded exponential backoff and per-kind timeouts; jobs can
+on the virtual clock; :class:`RecoveringEvaluator` applies a
+:class:`RetryPolicy` — bounded retries with seeded exponential backoff,
+a call timeout, replica failover — on the bare evaluator's seam; jobs can
 carry deadlines and opt into graceful degradation, yielding a
 :class:`PartialAnswer` whose provenance the differential harness proves
 is a subset of the fault-free answer.  An empty plan is a strict no-op:
@@ -26,7 +27,7 @@ from .plan import (
     FaultPlan,
     FaultSpec,
 )
-from .recovery import LostPart, PartialAnswer, RetryPolicy
+from .recovery import LostPart, PartialAnswer, RecoveringEvaluator, RetryPolicy
 
 __all__ = [
     "LINK_DROP",
@@ -45,4 +46,5 @@ __all__ = [
     "RetryPolicy",
     "LostPart",
     "PartialAnswer",
+    "RecoveringEvaluator",
 ]

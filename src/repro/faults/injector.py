@@ -17,6 +17,7 @@ passes them.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional
 
 from .plan import (
@@ -38,14 +39,14 @@ class FaultState:
     """A plan compiled for fast window lookups, plus fault counters.
 
     Installed as ``network.faults``; ``None`` there (the default) means
-    the exact historical fault-free code path runs.  ``counters`` is a
-    plain dict accumulated across the run and folded into
+    the exact historical fault-free code path runs.  ``counters``
+    accumulates across the run and is folded into
     ``ServingReport.registry`` as ``faults{kind=…}`` counters.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.counters: Dict[str, int] = {}
+        self.counters: Counter = Counter()
         self._drops: Dict[tuple, List[FaultEvent]] = {}
         self._degrades: Dict[tuple, List[FaultEvent]] = {}
         self._corruptions: Dict[tuple, List[FaultEvent]] = {}
@@ -68,9 +69,6 @@ class FaultState:
                 ).append(event)
             elif event.kind == PEER_STALL:
                 self._stalls.setdefault(event.peer, []).append(event)
-
-    def count(self, key: str, n: int = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + n
 
     # -- lookups (pure in (target, at)) ---------------------------------------
     def hop_verdict(self, src: str, dst: str, at: float) -> Optional[str]:
@@ -167,9 +165,9 @@ class FaultActor:
             if event.kind == PEER_CRASH:
                 notes.extend(self._controller.kill(event.peer, now=now))
                 if state is not None:
-                    state.count("peer_crashes")
+                    state.counters["peer_crashes"] += 1
             else:
                 notes.extend(self._controller.join(event.peer))
                 if state is not None:
-                    state.count("peer_rejoins")
+                    state.counters["peer_rejoins"] += 1
         return notes

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from random import Random
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..errors import WorkloadError
 

@@ -1,4 +1,5 @@
-"""Recovery machinery: retry policies, and partial-answer provenance.
+"""Recovery machinery: retry policies, partial-answer provenance, and
+:class:`RecoveringEvaluator`, the evaluator that applies them.
 
 :class:`RetryPolicy` is deliberately *stateless*: the jitter for
 attempt ``n`` of operation ``key`` is drawn from a fresh
@@ -18,13 +19,27 @@ never invents data.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import count
 from random import Random
-from typing import Tuple
+from typing import List, Optional, Tuple
 
-from ..errors import WorkloadError
+from ..core.evaluator import EvalOutcome, ExpressionEvaluator
+from ..core.expressions import DocExpr, GenericDoc, TreeExpr
+from ..errors import (
+    DeadlineExceededError,
+    PeerDownError,
+    ServiceCallFaultError,
+    TransferFaultError,
+    TransferTimeoutError,
+    WorkloadError,
+)
+from ..net.message import Message
+from .plan import SERVICE_HANG
 
-__all__ = ["RetryPolicy", "LostPart", "PartialAnswer"]
+__all__ = ["RetryPolicy", "LostPart", "PartialAnswer", "RecoveringEvaluator"]
 
 
 @dataclass(frozen=True)
@@ -33,10 +48,9 @@ class RetryPolicy:
 
     ``delay(attempt, key)`` is the backoff charged *on the virtual
     clock* after failed attempt ``attempt`` (0-based): exponential in
-    the attempt with a seeded jitter fraction on top.  ``timeout(kind)``
-    is the per-kind budget after which a silent operation is declared
-    hung and cancelled (``"call"`` for service calls, ``"data"`` for
-    transfers).
+    the attempt with a seeded jitter fraction on top.  ``call_timeout``
+    is the budget after which a silent service call is declared hung and
+    cancelled.
     """
 
     max_attempts: int = 4
@@ -45,7 +59,6 @@ class RetryPolicy:
     jitter: float = 0.25
     seed: int = 0
     call_timeout: float = 0.05
-    data_timeout: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -62,10 +75,9 @@ class RetryPolicy:
             raise WorkloadError(
                 f"RetryPolicy.jitter must be in [0, 1], got {self.jitter!r}"
             )
-        if self.call_timeout <= 0 or self.data_timeout <= 0:
+        if self.call_timeout <= 0:
             raise WorkloadError(
-                "RetryPolicy timeouts must be positive, got "
-                f"({self.call_timeout!r}, {self.data_timeout!r})"
+                f"RetryPolicy.call_timeout must be positive, got {self.call_timeout!r}"
             )
 
     def delay(self, attempt: int, key: str) -> float:
@@ -73,9 +85,6 @@ class RetryPolicy:
         base = self.backoff * self.multiplier ** attempt
         spread = Random(f"retry:{self.seed}:{key}:{attempt}").random()
         return base * (1.0 + self.jitter * spread)
-
-    def timeout(self, kind: str = "data") -> float:
-        return self.call_timeout if kind == "call" else self.data_timeout
 
 
 @dataclass(frozen=True)
@@ -126,3 +135,215 @@ class PartialAnswer:
         for part in self.lost:
             lines.append(f"  - {part.describe()}")
         return "\n".join(lines)
+
+
+class RecoveringEvaluator(ExpressionEvaluator):
+    """Definitions (1)-(9) under faults: retry, fail over, degrade, observe.
+
+    The one evaluator a :class:`~repro.session.Session` builds (the cost
+    oracle and the equivalence checker build the bare one).  Overrides
+    the bare evaluator's effect seam and nothing else.  With
+    no fault state on ``system.network`` (installing it is the caller's
+    job), no ``policy`` (:class:`RetryPolicy`; ``None``: faults propagate
+    typed on first occurrence), no ``tracer`` (:class:`repro.obs.Tracer`;
+    observational only: recording never consults the RNG or the clock)
+    and no ``profiler`` (:class:`repro.obs.WallProfiler`), every override
+    falls through to the bare body.
+    """
+
+    def __init__(
+        self, system, pick_policy=None, *, policy=None, tracer=None, profiler=None
+    ) -> None:
+        super().__init__(system, pick_policy)
+        self.policy: Optional[RetryPolicy] = policy
+        self.tracer = tracer
+        self.profiler = profiler
+        #: Run-wide recovery tallies, folded with the injector's into
+        #: ``ServingReport.registry`` as ``faults{kind=…}``.
+        self.counters: Counter = Counter()
+        self.begin_job()
+
+    # -- per-job context -----------------------------------------------------------
+    def begin_job(self, deadline_at: float = math.inf, partial: bool = False) -> None:
+        """Reset the per-job context (deadline, lost parts, retry count)."""
+        self.deadline_at = deadline_at
+        self.partial = partial
+        self.losses: List[LostPart] = []
+        self.job_retries = 0
+
+    def end_job(self, completed_at: float) -> Optional[PartialAnswer]:
+        """Tally a job that settled at ``completed_at``; returns the
+        provenance of its answer if that is degraded, else ``None``."""
+        late = completed_at > self.deadline_at
+        if late:
+            self.counters["deadlines_exceeded"] += 1
+        if not (self.partial and (self.losses or late)):
+            return None
+        self.counters["partial_answers"] += 1
+        return PartialAnswer(tuple(self.losses), self.job_retries, late)
+
+    def _span(self, name: str, cat: str, start: float, end: float, **attrs) -> None:
+        if self.tracer is not None:
+            self.tracer.record(name, cat, start, end, **attrs)
+
+    def _retry_at(self, attempt, failure, key, what, label, exhausted) -> float:
+        """When to retry after 0-based ``attempt`` ended in ``failure``.
+
+        The one backoff / attempt-budget / deadline rule of every retried
+        operation: ``policy.delay`` (keyed by ``key``) past the instant
+        the failure was detected — unless the budget is spent (raises
+        ``exhausted``) or that is past the job deadline
+        (:class:`DeadlineExceededError`).
+        """
+        if attempt + 1 >= self.policy.max_attempts:
+            raise exhausted from failure
+        retry_at = failure.at + self.policy.delay(attempt, key)
+        if retry_at > self.deadline_at:
+            raise DeadlineExceededError(
+                f"{what} would retry at {retry_at:.6f}, "
+                f"past the deadline {self.deadline_at:.6f}",
+                at=failure.at,
+            ) from failure
+        self.job_retries += 1
+        self.counters["retries"] += 1
+        self._span(
+            f"backoff {label}", "backoff", failure.at, retry_at, attempt=attempt + 1
+        )
+        return retry_at
+
+    # -- the seam ------------------------------------------------------------------
+    def _deliver(self, message: Message, ready_at: float) -> float:
+        """Lost and corrupted transfers are retried, on the virtual clock,
+        until one arrives or :class:`TransferTimeoutError`."""
+        network = self.system.network
+        if self.policy is None or network.faults is None:
+            return network.deliver(message, ready_at)
+        key = f"{message.src}->{message.dst}:{message.kind}"
+        for attempt in count():
+            try:
+                return network.deliver(message, ready_at)
+            except TransferFaultError as exc:
+                self.counters["transfer_faults"] += 1
+                spent = TransferTimeoutError(
+                    f"transfer {key} failed {attempt + 1} attempts "
+                    f"(retry budget exhausted)",
+                    at=exc.at,
+                )
+                ready_at = self._retry_at(
+                    attempt, exc, key, f"transfer {key}", key, spent
+                )
+
+    def _call_provider(self, message: Message, ready_at: float) -> float:
+        """Ship the CALL message, surviving injected service faults.
+
+        A ``service-fail`` window covering the arrival fails the call; a
+        ``service-hang`` window delays the answer to the window's end
+        (bounded virtual time — never a real hang).  With a policy a hung
+        call is *cancelled* at the per-call timeout budget, and cancelled
+        and failed calls are retried; without one, failures raise
+        :class:`ServiceCallFaultError` on first occurrence.
+        """
+        faults = self.system.network.faults
+        if faults is None:
+            return self._deliver(message, ready_at)
+        policy = self.policy
+        provider_id, service_name = message.dst, message.headers["service"]
+        where = f"{service_name}@{provider_id}"
+        whom = f"service {service_name!r} on {provider_id!r}"
+        for attempt in count():
+            arrival = self._deliver(message, ready_at)
+            verdict = faults.service_verdict(provider_id, service_name, arrival)
+            if verdict is None:
+                return arrival
+            faults.counters["service_faults"] += 1
+            failed_at, detail = arrival, "failed"
+            if verdict.kind == SERVICE_HANG:
+                failed_at = verdict.end
+                if policy is not None:
+                    failed_at = min(failed_at, arrival + policy.call_timeout)
+                cancelled = failed_at < verdict.end
+                faults.counters["calls_cancelled" if cancelled else "calls_hung"] += 1
+                self._span(
+                    f"{'hang-cancel' if cancelled else 'hang'} {where}", "stall",
+                    arrival, failed_at, peer=provider_id, service=service_name,
+                )
+                if not cancelled:
+                    return failed_at  # waited the window out: slow, still correct
+                detail = "hung (cancelled at timeout)"
+            failure = ServiceCallFaultError(f"{whom} {detail}", at=failed_at)
+            if policy is None:
+                raise failure
+            spent = ServiceCallFaultError(
+                f"{whom} {detail} after {attempt + 1} attempts", at=failed_at
+            )
+            ready_at = self._retry_at(
+                attempt, failure, f"call:{provider_id}:{service_name}",
+                f"call to {service_name!r} on {provider_id!r}", f"call:{where}", spent,
+            )
+
+    def _on_cpu(self, peer_id: str, label: str, ready_at: float, work):
+        """Start past any injected stall window on the peer; span the charge."""
+        faults = self.system.network.faults
+        start = ready_at if faults is None else faults.stall_until(peer_id, ready_at)
+        if start > ready_at:
+            self.counters["stall_waits"] += 1
+            self._span(f"stall {peer_id}", "stall", ready_at, start, peer=peer_id)
+        if self.tracer is None:
+            return work(start)
+        busy_before = self.system.peer(peer_id).busy_until
+        value, done = work(start)
+        self.tracer.cpu(peer_id, label, start, busy_before, done)
+        return value, done
+
+    def _lost(self, kind: str, name: str, peers, exc) -> None:
+        """Graceful degradation: a ``partial`` job notes the part as
+        missing in its :class:`PartialAnswer` and goes on without it."""
+        if not self.partial:
+            raise exc
+        at = getattr(exc, "at", 0.0)
+        self.losses.append(LostPart(kind, name, tuple(peers), type(exc).__name__, at))
+        self.counters["parts_lost"] += 1
+
+    def _read_fragment(self, fragment, ref, live, at, ready_at, depth) -> EvalOutcome:
+        """With a policy, a copy whose transfers kept failing (or whose
+        peer died mid-read) is abandoned for the next live one, which
+        starts no earlier than the failure was detected."""
+        refs = [ref]
+        if self.policy is not None:
+            spares = live if isinstance(ref, GenericDoc) else live[1:]
+            refs.extend(DocExpr(fragment.name, pid) for pid in spares)
+        for ref in refs:
+            try:
+                return self.eval(ref, at, ready_at, depth + 1)
+            except (TransferTimeoutError, PeerDownError) as exc:
+                unreachable = exc
+                self.counters["fragment_failovers"] += 1
+                ready_at = max(ready_at, getattr(exc, "at", ready_at))
+        raise unreachable
+
+    def _activate_document(self, home, name, tree, ready_at, depth) -> EvalOutcome:
+        """A degraded activation must not become the stored document.
+
+        A ``partial`` job that lost a service call drops the ``sc`` node
+        from its *answer* copy; committing that copy would silently erase
+        the call from Σ — every later job would then miss its data with
+        no partial marker (the silent wrong answer the three-way fault
+        invariant forbids).  The loss watermark tells degraded
+        activations apart from complete ones.
+        """
+        if not self.partial:
+            return super()._activate_document(home, name, tree, ready_at, depth)
+        watermark = len(self.losses)
+        here = home.peer_id
+        outcome = self.eval(TreeExpr(tree, here), here, ready_at, depth + 1)
+        if len(outcome.items) == 1 and len(self.losses) == watermark:
+            home.install_document(name, outcome.items[0], replace=True)
+        return outcome
+
+    def _serialize_forest(self, items) -> str:
+        """Wall-timed: serialization dominates the wall cost of simulating
+        large transfers (the payload exists only to be measured)."""
+        if self.profiler is None:
+            return super()._serialize_forest(items)
+        with self.profiler.phase("serialize"):
+            return super()._serialize_forest(items)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 __all__ = ["Message", "MessageKind"]
 

@@ -273,35 +273,27 @@ class Network:
         faults = self.faults
         tracer = self.tracer
         clock = ready_at
+        slow = 1.0  # no fault state: the exact fault-free arithmetic
         corrupted = False
         for link in links:
-            if faults is None:
-                ready = clock
-                start, clock = link.schedule(message.size, clock)
-                if tracer is not None:
-                    tracer.hop(message, link, ready, start, clock)
-                continue
-            slow = faults.degrade_factor(link.src, link.dst, clock)
-            if slow > 1.0:
-                faults.count("hops_degraded")
+            if faults is not None:
+                slow = faults.degrade_factor(link.src, link.dst, clock)
+                if slow > 1.0:
+                    faults.counters["hops_degraded"] += 1
             ready = clock
-            start, clock = link.schedule(message.size, clock, slow=slow)
+            start, clock = link.schedule(message.size, clock, slow)
             if tracer is not None:
                 tracer.hop(message, link, ready, start, clock)
+            if faults is None:
+                continue
             verdict = faults.hop_verdict(link.src, link.dst, start)
             if verdict == "drop":
                 # the hop was charged (the bytes left the sender) but the
                 # message never completes; the sender detects the loss at
                 # the would-be hop completion and may retry from there
-                faults.count("messages_dropped")
-                self.stats.record(message)
-                if tracer is not None:
-                    tracer.mark(
-                        f"lost {link.src}->{link.dst}",
-                        "fault",
-                        clock,
-                        kind=message.kind,
-                    )
+                self._faulted(
+                    message, "messages_dropped", f"lost {link.src}->{link.dst}", clock
+                )
                 raise MessageLostError(
                     f"message {message.src!r}->{message.dst!r} "
                     f"({message.kind}) lost on hop "
@@ -313,15 +305,12 @@ class Network:
         if corrupted:
             # every hop was charged; the receiver's content-fingerprint
             # check rejects the payload at arrival time
-            faults.count("transfers_corrupted")
-            self.stats.record(message)
-            if tracer is not None:
-                tracer.mark(
-                    f"corrupt {message.src}->{message.dst}",
-                    "fault",
-                    clock,
-                    kind=message.kind,
-                )
+            self._faulted(
+                message,
+                "transfers_corrupted",
+                f"corrupt {message.src}->{message.dst}",
+                clock,
+            )
             raise TransferCorruptionError(
                 f"message {message.src!r}->{message.dst!r} "
                 f"({message.kind}) arrived corrupted "
@@ -332,6 +321,13 @@ class Network:
         if self.keep_log:
             self.log.append((clock, message))
         return clock
+
+    def _faulted(self, message: Message, tally: str, mark: str, at: float) -> None:
+        """Account for a transfer an injected fault just killed at ``at``."""
+        self.faults.counters[tally] += 1
+        self.stats.record(message)
+        if self.tracer is not None:
+            self.tracer.mark(mark, "fault", at, kind=message.kind)
 
     def send_tree(
         self,

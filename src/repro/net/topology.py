@@ -11,7 +11,7 @@ list.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import NetworkError
 from .network import Network

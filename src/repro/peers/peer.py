@@ -14,7 +14,7 @@ about.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import (
     DuplicateNameError,

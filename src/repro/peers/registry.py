@@ -22,7 +22,6 @@ from ..errors import GenericResolutionError, ReproError
 from ..xmlcore.canon import canonical_hash
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..net.network import Network
     from .system import AXMLSystem
 
 __all__ = [

@@ -17,11 +17,10 @@ Two implementations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
 
 from ..errors import ServiceCallError
-from ..xmlcore.model import Element, Node
+from ..xmlcore.model import Element
 from ..xmlcore.schema import Signature
 from ..xquery import Query
 

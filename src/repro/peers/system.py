@@ -26,14 +26,13 @@ module provides:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..dist.catalog import FragmentCatalog
 from ..errors import UnknownPeerError
 from ..net.network import Network
 from ..net import topology as topo
 from ..xmlcore.canon import canonical_form
-from ..xmlcore.model import Element
 from .peer import Peer
 from .registry import GenericRegistry
 from .service import DeclarativeService, NativeService, Service

@@ -21,7 +21,7 @@ moment, yet the system must keep answering what it still can answer and
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 from ..peers.system import AXMLSystem
 

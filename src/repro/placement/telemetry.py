@@ -16,7 +16,7 @@ a fragment that was hot ten windows ago and is cold now reads as cold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..peers.system import AXMLSystem

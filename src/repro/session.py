@@ -53,7 +53,7 @@ from typing import (
 
 from .core.cost import Cost, Statistics
 from .core.costmodel import CostModel
-from .core.evaluator import EvalOutcome, ExpressionEvaluator
+from .core.evaluator import EvalOutcome
 from .core.expressions import (
     DocExpr,
     Expression,
@@ -86,8 +86,7 @@ from .errors import (
     SessionError,
     XQueryError,
 )
-from .faults.injector import FaultState
-from .faults.recovery import PartialAnswer
+from .faults import FaultState, RecoveringEvaluator
 from .peers.system import AXMLSystem
 from .xmlcore.model import Element
 from .xmlcore.serializer import serialize
@@ -899,31 +898,30 @@ class Session:
             report.peers = evaluator.system.stats_snapshot()
         return report
 
-    def _evaluator(self, pick_policy) -> ExpressionEvaluator:
+    def _evaluator(self, pick_policy) -> RecoveringEvaluator:
         """The evaluator every job of one run goes through.
 
         Its ``system`` is the run's target Σ — a clone under ``isolate``,
-        else the live system reset to a clean measurement baseline — with
-        the session's fault plan and tracer installed.  No plan (or an
-        empty one) installs nothing: ``network.faults`` stays ``None``
-        and the exact historical code paths run.
+        else the live system reset to a clean measurement baseline.  Here,
+        and only here, fault state and tracer are scoped to the run: the
+        target's network gets exactly this session's (a fresh
+        :class:`FaultState` for a non-empty plan; this tracer) or
+        ``None`` — never what an earlier run left there.
         """
         if self.isolate:
             target = self.system.clone()
         else:
             target = self.system
             target.reset()
-        if self.fault_plan:
-            state = target.network.faults
-            if state is None or state.plan is not self.fault_plan:
-                target.network.faults = FaultState(self.fault_plan)
+        network = target.network
+        network.faults = FaultState(self.fault_plan) if self.fault_plan else None
+        network.tracer = self.tracer
         if self.tracer is not None:
             self.tracer.reset()
-            target.network.tracer = self.tracer
-        return ExpressionEvaluator(
+        return RecoveringEvaluator(
             target,
             pick_policy,
-            recovery=self.retry,
+            policy=self.retry,
             tracer=self.tracer,
             profiler=self.profiler,
         )
@@ -931,7 +929,7 @@ class Session:
     def _run_report(
         self,
         report: ExecutionReport,
-        evaluator: ExpressionEvaluator,
+        evaluator: RecoveringEvaluator,
         name: str,
         *,
         arrival: float = 0.0,
@@ -980,15 +978,7 @@ class Session:
         report.executed = True
         report.completed_at = outcome.completed_at
         late = outcome.completed_at > deadline_at
-        if late:
-            evaluator._count("deadlines_exceeded")
-        if partial and (evaluator.losses or late):
-            report.partial = PartialAnswer(
-                lost=tuple(evaluator.losses),
-                retries=evaluator.job_retries,
-                deadline_exceeded=late,
-            )
-            evaluator._count("partial_answers")
+        report.partial = evaluator.end_job(outcome.completed_at)
         if tracer is not None:
             tracer.pop(outcome.completed_at)
             if late and not partial:

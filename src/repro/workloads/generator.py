@@ -34,7 +34,7 @@ from ..net import topology as topo
 from ..net.network import Network
 from ..axml.document import make_service_call
 from ..peers.system import AXMLSystem
-from ..xmlcore.model import Element, Text, element
+from ..xmlcore.model import Element, element
 from ..xmlcore.serializer import serialize
 
 __all__ = [

@@ -19,7 +19,7 @@ the identifier of the hosting peer, so forward lists (``forw`` children of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
 

@@ -13,7 +13,7 @@ the parser safe against entity-expansion attacks by construction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import XMLSyntaxError
 from .model import Element, Node, Text

@@ -21,7 +21,7 @@ XML semantics, which is what serialized messages use).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence as Seq, Tuple
 
 from ..errors import SchemaError, ValidationError

@@ -19,19 +19,15 @@ default statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Tuple, Union
 
 from ..errors import XQueryError
 from .ast import (
     ComparisonOp,
     FLWORExpr,
     ForClause,
-    KindTest,
-    LetClause,
-    Literal,
     Module,
-    NameTest,
     PathExpr,
     Step,
     VarRef,

@@ -8,7 +8,7 @@ travel between peers (code shipping, rule (10)) and how the decomposer
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 __all__ = [

@@ -27,10 +27,7 @@ from typing import List, Optional, Set, Tuple
 
 from ..errors import DecompositionError
 from . import Query
-from .ast import (
-    FLWORExpr, ForClause, LetClause, Module, PathExpr, Step, VarRef, XQNode,
-    unparse,
-)
+from .ast import FLWORExpr, ForClause, Module, PathExpr, Step, VarRef, XQNode, unparse
 
 __all__ = ["Decomposition", "push_selection", "compose", "free_variables"]
 

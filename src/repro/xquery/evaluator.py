@@ -18,20 +18,16 @@ service bodies.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Sequence as Seq, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..errors import (
-    XQueryEvaluationError,
-    XQuerySyntaxError,
-    XQueryTypeError,
-)
+from ..errors import XQueryEvaluationError, XQueryTypeError
 from ..xmlcore.model import Element, Node, Text
 from .ast import (
     BinaryOp, ComparisonOp, ComputedAttribute, ComputedElement, ComputedText,
     ContextItem, DirectAttribute, DirectElement, EnclosedExpr, FilterExpr,
     FLWORExpr, ForClause, FunctionCall, FunctionDecl, IfExpr, KindTest,
     LetClause, Literal, Module, NameTest, NodeTest, OrderSpec, PathExpr,
-    Predicate, QuantifiedExpr, RangeExpr, Sequence, Step, UnaryOp, VarDecl,
+    Predicate, QuantifiedExpr, RangeExpr, Sequence, Step, UnaryOp,
     VarRef, XQNode,
 )
 from .functions import lookup_builtin
@@ -43,7 +39,6 @@ from .runtime import (
     atomize,
     atomize_single,
     effective_boolean_value,
-    format_number,
     general_compare,
     is_node,
     string_value,

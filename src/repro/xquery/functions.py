@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import XQueryEvaluationError, XQueryTypeError
-from ..xmlcore.model import Element, Text
+from ..xmlcore.model import Element
 from .runtime import (
     AttributeNode,
     Item,
     atomize,
     atomize_single,
     effective_boolean_value,
-    format_number,
     is_node,
     string_value,
     to_number,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..errors import XQueryEvaluationError, XQueryTypeError
+from ..errors import XQueryTypeError
 from ..xmlcore.model import Element, Node, Text
 
 __all__ = [

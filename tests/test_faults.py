@@ -48,6 +48,7 @@ from repro.faults import (
     FaultSpec,
     FaultState,
     PartialAnswer,
+    RecoveringEvaluator,
     RetryPolicy,
 )
 from repro.net import Message, MessageKind, Network
@@ -253,14 +254,14 @@ class TestLinkFaults:
 class TestTransferRecovery:
     def test_no_policy_propagates_first_fault(self, system):
         install(system, FaultEvent(LINK_DROP, 0.0, 0.05, src="p1", dst="p0"))
-        evaluator = ExpressionEvaluator(system)
+        evaluator = RecoveringEvaluator(system)
         with pytest.raises(MessageLostError):
             evaluator.eval(DocExpr("cat", "p1"), "p0")
 
     def test_retry_heals_transient_drop(self, system):
         install(system, FaultEvent(LINK_DROP, 0.0, 0.02, src="p1", dst="p0"))
         policy = RetryPolicy(max_attempts=6, backoff=0.02)
-        evaluator = ExpressionEvaluator(system, recovery=policy)
+        evaluator = RecoveringEvaluator(system, policy=policy)
         outcome = evaluator.eval(DocExpr("cat", "p1"), "p0")
         assert outcome.items[0].tag == "catalog"
         assert evaluator.counters["retries"] >= 1
@@ -271,7 +272,7 @@ class TestTransferRecovery:
     def test_budget_exhaustion_raises_timeout(self, system):
         install(system, FaultEvent(LINK_DROP, 0.0, 100.0, src="p1", dst="p0"))
         policy = RetryPolicy(max_attempts=3, backoff=0.001)
-        evaluator = ExpressionEvaluator(system, recovery=policy)
+        evaluator = RecoveringEvaluator(system, policy=policy)
         with pytest.raises(TransferTimeoutError) as err:
             evaluator.eval(DocExpr("cat", "p1"), "p0")
         assert isinstance(err.value.__cause__, MessageLostError)
@@ -280,7 +281,7 @@ class TestTransferRecovery:
     def test_retry_past_deadline_raises_deadline(self, system):
         install(system, FaultEvent(LINK_DROP, 0.0, 100.0, src="p1", dst="p0"))
         policy = RetryPolicy(max_attempts=10, backoff=0.05)
-        evaluator = ExpressionEvaluator(system, recovery=policy)
+        evaluator = RecoveringEvaluator(system, policy=policy)
         evaluator.begin_job(deadline_at=0.01)
         with pytest.raises(DeadlineExceededError):
             evaluator.eval(DocExpr("cat", "p1"), "p0")
@@ -296,7 +297,7 @@ class TestTransferRecovery:
                     FaultEvent(CORRUPT, 0.0, 0.02, src="p1", dst="p0"),
                 ))
             )
-            evaluator = ExpressionEvaluator(target, recovery=policy)
+            evaluator = RecoveringEvaluator(target, policy=policy)
             outcome = evaluator.eval(DocExpr("cat", "p1"), "p0")
             return outcome.completed_at, dict(evaluator.counters)
 
@@ -308,14 +309,14 @@ class TestServiceFaults:
 
     def test_fail_without_policy_raises_typed(self, system):
         install(system, FaultEvent(SERVICE_FAIL, 0.0, 1.0, peer="p1", service="pick"))
-        evaluator = ExpressionEvaluator(system)
+        evaluator = RecoveringEvaluator(system)
         with pytest.raises(ServiceCallFaultError):
             evaluator.eval(self.CALL, "p0")
 
     def test_fail_with_policy_retries_past_window(self, system):
         install(system, FaultEvent(SERVICE_FAIL, 0.0, 0.05, peer="p1", service="pick"))
         policy = RetryPolicy(max_attempts=6, backoff=0.05)
-        evaluator = ExpressionEvaluator(system, recovery=policy)
+        evaluator = RecoveringEvaluator(system, policy=policy)
         outcome = evaluator.eval(self.CALL, "p0")
         assert outcome.items[0].tag == "picked"
         assert evaluator.counters["retries"] >= 1
@@ -323,13 +324,13 @@ class TestServiceFaults:
     def test_fail_exhausts_attempts(self, system):
         install(system, FaultEvent(SERVICE_FAIL, 0.0, 100.0, peer="p1", service="pick"))
         policy = RetryPolicy(max_attempts=2, backoff=0.001)
-        evaluator = ExpressionEvaluator(system, recovery=policy)
+        evaluator = RecoveringEvaluator(system, policy=policy)
         with pytest.raises(ServiceCallFaultError, match="2 attempts"):
             evaluator.eval(self.CALL, "p0")
 
     def test_hang_without_policy_waits_window_out(self, system):
         install(system, FaultEvent(SERVICE_HANG, 0.0, 0.3, peer="p1", service="pick"))
-        evaluator = ExpressionEvaluator(system)
+        evaluator = RecoveringEvaluator(system)
         outcome = evaluator.eval(self.CALL, "p0")
         assert outcome.items[0].tag == "picked"
         # bounded virtual wait, never a real hang
@@ -339,7 +340,7 @@ class TestServiceFaults:
     def test_hang_with_policy_cancels_at_timeout(self, system):
         install(system, FaultEvent(SERVICE_HANG, 0.0, 0.3, peer="p1", service="pick"))
         policy = RetryPolicy(max_attempts=6, backoff=0.1, call_timeout=0.02)
-        evaluator = ExpressionEvaluator(system, recovery=policy)
+        evaluator = RecoveringEvaluator(system, policy=policy)
         outcome = evaluator.eval(self.CALL, "p0")
         assert outcome.items[0].tag == "picked"
         assert system.network.faults.counters["calls_cancelled"] >= 1
@@ -352,7 +353,7 @@ class TestPeerStall:
             DocExpr("cat", "p1"), "p0"
         )
         install(system, FaultEvent(PEER_STALL, 0.0, 0.25, peer="p1"))
-        evaluator = ExpressionEvaluator(system)
+        evaluator = RecoveringEvaluator(system)
         stalled = evaluator.eval(
             ServiceCallExpr("p1", "pick", (DocExpr("cat", "p1"),)), "p0"
         )
@@ -392,7 +393,7 @@ class TestPartialActivationIntegrity:
             axml_system,
             FaultEvent(SERVICE_FAIL, 0.0, 0.05, peer="p1", service="gen"),
         )
-        evaluator = ExpressionEvaluator(axml_system)
+        evaluator = RecoveringEvaluator(axml_system)
         evaluator.begin_job(partial=True)
         degraded = evaluator.eval(DocExpr("mixed", "p2"), "p0")
         # this job's answer is degraded and says so in its provenance...
@@ -410,7 +411,7 @@ class TestPartialActivationIntegrity:
         assert not evaluator.losses
 
     def test_complete_activation_still_installs(self, axml_system):
-        evaluator = ExpressionEvaluator(axml_system)
+        evaluator = RecoveringEvaluator(axml_system)
         evaluator.begin_job(partial=True)
         outcome = evaluator.eval(DocExpr("mixed", "p2"), "p0")
         assert outcome.items[0].child_by_tag("results") is not None
@@ -439,7 +440,7 @@ class TestFragmentFailover:
             FaultEvent(LINK_DROP, 0.0, 1_000.0, src="h1", dst="client"),
         )))
         policy = RetryPolicy(max_attempts=2, backoff=0.001)
-        evaluator = ExpressionEvaluator(system, recovery=policy)
+        evaluator = RecoveringEvaluator(system, policy=policy)
         outcome = evaluator.eval(FragmentedDoc("cat"), "client")
         names = [el.tag for el in outcome.items]
         assert names == ["catalog"]
@@ -454,7 +455,7 @@ class TestFragmentFailover:
             for src in ("h1", "h2")
         )))
         policy = RetryPolicy(max_attempts=2, backoff=0.001)
-        evaluator = ExpressionEvaluator(system, recovery=policy)
+        evaluator = RecoveringEvaluator(system, policy=policy)
         evaluator.begin_job(partial=True)
         outcome = evaluator.eval(FragmentedDoc("cat"), "client")
         # graceful degradation: the root reassembles from what arrived
@@ -470,7 +471,7 @@ class TestFragmentFailover:
             for src in ("h1", "h2")
         )))
         policy = RetryPolicy(max_attempts=2, backoff=0.001)
-        evaluator = ExpressionEvaluator(system, recovery=policy)
+        evaluator = RecoveringEvaluator(system, policy=policy)
         with pytest.raises(FaultError):
             evaluator.eval(FragmentedDoc("cat"), "client")
 
