@@ -36,7 +36,6 @@ RESULTS_DIR = os.path.join(REPO_ROOT, "benchmarks", "results")
 #: opposite.  Benches without an entry are still collected, just not
 #: gated.
 HEADLINES = {
-    "BENCH_planspace": ("cost_call_ratio", "higher"),
     "BENCH_throughput": ("top_concurrency_qps", "higher"),
     "BENCH_fragmentation": ("selective_bytes_ratio", "higher"),
     "BENCH_placement": ("adaptive_vs_static_qps_ratio", "higher"),

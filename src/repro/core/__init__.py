@@ -108,7 +108,7 @@ __all__ = [
     "CostModel", "OracleCostModel", "AnalyticCostModel", "HybridCostModel",
     "CallableCostModel", "register_cost_model", "available_cost_models",
     "make_cost_model",
-    # plan-space memoization
+    # plan keys and the planner stores
     "PlanCache", "CacheStats", "plan_fingerprint",
     # strategies
     "OptimizerStrategy", "SearchSpace", "BeamSearchStrategy",

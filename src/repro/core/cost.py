@@ -105,9 +105,9 @@ class Statistics:
     def memo_token(self) -> Tuple:
         """Hashable digest of everything that changes an estimate.
 
-        Salts the :class:`~repro.core.planspace.PlanCache` subtree memo,
-        so two estimators sharing one cache with *different* statistics
-        never replay each other's deltas.
+        Salts the estimator memo's subtree entries, so two estimators
+        sharing one :class:`~repro.core.planspace.PlanCache` with
+        *different* statistics never replay each other's deltas.
         """
         return (
             tuple(sorted(self.selectivity.items())),
@@ -167,17 +167,32 @@ class CostEstimator:
     sizes and the hosting peer's speed — coarser than the evaluator's
     charging but monotone in the same quantities.
 
-    With a :class:`~repro.core.planspace.PlanCache` attached the walk is
-    *incremental*: each (subexpression, site) pair's contribution —
-    value size plus the bytes/messages/time it adds — is memoized by
-    structural fingerprint, so re-costing a
+    The walk is *incremental*: each (subexpression, site) pair's
+    contribution — value size plus the bytes/messages/time it adds — is
+    memoized by structural fingerprint, so re-costing a
     :class:`~repro.core.rules.Rewrite` only walks the rewritten spine
-    and re-uses every untouched subtree from the table.  Per-peer
-    document sizes and compiled logical plans (the statistics fallback)
-    are memoized in the same cache, which the
-    :class:`~repro.workloads.harness.DifferentialHarness` shares across
-    a whole sweep.  The memo assumes Σ's documents and statistics are
-    stable; clear the cache after mutating the system.
+    and replays every untouched subtree.  Everything else the estimator
+    learns about Σ lives in the same memo, one dict keyed by
+    ``(kind, ...)``:
+
+    ========================================  ==========================
+    key                                       value
+    ========================================  ==========================
+    ``("subtree", salt, fingerprint, site)``  (size, bytes, msgs, time)
+    ``("doc_bytes", name, home[, epoch])``    serialized bytes
+    ``("doc_calls", name, home[, epoch])``    embedded sc profiles
+    ``("doc_value", name, home[, epoch]...)`` activated tree, or False
+    ``("service", provider, name, digest..)`` one invocation sample
+    ``("apply", query source, arg tokens)``   (result bytes, work)
+    ``("compiled", query source)``            logical plan, or None
+    ========================================  ==========================
+
+    The memo is the :attr:`~repro.core.planspace.PlanCache.estimates` of
+    the ``cache`` the estimator was given — shared with whoever else
+    holds that cache, emptied by its ``clear()`` — or of a private one.
+    Entries assume Σ's documents and statistics are stable: written
+    documents key by epoch, so a write orphans their stale entries; any
+    other mutation of the system calls for ``cache.clear()``.
     """
 
     ENVELOPE = 64  # keep aligned with Message.ENVELOPE_OVERHEAD
@@ -190,18 +205,14 @@ class CostEstimator:
         #: ablation switches (A1): ignore byte or time terms entirely.
         self.count_bytes = count_bytes
         self.count_time = count_time
-        #: memo for subtree deltas / doc sizes / compiled plans (optional).
-        self.cache = cache
+        #: where the estimator remembers (``cache.estimates``) and counts
+        #: (``cache.stats``): the caller's, or a private one
+        self.cache = cache or PlanCache()
+        self.memo = self.cache.estimates
         #: generic references resolve through the *same* registry pick the
         #: evaluator uses, so the estimated plan prices the copy that would
         #: actually serve the read (ranking parity with the oracle).
         self.pick_policy = pick_policy
-        #: instance-local sample memos used when no shared cache is
-        #: attached, so an uncached estimator still invokes each service
-        #: and query sample once instead of once per candidate plan
-        self._service_samples: Dict[Tuple, Tuple] = {}
-        self._doc_values: Dict[Tuple, object] = {}
-        self._apply_samples: Dict[Tuple, Tuple[int, int]] = {}
 
     # -- public -------------------------------------------------------------
     def estimate(self, plan: Plan) -> Cost:
@@ -272,23 +283,25 @@ class CostEstimator:
             self._time += sum(l.latency for l in links)
 
     # -- sizes ------------------------------------------------------------------
-    def _doc_bytes(self, name: str, home: str) -> int:
-        # written documents key by epoch too, so a mutation orphans the
-        # stale size instead of serving it; epoch-0 keys keep the
-        # historical (name, home) shape
+    def _doc_key(self, kind: str, name: str, home: str) -> Tuple:
+        """Memo key of a per-document fact.
+
+        Written documents key by epoch too, so a mutation orphans the
+        stale entry instead of serving it.
+        """
         epoch = self.system.doc_epoch(name)
-        key = (name, home) if not epoch else (name, home, epoch)
-        if self.cache is not None:
-            cached = self.cache.doc_sizes.get(key)
-            if cached is not None:
-                return cached
-        peer = self.system.peer(home)
-        if peer.has_document(name):
-            size = peer.document(name).serialized_size()
-        else:
-            size = 1024  # unknown (e.g. temp doc created mid-plan): nominal
-        if self.cache is not None:
-            self.cache.doc_sizes[key] = size
+        return (kind, name, home, epoch) if epoch else (kind, name, home)
+
+    def _doc_bytes(self, name: str, home: str) -> int:
+        key = self._doc_key("doc_bytes", name, home)
+        size = self.memo.get(key)
+        if size is None:
+            peer = self.system.peer(home)
+            if peer.has_document(name):
+                size = peer.document(name).serialized_size()
+            else:
+                size = 1024  # unknown (e.g. temp doc created mid-plan): nominal
+            self.memo[key] = size
         return size
 
     def _doc_calls(self, name: str, home: str) -> Tuple:
@@ -304,12 +317,10 @@ class CostEstimator:
         sc-node bytes, forward peers, params digest)`` per call, resolved
         and charged at estimate time.
         """
-        epoch = self.system.doc_epoch(name)
-        key = (name, home) if not epoch else (name, home, epoch)
-        if self.cache is not None:
-            hit = self.cache.doc_profiles.get(key)
-            if hit is not None:
-                return hit
+        key = self._doc_key("doc_calls", name, home)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
         calls = []
         peer = self.system.peer(home)
         if peer.has_document(name):
@@ -340,8 +351,7 @@ class CostEstimator:
                     continue
                 stack.extend(node.children)
         profile = tuple(calls)
-        if self.cache is not None:
-            self.cache.doc_profiles[key] = profile
+        self.memo[key] = profile
         return profile
 
     def _sample_service(
@@ -358,15 +368,10 @@ class CostEstimator:
         evaluator charges the same :meth:`Service.work_units`), but the
         response sizes fall back to the statistics table.
         """
-        memo = (
-            self.cache.service_samples
-            if self.cache is not None
-            else self._service_samples
-        )
-        key = (provider, service_name, digest) + self._service_epochs(
+        key = ("service", provider, service_name, digest) + self._service_epochs(
             provider, service_name
         )
-        hit = memo.get(key)
+        hit = self.memo.get(key)
         if hit is not None:
             return hit
         work: Optional[int] = None
@@ -389,16 +394,16 @@ class CostEstimator:
         except Exception:
             pass  # unknown provider/service: statistics fallback
         sample = (work, result_sizes, result_items)
-        memo[key] = sample
+        self.memo[key] = sample
         return sample
 
     def _service_epochs(self, provider: str, service_name: str) -> Tuple:
         """Epoch salt for the host documents a declarative service reads.
 
         A written host document must orphan the stale invocation sample,
-        exactly like :attr:`PlanCache.doc_sizes` keys by epoch.  While
-        nothing has been written the salt is ``()`` and keys keep their
-        read-only shape.
+        exactly like :meth:`_doc_key` keys by epoch.  While nothing has
+        been written the salt is ``()`` and keys keep their read-only
+        shape.
         """
         epochs = getattr(self.system, "doc_epochs", None)
         if not epochs:
@@ -496,37 +501,33 @@ class CostEstimator:
         that value once per (document, epoch, pick policy), giving
         :meth:`_apply_sample` exact inputs without evaluating any plan.
         """
-        epoch = self.system.doc_epoch(name)
-        key = (name, home) if not epoch else (name, home, epoch)
+        key = self._doc_key("doc_value", name, home)
         calls = self._doc_calls(name, home)
         if any(c[0] == ANY_PROVIDER for c in calls):
             # @any providers resolve through the pick policy: estimators
             # with different policies must not share a materialization
             tag = type(self.pick_policy).__name__ if self.pick_policy else ""
             key = key + (tag,)
-        memo = (
-            self.cache.doc_values if self.cache is not None else self._doc_values
-        )
-        hit = memo.get(key)
+        hit = self.memo.get(key)
         if hit is not None:
             return None if hit is False else (hit, key)
         peer = self.system.peer(home)
         if not peer.has_document(name):
-            memo[key] = False
+            self.memo[key] = False
             return None
         stored = peer.document(name)
         if not calls:
             # inert tree: the stored document IS the value (read-only use)
-            memo[key] = stored
+            self.memo[key] = stored
             return stored, key
         try:
             value = self._graft_activation(stored.copy(), home)
         except Exception:
             value = None
         if value is None:
-            memo[key] = False
+            self.memo[key] = False
             return None
-        memo[key] = value
+        self.memo[key] = value
         return value, key
 
     def _graft_activation(self, tree: Element, home: str) -> Optional[Element]:
@@ -610,13 +611,8 @@ class CostEstimator:
             value, token = materialized
             forests.append([value])
             tokens.append(token)
-        memo = (
-            self.cache.apply_samples
-            if self.cache is not None
-            else self._apply_samples
-        )
-        key = (query.source, tuple(tokens))
-        hit = memo.get(key)
+        key = ("apply", query.source, tuple(tokens))
+        hit = self.memo.get(key)
         if hit is not None:
             return hit
         try:
@@ -627,7 +623,7 @@ class CostEstimator:
         out_bytes = sum(item.serialized_size() for item in items)
         work = 1 + sum(tree_size(value) for forest in forests for value in forest)
         sample = (out_bytes, work)
-        memo[key] = sample
+        self.memo[key] = sample
         return sample
 
     def _plan_estimate(self, head: QueryRef, input_bytes: int) -> Optional[int]:
@@ -640,20 +636,13 @@ class CostEstimator:
         from ..errors import XQueryError
         from ..xquery.algebra import SourceStats, compile_query
 
-        plan = None
-        compiled = False
-        if self.cache is not None:
-            source = head.query.source
-            if source in self.cache.compiled_queries:
-                plan = self.cache.compiled_queries[source]
-                compiled = True
-        if not compiled:
+        key = ("compiled", head.query.source)
+        if key not in self.memo:
             try:
-                plan = compile_query(head.query.module)
+                self.memo[key] = compile_query(head.query.module)
             except XQueryError:
-                plan = None
-            if self.cache is not None:
-                self.cache.compiled_queries[head.query.source] = plan
+                self.memo[key] = None
+        plan = self.memo[key]
         if plan is None:
             return None
         item_bytes = 100
@@ -667,33 +656,30 @@ class CostEstimator:
     def _visit(self, expr: Expression, site: str) -> int:
         """Estimated value size at ``site``; totals accumulate as a side effect.
 
-        The memoized path records, per (subexpression fingerprint, site),
-        the returned size plus the bytes/messages/time delta this subtree
-        contributed, and replays that delta on a hit without recursing —
-        re-costing a rewritten plan therefore only walks the nodes the
-        rewrite actually changed (plus their ancestors).
+        Records, per (subexpression fingerprint, site), the returned
+        size plus the bytes/messages/time delta this subtree contributed,
+        and replays that delta on a hit without recursing — re-costing a
+        rewritten plan therefore only walks the nodes the rewrite
+        actually changed (plus their ancestors).
         """
-        cache = self.cache
-        if cache is None:
-            return self._visit_node(expr, site)
-        key = (self._memo_salt, expression_fingerprint(expr), site)
-        hit = cache.subtree_costs.get(key)
+        key = ("subtree", self._memo_salt, expression_fingerprint(expr), site)
+        hit = self.memo.get(key)
         if hit is not None:
             size, d_bytes, d_messages, d_time = hit
             self._bytes += d_bytes
             self._messages += d_messages
             self._time += d_time
-            cache.stats.estimator_hits += 1
+            self.cache.stats.estimator_hits += 1
             return size
         bytes0, messages0, time0 = self._bytes, self._messages, self._time
         size = self._visit_node(expr, site)
-        cache.subtree_costs[key] = (
+        self.memo[key] = (
             size,
             self._bytes - bytes0,
             self._messages - messages0,
             self._time - time0,
         )
-        cache.stats.estimator_misses += 1
+        self.cache.stats.estimator_misses += 1
         return size
 
     def _visit_node(self, expr: Expression, site: str) -> int:

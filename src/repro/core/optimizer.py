@@ -4,7 +4,7 @@ The search algorithms themselves live in :mod:`repro.core.strategies`
 behind the :class:`~repro.core.strategies.OptimizerStrategy` protocol,
 and candidate pricing lives in :mod:`repro.core.costmodel` behind the
 :class:`~repro.core.costmodel.CostModel` protocol; :class:`Optimizer`
-binds a system, a rule set, a cost model and a shared plan cache, and
+binds a system, a rule set, a cost model and a plan cache, and
 :meth:`Optimizer.optimize_with` runs any strategy — by registered name
 or instance — over that space.
 
@@ -60,9 +60,9 @@ class Optimizer:
         self.system = system
         self.rules = list(rules)
         self.verifier = verifier
-        #: Transposition table shared by every search space this optimizer
-        #: hands out; ``None`` means unmemoized search (see planspace).
-        self.cache = cache
+        #: The planner's stores and counters (see planspace): the
+        #: caller's, shared with whoever else holds it, or a private one.
+        self.cache = cache or PlanCache()
         #: Labeled metrics shared by every search space (rule_errors etc.).
         self.registry = registry if registry is not None else MetricsRegistry()
         self.cost_model: CostModel = make_cost_model(
@@ -70,7 +70,7 @@ class Optimizer:
             system,
             pick_policy=pick_policy,
             statistics=statistics,
-            cache=cache,
+            cache=self.cache,
             **cost_model_options,
         )
 
@@ -114,9 +114,6 @@ class Optimizer:
         else:
             result.best_cost = best_cost
         result.original_cost = original_cost
-        # spaces are fresh per search, so the whole-space traffic —
-        # including the checks just charged — is this search's delta
-        result.cache = space.metrics.copy()
         return result
 
     # -- strategy entry point --------------------------------------------------
@@ -128,6 +125,11 @@ class Optimizer:
         **options,
     ) -> OptimizationResult:
         """Run ``plan`` through a strategy named in the registry (or given)."""
+        before = self.cache.stats.copy()
         space = self.search_space(verify)
         result = make_strategy(strategy, **options).search(plan, space)
-        return self._finalize(plan, result, space)
+        result = self._finalize(plan, result, space)
+        # the search's own share of the cache's lifetime counters,
+        # final checks included
+        result.cache = self.cache.stats.delta_since(before)
+        return result

@@ -1,33 +1,42 @@
-"""Plan-space memoization: canonical fingerprints and a transposition table.
+"""Plan keys and the planner's two stores.
 
-The optimizer's rewrite space (Section 3.3) is a graph, not a tree: the
-same plan is reachable through many rule orders (apply rule A at one
-subexpression then B at another, or B then A — same plan).  Searching it
-as a tree re-costs and re-expands structurally identical plans
-exponentially often; the classic fix from cost-based optimizers (and from
-decision-diagram packages: unique canonical representatives plus an
-operation cache) is to key every plan by a *canonical fingerprint* and
-memoize per key.
+The rewrite space of Section 3.3 is a graph, not a tree: the same plan
+is reachable through many rule orders.  It is also *small* — rules
+(10)–(16) under the bytes-moved measure give 14–24 candidate plans per
+query on every ``BENCHMARK.json`` workload — so the search itself keeps
+only what one search needs (a ``visited`` set, greedy's score map; see
+:mod:`repro.core.strategies`), keyed by a *canonical fingerprint* and
+dropped with the search.  What outlives a search is two stores, both on
+:class:`PlanCache`:
+
+* the *prepared-plan table*, in front of the search: whole search
+  outcomes per (naive plan, search configuration), so a job repeating an
+  already-planned query skips the search (:func:`relabel` gives the
+  stored plan the new job's query names);
+* the *estimator memo*, behind the analytic cost model: everything
+  :class:`~repro.core.cost.CostEstimator` learns about Σ — subtree cost
+  deltas, document sizes and call profiles, service / query samples.
+
+A third layer used to sit between them — a transposition table of plan
+costs and rule expansions per fingerprint, after the unique/computed
+tables of decision-diagram packages.  Measured on one pass of each
+workload it took 1 537 + 928 stores and answered 0 lookups: ``visited``
+already skips revisits inside a search, the prepared table catches
+repeats across searches, and no strategy expands a plan twice.  It is
+gone, with its four key salts.
 
 * :func:`plan_fingerprint` — a structural digest of a plan derived from
   the XML serialization of :mod:`repro.core.serialize` (never from object
   identity), interned so equal plans share one key object;
-* :class:`PlanCache` — the transposition table: plan cost and rule
-  expansions per fingerprint, plus the :class:`~repro.core.cost.CostEstimator`'s
-  subtree/doc-size/compiled-query memos, with hit/miss/dedup counters —
-  and, in front of the search, the *prepared-plan table*: whole search
-  outcomes per (naive plan, search configuration), so a job that repeats
-  an already-planned query skips the search (:func:`relabel` gives the
-  stored plan the new job's query names);
-* :class:`CacheStats` — the counter block, snapshot-diffable so each
-  search can report exactly its own share of a shared cache's traffic.
+* :class:`CacheStats` — the planner's counters, each incremented at one
+  site; a search (or a job) reports its own share of a cache's lifetime
+  counters as a :meth:`~CacheStats.delta_since` window.
 
-One :class:`PlanCache` may be shared across strategies and across
-searches (the :class:`~repro.session.Session` and the
-:class:`~repro.workloads.harness.DifferentialHarness` both do), under one
-contract: **the cached values are only valid while Σ's observable
-statistics are stable**.  Costs are deterministic functions of (plan, Σ);
-mutate the system and the table must be :meth:`~PlanCache.clear`-ed.
+One :class:`PlanCache` may be shared across searches and sessions, under
+one contract: **the stored values are only valid while Σ's observable
+statistics are stable**.  Both stores key written documents by epoch
+(:func:`doc_epoch_signature`); any other mutation of the system calls
+for :meth:`~PlanCache.clear`.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from __future__ import annotations
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..xquery import Query
 from ..xquery.decompose import DERIVED_SUFFIX
@@ -49,11 +58,8 @@ from .expressions import (
     transform,
     walk,
 )
-from .rules import Plan, Rewrite
+from .rules import Plan
 from .serialize import expression_fingerprint
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .cost import Cost
 
 __all__ = [
     "plan_fingerprint",
@@ -62,10 +68,6 @@ __all__ = [
     "CacheStats",
     "PlanCache",
 ]
-
-#: Sentinel cached for plans the cost function cannot evaluate, so a
-#: failing candidate is not re-measured on every re-reach.
-UNEVALUABLE = object()
 
 #: Prepared plans one cache keeps; the least recently served goes first.
 PREPARED_PLANS = 256
@@ -173,19 +175,19 @@ def relabel(chosen: Plan, planned: Plan, plan: Plan) -> Plan:
 
 @dataclass
 class CacheStats:
-    """Hit/miss/dedup counters for one cache (or one search's delta).
+    """The planner's counters, over a cache's lifetime or one window of it.
 
-    ``plans_deduped`` counts candidate plans a strategy skipped because
-    their fingerprint was already processed this search; ``cost_hits``
-    are cost lookups answered from the table (each one is a cost-function
-    invocation saved); ``cost_misses`` are actual cost-function calls.
+    ``plans_scored`` counts cost-model invocations (the original plan,
+    every candidate, ``hybrid``'s final checks); ``plans_expanded``
+    counts plans run through the rule set; ``plans_deduped`` counts
+    candidates a strategy skipped because their fingerprint was already
+    processed this search.
     """
 
-    cost_hits: int = 0
-    cost_misses: int = 0
-    expand_hits: int = 0
-    expand_misses: int = 0
+    plans_scored: int = 0
+    plans_expanded: int = 0
     plans_deduped: int = 0
+    #: Subtree deltas the estimator memo replayed / had to walk.
     estimator_hits: int = 0
     estimator_misses: int = 0
     #: Searches skipped / run (then stored) / stored outcomes evicted by
@@ -194,21 +196,11 @@ class CacheStats:
     prepared_misses: int = 0
     prepared_evictions: int = 0
 
-    @property
-    def cost_calls_saved(self) -> int:
-        return self.cost_hits
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of cost lookups answered without invoking the cost fn."""
-        total = self.cost_hits + self.cost_misses
-        return self.cost_hits / total if total else 0.0
-
     def copy(self) -> "CacheStats":
         return CacheStats(**self.as_dict())
 
     def delta_since(self, baseline: "CacheStats") -> "CacheStats":
-        """Counter-wise difference (per-search share of a shared cache)."""
+        """Counter-wise difference: what happened since ``baseline``."""
         return CacheStats(
             **{
                 f.name: getattr(self, f.name) - getattr(baseline, f.name)
@@ -221,82 +213,35 @@ class CacheStats:
 
     def describe(self) -> str:
         return (
-            f"cache: {self.cost_hits} cost hits / {self.cost_misses} misses "
-            f"({self.hit_rate:.0%} hit rate), {self.plans_deduped} plans "
-            f"deduped, {self.expand_hits} expansions reused, "
+            f"planner: {self.plans_scored} plans scored, "
+            f"{self.plans_expanded} expanded, {self.plans_deduped} deduped; "
+            f"estimator memo {self.estimator_hits} hits / "
+            f"{self.estimator_misses} misses; "
             f"{self.prepared_hits} searches skipped"
         )
 
 
 class PlanCache:
-    """Transposition table over canonical plan fingerprints.
+    """The planner's two stores, and the counters of everything it did.
 
-    Stores, per plan key: the plan's cost (or an "unevaluable" verdict)
-    and, per plan key and rule set, the full list of rule rewrites; and,
-    for the static
-    :class:`~repro.core.cost.CostEstimator`, per-(subexpression, site)
-    cost deltas, per-(document, peer) sizes, and compiled logical plans
-    per query source.  In front of all of these sits the prepared-plan
-    table: per (naive plan with query names reduced to their widths,
-    doc epochs, search configuration) the whole outcome of a search —
-    at most :data:`PREPARED_PLANS` of them, least recently served
-    evicted first.  It lives under the module's one contract (valid
-    while Σ's observable statistics are stable) and :meth:`clear`
-    empties it with the other tables.  ``stats`` accumulates over the
-    cache's lifetime; callers wanting per-search numbers snapshot and
-    diff via :meth:`CacheStats.delta_since`.
+    ``_prepared`` — per (naive plan with query names reduced to their
+    widths, doc epochs, search configuration) the whole outcome of a
+    search: at most :data:`PREPARED_PLANS` of them, least recently
+    served evicted first.  ``estimates`` — the one memo of the static
+    :class:`~repro.core.cost.CostEstimator`, keyed by ``(kind, ...)``
+    tuples (see there).  Both live under the module's one contract
+    (valid while Σ's observable statistics are stable) and :meth:`clear`
+    empties both.  ``stats`` accumulates over the cache's lifetime;
+    callers wanting one search's numbers snapshot and diff via
+    :meth:`CacheStats.delta_since`.
     """
 
     def __init__(self) -> None:
         self.stats = CacheStats()
-        self._costs: Dict[str, object] = {}
-        #: (plan key, rule set) -> the rewrites those rules propose
-        self._expansions: Dict[Hashable, Tuple[Rewrite, ...]] = {}
         #: prepared-plan key -> search outcome, least recently served first
         self._prepared: "OrderedDict[Hashable, object]" = OrderedDict()
-        #: (statistics token, expression fingerprint, site) ->
-        #: (value size, bytes, msgs, time); the token keeps estimators
-        #: with different Statistics from replaying each other's deltas
-        self.subtree_costs: Dict[Tuple, Tuple[int, int, int, float]] = {}
-        #: (document name, home peer) -> serialized bytes; written
-        #: documents gain an epoch component (name, home, epoch) so a
-        #: mutation orphans the stale size instead of serving it
-        self.doc_sizes: Dict[Tuple, int] = {}
-        #: query source -> compiled logical plan (or None when uncompilable)
-        self.compiled_queries: Dict[str, object] = {}
-        #: (document name, home peer[, epoch]) -> tuple of embedded
-        #: service-call profiles (the estimator's activation model);
-        #: epoch-keyed like doc_sizes so writes orphan stale profiles
-        self.doc_profiles: Dict[Tuple, Tuple] = {}
-        #: (provider, service, params digest[, epochs]) -> sampled
-        #: invocation (work units, per-item result bytes, result items);
-        #: one deterministic sample per call site, amortized across every
-        #: candidate plan
-        self.service_samples: Dict[Tuple, Tuple] = {}
-        #: doc key -> materialized *activated* document value (or False
-        #: when the document cannot be materialized statically)
-        self.doc_values: Dict[Tuple, object] = {}
-        #: (query source, argument value keys) -> (result bytes, work
-        #: units); one deterministic apply sample per distinct input
-        self.apply_samples: Dict[Tuple, Tuple[int, int]] = {}
-
-    # -- transposition table ------------------------------------------------
-    def lookup_cost(self, key: str) -> Tuple[bool, Optional["Cost"]]:
-        """``(hit, cost)``; a hit with ``None`` means "known unevaluable"."""
-        entry = self._costs.get(key, _MISS)
-        if entry is _MISS:
-            return False, None
-        return True, None if entry is UNEVALUABLE else entry
-
-    def store_cost(self, key: str, cost: Optional["Cost"]) -> None:
-        self._costs[key] = UNEVALUABLE if cost is None else cost
-
-    def lookup_expansions(self, key: Hashable) -> Optional[List[Rewrite]]:
-        cached = self._expansions.get(key)
-        return None if cached is None else list(cached)
-
-    def store_expansions(self, key: Hashable, rewrites: List[Rewrite]) -> None:
-        self._expansions[key] = tuple(rewrites)
+        #: estimator memo key -> whatever the estimator stored under it
+        self.estimates: Dict[Tuple, object] = {}
 
     # -- prepared plans ------------------------------------------------------
     def lookup_prepared(self, key: Hashable) -> Optional[object]:
@@ -309,45 +254,27 @@ class PlanCache:
         self.stats.prepared_hits += 1
         return outcome
 
-    def store_prepared(self, key: Hashable, outcome: object) -> int:
-        """Keep ``outcome`` under ``key``; returns how many it evicted."""
+    def store_prepared(self, key: Hashable, outcome: object) -> None:
+        """Keep ``outcome`` under ``key``, evicting past :data:`PREPARED_PLANS`."""
         self._prepared[key] = outcome
-        if len(self._prepared) <= PREPARED_PLANS:
-            return 0
-        self._prepared.popitem(last=False)
-        self.stats.prepared_evictions += 1
-        return 1
+        if len(self._prepared) > PREPARED_PLANS:
+            self._prepared.popitem(last=False)
+            self.stats.prepared_evictions += 1
 
     # -- bookkeeping --------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._costs)
-
     @property
     def distinct_plans(self) -> int:
-        """Distinct plan fingerprints with a cached cost."""
-        return len(self._costs)
+        """Plans scored through this cache's searches, over its lifetime."""
+        return self.stats.plans_scored
 
     def clear(self) -> None:
         """Forget everything (call after mutating Σ); counters survive."""
-        self._costs.clear()
-        self._expansions.clear()
         self._prepared.clear()
-        self.subtree_costs.clear()
-        self.doc_sizes.clear()
-        self.compiled_queries.clear()
-        self.doc_profiles.clear()
-        self.service_samples.clear()
-        self.doc_values.clear()
-        self.apply_samples.clear()
+        self.estimates.clear()
 
     def describe(self) -> str:
         return (
-            f"{self.distinct_plans} plans cached, "
-            f"{len(self._expansions)} expansions, "
             f"{len(self._prepared)} prepared plans, "
-            f"{len(self.subtree_costs)} subtree estimates; "
+            f"{len(self.estimates)} estimator entries; "
             + self.stats.describe()
         )
-
-
-_MISS = object()

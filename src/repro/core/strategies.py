@@ -21,7 +21,6 @@ their own search without touching this module.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -40,12 +39,7 @@ from ..obs.metrics import MetricsRegistry
 from ..peers.system import AXMLSystem
 from .cost import Cost
 from .costmodel import CostModel, OracleCostModel
-from .planspace import (
-    CacheStats,
-    PlanCache,
-    doc_epoch_signature,
-    plan_fingerprint,
-)
+from .planspace import CacheStats, PlanCache, plan_fingerprint
 from .rules import DEFAULT_RULES, Plan, Rewrite, RewriteRule
 
 __all__ = [
@@ -63,12 +57,6 @@ __all__ = [
 ]
 
 CostFn = Callable[[Plan], Cost]
-
-
-def _model_token(model: CostModel) -> str:
-    """The model's cache salt ("" for models without one, oracle included)."""
-    token = getattr(model, "cache_token", None)
-    return token() if callable(token) else ""
 
 
 def improvement_ratio(original: Cost, best: Cost) -> float:
@@ -96,8 +84,10 @@ class OptimizationResult:
     trace: List[Tuple[Plan, Cost, str]] = field(default_factory=list)
     #: Name of the strategy that produced this result.
     strategy: str = ""
-    #: Plan-cache traffic attributable to this search (hits, misses,
-    #: dedup skips); ``None`` for strategies that do not report it.
+    #: What this search did (plans scored, expanded, deduped, estimator
+    #: memo traffic), filled in by :meth:`Optimizer.optimize_with
+    #: <repro.core.optimizer.Optimizer.optimize_with>`; ``None`` on the
+    #: result of a bare ``strategy.search``.
     cache: Optional[CacheStats] = None
 
     @property
@@ -122,22 +112,23 @@ class SearchSpace:
 
     Bundles the system Σ, the rule set, the cost model and the
     (optional) equivalence verifier so every strategy sees the same
-    space through the same three operations — plus, when a
-    :class:`~repro.core.planspace.PlanCache` is attached, the memoization
-    layer: :meth:`score` and :meth:`expand` are answered from the
-    transposition table when the plan's canonical fingerprint has been
-    seen before (possibly by a *different* strategy sharing the cache),
-    so each distinct plan is costed and rule-expanded at most once.
-    Cost entries are salted with the model's
-    :meth:`~repro.core.costmodel.CostModel.cache_token`, so several
-    models can share one cache over the same Σ without replaying each
-    other's scores (the oracle's token is empty — its keys stay
-    byte-identical to the historical layout).
+    space through the same three operations.  A space remembers nothing
+    about plans: every :meth:`score` invokes the cost model and every
+    :meth:`expand` runs the rules.  What one search must not do twice it
+    keeps itself, for exactly as long as it runs — beam and exhaustive a
+    ``visited`` set of plan fingerprints, greedy a score map over its
+    overlapping neighbourhoods — which needs no salt (Σ does not change
+    under a running search), no invalidation and no soundness argument.
+    Whole searches are remembered in front of the space (the
+    prepared-plan table of :mod:`repro.core.planspace`), Σ's statistics
+    behind it (the estimator memo).
 
-    ``metrics`` counts this space's cache traffic; strategies snapshot it
-    around a search to report their own delta (shared caches make the
-    cache's global counters span many searches).  ``registry`` is the
-    labeled :class:`~repro.obs.metrics.MetricsRegistry` rule-application
+    ``stats`` is where this space counts — the
+    :class:`~repro.core.planspace.PlanCache`'s lifetime counters, a
+    private block without a cache; callers wanting one search's share
+    take a :meth:`~repro.core.planspace.CacheStats.delta_since` window
+    around it.  ``registry`` is the labeled
+    :class:`~repro.obs.metrics.MetricsRegistry` rule-application
     failures are counted into (``rule_errors{rule=...}``).
     """
 
@@ -153,52 +144,18 @@ class SearchSpace:
     ) -> None:
         self.system = system
         self.rules = list(rules)
-        #: Salt of the expansions table: what a plan expands to depends on
-        #: the rule set, and spaces with different ones may share a cache
-        #: (same token as the session's prepared-plan key).
-        self._rules_token = tuple(self.rules)
         self.cost_model: CostModel = cost_model or OracleCostModel(system)
-        # computed once: spaces are constructed fresh per search
-        self._cost_token = _model_token(self.cost_model)
         self.verifier = verifier
         self.verify = verify
-        self.cache = cache
-        self.metrics = CacheStats()
+        self.stats = cache.stats if cache is not None else CacheStats()
         self.registry = registry if registry is not None else MetricsRegistry()
-
-    @property
-    def memoized(self) -> bool:
-        return self.cache is not None
-
-    def plan_key(self, plan: Plan) -> str:
-        """Canonical interned fingerprint (see :func:`plan_fingerprint`).
-
-        When any document the plan reads has been written
-        (:mod:`repro.writes`), the doc-epoch signature is folded in, so
-        memo entries recorded before the mutation simply stop matching —
-        entries for untouched documents keep their exact keys.
-        """
-        key = plan_fingerprint(plan)
-        signature = doc_epoch_signature(self.system, plan.expr)
-        if signature:
-            key = sys.intern(f"{key}|{signature}")
-        return key
 
     def note_dedup(self) -> None:
         """A strategy skipped a candidate already processed this search."""
-        self.metrics.plans_deduped += 1
-        if self.cache is not None:
-            self.cache.stats.plans_deduped += 1
+        self.stats.plans_deduped += 1
 
-    def expand(self, plan: Plan, key: Optional[str] = None) -> List[Rewrite]:
-        """Every rewrite any rule proposes for ``plan`` (memoized)."""
-        if self.cache is not None:
-            key = (key or self.plan_key(plan), self._rules_token)
-            cached = self.cache.lookup_expansions(key)
-            if cached is not None:
-                self.metrics.expand_hits += 1
-                self.cache.stats.expand_hits += 1
-                return cached
+    def expand(self, plan: Plan) -> List[Rewrite]:
+        """Every rewrite any rule proposes for ``plan``."""
         rewrites: List[Rewrite] = []
         for rule in self.rules:
             try:
@@ -211,95 +168,48 @@ class SearchSpace:
                     "rule_errors", rule=getattr(rule, "name", type(rule).__name__)
                 ).inc()
                 continue
-        self.metrics.expand_misses += 1
-        if self.cache is not None:
-            self.cache.stats.expand_misses += 1
-            self.cache.store_expansions(key, rewrites)
+        self.stats.plans_expanded += 1
         return rewrites
 
-    def _cost_key(self, key: str, token: str) -> str:
-        """Cost-table key for ``key`` under a model's cache ``token``."""
-        if not token:
-            return key
-        return sys.intern(f"{key}#{token}")
-
     def _scored(
-        self, plan: Plan, key: Optional[str], token: str, scorer: CostFn
+        self, plan: Plan, scorer: CostFn, strict: bool = False
     ) -> Optional[Cost]:
-        """Memoized ``scorer(plan)`` under ``token``-salted cache keys."""
-        ckey = None
-        if self.cache is not None:
-            key = key or self.plan_key(plan)
-            ckey = self._cost_key(key, token)
-            hit, cached = self.cache.lookup_cost(ckey)
-            if hit:
-                self.metrics.cost_hits += 1
-                self.cache.stats.cost_hits += 1
-                return cached
-        try:
-            cost: Optional[Cost] = scorer(plan)
-        except Exception:
-            cost = None  # unevaluable candidate (e.g. undefined send)
-        self.metrics.cost_misses += 1
-        if self.cache is not None:
-            self.cache.stats.cost_misses += 1
-            self.cache.store_cost(ckey, cost)
-        return cost
+        """``scorer(plan)``, counted; ``None`` when the plan is unevaluable.
 
-    def score(self, plan: Plan, key: Optional[str] = None) -> Optional[Cost]:
-        """Cost of ``plan`` (``None`` when unevaluable), memoized.
-
-        A table hit — including a hit on the "unevaluable" verdict — is a
-        cost-function invocation saved.
+        ``strict`` is the original-plan contract: churn's *typed*
+        verdicts surface (FragmentUnavailableError when the last copy
+        died, PeerDownError when the site left) and any other failure is
+        the classic optimizer-level "not evaluable".
         """
-        return self._scored(plan, key, self._cost_token, self.cost_model.score)
+        self.stats.plans_scored += 1
+        try:
+            return scorer(plan)
+        except (FragmentUnavailableError, PeerDownError):
+            if strict:
+                raise
+        except Exception:
+            pass  # unevaluable candidate (e.g. undefined send)
+        if strict:
+            raise OptimizerError("the original plan is not evaluable")
+        return None
+
+    def score(self, plan: Plan, strict: bool = False) -> Optional[Cost]:
+        """Search-time cost of ``plan`` (``None`` when unevaluable)."""
+        return self._scored(plan, self.cost_model.score, strict)
 
     def score_original(self, plan: Plan) -> Cost:
-        cost = self.score(plan)
-        if cost is None:
-            # Re-run the cost function outside the catch-all so churn's
-            # *typed* verdicts surface (FragmentUnavailableError when the
-            # last copy died, PeerDownError when the site left) — cached
-            # unevaluable verdicts would otherwise swallow them.  Any
-            # other failure keeps the classic optimizer-level verdict.
-            try:
-                self.cost_model.score(plan)
-            except (FragmentUnavailableError, PeerDownError):
-                raise
-            except Exception:
-                pass
-            raise OptimizerError("the original plan is not evaluable")
-        return cost
+        """Cost of the plan a search starts from, which must be evaluable."""
+        return self.score(plan, strict=True)
 
     def check_cost(self, plan: Plan, strict: bool = False) -> Optional[Cost]:
         """Exact post-search judgment of ``plan`` (hybrid's oracle check).
 
-        Models with ``final_check`` expose a ``check(plan)`` scorer; its
-        results are memoized under the checker's own cache token
-        (``check_token``, the oracle's empty token for ``hybrid``), so a
-        hybrid run's final checks share entries with pure-oracle runs
-        over the same cache.  ``strict`` re-raises the checker's typed
-        availability errors and turns any other failure into the classic
-        "not evaluable" verdict — the original-plan contract.
+        Models with ``final_check`` expose a ``check(plan)`` scorer;
+        others are judged by their own score.  ``strict`` is
+        :meth:`score_original`'s contract.
         """
-        checker = getattr(self.cost_model, "check", None)
-        if checker is None:
-            if strict:
-                return self.score_original(plan)
-            return self.score(plan)
-        token = self.cost_model.check_token() if hasattr(
-            self.cost_model, "check_token"
-        ) else ""
-        cost = self._scored(plan, None, token, checker)
-        if cost is None and strict:
-            try:
-                checker(plan)
-            except (FragmentUnavailableError, PeerDownError):
-                raise
-            except Exception:
-                pass
-            raise OptimizerError("the original plan is not evaluable")
-        return cost
+        checker = getattr(self.cost_model, "check", self.cost_model.score)
+        return self._scored(plan, checker, strict)
 
     def admissible(self, original: Plan, candidate: Plan) -> bool:
         """Equivalence check gate, active only in ``verify`` mode."""
@@ -333,13 +243,12 @@ class BeamSearchStrategy:
         self.beam = beam
 
     def search(self, plan: Plan, space: SearchSpace) -> OptimizationResult:
-        metrics_baseline = space.metrics.copy()
         original_cost = space.score_original(plan)
         # visited is part of the algorithm (revisits waste beam slots),
         # keyed on canonical fingerprints so plans reached by different
         # rewrite orders — or differing only in tree-literal identity —
         # count as one.
-        visited = {space.plan_key(plan)}
+        visited = {plan_fingerprint(plan)}
         trace: List[Tuple[Plan, Cost, str]] = [(plan, original_cost, "original")]
         frontier: List[Tuple[Cost, Plan]] = [(original_cost, plan)]
         best_plan, best_cost = plan, original_cost
@@ -349,11 +258,11 @@ class BeamSearchStrategy:
             candidates: List[Tuple[Cost, Plan, str]] = []
             for _, current in frontier:
                 for rewrite in space.expand(current):
-                    key = space.plan_key(rewrite.plan)
+                    key = plan_fingerprint(rewrite.plan)
                     if key in visited:
                         space.note_dedup()
                         continue
-                    cost = space.score(rewrite.plan, key)
+                    cost = space.score(rewrite.plan)
                     if cost is None:
                         continue
                     if not space.admissible(plan, rewrite.plan):
@@ -379,7 +288,6 @@ class BeamSearchStrategy:
             explored=explored,
             trace=trace,
             strategy=self.name,
-            cache=space.metrics.delta_since(metrics_baseline),
         )
 
 
@@ -392,18 +300,22 @@ class GreedyStrategy:
         self.max_steps = max_steps
 
     def search(self, plan: Plan, space: SearchSpace) -> OptimizationResult:
-        metrics_baseline = space.metrics.copy()
         original_cost = space.score_original(plan)
         current, current_cost = plan, original_cost
         trace: List[Tuple[Plan, Cost, str]] = [(plan, original_cost, "original")]
         explored = 1
+        # hill climbing deliberately re-visits its whole neighborhood each
+        # step (a revisit is explored and traced again), and consecutive
+        # neighborhoods overlap: the map keeps a revisit from being
+        # re-scored
+        scores: Dict[str, Optional[Cost]] = {plan_fingerprint(plan): original_cost}
         for _ in range(self.max_steps):
             best_step: Optional[Tuple[Cost, Plan, str]] = None
-            # hill climbing deliberately re-scores its whole neighborhood
-            # each step; with a plan cache the heavy overlap between
-            # consecutive neighborhoods becomes table hits.
             for rewrite in space.expand(current):
-                cost = space.score(rewrite.plan)
+                key = plan_fingerprint(rewrite.plan)
+                if key not in scores:
+                    scores[key] = space.score(rewrite.plan)
+                cost = scores[key]
                 if cost is None:
                     continue
                 if not space.admissible(plan, rewrite.plan):
@@ -425,7 +337,6 @@ class GreedyStrategy:
             explored=explored,
             trace=trace,
             strategy=self.name,
-            cache=space.metrics.delta_since(metrics_baseline),
         )
 
 
@@ -440,12 +351,10 @@ class ExhaustiveStrategy:
 
     A per-search visited set (canonical fingerprints) keeps the BFS on
     *distinct* plans whatever rewrite order reaches them — so the
-    ``max_plans`` budget is spent on genuinely new plans and the chosen
-    best is independent of memoization.  What the transposition table
-    adds on top is cross-search reuse: a second strategy (or a second
-    query over the same Σ) re-costs nothing the table already holds,
-    while an unmemoized space pays the full cost function every time —
-    the gap ``benchmarks/bench_p1_planspace.py`` quantifies.
+    ``max_plans`` budget is spent on genuinely new plans, each scored
+    and expanded once.  Nothing is carried to the next search: a
+    repeated query is the prepared-plan table's business
+    (:mod:`repro.core.planspace`), not the enumeration's.
     """
 
     name = "exhaustive"
@@ -455,9 +364,8 @@ class ExhaustiveStrategy:
         self.max_plans = max_plans
 
     def search(self, plan: Plan, space: SearchSpace) -> OptimizationResult:
-        metrics_baseline = space.metrics.copy()
         original_cost = space.score_original(plan)
-        visited = {space.plan_key(plan)}
+        visited = {plan_fingerprint(plan)}
         trace: List[Tuple[Plan, Cost, str]] = [(plan, original_cost, "original")]
         frontier: List[Plan] = [plan]
         best_plan, best_cost = plan, original_cost
@@ -471,11 +379,11 @@ class ExhaustiveStrategy:
                 for rewrite in space.expand(current):
                     if explored >= self.max_plans:
                         break
-                    key = space.plan_key(rewrite.plan)
+                    key = plan_fingerprint(rewrite.plan)
                     if key in visited:
                         space.note_dedup()
                         continue
-                    cost = space.score(rewrite.plan, key)
+                    cost = space.score(rewrite.plan)
                     if cost is None:
                         continue
                     if not space.admissible(plan, rewrite.plan):
@@ -498,7 +406,6 @@ class ExhaustiveStrategy:
             explored=explored,
             trace=trace,
             strategy=self.name,
-            cache=space.metrics.delta_since(metrics_baseline),
         )
 
 

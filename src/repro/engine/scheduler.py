@@ -45,7 +45,6 @@ from random import Random
 from time import perf_counter as _perf_counter
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple, Union
 
-from ..core.planspace import CacheStats
 from ..errors import ReproError, SessionError
 from ..obs.metrics import MetricsRegistry
 from ..peers.registry import POLICIES, PickPolicy
@@ -217,10 +216,10 @@ class Scheduler:
             _ChargingPolicy(self.admission, self)
         )
         target = self._target = evaluator.system
-        if not self.session.isolate and self.session.plan_cache is not None:
-            # serving will mutate the live Σ; start planning from a
-            # coherent table and let it warm over the run itself
-            self.session.plan_cache.clear()
+        if not self.session.isolate:
+            # serving will mutate the live Σ; start planning from
+            # coherent stores and let them warm over the run itself
+            self.session.optimizer.cache.clear()
         tracer = self.session.tracer
         try:
             if feed is not None:
@@ -315,17 +314,17 @@ class Scheduler:
 
         The actor observes the serving Σ and may mutate the catalog
         (replicas, migrations, churn failover).  Any action invalidates
-        cached plan expansions — fragment rewrites bake catalog state in
-        — so the session's plan cache is cleared before the next
-        admission plans.  The next tick is only scheduled while other
-        events remain, so a quiescent heap drains instead of ticking
-        forever.
+        prepared plans and estimates — fragment rewrites and replica
+        picks bake catalog state in — so the session's plan cache is
+        cleared before the next admission plans.  The next tick is only
+        scheduled while other events remain, so a quiescent heap drains
+        instead of ticking forever.
         """
         notes = self.actor.on_tick(target, now)
         for note in notes:
             self._note(now, note)
-        if notes and self.session.plan_cache is not None:
-            self.session.plan_cache.clear()
+        if notes:
+            self.session.optimizer.cache.clear()
         if self._heap:
             self._push(now + self.actor.interval, _TICK, None)
 
@@ -401,7 +400,6 @@ class Scheduler:
         span at the admission instant, carrying the search stats (and
         the wall cost) as attributes; then the wait for the site CPU.
         """
-        cache = report.plan_cache or CacheStats()
         tracer.record(
             "plan",
             "plan",
@@ -411,8 +409,7 @@ class Scheduler:
             cost_model=getattr(self.session.cost_model, "name", "custom"),
             explored=report.explored,
             site=report.plan.site,
-            cache_hits=cache.cost_hits + cache.expand_hits,
-            prepared=cache.prepared_hits > 0,
+            prepared=report.plan_cache.prepared_hits > 0,
             wall_ms=(_perf_counter() - plan_wall) * 1000.0,
         )
         if started_at > now:

@@ -13,12 +13,12 @@ on the **virtual clock**.  Recording is purely observational:
   are byte-identical to an untraced run (differential-tested).
 
 The span tree mirrors a job's causal phases: a ``job`` root covering
-arrival → settle, with ``plan`` (cache hits, strategy, plans explored),
-``queue`` (admission + CPU waits), and ``eval`` children — the ``eval``
-span owning one leaf per transfer hop (bytes included), per CPU charge,
-per retry-backoff window, and per injected stall/hang.  Run-level spans
-(placement actions, fault windows, scheduler marks) live next to the
-jobs on :attr:`Trace.run`.
+arrival → settle, with ``plan`` (prepared or searched, strategy, plans
+explored), ``queue`` (admission + CPU waits), and ``eval`` children —
+the ``eval`` span owning one leaf per transfer hop (bytes included),
+per CPU charge, per retry-backoff window, and per injected stall/hang.
+Run-level spans (placement actions, fault windows, scheduler marks)
+live next to the jobs on :attr:`Trace.run`.
 """
 
 from __future__ import annotations

@@ -75,7 +75,6 @@ from .core.rules import DEFAULT_RULES, Plan, RewriteRule
 from .core.strategies import (
     OptimizationResult,
     OptimizerStrategy,
-    _model_token,
     improvement_ratio,
     make_strategy,
 )
@@ -144,13 +143,11 @@ class ExecutionReport:
     network: Dict[str, object] = field(default_factory=dict)
     #: Per-peer stats: traffic attribution plus compute counters.
     peers: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    #: Search-cache counters for this run (hits / misses / plans
-    #: deduped).  Always populated by the built-in strategies —
-    #: ``cost_misses`` counts actual cost-function invocations even when
-    #: memoization is disabled (hits are then simply zero); ``None``
-    #: only for third-party strategies that do not report metrics.  A
-    #: run served from the prepared-plan table made no lookups at all:
-    #: ``prepared_hits`` is 1 and everything else 0.
+    #: What planning this run did: plans scored (actual cost-model
+    #: invocations), expanded and deduped, estimator-memo traffic,
+    #: prepared-table traffic.  A run served from the prepared-plan
+    #: table scored nothing: ``prepared_hits`` is 1 and everything else
+    #: 0.  Set on every report a :class:`Session` hands out.
     plan_cache: Optional[CacheStats] = None
     #: Provenance of a degraded answer (:class:`repro.faults.PartialAnswer`)
     #: when the run executed with ``partial=True`` under faults and lost
@@ -214,11 +211,7 @@ class ExecutionReport:
                     f"  peer {peer_id:12s} {traffic.describe()}, "
                     f"work {stats.get('work_done', 0)}"
                 )
-        if self.plan_cache is not None and (
-            self.plan_cache.cost_hits
-            or self.plan_cache.plans_deduped
-            or self.plan_cache.expand_hits
-        ):
+        if self.plan_cache is not None and self.plan_cache.plans_deduped:
             lines.append(f"{'':13s}{self.plan_cache.describe()}")
         if include_trace is None:
             include_trace = bool(self.trace)
@@ -272,24 +265,23 @@ class Session:
         live system; the system is then :meth:`~AXMLSystem.reset` before
         each run so the report's accounting covers exactly that run.
     plan_cache:
-        The plan-space transposition table
-        (:class:`~repro.core.planspace.PlanCache`).  By default the
-        session creates its own, so every distinct plan is costed and
-        rule-expanded at most once per search — and, because isolated
-        runs never mutate Σ, the table keeps paying off across runs:
-        a job repeating an already-planned query (same text, site,
-        bindings and name width, same document epochs) skips the search
-        altogether and runs the *prepared plan*, relabelled with its own
-        query names.  Pass an existing cache to share it between
-        sessions over the *same* system state (prepared plans are keyed
-        by the session's search configuration, so differently configured
-        sessions never serve each other's), or ``plan_cache=None`` to
-        disable memoization entirely (debugging aid: same best plans,
-        but every search re-costs and re-expands the whole space from
-        scratch).  Sessions with ``isolate=False`` clear the table
-        before each run, since executions mutate Σ; sessions with
-        ``verify=True`` or ``trace=True`` always search, because they
-        report what only a search produces.
+        The planner's stores (:class:`~repro.core.planspace.PlanCache`):
+        the prepared-plan table and the estimator memo.  By default the
+        session creates its own, and, because isolated runs never
+        mutate Σ, it pays off across runs: a job repeating an
+        already-planned query (same text, site, bindings and name
+        width, same document epochs) skips the search altogether and
+        runs the *prepared plan*, relabelled with its own query names.
+        Pass an existing cache to share it between sessions over the
+        *same* system state (prepared plans are keyed by the session's
+        search configuration, so differently configured sessions never
+        serve each other's), or ``plan_cache=None`` for no prepared
+        table: every job is searched (same best plans, at a search
+        each; the estimator then keeps a private memo).  Sessions with
+        ``isolate=False`` clear the stores before each run, since
+        executions mutate Σ; sessions with ``verify=True`` or
+        ``trace=True`` always search, because they report what only a
+        search produces.
     """
 
     def __init__(
@@ -348,8 +340,7 @@ class Session:
             plan_cache = PlanCache()
         self.plan_cache = plan_cache
         #: Equivalence verdicts of the job being planned, keyed by the
-        #: pair of ``SearchSpace.plan_key`` values (content fingerprint +
-        #: doc-epoch signature), so the finally chosen plan is not
+        #: pair of plan fingerprints, so the finally chosen plan is not
         #: re-verified after the search already checked it
         #: (check_equivalence is the slow, evaluate-both-sides path).
         self._verify_cache: Dict[Tuple[str, str], VerificationResult] = {}
@@ -374,8 +365,7 @@ class Session:
         self.cost_model = self.optimizer.cost_model
 
     def _check_equivalence(self, left: Plan, right: Plan) -> VerificationResult:
-        space = self.optimizer.search_space()
-        key = (space.plan_key(left), space.plan_key(right))
+        key = (plan_fingerprint(left), plan_fingerprint(right))
         result = self._verify_cache.get(key)
         if result is None:
             result = check_equivalence(left, right, self.system, self.pick_policy)
@@ -583,10 +573,10 @@ class Session:
         ``self.system`` — that is the point.
 
         The plan cache is deliberately *not* cleared: the write bumps
-        the touched documents' epochs, and epoch-salted cache keys
+        the touched documents' epochs, and epoch-salted keys
         (:func:`repro.core.planspace.doc_epoch_signature`) orphan
-        exactly the stale entries while every other document's memos
-        keep serving hits.
+        exactly the stale prepared plans and estimates while every
+        other document's keep serving hits.
         """
         from .writes import DocumentWriter
 
@@ -774,6 +764,7 @@ class Session:
         policy, and which Σ.
         """
         model = self.cost_model
+        token = getattr(model, "cache_token", None)
         strategy = self.strategy
         options = getattr(strategy, "__dict__", None)
         return (
@@ -783,7 +774,7 @@ class Session:
             type(strategy),
             strategy if options is None else repr(sorted(options.items())),
             model.name,
-            _model_token(model),
+            token() if callable(token) else "",
             tuple(self.optimizer.rules),
             self.pick_policy,
             self.system,
@@ -806,6 +797,9 @@ class Session:
         search would have produced.
         """
         self._verify_cache.clear()  # verdicts are per job: Σ may have changed
+        # this job's planning is whatever the counters move by from here
+        stats = self.optimizer.cache.stats
+        before = stats.copy()
         # verify and trace ask for a search's by-products; no table keeps those
         table = None if self.verify or self.trace else self.plan_cache
         key = prepared = None
@@ -815,18 +809,13 @@ class Session:
         with self._phase("optimize"):
             if prepared is not None:
                 planned, found = prepared
-                result = replace(
-                    found,
-                    best=relabel(found.best, planned, plan),
-                    cache=CacheStats(prepared_hits=1),
-                )
+                result = replace(found, best=relabel(found.best, planned, plan))
             elif optimize:
                 result = self.optimizer.optimize_with(
                     self.strategy, plan, verify=self.verify
                 )
             else:
-                space = self.optimizer.search_space()
-                cost = space.score_original(plan)
+                cost = self.optimizer.search_space().score_original(plan)
                 result = OptimizationResult(
                     best=plan,
                     best_cost=cost,
@@ -834,16 +823,11 @@ class Session:
                     explored=1,
                     trace=[(plan, cost, "original")],
                     strategy="none",
-                    cache=space.metrics.copy(),
                 )
         if table is not None and prepared is None:
-            # without the trace and the counters: they pin every plan scored
-            evicted = table.store_prepared(
-                key, (plan, replace(result, trace=[], cache=None))
-            )
-            if result.cache is not None:
-                result.cache.prepared_misses = 1
-                result.cache.prepared_evictions = evicted
+            # without the trace (it pins every plan scored) and the
+            # counters (they are this job's)
+            table.store_prepared(key, (plan, replace(result, trace=[], cache=None)))
         verification: Optional[VerificationResult] = None
         if self.verify:
             if result.best is plan:
@@ -862,7 +846,7 @@ class Session:
             trace=list(result.trace) if self.trace else [],
             verification=verification,
             decomposition=decomposition,
-            plan_cache=result.cache,
+            plan_cache=stats.delta_since(before),
         )
 
     def _pipeline(
@@ -876,9 +860,10 @@ class Session:
         deadline: Optional[float] = None,
         partial: bool = False,
     ) -> ExecutionReport:
-        if self.plan_cache is not None and not self.isolate:
-            # non-isolated executions mutate Σ, so cached costs are stale
-            self.plan_cache.clear()
+        if not self.isolate:
+            # non-isolated executions mutate Σ: prepared plans and
+            # estimates are stale
+            self.optimizer.cache.clear()
         report = self._plan_report(plan, optimize, source, name, decomposition)
         if execute:
             evaluator = self._evaluator(self.pick_policy)

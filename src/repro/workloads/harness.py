@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.cost import Cost, CostEstimator, measure
-from ..core.planspace import CacheStats, PlanCache
+from ..core.planspace import PlanCache
 from ..core.strategies import improvement_ratio
 from ..errors import (
     DifferentialMismatchError,
@@ -234,9 +234,6 @@ class ScenarioReport:
 
     scenario: Scenario
     results: List[QueryDifferential] = field(default_factory=list)
-    #: Plan-cache counters for the scenario's shared transposition table
-    #: (``None`` when the harness ran with ``share_plan_cache=False``).
-    cache_stats: Optional[CacheStats] = None
 
     @property
     def ok(self) -> bool:
@@ -253,13 +250,10 @@ class ScenarioReport:
             for result in self.results
             for outcome in result.outcomes.values()
         )
-        line = (
+        return (
             f"{self.scenario.describe()}: {verdict} "
             f"({len(self.results)} queries, {explored} plans scored)"
         )
-        if self.cache_stats is not None and self.cache_stats.cost_hits:
-            line += f" [{self.cache_stats.describe()}]"
-        return line
 
 
 @dataclass
@@ -289,23 +283,12 @@ class HarnessReport:
             for outcome in result.outcomes.values()
         )
 
-    @property
-    def cost_calls_saved(self) -> int:
-        """Cost-function invocations the shared plan caches absorbed."""
-        return sum(
-            report.cache_stats.cost_hits
-            for report in self.reports
-            if report.cache_stats is not None
-        )
-
     def describe(self) -> str:
         verdict = "ok" if self.ok else f"{len(self.mismatches)} MISMATCHES"
-        saved = self.cost_calls_saved
-        saved_note = f", {saved} cost calls saved" if saved else ""
         lines = [
             f"differential sweep: {len(self.reports)} scenarios, "
             f"{self.queries_checked} queries, {self.plans_explored} plans "
-            f"scored{saved_note} -> {verdict}"
+            f"scored -> {verdict}"
         ]
         for mismatch in self.mismatches:
             lines.append(mismatch.describe())
@@ -600,16 +583,6 @@ class DifferentialHarness:
     minimize:
         Shrink mismatching scenarios (halving document sizes while the
         disagreement still reproduces) before recording them.
-    share_plan_cache:
-        When true (default), every (query, strategy) cell of one
-        scenario shares one
-        :class:`~repro.core.planspace.PlanCache`: the strategies search
-        the same rewrite space over the same (never-mutated, isolated)
-        Σ, so each distinct plan is costed and rule-expanded once for
-        the whole scenario instead of once per strategy.  The cache is
-        scoped strictly per scenario — a *shrunk* scenario regenerates
-        the same peer and document names with different contents, so
-        sharing across scenarios would serve stale costs.
     """
 
     def __init__(
@@ -619,7 +592,6 @@ class DifferentialHarness:
         pick_policy=None,
         repro_dir: Optional[str] = "workload-repros",
         minimize: bool = True,
-        share_plan_cache: bool = True,
     ) -> None:
         if len(strategies) < 2:
             raise WorkloadError(
@@ -635,39 +607,23 @@ class DifferentialHarness:
         self.pick_policy = pick_policy
         self.repro_dir = repro_dir
         self.minimize = minimize
-        self.share_plan_cache = share_plan_cache
 
     # -- running -----------------------------------------------------------------
-    def _session(
-        self,
-        system,
-        strategy: str,
-        plan_cache: Optional[PlanCache] = None,
-        **session_kwargs,
-    ) -> Session:
-        """A session searching with ``strategy`` under the harness's options.
-
-        ``plan_cache`` shares a transposition table with other cells;
-        without one the session keeps a private cache.
-        """
+    def _session(self, system, strategy: str, **session_kwargs) -> Session:
+        """A session searching with ``strategy`` under the harness's options."""
         return Session(
             system,
             strategy=strategy,
             strategy_options=self.strategy_options.get(strategy),
             pick_policy=self.pick_policy,
-            plan_cache=plan_cache if plan_cache is not None else "auto",
             **session_kwargs,
         )
 
     def run_query(
-        self,
-        scenario: Scenario,
-        query: GeneratedQuery,
-        strategy: str,
-        plan_cache: Optional[PlanCache] = None,
+        self, scenario: Scenario, query: GeneratedQuery, strategy: str
     ) -> StrategyOutcome:
         """One (query, strategy) cell: run through the façade, canonicalize."""
-        session = self._session(scenario.system, strategy, plan_cache)
+        session = self._session(scenario.system, strategy)
         report = session.query(**query.kwargs())
         answers = tuple(
             sorted(repr(canonical_form(item)) for item in report.items)
@@ -681,15 +637,10 @@ class DifferentialHarness:
         )
 
     def check_query(
-        self,
-        scenario: Scenario,
-        query: GeneratedQuery,
-        plan_cache: Optional[PlanCache] = None,
+        self, scenario: Scenario, query: GeneratedQuery
     ) -> QueryDifferential:
-        if plan_cache is None and self.share_plan_cache:
-            plan_cache = PlanCache()
         outcomes = {
-            strategy: self.run_query(scenario, query, strategy, plan_cache)
+            strategy: self.run_query(scenario, query, strategy)
             for strategy in self.strategies
         }
         result = QueryDifferential(query=query, outcomes=outcomes)
@@ -700,14 +651,8 @@ class DifferentialHarness:
 
     def check_scenario(self, scenario: Scenario) -> ScenarioReport:
         report = ScenarioReport(scenario=scenario)
-        plan_cache = PlanCache() if self.share_plan_cache else None
         for query in scenario.queries:
-            report.results.append(
-                self.check_query(scenario, query, plan_cache)
-            )
-        report.cache_stats = (
-            plan_cache.stats.copy() if plan_cache is not None else None
-        )
+            report.results.append(self.check_query(scenario, query))
         return report
 
     def check(
@@ -732,10 +677,7 @@ class DifferentialHarness:
 
     # -- fragmented sweeps ---------------------------------------------------------
     def check_fragmented_query(
-        self,
-        scenario: Scenario,
-        query: GeneratedQuery,
-        plan_cache: Optional[PlanCache] = None,
+        self, scenario: Scenario, query: GeneratedQuery
     ) -> ParityResult:
         """Byte-compare one fragmented query against its baseline.
 
@@ -757,10 +699,8 @@ class DifferentialHarness:
             query.source, query.at, bind=baseline_bind, name=query.name
         )
         result = ParityResult(query, tuple(baseline.answers))
-        if plan_cache is None and self.share_plan_cache:
-            plan_cache = PlanCache()
         for strategy in self.strategies:
-            session = self._session(scenario.system, strategy, plan_cache)
+            session = self._session(scenario.system, strategy)
             report = session.query(**query.kwargs())
             result.answers[strategy] = tuple(report.answers)
         return result
@@ -779,12 +719,11 @@ class DifferentialHarness:
         report = ParitySweepReport("fragmented", "the whole-document baseline")
         for scenario in scenarios:
             report.scenarios += 1
-            plan_cache = PlanCache() if self.share_plan_cache else None
             for query in scenario.queries:
                 if not any(t.endswith("@dist") for _, t in query.bind):
                     continue
                 report.results.append(
-                    self.check_fragmented_query(scenario, query, plan_cache)
+                    self.check_fragmented_query(scenario, query)
                 )
             if raise_on_mismatch:
                 report.raise_on_failure(scenario)
@@ -915,13 +854,17 @@ class DifferentialHarness:
             if exact.scalar() > 0:
                 report.ratios.append(estimate.scalar() / exact.scalar())
             for strategy in self.strategies:
-                # one cache per cell-row: the models salt their entries,
-                # so sharing is safe — and exactly what sessions do
-                plan_cache = PlanCache() if self.share_plan_cache else None
+                # one cache per cell-row, so the estimator memo is filled
+                # once for both estimating models; prepared plans are
+                # salted per model, so sharing is safe
+                plan_cache = PlanCache()
                 answers = {}
                 for model in cost_models:
                     session = self._session(
-                        scenario.system, strategy, plan_cache, cost_model=model
+                        scenario.system,
+                        strategy,
+                        plan_cache=plan_cache,
+                        cost_model=model,
                     )
                     cell = session.query(**query.kwargs())
                     answers[model] = tuple(cell.answers)

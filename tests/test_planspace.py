@@ -1,5 +1,8 @@
-"""Plan-space memoization: fingerprints, the transposition table, and the
-cache-on/cache-off contract (same plans, fewer cost calls)."""
+"""Plan keys, the planner's two stores (prepared plans, estimator memo),
+what one search remembers on its own, and the cache-on/cache-off contract
+(same plans either way)."""
+
+from collections.abc import Sized
 
 import pytest
 
@@ -20,17 +23,12 @@ from repro.core import (
     expression_fingerprint,
     plan_fingerprint,
 )
-from repro.core.cost import CostEstimator, Statistics
+from repro.core.cost import Cost, CostEstimator, Statistics
 from repro.core.expressions import PeerDest
-from repro.core.strategies import BeamSearchStrategy
+from repro.errors import FragmentUnavailableError
 from repro.session import Session, connect
 from repro.peers import AXMLSystem
-from repro.workloads import (
-    QUERY_SHAPES,
-    DifferentialHarness,
-    ScenarioGenerator,
-    ScenarioSpec,
-)
+from repro.workloads import QUERY_SHAPES, ScenarioGenerator, ScenarioSpec
 from repro.xmlcore import parse
 from repro.xquery import Query
 
@@ -133,51 +131,106 @@ class TestFingerprints:
         assert len(seen) == len(scenario.queries)
 
 
+QUERY = "for $i in $d//item where $i/price > 30 return $i/name"
+
+
+def count_measures(monkeypatch):
+    """Count oracle simulations from here on; returns the live tally."""
+    from repro.core import costmodel
+
+    calls = []
+    real = costmodel.measure
+    monkeypatch.setattr(
+        costmodel, "measure", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    return calls
+
+
 class TestPlanCache:
-    def test_cost_roundtrip_and_unevaluable(self):
-        cache = PlanCache()
-        key = plan_fingerprint(naive_plan())
-        hit, _ = cache.lookup_cost(key)
-        assert not hit
-        cache.store_cost(key, None)  # known-unevaluable is a cachable verdict
-        hit, cost = cache.lookup_cost(key)
-        assert hit and cost is None
+    def test_fresh_cache_is_truthy(self):
+        # a falsy empty cache would be dropped by any `cache or default`
+        assert bool(PlanCache())
 
     def test_clear_keeps_counters(self):
         cache = PlanCache()
-        cache.store_cost("k", None)
-        cache.stats.cost_hits = 3
+        cache.store_prepared("k", object())
+        cache.stats.plans_scored = 3
         cache.clear()
-        assert len(cache) == 0
-        assert cache.stats.cost_hits == 3
+        assert cache.lookup_prepared("k") is None
+        assert cache.stats.plans_scored == cache.distinct_plans == 3
 
-    def test_search_space_memoizes_cost_and_expansion(self, system):
-        cache = PlanCache()
-        space = SearchSpace(system, cache=cache)
-        plan = naive_plan()
-        first = space.score(plan)
-        second = space.score(plan)
-        assert first == second
-        assert space.metrics.cost_misses == 1
-        assert space.metrics.cost_hits == 1
-        one = space.expand(plan)
-        two = space.expand(plan)
-        assert [r.plan.describe() for r in one] == [
-            r.plan.describe() for r in two
-        ]
-        assert space.metrics.expand_misses == 1
-        assert space.metrics.expand_hits == 1
+    def test_clear_empties_every_store(self, system):
+        """Two stores, and ``clear()`` knows both: a container added to
+        the cache later fails here until ``clear()`` empties it too."""
+        session = Session(system, cost_model="analytic")
+        session.query(QUERY, at="client", bind={"d": "cat@data"})
+        cache = session.plan_cache
+        stores = {k: v for k, v in vars(cache).items() if isinstance(v, Sized)}
+        assert set(stores) == {"_prepared", "estimates"}
+        assert set(vars(cache)) - set(stores) == {"stats"}
+        assert all(len(store) > 0 for store in stores.values())
+        cache.clear()
+        assert all(len(store) == 0 for store in stores.values())
 
-    def test_cache_shared_across_spaces(self, system):
-        """A second strategy over the same system re-uses the first's work."""
-        cache = PlanCache()
-        optimizer = Optimizer(system, cache=cache)
-        plan = naive_plan()
-        optimizer.optimize_with(ExhaustiveStrategy(depth=2), plan)
-        result = optimizer.optimize_with(BeamSearchStrategy(depth=2), plan)
-        # beam's whole (shallower) search is covered by exhaustive's table
-        assert result.cache.cost_misses == 0
-        assert result.cache.cost_hits > 0
+
+class TestOneSearchRemembers:
+    """What the deleted cost table did for a single search, the search
+    now does for itself."""
+
+    def test_greedy_never_rescores_an_overlapping_neighbourhood(self, monkeypatch):
+        # the bench's serve scenario; 40 is the parent commit's count
+        # with its cost table, 45 is every revisit re-simulated
+        spec = ScenarioSpec(
+            peers=6, topology="mesh", documents=4, axml_documents=1,
+            items=20, services=2, replicas=2, queries=6,
+        )
+        scenario = ScenarioGenerator(seed=7, spec=spec).scenario(0)
+        calls = count_measures(monkeypatch)
+        explored = 0
+        for query in scenario.queries:
+            session = Session(scenario.system, strategy="greedy", plan_cache=None)
+            report = session.explain(
+                query.source, at=query.at, bind=query.bindings, name=query.name
+            )
+            assert report.plan_cache.plans_scored <= report.explored
+            explored += report.explored
+        assert (len(calls), explored) == (40, 45)
+
+    def test_failing_original_is_simulated_once(self, monkeypatch):
+        from repro.dist import Fragmenter
+        from repro.placement import ChurnController
+
+        sys_ = AXMLSystem.with_peers(["client", "p0", "p1"])
+        sys_.peer("p0").install_document("cat", catalog(8))
+        Fragmenter(sys_).fragment("cat", "p0", ["p0", "p1"], keep_original=False)
+        ChurnController(sys_).kill("p1")  # the last copy of one fragment
+        calls = count_measures(monkeypatch)
+        with pytest.raises(FragmentUnavailableError):
+            Session(sys_).explain(QUERY, at="client", bind={"d": "cat@dist"})
+        assert len(calls) == 1
+
+    def test_failing_final_check_is_run_once(self, system):
+        class Checked:
+            name = "checked"
+            final_check = True
+            checks = 0
+
+            def score(self, plan):
+                return Cost(0, 0, 1.0)
+
+            def check(self, plan):
+                self.checks += 1
+                raise FragmentUnavailableError("cat.f1", ("p1",))
+
+        model = Checked()
+        with pytest.raises(FragmentUnavailableError):
+            Optimizer(system, cost_model=model).optimize_with("greedy", naive_plan())
+        assert model.checks == 1
+
+    def test_estimator_hits_land_in_the_report(self, system):
+        report = Session(system, cost_model="analytic").explain(naive_plan())
+        assert report.plan_cache.estimator_hits > 0
+        assert report.plan_cache.estimator_misses > 0
 
 
 class TestCacheDisabledParity:
@@ -217,17 +270,15 @@ class TestCacheDisabledParity:
         first_unmemo = unmemo_opt.optimize_with(strategy, plan)
         assert first_memo.best_cost == first_unmemo.best_cost
         assert first_memo.best.describe() == first_unmemo.best.describe()
-        # a single fresh search pays the same either way (the visited set
-        # keeps both on distinct plans)...
-        assert first_memo.cache.cost_misses == first_unmemo.cache.cost_misses
-        # ...but only the memoized space carries the work to the next
-        # search: re-running costs nothing, while the unmemoized space
-        # re-pays the whole bill
+        # a search pays the same either way (the visited set keeps both
+        # on distinct plans), and a bare optimizer carries nothing to the
+        # next one: skipping a repeated search is the prepared-plan
+        # table's job, in front of it (Session)
+        assert first_memo.cache.plans_scored == first_unmemo.cache.plans_scored
         second_memo = memo_opt.optimize_with(strategy, plan)
         second_unmemo = unmemo_opt.optimize_with(strategy, plan)
-        assert second_memo.cache.cost_misses == 0
-        assert second_memo.cache.cost_hits > 0
-        assert second_unmemo.cache.cost_misses == first_unmemo.cache.cost_misses
+        assert second_memo.cache.plans_scored == first_memo.cache.plans_scored
+        assert second_unmemo.cache.plans_scored == first_memo.cache.plans_scored
         assert second_memo.best_cost == second_unmemo.best_cost
 
 
@@ -235,7 +286,7 @@ class TestSessionIntegration:
     def test_default_session_reports_cache_stats(self, system):
         report = connect(system, strategy="exhaustive").explain(naive_plan())
         assert report.plan_cache is not None
-        assert report.plan_cache.cost_misses > 0
+        assert report.plan_cache.plans_scored > 0
         assert report.plan_cache.plans_deduped >= 0
 
     def test_session_cache_persists_across_isolated_runs(self, system):
@@ -252,8 +303,8 @@ class TestSessionIntegration:
         )
         assert second.best_cost == first.best_cost
         # the second run is answered from the table: the whole search is
-        # prepared, so not even a cost lookup is made
-        assert second.plan_cache.cost_misses == 0
+        # prepared, so nothing is scored
+        assert second.plan_cache.plans_scored == 0
         assert second.plan_cache.prepared_hits == 1
         assert second.plan.describe() == first.plan.describe()
 
@@ -271,13 +322,13 @@ class TestSessionIntegration:
             bind={"d": "cat@data"},
         )
         # Σ was mutated by the first execution, so nothing stale survives
-        assert second.plan_cache.cost_misses > 0
+        assert second.plan_cache.plans_scored > 0
 
     @pytest.mark.parametrize("full_first", [True, False])
     def test_shared_cache_keeps_rule_sets_apart(self, system, full_first):
-        """The expansions table is keyed by rule set too: two sessions
-        with different ``rules=`` sharing one cache used to replay each
-        other's expansions."""
+        """Two sessions with different ``rules=`` sharing one cache
+        search their own rewrite spaces (a per-plan expansions table
+        once replayed the other's)."""
         from repro.core import DEFAULT_RULES
         from repro.core.rules import PushSelection
 
@@ -323,6 +374,7 @@ class TestIncrementalEstimator:
         for candidate in plans:
             assert memo.estimate(candidate) == fresh.estimate(candidate)
         assert memo.cache.stats.estimator_hits > 0
+        assert fresh.cache is not memo.cache
 
     def test_rewrite_recost_only_walks_changed_spine(self, system):
         cache = PlanCache()
@@ -347,12 +399,13 @@ class TestIncrementalEstimator:
         cache = PlanCache()
         estimator = CostEstimator(system, cache=cache)
         estimator.estimate(naive_plan())
-        assert cache.doc_sizes.get(("cat", "data")) == system.peer(
+        assert cache.estimates[("doc_bytes", "cat", "data")] == system.peer(
             "data"
         ).document("cat").serialized_size()
         # the apply was sampled once (exact bytes + work), not compiled
         # into a per-operator cardinality walk
-        assert len(cache.apply_samples) >= 1
+        kinds = [key[0] for key in cache.estimates]
+        assert kinds.count("apply") == 1 and "compiled" not in kinds
 
     def test_estimator_driven_search_with_shared_cache(self, system):
         cache = PlanCache()
@@ -363,29 +416,3 @@ class TestIncrementalEstimator:
         )
         assert result.best_cost.scalar() <= result.original_cost.scalar()
         assert cache.stats.estimator_hits > 0
-
-
-class TestHarnessSharedCache:
-    def test_shared_cache_sweep_agrees_and_saves(self):
-        spec = ScenarioSpec(
-            peers=4, documents=2, axml_documents=1, items=8, services=1,
-            replicas=1, queries=3,
-        )
-        scenarios = list(
-            ScenarioGenerator(seed=13, spec=spec).scenarios(2)
-        )
-        shared = DifferentialHarness(repro_dir=None)
-        isolated = DifferentialHarness(repro_dir=None, share_plan_cache=False)
-        shared_report = shared.check(scenarios)
-        isolated_report = isolated.check(
-            ScenarioGenerator(seed=13, spec=spec).scenarios(2)
-        )
-        assert shared_report.ok and isolated_report.ok
-        assert shared_report.cost_calls_saved > 0
-        assert isolated_report.cost_calls_saved == 0
-        # same verdicts, same costs, strategy by strategy
-        for left, right in zip(shared_report.reports, isolated_report.reports):
-            for lq, rq in zip(left.results, right.results):
-                for name in lq.outcomes:
-                    assert lq.outcomes[name].answers == rq.outcomes[name].answers
-                    assert lq.outcomes[name].best_cost == rq.outcomes[name].best_cost

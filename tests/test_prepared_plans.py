@@ -76,7 +76,7 @@ class TestEffectiveness:
         session = connect(two_docs())
         first = session.plan_job(job("q#1"))
         assert first.plan_cache.prepared_misses == 1
-        assert first.plan_cache.cost_misses > 0
+        assert first.plan_cache.plans_scored > 0
 
         calls = {"score": 0, "apply": 0, "parse": 0}
 
@@ -102,7 +102,7 @@ class TestEffectiveness:
         second = session.plan_job(job("q#2"))
         assert calls == {"score": 0, "apply": 0, "parse": 0}
         assert second.plan_cache.prepared_hits == 1
-        assert second.plan_cache.cost_misses == 0
+        assert second.plan_cache.plans_scored == 0
         assert session.plan_cache.stats.prepared_hits == 1
         assert session.plan_cache.stats.prepared_misses == 1
         assert "prepared plan (search skipped)" in second.describe()
@@ -265,7 +265,7 @@ class TestInvalidation:
         session.update("inv", 1, "p", "0")
         written = session.plan_job(job("q", doc="inv@d1"))
         assert written.plan_cache.prepared_hits == 0
-        assert written.plan_cache.cost_misses > 0
+        assert written.plan_cache.plans_scored > 0
 
     def test_clear_empties_the_table(self):
         session = connect(two_docs())
@@ -324,9 +324,7 @@ class TestBypass:
         second = traced.query(QUERY, **kwargs)
         assert len(second.trace) == second.explored > 1
         assert second.plan_cache.prepared_hits == 0
-        # bypassing the prepared table is not bypassing the cost table
-        assert second.plan_cache.cost_hits > 0
-        assert second.plan_cache.cost_misses == 0
+        assert second.plan_cache.plans_scored >= second.explored
 
     def test_no_plan_cache_means_no_table(self):
         session = connect(two_docs(), plan_cache=None)
@@ -334,7 +332,7 @@ class TestBypass:
         again = session.plan_job(job("q"))
         assert again.plan_cache.prepared_hits == 0
         assert again.plan_cache.prepared_misses == 0
-        assert again.plan_cache.cost_misses > 0
+        assert again.plan_cache.plans_scored > 0
 
 
 class TestObservability:

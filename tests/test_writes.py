@@ -315,13 +315,13 @@ class TestEpochs:
         # search outcome: nothing is re-costed)...
         warm = ask("inv")
         assert warm.plan_cache.prepared_hits == 1
-        assert warm.plan_cache.cost_misses == 0
+        assert warm.plan_cache.plans_scored == 0
         assert tuple(warm.answers) == inv_before
         # ...while the written doc is planned again, and its answers
         # reflect the write, not a stale cached estimate of the old content
         cold = ask("cat")
         assert cold.plan_cache.prepared_misses == 1
-        assert cold.plan_cache.cost_misses > 0
+        assert cold.plan_cache.plans_scored > 0
         assert "<name>n1</name>" in cold.answers
 
     def test_doc_size_keys_fold_epoch(self):
@@ -333,11 +333,11 @@ class TestEpochs:
         cache = PlanCache()
         estimator = CostEstimator(system, cache=cache)
         estimator._doc_bytes("cat", "p")
-        assert ("cat", "p") in cache.doc_sizes  # historical epoch-0 shape
+        assert ("doc_bytes", "cat", "p") in cache.estimates  # epoch 0: no salt
         system.bump_doc_epoch("cat")
         estimator._doc_bytes("cat", "p")
-        assert ("cat", "p", 1) in cache.doc_sizes
-        assert ("cat", "p") in cache.doc_sizes  # orphaned, not clobbered
+        assert ("doc_bytes", "cat", "p", 1) in cache.estimates
+        assert ("doc_bytes", "cat", "p") in cache.estimates  # orphaned, not clobbered
 
 
 # ---------------------------------------------------------------------------
