@@ -36,7 +36,9 @@ def check_size(spec: ScenarioSpec):
     generator = ScenarioGenerator(seed=SEED, spec=spec)
     harness = DifferentialHarness(repro_dir=None)
     started = time.perf_counter()
-    report = harness.check(generator.scenarios(SCENARIOS_PER_SIZE))
+    report = harness.sweep(
+        "differential", generator.scenarios(SCENARIOS_PER_SIZE)
+    )
     elapsed = (time.perf_counter() - started) * 1000
     return report, elapsed
 
@@ -53,8 +55,8 @@ def run_sweep():
                 spec.peers,
                 spec.documents + spec.axml_documents,
                 spec.items,
-                report.queries_checked,
-                report.plans_explored,
+                report.notes["queries"],
+                report.notes["plans scored"],
                 len(report.mismatches),
                 elapsed / SCENARIOS_PER_SIZE,
             )
@@ -85,7 +87,7 @@ def test_w1_generated(benchmark):
     harness = DifferentialHarness(repro_dir=None)
     scenario = generator.scenario(0)
     benchmark.pedantic(
-        lambda: harness.check_scenario(scenario),
+        lambda: harness.sweep("differential", [scenario]),
         rounds=3,
         iterations=1,
     )

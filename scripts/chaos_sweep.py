@@ -100,7 +100,8 @@ def main(argv=None) -> int:
         for seed in args.seeds
     ]
 
-    report = harness.check_faults(
+    report = harness.sweep(
+        "fault",
         scenarios,
         fault_seeds=tuple(args.fault_seeds),
         spec=spec,
@@ -108,10 +109,12 @@ def main(argv=None) -> int:
         deadline=args.deadline,
     )
 
-    print(report.describe())
-    shown = report.results if args.verbose else report.violations
-    for result in shown:
-        print(f"  {result.describe()}")
+    print(report.describe())  # the summary line, then every violating job
+    if args.verbose:
+        for cell in report.cells:
+            runs = ", ".join(o.describe() for o in cell.outcomes.values())
+            print(f"  scenario {cell.scenario.seed} job {cell.query.name!r} "
+                  f"[{cell.strategy}]: {runs}")
 
     if args.trace is not None:
         # one extra traced serving run of the first sweep cell: span
@@ -140,7 +143,7 @@ def main(argv=None) -> int:
               f"(scenario seed {args.seeds[0]}, fault seed "
               f"{args.fault_seeds[0]}) -> {args.trace}")
     if not report.ok:
-        print(f"\nFAIL: {len(report.violations)} fault-invariant violations")
+        print(f"\nFAIL: {len(report.failures)} jobs violate the fault invariant")
         return 1
     print("\nPASS: every faulted job answered identically, partially "
           "(provable subset), or failed typed")

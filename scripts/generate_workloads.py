@@ -110,7 +110,7 @@ def main(argv=None) -> int:
         strategies=tuple(args.strategies), repro_dir=args.repro_dir
     )
     started = time.perf_counter()
-    report = harness.check(scenarios)
+    report = harness.sweep("differential", scenarios)
     elapsed = time.perf_counter() - started
     print(f"\n{report.describe()}")
     print(f"checked in {elapsed:.1f}s")

@@ -55,7 +55,6 @@ class Optimizer:
         pick_policy=None,
         statistics: Optional[Statistics] = None,
         registry: Optional[MetricsRegistry] = None,
-        **cost_model_options,
     ) -> None:
         self.system = system
         self.rules = list(rules)
@@ -71,7 +70,6 @@ class Optimizer:
             pick_policy=pick_policy,
             statistics=statistics,
             cache=self.cache,
-            **cost_model_options,
         )
 
     # -- search space ----------------------------------------------------------

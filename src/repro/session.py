@@ -252,8 +252,7 @@ class Session:
         frontier, oracle-checked final plan; or anything added via
         :func:`~repro.core.costmodel.register_cost_model`), a
         :class:`~repro.core.costmodel.CostModel` instance, or any
-        ``plan -> Cost`` callable.  ``cost_model_options`` are forwarded
-        to the named factory; ``statistics`` seeds the analytic
+        ``plan -> Cost`` callable.  ``statistics`` seeds the analytic
         estimator's selectivity table.
     rules / pick_policy:
         Forwarded to the optimizer and evaluator.
@@ -294,7 +293,6 @@ class Session:
         tracer=None,
         rules: Sequence[RewriteRule] = DEFAULT_RULES,
         cost_model: Union[str, CostModel, None] = None,
-        cost_model_options: Optional[Mapping] = None,
         statistics: Optional[Statistics] = None,
         pick_policy=None,
         isolate: bool = True,
@@ -358,7 +356,6 @@ class Session:
             cache=self.plan_cache,
             pick_policy=pick_policy,
             statistics=statistics,
-            **dict(cost_model_options or {}),
         )
         #: The resolved :class:`~repro.core.costmodel.CostModel` pricing
         #: this session's searches (``session.cost_model.name`` names it).

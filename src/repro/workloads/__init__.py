@@ -9,17 +9,21 @@ Two halves:
   generic-document replicas, and an XQuery workload.  Fully
   deterministic: the same seed reproduces the same
   :meth:`Scenario.serialize` byte for byte.
-* :mod:`repro.workloads.harness` — :class:`DifferentialHarness`, which
-  runs every generated query through :class:`~repro.session.Session`
-  under every registered optimizer strategy and asserts
-  canonical-answer agreement plus cost monotonicity, recording any
-  disagreement as a minimized, seed-reproducible repro script.
+* :mod:`repro.workloads.harness` — :class:`DifferentialHarness`, whose
+  one :meth:`~DifferentialHarness.sweep` re-runs every generated query
+  through :class:`~repro.session.Session` under a set of variants
+  (strategies, a fragmented binding, a write history, cost models, fault
+  schedules) and demands the baseline's answer back: a :class:`Cell` per
+  query with a :class:`VariantOutcome` per variant, collected in one
+  :class:`SweepReport`.  A strategy disagreement is also recorded as a
+  minimized, seed-reproducible repro script (:class:`Mismatch`).
 
 >>> from repro.workloads import DifferentialHarness, ScenarioGenerator
 >>> scenario = ScenarioGenerator(seed=3).scenario(0)
 >>> harness = DifferentialHarness(("beam", "greedy"), repro_dir=None)
->>> harness.check_scenario(scenario).ok
-True
+>>> report = harness.sweep("differential", [scenario])
+>>> report.ok, report.verdicts
+(True, {'identical': 10})
 """
 
 from .generator import (
@@ -39,16 +43,11 @@ from .generator import (
 from .harness import (
     DEFAULT_COST_MODELS,
     DEFAULT_STRATEGIES,
+    Cell,
     DifferentialHarness,
-    FaultCheckResult,
-    FaultSweepReport,
-    HarnessReport,
     Mismatch,
-    ParityResult,
-    ParitySweepReport,
-    QueryDifferential,
-    ScenarioReport,
-    StrategyOutcome,
+    SweepReport,
+    VariantOutcome,
 )
 
 __all__ = [
@@ -65,15 +64,10 @@ __all__ = [
     "FRAGMENTED_SPEC",
     "WRITE_MIX_SPEC",
     "DifferentialHarness",
-    "HarnessReport",
-    "ScenarioReport",
-    "QueryDifferential",
-    "StrategyOutcome",
+    "SweepReport",
+    "Cell",
+    "VariantOutcome",
     "Mismatch",
-    "ParityResult",
-    "ParitySweepReport",
-    "FaultCheckResult",
-    "FaultSweepReport",
     "DEFAULT_STRATEGIES",
     "DEFAULT_COST_MODELS",
 ]

@@ -790,8 +790,8 @@ class ScenarioGenerator:
 #: The ``fragmented`` scenario family: a wider peer set, two sharded
 #: documents with one replica per fragment, and a query mix whose
 #: fragmented bindings (``name@dist``) exercise scatter-gather on every
-#: scenario.  The differential harness's fragmented sweep
-#: (:meth:`~repro.workloads.harness.DifferentialHarness.check_fragmented`)
+#: scenario.  The differential harness's ``fragmented`` sweep
+#: (:meth:`~repro.workloads.harness.DifferentialHarness.sweep`)
 #: asserts the answers stay byte-identical to the whole-document
 #: baseline under every strategy.
 FRAGMENTED_SPEC = ScenarioSpec(
@@ -808,7 +808,7 @@ FRAGMENTED_SPEC = ScenarioSpec(
 
 #: The read/write-mix scenario family: fragmented + replicated documents
 #: plus a generic-replicated one, with a seeded write sequence woven
-#: through.  :meth:`~repro.workloads.harness.DifferentialHarness.check_writes`
+#: through.  The harness's ``write`` sweep
 #: asserts that applying the writes incrementally
 #: (:meth:`Session.write <repro.session.Session.write>`) then querying is
 #: byte-identical, under every strategy, to rebuilding each written
@@ -832,9 +832,8 @@ WRITE_MIX_SPEC = ScenarioSpec(
 #: that recovery has somewhere to fail over to.  Query shapes are
 #: restricted to the *monotone* subset (no ``count``): dropping a
 #: fragment from a monotone query provably yields a subset of the
-#: fault-free answer, which is the partial-answer invariant
-#: :meth:`~repro.workloads.harness.DifferentialHarness.check_faults`
-#: asserts.  (A count over a partial document would be a silently wrong
+#: fault-free answer, which is the partial-answer invariant the
+#: harness's ``fault`` sweep asserts.  (A count over a partial document would be a silently wrong
 #: number, not a subset — exactly what graceful degradation must never
 #: produce.)
 CHAOS_SPEC = ScenarioSpec(

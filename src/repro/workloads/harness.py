@@ -1,59 +1,59 @@
-"""Differential conformance: strategies cross-check each other at scale.
+"""Differential conformance: one query, one baseline, a verdict per variant.
 
-Every registered optimizer strategy searches the *same* rewrite space, so
-for any query all of them must produce plans with canonically-equal
-answers — the optimizer and evaluator become their own test oracle (in
-the spirit of implementation-validation work where independent
-computation paths are compared, no hand-written expected outputs
-needed).  :class:`DifferentialHarness` runs each generated query through
-:class:`~repro.session.Session` under every strategy and checks:
+The paper states rules (10)–(16) as *equivalences* under definitions
+(1)–(9), so whatever the optimizer, the distribution machinery or the
+recovery layer do to a query, its answer must not move.  The harness
+holds the implementation to that with no hand-written expected outputs:
+:meth:`DifferentialHarness.sweep` re-runs every generated query under a
+set of *variants* and demands the *baseline's* answer back.  A
+:class:`Cell` is one query against one baseline with a
+:class:`VariantOutcome` (answers, verdict) per variant; a
+:class:`SweepReport` is the cells of one sweep.  The five kinds
+(:data:`SWEEPS`) differ only in what they run, which is the body of
+their per-scenario check: strategies against the reference strategy
+(``differential``), a fragmented binding against the whole document
+(``fragmented``), incremental writes against a rebuild (``write``), cost
+models against the oracle (``cost-model``), seeded fault schedules
+against the fault-free serve (``fault``).
 
-* **answer agreement** — the answer forests, compared as multisets of
-  canonical forms (:func:`repro.xmlcore.canon.canonical_form`, the
-  paper's unordered tree model);
-* **cost monotonicity** — no strategy ever returns a plan it scored
-  worse than the original (``best_cost <= original_cost``), i.e. the
-  improvement ratio is never below 1.
-
-Disagreements become :class:`Mismatch` records: the harness first
-*minimizes* the scenario (shrinking document sizes while the mismatch
-reproduces) and then writes a standalone repro script that rebuilds the
-exact failing scenario from its seed — ``python <script>`` exits 1 while
-the bug exists and 0 once fixed.
+A diverging ``differential`` cell also carries a :class:`Mismatch`: the
+harness *minimizes* the scenario (shrinking document sizes while the
+disagreement reproduces) and writes a standalone repro script that
+rebuilds the exact failing scenario from its seed — ``python <script>``
+exits 1 while the bug exists and 0 once fixed.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.cost import Cost, CostEstimator, measure
 from ..core.planspace import PlanCache
-from ..core.strategies import improvement_ratio
+from ..dist.fragmenter import Fragmenter
+from ..engine.jobs import DONE, FAILED, JobRequest
 from ..errors import (
     DifferentialMismatchError,
     FaultError,
     FragmentUnavailableError,
     GenericResolutionError,
     PeerDownError,
+    ReproError,
     WorkloadError,
 )
 from ..faults import FaultActor, FaultPlan, FaultSpec, RetryPolicy
 from ..session import Session
+from ..writes import apply_to_tree
 from ..xmlcore.canon import canonical_form
 from .generator import GeneratedQuery, Scenario, ScenarioGenerator, ScenarioSpec
 
 __all__ = [
-    "StrategyOutcome",
-    "QueryDifferential",
-    "ScenarioReport",
-    "HarnessReport",
+    "VariantOutcome",
+    "Cell",
+    "SweepReport",
     "Mismatch",
-    "ParityResult",
-    "ParitySweepReport",
-    "FaultCheckResult",
-    "FaultSweepReport",
     "DifferentialHarness",
     "DEFAULT_STRATEGIES",
     "DEFAULT_COST_MODELS",
@@ -61,39 +61,82 @@ __all__ = [
 
 DEFAULT_STRATEGIES: Tuple[str, ...] = ("beam", "greedy", "exhaustive")
 
-#: Cost models the parity sweep cross-checks; the first is the reference
-#: (the oracle — its answers define correctness for the others).
+#: Cost models the ``cost-model`` sweep cross-checks; the first is the
+#: baseline (the oracle — its answers define correctness for the others).
 DEFAULT_COST_MODELS: Tuple[str, ...] = ("oracle", "analytic", "hybrid")
 
-#: Default per-strategy options: exhaustive is bounded tighter than its
-#: factory default so 50-scenario sweeps stay affordable.
+#: Per-strategy options every harness session searches with: exhaustive
+#: is bounded tighter than its factory default so 50-scenario sweeps stay
+#: affordable.
 DEFAULT_STRATEGY_OPTIONS: Dict[str, Dict[str, object]] = {
     "exhaustive": {"depth": 3, "max_plans": 256},
 }
 
+#: How far, in either direction, the analytic estimate of a naive plan
+#: may sit from the oracle measurement.  A wildly-off estimate may still
+#: pick the right plan by luck; the bound catches the model drifting even
+#: when the ranking survives.
+MAX_ESTIMATE_RATIO = 100.0
+
 _COST_EPS = 1e-9
+
+#: One run's answers, in the form its sweep compares (see :class:`Cell`).
+Answers = Tuple[str, ...]
+
+#: The verdicts that leave a variant ok: what every sweep asks for, plus
+#: the two ways the ``fault`` sweep's three-way invariant lets a faulted
+#: run fall short of it (see :class:`VariantOutcome`).
+OK_VERDICTS = frozenset({"identical", "partial-subset", "typed-error"})
+
+#: Exception types a faulted job is *allowed* to fail with.  Anything
+#: outside this taxonomy (a ``KeyError`` escaping the evaluator, say) is
+#: an invariant violation, not graceful degradation.
+FAULT_TYPED_ERRORS = (
+    FaultError,
+    FragmentUnavailableError,
+    GenericResolutionError,
+    PeerDownError,
+)
 
 
 @dataclass
-class StrategyOutcome:
-    """One strategy's verdict on one query."""
+class VariantOutcome:
+    """One variant's run of a cell's query, and how it compares.
 
-    strategy: str
-    #: Canonical multiset of the answer forest (sorted reprs).
-    answers: Tuple[str, ...]
-    original_cost: Cost
-    best_cost: Cost
-    explored: int
+    ``verdict`` is ``identical`` (the baseline's answer came back),
+    ``diverged`` (it did not), ``non-monotonic`` (same answer, but the
+    strategy returned a plan it scored worse than the original), or one
+    of the ``fault`` sweep's: ``partial-subset`` (a provable subset of
+    the fault-free answer, :class:`~repro.faults.PartialAnswer`
+    attached) and ``typed-error`` — both allowed — or a violation:
+    ``silent-mismatch``, ``partial-superset``, ``untyped-error``,
+    ``unsettled``, ``baseline-missing``.
+    """
+
+    variant: str
+    #: ``None`` when it did not answer.
+    answers: Optional[Answers] = None
+    verdict: str = "identical"
+    detail: str = ""
+    #: The search's own scores, which only the ``differential`` sweep
+    #: records (its cost-monotonicity check needs them).
+    original_cost: Optional[Cost] = None
+    best_cost: Optional[Cost] = None
+    explored: int = 0
 
     @property
-    def improvement(self) -> float:
-        """See :func:`repro.core.strategies.improvement_ratio`."""
-        return improvement_ratio(self.original_cost, self.best_cost)
+    def ok(self) -> bool:
+        return self.verdict in OK_VERDICTS
 
     @property
     def monotonic(self) -> bool:
-        """The chosen plan is never scored worse than the original."""
+        """The chosen plan is not scored worse than the original, i.e.
+        :func:`~repro.core.strategies.improvement_ratio` is at least 1."""
         return self.best_cost.scalar() <= self.original_cost.scalar() + _COST_EPS
+
+    def describe(self) -> str:
+        detail = f" ({self.detail})" if self.detail else ""
+        return f"{self.variant} {self.verdict}{detail}"
 
 
 @dataclass
@@ -111,15 +154,12 @@ class Mismatch:
     query: GeneratedQuery
     #: strategy -> canonical answers on the recorded (possibly shrunk)
     #: scenario, for the disagreeing strategies at least.
-    answers: Dict[str, Tuple[str, ...]]
+    answers: Dict[str, Answers]
     #: The two strategies exhibiting the disagreement.
     strategies: Tuple[str, str]
     #: Per-strategy factory options the harness searched with — the repro
     #: script re-applies them so bounded searches reproduce faithfully.
     strategy_options: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    #: repr of the harness's pick policy when one was set (policies are
-    #: not serializable; the repro script warns it must be re-applied).
-    pick_policy_note: Optional[str] = None
     repro_path: Optional[str] = None
 
     def describe(self) -> str:
@@ -137,13 +177,6 @@ class Mismatch:
 
     def repro_script(self) -> str:
         """Standalone script reproducing exactly this disagreement."""
-        strategies = tuple(sorted(self.answers))
-        policy_warning = ""
-        if self.pick_policy_note:
-            policy_warning = (
-                f'\nprint("WARNING: the harness ran with pick_policy='
-                f'{self.pick_policy_note}; re-apply it for a faithful repro")\n'
-            )
         return _REPRO_TEMPLATE.format(
             query=self.query.name,
             shape=self.query.shape,
@@ -151,9 +184,8 @@ class Mismatch:
             seed=self.seed,
             index=self.index,
             spec_kwargs=repr(self.spec.to_kwargs()),
-            strategies=strategies,
+            strategies=tuple(sorted(self.answers)),
             strategy_options=repr(self.strategy_options),
-            policy_warning=policy_warning,
         )
 
 
@@ -180,7 +212,7 @@ STRATEGIES = {strategies!r}
 # search bounds the harness used — without them a disagreement that only
 # shows under a bounded search would falsely "not reproduce"
 STRATEGY_OPTIONS = {strategy_options}
-{policy_warning}
+
 scenario = ScenarioGenerator(seed=SEED).scenario(INDEX, spec=SPEC)
 query = scenario.query(QUERY)
 answers = {{}}
@@ -208,241 +240,177 @@ sys.exit(1)
 
 
 @dataclass
-class QueryDifferential:
-    """All strategies' outcomes for one query, plus the verdicts."""
+class Cell:
+    """One query (or served job) against one baseline, a verdict per variant.
 
-    query: GeneratedQuery
-    outcomes: Dict[str, StrategyOutcome]
-    mismatch: Optional[Mismatch] = None
-
-    @property
-    def agreed(self) -> bool:
-        return self.mismatch is None
-
-    @property
-    def monotonic(self) -> bool:
-        return all(outcome.monotonic for outcome in self.outcomes.values())
-
-    @property
-    def ok(self) -> bool:
-        return self.agreed and self.monotonic
-
-
-@dataclass
-class ScenarioReport:
-    """Differential results for every query of one scenario."""
+    ``baseline_answers`` and every outcome's ``answers`` share one form,
+    chosen by the sweep: sorted canonical forms
+    (:func:`repro.xmlcore.canon.canonical_form`, the paper's unordered
+    tree model) where the contract is multiset equality (``differential``,
+    ``fault``), serialized items in answer order where it is byte
+    equality.
+    """
 
     scenario: Scenario
-    results: List[QueryDifferential] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(result.ok for result in self.results)
-
-    @property
-    def mismatches(self) -> List[Mismatch]:
-        return [r.mismatch for r in self.results if r.mismatch is not None]
-
-    def describe(self) -> str:
-        verdict = "ok" if self.ok else "MISMATCH"
-        explored = sum(
-            outcome.explored
-            for result in self.results
-            for outcome in result.outcomes.values()
-        )
-        return (
-            f"{self.scenario.describe()}: {verdict} "
-            f"({len(self.results)} queries, {explored} plans scored)"
-        )
-
-
-@dataclass
-class HarnessReport:
-    """Aggregate over a sweep of scenarios."""
-
-    reports: List[ScenarioReport] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(report.ok for report in self.reports)
-
-    @property
-    def mismatches(self) -> List[Mismatch]:
-        return [m for report in self.reports for m in report.mismatches]
-
-    @property
-    def queries_checked(self) -> int:
-        return sum(len(report.results) for report in self.reports)
-
-    @property
-    def plans_explored(self) -> int:
-        return sum(
-            outcome.explored
-            for report in self.reports
-            for result in report.results
-            for outcome in result.outcomes.values()
-        )
-
-    def describe(self) -> str:
-        verdict = "ok" if self.ok else f"{len(self.mismatches)} MISMATCHES"
-        lines = [
-            f"differential sweep: {len(self.reports)} scenarios, "
-            f"{self.queries_checked} queries, {self.plans_explored} plans "
-            f"scored -> {verdict}"
-        ]
-        for mismatch in self.mismatches:
-            lines.append(mismatch.describe())
-        return "\n".join(lines)
-
-
-@dataclass
-class ParityResult:
-    """One query's serialized answers, per variant, against a byte baseline.
-
-    ``baseline_answers`` are *serialized* answers (byte form, order
-    kept) from the reference run; ``answers`` maps each variant — a
-    strategy, or a cost model — to what it serialized for the same
-    query.  The contract is byte equality, stronger than the
-    canonical-multiset agreement of the plain differential check; what
-    the baseline *is* (the whole document, a from-scratch rebuild, the
-    oracle cost model) is the business of the sweep that built it.
-    """
-
     query: GeneratedQuery
-    baseline_answers: Tuple[str, ...]
-    answers: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    #: The strategy the cell searched with, when the variants are cost
-    #: models rather than strategies.
+    #: ``None`` only when the baseline run produced no answer at all.
+    baseline_answers: Optional[Answers]
+    outcomes: Dict[str, VariantOutcome] = field(default_factory=dict)
+    #: The strategy every run of the cell searched with, when the
+    #: variants are not themselves strategies (cost models, fault seeds).
     strategy: Optional[str] = None
+    #: ``cost-model`` cells: analytic estimate / oracle measurement of
+    #: the query's naive plan (1.0 is a perfect estimate), on each of the
+    #: query's rows.
+    estimate_ratio: Optional[float] = None
+    #: ``differential`` cells: the minimized record of a divergence.
+    mismatch: Optional[Mismatch] = None
+
+    def file(self, outcome: VariantOutcome) -> None:
+        """Judge ``outcome`` against the baseline; keep it under its variant."""
+        if outcome.answers != self.baseline_answers:
+            outcome.verdict = "diverged"
+        elif outcome.best_cost is not None and not outcome.monotonic:
+            outcome.verdict = "non-monotonic"
+            outcome.detail = (
+                f"chose {outcome.best_cost.describe()} over the original "
+                f"{outcome.original_cost.describe()}"
+            )
+        self.outcomes[outcome.variant] = outcome
+
+    @property
+    def failures(self) -> List[VariantOutcome]:
+        return [o for o in self.outcomes.values() if not o.ok]
+
+    @property
+    def ratio_ok(self) -> bool:
+        ratio = self.estimate_ratio
+        return ratio is None or (
+            1.0 / MAX_ESTIMATE_RATIO <= ratio <= MAX_ESTIMATE_RATIO
+        )
 
     @property
     def ok(self) -> bool:
-        return not self.disagreeing
+        return not self.failures and self.ratio_ok
 
-    @property
-    def disagreeing(self) -> List[str]:
-        return sorted(
-            name for name, candidate in self.answers.items()
-            if candidate != self.baseline_answers
+    def describe(self, baseline: str) -> str:
+        row = f" [{self.strategy}]" if self.strategy else ""
+        found = [outcome.describe() for outcome in self.failures]
+        if not self.ratio_ok:
+            found.append(f"estimate ratio {self.estimate_ratio:.3g} out of bounds")
+        text = (
+            f"query {self.query.name!r} ({self.query.shape}){row} of scenario "
+            f"seed={self.scenario.seed} index={self.scenario.index} vs "
+            f"{baseline}: {', '.join(found) or 'ok'}"
         )
+        if self.mismatch is not None:
+            text += "\n" + self.mismatch.describe()
+        return text
 
 
 @dataclass
-class ParitySweepReport:
-    """Aggregate byte-equality verdict over one kind of parity sweep.
+class SweepReport:
+    """The cells of one sweep; everything it says is computed from them."""
 
-    The cost-model sweep adds a second invariant: every recorded
-    estimate/oracle ratio stays within ``max_ratio`` in *both*
-    directions.  A wildly-off estimate may still pick the right plan by
-    luck; the bound catches the model drifting even when the ranking
-    survives.
-    """
-
-    #: "fragmented", "write" or "cost-model".
+    #: "differential", "fragmented", "write", "cost-model" or "fault".
     kind: str
     #: What every answer was compared against, for :meth:`describe`.
     baseline: str
-    scenarios: int = 0
-    results: List[ParityResult] = field(default_factory=list)
-    writes_applied: int = 0
-    max_ratio: float = 100.0
-    #: Per-query scalar ratio (analytic estimate / oracle measurement)
-    #: of the naive plan, 1.0 meaning a perfect estimate.
-    ratios: List[float] = field(default_factory=list)
+    cells: List[Cell] = field(default_factory=list)
 
     @property
-    def answers_ok(self) -> bool:
-        return all(result.ok for result in self.results)
-
-    @property
-    def ratios_ok(self) -> bool:
-        return all(
-            1.0 / self.max_ratio <= ratio <= self.max_ratio
-            for ratio in self.ratios
-        )
+    def failures(self) -> List[Cell]:
+        return [cell for cell in self.cells if not cell.ok]
 
     @property
     def ok(self) -> bool:
-        return self.answers_ok and self.ratios_ok
+        return not self.failures
 
     @property
-    def queries_checked(self) -> int:
-        return len(self.results)
+    def mismatches(self) -> List[Mismatch]:
+        return [c.mismatch for c in self.cells if c.mismatch is not None]
 
     @property
-    def failures(self) -> List[ParityResult]:
-        return [result for result in self.results if not result.ok]
+    def verdicts(self) -> Dict[str, int]:
+        """How many variant outcomes ended on each verdict."""
+        return dict(
+            Counter(o.verdict for c in self.cells for o in c.outcomes.values())
+        )
+
+    @property
+    def ratios(self) -> List[float]:
+        return [
+            c.estimate_ratio for c in self.cells if c.estimate_ratio is not None
+        ]
+
+    def _swept(self) -> List[Scenario]:
+        """The scenarios that contributed at least one cell, in order."""
+        return list({id(c.scenario): c.scenario for c in self.cells}.values())
+
+    @property
+    def scenarios(self) -> int:
+        return len(self._swept())
+
+    @property
+    def notes(self) -> Dict[str, object]:
+        """What the sweep counted beyond scenarios, in :meth:`describe` order."""
+        notes: Dict[str, object] = {}
+        if self.kind == "fault":
+            # (scenario x strategy x fault seed) faulted serving runs
+            notes["faulted runs"] = len({
+                (id(c.scenario), c.strategy, variant)
+                for c in self.cells for variant in c.outcomes
+            })
+            notes["jobs checked"] = sum(len(c.outcomes) for c in self.cells)
+        else:
+            notes["queries"] = len(self.cells)
+        explored = sum(o.explored for c in self.cells for o in c.outcomes.values())
+        if explored:
+            notes["plans scored"] = explored
+        if self.kind == "write":
+            notes["writes applied"] = sum(len(s.writes) for s in self._swept())
+        ratios = [r for r in self.ratios if r > 0]
+        if ratios:
+            worst = max(max(r, 1.0 / r) for r in ratios)
+            notes["worst estimate ratio"] = f"{worst:.2f}x"
+        return notes
 
     def describe(self) -> str:
-        verdict = "ok" if self.ok else (
-            f"{len(self.failures)} FAILURES"
-            if not self.answers_ok else "estimate ratio out of bounds"
+        failures = self.failures
+        counts = {"scenarios": self.scenarios, **self.notes}
+        line = (
+            f"{self.kind} sweep: "
+            + ", ".join(f"{value} {label}" for label, value in counts.items())
+            + " -> "
+            + ("ok" if not failures else f"{len(failures)} FAILURES")
         )
-        extras = ""
-        if self.writes_applied:
-            extras += f", {self.writes_applied} writes applied"
-        if self.ratios:
-            worst = max(
-                (max(r, 1.0 / r) for r in self.ratios if r > 0), default=1.0
-            )
-            extras += f", worst estimate ratio {worst:.2f}x"
-        lines = [
-            f"{self.kind} sweep: {self.scenarios} scenarios, "
-            f"{self.queries_checked} queries{extras} -> {verdict}"
-        ]
-        lines.extend(f"  {self._divergence(f)}" for f in self.failures)
-        return "\n".join(lines)
-
-    def _divergence(self, failure: ParityResult) -> str:
-        cell = f" [{failure.strategy}]" if failure.strategy else ""
-        return (
-            f"query {failure.query.name!r} ({failure.query.shape}){cell}: "
-            f"{', '.join(failure.disagreeing)} diverged from {self.baseline}"
+        if self.kind == "fault" and self.cells:
+            tally = sorted(self.verdicts.items())
+            line += f" [{', '.join(f'{name}: {n}' for name, n in tally)}]"
+        return "\n".join(
+            [line] + [f"  {cell.describe(self.baseline)}" for cell in failures]
         )
 
-    def raise_on_failure(self, scenario: Scenario) -> None:
-        """Raise :class:`DifferentialMismatchError` on the first failure."""
-        if not self.answers_ok:
+    def raise_on_failure(self) -> None:
+        """Raise :class:`DifferentialMismatchError` unless :attr:`ok`."""
+        failures = self.failures
+        if failures:
             raise DifferentialMismatchError(
-                f"{self.kind} sweep, scenario seed={scenario.seed} "
-                f"index={scenario.index}: {self._divergence(self.failures[0])}"
+                f"{self.kind} sweep: {failures[0].describe(self.baseline)}",
+                failures[0].mismatch,
             )
 
 
-#: Verdicts that satisfy the three-way fault invariant: a faulted run may
-#: match the fault-free answer exactly, degrade to a provable subset of
-#: it (with a :class:`~repro.faults.PartialAnswer` attached), or fail
-#: with a *typed* error — never anything else.
-FAULT_OK_VERDICTS = frozenset({"identical", "partial-subset", "typed-error"})
+def _canonical_answers(items) -> Answers:
+    """The canonical multiset of an answer forest, as sorted reprs."""
+    return tuple(sorted(repr(canonical_form(item)) for item in items))
 
 
-def _canonical_counts(items) -> Dict[str, int]:
-    """The canonical multiset of an answer forest, as repr -> count."""
-    counts: Dict[str, int] = {}
-    for item in items:
-        key = repr(canonical_form(item))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _classify_fault_job(job, reference, variant: str) -> VariantOutcome:
+    """One faulted job against its fault-free reference answers."""
 
-
-def _is_subset(counts: Dict[str, int], reference: Dict[str, int]) -> bool:
-    return all(
-        count <= reference.get(key, 0) for key, count in counts.items()
-    )
-
-
-def _classify_fault_job(job, reference, fault_seed, strategy):
-    """One faulted job against its fault-free reference answer."""
-    from ..engine.jobs import DONE, FAILED
-
-    def verdict(name, detail=""):
-        return FaultCheckResult(
-            job=job.name,
-            fault_seed=fault_seed,
-            strategy=strategy,
-            verdict=name,
-            detail=detail,
-        )
+    def verdict(name, detail="", answers=None):
+        return VariantOutcome(variant, answers, name, detail)
 
     if reference is None:
         return verdict(
@@ -457,126 +425,50 @@ def _classify_fault_job(job, reference, fault_seed, strategy):
         )
     if job.status != DONE or job.report is None:
         return verdict("unsettled", f"status {job.status!r} after drain")
-    counts = _canonical_counts(job.report.items)
-    if counts == reference:
-        return verdict("identical")
-    partial = getattr(job, "partial", None)
-    if partial is not None and _is_subset(counts, reference):
-        lost = len(getattr(partial, "lost", ()) or ())
+    answers = _canonical_answers(job.report.items)
+    if answers == reference:
+        return verdict("identical", answers=answers)
+    if job.partial is None:
         return verdict(
-            "partial-subset",
-            f"{sum(counts.values())}/{sum(reference.values())} "
-            f"answers, {lost} parts lost",
+            "silent-mismatch",
+            f"{len(answers)} answers vs {len(reference)} fault-free, "
+            "no partial marker",
+            answers,
         )
-    if partial is not None:
+    if Counter(answers) - Counter(reference):
         return verdict(
             "partial-superset",
             "partial answer contains items the fault-free run lacks",
+            answers,
         )
     return verdict(
-        "silent-mismatch",
-        f"{sum(counts.values())} answers vs "
-        f"{sum(reference.values())} fault-free, no partial marker",
+        "partial-subset",
+        f"{len(answers)}/{len(reference)} answers, "
+        f"{len(job.partial.lost)} parts lost",
+        answers,
     )
 
-#: Exception types a faulted job is *allowed* to fail with.  Anything
-#: outside this taxonomy (a ``KeyError`` escaping the evaluator, say) is
-#: an invariant violation, not graceful degradation.
-FAULT_TYPED_ERRORS = (
-    FaultError,
-    FragmentUnavailableError,
-    GenericResolutionError,
-    PeerDownError,
-)
 
-
-@dataclass
-class FaultCheckResult:
-    """One served job of one (fault seed, strategy) cell, classified.
-
-    ``verdict`` is one of:
-
-    * ``identical`` — the answer's canonical multiset equals the
-      fault-free run's (retries healed everything);
-    * ``partial-subset`` — the job degraded to a
-      :class:`~repro.faults.PartialAnswer` and its answer is a strict
-      canonical-multiset subset of the fault-free answer;
-    * ``typed-error`` — the job failed with an error from the
-      :data:`FAULT_TYPED_ERRORS` taxonomy;
-    * anything else (``silent-mismatch``, ``partial-superset``,
-      ``untyped-error``, ``unsettled``, ``baseline-missing``) — an
-      invariant violation.
-    """
-
-    job: str
-    fault_seed: int
-    strategy: str
-    verdict: str
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict in FAULT_OK_VERDICTS
-
-    def describe(self) -> str:
-        line = (
-            f"job {self.job!r} [seed={self.fault_seed} {self.strategy}]: "
-            f"{self.verdict}"
-        )
-        if self.detail:
-            line += f" ({self.detail})"
-        return line
-
-
-@dataclass
-class FaultSweepReport:
-    """Aggregate three-way-invariant verdict over a chaos sweep."""
-
-    scenarios: int = 0
-    #: (scenario x fault seed x strategy) faulted serving runs.
-    cells: int = 0
-    results: List[FaultCheckResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(result.ok for result in self.results)
-
-    @property
-    def violations(self) -> List[FaultCheckResult]:
-        return [result for result in self.results if not result.ok]
-
-    @property
-    def verdicts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for result in self.results:
-            counts[result.verdict] = counts.get(result.verdict, 0) + 1
-        return counts
-
-    def describe(self) -> str:
-        verdict = "ok" if self.ok else f"{len(self.violations)} VIOLATIONS"
-        mix = ", ".join(
-            f"{name}: {count}" for name, count in sorted(self.verdicts.items())
-        )
-        lines = [
-            f"fault sweep: {self.scenarios} scenarios, {self.cells} faulted "
-            f"runs, {len(self.results)} jobs checked -> {verdict}"
-            + (f" [{mix}]" if mix else "")
-        ]
-        for violation in self.violations:
-            lines.append(f"  {violation.describe()}")
-        return "\n".join(lines)
+#: kind -> (the per-scenario check, what it compares every answer against)
+SWEEPS: Dict[str, Tuple[str, str]] = {
+    "differential": ("check_scenario", "the reference strategy"),
+    "fragmented": ("check_fragmented_scenario", "the whole-document baseline"),
+    "write": ("check_writes_scenario", "the rebuild-from-scratch baseline"),
+    "cost-model": (
+        "check_cost_models_scenario", f"the {DEFAULT_COST_MODELS[0]!r} cost model"
+    ),
+    "fault": ("check_faults_scenario", "the fault-free run"),
+}
 
 
 class DifferentialHarness:
-    """Run queries under every strategy and assert they agree.
+    """Run generated queries under every variant; demand the baseline's answer.
 
     Parameters
     ----------
     strategies:
-        Registered strategy names to cross-check (at least two).
-    strategy_options:
-        Per-strategy factory options, merged over
-        :data:`DEFAULT_STRATEGY_OPTIONS`.
+        Registered strategy names to cross-check (at least two); the
+        first is the reference the baselines run under.
     repro_dir:
         Where mismatch repro scripts land (created on demand).  ``None``
         disables script writing.
@@ -588,8 +480,6 @@ class DifferentialHarness:
     def __init__(
         self,
         strategies: Sequence[str] = DEFAULT_STRATEGIES,
-        strategy_options: Optional[Mapping[str, Mapping[str, object]]] = None,
-        pick_policy=None,
         repro_dir: Optional[str] = "workload-repros",
         minimize: bool = True,
     ) -> None:
@@ -598,15 +488,36 @@ class DifferentialHarness:
                 "differential checking needs at least two strategies"
             )
         self.strategies = tuple(strategies)
-        options: Dict[str, Dict[str, object]] = {
-            name: dict(opts) for name, opts in DEFAULT_STRATEGY_OPTIONS.items()
-        }
-        for name, opts in dict(strategy_options or {}).items():
-            options[name] = dict(opts)
-        self.strategy_options = options
-        self.pick_policy = pick_policy
         self.repro_dir = repro_dir
         self.minimize = minimize
+
+    # -- the one driver ----------------------------------------------------------
+    def sweep(
+        self,
+        kind: str,
+        scenarios: Iterable[Scenario],
+        raise_on_failure: bool = False,
+        **options,
+    ) -> SweepReport:
+        """Run the ``kind`` check (see :data:`SWEEPS`) over ``scenarios``.
+
+        ``options`` go to the per-scenario check (only ``fault`` takes
+        any).  With ``raise_on_failure`` the sweep stops at the first
+        scenario that leaves the report not :attr:`~SweepReport.ok` and
+        raises :class:`~repro.errors.DifferentialMismatchError`.
+        """
+        if kind not in SWEEPS:
+            raise WorkloadError(
+                f"unknown sweep kind {kind!r}; available: {', '.join(SWEEPS)}"
+            )
+        check, baseline = SWEEPS[kind]
+        check = getattr(self, check)
+        report = SweepReport(kind, baseline)
+        for scenario in scenarios:
+            report.cells.extend(check(scenario, **options))
+            if raise_on_failure:
+                report.raise_on_failure()
+        return report
 
     # -- running -----------------------------------------------------------------
     def _session(self, system, strategy: str, **session_kwargs) -> Session:
@@ -614,123 +525,85 @@ class DifferentialHarness:
         return Session(
             system,
             strategy=strategy,
-            strategy_options=self.strategy_options.get(strategy),
-            pick_policy=self.pick_policy,
+            strategy_options=DEFAULT_STRATEGY_OPTIONS.get(strategy),
             **session_kwargs,
         )
 
     def run_query(
         self, scenario: Scenario, query: GeneratedQuery, strategy: str
-    ) -> StrategyOutcome:
-        """One (query, strategy) cell: run through the façade, canonicalize."""
+    ) -> VariantOutcome:
+        """One (query, strategy) run through the façade, canonicalized."""
         session = self._session(scenario.system, strategy)
         report = session.query(**query.kwargs())
-        answers = tuple(
-            sorted(repr(canonical_form(item)) for item in report.items)
-        )
-        return StrategyOutcome(
-            strategy=strategy,
-            answers=answers,
+        return VariantOutcome(
+            strategy,
+            _canonical_answers(report.items),
             original_cost=report.original_cost,
             best_cost=report.best_cost,
             explored=report.explored,
         )
 
-    def check_query(
-        self, scenario: Scenario, query: GeneratedQuery
-    ) -> QueryDifferential:
-        outcomes = {
-            strategy: self.run_query(scenario, query, strategy)
-            for strategy in self.strategies
-        }
-        result = QueryDifferential(query=query, outcomes=outcomes)
-        disagreement = self._find_disagreement(outcomes)
-        if disagreement is not None:
-            result.mismatch = self._record_mismatch(scenario, query, outcomes, disagreement)
-        return result
-
-    def check_scenario(self, scenario: Scenario) -> ScenarioReport:
-        report = ScenarioReport(scenario=scenario)
+    # -- differential: strategies against the reference strategy --------------------
+    def check_scenario(self, scenario: Scenario) -> List[Cell]:
+        """Every strategy must answer like the first, and never pick a
+        plan it scored worse than the original (improvement ratio >= 1)."""
+        reference = self.strategies[0]
+        cells = []
         for query in scenario.queries:
-            report.results.append(self.check_query(scenario, query))
-        return report
-
-    def check(
-        self, scenarios: Iterable[Scenario], raise_on_mismatch: bool = False
-    ) -> HarnessReport:
-        """Sweep scenarios; optionally raise on the first disagreement."""
-        report = HarnessReport()
-        for scenario in scenarios:
-            scenario_report = self.check_scenario(scenario)
-            report.reports.append(scenario_report)
-            if raise_on_mismatch and not scenario_report.ok:
-                mismatches = scenario_report.mismatches
-                detail = (
-                    mismatches[0].describe()
-                    if mismatches
-                    else f"non-monotonic cost in {scenario.describe()}"
+            outcomes = {
+                strategy: self.run_query(scenario, query, strategy)
+                for strategy in self.strategies
+            }
+            cell = Cell(scenario, query, outcomes[reference].answers)
+            for outcome in outcomes.values():
+                cell.file(outcome)
+            diverged = [o.variant for o in outcomes.values() if o.verdict == "diverged"]
+            if diverged:
+                cell.mismatch = self._record_mismatch(
+                    scenario, query, outcomes, (reference, diverged[0])
                 )
-                raise DifferentialMismatchError(
-                    detail, mismatches[0] if mismatches else None
-                )
-        return report
+            cells.append(cell)
+        return cells
 
-    # -- fragmented sweeps ---------------------------------------------------------
-    def check_fragmented_query(
-        self, scenario: Scenario, query: GeneratedQuery
-    ) -> ParityResult:
-        """Byte-compare one fragmented query against its baseline.
+    # -- fragmented: doc@dist against the whole document ------------------------------
+    def check_fragmented_scenario(self, scenario: Scenario) -> List[Cell]:
+        """Byte-compare every ``@dist``-bound query against its baseline.
 
         The baseline rewrites every ``@dist`` binding to the concrete
         whole document at its home peer (the generator keeps it
         installed), runs it once under the reference strategy, and the
         fragmented binding runs under *every* strategy; all serialized
-        answer lists must be byte-identical, order included.
+        answer lists must be byte-identical, order included.  Queries
+        without a fragmented binding are skipped (the ``differential``
+        sweep already covers them); a scenario generated from a spec
+        with ``fragments=0`` contributes nothing.
         """
         homes = {doc.name: doc.peer for doc in scenario.documents}
-        baseline_bind: Dict[str, str] = {}
-        for param, target in query.bind:
+
+        def whole(target: str) -> str:
             name, _, peer = target.rpartition("@")
-            if peer == "dist":
-                baseline_bind[param] = f"{name}@{homes[name]}"
-            else:
-                baseline_bind[param] = target
-        baseline = self._session(scenario.system, self.strategies[0]).query(
-            query.source, query.at, bind=baseline_bind, name=query.name
-        )
-        result = ParityResult(query, tuple(baseline.answers))
-        for strategy in self.strategies:
-            session = self._session(scenario.system, strategy)
-            report = session.query(**query.kwargs())
-            result.answers[strategy] = tuple(report.answers)
-        return result
+            return f"{name}@{homes[name]}" if peer == "dist" else target
 
-    def check_fragmented(
-        self,
-        scenarios: Iterable[Scenario],
-        raise_on_mismatch: bool = False,
-    ) -> ParitySweepReport:
-        """Sweep scenarios, byte-checking every ``@dist``-bound query.
+        cells = []
+        for query in scenario.queries:
+            if not any(t.endswith("@dist") for _, t in query.bind):
+                continue
+            baseline = self._session(scenario.system, self.strategies[0]).query(
+                query.source,
+                query.at,
+                bind={param: whole(target) for param, target in query.bind},
+                name=query.name,
+            )
+            cell = Cell(scenario, query, tuple(baseline.answers))
+            for strategy in self.strategies:
+                session = self._session(scenario.system, strategy)
+                report = session.query(**query.kwargs())
+                cell.file(VariantOutcome(strategy, tuple(report.answers)))
+            cells.append(cell)
+        return cells
 
-        Queries without a fragmented binding are skipped here (the plain
-        :meth:`check` sweep already covers them); a scenario generated
-        from a spec with ``fragments=0`` contributes nothing.
-        """
-        report = ParitySweepReport("fragmented", "the whole-document baseline")
-        for scenario in scenarios:
-            report.scenarios += 1
-            for query in scenario.queries:
-                if not any(t.endswith("@dist") for _, t in query.bind):
-                    continue
-                report.results.append(
-                    self.check_fragmented_query(scenario, query)
-                )
-            if raise_on_mismatch:
-                report.raise_on_failure(scenario)
-        return report
-
-    # -- write sweeps ----------------------------------------------------------------
-    def check_writes_scenario(self, scenario: Scenario) -> List[ParityResult]:
+    # -- write: incremental writes against rebuild-from-scratch -----------------------
+    def check_writes_scenario(self, scenario: Scenario) -> List[Cell]:
         """Byte-compare incremental writes against rebuild-from-scratch.
 
         The *incremental* side clones the pristine scenario system once
@@ -744,43 +617,28 @@ class DifferentialHarness:
         re-mirrors from scratch, then runs the queries under the
         reference strategy.  Both sides must serialize byte-identically
         on every query — the two can only differ through distribution
-        machinery, which is exactly what the check targets.
+        machinery, which is exactly what the check targets.  A scenario
+        without writes (``spec.writes=0``) contributes nothing.
         """
+        if not scenario.writes:
+            return []
         baseline_session = self._session(
             self._rebuild_after_writes(scenario), self.strategies[0]
         )
-        results = {}
+        cells = {}
         for query in scenario.queries:
             baseline = baseline_session.query(**query.kwargs())
-            results[query.name] = ParityResult(query, tuple(baseline.answers))
+            cells[query.name] = Cell(scenario, query, tuple(baseline.answers))
         for strategy in self.strategies:
             session = self._session(scenario.system.clone(), strategy)
             for record in scenario.writes:
                 session.write(record.op())
             for query in scenario.queries:
                 report = session.query(**query.kwargs())
-                results[query.name].answers[strategy] = tuple(report.answers)
-        return [results[query.name] for query in scenario.queries]
-
-    def check_writes(
-        self,
-        scenarios: Iterable[Scenario],
-        raise_on_mismatch: bool = False,
-    ) -> ParitySweepReport:
-        """Sweep scenarios, byte-checking write-then-query vs rebuild.
-
-        Scenarios without writes (``spec.writes=0``) contribute nothing.
-        """
-        report = ParitySweepReport("write", "the rebuild-from-scratch baseline")
-        for scenario in scenarios:
-            if not scenario.writes:
-                continue
-            report.scenarios += 1
-            report.writes_applied += len(scenario.writes)
-            report.results.extend(self.check_writes_scenario(scenario))
-            if raise_on_mismatch:
-                report.raise_on_failure(scenario)
-        return report
+                cells[query.name].file(
+                    VariantOutcome(strategy, tuple(report.answers))
+                )
+        return list(cells.values())
 
     def _rebuild_after_writes(self, scenario: Scenario):
         """The from-scratch baseline system for a write-mix scenario.
@@ -791,9 +649,6 @@ class DifferentialHarness:
         re-fragmented over the same peers with the same replica count,
         and whole-document mirrors are re-installed from fresh copies.
         """
-        from ..dist.fragmenter import Fragmenter
-        from ..writes import apply_to_tree
-
         system = scenario.system.clone()
         homes = {doc.name: doc.peer for doc in scenario.documents}
         generics = {doc.name: doc.generic for doc in scenario.documents}
@@ -835,78 +690,52 @@ class DifferentialHarness:
                     )
         return system
 
-    # -- cost-model sweeps -----------------------------------------------------------
-    def check_cost_models_scenario(
-        self,
-        scenario: Scenario,
-        cost_models: Sequence[str] = DEFAULT_COST_MODELS,
-        report: Optional[ParitySweepReport] = None,
-    ) -> ParitySweepReport:
-        """Parity-check every cost model on one scenario (see sweep doc)."""
-        if report is None:
-            report = ParitySweepReport("cost-model", repr(cost_models[0]))
-        probe = Session(scenario.system, pick_policy=self.pick_policy)
-        estimator = CostEstimator(scenario.system, pick_policy=self.pick_policy)
+    # -- cost-model: every model against the oracle -----------------------------------
+    def check_cost_models_scenario(self, scenario: Scenario) -> List[Cell]:
+        """Every cost model must answer like the oracle, per strategy.
+
+        For each generated query and each strategy, the query runs once
+        per model of :data:`DEFAULT_COST_MODELS` and the serialized
+        answers must be byte-identical to the first one's: the model
+        steers which plan runs, never what it answers.  Additionally the
+        analytic estimate of each naive plan must stay within
+        :data:`MAX_ESTIMATE_RATIO` of the oracle measurement.
+        """
+        probe = Session(scenario.system)
+        estimator = CostEstimator(scenario.system)
+        cells = []
         for query in scenario.queries:
             plan = probe.plan(**query.kwargs())
-            exact = measure(plan, scenario.system, self.pick_policy)
-            estimate = estimator.estimate(plan)
-            if exact.scalar() > 0:
-                report.ratios.append(estimate.scalar() / exact.scalar())
+            exact = measure(plan, scenario.system).scalar()
+            estimate = estimator.estimate(plan).scalar()
+            ratio = estimate / exact if exact > 0 else None
             for strategy in self.strategies:
-                # one cache per cell-row, so the estimator memo is filled
+                # one cache per row, so the estimator memo is filled
                 # once for both estimating models; prepared plans are
                 # salted per model, so sharing is safe
                 plan_cache = PlanCache()
                 answers = {}
-                for model in cost_models:
+                for model in DEFAULT_COST_MODELS:
                     session = self._session(
                         scenario.system,
                         strategy,
                         plan_cache=plan_cache,
                         cost_model=model,
                     )
-                    cell = session.query(**query.kwargs())
-                    answers[model] = tuple(cell.answers)
-                report.results.append(
-                    ParityResult(
-                        query=query,
-                        baseline_answers=answers[cost_models[0]],
-                        answers=answers,
-                        strategy=strategy,
-                    )
+                    answers[model] = tuple(session.query(**query.kwargs()).answers)
+                cell = Cell(
+                    scenario,
+                    query,
+                    answers[DEFAULT_COST_MODELS[0]],
+                    strategy=strategy,
+                    estimate_ratio=ratio,
                 )
-        return report
+                for model, answered in answers.items():
+                    cell.file(VariantOutcome(model, answered))
+                cells.append(cell)
+        return cells
 
-    def check_cost_models(
-        self,
-        scenarios: Iterable[Scenario],
-        cost_models: Sequence[str] = DEFAULT_COST_MODELS,
-        max_ratio: float = 100.0,
-        raise_on_mismatch: bool = False,
-    ) -> ParitySweepReport:
-        """Sweep scenarios; every cost model must answer like the oracle.
-
-        For each generated query and each strategy, the query runs once
-        per cost model and the serialized answers must be byte-identical
-        to the reference model's (``cost_models[0]``).  Additionally the
-        analytic estimate of each naive plan must stay within
-        ``max_ratio`` of the oracle measurement in both directions —
-        search-time pricing is allowed to be approximate, not unmoored.
-        """
-        report = ParitySweepReport(
-            "cost-model", repr(cost_models[0]), max_ratio=max_ratio
-        )
-        for scenario in scenarios:
-            report.scenarios += 1
-            self.check_cost_models_scenario(
-                scenario, cost_models=cost_models, report=report
-            )
-            if raise_on_mismatch:
-                report.raise_on_failure(scenario)
-        return report
-
-    # -- fault sweeps ----------------------------------------------------------------
+    # -- fault: seeded chaos against the fault-free serve -----------------------------
     def check_faults_scenario(
         self,
         scenario: Scenario,
@@ -914,11 +743,11 @@ class DifferentialHarness:
         spec: Optional[FaultSpec] = None,
         retry: Optional[RetryPolicy] = None,
         deadline: Optional[float] = None,
-    ) -> List[FaultCheckResult]:
+    ) -> List[Cell]:
         """Serve one scenario under seeded fault schedules; classify jobs.
 
-        For each strategy the scenario's queries are served twice: once
-        fault-free (the reference answers) and once per fault seed with a
+        For each strategy the scenario's queries are served once
+        fault-free (the baseline answers) and once per fault seed with a
         generated :class:`~repro.faults.FaultPlan` installed, the
         :class:`~repro.faults.FaultActor` driving crash/rejoin instants,
         and the ``retry`` policy recovering transfers and calls.  Every
@@ -926,11 +755,8 @@ class DifferentialHarness:
         canonically identical to the fault-free run, a well-formed
         partial answer that is a multiset *subset* of it, or a typed
         error — and the drain must settle every job in bounded virtual
-        time (a hang would never return).  Silent wrong answers are the
-        one outcome with no bucket.
+        time (a hang would never return).
         """
-        from ..engine.jobs import JobRequest
-
         spec = spec if spec is not None else FaultSpec()
         retry = retry if retry is not None else RetryPolicy()
         requests = [
@@ -942,15 +768,20 @@ class DifferentialHarness:
             )
             for index, query in enumerate(scenario.queries)
         ]
-        results: List[FaultCheckResult] = []
+        cells: List[Cell] = []
         for strategy in self.strategies:
             baseline = self._session(scenario.system, strategy).serve(
                 list(requests)
             )
-            reference = {
-                job.name: _canonical_counts(job.report.items)
+            row = {
+                job.name: Cell(
+                    scenario,
+                    scenario.query(job.name),
+                    None if job.report is None
+                    else _canonical_answers(job.report.items),
+                    strategy=strategy,
+                )
                 for job in baseline.jobs
-                if job.report is not None
             }
             for fault_seed in fault_seeds:
                 plan = FaultPlan.generate(fault_seed, scenario.system, spec)
@@ -958,76 +789,30 @@ class DifferentialHarness:
                     scenario.system, strategy, retry=retry, fault_plan=plan
                 )
                 report = session.serve(list(requests), actor=FaultActor(plan))
+                variant = f"fault-seed={fault_seed}"
                 for job in report.jobs:
-                    results.append(
-                        _classify_fault_job(
-                            job, reference.get(job.name), fault_seed, strategy
-                        )
+                    cell = row[job.name]
+                    cell.outcomes[variant] = _classify_fault_job(
+                        job, cell.baseline_answers, variant
                     )
-        return results
-
-    def check_faults(
-        self,
-        scenarios: Iterable[Scenario],
-        fault_seeds: Sequence[int] = (1, 2),
-        spec: Optional[FaultSpec] = None,
-        retry: Optional[RetryPolicy] = None,
-        deadline: Optional[float] = None,
-        raise_on_violation: bool = False,
-    ) -> FaultSweepReport:
-        """Sweep scenarios under seeded chaos; assert the fault invariant.
-
-        The three-way invariant, per (scenario, fault seed, strategy)
-        cell and per job: *identical answer, or provable partial subset,
-        or typed error* — never a silent wrong answer, never a hang.
-        """
-        report = FaultSweepReport()
-        for scenario in scenarios:
-            report.scenarios += 1
-            report.cells += len(self.strategies) * len(tuple(fault_seeds))
-            for result in self.check_faults_scenario(
-                scenario,
-                fault_seeds=fault_seeds,
-                spec=spec,
-                retry=retry,
-                deadline=deadline,
-            ):
-                report.results.append(result)
-                if raise_on_violation and not result.ok:
-                    raise DifferentialMismatchError(
-                        f"fault invariant violated on scenario "
-                        f"seed={scenario.seed} index={scenario.index}: "
-                        f"{result.describe()}"
-                    )
-        return report
+            cells.extend(row.values())
+        return cells
 
     # -- mismatch handling ---------------------------------------------------------
-    def _find_disagreement(
-        self, outcomes: Dict[str, StrategyOutcome]
-    ) -> Optional[Tuple[str, str]]:
-        reference = self.strategies[0]
-        for other in self.strategies[1:]:
-            if outcomes[other].answers != outcomes[reference].answers:
-                return (reference, other)
-        return None
-
     def _record_mismatch(
         self,
         scenario: Scenario,
         query: GeneratedQuery,
-        outcomes: Dict[str, StrategyOutcome],
+        outcomes: Dict[str, VariantOutcome],
         strategies: Tuple[str, str],
     ) -> Mismatch:
-        answers = {name: out.answers for name, out in outcomes.items()}
-        spec, query, shrunk_answers = self._minimized(scenario, query, strategies)
-        if shrunk_answers is not None:
-            # spec/query/answers must describe the same (shrunk) scenario
-            answers = shrunk_answers
-        relevant_options = {
-            name: dict(opts)
-            for name, opts in self.strategy_options.items()
-            if name in answers
-        }
+        # spec, query and answers describe the same (possibly shrunk) scenario
+        spec, query, answers = self._minimized(
+            scenario,
+            query,
+            strategies,
+            {name: out.answers for name, out in outcomes.items()},
+        )
         mismatch = Mismatch(
             seed=scenario.seed,
             index=scenario.index,
@@ -1035,10 +820,11 @@ class DifferentialHarness:
             query=query,
             answers=answers,
             strategies=strategies,
-            strategy_options=relevant_options,
-            pick_policy_note=(
-                repr(self.pick_policy) if self.pick_policy is not None else None
-            ),
+            strategy_options={
+                name: dict(opts)
+                for name, opts in DEFAULT_STRATEGY_OPTIONS.items()
+                if name in answers
+            },
         )
         if self.repro_dir is not None:
             os.makedirs(self.repro_dir, exist_ok=True)
@@ -1056,11 +842,8 @@ class DifferentialHarness:
         scenario: Scenario,
         query: GeneratedQuery,
         strategies: Tuple[str, str],
-    ) -> Tuple[
-        ScenarioSpec,
-        GeneratedQuery,
-        Optional[Dict[str, Tuple[str, ...]]],
-    ]:
+        answers: Dict[str, Answers],
+    ) -> Tuple[ScenarioSpec, GeneratedQuery, Dict[str, Answers]]:
         """Shrink the scenario while the disagreement still reproduces.
 
         Regenerates the scenario from its seed with progressively smaller
@@ -1068,14 +851,12 @@ class DifferentialHarness:
         spec on which the same query still disagrees wins.  Generation is
         deterministic, so the repro script rebuilds the shrunk scenario
         exactly.  Returns the spec, the (regenerated) query, and the
-        disagreeing strategies' answers on that shrunk scenario — or
-        ``None`` for the answers when no shrinking happened.
+        disagreeing strategies' answers on that shrunk scenario — or the
+        original's, ``answers`` included, when nothing smaller disagrees.
         """
+        best = (scenario.spec, query, answers)
         if not self.minimize:
-            return scenario.spec, query, None
-        best: Optional[
-            Tuple[ScenarioSpec, GeneratedQuery, Dict[str, Tuple[str, ...]]]
-        ] = None
+            return best
         for candidate in self._shrink_candidates(scenario.spec):
             shrunk_answers = self._disagreeing_answers(
                 scenario, candidate, query.name, strategies
@@ -1088,8 +869,6 @@ class DifferentialHarness:
                 regenerated.scenario(scenario.index).query(query.name),
                 shrunk_answers,
             )
-        if best is None:
-            return scenario.spec, query, None
         return best
 
     def _shrink_candidates(self, spec: ScenarioSpec) -> List[ScenarioSpec]:
@@ -1112,7 +891,7 @@ class DifferentialHarness:
         spec: ScenarioSpec,
         query_name: str,
         strategies: Tuple[str, str],
-    ) -> Optional[Dict[str, Tuple[str, ...]]]:
+    ) -> Optional[Dict[str, Answers]]:
         """The pair's answers on the shrunk scenario, or None if it agrees."""
         try:
             shrunk = ScenarioGenerator(seed=scenario.seed, spec=spec).scenario(
@@ -1121,9 +900,10 @@ class DifferentialHarness:
             query = shrunk.query(query_name)
             first = self.run_query(shrunk, query, strategies[0])
             second = self.run_query(shrunk, query, strategies[1])
-        except Exception:
-            # a shrunk scenario that fails for unrelated reasons is not a
-            # valid minimization step
+        except ReproError:
+            # a shrunk scenario the system rejects with a typed error
+            # (the query no longer binds, say) is not a valid
+            # minimization step; anything untyped is a bug and surfaces
             return None
         if first.answers == second.answers:
             return None

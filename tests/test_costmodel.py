@@ -31,7 +31,7 @@ from repro.core import (
     register_cost_model,
 )
 from repro.core.costmodel import COST_MODELS
-from repro.errors import OptimizerError, SessionError
+from repro.errors import DifferentialMismatchError, OptimizerError, SessionError
 from repro.obs import Tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.peers import AXMLSystem
@@ -296,14 +296,36 @@ class TestCostModelParity:
             ("beam", "greedy"), repro_dir=None, minimize=False
         )
         scenarios = ScenarioGenerator(seed=5, spec=SMALL).scenarios(2)
-        report = harness.check_cost_models(scenarios, raise_on_mismatch=True)
+        report = harness.sweep("cost-model", scenarios, raise_on_failure=True)
         assert report.ok, report.describe()
         assert report.ratios, "no naive plans were priced"
+
+    def test_raise_flag_fires_on_an_unmoored_estimate(self, monkeypatch):
+        # a uniform x1000 keeps every ranking, so every model still
+        # answers like the oracle: only the estimate-ratio bound can fail
+        honest = CostEstimator.estimate
+
+        def unmoored(self, plan):
+            cost = honest(self, plan)
+            return Cost(cost.bytes * 1000, cost.messages, cost.time * 1000)
+
+        monkeypatch.setattr(CostEstimator, "estimate", unmoored)
+        harness = DifferentialHarness(
+            ("beam", "greedy"), repro_dir=None, minimize=False
+        )
+        scenarios = [ScenarioGenerator(seed=5, spec=SMALL).scenario(0)]
+        report = harness.sweep("cost-model", scenarios)
+        assert not report.ok
+        assert not any(cell.failures for cell in report.cells)
+        assert not all(cell.ratio_ok for cell in report.cells)
+        assert "out of bounds" in report.describe()
+        with pytest.raises(DifferentialMismatchError, match="estimate ratio"):
+            harness.sweep("cost-model", scenarios, raise_on_failure=True)
 
     @pytest.mark.generated
     def test_parity_sweep_generated(self):
         harness = DifferentialHarness(repro_dir=None, minimize=False)
         scenarios = ScenarioGenerator(seed=7, spec=SWEEP).scenarios(8)
-        report = harness.check_cost_models(scenarios, raise_on_mismatch=True)
+        report = harness.sweep("cost-model", scenarios, raise_on_failure=True)
         assert report.ok, report.describe()
-        assert report.ratios_ok, report.describe()
+        assert all(cell.ratio_ok for cell in report.cells), report.describe()

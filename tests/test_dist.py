@@ -467,9 +467,9 @@ class TestFragmentedWorkloads:
     def test_small_fragmented_differential_sweep(self):
         harness = DifferentialHarness(("beam", "greedy"), repro_dir=None)
         scenarios = ScenarioGenerator(seed=23, spec=FRAGMENTED_SPEC).scenarios(4)
-        report = harness.check_fragmented(scenarios, raise_on_mismatch=True)
+        report = harness.sweep("fragmented", scenarios, raise_on_failure=True)
         assert report.ok
-        assert report.queries_checked >= 4
+        assert report.notes["queries"] >= 4
 
 
 @pytest.mark.generated
@@ -478,7 +478,7 @@ class TestFragmentedSweepFull:
         """Acceptance gate: ≥25 scenarios, every strategy byte-equal."""
         harness = DifferentialHarness(repro_dir=None)
         scenarios = ScenarioGenerator(seed=101, spec=FRAGMENTED_SPEC).scenarios(25)
-        report = harness.check_fragmented(scenarios, raise_on_mismatch=True)
+        report = harness.sweep("fragmented", scenarios, raise_on_failure=True)
         assert report.ok
         assert report.scenarios == 25
-        assert report.queries_checked >= 25
+        assert report.notes["queries"] >= 25

@@ -12,19 +12,35 @@ marked ``generated`` and runs on demand:
     python -m pytest -m generated tests/test_faults_differential.py
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.engine import JobRequest
-from repro.errors import DifferentialMismatchError
-from repro.faults import FaultActor, FaultPlan, FaultSpec, RetryPolicy
+from repro.engine.jobs import DONE, FAILED, RUNNING, QueryJob
+from repro.errors import DifferentialMismatchError, TransferTimeoutError
+from repro.faults import (
+    FaultActor,
+    FaultPlan,
+    FaultSpec,
+    LostPart,
+    PartialAnswer,
+    RecoveringEvaluator,
+    RetryPolicy,
+)
 from repro.session import Session
 from repro.workloads import (
     CHAOS_SPEC,
     DifferentialHarness,
-    FaultSweepReport,
     ScenarioGenerator,
+    SweepReport,
 )
-from repro.workloads.harness import FAULT_OK_VERDICTS
+from repro.workloads.harness import (
+    OK_VERDICTS,
+    _canonical_answers,
+    _classify_fault_job,
+)
+from repro.xmlcore import element
 
 #: The chaos mix the sweeps inject: all transient fault families at
 #: once, including a hung service and one crash/rejoin cycle.
@@ -52,8 +68,8 @@ def _sweep(seeds, fault_seeds, strategies=("beam", "greedy")):
         ScenarioGenerator(seed=seed, spec=CHAOS_SPEC).scenario(0)
         for seed in seeds
     ]
-    return harness.check_faults(
-        scenarios, fault_seeds=fault_seeds, spec=SWEEP_SPEC, retry=RETRY
+    return harness.sweep(
+        "fault", scenarios, fault_seeds=fault_seeds, spec=SWEEP_SPEC, retry=RETRY
     )
 
 
@@ -66,22 +82,25 @@ class TestFaultInvariantTier1:
         extra = _sweep(seeds=(11,), fault_seeds=(5,))
         assert report.ok, report.describe()
         assert extra.ok, extra.describe()
-        assert report.cells + extra.cells >= 5
+        assert (
+            report.notes["faulted runs"] + extra.notes["faulted runs"] >= 5
+        )
         # the verdict mix never leaves the allowed buckets
         for sweep in (report, extra):
-            assert set(sweep.verdicts) <= FAULT_OK_VERDICTS
+            assert set(sweep.verdicts) <= OK_VERDICTS
 
-    def test_raise_on_violation_passes_clean_sweeps(self):
+    def test_raise_on_failure_passes_clean_sweeps(self):
         harness = _harness()
         scenario = ScenarioGenerator(seed=3, spec=CHAOS_SPEC).scenario(0)
-        report = harness.check_faults(
+        report = harness.sweep(
+            "fault",
             [scenario],
             fault_seeds=(1,),
             spec=SWEEP_SPEC,
             retry=RETRY,
-            raise_on_violation=True,
+            raise_on_failure=True,
         )
-        assert isinstance(report, FaultSweepReport)
+        assert isinstance(report, SweepReport)
         assert report.ok
 
     def test_sweep_report_describe_summarizes(self):
@@ -118,6 +137,89 @@ class TestFaultInvariantTier1:
         assert first_faults  # the plan actually fired
 
 
+def _job(status, items=None, error=None, partial=None):
+    """A hand-built settled (or not) job, as the classifier reads one."""
+    return QueryJob(
+        job_id=0,
+        request=JobRequest("", "p0", name="q"),
+        status=status,
+        report=None if items is None else SimpleNamespace(items=items),
+        error=error,
+        partial=partial,
+    )
+
+
+A, B, C = element("a"), element("b"), element("c")
+REFERENCE = _canonical_answers([A, B])
+LOSS = PartialAnswer((LostPart("fragment", "d#0", ("p1",), "PeerDownError"),))
+
+
+class TestFaultClassifier:
+    """Every verdict of the three-way invariant, from hand-built jobs."""
+
+    @pytest.mark.parametrize(
+        "verdict, job, reference",
+        [
+            ("identical", _job(DONE, [B, A]), REFERENCE),  # order-blind
+            ("partial-subset", _job(DONE, [A], partial=LOSS), REFERENCE),
+            (
+                "typed-error",
+                _job(FAILED, error=TransferTimeoutError("gave up", at=0.1)),
+                REFERENCE,
+            ),
+            ("silent-mismatch", _job(DONE, [A]), REFERENCE),
+            ("partial-superset", _job(DONE, [A, C], partial=LOSS), REFERENCE),
+            ("untyped-error", _job(FAILED, error=KeyError("boom")), REFERENCE),
+            ("unsettled", _job(RUNNING), REFERENCE),
+            ("baseline-missing", _job(DONE, [A]), None),
+        ],
+    )
+    def test_verdict(self, verdict, job, reference):
+        result = _classify_fault_job(job, reference, "fault-seed=1")
+        assert result.verdict == verdict
+        assert result.ok == (verdict in OK_VERDICTS)
+
+    def test_ok_verdicts_are_exactly_the_three_way_invariant(self):
+        assert OK_VERDICTS == {"identical", "partial-subset", "typed-error"}
+
+
+class TestFaultSweepCanFail:
+    """The fault sweep's baseline runs under the *same* strategy, so the
+    planted bug sits where a faulted run leaves its fault-free twin: a
+    recovery layer that tolerates a lost part without recording it."""
+
+    NO_RETRY = RetryPolicy(max_attempts=1, backoff=0.005)
+
+    def _sweep(self, **kwargs):
+        # seed 11 / fault seed 1 without retries genuinely loses a part
+        scenario = ScenarioGenerator(seed=11, spec=CHAOS_SPEC).scenario(0)
+        return _harness().sweep(
+            "fault", [scenario], fault_seeds=(1,), spec=SWEEP_SPEC,
+            retry=self.NO_RETRY, **kwargs,
+        )
+
+    def test_honest_recovery_degrades_to_a_provable_subset(self):
+        report = self._sweep()
+        assert report.ok, report.describe()
+        assert report.verdicts.get("partial-subset", 0) >= 1
+
+    def test_forgotten_loss_is_a_silent_mismatch(self, monkeypatch):
+        def forgetful(self, kind, name, peers, exc):
+            if not self.partial:
+                raise exc
+
+        monkeypatch.setattr(RecoveringEvaluator, "_lost", forgetful)
+        report = self._sweep()
+        assert not report.ok
+        assert {
+            outcome.verdict for cell in report.failures for outcome in cell.failures
+        } == {"silent-mismatch"}
+        assert "FAILURES" in report.describe()
+        assert "silent-mismatch" in report.describe()
+        with pytest.raises(DifferentialMismatchError, match="silent-mismatch"):
+            self._sweep(raise_on_failure=True)
+
+
 @pytest.mark.generated
 @pytest.mark.slow
 class TestFaultInvariantGenerated:
@@ -134,11 +236,13 @@ class TestFaultInvariantGenerated:
             ScenarioGenerator(seed=seed, spec=CHAOS_SPEC).scenario(1)
             for seed in (5, 13)
         ]
-        second = harness.check_faults(
-            scenarios, fault_seeds=(4,), spec=SWEEP_SPEC, retry=RETRY
+        second = harness.sweep(
+            "fault", scenarios, fault_seeds=(4,), spec=SWEEP_SPEC, retry=RETRY
         )
         assert second.ok, second.describe()
-        assert report.cells + second.cells >= 25
+        assert (
+            report.notes["faulted runs"] + second.notes["faulted runs"] >= 25
+        )
 
     def test_violations_raise_when_requested(self):
         harness = _harness()
@@ -147,12 +251,13 @@ class TestFaultInvariantGenerated:
             for seed in (3, 7, 11)
         ]
         try:
-            harness.check_faults(
+            harness.sweep(
+                "fault",
                 scenarios,
                 fault_seeds=(1, 2, 3),
                 spec=SWEEP_SPEC,
                 retry=RETRY,
-                raise_on_violation=True,
+                raise_on_failure=True,
             )
         except DifferentialMismatchError as exc:  # pragma: no cover
             pytest.fail(f"fault invariant violated: {exc}")

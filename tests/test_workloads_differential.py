@@ -12,14 +12,22 @@ import sys
 
 import pytest
 
+from repro.core.cost import Cost
 from repro.core.rules import Plan
 from repro.core.expressions import TreeExpr
-from repro.core.strategies import OptimizationResult, register_strategy
+from repro.core.strategies import (
+    BeamSearchStrategy,
+    OptimizationResult,
+    improvement_ratio,
+    register_strategy,
+)
 from repro.errors import DifferentialMismatchError, WorkloadError
 from repro.session import Session
 from repro.workloads import (
+    FRAGMENTED_SPEC,
     QUERY_SHAPES,
     TOPOLOGIES,
+    WRITE_MIX_SPEC,
     DifferentialHarness,
     ScenarioGenerator,
     ScenarioSpec,
@@ -135,17 +143,19 @@ class TestDifferentialAgreement:
     def test_strategies_agree_fast_subset(self, index):
         scenario = ScenarioGenerator(seed=1234, spec=SMALL).scenario(index)
         harness = DifferentialHarness(repro_dir=None)
-        report = harness.check_scenario(scenario)
+        report = harness.sweep("differential", [scenario])
         assert report.ok, report.describe()
 
     def test_cost_monotonicity_every_strategy(self):
         scenario = ScenarioGenerator(seed=77, spec=SMALL).scenario(0)
         harness = DifferentialHarness(repro_dir=None)
-        report = harness.check_scenario(scenario)
-        for result in report.results:
-            for outcome in result.outcomes.values():
+        report = harness.sweep("differential", [scenario])
+        for cell in report.cells:
+            for outcome in cell.outcomes.values():
                 assert outcome.monotonic
-                assert outcome.improvement >= 1.0
+                assert improvement_ratio(
+                    outcome.original_cost, outcome.best_cost
+                ) >= 1.0
 
     def test_check_runs_all_query_shapes(self):
         spec = ScenarioSpec(
@@ -154,7 +164,9 @@ class TestDifferentialAgreement:
         )
         scenario = ScenarioGenerator(seed=5, spec=spec).scenario(0)
         assert {q.shape for q in scenario.queries} == set(QUERY_SHAPES)
-        report = DifferentialHarness(repro_dir=None).check_scenario(scenario)
+        report = DifferentialHarness(repro_dir=None).sweep(
+            "differential", [scenario]
+        )
         assert report.ok, report.describe()
 
     def test_harness_needs_two_strategies(self):
@@ -162,6 +174,10 @@ class TestDifferentialAgreement:
         # for genuine strategy disagreements
         with pytest.raises(WorkloadError):
             DifferentialHarness(strategies=("beam",))
+
+    def test_unknown_sweep_kind_rejected(self):
+        with pytest.raises(WorkloadError, match="unknown sweep kind 'parity'"):
+            DifferentialHarness(repro_dir=None).sweep("parity", [])
 
     def test_negative_spec_counts_rejected(self):
         with pytest.raises(WorkloadError):
@@ -176,7 +192,7 @@ class TestDifferentialAgreement:
         """The acceptance sweep: 50 seeded scenarios, default spec."""
         scenario = ScenarioGenerator(seed=2026).scenario(index)
         harness = DifferentialHarness(repro_dir=None)
-        report = harness.check_scenario(scenario)
+        report = harness.sweep("differential", [scenario])
         assert report.ok, report.describe()
 
 
@@ -197,18 +213,19 @@ class _BogusStrategy:
         )
 
 
-class TestMismatchReporting:
-    @pytest.fixture()
-    def broken(self):
-        register_strategy("bogus", _BogusStrategy, replace=True)
-        return ("beam", "bogus")
+@pytest.fixture()
+def broken():
+    register_strategy("bogus", _BogusStrategy, replace=True)
+    return ("beam", "bogus")
 
+
+class TestMismatchReporting:
     def test_mismatch_detected_and_minimized(self, broken, tmp_path):
         scenario = ScenarioGenerator(seed=9, spec=SMALL).scenario(0)
         harness = DifferentialHarness(
             strategies=broken, repro_dir=str(tmp_path)
         )
-        report = harness.check_scenario(scenario)
+        report = harness.sweep("differential", [scenario])
         assert not report.ok
         mismatch = report.mismatches[0]
         assert mismatch.strategies == ("beam", "bogus")
@@ -221,7 +238,7 @@ class TestMismatchReporting:
         harness = DifferentialHarness(
             strategies=broken, repro_dir=str(tmp_path)
         )
-        mismatch = harness.check_scenario(scenario).mismatches[0]
+        mismatch = harness.sweep("differential", [scenario]).mismatches[0]
         text = open(mismatch.repro_path, encoding="utf-8").read()
         assert "SEED = 9" in text
         assert f"ScenarioSpec(**{mismatch.spec.to_kwargs()!r}" in text
@@ -236,7 +253,7 @@ class TestMismatchReporting:
             strategies=broken, repro_dir=str(tmp_path), minimize=False
         )
         with pytest.raises(DifferentialMismatchError) as exc:
-            harness.check(gen.scenarios(2), raise_on_mismatch=True)
+            harness.sweep("differential", gen.scenarios(2), raise_on_failure=True)
         assert exc.value.mismatch is not None
 
     def test_repro_script_passes_once_strategies_agree(self, tmp_path):
@@ -268,3 +285,123 @@ class TestMismatchReporting:
             capture_output=True, text=True, timeout=120, env=env,
         )
         assert result.returncode == 0, result.stdout + result.stderr
+
+
+class _CostlierStrategy:
+    """Right answers (it keeps the plan), at a cost it scored as worse."""
+
+    name = "costlier"
+
+    def search(self, plan, space):
+        original = space.score_original(plan)
+        return OptimizationResult(
+            best=plan,
+            best_cost=Cost(original.bytes + 1, original.messages, original.time + 1),
+            original_cost=original,
+            explored=1,
+            strategy=self.name,
+        )
+
+
+class _AnalyticOnlyBogus:
+    """Honest beam search, except when the analytic model prices the space."""
+
+    name = "analytic-bogus"
+
+    def search(self, plan, space):
+        if space.cost_model.name == "analytic":
+            return _BogusStrategy().search(plan, space)
+        return BeamSearchStrategy().search(plan, space)
+
+
+def _sigma_bytes(system) -> int:
+    return sum(
+        tree.serialized_size()
+        for peer in system.peers.values()
+        for tree in peer.documents.values()
+    )
+
+
+class _CrashesWhenShrunk:
+    """Bogus on the full-size Σ, an untyped crash on any smaller one."""
+
+    name = "shrink-crash"
+    full_size = 0
+
+    def search(self, plan, space):
+        if _sigma_bytes(space.system) < self.full_size:
+            raise KeyError("planted: not a ReproError")
+        return _BogusStrategy().search(plan, space)
+
+
+def _diverged(cell):
+    return [o.variant for o in cell.failures if o.verdict == "diverged"]
+
+
+class TestEverySweepCanFail:
+    """One planted bug per sweep kind: the oracle's failure paths do fail."""
+
+    def test_differential_sweep_names_the_non_monotonic_strategy(self):
+        register_strategy("costlier", _CostlierStrategy, replace=True)
+        harness = DifferentialHarness(("beam", "costlier"), repro_dir=None)
+        scenarios = [ScenarioGenerator(seed=9, spec=SMALL).scenario(0)]
+        report = harness.sweep("differential", scenarios)
+        assert not report.ok
+        assert not report.mismatches  # the answers agree: nothing to minimize
+        assert {
+            (o.variant, o.verdict) for cell in report.failures for o in cell.failures
+        } == {("costlier", "non-monotonic")}
+        with pytest.raises(
+            DifferentialMismatchError, match="costlier non-monotonic"
+        ) as exc:
+            harness.sweep("differential", scenarios, raise_on_failure=True)
+        assert exc.value.mismatch is None
+
+    @pytest.mark.parametrize(
+        "kind, spec, seed, baseline",
+        [
+            ("fragmented", FRAGMENTED_SPEC, 23, "the whole-document baseline"),
+            ("write", WRITE_MIX_SPEC, 9, "the rebuild-from-scratch baseline"),
+        ],
+    )
+    def test_byte_sweeps_name_the_diverging_strategy(
+        self, broken, kind, spec, seed, baseline
+    ):
+        harness = DifferentialHarness(broken, repro_dir=None)
+        scenarios = [ScenarioGenerator(seed=seed, spec=spec).scenario(0)]
+        report = harness.sweep(kind, scenarios)
+        assert not report.ok
+        assert report.failures
+        assert all(_diverged(cell) == ["bogus"] for cell in report.failures)
+        assert f"vs {baseline}: bogus diverged" in report.describe()
+        with pytest.raises(DifferentialMismatchError, match="bogus"):
+            harness.sweep(kind, scenarios, raise_on_failure=True)
+
+    def test_cost_model_sweep_names_the_diverging_model(self):
+        register_strategy("analytic-bogus", _AnalyticOnlyBogus, replace=True)
+        harness = DifferentialHarness(
+            ("beam", "analytic-bogus"), repro_dir=None, minimize=False
+        )
+        scenarios = [ScenarioGenerator(seed=5, spec=SMALL).scenario(0)]
+        report = harness.sweep("cost-model", scenarios)
+        assert not report.ok
+        failing = report.failures
+        # one failing cell per query, all on the planted strategy's row,
+        # and only the analytic model left the oracle's answer
+        assert len(failing) == SMALL.queries
+        assert {cell.strategy for cell in failing} == {"analytic-bogus"}
+        assert all(_diverged(cell) == ["analytic"] for cell in failing)
+        assert "vs the 'oracle' cost model: analytic diverged" in report.describe()
+        with pytest.raises(DifferentialMismatchError, match="analytic"):
+            harness.sweep("cost-model", scenarios, raise_on_failure=True)
+
+    def test_untyped_error_while_shrinking_surfaces(self):
+        # minimization may discard a shrunk scenario that fails *typed*
+        # (not a valid shrink step); an untyped exception is a bug in the
+        # code under test and must not be filed as "does not reproduce"
+        register_strategy("shrink-crash", _CrashesWhenShrunk, replace=True)
+        harness = DifferentialHarness(("beam", "shrink-crash"), repro_dir=None)
+        scenario = ScenarioGenerator(seed=9, spec=SMALL).scenario(0)
+        _CrashesWhenShrunk.full_size = _sigma_bytes(scenario.system)
+        with pytest.raises(KeyError, match="planted"):
+            harness.sweep("differential", [scenario])

@@ -415,10 +415,10 @@ class TestGeneratedWrites:
             ScenarioGenerator(seed=9).scenario(i, spec=WRITE_MIX_SPEC)
             for i in range(2)
         ]
-        report = harness.check_writes(scenarios, raise_on_mismatch=True)
+        report = harness.sweep("write", scenarios, raise_on_failure=True)
         assert report.ok
         assert report.scenarios == 2
-        assert report.writes_applied == 2 * WRITE_MIX_SPEC.writes
+        assert report.notes["writes applied"] == 2 * WRITE_MIX_SPEC.writes
 
     @pytest.mark.generated
     @pytest.mark.slow
@@ -427,7 +427,7 @@ class TestGeneratedWrites:
         harness = DifferentialHarness(repro_dir=None)  # every strategy
         scenario = ScenarioGenerator(seed=41).scenario(index, spec=WRITE_MIX_SPEC)
         try:
-            report = harness.check_writes([scenario], raise_on_mismatch=True)
+            report = harness.sweep("write", [scenario], raise_on_failure=True)
         except DifferentialMismatchError as exc:  # pragma: no cover
             pytest.fail(str(exc))
         assert report.ok and report.scenarios == 1
