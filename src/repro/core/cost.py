@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..axml.document import ANY_PROVIDER, ServiceCall
-from ..errors import FragmentUnavailableError
-from ..peers.service import DeclarativeService, _doc_references
+from ..errors import FragmentUnavailableError, ReproError
+from ..peers.service import DeclarativeService, QueryMemo, _doc_references
 from ..peers.system import AXMLSystem
 from ..xmlcore.model import Element, iter_elements, tree_size
 from ..xmlcore.serializer import serialize
@@ -144,15 +144,24 @@ def _static_payloads(params) -> Optional[Tuple]:
     return tuple(trees)
 
 
-def measure(plan: Plan, system: AXMLSystem, pick_policy=None) -> Cost:
+def measure(
+    plan: Plan,
+    system: AXMLSystem,
+    pick_policy=None,
+    memo: Optional[QueryMemo] = None,
+) -> Cost:
     """Oracle cost: evaluate on a clone of Σ, return the real accounting.
 
     ``system`` is left as it was — documents, read counters, clocks and
     network statistics: the clone shares its trees (frozen) and the
-    evaluation copies what it changes.
+    evaluation copies what it changes.  ``memo`` is the running search's
+    :class:`~repro.peers.service.QueryMemo`: the simulation is complete
+    either way — every message, byte and work unit — but a query the
+    search already evaluated over the same content is not run again.
     """
     twin = system.clone()
     evaluator = ExpressionEvaluator(twin, pick_policy)
+    evaluator.memo = memo
     outcome = evaluator.eval(plan.expr, plan.site)
     stats = twin.network.stats
     return Cost(stats.bytes, stats.messages, outcome.completed_at)
@@ -391,8 +400,8 @@ class CostEstimator:
                     result_items = tuple(responses)
                 finally:
                     service.invocations = invocations
-        except Exception:
-            pass  # unknown provider/service: statistics fallback
+        except ReproError:
+            pass  # unknown provider/service, failing body: statistics fallback
         sample = (work, result_sizes, result_items)
         self.memo[key] = sample
         return sample
@@ -617,7 +626,7 @@ class CostEstimator:
             return hit
         try:
             result = query.run(*forests)
-        except Exception:
+        except ReproError:
             return None
         items = _as_forest(result)
         out_bytes = sum(item.serialized_size() for item in items)

@@ -97,6 +97,11 @@ class OracleCostModel:
     The historical default.  Perfectly informed — the score *is* the
     virtual completion time and real traffic — but each score costs a
     full simulation, which dominates serving wall time (see ROADMAP).
+    What it does not repeat is query evaluation: given a ``cache``,
+    every simulation of one ``Optimizer.optimize_with`` call looks a
+    query application up in that search's ``cache.query_results``
+    (:class:`~repro.peers.service.QueryMemo`) before running it.  Without
+    a cache, or outside a search, every score evaluates everything.
     """
 
     name = "oracle"
@@ -113,13 +118,16 @@ class OracleCostModel:
         statistics: Optional[Statistics] = None,
         cache: Optional[PlanCache] = None,
     ) -> None:
-        # statistics/cache are accepted for factory-signature uniformity;
-        # the oracle consults Σ itself and remembers nothing.
+        # statistics are accepted for factory-signature uniformity: the
+        # oracle consults Σ itself.  Of the cache it uses the running
+        # search's query results, which are gone when the search returns.
         self.system = system
         self.pick_policy = pick_policy
+        self.cache = cache
 
     def score(self, plan: Plan) -> Cost:
-        return measure(plan, self.system, self.pick_policy)
+        memo = self.cache.query_results if self.cache is not None else None
+        return measure(plan, self.system, self.pick_policy, memo)
 
     def cache_token(self) -> str:
         """Empty: the model's name says everything about an oracle search."""
@@ -219,7 +227,7 @@ class HybridCostModel:
             cache=cache,
             **estimator_options,
         )
-        self.oracle = OracleCostModel(system, pick_policy=pick_policy)
+        self.oracle = OracleCostModel(system, pick_policy=pick_policy, cache=cache)
 
     @property
     def name_blind(self) -> bool:

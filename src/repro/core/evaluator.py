@@ -61,7 +61,7 @@ from ..errors import (
 )
 from ..net.message import Message, MessageKind
 from ..peers.registry import PickPolicy
-from ..peers.service import DeclarativeService
+from ..peers.service import DeclarativeService, QueryMemo
 from ..peers.system import AXMLSystem
 from ..xmlcore.model import Element, NodeId, Text
 from ..xmlcore.serializer import serialize
@@ -140,6 +140,10 @@ class ExpressionEvaluator:
     changing this evaluator, mirroring the paper's logical/algebraic
     split.
     """
+
+    #: Handed on to whatever runs a query (definitions (2), (6), (7));
+    #: only :func:`repro.core.cost.measure` sets one.
+    memo: Optional[QueryMemo] = None
 
     def __init__(
         self, system: AXMLSystem, pick_policy: Optional[PickPolicy] = None
@@ -475,7 +479,7 @@ class ExpressionEvaluator:
             at,
             f"apply {query.name or 'query'}",
             latest,
-            lambda start: peer.evaluate(query, arg_values, start),
+            lambda start: peer.evaluate(query, arg_values, start, self.memo),
         )
         outcome.items = _as_forest(result)
         outcome.completed_at = done
@@ -542,7 +546,7 @@ class ExpressionEvaluator:
 
         def serve(start: float) -> Tuple[List[Element], float]:
             try:
-                responses = service.invoke(param_values, provider)
+                responses = service.invoke(param_values, provider, self.memo)
             except ReproError:
                 raise
             except Exception as exc:

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence, Union
 
 from ..obs.metrics import MetricsRegistry
+from ..peers.service import QueryMemo
 from ..peers.system import AXMLSystem
 from .cost import Statistics
 from .costmodel import CostModel, make_cost_model
@@ -125,8 +126,14 @@ class Optimizer:
         """Run ``plan`` through a strategy named in the registry (or given)."""
         before = self.cache.stats.copy()
         space = self.search_space(verify)
-        result = make_strategy(strategy, **options).search(plan, space)
-        result = self._finalize(plan, result, space)
+        # Σ does not change under a running search, so within one the
+        # oracle evaluates a query over given inputs once
+        self.cache.query_results = QueryMemo(self.cache.stats)
+        try:
+            result = make_strategy(strategy, **options).search(plan, space)
+            result = self._finalize(plan, result, space)
+        finally:
+            del self.cache.query_results
         # the search's own share of the cache's lifetime counters,
         # final checks included
         result.cache = self.cache.stats.delta_since(before)

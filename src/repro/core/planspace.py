@@ -6,8 +6,9 @@ is reachable through many rule orders.  It is also *small* — rules
 query on every ``BENCHMARK.json`` workload — so the search itself keeps
 only what one search needs (a ``visited`` set, greedy's score map; see
 :mod:`repro.core.strategies`), keyed by a *canonical fingerprint* and
-dropped with the search.  What outlives a search is two stores, both on
-:class:`PlanCache`:
+dropped with the search — as is what the oracle's simulations learn
+while it runs, the query results of :attr:`PlanCache.query_results`.
+What outlives a search is two stores, both on :class:`PlanCache`:
 
 * the *prepared-plan table*, in front of the search: whole search
   outcomes per (naive plan, search configuration), so a job repeating an
@@ -46,6 +47,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Dict, Hashable, List, Optional, Tuple
 
+from ..peers.service import QueryMemo
 from ..xquery import Query
 from ..xquery.decompose import DERIVED_SUFFIX
 from .expressions import (
@@ -195,6 +197,10 @@ class CacheStats:
     prepared_hits: int = 0
     prepared_misses: int = 0
     prepared_evictions: int = 0
+    #: Query applications inside the oracle's simulations that a search's
+    #: :class:`~repro.peers.service.QueryMemo` answered / had to evaluate.
+    query_memo_hits: int = 0
+    query_memo_misses: int = 0
 
     def copy(self) -> "CacheStats":
         return CacheStats(**self.as_dict())
@@ -217,6 +223,8 @@ class CacheStats:
             f"{self.plans_expanded} expanded, {self.plans_deduped} deduped; "
             f"estimator memo {self.estimator_hits} hits / "
             f"{self.estimator_misses} misses; "
+            f"query memo {self.query_memo_hits} hits / "
+            f"{self.query_memo_misses} misses; "
             f"{self.prepared_hits} searches skipped"
         )
 
@@ -235,6 +243,12 @@ class PlanCache:
     callers wanting one search's numbers snapshot and diff via
     :meth:`CacheStats.delta_since`.
     """
+
+    #: The running search's query results, for the oracle model.  Not a
+    #: store: ``Optimizer.optimize_with`` sets it on the instance while it
+    #: runs and deletes it again, so no result outlives the search that
+    #: computed it and ``clear()`` has nothing to forget.
+    query_results: Optional[QueryMemo] = None
 
     def __init__(self) -> None:
         self.stats = CacheStats()

@@ -23,7 +23,7 @@ from ..errors import (
 )
 from ..xmlcore.model import Element, NodeId, NodeIdAllocator, find_by_id, tree_size
 from ..xquery import Query
-from .service import DeclarativeService, Service
+from .service import DeclarativeService, QueryMemo, Service, run_query
 
 __all__ = ["Peer"]
 
@@ -215,14 +215,16 @@ class Peer:
         query: Query,
         params: Sequence[List] = (),
         ready_at: float = 0.0,
+        memo: Optional[QueryMemo] = None,
     ) -> tuple:
         """Evaluate ``query`` locally; returns (result_items, done_time).
 
         ``doc()`` resolves against this peer.  Work is estimated as the
-        size of all inputs plus referenced documents.
+        size of all inputs plus referenced documents.  With a plan
+        search's ``memo``, a result the search already computed is
+        looked up instead; the work is charged all the same.
         """
-        bound = query.bind_resolver(self.doc_resolver)
-        result = bound.run(*params)
+        result = run_query(query, params, self, memo)
         work = 1
         for param in params:
             for item in param if isinstance(param, list) else [param]:

@@ -17,17 +17,122 @@ Two implementations:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from ..errors import ServiceCallError
-from ..xmlcore.model import Element
+from ..errors import ServiceCallError, UnknownDocumentError
+from ..xmlcore.model import Element, Text
 from ..xmlcore.schema import Signature
 from ..xquery import Query
+from ..xquery.runtime import AttributeNode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .peer import Peer
 
-__all__ = ["Service", "DeclarativeService", "NativeService"]
+__all__ = ["Service", "DeclarativeService", "NativeService", "QueryMemo"]
+
+
+def run_query(
+    query: Query, args: Sequence, peer: "Peer", memo: Optional["QueryMemo"] = None
+) -> List:
+    """``query`` over ``args`` with ``doc()`` resolving on ``peer``; looked
+    up in ``memo`` first when a plan search supplies one."""
+    if memo is not None:
+        return memo.run(query, args, peer)
+    return query.bind_resolver(peer.doc_resolver).run(*args)
+
+
+class QueryMemo:
+    """What queries evaluated to during one plan search, keyed by content.
+
+    Rules (10)-(16) move *where* a query runs far more often than *what*
+    it computes, so the oracle's simulations of one search keep applying
+    the same query to the same inputs.  The key is the parsed module, the
+    parameter names and the *content* of every argument (one shipped
+    between peers is a copy); the documents a run resolved through
+    ``doc()`` are recorded with their fingerprints and read again,
+    through the *current* peer, before an entry answers, so the same
+    body over a different replica misses.  A run that raises stores
+    nothing.  Results are handed out as a fresh list of frozen copies,
+    cut loose from the arguments they were selected from: a consumer
+    that edits one takes a ``copy()`` first or gets ``FrozenTreeError``.
+
+    Only wall time is saved: callers charge compute, count invocations
+    and ship bytes as if the query had run.  Lookups are counted on
+    ``stats`` (``query_memo_hits`` / ``query_memo_misses``).
+    """
+
+    def __init__(self, stats) -> None:
+        self.stats = stats
+        #: key -> [(parsed module, ((doc name, fingerprint), ...), results)]
+        self._entries: Dict[tuple, list] = {}
+
+    def __len__(self) -> int:
+        return sum(len(bucket) for bucket in self._entries.values())
+
+    def run(self, query: Query, args: Sequence, peer: "Peer") -> List:
+        """:func:`run_query`, evaluating only what no entry answers."""
+        args = [arg if isinstance(arg, list) else [arg] for arg in args]
+        tokens: List = []
+        nodes: List[int] = []
+        for arg in args:
+            for item in arg:
+                if isinstance(item, Element) and item.parent is None:
+                    tokens.append(item.content_fingerprint())
+                    nodes.append(id(item))
+                elif isinstance(item, (str, int, float, bool)):
+                    tokens.append((type(item), item))
+                else:
+                    # a node inside a larger tree: its axes reach content
+                    # its own fingerprint does not cover
+                    return run_query(query, args, peer)
+            tokens.append(None)  # argument boundary
+        if len(set(nodes)) < len(nodes):
+            # one tree bound twice: ``is`` and ``|`` tell it from two copies
+            tokens.append(tuple(nodes.index(node) for node in nodes))
+        # the entry holds the module, so its id cannot be handed out again
+        key = (id(query.module), query.params, tuple(tokens))
+        for _, reads, results in self._entries.get(key, ()):
+            if _reads_same(peer, reads):
+                self.stats.query_memo_hits += 1
+                return list(results)
+        self.stats.query_memo_misses += 1
+        reads: List[tuple] = []
+
+        def resolver(name: str) -> Element:
+            tree = peer.doc_resolver(name)
+            reads.append((name, tree.content_fingerprint()))
+            return tree
+
+        results = tuple(
+            _cut_loose(item) for item in query.bind_resolver(resolver).run(*args)
+        )
+        self._entries.setdefault(key, []).append(
+            (query.module, tuple(reads), results)
+        )
+        return list(results)
+
+
+def _reads_same(peer: "Peer", reads) -> bool:
+    """Whether ``peer`` resolves every recorded ``doc()`` to the same content."""
+    try:
+        return all(
+            peer.doc_resolver(name).content_fingerprint() == fingerprint
+            for name, fingerprint in reads
+        )
+    except UnknownDocumentError:
+        return False
+
+
+def _cut_loose(item):
+    """A result item as the memo keeps it: a frozen copy holding no argument."""
+    if isinstance(item, Element):
+        item = item.copy()
+        item.freeze()
+    elif isinstance(item, Text):
+        item = Text(item.value)
+    elif isinstance(item, AttributeNode):
+        item = AttributeNode(item.name, item.value, None)
+    return item
 
 
 class Service:
@@ -56,8 +161,17 @@ class Service:
         return self
 
     # -- interface -------------------------------------------------------------
-    def invoke(self, params: Sequence[Element], peer: "Peer") -> List[Element]:
-        """Produce the response forest for one activation."""
+    def invoke(
+        self,
+        params: Sequence[Element],
+        peer: "Peer",
+        memo: Optional["QueryMemo"] = None,
+    ) -> List[Element]:
+        """Produce the response forest for one activation.
+
+        ``memo`` is a plan search's :class:`QueryMemo`; only a service
+        whose body is a visible query has a use for it.
+        """
         raise NotImplementedError
 
     def work_units(self, params: Sequence[Element]) -> int:
@@ -110,12 +224,16 @@ class DeclarativeService(Service):
             return len(self.query.params)
         return self.signature.arity
 
-    def invoke(self, params: Sequence[Element], peer: "Peer") -> List[Element]:
+    def invoke(
+        self,
+        params: Sequence[Element],
+        peer: "Peer",
+        memo: Optional[QueryMemo] = None,
+    ) -> List[Element]:
         if self.signature.schema is not None:
             self.signature.check_inputs(list(params))
         self.invocations += 1
-        bound = self.query.bind_resolver(peer.doc_resolver)
-        result = bound.run(*[[p] for p in params])
+        result = run_query(self.query, [[p] for p in params], peer, memo)
         trees: List[Element] = []
         for item in result:
             if isinstance(item, Element):
@@ -200,7 +318,12 @@ class NativeService(Service):
         self.impl = impl
         self.cost_units = cost_units
 
-    def invoke(self, params: Sequence[Element], peer: "Peer") -> List[Element]:
+    def invoke(
+        self,
+        params: Sequence[Element],
+        peer: "Peer",
+        memo: Optional[QueryMemo] = None,
+    ) -> List[Element]:
         if self.signature.schema is not None:
             self.signature.check_inputs(list(params))
         self.invocations += 1

@@ -145,13 +145,13 @@ class TestStrategyParity:
         assert direct.best_cost == legacy.best_cost
         assert direct.explored == legacy.explored
 
-    def test_greedy_matches_legacy_optimize_greedy(self, system):
+    def test_greedy_by_name_matches_the_strategy_searched_directly(self, system):
         plan = naive_plan()
-        legacy = Optimizer(system).optimize_with("greedy", plan)
+        by_name = Optimizer(system).optimize_with("greedy", plan)
         direct = GreedyStrategy().search(plan, SearchSpace(system))
-        assert direct.best.describe() == legacy.best.describe()
-        assert direct.best_cost == legacy.best_cost
-        assert direct.explored == legacy.explored
+        assert direct.best.describe() == by_name.best.describe()
+        assert direct.best_cost == by_name.best_cost
+        assert direct.explored == by_name.explored
 
     def test_exhaustive_at_least_as_good_as_beam(self, system):
         plan = naive_plan()

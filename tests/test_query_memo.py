@@ -1,0 +1,416 @@
+"""The oracle's per-search query memo (:class:`repro.peers.service.QueryMemo`).
+
+Soundness — memoised scoring prices every candidate exactly like the
+unmemoised ``measure`` and so picks the same plan; the key is content,
+``doc()`` reads are re-checked on the current peer, failures are never
+stored, results are handed out frozen — and a count-based regression
+gate on the ``serve_repeat`` stream (query evaluations, not seconds).
+"""
+
+import pytest
+
+import repro
+from repro.core import Optimizer, PlanCache, SearchSpace, plan_fingerprint
+from repro.core import DocExpr, Plan, QueryApply, QueryRef
+from repro.core.cost import CostEstimator
+from repro.core.planspace import CacheStats
+from repro.core.strategies import make_strategy
+from repro.engine import ClosedLoopFeed, JobRequest
+from repro.errors import FrozenTreeError, XQueryError
+from repro.peers import AXMLSystem
+from repro.peers.service import QueryMemo
+from repro.session import Session
+from repro.workloads import (
+    FRAGMENTED_SPEC,
+    WRITE_MIX_SPEC,
+    ScenarioGenerator,
+    ScenarioSpec,
+)
+from repro.xmlcore import parse
+from repro.xquery import Query
+
+STRATEGIES = ("beam", "greedy", "exhaustive")
+SPECS = {
+    "default": ScenarioSpec(),
+    "fragmented": FRAGMENTED_SPEC,
+    "write-mix": WRITE_MIX_SPEC,
+}
+
+
+def catalog(n=8, tag="item"):
+    items = "".join(
+        f"<{tag}><name>nm{i}</name><price>{i}</price></{tag}>" for i in range(n)
+    )
+    return parse(f"<catalog>{items}</catalog>")
+
+
+def count_runs(monkeypatch):
+    """Every ``Query.run`` from here on appends to the returned list."""
+    calls = []
+    real = Query.run
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.name)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Query, "run", counting)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# (i) memo on / memo off: the same Cost for every candidate, the same plan
+# ---------------------------------------------------------------------------
+
+def scored(result):
+    return [(plan_fingerprint(plan), cost, rule) for plan, cost, rule in result.trace]
+
+
+def assert_memo_changes_no_cost(scenario):
+    """Every search of ``scenario``, memoised and not, scores alike.
+
+    The reference is a bare ``SearchSpace(system)``: no cache, so every
+    score is ``measure(plan, system)`` with nothing remembered.
+    """
+    session = Session(scenario.system.clone())
+    for record in scenario.writes:
+        session.write(record.op())
+    system = session.system
+    hits = 0
+    for query in scenario.queries:
+        kwargs = query.kwargs()
+        plan = session.plan(
+            kwargs["source"], at=kwargs["at"], bind=kwargs["bind"], name=kwargs["name"]
+        )
+        for strategy in STRATEGIES:
+            memoised = Optimizer(system).optimize_with(strategy, plan)
+            reference = make_strategy(strategy).search(plan, SearchSpace(system))
+            assert scored(memoised) == scored(reference), (query.name, strategy)
+            assert plan_fingerprint(memoised.best) == plan_fingerprint(reference.best)
+            assert memoised.best_cost == reference.best_cost
+            hits += memoised.cache.query_memo_hits
+    return hits
+
+
+@pytest.mark.parametrize("family", sorted(SPECS))
+def test_memoised_scoring_equals_unmemoised_measure(family):
+    hits = 0
+    for scenario in ScenarioGenerator(seed=7, spec=SPECS[family]).scenarios(5):
+        hits += assert_memo_changes_no_cost(scenario)
+    assert hits > 0, "the sweep never exercised a memo hit"
+
+
+@pytest.mark.generated
+@pytest.mark.parametrize("family", sorted(SPECS))
+def test_memoised_scoring_equals_unmemoised_measure_generated(family):
+    for scenario in ScenarioGenerator(seed=11, spec=SPECS[family]).scenarios(50):
+        assert_memo_changes_no_cost(scenario)
+
+
+# ---------------------------------------------------------------------------
+# (ii)-(iv) the key, the doc() re-check, frozen hand-outs, failures
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def system():
+    system = AXMLSystem.with_peers(["a", "b"])
+    system.peer("a").install_document("cat", catalog())
+    system.peer("b").install_document("cat", catalog())
+    return system
+
+
+@pytest.fixture()
+def memo():
+    return QueryMemo(CacheStats())
+
+
+SELECT = Query("for $i in $d//item where $i/price > 5 return $i/name", params=("d",))
+READS_DOC = "for $i in doc('cat')//item where $i/price > 5 return $i/name"
+
+
+def traffic(memo):
+    return memo.stats.query_memo_hits, memo.stats.query_memo_misses
+
+
+class TestKey:
+    def test_content_not_identity(self, system, memo, monkeypatch):
+        runs = count_runs(monkeypatch)
+        peer = system.peer("a")
+        first, _ = peer.evaluate(SELECT, [[catalog()]], memo=memo)
+        # a shipped argument is a copy; a relabelled query shares the module
+        again, _ = peer.evaluate(SELECT.copy("other"), [[catalog()]], memo=memo)
+        assert [n.string_value() for n in again] == ["nm6", "nm7"]
+        assert [n.string_value() for n in first] == ["nm6", "nm7"]
+        assert traffic(memo) == (1, 1) and len(runs) == 1
+
+    def test_an_edited_argument_misses(self, system, memo):
+        peer = system.peer("a")
+        tree = catalog()
+        peer.evaluate(SELECT, [[tree]], memo=memo)
+        tree.append(parse("<item><name>new</name><price>99</price></item>"))
+        result, _ = peer.evaluate(SELECT, [[tree]], memo=memo)
+        assert [n.string_value() for n in result] == ["nm6", "nm7", "new"]
+        assert traffic(memo) == (0, 2)
+
+    def test_parameter_names_and_atomic_types_are_part_of_the_key(self, system, memo):
+        peer = system.peer("a")
+        swapped = Query("$x", params=("x", "y"))
+        peer.evaluate(swapped, [[1], [2]], memo=memo)
+        (value,), _ = peer.evaluate(swapped.copy(None, params=("y", "x")), [[1], [2]], memo=memo)
+        assert value == 2
+        (value,), _ = peer.evaluate(swapped, [[True], [2]], memo=memo)
+        assert value is True
+        assert traffic(memo) == (0, 3)
+
+    def test_one_tree_bound_twice_is_not_two_equal_trees(self, system, memo):
+        peer = system.peer("a")
+        union = Query("count($a | $b)", params=("a", "b"))
+        tree = catalog()
+        assert peer.evaluate(union, [[tree], [tree.copy()]], memo=memo)[0] == [2]
+        assert peer.evaluate(union, [[tree], [tree]], memo=memo)[0] == [1]
+        assert peer.evaluate(union, [[tree.copy()], [tree]], memo=memo)[0] == [2]
+        assert traffic(memo) == (1, 2)
+
+    def test_a_node_inside_a_larger_tree_is_not_keyed(self, system, memo):
+        peer = system.peer("a")
+        up = Query("$d/../name", params=("d",))
+        for label in ("x", "y"):
+            tree = parse(f"<item><name>{label}</name><price>1</price></item>")
+            (name,), _ = peer.evaluate(up, [[tree.child_by_tag("price")]], memo=memo)
+            assert name.string_value() == label
+        assert traffic(memo) == (0, 0) and len(memo) == 0
+
+    def test_work_is_charged_on_a_hit(self, system, memo):
+        peer = system.peer("a")
+        _, first = peer.evaluate(SELECT, [[catalog()]], memo=memo)
+        _, second = peer.evaluate(SELECT, [[catalog()]], first, memo=memo)
+        assert second == pytest.approx(2 * first) and first > 0
+
+
+class TestDocReads:
+    def test_an_edited_document_misses(self, system, memo):
+        service = system.peer("a").install_query_service("big", READS_DOC)
+        peer = system.peer("a")
+        assert len(service.invoke([], peer, memo)) == 2
+        assert len(service.invoke([], peer, memo)) == 2
+        assert traffic(memo) == (1, 1)
+        peer.own_document("cat").append(
+            parse("<item><name>new</name><price>99</price></item>")
+        )
+        assert len(service.invoke([], peer, memo)) == 3
+        assert traffic(memo) == (1, 2)
+        assert service.invocations == 3
+
+    def test_the_same_body_over_a_different_replica_misses(self, system, memo):
+        body = Query(READS_DOC, name="big")
+        here, there = system.peer("a"), system.peer("b")
+        here.evaluate(body, memo=memo)
+        there.evaluate(body, memo=memo)  # equal replica: one result serves both
+        assert traffic(memo) == (1, 1)
+        there.own_document("cat").append(
+            parse("<item><name>new</name><price>99</price></item>")
+        )
+        result, _ = there.evaluate(body, memo=memo)
+        assert len(result) == 3
+        result, _ = here.evaluate(body, memo=memo)  # both variants are kept
+        assert len(result) == 2
+        assert traffic(memo) == (2, 2) and len(memo) == 2
+
+    def test_a_peer_without_the_document_fails_as_it_would_unmemoised(
+        self, system, memo
+    ):
+        body = Query(READS_DOC, name="big")
+        system.peer("a").evaluate(body, memo=memo)
+        system.peer("b").drop_document("cat")
+        with pytest.raises(type(_failure(system.peer("b"), body))):
+            system.peer("b").evaluate(body, memo=memo)
+
+
+def _failure(peer, query):
+    try:
+        peer.evaluate(query)
+    except Exception as exc:
+        return exc
+    raise AssertionError("expected the unmemoised run to fail")
+
+
+class TestHandOuts:
+    def test_results_are_frozen_copies_and_the_entry_survives_an_attempted_edit(
+        self, system, memo
+    ):
+        peer = system.peer("a")
+        tree = catalog()
+        (first, _), _ = peer.evaluate(SELECT, [[tree]], memo=memo)
+        assert first.frozen and not tree.frozen
+        assert first.parent is None  # cut loose from the argument it came from
+        with pytest.raises(FrozenTreeError):
+            first.append(parse("<x/>"))
+        with pytest.raises(FrozenTreeError):
+            first.set_attr("k", "v")
+        result, _ = peer.evaluate(SELECT, [[tree]], memo=memo)
+        assert [n.string_value() for n in result] == ["nm6", "nm7"]
+        assert traffic(memo) == (1, 1)
+        # a fresh list each time: dropping an item is the consumer's business
+        result.pop()
+        assert len(peer.evaluate(SELECT, [[tree]], memo=memo)[0]) == 2
+        # the consumer that edits owns a copy
+        first.copy().append(parse("<x/>"))
+
+    def test_text_and_attribute_results_do_not_pin_the_argument(self, system, memo):
+        tree = parse('<c><item id="7">seven</item></c>')
+        both = Query("($d/item/text(), $d/item/@id)", params=("d",))
+        text, attribute = system.peer("a").evaluate(both, [[tree]], memo=memo)[0]
+        assert (text.value, text.parent) == ("seven", None)
+        assert (attribute.value, attribute.owner) == ("7", None)
+
+
+class TestFailures:
+    def test_a_failing_query_fails_every_time_and_stores_nothing(self, system, memo):
+        peer = system.peer("a")
+        failing = Query("$d/item/price + 1", params=("d",))
+        for _ in range(3):
+            with pytest.raises(XQueryError):
+                peer.evaluate(failing, [[catalog()]], memo=memo)
+        assert traffic(memo) == (0, 3) and len(memo) == 0
+
+
+# ---------------------------------------------------------------------------
+# (v) lifetime: one search
+# ---------------------------------------------------------------------------
+
+class TestLifetime:
+    QUERY = "for $i in $d//item where $i/price > 5 return $i/name"
+
+    @pytest.fixture()
+    def wide(self):
+        system = AXMLSystem.with_peers(["client", "data", "helper"], bandwidth=50_000.0)
+        system.peer("data").install_document("cat", catalog(40))
+        return system
+
+    def test_the_memo_is_gone_when_the_search_returns(self, wide):
+        cache = PlanCache()
+        optimizer = Optimizer(wide, cache=cache)
+        query = Query(self.QUERY, params=("d",), name="sel")
+        plan = Plan(QueryApply(QueryRef(query, "client"), (DocExpr("cat", "data"),)), "client")
+        seen = []
+        score = optimizer.cost_model.score
+
+        def spying(candidate):
+            seen.append(cache.query_results)
+            return score(candidate)
+
+        optimizer.cost_model.score = spying
+        result = optimizer.optimize_with("beam", plan)
+        assert seen and all(memo is seen[0] for memo in seen) and len(seen[0]) > 0
+        assert cache.query_results is None and "query_results" not in vars(cache)
+        assert result.cache.query_memo_hits > 0
+        assert "query memo" in result.describe()
+        # the next search starts from nothing
+        again = optimizer.optimize_with("beam", plan)
+        assert again.cache.query_memo_misses == result.cache.query_memo_misses
+
+    def test_the_memo_is_dropped_when_the_search_raises(self, wide):
+        cache = PlanCache()
+        optimizer = Optimizer(wide, cache=cache)
+        plan = Plan(DocExpr("nowhere", "data"), "client")
+        with pytest.raises(Exception):
+            optimizer.optimize_with("beam", plan)
+        assert cache.query_results is None
+
+    def test_an_answer_is_evaluated_not_looked_up(self, wide, monkeypatch):
+        session = Session(wide)
+        first = session.query(self.QUERY, at="client", bind={"d": "cat@data"})
+        assert first.plan_cache.query_memo_hits > 0
+        assert "query memo" in first.describe()
+        runs = count_runs(monkeypatch)
+        # a prepared hit: no search, so whatever runs now is the execution
+        second = session.query(self.QUERY, at="client", bind={"d": "cat@data"})
+        assert second.plan_cache.prepared_hits == 1
+        assert second.plan_cache.query_memo_hits == 0
+        assert second.plan_cache.query_memo_misses == 0
+        assert len(runs) >= 1
+        assert second.answers == first.answers
+
+    def test_a_bare_search_space_is_the_unmemoised_reference(self, wide):
+        query = Query(self.QUERY, params=("d",), name="sel")
+        plan = Plan(QueryApply(QueryRef(query, "client"), (DocExpr("cat", "data"),)), "client")
+        space = SearchSpace(wide)
+        make_strategy("beam").search(plan, space)
+        assert space.stats.plans_scored > 1
+        assert space.stats.query_memo_hits == space.stats.query_memo_misses == 0
+
+
+# ---------------------------------------------------------------------------
+# the estimator no longer prices an engine crash as "no sample"
+# ---------------------------------------------------------------------------
+
+class TestEstimatorSamples:
+    def plan(self):
+        query = Query(TestLifetime.QUERY, params=("d",), name="sel")
+        return Plan(QueryApply(QueryRef(query, "a"), (DocExpr("cat", "a"),)), "a")
+
+    def test_a_typed_query_failure_is_no_sample(self, system, monkeypatch):
+        def failing(self, *args, **kwargs):
+            raise XQueryError("boom")
+
+        monkeypatch.setattr(Query, "run", failing)
+        assert CostEstimator(system).estimate(self.plan()).time > 0
+
+    def test_an_untyped_crash_propagates(self, system, monkeypatch):
+        def crashing(self, *args, **kwargs):
+            raise RuntimeError("engine bug")
+
+        monkeypatch.setattr(Query, "run", crashing)
+        with pytest.raises(RuntimeError, match="engine bug"):
+            CostEstimator(system).estimate(self.plan())
+
+    def test_an_untyped_crash_in_a_service_body_propagates(self, system, monkeypatch):
+        system.peer("a").install_document(
+            "ax", parse("<r><sc><peer>a</peer><service>big</service></sc></r>")
+        )
+        system.peer("a").install_query_service("big", READS_DOC)
+        plan = Plan(DocExpr("ax", "a"), "b")
+
+        def crashing(self, *args, **kwargs):
+            raise RuntimeError("engine bug")
+
+        assert CostEstimator(system).estimate(plan).bytes > 0
+        monkeypatch.setattr(Query, "run", crashing)
+        with pytest.raises(RuntimeError, match="engine bug"):
+            CostEstimator(system).estimate(plan)
+
+
+# ---------------------------------------------------------------------------
+# the regression gate: evaluations on the serve_repeat stream, counted
+# ---------------------------------------------------------------------------
+
+SERVE_SPEC = ScenarioSpec(
+    peers=6, topology="mesh", documents=4, axml_documents=1, items=20,
+    services=2, replicas=2, queries=6,
+)
+
+
+def serve_repeat(monkeypatch, **session_kwargs):
+    """bench/workloads.py's ``serve_repeat`` pass: (report, Query.run calls)."""
+    scenario = ScenarioGenerator(7, SERVE_SPEC).scenario(0)
+    requests = [
+        JobRequest(source=q.source, at=q.at, bind=q.bindings, name=f"{q.name}#{k}")
+        for k, q in enumerate(scenario.queries * 4)
+    ]
+    session = repro.connect(scenario.system, **session_kwargs)
+    runs = count_runs(monkeypatch)
+    report = session.serve(feed=ClosedLoopFeed(requests, 4), seed=7)
+    assert len(report.jobs) == 24 and all(job.status == "done" for job in report.jobs)
+    return session.plan_cache.stats, len(runs)
+
+
+def test_serve_repeat_evaluates_each_sub_query_once_per_search(monkeypatch):
+    stats, runs = serve_repeat(monkeypatch)
+    assert runs <= 80  # 445 before the memo
+    assert stats.query_memo_hits > 0
+    assert stats.query_memo_hits + stats.query_memo_misses > runs // 2
+    assert "query_memo_hits" in stats.as_dict()
+
+
+def test_the_analytic_model_never_consults_the_memo(monkeypatch):
+    stats, _ = serve_repeat(monkeypatch, cost_model="analytic")
+    assert stats.query_memo_hits == stats.query_memo_misses == 0
