@@ -25,7 +25,6 @@ from ..net.message import Message, MessageKind
 from ..peers.registry import PickPolicy
 from ..peers.system import AXMLSystem
 from ..xmlcore.model import Element, NodeId
-from ..xmlcore.serializer import serialize
 from .document import ActivationMode, AXMLDocument, ServiceCall
 
 __all__ = ["ActivationResult", "ActivationEngine"]
@@ -76,12 +75,11 @@ class ActivationEngine:
 
         # Step 1: ship parameters to the provider.
         payloads = call.param_payloads()
-        params_xml = "".join(serialize(p) for p in payloads)
         message = Message(
             src=document.peer_id,
             dst=provider_id,
             kind=MessageKind.CALL,
-            payload=params_xml,
+            payload_bytes=sum(p.serialized_size() for p in payloads),
             headers={"service": call.service},
         )
         arrival = self.system.network.deliver(message, ready_at)
@@ -97,7 +95,6 @@ class ActivationEngine:
         last_arrival = done
         for response in responses:
             for target in targets:
-                response_xml = serialize(response, with_ids=False)
                 result_message = Message(
                     src=provider_id,
                     dst=target.peer,
@@ -106,7 +103,7 @@ class ActivationEngine:
                         if call.forwards
                         else MessageKind.RESULT
                     ),
-                    payload=response_xml,
+                    payload_bytes=response.serialized_size(),
                     headers={"target": str(target)},
                 )
                 arrival = self.system.network.deliver(result_message, done)

@@ -29,7 +29,6 @@ from ..errors import AXMLError
 from ..net.message import Message, MessageKind
 from ..peers.system import AXMLSystem
 from ..xmlcore.model import Element, NodeId
-from ..xmlcore.serializer import serialize
 from ..xquery import Query
 
 __all__ = ["StreamChannel", "Subscription", "IncrementalQuery"]
@@ -90,7 +89,7 @@ class StreamChannel:
             src=self.producer,
             dst=target.peer,
             kind=MessageKind.RESULT,
-            payload=serialize(tree),
+            payload_bytes=tree.serialized_size(),
             headers={"stream": self.name, "target": str(target)},
         )
         arrival = self.system.network.deliver(message, ready_at)

@@ -25,11 +25,17 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..axml.document import ANY_PROVIDER, ServiceCall
-from ..errors import FragmentUnavailableError, ReproError
+from ..errors import (
+    FragmentUnavailableError,
+    NoRouteError,
+    ReproError,
+    ServiceCallError,
+    UnknownPeerError,
+)
+from ..net.message import wire_size
 from ..peers.service import DeclarativeService, QueryMemo, _doc_references
 from ..peers.system import AXMLSystem
 from ..xmlcore.model import Element, iter_elements, tree_size
-from ..xmlcore.serializer import serialize
 from .evaluator import ExpressionEvaluator, _as_forest
 from .planspace import PlanCache, doc_epoch_signature
 from .expressions import (
@@ -120,11 +126,6 @@ class _UnsampledCall(Exception):
     """Internal: an embedded call had no invocation sample to graft."""
 
 
-def _payload_digest(payloads: Tuple) -> int:
-    """Process-local content digest of a call's parameter forest."""
-    return hash("".join(serialize(p) for p in payloads))
-
-
 def _static_payloads(params) -> Optional[Tuple]:
     """Parameter trees when every param is a literal (else ``None``).
 
@@ -204,8 +205,6 @@ class CostEstimator:
     other mutation of the system calls for ``cache.clear()``.
     """
 
-    ENVELOPE = 64  # keep aligned with Message.ENVELOPE_OVERHEAD
-
     def __init__(self, system: AXMLSystem, statistics: Optional[Statistics] = None,
                  count_bytes: bool = True, count_time: bool = True,
                  cache: Optional[PlanCache] = None, pick_policy=None) -> None:
@@ -251,17 +250,26 @@ class CostEstimator:
     __call__ = estimate
 
     # -- transfer helpers --------------------------------------------------------
-    def _charge_transfer(self, src: str, dst: str, size: int) -> None:
+    def _route(self, src: str, dst: str):
+        """Links ``src`` -> ``dst``; none when Σ has no such path (the
+        bytes are still charged, the unknowable time is not)."""
+        try:
+            return self.system.network.route(src, dst)
+        except (NoRouteError, UnknownPeerError):
+            return ()
+
+    def _charge_transfer(
+        self, src: str, dst: str, payload_bytes: int, headers=None
+    ) -> None:
+        """One message, priced as the simulator sizes it (``wire_size``)."""
         if src == dst:
             return
-        size += self.ENVELOPE
+        size = wire_size(payload_bytes, headers or {})
         self._bytes += size
         self._messages += 1
-        try:
-            links = self.system.network.route(src, dst)
-        except Exception:
-            return
-        self._time += sum(l.latency + size / l.bandwidth for l in links)
+        self._time += sum(
+            l.latency + size / l.bandwidth for l in self._route(src, dst)
+        )
 
     def _charge_compute(self, peer_id: str, work_bytes: int) -> None:
         peer = self.system.peer(peer_id)
@@ -278,18 +286,13 @@ class CostEstimator:
         """
         if src == dst or not sizes:
             return
-        try:
-            links = self.system.network.route(src, dst)
-        except Exception:
-            links = None
-        for size in sizes:
-            size += self.ENVELOPE
+        links = self._route(src, dst)
+        for payload_bytes in sizes:
+            size = wire_size(payload_bytes, {})
             self._bytes += size
             self._messages += 1
-            if links:
-                self._time += sum(size / l.bandwidth for l in links)
-        if links:
-            self._time += sum(l.latency for l in links)
+            self._time += sum(size / l.bandwidth for l in links)
+        self._time += sum(l.latency for l in links)
 
     # -- sizes ------------------------------------------------------------------
     def _doc_key(self, kind: str, name: str, home: str) -> Tuple:
@@ -323,8 +326,8 @@ class CostEstimator:
         inert trees and mis-ranks every plan that decides *where* the
         activation traffic lands.  The profile is static per (document,
         home, epoch): ``(provider, service, param payloads, param bytes,
-        sc-node bytes, forward peers, params digest)`` per call, resolved
-        and charged at estimate time.
+        sc-node bytes, forward peers)`` per call, resolved and charged at
+        estimate time.
         """
         key = self._doc_key("doc_calls", name, home)
         hit = self.memo.get(key)
@@ -343,8 +346,8 @@ class CostEstimator:
                         continue
                     try:
                         call = ServiceCall.parse(node)
-                    except Exception:
-                        continue  # malformed sc: the evaluator skips it too
+                    except ServiceCallError:
+                        continue  # malformed sc: nothing to price
                     payloads = tuple(call.param_payloads())
                     calls.append((
                         call.provider,
@@ -352,10 +355,7 @@ class CostEstimator:
                         payloads,
                         sum(p.serialized_size() for p in payloads),
                         node.serialized_size(),
-                        tuple(
-                            getattr(t, "peer", home) for t in call.forwards
-                        ),
-                        _payload_digest(payloads),
+                        tuple(t.peer for t in call.forwards),
                     ))
                     continue
                 stack.extend(node.children)
@@ -364,7 +364,7 @@ class CostEstimator:
         return profile
 
     def _sample_service(
-        self, provider: str, service_name: str, payloads: Tuple, digest: int
+        self, provider: str, service_name: str, payloads: Tuple
     ) -> Tuple[Optional[int], Optional[Tuple[int, ...]], Optional[Tuple]]:
         """One deterministic invocation sample: work, item bytes, items.
 
@@ -377,6 +377,7 @@ class CostEstimator:
         evaluator charges the same :meth:`Service.work_units`), but the
         response sizes fall back to the statistics table.
         """
+        digest = tuple(p.content_fingerprint() for p in payloads)
         key = ("service", provider, service_name, digest) + self._service_epochs(
             provider, service_name
         )
@@ -419,8 +420,8 @@ class CostEstimator:
             return ()
         try:
             service = self.system.peer(provider).service(service_name)
-        except Exception:
-            return ()
+        except ReproError:
+            return ()  # unknown provider/service: nothing to salt
         if not isinstance(service, DeclarativeService):
             return ()
         return tuple(
@@ -441,6 +442,51 @@ class CostEstimator:
             result_name, max(param_bytes, 1024)
         )
 
+    def _charge_call(
+        self, caller: str, provider: str, service_name: str, param_bytes: int,
+        payloads: Optional[Tuple], forward_peers,
+    ) -> Tuple[int, ...]:
+        """Price one service call (definition (6)) whose parameters are
+        ready at ``caller`` now; returns the response items' sizes.
+
+        One CALL message, the provider's compute, then every response item
+        as its own message, pipelined on the provider->caller route — or on
+        each provider->target route of an explicit forward list.
+        ``payloads``: the parameter trees when statically known (the call
+        is then sampled), else ``None`` (statistics fallback).
+        """
+        if provider == ANY:
+            # the evaluator's registry pick (live members only, caller's
+            # policy), so an @any call prices the provider that will serve
+            member = self.system.registry.pick_service(
+                service_name, caller, self.system, self.pick_policy
+            )
+            provider, service_name = member.peer, member.name
+        self._charge_transfer(
+            caller, provider, param_bytes, {"service": service_name}
+        )
+        work = result_sizes = None
+        if payloads is not None:
+            work, result_sizes, _ = self._sample_service(
+                provider, service_name, payloads
+            )
+        if work is not None:
+            self._time += work / self.system.peer(provider).compute_speed
+        else:
+            self._charge_compute(provider, param_bytes)
+        if result_sizes is None:
+            result_sizes = (
+                self._service_result_bytes(provider, service_name, param_bytes),
+            )
+        sent_at = self._time
+        done = sent_at
+        for target in forward_peers or (caller,):
+            self._time = sent_at
+            self._charge_batch(provider, target, result_sizes)
+            done = max(done, self._time)
+        self._time = done
+        return result_sizes
+
     def _charge_activation(self, name: str, home: str, size: int) -> int:
         """Charge a document's embedded calls; returns the activated size.
 
@@ -456,47 +502,17 @@ class CostEstimator:
         base = self._time
         finished = base
         for provider, service_name, payloads, param_bytes, \
-                node_bytes, forwards, digest in calls:
+                node_bytes, forwards in calls:
             self._time = base
-            if provider == ANY_PROVIDER:
-                member = self.system.registry.pick_service(
-                    service_name, home, self.system, self.pick_policy
-                )
-                provider, service_name = member.peer, member.name
-            # the CALL message: param forest + the service-routing header
-            # (Message.size counts key + value + 4 framing bytes)
-            header = len("service") + len(service_name) + 4
-            self._charge_transfer(home, provider, param_bytes + header)
-            work, result_sizes, _ = self._sample_service(
-                provider, service_name, payloads, digest
+            result_sizes = self._charge_call(
+                home, provider, service_name, param_bytes, payloads, forwards
             )
-            if work is not None:
-                self._time += work / self.system.peer(provider).compute_speed
-            else:
-                self._charge_compute(provider, param_bytes)
-            if result_sizes is None:
-                result_sizes = (
-                    self._service_result_bytes(
-                        provider, service_name, param_bytes
-                    ),
-                )
             size -= node_bytes
-            # every response item is its own RESULT message, pipelined on
-            # the provider->caller route (or provider->target for forwards)
-            if forwards:
-                sent_at = self._time
-                done = sent_at
-                for target in forwards:
-                    self._time = sent_at
-                    self._charge_batch(provider, target, result_sizes)
-                    done = max(done, self._time)
-                self._time = done
-            else:
-                self._charge_batch(provider, home, result_sizes)
+            if not forwards:
                 size += sum(result_sizes)
                 if len(result_sizes) > 1:
                     # multi-item responses re-root under a <results> wrapper
-                    size += Element("results").serialized_size()
+                    size += len("<results></results>")
             finished = max(finished, self._time)
         self._time = finished
         return max(size, 1)
@@ -531,7 +547,7 @@ class CostEstimator:
             return stored, key
         try:
             value = self._graft_activation(stored.copy(), home)
-        except Exception:
+        except (ReproError, _UnsampledCall):
             value = None
         if value is None:
             self.memo[key] = False
@@ -557,9 +573,8 @@ class CostEstimator:
                     service_name, home, self.system, self.pick_policy
                 )
                 provider, service_name = member.peer, member.name
-            payloads = tuple(call.param_payloads())
             _, _, items = self._sample_service(
-                provider, service_name, payloads, _payload_digest(payloads)
+                provider, service_name, tuple(call.param_payloads())
             )
             if items is None:
                 raise _UnsampledCall(service_name)
@@ -758,7 +773,7 @@ class CostEstimator:
             self._time = finished
             return total
         if isinstance(expr, QueryRef):
-            size = len(expr.query.source.encode("utf-8"))
+            size = expr.query.source_bytes
             self._charge_transfer(expr.home, site, size)
             return size
         if isinstance(expr, QueryApply):
@@ -772,7 +787,7 @@ class CostEstimator:
             if isinstance(expr.query, QueryRef):
                 name = expr.query.query.name
                 self._charge_transfer(
-                    expr.query.home, site, len(expr.query.query.source.encode())
+                    expr.query.home, site, expr.query.query.source_bytes
                 )
                 finished = max(finished, self._time)
             for arg in expr.args:
@@ -800,15 +815,6 @@ class CostEstimator:
                     return plan_bytes
             return self.statistics.query_output_bytes(name, input_bytes)
         if isinstance(expr, ServiceCallExpr):
-            provider = expr.provider
-            service_name = expr.service
-            if provider == ANY:
-                # mirror the evaluator's registry pick (live members only,
-                # caller's policy) so @any calls price the actual provider
-                member = self.system.registry.pick_service(
-                    expr.service, site, self.system, self.pick_policy
-                )
-                provider, service_name = member.peer, member.name
             # params evaluate in parallel, then ship together as one call
             param_bytes = 0
             base = self._time
@@ -818,36 +824,15 @@ class CostEstimator:
                 param_bytes += self._visit(p, site)
                 finished = max(finished, self._time)
             self._time = finished
-            header = len("service") + len(service_name) + 4
-            self._charge_transfer(site, provider, param_bytes + header)
-            work = None
-            result_sizes = None
-            payloads = _static_payloads(expr.params)
-            if payloads is not None:
-                work, result_sizes, _ = self._sample_service(
-                    provider, service_name, payloads, _payload_digest(payloads)
-                )
-            if work is not None:
-                self._time += work / self.system.peer(provider).compute_speed
-            else:
-                self._charge_compute(provider, param_bytes)
-            if result_sizes is None:
-                result_sizes = (
-                    self._service_result_bytes(
-                        provider, service_name, param_bytes
-                    ),
-                )
-            if expr.forwards:
-                sent_at = self._time
-                done = sent_at
-                for target in expr.forwards:
-                    self._time = sent_at
-                    self._charge_batch(provider, target.peer, result_sizes)
-                    done = max(done, self._time)
-                self._time = done
-                return 0
-            self._charge_batch(provider, site, result_sizes)
-            return sum(result_sizes)
+            result_sizes = self._charge_call(
+                site,
+                expr.provider,
+                expr.service,
+                param_bytes,
+                _static_payloads(expr.params),
+                tuple(target.peer for target in expr.forwards),
+            )
+            return 0 if expr.forwards else sum(result_sizes)
         if isinstance(expr, Send):
             payload_bytes = self._visit(expr.payload, site)
             hops = [site] + list(expr.via)

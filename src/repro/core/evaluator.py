@@ -35,8 +35,10 @@ here are the fault-free semantics: ``_deliver`` is ``network.deliver``;
 ``_call_provider`` is one delivery; ``_on_cpu`` starts work the instant
 it is ready and nobody watches; ``_lost`` re-raises what took a part of
 the answer away; ``_read_fragment`` follows a fragment's one reference;
-``_activate_document`` stores what activation produced.  (A seventh
-override point, ``_serialize_forest``, is pure and exists to be timed.)
+``_activate_document`` stores what activation produced.  What a message
+weighs is not among them: it is a fact about the value shipped — the
+exact, cached ``serialized_size()`` of its trees, or
+``Query.source_bytes`` — and nothing is serialized to learn it.
 A :class:`~repro.session.Session` runs a subclass that is that layer;
 :func:`repro.core.cost.measure` and
 :func:`repro.core.verify.check_equivalence` run this class as is.
@@ -64,7 +66,6 @@ from ..peers.registry import PickPolicy
 from ..peers.service import DeclarativeService, QueryMemo
 from ..peers.system import AXMLSystem
 from ..xmlcore.model import Element, NodeId, Text
-from ..xmlcore.serializer import serialize
 from ..xquery import Query
 from ..xquery.runtime import string_value
 from .expressions import (
@@ -86,7 +87,7 @@ from .expressions import (
     ServiceCallExpr,
     TreeExpr,
 )
-from .serialize import expression_to_text
+from .serialize import expression_size
 
 __all__ = ["EvalOutcome", "ExpressionEvaluator"]
 
@@ -195,10 +196,6 @@ class ExpressionEvaluator:
         if len(outcome.items) == 1:
             home.install_document(name, outcome.items[0], replace=True)
         return outcome
-
-    def _serialize_forest(self, items: Sequence[Element]) -> str:
-        """The wire form of a forest (pure; overridden only to be timed)."""
-        return "".join(serialize(item) for item in items)
 
     # -- entry point -------------------------------------------------------------
     def eval(
@@ -451,10 +448,7 @@ class ExpressionEvaluator:
         if at == expr.home:
             return EvalOutcome(query=expr.query, completed_at=ready_at)
         message = Message(
-            src=expr.home,
-            dst=at,
-            kind=MessageKind.QUERY,
-            payload=expr.query.source,
+            expr.home, at, MessageKind.QUERY, expr.query.source_bytes
         )
         arrival = self._deliver(message, ready_at)
         return EvalOutcome(query=expr.query, completed_at=arrival)
@@ -534,12 +528,11 @@ class ExpressionEvaluator:
             param_values.extend(sub.items)
 
         # ship parameters to the provider (one CALL message)
-        payload = self._serialize_forest(param_values)
         call_message = Message(
             src=at,
             dst=provider_id,
             kind=MessageKind.CALL,
-            payload=payload,
+            payload_bytes=sum(p.serialized_size() for p in param_values),
             headers={"service": service_name},
         )
         arrival = self._call_provider(call_message, latest)
@@ -587,7 +580,7 @@ class ExpressionEvaluator:
                     src=provider_id,
                     dst=at,
                     kind=MessageKind.RESULT,
-                    payload=self._serialize_forest((response,)),
+                    payload_bytes=response.serialized_size(),
                 )
                 last = max(last, self._deliver(message, done))
         outcome.items = settled
@@ -620,19 +613,15 @@ class ExpressionEvaluator:
         clock = inner.completed_at
         relay_from = at
         # rule (12) relays: explicit intermediary stops, store-and-forward.
-        data = self._serialize_forest(inner.items)
+        size = sum(item.serialized_size() for item in inner.items)
         for hop in expr.via:
-            message = Message(
-                src=relay_from, dst=hop, kind=MessageKind.DATA, payload=data
-            )
+            message = Message(relay_from, hop, MessageKind.DATA, size)
             clock = self._deliver(message, clock)
             relay_from = hop
 
         dest = expr.dest
         if isinstance(dest, PeerDest):
-            message = Message(
-                src=relay_from, dst=dest.peer, kind=MessageKind.DATA, payload=data
-            )
+            message = Message(relay_from, dest.peer, MessageKind.DATA, size)
             clock = self._deliver(message, clock)
             peer = self.system.peer(dest.peer)
             self._install_counter += 1
@@ -644,7 +633,7 @@ class ExpressionEvaluator:
                 src=relay_from,
                 dst=dest.peer,
                 kind=MessageKind.INSTALL,
-                payload=data,
+                payload_bytes=size,
                 headers={"doc": dest.name},
             )
             clock = self._deliver(message, clock)
@@ -695,10 +684,7 @@ class ExpressionEvaluator:
             return self.eval(expr.expr, at, ready_at, depth + 1)
         # ship the expression tree itself (code shipping)
         message = Message(
-            src=at,
-            dst=expr.peer,
-            kind=MessageKind.QUERY,
-            payload=expression_to_text(expr.expr),
+            at, expr.peer, MessageKind.QUERY, expression_size(expr.expr)
         )
         arrival = self._deliver(message, ready_at)
         remote = self.eval(expr.expr, expr.peer, arrival, depth + 1)
@@ -731,13 +717,11 @@ class ExpressionEvaluator:
         if src == dst or (not outcome.items and query is None):
             arrival = ready_at  # nothing crosses the network
         elif not outcome.items:
-            message = Message(
-                src=src, dst=dst, kind=MessageKind.QUERY, payload=query.source
-            )
+            message = Message(src, dst, MessageKind.QUERY, query.source_bytes)
             arrival = self._deliver(message, ready_at)
         else:
-            payload = self._serialize_forest(outcome.items)
-            message = Message(src=src, dst=dst, kind=MessageKind.DATA, payload=payload)
+            size = sum(item.serialized_size() for item in outcome.items)
+            message = Message(src, dst, MessageKind.DATA, size)
             arrival = self._deliver(message, ready_at)
             query = None  # a forest ships as data alone
         shipped = EvalOutcome(
@@ -765,7 +749,7 @@ class ExpressionEvaluator:
                     src=src,
                     dst=target.peer,
                     kind=MessageKind.FORWARD,
-                    payload=self._serialize_forest((item,)),
+                    payload_bytes=item.serialized_size(),
                     headers={"target": str(target)},
                 )
                 last = max(last, self._deliver(message, ready_at))

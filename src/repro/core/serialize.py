@@ -229,7 +229,7 @@ def expression_from_text(text: str) -> Expression:
 
 def expression_size(expr: Expression) -> int:
     """Bytes of the serialized expression — the code-shipping cost."""
-    return len(expression_to_text(expr).encode("utf-8"))
+    return to_xml(expr).serialized_size()
 
 
 # ---------------------------------------------------------------------------

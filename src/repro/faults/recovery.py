@@ -145,19 +145,16 @@ class RecoveringEvaluator(ExpressionEvaluator):
     the bare evaluator's effect seam and nothing else.  With
     no fault state on ``system.network`` (installing it is the caller's
     job), no ``policy`` (:class:`RetryPolicy`; ``None``: faults propagate
-    typed on first occurrence), no ``tracer`` (:class:`repro.obs.Tracer`;
-    observational only: recording never consults the RNG or the clock)
-    and no ``profiler`` (:class:`repro.obs.WallProfiler`), every override
-    falls through to the bare body.
+    typed on first occurrence) and no ``tracer``
+    (:class:`repro.obs.Tracer`; observational only: recording never
+    consults the RNG or the clock), every override falls through to the
+    bare body.
     """
 
-    def __init__(
-        self, system, pick_policy=None, *, policy=None, tracer=None, profiler=None
-    ) -> None:
+    def __init__(self, system, pick_policy=None, *, policy=None, tracer=None) -> None:
         super().__init__(system, pick_policy)
         self.policy: Optional[RetryPolicy] = policy
         self.tracer = tracer
-        self.profiler = profiler
         #: Run-wide recovery tallies, folded with the injector's into
         #: ``ServingReport.registry`` as ``faults{kind=…}``.
         self.counters: Counter = Counter()
@@ -339,11 +336,3 @@ class RecoveringEvaluator(ExpressionEvaluator):
         if len(outcome.items) == 1 and len(self.losses) == watermark:
             home.install_document(name, outcome.items[0], replace=True)
         return outcome
-
-    def _serialize_forest(self, items) -> str:
-        """Wall-timed: serialization dominates the wall cost of simulating
-        large transfers (the payload exists only to be measured)."""
-        if self.profiler is None:
-            return super()._serialize_forest(items)
-        with self.profiler.phase("serialize"):
-            return super()._serialize_forest(items)

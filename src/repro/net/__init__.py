@@ -8,13 +8,14 @@
 """
 
 from . import topology
-from .message import Message, MessageKind
+from .message import Message, MessageKind, wire_size
 from .network import Link, LinkStats, Network, NetworkStats, PeerTraffic
 
 __all__ = [
     "topology",
     "Message",
     "MessageKind",
+    "wire_size",
     "Link",
     "LinkStats",
     "Network",

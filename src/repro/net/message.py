@@ -2,9 +2,13 @@
 
 Every unit of communication in the framework — shipped data trees,
 shipped queries (code shipping), service-call requests, streamed results —
-is a :class:`Message`.  Payloads are serialized XML text, so message sizes
-are byte-accurate: the benchmark numbers for "data shipped" come straight
-from ``len(payload.encode())``.
+is a :class:`Message`.  A message holds not what it ships but how many
+bytes that is: senders pass the exact UTF-8 length of the serialized
+payload (``Element.serialized_size()``, cached per subtree;
+``Query.source_bytes`` for query text), and :func:`wire_size` — the one
+definition of "bytes on the wire", shared with the analytic estimator —
+adds headers and envelope.  "Data shipped" in every benchmark is a sum
+of :attr:`Message.size`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict
 
-__all__ = ["Message", "MessageKind"]
+__all__ = ["Message", "MessageKind", "wire_size"]
 
 _SEQ = itertools.count(1)
 
@@ -44,28 +48,30 @@ class Message:
     src: str
     dst: str
     kind: str
-    payload: str
+    #: Exact UTF-8 length of the serialized payload.
+    payload_bytes: int
     headers: Dict[str, str] = field(default_factory=dict)
     seq: int = field(default_factory=lambda: next(_SEQ))
+    #: Total bytes on the wire, fixed at construction (:func:`wire_size`).
+    size: int = field(init=False)
 
     #: Fixed per-message envelope overhead in bytes (transport framing).
     ENVELOPE_OVERHEAD = 64
 
-    @property
-    def payload_bytes(self) -> int:
-        return len(self.payload.encode("utf-8"))
-
-    @property
-    def size(self) -> int:
-        """Total bytes on the wire: payload + headers + fixed envelope."""
-        header_bytes = sum(
-            len(k.encode("utf-8")) + len(v.encode("utf-8")) + 4
-            for k, v in self.headers.items()
-        )
-        return self.payload_bytes + header_bytes + self.ENVELOPE_OVERHEAD
+    def __post_init__(self) -> None:
+        self.size = wire_size(self.payload_bytes, self.headers)
 
     def __repr__(self) -> str:
         return (
             f"Message(#{self.seq} {self.src}->{self.dst} {self.kind}, "
             f"{self.size}B)"
         )
+
+
+def wire_size(payload_bytes: int, headers: Dict[str, str]) -> int:
+    """Total bytes one message puts on the wire: payload, each header
+    (key + value + 4 framing bytes) and the fixed envelope."""
+    size = payload_bytes + Message.ENVELOPE_OVERHEAD
+    for key, value in headers.items():
+        size += len(key.encode("utf-8")) + len(value.encode("utf-8")) + 4
+    return size

@@ -338,8 +338,10 @@ class Network:
         ready_at: float = 0.0,
         headers: Optional[Dict[str, str]] = None,
     ) -> Tuple[Message, float]:
-        """Convenience wrapper building the :class:`Message` first."""
-        message = Message(src, dst, kind, payload, headers or {})
+        """Convenience wrapper building the :class:`Message` first (the
+        one sender that takes its payload as text, and measures it)."""
+        size = len(payload.encode("utf-8"))
+        message = Message(src, dst, kind, size, headers or {})
         arrival = self.deliver(message, ready_at)
         return message, arrival
 

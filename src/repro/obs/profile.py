@@ -5,7 +5,7 @@ time (what the simulated fleet experienced), :class:`WallProfiler`
 accounts for **wall** time (what this python process actually burned
 running the simulation).  The raw-speed roadmap item needs the latter:
 T1 spends ~1.5 wall-seconds to simulate ~63ms of virtual time, and the
-per-phase split (parse / optimize / evaluate / serialize) plus the
+per-phase split (parse / optimize / evaluate) plus the
 cProfile hotspot table say where the rework should aim.
 
 Usage::

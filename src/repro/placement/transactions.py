@@ -28,7 +28,6 @@ from ..errors import FragmentationError, FragmentUnavailableError
 from ..net.message import Message, MessageKind
 from ..peers.system import AXMLSystem
 from ..xmlcore.model import Element
-from ..xmlcore.serializer import serialize
 
 __all__ = [
     "CatalogTransaction",
@@ -103,7 +102,7 @@ class CatalogTransaction:
             src=src,
             dst=dst,
             kind=MessageKind.INSTALL,
-            payload=serialize(tree),
+            payload_bytes=tree.serialized_size(),
             headers={"doc": name},
         )
         arrival = system.network.deliver(message, now)

@@ -317,7 +317,7 @@ class Session:
         #: :attr:`ExecutionReport.spans` / ``ServingReport.trace``.
         self.tracer = tracer
         #: Optional :class:`repro.obs.WallProfiler` timing the pipeline's
-        #: wall-clock phases (parse / optimize / evaluate / serialize).
+        #: wall-clock phases (parse / optimize / evaluate).
         self.profiler = profiler
         self.pick_policy = pick_policy
         self.isolate = isolate
@@ -905,7 +905,6 @@ class Session:
             pick_policy,
             policy=self.retry,
             tracer=self.tracer,
-            profiler=self.profiler,
         )
 
     def _run_report(

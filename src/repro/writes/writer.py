@@ -43,7 +43,6 @@ from ..errors import (
 from ..net.message import Message, MessageKind
 from ..peers.system import AXMLSystem
 from ..xmlcore.model import Element, element
-from ..xmlcore.serializer import serialize
 from .ops import DeleteOp, InsertOp, UpdateOp, WriteOp, WriteResult
 
 __all__ = ["DocumentWriter", "apply_to_tree", "op_kind"]
@@ -303,18 +302,20 @@ class DocumentWriter:
             src=src,
             dst=dst,
             kind=MessageKind.DATA,
-            payload=self._delta_payload(op),
+            payload_bytes=self._delta_bytes(op),
             headers={"doc": doc, "write": op_kind(op)},
         )
         return self.system.network.deliver(message, now)
 
     @staticmethod
-    def _delta_payload(op: WriteOp) -> str:
+    def _delta_bytes(op: WriteOp) -> int:
+        """Wire size of ``ordinal[:item | :tag=value]``, the shipped delta."""
+        size = len(str(op.ordinal))
         if isinstance(op, InsertOp):
-            return f"{op.ordinal}:{serialize(op.item)}"
-        if isinstance(op, UpdateOp):
-            return f"{op.ordinal}:{op.tag}={op.value}"
-        return f"{op.ordinal}"
+            size += 1 + op.item.serialized_size()
+        elif isinstance(op, UpdateOp):
+            size += 2 + len(f"{op.tag}{op.value}".encode("utf-8"))
+        return size
 
     # -- catalog maintenance ------------------------------------------------
     def _refresh_catalog(self, info, owner, op: WriteOp, primary_tree) -> None:

@@ -112,7 +112,9 @@ class Node:
         raise NotImplementedError
 
     def serialized_size(self) -> int:
-        """Approximate serialized byte size; used for transfer accounting."""
+        """Exact UTF-8 byte length of the compact serialization
+        (``len(serialize(node).encode("utf-8"))``, node ids left out):
+        what a message shipping this subtree puts on the wire."""
         raise NotImplementedError
 
     def content_fingerprint(self) -> str:
@@ -148,7 +150,9 @@ class Text(Node):
         return self.value
 
     def serialized_size(self) -> int:
-        return len(self.value.encode("utf-8"))
+        value = self.value  # escaped on the wire: &amp; &lt; &gt;
+        escapes = 4 * value.count("&") + 3 * (value.count("<") + value.count(">"))
+        return len(value.encode("utf-8")) + escapes
 
     def content_fingerprint(self) -> str:
         digest = blake2b(digest_size=_FP_BYTES)
@@ -407,21 +411,27 @@ class Element(Node):
         return clone
 
     def serialized_size(self) -> int:
-        """Byte size of ``<tag attrs>children</tag>`` in UTF-8, approximated
-        without building the string (used heavily in transfer accounting).
+        """Exact UTF-8 byte size of ``<tag attrs>children</tag>`` (``<tag
+        attrs/>`` when childless), escapes included, without building the
+        string: what a message shipping this subtree weighs, and what the
+        estimator prices.
 
         Computed once per finished subtree and cached; the mutating helpers
-        invalidate the cache up the ancestor chain, so repeated cost
-        estimation over a stable document is O(1) instead of a tree walk.
+        invalidate the cache up the ancestor chain, so sizing a stable
+        document again is O(1) instead of a tree walk.
         """
         if self._size_cache is not None:
             return self._size_cache
         tag_bytes = len(self.tag.encode("utf-8"))
-        size = tag_bytes * 2 + 5  # <tag></tag>
+        size = tag_bytes + 3  # <tag/>
         for name, value in self.attrs.items():
+            # ` name="value"`, with &amp; &lt; &quot; escaped in the value
             size += len(name.encode("utf-8")) + len(value.encode("utf-8")) + 4
-        for child in self.children:
-            size += child.serialized_size()
+            size += 4 * value.count("&") + 3 * value.count("<") + 5 * value.count('"')
+        if self.children:
+            size += tag_bytes + 2  # <tag>...</tag> instead of <tag/>
+            for child in self.children:
+                size += child.serialized_size()
         self._size_cache = size
         return size
 

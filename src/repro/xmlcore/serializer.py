@@ -1,8 +1,9 @@
 """Serialization of the XML data model back to text.
 
 Two modes: compact (no inserted whitespace — what goes on the wire, and
-what :func:`repro.xmlcore.model.Element.serialized_size` approximates) and
-pretty-printed (for humans, README examples, and test failure output).
+whose UTF-8 length :func:`repro.xmlcore.model.Element.serialized_size`
+returns exactly, without building it) and pretty-printed (for humans,
+README examples, and test failure output).
 """
 
 from __future__ import annotations

@@ -79,6 +79,8 @@ class Query:
         doc_resolver=None,
     ) -> None:
         self.source = source
+        #: UTF-8 length of ``source``: the payload of shipping this query.
+        self.source_bytes = len(source.encode("utf-8"))
         self.name = name
         self.module: Module = parse_query(source)
         self.params = self._with_externals(params)
@@ -115,6 +117,7 @@ class Query:
         """
         clone = Query.__new__(Query)
         clone.source = self.source
+        clone.source_bytes = self.source_bytes
         clone.name = name
         clone.module = self.module
         clone.params = (

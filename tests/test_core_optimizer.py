@@ -19,8 +19,9 @@ from repro.core import (
     measure,
     observable_state,
 )
+from repro.core.rules import PushSelection
 from repro.errors import OptimizerError
-from repro.peers import AXMLSystem
+from repro.peers import AXMLSystem, DeclarativeService
 from repro.xmlcore import parse
 from repro.xquery import Query
 
@@ -108,6 +109,32 @@ class TestCostEstimator:
         assert (est_deleg.bytes < est_naive.bytes) == (
             mea_deleg.bytes < mea_naive.bytes
         )
+
+    def test_empty_envelope_is_priced_at_its_wire_size(self, system):
+        # a pushed selection that selects nothing ships <q-inner-result/>:
+        # 17 bytes on the wire, and the estimator agrees to the byte
+        (pushed,) = PushSelection().apply(naive_plan(threshold=10_000), system)
+        measured = measure(pushed.plan, system)
+        estimated = CostEstimator(system).estimate(pushed.plan)
+        assert (estimated.bytes, estimated.messages) == (
+            measured.bytes,
+            measured.messages,
+        )
+
+    def test_multi_item_activation_is_priced_to_the_byte(self, system):
+        # three responses replace the sc under a (non-empty) <results>
+        # wrapper; the activated document then ships to the client
+        helper = system.peer("helper")
+        helper.install_document("src", parse("<l><i>1</i><i>2</i><i>3</i></l>"))
+        helper.install_service(
+            DeclarativeService("items", Query('doc("src")//i', name="items"))
+        )
+        system.peer("data").install_document("ax", parse(
+            "<root><keep>x</keep>"
+            "<sc><peer>helper</peer><service>items</service></sc></root>"
+        ))
+        plan = Plan(DocExpr("ax", "data"), "client")
+        assert CostEstimator(system).estimate(plan) == measure(plan, system)
 
     def test_statistics_override_default(self, system):
         # explicit per-query statistics take precedence over the sampled

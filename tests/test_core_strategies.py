@@ -134,16 +134,16 @@ class TestRegistry:
 
 
 class TestStrategyParity:
-    """The extracted strategies must match the legacy Optimizer entry points."""
+    """``optimize_with(name)`` must match ``Strategy().search`` run directly."""
 
-    def test_beam_matches_legacy_optimize(self, system):
+    def test_beam_by_name_matches_direct_search(self, system):
         plan = naive_plan()
-        legacy = Optimizer(system).optimize_with("beam", plan, depth=2, beam=6)
+        by_name = Optimizer(system).optimize_with("beam", plan, depth=2, beam=6)
         space = SearchSpace(system)
         direct = BeamSearchStrategy(depth=2, beam=6).search(plan, space)
-        assert direct.best.describe() == legacy.best.describe()
-        assert direct.best_cost == legacy.best_cost
-        assert direct.explored == legacy.explored
+        assert direct.best.describe() == by_name.best.describe()
+        assert direct.best_cost == by_name.best_cost
+        assert direct.explored == by_name.explored
 
     def test_greedy_by_name_matches_the_strategy_searched_directly(self, system):
         plan = naive_plan()

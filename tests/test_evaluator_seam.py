@@ -47,7 +47,6 @@ SEAM = {
     "_lost",
     "_read_fragment",
     "_activate_document",
-    "_serialize_forest",
 }
 
 #: What the bare evaluator must not know about.
@@ -193,7 +192,7 @@ class TestBareParity:
         plans = [session.plan(**query.kwargs()) for query in scenario.queries]
         attached = session._evaluator(None)
         assert type(attached) is RecoveringEvaluator
-        assert attached.policy is attached.tracer is attached.profiler is None
+        assert attached.policy is attached.tracer is None
         assert attached.system.network.faults is None
         bare = ExpressionEvaluator(scenario.system.clone())
         assert _observe(attached, plans) == _observe(bare, plans)

@@ -188,7 +188,7 @@ class TestLinkFaults:
             FaultEvent(LINK_DROP, 0.0, 0.1, src="a", dst="b"),
         )))
         with pytest.raises(MessageLostError) as err:
-            net.deliver(Message("a", "b", MessageKind.DATA, "x" * 100), 0.0)
+            net.deliver(Message("a", "b", MessageKind.DATA, 100), 0.0)
         assert err.value.at > 0.0
         assert net.faults.counters["messages_dropped"] == 1
 
@@ -197,18 +197,18 @@ class TestLinkFaults:
         net.faults = FaultState(FaultPlan(events=(
             FaultEvent(LINK_DROP, 0.0, 0.1, src="a", dst="b"),
         )))
-        arrival = net.deliver(Message("a", "b", MessageKind.DATA, "x"), 0.2)
+        arrival = net.deliver(Message("a", "b", MessageKind.DATA, 1), 0.2)
         assert arrival > 0.2
         assert "messages_dropped" not in net.faults.counters
 
     def test_degrade_slows_by_factor(self):
         clean = self._net()
-        fast = clean.deliver(Message("a", "b", MessageKind.DATA, "x" * 10_000), 0.0)
+        fast = clean.deliver(Message("a", "b", MessageKind.DATA, 10_000), 0.0)
         net = self._net()
         net.faults = FaultState(FaultPlan(events=(
             FaultEvent(LINK_DEGRADE, 0.0, 1.0, src="a", dst="b", factor=5.0),
         )))
-        slow = net.deliver(Message("a", "b", MessageKind.DATA, "x" * 10_000), 0.0)
+        slow = net.deliver(Message("a", "b", MessageKind.DATA, 10_000), 0.0)
         assert slow == pytest.approx(fast * 5.0)
         assert net.faults.counters["hops_degraded"] == 1
 
@@ -218,7 +218,7 @@ class TestLinkFaults:
             FaultEvent(CORRUPT, 0.0, 0.1, src="a", dst="b"),
         )))
         with pytest.raises(TransferCorruptionError) as err:
-            net.deliver(Message("a", "b", MessageKind.DATA, "x" * 500), 0.0)
+            net.deliver(Message("a", "b", MessageKind.DATA, 500), 0.0)
         assert err.value.at > 0.0
         # bytes were charged: the transfer crossed the wire before the
         # fingerprint check rejected it
@@ -231,14 +231,14 @@ class TestLinkFaults:
         faulted = self._net()
         faulted.faults = FaultState(FaultPlan())
         for ready in (0.0, 0.0375, 1.5):
-            message = Message("a", "b", MessageKind.DATA, "y" * 1234)
+            message = Message("a", "b", MessageKind.DATA, 1234)
             assert clean.deliver(message, ready) == faulted.deliver(
-                Message("a", "b", MessageKind.DATA, "y" * 1234), ready
+                Message("a", "b", MessageKind.DATA, 1234), ready
             )
 
     def test_cancel_peer_traffic_clamps_busy_links(self):
         net = self._net()
-        net.deliver(Message("a", "b", MessageKind.DATA, "x" * 500_000), 0.0)
+        net.deliver(Message("a", "b", MessageKind.DATA, 500_000), 0.0)
         assert net.link("a", "b").busy_until > 0.1
         cancelled = net.cancel_peer_traffic("b", now=0.1)
         assert cancelled == 1
@@ -668,7 +668,7 @@ class TestChurnTrafficCancellation:
         network = system.network
         # a large transfer keeps the p1->p0 link busy well past t=0.05
         network.deliver(
-            Message("p1", "p0", MessageKind.DATA, "x" * 500_000), 0.0
+            Message("p1", "p0", MessageKind.DATA, 500_000), 0.0
         )
         assert network.link("p1", "p0").busy_until > 0.05
         notes = ChurnController(system).kill("p1", now=0.05)
@@ -681,7 +681,7 @@ class TestChurnTrafficCancellation:
     def test_rejoin_does_not_revive_precrash_traffic(self, system):
         network = system.network
         network.deliver(
-            Message("p1", "p0", MessageKind.DATA, "x" * 500_000), 0.0
+            Message("p1", "p0", MessageKind.DATA, 500_000), 0.0
         )
         controller = ChurnController(system)
         controller.kill("p1", now=0.05)
@@ -690,7 +690,7 @@ class TestChurnTrafficCancellation:
         # a fresh transfer after the rejoin starts immediately — it does
         # not queue behind the cancelled pre-crash transfer
         arrival = network.deliver(
-            Message("p1", "p0", MessageKind.DATA, "y" * 100), 0.06
+            Message("p1", "p0", MessageKind.DATA, 100), 0.06
         )
         assert arrival < 0.2
 

@@ -3,25 +3,45 @@
 import pytest
 
 from repro.errors import NetworkError, NoRouteError, UnknownPeerError
-from repro.net import Message, MessageKind, Network, topology
+from repro.net import Message, MessageKind, Network, topology, wire_size
 
 
 class TestMessage:
-    def test_payload_bytes_utf8(self):
-        assert Message("a", "b", "data", "héllo").payload_bytes == 6
+    @pytest.mark.parametrize(
+        "headers, header_bytes",
+        [
+            ({}, 0),
+            ({"service": "lookup"}, 7 + 6 + 4),
+            ({"döc": "naïve", "target": "n3@p1"}, (4 + 6 + 4) + (6 + 5 + 4)),
+        ],
+        ids=["no-headers", "one-header", "non-ascii-headers"],
+    )
+    def test_size_is_wire_size_fixed_at_construction(self, headers, header_bytes):
+        message = Message("a", "b", "data", 10, headers)
+        assert message.size == wire_size(10, headers)
+        assert message.size == 10 + header_bytes + Message.ENVELOPE_OVERHEAD
+        # a stored value, not a property re-deriving it on every read
+        assert "size" in vars(message) and not hasattr(message, "payload")
+
+    def test_send_tree_measures_its_text_in_utf8(self):
+        net = Network()
+        net.add_link("a", "b")
+        message, _ = net.send_tree("a", "b", "héllo")
+        assert message.payload_bytes == 6
+        assert net.stats.bytes == message.size == wire_size(6, {})
 
     def test_size_includes_envelope(self):
-        message = Message("a", "b", "data", "x")
+        message = Message("a", "b", "data", 1)
         assert message.size == 1 + Message.ENVELOPE_OVERHEAD
 
     def test_size_includes_headers(self):
-        plain = Message("a", "b", "data", "x")
-        with_headers = Message("a", "b", "data", "x", {"k": "vvvv"})
+        plain = Message("a", "b", "data", 1)
+        with_headers = Message("a", "b", "data", 1, {"k": "vvvv"})
         assert with_headers.size == plain.size + 1 + 4 + 4
 
     def test_sequence_numbers_increase(self):
-        first = Message("a", "b", "data", "")
-        second = Message("a", "b", "data", "")
+        first = Message("a", "b", "data", 0)
+        second = Message("a", "b", "data", 0)
         assert second.seq > first.seq
 
 
@@ -29,15 +49,15 @@ class TestLinks:
     def test_transfer_time_components(self):
         net = Network()
         net.add_link("a", "b", latency=0.1, bandwidth=1000.0)
-        message = Message("a", "b", MessageKind.DATA, "x" * 936)  # 1000B total
+        message = Message("a", "b", MessageKind.DATA, 936)  # 1000B total
         arrival = net.deliver(message, ready_at=0.0)
         assert arrival == pytest.approx(0.1 + 1.0)
 
     def test_fifo_serialization(self):
         net = Network()
         net.add_link("a", "b", latency=0.0, bandwidth=1000.0)
-        m1 = Message("a", "b", MessageKind.DATA, "x" * 936)
-        m2 = Message("a", "b", MessageKind.DATA, "x" * 936)
+        m1 = Message("a", "b", MessageKind.DATA, 936)
+        m2 = Message("a", "b", MessageKind.DATA, 936)
         t1 = net.deliver(m1, 0.0)
         t2 = net.deliver(m2, 0.0)  # queues behind m1
         assert t2 == pytest.approx(t1 + 1.0)
@@ -45,20 +65,20 @@ class TestLinks:
     def test_ready_at_delays_start(self):
         net = Network()
         net.add_link("a", "b", latency=0.0, bandwidth=1e9)
-        arrival = net.deliver(Message("a", "b", MessageKind.DATA, "x"), 5.0)
+        arrival = net.deliver(Message("a", "b", MessageKind.DATA, 1), 5.0)
         assert arrival >= 5.0
 
     def test_loopback_is_free(self):
         net = Network()
         net.add_peer("a")
-        arrival = net.deliver(Message("a", "a", MessageKind.DATA, "x" * 10000), 1.0)
+        arrival = net.deliver(Message("a", "a", MessageKind.DATA, 10000), 1.0)
         assert arrival == 1.0
         assert net.stats.messages == 0
 
     def test_reset_clocks_clears_busy(self):
         net = Network()
         net.add_link("a", "b", latency=0.0, bandwidth=100.0)
-        net.deliver(Message("a", "b", MessageKind.DATA, "x" * 1000), 0.0)
+        net.deliver(Message("a", "b", MessageKind.DATA, 1000), 0.0)
         net.reset_clocks()
         assert net.link("a", "b").busy_until == 0.0
 
@@ -112,8 +132,8 @@ class TestStats:
     def test_per_kind_accounting(self):
         net = Network()
         net.add_link("a", "b")
-        net.deliver(Message("a", "b", MessageKind.DATA, "12345"))
-        net.deliver(Message("a", "b", MessageKind.QUERY, "q"))
+        net.deliver(Message("a", "b", MessageKind.DATA, 5))
+        net.deliver(Message("a", "b", MessageKind.QUERY, 1))
         assert net.stats.messages == 2
         assert net.stats.by_kind[MessageKind.DATA] == 1
         assert net.stats.by_kind[MessageKind.QUERY] == 1
@@ -122,7 +142,7 @@ class TestStats:
     def test_link_stats(self):
         net = Network()
         net.add_link("a", "b", bandwidth=1000.0)
-        net.deliver(Message("a", "b", MessageKind.DATA, "x" * 100))
+        net.deliver(Message("a", "b", MessageKind.DATA, 100))
         link = net.link("a", "b")
         assert link.stats.messages == 1
         assert link.stats.bytes == 100 + Message.ENVELOPE_OVERHEAD
@@ -130,7 +150,7 @@ class TestStats:
     def test_reset_stats(self):
         net = Network()
         net.add_link("a", "b")
-        net.deliver(Message("a", "b", MessageKind.DATA, "x"))
+        net.deliver(Message("a", "b", MessageKind.DATA, 1))
         net.reset_stats()
         assert net.stats.messages == 0
         assert net.link("a", "b").stats.messages == 0
@@ -139,7 +159,7 @@ class TestStats:
         net = Network()
         net.add_link("a", "b")
         net.keep_log = True
-        net.deliver(Message("a", "b", MessageKind.DATA, "x"))
+        net.deliver(Message("a", "b", MessageKind.DATA, 1))
         assert len(net.log) == 1
 
 
@@ -196,7 +216,7 @@ class TestRoutingRegressions:
         net = Network()
         net.add_link("a", "b", latency=0.1, bandwidth=1000.0)
         net.add_link("b", "c", latency=0.2, bandwidth=500.0)
-        message = Message("a", "c", MessageKind.DATA, "x" * 936)  # 1000B total
+        message = Message("a", "c", MessageKind.DATA, 936)  # 1000B total
         arrival = net.deliver(message, ready_at=0.0)
         assert arrival == pytest.approx((1.0 + 0.1) + (2.0 + 0.2))
 
@@ -204,7 +224,7 @@ class TestRoutingRegressions:
         net = Network()
         net.add_link("a", "b")
         net.add_link("b", "c")
-        net.deliver(Message("a", "c", MessageKind.DATA, "x" * 100))
+        net.deliver(Message("a", "c", MessageKind.DATA, 100))
         # per-message accounting counts once; per-link counts both hops
         assert net.stats.messages == 1
         assert net.link("a", "b").stats.messages == 1
@@ -215,8 +235,8 @@ class TestRoutingRegressions:
         net = Network()
         net.add_link("a", "b", latency=0.0, bandwidth=1e9)
         net.add_link("b", "c", latency=0.0, bandwidth=1000.0)
-        m1 = Message("a", "c", MessageKind.DATA, "x" * 936)  # 1s on b->c
-        m2 = Message("a", "c", MessageKind.DATA, "x" * 936)
+        m1 = Message("a", "c", MessageKind.DATA, 936)  # 1s on b->c
+        m2 = Message("a", "c", MessageKind.DATA, 936)
         t1 = net.deliver(m1, 0.0)
         t2 = net.deliver(m2, 0.0)
         assert t2 == pytest.approx(t1 + 1.0)
@@ -224,8 +244,8 @@ class TestRoutingRegressions:
     def test_fifo_queue_drains_in_arrival_order(self):
         net = Network()
         net.add_link("a", "b", latency=0.0, bandwidth=1000.0)
-        early = net.deliver(Message("a", "b", MessageKind.DATA, "x" * 936), 0.0)
-        late = net.deliver(Message("a", "b", MessageKind.DATA, "x" * 936), 10.0)
+        early = net.deliver(Message("a", "b", MessageKind.DATA, 936), 0.0)
+        late = net.deliver(Message("a", "b", MessageKind.DATA, 936), 10.0)
         # the late transfer finds a free link: no phantom queueing remains
         assert early == pytest.approx(1.0)
         assert late == pytest.approx(11.0)
@@ -248,7 +268,7 @@ class TestRoutingRegressions:
     def test_self_transfer_occupies_no_links(self):
         net = Network()
         net.add_link("a", "b", latency=0.0, bandwidth=1000.0)
-        arrival = net.deliver(Message("a", "a", MessageKind.DATA, "x" * 5000), 2.0)
+        arrival = net.deliver(Message("a", "a", MessageKind.DATA, 5000), 2.0)
         assert arrival == 2.0
         assert net.stats.messages == 0
         assert net.link("a", "b").busy_until == 0.0
@@ -258,7 +278,7 @@ class TestRoutingRegressions:
         net.add_link("a", "b")
         net.add_peer("island")
         with pytest.raises(NoRouteError):
-            net.deliver(Message("a", "island", MessageKind.DATA, "x"))
+            net.deliver(Message("a", "island", MessageKind.DATA, 1))
 
     def test_disconnected_component_unreachable_both_ways(self):
         net = Network()

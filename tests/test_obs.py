@@ -263,8 +263,8 @@ class TestWallProfiler:
         query = scenario.queries[0]
         session.query(**query.kwargs())
         names = [name for name, _, _ in profiler.phases()]
-        assert "parse" in names and "optimize" in names
-        assert "evaluate" in names and "serialize" in names
+        # exactly these: sizing a message is arithmetic, not a timed phase
+        assert sorted(set(names)) == ["evaluate", "optimize", "parse"]
 
 
 # ---------------------------------------------------------------------------

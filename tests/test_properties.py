@@ -174,7 +174,7 @@ class TestNetworkProperties:
         clock = 0.0
         total = 0
         for size in sizes:
-            message = Message("a", "b", MessageKind.DATA, "x" * size)
+            message = Message("a", "b", MessageKind.DATA, size)
             arrival = net.deliver(message, 0.0)
             assert arrival >= clock - 1e-9  # FIFO: arrivals never regress
             clock = arrival

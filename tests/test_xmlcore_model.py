@@ -1,6 +1,8 @@
 """Unit tests for the XML data model (repro.xmlcore.model)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.xmlcore import (
     Element,
@@ -12,9 +14,33 @@ from repro.xmlcore import (
     find_first,
     iter_elements,
     iter_nodes,
+    serialize,
     text,
     tree_size,
 )
+
+
+def wire_len(node) -> int:
+    return len(serialize(node).encode("utf-8"))
+
+
+#: Random trees with everything the serializer treats specially: childless
+#: elements, escapable characters in text and attribute values, non-ASCII
+#: tags and values, mixed content.
+NAMES = st.sampled_from(["a", "item", "q-inner-result", "naïve", "数据"])
+VALUES = st.text(alphabet="ab &<>\"'é数", max_size=8)
+ATTRS = st.dictionaries(NAMES, VALUES, max_size=3)
+TREES = st.recursive(
+    st.builds(Element, NAMES, ATTRS),
+    lambda subtrees: st.builds(
+        Element,
+        NAMES,
+        ATTRS,
+        st.lists(st.one_of(subtrees, st.builds(Text, VALUES)), max_size=4),
+    ),
+    max_leaves=12,
+)
+NODES = st.one_of(TREES, st.builds(Text, VALUES))
 
 
 class TestNodeId:
@@ -207,15 +233,44 @@ class TestSizeAccounting:
         assert big.serialized_size() > small.serialized_size()
 
     def test_size_close_to_serialization(self):
-        from repro.xmlcore import serialize
-
         e = element("catalog", *[
             element("item", element("name", f"n{i}"), attrs={"id": str(i)})
             for i in range(20)
         ])
-        actual = len(serialize(e).encode("utf-8"))
-        approx = e.serialized_size()
-        assert abs(actual - approx) / actual < 0.25
+        assert e.serialized_size() == wire_len(e)  # as close as it gets
+
+    def test_childless_and_escaped_sizes(self):
+        assert element("q-inner-result").serialized_size() == 17
+        assert text("a&b<c>d").serialized_size() == len("a&amp;b&lt;c&gt;d")
+        quoted = element("a", attrs={"k": 'x"&<>'})
+        assert quoted.serialized_size() == len('<a k="x&quot;&amp;&lt;>"/>')
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_size_is_the_serialization_length_through_mutation(self, data):
+        """The one definition of bytes on the wire: for every node of a
+        random tree, and for the (cache-warm) root after each mutator."""
+        root = data.draw(TREES)
+        for node in iter_nodes(root):
+            assert node.serialized_size() == wire_len(node)
+        for _ in range(data.draw(st.integers(1, 5))):
+            target = data.draw(st.sampled_from(list(iter_elements(root))))
+            op = data.draw(
+                st.sampled_from(["append", "remove", "replace_child", "set_attr"])
+            )
+            if op == "set_attr":
+                target.set_attr(data.draw(NAMES), data.draw(VALUES))
+            elif op == "append" or not target.children:
+                target.append(data.draw(NODES))
+            else:
+                child = target.children[
+                    data.draw(st.integers(0, len(target.children) - 1))
+                ]
+                if op == "remove":
+                    target.remove(child)
+                else:
+                    target.replace_child(child, data.draw(NODES))
+            assert root.serialized_size() == wire_len(root)
 
 
 class TestSizeCaching:
