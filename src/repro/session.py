@@ -97,6 +97,39 @@ __all__ = ["ExecutionReport", "Session", "connect"]
 #: What :meth:`Session._phase` hands out when no profiler is installed.
 _NO_PHASE = nullcontext()
 
+
+class _SharedTexts:
+    """A bounded content-addressed table of strings.
+
+    :meth:`share` hands back one object per distinct text, so answers
+    that callers keep from many runs of the same query cost one copy.
+    Bounded by total characters, oldest entries evicted first; an
+    evicted text is merely no longer shared.
+    """
+
+    def __init__(self, max_chars: int) -> None:
+        self.max_chars = max_chars
+        self._texts: Dict[str, str] = {}  # insertion-ordered: oldest first
+        self._chars = 0
+
+    def share(self, text: str) -> str:
+        kept = self._texts.get(text)
+        if kept is not None:
+            return kept
+        self._texts[text] = text
+        self._chars += len(text)
+        while self._chars > self.max_chars:
+            oldest = next(iter(self._texts))
+            del self._texts[oldest]
+            self._chars -= len(oldest)
+        return text
+
+
+#: The answer texts :attr:`ExecutionReport.answers` hands out: one table
+#: per process, not per session, because answers outlive the session
+#: that computed them — and a shared ``str`` is visible only to ``is``.
+_ANSWER_TEXTS = _SharedTexts(max_chars=1 << 20)
+
 #: Value types accepted on the right-hand side of a parameter binding.
 Binding = Union[str, Tuple[str, str], Expression, Element]
 #: Requests accepted by :meth:`Session.batch`.
@@ -166,8 +199,8 @@ class ExecutionReport:
 
     @property
     def answers(self) -> List[str]:
-        """The answer forest, serialized."""
-        return [serialize(item) for item in self.items]
+        """The answer forest, serialized; equal texts are one shared object."""
+        return [_ANSWER_TEXTS.share(serialize(item)) for item in self.items]
 
     def describe(self, include_trace: Optional[bool] = None) -> str:
         """Human-readable report; the library's single cost pretty-printer.

@@ -8,7 +8,7 @@ travel between peers (code shipping, rule (10)) and how the decomposer
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 __all__ = [
@@ -286,6 +286,12 @@ class Module(XQNode):
     variables: Tuple[VarDecl, ...]
     functions: Tuple[FunctionDecl, ...]
     body: XQNode
+    #: Which evaluation shortcuts apply where in this module: set by the
+    #: evaluator on the first run, for the module's life.  Not part of the
+    #: query — equality, ``repr`` and :func:`unparse` ignore it.
+    shortcuts: Optional[object] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 # ---------------------------------------------------------------------------

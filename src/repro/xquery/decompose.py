@@ -28,6 +28,7 @@ from typing import List, Optional, Set, Tuple
 from ..errors import DecompositionError
 from . import Query
 from .ast import FLWORExpr, ForClause, Module, PathExpr, Step, VarRef, XQNode, unparse
+from .evaluator import replayable
 
 __all__ = ["Decomposition", "push_selection", "compose", "free_variables"]
 
@@ -59,56 +60,9 @@ class Decomposition:
 
 def free_variables(node: XQNode, bound: Optional[Set[str]] = None) -> Set[str]:
     """Variables read by ``node`` that are not bound inside it."""
-    bound = set(bound or ())
     free: Set[str] = set()
-    _collect_free(node, bound, free)
+    replayable(node, set(bound or ()), free)
     return free
-
-
-def _collect_free(node: XQNode, bound: Set[str], free: Set[str]) -> None:
-    if isinstance(node, VarRef):
-        if node.name not in bound:
-            free.add(node.name)
-        return
-    if isinstance(node, FLWORExpr):
-        inner_bound = set(bound)
-        for clause in node.clauses:
-            if isinstance(clause, ForClause):
-                _collect_free(clause.source, inner_bound, free)
-                inner_bound.add(clause.variable)
-                if clause.position_variable:
-                    inner_bound.add(clause.position_variable)
-            else:
-                _collect_free(clause.value, inner_bound, free)
-                inner_bound.add(clause.variable)
-        if node.where is not None:
-            _collect_free(node.where, inner_bound, free)
-        for spec in node.order_by:
-            _collect_free(spec.key, inner_bound, free)
-        _collect_free(node.return_expr, inner_bound, free)
-        return
-    from .ast import QuantifiedExpr
-
-    if isinstance(node, QuantifiedExpr):
-        inner_bound = set(bound)
-        for name, source in node.bindings:
-            _collect_free(source, inner_bound, free)
-            inner_bound.add(name)
-        _collect_free(node.condition, inner_bound, free)
-        return
-    # generic recursion over dataclass fields
-    for name in getattr(node, "__dataclass_fields__", {}):
-        value = getattr(node, name)
-        if isinstance(value, XQNode):
-            _collect_free(value, bound, free)
-        elif isinstance(value, tuple):
-            for entry in value:
-                if isinstance(entry, XQNode):
-                    _collect_free(entry, bound, free)
-                elif isinstance(entry, tuple):
-                    for sub in entry:
-                        if isinstance(sub, XQNode):
-                            _collect_free(sub, bound, free)
 
 
 def _first_for_clause(body: XQNode) -> Tuple[FLWORExpr, ForClause]:

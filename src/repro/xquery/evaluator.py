@@ -10,17 +10,47 @@ accumulate!) are re-indexed.
 Continuous queries: :meth:`Evaluator.evaluate` is deterministic over the
 current state, so the AXML layer implements continuous semantics by
 re-running queries when new input trees arrive, and the incremental path
-(:class:`IncrementalQuery`) evaluates only over the delta when the query
-is distributive over its input forest — the common case for the paper's
-service bodies.
+(:class:`repro.axml.streams.IncrementalQuery`) evaluates only over the
+delta when the query is distributive over its input forest — the common
+case for the paper's service bodies.
+
+Three shortcuts skip work whose result is already known.  Each changes no
+answer and no error, and where it cannot be sure it is the plain
+evaluation that runs:
+
+* **Ordered steps.**  A step along a forward axis (``child``,
+  ``descendant``, ``descendant-or-self``, ``self``, ``attribute``,
+  ``following-sibling``, ``parent``) from one context node gathers its
+  nodes in document order without duplicates, so it is not sorted.
+  ``descendant-or-self::node()/child::T`` — what ``//T`` abbreviates —
+  runs as one ``descendant::T`` step when ``T`` has no predicate.
+* **Invariant sources.**  A ``for`` source that reads no variable bound
+  earlier in its FLWOR and is *replayable* (see :func:`replayable`: no
+  constructor, no declared function, no ``doc()``, no rooted path, no
+  ``attribute`` step, no use of the outer focus) is evaluated once per
+  FLWOR evaluation, not once per binding tuple.
+* **Hash join.**  ``for $a in A, $b in B where L = R ...`` whose ``L``
+  reads ``$a`` and ``R`` reads ``$b`` (either way round; both
+  replayable), with ``B`` invariant and no ``at $j`` on ``$b``: ``R``'s
+  keys are hashed once and probed with each ``$a``'s.  The tuples come
+  out in nested-loop order and run the rest of ``where``; a key that is
+  not a string, or any XQuery error, discards the join and the nested
+  loop runs from the start.
+
+Which shortcut applies where is worked out once per parsed module and
+kept on it (:attr:`~repro.xquery.ast.Module.shortcuts`).  The shortcuts
+also keep the order in which a run's ``DocumentOrder`` first ranks each
+tree, which decides how nodes of different trees sort.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple, Union,
+)
 
-from ..errors import XQueryEvaluationError, XQueryTypeError
+from ..errors import XQueryError, XQueryEvaluationError, XQueryTypeError
 from ..xmlcore.model import Element, Node, Text
 from .ast import (
     BinaryOp, ComparisonOp, ComputedAttribute, ComputedElement, ComputedText,
@@ -46,11 +76,230 @@ from .runtime import (
     value_compare,
 )
 
-__all__ = ["Evaluator", "DynamicContext", "evaluate_query"]
+__all__ = ["Evaluator", "DynamicContext", "evaluate_query", "replayable"]
 
 _MAX_RECURSION = 256
 
 DocResolver = Callable[[str], Element]
+
+#: Axes whose nodes, gathered from one context node, are already in
+#: document order and free of duplicates.
+_ORDERED_AXES = frozenset({
+    "child", "descendant", "descendant-or-self", "self", "attribute",
+    "following-sibling", "parent",
+})
+
+_ANY_NODE = KindTest("node")
+
+_CONSTRUCTORS = (DirectElement, ComputedElement, ComputedAttribute, ComputedText)
+
+#: Zero-argument builtins that do not read the focus.
+_FOCUS_FREE = frozenset({"true", "false", "fn:true", "fn:false"})
+
+
+class _DocumentNode(Element):
+    """The document node a rooted path starts from.
+
+    It holds the root element without adopting it (the root's ``parent``
+    stays ``None``), so it is a tree of its own in document order: a step
+    from it is always sorted.
+    """
+
+    __slots__ = ()
+
+
+def replayable(
+    node: XQNode,
+    bound: Set[str],
+    reads: Set[str],
+    declared: FrozenSet[Tuple[str, int]] = frozenset(),
+    focus: bool = True,
+) -> bool:
+    """Whether ``node`` is replayable; adds the variables it reads to ``reads``.
+
+    ``reads`` gets every variable ``node`` reads that neither ``bound`` nor
+    ``node`` itself binds.  *Replayable*: evaluated again in the same scope,
+    ``node`` yields the same items and does nothing else.  So it has no
+    constructor (fresh nodes), no call of a function in ``declared`` (its
+    body may construct), no ``doc()`` (a counted read), no rooted path (a
+    fresh document node), no ``attribute`` step (fresh attribute nodes,
+    equal but not identical), and — while ``focus`` is true, i.e. outside the
+    predicates and steps that set their own — no use of the focus: ``.``,
+    a relative path, or a zero-argument call such as ``position()``.
+    """
+    if isinstance(node, VarRef):
+        if node.name not in bound:
+            reads.add(node.name)
+        return True
+    if isinstance(node, ContextItem):
+        return not focus
+    if isinstance(node, FLWORExpr):
+        inner = set(bound)
+        ok = True
+        for clause in node.clauses:
+            if isinstance(clause, ForClause):
+                ok &= replayable(clause.source, inner, reads, declared, focus)
+                inner.add(clause.variable)
+                if clause.position_variable:
+                    inner.add(clause.position_variable)
+            else:
+                ok &= replayable(clause.value, inner, reads, declared, focus)
+                inner.add(clause.variable)
+        rest = [node.where] if node.where is not None else []
+        rest += [spec.key for spec in node.order_by] + [node.return_expr]
+        for expr in rest:
+            ok &= replayable(expr, inner, reads, declared, focus)
+        return ok
+    if isinstance(node, QuantifiedExpr):
+        inner = set(bound)
+        ok = True
+        for name, source in node.bindings:
+            ok &= replayable(source, inner, reads, declared, focus)
+            inner.add(name)
+        return replayable(node.condition, inner, reads, declared, focus) and ok
+    if isinstance(node, PathExpr):
+        if node.start is not None:
+            ok = replayable(node.start, bound, reads, declared, focus)
+        else:
+            ok = not node.from_root and not focus
+        for step in node.steps:
+            if isinstance(step, Step):
+                ok &= step.axis != "attribute"
+                parts = [p.expr for p in step.predicates]
+            else:
+                parts = [step]
+            for part in parts:
+                ok &= replayable(part, bound, reads, declared, False)
+        return ok
+    if isinstance(node, FilterExpr):
+        ok = replayable(node.base, bound, reads, declared, focus)
+        for predicate in node.predicates:
+            ok &= replayable(predicate.expr, bound, reads, declared, False)
+        return ok
+    ok = not isinstance(node, _CONSTRUCTORS)
+    if isinstance(node, FunctionCall):
+        ok = (
+            (node.name, len(node.args)) not in declared
+            and node.name not in ("doc", "fn:doc")
+            and (bool(node.args) or not focus or node.name in _FOCUS_FREE)
+        )
+    for name in node.__dataclass_fields__:
+        value = getattr(node, name)
+        for entry in value if isinstance(value, tuple) else (value,):
+            if isinstance(entry, XQNode):
+                ok &= replayable(entry, bound, reads, declared, focus)
+    return ok
+
+
+class _Descendants(NamedTuple):
+    """``descendant-or-self::node()/child::T`` run as ``step``, i.e.
+    ``descendant::T``."""
+
+    step: Step
+
+
+def _fuse(steps: Tuple[XQNode, ...]) -> Tuple[XQNode, ...]:
+    """``steps`` with each predicate-free ``descendant-or-self::node()``
+    ``/child::T`` pair as one :class:`_Descendants`."""
+    out: List[XQNode] = []
+    for step in steps:
+        previous = out[-1] if out else None
+        if (
+            isinstance(step, Step) and step.axis == "child" and not step.predicates
+            and isinstance(previous, Step) and previous.axis == "descendant-or-self"
+            and previous.test == _ANY_NODE and not previous.predicates
+        ):
+            out[-1] = _Descendants(Step("descendant", step.test))
+        else:
+            out.append(step)
+    return tuple(out)
+
+
+class _FlworShape(NamedTuple):
+    #: Indexes of the ``for`` clauses whose source is evaluated once per
+    #: evaluation of the FLWOR: the first clause (it sees one tuple) and
+    #: every invariant one.
+    once: FrozenSet[int]
+    #: The hash join's equality and whether its left operand is the outer
+    #: (``$a``) key; ``None`` where no join applies.
+    join: Optional[Tuple[ComparisonOp, bool]]
+
+
+def _flwor_shape(node: FLWORExpr, declared: FrozenSet[Tuple[str, int]]) -> _FlworShape:
+    once = set()
+    bound: Set[str] = set()
+    for index, clause in enumerate(node.clauses):
+        if isinstance(clause, ForClause):
+            reads: Set[str] = set()
+            invariant = replayable(clause.source, set(), reads, declared)
+            if index == 0 or (invariant and not reads & bound):
+                once.add(index)
+            bound.add(clause.variable)
+            if clause.position_variable:
+                bound.add(clause.position_variable)
+        else:
+            bound.add(clause.variable)
+    return _FlworShape(frozenset(once), _join_of(node, once, declared))
+
+
+def _join_of(
+    node: FLWORExpr, once: Set[int], declared: FrozenSet[Tuple[str, int]]
+) -> Optional[Tuple[ComparisonOp, bool]]:
+    if len(node.clauses) != 2 or 1 not in once or node.where is None:
+        return None
+    outer, inner = node.clauses
+    if not isinstance(outer, ForClause) or inner.position_variable:
+        return None
+    test = node.where
+    while isinstance(test, BinaryOp) and test.op == "and":
+        test = test.left
+    if not (isinstance(test, ComparisonOp) and test.op == "="):
+        return None
+    outer_names = {outer.variable, outer.position_variable} - {None}
+    sides = []
+    for side in (test.left, test.right):
+        reads: Set[str] = set()
+        if not replayable(side, set(), reads, declared):
+            return None
+        sides.append((
+            bool(reads & outer_names) and inner.variable not in reads,  # outer key
+            inner.variable in reads and not reads & outer_names,  # inner key
+        ))
+    (left_outer, left_inner), (right_outer, right_inner) = sides
+    if left_outer and right_inner:
+        return test, True
+    if left_inner and right_outer:
+        return test, False
+    return None
+
+
+class _Shortcuts:
+    """Which shortcuts apply where in one parsed module, worked out once.
+
+    Filled lazily, one entry per path or FLWOR on its first evaluation,
+    keyed by ``id(node)``: the module holds every node it keys, so no key
+    is reused while the table lives, and it lives on the module
+    (:attr:`~repro.xquery.ast.Module.shortcuts`), never longer.
+    """
+
+    __slots__ = ("declared", "_steps", "_flwors")
+
+    def __init__(self, functions: Tuple[FunctionDecl, ...] = ()) -> None:
+        self.declared = frozenset((f.name, len(f.params)) for f in functions)
+        self._steps: Dict[int, Tuple[XQNode, ...]] = {}
+        self._flwors: Dict[int, _FlworShape] = {}
+
+    def steps(self, path: PathExpr) -> Tuple[XQNode, ...]:
+        steps = self._steps.get(id(path))
+        if steps is None:
+            steps = self._steps[id(path)] = _fuse(path.steps)
+        return steps
+
+    def flwor(self, node: FLWORExpr) -> _FlworShape:
+        shape = self._flwors.get(id(node))
+        if shape is None:
+            shape = self._flwors[id(node)] = _flwor_shape(node, self.declared)
+        return shape
 
 
 class DynamicContext:
@@ -58,7 +307,7 @@ class DynamicContext:
 
     __slots__ = (
         "variables", "context_item", "position", "size",
-        "doc_resolver", "functions", "order", "depth",
+        "doc_resolver", "functions", "order", "depth", "shortcuts",
     )
 
     def __init__(
@@ -68,6 +317,7 @@ class DynamicContext:
         doc_resolver: Optional[DocResolver] = None,
         functions: Optional[Dict[Tuple[str, int], FunctionDecl]] = None,
         order: Optional[DocumentOrder] = None,
+        shortcuts: Optional[_Shortcuts] = None,
     ) -> None:
         self.variables: Dict[str, List[Item]] = variables or {}
         self.context_item = context_item
@@ -77,12 +327,13 @@ class DynamicContext:
         self.functions = functions or {}
         self.order = order or DocumentOrder()
         self.depth = 0
+        self.shortcuts = shortcuts if shortcuts is not None else _Shortcuts()
 
     def child(self) -> "DynamicContext":
         """A shallow copy sharing resolver/functions/order; fresh focus."""
         ctx = DynamicContext(
             dict(self.variables), self.context_item,
-            self.doc_resolver, self.functions, self.order,
+            self.doc_resolver, self.functions, self.order, self.shortcuts,
         )
         ctx.position = self.position
         ctx.size = self.size
@@ -122,10 +373,18 @@ class Evaluator:
         """
         if isinstance(query, str):
             query = parse_query(query)
+        shortcuts = None
+        if isinstance(query, Module):
+            shortcuts = query.shortcuts
+            if shortcuts is None:
+                shortcuts = _Shortcuts(query.functions)
+                # a frozen node's cache slot, set once (see Module.shortcuts)
+                object.__setattr__(query, "shortcuts", shortcuts)
         ctx = DynamicContext(
             variables=dict(variables) if variables else {},
             context_item=context_item,
             doc_resolver=self.doc_resolver,
+            shortcuts=shortcuts,
         )
         if isinstance(query, Module):
             for decl in query.functions:
@@ -196,18 +455,38 @@ class Evaluator:
 
     # -- FLWOR -------------------------------------------------------------------
     def _eval_flwor(self, node: FLWORExpr, ctx: DynamicContext) -> List[Item]:
+        shape = ctx.shortcuts.flwor(node)
+        sources: Dict[int, List[Item]] = {}
+        tuples = None
+        if shape.join is not None:
+            tuples = self._hash_join(node, shape, ctx, sources)
+        if tuples is None:
+            tuples = self._nested_loop(node, shape.once, ctx, sources)
+
+        if node.order_by:
+            tuples = self._order_tuples(tuples, node.order_by)
+
+        result: List[Item] = []
+        for scope in tuples:
+            result.extend(self._eval(node.return_expr, scope))
+        return result
+
+    def _nested_loop(
+        self,
+        node: FLWORExpr,
+        once: FrozenSet[int],
+        ctx: DynamicContext,
+        sources: Dict[int, List[Item]],
+    ) -> List[DynamicContext]:
+        """The binding tuples that pass ``where``, by definition: each
+        clause over every tuple so far, then ``where`` over each tuple."""
         tuples: List[DynamicContext] = [ctx.child()]
-        for clause in node.clauses:
+        for index, clause in enumerate(node.clauses):
             next_tuples: List[DynamicContext] = []
             if isinstance(clause, ForClause):
                 for scope in tuples:
-                    items = self._eval(clause.source, scope)
-                    for position, item in enumerate(items, start=1):
-                        bound = scope.child()
-                        bound.variables[clause.variable] = [item]
-                        if clause.position_variable:
-                            bound.variables[clause.position_variable] = [position]
-                        next_tuples.append(bound)
+                    items = self._for_source(index, clause, scope, once, sources)
+                    next_tuples.extend(self._bind(clause, scope, items))
             else:
                 assert isinstance(clause, LetClause)
                 for scope in tuples:
@@ -223,14 +502,116 @@ class Evaluator:
                 scope for scope in tuples
                 if effective_boolean_value(self._eval(node.where, scope))
             ]
+        return tuples
 
-        if node.order_by:
-            tuples = self._order_tuples(tuples, node.order_by)
+    def _for_source(
+        self,
+        index: int,
+        clause: ForClause,
+        scope: DynamicContext,
+        once: FrozenSet[int],
+        sources: Dict[int, List[Item]],
+    ) -> List[Item]:
+        """``clause``'s items in ``scope``; a source in ``once`` is
+        evaluated on its first use and remembered in ``sources``."""
+        if index not in once:
+            return self._eval(clause.source, scope)
+        items = sources.get(index)
+        if items is None:
+            items = sources[index] = self._eval(clause.source, scope)
+        return items
 
-        result: List[Item] = []
-        for scope in tuples:
-            result.extend(self._eval(node.return_expr, scope))
-        return result
+    @staticmethod
+    def _bind(
+        clause: ForClause, scope: DynamicContext, items: List[Item]
+    ) -> List[DynamicContext]:
+        """One tuple per item: ``scope`` with ``clause``'s variables bound."""
+        tuples = []
+        for position, item in enumerate(items, start=1):
+            bound = scope.child()
+            bound.variables[clause.variable] = [item]
+            if clause.position_variable:
+                bound.variables[clause.position_variable] = [position]
+            tuples.append(bound)
+        return tuples
+
+    def _hash_join(
+        self,
+        node: FLWORExpr,
+        shape: _FlworShape,
+        ctx: DynamicContext,
+        sources: Dict[int, List[Item]],
+    ) -> Optional[List[DynamicContext]]:
+        """What :meth:`_nested_loop` returns, with the inner keys hashed.
+
+        The first outer tuple meets the inner ones pair by pair, evaluating
+        the keys in the nested loop's order, so every tree is first ranked
+        where the nested loop would rank it; its inner keys fill the table
+        that every later outer tuple probes.  A pair whose keys share a
+        string runs the rest of ``where``, in nested-loop order.  ``None``
+        when the nested loop must decide: a key that is not a string (only
+        strings compare by plain equality) or any XQuery error.
+        """
+        test, outer_left = shape.join
+        outer_key, inner_key = (
+            (test.left, test.right) if outer_left else (test.right, test.left)
+        )
+        outer_clause, inner_clause = node.clauses
+        start = ctx.child()
+        outers = self._bind(
+            outer_clause, start,
+            self._for_source(0, outer_clause, start, shape.once, sources),
+        )
+        if not outers:
+            return []
+        inner_items = self._for_source(1, inner_clause, outers[0], shape.once, sources)
+        first_pairs = self._bind(inner_clause, outers[0], inner_items)
+        if not first_pairs:
+            return []
+
+        def passes(pair: DynamicContext) -> bool:
+            return node.where is test or effective_boolean_value(
+                self._eval(node.where, pair)
+            )
+
+        table: Dict[str, List[int]] = {}
+        kept: List[DynamicContext] = []
+        try:
+            probe = self._join_keys(outer_key, first_pairs[0]) if outer_left else None
+            for position, pair in enumerate(first_pairs):
+                keys = self._join_keys(inner_key, pair)
+                if position == 0 and not outer_left:
+                    probe = self._join_keys(outer_key, pair)
+                if keys is None or probe is None:
+                    return None
+                for key in keys:
+                    table.setdefault(key, []).append(position)
+                if not probe.isdisjoint(keys) and passes(pair):
+                    kept.append(pair)
+            for scope in outers[1:]:
+                probe = self._join_keys(outer_key, scope)
+                if probe is None:
+                    return None
+                hits: Set[int] = set()
+                for key in probe:
+                    hits.update(table.get(key, ()))
+                matched = [inner_items[position] for position in sorted(hits)]
+                kept.extend(
+                    pair for pair in self._bind(inner_clause, scope, matched)
+                    if passes(pair)
+                )
+        except XQueryError:
+            return None
+        return kept
+
+    def _join_keys(
+        self, expr: XQNode, scope: DynamicContext
+    ) -> Optional[FrozenSet[str]]:
+        """The atomized values of ``expr``, or ``None`` if one is no string."""
+        atoms = atomize(self._eval(expr, scope))
+        if all(isinstance(atom, str) for atom in atoms):
+            return frozenset(atoms)
+        return None
 
     def _order_tuples(
         self, tuples: List[DynamicContext], specs: Tuple[OrderSpec, ...]
@@ -398,7 +779,7 @@ class Evaluator:
                 # node, so fabricate a transient wrapper.  Appending to
                 # ``children`` directly leaves the real root's parent
                 # pointer untouched.
-                wrapper = Element("#document")
+                wrapper = _DocumentNode("#document")
                 wrapper.children.append(anchor)
                 current = [wrapper]
             else:
@@ -406,12 +787,34 @@ class Evaluator:
         else:
             current = [ctx.require_context_item("relative path")]
 
-        for step in node.steps:
+        for step in ctx.shortcuts.steps(node):
             if isinstance(step, Step):
                 current = self._eval_step(step, current, ctx)
+            elif isinstance(step, _Descendants):
+                current = self._eval_descendants(step.step, current, ctx)
             else:
                 current = self._eval_expression_step(step, current, ctx)
         return current
+
+    def _eval_descendants(
+        self, step: Step, context_nodes: List[Item], ctx: DynamicContext
+    ) -> List[Item]:
+        """``descendant-or-self::node()/child::T`` as ``step``, i.e.
+        ``descendant::T``: the same nodes, and the same trees ranked."""
+        for item in context_nodes:
+            if not is_node(item):
+                raise XQueryTypeError(
+                    "axis step 'descendant-or-self' applied to an atomic value"
+                )
+        # the skipped descendant-or-self step would have sorted every
+        # context node (an attribute has none) and, under a document
+        # node, its root element
+        for item in context_nodes:
+            if not isinstance(item, AttributeNode):
+                ctx.order.note(item)
+                if type(item) is _DocumentNode:
+                    ctx.order.note(item.children[0])
+        return self._eval_step(step, context_nodes, ctx)
 
     def _eval_expression_step(
         self, expr: XQNode, context_nodes: List[Item], ctx: DynamicContext
@@ -453,6 +856,13 @@ class Evaluator:
             ]
             candidates = self._apply_predicates(step.predicates, candidates, ctx)
             gathered.extend(candidates)
+        if (
+            len(context_nodes) == 1 and step.axis in _ORDERED_AXES
+            and type(context_nodes[0]) is not _DocumentNode
+        ):
+            if gathered:  # rank its tree now, as the sort would have
+                ctx.order.note(gathered[0])
+            return gathered
         return ctx.order.sort_and_dedupe(gathered)
 
     def _axis_candidates(
@@ -598,6 +1008,7 @@ class Evaluator:
             doc_resolver=ctx.doc_resolver,
             functions=ctx.functions,
             order=ctx.order,
+            shortcuts=ctx.shortcuts,
         )
         inner.depth = ctx.depth + 1
         for param, value in zip(decl.params, args):

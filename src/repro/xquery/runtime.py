@@ -28,7 +28,6 @@ __all__ = [
     "effective_boolean_value",
     "value_compare",
     "general_compare",
-    "node_sort_key",
     "DocumentOrder",
     "format_number",
     "to_number",
@@ -279,12 +278,19 @@ class DocumentOrder:
         self._indexes: Dict[int, Dict[int, int]] = {}
         self._roots: List[Node] = []
 
+    def _rank(self, root: Node) -> int:
+        key = id(root)
+        rank = self._root_ids.get(key)
+        if rank is None:
+            rank = self._root_ids[key] = len(self._roots)
+            self._roots.append(root)
+        return rank
+
     def _index_for(self, root: Node) -> Dict[int, int]:
         key = id(root)
-        if key not in self._indexes:
-            self._root_ids[key] = len(self._roots)
-            self._roots.append(root)
-            index: Dict[int, int] = {}
+        index = self._indexes.get(key)
+        if index is None:
+            index = self._indexes[key] = {}
             counter = 0
             stack: List[Node] = [root]
             while stack:
@@ -293,14 +299,22 @@ class DocumentOrder:
                 counter += 1
                 if isinstance(node, Element):
                     stack.extend(reversed(node.children))
-            self._indexes[key] = index
-        return self._indexes[key]
+        return index
+
+    def note(self, node: Union[Node, AttributeNode]) -> None:
+        """Rank ``node``'s tree now, as computing its :meth:`key` would.
+
+        Trees rank in the order their nodes are first keyed, so a caller
+        that skips a sort it knows to be the identity notes what the sort
+        would have keyed first, and later sorts across trees agree.
+        """
+        self._rank(_root_of(node))
 
     def key(self, node: Union[Node, AttributeNode]) -> Tuple:
         """Sort key implementing global document order."""
         root = _root_of(node)
+        root_rank = self._rank(root)
         index = self._index_for(root)
-        root_rank = self._root_ids[id(root)]
         if isinstance(node, AttributeNode):
             owner_rank = index.get(id(node.owner), -1)
             return (root_rank, owner_rank, 1, node.name)
@@ -319,8 +333,3 @@ class DocumentOrder:
                 unique.append(node)
         unique.sort(key=self.key)
         return unique
-
-
-def node_sort_key(order: DocumentOrder) -> Callable[[Union[Node, AttributeNode]], Tuple]:
-    """Convenience: a key function bound to a :class:`DocumentOrder`."""
-    return order.key

@@ -111,6 +111,35 @@ def catalogs(draw):
     return root
 
 
+@st.composite
+def small_tag_trees(draw, max_depth=3):
+    """Trees over three tags with attributes and text, so name tests hit."""
+    node = Element(
+        draw(st.sampled_from("abc")),
+        draw(st.dictionaries(st.sampled_from("xy"), st.sampled_from("01"), max_size=2)),
+    )
+    if max_depth > 0:
+        for child in draw(
+            st.lists(
+                st.one_of(small_tag_trees(max_depth=max_depth - 1), text_values.map(Text)),
+                max_size=3,
+            )
+        ):
+            node.append(child)
+    return node
+
+
+#: Every axis, forward and reverse, plus ``//`` with and without a
+#: predicate (a predicate keeps it two steps).
+PATH_STEPS = (
+    "child::*", "child::node()", "descendant::a", "descendant-or-self::node()",
+    "self::node()", "attribute::*", "following-sibling::*", "parent::node()",
+    "ancestor::*", "ancestor-or-self::node()", "preceding-sibling::node()",
+    "descendant-or-self::node()/b", "descendant-or-self::node()/b[1]",
+    "descendant-or-self::node()/*[@x]", ".//b", ".//*[2]",
+)
+
+
 # ---------------------------------------------------------------------------
 # XML substrate invariants
 # ---------------------------------------------------------------------------
@@ -207,9 +236,32 @@ class TestXQueryProperties:
         assert all(id(n) in identities for n in selected)
         assert len(selected) <= len(all_items)
 
+    @given(small_tag_trees(), st.sampled_from(PATH_STEPS), st.sampled_from(PATH_STEPS))
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    def test_path_results_in_document_order_without_duplicates(self, tree, first, second):
+        def check(query, **context):
+            result = evaluate_query(query, **context)
+            expected = DocumentOrder().sort_and_dedupe(result)
+            assert [id(n) for n in result] == [id(n) for n in expected], query
+
+        # every element as the one context node, then all of them at once
+        elements = evaluate_query("$t/descendant-or-self::*", variables={"t": [tree]})
+        starts = [[node] for node in elements] + [elements]
+        for start in starts:
+            for query in (f"$s/{first}", f"$s/{first}/{second}", f"$s/({first} | {second})"):
+                check(query, variables={"s": start})
+        # rooted: from the document node above the tree, reached from its
+        # last element (a rooted path must start with an axis step)
+        for query in (
+            f"/self::node()/{first}", f"/self::node()/{first}/{second}",
+            f"/self::node()/({first} | {second})", f"//*/{first}",
+            "//b", "//b | //c", "/descendant-or-self::node()/b", "//*[@x] union //c",
+        ):
+            check(query, context_item=elements[-1])
+
     @given(catalogs())
     @settings(max_examples=40)
-    def test_path_results_in_document_order_without_duplicates(self, catalog):
+    def test_rooted_union_in_document_order_without_duplicates(self, catalog):
         result = evaluate_query("//price union //name", context_item=catalog)
         order = DocumentOrder()
         keys = [order.key(node) for node in result]
