@@ -49,10 +49,8 @@ def build_world():
     for index, client in enumerate(clients):
         near = mirrors[index % 2]
         far = mirrors[(index + 1) % 2]
-        system.network.link(client, near).latency = 0.005
-        system.network.link(near, client).latency = 0.005
-        system.network.link(client, far).latency = 0.20
-        system.network.link(far, client).latency = 0.20
+        system.network.add_link(client, near, latency=0.005, bandwidth=150_000.0)
+        system.network.add_link(client, far, latency=0.20, bandwidth=150_000.0)
     catalog = parse(
         "<packages>"
         + "".join(

@@ -25,13 +25,10 @@ def build(payload_bytes: int):
     system = AXMLSystem.with_peers(["src", "relay", "dst"])
     net = system.network
     # thin-but-snappy direct link
-    for a, b in (("src", "dst"), ("dst", "src")):
-        net.link(a, b).latency = 0.005
-        net.link(a, b).bandwidth = 20_000.0
+    net.add_link("src", "dst", latency=0.005, bandwidth=20_000.0)
     # fat-but-laggy relay path
-    for a, b in (("src", "relay"), ("relay", "src"), ("relay", "dst"), ("dst", "relay")):
-        net.link(a, b).latency = 0.040
-        net.link(a, b).bandwidth = 10_000_000.0
+    for a, b in (("src", "relay"), ("relay", "dst")):
+        net.add_link(a, b, latency=0.040, bandwidth=10_000_000.0)
     blob = parse(f"<blob>{'x' * payload_bytes}</blob>")
     system.peer("src").install_document("blob", blob)
     direct = Plan(Send(DocDest("copy", "dst"), DocExpr("blob", "src")), "src")

@@ -41,11 +41,11 @@ def build():
     # flatten the distances the policies are supposed to exploit.
     for i, a in enumerate(mirrors):
         for b in mirrors[i + 1:]:
-            system.network.link(a, b).latency = 1.5
-            system.network.link(b, a).latency = 1.5
+            system.network.add_link(a, b, latency=1.5, bandwidth=1_000_000.0)
     for mirror, latency in MIRROR_LATENCIES.items():
-        system.network.link("requester", mirror).latency = latency
-        system.network.link(mirror, "requester").latency = latency
+        system.network.add_link(
+            "requester", mirror, latency=latency, bandwidth=1_000_000.0
+        )
         system.peer(mirror).install_document("cat", catalog.copy())
         system.registry.register_document("catalog", "cat", mirror)
     return system

@@ -48,12 +48,12 @@ def build_world() -> AXMLSystem:
     )
     # geography: alice near mirror-eu, bob near mirror-ap
     for a, b, ms in [
-        ("alice", "mirror-ap", 0.28), ("mirror-ap", "alice", 0.28),
-        ("bob", "mirror-eu", 0.28), ("mirror-eu", "bob", 0.28),
-        ("alice", "mirror-eu", 0.008), ("mirror-eu", "alice", 0.008),
-        ("bob", "mirror-ap", 0.008), ("mirror-ap", "bob", 0.008),
+        ("alice", "mirror-ap", 0.28),
+        ("bob", "mirror-eu", 0.28),
+        ("alice", "mirror-eu", 0.008),
+        ("bob", "mirror-ap", 0.008),
     ]:
-        system.network.link(a, b).latency = ms
+        system.network.add_link(a, b, latency=ms, bandwidth=300_000.0)
 
     catalog = build_catalog()
     for mirror in ("mirror-eu", "mirror-ap"):

@@ -8,14 +8,17 @@ all three, plus the virtual completion time, which the benchmarks report.
 Mapping from the paper's definitions to code paths:
 
 =========  ==================================================================
-(1)        ``TreeExpr`` at its home peer: copy the tree, recursively
-           evaluate children; embedded ``sc`` nodes evaluate via (6)
+(1)        ``TreeExpr`` at its home peer: a plain-data tree is its own
+           value, frozen, by reference; one embedding ``sc`` nodes is
+           copied and its calls evaluate via (6) in the copy
 (2)        ``QueryApply`` with local head and args: evaluate args, then
            the query, at the same peer (compute time charged)
 (3),(4)    ``Send``: empty result at the sender; the copy's arrival at
            peer / node-list / document destinations is a side effect
 (5)        ``TreeExpr``/``DocExpr`` evaluated away from home: the home
-           peer evaluates and ships the result to the evaluation site
+           peer evaluates and ships the result to the evaluation site —
+           frozen, by reference: the message carries its size, and the
+           site gets the same tree
 (6)        ``ServiceCallExpr``: params evaluated at the caller, shipped
            to the provider, the implementing query runs there, results
            ship to the forward list (or back to the caller by default)
@@ -38,7 +41,10 @@ the answer away; ``_read_fragment`` follows a fragment's one reference;
 ``_activate_document`` stores what activation produced.  What a message
 weighs is not among them: it is a fact about the value shipped — the
 exact, cached ``serialized_size()`` of its trees, or
-``Query.source_bytes`` — and nothing is serialized to learn it.
+``Query.source_bytes`` — and nothing is serialized to learn it.  Nor is
+anything copied to ship it: a value crossing the network is the frozen
+tree itself (:func:`_handed_on` names the two cases that still copy), so
+its cached size, fingerprint and node count travel with it.
 A :class:`~repro.session.Session` runs a subclass that is that layer;
 :func:`repro.core.cost.measure` and
 :func:`repro.core.verify.check_equivalence` run this class as is.
@@ -62,6 +68,7 @@ from ..errors import (
     UnknownServiceError,
 )
 from ..net.message import Message, MessageKind
+from ..peers.peer import Peer
 from ..peers.registry import PickPolicy
 from ..peers.service import DeclarativeService, QueryMemo
 from ..peers.system import AXMLSystem
@@ -241,11 +248,17 @@ class ExpressionEvaluator:
             # definition (5): the home evaluates, then ships the result here.
             home_outcome = self.eval(expr, expr.home, ready_at, depth + 1)
             return self._ship_items(home_outcome, expr.home, at)
-        # definition (1) at home: copy, activate embedded calls via (6).
+        # definition (1) at home.  Plain data: activation is the identity,
+        # so the value is the tree itself, frozen, by reference.
+        tree = expr.tree
+        if not tree.has_service_calls():
+            return EvalOutcome(
+                items=[_handed_on(tree, self.system.peer(at))],
+                completed_at=ready_at,
+            )
+        # embedded calls: activate them via (6) in a copy
         outcome = EvalOutcome(completed_at=ready_at)
-        evaluated = self._activate_tree(
-            expr.tree.copy(), at, ready_at, depth, outcome
-        )
+        evaluated = self._activate_tree(tree.copy(), at, ready_at, depth, outcome)
         outcome.items = [evaluated] if evaluated is not None else []
         return outcome
 
@@ -257,12 +270,13 @@ class ExpressionEvaluator:
         depth: int,
         outcome: EvalOutcome,
     ) -> Optional[Element]:
-        """Definition (1): copy the root, push evaluation into children.
+        """Definition (1) on a private copy: push evaluation into children.
 
         Embedded ``sc`` elements evaluate per definition (6); with a
-        default forward list their responses replace them in place, with
-        an explicit one the responses leave the tree and ∅ remains.
-        Returns None when the tree itself was an sc with explicit targets.
+        default forward list their responses replace them in place (a
+        frozen response is spliced in as a copy), with an explicit one the
+        responses leave the tree and ∅ remains.  Returns None when the
+        tree itself was an sc with explicit targets.
         """
         if tree.is_service_call():
             if tree.get("activated") == "true":
@@ -296,15 +310,15 @@ class ExpressionEvaluator:
             if call.forwards:
                 return None
             if len(sub.items) == 1:
-                return sub.items[0]
+                return _adoptable(sub.items[0])
             wrapper = Element("results")
             for item in sub.items:
-                wrapper.append(item)
+                wrapper.append(_adoptable(item))
             return wrapper
 
         replacements: List[Tuple[Element, Optional[Element]]] = []
         for child in list(tree.children):
-            if isinstance(child, Element):
+            if isinstance(child, Element) and child.has_service_calls():
                 evaluated = self._activate_tree(
                     child, at, ready_at, depth, outcome
                 )
@@ -460,22 +474,23 @@ class ExpressionEvaluator:
         query, query_ready = self._resolve_apply_head(expr.query, at, ready_at)
 
         outcome = EvalOutcome()
+        peer = self.system.peer(at)
         arg_values: List[List[Element]] = []
+        bound: set = set()
         latest = query_ready
         for arg in expr.args:
             sub = self.eval(arg, at, ready_at, depth + 1)
             outcome.merge_effects(sub)
-            arg_values.append(sub.items)
+            arg_values.append(_unaliased(sub.items, bound, peer))
             latest = max(latest, sub.completed_at)
 
-        peer = self.system.peer(at)
         result, done = self._on_cpu(
             at,
             f"apply {query.name or 'query'}",
             latest,
             lambda start: peer.evaluate(query, arg_values, start, self.memo),
         )
-        outcome.items = _as_forest(result)
+        outcome.items = _as_forest(result, peer)
         outcome.completed_at = done
         return outcome
 
@@ -519,13 +534,15 @@ class ExpressionEvaluator:
             ) from None
 
         outcome = EvalOutcome()
+        caller = self.system.peer(at)
         param_values: List[Element] = []
+        bound: set = set()
         latest = ready_at
         for param in expr.params:
             sub = self.eval(param, at, ready_at, depth + 1)
             outcome.merge_effects(sub)
             latest = max(latest, sub.completed_at)
-            param_values.extend(sub.items)
+            param_values.extend(_unaliased(sub.items, bound, caller))
 
         # ship parameters to the provider (one CALL message)
         call_message = Message(
@@ -583,7 +600,7 @@ class ExpressionEvaluator:
                     payload_bytes=response.serialized_size(),
                 )
                 last = max(last, self._deliver(message, done))
-        outcome.items = settled
+        outcome.items = [_handed_on(response, caller) for response in settled]
         outcome.completed_at = last
         return outcome
 
@@ -724,8 +741,9 @@ class ExpressionEvaluator:
             message = Message(src, dst, MessageKind.DATA, size)
             arrival = self._deliver(message, ready_at)
             query = None  # a forest ships as data alone
+        site = self.system.peer(dst)
         shipped = EvalOutcome(
-            items=[item.copy() for item in outcome.items],
+            items=[_handed_on(item, site) for item in outcome.items],
             query=query,
             completed_at=arrival,
         )
@@ -761,18 +779,58 @@ class ExpressionEvaluator:
         return last
 
 
-def _as_forest(result: List) -> List[Element]:
-    """Normalize query results to a forest of elements (atomics wrapped)."""
+def _handed_on(item: Element, site: Peer) -> Element:
+    """``item`` as a value arriving at ``site``: the tree itself, frozen.
+
+    A definition hands a value on by reference wherever it used to make
+    a copy.  It still copies where sharing would be observable: a node
+    inside a larger tree (its ``..`` axes must not reach the source), and
+    one of ``site``'s stored documents (``doc()`` there must not be
+    ``is``-identical to a value that arrived, e.g. after a round trip).
+    """
+    if item.parent is not None or item in site.documents.values():
+        return item.copy()
+    item.freeze()
+    return item
+
+
+def _unaliased(items: List[Element], bound: set, site: Peer) -> List[Element]:
+    """``items`` bound as one more argument of one apply or call at ``site``.
+
+    A tree already in ``bound`` (ids of what earlier arguments bound) is
+    bound again as a copy: two bindings of one shipped tree used to be two
+    copies, and ``is`` and ``|`` tell them apart.  A stored document of
+    ``site`` read twice was always one tree and stays one.
+    """
     forest: List[Element] = []
-    for item in result:
-        if isinstance(item, Element):
-            forest.append(item.copy())
-        else:
-            text = item.value if isinstance(item, Text) else string_value(item)
-            wrapper = Element("value")
-            wrapper.append(Text(text))
-            forest.append(wrapper)
+    for item in items:
+        if id(item) in bound and item not in site.documents.values():
+            item = item.copy()
+        bound.add(id(item))
+        forest.append(item)
     return forest
+
+
+def _adoptable(item: Element) -> Element:
+    """``item`` ready to hang under another node: a frozen root is copied."""
+    return item.copy() if item.frozen else item
+
+
+def _as_forest(result: List, site: Peer) -> List[Element]:
+    """Normalize query results at ``site`` to a forest of elements
+    (trees handed on, atomics wrapped)."""
+    return [
+        _handed_on(item, site) if isinstance(item, Element) else _value_tree(item)
+        for item in result
+    ]
+
+
+def _value_tree(item) -> Element:
+    """A non-element query result (atomic, text, attribute) as ``<value>``."""
+    text = item.value if isinstance(item, Text) else string_value(item)
+    wrapper = Element("value")
+    wrapper.append(Text(text))
+    return wrapper
 
 
 def _forest_to_document(items: List[Element], name: str) -> Element:

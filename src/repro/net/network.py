@@ -16,8 +16,10 @@ lowest-cost path.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import (
@@ -30,6 +32,12 @@ from ..errors import (
 from .message import Message, MessageKind
 
 __all__ = ["Link", "LinkStats", "NetworkStats", "PeerTraffic", "Network"]
+
+#: The message size routing prices a link at (its ``1kB/bandwidth`` term).
+_NOMINAL_BYTES = 1024.0
+
+#: A route as the memo keeps it: the (src, dst) key of every link on it.
+_Hops = Tuple[Tuple[str, str], ...]
 
 
 @dataclass
@@ -46,21 +54,51 @@ class LinkStats:
         self.busy_time += duration
 
 
-@dataclass
+def _fixed(name: str) -> property:
+    """A link quality: read like a plain attribute, refused on assignment."""
+
+    def refuse(link: "Link", value: float) -> None:
+        raise NetworkError(
+            f"link {link.src!r}->{link.dst!r}: {name} is fixed once built "
+            "(routes were computed from it); call Network.add_link to re-link"
+        )
+
+    return property(attrgetter("_" + name), refuse)
+
+
 class Link:
     """A directed link ``src -> dst``.
 
-    ``latency`` in seconds, ``bandwidth`` in bytes/second.  ``busy_until``
-    is simulator state: the first instant the link can accept the next
-    transfer.
+    ``latency`` in seconds, ``bandwidth`` in bytes/second — both fixed at
+    construction, since the network memoises the routes it computes from
+    them.  ``busy_until`` is simulator state: the first instant the link
+    can accept the next transfer.
     """
 
-    src: str
-    dst: str
-    latency: float = 0.01
-    bandwidth: float = 1_000_000.0
-    busy_until: float = 0.0
-    stats: LinkStats = field(default_factory=LinkStats)
+    __slots__ = ("src", "dst", "_latency", "_bandwidth", "busy_until", "stats")
+
+    latency = _fixed("latency")
+    bandwidth = _fixed("bandwidth")
+
+    def __init__(
+        self,
+        src: str,
+        dst: str,
+        latency: float = 0.01,
+        bandwidth: float = 1_000_000.0,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self._latency = latency
+        self._bandwidth = bandwidth
+        self.busy_until = 0.0
+        self.stats = LinkStats()
+
+    def __repr__(self) -> str:
+        return (
+            f"Link({self.src!r}->{self.dst!r}, latency={self._latency!r}, "
+            f"bandwidth={self._bandwidth!r}, busy_until={self.busy_until!r})"
+        )
 
     def transfer_cost(self, size: int) -> float:
         """Time the link is occupied by a transfer of ``size`` bytes."""
@@ -152,6 +190,12 @@ class Network:
     def __init__(self) -> None:
         self._peers: Dict[str, None] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
+        # The topology as routing reads it, shared with every clone() until
+        # either side calls add_link — which rebinds both, never edits them:
+        #: src -> [(dst, per-link route cost)], built on first use.
+        self._adjacency: Optional[Dict[str, List[Tuple[str, float]]]] = None
+        #: (src, dst) -> the hops of the cheapest route, None for no route.
+        self._routes: Dict[Tuple[str, str], Optional[_Hops]] = {}
         self.stats = NetworkStats()
         self.log: List[Tuple[float, Message]] = []
         self.keep_log = False
@@ -198,6 +242,25 @@ class Network:
         self._links[(src, dst)] = Link(src, dst, latency, bandwidth)
         if symmetric:
             self._links[(dst, src)] = Link(dst, src, latency, bandwidth)
+        self._adjacency = None
+        self._routes = {}
+
+    def clone(self) -> "Network":
+        """The same fabric with fresh link clocks and statistics.
+
+        The twin shares this network's adjacency index and route memo, so
+        a route either side computes serves both, until either side calls
+        :meth:`add_link`.  Faults, tracer and message log start unset.
+        """
+        twin = Network()
+        twin._peers = dict(self._peers)
+        twin._links = {
+            key: Link(link.src, link.dst, link.latency, link.bandwidth)
+            for key, link in self._links.items()
+        }
+        twin._adjacency = self._topology()
+        twin._routes = self._routes
+        return twin
 
     @property
     def peers(self) -> List[str]:
@@ -210,8 +273,15 @@ class Network:
         return self._links.values()
 
     # -- routing ----------------------------------------------------------------
-    def _neighbors(self, peer: str) -> List[str]:
-        return [dst for (src, dst) in self._links if src == peer]
+    def _topology(self) -> Dict[str, List[Tuple[str, float]]]:
+        """The adjacency index: per source, its links in insertion order."""
+        if self._adjacency is None:
+            adjacency: Dict[str, List[Tuple[str, float]]] = {}
+            for (src, dst), link in self._links.items():
+                step = link.latency + _NOMINAL_BYTES / link.bandwidth
+                adjacency.setdefault(src, []).append((dst, step))
+            self._adjacency = adjacency
+        return self._adjacency
 
     def route(self, src: str, dst: str) -> List[Link]:
         """Links along the cheapest path (latency + a nominal size term).
@@ -219,6 +289,8 @@ class Network:
         Uses Dijkstra over per-link cost ``latency + 1kB/bandwidth`` so
         that both slow and laggy links are penalized.  The direct link, if
         present, is considered like any other path (it usually wins).
+        Each (src, dst) pair is searched once per topology; later calls
+        read the memo.
         """
         if src not in self._peers:
             raise UnknownPeerError(f"unknown peer {src!r}")
@@ -226,9 +298,19 @@ class Network:
             raise UnknownPeerError(f"unknown peer {dst!r}")
         if src == dst:
             return []
-        import heapq
+        key = (src, dst)
+        try:
+            hops = self._routes[key]
+        except KeyError:
+            hops = self._routes[key] = self._cheapest_hops(src, dst)
+        if hops is None:
+            raise NoRouteError(f"no route from {src!r} to {dst!r}")
+        links = self._links
+        return [links[hop] for hop in hops]
 
-        nominal = 1024.0
+    def _cheapest_hops(self, src: str, dst: str) -> Optional[_Hops]:
+        """Dijkstra from ``src``; the (src, dst) pairs of the path, or None."""
+        adjacency = self._topology()
         dist: Dict[str, float] = {src: 0.0}
         prev: Dict[str, str] = {}
         heap: List[Tuple[float, str]] = [(0.0, src)]
@@ -240,23 +322,19 @@ class Network:
             visited.add(node)
             if node == dst:
                 break
-            for neighbor in self._neighbors(node):
-                link = self._links[(node, neighbor)]
-                step = link.latency + nominal / link.bandwidth
+            for neighbor, step in adjacency.get(node, ()):
                 candidate = cost + step
                 if candidate < dist.get(neighbor, math.inf):
                     dist[neighbor] = candidate
                     prev[neighbor] = node
                     heapq.heappush(heap, (candidate, neighbor))
         if dst not in dist:
-            raise NoRouteError(f"no route from {src!r} to {dst!r}")
+            return None
         path: List[str] = [dst]
         while path[-1] != src:
             path.append(prev[path[-1]])
         path.reverse()
-        return [
-            self._links[(a, b)] for a, b in zip(path, path[1:])
-        ]
+        return tuple(zip(path, path[1:]))
 
     # -- transfer -----------------------------------------------------------------
     def deliver(self, message: Message, ready_at: float = 0.0) -> float:

@@ -48,13 +48,16 @@ class QueryMemo:
     it computes, so the oracle's simulations of one search keep applying
     the same query to the same inputs.  The key is the parsed module, the
     parameter names and the *content* of every argument (one shipped
-    between peers is a copy); the documents a run resolved through
-    ``doc()`` are recorded with their fingerprints and read again,
-    through the *current* peer, before an entry answers, so the same
-    body over a different replica misses.  A run that raises stores
-    nothing.  Results are handed out as a fresh list of frozen copies,
-    cut loose from the arguments they were selected from: a consumer
-    that edits one takes a ``copy()`` first or gets ``FrozenTreeError``.
+    between peers is the same frozen tree, or an equal one); the
+    documents a run resolved through ``doc()`` are recorded with their
+    fingerprints, and with which argument each read *is*, if any, and
+    read again, through the *current* peer, before an entry answers: the
+    same body over a different replica misses, and so does
+    ``$x is doc("d")`` once ``$x`` is an equal tree instead of ``d``
+    itself.  A run that raises stores nothing.  Results are kept as
+    frozen copies, cut loose from the arguments they were selected from,
+    and handed out *by reference* in a fresh list: a consumer that edits
+    one takes a ``copy()`` first or gets ``FrozenTreeError``.
 
     Only wall time is saved: callers charge compute, count invocations
     and ship bytes as if the query had run.  Lookups are counted on
@@ -63,7 +66,9 @@ class QueryMemo:
 
     def __init__(self, stats) -> None:
         self.stats = stats
-        #: key -> [(parsed module, ((doc name, fingerprint), ...), results)]
+        #: key -> [(parsed module, ((doc name, fingerprint, argument), ...),
+        #: results)]; ``argument`` is the position of the argument tree
+        #: the read returned, or None
         self._entries: Dict[tuple, list] = {}
 
     def __len__(self) -> int:
@@ -73,12 +78,12 @@ class QueryMemo:
         """:func:`run_query`, evaluating only what no entry answers."""
         args = [arg if isinstance(arg, list) else [arg] for arg in args]
         tokens: List = []
-        nodes: List[int] = []
+        roots: List[Element] = []
         for arg in args:
             for item in arg:
                 if isinstance(item, Element) and item.parent is None:
                     tokens.append(item.content_fingerprint())
-                    nodes.append(id(item))
+                    roots.append(item)
                 elif isinstance(item, (str, int, float, bool)):
                     tokens.append((type(item), item))
                 else:
@@ -86,13 +91,13 @@ class QueryMemo:
                     # its own fingerprint does not cover
                     return run_query(query, args, peer)
             tokens.append(None)  # argument boundary
-        if len(set(nodes)) < len(nodes):
+        if len({id(root) for root in roots}) < len(roots):
             # one tree bound twice: ``is`` and ``|`` tell it from two copies
-            tokens.append(tuple(nodes.index(node) for node in nodes))
+            tokens.append(tuple(_position(root, roots) for root in roots))
         # the entry holds the module, so its id cannot be handed out again
         key = (id(query.module), query.params, tuple(tokens))
         for _, reads, results in self._entries.get(key, ()):
-            if _reads_same(peer, reads):
+            if _reads_same(peer, reads, roots):
                 self.stats.query_memo_hits += 1
                 return list(results)
         self.stats.query_memo_misses += 1
@@ -100,7 +105,7 @@ class QueryMemo:
 
         def resolver(name: str) -> Element:
             tree = peer.doc_resolver(name)
-            reads.append((name, tree.content_fingerprint()))
+            reads.append((name, tree.content_fingerprint(), _position(tree, roots)))
             return tree
 
         results = tuple(
@@ -112,15 +117,28 @@ class QueryMemo:
         return list(results)
 
 
-def _reads_same(peer: "Peer", reads) -> bool:
-    """Whether ``peer`` resolves every recorded ``doc()`` to the same content."""
+def _position(tree: Element, roots: Sequence[Element]) -> Optional[int]:
+    """The first position ``tree`` *is* among the argument ``roots``, or None."""
+    for index, root in enumerate(roots):
+        if root is tree:
+            return index
+    return None
+
+
+def _reads_same(peer: "Peer", reads, roots: Sequence[Element]) -> bool:
+    """Whether ``peer`` resolves every recorded ``doc()`` to the same
+    content, and to the same argument tree (or to none) as when recorded."""
     try:
-        return all(
-            peer.doc_resolver(name).content_fingerprint() == fingerprint
-            for name, fingerprint in reads
-        )
+        for name, fingerprint, position in reads:
+            tree = peer.doc_resolver(name)
+            if (
+                tree.content_fingerprint() != fingerprint
+                or _position(tree, roots) != position
+            ):
+                return False
     except UnknownDocumentError:
         return False
+    return True
 
 
 def _cut_loose(item):

@@ -21,7 +21,8 @@ module provides:
   does — so an edit on one side never shows on the other, and an in-place
   edit of what :meth:`Peer.document <repro.peers.peer.Peer.document>`
   returns raises :class:`~repro.errors.FrozenTreeError` instead of
-  corrupting the other Σ.  Cloning costs O(documents), not O(nodes).
+  corrupting the other Σ.  Cloning costs O(documents + links), not
+  O(nodes), and builds no route: the twin shares the original's.
 """
 
 from __future__ import annotations
@@ -143,25 +144,20 @@ class AXMLSystem:
         return image
 
     def clone(self) -> "AXMLSystem":
-        """A second Σ with the same state, on a fresh identical network.
+        """A second Σ with the same state, sharing everything that cannot differ.
 
-        Link qualities are copied; statistics and busy state start clean,
-        so both sides of an equivalence check begin from the same ground.
-        Document trees are not copied: the twin's peers hold the *same*
-        trees, frozen by this call on both sides (see the module
-        docstring for the copy-before-write rule, and call
-        ``tree.copy()`` for physically distinct nodes).  Node-id
-        allocators resume where the original's stand, so ids handed out
-        on the twin never collide with ids its trees already carry.
+        *Frozen, by reference*: the twin's peers hold the *same* document
+        trees, frozen by this call on both sides (see the module docstring
+        for the copy-before-write rule, and call ``tree.copy()`` for
+        physically distinct nodes).  The network is :meth:`Network.clone
+        <repro.net.network.Network.clone>`: the same topology, adjacency
+        index and route memo, with fresh link clocks and statistics, so
+        both sides of an equivalence check begin from the same ground.
+        Node-id allocators resume where the original's stand, so ids
+        handed out on the twin never collide with ids its trees already
+        carry.
         """
-        twin_network = Network()
-        for link in self.network.links():
-            twin_network.add_link(
-                link.src, link.dst, link.latency, link.bandwidth, symmetric=False
-            )
-        for peer_id in self.network.peers:
-            twin_network.add_peer(peer_id)
-        twin = AXMLSystem(twin_network)
+        twin = AXMLSystem(self.network.clone())
         for peer_id, peer in self.peers.items():
             twin_peer = twin.add_peer(peer_id, peer.compute_speed)
             twin_peer.alive = peer.alive

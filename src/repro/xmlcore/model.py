@@ -99,6 +99,9 @@ class Node:
 
     __slots__ = ("parent",)
 
+    #: Only an :class:`Element` root is ever frozen (its slot shadows this).
+    _frozen = False
+
     def __init__(self) -> None:
         self.parent: Optional["Element"] = None
 
@@ -180,15 +183,16 @@ class Element(Node):
     them rather than touching ``children`` or ``attrs`` directly when
     restructuring live documents, or stale caches will follow.
 
-    **Frozen trees.**  A tree that two states Σ hold (see
-    :meth:`AXMLSystem.clone <repro.peers.system.AXMLSystem.clone>`) is
-    frozen at its root (:meth:`freeze`), for life.  Every mutating helper
-    of every node under a frozen root raises
-    :class:`~repro.errors.FrozenTreeError` *before* changing anything, and
-    so does adopting a node that still hangs in one.  Whoever wants to
-    change a frozen tree takes a :meth:`copy` first — copies are never
-    frozen.  Direct edits of ``children``, ``attrs``, ``node_id`` or
-    ``Text.value`` bypass the guard as they bypass the caches.
+    **Frozen trees.**  A tree that two holders share — two states Σ (see
+    :meth:`AXMLSystem.clone <repro.peers.system.AXMLSystem.clone>`), or a
+    sender and a receiver of a value shipped by reference — is frozen at
+    its root (:meth:`freeze`), for life.  Every mutating helper of every
+    node under a frozen root raises :class:`~repro.errors.FrozenTreeError`
+    *before* changing anything, and so does adopting a frozen root or a
+    node that still hangs in a frozen tree.  Whoever wants to change a
+    frozen tree takes a :meth:`copy` first — copies are never frozen.
+    Direct edits of ``children``, ``attrs``, ``node_id`` or ``Text.value``
+    bypass the guard as they bypass the caches.
     """
 
     __slots__ = (
@@ -199,6 +203,7 @@ class Element(Node):
         "_size_cache",
         "_fp_cache",
         "_sc_cache",
+        "_count_cache",
         "_frozen",
     )
 
@@ -217,6 +222,7 @@ class Element(Node):
         self._size_cache: Optional[int] = None
         self._fp_cache: Optional[str] = None
         self._sc_cache: Optional[bool] = None
+        self._count_cache: Optional[int] = None
         #: Meaningful on a root only; see :meth:`freeze`.
         self._frozen = False
         if children:
@@ -235,6 +241,7 @@ class Element(Node):
             node._size_cache = None
             node._fp_cache = None
             node._sc_cache = None
+            node._count_cache = None
             if node.parent is None:
                 break
             node = node.parent
@@ -247,14 +254,15 @@ class Element(Node):
 
     @staticmethod
     def _refuse_shared(child: Node) -> None:
-        """Refuse to adopt a node that still hangs in a frozen tree.
+        """Refuse to adopt a frozen root or a node still hanging in one.
 
         The tree's other holder navigates it by the very parent pointer
-        the adoption would move.
+        the adoption would set or move.
         """
-        if child.parent.frozen:
+        holder = child if child.parent is None else child.parent
+        if holder.frozen:
             raise FrozenTreeError(
-                f"{child!r} still hangs in a frozen tree; adopt a copy()"
+                f"{child!r} is, or hangs in, a frozen tree; adopt a copy()"
             )
 
     def _root(self) -> "Element":
@@ -280,7 +288,7 @@ class Element(Node):
     def append(self, child: Node) -> Node:
         """Append ``child`` as the last child and set its parent pointer."""
         self._invalidate_content()
-        if child.parent is not None:
+        if child.parent is not None or child._frozen:
             self._refuse_shared(child)
         child.parent = self
         self.children.append(child)
@@ -292,7 +300,7 @@ class Element(Node):
 
     def insert(self, index: int, child: Node) -> Node:
         self._invalidate_content()
-        if child.parent is not None:
+        if child.parent is not None or child._frozen:
             self._refuse_shared(child)
         child.parent = self
         self.children.insert(index, child)
@@ -315,7 +323,7 @@ class Element(Node):
     def replace_child(self, old: Node, new: Node) -> None:
         index = self.index_of(old)
         self._invalidate_content()
-        if new.parent is not None:
+        if new.parent is not None or new._frozen:
             self._refuse_shared(new)
         old.parent = None
         new.parent = self
@@ -388,19 +396,34 @@ class Element(Node):
     def copy(self) -> "Element":
         """Deep copy; node ids are preserved on the copy, parents cleared.
 
-        Copies made for *shipping* deliberately keep ids so the receiver can
-        correlate; the receiving peer re-assigns ids on installation
-        (see :meth:`repro.peers.peer.Peer.install_document`).
+        Ids are kept so a copy of a stored tree still addresses the same
+        nodes; the receiving peer re-assigns ids on installation (see
+        :meth:`repro.peers.peer.Peer.install_document`).
+
+        The copy is never frozen.  A copy of a *frozen* tree starts with
+        the original's cached size, fingerprint, ``sc`` verdict and node
+        count — sound because the original can no longer change.  A copy
+        of an unfrozen tree starts cache-cold: its original may carry a
+        stale measurement (a direct ``Text.value`` assignment bypasses the
+        mutation helpers), and the copy must not inherit it.
         """
-        clone = Element(self.tag, dict(self.attrs), node_id=self.node_id)
+        return self._copy(self.frozen)
+
+    def _copy(self, warm: bool) -> "Element":
+        clone = Element(self.tag, self.attrs, node_id=self.node_id)
+        children = clone.children
         for child in self.children:
-            clone.append(child.copy())
-        # The clone starts cache-cold and unfrozen: sharing ``_size_cache``/
-        # ``_fp_cache`` with the original would let a stale measurement
-        # (e.g. after a direct ``Text.value`` assignment that bypassed the
-        # mutation helpers) survive into a tree that never computed it.
-        # A *frozen* tree shared by reference (``AXMLSystem.clone``) does
-        # share them, soundly, exactly because it can no longer change.
+            if isinstance(child, Element):
+                child = child._copy(warm)
+            else:
+                child = child.copy()
+            child.parent = clone
+            children.append(child)
+        if warm:
+            clone._size_cache = self._size_cache
+            clone._fp_cache = self._fp_cache
+            clone._sc_cache = self._sc_cache
+            clone._count_cache = self._count_cache
         return clone
 
     def copy_without_ids(self) -> "Element":
@@ -514,8 +537,20 @@ def iter_elements(root: Node) -> Iterator[Element]:
 
 
 def tree_size(root: Node) -> int:
-    """Total node count of the subtree (elements + text leaves)."""
-    return sum(1 for _ in iter_nodes(root))
+    """Total node count of the subtree (elements + text leaves).
+
+    Cached on every element beside its serialized size, and dropped with
+    it by the mutating helpers: counting a stable tree again is O(1).
+    """
+    if not isinstance(root, Element):
+        return 1
+    count = root._count_cache
+    if count is None:
+        count = 1
+        for child in root.children:
+            count += tree_size(child)
+        root._count_cache = count
+    return count
 
 
 def find_by_id(root: Node, node_id: NodeId) -> Optional[Element]:

@@ -26,7 +26,7 @@ from repro.errors import (
 )
 from repro.net import MessageKind
 from repro.peers import AXMLSystem, NearestPolicy
-from repro.xmlcore import NodeId, element, equivalent, parse, serialize
+from repro.xmlcore import Element, NodeId, element, equivalent, parse, serialize
 from repro.xquery import Query
 
 
@@ -59,11 +59,17 @@ def evaluator(system):
 
 
 class TestDefinition1And5Trees:
-    def test_plain_tree_at_home_is_identity(self, evaluator):
+    def test_plain_tree_at_home_is_identity(self, evaluator, monkeypatch):
+        copies = []
+        original = Element.copy
+        monkeypatch.setattr(
+            Element, "copy", lambda self: copies.append(self) or original(self)
+        )
         tree = parse("<a><b>1</b></a>")
         outcome = evaluator.eval(TreeExpr(tree, "p0"), "p0")
-        assert equivalent(outcome.items[0], tree)
-        assert outcome.items[0] is not tree  # a copy, source untouched
+        # by reference: the tree itself, frozen so no holder can edit it
+        assert outcome.items == [tree] and outcome.items[0] is tree
+        assert tree.frozen and copies == []
 
     def test_remote_tree_shipped(self, evaluator, system):
         tree = parse("<payload>" + "x" * 500 + "</payload>")

@@ -180,12 +180,10 @@ class TestReroute:
 
     def test_relay_wins_when_direct_link_slow(self):
         sys = AXMLSystem.with_peers(["a", "b", "c"])
-        sys.network.link("a", "c").bandwidth = 1_000.0     # terrible direct
-        sys.network.link("c", "a").bandwidth = 1_000.0
-        sys.network.link("a", "b").bandwidth = 10_000_000.0
-        sys.network.link("b", "a").bandwidth = 10_000_000.0
-        sys.network.link("b", "c").bandwidth = 10_000_000.0
-        sys.network.link("c", "b").bandwidth = 10_000_000.0
+        latency = sys.network.link("a", "c").latency
+        sys.network.add_link("a", "c", latency, bandwidth=1_000.0)  # terrible direct
+        sys.network.add_link("a", "b", latency, bandwidth=10_000_000.0)
+        sys.network.add_link("b", "c", latency, bandwidth=10_000_000.0)
         sys.peer("a").install_document("d", big_catalog(40))
         direct = Plan(Send(DocDest("c1", "c"), DocExpr("d", "a")), "a")
         relayed = Plan(

@@ -1,14 +1,17 @@
-"""Σ is cloned by reference: copy-on-write documents.
+"""Σ is cloned, and values are shipped, by reference: copy-on-write trees.
 
 ``AXMLSystem.clone()`` shares every document tree with its twin and
-freezes it; whoever edits a stored document in place owns a private copy
+freezes it; a value crossing the simulated network is the frozen tree
+itself; whoever edits a stored document in place owns a private copy
 first (``Peer.own_document``).  These tests pin the contract from the
 outside: *sharing* (a clone copies no node), *isolation* (no in-place
 path on one side ever shows on the other, in either direction),
-*loudness* (editing the read path's tree raises the typed error and
-changes nothing), *oracle purity* (``measure`` leaves Σ byte-identical
-and un-advanced), and *inert reads* (a document without ``sc`` nodes is
-read without a copy; one with them activates exactly as before).
+*loudness* (editing — or adopting — a frozen tree raises the typed error
+and changes nothing), *oracle purity* (``measure`` leaves Σ
+byte-identical and un-advanced), *inert reads* (a document without
+``sc`` nodes is read and shipped without a copy; one with them
+activates exactly as before) and *identity* (``is`` and ``|`` see what
+they saw when every shipment copied).
 """
 
 import pytest
@@ -21,12 +24,25 @@ from repro.axml import (
     make_service_call,
 )
 from repro.core import ExpressionEvaluator, measure
-from repro.core.expressions import DocExpr, NodesDest, Send, Seq, TreeExpr
+from repro.core.expressions import (
+    DocExpr,
+    EvalAt,
+    NodesDest,
+    QueryApply,
+    QueryRef,
+    Send,
+    Seq,
+    ServiceCallExpr,
+    TreeExpr,
+)
+from repro.core.planspace import CacheStats
 from repro.core.strategies import SearchSpace
 from repro.errors import FrozenTreeError, ReproError
 from repro.peers import AXMLSystem
+from repro.peers.service import QueryMemo
 from repro.workloads import WRITE_MIX_SPEC, ScenarioGenerator
 from repro.xmlcore import Element, NodeId, element, parse, serialize
+from repro.xquery import Query
 
 
 def image(system):
@@ -56,7 +72,7 @@ def accounting(system):
 
 @pytest.fixture()
 def count_copies(monkeypatch):
-    """Counts top-level and nested ``Element.copy`` calls."""
+    """Counts top-level ``Element.copy`` calls (one per copied tree)."""
     calls = []
     original = Element.copy
 
@@ -255,6 +271,91 @@ class TestIsolation:
         assert peer.doc_reads == {}
 
 
+class TestByReference:
+    """A value crossing the network is the frozen tree itself, and identity
+    is exactly as observable as when every crossing made a copy."""
+
+    BOTH = Query("($a is $b, count($a | $b))", params=("a", "b"))
+    IS_STORED = Query('$x is doc("d1")', params=("x",))
+
+    @staticmethod
+    def answers(system, at, query, *args):
+        plan = QueryApply(QueryRef(query, at), args)
+        return [i.string_value() for i in ExpressionEvaluator(system).eval(plan, at).items]
+
+    @pytest.mark.parametrize(
+        "arg",
+        [DocExpr("d1", "a"), TreeExpr(parse("<t/>"), "b"), TreeExpr(parse("<t/>"), "a")],
+        ids=["shipped-document", "literal-at-home", "shipped-literal"],
+    )
+    def test_one_tree_bound_twice_is_two_trees(self, arg):
+        assert self.answers(two_docs(), "b", self.BOTH, arg, arg) == ["false", "2"]
+
+    def test_a_stored_document_read_twice_at_home_stays_one_tree(self):
+        arg = DocExpr("d1", "a")
+        assert self.answers(two_docs(), "a", self.BOTH, arg, arg) == ["true", "1"]
+
+    @pytest.mark.parametrize(
+        "arg, expected",
+        [
+            (DocExpr("d1", "a"), "true"),  # read at home: the stored tree
+            (EvalAt("b", DocExpr("d1", "a")), "false"),  # a -> b -> a
+            (QueryApply(QueryRef(Query('doc("d1")'), "a"), ()), "false"),
+        ],
+        ids=["at-home", "round-trip", "query-result"],
+    )
+    def test_an_arrival_is_not_the_stored_document(self, arg, expected):
+        assert self.answers(two_docs(), "a", self.IS_STORED, arg) == [expected]
+
+    def test_a_call_result_is_not_the_callers_stored_document(self):
+        system = two_docs()
+        system.peer("b").install_query_service(
+            "echo", "declare variable $p external; $p", params=("p",)
+        )
+        arg = ServiceCallExpr("b", "echo", (DocExpr("d1", "a"),))
+        assert self.answers(system, "a", self.IS_STORED, arg) == ["false"]
+
+
+class TestFrozenRootAdoption:
+    def test_adopting_a_frozen_root_raises_and_changes_nothing(self):
+        shared = parse("<f><k/></f>")
+        shared.freeze()
+        host = element("host", element("old"))
+        old = host.children[0]
+        for edit in (
+            lambda: host.append(shared),
+            lambda: host.insert(0, shared),
+            lambda: host.replace_child(old, shared),
+        ):
+            with pytest.raises(FrozenTreeError):
+                edit()
+        assert shared.parent is None and old.parent is host
+        assert serialize(host) == "<host><old/></host>"
+        host.append(shared.copy())  # a copy is adoptable
+        assert serialize(host) == "<host><old/><f><k/></f></host>"
+
+    def test_memoised_responses_are_spliced_as_copies(self):
+        """A response the memo keeps, spliced into an activated document —
+        alone in place, or several under ``<results>`` — stays the
+        memo's: parentless and frozen, answering the next lookup."""
+        system = AXMLSystem.with_peers(["a", "b"])
+        provider = system.peer("b")
+        one = provider.install_query_service("one", "<leaf>v</leaf>")
+        two = provider.install_query_service("two", "(<leaf>1</leaf>, <leaf>2</leaf>)")
+        tree = element("doc", make_service_call("b", "one"), make_service_call("b", "two"))
+        evaluator = ExpressionEvaluator(system)
+        evaluator.memo = memo = QueryMemo(CacheStats())
+        for _ in range(2):
+            (value,) = evaluator.eval(TreeExpr(tree, "a"), "a").items
+            assert serialize(value) == (
+                "<doc><leaf>v</leaf><results><leaf>1</leaf><leaf>2</leaf></results></doc>"
+            )
+        assert memo.stats.query_memo_hits == 2
+        for service in (one, two):
+            for kept in service.invoke([], provider, memo):
+                assert kept.parent is None and kept.frozen
+
+
 class TestAllocatorPosition:
     def test_forwards_land_on_the_same_nodes_on_a_clone(self):
         """A clone's allocator used to restart at n1: the first delivery
@@ -318,12 +419,14 @@ class TestInertReads:
         assert count_copies == []
         assert system.peer("a").doc_reads == {"d1": 1}
 
-    def test_shipping_it_copies_once_and_still_counts_the_read(self, count_copies):
+    def test_shipping_it_copies_nothing_and_still_counts_the_read(self, count_copies):
         system = two_docs()
         stored = system.peer("a").documents["d1"]
         outcome = ExpressionEvaluator(system).eval(DocExpr("d1", "a"), "b")
-        assert [n for n in count_copies if n.parent is None] == [stored]
-        assert outcome.items[0] is not stored
+        # by reference: the value at b is the stored tree, frozen
+        assert count_copies == []
+        assert outcome.items == [stored] and outcome.items[0] is stored
+        assert stored.frozen
         assert serialize(outcome.items[0]) == "<r><x/><y/></r>"
         assert system.peer("a").documents["d1"] is stored
         assert system.peer("a").doc_reads == {"d1": 1}

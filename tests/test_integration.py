@@ -128,8 +128,7 @@ class TestGenericReplicas:
     def test_nearest_mirror_serves_query(self):
         system = AXMLSystem.with_peers(["client", "mirror-eu", "mirror-us"])
         # client is close to mirror-eu
-        system.network.link("client", "mirror-us").latency = 0.5
-        system.network.link("mirror-us", "client").latency = 0.5
+        system.network.add_link("client", "mirror-us", latency=0.5)
         catalog = make_catalog(30)
         system.peer("mirror-eu").install_document("cat-eu", catalog.copy())
         system.peer("mirror-us").install_document("cat-us", catalog.copy())

@@ -128,6 +128,70 @@ class TestRouting:
             net.route("b", "a")
 
 
+class TestRouteMemo:
+    """Routes are searched once per (src, dst) per topology."""
+
+    @staticmethod
+    def count_searches(monkeypatch):
+        searches = []
+        original = Network._cheapest_hops
+
+        def counted(self, src, dst):
+            searches.append((src, dst))
+            return original(self, src, dst)
+
+        monkeypatch.setattr(Network, "_cheapest_hops", counted)
+        return searches
+
+    def test_each_pair_is_searched_once(self, monkeypatch):
+        net = topology.line(["a", "b", "c"])
+        net.add_peer("z")  # known, but linked to nothing
+        searches = self.count_searches(monkeypatch)
+        for _ in range(3):
+            assert [l.dst for l in net.route("a", "c")] == ["b", "c"]
+            net.deliver(Message("c", "a", MessageKind.DATA, 10))
+            with pytest.raises(NoRouteError):
+                net.route("a", "z")
+        assert searches == [("a", "c"), ("c", "a"), ("a", "z")]
+
+    def test_add_link_after_a_route_reroutes(self):
+        net = Network()
+        net.add_link("a", "b", latency=0.01)
+        net.add_link("b", "c", latency=0.01)
+        assert [l.dst for l in net.route("a", "c")] == ["b", "c"]
+        net.add_link("a", "c", latency=0.001)  # a faster direct link
+        assert [l.dst for l in net.route("a", "c")] == ["c"]
+        net.add_link("a", "c", latency=1.0)  # re-linked: slow again
+        assert [l.dst for l in net.route("a", "c")] == ["b", "c"]
+        assert net.link("a", "c").latency == 1.0
+
+    def test_link_quality_cannot_be_edited_in_place(self):
+        net = Network()
+        net.add_link("a", "b", latency=0.02, bandwidth=500.0)
+        link = net.link("a", "b")
+        for quality in ("latency", "bandwidth"):
+            with pytest.raises(NetworkError, match="add_link"):
+                setattr(link, quality, 1.0)
+        assert (link.latency, link.bandwidth) == (0.02, 500.0)
+        link.busy_until = 3.0  # simulator state stays writable
+
+    def test_a_clone_shares_routes_not_clocks(self, monkeypatch):
+        net = topology.ring(["a", "b", "c", "d"])
+        net.route("a", "c")
+        searches = self.count_searches(monkeypatch)
+        twin = net.clone()
+        assert [l.dst for l in twin.route("a", "c")] == [
+            l.dst for l in net.route("a", "c")
+        ]
+        assert searches == []  # the twin read the original's memo
+        twin.deliver(Message("a", "c", MessageKind.DATA, 100))
+        assert all(l.busy_until == 0.0 and l.stats.messages == 0 for l in net.links())
+        assert twin.route("a", "c")[0] is twin.link("a", "b")
+        # re-linking one side leaves the other's topology alone
+        twin.add_link("a", "c", latency=0.0001)
+        assert len(twin.route("a", "c")) == 1 and len(net.route("a", "c")) == 2
+
+
 class TestStats:
     def test_per_kind_accounting(self):
         net = Network()

@@ -12,6 +12,7 @@ from repro.errors import (
     UnknownServiceError,
     ValidationError,
 )
+from repro.net import Network
 from repro.peers import (
     AXMLSystem,
     DeclarativeService,
@@ -198,8 +199,7 @@ class TestRegistry:
     def _system(self):
         system = AXMLSystem.with_peers(["near", "far", "me"])
         # make 'far' genuinely far
-        system.network.link("me", "far").latency = 1.0
-        system.network.link("far", "me").latency = 1.0
+        system.network.add_link("me", "far", latency=1.0)
         for peer, doc in (("near", "dn"), ("far", "df")):
             system.peer(peer).install_document(doc, parse("<mirror/>"))
             system.registry.register_document("mirror", doc, peer)
@@ -331,6 +331,19 @@ class TestSystem:
         system = AXMLSystem.with_peers(["a", "b"], bandwidth=123.0)
         twin = system.clone()
         assert twin.network.link("a", "b").bandwidth == 123.0
+
+    def test_clone_rebuilds_no_topology(self, monkeypatch):
+        system = AXMLSystem.with_peers(["a", "b", "c"], topology="ring")
+        added = []
+        monkeypatch.setattr(Network, "add_link", lambda *args, **kw: added.append(args))
+        twin = system.clone().clone()
+        assert added == []
+        quality = lambda net: [(l.src, l.dst, l.latency, l.bandwidth) for l in net.links()]
+        assert quality(twin.network) == quality(system.network)
+        # fresh link objects: clocks and statistics are the twin's own
+        assert not {id(l) for l in twin.network.links()} & {
+            id(l) for l in system.network.links()
+        }
 
     def test_reset_clocks(self):
         system = AXMLSystem.with_peers(["a", "b"])

@@ -26,7 +26,7 @@ from repro.workloads import (
     ScenarioGenerator,
     ScenarioSpec,
 )
-from repro.xmlcore import parse
+from repro.xmlcore import Element, parse
 from repro.xquery import Query
 
 STRATEGIES = ("beam", "greedy", "exhaustive")
@@ -214,6 +214,17 @@ class TestDocReads:
         result, _ = here.evaluate(body, memo=memo)  # both variants are kept
         assert len(result) == 2
         assert traffic(memo) == (2, 2) and len(memo) == 2
+
+    def test_a_read_that_is_an_argument_is_not_an_equal_argument(self, system, memo):
+        peer = system.peer("a")
+        same = Query('if ($x is doc("cat")) then "same" else "other"', params=("x",))
+        stored = peer.documents["cat"]
+        assert peer.evaluate(same, [[stored]], memo=memo)[0] == ["same"]
+        # equal content, but not the tree doc() reads: an entry must not answer
+        assert peer.evaluate(same, [[stored.copy()]], memo=memo)[0] == ["other"]
+        assert peer.evaluate(same, [[stored]], memo=memo)[0] == ["same"]
+        assert peer.evaluate(same, [[stored.copy()]], memo=memo)[0] == ["other"]
+        assert traffic(memo) == (2, 2)
 
     def test_a_peer_without_the_document_fails_as_it_would_unmemoised(
         self, system, memo
@@ -409,6 +420,16 @@ def test_serve_repeat_evaluates_each_sub_query_once_per_search(monkeypatch):
     assert stats.query_memo_hits > 0
     assert stats.query_memo_hits + stats.query_memo_misses > runs // 2
     assert "query_memo_hits" in stats.as_dict()
+
+
+def test_serve_repeat_ships_trees_by_reference(monkeypatch):
+    copies = []
+    original = Element.copy  # recursion inside a copy does not come back here
+    monkeypatch.setattr(
+        Element, "copy", lambda self: copies.append(self) or original(self)
+    )
+    serve_repeat(monkeypatch)
+    assert len(copies) <= 1_139  # 5 697 copied trees when every shipment copied
 
 
 def test_the_analytic_model_never_consults_the_memo(monkeypatch):
