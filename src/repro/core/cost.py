@@ -36,7 +36,7 @@ from ..net.message import wire_size
 from ..peers.service import DeclarativeService, QueryMemo, _doc_references
 from ..peers.system import AXMLSystem
 from ..xmlcore.model import Element, iter_elements, tree_size
-from .evaluator import ExpressionEvaluator, _value_tree
+from .evaluator import ExpressionEvaluator, _as_forest
 from .planspace import PlanCache, doc_epoch_signature
 from .expressions import (
     ANY,
@@ -643,10 +643,7 @@ class CostEstimator:
             result = query.run(*forests)
         except ReproError:
             return None
-        out_bytes = sum(
-            (item if isinstance(item, Element) else _value_tree(item)).serialized_size()
-            for item in result
-        )
+        out_bytes = sum(item.serialized_size() for item in _as_forest(result))
         work = 1 + sum(tree_size(value) for forest in forests for value in forest)
         sample = (out_bytes, work)
         self.memo[key] = sample

@@ -543,6 +543,10 @@ class ExpressionEvaluator:
             outcome.merge_effects(sub)
             latest = max(latest, sub.completed_at)
             param_values.extend(_unaliased(sub.items, bound, caller))
+        if provider_id != at:
+            # the CALL hands each parameter on to the provider, where a
+            # parameter that is one of its stored documents arrives a copy
+            param_values = [_handed_on(p, provider) for p in param_values]
 
         # ship parameters to the provider (one CALL message)
         call_message = Message(
@@ -816,13 +820,17 @@ def _adoptable(item: Element) -> Element:
     return item.copy() if item.frozen else item
 
 
-def _as_forest(result: List, site: Peer) -> List[Element]:
-    """Normalize query results at ``site`` to a forest of elements
-    (trees handed on, atomics wrapped)."""
-    return [
-        _handed_on(item, site) if isinstance(item, Element) else _value_tree(item)
-        for item in result
-    ]
+def _as_forest(result: List, site: Optional[Peer] = None) -> List[Element]:
+    """Normalize query results to a forest of elements: atomics wrapped,
+    trees handed on to ``site`` (kept as they are without one)."""
+    forest: List[Element] = []
+    for item in result:
+        if not isinstance(item, Element):
+            item = _value_tree(item)
+        elif site is not None:
+            item = _handed_on(item, site)
+        forest.append(item)
+    return forest
 
 
 def _value_tree(item) -> Element:

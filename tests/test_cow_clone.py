@@ -315,6 +315,23 @@ class TestByReference:
         arg = ServiceCallExpr("b", "echo", (DocExpr("d1", "a"),))
         assert self.answers(system, "a", self.IS_STORED, arg) == ["false"]
 
+    @pytest.mark.parametrize(
+        "body, expected",
+        [('$p is doc("d1")', "false"), ('count($p//* | doc("d1")//*)', "4")],
+        ids=["is", "union"],
+    )
+    def test_a_call_parameter_is_not_the_providers_stored_document(
+        self, body, expected
+    ):
+        """d1 ships a -> b as the parameter, then b -> a in the CALL."""
+        system = two_docs()
+        system.peer("a").install_query_service(
+            "probe", "declare variable $p external; " + body, params=("p",)
+        )
+        call = ServiceCallExpr("a", "probe", (DocExpr("d1", "a"),))
+        items = ExpressionEvaluator(system).eval(call, "b").items
+        assert [item.string_value() for item in items] == [expected]
+
 
 class TestFrozenRootAdoption:
     def test_adopting_a_frozen_root_raises_and_changes_nothing(self):
