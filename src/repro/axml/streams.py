@@ -17,7 +17,7 @@ Two pieces implement this:
   outputs are appended (correct when the query is distributive over the
   input forest — true for the for-each-tree services the paper uses);
   in ``reevaluate`` mode the full accumulated input is re-queried each
-  time (always correct, quadratic).  Benchmark E8 contrasts the two.
+  time (always correct, quadratic).
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class IncrementalQuery:
         self.seen: List[Element] = []
         self.outputs: List = []
         #: work-unit counter: how many input trees were (re)processed —
-        #: the quantity benchmark E8 sweeps.
+        #: linear in the stream for ``incremental``, quadratic otherwise.
         self.trees_processed = 0
 
     def push(self, tree: Element) -> List:

@@ -7,12 +7,11 @@ Two interchangeable cost functions drive the optimizer:
   completion time.  Exact by construction, and the clone is cheap:
   document trees are shared with Σ, not copied
   (:meth:`AXMLSystem.clone <repro.peers.system.AXMLSystem.clone>`).
-  This is the reference the estimator is validated against (ablation
-  A1).
+  This is the reference the estimator is validated against.
 * :class:`CostEstimator` — a static model walking the expression:
   document sizes come from Σ, query selectivities from a statistics
   table (default applied when unknown), link costs from the topology.
-  No evaluation happens; mis-estimation is visible in A1.
+  No evaluation happens; the ``cost-model`` sweep bounds its error.
 
 The scalar ordering combines completion time with a per-byte tax so that
 plans tying on time are separated by traffic (the paper's experiments
@@ -206,13 +205,9 @@ class CostEstimator:
     """
 
     def __init__(self, system: AXMLSystem, statistics: Optional[Statistics] = None,
-                 count_bytes: bool = True, count_time: bool = True,
                  cache: Optional[PlanCache] = None, pick_policy=None) -> None:
         self.system = system
         self.statistics = statistics or Statistics()
-        #: ablation switches (A1): ignore byte or time terms entirely.
-        self.count_bytes = count_bytes
-        self.count_time = count_time
         #: where the estimator remembers (``cache.estimates``) and counts
         #: (``cache.stats``): the caller's, or a private one
         self.cache = cache or PlanCache()
@@ -227,9 +222,7 @@ class CostEstimator:
         self._bytes = 0
         self._messages = 0
         self._time = 0.0
-        # re-read each run: Statistics are mutable and the salt keeps
-        # cache entries honest if they changed (count_bytes/count_time
-        # need no salt — raw deltas are masked only at the very end)
+        # re-read each run: Statistics are mutable, and the salt follows them
         self._memo_salt = self.statistics.memo_token()
         if self.pick_policy is not None:
             # picks shape the estimate: estimators with different policies
@@ -241,11 +234,7 @@ class CostEstimator:
         if epoch_sig:
             self._memo_salt = self._memo_salt + (epoch_sig,)
         self._visit(plan.expr, plan.site)
-        return Cost(
-            self._bytes if self.count_bytes else 0,
-            self._messages,
-            self._time if self.count_time else 0.0,
-        )
+        return Cost(self._bytes, self._messages, self._time)
 
     __call__ = estimate
 

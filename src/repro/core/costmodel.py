@@ -160,16 +160,11 @@ class AnalyticCostModel:
         pick_policy=None,
         statistics: Optional[Statistics] = None,
         cache: Optional[PlanCache] = None,
-        **estimator_options,
     ) -> None:
         self.system = system
         self.statistics = statistics or Statistics()
         self.estimator = CostEstimator(
-            system,
-            self.statistics,
-            cache=cache,
-            pick_policy=pick_policy,
-            **estimator_options,
+            system, self.statistics, cache=cache, pick_policy=pick_policy
         )
 
     @property
@@ -218,14 +213,9 @@ class HybridCostModel:
         pick_policy=None,
         statistics: Optional[Statistics] = None,
         cache: Optional[PlanCache] = None,
-        **estimator_options,
     ) -> None:
         self.analytic = AnalyticCostModel(
-            system,
-            pick_policy=pick_policy,
-            statistics=statistics,
-            cache=cache,
-            **estimator_options,
+            system, pick_policy=pick_policy, statistics=statistics, cache=cache
         )
         self.oracle = OracleCostModel(system, pick_policy=pick_policy, cache=cache)
 

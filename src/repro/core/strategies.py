@@ -12,7 +12,7 @@ is a :class:`OptimizerStrategy`:
   rewrite;
 * :class:`ExhaustiveStrategy` — breadth-first enumeration of the whole
   rewrite space, bounded only by depth and a plan budget; the quality
-  yardstick the cheaper strategies are judged against (E12).
+  yardstick the cheaper strategies are judged against.
 
 Strategies are registered by name (:func:`register_strategy`) so callers
 can ask for ``Session(strategy="greedy")`` and third parties can plug in

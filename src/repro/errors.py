@@ -34,6 +34,14 @@ class XMLSyntaxError(XMLError):
         super().__init__(message)
 
 
+class DocumentTooDeepError(XMLError):
+    """Raised when XML nests deeper than ``limit``; parsing stopped at ``depth``."""
+
+    def __init__(self, depth: int, limit: int) -> None:
+        self.depth, self.limit = depth, limit
+        super().__init__(f"element nesting depth {depth} exceeds the limit {limit}")
+
+
 class SchemaError(XMLError):
     """Raised for malformed schema definitions."""
 

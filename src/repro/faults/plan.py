@@ -156,11 +156,11 @@ class FaultEvent:
 class FaultSpec:
     """Generation knobs: how many of each fault, over what horizon.
 
-    The defaults are the **standard fault mix** used by
-    ``bench_r1_resilience`` and the chaos sweeps: a handful of transient
-    link faults plus one flaky service and one stalling peer, all inside
-    the first ``horizon`` seconds of virtual time — dense enough that an
-    unprotected run visibly fails, sparse enough that retries can win.
+    The defaults are the **standard fault mix** of the harness's
+    ``fault`` sweep: a handful of transient link faults plus one flaky
+    service and one stalling peer, all inside the first ``horizon``
+    seconds of virtual time — dense enough that an unprotected run
+    visibly fails, sparse enough that retries can win.
     """
 
     link_drops: int = 2

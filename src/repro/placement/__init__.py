@@ -26,9 +26,9 @@ subsystem makes it a feedback loop over the serving engine's telemetry:
   serving engine's virtual clock between query events (pass it as
   ``actor=`` to :meth:`Session.serve <repro.session.Session.serve>`).
 
-``benchmarks/bench_a1_placement.py`` measures the payoff: sustained
-qps under a mid-run hotspot shift and 100% completion under a scripted
-peer kill, adaptive vs. static placement.
+The payoff, adaptive against static placement on one stream: at least
+x1.5 the virtual qps under a mid-run hotspot shift, and 100% completion
+under a scripted peer kill that static placement does not survive.
 """
 
 from .churn import ChurnController, ChurnEvent, ChurnSchedule

@@ -5,8 +5,8 @@
 (:mod:`repro.placement.transactions`): each tick it observes one load
 window, asks a pluggable :class:`PlacementPolicy` for actions, and
 applies them as catalog transactions on the same shared fabric the
-queries use — rebalancing traffic contends with query traffic, which is
-exactly the trade-off the A1 benchmark measures.
+queries use — rebalancing traffic contends with query traffic, so a
+replica pays off only when the reads it absorbs outweigh its transfer.
 
 :class:`ThresholdPolicy` is the first policy: threshold + hysteresis.
 A fragment whose per-window reads stay above ``hot_reads`` for

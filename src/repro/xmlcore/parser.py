@@ -15,10 +15,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..errors import XMLSyntaxError
+from ..errors import DocumentTooDeepError, XMLSyntaxError
 from .model import Element, Node, Text
 
-__all__ = ["parse", "parse_fragment"]
+__all__ = ["MAX_DEPTH", "parse", "parse_fragment"]
+
+#: Deepest element nesting accepted (root = 1): what a recursive parser reached
+#: under the default recursion limit, so the recursive copy/serialize walks cope.
+MAX_DEPTH = 497
 
 _PREDEFINED_ENTITIES = {
     "lt": "<",
@@ -28,8 +32,9 @@ _PREDEFINED_ENTITIES = {
     "apos": "'",
 }
 
-_NAME_START_EXTRA = "_:"
-_NAME_EXTRA = "_:-."
+# sets, not strings: the end of input reads as "", which a string contains
+_NAME_START_EXTRA = frozenset("_:")
+_NAME_EXTRA = frozenset("_:-.")
 
 
 def _is_name_start(ch: str) -> bool:
@@ -147,50 +152,58 @@ class _Parser:
 
     # -- elements ------------------------------------------------------------
     def _parse_element(self) -> Element:
-        if self.cursor.peek() != "<":
-            raise self.cursor.error("expected '<'")
-        self.cursor.advance()
-        tag = self._parse_name()
-        attrs = self._parse_attributes()
-        self._skip_whitespace()
-        if self.cursor.startswith("/>"):
-            self.cursor.advance(2)
-            return Element(tag, attrs)
-        if self.cursor.peek() != ">":
-            raise self.cursor.error(f"malformed start tag <{tag}>")
-        self.cursor.advance()
-        node = Element(tag, attrs)
-        self._parse_content(node)
-        close = self._parse_name()
-        if close != tag:
-            raise self.cursor.error(
-                f"mismatched end tag: expected </{tag}>, found </{close}>"
-            )
-        self._skip_whitespace()
-        if self.cursor.peek() != ">":
-            raise self.cursor.error(f"malformed end tag </{close}>")
-        self.cursor.advance()
-        return node
-
-    def _parse_content(self, parent: Element) -> None:
-        while True:
+        """An element and its content, kept on a stack rather than the call stack."""
+        root, closed = self._parse_start_tag()
+        stack = [] if closed else [root]
+        while stack:
+            parent = stack[-1]
             if self.cursor.at_end():
                 raise self.cursor.error(f"unterminated element <{parent.tag}>")
             if self.cursor.startswith("</"):
                 self.cursor.advance(2)
-                return
-            if self.cursor.startswith("<!--"):
+                close = self._parse_name()
+                if close != parent.tag:
+                    raise self.cursor.error(f"mismatched end tag: expected "
+                                            f"</{parent.tag}>, found </{close}>")
+                self._skip_whitespace()
+                if self.cursor.peek() != ">":
+                    raise self.cursor.error(f"malformed end tag </{close}>")
+                self.cursor.advance()
+                stack.pop()
+                if stack:
+                    stack[-1].append(parent)
+            elif self.cursor.startswith("<!--"):
                 self._skip_comment()
             elif self.cursor.startswith("<![CDATA["):
                 parent.append(self._parse_cdata())
             elif self.cursor.startswith("<?"):
                 self._skip_pi()
             elif self.cursor.peek() == "<":
-                parent.append(self._parse_element())
+                if len(stack) == MAX_DEPTH:
+                    raise DocumentTooDeepError(MAX_DEPTH + 1, MAX_DEPTH)
+                child, closed = self._parse_start_tag()
+                if closed:
+                    parent.append(child)
+                else:
+                    stack.append(child)
             else:
                 chunk = self._parse_text()
                 if chunk.value:
                     parent.append(chunk)
+        return root
+
+    def _parse_start_tag(self) -> Tuple[Element, bool]:
+        if self.cursor.peek() != "<":
+            raise self.cursor.error("expected '<'")
+        self.cursor.advance()
+        tag = self._parse_name()
+        attrs = self._parse_attributes()
+        self._skip_whitespace()
+        closed = self.cursor.startswith("/>")
+        if not closed and self.cursor.peek() != ">":
+            raise self.cursor.error(f"malformed start tag <{tag}>")
+        self.cursor.advance(2 if closed else 1)
+        return Element(tag, attrs), closed
 
     def _parse_cdata(self) -> Text:
         self.cursor.advance(len("<![CDATA["))

@@ -148,13 +148,6 @@ class TestCostEstimator:
         stats = Statistics(result_bytes={"q": 7}, selectivity={"q": 0.9})
         assert stats.query_output_bytes("q", 1_000_000) == 7
 
-    def test_ablation_switches(self, system):
-        plan = naive_plan()
-        no_bytes = CostEstimator(system, count_bytes=False).estimate(plan)
-        no_time = CostEstimator(system, count_time=False).estimate(plan)
-        assert no_bytes.bytes == 0 and no_bytes.time > 0
-        assert no_time.time == 0 and no_time.bytes > 0
-
 
 class TestOptimizer:
     def test_finds_cheaper_plan(self, system):

@@ -1,4 +1,5 @@
-"""The CostModel API: registry, shims, parity, hybrid safety, cache salts.
+"""The CostModel API: registry, shims, parity, hybrid safety, cache salts,
+and how many simulations each model spends planning.
 
 The fast parity subset runs in tier-1; the full generated sweep is
 marked ``generated`` and runs on demand:
@@ -30,7 +31,9 @@ from repro.core import (
     measure,
     register_cost_model,
 )
+from repro.core import costmodel
 from repro.core.costmodel import COST_MODELS
+from repro.engine import LoadGenerator
 from repro.errors import DifferentialMismatchError, OptimizerError, SessionError
 from repro.obs import Tracer
 from repro.obs.metrics import MetricsRegistry
@@ -277,6 +280,56 @@ class TestAnalyticAgreesWithOracle:
             judged[mode] = measure(result.best, system).scalar()
         assert judged["analytic"] == pytest.approx(judged["oracle"])
         assert judged["hybrid"] == pytest.approx(judged["oracle"])
+
+
+class TestEstimationAvoidsSimulation:
+    """A mesh with replicated documents, planned cold and then served
+    under each model.  Cold planning (``explain`` of each distinct query
+    on a fresh session) is what a model changes: a served job repeating a
+    planned query skips the search under every model."""
+
+    SPEC = ScenarioSpec(
+        peers=6, topology="mesh", documents=4, axml_documents=1,
+        items=20, services=2, replicas=2, queries=6,
+    )
+
+    def test_hybrid_simulates_a_fifth_of_the_oracle_and_answers_alike(
+        self, monkeypatch
+    ):
+        simulated = []
+        real_measure = costmodel.measure
+
+        def counting(*args, **kwargs):
+            simulated.append(args[0])
+            return real_measure(*args, **kwargs)
+
+        monkeypatch.setattr(costmodel, "measure", counting)
+        simulations, served = {}, {}
+        for mode in ("oracle", "analytic", "hybrid"):
+            counts = set()
+            for _ in range(2):  # an exact count: it repeats on a fresh session
+                scenario = ScenarioGenerator(seed=7, spec=self.SPEC).scenario(0)
+                session = Session(scenario.system, cost_model=mode)
+                del simulated[:]
+                for q in scenario.queries:
+                    session.explain(q.source, q.at, q.bindings, q.name)
+                counts.add(len(simulated))
+            assert len(counts) == 1, (mode, counts)
+            simulations[mode] = counts.pop()
+            feed = LoadGenerator(scenario, seed=8).closed_loop(16, 4)
+            report = Session(scenario.system, cost_model=mode).serve(feed=feed, seed=7)
+            m = report.metrics
+            assert m.failed == 0, mode
+            served[mode] = (
+                sorted((job.name, tuple(job.answers)) for job in report.jobs),
+                (m.makespan, m.latency_p50, m.latency_p95, m.latency_p99),
+            )
+        assert simulations["analytic"] == 0
+        assert simulations["oracle"] >= 5 * simulations["hybrid"], simulations
+        # estimation changes what is simulated, never what is answered or
+        # when: answers and virtual times are identical across models
+        assert served["analytic"] == served["oracle"]
+        assert served["hybrid"] == served["oracle"]
 
 
 SMALL = ScenarioSpec(

@@ -4,8 +4,9 @@ Covers the fragmenter + catalog, the ``FragmentedDoc``/``Gather``
 algebra (evaluation, serialization, fingerprints, cost), the
 fragment-aware rewrites, Σ lifecycle with a registered catalog
 (clone/reset independence), replica tie-breaking under queue-depth
-admission, the generator's ``fragmented`` scenario family, and the
-differential byte-equality sweep against the whole-document baseline.
+admission, the generator's ``fragmented`` scenario family, the
+differential byte-equality sweep against the whole-document baseline,
+and the traffic pruned fragments save over whole-document shipping.
 """
 
 import pytest
@@ -59,7 +60,7 @@ def fragmented_system(n=30, replicas=0, payload=2,
     )
     system.peer("d0").install_document("cat", catalog_doc(n, payload))
     Fragmenter(system).fragment(
-        "cat", "d0", ["d0", "d1", "d2"], replicas=replicas
+        "cat", "d0", [p for p in peers if p != "client"], replicas=replicas
     )
     return system
 
@@ -229,6 +230,42 @@ class TestScatterGatherEvaluation:
             connect(system).query(
                 "count($d//item)", at="a", bind={"d": "d@dist"}
             )
+
+
+class TestFragmentsAgainstWholeDocument:
+    """A catalog fragmented over four data peers, the whole document kept
+    at ``d0``, queried four ways: whole or fragmented, naive or optimized."""
+
+    MODES = {
+        "whole-naive": ("cat@d0", False),
+        "whole-opt": ("cat@d0", True),
+        "frag-naive": ("cat@dist", False),
+        "frag-opt": ("cat@dist", True),
+    }
+
+    @pytest.mark.parametrize("n", (150, 300))
+    def test_pruned_fragments_ship_a_third_of_the_whole_document(self, n):
+        system = fragmented_system(
+            n=n, payload=8, peers=("client", "d0", "d1", "d2", "d3")
+        )
+        session = connect(system)
+        selective = f"for $i in $d//item where $i/price > {int(n * 0.95)} return $i/name"
+        broad = f"for $i in $d//item where $i/price >= {n // 2} return $i/name"
+        for query in (selective, broad):
+            reports = {
+                mode: session.query(query, at="client", name="d1",
+                                    bind={"d": binding}, optimize=optimize)
+                for mode, (binding, optimize) in self.MODES.items()
+            }
+            # fragmentation is invisible to query results
+            reference = reports["whole-naive"].answers
+            for mode, report in reports.items():
+                assert report.answers == reference, (mode, query)
+            if query is selective:
+                # only fragments that can match are contacted at all
+                whole = reports["whole-naive"].network["bytes"]
+                pruned = reports["frag-opt"].network["bytes"]
+                assert whole >= 3 * pruned, (whole, pruned)
 
 
 class TestAlgebraPlumbing:

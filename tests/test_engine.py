@@ -3,7 +3,8 @@
 Covers the scheduler's event loop (deterministic seeded tie-breaking,
 per-peer compute queues, replica-aware admission), the load generator's
 open/closed-loop arrival processes, fleet metrics, cross-query FIFO link
-contention, and the reset-path regressions the engine relies on.
+contention, the reset-path regressions the engine relies on, and what
+concurrency buys on a replicated mesh.
 """
 
 import warnings
@@ -211,6 +212,29 @@ class TestAcceptance:
             )
             qps[concurrency] = report.metrics.queries_per_sec
         assert qps[8] > qps[1]
+
+    def test_concurrency_sweep_on_a_replicated_mesh(self):
+        # one request mix, identical at every level, on a heterogeneous
+        # mesh with replicated documents: different queries' transfers and
+        # compute overlap on the shared fabric instead of serializing
+        spec = ScenarioSpec(
+            peers=6, topology="mesh", documents=4, axml_documents=1,
+            items=20, services=2, replicas=2, queries=6,
+        )
+        scenario = ScenarioGenerator(seed=7, spec=spec).scenario(0)
+        load = LoadGenerator(scenario, seed=8)
+        metrics, answers = {}, {}
+        for concurrency in (1, 2, 4, 8):
+            report = Session(scenario.system).serve(
+                feed=load.closed_loop(16, concurrency), seed=7
+            )
+            assert report.metrics.failed == 0, concurrency
+            metrics[concurrency] = report.metrics
+            answers[concurrency] = {j.name: tuple(j.answers) for j in report.jobs}
+        assert metrics[8].makespan < metrics[1].makespan
+        assert metrics[8].queries_per_sec >= metrics[1].queries_per_sec
+        # contention shifts time, never values
+        assert all(level == answers[1] for level in answers.values())
 
 
 class TestFIFOContention:

@@ -4,11 +4,13 @@ Covers the fault-plan generator (seeded, byte-stable), the passive
 injection windows on the network and evaluator hot paths, the
 retry/backoff/timeout recovery machinery, deadlines and graceful partial
 answers, the churn traffic-cancellation regression, the untyped-exception
-audit of the failure paths, and the byte-identity contract of every new
-knob at its zero setting.
+audit of the failure paths, the byte-identity contract of every new
+knob at its zero setting, and availability under a dense chaos schedule
+with and without recovery.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +24,7 @@ from repro.core import (
     ServiceCallExpr,
 )
 from repro.core.expressions import FragmentedDoc
-from repro.engine import LoadGenerator
+from repro.engine import JobRequest, LoadGenerator
 from repro.errors import (
     DeadlineExceededError,
     FaultError,
@@ -607,6 +609,55 @@ class TestFaultActor:
         assert plain.events == guarded.events
         assert plain.metrics.makespan == guarded.metrics.makespan
         assert guarded.registry.counters("faults") == []
+
+
+class TestAvailabilityUnderChaos:
+    """One chaos scenario serves one stream three ways on identical
+    virtual hardware: fault-free, faulted with recovery, faulted without."""
+
+    #: heavier items than the sweep default, so a fault window costs a
+    #: bounded fraction of a job instead of dwarfing it
+    SPEC = replace(CHAOS_SPEC, items=40, payload_words=12)
+    #: dense transient windows in every fault family, each short enough
+    #: for a bounded retry budget to clear it
+    LOAD = FaultSpec(
+        link_drops=24, link_degrades=2, corruptions=4, service_failures=3,
+        service_hangs=1, peer_stalls=2, peer_crashes=1, horizon=0.6,
+        min_window=0.02, max_window=0.05, crash_downtime=0.05,
+    )
+    RECOVERY = RetryPolicy(max_attempts=8, backoff=0.005, call_timeout=0.02)
+
+    def serve(self, faulted, recover):
+        """(availability, p95 latency) of four rounds over the query mix,
+        arrivals spread across the fault horizon; a job is available
+        when it drains done, with a full or a partial answer."""
+        scenario = ScenarioGenerator(seed=7, spec=self.SPEC).scenario(0)
+        plan = FaultPlan.generate(1, scenario.system, self.LOAD) if faulted else None
+        session = Session(
+            scenario.system, retry=self.RECOVERY if recover else None, fault_plan=plan
+        )
+        gap = self.LOAD.horizon / (4 * len(scenario.queries))
+        requests = []
+        for r in range(4):
+            for query in scenario.queries:
+                kwargs = dict(query.kwargs(), name=f"{query.name}-r{r}")
+                requests.append(JobRequest(
+                    arrival=len(requests) * gap, partial=recover, **kwargs
+                ))
+        report = session.serve(
+            requests, actor=FaultActor(plan) if plan is not None else None
+        )
+        done = sorted(j.finished_at - j.arrival for j in report.jobs if j.status == "done")
+        p95 = done[min(len(done) - 1, int(0.95 * len(done)))] if done else float("inf")
+        return len(done) / len(report.jobs), p95
+
+    def test_recovery_holds_availability_within_three_times_p95(self):
+        _, clean_p95 = self.serve(faulted=False, recover=True)
+        recovered, recovered_p95 = self.serve(faulted=True, recover=True)
+        exposed, _ = self.serve(faulted=True, recover=False)
+        assert recovered >= 0.95
+        assert exposed <= recovered - 0.15  # unprotected visibly degrades
+        assert recovered_p95 <= 3 * clean_p95, (recovered_p95, clean_p95)
 
 
 # ---------------------------------------------------------------------------

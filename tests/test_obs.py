@@ -7,14 +7,16 @@ exactness invariant (segments sum to the measured latency), the JSONL
 round trip and Chrome-trace export schema, the metrics registry, the
 wall-clock profiler, and the satellite fixes that rode along: the
 ``percentile`` edge cases, ``ServingReport.job`` KeyError, and the
-makespan window spanning failed jobs on faulted runs.
+makespan window spanning failed jobs on faulted runs.  Under ``-m perf``,
+the wall overhead of tracing.
 """
 
 import json
+import time
 
 import pytest
 
-from repro.engine import JobRequest, ServingReport, percentile
+from repro.engine import JobRequest, LoadGenerator, ServingReport, percentile
 from repro.engine.jobs import DONE, FAILED
 from repro.faults import FaultActor, FaultPlan, FaultSpec, RetryPolicy
 from repro.obs import (
@@ -130,6 +132,31 @@ class TestTracingIsInvisible:
         assert len(first.trace.jobs) == len(second.trace.jobs)
         # a fresh drain resets the tracer: no job accumulation across runs
         assert set(second.trace.jobs) == set(first.trace.jobs)
+
+    @pytest.mark.perf
+    def test_tracing_costs_at_most_five_percent_wall_time(self):
+        # interleaved off/on reps, so drift (warm-up, allocator state)
+        # hits both modes alike; each mode's cost is its fastest rep
+        spec = ScenarioSpec(
+            peers=6, topology="mesh", documents=4, axml_documents=1,
+            items=20, services=2, replicas=2, queries=6,
+        )
+        scenario = ScenarioGenerator(seed=7, spec=spec).scenario(0)
+        load = LoadGenerator(scenario, seed=8)
+        seconds = {False: [], True: []}
+        reference = None
+        for _ in range(5):
+            for traced in (False, True):
+                session = Session(scenario.system, tracer=Tracer() if traced else None)
+                feed = load.closed_loop(16, 4)
+                started = time.perf_counter()
+                report = session.serve(feed=feed, seed=7)
+                seconds[traced].append(time.perf_counter() - started)
+                observed = (tuple(report.events), answers_of(report))
+                assert reference is None or observed == reference, traced
+                reference = observed
+        ratio = min(seconds[True]) / min(seconds[False])
+        assert ratio <= 1.05, seconds
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,851 @@
+"""The paper's figures, asserted.
+
+Each row of :data:`FIGURES` is one experiment: a set-up run at every
+value of a sweep, one table row per value, and the claim the paper makes
+about the table's shape (who wins, where the crossover sits).  Rewritten
+plans are derived through the rule under test (``Rule().apply``), never
+built by hand, so a broken rule fails its figure.  Plans a row sets side
+by side as equivalent are also machine-checked with
+:func:`~repro.core.check_equivalence`.  A failing claim prints the
+figure's table.
+
+The experiments, by rule or definition exercised:
+
+* E1 — Example 1, pushing selections: rules (11) then (10);
+* E2 — query delegation, rule (10);
+* E3 — an intermediary stop on a transfer, rule (12);
+* E4 — transfer reuse, rule (13);
+* E5 — pushing a query over a service call, rule (16);
+* E6 — generic documents and pick policies, definition (9);
+* E7 — forward lists against a caller relay (Section 2.3);
+* E8 — continuous services: incremental against re-evaluation;
+* E9 — whole-expression delegation, rule (14);
+* E10 — the eDos software-distribution application, end to end;
+* E12 — the search strategies on Example 1's plan;
+* A1 — which cost model's chosen plan the oracle prefers;
+* A2 — E1 and E2 on four topologies.
+
+Rule (15) has no rewrite in any figure: E7 compares forward lists with
+a caller relay, it does not relocate a call.  The wall-clock experiments
+(E11, A3) are at the bottom, under the ``perf`` marker.
+"""
+
+from __future__ import annotations
+
+import functools
+import time
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence, Tuple
+
+import pytest
+
+from repro import connect
+from repro.axml import IncrementalQuery
+from repro.core import (
+    CostEstimator,
+    DelegateExpression,
+    DocDest,
+    DocExpr,
+    EvalAt,
+    ExpressionEvaluator,
+    GenericDoc,
+    NodesDest,
+    Optimizer,
+    Plan,
+    PushQueryOverCall,
+    PushSelection,
+    QueryApply,
+    QueryDelegation,
+    QueryRef,
+    Reroute,
+    Send,
+    Seq,
+    ServiceCallExpr,
+    Statistics,
+    TransferReuse,
+    TreeExpr,
+    check_equivalence,
+    measure,
+)
+from repro.peers import (
+    AXMLSystem,
+    FirstPolicy,
+    LeastLoadedPolicy,
+    NearestPolicy,
+    RandomPolicy,
+)
+from repro.xmlcore import Element, element, parse, serialize
+from repro.xquery import Query
+
+#: Wide-area links, 200 kB/s and 15 ms: data shipping dominates, the
+#: regime the paper targets.
+WAN = {"bandwidth": 200_000.0, "latency": 0.015}
+
+#: Example 1's selection; ``{}`` is the price predicate.
+SELECTION = "for $i in $d//item where $i/price {} return <r>{{$i/name/text()}}</r>"
+
+
+# ---------------------------------------------------------------------------
+# the shared set-up
+# ---------------------------------------------------------------------------
+
+
+def catalog(n_items: int, payload_words: int = 8) -> Element:
+    """``n_items`` items, each with a name, a price equal to its index
+    and a ``payload_words``-word description: a fresh copy per call."""
+    return _parsed_catalog(n_items, payload_words).copy()
+
+
+@functools.lru_cache(maxsize=None)
+def _parsed_catalog(n_items: int, payload_words: int) -> Element:
+    return parse(
+        "<catalog>"
+        + "".join(
+            f"<item><name>item-{i}</name><price>{i}</price>"
+            f"<desc>{'word ' * payload_words}</desc></item>"
+            for i in range(n_items)
+        )
+        + "</catalog>"
+    )
+
+
+def world(
+    peers: Sequence[str],
+    items: int = 0,
+    at: str = "data",
+    topology: str = "full_mesh",
+    **links,
+) -> AXMLSystem:
+    """``peers`` on ``topology`` over :data:`WAN` links unless ``links``
+    says otherwise, with an ``items``-item catalog ``cat`` at ``at``."""
+    system = AXMLSystem.with_peers(list(peers), topology, **{**WAN, **links})
+    if items:
+        system.peer(at).install_document("cat", catalog(items))
+    return system
+
+
+def over(source: str, name: str, home: str = "data", site: str = "client") -> Plan:
+    """The naive plan: ship ``cat@home`` to ``site`` and query it there."""
+    query = Query(source, params=("d",), name=name)
+    return Plan(QueryApply(QueryRef(query, site), (DocExpr("cat", home),)), site)
+
+
+def rewritten(rule, plan: Plan, system: AXMLSystem) -> Plan:
+    """The one rewrite ``rule`` proposes for ``plan``."""
+    (rewrite,) = rule.apply(plan, system)
+    return rewrite.plan
+
+
+def costs(system: AXMLSystem, *plans: Plan):
+    """The oracle's cost of each plan, in order."""
+    return [measure(plan, system) for plan in plans]
+
+
+def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """Right-aligned text table, floats to three decimals."""
+    rendered = [
+        [f"{v:.3f}" if isinstance(v, float) else str(v) for v in row] for row in rows
+    ]
+    widths = [
+        max([len(h)] + [len(r[i]) for r in rendered]) for i, h in enumerate(headers)
+    ]
+    lines = [
+        "  ".join(h.rjust(w) for h, w in zip(headers, widths)),
+        "  ".join("-" * w for w in widths),
+    ]
+    lines += ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in rendered]
+    return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class Point:
+    """One swept value's table row, and the plans it set side by side."""
+
+    row: Tuple
+    system: Optional[AXMLSystem] = None
+    #: plans meant to be equivalent: each is checked against the first
+    plans: Tuple[Plan, ...] = ()
+    pick_policy: Any = None
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One experiment: ``setup`` runs at each ``sweep`` value, ``claim``
+    asserts the shape of the resulting rows."""
+
+    id: str
+    title: str
+    columns: Tuple[str, ...]
+    sweep: Tuple
+    setup: Callable[[Any], Point]
+    claim: Callable[[List[Tuple]], None]
+    #: swept values whose plans are checked for equivalence (all if None)
+    check_at: Optional[Tuple] = None
+
+
+# ---------------------------------------------------------------------------
+# E1 — Example 1: pushing selections, rules (11) + (10)
+# ---------------------------------------------------------------------------
+
+
+def e1(selectivity):
+    """Naive ships the catalog to the client; pushed evaluates σq2 at
+    the data peer and ships only the survivors."""
+    system = world(["client", "data", "helper"], items=400)
+    threshold = int(400 * (1.0 - selectivity))
+    naive = over(SELECTION.format(f">= {threshold}"), "sel")
+    pushed = rewritten(PushSelection(), naive, system)
+    n, p = costs(system, naive, pushed)
+    ratio = round(n.bytes / max(1, p.bytes), 2)
+    row = (f"{selectivity:.1%}", n.bytes, p.bytes, ratio, n.time * 1000, p.time * 1000)
+    return Point(row, system, (naive, pushed))
+
+
+def e1_claim(rows):
+    # pushed ships less at every selectivity < 100%, monotonically better
+    # as selectivity shrinks, and converges near selectivity 1
+    ratios = [row[3] for row in rows]
+    assert all(r > 1.0 for r in ratios[:-1])
+    assert ratios[0] > ratios[-2] > ratios[-1] * 0.9
+    assert ratios[0] > 10  # at 0.1% the win is an order of magnitude+
+    assert ratios[-1] < 2  # near-tie at full selectivity
+
+
+# ---------------------------------------------------------------------------
+# E2 — rule (10): query delegation to the data-holding peer
+# ---------------------------------------------------------------------------
+
+
+def e2(n_items):
+    system = world(["client", "data"], items=n_items)
+    naive = over("for $i in $d//item where $i/price mod 97 = 0 return $i/name", "pick")
+    delegated = rewritten(QueryDelegation(), naive, system)
+    n, d = costs(system, naive, delegated)
+    winner = "delegate" if d.time < n.time else "naive"
+    row = (n_items, n.bytes, d.bytes, n.time * 1000, d.time * 1000, winner)
+    return Point(row, system, (naive, delegated))
+
+
+def e2_claim(rows):
+    # bytes: delegation wins from a modest size onward and scaling diverges
+    assert rows[-1][2] < rows[-1][1] / 10
+    # time: naive wins small docs, delegation wins large docs (a crossover)
+    assert rows[0][5] == "naive"
+    assert rows[-1][5] == "delegate"
+
+
+# ---------------------------------------------------------------------------
+# E3 — rule (12): an intermediary stop on a data transfer
+# ---------------------------------------------------------------------------
+
+
+def e3(payload_bytes):
+    """The direct link is snappy but thin, the relay path laggy but fat.
+    Latency-dominated routing pins transfers to the direct link, so the
+    rule's explicit ``via`` stop is what uses the fat path."""
+    system = world(["src", "relay", "dst"])
+    net = system.network
+    net.add_link("src", "dst", latency=0.005, bandwidth=20_000.0)
+    for a, b in (("src", "relay"), ("relay", "dst")):
+        net.add_link(a, b, latency=0.040, bandwidth=10_000_000.0)
+    system.peer("src").install_document("blob", parse(f"<blob>{'x' * payload_bytes}</blob>"))
+    direct = Plan(Send(DocDest("copy", "dst"), DocExpr("blob", "src")), "src")
+    relayed = rewritten(Reroute(), direct, system)
+    d, r = costs(system, direct, relayed)
+    winner = "direct" if d.time < r.time else "via relay"
+    return Point((payload_bytes, d.time * 1000, r.time * 1000, winner), system, (direct, relayed))
+
+
+def e3_claim(rows):
+    # "this is not always true": each direction of the rule wins somewhere
+    winners = [row[3] for row in rows]
+    assert winners[0] == "direct"
+    assert winners[-1] == "via relay"
+    assert "direct" in winners and "via relay" in winners
+
+
+# ---------------------------------------------------------------------------
+# E4 — rule (13): materialize a twice-shipped tree once
+# ---------------------------------------------------------------------------
+
+
+def e4(n_items):
+    """The paper's e2(t@p1), e3(t@p1) shape: one remote document read
+    through two parameters."""
+    system = world(["client", "data"], items=n_items)
+    query = Query(
+        "declare variable $a external; declare variable $b external; "
+        "<check both='{count($a//item) = count($b//item)}' "
+        "n='{count($a//item)}'/>",
+        params=("a", "b"),
+        name="cross-check",
+    )
+    naive = Plan(
+        QueryApply(
+            QueryRef(query, "client"), (DocExpr("cat", "data"), DocExpr("cat", "data"))
+        ),
+        "client",
+    )
+    reused = rewritten(TransferReuse(), naive, system)
+    n, r = costs(system, naive, reused)
+    ratio = round(n.bytes / max(1, r.bytes), 2)
+    row = (n_items, n.bytes, r.bytes, ratio, n.time * 1000, r.time * 1000)
+    return Point(row, system, (naive, reused))
+
+
+def e4_claim(rows):
+    # bytes roughly halve (ratio -> 2 as the doc dominates the envelope)
+    assert rows[-1][3] > 1.7
+    # and the ratio grows with size (fixed costs amortize)
+    assert rows[-1][3] >= rows[0][3]
+    # the paper's caveat, measured: worth it when t is large
+    assert rows[-1][5] < rows[-1][4]
+
+
+# ---------------------------------------------------------------------------
+# E5 — rule (16): push a query over a service call
+# ---------------------------------------------------------------------------
+
+
+def e5(keep_fraction):
+    """The client filters the output of ``all-items`` at the data peer.
+    Rule (16) composes the filter with the service's query at the
+    provider, so only the filter's output travels."""
+    system = world(["client", "data", "helper"], items=400)
+    system.peer("data").install_query_service(
+        "all-items",
+        "declare variable $d external; <all>{$d//item}</all>",
+        params=("d",),
+    )
+    threshold = int(400 * (1.0 - keep_fraction))
+    consumer = Query(
+        f"for $i in $r//item where $i/price >= {threshold} return $i",
+        params=("r",),
+        name="consumer",
+    )
+    call = ServiceCallExpr("data", "all-items", (DocExpr("cat", "data"),))
+    naive = Plan(QueryApply(QueryRef(consumer, "client"), (call,)), "client")
+    pushed = rewritten(PushQueryOverCall(), naive, system)
+    n, p = costs(system, naive, pushed)
+    ratio = round(n.bytes / max(1, p.bytes), 2)
+    row = (f"{keep_fraction:.1%}", n.bytes, p.bytes, ratio, n.time * 1000, p.time * 1000)
+    return Point(row, system, (naive, pushed))
+
+
+def e5_claim(rows):
+    ratios = [row[3] for row in rows]
+    assert ratios[0] > 10  # strong win when q is selective
+    assert ratios == sorted(ratios, reverse=True)  # monotone in reduction
+    # the floor: the naive plan's parameter (the catalog) goes to the
+    # caller and back to the provider, a round trip saved even at 100%
+    assert 2 < ratios[-1] < 4
+
+
+# ---------------------------------------------------------------------------
+# E6 — definition (9): generic documents and pick policies
+# ---------------------------------------------------------------------------
+
+#: requester -> mirror one-way latency; the first registered is farthest
+MIRRORS = {
+    "mirror-0": 0.500,
+    "mirror-1": 0.200,
+    "mirror-2": 0.080,
+    "mirror-3": 0.020,
+    "mirror-4": 0.005,
+}
+
+POLICIES = {
+    "first": FirstPolicy,
+    "random(seed 1)": lambda: RandomPolicy(1),
+    "random(seed 2)": lambda: RandomPolicy(2),
+    "nearest": NearestPolicy,
+    "least-loaded": LeastLoadedPolicy,
+}
+
+
+def e6(policy_name):
+    """``catalog@any`` read by a requester under one pick policy, with
+    five mirrors at very different distances."""
+    system = world(["requester", *MIRRORS])
+    mirrors = list(MIRRORS)
+    # inter-mirror links are slow too, or shortest-path routing would
+    # tunnel through the nearest mirror and flatten the distances
+    for i, a in enumerate(mirrors):
+        for b in mirrors[i + 1:]:
+            system.network.add_link(a, b, latency=1.5, bandwidth=1_000_000.0)
+    shared = catalog(60)
+    for mirror, latency in MIRRORS.items():
+        system.network.add_link("requester", mirror, latency=latency, bandwidth=1_000_000.0)
+        system.peer(mirror).install_document("cat", shared.copy())
+        system.registry.register_document("catalog", "cat", mirror)
+    # replica consistency is part of the protocol
+    assert system.registry.check_document_equivalence("catalog", system)
+    policy = POLICIES[policy_name]()
+    times = [
+        ExpressionEvaluator(system.clone(), policy)
+        .eval(GenericDoc("catalog"), "requester")
+        .completed_at
+        for _ in range(3)
+    ]
+    return Point((policy_name, min(times) * 1000, max(times) * 1000))
+
+
+def e6_claim(rows):
+    by_name = {row[0]: row[1] for row in rows}
+    assert by_name["nearest"] < by_name["first"] / 5
+    assert by_name["nearest"] <= min(by_name["random(seed 1)"], by_name["random(seed 2)"])
+
+
+# ---------------------------------------------------------------------------
+# E7 — forward lists against a caller relay (Section 2.3, rule 15's context)
+# ---------------------------------------------------------------------------
+
+
+def e7(n_consumers):
+    """A report whose rows are needed at ``n_consumers`` peers.  Without
+    ``forw`` the result returns to the caller, who fans it out; with it
+    the provider sends straight to the targets."""
+    consumers = [f"consumer-{i}" for i in range(n_consumers)]
+    system = world(["client", "provider", *consumers])
+    provider = system.peer("provider")
+    provider.install_query_service(
+        "report",
+        "<report>" + "".join(f"<row id='{i}'>{'v' * 20}</row>" for i in range(120)) + "</report>",
+    )
+    inboxes = []
+    for consumer in consumers:
+        inbox = element("inbox")
+        system.peer(consumer).install_document("acc", inbox)
+        inboxes.append(inbox.node_id)
+    # the caller re-sends what it received: the call, then a send of an
+    # equal tree from the client
+    report = provider.service("report").invoke([], provider)[0]
+    fan_out = Send(NodesDest(tuple(inboxes)), TreeExpr(report, "client"))
+    relay = Plan(Seq((ServiceCallExpr("provider", "report", ()), fan_out)), "client")
+    forward = Plan(ServiceCallExpr("provider", "report", (), tuple(inboxes)), "client")
+    r, f = costs(system, relay, forward)
+    row = (n_consumers, r.bytes, f.bytes, r.messages, f.messages, r.time * 1000, f.time * 1000)
+    return Point(row, system, (relay, forward))
+
+
+def e7_claim(rows):
+    for row in rows:
+        consumers, relay_b, forw_b, relay_m, forw_m, relay_t, forw_t = row
+        assert forw_b < relay_b  # one fewer result transfer
+        assert forw_m == relay_m - 1  # exactly the return message
+        assert forw_t < relay_t  # and strictly faster
+    # the relative saving shrinks as k grows: (k+1)/k -> 1
+    assert rows[0][1] / rows[0][2] > rows[-1][1] / rows[-1][2]
+
+
+# ---------------------------------------------------------------------------
+# E8 — continuous services: incremental against re-evaluation
+# ---------------------------------------------------------------------------
+
+
+def run_stream(mode, length):
+    query = IncrementalQuery(
+        Query(
+            "for $r in $in where number($r/v) mod 7 = 0 return <hit>{$r/v/text()}</hit>",
+            params=("in",),
+            name="mod7",
+        ),
+        mode=mode,
+    )
+    started = time.perf_counter()
+    for value in range(length):
+        query.push(parse(f"<e><v>{value}</v></e>"))
+    return query, time.perf_counter() - started
+
+
+def e8(length):
+    """A query over a stream re-emits as trees arrive (Section 2.2):
+    evaluate the delta only, or re-run over the whole input."""
+    inc, inc_s = run_stream("incremental", length)
+    ree, ree_s = run_stream("reevaluate", length)
+    assert [serialize(o) for o in inc.outputs] == [serialize(o) for o in ree.outputs]
+    return Point((length, inc.trees_processed, ree.trees_processed, inc_s * 1000, ree_s * 1000))
+
+
+def e8_claim(rows):
+    # incremental is linear, re-evaluation quadratic, in trees processed
+    for row in rows:
+        assert row[1] == row[0]
+        assert row[2] == row[0] * (row[0] + 1) // 2
+    # doubling the stream doubles incremental work but ~4x's re-evaluation
+    assert rows[-1][1] / rows[-2][1] == pytest.approx(2.0)
+    assert rows[-1][2] / rows[-2][2] > 3.0
+
+
+# ---------------------------------------------------------------------------
+# E9 — rule (14): whole-expression delegation to a faster coordinator
+# ---------------------------------------------------------------------------
+
+
+def e9(speed_ratio):
+    """A slow client aggregates over data it holds; a helper
+    ``speed_ratio`` times faster sits one hop away."""
+    system = world(["client", "helper"], items=300, at="client", bandwidth=5_000_000.0, latency=0.005)
+    system.peer("client").compute_speed = 2_000.0
+    system.peer("helper").compute_speed = 2_000.0 * speed_ratio
+    local = over("sum(for $i in $d//item return number($i/price))", "sum-prices", home="client")
+    delegated = rewritten(DelegateExpression(), local, system)
+    lo, de = costs(system, local, delegated)
+    winner = "delegate" if de.time < lo.time else "local"
+    return Point((speed_ratio, lo.time * 1000, de.time * 1000, winner), system, (local, delegated))
+
+
+def e9_claim(rows):
+    winners = [row[3] for row in rows]
+    assert winners[0] == "local"  # equal speeds: shipping is pure loss
+    assert winners[-1] == "delegate"  # 100x helper: shipping amortized
+    assert "local" in winners and "delegate" in winners  # a real crossover
+    # delegated time is monotone non-increasing in helper speed
+    delegated = [row[2] for row in rows]
+    assert all(a >= b - 1e-6 for a, b in zip(delegated, delegated[1:]))
+
+
+# ---------------------------------------------------------------------------
+# E10 — the eDos software-distribution application
+# ---------------------------------------------------------------------------
+
+EDOS_CLIENTS = [f"client-{i}" for i in range(6)]
+
+
+def edos_world():
+    """A 500-package catalog on two mirrors; each client is close to
+    one mirror and far from the other."""
+    mirrors = ["mirror-0", "mirror-1"]
+    system = world(["hub", *mirrors, *EDOS_CLIENTS], bandwidth=150_000.0, latency=0.02)
+    for index, client in enumerate(EDOS_CLIENTS):
+        system.network.add_link(client, mirrors[index % 2], latency=0.005, bandwidth=150_000.0)
+        system.network.add_link(client, mirrors[(index + 1) % 2], latency=0.20, bandwidth=150_000.0)
+    packages = parse(
+        "<packages>"
+        + "".join(
+            f"<pkg><name>pkg-{i}</name><section>{'apps' if i % 10 == 0 else 'libs'}</section>"
+            f"<size>{(i * 97) % 4096}</size><blurb>{'d ' * 10}</blurb></pkg>"
+            for i in range(500)
+        )
+        + "</packages>"
+    )
+    for mirror in mirrors:
+        system.peer(mirror).install_document("packages", packages.copy())
+        system.registry.register_document("packages", "packages", mirror)
+    return system
+
+
+def edos_plan(system, client, algebraic):
+    """Stacked: read ``packages@any`` and filter at the client.
+    Algebraic: pick the nearest mirror first (definition 9), which lets
+    the selection push to it."""
+    query = Query(
+        "for $p in $d//pkg where $p/section = 'apps' "
+        "return <get name='{$p/name}' size='{$p/size}'/>",
+        params=("d",),
+        name=f"resolve-{client}",
+    )
+    if not algebraic:
+        return Plan(QueryApply(QueryRef(query, client), (GenericDoc("packages"),)), client)
+    member = system.registry.pick_document("packages", client, system, NearestPolicy())
+    plan = Plan(QueryApply(QueryRef(query, client), (DocExpr(member.name, member.peer),)), client)
+    rewrites = PushSelection().apply(plan, system)
+    return rewrites[0].plan if rewrites else plan
+
+
+def e10(deployment):
+    """Every client resolves its dependencies on one shared Σ."""
+    system = edos_world()
+    algebraic = deployment == "algebraic"
+    twin = system.clone()
+    policy = NearestPolicy() if algebraic else FirstPolicy()
+    makespan, answers = 0.0, 0
+    for client in EDOS_CLIENTS:
+        plan = edos_plan(twin, client, algebraic)
+        outcome = ExpressionEvaluator(twin, policy).eval(plan.expr, plan.site)
+        answers += len(outcome.items)
+        makespan = max(makespan, outcome.completed_at)
+    stats = twin.network.stats
+    first = EDOS_CLIENTS[0]
+    plans = (edos_plan(system, first, False), edos_plan(system, first, True))
+    row = (deployment, stats.bytes, stats.messages, makespan * 1000, answers)
+    return Point(row, system, plans, FirstPolicy())
+
+
+def e10_claim(rows):
+    naive, smart = rows
+    assert naive[4] == smart[4]  # same resolutions
+    assert smart[1] < naive[1] / 5  # order-of-magnitude-ish traffic cut
+    assert smart[3] < naive[3]  # faster wave completion
+
+
+# ---------------------------------------------------------------------------
+# E12 — the search strategies on Example 1's plan
+# ---------------------------------------------------------------------------
+
+
+def e12(config):
+    """One strategy's search through the ``Session`` façade, on a slow
+    network where optimization matters."""
+    strategy, depth = config
+    system = world(["client", "data", "helper"], items=400, bandwidth=60_000.0, latency=0.02)
+    plan = over(SELECTION.format("> 390"), "sel")
+    if strategy == "naive":
+        return Point((strategy, depth, measure(plan, system).scalar() * 1000, 1, 0.0))
+    options = {
+        "beam": {"depth": depth, "beam": 8},
+        "exhaustive": {"depth": depth, "max_plans": 512},
+    }.get(strategy, {})
+    session = connect(system, strategy=strategy, strategy_options=options)
+    started = time.perf_counter()
+    report = session.explain(plan)
+    search_ms = (time.perf_counter() - started) * 1000
+    row = (strategy, depth, report.best_cost.scalar() * 1000, report.explored, search_ms)
+    return Point(row, system, (plan, report.plan))
+
+
+def e12_claim(rows):
+    naive_cost = rows[0][2]
+    greedy_cost = rows[1][2]
+    depth_costs = [row[2] for row in rows[2:5]]
+    exhaustive_cost, exhaustive_explored = rows[5][2], rows[5][3]
+    assert greedy_cost < naive_cost  # optimization helps at all
+    assert min(depth_costs) <= greedy_cost * 1.001  # search >= greedy quality
+    assert depth_costs == sorted(depth_costs, reverse=True) or (
+        max(depth_costs) - min(depth_costs) < naive_cost * 0.5
+    )  # deeper search never worse (allowing plateaus)
+    assert exhaustive_cost <= min(depth_costs) * 1.001  # the quality yardstick
+    assert exhaustive_explored >= max(row[3] for row in rows[2:5])
+
+
+# ---------------------------------------------------------------------------
+# A1 — the plan each cost model picks, judged by the oracle
+# ---------------------------------------------------------------------------
+
+
+def a1(model):
+    system = world(["client", "data", "helper"], items=350, bandwidth=80_000.0, latency=0.02)
+    plan = over(SELECTION.format("> 340"), "sel")
+    best = plan
+    if model != "naive (no optimizer)":
+        statistics = Statistics(selectivity={"sel": 0.05, "sel-inner": 0.05, "sel-outer": 1.0})
+        cost_model = {
+            "oracle (measure)": lambda p: measure(p, system),
+            "estimator full": CostEstimator(system, statistics),
+        }[model]
+        optimizer = Optimizer(system, cost_model=cost_model)
+        best = optimizer.optimize_with("beam", plan, depth=2, beam=8).best
+    judged = measure(best, system)
+    row = (model, judged.bytes, judged.time * 1000, judged.scalar() * 1000)
+    return Point(row, system, (plan, best))
+
+
+def a1_claim(rows):
+    by_name = {row[0]: row for row in rows}
+    oracle = by_name["oracle (measure)"]
+    naive = by_name["naive (no optimizer)"]
+    # every model's plan beats doing nothing
+    for name, *_judged in rows[:-1]:
+        assert by_name[name][3] <= naive[3] * 1.001
+    # the full estimator is competitive with the oracle
+    assert by_name["estimator full"][3] <= oracle[3] * 1.5
+
+
+# ---------------------------------------------------------------------------
+# A2 — E1 and E2 on four topologies
+# ---------------------------------------------------------------------------
+
+
+def a2(topology):
+    """The paper assumes no network structure: the rewrites cut payload,
+    not routes, so their byte savings must not depend on topology."""
+    system = world(["client", "data", "relay-1", "relay-2"], items=300, topology=topology)
+    naive = over(SELECTION.format("> 290"), "sel")
+    pushed = rewritten(PushSelection(), naive, system)
+    delegated = rewritten(QueryDelegation(), naive, system)
+    n, p, d = costs(system, naive, pushed, delegated)
+    row = (topology, n.bytes, p.bytes, d.bytes, n.time * 1000, p.time * 1000, d.time * 1000)
+    return Point(row, system, (naive, pushed, delegated))
+
+
+def a2_claim(rows):
+    for row in rows:
+        topology, nb, pb, db, nt, pt, dt = row
+        assert pb < nb / 3, topology  # pushing wins bytes everywhere
+        assert db < nb / 3, topology  # delegation too
+        assert pt < nt, topology  # and time, on a slow WAN
+    # byte savings are topology-independent (same payloads, same count)
+    push_bytes = {row[2] for row in rows}
+    assert max(push_bytes) - min(push_bytes) < 200
+
+
+FIGURES = (
+    Figure(
+        "E1", "pushing selections over 400 items (naive ships the doc; pushed = Example 1)",
+        ("selectivity", "naive B", "pushed B", "ratio", "naive ms", "pushed ms"),
+        (0.001, 0.01, 0.05, 0.25, 0.5, 1.0), e1, e1_claim, check_at=(0.05,),
+    ),
+    Figure(
+        "E2", "query delegation (rule 10): ship doc vs ship query, by doc size",
+        ("items", "naive B", "deleg B", "naive ms", "deleg ms", "time winner"),
+        (5, 20, 100, 400, 1000), e2, e2_claim, check_at=(100,),
+    ),
+    Figure(
+        "E3", "transfer rerouting (rule 12): thin direct link vs fat relay path",
+        ("payload B", "direct ms", "relay ms", "winner"),
+        (50, 500, 2_000, 20_000, 200_000), e3, e3_claim, check_at=(2_000,),
+    ),
+    Figure(
+        "E4", "transfer reuse (rule 13): ship twice vs materialize once",
+        ("items", "naive B", "reuse B", "ratio", "naive ms", "reuse ms"),
+        (10, 50, 200, 800), e4, e4_claim, check_at=(200,),
+    ),
+    Figure(
+        "E5", "pushing queries over service calls (rule 16), by reduction factor",
+        ("q keeps", "naive B", "pushed B", "ratio", "naive ms", "pushed ms"),
+        (0.001, 0.01, 0.1, 0.5, 1.0), e5, e5_claim, check_at=(0.1,),
+    ),
+    Figure(
+        "E6", "generic document resolution (definition 9), fetch time by policy",
+        ("policy", "min ms", "max ms"),
+        tuple(POLICIES), e6, e6_claim,
+    ),
+    Figure(
+        "E7", "forward lists vs caller redistribution, by consumers",
+        ("consumers", "relay B", "forw B", "relay msgs", "forw msgs", "relay ms", "forw ms"),
+        (1, 2, 4, 8), e7, e7_claim, check_at=(4,),
+    ),
+    Figure(
+        "E8", "continuous query execution: incremental vs re-evaluation, by stream length",
+        ("stream len", "inc trees", "ree trees", "inc ms", "ree ms"),
+        (25, 50, 100, 200), e8, e8_claim,
+    ),
+    Figure(
+        "E9", "whole-expression delegation (rule 14), by helper/client speed ratio",
+        ("speed ratio", "local ms", "delegated ms", "winner"),
+        (1, 2, 5, 20, 100), e9, e9_claim, check_at=(20,),
+    ),
+    Figure(
+        "E10", "eDos distribution: 6 clients resolving over 500 packages on 2 mirrors",
+        ("deployment", "bytes", "messages", "makespan ms", "answers"),
+        ("stacked-naive", "algebraic"), e10, e10_claim, check_at=("algebraic",),
+    ),
+    Figure(
+        "E12", "optimizer search strategies (scalar cost in ms-equivalents)",
+        ("strategy", "depth", "plan cost", "plans explored", "search ms"),
+        (("naive", "-"), ("greedy", "-"), ("beam", 1), ("beam", 2), ("beam", 3),
+         ("exhaustive", 3)),
+        e12, e12_claim,
+    ),
+    Figure(
+        "A1", "the plan each cost model picks, judged by the oracle",
+        ("cost model", "judged bytes", "judged ms", "judged scalar"),
+        ("oracle (measure)", "estimator full", "naive (no optimizer)"), a1, a1_claim,
+    ),
+    Figure(
+        "A2", "topology ablation: naive vs pushed selection vs delegated",
+        ("topology", "naive B", "push B", "deleg B", "naive ms", "push ms", "deleg ms"),
+        ("full_mesh", "star", "ring", "line"), a2, a2_claim,
+    ),
+)
+
+
+@pytest.mark.parametrize("figure", FIGURES, ids=[figure.id for figure in FIGURES])
+def test_figure(figure):
+    assert set(figure.check_at or ()) <= set(figure.sweep), "check_at outside the sweep"
+    points = [(value, figure.setup(value)) for value in figure.sweep]
+    rows = [point.row for _, point in points]
+    try:
+        figure.claim(rows)
+        for value, point in points:
+            if figure.check_at is not None and value not in figure.check_at:
+                continue
+            for plan in point.plans[1:]:
+                verdict = check_equivalence(point.plans[0], plan, point.system, point.pick_policy)
+                assert verdict.equivalent, f"at {value!r}: {verdict.reason}"
+    except AssertionError as exc:
+        table = format_table(figure.columns, rows)
+        pytest.fail(f"[{figure.id}] {figure.title}\n{table}\n{exc!r}")
+
+
+# ---------------------------------------------------------------------------
+# wall-clock scaling (``-m perf``)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.perf
+def test_e11_evaluation_cost_is_linear_in_expression_size():
+    """E11: the evaluation procedure applies one definition per node, so
+    16x the expression must not cost more than ~64x the wall time."""
+    system = world(["p0", "p1"], bandwidth=1e9, latency=1e-6)
+    count = Query("declare variable $a external; count($a)", params=("a",), name="w")
+
+    def seq_chain(depth):
+        leaf = TreeExpr(parse("<x>1</x>"), "p0")
+        return Seq(tuple(leaf for _ in range(depth)))
+
+    def wide_apply(fanout):
+        inner = QueryApply(QueryRef(count, "p0"), (TreeExpr(parse("<x/>"), "p0"),))
+        return Seq(tuple(inner for _ in range(fanout)))
+
+    def evalat_tower(depth):
+        expr = TreeExpr(parse("<x/>"), "p0")
+        for level in range(depth):
+            expr = EvalAt("p1" if level % 2 == 0 else "p0", expr)
+        return expr
+
+    def wall_ms(expr):
+        evaluator = ExpressionEvaluator(system.clone())
+        started = time.perf_counter()
+        evaluator.eval(expr, "p0")
+        return (time.perf_counter() - started) * 1000
+
+    rows = [
+        (size, wall_ms(seq_chain(size)), wall_ms(wide_apply(size)),
+         wall_ms(evalat_tower(min(size, 60))))
+        for size in (4, 16, 64)
+    ]
+    table = format_table(("size", "seq chain ms", "apply fanout ms", "evalat tower ms"), rows)
+    assert rows[-1][1] < max(rows[0][1], 0.05) * 64, table
+    assert rows[-1][2] < max(rows[0][2], 0.05) * 64, table
+
+
+@pytest.mark.perf
+def test_a3_verification_cost_scales_and_stays_bounded():
+    """A3: ``check_equivalence`` evaluates both plans on clones of Σ —
+    soundness bought with compute.  It must scale sub-quadratically with
+    the document, and a verified search cost a bounded multiple of an
+    unverified one."""
+
+    def build(n_items):
+        system = world(["client", "data"], items=n_items, bandwidth=1e6, latency=0.01)
+        plan = over("for $i in $d//item where $i/price > 5 return $i/name", "sel")
+        return system, plan
+
+    rows = []
+    for n_items in (25, 100, 400):
+        system, plan = build(n_items)
+        delegated = rewritten(QueryDelegation(), plan, system)
+        started = time.perf_counter()
+        verdict = check_equivalence(plan, delegated, system)
+        rows.append((n_items, (time.perf_counter() - started) * 1000))
+        assert verdict.equivalent, verdict.reason
+
+    system, plan = build(150)
+    started = time.perf_counter()
+    Optimizer(system).optimize_with("beam", plan, depth=2, beam=4)
+    plain_ms = (time.perf_counter() - started) * 1000
+    verifier = lambda a, b: check_equivalence(a, b, system).equivalent  # noqa: E731
+    started = time.perf_counter()
+    Optimizer(system, verifier=verifier).optimize_with("beam", plan, depth=2, beam=4, verify=True)
+    verified_ms = (time.perf_counter() - started) * 1000
+
+    table = format_table(
+        ("items", "wall ms", "note"),
+        [(*row, "one check") for row in rows]
+        + [("-", plain_ms, "optimizer, unverified"), ("-", verified_ms, "optimizer, verify=True")],
+    )
+    # scales sub-quadratically: 16x the doc costs < 64x the time
+    assert rows[-1][1] < max(rows[0][1], 0.5) * 64, table
+    # verified optimization costs a bounded multiple of unverified
+    assert verified_ms < plain_ms * 10, table

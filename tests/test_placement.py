@@ -6,14 +6,17 @@ atomicity), the telemetry monitor's window deltas, the
 threshold+hysteresis policy, churn kill/join with catalog failover,
 dead-replica admission routing (queue-depth and link-aware picks), the
 scheduler's background-actor integration, the load generator's Zipf /
-hotspot-shift knobs, and the bench collector's rolling history.
+hotspot-shift knobs, and adaptive against static placement under a
+hotspot shift and a peer kill.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro import connect
 from repro.dist import Fragmenter
-from repro.engine import JobRequest, LoadGenerator
+from repro.engine import ClosedLoopFeed, JobRequest, LoadGenerator
 from repro.engine.jobs import FAILED
 from repro.errors import (
     FragmentUnavailableError,
@@ -43,11 +46,12 @@ from repro.xmlcore import parse
 QUERY = "for $i in $d//item where $i/price >= 0 return $i/name"
 
 
-def catalog_doc(n=12):
+def catalog_doc(n=12, payload=0):
+    desc = f"<desc>{'word ' * payload}</desc>" if payload else ""
     return parse(
         "<catalog>"
         + "".join(
-            f"<item><name>n{i}</name><price>{i}</price></item>"
+            f"<item><name>n{i}</name><price>{i}</price>{desc}</item>"
             for i in range(n)
         )
         + "</catalog>"
@@ -640,104 +644,93 @@ class TestWorkloadKnobs:
 
 
 # ---------------------------------------------------------------------------
-# bench collector: rolling history
+# adaptive against static placement, served through the engine
 # ---------------------------------------------------------------------------
 
+HOT_CLIENTS = ("c0", "c1", "c2", "c3")
 
-class TestCollectHistory:
-    def load_collector(self):
-        import importlib.util
-        import os
 
-        path = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "scripts", "collect_bench.py",
-        )
-        spec = importlib.util.spec_from_file_location("collect_bench", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
+def hot_scenario(skew):
+    """Two catalogs fragmented over p0/p1, read from four clients over
+    slow links by fast CPUs: fragment transfers dominate, so spreading
+    copies over more links is what placement can buy."""
+    system = AXMLSystem.with_peers(
+        ["p0", "p1", *HOT_CLIENTS], latency=0.008, bandwidth=120_000.0
+    )
+    for peer in system.peers.values():
+        peer.compute_speed = 400_000.0
+    system.peer("p0").install_document("hotA", catalog_doc(48, payload=4))
+    system.peer("p1").install_document("hotB", catalog_doc(48, payload=4))
+    fragmenter = Fragmenter(system)
+    fragmenter.fragment("hotA", "p0", ["p0", "p1"], keep_original=False)
+    fragmenter.fragment("hotB", "p1", ["p1", "p0"], keep_original=False)
+    mix = [
+        ("q0", "hotA", "c0"), ("q1", "hotA", "c1"), ("q2", "hotB", "c2"),
+        ("q3", "hotB", "c3"), ("q4", "hotA", "c2"), ("q5", "hotB", "c0"),
+    ]
+    queries = [
+        GeneratedQuery(name=name, shape="selection", source=QUERY, at=at,
+                       bind=(("d", f"{doc}@dist"),))
+        for name, doc, at in mix
+    ]
+    spec = ScenarioSpec(peers=len(system.peers), zipf_skew=skew)
+    return Scenario(seed=0, index=0, spec=spec, topology="full_mesh",
+                    system=system, documents=[], services=[], queries=queries)
 
-    def test_history_appends_dedupes_and_caps(self):
-        collect = self.load_collector()
-        fresh = {
-            "git_sha": "aaa", "date": "d1",
-            "headline": {"metric": "m", "value": 1.0, "direction": "higher"},
-        }
-        out = collect.extend_history(None, dict(fresh))
-        assert out["history"] == [
-            {"sha": "aaa", "date": "d1", "quick": None, "headline": 1.0}
-        ]
-        # same (sha, quick) replaces its point instead of duplicating
-        out2 = collect.extend_history(out, dict(fresh, date="d2"))
-        assert len(out2["history"]) == 1
-        assert out2["history"][0]["date"] == "d2"
-        # distinct shas accumulate, capped to the most recent entries
-        baseline = out2
-        for i in range(30):
-            baseline = collect.extend_history(
-                baseline, dict(fresh, git_sha=f"sha{i}", date=f"d{i}")
-            )
-        assert len(baseline["history"]) == collect.HISTORY_CAP
-        assert baseline["history"][-1]["sha"] == "sha29"
 
-    def test_history_keeps_quick_and_full_points_for_one_sha(self):
-        # Regression: dedup used to key on SHA alone, so a quick CI run
-        # on a commit silently clobbered the full-run trajectory point
-        # for that same commit (and vice versa).
-        collect = self.load_collector()
-        quick = {
-            "git_sha": "aaa", "date": "d1", "quick": True,
-            "headline": {"metric": "m", "value": 2.0, "direction": "higher"},
-        }
-        full = {
-            "git_sha": "aaa", "date": "d1", "quick": False,
-            "headline": {"metric": "m", "value": 3.0, "direction": "higher"},
-        }
-        out = collect.extend_history(None, dict(quick))
-        out = collect.extend_history(out, dict(full))
-        assert len(out["history"]) == 2
-        assert {p["quick"] for p in out["history"]} == {True, False}
-        # re-running one mode still replaces only that mode's point
-        out = collect.extend_history(out, dict(quick, date="d2"))
-        assert len(out["history"]) == 2
-        by_mode = {p["quick"]: p for p in out["history"]}
-        assert by_mode[True]["date"] == "d2"
-        assert by_mode[False]["date"] == "d1"
-        # pre-fix points (no "quick" key) are a third mode of their own:
-        # they survive next to both tagged points rather than vanishing
-        legacy = {"sha": "aaa", "date": "d0", "headline": 1.0}
-        out = collect.extend_history({"history": [legacy]}, dict(quick))
-        assert legacy in out["history"]
+def serve_unoptimized(scenario, jobs, actor=None, shift_at=None, seed=7):
+    """A closed loop at concurrency 8 with link-aware admission.  Jobs
+    run unoptimized, so two runs differ by placement only."""
+    requests = LoadGenerator(scenario, seed=seed + 1).requests(
+        jobs, label="closed", shift_at=shift_at
+    )
+    feed = ClosedLoopFeed([replace(r, optimize=False) for r in requests], 8)
+    return connect(scenario.system).serve(
+        feed=feed, seed=seed, admission="link-aware", actor=actor
+    )
 
-    def test_headlines_gate_the_writes_bench(self):
-        collect = self.load_collector()
-        assert collect.HEADLINES["BENCH_writes"] == (
-            "incremental_vs_rebuild_speedup", "higher",
-        )
 
-    def test_headline_gate_and_placement_entry(self):
-        collect = self.load_collector()
-        assert collect.HEADLINES["BENCH_placement"] == (
-            "adaptive_vs_static_qps_ratio", "higher",
+def answers_by_name(report):
+    return {job.name: tuple(job.answers) for job in report.jobs}
+
+
+class TestAdaptiveAgainstStatic:
+    def test_hotspot_shift_adaptive_serves_half_again_faster(self):
+        # a Zipf-skewed stream whose popularity ranking rotates halfway:
+        # static placement serializes the hot reads through the two home
+        # peers' links, the rebalancer spawns replicas on idle peers
+        scenario = hot_scenario(skew=2.6)
+        static = serve_unoptimized(scenario, 96, shift_at=0.5)
+        actor = PlacementActor(
+            interval=0.02,
+            policy=ThresholdPolicy(hot_reads=2, hysteresis=2, cooldown=2,
+                                   max_copies=5, cold_hysteresis=6),
         )
-        norm = collect.normalize(
-            "BENCH_placement",
-            {"adaptive_vs_static_qps_ratio": 2.0, "git_sha": "s",
-             "generated_at": "d", "quick": True},
-        )
-        assert norm["headline"]["value"] == 2.0
-        worse = collect.normalize(
-            "BENCH_placement",
-            {"adaptive_vs_static_qps_ratio": 1.0, "git_sha": "s2",
-             "generated_at": "d2", "quick": True},
-        )
-        regressed, _ = collect.regression(norm, worse, threshold=0.25)
-        assert regressed
-        ok = collect.normalize(
-            "BENCH_placement",
-            {"adaptive_vs_static_qps_ratio": 1.9, "git_sha": "s3",
-             "generated_at": "d3", "quick": True},
-        )
-        regressed, _ = collect.regression(norm, ok, threshold=0.25)
-        assert not regressed
+        adaptive = serve_unoptimized(scenario, 96, actor=actor, shift_at=0.5)
+        assert static.metrics.failed == 0 and adaptive.metrics.failed == 0
+        assert answers_by_name(adaptive) == answers_by_name(static)
+        ratio = adaptive.metrics.queries_per_sec / static.metrics.queries_per_sec
+        assert ratio >= 1.5, (ratio, adaptive.actions)
+
+    def test_peer_kill_adaptive_completes_everything_static_fails_typed(self):
+        scenario = hot_scenario(skew=0.0)
+        reference = serve_unoptimized(scenario, 30)
+        kill = [ChurnEvent(0.1, "kill", "p1")]
+        static = serve_unoptimized(scenario, 30, actor=PlacementActor(
+            interval=0.02, churn=ChurnSchedule(kill), rebalance=False,
+        ))
+        adaptive = serve_unoptimized(scenario, 30, actor=PlacementActor(
+            interval=0.02,
+            policy=ThresholdPolicy(hot_reads=2, hysteresis=2, cooldown=2,
+                                   max_copies=2),
+            churn=ChurnSchedule(kill),
+        ))
+        # the adaptive run replicated under load before the kill, so
+        # failover promotes a surviving copy of every fragment
+        assert adaptive.metrics.failed == 0, adaptive.actions
+        assert answers_by_name(adaptive) == answers_by_name(reference)
+        # the static run loses the only copy: later queries fail, typed
+        assert static.metrics.failed > 0
+        for job in static.jobs:
+            if job.error is not None:
+                assert isinstance(job.error, FragmentUnavailableError), job.error

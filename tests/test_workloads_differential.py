@@ -195,6 +195,28 @@ class TestDifferentialAgreement:
         report = harness.sweep("differential", [scenario])
         assert report.ok, report.describe()
 
+    @pytest.mark.generated
+    def test_strategies_agree_as_scenarios_grow(self):
+        """Four scenarios at each of four sizes: zero mismatches at every
+        size, and bigger scenarios score more plans."""
+        sizes = (
+            ScenarioSpec(peers=3, documents=2, axml_documents=0, items=6,
+                         services=1, replicas=0, queries=3),
+            ScenarioSpec(peers=4, documents=3, axml_documents=1, items=12,
+                         services=2, replicas=1, queries=5),
+            ScenarioSpec(peers=6, documents=4, axml_documents=1, items=30,
+                         services=2, replicas=2, queries=6),
+            ScenarioSpec(peers=8, documents=6, axml_documents=2, items=60,
+                         services=3, replicas=2, queries=8),
+        )
+        scored = []
+        for spec in sizes:
+            scenarios = ScenarioGenerator(seed=99, spec=spec).scenarios(4)
+            report = DifferentialHarness(repro_dir=None).sweep("differential", scenarios)
+            assert report.ok and not report.mismatches, report.describe()
+            scored.append(report.notes["plans scored"])
+        assert scored[-1] > scored[0], scored
+
 
 class _BogusStrategy:
     """Deliberately wrong: 'optimizes' every plan into a constant tree."""

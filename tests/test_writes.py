@@ -5,11 +5,13 @@ documents, fragmented documents, replica coherence, catalog refresh),
 document epochs as the cache-invalidation mechanism (plan keys, cost
 memos, doc-size entries), the Session/engine integration, the seeded
 read/write-mix scenario family, the differential write sweep against a
-rebuild-from-scratch baseline, and the fragment-prune soundness
-invariant under writes (the stale-stats regression).
+rebuild-from-scratch baseline, the fragment-prune soundness invariant
+under writes (the stale-stats regression), and, under ``-m perf``, the
+incremental path's wall time against drop-and-refragment.
 """
 
 import random
+import time
 
 import pytest
 
@@ -372,6 +374,98 @@ class TestEngineWrites:
         report = session.drain()
         (job,) = report.jobs
         assert isinstance(job.error, UnknownDocumentError)
+
+
+# ---------------------------------------------------------------------------
+# incremental writes against drop-and-refragment (``-m perf``)
+# ---------------------------------------------------------------------------
+
+
+def seeded_writes(seed, count, items):
+    """A 40/40/20 insert/update/delete mix with every ordinal in bounds;
+    deletes stop at one item per fragment."""
+    rng = random.Random(seed)
+    live, ops = items, []
+    for k in range(count):
+        roll = rng.random()
+        if roll < 0.4:
+            item = new_item(f"item-w{k}", rng.randint(0, items))
+            ops.append(InsertOp("cat", item, ordinal=rng.randint(0, live)))
+            live += 1
+        elif roll < 0.8 or live <= 3:
+            ops.append(UpdateOp("cat", rng.randint(0, live - 1), "price",
+                                str(rng.randint(0, items))))
+        else:
+            ops.append(DeleteOp("cat", rng.randint(0, live - 1)))
+            live -= 1
+    return ops
+
+
+def write_incrementally(system, ops):
+    target = system.clone()
+    session = Session(target)
+    for op in ops:
+        session.write(op)
+    return target
+
+
+def write_by_rebuilding(system, ops):
+    """What a system without a write path does to stay queryable after
+    every write: edit the whole document, drop every fragment and
+    re-fragment over the same peers."""
+    target = system.clone()
+    home = target.peer("d0")
+    for op in ops:
+        tree = home.own_document("cat")
+        apply_to_tree(tree, op)
+        home.allocator.assign(tree)
+        fragments = target.fragments.fragments("cat")
+        across = [fragment.home for fragment in fragments]
+        replicas = len(fragments[0].replicas)
+        for fragment in fragments:
+            for pid in fragment.peers:
+                if target.peer(pid).has_document(fragment.name):
+                    target.peer(pid).drop_document(fragment.name)
+            for member in list(target.registry.document_members(fragment.generic)):
+                target.registry.unregister_document(
+                    fragment.generic, member.name, member.peer
+                )
+        target.fragments.drop("cat")
+        Fragmenter(target).fragment("cat", "d0", across, replicas=replicas)
+    return target
+
+
+@pytest.mark.perf
+def test_incremental_writes_beat_rebuilding_three_times_over():
+    system = AXMLSystem.with_peers(["client", "d0", "d1", "d2"])
+    system.peer("d0").install_document("cat", catalog_doc(400))
+    Fragmenter(system).fragment("cat", "d0", ["d0", "d1", "d2"], replicas=1)
+    ops = seeded_writes(11, 24, 400)
+
+    def fastest(write):
+        """(final system, seconds) of the fastest of three identical runs."""
+        runs = []
+        for _ in range(3):
+            started = time.perf_counter()
+            written = write(system, ops)
+            runs.append((time.perf_counter() - started, written))
+        seconds, written = min(runs, key=lambda run: run[0])
+        return written, seconds
+
+    incremental, incremental_s = fastest(write_incrementally)
+    rebuilt, rebuild_s = fastest(write_by_rebuilding)
+    # the rebuild is the ground truth: the speed only counts if the
+    # incremental path lands in exactly the same state
+    for probe in (
+        "for $i in $d//item where $i/price > 120 return $i/name",
+        "for $i in $d//item where $i/price <= 40 return $i/price",
+    ):
+        answers = [
+            Session(target).query(probe, at="client", bind={"d": "cat@dist"}).answers
+            for target in (incremental, rebuilt)
+        ]
+        assert answers[0] == answers[1], probe
+    assert rebuild_s >= 3 * incremental_s, (incremental_s, rebuild_s)
 
 
 # ---------------------------------------------------------------------------

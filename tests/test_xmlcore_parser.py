@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import XMLSyntaxError
+from repro.errors import DocumentTooDeepError, XMLError, XMLSyntaxError
 from repro.xmlcore import (
     Element,
     NodeId,
@@ -15,6 +15,7 @@ from repro.xmlcore import (
     restore_ids,
     serialize,
 )
+from repro.xmlcore.parser import MAX_DEPTH
 from repro.xmlcore.serializer import escape_attr, escape_text
 
 
@@ -105,6 +106,9 @@ class TestErrors:
             "just text",
             "<!DOCTYPE html><a/>",
             "<a x></a>",
+            "<a",  # ends inside a name: scanning must stop at the end
+            "<a><b",
+            "<a></a",
         ],
     )
     def test_rejects_malformed(self, source):
@@ -115,6 +119,24 @@ class TestErrors:
         with pytest.raises(XMLSyntaxError) as exc:
             parse("<a>\n<b></c></a>")
         assert exc.value.line == 2
+
+    def test_deepest_accepted_document_parses_and_round_trips(self):
+        depth = MAX_DEPTH
+        assert depth == 497
+        root = parse("<a>" * depth + "x" + "</a>" * depth)
+        assert serialize(root) == "<a>" * depth + "x" + "</a>" * depth
+        leaf = parse("<a>" * (depth - 1) + "<b/>" + "</a>" * (depth - 1))
+        assert leaf.copy().serialized_size() == len(serialize(leaf))
+
+    @pytest.mark.parametrize("depth", [498, 5_000, 100_000])
+    def test_deeper_documents_fail_typed(self, depth):
+        # never a bare RecursionError: parse reads input from outside
+        with pytest.raises(DocumentTooDeepError) as exc:
+            parse("<a>" * depth + "</a>" * depth)
+        assert (exc.value.depth, exc.value.limit) == (MAX_DEPTH + 1, MAX_DEPTH)
+        assert isinstance(exc.value, XMLError)
+        with pytest.raises(DocumentTooDeepError):
+            parse_fragment("<b/>" + "<a>" * depth + "</a>" * depth)
 
 
 class TestFragments:
