@@ -11,7 +11,10 @@ Two interchangeable cost functions drive the optimizer:
 * :class:`CostEstimator` — a static model walking the expression:
   document sizes come from Σ, query selectivities from a statistics
   table (default applied when unknown), link costs from the topology.
-  No evaluation happens; the ``cost-model`` sweep bounds its error.
+  No plan is evaluated.  A service call is priced by running *the call*
+  once with the same evaluator (a call sample), so definition (6) has
+  one spelling; the ``cost-model`` sweep bounds what is left of the
+  error.
 
 The scalar ordering combines completion time with a per-byte tax so that
 plans tying on time are separated by traffic (the paper's experiments
@@ -21,20 +24,13 @@ talk about both shipped volume and response time).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
-from ..axml.document import ANY_PROVIDER, ServiceCall
-from ..errors import (
-    FragmentUnavailableError,
-    NoRouteError,
-    ReproError,
-    ServiceCallError,
-    UnknownPeerError,
-)
+from ..errors import NoRouteError, ReproError, UnknownPeerError
 from ..net.message import wire_size
 from ..peers.service import DeclarativeService, QueryMemo, _doc_references
 from ..peers.system import AXMLSystem
-from ..xmlcore.model import Element, iter_elements, tree_size
+from ..xmlcore.model import Element, tree_size
 from .evaluator import ExpressionEvaluator, _as_forest
 from .planspace import PlanCache, doc_epoch_signature
 from .expressions import (
@@ -47,7 +43,6 @@ from .expressions import (
     Gather,
     GenericDoc,
     NodesDest,
-    PeerDest,
     QueryApply,
     QueryRef,
     Send,
@@ -121,29 +116,6 @@ class Statistics:
         )
 
 
-class _UnsampledCall(Exception):
-    """Internal: an embedded call had no invocation sample to graft."""
-
-
-def _static_payloads(params) -> Optional[Tuple]:
-    """Parameter trees when every param is a literal (else ``None``).
-
-    Only statically-known parameter values can be sampled; anything
-    computed (doc reads, nested calls) falls back to the statistics
-    table.  Literals holding unactivated ``sc`` nodes are excluded too —
-    their evaluation would fire the calls first.
-    """
-    trees = []
-    for param in params:
-        if not isinstance(param, TreeExpr):
-            return None
-        for node in iter_elements(param.tree):
-            if node.is_service_call() and node.get("activated") != "true":
-                return None
-        trees.append(param.tree)
-    return tuple(trees)
-
-
 def measure(
     plan: Plan,
     system: AXMLSystem,
@@ -167,6 +139,18 @@ def measure(
     return Cost(stats.bytes, stats.messages, outcome.completed_at)
 
 
+class _CallSample(NamedTuple):
+    """One call site, run once: its value and everything it charged."""
+
+    #: The memo key the sample is kept under; it names the value, too.
+    key: Tuple
+    #: The value: the activated tree, or the response forest.
+    items: Tuple[Element, ...]
+    bytes: int
+    messages: int
+    time: float
+
+
 class CostEstimator:
     """Static, no-execution cost estimation.
 
@@ -176,6 +160,16 @@ class CostEstimator:
     sizes and the hosting peer's speed — coarser than the evaluator's
     charging but monotone in the same quantities.
 
+    Service calls are not modelled here.  Wherever the walk meets one
+    whose inputs are known — the calls embedded in a stored document
+    (run at its home), in a tree literal (run at the literal's home), or
+    an explicit ``sc(...)`` over literal parameters (run at its site) —
+    the bare evaluator runs that call site once on a clone of Σ, and the
+    *call sample* it leaves (value, bytes, messages, completion time)
+    prices every candidate plan that contains the site.  What the sample
+    raises, the estimate raises, as :func:`measure` would.  Only a call
+    over computed parameters falls back to the statistics table.
+
     The walk is *incremental*: each (subexpression, site) pair's
     contribution — value size plus the bytes/messages/time it adds — is
     memoized by structural fingerprint, so re-costing a
@@ -184,24 +178,26 @@ class CostEstimator:
     learns about Σ lives in the same memo, one dict keyed by
     ``(kind, ...)``:
 
-    ========================================  ==========================
-    key                                       value
-    ========================================  ==========================
-    ``("subtree", salt, fingerprint, site)``  (size, bytes, msgs, time)
-    ``("doc_bytes", name, home[, epoch])``    serialized bytes
-    ``("doc_calls", name, home[, epoch])``    embedded sc profiles
-    ``("doc_value", name, home[, epoch]...)`` activated tree, or False
-    ``("service", provider, name, digest..)`` one invocation sample
-    ``("apply", query source, arg tokens)``   (result bytes, work)
-    ``("compiled", query source)``            logical plan, or None
-    ========================================  ==========================
+    ===============================================  ====================
+    key                                              value
+    ===============================================  ====================
+    ``("subtree", salt, fingerprint, site)``         (size, bytes, msgs,
+                                                     time)
+    ``("doc_bytes", name, home[, epoch])``           serialized bytes
+    ``("call", fingerprint, site, policy, epochs)``  one call sample
+    ``("apply", query source, arg tokens)``          (result bytes, work)
+    ``("compiled", query source)``                   logical plan, or None
+    ===============================================  ====================
 
-    The memo is the :attr:`~repro.core.planspace.PlanCache.estimates` of
-    the ``cache`` the estimator was given — shared with whoever else
-    holds that cache, emptied by its ``clear()`` — or of a private one.
-    Entries assume Σ's documents and statistics are stable: written
-    documents key by epoch, so a write orphans their stale entries; any
-    other mutation of the system calls for ``cache.clear()``.
+    A call sample's key carries the pick policy's name and the whole
+    ``doc_epochs`` map: a call may read any document, so any write
+    orphans it.  The memo is the
+    :attr:`~repro.core.planspace.PlanCache.estimates` of the ``cache``
+    the estimator was given — shared with whoever else holds that cache,
+    emptied by its ``clear()`` — or of a private one.  Entries assume
+    Σ's documents and statistics are stable: written documents key by
+    epoch, so a write orphans their stale entries; any other mutation of
+    the system calls for ``cache.clear()``.
     """
 
     def __init__(self, system: AXMLSystem, statistics: Optional[Statistics] = None,
@@ -260,28 +256,23 @@ class CostEstimator:
             l.latency + size / l.bandwidth for l in self._route(src, dst)
         )
 
+    def _charge_forwards(self, src: str, targets, payload_bytes: int) -> None:
+        """One ``FORWARD`` per target node, each with its ``target``
+        header, all sent from the same instant."""
+        base = self._time
+        finished = base
+        for target in targets:
+            self._time = base
+            self._charge_transfer(
+                src, target.peer, payload_bytes, {"target": str(target)}
+            )
+            finished = max(finished, self._time)
+        self._time = finished
+
     def _charge_compute(self, peer_id: str, work_bytes: int) -> None:
         peer = self.system.peer(peer_id)
         # ~1 work unit (tree node) per 32 serialized bytes, a rough census
         self._time += (work_bytes / 32.0) / peer.compute_speed
-
-    def _charge_batch(self, src: str, dst: str, sizes) -> None:
-        """``k`` back-to-back messages on one route (a response forest).
-
-        The link is a serial resource: transmission times add up while
-        propagation latency overlaps across the pipeline, so the batch
-        completes after one route latency plus the summed transmissions —
-        not after ``max`` of independent transfers.
-        """
-        if src == dst or not sizes:
-            return
-        links = self._route(src, dst)
-        for payload_bytes in sizes:
-            size = wire_size(payload_bytes, {})
-            self._bytes += size
-            self._messages += 1
-            self._time += sum(size / l.bandwidth for l in links)
-        self._time += sum(l.latency for l in links)
 
     # -- sizes ------------------------------------------------------------------
     def _doc_key(self, kind: str, name: str, home: str) -> Tuple:
@@ -297,125 +288,46 @@ class CostEstimator:
         key = self._doc_key("doc_bytes", name, home)
         size = self.memo.get(key)
         if size is None:
-            peer = self.system.peer(home)
-            if peer.has_document(name):
-                size = peer.document(name).serialized_size()
-            else:
-                size = 1024  # unknown (e.g. temp doc created mid-plan): nominal
+            # ``documents``, not ``document()``: estimating reads nothing
+            tree = self.system.peer(home).documents.get(name)
+            # unknown (e.g. temp doc created mid-plan): nominal
+            size = tree.serialized_size() if tree is not None else 1024
             self.memo[key] = size
         return size
 
-    def _doc_calls(self, name: str, home: str) -> Tuple:
-        """Embedded service-call profiles of a stored document (memoized).
+    # -- service calls (definition (6)) -------------------------------------------
+    def _call_sample(self, expr: Expression, at: str) -> _CallSample:
+        """``eval@at(expr)`` run once on a clone of Σ, then kept.
 
-        The evaluator *activates* a document on first read (definition
-        (6)): every embedded ``sc`` fires — params ship to the provider,
-        the provider computes, results ship back and replace the call
-        node.  An estimator blind to activation prices AXML documents as
-        inert trees and mis-ranks every plan that decides *where* the
-        activation traffic lands.  The profile is static per (document,
-        home, epoch): ``(provider, service, param payloads, param bytes,
-        sc-node bytes, forward peers)`` per call, resolved and charged at
-        estimate time.
+        ``expr`` is a call site whose inputs are all known: a document or
+        tree literal embedding calls, or a call over literals.
         """
-        key = self._doc_key("doc_calls", name, home)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        calls = []
-        peer = self.system.peer(home)
-        if peer.has_document(name):
-            stack = [peer.document(name)]
-            while stack:
-                node = stack.pop()
-                if not isinstance(node, Element):
-                    continue
-                if node.is_service_call():
-                    if node.get("activated") == "true":
-                        continue
-                    try:
-                        call = ServiceCall.parse(node)
-                    except ServiceCallError:
-                        continue  # malformed sc: nothing to price
-                    payloads = tuple(call.param_payloads())
-                    calls.append((
-                        call.provider,
-                        call.service,
-                        payloads,
-                        sum(p.serialized_size() for p in payloads),
-                        node.serialized_size(),
-                        tuple(t.peer for t in call.forwards),
-                    ))
-                    continue
-                stack.extend(node.children)
-        profile = tuple(calls)
-        self.memo[key] = profile
-        return profile
-
-    def _sample_service(
-        self, provider: str, service_name: str, payloads: Tuple
-    ) -> Tuple[Optional[int], Optional[Tuple[int, ...]], Optional[Tuple]]:
-        """One deterministic invocation sample: work, item bytes, items.
-
-        Declarative services are visible queries over Σ's stored
-        documents — side-effect free and deterministic — so invoking one
-        *once* per call site (memoized like a catalog statistic) prices
-        its exact compute work and response forest without simulating any
-        candidate plan.  Opaque native implementations are never sampled
-        (their bodies may have effects): work units are still exact (the
-        evaluator charges the same :meth:`Service.work_units`), but the
-        response sizes fall back to the statistics table.
-        """
-        digest = tuple(p.content_fingerprint() for p in payloads)
-        key = ("service", provider, service_name, digest) + self._service_epochs(
-            provider, service_name
+        policy = self.pick_policy
+        key = (
+            "call", expression_fingerprint(expr), at,
+            type(policy).__name__ if policy is not None else "",
+            tuple(sorted(self.system.doc_epochs.items())),
         )
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        work: Optional[int] = None
-        result_sizes: Optional[Tuple[int, ...]] = None
-        result_items: Optional[Tuple] = None
-        try:
-            peer = self.system.peer(provider)
-            service = peer.service(service_name)
-            work = service.work_units(list(payloads))
-            if getattr(service, "is_declarative", False):
-                invocations = getattr(service, "invocations", 0)
-                try:
-                    responses = service.invoke(list(payloads), peer)
-                    result_sizes = tuple(
-                        r.serialized_size() for r in responses
-                    )
-                    result_items = tuple(responses)
-                finally:
-                    service.invocations = invocations
-        except ReproError:
-            pass  # unknown provider/service, failing body: statistics fallback
-        sample = (work, result_sizes, result_items)
-        self.memo[key] = sample
+        sample = self.memo.get(key)
+        if sample is None:
+            # what measure() does, for this one call site
+            twin = self.system.clone()
+            outcome = ExpressionEvaluator(twin, self.pick_policy).eval(expr, at)
+            stats = twin.network.stats
+            for item in outcome.items:
+                item.freeze()  # kept, and bound into query samples
+            sample = self.memo[key] = _CallSample(
+                key, tuple(outcome.items), stats.bytes, stats.messages,
+                outcome.completed_at,
+            )
         return sample
 
-    def _service_epochs(self, provider: str, service_name: str) -> Tuple:
-        """Epoch salt for the host documents a declarative service reads.
-
-        A written host document must orphan the stale invocation sample,
-        exactly like :meth:`_doc_key` keys by epoch.  While nothing has
-        been written the salt is ``()`` and keys keep their read-only
-        shape.
-        """
-        epochs = getattr(self.system, "doc_epochs", None)
-        if not epochs:
-            return ()
-        try:
-            service = self.system.peer(provider).service(service_name)
-        except ReproError:
-            return ()  # unknown provider/service: nothing to salt
-        if not isinstance(service, DeclarativeService):
-            return ()
-        return tuple(
-            epochs.get(ref, 0) for ref in _doc_references(service.query)
-        )
+    def _charge_sample(self, sample: _CallSample) -> int:
+        """Add what a call sample charged; returns its value's size."""
+        self._bytes += sample.bytes
+        self._messages += sample.messages
+        self._time += sample.time
+        return sum(item.serialized_size() for item in sample.items)
 
     def _service_result_bytes(
         self, provider: str, service_name: str, param_bytes: int
@@ -432,18 +344,13 @@ class CostEstimator:
         )
 
     def _charge_call(
-        self, caller: str, provider: str, service_name: str, param_bytes: int,
-        payloads: Optional[Tuple], forward_peers,
-    ) -> Tuple[int, ...]:
-        """Price one service call (definition (6)) whose parameters are
-        ready at ``caller`` now; returns the response items' sizes.
-
-        One CALL message, the provider's compute, then every response item
-        as its own message, pipelined on the provider->caller route — or on
-        each provider->target route of an explicit forward list.
-        ``payloads``: the parameter trees when statically known (the call
-        is then sampled), else ``None`` (statistics fallback).
+        self, expr: ServiceCallExpr, caller: str, param_bytes: int
+    ) -> int:
+        """Statistics price of a call over computed parameters, ready at
+        ``caller`` now: one CALL, the provider's compute, one response
+        back — or to every forward target.  Returns the size at ``caller``.
         """
+        provider, service_name = expr.provider, expr.service
         if provider == ANY:
             # the evaluator's registry pick (live members only, caller's
             # policy), so an @any call prices the provider that will serve
@@ -454,155 +361,42 @@ class CostEstimator:
         self._charge_transfer(
             caller, provider, param_bytes, {"service": service_name}
         )
-        work = result_sizes = None
-        if payloads is not None:
-            work, result_sizes, _ = self._sample_service(
-                provider, service_name, payloads
-            )
-        if work is not None:
-            self._time += work / self.system.peer(provider).compute_speed
-        else:
-            self._charge_compute(provider, param_bytes)
-        if result_sizes is None:
-            result_sizes = (
-                self._service_result_bytes(provider, service_name, param_bytes),
-            )
-        sent_at = self._time
-        done = sent_at
-        for target in forward_peers or (caller,):
-            self._time = sent_at
-            self._charge_batch(provider, target, result_sizes)
-            done = max(done, self._time)
-        self._time = done
-        return result_sizes
+        self._charge_compute(provider, param_bytes)
+        result_bytes = self._service_result_bytes(
+            provider, service_name, param_bytes
+        )
+        if expr.forwards:
+            self._charge_forwards(provider, expr.forwards, result_bytes)
+            return 0
+        self._charge_transfer(provider, caller, result_bytes)
+        return result_bytes
 
-    def _charge_activation(self, name: str, home: str, size: int) -> int:
-        """Charge a document's embedded calls; returns the activated size.
-
-        Calls fire in parallel from the same instant at the document's
-        home (the evaluator's fixpoint evaluates sc children from one
-        ready time, completion = max); each non-forwarding call's result
-        replaces its sc node in the stored tree, so the size shipped
-        onward is the *activated* size, not the inert one.
-        """
-        calls = self._doc_calls(name, home)
-        if not calls:
-            return size
-        base = self._time
-        finished = base
-        for provider, service_name, payloads, param_bytes, \
-                node_bytes, forwards in calls:
-            self._time = base
-            result_sizes = self._charge_call(
-                home, provider, service_name, param_bytes, payloads, forwards
-            )
-            size -= node_bytes
-            if not forwards:
-                size += sum(result_sizes)
-                if len(result_sizes) > 1:
-                    # multi-item responses re-root under a <results> wrapper
-                    size += len("<results></results>")
-            finished = max(finished, self._time)
-        self._time = finished
-        return max(size, 1)
-
-    def _doc_value(self, name: str, home: str):
-        """``(activated value, memo token)`` of a stored doc, or ``None``.
-
-        The value a plan actually feeds to a query is the *activated*
-        document — embedded calls replaced by their responses.  Grafting
-        the sampled responses onto a copy of the stored tree materializes
-        that value once per (document, epoch, pick policy), giving
-        :meth:`_apply_sample` exact inputs without evaluating any plan.
-        """
-        key = self._doc_key("doc_value", name, home)
-        calls = self._doc_calls(name, home)
-        if any(c[0] == ANY_PROVIDER for c in calls):
-            # @any providers resolve through the pick policy: estimators
-            # with different policies must not share a materialization
-            tag = type(self.pick_policy).__name__ if self.pick_policy else ""
-            key = key + (tag,)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return None if hit is False else (hit, key)
-        peer = self.system.peer(home)
-        if not peer.has_document(name):
-            self.memo[key] = False
-            return None
-        stored = peer.document(name)
-        if not calls:
-            # inert tree: the stored document IS the value (read-only use)
-            self.memo[key] = stored
-            return stored, key
-        try:
-            value = self._graft_activation(stored.copy(), home)
-        except (ReproError, _UnsampledCall):
-            value = None
-        if value is None:
-            self.memo[key] = False
-            return None
-        self.memo[key] = value
-        return value, key
-
-    def _graft_activation(self, tree: Element, home: str) -> Optional[Element]:
-        """Mirror of the evaluator's ``_activate_tree`` on sampled data.
-
-        Replaces every embedded call with its sampled response forest (a
-        single item in place, several under a ``<results>`` wrapper,
-        nothing for explicit forward lists).  Returns ``None`` when any
-        call cannot be sampled — callers then skip materialization.
-        """
-        if tree.is_service_call():
-            if tree.get("activated") == "true":
-                return None
-            call = ServiceCall.parse(tree)
-            provider, service_name = call.provider, call.service
-            if provider == ANY_PROVIDER:
-                member = self.system.registry.pick_service(
-                    service_name, home, self.system, self.pick_policy
-                )
-                provider, service_name = member.peer, member.name
-            _, _, items = self._sample_service(
-                provider, service_name, tuple(call.param_payloads())
-            )
-            if items is None:
-                raise _UnsampledCall(service_name)
-            if call.forwards:
-                return None
-            if len(items) == 1:
-                return items[0].copy()
-            wrapper = Element("results")
-            for item in items:
-                wrapper.append(item.copy())
-            return wrapper
-        replacements = []
-        for child in list(tree.children):
-            if isinstance(child, Element):
-                evaluated = self._graft_activation(child, home)
-                if evaluated is not child:
-                    replacements.append((child, evaluated))
-        for old, new in replacements:
-            if new is None:
-                tree.remove(old)
-            else:
-                tree.replace_child(old, new)
-        return tree
-
+    # -- query samples --------------------------------------------------------------
     def _materialize(self, expr: Expression, site: str):
-        """Static ``(value tree, memo token)`` of an argument, or ``None``."""
-        if isinstance(expr, TreeExpr):
-            for node in iter_elements(expr.tree):
-                if node.is_service_call() and node.get("activated") != "true":
-                    return None  # activation would fire on evaluation
-            return expr.tree, expression_fingerprint(expr)
-        if isinstance(expr, DocExpr):
-            return self._doc_value(expr.name, expr.home)
+        """Static ``(value forest, memo token)`` of an argument, or ``None``.
+
+        The value a plan feeds to a query is the *activated* one: a
+        document or literal embedding calls is its call sample's value.
+        """
         if isinstance(expr, GenericDoc):
             member = self.system.registry.pick_document(
                 expr.name, site, self.system, self.pick_policy
             )
-            return self._doc_value(member.name, member.peer)
-        return None
+            expr = DocExpr(member.name, member.peer)
+        if isinstance(expr, TreeExpr):
+            tree = expr.tree
+            token = expression_fingerprint(expr)
+        elif isinstance(expr, DocExpr):
+            tree = self.system.peer(expr.home).documents.get(expr.name)
+            if tree is None:
+                return None
+            token = self._doc_key("doc", expr.name, expr.home)
+        else:
+            return None
+        if tree.has_service_calls():
+            sample = self._call_sample(expr, expr.home)
+            return list(sample.items), sample.key
+        return [tree], token
 
     def _apply_sample(self, query, args, site: str) -> Optional[Tuple[int, int]]:
         """``(result bytes, work units)`` of one query application, or None.
@@ -621,8 +415,8 @@ class CostEstimator:
             materialized = self._materialize(arg, site)
             if materialized is None:
                 return None
-            value, token = materialized
-            forests.append([value])
+            forest, token = materialized
+            forests.append(forest)
             tokens.append(token)
         key = ("apply", query.source, tuple(tokens))
         hit = self.memo.get(key)
@@ -694,19 +488,44 @@ class CostEstimator:
         self.cache.stats.estimator_misses += 1
         return size
 
+    def _visit_all(self, exprs: Sequence[Expression], site: str) -> int:
+        """Parts evaluated in parallel from the same instant: traffic and
+        sizes add up, completion is the slowest part's."""
+        total = 0
+        base = self._time
+        finished = base
+        for expr in exprs:
+            self._time = base
+            total += self._visit(expr, site)
+            finished = max(finished, self._time)
+        self._time = finished
+        return total
+
+    def _visit_data(self, expr, site: str) -> int:
+        """Definitions (1) and (5): a tree literal or a stored document
+        evaluates at its home, and its value ships to ``site``."""
+        if isinstance(expr, TreeExpr):
+            tree = expr.tree
+        else:
+            tree = self.system.peer(expr.home).documents.get(expr.name)
+        if tree is not None and tree.has_service_calls():
+            # evaluation activates the embedded calls at home first: a
+            # call sample prices them, and the activated value ships on
+            sample = self._call_sample(expr, expr.home)
+            size = self._charge_sample(sample)
+            if not sample.items:
+                return 0
+        elif isinstance(expr, TreeExpr):
+            size = tree.serialized_size()
+        else:
+            size = self._doc_bytes(expr.name, expr.home)
+        self._charge_transfer(expr.home, site, size)
+        return size
+
     def _visit_node(self, expr: Expression, site: str) -> int:
         """Returns estimated size (bytes) of the value at ``site``."""
-        if isinstance(expr, TreeExpr):
-            size = expr.tree.serialized_size()
-            self._charge_transfer(expr.home, site, size)
-            return size
-        if isinstance(expr, DocExpr):
-            size = self._doc_bytes(expr.name, expr.home)
-            # first read activates embedded calls at the home (def. (6));
-            # what ships onward is the activated document
-            size = self._charge_activation(expr.name, expr.home, size)
-            self._charge_transfer(expr.home, site, size)
-            return size
+        if isinstance(expr, (TreeExpr, DocExpr)):
+            return self._visit_data(expr, site)
         if isinstance(expr, GenericDoc):
             # definition (9) exactly as the evaluator resolves it: the
             # registry pick (FirstPolicy when none given) names the copy
@@ -722,44 +541,20 @@ class CostEstimator:
             if not catalog.is_fragmented(expr.name):
                 return 1024
             # scatter-gather: every fragment is fetched from the same
-            # ready instant, so estimated completion is the max over
-            # fragments while traffic stays the sum; replicated fragments
-            # resolve through the generic registry like _eval_fragment
-            total = 0
-            base = self._time
-            finished = base
+            # ready instant; replicated fragments resolve through the
+            # generic registry like _eval_fragment
+            refs = []
             for fragment in catalog.fragments(expr.name):
-                live = [
-                    pid
-                    for pid in fragment.peers
-                    if pid in self.system.peers
-                    and self.system.peers[pid].alive
-                    and self.system.peers[pid].has_document(fragment.name)
-                ]
-                if not live:
-                    raise FragmentUnavailableError(
-                        fragment.name, fragment.peers
-                    )
-                self._time = base
-                if fragment.generic is not None:
-                    total += self._visit(GenericDoc(fragment.generic), site)
-                else:
-                    total += self._visit(DocExpr(fragment.name, live[0]), site)
-                finished = max(finished, self._time)
-            self._time = finished
-            return total
+                live = fragment.live_copies(self.system)
+                refs.append(
+                    GenericDoc(fragment.generic)
+                    if fragment.generic is not None
+                    else DocExpr(fragment.name, live[0])
+                )
+            return self._visit_all(refs, site)
         if isinstance(expr, Gather):
-            # order-preserving union: parts evaluate in parallel from the
-            # same instant — completion is the slowest part, bytes the sum
-            total = 0
-            base = self._time
-            finished = base
-            for part in expr.parts:
-                self._time = base
-                total += self._visit(part, site)
-                finished = max(finished, self._time)
-            self._time = finished
-            return total
+            # order-preserving union: parts evaluate in parallel
+            return self._visit_all(expr.parts, site)
         if isinstance(expr, QueryRef):
             size = expr.query.source_bytes
             self._charge_transfer(expr.home, site, size)
@@ -768,21 +563,17 @@ class CostEstimator:
             # the query head resolves concurrently with the args: the
             # evaluator ships the query text first, evaluates every arg
             # from the same instant, and applies at max(query, args)
-            input_bytes = 0
             base = self._time
-            finished = base
             name = None
             if isinstance(expr.query, QueryRef):
                 name = expr.query.query.name
                 self._charge_transfer(
                     expr.query.home, site, expr.query.query.source_bytes
                 )
-                finished = max(finished, self._time)
-            for arg in expr.args:
-                self._time = base
-                input_bytes += self._visit(arg, site)
-                finished = max(finished, self._time)
-            self._time = finished
+            head_ready = self._time
+            self._time = base
+            input_bytes = self._visit_all(expr.args, site)
+            self._time = max(self._time, head_ready)
             known = (
                 name in self.statistics.selectivity
                 or name in self.statistics.result_bytes
@@ -803,30 +594,25 @@ class CostEstimator:
                     return plan_bytes
             return self.statistics.query_output_bytes(name, input_bytes)
         if isinstance(expr, ServiceCallExpr):
+            if all(isinstance(param, TreeExpr) for param in expr.params):
+                # every input is known: run the call here, once
+                return self._charge_sample(self._call_sample(expr, site))
             # params evaluate in parallel, then ship together as one call
-            param_bytes = 0
-            base = self._time
-            finished = base
-            for p in expr.params:
-                self._time = base
-                param_bytes += self._visit(p, site)
-                finished = max(finished, self._time)
-            self._time = finished
-            result_sizes = self._charge_call(
-                site,
-                expr.provider,
-                expr.service,
-                param_bytes,
-                _static_payloads(expr.params),
-                tuple(target.peer for target in expr.forwards),
-            )
-            return 0 if expr.forwards else sum(result_sizes)
+            param_bytes = self._visit_all(expr.params, site)
+            return self._charge_call(expr, site, param_bytes)
         if isinstance(expr, Send):
             payload_bytes = self._visit(expr.payload, site)
-            hops = [site] + list(expr.via)
-            final = _dest_peer_of(expr.dest, site)
-            for src, dst in zip(hops, hops[1:] + [final]):
-                self._charge_transfer(src, dst, payload_bytes)
+            # rule (12) relays, store-and-forward, then the destination
+            relay = site
+            for hop in expr.via:
+                self._charge_transfer(relay, hop, payload_bytes)
+                relay = hop
+            dest = expr.dest
+            if isinstance(dest, NodesDest):
+                self._charge_forwards(relay, dest.nodes, payload_bytes)
+            else:
+                headers = {"doc": dest.name} if isinstance(dest, DocDest) else None
+                self._charge_transfer(relay, dest.peer, payload_bytes, headers)
             return 0
         if isinstance(expr, EvalAt):
             if expr.peer != site:
@@ -841,13 +627,3 @@ class CostEstimator:
                 last = self._visit(step, site)
             return last
         return 0
-
-
-def _dest_peer_of(dest, default: str) -> str:
-    if isinstance(dest, PeerDest):
-        return dest.peer
-    if isinstance(dest, DocDest):
-        return dest.peer
-    if isinstance(dest, NodesDest) and dest.nodes:
-        return dest.nodes[0].peer
-    return default

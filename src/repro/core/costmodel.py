@@ -20,7 +20,8 @@ This module redesigns the cost wiring as an API, mirroring the
   :class:`~repro.core.cost.CostEstimator`: document sizes from Σ,
   fragment fan-outs from the catalog, replica resolution through the
   *actual* pick policy, selectivities from a statistics table or the
-  compiled logical plan.  No simulation anywhere;
+  compiled logical plan.  No plan is simulated: a service call site is
+  run once, on its own, and its sample reused;
 * :class:`HybridCostModel` (``"hybrid"``) — scores the whole search
   frontier analytically and oracle-checks only the final plan (plus the
   original, so the reported costs and the improvement ratio stay
@@ -143,7 +144,8 @@ class AnalyticCostModel:
     Wraps :class:`~repro.core.cost.CostEstimator` (document sizes from
     Σ, fragment fan-out from the catalog, replica resolution through the
     pick policy, selectivities from statistics or the compiled logical
-    plan).  The estimator's memo — ``cache.estimates`` of the
+    plan, service calls from one run of each call site).  The
+    estimator's memo — ``cache.estimates`` of the
     :class:`~repro.core.planspace.PlanCache` given, a private one
     otherwise — makes the walk incremental: the first score records
     per-(subexpression, site) deltas, and every candidate a rewrite

@@ -70,11 +70,10 @@ from ..errors import (
 from ..net.message import Message, MessageKind
 from ..peers.peer import Peer
 from ..peers.registry import PickPolicy
-from ..peers.service import DeclarativeService, QueryMemo
+from ..peers.service import DeclarativeService, QueryMemo, _value_tree
 from ..peers.system import AXMLSystem
-from ..xmlcore.model import Element, NodeId, Text
+from ..xmlcore.model import Element, NodeId
 from ..xquery import Query
-from ..xquery.runtime import string_value
 from .expressions import (
     ANY,
     DocDest,
@@ -415,18 +414,9 @@ class ExpressionEvaluator:
     ) -> EvalOutcome:
         """Fetch one fragment from a surviving copy: the generic class
         when it is replicated (the pick policy chooses), else the first
-        live holder."""
-        live = [
-            pid
-            for pid in fragment.peers
-            if pid in self.system.peers
-            and self.system.peers[pid].alive
-            and self.system.peers[pid].has_document(fragment.name)
-        ]
-        if not live:
-            # every copy died with its peer: refuse loudly rather
-            # than reassemble an incomplete document (a wrong answer).
-            raise FragmentUnavailableError(fragment.name, fragment.peers)
+        live holder.  With every copy dead it refuses loudly rather than
+        reassemble an incomplete document (a wrong answer)."""
+        live = fragment.live_copies(self.system)
         ref: Expression = (
             GenericDoc(fragment.generic)
             if fragment.generic is not None
@@ -831,14 +821,6 @@ def _as_forest(result: List, site: Optional[Peer] = None) -> List[Element]:
             item = _handed_on(item, site)
         forest.append(item)
     return forest
-
-
-def _value_tree(item) -> Element:
-    """A non-element query result (atomic, text, attribute) as ``<value>``."""
-    text = item.value if isinstance(item, Text) else string_value(item)
-    wrapper = Element("value")
-    wrapper.append(Text(text))
-    return wrapper
 
 
 def _forest_to_document(items: List[Element], name: str) -> Element:

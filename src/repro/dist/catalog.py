@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..errors import FragmentationError
+from ..errors import FragmentationError, FragmentUnavailableError
 
 __all__ = ["FragmentInfo", "FragmentedDocInfo", "FragmentCatalog"]
 
@@ -63,6 +63,20 @@ class FragmentInfo:
     def peers(self) -> Tuple[str, ...]:
         """Every peer holding a copy, primary first."""
         return (self.home,) + self.replicas
+
+    def live_copies(self, system) -> Tuple[str, ...]:
+        """Peers of ``system`` alive and still holding the fragment,
+        primary first; the typed :class:`FragmentUnavailableError` when
+        every copy is gone (the catalog may still name a dead home)."""
+        peers = system.peers
+        live = tuple(
+            pid
+            for pid in self.peers
+            if pid in peers and peers[pid].alive and peers[pid].has_document(self.name)
+        )
+        if not live:
+            raise FragmentUnavailableError(self.name, self.peers)
+        return live
 
     def bounds(self, tag: str) -> Optional[Tuple[float, float]]:
         """The fragment's ``(min, max)`` for a numeric child tag, if known."""

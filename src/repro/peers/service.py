@@ -23,7 +23,7 @@ from ..errors import ServiceCallError, UnknownDocumentError
 from ..xmlcore.model import Element, Text
 from ..xmlcore.schema import Signature
 from ..xquery import Query
-from ..xquery.runtime import AttributeNode
+from ..xquery.runtime import AttributeNode, string_value
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .peer import Peer
@@ -252,20 +252,12 @@ class DeclarativeService(Service):
             self.signature.check_inputs(list(params))
         self.invocations += 1
         result = run_query(self.query, [[p] for p in params], peer, memo)
-        trees: List[Element] = []
-        for item in result:
-            if isinstance(item, Element):
-                trees.append(item)
-            else:
-                # atomic results are wrapped so the response is a forest
-                # of trees, as the model requires
-                from ..xquery.runtime import string_value
-
-                wrapper = Element("value")
-                from ..xmlcore.model import Text
-
-                wrapper.append(Text(string_value(item)))
-                trees.append(wrapper)
+        # atomic results are wrapped so the response is a forest of
+        # trees, as the model requires
+        trees = [
+            item if isinstance(item, Element) else _value_tree(item)
+            for item in result
+        ]
         if self.signature.schema is not None:
             for tree in trees:
                 self.signature.check_output(tree)
@@ -283,6 +275,14 @@ class DeclarativeService(Service):
                 if document is not None:
                     host_docs += tree_size(document)
         return base + host_docs + 1
+
+
+def _value_tree(item) -> Element:
+    """A non-element query result (atomic, text, attribute) as ``<value>``."""
+    text = item.value if isinstance(item, Text) else string_value(item)
+    wrapper = Element("value")
+    wrapper.append(Text(text))
+    return wrapper
 
 
 def _doc_references(query: Query) -> List[str]:

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..dist.catalog import FragmentInfo, FragmentedDocInfo
 from ..dist.fragmenter import _numeric_stats
-from ..errors import FragmentationError, FragmentUnavailableError
+from ..errors import FragmentationError
 from ..net.message import Message, MessageKind
 from ..peers.system import AXMLSystem
 from ..xmlcore.model import Element
@@ -64,15 +64,6 @@ class CatalogTransaction:
                 f"document {doc!r} has no fragment index {index}"
             )
         return info, info.fragments[index]
-
-    @staticmethod
-    def _source_copy(system: AXMLSystem, fragment: FragmentInfo) -> str:
-        """The peer a copy ships from: primary first, else a live replica."""
-        for peer_id in fragment.peers:
-            if peer_id in system.peers and system.peers[peer_id].alive:
-                if system.peers[peer_id].has_document(fragment.name):
-                    return peer_id
-        raise FragmentUnavailableError(fragment.name, fragment.peers)
 
     @staticmethod
     def _check_target(
@@ -146,7 +137,7 @@ class AddReplica(CatalogTransaction):
                 f"peer {self.target!r} already holds a copy of {fragment.name!r}"
             )
         self._check_target(system, fragment, self.target, fragment.name)
-        source = self._source_copy(system, fragment)
+        source = fragment.live_copies(system)[0]
         tree = system.peers[source].documents[fragment.name]
         settled = self._ship(
             system, source, self.target, fragment.name, tree, now
@@ -246,7 +237,7 @@ class MigrateFragment(CatalogTransaction):
             self._swap_fragment(system, info, new_fragment)
             return now
         self._check_target(system, fragment, self.target, fragment.name)
-        source = self._source_copy(system, fragment)
+        source = fragment.live_copies(system)[0]
         tree = system.peers[source].documents[fragment.name]
         settled = self._ship(
             system, source, self.target, fragment.name, tree, now
@@ -306,7 +297,7 @@ class SplitFragment(CatalogTransaction):
                 f"fragment {fragment.name!r} has {fragment.count} items, "
                 f"fewer than the {len(targets)} requested sub-fragments"
             )
-        source = self._source_copy(system, fragment)
+        source = fragment.live_copies(system)[0]
         tree = system.peers[source].documents[fragment.name]
         items = list(tree.children)
         lo, hi = fragment.ordinals

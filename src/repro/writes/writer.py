@@ -16,8 +16,9 @@ live system under **primary-copy** coherence:
 * the owning fragment's catalog entry is re-derived in place — new count,
   shifted ordinal ranges downstream, refreshed per-tag ``(min, max)``
   stats — so fragment-prune stays sound against the mutated content;
-* finally every name the write made observable through gets its
-  **epoch** bumped (:meth:`AXMLSystem.bump_doc_epoch`), which is the
+* finally every name the write made observable through — including
+  every stored document whose embedded calls read a written name — gets
+  its **epoch** bumped (:meth:`AXMLSystem.bump_doc_epoch`), which is the
   whole cache-invalidation story: plan/cost memo keys fold non-zero
   epochs in (:func:`repro.core.planspace.doc_epoch_signature`), so stale
   entries stop matching while entries for untouched documents survive.
@@ -31,18 +32,20 @@ machinery, never in edit semantics.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Set
+from typing import List, Set, Tuple
 
+from ..axml.document import ServiceCall
 from ..dist.fragmenter import _numeric_stats
 from ..errors import (
-    FragmentUnavailableError,
     PeerDownError,
+    ServiceCallError,
     UnknownDocumentError,
     WriteError,
 )
 from ..net.message import Message, MessageKind
+from ..peers.service import DeclarativeService, _doc_references
 from ..peers.system import AXMLSystem
-from ..xmlcore.model import Element, element
+from ..xmlcore.model import Element, element, iter_elements
 from .ops import DeleteOp, InsertOp, UpdateOp, WriteOp, WriteResult
 
 __all__ = ["DocumentWriter", "apply_to_tree", "op_kind"]
@@ -165,8 +168,6 @@ class DocumentWriter:
                 shipped.append(member.peer)
                 touched.add(member.name)
 
-        for name in sorted(touched):
-            system.bump_doc_epoch(name)
         return WriteResult(
             doc=op.doc,
             kind=op_kind(op),
@@ -174,7 +175,7 @@ class DocumentWriter:
             fragment=None,
             primary=primary,
             replicas=tuple(shipped),
-            touched=tuple(sorted(touched)),
+            touched=self._bump_epochs(touched),
             settled_at=settled,
             epoch=system.doc_epoch(op.doc),
         )
@@ -185,7 +186,10 @@ class DocumentWriter:
         info = system.fragments.info(op.doc)
         op = self._concretize(op, info.total_items)
         owner = self._owning_fragment(info, op)
-        primary = self._primary_copy(owner)
+        # the catalog may still name a dead home (churn failover runs
+        # asynchronously): the write lands on the first surviving copy
+        copies = owner.live_copies(system)
+        primary = copies[0]
 
         lo, hi = owner.ordinals
         primary_tree = self._edit(primary, owner.name, op, offset=lo)
@@ -193,12 +197,7 @@ class DocumentWriter:
         settled = now
         shipped: List[str] = []
         # replica copies of the owning fragment
-        for pid in owner.peers:
-            if pid == primary:
-                continue
-            peer = system.peers.get(pid)
-            if peer is None or not peer.alive or not peer.has_document(owner.name):
-                continue
+        for pid in copies[1:]:
             settled = max(settled, self._ship_delta(primary, pid, owner.name, op, now))
             self._edit(pid, owner.name, op, offset=lo)
             shipped.append(pid)
@@ -218,8 +217,6 @@ class DocumentWriter:
         touched = {op.doc, owner.name}
         if owner.generic:
             touched.add(owner.generic)
-        for name in sorted(touched):
-            system.bump_doc_epoch(name)
         return WriteResult(
             doc=op.doc,
             kind=op_kind(op),
@@ -227,10 +224,57 @@ class DocumentWriter:
             fragment=owner.name,
             primary=primary,
             replicas=tuple(shipped),
-            touched=tuple(sorted(touched)),
+            touched=self._bump_epochs(touched),
             settled_at=settled,
             epoch=system.doc_epoch(op.doc),
         )
+
+    def _bump_epochs(self, touched: Set[str]) -> Tuple[str, ...]:
+        """Bump the epoch of every name the write is observable through;
+        returns them, sorted.
+
+        Besides the written names, that is every stored document whose
+        embedded calls invoke a declarative service reading one of them,
+        and the generic classes it belongs to: activating the document
+        reads what was written.
+        """
+        system = self.system
+        names = set(touched)
+        readers = {
+            (pid, name)
+            for pid, peer in system.peers.items()
+            for name, service in peer.services.items()
+            if isinstance(service, DeclarativeService)
+            and touched.intersection(_doc_references(service.query))
+        }
+        if readers:
+            for pid, peer in system.peers.items():
+                for name, tree in peer.documents.items():
+                    if tree.has_service_calls() and self._calls_any(tree, readers):
+                        names.add(name)
+                        names.update(system.registry.document_classes(name, pid))
+        for name in sorted(names):
+            system.bump_doc_epoch(name)
+        return tuple(sorted(names))
+
+    def _calls_any(self, tree: Element, services: Set[Tuple[str, str]]) -> bool:
+        """Whether an ``sc`` of ``tree`` may invoke one of ``services``,
+        ``(peer, name)`` pairs: a generic call, through any member."""
+        registry = self.system.registry
+        for node in iter_elements(tree):
+            if not node.is_service_call():
+                continue
+            try:
+                call = ServiceCall.parse(node)
+            except ServiceCallError:
+                continue  # malformed: activation fails, nothing is read
+            if call.is_generic:
+                members = registry.service_members(call.service)
+                if any((m.peer, m.name) in services for m in members):
+                    return True
+            elif (call.provider, call.service) in services:
+                return True
+        return False
 
     def _edit(self, pid: str, name: str, op: WriteOp, offset: int = 0) -> Element:
         """Apply ``op`` to ``name``@``pid`` in place; returns the edited tree.
@@ -278,19 +322,6 @@ class DocumentWriter:
         raise WriteError(
             f"ordinal {op.ordinal} not covered by any fragment of {op.doc!r}"
         )
-
-    def _primary_copy(self, fragment) -> str:
-        """First live peer holding the fragment, catalog home first.
-
-        The catalog may still name a dead home (churn failover runs
-        asynchronously); the write simply lands on the first surviving
-        copy.  No copy left -> the typed unavailability error.
-        """
-        for pid in fragment.peers:
-            peer = self.system.peers.get(pid)
-            if peer is not None and peer.alive and peer.has_document(fragment.name):
-                return pid
-        raise FragmentUnavailableError(fragment.name, fragment.peers)
 
     def _ship_delta(
         self, src: str, dst: str, doc: str, op: WriteOp, now: float

@@ -81,6 +81,31 @@ class TestCost:
         assert system.snapshot() == before
         assert system.network.stats.messages == 0
 
+    def test_estimate_leaves_system_untouched(self, system):
+        # an AXML read: its embedded call is priced by running it on a
+        # clone, so neither the live reads nor the service count move
+        helper = system.peer("helper")
+        helper.install_query_service("names", 'doc("cat")//name', replace=True)
+        helper.install_document("cat", catalog(4))
+        system.peer("data").install_document("ax", parse(
+            "<r><sc><peer>helper</peer><service>names</service></sc></r>"
+        ))
+
+        def state():
+            return (
+                system.snapshot(),
+                system.stats_snapshot(),
+                system.clock,
+                [link.busy_until for link in system.network.links()],
+                (system.network.stats.bytes, system.network.stats.messages),
+                helper.service("names").invocations,
+            )
+
+        before = state()
+        for plan in (naive_plan(), Plan(DocExpr("ax", "data"), "client")):
+            assert CostEstimator(system).estimate(plan).bytes > 0
+        assert state() == before
+
     def test_measure_counts_real_traffic(self, system):
         cost = measure(naive_plan(), system)
         doc_bytes = system.peer("data").document("cat").serialized_size()

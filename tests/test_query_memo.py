@@ -16,7 +16,7 @@ from repro.core.cost import CostEstimator
 from repro.core.planspace import CacheStats
 from repro.core.strategies import make_strategy
 from repro.engine import ClosedLoopFeed, JobRequest
-from repro.errors import FrozenTreeError, XQueryError
+from repro.errors import FrozenTreeError, ServiceCallError, XQueryError
 from repro.peers import AXMLSystem
 from repro.peers.service import QueryMemo
 from repro.session import Session
@@ -386,8 +386,10 @@ class TestEstimatorSamples:
 
         assert CostEstimator(system).estimate(plan).bytes > 0
         monkeypatch.setattr(Query, "run", crashing)
-        with pytest.raises(RuntimeError, match="engine bug"):
+        # the call sample runs the evaluator, which types the crash
+        with pytest.raises(ServiceCallError, match="engine bug") as raised:
             CostEstimator(system).estimate(plan)
+        assert isinstance(raised.value.__cause__, RuntimeError)
 
 
 # ---------------------------------------------------------------------------
