@@ -9,8 +9,9 @@ Mapping from the paper's definitions to code paths:
 
 =========  ==================================================================
 (1)        ``TreeExpr`` at its home peer: a plain-data tree is its own
-           value, frozen, by reference; one embedding ``sc`` nodes is
-           copied and its calls evaluate via (6) in the copy
+           value, frozen, by reference; in one embedding ``sc`` nodes
+           (frozen too) the calls fire via (6) in document order, then
+           the value is built from the tree and their responses
 (2)        ``QueryApply`` with local head and args: evaluate args, then
            the query, at the same peer (compute time charged)
 (3),(4)    ``Send``: empty result at the sender; the copy's arrival at
@@ -44,7 +45,14 @@ exact, cached ``serialized_size()`` of its trees, or
 ``Query.source_bytes`` — and nothing is serialized to learn it.  Nor is
 anything copied to ship it: a value crossing the network is the frozen
 tree itself (:func:`_handed_on` names the two cases that still copy), so
-its cached size, fingerprint and node count travel with it.
+its cached size, fingerprint and node count travel with it.  What is
+still built is a *new* tree — an activated value (:func:`_activated`),
+the stored document it is installed as (:meth:`_install`), a
+reassembled fragmented document (:func:`_reassembled`) — and under a
+plan search's memo (:attr:`memo`, set by
+:func:`repro.core.cost.measure`) each of those is built once per search
+from the same frozen inputs and then handed out, caches warm, by
+reference.
 A :class:`~repro.session.Session` runs a subclass that is that layer;
 :func:`repro.core.cost.measure` and
 :func:`repro.core.verify.check_equivalence` run this class as is.
@@ -53,10 +61,11 @@ A :class:`~repro.session.Session` runs a subclass that is that layer;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..axml.document import ServiceCall
 from ..errors import (
+    ActivationCycleError,
     EvaluationUndefinedError,
     ExpressionError,
     FaultError,
@@ -70,7 +79,7 @@ from ..errors import (
 from ..net.message import Message, MessageKind
 from ..peers.peer import Peer
 from ..peers.registry import PickPolicy
-from ..peers.service import DeclarativeService, QueryMemo, _value_tree
+from ..peers.service import DeclarativeService, QueryMemo, _value_tree, build_tree
 from ..peers.system import AXMLSystem
 from ..xmlcore.model import Element, NodeId
 from ..xquery import Query
@@ -148,8 +157,9 @@ class ExpressionEvaluator:
     split.
     """
 
-    #: Handed on to whatever runs a query (definitions (2), (6), (7));
-    #: only :func:`repro.core.cost.measure` sets one.
+    #: Handed on to whatever runs a query (definitions (2), (6), (7)), and
+    #: put in front of the three tree builds; only
+    #: :func:`repro.core.cost.measure` sets one.
     memo: Optional[QueryMemo] = None
 
     def __init__(
@@ -193,15 +203,38 @@ class ExpressionEvaluator:
         """Fire the calls embedded in ``name@home`` there; store the result.
 
         "p2 has replaced this local tree with the result of eval" — the
-        activated version (a copy, definition (1)) becomes the stored
-        document.
+        activated version (a new tree, definition (1)) becomes the stored
+        document, and the value is that document.
         """
         outcome = self.eval(
             TreeExpr(tree, home.peer_id), home.peer_id, ready_at, depth + 1
         )
         if len(outcome.items) == 1:
-            home.install_document(name, outcome.items[0], replace=True)
+            outcome.items = [self._install(home, name, outcome.items[0])]
         return outcome
+
+    def _install(self, home: Peer, name: str, value: Element) -> Element:
+        """``home.install_document(name, value, replace=True)``.
+
+        Not a seam primitive: every body of :meth:`_activate_document`
+        installs through it.  A plan search's memo keeps the installed
+        form under the value, the peer and the serial its ids start from
+        — all it depends on: a copy of the frozen value whose id-less
+        nodes are numbered from that serial.  A hit stores that document
+        and advances the allocator exactly as installing would.
+        """
+        allocator = home.allocator
+
+        def install() -> Tuple[Element, int]:
+            installed = home.install_document(name, value, replace=True)
+            return installed, allocator.next_serial
+
+        inputs = (value, home.peer_id, allocator.next_serial)
+        installed, allocator.next_serial = build_tree(
+            "installed", inputs, install, self.memo
+        )
+        home.documents[name] = installed
+        return installed
 
     # -- entry point -------------------------------------------------------------
     def eval(
@@ -218,7 +251,10 @@ class ExpressionEvaluator:
         quiescence point the scheduler reads between jobs.
         """
         if _depth > _MAX_ACTIVATION_DEPTH:
-            raise ExpressionError("expression evaluation exceeded depth bound")
+            raise ActivationCycleError(
+                f"evaluation nested past {_MAX_ACTIVATION_DEPTH} levels "
+                "(a service whose response calls it again?)"
+            )
         outcome = self._dispatch(expr, at, ready_at, _depth)
         if _depth == 0:
             self.system.clock = max(self.system.clock, outcome.completed_at)
@@ -255,80 +291,74 @@ class ExpressionEvaluator:
                 items=[_handed_on(tree, self.system.peer(at))],
                 completed_at=ready_at,
             )
-        # embedded calls: activate them via (6) in a copy
+        # embedded calls: fire them via (6), then build the value from the
+        # tree and their responses (once per search, under a memo).  The
+        # tree is frozen first, as shipping it would: an effect of a call
+        # (a forward into this very document) edits a private copy of it,
+        # never the tree being walked.
+        if tree.parent is not None and not tree.frozen:
+            tree = tree.copy()  # a node of a tree that may still change
+        tree.freeze()
         outcome = EvalOutcome(completed_at=ready_at)
-        evaluated = self._activate_tree(tree.copy(), at, ready_at, depth, outcome)
+        responses: List[Optional[Tuple[Element, ...]]] = []
+        self._fire_calls(tree, at, ready_at, depth, outcome, responses)
+        evaluated = build_tree(
+            "activated",
+            (tree, tuple(responses)),
+            lambda: _activated(tree, iter(responses)),
+            self.memo,
+        )
         outcome.items = [evaluated] if evaluated is not None else []
         return outcome
 
-    def _activate_tree(
+    def _fire_calls(
         self,
         tree: Element,
         at: str,
         ready_at: float,
         depth: int,
         outcome: EvalOutcome,
-    ) -> Optional[Element]:
-        """Definition (1) on a private copy: push evaluation into children.
+        responses: List[Optional[Tuple[Element, ...]]],
+    ) -> None:
+        """Definition (1)'s effects: push evaluation into children.
 
-        Embedded ``sc`` elements evaluate per definition (6); with a
-        default forward list their responses replace them in place (a
-        frozen response is spliced in as a copy), with an explicit one the
-        responses leave the tree and ∅ remains.  Returns None when the
-        tree itself was an sc with explicit targets.
+        Every embedded ``sc`` element evaluates per definition (6), in
+        document order, and appends to ``responses`` what replaces it in
+        the value: its responses under a default forward list, ``None``
+        (the node is dropped) under an explicit one.  ``tree`` is only
+        read.
         """
-        if tree.is_service_call():
-            if tree.get("activated") == "true":
-                # already fired by the AXML activation engine; its results
-                # accumulated as siblings — the data fixpoint drops the sc.
-                return None
-            call = ServiceCall.parse(tree)
-            call_expr = ServiceCallExpr(
-                provider=call.provider,
-                service=call.service,
-                params=tuple(
-                    TreeExpr(payload, at) for payload in call.param_payloads()
-                ),
-                forwards=call.forwards,
+        if not tree.is_service_call():
+            for child in tree.children:
+                if isinstance(child, Element) and child.has_service_calls():
+                    self._fire_calls(child, at, ready_at, depth, outcome, responses)
+            return
+        if tree.get("activated") == "true":
+            # already fired by the AXML activation engine; its results
+            # accumulated as siblings — the data fixpoint drops the sc.
+            responses.append(None)
+            return
+        call = ServiceCall.parse(tree)
+        call_expr = ServiceCallExpr(
+            provider=call.provider,
+            service=call.service,
+            params=tuple(TreeExpr(payload, at) for payload in call.param_payloads()),
+            forwards=call.forwards,
+        )
+        try:
+            sub = self.eval(call_expr, at, ready_at, depth + 1)
+        except (FaultError, PeerDownError) as exc:
+            self._lost(
+                "service", f"{call.service}@{call.provider}", (call.provider,), exc
             )
-            try:
-                sub = self.eval(call_expr, at, ready_at, depth + 1)
-            except (FaultError, PeerDownError) as exc:
-                self._lost(
-                    "service",
-                    f"{call.service}@{call.provider}",
-                    (call.provider,),
-                    exc,
-                )
-                # tolerated: the call's results never arrive, so the sc
-                # node disappears from the copy (exactly what an
-                # unactivated call looks like)
-                return None
-            outcome.merge_effects(sub)
-            outcome.completed_at = max(outcome.completed_at, sub.completed_at)
-            if call.forwards:
-                return None
-            if len(sub.items) == 1:
-                return _adoptable(sub.items[0])
-            wrapper = Element("results")
-            for item in sub.items:
-                wrapper.append(_adoptable(item))
-            return wrapper
-
-        replacements: List[Tuple[Element, Optional[Element]]] = []
-        for child in list(tree.children):
-            if isinstance(child, Element) and child.has_service_calls():
-                evaluated = self._activate_tree(
-                    child, at, ready_at, depth, outcome
-                )
-                if evaluated is not child:
-                    replacements.append((child, evaluated))
-        for old, new in replacements:
-            if new is None:
-                tree.remove(old)
-            else:
-                tree.replace_child(old, new)
-        return tree
+            # tolerated: the call's results never arrive, so the sc node
+            # disappears from the value (exactly what an unactivated call
+            # looks like)
+            responses.append(None)
+            return
+        outcome.merge_effects(sub)
+        outcome.completed_at = max(outcome.completed_at, sub.completed_at)
+        responses.append(None if call.forwards else tuple(sub.items))
 
     # -- documents ----------------------------------------------------------------
     def _eval_doc(
@@ -387,10 +417,18 @@ class ExpressionEvaluator:
         byte-identical to the whole document.  Replicated fragments
         resolve through the generic registry, i.e. the session/serving
         pick policy chooses which copy serves the read.
+
+        Under a plan search's memo the reassembled document is built
+        once per search: it is keyed by the name and the identities of
+        the fragment trees that arrived, in order — stored fragments and
+        the frozen trees shipped from them, the same objects in every
+        candidate's clone of Σ.  That is sound because the value is a
+        pure function of them: the catalog's root under the name (Σ does
+        not change under a search) and copies of their children.
         """
         info = self.system.fragments.info(expr.name)
         outcome = EvalOutcome(completed_at=ready_at)
-        root = Element(info.root_tag, attrs=dict(info.root_attrs))
+        parts: List[Element] = []
         for fragment in info.fragments:
             try:
                 sub = self._eval_fragment(fragment, at, ready_at, depth)
@@ -399,14 +437,15 @@ class ExpressionEvaluator:
                 continue  # tolerated: reassemble what did arrive
             outcome.merge_effects(sub)
             outcome.completed_at = max(outcome.completed_at, sub.completed_at)
-            for item in sub.items:
-                # copy, never reparent: a fragment local to the
-                # evaluation site hands back the *stored* tree (the
-                # activated document _eval_doc re-installs), and moving
-                # its children out would empty the fragment on the live Σ
-                for child in item.children:
-                    root.append(child.copy())
-        outcome.items = [root]
+            parts.extend(sub.items)
+        outcome.items = [
+            build_tree(
+                "reassembled",
+                (expr.name, tuple(parts)),
+                lambda: _reassembled(info, parts),
+                self.memo,
+            )
+        ]
         return outcome
 
     def _eval_fragment(
@@ -808,6 +847,50 @@ def _unaliased(items: List[Element], bound: set, site: Peer) -> List[Element]:
 def _adoptable(item: Element) -> Element:
     """``item`` ready to hang under another node: a frozen root is copied."""
     return item.copy() if item.frozen else item
+
+
+def _activated(tree: Element, responses: Iterator) -> Optional[Element]:
+    """Definition (1)'s value: ``tree`` with every ``sc`` node replaced.
+
+    ``responses`` yields, per ``sc`` node in the order
+    :meth:`ExpressionEvaluator._fire_calls` met them, its response items
+    — spliced in where it stood, wrapped in ``<results>`` unless there is
+    exactly one, a frozen one as a copy — or ``None``: the node is
+    dropped.  Returns None when ``tree`` itself was dropped.  ``tree`` is
+    only read; the rest of it is copied.
+    """
+    if tree.is_service_call():
+        items = next(responses)
+        if items is None:
+            return None
+        if len(items) == 1:
+            return _adoptable(items[0])
+        wrapper = Element("results")
+        for item in items:
+            wrapper.append(_adoptable(item))
+        return wrapper
+    value = Element(tree.tag, tree.attrs, node_id=tree.node_id)
+    for child in tree.children:
+        if isinstance(child, Element) and child.has_service_calls():
+            child = _activated(child, responses)
+            if child is None:
+                continue
+        else:
+            child = child.copy()
+        value.append(child)
+    return value
+
+
+def _reassembled(info, parts: List[Element]) -> Element:
+    """A fragmented document's value: the catalog's root over the
+    children of every fragment tree in ``parts``, in order — copied,
+    never reparented (a fragment local to the evaluation site is the
+    *stored* tree, and moving its children out would empty it)."""
+    root = Element(info.root_tag, attrs=dict(info.root_attrs))
+    for part in parts:
+        for child in part.children:
+            root.append(child.copy())
+    return root
 
 
 def _as_forest(result: List, site: Optional[Peer] = None) -> List[Element]:

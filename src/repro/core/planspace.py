@@ -7,7 +7,8 @@ query on every ``BENCHMARK.json`` workload — so the search itself keeps
 only what one search needs (a ``visited`` set, greedy's score map; see
 :mod:`repro.core.strategies`), keyed by a *canonical fingerprint* and
 dropped with the search — as is what the oracle's simulations learn
-while it runs, the query results of :attr:`PlanCache.query_results`.
+while it runs, the query results and built trees of
+:attr:`PlanCache.query_results`.
 What outlives a search is two stores, both on :class:`PlanCache`:
 
 * the *prepared-plan table*, in front of the search: whole search
@@ -201,6 +202,10 @@ class CacheStats:
     #: :class:`~repro.peers.service.QueryMemo` answered / had to evaluate.
     query_memo_hits: int = 0
     query_memo_misses: int = 0
+    #: Trees the same memo handed out / had to build (activated values,
+    #: installed documents, reassembled fragmented documents).
+    tree_memo_hits: int = 0
+    tree_memo_misses: int = 0
 
     def copy(self) -> "CacheStats":
         return CacheStats(**self.as_dict())
@@ -225,6 +230,8 @@ class CacheStats:
             f"{self.estimator_misses} misses; "
             f"query memo {self.query_memo_hits} hits / "
             f"{self.query_memo_misses} misses; "
+            f"tree memo {self.tree_memo_hits} hits / "
+            f"{self.tree_memo_misses} misses; "
             f"{self.prepared_hits} searches skipped"
         )
 
@@ -244,10 +251,11 @@ class PlanCache:
     :meth:`CacheStats.delta_since`.
     """
 
-    #: The running search's query results, for the oracle model.  Not a
-    #: store: ``Optimizer.optimize_with`` sets it on the instance while it
-    #: runs and deletes it again, so no result outlives the search that
-    #: computed it and ``clear()`` has nothing to forget.
+    #: The running search's query results and built trees, for the
+    #: oracle model.  Not a store: ``Optimizer.optimize_with`` sets it on
+    #: the instance while it runs and deletes it again, so nothing in it
+    #: outlives the search that computed it and ``clear()`` has nothing
+    #: to forget.
     query_results: Optional[QueryMemo] = None
 
     def __init__(self) -> None:

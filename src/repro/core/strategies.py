@@ -34,7 +34,13 @@ from typing import (
     runtime_checkable,
 )
 
-from ..errors import FragmentUnavailableError, OptimizerError, PeerDownError
+from ..errors import (
+    ActivationCycleError,
+    FragmentUnavailableError,
+    OptimizerError,
+    PeerDownError,
+    ReproError,
+)
 from ..obs.metrics import MetricsRegistry
 from ..peers.system import AXMLSystem
 from .cost import Cost
@@ -176,18 +182,21 @@ class SearchSpace:
     ) -> Optional[Cost]:
         """``scorer(plan)``, counted; ``None`` when the plan is unevaluable.
 
-        ``strict`` is the original-plan contract: churn's *typed*
-        verdicts surface (FragmentUnavailableError when the last copy
-        died, PeerDownError when the site left) and any other failure is
-        the classic optimizer-level "not evaluable".
+        ``strict`` is the original-plan contract: verdicts on Σ rather
+        than on the plan surface typed (FragmentUnavailableError when the
+        last copy died, PeerDownError when the site left,
+        ActivationCycleError when a service keeps calling itself) and any
+        other typed failure is the classic optimizer-level "not
+        evaluable".  An untyped crash is a bug, not a verdict on the
+        plan: it propagates.
         """
         self.stats.plans_scored += 1
         try:
             return scorer(plan)
-        except (FragmentUnavailableError, PeerDownError):
+        except (FragmentUnavailableError, PeerDownError, ActivationCycleError):
             if strict:
                 raise
-        except Exception:
+        except ReproError:
             pass  # unevaluable candidate (e.g. undefined send)
         if strict:
             raise OptimizerError("the original plan is not evaluable")

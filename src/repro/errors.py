@@ -150,6 +150,15 @@ class ExpressionError(AlgebraError):
     """Raised for malformed expressions of the language E."""
 
 
+class ActivationCycleError(ExpressionError):
+    """Raised when evaluation nests past the activation depth bound.
+
+    The typical cause is a service whose response embeds a call to
+    itself (directly or through other services): activating it fires it
+    again, without end.
+    """
+
+
 class EvaluationUndefinedError(AlgebraError):
     """Raised when ``eval@p(e)`` is undefined per the paper.
 

@@ -334,5 +334,5 @@ class RecoveringEvaluator(ExpressionEvaluator):
         here = home.peer_id
         outcome = self.eval(TreeExpr(tree, here), here, ready_at, depth + 1)
         if len(outcome.items) == 1 and len(self.losses) == watermark:
-            home.install_document(name, outcome.items[0], replace=True)
+            outcome.items = [self._install(home, name, outcome.items[0])]
         return outcome

@@ -17,7 +17,7 @@ Two implementations:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING, TypeVar
 
 from ..errors import ServiceCallError, UnknownDocumentError
 from ..xmlcore.model import Element, Text
@@ -30,6 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["Service", "DeclarativeService", "NativeService", "QueryMemo"]
 
+T = TypeVar("T")
+
 
 def run_query(
     query: Query, args: Sequence, peer: "Peer", memo: Optional["QueryMemo"] = None
@@ -41,8 +43,19 @@ def run_query(
     return query.bind_resolver(peer.doc_resolver).run(*args)
 
 
+def build_tree(
+    kind: str, inputs: tuple, build: Callable[[], T], memo: Optional["QueryMemo"] = None
+) -> T:
+    """``build()``, a pure function of ``inputs``; looked up in ``memo``
+    first when a plan search supplies one (see :meth:`QueryMemo.built`)."""
+    if memo is not None:
+        return memo.built(kind, inputs, build)
+    return build()
+
+
 class QueryMemo:
-    """What queries evaluated to during one plan search, keyed by content.
+    """What queries evaluated to during one plan search, keyed by content,
+    and the trees the evaluator built from frozen inputs, keyed by identity.
 
     Rules (10)-(16) move *where* a query runs far more often than *what*
     it computes, so the oracle's simulations of one search keep applying
@@ -59,9 +72,22 @@ class QueryMemo:
     and handed out *by reference* in a fresh list: a consumer that edits
     one takes a ``copy()`` first or gets ``FrozenTreeError``.
 
-    Only wall time is saved: callers charge compute, count invocations
-    and ship bytes as if the query had run.  Lookups are counted on
-    ``stats`` (``query_memo_hits`` / ``query_memo_misses``).
+    The same simulations also rebuild the same *trees*, from stored
+    documents and query results that are the same frozen objects in
+    every candidate's clone of Σ.  :meth:`built` keeps each, keyed by the
+    *identities* of its inputs (see there for why that is exact):
+
+    * the activated value of an ``sc``-bearing tree — by the tree and,
+      per ``sc`` node in walk order, its response items or a drop marker;
+    * the stored document that value is installed as — by the value, the
+      home peer and the serial its node ids start from;
+    * a reassembled fragmented document — by its name and the fragment
+      trees that arrived, in order.
+
+    Only wall time is saved: callers charge compute, count invocations,
+    fire calls and ship bytes as if nothing were kept.  Lookups are
+    counted on ``stats`` (``query_memo_hits`` / ``query_memo_misses``,
+    ``tree_memo_hits`` / ``tree_memo_misses``).
     """
 
     def __init__(self, stats) -> None:
@@ -70,9 +96,42 @@ class QueryMemo:
         #: results)]; ``argument`` is the position of the argument tree
         #: the read returned, or None
         self._entries: Dict[tuple, list] = {}
+        #: (kind, identity key) -> (inputs, what ``build`` returned)
+        self._trees: Dict[tuple, tuple] = {}
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._entries.values())
+        return sum(len(bucket) for bucket in self._entries.values()) + len(
+            self._trees
+        )
+
+    def built(self, kind: str, inputs: tuple, build: Callable[[], T]) -> T:
+        """:func:`build_tree`, building only what no entry answers.
+
+        ``inputs`` (nested in tuples) are trees, keyed by identity, and
+        plain values, keyed by value; ``build`` must be a pure function
+        of them, named by ``kind``.  Identity is exact where content is
+        not: an entry holds its inputs, so no ``id()`` in its key can be
+        handed out again while it lives, and a *frozen* tree cannot
+        change, so the same inputs build the same tree.  An input that is
+        not frozen could still change: it keys nothing, and the tree is
+        built unmemoised.  What ``build`` returns is kept frozen and
+        handed out by reference.
+        """
+        trees: List[Element] = []
+        key = (kind, _identities(inputs, trees))
+        if not all(tree.frozen for tree in trees):
+            return build()
+        entry = self._trees.get(key)
+        if entry is not None:
+            self.stats.tree_memo_hits += 1
+            return entry[1]
+        self.stats.tree_memo_misses += 1
+        value = build()
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, Element):
+                item.freeze()
+        self._trees[key] = (inputs, value)
+        return value
 
     def run(self, query: Query, args: Sequence, peer: "Peer") -> List:
         """:func:`run_query`, evaluating only what no entry answers."""
@@ -115,6 +174,17 @@ class QueryMemo:
             (query.module, tuple(reads), results)
         )
         return list(results)
+
+
+def _identities(value, trees: List[Element]):
+    """``value`` with every tree replaced by its ``id()`` (and collected
+    into ``trees``); tuples are walked, anything else is kept as is."""
+    if isinstance(value, Element):
+        trees.append(value)
+        return id(value)
+    if isinstance(value, tuple):
+        return tuple(_identities(item, trees) for item in value)
+    return value
 
 
 def _position(tree: Element, roots: Sequence[Element]) -> Optional[int]:

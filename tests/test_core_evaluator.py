@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.axml import make_service_call
 from repro.core import (
     ANY,
@@ -12,6 +13,7 @@ from repro.core import (
     GenericDoc,
     NodesDest,
     PeerDest,
+    Plan,
     QueryApply,
     QueryRef,
     Send,
@@ -19,11 +21,15 @@ from repro.core import (
     ServiceCallExpr,
     TreeExpr,
 )
+from repro.core.cost import measure
+from repro.core.planspace import CacheStats
 from repro.errors import (
+    ActivationCycleError,
     EvaluationUndefinedError,
     ExpressionError,
     ServiceCallError,
 )
+from repro.peers.service import QueryMemo
 from repro.net import MessageKind
 from repro.peers import AXMLSystem, NearestPolicy
 from repro.xmlcore import Element, NodeId, element, equivalent, parse, serialize
@@ -337,3 +343,32 @@ class TestEvalAtAndSeq:
         from repro.errors import UnknownPeerError
         with pytest.raises(UnknownPeerError):
             evaluator.eval(TreeExpr(parse("<a/>"), "p0"), "ghost")
+
+
+class TestActivationCycles:
+    """A service whose response embeds a call to itself — the paper's hard
+    case for lazy activation — fails typed at the depth bound."""
+
+    @pytest.fixture()
+    def cyclic(self, system):
+        system.peer("p2").install_query_service(
+            "again", "<more><sc><peer>p2</peer><service>again</service></sc></more>"
+        )
+        system.peer("p0").install_document(
+            "ax", element("d", make_service_call("p2", "again"))
+        )
+        return system
+
+    def test_a_session_query_raises_the_typed_error(self, cyclic):
+        session = repro.connect(cyclic)
+        with pytest.raises(ActivationCycleError):
+            session.query("$d", at="p0", bind={"d": "ax@p0"}, optimize=False)
+        with pytest.raises(ActivationCycleError):
+            session.query("$d", at="p0", bind={"d": "ax@p0"})
+
+    @pytest.mark.parametrize("memo", [False, True])
+    def test_measure_raises_the_typed_error(self, cyclic, memo):
+        plan = Plan(DocExpr("ax", "p0"), "p1")
+        with pytest.raises(ActivationCycleError) as raised:
+            measure(plan, cyclic, memo=QueryMemo(CacheStats()) if memo else None)
+        assert isinstance(raised.value, ExpressionError)

@@ -18,8 +18,9 @@ from repro.core import (
     make_strategy,
     register_strategy,
 )
+from repro.core import costmodel
 from repro.core.strategies import STRATEGIES
-from repro.errors import OptimizerError
+from repro.errors import EvaluationUndefinedError, OptimizerError
 from repro.peers import AXMLSystem
 from repro.xmlcore import parse
 from repro.xquery import Query
@@ -185,6 +186,35 @@ class TestStrategyParity:
         for name in ("beam", "greedy", "exhaustive"):
             result = Optimizer(system).optimize_with(name, plan)
             assert result.strategy == name
+
+
+class TestScoringFailures:
+    """A typed failure is a verdict on the candidate; an untyped one is a bug."""
+
+    def planted(self, monkeypatch, error):
+        """The naive plan, with every other plan's ``measure`` raising ``error``."""
+        plan = naive_plan()
+        real = costmodel.measure
+
+        def measuring(candidate, *args, **kwargs):
+            if candidate is not plan:
+                raise error
+            return real(candidate, *args, **kwargs)
+
+        monkeypatch.setattr(costmodel, "measure", measuring)
+        return plan
+
+    def test_an_untyped_crash_while_scoring_propagates(self, system, monkeypatch):
+        plan = self.planted(monkeypatch, AttributeError("simulator bug"))
+        with pytest.raises(AttributeError, match="simulator bug"):
+            Optimizer(system).optimize_with("beam", plan)
+
+    def test_a_typed_failure_drops_the_candidate(self, system, monkeypatch):
+        plan = self.planted(monkeypatch, EvaluationUndefinedError("undefined send"))
+        result = Optimizer(system).optimize_with("beam", plan)
+        assert result.best is plan
+        assert [rule for _, _, rule in result.trace] == ["original"]
+        assert result.cache.plans_scored > 1  # candidates were scored, and dropped
 
 
 class TestImprovementRatio:

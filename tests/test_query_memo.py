@@ -7,18 +7,31 @@ stored, results are handed out frozen — and a count-based regression
 gate on the ``serve_repeat`` stream (query evaluations, not seconds).
 """
 
+from dataclasses import replace
+
 import pytest
 
 import repro
+from repro.axml import make_service_call
 from repro.core import Optimizer, PlanCache, SearchSpace, plan_fingerprint
-from repro.core import DocExpr, Plan, QueryApply, QueryRef
+from repro.core import (
+    DocExpr,
+    ExpressionEvaluator,
+    Plan,
+    QueryApply,
+    QueryRef,
+    ServiceCallExpr,
+    TreeExpr,
+)
 from repro.core.cost import CostEstimator
+from repro.core.expressions import FragmentedDoc
 from repro.core.planspace import CacheStats
 from repro.core.strategies import make_strategy
+from repro.dist import Fragmenter
 from repro.engine import ClosedLoopFeed, JobRequest
 from repro.errors import FrozenTreeError, ServiceCallError, XQueryError
 from repro.peers import AXMLSystem
-from repro.peers.service import QueryMemo
+from repro.peers.service import NativeService, QueryMemo
 from repro.session import Session
 from repro.workloads import (
     FRAGMENTED_SPEC,
@@ -26,7 +39,7 @@ from repro.workloads import (
     ScenarioGenerator,
     ScenarioSpec,
 )
-from repro.xmlcore import Element, parse
+from repro.xmlcore import Element, element, iter_elements, parse
 from repro.xquery import Query
 
 STRATEGIES = ("beam", "greedy", "exhaustive")
@@ -69,13 +82,14 @@ def assert_memo_changes_no_cost(scenario):
     """Every search of ``scenario``, memoised and not, scores alike.
 
     The reference is a bare ``SearchSpace(system)``: no cache, so every
-    score is ``measure(plan, system)`` with nothing remembered.
+    score is ``measure(plan, system)`` with nothing remembered.  Returns
+    the (query, tree) memo hits of the memoised searches.
     """
     session = Session(scenario.system.clone())
     for record in scenario.writes:
         session.write(record.op())
     system = session.system
-    hits = 0
+    hits = trees = 0
     for query in scenario.queries:
         kwargs = query.kwargs()
         plan = session.plan(
@@ -88,15 +102,18 @@ def assert_memo_changes_no_cost(scenario):
             assert plan_fingerprint(memoised.best) == plan_fingerprint(reference.best)
             assert memoised.best_cost == reference.best_cost
             hits += memoised.cache.query_memo_hits
-    return hits
+            trees += memoised.cache.tree_memo_hits
+    return hits, trees
 
 
 @pytest.mark.parametrize("family", sorted(SPECS))
 def test_memoised_scoring_equals_unmemoised_measure(family):
-    hits = 0
+    hits = trees = 0
     for scenario in ScenarioGenerator(seed=7, spec=SPECS[family]).scenarios(5):
-        hits += assert_memo_changes_no_cost(scenario)
+        query_hits, tree_hits = assert_memo_changes_no_cost(scenario)
+        hits, trees = hits + query_hits, trees + tree_hits
     assert hits > 0, "the sweep never exercised a memo hit"
+    assert trees > 0, "the sweep never handed out a built tree"
 
 
 @pytest.mark.generated
@@ -285,6 +302,106 @@ class TestFailures:
 
 
 # ---------------------------------------------------------------------------
+# the trees a simulation builds: activated, installed, reassembled
+# ---------------------------------------------------------------------------
+
+def simulate(system, expr, at, memo):
+    """One oracle simulation of ``expr`` at ``at``: (the twin, its outcome)."""
+    twin = system.clone()
+    evaluator = ExpressionEvaluator(twin)
+    evaluator.memo = memo
+    return twin, evaluator.eval(expr, at)
+
+
+def values(outcome):
+    return [item.string_value() for item in outcome.items]
+
+
+class TestTreeMemo:
+    """Each tree is built once per memo, keyed by the identities of its
+    frozen inputs — and every one of those keys is exact."""
+
+    TWICE = "($a is $b, count($a | $b))"
+
+    @pytest.fixture()
+    def world(self):
+        system = AXMLSystem.with_peers(["a", "b", "c"])
+        system.peer("b").install_document("cat", catalog())
+        Fragmenter(system).fragment("cat", "b", ["b", "c"])
+        system.peer("b").install_query_service("pricey", READS_DOC)
+        system.peer("a").install_query_service("twice", self.TWICE, params=("a", "b"))
+        system.peer("a").install_document(
+            "ax", element("d", make_service_call("b", "pricey"))
+        )
+        return system
+
+    @pytest.mark.parametrize("head", ["apply", "call"])
+    @pytest.mark.parametrize("kind", ["fragmented", "sc-literal"])
+    def test_a_built_tree_bound_twice_is_still_two_trees(self, world, memo, kind, head):
+        if kind == "fragmented":
+            arg = FragmentedDoc("cat")
+        else:
+            arg = TreeExpr(element("d", make_service_call("b", "pricey")), "a")
+        if head == "apply":
+            expr = QueryApply(QueryRef(Query(self.TWICE, params=("a", "b")), "a"), (arg, arg))
+        else:
+            expr = ServiceCallExpr("a", "twice", (arg, arg))
+        for _ in range(2):
+            _, outcome = simulate(world, expr, "a", memo)
+            assert values(outcome) == ["false", "2"]
+        assert memo.stats.tree_memo_hits >= 3  # the second binding, then a whole run
+
+    def test_an_axml_document_read_twice_activates_once(self, world, memo):
+        same = Query("$a is $b", params=("a", "b"))
+        expr = QueryApply(QueryRef(same, "a"), (DocExpr("ax", "a"), DocExpr("ax", "a")))
+        for _ in range(2):
+            twin, outcome = simulate(world, expr, "a", memo)
+            # the second read sees the installed document: plain data, no call
+            assert values(outcome) == ["true"]
+            assert twin.peer("b").service("pricey").invocations == 1
+            assert not twin.peer("a").documents["ax"].has_service_calls()
+        assert memo.stats.tree_memo_hits == 2  # activated value, installed form
+
+    def test_a_hit_installs_and_numbers_as_installing_would(self, world, memo):
+        def numbering(memo):
+            twin, _ = simulate(world, DocExpr("ax", "a"), "c", memo)
+            home = twin.peer("a")
+            ids = [node.node_id for node in iter_elements(home.documents["ax"])]
+            return home.allocator.next_serial, ids
+
+        unmemoised = numbering(None)
+        assert numbering(memo) == unmemoised  # misses: installed, then kept
+        assert numbering(memo) == unmemoised  # hits: stored and numbered alike
+        assert memo.stats.tree_memo_hits == 2
+
+    def test_fresh_responses_never_hit(self, world, memo):
+        stamps = []
+
+        def stamp(params, peer):
+            stamps.append(len(stamps) + 1)
+            return [element("stamp", str(stamps[-1]))]
+
+        world.peer("b").install_service(NativeService("stamp", stamp))
+        world.peer("a").install_document(
+            "live", element("d", make_service_call("b", "stamp"))
+        )
+        for expected in ("1", "2"):
+            _, outcome = simulate(world, DocExpr("live", "a"), "a", memo)
+            assert values(outcome) == [expected]
+        assert memo.stats.tree_memo_hits == 0
+        assert memo.stats.tree_memo_misses == 4
+
+    def test_a_changed_fragment_misses(self, world, memo):
+        whole = [values(simulate(world, FragmentedDoc("cat"), "a", memo)[1])]
+        world.peer("c").own_document("cat.f1").append(
+            parse("<item><name>new</name><price>99</price></item>")
+        )
+        whole.append(values(simulate(world, FragmentedDoc("cat"), "a", memo)[1]))
+        assert whole[1][0] == whole[0][0] + "new99"
+        assert memo.stats.tree_memo_hits == 0
+
+
+# ---------------------------------------------------------------------------
 # (v) lifetime: one search
 # ---------------------------------------------------------------------------
 
@@ -437,3 +554,42 @@ def test_serve_repeat_ships_trees_by_reference(monkeypatch):
 def test_the_analytic_model_never_consults_the_memo(monkeypatch):
     stats, _ = serve_repeat(monkeypatch, cost_model="analytic")
     assert stats.query_memo_hits == stats.query_memo_misses == 0
+
+
+# ---------------------------------------------------------------------------
+# the second gate: element nodes copied on the rw_frag stream, counted
+# ---------------------------------------------------------------------------
+
+def rw_frag(**session_kwargs):
+    """bench/workloads.py's ``rw_frag`` pass: each write, then every read."""
+    spec = replace(WRITE_MIX_SPEC, items=60, writes=3)
+    scenario = ScenarioGenerator(7, spec).scenario(1)
+    session = repro.connect(scenario.system.clone(), **session_kwargs)
+    for write in scenario.writes:
+        session.write(write.op())
+        for query in scenario.queries:
+            session.query(**query.kwargs())
+    return session.plan_cache.stats
+
+
+def test_rw_frag_builds_each_derived_tree_once_per_search(monkeypatch):
+    copied = []
+    original = Element._copy  # one call per element node copied
+
+    def counting(self, warm):
+        copied.append(self)
+        return original(self, warm)
+
+    monkeypatch.setattr(Element, "_copy", counting)
+    stats = rw_frag()
+    assert len(copied) <= 12_816  # 25 633 nodes when every candidate rebuilt them
+    assert stats.tree_memo_hits > 0
+    for counter in ("tree_memo_hits", "tree_memo_misses"):
+        assert stats.as_dict()[counter] == getattr(stats, counter)
+        assert getattr(stats.delta_since(CacheStats()), counter) == getattr(stats, counter)
+    assert "tree memo" in stats.describe()
+
+
+def test_the_analytic_model_builds_no_tree_through_the_memo():
+    stats = rw_frag(cost_model="analytic")
+    assert stats.tree_memo_hits == stats.tree_memo_misses == 0
