@@ -29,7 +29,7 @@ gone, with its four key salts.
 
 * :func:`plan_fingerprint` — a structural digest of a plan derived from
   the XML serialization of :mod:`repro.core.serialize` (never from object
-  identity), interned so equal plans share one key object;
+  identity), equal exactly for equal plans;
 * :class:`CacheStats` — the planner's counters, each incremented at one
   site; a search (or a job) reports its own share of a cache's lifetime
   counters as a :meth:`~CacheStats.delta_since` window.
@@ -43,7 +43,6 @@ for :meth:`~PlanCache.clear`.
 
 from __future__ import annotations
 
-import sys
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Dict, Hashable, List, Optional, Tuple
@@ -77,18 +76,17 @@ PREPARED_PLANS = 256
 
 
 def plan_fingerprint(plan: Plan, name_widths: bool = False) -> str:
-    """Canonical, interned key for a plan: site + structural expression digest.
+    """Canonical key for a plan: site + structural expression digest.
 
     Two plans share a key iff they have the same evaluation site and
     structurally equal expressions (tree literals compared by content).
-    The string is interned so every holder of an equal plan carries the
-    *same* key object and dict lookups degrade to pointer comparisons.
+    Keys compare by equality.  They are not interned: an interned string
+    lives as long as the process, and a serving session builds a key for
+    every candidate it ever scores.
     ``name_widths`` keys query names by their serialized width only (see
     :func:`~repro.core.serialize.expression_fingerprint`).
     """
-    return sys.intern(
-        f"{plan.site}|{expression_fingerprint(plan.expr, name_widths)}"
-    )
+    return f"{plan.site}|{expression_fingerprint(plan.expr, name_widths)}"
 
 
 def doc_epoch_signature(system, expr) -> str:
@@ -184,12 +182,15 @@ class CacheStats:
     every candidate, ``hybrid``'s final checks); ``plans_expanded``
     counts plans run through the rule set; ``plans_deduped`` counts
     candidates a strategy skipped because their fingerprint was already
-    processed this search.
+    processed this search; ``idle_rewrites_dropped`` counts rewrites the
+    rule set proposed and the search space dropped, because they add an
+    idle delegation (:func:`~repro.core.rules.idle_delegations`).
     """
 
     plans_scored: int = 0
     plans_expanded: int = 0
     plans_deduped: int = 0
+    idle_rewrites_dropped: int = 0
     #: Subtree deltas the estimator memo replayed / had to walk.
     estimator_hits: int = 0
     estimator_misses: int = 0
@@ -225,7 +226,8 @@ class CacheStats:
     def describe(self) -> str:
         return (
             f"planner: {self.plans_scored} plans scored, "
-            f"{self.plans_expanded} expanded, {self.plans_deduped} deduped; "
+            f"{self.plans_expanded} expanded, {self.plans_deduped} deduped, "
+            f"{self.idle_rewrites_dropped} idle rewrites dropped; "
             f"estimator memo {self.estimator_hits} hits / "
             f"{self.estimator_misses} misses; "
             f"query memo {self.query_memo_hits} hits / "

@@ -75,6 +75,7 @@ __all__ = [
     "FragmentPrune",
     "DEFAULT_RULES",
     "subexpression_contexts",
+    "idle_delegations",
 ]
 
 
@@ -138,6 +139,27 @@ def subexpression_contexts(
     yield from recurse(expr, lambda replacement: replacement)
 
 
+def idle_delegations(plan: Plan) -> int:
+    """How many ``EvalAt(p, e)`` of ``plan`` are reached at site ``p``.
+
+    The evaluation site starts at ``plan.site``, becomes ``p`` below every
+    ``EvalAt(p, ·)`` and stays unchanged through every other node — as
+    the evaluator's definitions carry it.  Such an *idle delegation* is
+    the identity: ``eval@p(eval@p(e))`` evaluates as ``eval@p(e)``, with
+    the same value, effects, messages and clocks.
+    """
+    count = 0
+    pending = [(plan.expr, plan.site)]
+    while pending:
+        node, site = pending.pop()
+        if isinstance(node, EvalAt):
+            count += node.peer == site
+            site = node.peer
+        for child in node.children():
+            pending.append((child, site))
+    return count
+
+
 class RewriteRule:
     """Base class: enumerate alternative plans for one plan."""
 
@@ -162,6 +184,12 @@ class QueryDelegation(RewriteRule):
     Candidate delegates: the home peers of the arguments (pushing the
     query to the data — the useful direction) and, when ``all_peers`` is
     set, every other peer (the optimizer prunes by cost).
+
+    The guard compares candidates against ``plan.site``, not against the
+    site the matched node is evaluated at: a ``QueryApply`` already under
+    ``EvalAt(p, ·)`` still gets ``EvalAt(p, ·)`` proposed.  That rewrite
+    is an idle delegation (:func:`idle_delegations`), and the search
+    space drops it (:meth:`~repro.core.strategies.SearchSpace.expand`).
     """
 
     name = "query-delegation(10)"

@@ -46,7 +46,7 @@ from ..peers.system import AXMLSystem
 from .cost import Cost
 from .costmodel import CostModel, OracleCostModel
 from .planspace import CacheStats, PlanCache, plan_fingerprint
-from .rules import DEFAULT_RULES, Plan, Rewrite, RewriteRule
+from .rules import DEFAULT_RULES, Plan, Rewrite, RewriteRule, idle_delegations
 
 __all__ = [
     "CostFn",
@@ -118,7 +118,11 @@ class SearchSpace:
 
     Bundles the system Σ, the rule set, the cost model and the
     (optional) equivalence verifier so every strategy sees the same
-    space through the same three operations.  A space remembers nothing
+    space through the same three operations.  The space holds no
+    rewrite that adds an *idle delegation* — an ``EvalAt(p, e)``
+    evaluated at ``p`` already, which costs what ``e`` costs or more —
+    so no strategy, cost model or third-party rule ever pays to score
+    one (:meth:`expand`).  A space remembers nothing
     about plans: every :meth:`score` invokes the cost model and every
     :meth:`expand` runs the rules.  What one search must not do twice it
     keeps itself, for exactly as long as it runs — beam and exhaustive a
@@ -135,7 +139,9 @@ class SearchSpace:
     take a :meth:`~repro.core.planspace.CacheStats.delta_since` window
     around it.  ``registry`` is the labeled
     :class:`~repro.obs.metrics.MetricsRegistry` rule-application
-    failures are counted into (``rule_errors{rule=...}``).
+    failures are counted into (``rule_errors{rule=...}``), as are the
+    dropped idle rewrites, by the rule that proposed them
+    (``rewrites_dropped{rule=...}``).
     """
 
     def __init__(
@@ -161,11 +167,27 @@ class SearchSpace:
         self.stats.plans_deduped += 1
 
     def expand(self, plan: Plan) -> List[Rewrite]:
-        """Every rewrite any rule proposes for ``plan``."""
+        """Every rewrite any rule proposes for ``plan``, bar idle ones.
+
+        A rewrite with more idle delegations than ``plan`` — an
+        ``EvalAt(p, e)`` reached at site ``p``, see
+        :func:`~repro.core.rules.idle_delegations` — is dropped before
+        anyone scores it.  That is sound: the evaluator runs such a node
+        as ``e`` (same value, effects, messages and clocks), and inside
+        shipped code the wrapper only adds its own bytes, so the plan
+        without it costs the same or less.  Where a rule proposes a plan
+        only in its wrapped form (rule (14) around an inner ``EvalAt(p,
+        ·)``, rule (11) under one), dropping it narrows the space; no
+        chosen plan changed over the generated scenario families
+        (``tests/test_idle_delegations.py``).  The comparison is against
+        ``plan``'s own count, not against zero, so a plan that already
+        carries an idle delegation still has rewrites to search.
+        """
+        idle = idle_delegations(plan)
         rewrites: List[Rewrite] = []
         for rule in self.rules:
             try:
-                rewrites.extend(rule.apply(plan, self.system))
+                proposed = rule.apply(plan, self.system)
             except Exception:
                 # a rule failing to match/apply must never kill the search,
                 # but it must not vanish silently either: count it, labeled
@@ -174,6 +196,12 @@ class SearchSpace:
                     "rule_errors", rule=getattr(rule, "name", type(rule).__name__)
                 ).inc()
                 continue
+            for rewrite in proposed:
+                if idle_delegations(rewrite.plan) > idle:
+                    self.stats.idle_rewrites_dropped += 1
+                    self.registry.counter("rewrites_dropped", rule=rewrite.rule).inc()
+                else:
+                    rewrites.append(rewrite)
         self.stats.plans_expanded += 1
         return rewrites
 
