@@ -177,7 +177,7 @@ def main():
             f"plan {report.plan.describe()}  ({wall:.1f}ms wall)"
         )
     print(
-        "  (analytic prices candidates from sampled catalog statistics,\n"
+        "  (analytic prices candidates from the catalog and samples,\n"
         "   hybrid oracle-checks only the chosen plan — same best plan,\n"
         "   a fraction of the search wall time)"
     )

@@ -24,7 +24,7 @@ Quick taste — Example 1 of the paper (pushing selections), end to end:
 True
 """
 
-from .cost import Cost, CostEstimator, Statistics, measure
+from .cost import Cost, CostEstimator, measure
 from .costmodel import (
     AnalyticCostModel,
     CallableCostModel,
@@ -102,7 +102,7 @@ __all__ = [
     "QueryDelegation", "PushSelection", "Reroute", "TransferReuse",
     "DelegateExpression", "RelocateCall", "PushQueryOverCall",
     # cost / optimizer
-    "Cost", "Statistics", "CostEstimator", "measure",
+    "Cost", "CostEstimator", "measure",
     "Optimizer", "OptimizationResult",
     # cost models
     "CostModel", "OracleCostModel", "AnalyticCostModel", "HybridCostModel",

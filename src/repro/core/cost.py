@@ -9,12 +9,13 @@ Two interchangeable cost functions drive the optimizer:
   (:meth:`AXMLSystem.clone <repro.peers.system.AXMLSystem.clone>`).
   This is the reference the estimator is validated against.
 * :class:`CostEstimator` — a static model walking the expression:
-  document sizes come from Σ, query selectivities from a statistics
-  table (default applied when unknown), link costs from the topology.
-  No plan is evaluated.  A service call is priced by running *the call*
-  once with the same evaluator (a call sample), so definition (6) has
-  one spelling; the ``cost-model`` sweep bounds what is left of the
-  error.
+  document sizes come from Σ, link costs from the topology.  No plan is
+  evaluated.  A service call is priced by running *the call* once with
+  the same evaluator (a call sample), and a query application by running
+  *the query* once on its materialized arguments (an apply sample), so
+  neither has a second spelling; what cannot be sampled keeps
+  :data:`DEFAULT_SELECTIVITY` of its input.  The ``cost-model`` sweep
+  bounds what is left of the error.
 
 The scalar ordering combines completion time with a per-byte tax so that
 plans tying on time are separated by traffic (the paper's experiments
@@ -23,12 +24,12 @@ talk about both shipped volume and response time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import NoRouteError, ReproError, UnknownPeerError
 from ..net.message import wire_size
-from ..peers.service import DeclarativeService, QueryMemo, _doc_references
+from ..peers.service import QueryMemo, _doc_references
 from ..peers.system import AXMLSystem
 from ..xmlcore.model import Element, tree_size
 from .evaluator import ExpressionEvaluator, _as_forest
@@ -53,11 +54,15 @@ from .expressions import (
 from .rules import Plan
 from .serialize import expression_fingerprint, expression_size
 
-__all__ = ["Cost", "Statistics", "measure", "CostEstimator"]
+__all__ = ["Cost", "measure", "CostEstimator"]
 
-#: Default fraction of a document a selection query retains when no
-#: statistic is registered for it.
+#: Fraction of its input an application that cannot be sampled is
+#: assumed to return (also the size of a call over computed parameters).
 DEFAULT_SELECTIVITY = 0.25
+
+
+def _default_output_bytes(input_bytes: int) -> int:
+    return max(1, int(input_bytes * DEFAULT_SELECTIVITY))
 
 
 @dataclass(frozen=True)
@@ -81,39 +86,6 @@ class Cost:
 
     def describe(self) -> str:
         return f"{self.bytes}B / {self.messages} msgs / {self.time * 1000:.2f}ms"
-
-
-@dataclass
-class Statistics:
-    """Optimizer statistics: per-query selectivity and result-size hints.
-
-    ``selectivity[name]`` — fraction of input bytes surviving query
-    ``name``; ``result_bytes[name]`` — absolute output estimate that, when
-    present, wins over the fraction.
-    """
-
-    selectivity: Dict[str, float] = field(default_factory=dict)
-    result_bytes: Dict[str, int] = field(default_factory=dict)
-    default_selectivity: float = DEFAULT_SELECTIVITY
-
-    def query_output_bytes(self, name: Optional[str], input_bytes: int) -> int:
-        if name and name in self.result_bytes:
-            return self.result_bytes[name]
-        fraction = self.selectivity.get(name, self.default_selectivity)
-        return max(1, int(input_bytes * fraction))
-
-    def memo_token(self) -> Tuple:
-        """Hashable digest of everything that changes an estimate.
-
-        Salts the estimator memo's subtree entries, so two estimators
-        sharing one :class:`~repro.core.planspace.PlanCache` with
-        *different* statistics never replay each other's deltas.
-        """
-        return (
-            tuple(sorted(self.selectivity.items())),
-            tuple(sorted(self.result_bytes.items())),
-            self.default_selectivity,
-        )
 
 
 def measure(
@@ -167,8 +139,14 @@ class CostEstimator:
     the bare evaluator runs that call site once on a clone of Σ, and the
     *call sample* it leaves (value, bytes, messages, completion time)
     prices every candidate plan that contains the site.  What the sample
-    raises, the estimate raises, as :func:`measure` would.  Only a call
-    over computed parameters falls back to the statistics table.
+    raises, the estimate raises, as :func:`measure` would.
+
+    A query application is priced the same way: the query runs once on
+    its materialized arguments (an *apply sample*: exact output bytes
+    and work).  What cannot be sampled — a query reading ``doc()``, an
+    argument with no static value, a call over computed parameters —
+    returns :data:`DEFAULT_SELECTIVITY` of its input.  No query is ever
+    priced by its name.
 
     The walk is *incremental*: each (subexpression, site) pair's
     contribution — value size plus the bytes/messages/time it adds — is
@@ -186,7 +164,6 @@ class CostEstimator:
     ``("doc_bytes", name, home[, epoch])``           serialized bytes
     ``("call", fingerprint, site, policy, epochs)``  one call sample
     ``("apply", query source, arg tokens)``          (result bytes, work)
-    ``("compiled", query source)``                   logical plan, or None
     ===============================================  ====================
 
     A call sample's key carries the pick policy's name and the whole
@@ -195,15 +172,14 @@ class CostEstimator:
     :attr:`~repro.core.planspace.PlanCache.estimates` of the ``cache``
     the estimator was given — shared with whoever else holds that cache,
     emptied by its ``clear()`` — or of a private one.  Entries assume
-    Σ's documents and statistics are stable: written documents key by
+    Σ's documents are stable: written documents key by
     epoch, so a write orphans their stale entries; any other mutation of
     the system calls for ``cache.clear()``.
     """
 
-    def __init__(self, system: AXMLSystem, statistics: Optional[Statistics] = None,
-                 cache: Optional[PlanCache] = None, pick_policy=None) -> None:
+    def __init__(self, system: AXMLSystem, cache: Optional[PlanCache] = None,
+                 pick_policy=None) -> None:
         self.system = system
-        self.statistics = statistics or Statistics()
         #: where the estimator remembers (``cache.estimates``) and counts
         #: (``cache.stats``): the caller's, or a private one
         self.cache = cache or PlanCache()
@@ -218,17 +194,13 @@ class CostEstimator:
         self._bytes = 0
         self._messages = 0
         self._time = 0.0
-        # re-read each run: Statistics are mutable, and the salt follows them
-        self._memo_salt = self.statistics.memo_token()
-        if self.pick_policy is not None:
-            # picks shape the estimate: estimators with different policies
-            # sharing one cache must not replay each other's deltas
-            self._memo_salt = self._memo_salt + (
-                type(self.pick_policy).__name__,
-            )
-        epoch_sig = doc_epoch_signature(self.system, plan.expr)
-        if epoch_sig:
-            self._memo_salt = self._memo_salt + (epoch_sig,)
+        # picks shape the estimate: estimators with different policies
+        # sharing one cache must not replay each other's deltas
+        policy = self.pick_policy
+        self._memo_salt = (
+            type(policy).__name__ if policy is not None else "",
+            doc_epoch_signature(self.system, plan.expr),
+        )
         self._visit(plan.expr, plan.site)
         return Cost(self._bytes, self._messages, self._time)
 
@@ -329,26 +301,14 @@ class CostEstimator:
         self._time += sample.time
         return sum(item.serialized_size() for item in sample.items)
 
-    def _service_result_bytes(
-        self, provider: str, service_name: str, param_bytes: int
-    ) -> int:
-        """Result-size estimate for one service invocation at ``provider``."""
-        result_name = None
-        peer = self.system.peer(provider)
-        if peer.has_service(service_name):
-            service = peer.service(service_name)
-            if isinstance(service, DeclarativeService):
-                result_name = service.query.name or service_name
-        return self.statistics.query_output_bytes(
-            result_name, max(param_bytes, 1024)
-        )
-
     def _charge_call(
         self, expr: ServiceCallExpr, caller: str, param_bytes: int
     ) -> int:
-        """Statistics price of a call over computed parameters, ready at
-        ``caller`` now: one CALL, the provider's compute, one response
-        back — or to every forward target.  Returns the size at ``caller``.
+        """Default price of a call over computed parameters, ready at
+        ``caller`` now: one CALL, the provider's compute, one response of
+        :data:`DEFAULT_SELECTIVITY` of the parameters (at least 1 kB of
+        them) back — or to every forward target.  Returns the size at
+        ``caller``.
         """
         provider, service_name = expr.provider, expr.service
         if provider == ANY:
@@ -362,9 +322,7 @@ class CostEstimator:
             caller, provider, param_bytes, {"service": service_name}
         )
         self._charge_compute(provider, param_bytes)
-        result_bytes = self._service_result_bytes(
-            provider, service_name, param_bytes
-        )
+        result_bytes = _default_output_bytes(max(param_bytes, 1024))
         if expr.forwards:
             self._charge_forwards(provider, expr.forwards, result_bytes)
             return 0
@@ -431,32 +389,6 @@ class CostEstimator:
         sample = (out_bytes, work)
         self.memo[key] = sample
         return sample
-
-    def _plan_estimate(self, head: QueryRef, input_bytes: int) -> Optional[int]:
-        """Selectivity from the compiled logical plan, when it compiles.
-
-        Covers the single-``for`` pipeline shape without needing a
-        registered statistic; anything the compiler rejects falls back to
-        the statistics table's default.
-        """
-        from ..errors import XQueryError
-        from ..xquery.algebra import SourceStats, compile_query
-
-        key = ("compiled", head.query.source)
-        if key not in self.memo:
-            try:
-                self.memo[key] = compile_query(head.query.module)
-            except XQueryError:
-                self.memo[key] = None
-        plan = self.memo[key]
-        if plan is None:
-            return None
-        item_bytes = 100
-        stats = SourceStats(
-            cardinality=max(1, input_bytes // item_bytes),
-            item_bytes=item_bytes,
-        )
-        return max(1, int(plan.estimate(stats).total_bytes))
 
     # -- walk -----------------------------------------------------------------
     def _visit(self, expr: Expression, site: str) -> int:
@@ -564,35 +496,24 @@ class CostEstimator:
             # evaluator ships the query text first, evaluates every arg
             # from the same instant, and applies at max(query, args)
             base = self._time
-            name = None
-            if isinstance(expr.query, QueryRef):
-                name = expr.query.query.name
-                self._charge_transfer(
-                    expr.query.home, site, expr.query.query.source_bytes
-                )
+            head = expr.query
+            if isinstance(head, QueryRef):
+                self._charge_transfer(head.home, site, head.query.source_bytes)
             head_ready = self._time
             self._time = base
             input_bytes = self._visit_all(expr.args, site)
             self._time = max(self._time, head_ready)
-            known = (
-                name in self.statistics.selectivity
-                or name in self.statistics.result_bytes
-            )
-            if not known and isinstance(expr.query, QueryRef):
-                # one application sample beats any selectivity guess:
-                # exact output bytes and exact work units, reused by every
-                # candidate plan that moves this apply between sites
-                sampled = self._apply_sample(expr.query.query, expr.args, site)
+            if isinstance(head, QueryRef):
+                # one application sample: exact output bytes and exact
+                # work units, reused by every candidate plan that moves
+                # this apply between sites
+                sampled = self._apply_sample(head.query, expr.args, site)
                 if sampled is not None:
                     out_bytes, work = sampled
                     self._time += work / self.system.peer(site).compute_speed
                     return out_bytes
             self._charge_compute(site, input_bytes)
-            if not known and isinstance(expr.query, QueryRef):
-                plan_bytes = self._plan_estimate(expr.query, input_bytes)
-                if plan_bytes is not None:
-                    return plan_bytes
-            return self.statistics.query_output_bytes(name, input_bytes)
+            return _default_output_bytes(input_bytes)
         if isinstance(expr, ServiceCallExpr):
             if all(isinstance(param, TreeExpr) for param in expr.params):
                 # every input is known: run the call here, once

@@ -16,12 +16,11 @@ This module redesigns the cost wiring as an API, mirroring the
 * :class:`OracleCostModel` (``"oracle"``) — the historical exact model:
   every score is a full clone-and-simulate.  Slow, perfectly informed;
 * :class:`AnalyticCostModel` (``"analytic"``) — System-R-style static
-  estimation from catalog statistics via
-  :class:`~repro.core.cost.CostEstimator`: document sizes from Σ,
-  fragment fan-outs from the catalog, replica resolution through the
-  *actual* pick policy, selectivities from a statistics table or the
-  compiled logical plan.  No plan is simulated: a service call site is
-  run once, on its own, and its sample reused;
+  estimation via :class:`~repro.core.cost.CostEstimator`: document
+  sizes from Σ, fragment fan-outs from the catalog, replica resolution
+  through the *actual* pick policy.  No plan is simulated: a service
+  call site, or a query application, is run once, on its own, and its
+  sample reused;
 * :class:`HybridCostModel` (``"hybrid"``) — scores the whole search
   frontier analytically and oracle-checks only the final plan (plus the
   original, so the reported costs and the improvement ratio stay
@@ -41,10 +40,9 @@ sessions over the same Σ, each with its own model.  Scores are never
 stored per plan — only whole search outcomes are, in the prepared-plan
 table — so every model exposes a ``cache_token()``: the salt the session
 folds into the prepared-plan key next to the model's name.  The oracle's
-token is ``""``; the analytic model's carries its statistics digest and
-pick policy, so two differently informed searches never serve each
-other's outcomes.  (The estimator salts its own memo the same way, see
-:meth:`Statistics.memo_token <repro.core.cost.Statistics.memo_token>`.)
+token is ``""``; the analytic model's carries its pick policy, so two
+searches resolving replicas differently never serve each other's
+outcomes.  (The estimator salts its own memo the same way.)
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from typing import Callable, Dict, List, Optional, Protocol, Union, runtime_chec
 
 from ..errors import OptimizerError
 from ..peers.system import AXMLSystem
-from .cost import Cost, CostEstimator, Statistics, measure
+from .cost import Cost, CostEstimator, measure
 from .planspace import PlanCache
 from .rules import Plan
 
@@ -116,12 +114,10 @@ class OracleCostModel:
         self,
         system: AXMLSystem,
         pick_policy=None,
-        statistics: Optional[Statistics] = None,
         cache: Optional[PlanCache] = None,
     ) -> None:
-        # statistics are accepted for factory-signature uniformity: the
-        # oracle consults Σ itself.  Of the cache it uses the running
-        # search's query results, which are gone when the search returns.
+        # of the cache the oracle uses the running search's query
+        # results, which are gone when the search returns
         self.system = system
         self.pick_policy = pick_policy
         self.cache = cache
@@ -139,13 +135,12 @@ class OracleCostModel:
 
 
 class AnalyticCostModel:
-    """Static estimation: price plans from catalog statistics, never run them.
+    """Static estimation: price plans from the catalog, never run them.
 
     Wraps :class:`~repro.core.cost.CostEstimator` (document sizes from
     Σ, fragment fan-out from the catalog, replica resolution through the
-    pick policy, selectivities from statistics or the compiled logical
-    plan, service calls from one run of each call site).  The
-    estimator's memo — ``cache.estimates`` of the
+    pick policy, service calls and query applications from one run of
+    each).  The estimator's memo — ``cache.estimates`` of the
     :class:`~repro.core.planspace.PlanCache` given, a private one
     otherwise — makes the walk incremental: the first score records
     per-(subexpression, site) deltas, and every candidate a rewrite
@@ -155,42 +150,34 @@ class AnalyticCostModel:
 
     name = "analytic"
     final_check = False
+    #: The estimator never reads a query's name.
+    name_blind = True
 
     def __init__(
         self,
         system: AXMLSystem,
         pick_policy=None,
-        statistics: Optional[Statistics] = None,
         cache: Optional[PlanCache] = None,
     ) -> None:
         self.system = system
-        self.statistics = statistics or Statistics()
-        self.estimator = CostEstimator(
-            system, self.statistics, cache=cache, pick_policy=pick_policy
-        )
-
-    @property
-    def name_blind(self) -> bool:
-        """False once the statistics table prices any query by its name."""
-        return not (self.statistics.selectivity or self.statistics.result_bytes)
+        self.estimator = CostEstimator(system, cache=cache, pick_policy=pick_policy)
 
     def score(self, plan: Plan) -> Cost:
         return self.estimator.estimate(plan)
 
     def cache_token(self) -> str:
-        """``analytic`` plus the statistics digest and pick-policy tag.
+        """``analytic`` plus the pick-policy tag.
 
         Salts the prepared-plan key, so two analytic sessions with
-        different statistics or pick policies sharing one cache never
-        serve each other's search outcomes.
+        different pick policies sharing one cache never serve each
+        other's search outcomes.
         """
         policy = self.estimator.pick_policy
         tag = type(policy).__name__ if policy is not None else ""
-        digest = hash(self.statistics.memo_token()) & 0xFFFFFFFF
-        return f"analytic:{tag}:{digest:08x}"
+        return f"analytic:{tag}"
 
     def describe(self) -> str:
-        return "analytic: static estimation from catalog statistics"
+        return "analytic: static estimation from the catalog and samples"
 
 
 class HybridCostModel:
@@ -208,22 +195,16 @@ class HybridCostModel:
     name = "hybrid"
     #: The chosen plan is re-judged (and possibly rejected) by the oracle.
     final_check = True
+    name_blind = True
 
     def __init__(
         self,
         system: AXMLSystem,
         pick_policy=None,
-        statistics: Optional[Statistics] = None,
         cache: Optional[PlanCache] = None,
     ) -> None:
-        self.analytic = AnalyticCostModel(
-            system, pick_policy=pick_policy, statistics=statistics, cache=cache
-        )
+        self.analytic = AnalyticCostModel(system, pick_policy=pick_policy, cache=cache)
         self.oracle = OracleCostModel(system, pick_policy=pick_policy, cache=cache)
-
-    @property
-    def name_blind(self) -> bool:
-        return self.analytic.name_blind
 
     def score(self, plan: Plan) -> Cost:
         return self.analytic.score(plan)
@@ -271,7 +252,7 @@ class CallableCostModel:
 # -- registry --------------------------------------------------------------------
 
 #: Name -> factory for every registered cost model.  Factories receive
-#: ``(system, pick_policy=..., statistics=..., cache=..., **options)``.
+#: ``(system, pick_policy=..., cache=..., **options)``.
 COST_MODELS: Dict[str, Callable[..., CostModel]] = {}
 
 
@@ -296,7 +277,6 @@ def make_cost_model(
     system: AXMLSystem,
     *,
     pick_policy=None,
-    statistics: Optional[Statistics] = None,
     cache: Optional[PlanCache] = None,
     **options,
 ) -> CostModel:
@@ -304,7 +284,7 @@ def make_cost_model(
 
     The one resolver every entry point (``Session``, ``Optimizer``,
     ``SearchSpace``) shares.  A registered *name* is instantiated with
-    the caller's system/policy/statistics/cache plus any factory
+    the caller's system/policy/cache plus any factory
     ``options``; a :class:`CostModel` instance passes through untouched
     (options are then rejected); any other callable is wrapped by the
     :class:`CallableCostModel` shim.
@@ -317,13 +297,7 @@ def make_cost_model(
                 f"unknown cost model {spec!r}; "
                 f"available: {', '.join(available_cost_models())}"
             ) from None
-        return factory(
-            system,
-            pick_policy=pick_policy,
-            statistics=statistics,
-            cache=cache,
-            **options,
-        )
+        return factory(system, pick_policy=pick_policy, cache=cache, **options)
     if callable(getattr(spec, "score", None)) and hasattr(spec, "name"):
         if options:
             raise OptimizerError(

@@ -28,7 +28,6 @@ from typing import Callable, Optional, Sequence, Union
 from ..obs.metrics import MetricsRegistry
 from ..peers.service import QueryMemo
 from ..peers.system import AXMLSystem
-from .cost import Statistics
 from .costmodel import CostModel, make_cost_model
 from .planspace import PlanCache
 from .rules import DEFAULT_RULES, Plan, RewriteRule
@@ -54,7 +53,6 @@ class Optimizer:
         cache: Optional[PlanCache] = None,
         cost_model: Union[str, CostModel, CostFn, None] = None,
         pick_policy=None,
-        statistics: Optional[Statistics] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.system = system
@@ -69,7 +67,6 @@ class Optimizer:
             cost_model if cost_model is not None else "oracle",
             system,
             pick_policy=pick_policy,
-            statistics=statistics,
             cache=self.cache,
         )
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from ..errors import ReproError
 from ..peers.system import AXMLSystem
 from ..xmlcore.canon import canonical_form
 from .evaluator import EvalOutcome, ExpressionEvaluator
@@ -87,17 +88,18 @@ def check_equivalence(
     """Evaluate both plans on clones of ``system``; compare value and Σ."""
     left_system = system.clone()
     right_system = system.clone()
+    # a typed failure is a verdict; anything else is a bug and propagates
     try:
         left_outcome = ExpressionEvaluator(left_system, pick_policy).eval(
             left.expr, left.site
         )
-    except Exception as exc:
+    except ReproError as exc:
         return VerificationResult(False, f"left plan failed: {exc}")
     try:
         right_outcome = ExpressionEvaluator(right_system, pick_policy).eval(
             right.expr, right.site
         )
-    except Exception as exc:
+    except ReproError as exc:
         return VerificationResult(False, f"right plan failed: {exc}")
 
     left_value = _value_image(left_outcome)

@@ -51,7 +51,7 @@ from typing import (
     Union,
 )
 
-from .core.cost import Cost, Statistics
+from .core.cost import Cost
 from .core.costmodel import CostModel
 from .core.evaluator import EvalOutcome
 from .core.expressions import (
@@ -281,12 +281,12 @@ class Session:
         How candidate plans are priced during the search: a registered
         name (``"oracle"`` — clone-and-simulate every candidate, the
         historical default; ``"analytic"`` — static estimation from
-        catalog statistics, no simulation; ``"hybrid"`` — analytic
+        the catalog and one run of each call site and query
+        application, no plan simulation; ``"hybrid"`` — analytic
         frontier, oracle-checked final plan; or anything added via
         :func:`~repro.core.costmodel.register_cost_model`), a
         :class:`~repro.core.costmodel.CostModel` instance, or any
-        ``plan -> Cost`` callable.  ``statistics`` seeds the analytic
-        estimator's selectivity table.
+        ``plan -> Cost`` callable.
     rules / pick_policy:
         Forwarded to the optimizer and evaluator.
     isolate:
@@ -326,7 +326,6 @@ class Session:
         tracer=None,
         rules: Sequence[RewriteRule] = DEFAULT_RULES,
         cost_model: Union[str, CostModel, None] = None,
-        statistics: Optional[Statistics] = None,
         pick_policy=None,
         isolate: bool = True,
         strategy_options: Optional[Mapping] = None,
@@ -388,7 +387,6 @@ class Session:
             verifier=self._check_equivalence if verify else None,
             cache=self.plan_cache,
             pick_policy=pick_policy,
-            statistics=statistics,
         )
         #: The resolved :class:`~repro.core.costmodel.CostModel` pricing
         #: this session's searches (``session.cost_model.name`` names it).

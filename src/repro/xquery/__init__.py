@@ -1,4 +1,4 @@
-"""XQuery subset engine: lexer, parser, evaluator, algebra, decomposition.
+"""XQuery subset engine: lexer, parser, evaluator, decomposition.
 
 High-level facade is :class:`Query` — a parsed, named, possibly
 parameterized query that can be evaluated against documents, shipped as

@@ -13,14 +13,18 @@ from repro.core import (
     QueryApply,
     QueryRef,
     Send,
-    Statistics,
     TreeExpr,
     check_equivalence,
     measure,
     observable_state,
 )
+from repro.core import verify
+from repro.core.cost import DEFAULT_SELECTIVITY
+from repro.core.evaluator import ExpressionEvaluator
 from repro.core.rules import PushSelection
+from repro.core.serialize import expression_size
 from repro.errors import OptimizerError
+from repro.net import wire_size
 from repro.peers import AXMLSystem, DeclarativeService
 from repro.xmlcore import parse
 from repro.xquery import Query
@@ -122,9 +126,7 @@ class TestCostEstimator:
         assert cost.bytes >= doc_bytes * 0.8
 
     def test_agrees_with_measurement_on_ranking(self, system):
-        estimator = CostEstimator(
-            system, Statistics(selectivity={"sel": 0.05, "sel-inner": 0.05})
-        )
+        estimator = CostEstimator(system)
         plan = naive_plan()
         delegated = Plan(EvalAt("data", plan.expr), plan.site)
         est_naive = estimator.estimate(plan)
@@ -161,18 +163,6 @@ class TestCostEstimator:
         plan = Plan(DocExpr("ax", "data"), "client")
         assert CostEstimator(system).estimate(plan) == measure(plan, system)
 
-    def test_statistics_override_default(self, system):
-        # explicit per-query statistics take precedence over the sampled
-        # application, so tightening the hint shrinks the estimate
-        tight = CostEstimator(system, Statistics(selectivity={"sel": 0.01}))
-        loose = CostEstimator(system, Statistics(selectivity={"sel": 0.9}))
-        plan = Plan(EvalAt("data", naive_plan().expr), "client")
-        assert tight.estimate(plan).bytes < loose.estimate(plan).bytes
-
-    def test_result_bytes_hint_wins(self):
-        stats = Statistics(result_bytes={"q": 7}, selectivity={"q": 0.9})
-        assert stats.query_output_bytes("q", 1_000_000) == 7
-
 
 class TestOptimizer:
     def test_finds_cheaper_plan(self, system):
@@ -205,9 +195,7 @@ class TestOptimizer:
         assert full.best_cost.scalar() <= greedy.best_cost.scalar() * 1.001
 
     def test_estimator_driven_search(self, system):
-        estimator = CostEstimator(
-            system, Statistics(selectivity={"sel": 0.05})
-        )
+        estimator = CostEstimator(system)
         result = Optimizer(system, cost_model=estimator).optimize_with(
             "beam", naive_plan(), depth=2
         )
@@ -277,7 +265,24 @@ class TestVerifier:
         good = Plan(TreeExpr(parse("<v/>"), "client"), "client")
         verdict = check_equivalence(bad, good, system)
         assert not verdict.equivalent
-        assert "failed" in verdict.reason
+        assert verdict.reason.startswith("left plan failed: ")
+
+    def test_untyped_crash_propagates(self, system, monkeypatch):
+        # only a typed ReproError is a verdict: a bug while evaluating
+        # either side must not read as "not equivalent"
+        good = Plan(TreeExpr(parse("<v/>"), "client"), "client")
+        broken = Plan(TreeExpr(parse("<v/>"), "client"), "client")
+
+        class Planted(ExpressionEvaluator):
+            def eval(self, expr, at, *args, **kwargs):
+                if expr is broken.expr:
+                    raise AttributeError("planted")
+                return super().eval(expr, at, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "ExpressionEvaluator", Planted)
+        for left, right in ((good, broken), (broken, good)):
+            with pytest.raises(AttributeError, match="planted"):
+                check_equivalence(left, right, system)
 
     def test_observable_state_hides_artifacts(self, system):
         system.peer("helper").install_document("tmp-secret", parse("<t/>"))
@@ -286,18 +291,17 @@ class TestVerifier:
         assert "tmp-secret" not in docs
 
 
-class TestPlanDerivedEstimates:
-    """The estimator consults the logical algebra for unregistered queries."""
+class TestApplySampledEstimates:
+    """An application over a materializable argument is priced by running
+    it once (an apply sample), whatever its shape and with no name."""
 
     def test_unknown_selective_query_estimated_below_default(self, system):
-        from repro.xquery.algebra import compile_query
-
-        # equality predicate -> the plan compiler assigns ~5% selectivity,
-        # far below the 25% statistics default
+        # one item of eighty survives the equality predicate, far below
+        # the 25% default selectivity
         q = Query(
             "for $i in $d//item where $i/name = 'nm3' return $i",
             params=("d",),
-            name=None,  # unregistered: forces the plan path
+            name=None,
         )
         plan = Plan(
             QueryApply(QueryRef(q, "client"), (DocExpr("cat", "data"),)),
@@ -328,3 +332,34 @@ class TestPlanDerivedEstimates:
         )
         cost = CostEstimator(system).estimate(plan)  # must not raise
         assert cost.bytes > 0
+
+
+class TestDefaultSelectivity:
+    """What cannot be sampled keeps DEFAULT_SELECTIVITY of its input."""
+
+    def test_unsampled_application_returns_the_default_share(self, system):
+        # outer's argument is itself an application: it has no static
+        # value, so outer is the one shape priced by the default
+        inner = Query(
+            "for $i in $d//item where $i/price > 40 return $i",
+            params=("d",), name="inner",
+        )
+        outer = Query("for $i in $d return $i/name", params=("d",), name="outer")
+        nested = QueryApply(
+            QueryRef(outer, "data"),
+            (QueryApply(QueryRef(inner, "data"), (DocExpr("cat", "data"),)),),
+        )
+        cost = CostEstimator(system).estimate(
+            Plan(EvalAt("data", nested), "client")
+        )
+        # the inner application is sampled: its output is exact
+        input_bytes = sum(
+            item.serialized_size()
+            for item in inner.run(system.peer("data").documents["cat"])
+        )
+        expected = max(1, int(input_bytes * DEFAULT_SELECTIVITY))
+        # one message ships the expression to data, one the value back
+        assert (cost.bytes, cost.messages) == (
+            wire_size(expression_size(nested), {}) + wire_size(expected, {}),
+            2,
+        )

@@ -25,7 +25,6 @@ from repro.core import (
     QueryApply,
     QueryRef,
     SearchSpace,
-    Statistics,
     available_cost_models,
     make_cost_model,
     measure,
@@ -248,22 +247,12 @@ class TestCacheTokens:
         assert analytic_space.score(plan) == CostEstimator(system).estimate(plan)
         assert cache.stats.plans_scored == 2
 
-    def test_different_statistics_do_not_share(self, system):
-        cache = PlanCache()
-        plan = naive_plan()
-        for selectivity in (0.1, 0.9):
-            statistics = Statistics(selectivity={"sel": selectivity})
-            model = AnalyticCostModel(system, statistics=statistics, cache=cache)
-            score = SearchSpace(system, cost_model=model, cache=cache).score(plan)
-            # the memo both models write to never replays the other's deltas
-            assert score == CostEstimator(system, statistics).estimate(plan)
-        assert cache.stats.plans_scored == 2
-
 
 class TestAnalyticAgreesWithOracle:
     def test_estimator_matches_oracle_on_local_plans(self, system):
-        # with sampled statistics the estimate of a fully-static plan is
-        # not merely correlated with the oracle — it is the same number
+        # with the application sampled, the estimate of a fully-static
+        # plan is not merely correlated with the oracle — it is the same
+        # number
         plan = Plan(EvalAt("data", naive_plan().expr), "client")
         est = CostEstimator(system).estimate(plan)
         exact = measure(plan, system)

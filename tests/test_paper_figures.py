@@ -61,7 +61,6 @@ from repro.core import (
     Send,
     Seq,
     ServiceCallExpr,
-    Statistics,
     TransferReuse,
     TreeExpr,
     check_equivalence,
@@ -628,10 +627,9 @@ def a1(model):
     plan = over(SELECTION.format("> 340"), "sel")
     best = plan
     if model != "naive (no optimizer)":
-        statistics = Statistics(selectivity={"sel": 0.05, "sel-inner": 0.05, "sel-outer": 1.0})
         cost_model = {
             "oracle (measure)": lambda p: measure(p, system),
-            "estimator full": CostEstimator(system, statistics),
+            "estimator full": CostEstimator(system),
         }[model]
         optimizer = Optimizer(system, cost_model=cost_model)
         best = optimizer.optimize_with("beam", plan, depth=2, beam=8).best

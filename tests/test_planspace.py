@@ -23,7 +23,7 @@ from repro.core import (
     expression_fingerprint,
     plan_fingerprint,
 )
-from repro.core.cost import Cost, CostEstimator, Statistics
+from repro.core.cost import Cost, CostEstimator
 from repro.core.expressions import PeerDest
 from repro.errors import FragmentUnavailableError
 from repro.session import Session, connect
@@ -368,9 +368,8 @@ class TestSessionIntegration:
 
 class TestIncrementalEstimator:
     def test_memoized_estimates_match_fresh(self, system):
-        stats = Statistics(selectivity={"sel": 0.1})
-        fresh = CostEstimator(system, stats)
-        memo = CostEstimator(system, stats, cache=PlanCache())
+        fresh = CostEstimator(system)
+        memo = CostEstimator(system, cache=PlanCache())
         plan = naive_plan()
         space = SearchSpace(system)
         plans = [plan] + [r.plan for r in space.expand(plan)]

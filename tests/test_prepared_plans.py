@@ -15,7 +15,6 @@ import repro.xquery
 from repro import connect
 from repro.core import DEFAULT_RULES, PlanCache, planspace
 from repro.core.rules import PushSelection
-from repro.core.cost import Statistics
 from repro.core.serialize import expression_to_text
 from repro.engine import ClosedLoopFeed, JobRequest
 from repro.obs import Tracer
@@ -187,20 +186,12 @@ class TestNameWidth:
         # observable, which is why its width is part of the key
         assert ten.best_cost.bytes > nine.best_cost.bytes
 
-    def test_named_statistics_key_the_table_by_exact_name(self):
-        system = two_docs()
-
-        def plan_pair(statistics):
-            session = connect(
-                system, cost_model="analytic", statistics=statistics
-            )
-            session.plan_job(job("qa"))
-            return session.plan_job(job("qb"))
-
-        assert plan_pair(None).plan_cache.prepared_hits == 1
-        # the estimator prices "qa" by name: "qb" is a different search
-        priced = plan_pair(Statistics(selectivity={"qa": 0.01}))
-        assert priced.plan_cache.prepared_hits == 0
+    @pytest.mark.parametrize("model", ["analytic", "hybrid"])
+    def test_estimating_models_serve_an_equally_wide_name(self, model):
+        # the estimator never reads a query's name: "qb" is "qa" relabelled
+        session = connect(two_docs(), cost_model=model)
+        session.plan_job(job("qa"))
+        assert session.plan_job(job("qb")).plan_cache.prepared_hits == 1
 
 
 class TestIsolation:
@@ -214,19 +205,12 @@ class TestIsolation:
             ),
             ({"cost_model": "oracle"}, {"cost_model": "analytic"}),
             ({"cost_model": "analytic"}, {"cost_model": "hybrid"}),
-            (
-                {"cost_model": "analytic"},
-                {
-                    "cost_model": "analytic",
-                    "statistics": Statistics(default_selectivity=0.9),
-                },
-            ),
             ({}, {"rules": DEFAULT_RULES[:2]}),
             ({}, {"pick_policy": FirstPolicy()}),
         ],
         ids=[
             "strategy", "strategy-options", "cost-model", "final-check",
-            "statistics", "rules", "pick-policy",
+            "rules", "pick-policy",
         ],
     )
     def test_no_hit_across_differing_search_configuration(self, left, right):
