@@ -13,6 +13,7 @@ from repro.core import (
     QueryApply,
     QueryRef,
     Send,
+    ServiceCallExpr,
     TreeExpr,
     check_equivalence,
     measure,
@@ -291,9 +292,74 @@ class TestVerifier:
         assert "tmp-secret" not in docs
 
 
+#: Query shapes an apply sample prices, from a plain scan to no FLWOR
+#: at all.
+SAMPLED_SHAPES = {
+    "full-pipeline": "for $i in $d//item where $i/price > 3 "
+                     "order by $i/name return <r>{$i/name}</r>",
+    "no-where": "for $i in $d//item return $i",
+    "count": "for $i in $d//item return count($i)",
+    "sum": "for $i in $d//item return sum($i/price)",
+    "let": "for $i in $d//item let $n := $i/name "
+           "where $i/price > 1 return $n",
+    "equality": "for $i in $d//item where $i/name = 'nm3' return $i",
+    "range": "for $i in $d//item where $i/name > 'nm3' return $i",
+    "projection": "for $i in $d//item where $i/price > 1 return $i/name",
+    "order-by": "for $i in $d//item order by $i/name return $i",
+    "nested-for": "for $a in $d//item, $b in $a/name return $b",
+    "computed-source": "for $i in (1, 2, 3) return $i",
+    "non-flwor": "count($d//item) + 1",
+    "empty": "for $i in $d//item where $i/price > 10000 return $i",
+}
+
+
+def delegated_apply(source, name=None):
+    """``source`` applied to the catalog, evaluated at its home."""
+    q = Query(source, params=("d",), name=name)
+    return Plan(
+        EvalAt("data", QueryApply(QueryRef(q, "client"), (DocExpr("cat", "data"),))),
+        "client",
+    )
+
+
 class TestApplySampledEstimates:
     """An application over a materializable argument is priced by running
     it once (an apply sample), whatever its shape and with no name."""
+
+    @pytest.mark.parametrize(
+        "source", list(SAMPLED_SHAPES.values()), ids=list(SAMPLED_SHAPES)
+    )
+    def test_sampled_estimate_is_the_oracle(self, system, source):
+        plan = delegated_apply(source)
+        est = CostEstimator(system).estimate(plan)
+        exact = measure(plan, system)
+        assert (est.bytes, est.messages) == (exact.bytes, exact.messages)
+        assert est.time == pytest.approx(exact.time)
+
+    def test_equality_pickier_than_range(self, system):
+        estimator = CostEstimator(system)
+        equality = estimator.estimate(delegated_apply(SAMPLED_SHAPES["equality"]))
+        range_ = estimator.estimate(delegated_apply(SAMPLED_SHAPES["range"]))
+        assert equality.bytes < range_.bytes
+
+    def test_projection_shrinks_the_estimate(self, system):
+        estimator = CostEstimator(system)
+        projected = estimator.estimate(
+            delegated_apply("for $i in $d//item where $i/price > 1 return $i/name")
+        )
+        whole = estimator.estimate(
+            delegated_apply("for $i in $d//item where $i/price > 1 return $i")
+        )
+        assert projected.bytes < whole.bytes
+
+    def test_estimate_never_reads_the_query_name(self, system):
+        # names of one width serialize alike, and nothing else sees them
+        source = SAMPLED_SHAPES["full-pipeline"]
+        estimates = {
+            CostEstimator(system).estimate(delegated_apply(source, name))
+            for name in ("sel", "les", "xyz")
+        }
+        assert len(estimates) == 1
 
     def test_unknown_selective_query_estimated_below_default(self, system):
         # one item of eighty survives the equality predicate, far below
@@ -337,14 +403,26 @@ class TestApplySampledEstimates:
 class TestDefaultSelectivity:
     """What cannot be sampled keeps DEFAULT_SELECTIVITY of its input."""
 
-    def test_unsampled_application_returns_the_default_share(self, system):
+    @pytest.mark.parametrize(
+        "outer_source",
+        [
+            "for $i in $d return $i/name",
+            "for $i in $d order by $i/price return $i",
+            "count($d)",
+            "for $i in $d where $i/name = 'nm50' return $i",
+        ],
+        ids=["projection", "order-by", "aggregate", "equality"],
+    )
+    def test_unsampled_application_returns_the_default_share(
+        self, system, outer_source
+    ):
         # outer's argument is itself an application: it has no static
-        # value, so outer is the one shape priced by the default
+        # value, so outer is priced by the default, whatever its shape
         inner = Query(
             "for $i in $d//item where $i/price > 40 return $i",
             params=("d",), name="inner",
         )
-        outer = Query("for $i in $d return $i/name", params=("d",), name="outer")
+        outer = Query(outer_source, params=("d",), name="outer")
         nested = QueryApply(
             QueryRef(outer, "data"),
             (QueryApply(QueryRef(inner, "data"), (DocExpr("cat", "data"),)),),
@@ -362,4 +440,41 @@ class TestDefaultSelectivity:
         assert (cost.bytes, cost.messages) == (
             wire_size(expression_size(nested), {}) + wire_size(expected, {}),
             2,
+        )
+
+    def test_doc_reading_application_returns_the_default_share(self, system):
+        # doc() resolves at the evaluation site, so the query is not run
+        # ahead of time even though its argument is a stored document
+        q = Query(
+            'for $i in $d//item where $i/price > count(doc("cat")//item) - 5 '
+            "return $i",
+            params=("d",), name="reads-doc",
+        )
+        apply = QueryApply(QueryRef(q, "data"), (DocExpr("cat", "data"),))
+        cost = CostEstimator(system).estimate(Plan(EvalAt("data", apply), "client"))
+        doc_bytes = system.peer("data").documents["cat"].serialized_size()
+        expected = max(1, int(doc_bytes * DEFAULT_SELECTIVITY))
+        assert (cost.bytes, cost.messages) == (
+            wire_size(expression_size(apply), {}) + wire_size(expected, {}),
+            2,
+        )
+
+    def test_call_over_computed_parameters_returns_the_default_share(
+        self, system
+    ):
+        # the parameter is a document, not a literal: the call is not run
+        # ahead of time, and its response is the default share of it
+        system.peer("helper").install_query_service(
+            "names", "$d//name", params=("d",)
+        )
+        call = ServiceCallExpr("helper", "names", (DocExpr("cat", "data"),))
+        cost = CostEstimator(system).estimate(Plan(call, "client"))
+        doc_bytes = system.peer("data").documents["cat"].serialized_size()
+        expected = max(1, int(doc_bytes * DEFAULT_SELECTIVITY))
+        # the document to the caller, the CALL to helper, the response back
+        assert (cost.bytes, cost.messages) == (
+            wire_size(doc_bytes, {})
+            + wire_size(doc_bytes, {"service": "names"})
+            + wire_size(expected, {}),
+            3,
         )

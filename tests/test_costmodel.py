@@ -114,6 +114,12 @@ class TestRegistry:
         assert model.name == "custom"
         assert model.cache_token() == ""
 
+    @pytest.mark.parametrize("name", ["oracle", "analytic", "hybrid"])
+    def test_builtins_are_name_blind_by_class(self, name):
+        # a class constant, not a property: no instance or setting of
+        # the model can make it key prepared plans by exact name
+        assert COST_MODELS[name].name_blind is True
+
     def test_non_callable_rejected(self, system):
         with pytest.raises(OptimizerError, match="not a cost model"):
             make_cost_model(42, system)
