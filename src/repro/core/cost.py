@@ -7,7 +7,9 @@ Two interchangeable cost functions drive the optimizer:
   completion time.  Exact by construction, and the clone is cheap:
   document trees are shared with Σ, not copied
   (:meth:`AXMLSystem.clone <repro.peers.system.AXMLSystem.clone>`).
-  This is the reference the estimator is validated against.
+  This is the reference the estimator is validated against, and, for
+  the plan a search picks, the execution an isolated session reports
+  (:class:`Simulation`).
 * :class:`CostEstimator` — a static model walking the expression:
   document sizes come from Σ, link costs from the topology.  No plan is
   evaluated.  A service call is priced by running *the call* once with
@@ -32,7 +34,7 @@ from ..net.message import wire_size
 from ..peers.service import QueryMemo, _doc_references
 from ..peers.system import AXMLSystem
 from ..xmlcore.model import Element, tree_size
-from .evaluator import ExpressionEvaluator, _as_forest
+from .evaluator import EvalOutcome, ExpressionEvaluator, _as_forest
 from .planspace import PlanCache, doc_epoch_signature
 from .expressions import (
     ANY,
@@ -54,7 +56,7 @@ from .expressions import (
 from .rules import Plan
 from .serialize import expression_fingerprint, expression_size
 
-__all__ = ["Cost", "measure", "CostEstimator"]
+__all__ = ["Cost", "measure", "Simulation", "CostEstimator"]
 
 #: Fraction of its input an application that cannot be sampled is
 #: assumed to return (also the size of a call over computed parameters).
@@ -102,13 +104,32 @@ def measure(
     :class:`~repro.peers.service.QueryMemo`: the simulation is complete
     either way — every message, byte and work unit — but a query the
     search already evaluated over the same content is not run again.
+    The run itself is offered to the memo as a :class:`Simulation`: if
+    ``plan`` is the search's pick, an isolated session executes it by
+    this run instead of evaluating it a second time.
     """
     twin = system.clone()
     evaluator = ExpressionEvaluator(twin, pick_policy)
     evaluator.memo = memo
     outcome = evaluator.eval(plan.expr, plan.site)
     stats = twin.network.stats
-    return Cost(stats.bytes, stats.messages, outcome.completed_at)
+    cost = Cost(stats.bytes, stats.messages, outcome.completed_at)
+    if memo is not None:
+        memo.offer(plan, cost.scalar(), Simulation(outcome, twin))
+    return cost
+
+
+class Simulation(NamedTuple):
+    """One oracle run of a plan: what :func:`measure` priced it from.
+
+    The same as executing the plan with the bare evaluator on a clone of
+    Σ — same value, completion time, network and per-peer statistics —
+    except that answer items the search's memo produced are frozen.
+    """
+
+    outcome: EvalOutcome
+    #: the clone of Σ the run mutated
+    system: AXMLSystem
 
 
 class _CallSample(NamedTuple):

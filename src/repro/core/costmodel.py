@@ -100,7 +100,10 @@ class OracleCostModel:
     every simulation of one ``Optimizer.optimize_with`` call looks a
     query application up in that search's ``cache.query_results``
     (:class:`~repro.peers.service.QueryMemo`) before running it.  Without
-    a cache, or outside a search, every score evaluates everything.
+    a cache, or outside a search, every score evaluates everything.  Nor
+    is the chosen plan evaluated twice: the same memo keeps the cheapest
+    simulations, and an isolated session executes the pick by its own
+    (``OptimizationResult.simulation``, ``CacheStats.executions_reused``).
     """
 
     name = "oracle"

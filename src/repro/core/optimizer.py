@@ -115,23 +115,44 @@ class Optimizer:
     # -- strategy entry point --------------------------------------------------
     def optimize_with(
         self,
-        strategy: Union[str, OptimizerStrategy],
+        strategy: Union[str, OptimizerStrategy, None],
         plan: Plan,
         verify: bool = False,
         **options,
     ) -> OptimizationResult:
-        """Run ``plan`` through a strategy named in the registry (or given)."""
+        """Run ``plan`` through a strategy named in the registry (or given).
+
+        ``strategy=None`` searches nothing: the original plan is priced,
+        in the same per-search scope, and returned as the pick (strategy
+        ``"none"``).  ``result.simulation`` is the run
+        :func:`~repro.core.cost.measure` offered for ``result.best``
+        itself — by any oracle score of the search, ``hybrid``'s final
+        check included — or ``None`` when the pick was never simulated.
+        """
         before = self.cache.stats.copy()
         space = self.search_space(verify)
         # Σ does not change under a running search, so within one the
         # oracle evaluates a query over given inputs once
-        self.cache.query_results = QueryMemo(self.cache.stats)
+        memo = self.cache.query_results = QueryMemo(self.cache.stats)
         try:
-            result = make_strategy(strategy, **options).search(plan, space)
-            result = self._finalize(plan, result, space)
+            if strategy is None:
+                cost = space.score_original(plan)
+                result = OptimizationResult(
+                    best=plan,
+                    best_cost=cost,
+                    original_cost=cost,
+                    explored=1,
+                    trace=[(plan, cost, "original")],
+                    strategy="none",
+                )
+            else:
+                result = make_strategy(strategy, **options).search(plan, space)
+                result = self._finalize(plan, result, space)
         finally:
             del self.cache.query_results
         # the search's own share of the cache's lifetime counters,
         # final checks included
         result.cache = self.cache.stats.delta_since(before)
+        if memo.winners:  # no oracle score, no lookup
+            result.simulation = memo.simulation(result.best)
         return result

@@ -44,7 +44,7 @@ for :meth:`~PlanCache.clear`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..peers.service import QueryMemo
@@ -207,21 +207,24 @@ class CacheStats:
     #: installed documents, reassembled fragmented documents).
     tree_memo_hits: int = 0
     tree_memo_misses: int = 0
+    #: Jobs an isolated session executed by the search's simulation of
+    #: their plan instead of evaluating it again.
+    executions_reused: int = 0
 
+    # the counters are exactly the instance's attributes: reading them
+    # through vars() costs the same however many counters there are
     def copy(self) -> "CacheStats":
-        return CacheStats(**self.as_dict())
+        return CacheStats(**vars(self))
 
     def delta_since(self, baseline: "CacheStats") -> "CacheStats":
         """Counter-wise difference: what happened since ``baseline``."""
+        before = vars(baseline)
         return CacheStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(baseline, f.name)
-                for f in fields(self)
-            }
+            **{name: value - before[name] for name, value in vars(self).items()}
         )
 
     def as_dict(self) -> Dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(vars(self))
 
     def describe(self) -> str:
         return (
@@ -234,7 +237,8 @@ class CacheStats:
             f"{self.query_memo_misses} misses; "
             f"tree memo {self.tree_memo_hits} hits / "
             f"{self.tree_memo_misses} misses; "
-            f"{self.prepared_hits} searches skipped"
+            f"{self.prepared_hits} searches skipped; "
+            f"{self.executions_reused} executions reused"
         )
 
 
@@ -253,9 +257,10 @@ class PlanCache:
     :meth:`CacheStats.delta_since`.
     """
 
-    #: The running search's query results and built trees, for the
-    #: oracle model.  Not a store: ``Optimizer.optimize_with`` sets it on
-    #: the instance while it runs and deletes it again, so nothing in it
+    #: The running search's query results, built trees and cheapest
+    #: simulations, for the oracle model.  Not a store:
+    #: ``Optimizer.optimize_with`` sets it on the instance while it runs
+    #: and deletes it again, so nothing in it
     #: outlives the search that computed it and ``clear()`` has nothing
     #: to forget.
     query_results: Optional[QueryMemo] = None

@@ -43,7 +43,7 @@ from ..errors import (
 )
 from ..obs.metrics import MetricsRegistry
 from ..peers.system import AXMLSystem
-from .cost import Cost
+from .cost import Cost, Simulation
 from .costmodel import CostModel, OracleCostModel
 from .planspace import CacheStats, PlanCache, plan_fingerprint
 from .rules import DEFAULT_RULES, Plan, Rewrite, RewriteRule, idle_delegations
@@ -95,6 +95,12 @@ class OptimizationResult:
     #: <repro.core.optimizer.Optimizer.optimize_with>`; ``None`` on the
     #: result of a bare ``strategy.search``.
     cache: Optional[CacheStats] = None
+    #: The oracle's run of :attr:`best` (a
+    #: :class:`~repro.core.cost.Simulation`) when the search made one,
+    #: filled in by ``optimize_with``; it holds a whole clone of Σ, so
+    #: whoever keeps a result for longer drops it (the session executes
+    #: an isolated job by it, see ``Session._pipeline``).
+    simulation: Optional[Simulation] = field(default=None, repr=False, compare=False)
 
     @property
     def improvement(self) -> float:

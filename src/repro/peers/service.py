@@ -17,6 +17,7 @@ Two implementations:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING, TypeVar
 
 from ..errors import ServiceCallError, UnknownDocumentError
@@ -88,6 +89,14 @@ class QueryMemo:
     fire calls and ship bytes as if nothing were kept.  Lookups are
     counted on ``stats`` (``query_memo_hits`` / ``query_memo_misses``,
     ``tree_memo_hits`` / ``tree_memo_misses``).
+
+    Last, the memo keeps the search's cheapest *simulations*: every
+    oracle measurement is :meth:`offer`-ed, and :attr:`winners` holds the
+    plans at the lowest cost seen so far, each with the run that priced
+    it, so the search's pick can be executed by its simulation
+    (:meth:`simulation`) instead of a second evaluation.  The rest are
+    dropped as soon as something cheaper is offered, and the winners go
+    with the memo when the search returns.
     """
 
     def __init__(self, stats) -> None:
@@ -98,6 +107,29 @@ class QueryMemo:
         self._entries: Dict[tuple, list] = {}
         #: (kind, identity key) -> (inputs, what ``build`` returned)
         self._trees: Dict[tuple, tuple] = {}
+        #: (plan, simulation) for every plan offered at ``_winning``
+        self.winners: List[tuple] = []
+        #: the lowest cost scalar offered so far
+        self._winning = math.inf
+
+    def offer(self, plan, scalar: float, simulation) -> None:
+        """Keep ``simulation`` of ``plan`` while no cheaper plan is offered.
+
+        ``scalar`` is the plan's ``Cost.scalar()``.  Plans are matched by
+        identity (:meth:`simulation`), so nothing is fingerprinted here.
+        """
+        if scalar < self._winning:
+            self._winning = scalar
+            self.winners = [(plan, simulation)]
+        elif scalar == self._winning:
+            self.winners.append((plan, simulation))
+
+    def simulation(self, plan):
+        """What :meth:`offer` kept for this very ``plan`` object, or None."""
+        for offered, simulation in self.winners:
+            if offered is plan:
+                return simulation
+        return None
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._entries.values()) + len(

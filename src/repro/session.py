@@ -51,7 +51,7 @@ from typing import (
     Union,
 )
 
-from .core.cost import Cost
+from .core.cost import Cost, Simulation
 from .core.costmodel import CostModel
 from .core.evaluator import EvalOutcome
 from .core.expressions import (
@@ -72,12 +72,7 @@ from .core.planspace import (
     relabel,
 )
 from .core.rules import DEFAULT_RULES, Plan, RewriteRule
-from .core.strategies import (
-    OptimizationResult,
-    OptimizerStrategy,
-    improvement_ratio,
-    make_strategy,
-)
+from .core.strategies import OptimizerStrategy, improvement_ratio, make_strategy
 from .core.verify import VerificationResult, check_equivalence
 from .errors import (
     DeadlineExceededError,
@@ -167,6 +162,12 @@ class ExecutionReport:
     #: Rule-(11) split of the query, when it is decomposable.
     decomposition: Optional[Decomposition] = None
     #: The answer forest (empty for :meth:`Session.explain` / pure sends).
+    #: Items are read-only values: they may be frozen and shared — with
+    #: stored documents, with other answers, and, when the job was
+    #: executed by the search's simulation, with what the search's memo
+    #: kept — so editing one raises
+    #: :class:`~repro.errors.FrozenTreeError`.  Take ``item.copy()``
+    #: before editing.
     items: List[Element] = field(default_factory=list)
     #: Whether the chosen plan was actually evaluated.
     executed: bool = False
@@ -236,6 +237,8 @@ class ExecutionReport:
                 f"answers:     {len(self.items)} items in "
                 f"{self.completed_at * 1000:.2f}ms virtual time"
             )
+            if self.plan_cache is not None and self.plan_cache.executions_reused:
+                lines.append(f"{'':13s}executed by the search's simulation")
             for peer_id, stats in sorted(self.peers.items()):
                 traffic = stats.get("traffic")
                 if traffic is None:
@@ -292,7 +295,10 @@ class Session:
     isolate:
         When true (default), plans execute against a clone of Σ so the
         session's system is never mutated by a run — matching the
-        measurement semantics of :func:`repro.core.cost.measure`.  Set
+        measurement semantics of :func:`repro.core.cost.measure`.  When
+        the oracle already simulated the chosen plan on such a clone
+        during the search, that simulation *is* the execution (see
+        :meth:`_pipeline` for when; ``executions_reused`` counts it).  Set
         to false to let side effects (sends, deployments) land on the
         live system; the system is then :meth:`~AXMLSystem.reset` before
         each run so the report's accounting covers exactly that run.
@@ -766,9 +772,11 @@ class Session:
             request.source, params=tuple(request.bind or {}), name=request.name
         )
         plan = self.plan(query, request.at, bind=request.bind, name=request.name)
+        # a served job runs on the shared Σ at its admission instant: the
+        # search's run on a clone of Σ at time zero is not its execution
         return self._plan_report(
             plan, request.optimize, source=query.source, name=query.name
-        )
+        )[0]
 
     # -- internals ----------------------------------------------------------------
     def _try_decompose(self, query: Query) -> Optional[Decomposition]:
@@ -815,14 +823,17 @@ class Session:
         source: Optional[str] = None,
         name: Optional[str] = None,
         decomposition: Optional[Decomposition] = None,
-    ) -> ExecutionReport:
+    ) -> Tuple[ExecutionReport, Optional[Simulation]]:
         """Search → verify → the not-yet-executed report: the one planning path.
 
         The search is skipped when the session's plan cache holds its
         outcome already (see :meth:`_prepared_key`); the stored plan is
         relabelled with this job's query names, so everything downstream
         — wire bytes, deployed-service names, event traces — is what a
-        search would have produced.
+        search would have produced.  Returned beside the report: the
+        oracle's run of the chosen plan, when this call's search made one
+        (never for a prepared hit) — for :meth:`_pipeline`, and nobody
+        else, to execute the job by.
         """
         self._verify_cache.clear()  # verdicts are per job: Σ may have changed
         # this job's planning is whatever the counters move by from here
@@ -838,24 +849,17 @@ class Session:
             if prepared is not None:
                 planned, found = prepared
                 result = replace(found, best=relabel(found.best, planned, plan))
-            elif optimize:
-                result = self.optimizer.optimize_with(
-                    self.strategy, plan, verify=self.verify
-                )
             else:
-                cost = self.optimizer.search_space().score_original(plan)
-                result = OptimizationResult(
-                    best=plan,
-                    best_cost=cost,
-                    original_cost=cost,
-                    explored=1,
-                    trace=[(plan, cost, "original")],
-                    strategy="none",
+                result = self.optimizer.optimize_with(
+                    self.strategy if optimize else None, plan, verify=self.verify
                 )
         if table is not None and prepared is None:
-            # without the trace (it pins every plan scored) and the
-            # counters (they are this job's)
-            table.store_prepared(key, (plan, replace(result, trace=[], cache=None)))
+            # without the trace (it pins every plan scored), the counters
+            # (they are this job's) and the simulation (it is this job's
+            # execution, and pins a clone of Σ)
+            table.store_prepared(
+                key, (plan, replace(result, trace=[], cache=None, simulation=None))
+            )
         verification: Optional[VerificationResult] = None
         if self.verify:
             if result.best is plan:
@@ -875,7 +879,7 @@ class Session:
             verification=verification,
             decomposition=decomposition,
             plan_cache=stats.delta_since(before),
-        )
+        ), result.simulation
 
     def _pipeline(
         self,
@@ -888,12 +892,45 @@ class Session:
         deadline: Optional[float] = None,
         partial: bool = False,
     ) -> ExecutionReport:
+        """Plan, then execute one lone job (:meth:`query` / :meth:`run`).
+
+        A job the bare evaluator would run — isolated, no fault plan, no
+        retry policy, no tracer, no profiler, no deadline, not
+        ``partial`` — is executed by the search's own simulation of its
+        plan when there is one (an oracle search that scored the pick):
+        the report's answers, completion time, network and per-peer
+        statistics are that run's, which is what evaluating the plan again
+        on a fresh clone of Σ would give (``executions_reused`` counts
+        it; a stateful pick policy such as ``RandomPolicy`` keeps the
+        draws the simulation made).  Every other job goes through
+        :meth:`_evaluator` and :meth:`_run_report`.
+        """
         if not self.isolate:
             # non-isolated executions mutate Σ: prepared plans and
             # estimates are stale
             self.optimizer.cache.clear()
-        report = self._plan_report(plan, optimize, source, name, decomposition)
-        if execute:
+        report, simulation = self._plan_report(
+            plan, optimize, source, name, decomposition
+        )
+        if not execute:
+            return report
+        if (
+            simulation is not None
+            and self.isolate
+            and not self.fault_plan
+            and self.retry is None
+            and self.tracer is None
+            and self.profiler is None
+            and deadline is None
+            and not partial
+        ):
+            outcome, target = simulation
+            report.items = list(outcome.items)
+            report.executed = True
+            report.completed_at = outcome.completed_at
+            for stats in (self.optimizer.cache.stats, report.plan_cache):
+                stats.executions_reused += 1
+        else:
             evaluator = self._evaluator(self.pick_policy)
             self._run_report(
                 report,
@@ -907,8 +944,9 @@ class Session:
             )
             if self.tracer is not None:
                 report.spans = self.tracer.trace()
-            report.network = evaluator.system.network.stats.snapshot()
-            report.peers = evaluator.system.stats_snapshot()
+            target = evaluator.system
+        report.network = target.network.stats.snapshot()
+        report.peers = target.stats_snapshot()
         return report
 
     def _evaluator(self, pick_policy) -> RecoveringEvaluator:
