@@ -68,7 +68,9 @@ class Query:
     ``params`` names the external variables (the service's formal
     parameters ``param1..paramn``); positional arguments to :meth:`run`
     bind them in order.  ``source`` round-trips: ``Query(q.source)``
-    reproduces the query, which is exactly how peers exchange code.
+    reproduces the query, which is exactly how peers exchange code.  A
+    caller that already holds the parsed form passes it as ``module``
+    (``parse_query(source)`` must equal it); nothing is parsed then.
     """
 
     def __init__(
@@ -77,12 +79,13 @@ class Query:
         params: Sequence[str] = (),
         name: Optional[str] = None,
         doc_resolver=None,
+        module: Optional[Module] = None,
     ) -> None:
         self.source = source
         #: UTF-8 length of ``source``: the payload of shipping this query.
         self.source_bytes = len(source.encode("utf-8"))
         self.name = name
-        self.module: Module = parse_query(source)
+        self.module: Module = parse_query(source) if module is None else module
         self.params = self._with_externals(params)
         self._evaluator = Evaluator(doc_resolver)
         #: data parameter -> what :func:`push_selection` found for this
@@ -107,7 +110,8 @@ class Query:
         params: Optional[Sequence[str]] = None,
         doc_resolver=None,
     ) -> "Query":
-        """A query over the *same parsed module*: nothing is parsed again.
+        """A query over the *same parsed module*: nothing is parsed or
+        compiled again (the module keeps its plan, see ``Module.plan``).
 
         ``name`` labels the copy; ``params`` (default: this query's)
         replaces the parameter list; ``doc()`` resolves through

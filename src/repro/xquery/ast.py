@@ -1,6 +1,6 @@
 """Abstract syntax tree for the XQuery subset.
 
-Nodes are small frozen dataclasses; the evaluator dispatches on type.
+Nodes are small frozen dataclasses; the evaluator compiles them to closures.
 ``unparse(node)`` turns an AST back into source text — this is how queries
 travel between peers (code shipping, rule (10)) and how the decomposer
 (rule (11)) emits the inner/outer query pair.
@@ -286,10 +286,10 @@ class Module(XQNode):
     variables: Tuple[VarDecl, ...]
     functions: Tuple[FunctionDecl, ...]
     body: XQNode
-    #: Which evaluation shortcuts apply where in this module: set by the
-    #: evaluator on the first run, for the module's life.  Not part of the
-    #: query — equality, ``repr`` and :func:`unparse` ignore it.
-    shortcuts: Optional[object] = field(
+    #: The module compiled to closures: set by the evaluator on the first
+    #: run, for the module's life.  Not part of the query — equality,
+    #: ``repr`` and :func:`unparse` ignore it.
+    plan: Optional[object] = field(
         default=None, init=False, repr=False, compare=False
     )
 

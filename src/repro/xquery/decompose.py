@@ -27,7 +27,10 @@ from typing import List, Optional, Set, Tuple
 
 from ..errors import DecompositionError
 from . import Query
-from .ast import FLWORExpr, ForClause, Module, PathExpr, Step, VarRef, XQNode, unparse
+from .ast import (
+    DirectElement, EnclosedExpr, FLWORExpr, ForClause, Module, NameTest, PathExpr,
+    Step, VarDecl, VarRef, XQNode, unparse,
+)
 from .evaluator import replayable
 
 __all__ = ["Decomposition", "push_selection", "compose", "free_variables"]
@@ -156,50 +159,49 @@ def _split(query: Query, data_param: Optional[str]) -> Decomposition:
         )
 
     var = for_clause.variable
-    navigation = unparse(for_clause.source)
-    predicate = unparse(flwor.where)
-
+    data_var = (VarDecl(data_param, None),)
+    inner_flwor = FLWORExpr(
+        (ForClause(var, for_clause.source),), flwor.where, (), VarRef(var)
+    )
+    inner_module = Module(
+        data_var, (), DirectElement(ENVELOPE_TAG, (), (EnclosedExpr(inner_flwor),))
+    )
     inner_source = (
         f"declare variable ${data_param} external;\n"
-        f"<{ENVELOPE_TAG}>{{ for ${var} in {navigation} "
-        f"where {predicate} return ${var} }}</{ENVELOPE_TAG}>"
+        f"<{ENVELOPE_TAG}>{{ for ${var} in {unparse(for_clause.source)} "
+        f"where {unparse(flwor.where)} return ${var} }}</{ENVELOPE_TAG}>"
     )
-    inner = Query(inner_source, params=(data_param,), name=f"{query.name or 'q'}-inner")
+    inner = Query(
+        inner_source, params=(data_param,), name=f"{query.name or 'q'}-inner",
+        module=inner_module,
+    )
 
-    remaining_clauses = []
-    for clause in flwor.clauses:
-        if clause is for_clause:
-            continue
-        remaining_clauses.append(clause)
     outer_flwor = FLWORExpr(
         clauses=(
             ForClause(var, _envelope_path(data_param), for_clause.position_variable),
-        ) + tuple(remaining_clauses),
+        ) + tuple(clause for clause in flwor.clauses if clause is not for_clause),
         where=None,
         order_by=flwor.order_by,
         return_expr=flwor.return_expr,
     )
     outer_module = Module(
-        variables=tuple(
+        variables=data_var + tuple(
             v for v in query.module.variables if v.name != data_param
         ),
         functions=query.module.functions,
         body=outer_flwor,
     )
-    outer_source = (
-        f"declare variable ${data_param} external;\n" + unparse(outer_module)
-    )
     outer = Query(
-        outer_source,
+        unparse(outer_module),
         params=query.params,
         name=f"{query.name or 'q'}-outer",
+        module=outer_module,
     )
     return Decomposition(inner=inner, outer=outer, data_param=data_param)
 
 
 def _envelope_path(data_param: str) -> XQNode:
     """AST for ``$param/*`` — iterate the envelope's children."""
-    from .ast import NameTest
     return PathExpr(VarRef(data_param), (Step("child", NameTest("*")),))
 
 

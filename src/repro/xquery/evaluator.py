@@ -1,22 +1,22 @@
-"""Dynamic evaluation of the XQuery subset.
+"""Dynamic evaluation of the XQuery subset: compile once, then run.
 
-The evaluator walks the AST (:mod:`repro.xquery.ast`) and produces item
-sequences per the XDM rules in :mod:`repro.xquery.runtime`.  One
-:class:`Evaluator` is configured once (document resolver, extra builtins)
-and can run many queries; each run gets a fresh
-:class:`~repro.xquery.runtime.DocumentOrder` so mutated documents (streams
-accumulate!) are re-indexed.
+The first run of a parsed :class:`~repro.xquery.ast.Module` compiles it to
+a tree of closures, one per AST node, each taking the dynamic context and
+returning an item sequence per the XDM rules in
+:mod:`repro.xquery.runtime`.  The plan is kept on the module
+(:attr:`~repro.xquery.ast.Module.plan`), so every later run, and every
+:meth:`~repro.xquery.Query.copy` (which shares the module), skips parsing
+and compiling.  Each run gets a fresh
+:class:`~repro.xquery.runtime.DocumentOrder`, so mutated documents
+(streams accumulate!) are re-indexed.  Queries are deterministic over the
+current state; the AXML layer re-runs them as input trees arrive
+(continuous queries, :class:`repro.axml.streams.IncrementalQuery`).
 
-Continuous queries: :meth:`Evaluator.evaluate` is deterministic over the
-current state, so the AXML layer implements continuous semantics by
-re-running queries when new input trees arrive, and the incremental path
-(:class:`repro.axml.streams.IncrementalQuery`) evaluates only over the
-delta when the query is distributive over its input forest — the common
-case for the paper's service bodies.
-
-Three shortcuts skip work whose result is already known.  Each changes no
-answer and no error, and where it cannot be sure it is the plain
-evaluation that runs:
+Compiling decides once what each evaluation would otherwise look up:
+which function a call names, which test a step's candidates pass (a name
+test is a tag compare), and three shortcuts that skip work whose result
+is already known.  None changes an answer or an error; where a shortcut
+cannot be sure, the plain evaluation runs.
 
 * **Ordered steps.**  A step along a forward axis (``child``,
   ``descendant``, ``descendant-or-self``, ``self``, ``attribute``,
@@ -25,9 +25,7 @@ evaluation that runs:
   ``descendant-or-self::node()/child::T`` — what ``//T`` abbreviates —
   runs as one ``descendant::T`` step when ``T`` has no predicate.
 * **Invariant sources.**  A ``for`` source that reads no variable bound
-  earlier in its FLWOR and is *replayable* (see :func:`replayable`: no
-  constructor, no declared function, no ``doc()``, no rooted path, no
-  ``attribute`` step, no use of the outer focus) is evaluated once per
+  earlier in its FLWOR and is :func:`replayable` is evaluated once per
   FLWOR evaluation, not once per binding tuple.
 * **Hash join.**  ``for $a in A, $b in B where L = R ...`` whose ``L``
   reads ``$a`` and ``R`` reads ``$b`` (either way round; both
@@ -37,43 +35,33 @@ evaluation that runs:
   not a string, or any XQuery error, discards the join and the nested
   loop runs from the start.
 
-Which shortcut applies where is worked out once per parsed module and
-kept on it (:attr:`~repro.xquery.ast.Module.shortcuts`).  The shortcuts
-also keep the order in which a run's ``DocumentOrder`` first ranks each
-tree, which decides how nodes of different trees sort.
+A plan evaluates in the order the definitions do: ``doc()`` reads are
+counted, the first error raised is the one reported, and a run's
+``DocumentOrder`` first ranks each tree where the definitions would,
+which decides how nodes of different trees sort.
 """
 
 from __future__ import annotations
 
 import math
-from typing import (
-    Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple, Union,
-)
+import operator
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from ..errors import XQueryError, XQueryEvaluationError, XQueryTypeError
 from ..xmlcore.model import Element, Node, Text
 from .ast import (
     BinaryOp, ComparisonOp, ComputedAttribute, ComputedElement, ComputedText,
-    ContextItem, DirectAttribute, DirectElement, EnclosedExpr, FilterExpr,
-    FLWORExpr, ForClause, FunctionCall, FunctionDecl, IfExpr, KindTest,
-    LetClause, Literal, Module, NameTest, NodeTest, OrderSpec, PathExpr,
-    Predicate, QuantifiedExpr, RangeExpr, Sequence, Step, UnaryOp,
+    ContextItem, DirectElement, EnclosedExpr, FilterExpr, FLWORExpr, ForClause,
+    FunctionCall, IfExpr, KindTest, Literal, Module, NameTest, NodeTest,
+    PathExpr, Predicate, QuantifiedExpr, RangeExpr, Sequence, Step, UnaryOp,
     VarRef, XQNode,
 )
 from .functions import lookup_builtin
 from .parser import parse_query
 from .runtime import (
-    AttributeNode,
-    DocumentOrder,
-    Item,
-    atomize,
-    atomize_single,
-    effective_boolean_value,
-    general_compare,
-    is_node,
-    string_value,
-    to_number,
-    value_compare,
+    AttributeNode, DocumentOrder, Item, atomize, atomize_single,
+    effective_boolean_value, general_compare, is_node, string_value,
+    to_number, value_compare,
 )
 
 __all__ = ["Evaluator", "DynamicContext", "evaluate_query", "replayable"]
@@ -96,6 +84,17 @@ _CONSTRUCTORS = (DirectElement, ComputedElement, ComputedAttribute, ComputedText
 #: Zero-argument builtins that do not read the focus.
 _FOCUS_FREE = frozenset({"true", "false", "fn:true", "fn:false"})
 
+_GENERAL = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+_ARITHMETIC = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "div": operator.truediv, "idiv": lambda a, b: int(a / b),  # toward zero
+    "mod": math.fmod,
+}
+
 
 class _DocumentNode(Element):
     """The document node a rooted path starts from.
@@ -106,6 +105,10 @@ class _DocumentNode(Element):
     """
 
     __slots__ = ()
+
+
+#: The classes of node items: ``is_node`` as a set lookup.
+_NODE_TYPES = frozenset({Element, _DocumentNode, Text, AttributeNode})
 
 
 def replayable(
@@ -191,41 +194,11 @@ def replayable(
     return ok
 
 
-class _Descendants(NamedTuple):
-    """``descendant-or-self::node()/child::T`` run as ``step``, i.e.
-    ``descendant::T``."""
-
-    step: Step
-
-
-def _fuse(steps: Tuple[XQNode, ...]) -> Tuple[XQNode, ...]:
-    """``steps`` with each predicate-free ``descendant-or-self::node()``
-    ``/child::T`` pair as one :class:`_Descendants`."""
-    out: List[XQNode] = []
-    for step in steps:
-        previous = out[-1] if out else None
-        if (
-            isinstance(step, Step) and step.axis == "child" and not step.predicates
-            and isinstance(previous, Step) and previous.axis == "descendant-or-self"
-            and previous.test == _ANY_NODE and not previous.predicates
-        ):
-            out[-1] = _Descendants(Step("descendant", step.test))
-        else:
-            out.append(step)
-    return tuple(out)
-
-
-class _FlworShape(NamedTuple):
-    #: Indexes of the ``for`` clauses whose source is evaluated once per
-    #: evaluation of the FLWOR: the first clause (it sees one tuple) and
-    #: every invariant one.
-    once: FrozenSet[int]
-    #: The hash join's equality and whether its left operand is the outer
-    #: (``$a``) key; ``None`` where no join applies.
-    join: Optional[Tuple[ComparisonOp, bool]]
-
-
-def _flwor_shape(node: FLWORExpr, declared: FrozenSet[Tuple[str, int]]) -> _FlworShape:
+def _flwor_shape(node: FLWORExpr, declared: FrozenSet[Tuple[str, int]]):
+    """The indexes of the ``for`` clauses whose source is evaluated once
+    per evaluation of ``node`` (the first, which sees one tuple, and every
+    invariant one), and the hash join's equality with whether its left
+    operand is the outer (``$a``) key, or ``None``."""
     once = set()
     bound: Set[str] = set()
     for index, clause in enumerate(node.clauses):
@@ -239,106 +212,48 @@ def _flwor_shape(node: FLWORExpr, declared: FrozenSet[Tuple[str, int]]) -> _Flwo
                 bound.add(clause.position_variable)
         else:
             bound.add(clause.variable)
-    return _FlworShape(frozenset(once), _join_of(node, once, declared))
-
-
-def _join_of(
-    node: FLWORExpr, once: Set[int], declared: FrozenSet[Tuple[str, int]]
-) -> Optional[Tuple[ComparisonOp, bool]]:
     if len(node.clauses) != 2 or 1 not in once or node.where is None:
-        return None
+        return once, None
     outer, inner = node.clauses
     if not isinstance(outer, ForClause) or inner.position_variable:
-        return None
+        return once, None
     test = node.where
     while isinstance(test, BinaryOp) and test.op == "and":
         test = test.left
     if not (isinstance(test, ComparisonOp) and test.op == "="):
-        return None
+        return once, None
     outer_names = {outer.variable, outer.position_variable} - {None}
     sides = []
     for side in (test.left, test.right):
-        reads: Set[str] = set()
+        reads = set()
         if not replayable(side, set(), reads, declared):
-            return None
+            return once, None
         sides.append((
             bool(reads & outer_names) and inner.variable not in reads,  # outer key
             inner.variable in reads and not reads & outer_names,  # inner key
         ))
     (left_outer, left_inner), (right_outer, right_inner) = sides
     if left_outer and right_inner:
-        return test, True
+        return once, (test, True)
     if left_inner and right_outer:
-        return test, False
-    return None
+        return once, (test, False)
+    return once, None
 
 
-class _Shortcuts:
-    """Which shortcuts apply where in one parsed module, worked out once.
+class _Frame:
+    """Evaluation-time state: variables, focus, resolver, document order.
 
-    Filled lazily, one entry per path or FLWOR on its first evaluation,
-    keyed by ``id(node)``: the module holds every node it keys, so no key
-    is reused while the table lives, and it lives on the module
-    (:attr:`~repro.xquery.ast.Module.shortcuts`), never longer.
+    Builtins get the calling frame.  The frames a run derives (per binding
+    tuple, predicate item, function call) are built by :func:`_frame`, not
+    by :class:`DynamicContext`'s constructor.  A frame's ``variables`` are
+    never changed once it is handed on, so frames that differ only in
+    focus share them.
     """
-
-    __slots__ = ("declared", "_steps", "_flwors")
-
-    def __init__(self, functions: Tuple[FunctionDecl, ...] = ()) -> None:
-        self.declared = frozenset((f.name, len(f.params)) for f in functions)
-        self._steps: Dict[int, Tuple[XQNode, ...]] = {}
-        self._flwors: Dict[int, _FlworShape] = {}
-
-    def steps(self, path: PathExpr) -> Tuple[XQNode, ...]:
-        steps = self._steps.get(id(path))
-        if steps is None:
-            steps = self._steps[id(path)] = _fuse(path.steps)
-        return steps
-
-    def flwor(self, node: FLWORExpr) -> _FlworShape:
-        shape = self._flwors.get(id(node))
-        if shape is None:
-            shape = self._flwors[id(node)] = _flwor_shape(node, self.declared)
-        return shape
-
-
-class DynamicContext:
-    """Evaluation-time state: variables, focus, resolver, functions."""
 
     __slots__ = (
         "variables", "context_item", "position", "size",
-        "doc_resolver", "functions", "order", "depth", "shortcuts",
+        "doc_resolver", "order", "depth",
     )
-
-    def __init__(
-        self,
-        variables: Optional[Dict[str, List[Item]]] = None,
-        context_item: Optional[Item] = None,
-        doc_resolver: Optional[DocResolver] = None,
-        functions: Optional[Dict[Tuple[str, int], FunctionDecl]] = None,
-        order: Optional[DocumentOrder] = None,
-        shortcuts: Optional[_Shortcuts] = None,
-    ) -> None:
-        self.variables: Dict[str, List[Item]] = variables or {}
-        self.context_item = context_item
-        self.position: Optional[int] = None
-        self.size: Optional[int] = None
-        self.doc_resolver = doc_resolver
-        self.functions = functions or {}
-        self.order = order or DocumentOrder()
-        self.depth = 0
-        self.shortcuts = shortcuts if shortcuts is not None else _Shortcuts()
-
-    def child(self) -> "DynamicContext":
-        """A shallow copy sharing resolver/functions/order; fresh focus."""
-        ctx = DynamicContext(
-            dict(self.variables), self.context_item,
-            self.doc_resolver, self.functions, self.order, self.shortcuts,
-        )
-        ctx.position = self.position
-        ctx.size = self.size
-        ctx.depth = self.depth
-        return ctx
 
     def require_context_item(self, who: str) -> Item:
         if self.context_item is None:
@@ -353,196 +268,198 @@ class DynamicContext:
         return self.doc_resolver(name)
 
 
-class Evaluator:
-    """Evaluates parsed queries (or query source text) to item sequences."""
+class DynamicContext(_Frame):
+    """The frame a run starts from."""
 
-    def __init__(self, doc_resolver: Optional[DocResolver] = None) -> None:
-        self.doc_resolver = doc_resolver
+    __slots__ = ()
 
-    # -- public API ---------------------------------------------------------
-    def evaluate(
+    def __init__(
         self,
-        query: Union[str, Module, XQNode],
         variables: Optional[Dict[str, List[Item]]] = None,
         context_item: Optional[Item] = None,
-    ) -> List[Item]:
-        """Run a query; ``variables`` bind the prolog's external variables.
+        doc_resolver: Optional[DocResolver] = None,
+        order: Optional[DocumentOrder] = None,
+    ) -> None:
+        self.variables: Dict[str, List[Item]] = variables or {}
+        self.context_item = context_item
+        self.position: Optional[int] = None
+        self.size: Optional[int] = None
+        self.doc_resolver = doc_resolver
+        self.order = order or DocumentOrder()
+        self.depth = 0
 
-        Accepts source text, a parsed :class:`Module`, or a bare expression
-        AST.  Returns the result sequence (list of nodes / atomics).
-        """
-        if isinstance(query, str):
-            query = parse_query(query)
-        shortcuts = None
-        if isinstance(query, Module):
-            shortcuts = query.shortcuts
-            if shortcuts is None:
-                shortcuts = _Shortcuts(query.functions)
-                # a frozen node's cache slot, set once (see Module.shortcuts)
-                object.__setattr__(query, "shortcuts", shortcuts)
-        ctx = DynamicContext(
-            variables=dict(variables) if variables else {},
-            context_item=context_item,
-            doc_resolver=self.doc_resolver,
-            shortcuts=shortcuts,
+
+def _frame(ctx: _Frame, variables, item, position, size, depth) -> _Frame:
+    """A frame sharing ``ctx``'s resolver and document order."""
+    frame = _Frame()
+    frame.variables, frame.context_item = variables, item
+    frame.position, frame.size, frame.depth = position, size, depth
+    frame.doc_resolver, frame.order = ctx.doc_resolver, ctx.order
+    return frame
+
+
+def _scope(ctx: _Frame) -> _Frame:
+    """A frame like ``ctx`` whose variables may be bound afresh."""
+    frame = _Frame()
+    frame.variables, frame.context_item = dict(ctx.variables), ctx.context_item
+    frame.position, frame.size, frame.depth = ctx.position, ctx.size, ctx.depth
+    frame.doc_resolver, frame.order = ctx.doc_resolver, ctx.order
+    return frame
+
+
+Fn = Callable[[_Frame], List[Item]]
+#: A path step: the context nodes and the frame to the step's nodes.
+StepFn = Callable[[List[Item], _Frame], List[Item]]
+
+
+class _Plan:
+    """A module compiled once: its prolog variables and its body."""
+
+    __slots__ = ("variables", "body")
+
+    def __init__(self, module: Module) -> None:
+        compiler = _Compiler(module)
+        self.variables = [
+            (var.name, None if var.value is None else compiler.expr(var.value))
+            for var in module.variables
+        ]
+        self.body = compiler.expr(module.body)
+
+    def run(self, variables, context_item, doc_resolver) -> List[Item]:
+        ctx = DynamicContext(dict(variables) if variables else {}, context_item, doc_resolver)
+        for name, value in self.variables:
+            if value is not None:
+                ctx.variables[name] = value(ctx)
+            elif name not in ctx.variables:
+                raise XQueryEvaluationError(f"external variable ${name} not bound")
+        # a plan may hand back a bound variable's own list: return a copy
+        return list(self.body(ctx))
+
+
+class _Compiler:
+    """Compiles the expressions of one module to closures."""
+
+    def __init__(self, module: Module) -> None:
+        decls = {(decl.name, len(decl.params)): decl for decl in module.functions}
+        self.declared = frozenset(decls)
+        #: (name, arity) -> (parameters, compiled body); a call looks its
+        #: callee up when it runs, so bodies may call each other.
+        self.functions: Dict[Tuple[str, int], Tuple[Tuple[str, ...], Fn]] = {}
+        for key, decl in decls.items():
+            self.functions[key] = (decl.params, self.expr(decl.body))
+
+    def expr(self, node: XQNode) -> Fn:
+        compile_node = _COMPILERS.get(type(node))
+        if compile_node is None:
+            return _raiser(XQueryEvaluationError, f"cannot evaluate AST node {type(node).__name__}")
+        return compile_node(self, node)
+
+    # -- primaries and control ---------------------------------------------------
+    def _literal(self, node: Literal) -> Fn:
+        value = node.value
+        return lambda ctx: [value]
+
+    def _var_ref(self, node: VarRef) -> Fn:
+        name = node.name
+
+        def var_ref(ctx: _Frame) -> List[Item]:
+            try:
+                return ctx.variables[name]
+            except KeyError:
+                raise XQueryEvaluationError(f"unbound variable ${name}") from None
+        return var_ref
+
+    def _context_item(self, node: ContextItem) -> Fn:
+        return lambda ctx: [ctx.require_context_item("'.'")]
+
+    def _sequence(self, node: Sequence) -> Fn:
+        parts = [self.expr(item) for item in node.items]
+
+        def sequence(ctx: _Frame) -> List[Item]:
+            result: List[Item] = []
+            for part in parts:
+                result += part(ctx)
+            return result
+        return sequence
+
+    def _if(self, node: IfExpr) -> Fn:
+        condition, then_branch, else_branch = map(
+            self.expr, (node.condition, node.then_branch, node.else_branch)
         )
-        if isinstance(query, Module):
-            for decl in query.functions:
-                ctx.functions[(decl.name, len(decl.params))] = decl
-            for var in query.variables:
-                if var.value is not None:
-                    ctx.variables[var.name] = self._eval(var.value, ctx)
-                elif var.name not in ctx.variables:
-                    raise XQueryEvaluationError(
-                        f"external variable ${var.name} not bound"
-                    )
-            body = query.body
-        else:
-            body = query
-        return self._eval(body, ctx)
+        return lambda ctx: (
+            then_branch(ctx) if effective_boolean_value(condition(ctx)) else else_branch(ctx)
+        )
 
-    # -- dispatch --------------------------------------------------------------
-    def _eval(self, node: XQNode, ctx: DynamicContext) -> List[Item]:
-        method = self._DISPATCH.get(type(node))
-        if method is None:
-            raise XQueryEvaluationError(
-                f"cannot evaluate AST node {type(node).__name__}"
-            )
-        return method(self, node, ctx)
-
-    # -- primaries -------------------------------------------------------------
-    def _eval_literal(self, node: Literal, ctx: DynamicContext) -> List[Item]:
-        return [node.value]
-
-    def _eval_var_ref(self, node: VarRef, ctx: DynamicContext) -> List[Item]:
-        try:
-            return list(ctx.variables[node.name])
-        except KeyError:
-            raise XQueryEvaluationError(f"unbound variable ${node.name}") from None
-
-    def _eval_context_item(self, node: ContextItem, ctx: DynamicContext) -> List[Item]:
-        return [ctx.require_context_item("'.'")]
-
-    def _eval_sequence(self, node: Sequence, ctx: DynamicContext) -> List[Item]:
-        result: List[Item] = []
-        for item in node.items:
-            result.extend(self._eval(item, ctx))
-        return result
-
-    def _eval_if(self, node: IfExpr, ctx: DynamicContext) -> List[Item]:
-        if effective_boolean_value(self._eval(node.condition, ctx)):
-            return self._eval(node.then_branch, ctx)
-        return self._eval(node.else_branch, ctx)
-
-    def _eval_quantified(self, node: QuantifiedExpr, ctx: DynamicContext) -> List[Item]:
+    def _quantified(self, node: QuantifiedExpr) -> Fn:
         some = node.quantifier == "some"
+        bindings = [(name, self.expr(source)) for name, source in node.bindings]
+        condition = self.expr(node.condition)
 
-        def recurse(index: int, scope: DynamicContext) -> bool:
-            if index == len(node.bindings):
-                return effective_boolean_value(self._eval(node.condition, scope))
-            name, source = node.bindings[index]
-            for item in self._eval(source, scope):
-                inner = scope.child()
+        def recurse(index: int, scope: _Frame) -> bool:
+            if index == len(bindings):
+                return effective_boolean_value(condition(scope))
+            name, source = bindings[index]
+            for item in source(scope):
+                inner = _scope(scope)
                 inner.variables[name] = [item]
-                hit = recurse(index + 1, inner)
-                if some and hit:
-                    return True
-                if not some and not hit:
-                    return False
+                if recurse(index + 1, inner) is some:
+                    return some
             return not some
-
-        return [recurse(0, ctx)]
+        return lambda ctx: [recurse(0, ctx)]
 
     # -- FLWOR -------------------------------------------------------------------
-    def _eval_flwor(self, node: FLWORExpr, ctx: DynamicContext) -> List[Item]:
-        shape = ctx.shortcuts.flwor(node)
-        sources: Dict[int, List[Item]] = {}
-        tuples = None
-        if shape.join is not None:
-            tuples = self._hash_join(node, shape, ctx, sources)
-        if tuples is None:
-            tuples = self._nested_loop(node, shape.once, ctx, sources)
+    def _flwor(self, node: FLWORExpr) -> Fn:
+        once, join = _flwor_shape(node, self.declared)
+        clauses = [
+            (clause.variable, getattr(clause, "position_variable", None),
+             self.expr(clause.source) if isinstance(clause, ForClause) else None,
+             None if isinstance(clause, ForClause) else self.expr(clause.value),
+             index in once)
+            for index, clause in enumerate(node.clauses)
+        ]
+        where = self.expr(node.where) if node.where is not None else None
+        order_by = self._order_by(node) if node.order_by else None
+        return_expr = self.expr(node.return_expr)
+        hash_join = self._hash_join(node, clauses, *join) if join is not None else None
 
-        if node.order_by:
-            tuples = self._order_tuples(tuples, node.order_by)
-
-        result: List[Item] = []
-        for scope in tuples:
-            result.extend(self._eval(node.return_expr, scope))
-        return result
-
-    def _nested_loop(
-        self,
-        node: FLWORExpr,
-        once: FrozenSet[int],
-        ctx: DynamicContext,
-        sources: Dict[int, List[Item]],
-    ) -> List[DynamicContext]:
-        """The binding tuples that pass ``where``, by definition: each
-        clause over every tuple so far, then ``where`` over each tuple."""
-        tuples: List[DynamicContext] = [ctx.child()]
-        for index, clause in enumerate(node.clauses):
-            next_tuples: List[DynamicContext] = []
-            if isinstance(clause, ForClause):
+        def nested_loop(ctx: _Frame, sources: Dict[int, List[Item]]) -> List[_Frame]:
+            """The binding tuples that pass ``where``, by definition: each
+            clause over every tuple so far, then ``where`` over each tuple."""
+            tuples = [_scope(ctx)]
+            for index, (name, at, source, value, is_once) in enumerate(clauses):
+                next_tuples: List[_Frame] = []
                 for scope in tuples:
-                    items = self._for_source(index, clause, scope, once, sources)
-                    next_tuples.extend(self._bind(clause, scope, items))
-            else:
-                assert isinstance(clause, LetClause)
-                for scope in tuples:
-                    bound = scope.child()
-                    bound.variables[clause.variable] = self._eval(
-                        clause.value, bound
-                    )
-                    next_tuples.append(bound)
-            tuples = next_tuples
+                    if value is not None:  # let
+                        bound = _scope(scope)
+                        bound.variables[name] = value(bound)
+                        next_tuples.append(bound)
+                        continue
+                    items = sources.get(index) if is_once else None
+                    if items is None:
+                        items = source(scope)
+                        if is_once:
+                            sources[index] = items
+                    next_tuples += _bind(scope, name, at, items)
+                tuples = next_tuples
+            if where is None:
+                return tuples
+            return [scope for scope in tuples if effective_boolean_value(where(scope))]
 
-        if node.where is not None:
-            tuples = [
-                scope for scope in tuples
-                if effective_boolean_value(self._eval(node.where, scope))
-            ]
-        return tuples
+        def flwor(ctx: _Frame) -> List[Item]:
+            sources: Dict[int, List[Item]] = {}
+            tuples = hash_join(ctx, sources) if hash_join is not None else None
+            if tuples is None:
+                tuples = nested_loop(ctx, sources)
+            if order_by is not None:
+                tuples = order_by(tuples)
+            result: List[Item] = []
+            for scope in tuples:
+                result += return_expr(scope)
+            return result
+        return flwor
 
-    def _for_source(
-        self,
-        index: int,
-        clause: ForClause,
-        scope: DynamicContext,
-        once: FrozenSet[int],
-        sources: Dict[int, List[Item]],
-    ) -> List[Item]:
-        """``clause``'s items in ``scope``; a source in ``once`` is
-        evaluated on its first use and remembered in ``sources``."""
-        if index not in once:
-            return self._eval(clause.source, scope)
-        items = sources.get(index)
-        if items is None:
-            items = sources[index] = self._eval(clause.source, scope)
-        return items
-
-    @staticmethod
-    def _bind(
-        clause: ForClause, scope: DynamicContext, items: List[Item]
-    ) -> List[DynamicContext]:
-        """One tuple per item: ``scope`` with ``clause``'s variables bound."""
-        tuples = []
-        for position, item in enumerate(items, start=1):
-            bound = scope.child()
-            bound.variables[clause.variable] = [item]
-            if clause.position_variable:
-                bound.variables[clause.position_variable] = [position]
-            tuples.append(bound)
-        return tuples
-
-    def _hash_join(
-        self,
-        node: FLWORExpr,
-        shape: _FlworShape,
-        ctx: DynamicContext,
-        sources: Dict[int, List[Item]],
-    ) -> Optional[List[DynamicContext]]:
-        """What :meth:`_nested_loop` returns, with the inner keys hashed.
+    def _hash_join(self, node: FLWORExpr, clauses, test: ComparisonOp, outer_left: bool):
+        """What the nested loop returns, with the inner keys hashed.
 
         The first outer tuple meets the inner ones pair by pair, evaluating
         the keys in the nested loop's order, so every tree is first ranked
@@ -552,80 +469,62 @@ class Evaluator:
         when the nested loop must decide: a key that is not a string (only
         strings compare by plain equality) or any XQuery error.
         """
-        test, outer_left = shape.join
-        outer_key, inner_key = (
-            (test.left, test.right) if outer_left else (test.right, test.left)
-        )
-        outer_clause, inner_clause = node.clauses
-        start = ctx.child()
-        outers = self._bind(
-            outer_clause, start,
-            self._for_source(0, outer_clause, start, shape.once, sources),
-        )
-        if not outers:
-            return []
-        inner_items = self._for_source(1, inner_clause, outers[0], shape.once, sources)
-        first_pairs = self._bind(inner_clause, outers[0], inner_items)
-        if not first_pairs:
-            return []
+        outer_key = _join_keys(self.expr(test.left if outer_left else test.right))
+        inner_key = _join_keys(self.expr(test.right if outer_left else test.left))
+        (outer_name, outer_at, outer_source, _, _), (inner_name, _, inner_source, _, _) = clauses
+        where = None if node.where is test else self.expr(node.where)
 
-        def passes(pair: DynamicContext) -> bool:
-            return node.where is test or effective_boolean_value(
-                self._eval(node.where, pair)
-            )
+        def passes(pair: _Frame) -> bool:
+            return where is None or effective_boolean_value(where(pair))
 
-        table: Dict[str, List[int]] = {}
-        kept: List[DynamicContext] = []
-        try:
-            probe = self._join_keys(outer_key, first_pairs[0]) if outer_left else None
-            for position, pair in enumerate(first_pairs):
-                keys = self._join_keys(inner_key, pair)
-                if position == 0 and not outer_left:
-                    probe = self._join_keys(outer_key, pair)
-                if keys is None or probe is None:
-                    return None
-                for key in keys:
-                    table.setdefault(key, []).append(position)
-                if not probe.isdisjoint(keys) and passes(pair):
-                    kept.append(pair)
-            for scope in outers[1:]:
-                probe = self._join_keys(outer_key, scope)
-                if probe is None:
-                    return None
-                hits: Set[int] = set()
-                for key in probe:
-                    hits.update(table.get(key, ()))
-                matched = [inner_items[position] for position in sorted(hits)]
-                kept.extend(
-                    pair for pair in self._bind(inner_clause, scope, matched)
-                    if passes(pair)
-                )
-        except XQueryError:
-            return None
-        return kept
+        def hash_join(ctx: _Frame, sources: Dict[int, List[Item]]) -> Optional[List[_Frame]]:
+            start = _scope(ctx)
+            items = sources[0] = outer_source(start)
+            outers = _bind(start, outer_name, outer_at, items)
+            if not outers:
+                return []
+            inner_items = sources[1] = inner_source(outers[0])
+            first_pairs = _bind(outers[0], inner_name, None, inner_items)
+            if not first_pairs:
+                return []
+            table: Dict[str, List[int]] = {}
+            kept: List[_Frame] = []
+            try:
+                probe = outer_key(first_pairs[0]) if outer_left else None
+                for position, pair in enumerate(first_pairs):
+                    keys = inner_key(pair)
+                    if position == 0 and not outer_left:
+                        probe = outer_key(pair)
+                    if keys is None or probe is None:
+                        return None
+                    for key in keys:
+                        table.setdefault(key, []).append(position)
+                    if not probe.isdisjoint(keys) and passes(pair):
+                        kept.append(pair)
+                for scope in outers[1:]:
+                    probe = outer_key(scope)
+                    if probe is None:
+                        return None
+                    hits: Set[int] = set()
+                    for key in probe:
+                        hits.update(table.get(key, ()))
+                    matched = [inner_items[position] for position in sorted(hits)]
+                    kept += [p for p in _bind(scope, inner_name, None, matched) if passes(p)]
+            except XQueryError:
+                return None
+            return kept
+        return hash_join
 
-    def _join_keys(
-        self, expr: XQNode, scope: DynamicContext
-    ) -> Optional[FrozenSet[str]]:
-        """The atomized values of ``expr``, or ``None`` if one is no string."""
-        atoms = atomize(self._eval(expr, scope))
-        if all(isinstance(atom, str) for atom in atoms):
-            return frozenset(atoms)
-        return None
+    def _order_by(self, node: FLWORExpr) -> Callable[[List[_Frame]], List[_Frame]]:
+        specs = [(self.expr(spec.key), spec.descending) for spec in node.order_by]
 
-    def _order_tuples(
-        self, tuples: List[DynamicContext], specs: Tuple[OrderSpec, ...]
-    ) -> List[DynamicContext]:
-        def key_for(scope: DynamicContext) -> Tuple:
+        def key_for(scope: _Frame) -> Tuple:
             keys = []
-            for spec in specs:
-                atom = atomize_single(
-                    self._eval(spec.key, scope), "order by key"
-                )
+            for key, _ in specs:
+                atom = atomize_single(key(scope), "order by key")
                 if atom is None:
                     keys.append((0, 0, ""))  # empty sorts least
-                    continue
-                if isinstance(atom, bool):
+                elif isinstance(atom, bool):
                     keys.append((1, int(atom), ""))
                 elif isinstance(atom, (int, float)):
                     keys.append((1, float(atom), ""))
@@ -633,504 +532,586 @@ class Evaluator:
                     keys.append((2, 0, str(atom)))
             return tuple(keys)
 
-        decorated = [(key_for(scope), index, scope) for index, scope in enumerate(tuples)]
-        # stable sort per key, honouring per-key direction
-        for position in range(len(specs) - 1, -1, -1):
-            reverse = specs[position].descending
-            decorated.sort(key=lambda entry: entry[0][position], reverse=reverse)
-        return [scope for _, _, scope in decorated]
+        def order_by(tuples: List[_Frame]) -> List[_Frame]:
+            decorated = [(key_for(scope), index, scope) for index, scope in enumerate(tuples)]
+            # stable sort per key, honouring per-key direction
+            for position in range(len(specs) - 1, -1, -1):
+                decorated.sort(key=lambda entry: entry[0][position], reverse=specs[position][1])
+            return [scope for _, _, scope in decorated]
+        return order_by
 
     # -- operators ------------------------------------------------------------------
-    def _eval_binary(self, node: BinaryOp, ctx: DynamicContext) -> List[Item]:
+    def _binary(self, node: BinaryOp) -> Fn:
         op = node.op
-        if op == "and":
-            if not effective_boolean_value(self._eval(node.left, ctx)):
-                return [False]
-            return [effective_boolean_value(self._eval(node.right, ctx))]
-        if op == "or":
-            if effective_boolean_value(self._eval(node.left, ctx)):
-                return [True]
-            return [effective_boolean_value(self._eval(node.right, ctx))]
-        left = self._eval(node.left, ctx)
-        right = self._eval(node.right, ctx)
+        left, right = self.expr(node.left), self.expr(node.right)
+        if op in ("and", "or"):
+            stop = op == "or"  # the left value that decides alone
+            return lambda ctx: (
+                [stop] if effective_boolean_value(left(ctx)) is stop
+                else [effective_boolean_value(right(ctx))]
+            )
         if op in ("union", "intersect", "except"):
-            return self._eval_set_op(op, left, right, ctx)
-        return self._eval_arithmetic(op, left, right)
+            return lambda ctx: _set_op(op, left(ctx), right(ctx), ctx)
+        return lambda ctx: _arithmetic(op, left(ctx), right(ctx))
 
-    def _eval_set_op(
-        self, op: str, left: List[Item], right: List[Item], ctx: DynamicContext
-    ) -> List[Item]:
-        for item in left + right:
-            if not is_node(item):
-                raise XQueryTypeError(f"{op}: operands must be nodes")
-        right_ids = {id(n) for n in right}
-        if op == "union":
-            combined = list(left) + list(right)
-        elif op == "intersect":
-            combined = [n for n in left if id(n) in right_ids]
-        else:  # except
-            combined = [n for n in left if id(n) not in right_ids]
-        return ctx.order.sort_and_dedupe(combined)
-
-    def _eval_arithmetic(
-        self, op: str, left: List[Item], right: List[Item]
-    ) -> List[Item]:
-        left_atom = atomize_single(left, f"left operand of '{op}'")
-        right_atom = atomize_single(right, f"right operand of '{op}'")
-        if left_atom is None or right_atom is None:
-            return []
-        a = self._arith_number(left_atom, op)
-        b = self._arith_number(right_atom, op)
-        try:
-            if op == "+":
-                result: Union[int, float] = a + b
-            elif op == "-":
-                result = a - b
-            elif op == "*":
-                result = a * b
-            elif op == "div":
-                result = a / b
-            elif op == "idiv":
-                if b == 0:
-                    raise ZeroDivisionError
-                result = int(a / b)  # idiv truncates toward zero
-            elif op == "mod":
-                result = math.fmod(a, b)
-                if isinstance(a, int) and isinstance(b, int):
-                    result = int(result)
-            else:
-                raise XQueryEvaluationError(f"unknown arithmetic operator {op!r}")
-        except ZeroDivisionError:
-            raise XQueryEvaluationError(f"division by zero in '{op}'") from None
-        if isinstance(a, int) and isinstance(b, int) and op != "div":
-            return [int(result)]
-        if isinstance(result, float) and result.is_integer() and op != "div":
-            return [int(result)]
-        return [result]
-
-    @staticmethod
-    def _arith_number(atom: Any, op: str) -> Union[int, float]:
-        if isinstance(atom, bool):
-            raise XQueryTypeError(f"'{op}': boolean operand")
-        if isinstance(atom, (int, float)):
-            return atom
-        value = to_number(atom)
-        if math.isnan(value):
-            raise XQueryTypeError(f"'{op}': cannot cast {str(atom)!r} to a number")
-        if value.is_integer():
-            return int(value)
-        return value
-
-    def _eval_comparison(self, node: ComparisonOp, ctx: DynamicContext) -> List[Item]:
-        left = self._eval(node.left, ctx)
-        right = self._eval(node.right, ctx)
+    def _comparison(self, node: ComparisonOp) -> Fn:
         op = node.op
+        left, right = self.expr(node.left), self.expr(node.right)
         if op in ("is", "<<", ">>"):
-            if len(left) != 1 or len(right) != 1 or not (
-                is_node(left[0]) and is_node(right[0])
-            ):
-                if not left or not right:
-                    return []
-                raise XQueryTypeError(f"'{op}': operands must be single nodes")
-            if op == "is":
-                return [left[0] is right[0]]
-            key_left = ctx.order.key(left[0])
-            key_right = ctx.order.key(right[0])
-            return [key_left < key_right if op == "<<" else key_left > key_right]
+            return lambda ctx: _node_compare(op, left(ctx), right(ctx), ctx)
         if op in ("eq", "ne", "lt", "le", "gt", "ge"):
-            return value_compare(op, left, right)
-        return [general_compare(op, left, right)]
+            return lambda ctx: value_compare(op, left(ctx), right(ctx))
+        number = node.right.value if isinstance(node.right, Literal) else None
+        if type(number) not in (int, float):
+            return lambda ctx: [general_compare(op, left(ctx), right(ctx))]
+        compare = _GENERAL[op]
 
-    def _eval_range(self, node: RangeExpr, ctx: DynamicContext) -> List[Item]:
-        start = atomize_single(self._eval(node.start, ctx), "range start")
-        end = atomize_single(self._eval(node.end, ctx), "range end")
-        if start is None or end is None:
-            return []
-        begin = int(to_number(start))
-        finish = int(to_number(end))
-        return list(range(begin, finish + 1))
+        def against_number(ctx: _Frame) -> List[Item]:
+            """``general_compare`` against a number: a node's text is cast
+            as ``to_number`` casts it, any other item compares as usual."""
+            for item in left(ctx):
+                if type(item) in _NODE_TYPES:
+                    try:
+                        value = float(string_value(item).strip())
+                    except ValueError:
+                        value = math.nan
+                    if compare(value, number):
+                        return [True]
+                elif general_compare(op, [item], [number]):
+                    return [True]
+            return [False]
+        return against_number
 
-    def _eval_unary(self, node: UnaryOp, ctx: DynamicContext) -> List[Item]:
-        atom = atomize_single(self._eval(node.operand, ctx), "unary operand")
-        if atom is None:
-            return []
-        value = self._arith_number(atom, node.op)
-        return [-value if node.op == "-" else value]
+    def _range(self, node: RangeExpr) -> Fn:
+        start, end = self.expr(node.start), self.expr(node.end)
+
+        def range_expr(ctx: _Frame) -> List[Item]:
+            first = atomize_single(start(ctx), "range start")
+            last = atomize_single(end(ctx), "range end")
+            if first is None or last is None:
+                return []
+            return list(range(int(to_number(first)), int(to_number(last)) + 1))
+        return range_expr
+
+    def _unary(self, node: UnaryOp) -> Fn:
+        op, operand = node.op, self.expr(node.operand)
+
+        def unary(ctx: _Frame) -> List[Item]:
+            atom = atomize_single(operand(ctx), "unary operand")
+            if atom is None:
+                return []
+            value = _arith_number(atom, op)
+            return [-value if op == "-" else value]
+        return unary
 
     # -- paths ---------------------------------------------------------------------
-    def _eval_path(self, node: PathExpr, ctx: DynamicContext) -> List[Item]:
+    def _path(self, node: PathExpr) -> Fn:
+        steps: List[StepFn] = []
+        raw, index = node.steps, 0
+        while index < len(raw):
+            step = raw[index]
+            following = raw[index + 1] if index + 1 < len(raw) else None
+            if (
+                isinstance(step, Step) and step.axis == "descendant-or-self"
+                and step.test == _ANY_NODE and not step.predicates
+                and isinstance(following, Step) and following.axis == "child"
+                and not following.predicates
+            ):  # //T as descendant::T
+                steps.append(_descendants(self._step(Step("descendant", following.test))))
+                index += 1
+            elif isinstance(step, Step):
+                steps.append(self._step(step))
+            else:
+                steps.append(self._expression_step(step))
+            index += 1
         if node.start is not None:
-            current: List[Item] = self._eval(node.start, ctx)
+            start = self.expr(node.start)
         elif node.from_root:
-            item = ctx.require_context_item("rooted path")
-            if isinstance(item, AttributeNode):
-                anchor: Optional[Node] = item.owner
-            elif isinstance(item, (Element, Text)):
-                anchor = item
-            else:
-                raise XQueryTypeError("rooted path: context item is not a node")
-            while anchor is not None and anchor.parent is not None:
-                anchor = anchor.parent
-            if anchor is None:
-                current = []
-            elif node.steps:
-                # XPath evaluates rooted paths from the *document node*
-                # above the root element; the data model has no document
-                # node, so fabricate a transient wrapper.  Appending to
-                # ``children`` directly leaves the real root's parent
-                # pointer untouched.
-                wrapper = _DocumentNode("#document")
-                wrapper.children.append(anchor)
-                current = [wrapper]
-            else:
-                current = [anchor]
+            start = _root_start(bool(node.steps))
         else:
-            current = [ctx.require_context_item("relative path")]
+            start = _relative_start
+        if len(steps) == 1:
+            only = steps[0]
+            return lambda ctx: only(start(ctx), ctx)
 
-        for step in ctx.shortcuts.steps(node):
-            if isinstance(step, Step):
-                current = self._eval_step(step, current, ctx)
-            elif isinstance(step, _Descendants):
-                current = self._eval_descendants(step.step, current, ctx)
+        def path(ctx: _Frame) -> List[Item]:
+            current = start(ctx)
+            for step in steps:
+                current = step(current, ctx)
+            return current
+        return path
+
+    def _step(self, step: Step) -> StepFn:
+        axis, test = step.axis, step.test
+        predicates = self._predicates(step.predicates)
+        if (
+            axis in ("child", "descendant") and isinstance(test, NameTest)
+            and test.name != "*" and not predicates
+        ):
+            candidates = (_children_named if axis == "child" else _descendants_named)(test.name)
+        else:
+            candidates = _candidates(axis, _matcher(test, axis))
+        ordered = axis in _ORDERED_AXES
+        message = f"axis step '{axis}' applied to an atomic value"
+
+        def axis_step(context_nodes: List[Item], ctx: _Frame) -> List[Item]:
+            gathered: List[Item] = []
+            for item in context_nodes:
+                if type(item) not in _NODE_TYPES and not is_node(item):
+                    raise XQueryTypeError(message)
+                found = candidates(item)
+                gathered += found if predicates is None else predicates(found, ctx)
+            if ordered and len(context_nodes) == 1 and type(context_nodes[0]) is not _DocumentNode:
+                if gathered:  # rank its tree now, as the sort would have
+                    ctx.order.note(gathered[0])
+                return gathered
+            return ctx.order.sort_and_dedupe(gathered)
+        return axis_step
+
+    def _expression_step(self, expr: XQNode) -> StepFn:
+        """A non-axis path segment, e.g. ``a/string()`` or ``a/(b|c)``:
+        evaluated once per context item with the focus set; node results
+        are merged in document order, atomic results keep arrival order
+        (the spec allows atomics only as the final step)."""
+        compiled = self.expr(expr)
+
+        def expression_step(context_nodes: List[Item], ctx: _Frame) -> List[Item]:
+            gathered: List[Item] = []
+            size = len(context_nodes)
+            for position, item in enumerate(context_nodes, start=1):
+                gathered += compiled(_frame(ctx, ctx.variables, item, position, size, ctx.depth))
+            nodes = [item for item in gathered if is_node(item)]
+            if gathered and len(nodes) == len(gathered):
+                return ctx.order.sort_and_dedupe(gathered)
+            if nodes:
+                raise XQueryTypeError("path step produced a mix of nodes and atomic values")
+            return gathered
+        return expression_step
+
+    def _predicates(self, predicates: Tuple[Predicate, ...]):
+        """The filter ``predicates`` apply in turn, or ``None`` for none."""
+        filters = []
+        for predicate in predicates:
+            number = predicate.expr.value if isinstance(predicate.expr, Literal) else None
+            if type(number) in (int, float):  # the item at that position
+                index = int(number) - 1 if float(number).is_integer() else -1
+                filters.append(lambda items, ctx, i=index: items[i:i + 1] if i >= 0 else [])
             else:
-                current = self._eval_expression_step(step, current, ctx)
-        return current
+                filters.append(_filter(self.expr(predicate.expr)))
+        if len(filters) < 2:
+            return filters[0] if filters else None
 
-    def _eval_descendants(
-        self, step: Step, context_nodes: List[Item], ctx: DynamicContext
-    ) -> List[Item]:
-        """``descendant-or-self::node()/child::T`` as ``step``, i.e.
-        ``descendant::T``: the same nodes, and the same trees ranked."""
+        def apply(items: List[Item], ctx: _Frame) -> List[Item]:
+            for keep in filters:
+                items = keep(items, ctx)
+            return items
+        return apply
+
+    def _filter_expr(self, node: FilterExpr) -> Fn:
+        base, predicates = self.expr(node.base), self._predicates(node.predicates)
+        return base if predicates is None else lambda ctx: predicates(base(ctx), ctx)
+
+    # -- functions and constructors ------------------------------------------------
+    def _function_call(self, node: FunctionCall) -> Fn:
+        name, key = node.name, (node.name, len(node.args))
+        args = [self.expr(arg) for arg in node.args]
+        if key in self.declared:
+            functions, message = self.functions, f"recursion limit exceeded in {name}()"
+
+            def call_declared(ctx: _Frame) -> List[Item]:
+                values = [arg(ctx) for arg in args]
+                if ctx.depth >= _MAX_RECURSION:
+                    raise XQueryEvaluationError(message)
+                params, body = functions[key]
+                return body(_frame(ctx, dict(zip(params, values)), None, None, None, ctx.depth + 1))
+            return call_declared
+        builtin = lookup_builtin(name, len(args))
+        if builtin is None:
+            fail = _raiser(XQueryEvaluationError, f"unknown function {name}#{len(args)}")
+            return lambda ctx: fail([arg(ctx) for arg in args])
+        if len(args) == 1:
+            only = args[0]
+            return lambda ctx: builtin([only(ctx)], ctx)
+        return lambda ctx: builtin([arg(ctx) for arg in args], ctx)
+
+    def _direct_element(self, node: DirectElement) -> Fn:
+        tag = node.tag
+        attributes = [
+            (attribute.name, [
+                part if isinstance(part, str) else _joined(self.expr(part.expr))
+                for part in attribute.value_parts
+            ])
+            for attribute in node.attributes
+        ]
+        content = [
+            part if isinstance(part, str) else self.expr(part)
+            for part in node.content if not isinstance(part, str) or part.strip()
+        ]
+
+        def direct_element(ctx: _Frame) -> List[Item]:
+            built = Element(tag)
+            for name, parts in attributes:
+                built.set_attr(name, "".join(
+                    part if isinstance(part, str) else part(ctx) for part in parts
+                ))
+            for part in content:
+                if isinstance(part, str):
+                    built.append(Text(part))
+                else:
+                    _append_sequence(built, part(ctx))
+            return [built]
+        return direct_element
+
+    def _name(self, name: Union[str, XQNode], what: str) -> Callable[[_Frame], str]:
+        if isinstance(name, str):
+            return lambda ctx: name
+        compiled = self.expr(name)
+        return lambda ctx: string_value(atomize_single(compiled(ctx), what, allow_empty=False))
+
+    def _computed_element(self, node: ComputedElement) -> Fn:
+        name = self._name(node.name, "element name")
+        content = self.expr(node.content) if node.content is not None else None
+
+        def computed_element(ctx: _Frame) -> List[Item]:
+            built = Element(name(ctx))
+            if content is not None:
+                _append_sequence(built, content(ctx))
+            return [built]
+        return computed_element
+
+    def _computed_attribute(self, node: ComputedAttribute) -> Fn:
+        name = self._name(node.name, "attribute name")
+        text = _joined(self.expr(node.content)) if node.content is not None else None
+        return lambda ctx: [AttributeNode(name(ctx), "" if text is None else text(ctx), None)]
+
+    def _computed_text(self, node: ComputedText) -> Fn:
+        if node.content is None:
+            return lambda ctx: [Text("")]
+        text = _joined(self.expr(node.content))
+        return lambda ctx: [Text(text(ctx))]
+
+    def _enclosed(self, node: EnclosedExpr) -> Fn:
+        return self.expr(node.expr)
+
+
+_COMPILERS: Dict[type, Callable[[_Compiler, Any], Fn]] = {
+    Literal: _Compiler._literal,
+    VarRef: _Compiler._var_ref,
+    ContextItem: _Compiler._context_item,
+    Sequence: _Compiler._sequence,
+    IfExpr: _Compiler._if,
+    QuantifiedExpr: _Compiler._quantified,
+    FLWORExpr: _Compiler._flwor,
+    BinaryOp: _Compiler._binary,
+    ComparisonOp: _Compiler._comparison,
+    RangeExpr: _Compiler._range,
+    UnaryOp: _Compiler._unary,
+    PathExpr: _Compiler._path,
+    FilterExpr: _Compiler._filter_expr,
+    FunctionCall: _Compiler._function_call,
+    DirectElement: _Compiler._direct_element,
+    ComputedElement: _Compiler._computed_element,
+    ComputedAttribute: _Compiler._computed_attribute,
+    ComputedText: _Compiler._computed_text,
+    EnclosedExpr: _Compiler._enclosed,
+}
+
+
+# -- what the closures call ------------------------------------------------------
+
+def _raiser(error: type, message: str) -> Callable[..., List[Item]]:
+    def fail(*_: Any) -> List[Item]:
+        raise error(message)
+    return fail
+
+
+def _bind(scope: _Frame, name: str, at: Optional[str], items: List[Item]) -> List[_Frame]:
+    """One tuple per item: ``scope`` with ``$name`` (and ``$at``) bound."""
+    tuples = []
+    for position, item in enumerate(items, start=1):
+        bound = _scope(scope)
+        bound.variables[name] = [item]
+        if at:
+            bound.variables[at] = [position]
+        tuples.append(bound)
+    return tuples
+
+
+def _join_keys(key: Fn) -> Callable[[_Frame], Optional[FrozenSet[str]]]:
+    """The atomized values of ``key``, or ``None`` if one is no string."""
+    def keys(scope: _Frame) -> Optional[FrozenSet[str]]:
+        atoms = atomize(key(scope))
+        return frozenset(atoms) if all(isinstance(atom, str) for atom in atoms) else None
+    return keys
+
+
+def _joined(compiled: Fn) -> Callable[[_Frame], str]:
+    """The atomized values of ``compiled``, space-joined."""
+    return lambda ctx: " ".join(string_value(atom) for atom in atomize(compiled(ctx)))
+
+
+def _node_compare(op: str, left: List[Item], right: List[Item], ctx: _Frame) -> List[Item]:
+    if len(left) != 1 or len(right) != 1 or not (is_node(left[0]) and is_node(right[0])):
+        if not left or not right:
+            return []
+        raise XQueryTypeError(f"'{op}': operands must be single nodes")
+    if op == "is":
+        return [left[0] is right[0]]
+    key_left, key_right = ctx.order.key(left[0]), ctx.order.key(right[0])
+    return [key_left < key_right if op == "<<" else key_left > key_right]
+
+
+def _set_op(op: str, left: List[Item], right: List[Item], ctx: _Frame) -> List[Item]:
+    for item in left + right:
+        if not is_node(item):
+            raise XQueryTypeError(f"{op}: operands must be nodes")
+    right_ids = {id(n) for n in right}
+    if op == "union":
+        combined = left + right
+    elif op == "intersect":
+        combined = [n for n in left if id(n) in right_ids]
+    else:  # except
+        combined = [n for n in left if id(n) not in right_ids]
+    return ctx.order.sort_and_dedupe(combined)
+
+
+def _arithmetic(op: str, left: List[Item], right: List[Item]) -> List[Item]:
+    left_atom = atomize_single(left, f"left operand of '{op}'")
+    right_atom = atomize_single(right, f"right operand of '{op}'")
+    if left_atom is None or right_atom is None:
+        return []
+    a, b = _arith_number(left_atom, op), _arith_number(right_atom, op)
+    if op not in _ARITHMETIC:
+        raise XQueryEvaluationError(f"unknown arithmetic operator {op!r}")
+    try:
+        result = _ARITHMETIC[op](a, b)
+    except ZeroDivisionError:
+        raise XQueryEvaluationError(f"division by zero in '{op}'") from None
+    if op != "div" and (
+        (isinstance(a, int) and isinstance(b, int))
+        or (isinstance(result, float) and result.is_integer())
+    ):
+        return [int(result)]
+    return [result]
+
+
+def _arith_number(atom: Any, op: str) -> Union[int, float]:
+    if isinstance(atom, bool):
+        raise XQueryTypeError(f"'{op}': boolean operand")
+    if isinstance(atom, (int, float)):
+        return atom
+    value = to_number(atom)
+    if math.isnan(value):
+        raise XQueryTypeError(f"'{op}': cannot cast {str(atom)!r} to a number")
+    return int(value) if value.is_integer() else value
+
+
+def _root_start(has_steps: bool) -> Fn:
+    def root_start(ctx: _Frame) -> List[Item]:
+        item = ctx.require_context_item("rooted path")
+        if isinstance(item, AttributeNode):
+            anchor: Optional[Node] = item.owner
+        elif isinstance(item, (Element, Text)):
+            anchor = item
+        else:
+            raise XQueryTypeError("rooted path: context item is not a node")
+        while anchor is not None and anchor.parent is not None:
+            anchor = anchor.parent
+        if anchor is None or not has_steps:
+            return [] if anchor is None else [anchor]
+        # XPath evaluates rooted paths from the *document node* above the
+        # root element; the data model has none, so fabricate a transient
+        # wrapper.  Appending to ``children`` directly leaves the real
+        # root's parent pointer untouched.
+        wrapper = _DocumentNode("#document")
+        wrapper.children.append(anchor)
+        return [wrapper]
+    return root_start
+
+
+def _relative_start(ctx: _Frame) -> List[Item]:
+    return [ctx.require_context_item("relative path")]
+
+
+def _descendants(step: StepFn) -> StepFn:
+    """``descendant-or-self::node()/child::T`` as ``step``, i.e.
+    ``descendant::T``: the same nodes, and the same trees ranked."""
+    def descendants(context_nodes: List[Item], ctx: _Frame) -> List[Item]:
         for item in context_nodes:
-            if not is_node(item):
-                raise XQueryTypeError(
-                    "axis step 'descendant-or-self' applied to an atomic value"
-                )
+            if type(item) not in _NODE_TYPES and not is_node(item):
+                raise XQueryTypeError("axis step 'descendant-or-self' applied to an atomic value")
         # the skipped descendant-or-self step would have sorted every
         # context node (an attribute has none) and, under a document
         # node, its root element
         for item in context_nodes:
-            if not isinstance(item, AttributeNode):
+            if type(item) is not AttributeNode:
                 ctx.order.note(item)
                 if type(item) is _DocumentNode:
                     ctx.order.note(item.children[0])
-        return self._eval_step(step, context_nodes, ctx)
+        return step(context_nodes, ctx)
+    return descendants
 
-    def _eval_expression_step(
-        self, expr: XQNode, context_nodes: List[Item], ctx: DynamicContext
-    ) -> List[Item]:
-        """A non-axis path segment, e.g. ``a/string()`` or ``a/(b|c)``.
 
-        Evaluated once per context item with the focus set; node results
-        are merged in document order, atomic results keep arrival order
-        (the spec allows atomics only as the final step).
-        """
-        gathered: List[Item] = []
-        size = len(context_nodes)
-        for position, item in enumerate(context_nodes, start=1):
-            inner = ctx.child()
-            inner.context_item = item
-            inner.position = position
-            inner.size = size
-            gathered.extend(self._eval(expr, inner))
-        if gathered and all(is_node(g) for g in gathered):
-            return ctx.order.sort_and_dedupe(gathered)
-        if any(is_node(g) for g in gathered):
-            raise XQueryTypeError(
-                "path step produced a mix of nodes and atomic values"
-            )
-        return gathered
+def _children_named(name: str) -> Callable[[Item], List[Item]]:
+    """``child::name``: a tag compare over the children."""
+    def children(node: Item) -> List[Item]:
+        if type(node) is Element or type(node) is _DocumentNode:
+            return [c for c in node.children if type(c) is Element and c.tag == name]
+        return []
+    return children
 
-    def _eval_step(
-        self, step: Step, context_nodes: List[Item], ctx: DynamicContext
-    ) -> List[Item]:
-        gathered: List[Item] = []
-        for item in context_nodes:
-            if not is_node(item):
-                raise XQueryTypeError(
-                    f"axis step '{step.axis}' applied to an atomic value"
-                )
-            candidates = self._axis_candidates(step.axis, item)
-            candidates = [
-                c for c in candidates if self._test_matches(step.test, c, step.axis)
-            ]
-            candidates = self._apply_predicates(step.predicates, candidates, ctx)
-            gathered.extend(candidates)
-        if (
-            len(context_nodes) == 1 and step.axis in _ORDERED_AXES
-            and type(context_nodes[0]) is not _DocumentNode
-        ):
-            if gathered:  # rank its tree now, as the sort would have
-                ctx.order.note(gathered[0])
-            return gathered
-        return ctx.order.sort_and_dedupe(gathered)
 
-    def _axis_candidates(
-        self, axis: str, node: Union[Node, AttributeNode]
-    ) -> List[Union[Node, AttributeNode]]:
-        if isinstance(node, AttributeNode):
-            if axis == "self":
-                return [node]
-            if axis in ("parent", "ancestor", "ancestor-or-self"):
-                owner = node.owner
-                if owner is None:
-                    return []
-                out: List[Union[Node, AttributeNode]] = []
-                if axis == "ancestor-or-self":
-                    out.append(node)
-                current: Optional[Node] = owner
-                if axis == "parent":
-                    return [owner]
-                while current is not None:
-                    out.append(current)
-                    current = current.parent
-                return out
-            return []
+def _descendants_named(name: str) -> Callable[[Item], List[Item]]:
+    """``descendant::name``: a tag compare over a pre-order walk."""
+    def descendants(node: Item) -> List[Item]:
+        found: List[Item] = []
+        if type(node) is not Element and type(node) is not _DocumentNode:
+            return found
+        stack = node.children[::-1]
+        pop = stack.pop
+        while stack:
+            current = pop()
+            if type(current) is Element:
+                if current.tag == name:
+                    found.append(current)
+                if current.children:
+                    stack += current.children[::-1]
+        return found
+    return descendants
 
-        if axis == "child":
-            return list(node.children) if isinstance(node, Element) else []
-        if axis == "descendant" or axis == "descendant-or-self":
-            out = [node] if axis == "descendant-or-self" else []
-            if isinstance(node, Element):
-                stack = list(reversed(node.children))
-                while stack:
-                    current = stack.pop()
-                    out.append(current)
-                    if isinstance(current, Element):
-                        stack.extend(reversed(current.children))
-            return out
+
+def _matcher(test: NodeTest, axis: str) -> Optional[Callable[[Item], bool]]:
+    """Whether a candidate on ``axis`` passes ``test``; ``None`` for all."""
+    if isinstance(test, NameTest):
+        name = test.name
+        if axis == "attribute":
+            return lambda node: isinstance(node, AttributeNode) and name in ("*", node.name)
+        return lambda node: isinstance(node, Element) and name in ("*", node.tag)
+    kind, name = test.kind, test.name
+    if kind == "node":
+        return None
+    if kind == "text":
+        return lambda node: isinstance(node, Text)
+    if kind == "element":
+        return lambda node: isinstance(node, Element) and name in (None, node.tag)
+    return _raiser(XQueryEvaluationError, f"unsupported kind test {kind!r}")
+
+
+def _candidates(axis: str, match: Optional[Callable[[Item], bool]]) -> Callable[[Item], List[Item]]:
+    if match is None:
+        return lambda node: _axis_nodes(axis, node)
+    return lambda node: [c for c in _axis_nodes(axis, node) if match(c)]
+
+
+def _axis_nodes(axis: str, node: Union[Node, AttributeNode]) -> List[Union[Node, AttributeNode]]:
+    if isinstance(node, AttributeNode):
         if axis == "self":
             return [node]
-        if axis == "parent":
-            return [node.parent] if node.parent is not None else []
-        if axis in ("ancestor", "ancestor-or-self"):
-            out = [node] if axis == "ancestor-or-self" else []
-            current = node.parent
-            while current is not None:
-                out.append(current)
-                current = current.parent
-            return out
-        if axis == "attribute":
-            if isinstance(node, Element):
-                return [
-                    AttributeNode(name, value, node)
-                    for name, value in sorted(node.attrs.items())
-                ]
+        if axis not in ("parent", "ancestor", "ancestor-or-self") or node.owner is None:
             return []
-        if axis == "following-sibling" or axis == "preceding-sibling":
-            parent = node.parent
-            if parent is None:
-                return []
-            index = parent.index_of(node)
-            if axis == "following-sibling":
-                return list(parent.children[index + 1:])
-            return list(reversed(parent.children[:index]))
-        raise XQueryEvaluationError(f"unsupported axis {axis!r}")
+        if axis == "parent":
+            return [node.owner]
+        ancestors = _axis_nodes("ancestor-or-self", node.owner)
+        return [node] + ancestors if axis == "ancestor-or-self" else ancestors
+    if axis == "self":
+        return [node]
+    if axis in ("ancestor", "ancestor-or-self", "parent"):
+        out = [node] if axis == "ancestor-or-self" else []
+        current = node.parent
+        while current is not None:
+            out.append(current)
+            current = None if axis == "parent" else current.parent
+        return out
+    if not isinstance(node, Element) and axis in (
+        "child", "descendant", "descendant-or-self", "attribute"
+    ):
+        return [node] if axis == "descendant-or-self" else []
+    if axis == "child":
+        return list(node.children)
+    if axis in ("descendant", "descendant-or-self"):
+        out = [node] if axis == "descendant-or-self" else []
+        stack = list(reversed(node.children))
+        while stack:
+            current = stack.pop()
+            out.append(current)
+            if isinstance(current, Element):
+                stack.extend(reversed(current.children))
+        return out
+    if axis == "attribute":
+        return [AttributeNode(name, value, node) for name, value in sorted(node.attrs.items())]
+    if axis in ("following-sibling", "preceding-sibling"):
+        parent = node.parent
+        if parent is None:
+            return []
+        index = parent.index_of(node)
+        if axis == "following-sibling":
+            return list(parent.children[index + 1:])
+        return list(reversed(parent.children[:index]))
+    raise XQueryEvaluationError(f"unsupported axis {axis!r}")
 
-    @staticmethod
-    def _test_matches(
-        test: NodeTest, node: Union[Node, AttributeNode], axis: str
-    ) -> bool:
-        if isinstance(test, NameTest):
-            if isinstance(node, AttributeNode):
-                return axis == "attribute" and (
-                    test.name == "*" or node.name == test.name
-                )
-            if isinstance(node, Element):
-                return test.name == "*" or node.tag == test.name
-            return False
-        assert isinstance(test, KindTest)
-        if test.kind == "node":
-            return True
-        if test.kind == "text":
-            return isinstance(node, Text)
-        if test.kind == "element":
-            if not isinstance(node, Element):
-                return False
-            return test.name is None or node.tag == test.name
-        raise XQueryEvaluationError(f"unsupported kind test {test.kind!r}")
 
-    def _apply_predicates(
-        self,
-        predicates: Tuple[Predicate, ...],
-        items: List[Item],
-        ctx: DynamicContext,
-    ) -> List[Item]:
-        current = items
-        for predicate in predicates:
-            kept: List[Item] = []
-            size = len(current)
-            for position, item in enumerate(current, start=1):
-                inner = ctx.child()
-                inner.context_item = item
-                inner.position = position
-                inner.size = size
-                result = self._eval(predicate.expr, inner)
-                if (
-                    len(result) == 1
-                    and isinstance(result[0], (int, float))
-                    and not isinstance(result[0], bool)
-                ):
-                    if float(result[0]) == position:
-                        kept.append(item)
-                elif effective_boolean_value(result):
+def _filter(test: Fn) -> Callable[[List[Item], _Frame], List[Item]]:
+    """A predicate: each item in turn as the focus; a number keeps the
+    item at that position, anything else its effective boolean value."""
+    def keep(items: List[Item], ctx: _Frame) -> List[Item]:
+        kept: List[Item] = []
+        size = len(items)
+        for position, item in enumerate(items, start=1):
+            result = test(_frame(ctx, ctx.variables, item, position, size, ctx.depth))
+            if len(result) == 1 and type(result[0]) is not bool and isinstance(result[0], (int, float)):
+                if float(result[0]) == position:
                     kept.append(item)
-            current = kept
-        return current
+            elif effective_boolean_value(result):
+                kept.append(item)
+        return kept
+    return keep
 
-    def _eval_filter(self, node: FilterExpr, ctx: DynamicContext) -> List[Item]:
-        base = self._eval(node.base, ctx)
-        return self._apply_predicates(node.predicates, base, ctx)
 
-    # -- functions ---------------------------------------------------------------
-    def _eval_function_call(self, node: FunctionCall, ctx: DynamicContext) -> List[Item]:
-        args = [self._eval(arg, ctx) for arg in node.args]
-        declared = ctx.functions.get((node.name, len(args)))
-        if declared is not None:
-            return self._call_declared(declared, args, ctx)
-        builtin = lookup_builtin(node.name, len(args))
-        if builtin is not None:
-            return builtin(args, ctx)
-        raise XQueryEvaluationError(
-            f"unknown function {node.name}#{len(args)}"
-        )
+def _append_sequence(parent: Element, items: List[Item]) -> None:
+    """Copy nodes / stringify atomics into element content: adjacent
+    atomic values are joined with single spaces, per the XQuery content
+    construction rules."""
+    pending: List[str] = []
+    for item in items:
+        if isinstance(item, (Element, Text)):
+            if pending:
+                parent.append(Text(" ".join(pending)))
+                pending = []
+            parent.append(item.copy())
+        elif isinstance(item, AttributeNode):
+            parent.set_attr(item.name, item.value)
+        else:
+            pending.append(string_value(item))
+    if pending:
+        parent.append(Text(" ".join(pending)))
 
-    def _call_declared(
-        self, decl: FunctionDecl, args: List[List[Item]], ctx: DynamicContext
-    ) -> List[Item]:
-        if ctx.depth >= _MAX_RECURSION:
-            raise XQueryEvaluationError(
-                f"recursion limit exceeded in {decl.name}()"
-            )
-        inner = DynamicContext(
-            variables={},
-            context_item=None,
-            doc_resolver=ctx.doc_resolver,
-            functions=ctx.functions,
-            order=ctx.order,
-            shortcuts=ctx.shortcuts,
-        )
-        inner.depth = ctx.depth + 1
-        for param, value in zip(decl.params, args):
-            inner.variables[param] = value
-        return self._eval(decl.body, inner)
 
-    # -- constructors --------------------------------------------------------------
-    def _eval_direct_element(self, node: DirectElement, ctx: DynamicContext) -> List[Item]:
-        built = Element(node.tag)
-        for attribute in node.attributes:
-            built.set_attr(attribute.name, self._attr_value(attribute, ctx))
-        self._fill_content(built, node.content, ctx)
-        return [built]
+class Evaluator:
+    """Evaluates parsed queries (or query source text) to item sequences."""
 
-    def _attr_value(self, attribute: DirectAttribute, ctx: DynamicContext) -> str:
-        parts: List[str] = []
-        for part in attribute.value_parts:
-            if isinstance(part, str):
-                parts.append(part)
-            else:
-                assert isinstance(part, EnclosedExpr)
-                atoms = atomize(self._eval(part.expr, ctx))
-                parts.append(" ".join(string_value(a) for a in atoms))
-        return "".join(parts)
+    def __init__(self, doc_resolver: Optional[DocResolver] = None) -> None:
+        self.doc_resolver = doc_resolver
 
-    def _fill_content(
+    def evaluate(
         self,
-        parent: Element,
-        content: Tuple[Union[str, XQNode], ...],
-        ctx: DynamicContext,
-    ) -> None:
-        for part in content:
-            if isinstance(part, str):
-                if part.strip():
-                    parent.append(Text(part))
-                continue
-            if isinstance(part, EnclosedExpr):
-                self._append_sequence(parent, self._eval(part.expr, ctx))
-            else:
-                self._append_sequence(parent, self._eval(part, ctx))
+        query: Union[str, Module, XQNode],
+        variables: Optional[Dict[str, List[Item]]] = None,
+        context_item: Optional[Item] = None,
+    ) -> List[Item]:
+        """Run a query; ``variables`` bind the prolog's external variables.
 
-    @staticmethod
-    def _append_sequence(parent: Element, items: List[Item]) -> None:
-        """Copy nodes / stringify atomics into element content.
-
-        Adjacent atomic values are joined with single spaces, per the
-        XQuery content construction rules.
+        Accepts source text, a parsed :class:`Module` (compiled on its
+        first run, the plan kept on it), or a bare expression AST.
+        Returns the result sequence (list of nodes / atomics).
         """
-        pending_atoms: List[str] = []
-
-        def flush() -> None:
-            if pending_atoms:
-                parent.append(Text(" ".join(pending_atoms)))
-                pending_atoms.clear()
-
-        for item in items:
-            if isinstance(item, (Element, Text)):
-                flush()
-                parent.append(item.copy())
-            elif isinstance(item, AttributeNode):
-                parent.set_attr(item.name, item.value)
-            else:
-                pending_atoms.append(string_value(item))
-        flush()
-
-    def _eval_computed_element(self, node: ComputedElement, ctx: DynamicContext) -> List[Item]:
-        if isinstance(node.name, str):
-            name = node.name
-        else:
-            atom = atomize_single(self._eval(node.name, ctx), "element name", allow_empty=False)
-            name = string_value(atom)
-        built = Element(name)
-        if node.content is not None:
-            self._append_sequence(built, self._eval(node.content, ctx))
-        return [built]
-
-    def _eval_computed_attribute(self, node: ComputedAttribute, ctx: DynamicContext) -> List[Item]:
-        if isinstance(node.name, str):
-            name = node.name
-        else:
-            atom = atomize_single(self._eval(node.name, ctx), "attribute name", allow_empty=False)
-            name = string_value(atom)
-        if node.content is None:
-            value = ""
-        else:
-            atoms = atomize(self._eval(node.content, ctx))
-            value = " ".join(string_value(a) for a in atoms)
-        return [AttributeNode(name, value, None)]
-
-    def _eval_computed_text(self, node: ComputedText, ctx: DynamicContext) -> List[Item]:
-        if node.content is None:
-            return [Text("")]
-        atoms = atomize(self._eval(node.content, ctx))
-        return [Text(" ".join(string_value(a) for a in atoms))]
-
-    def _eval_enclosed(self, node: EnclosedExpr, ctx: DynamicContext) -> List[Item]:
-        return self._eval(node.expr, ctx)
-
-    _DISPATCH: Dict[type, Callable] = {}
-
-
-Evaluator._DISPATCH = {
-    Literal: Evaluator._eval_literal,
-    VarRef: Evaluator._eval_var_ref,
-    ContextItem: Evaluator._eval_context_item,
-    Sequence: Evaluator._eval_sequence,
-    IfExpr: Evaluator._eval_if,
-    QuantifiedExpr: Evaluator._eval_quantified,
-    FLWORExpr: Evaluator._eval_flwor,
-    BinaryOp: Evaluator._eval_binary,
-    ComparisonOp: Evaluator._eval_comparison,
-    RangeExpr: Evaluator._eval_range,
-    UnaryOp: Evaluator._eval_unary,
-    PathExpr: Evaluator._eval_path,
-    FilterExpr: Evaluator._eval_filter,
-    FunctionCall: Evaluator._eval_function_call,
-    DirectElement: Evaluator._eval_direct_element,
-    ComputedElement: Evaluator._eval_computed_element,
-    ComputedAttribute: Evaluator._eval_computed_attribute,
-    ComputedText: Evaluator._eval_computed_text,
-    EnclosedExpr: Evaluator._eval_enclosed,
-}
+        if isinstance(query, str):
+            query = parse_query(query)
+        if not isinstance(query, Module):
+            return _Plan(Module((), (), query)).run(variables, context_item, self.doc_resolver)
+        if query.plan is None:
+            # a frozen node's cache slot, set once (see Module.plan)
+            object.__setattr__(query, "plan", _Plan(query))
+        return query.plan.run(variables, context_item, self.doc_resolver)
 
 
 def evaluate_query(

@@ -26,7 +26,13 @@ from .ast import (
 )
 from .tokens import Lexer, Token, TokenType
 
-__all__ = ["parse_query", "parse_expression"]
+__all__ = ["MAX_NESTING", "parse_query", "parse_expression"]
+
+#: How deep expressions (and direct element constructors) may nest.  The
+#: parser recurses about 16 frames per level, so a parse at this limit
+#: needs about 520 frames: room under Python's default limit of 1 000 is
+#: left for a caller already deep in a plan search or an evaluation.
+MAX_NESTING = 32
 
 _GENERAL_COMPARISONS = {"=", "!=", "<", "<=", ">", ">="}
 _VALUE_COMPARISONS = {"eq", "ne", "lt", "le", "gt", "ge"}
@@ -45,8 +51,18 @@ _RESERVED_FUNCTION_NAMES = {"if", "text", "node", "element"}
 
 
 class _Parser:
-    def __init__(self, source: str) -> None:
+    def __init__(self, source: str, depth: int = 0) -> None:
         self.lexer = Lexer(source)
+        #: Open expressions and constructors (see :data:`MAX_NESTING`).
+        self.depth = depth
+
+    def _nest(self, pos: int) -> None:
+        """Enter one more level of nesting, at source offset ``pos``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.lexer.error(
+                f"query nests deeper than the limit of {MAX_NESTING} levels", pos
+            )
 
     # -- token helpers -------------------------------------------------------
     def _peek(self, ahead: int = 0) -> Token:
@@ -140,13 +156,17 @@ class _Parser:
 
     def parse_expr_single(self) -> XQNode:
         token = self._peek()
+        self._nest(token.pos)
         if token.is_name("for", "let") and self._peek(1).type == TokenType.VARIABLE:
-            return self._parse_flwor()
-        if token.is_name("some", "every") and self._peek(1).type == TokenType.VARIABLE:
-            return self._parse_quantified()
-        if token.is_name("if") and self._peek(1).is_symbol("("):
-            return self._parse_if()
-        return self._parse_or()
+            expr: XQNode = self._parse_flwor()
+        elif token.is_name("some", "every") and self._peek(1).type == TokenType.VARIABLE:
+            expr = self._parse_quantified()
+        elif token.is_name("if") and self._peek(1).is_symbol("("):
+            expr = self._parse_if()
+        else:
+            expr = self._parse_or()
+        self.depth -= 1
+        return expr
 
     # -- FLWOR ---------------------------------------------------------------------
     def _parse_flwor(self) -> FLWORExpr:
@@ -560,7 +580,12 @@ class _Parser:
     def _scan_direct_element(self, source: str, pos: int) -> Tuple[DirectElement, int]:
         if pos >= len(source) or source[pos] != "<":
             raise self._scan_error("expected '<'", pos)
-        pos += 1
+        self._nest(pos)
+        element, pos = self._scan_direct_body(source, pos + 1)
+        self.depth -= 1
+        return element, pos
+
+    def _scan_direct_body(self, source: str, pos: int) -> Tuple[DirectElement, int]:
         tag, pos = self._scan_xml_name(source, pos)
         attributes: List[DirectAttribute] = []
         while True:
@@ -702,7 +727,7 @@ class _Parser:
     def _scan_enclosed_expr(self, source: str, pos: int) -> Tuple[XQNode, int]:
         """Parse '{ Expr }' starting at the '{'; returns (expr, pos after '}')."""
         assert source[pos] == "{"
-        sub_parser = _Parser(source)
+        sub_parser = _Parser(source, self.depth)
         sub_parser.lexer.sync_to(pos + 1)
         expr = sub_parser.parse_expr()
         closing = sub_parser.lexer.next()

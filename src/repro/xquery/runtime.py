@@ -77,6 +77,11 @@ def is_node(item: Item) -> bool:
 
 def string_value(item: Item) -> str:
     """The string value of any item."""
+    if type(item) is Element:
+        children = item.children
+        if len(children) == 1 and type(children[0]) is Text:  # a leaf's text
+            return children[0].value
+        return item.string_value()
     if isinstance(item, (Element, Text)):
         return item.string_value()
     if isinstance(item, AttributeNode):
@@ -117,7 +122,7 @@ def atomize(sequence: Iterable[Item]) -> List[Any]:
     """Atomize a sequence: nodes become their (untyped) string values."""
     result: List[Any] = []
     for item in sequence:
-        if is_node(item):
+        if isinstance(item, (Element, Text, AttributeNode)):
             result.append(_Untyped(string_value(item)))
         else:
             result.append(item)
@@ -258,8 +263,10 @@ def _root_of(node: Union[Node, AttributeNode]) -> Node:
         anchor: Node = node.owner if node.owner is not None else Text(node.value)
     else:
         anchor = node
-    while isinstance(anchor, (Element, Text)) and anchor.parent is not None:
-        anchor = anchor.parent
+    if isinstance(anchor, (Element, Text)):
+        parent = anchor.parent
+        while parent is not None:
+            anchor, parent = parent, parent.parent
     return anchor
 
 

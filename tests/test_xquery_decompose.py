@@ -11,7 +11,7 @@ from repro.xquery.decompose import (
     free_variables,
     push_selection,
 )
-from repro.xquery.parser import parse_expression
+from repro.xquery.parser import parse_expression, parse_query
 
 
 @pytest.fixture()
@@ -197,3 +197,37 @@ class TestCompose:
         composed = compose(outer, [inner], "d")
         result = composed(catalog)
         assert [r.string_value() for r in result] == ["n0", "n1"]
+
+
+class TestDerivedQueriesAreNotReparsed:
+    def test_a_split_parses_nothing(self, monkeypatch):
+        import repro.xquery as xquery
+
+        q = Query("for $i in $d//item where $i/price < 3 return $i/name", params=("d",))
+        calls = []
+        monkeypatch.setattr(xquery, "parse_query", lambda source: calls.append(source))
+        push_selection(q)
+        assert calls == []
+
+    def test_every_generated_split_is_its_source_parsed(self):
+        from repro.workloads import (
+            FRAGMENTED_SPEC, WRITE_MIX_SPEC, ScenarioGenerator, ScenarioSpec,
+        )
+
+        splits = 0
+        for spec in (ScenarioSpec(), FRAGMENTED_SPEC, WRITE_MIX_SPEC):
+            for seed in (7, 11):
+                for index in range(6):
+                    scenario = ScenarioGenerator(seed, spec).scenario(index)
+                    for generated in scenario.queries:
+                        params = tuple(name for name, _ in generated.bind)
+                        query = Query(generated.source, params=params, name=generated.name)
+                        try:
+                            split = push_selection(query)
+                        except DecompositionError:
+                            continue
+                        for derived in (split.inner, split.outer):
+                            assert parse_query(derived.source) == derived.module
+                            assert derived.source_bytes == len(derived.source.encode("utf-8"))
+                        splits += 1
+        assert splits > 50

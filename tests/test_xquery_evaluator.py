@@ -357,6 +357,21 @@ class TestVariablesAndFunctions:
                 "declare function local:loop($n) { local:loop($n) }; local:loop(1)"
             )
 
+    COUNTDOWN = (
+        "declare function local:f($n) "
+        "{ if ($n = 0) then 0 else local:f($n - 1) }; local:f(%d)"
+    )
+
+    @pytest.mark.parametrize("n", (200, 255))
+    def test_deep_recursion_returns(self, n):
+        # 256 nested calls: local:f(255) down to local:f(0)
+        assert evaluate_query(self.COUNTDOWN % n) == [0]
+
+    @pytest.mark.parametrize("n", (256, 300))
+    def test_recursion_past_the_limit_is_a_typed_error(self, n):
+        with pytest.raises(XQueryEvaluationError, match=r"recursion limit exceeded in local:f\(\)"):
+            evaluate_query(self.COUNTDOWN % n)
+
     def test_unknown_function(self):
         with pytest.raises(XQueryEvaluationError, match="unknown function"):
             evaluate_query("nosuchfn(1)")
@@ -381,3 +396,26 @@ class TestDocFunction:
     def test_doc_without_resolver(self):
         with pytest.raises(XQueryEvaluationError):
             evaluate_query('doc("missing")')
+
+
+class TestCompiledOnce:
+    def test_first_run_compiles_and_copies_share_the_plan(self, catalog):
+        q = Query("for $i in $d//item where $i/price > 20 return $i/name", params=("d",))
+        assert q.module.plan is None  # parsing does not compile
+        first = strings(q(catalog))
+        plan = q.module.plan
+        assert plan is not None
+        copy = q.copy("other")
+        assert strings(copy(catalog)) == first == ["n3", "n4", "n5"]
+        assert copy.module.plan is plan and q.module.plan is plan
+
+    def test_a_bare_expression_runs(self, catalog):
+        from repro.xquery import Evaluator, parse_expression
+
+        expr = parse_expression("count($d//item)")
+        assert Evaluator().evaluate(expr, variables={"d": [catalog]}) == [5]
+
+    def test_a_bound_list_is_not_handed_back(self):
+        bound = [1, 2]
+        result = Query("$x", params=("x",)).run(bound)
+        assert result == bound and result is not bound

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import XQuerySyntaxError
 from repro.xquery import parse_expression, parse_query, unparse
+from repro.xquery.parser import MAX_NESTING
 from repro.xquery.ast import (
     BinaryOp,
     ComparisonOp,
@@ -320,6 +321,62 @@ class TestProlog:
             "local:id(($a, $b))"
         )
         assert len(module.variables) == 2 and len(module.functions) == 1
+
+
+def _nested(levels):
+    """``1`` inside ``levels`` expressions: the outermost and its parentheses."""
+    return "(" * (levels - 1) + "1" + ")" * (levels - 1)
+
+
+class TestNesting:
+    def test_at_the_limit_parses(self):
+        assert parse_query(_nested(MAX_NESTING)).body == Literal(1)
+
+    @pytest.mark.parametrize("levels", (MAX_NESTING + 1, 66, 1000))
+    def test_past_the_limit_is_a_syntax_error(self, levels):
+        with pytest.raises(XQuerySyntaxError, match=f"deeper than the limit of {MAX_NESTING} levels"):
+            parse_query(_nested(levels))
+
+    def test_constructors_and_enclosed_expressions_count(self):
+        # each <a>{ opens an element and an expression; the body is one more
+        half = MAX_NESTING // 2
+        fits = "<a>{" * (half - 1) + "<a/>" + "}</a>" * (half - 1)
+        assert isinstance(parse_query(fits).body, DirectElement)
+        with pytest.raises(XQuerySyntaxError, match="deeper than the limit"):
+            parse_query("<a>{" * half + "<a/>" + "}</a>" * half)
+        with pytest.raises(XQuerySyntaxError, match="deeper than the limit"):
+            parse_query("<a>" * MAX_NESTING + "</a>" * MAX_NESTING)
+
+    def test_the_limit_holds_deep_inside_a_plan_search(self, monkeypatch):
+        """Rule (11) decomposes inside the search; a parse there, with 400
+        more frames on the stack, still parses at the limit and still
+        reports a typed error past it."""
+        import repro
+        import repro.core.rules as rules
+        from repro.workloads import ScenarioGenerator, ScenarioSpec
+
+        outcomes = []
+
+        def descend(frames):
+            if frames:
+                return descend(frames - 1)
+            parse_query(_nested(MAX_NESTING))
+            try:
+                parse_query(_nested(MAX_NESTING + 1))
+            except XQuerySyntaxError as error:
+                return error
+            return None
+
+        def push_selection(query, *args):
+            outcomes.append(descend(400))
+            return split(query, *args)
+
+        split = rules.push_selection
+        monkeypatch.setattr(rules, "push_selection", push_selection)
+        scenario = ScenarioGenerator(7, ScenarioSpec()).scenario(0)
+        query = next(q for q in scenario.queries if q.shape == "filter")
+        repro.connect(scenario.system, strategy="exhaustive").query(**query.kwargs())
+        assert outcomes and all(isinstance(error, XQuerySyntaxError) for error in outcomes)
 
 
 class TestUnparseRoundTrip:

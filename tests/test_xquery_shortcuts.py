@@ -192,11 +192,11 @@ class TestShippedText:
             shipped = Query(source, params=("d", "e"), doc_resolver=lambda name: element("r"))
             text = unparse(shipped.module)
             shipped.run(element("r"), element("r"))
-            assert shipped.module.shortcuts is not None
+            assert shipped.module.plan is not None
             assert unparse(shipped.module) == text == unparse(parse_query(source))
             assert parse_query(source) == shipped.module
             assert shipped.source_bytes == len(source.encode("utf-8"))
-            assert "shortcuts" not in repr(shipped.module)
+            assert "plan=" not in repr(shipped.module)
 
 
 class TestSharedAnswerTexts:
