@@ -68,9 +68,7 @@ class Query:
     ``params`` names the external variables (the service's formal
     parameters ``param1..paramn``); positional arguments to :meth:`run`
     bind them in order.  ``source`` round-trips: ``Query(q.source)``
-    reproduces the query, which is exactly how peers exchange code.  A
-    caller that already holds the parsed form passes it as ``module``
-    (``parse_query(source)`` must equal it); nothing is parsed then.
+    reproduces the query, which is exactly how peers exchange code.
     """
 
     def __init__(
@@ -79,13 +77,15 @@ class Query:
         params: Sequence[str] = (),
         name: Optional[str] = None,
         doc_resolver=None,
-        module: Optional[Module] = None,
     ) -> None:
+        self._build(source, parse_query(source), params, name, doc_resolver)
+
+    def _build(self, source, module, params, name, doc_resolver) -> None:
         self.source = source
         #: UTF-8 length of ``source``: the payload of shipping this query.
         self.source_bytes = len(source.encode("utf-8"))
         self.name = name
-        self.module: Module = parse_query(source) if module is None else module
+        self.module: Module = module
         self.params = self._with_externals(params)
         self._evaluator = Evaluator(doc_resolver)
         #: data parameter -> what :func:`push_selection` found for this
@@ -169,6 +169,17 @@ class Query:
     def __repr__(self) -> str:
         label = self.name or "anonymous"
         return f"Query({label!r}, params={list(self.params)})"
+
+
+def _query_from_module(
+    source: str, module: Module, params: Sequence[str], name: Optional[str]
+) -> Query:
+    """The query ``Query(source, params, name)`` without parsing ``source``:
+    ``module`` must be what it parses to (see :mod:`.decompose`, which
+    builds a query's module and text together)."""
+    query = Query.__new__(Query)
+    query._build(source, module, params, name, None)
+    return query
 
 
 # Imported after Query's definition: decompose builds Query instances.

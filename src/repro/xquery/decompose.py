@@ -25,13 +25,14 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
-from ..errors import DecompositionError
-from . import Query
+from ..errors import DecompositionError, XQuerySyntaxError
+from . import Query, _query_from_module
 from .ast import (
     DirectElement, EnclosedExpr, FLWORExpr, ForClause, Module, NameTest, PathExpr,
     Step, VarDecl, VarRef, XQNode, unparse,
 )
 from .evaluator import replayable
+from .parser import MAX_NESTING
 
 __all__ = ["Decomposition", "push_selection", "compose", "free_variables"]
 
@@ -158,6 +159,12 @@ def _split(query: Query, data_param: Optional[str]) -> Decomposition:
             "after selection)"
         )
 
+    # Text rendered by unparse nests at most two levels per AST level
+    # below its module.  The inner module is two levels deeper than this
+    # query's (its FLWOR sits in <envelope>{ }), the outer no deeper than
+    # this query's or six (its envelope path): only the text of a deep
+    # query could nest past the parser's limit, so only that is parsed.
+    fits = 2 * (max(_levels(query.module) + 2, 6) - 1) <= MAX_NESTING
     var = for_clause.variable
     data_var = (VarDecl(data_param, None),)
     inner_flwor = FLWORExpr(
@@ -171,9 +178,8 @@ def _split(query: Query, data_param: Optional[str]) -> Decomposition:
         f"<{ENVELOPE_TAG}>{{ for ${var} in {unparse(for_clause.source)} "
         f"where {unparse(flwor.where)} return ${var} }}</{ENVELOPE_TAG}>"
     )
-    inner = Query(
-        inner_source, params=(data_param,), name=f"{query.name or 'q'}-inner",
-        module=inner_module,
+    inner = _derived(
+        inner_source, inner_module, (data_param,), f"{query.name or 'q'}-inner", fits
     )
 
     outer_flwor = FLWORExpr(
@@ -191,13 +197,36 @@ def _split(query: Query, data_param: Optional[str]) -> Decomposition:
         functions=query.module.functions,
         body=outer_flwor,
     )
-    outer = Query(
-        unparse(outer_module),
-        params=query.params,
-        name=f"{query.name or 'q'}-outer",
-        module=outer_module,
+    outer = _derived(
+        unparse(outer_module), outer_module, query.params, f"{query.name or 'q'}-outer", fits
     )
     return Decomposition(inner=inner, outer=outer, data_param=data_param)
+
+
+def _derived(source: str, module: Module, params, name: str, fits: bool) -> Query:
+    """The query ``source``, which parses to ``module``: parsed only
+    unless it ``fits`` under the parser's limit, and refused if it does
+    not parse."""
+    if fits:
+        return _query_from_module(source, module, params, name)
+    try:
+        return Query(source, params=params, name=name)
+    except XQuerySyntaxError as error:
+        raise DecompositionError(f"the {name} query would not parse: {error}") from None
+
+
+def _levels(node: XQNode) -> int:
+    """AST nodes on the longest path down from ``node``."""
+    deepest = 0
+    for value in node.__dict__.values():
+        for entry in value if type(value) is tuple else (value,):
+            if type(entry) is tuple:  # a quantifier's (variable, source)
+                entry = entry[1]
+            if isinstance(entry, XQNode):
+                below = _levels(entry)
+                if below > deepest:
+                    deepest = below
+    return deepest + 1
 
 
 def _envelope_path(data_param: str) -> XQNode:

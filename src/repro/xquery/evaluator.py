@@ -240,13 +240,14 @@ def _flwor_shape(node: FLWORExpr, declared: FrozenSet[Tuple[str, int]]):
     return once, None
 
 
-class _Frame:
+class DynamicContext:
     """Evaluation-time state: variables, focus, resolver, document order.
 
-    Builtins get the calling frame.  The frames a run derives (per binding
-    tuple, predicate item, function call) are built by :func:`_frame`, not
-    by :class:`DynamicContext`'s constructor.  A frame's ``variables`` are
-    never changed once it is handed on, so frames that differ only in
+    Builtins get the calling context.  A plan builds a run's first context
+    (:meth:`_Plan.run`) and derives the others (per binding tuple,
+    predicate item, function call) with :func:`_frame`, field by field:
+    the class has no constructor to run.  A context's ``variables`` are
+    never changed once it is handed on, so contexts that differ only in
     focus share them.
     """
 
@@ -254,6 +255,13 @@ class _Frame:
         "variables", "context_item", "position", "size",
         "doc_resolver", "order", "depth",
     )
+
+    def child(self) -> "DynamicContext":
+        """A context like this one whose variables may be bound afresh."""
+        return _frame(
+            self, dict(self.variables), self.context_item, self.position,
+            self.size, self.depth,
+        )
 
     def require_context_item(self, who: str) -> Item:
         if self.context_item is None:
@@ -268,48 +276,18 @@ class _Frame:
         return self.doc_resolver(name)
 
 
-class DynamicContext(_Frame):
-    """The frame a run starts from."""
-
-    __slots__ = ()
-
-    def __init__(
-        self,
-        variables: Optional[Dict[str, List[Item]]] = None,
-        context_item: Optional[Item] = None,
-        doc_resolver: Optional[DocResolver] = None,
-        order: Optional[DocumentOrder] = None,
-    ) -> None:
-        self.variables: Dict[str, List[Item]] = variables or {}
-        self.context_item = context_item
-        self.position: Optional[int] = None
-        self.size: Optional[int] = None
-        self.doc_resolver = doc_resolver
-        self.order = order or DocumentOrder()
-        self.depth = 0
-
-
-def _frame(ctx: _Frame, variables, item, position, size, depth) -> _Frame:
-    """A frame sharing ``ctx``'s resolver and document order."""
-    frame = _Frame()
+def _frame(ctx: DynamicContext, variables, item, position, size, depth) -> DynamicContext:
+    """A context sharing ``ctx``'s resolver and document order."""
+    frame = DynamicContext()
     frame.variables, frame.context_item = variables, item
     frame.position, frame.size, frame.depth = position, size, depth
     frame.doc_resolver, frame.order = ctx.doc_resolver, ctx.order
     return frame
 
 
-def _scope(ctx: _Frame) -> _Frame:
-    """A frame like ``ctx`` whose variables may be bound afresh."""
-    frame = _Frame()
-    frame.variables, frame.context_item = dict(ctx.variables), ctx.context_item
-    frame.position, frame.size, frame.depth = ctx.position, ctx.size, ctx.depth
-    frame.doc_resolver, frame.order = ctx.doc_resolver, ctx.order
-    return frame
-
-
-Fn = Callable[[_Frame], List[Item]]
-#: A path step: the context nodes and the frame to the step's nodes.
-StepFn = Callable[[List[Item], _Frame], List[Item]]
+Fn = Callable[[DynamicContext], List[Item]]
+#: A path step: the context nodes and the context to the step's nodes.
+StepFn = Callable[[List[Item], DynamicContext], List[Item]]
 
 
 class _Plan:
@@ -326,7 +304,10 @@ class _Plan:
         self.body = compiler.expr(module.body)
 
     def run(self, variables, context_item, doc_resolver) -> List[Item]:
-        ctx = DynamicContext(dict(variables) if variables else {}, context_item, doc_resolver)
+        ctx = DynamicContext()
+        ctx.variables, ctx.context_item = dict(variables) if variables else {}, context_item
+        ctx.position = ctx.size = None
+        ctx.doc_resolver, ctx.order, ctx.depth = doc_resolver, DocumentOrder(), 0
         for name, value in self.variables:
             if value is not None:
                 ctx.variables[name] = value(ctx)
@@ -362,7 +343,7 @@ class _Compiler:
     def _var_ref(self, node: VarRef) -> Fn:
         name = node.name
 
-        def var_ref(ctx: _Frame) -> List[Item]:
+        def var_ref(ctx: DynamicContext) -> List[Item]:
             try:
                 return ctx.variables[name]
             except KeyError:
@@ -375,7 +356,7 @@ class _Compiler:
     def _sequence(self, node: Sequence) -> Fn:
         parts = [self.expr(item) for item in node.items]
 
-        def sequence(ctx: _Frame) -> List[Item]:
+        def sequence(ctx: DynamicContext) -> List[Item]:
             result: List[Item] = []
             for part in parts:
                 result += part(ctx)
@@ -395,12 +376,12 @@ class _Compiler:
         bindings = [(name, self.expr(source)) for name, source in node.bindings]
         condition = self.expr(node.condition)
 
-        def recurse(index: int, scope: _Frame) -> bool:
+        def recurse(index: int, scope: DynamicContext) -> bool:
             if index == len(bindings):
                 return effective_boolean_value(condition(scope))
             name, source = bindings[index]
             for item in source(scope):
-                inner = _scope(scope)
+                inner = scope.child()
                 inner.variables[name] = [item]
                 if recurse(index + 1, inner) is some:
                     return some
@@ -422,15 +403,15 @@ class _Compiler:
         return_expr = self.expr(node.return_expr)
         hash_join = self._hash_join(node, clauses, *join) if join is not None else None
 
-        def nested_loop(ctx: _Frame, sources: Dict[int, List[Item]]) -> List[_Frame]:
+        def nested_loop(ctx: DynamicContext, sources: Dict[int, List[Item]]) -> List[DynamicContext]:
             """The binding tuples that pass ``where``, by definition: each
             clause over every tuple so far, then ``where`` over each tuple."""
-            tuples = [_scope(ctx)]
+            tuples = [ctx.child()]
             for index, (name, at, source, value, is_once) in enumerate(clauses):
-                next_tuples: List[_Frame] = []
+                next_tuples: List[DynamicContext] = []
                 for scope in tuples:
                     if value is not None:  # let
-                        bound = _scope(scope)
+                        bound = scope.child()
                         bound.variables[name] = value(bound)
                         next_tuples.append(bound)
                         continue
@@ -445,7 +426,7 @@ class _Compiler:
                 return tuples
             return [scope for scope in tuples if effective_boolean_value(where(scope))]
 
-        def flwor(ctx: _Frame) -> List[Item]:
+        def flwor(ctx: DynamicContext) -> List[Item]:
             sources: Dict[int, List[Item]] = {}
             tuples = hash_join(ctx, sources) if hash_join is not None else None
             if tuples is None:
@@ -474,11 +455,11 @@ class _Compiler:
         (outer_name, outer_at, outer_source, _, _), (inner_name, _, inner_source, _, _) = clauses
         where = None if node.where is test else self.expr(node.where)
 
-        def passes(pair: _Frame) -> bool:
+        def passes(pair: DynamicContext) -> bool:
             return where is None or effective_boolean_value(where(pair))
 
-        def hash_join(ctx: _Frame, sources: Dict[int, List[Item]]) -> Optional[List[_Frame]]:
-            start = _scope(ctx)
+        def hash_join(ctx: DynamicContext, sources: Dict[int, List[Item]]) -> Optional[List[DynamicContext]]:
+            start = ctx.child()
             items = sources[0] = outer_source(start)
             outers = _bind(start, outer_name, outer_at, items)
             if not outers:
@@ -488,7 +469,7 @@ class _Compiler:
             if not first_pairs:
                 return []
             table: Dict[str, List[int]] = {}
-            kept: List[_Frame] = []
+            kept: List[DynamicContext] = []
             try:
                 probe = outer_key(first_pairs[0]) if outer_left else None
                 for position, pair in enumerate(first_pairs):
@@ -515,10 +496,10 @@ class _Compiler:
             return kept
         return hash_join
 
-    def _order_by(self, node: FLWORExpr) -> Callable[[List[_Frame]], List[_Frame]]:
+    def _order_by(self, node: FLWORExpr) -> Callable[[List[DynamicContext]], List[DynamicContext]]:
         specs = [(self.expr(spec.key), spec.descending) for spec in node.order_by]
 
-        def key_for(scope: _Frame) -> Tuple:
+        def key_for(scope: DynamicContext) -> Tuple:
             keys = []
             for key, _ in specs:
                 atom = atomize_single(key(scope), "order by key")
@@ -532,7 +513,7 @@ class _Compiler:
                     keys.append((2, 0, str(atom)))
             return tuple(keys)
 
-        def order_by(tuples: List[_Frame]) -> List[_Frame]:
+        def order_by(tuples: List[DynamicContext]) -> List[DynamicContext]:
             decorated = [(key_for(scope), index, scope) for index, scope in enumerate(tuples)]
             # stable sort per key, honouring per-key direction
             for position in range(len(specs) - 1, -1, -1):
@@ -566,7 +547,7 @@ class _Compiler:
             return lambda ctx: [general_compare(op, left(ctx), right(ctx))]
         compare = _GENERAL[op]
 
-        def against_number(ctx: _Frame) -> List[Item]:
+        def against_number(ctx: DynamicContext) -> List[Item]:
             """``general_compare`` against a number: a node's text is cast
             as ``to_number`` casts it, any other item compares as usual."""
             for item in left(ctx):
@@ -585,7 +566,7 @@ class _Compiler:
     def _range(self, node: RangeExpr) -> Fn:
         start, end = self.expr(node.start), self.expr(node.end)
 
-        def range_expr(ctx: _Frame) -> List[Item]:
+        def range_expr(ctx: DynamicContext) -> List[Item]:
             first = atomize_single(start(ctx), "range start")
             last = atomize_single(end(ctx), "range end")
             if first is None or last is None:
@@ -596,7 +577,7 @@ class _Compiler:
     def _unary(self, node: UnaryOp) -> Fn:
         op, operand = node.op, self.expr(node.operand)
 
-        def unary(ctx: _Frame) -> List[Item]:
+        def unary(ctx: DynamicContext) -> List[Item]:
             atom = atomize_single(operand(ctx), "unary operand")
             if atom is None:
                 return []
@@ -634,7 +615,7 @@ class _Compiler:
             only = steps[0]
             return lambda ctx: only(start(ctx), ctx)
 
-        def path(ctx: _Frame) -> List[Item]:
+        def path(ctx: DynamicContext) -> List[Item]:
             current = start(ctx)
             for step in steps:
                 current = step(current, ctx)
@@ -654,7 +635,7 @@ class _Compiler:
         ordered = axis in _ORDERED_AXES
         message = f"axis step '{axis}' applied to an atomic value"
 
-        def axis_step(context_nodes: List[Item], ctx: _Frame) -> List[Item]:
+        def axis_step(context_nodes: List[Item], ctx: DynamicContext) -> List[Item]:
             gathered: List[Item] = []
             for item in context_nodes:
                 if type(item) not in _NODE_TYPES and not is_node(item):
@@ -675,7 +656,7 @@ class _Compiler:
         (the spec allows atomics only as the final step)."""
         compiled = self.expr(expr)
 
-        def expression_step(context_nodes: List[Item], ctx: _Frame) -> List[Item]:
+        def expression_step(context_nodes: List[Item], ctx: DynamicContext) -> List[Item]:
             gathered: List[Item] = []
             size = len(context_nodes)
             for position, item in enumerate(context_nodes, start=1):
@@ -690,18 +671,13 @@ class _Compiler:
 
     def _predicates(self, predicates: Tuple[Predicate, ...]):
         """The filter ``predicates`` apply in turn, or ``None`` for none."""
-        filters = []
-        for predicate in predicates:
-            number = predicate.expr.value if isinstance(predicate.expr, Literal) else None
-            if type(number) in (int, float):  # the item at that position
-                index = int(number) - 1 if float(number).is_integer() else -1
-                filters.append(lambda items, ctx, i=index: items[i:i + 1] if i >= 0 else [])
-            else:
-                filters.append(_filter(self.expr(predicate.expr)))
-        if len(filters) < 2:
-            return filters[0] if filters else None
+        if not predicates:
+            return None
+        filters = [_filter(self.expr(predicate.expr)) for predicate in predicates]
+        if len(filters) == 1:
+            return filters[0]
 
-        def apply(items: List[Item], ctx: _Frame) -> List[Item]:
+        def apply(items: List[Item], ctx: DynamicContext) -> List[Item]:
             for keep in filters:
                 items = keep(items, ctx)
             return items
@@ -718,7 +694,7 @@ class _Compiler:
         if key in self.declared:
             functions, message = self.functions, f"recursion limit exceeded in {name}()"
 
-            def call_declared(ctx: _Frame) -> List[Item]:
+            def call_declared(ctx: DynamicContext) -> List[Item]:
                 values = [arg(ctx) for arg in args]
                 if ctx.depth >= _MAX_RECURSION:
                     raise XQueryEvaluationError(message)
@@ -748,7 +724,7 @@ class _Compiler:
             for part in node.content if not isinstance(part, str) or part.strip()
         ]
 
-        def direct_element(ctx: _Frame) -> List[Item]:
+        def direct_element(ctx: DynamicContext) -> List[Item]:
             built = Element(tag)
             for name, parts in attributes:
                 built.set_attr(name, "".join(
@@ -762,7 +738,7 @@ class _Compiler:
             return [built]
         return direct_element
 
-    def _name(self, name: Union[str, XQNode], what: str) -> Callable[[_Frame], str]:
+    def _name(self, name: Union[str, XQNode], what: str) -> Callable[[DynamicContext], str]:
         if isinstance(name, str):
             return lambda ctx: name
         compiled = self.expr(name)
@@ -772,7 +748,7 @@ class _Compiler:
         name = self._name(node.name, "element name")
         content = self.expr(node.content) if node.content is not None else None
 
-        def computed_element(ctx: _Frame) -> List[Item]:
+        def computed_element(ctx: DynamicContext) -> List[Item]:
             built = Element(name(ctx))
             if content is not None:
                 _append_sequence(built, content(ctx))
@@ -825,32 +801,34 @@ def _raiser(error: type, message: str) -> Callable[..., List[Item]]:
     return fail
 
 
-def _bind(scope: _Frame, name: str, at: Optional[str], items: List[Item]) -> List[_Frame]:
+def _bind(scope: DynamicContext, name: str, at: Optional[str], items: List[Item]) -> List[DynamicContext]:
     """One tuple per item: ``scope`` with ``$name`` (and ``$at``) bound."""
     tuples = []
     for position, item in enumerate(items, start=1):
-        bound = _scope(scope)
-        bound.variables[name] = [item]
+        variables = dict(scope.variables)
+        variables[name] = [item]
         if at:
-            bound.variables[at] = [position]
-        tuples.append(bound)
+            variables[at] = [position]
+        tuples.append(_frame(
+            scope, variables, scope.context_item, scope.position, scope.size, scope.depth
+        ))
     return tuples
 
 
-def _join_keys(key: Fn) -> Callable[[_Frame], Optional[FrozenSet[str]]]:
+def _join_keys(key: Fn) -> Callable[[DynamicContext], Optional[FrozenSet[str]]]:
     """The atomized values of ``key``, or ``None`` if one is no string."""
-    def keys(scope: _Frame) -> Optional[FrozenSet[str]]:
+    def keys(scope: DynamicContext) -> Optional[FrozenSet[str]]:
         atoms = atomize(key(scope))
         return frozenset(atoms) if all(isinstance(atom, str) for atom in atoms) else None
     return keys
 
 
-def _joined(compiled: Fn) -> Callable[[_Frame], str]:
+def _joined(compiled: Fn) -> Callable[[DynamicContext], str]:
     """The atomized values of ``compiled``, space-joined."""
     return lambda ctx: " ".join(string_value(atom) for atom in atomize(compiled(ctx)))
 
 
-def _node_compare(op: str, left: List[Item], right: List[Item], ctx: _Frame) -> List[Item]:
+def _node_compare(op: str, left: List[Item], right: List[Item], ctx: DynamicContext) -> List[Item]:
     if len(left) != 1 or len(right) != 1 or not (is_node(left[0]) and is_node(right[0])):
         if not left or not right:
             return []
@@ -861,7 +839,7 @@ def _node_compare(op: str, left: List[Item], right: List[Item], ctx: _Frame) -> 
     return [key_left < key_right if op == "<<" else key_left > key_right]
 
 
-def _set_op(op: str, left: List[Item], right: List[Item], ctx: _Frame) -> List[Item]:
+def _set_op(op: str, left: List[Item], right: List[Item], ctx: DynamicContext) -> List[Item]:
     for item in left + right:
         if not is_node(item):
             raise XQueryTypeError(f"{op}: operands must be nodes")
@@ -907,7 +885,7 @@ def _arith_number(atom: Any, op: str) -> Union[int, float]:
 
 
 def _root_start(has_steps: bool) -> Fn:
-    def root_start(ctx: _Frame) -> List[Item]:
+    def root_start(ctx: DynamicContext) -> List[Item]:
         item = ctx.require_context_item("rooted path")
         if isinstance(item, AttributeNode):
             anchor: Optional[Node] = item.owner
@@ -929,14 +907,14 @@ def _root_start(has_steps: bool) -> Fn:
     return root_start
 
 
-def _relative_start(ctx: _Frame) -> List[Item]:
+def _relative_start(ctx: DynamicContext) -> List[Item]:
     return [ctx.require_context_item("relative path")]
 
 
 def _descendants(step: StepFn) -> StepFn:
     """``descendant-or-self::node()/child::T`` as ``step``, i.e.
     ``descendant::T``: the same nodes, and the same trees ranked."""
-    def descendants(context_nodes: List[Item], ctx: _Frame) -> List[Item]:
+    def descendants(context_nodes: List[Item], ctx: DynamicContext) -> List[Item]:
         for item in context_nodes:
             if type(item) not in _NODE_TYPES and not is_node(item):
                 raise XQueryTypeError("axis step 'descendant-or-self' applied to an atomic value")
@@ -1050,10 +1028,10 @@ def _axis_nodes(axis: str, node: Union[Node, AttributeNode]) -> List[Union[Node,
     raise XQueryEvaluationError(f"unsupported axis {axis!r}")
 
 
-def _filter(test: Fn) -> Callable[[List[Item], _Frame], List[Item]]:
+def _filter(test: Fn) -> Callable[[List[Item], DynamicContext], List[Item]]:
     """A predicate: each item in turn as the focus; a number keeps the
     item at that position, anything else its effective boolean value."""
-    def keep(items: List[Item], ctx: _Frame) -> List[Item]:
+    def keep(items: List[Item], ctx: DynamicContext) -> List[Item]:
         kept: List[Item] = []
         size = len(items)
         for position, item in enumerate(items, start=1):

@@ -7,11 +7,12 @@ from repro.xmlcore import element, equivalent, parse, serialize
 from repro.xquery import Query
 from repro.xquery.decompose import (
     ENVELOPE_TAG,
+    _levels,
     compose,
     free_variables,
     push_selection,
 )
-from repro.xquery.parser import parse_expression, parse_query
+from repro.xquery.parser import MAX_NESTING, parse_expression, parse_query
 
 
 @pytest.fixture()
@@ -228,6 +229,61 @@ class TestDerivedQueriesAreNotReparsed:
                             continue
                         for derived in (split.inner, split.outer):
                             assert parse_query(derived.source) == derived.module
+                            # what the split's nesting bound assumes
+                            assert _levels(derived.module) <= max(_levels(query.module) + 2, 6)
                             assert derived.source_bytes == len(derived.source.encode("utf-8"))
                         splits += 1
         assert splits > 50
+
+
+def _selection(calls):
+    """A filter query whose ``where`` nests ``calls`` ``not(...)`` deep."""
+    condition = "not(" * calls + "$i/price > 1" + ")" * calls
+    return Query(f"for $i in $d//item where {condition} return $i", params=("d",))
+
+
+#: Queries mixing every construct unparse renders, nested a few deep.
+DEEP_QUERIES = [
+    "for $a in (for $b in $d//x return $b) where (if ($a) then (some $x in ($a, 1) "
+    "satisfies ($x = 1)) else (every $y in (1 to 2) satisfies -($y) < 0)) "
+    "order by $a/k descending return <r a=\"{$a}\">{ element e { text { ($a)[1] } } }</r>",
+    "declare variable $v := (1, (2, (3))); declare function local:f($x) "
+    "{ if ($x) then local:f(()) else ($x, <a><b>{ $x/c[d/(e|f)] }</b></a>) }; local:f($v)",
+    "let $x := (let $y := 1 return $y + (2 * (3 - 4))) return attribute n { $x }",
+    "element { concat('a', string(count((1, (2, 3))))) } { $d/a[1]/b[c = (1, 2)]/d }",
+    " + ".join(["1"] * 20),
+    "not(" * 12 + "1" + ")" * 12,
+    "".join(f"some $q{k} in (" for k in range(6)) + "1"
+    + "".join(f") satisfies $q{k}" for k in reversed(range(6))),
+    # the worst case: each FLWOR in a where renders as "where (for ...)"
+    "".join(f"for $x{k} in 1 where " for k in range(8)) + "1"
+    + "".join(f" return $x{k}" for k in reversed(range(8))),
+]
+
+
+class TestDerivedNesting:
+    """A derived query's text parses: ``_derived`` parses only the text of
+    a module deep enough to nest past the parser's limit."""
+
+    @pytest.mark.parametrize("source", DEEP_QUERIES)
+    def test_unparsed_text_nests_two_levels_per_ast_level(self, source, monkeypatch):
+        import repro.xquery.parser as parser
+        from repro.xquery.ast import unparse
+
+        module = parse_query(source)
+        monkeypatch.setattr(parser, "MAX_NESTING", 2 * (_levels(module) - 1))
+        assert parse_query(unparse(module)) == module
+
+    def test_a_split_whose_text_fits_round_trips(self, catalog):
+        # the inner query nests two levels deeper than the user's: at the limit
+        q = _selection(MAX_NESTING - 4)
+        split = push_selection(q)
+        assert _levels(split.inner.module) == _levels(q.module) + 2
+        assert parse_query(split.inner.source) == split.inner.module
+        assert results_equal(split.outer(split.inner(catalog)), q(catalog))
+
+    def test_a_split_whose_text_would_not_parse_is_refused(self, catalog):
+        q = _selection(MAX_NESTING - 2)  # the user's query is at the limit
+        assert len(q(catalog)) == 18
+        with pytest.raises(DecompositionError, match=f"q-inner query would not parse.*limit of {MAX_NESTING}"):
+            push_selection(q)

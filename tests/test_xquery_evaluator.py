@@ -339,6 +339,16 @@ class TestVariablesAndFunctions:
         with pytest.raises(XQueryEvaluationError):
             evaluate_query("$nope")
 
+    @pytest.mark.parametrize("source, expected", [
+        ("let $x := 1 return ((let $x := 2 return $x), $x)", [2, 1]),
+        ("let $x := 1 return ((some $x in (5, 6) satisfies $x = 6), $x)", [True, 1]),
+        ("for $x in (1, 2) return ((for $x in (7) return $x), $x)", [7, 1, 7, 2]),
+        ("declare function local:f($x) { (let $x := 9 return $x, $x) }; "
+         "let $x := 3 return (local:f(4), $x)", [9, 4, 3]),
+    ])
+    def test_an_inner_binding_shadows_without_leaking(self, source, expected):
+        assert evaluate_query(source) == expected
+
     def test_declared_function(self):
         assert evaluate_query(
             "declare function local:sq($x) { $x * $x }; local:sq(9)"
@@ -364,8 +374,16 @@ class TestVariablesAndFunctions:
 
     @pytest.mark.parametrize("n", (200, 255))
     def test_deep_recursion_returns(self, n):
-        # 256 nested calls: local:f(255) down to local:f(0)
+        # 256 nested calls, local:f(255) down to local:f(0), from a shallow
+        # stack: each call level takes about two Python frames
         assert evaluate_query(self.COUNTDOWN % n) == [0]
+
+    def test_deep_recursion_returns_under_a_deep_caller(self):
+        # a plan search runs queries about 400 frames down the stack
+        def descend(frames):
+            return descend(frames - 1) if frames else evaluate_query(self.COUNTDOWN % 255)
+
+        assert descend(400) == [0]
 
     @pytest.mark.parametrize("n", (256, 300))
     def test_recursion_past_the_limit_is_a_typed_error(self, n):
