@@ -30,8 +30,9 @@ Underneath, the package implements, from scratch:
   byte-accurate message accounting and per-peer traffic attribution;
 * :mod:`repro.peers` — peers hosting documents and services, generic
   name registry with pick policies, the system state Σ;
-* :mod:`repro.axml` — AXML documents with embedded service calls,
-  activation modes, continuous streams;
+* :mod:`repro.axml` — embedded service-call (``sc``) nodes and their
+  activation modes, continuous streams (activation itself is definition
+  (1) of :mod:`repro.core`);
 * :mod:`repro.core` — the paper's contribution: the expression algebra
   E, eval definitions (1)–(9), equivalence rules (10)–(16), cost model,
   strategy-driven optimizer, and machine-checked equivalence

@@ -21,22 +21,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..errors import ServiceCallError
-from ..xmlcore.model import (
-    SC_LABEL,
-    Element,
-    NodeId,
-    Text,
-    element,
-    find_by_id,
-    iter_elements,
-)
+from ..xmlcore.model import SC_LABEL, Element, NodeId, Text, element
 
 __all__ = [
     "ActivationMode",
     "ServiceCall",
     "make_service_call",
-    "find_service_calls",
-    "AXMLDocument",
     "ANY_PROVIDER",
 ]
 
@@ -44,11 +34,23 @@ ANY_PROVIDER = "any"
 
 
 class ActivationMode:
-    """When a call fires (Section 2.2 lists these control regimes)."""
+    """When a call fires (Section 2.2 lists these control regimes).
 
-    IMMEDIATE = "immediate"  # activate as soon as the engine sees the call
-    LAZY = "lazy"            # activate when a query needs the result
-    MANUAL = "manual"        # only when explicitly asked (interactive)
+    The rule is decided once, by definition (1) in
+    :meth:`ExpressionEvaluator._fire_calls
+    <repro.core.evaluator.ExpressionEvaluator._fire_calls>`: evaluating a
+    document fires every embedded call unless it is ``manual`` or its
+    ``after=`` names a call that did not complete (did not fire, or was
+    lost).  An unfired call stays in the value, and so in the stored
+    document, as the ``sc`` it was.  A fired ``after=N`` call is admitted
+    once ``N`` completes; ``after=`` names resolve within one activated
+    tree, in document order, and one that no earlier call carries raises
+    :class:`~repro.errors.ServiceCallError`.
+    """
+
+    IMMEDIATE = "immediate"  # fires whenever its document is evaluated
+    LAZY = "lazy"            # fires too: eval(d@p) needs the whole value
+    MANUAL = "manual"        # only by evaluating its ServiceCallExpr, (6)
 
     ALL = (IMMEDIATE, LAZY, MANUAL)
 
@@ -178,96 +180,3 @@ def make_service_call(
     for target in forwards:
         node.append(element("forw", str(target)))
     return node
-
-
-def find_service_calls(root: Element) -> List[ServiceCall]:
-    """All well-formed sc nodes under ``root``, in document order."""
-    calls: List[ServiceCall] = []
-    for candidate in iter_elements(root):
-        if candidate.is_service_call():
-            calls.append(ServiceCall.parse(candidate))
-    return calls
-
-
-class AXMLDocument:
-    """A named AXML document living on a peer.
-
-    Thin convenience over the peer's document map: service-call discovery,
-    activation bookkeeping (which calls already fired, for chaining), and
-    the data/intension split (:meth:`materialized_view` strips sc nodes —
-    the purely extensional part of the document).
-    """
-
-    def __init__(self, name: str, peer_id: str, root: Element) -> None:
-        self.name = name
-        self.peer_id = peer_id
-        self.root = root
-        #: seq numbers of sc elements already activated at least once.
-        self.activated: set = set()
-
-    def service_calls(self) -> List[ServiceCall]:
-        return find_service_calls(self.root)
-
-    def pending_calls(self, mode: Optional[str] = None) -> List[ServiceCall]:
-        """Calls not yet activated, optionally filtered by mode."""
-        pending = []
-        for call in self.service_calls():
-            if self.was_activated(call):
-                continue
-            if mode is not None and call.mode != mode:
-                continue
-            pending.append(call)
-        return pending
-
-    def own(self, peer, call: ServiceCall) -> ServiceCall:
-        """Re-anchor this view and ``call`` before an in-place edit.
-
-        A tree shared with another Σ is frozen; activation edits the
-        document (responses accumulate, the ``sc`` is marked), so the view
-        follows ``peer`` to its private copy
-        (:meth:`Peer.own_document <repro.peers.peer.Peer.own_document>`)
-        and a ``call`` parsed from the shared tree is found again there
-        by node id.
-        """
-        if not call.node.frozen:
-            return call
-        self.root = peer.own_document(self.name)
-        node_id = call.node.node_id
-        node = find_by_id(self.root, node_id) if node_id is not None else None
-        if node is None:
-            raise ServiceCallError(
-                f"{call} is not a call of document {self.name!r}@{self.peer_id}"
-            )
-        return ServiceCall.parse(node)
-
-    def mark_activated(self, call: ServiceCall) -> None:
-        """Record activation both in-memory and *in the document itself*.
-
-        The ``activated`` attribute makes the call's state part of the
-        tree, so other consumers (notably the expression evaluator of
-        :mod:`repro.core`, definition (1)) do not re-fire a call whose
-        initial results already accumulated.  Re-firing for continuous
-        services flows through streams, not through re-activation.
-        """
-        self.activated.add(id(call.node))
-        call.node.set_attr("activated", "true")
-
-    def was_activated(self, call: ServiceCall) -> bool:
-        return (
-            id(call.node) in self.activated
-            or call.node.get("activated") == "true"
-        )
-
-    def materialized_view(self) -> Element:
-        """A copy with every sc subtree removed (extensional content only)."""
-        clone = self.root.copy()
-        to_remove = [
-            node for node in iter_elements(clone) if node.is_service_call()
-        ]
-        for node in to_remove:
-            if node.parent is not None:
-                node.parent.remove(node)
-        return clone
-
-    def __repr__(self) -> str:
-        return f"AXMLDocument({self.name!r}@{self.peer_id}, calls={len(self.service_calls())})"

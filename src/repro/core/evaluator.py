@@ -11,7 +11,11 @@ Mapping from the paper's definitions to code paths:
 (1)        ``TreeExpr`` at its home peer: a plain-data tree is its own
            value, frozen, by reference; in one embedding ``sc`` nodes
            (frozen too) the calls fire via (6) in document order, then
-           the value is built from the tree and their responses
+           the value is built from the tree and their responses.  A call
+           fires unless it is ``mode="manual"`` or its ``after=`` names
+           a call that did not complete; an unfired call stays in the
+           value as the ``sc`` it was, and ``after=N`` is admitted when
+           ``N`` completes (see :meth:`~ExpressionEvaluator._fire_calls`)
 (2)        ``QueryApply`` with local head and args: evaluate args, then
            the query, at the same peer (compute time charged)
 (3),(4)    ``Send``: empty result at the sender; the copy's arrival at
@@ -61,9 +65,9 @@ A :class:`~repro.session.Session` runs a subclass that is that layer;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..axml.document import ServiceCall
+from ..axml.document import ActivationMode, ServiceCall
 from ..errors import (
     ActivationCycleError,
     EvaluationUndefinedError,
@@ -301,7 +305,7 @@ class ExpressionEvaluator:
         tree.freeze()
         outcome = EvalOutcome(completed_at=ready_at)
         responses: List[Optional[Tuple[Element, ...]]] = []
-        self._fire_calls(tree, at, ready_at, depth, outcome, responses)
+        self._fire_calls(tree, at, ready_at, depth, outcome, responses, {})
         evaluated = build_tree(
             "activated",
             (tree, tuple(responses)),
@@ -319,26 +323,67 @@ class ExpressionEvaluator:
         depth: int,
         outcome: EvalOutcome,
         responses: List[Optional[Tuple[Element, ...]]],
+        completed: Dict[str, Optional[float]],
     ) -> None:
         """Definition (1)'s effects: push evaluation into children.
 
-        Every embedded ``sc`` element evaluates per definition (6), in
-        document order, and appends to ``responses`` what replaces it in
-        the value: its responses under a default forward list, ``None``
-        (the node is dropped) under an explicit one.  ``tree`` is only
-        read.
+        Every embedded ``sc`` element, in document order, appends to
+        ``responses`` what replaces it in the value: its responses under a
+        default forward list; ``None`` (the node is dropped) under an
+        explicit one, or when the call was lost; ``(node,)``, the ``sc``
+        as it was, when the call does not fire.  Activation control
+        (Section 2.2) is decided here, once:
+
+        * a call fires unless it is ``mode="manual"`` or its ``after=``
+          names a call that did not complete (did not fire, or was lost);
+        * a fired ``after=N`` call is admitted at the later of
+          ``ready_at`` and ``N``'s completion;
+        * ``after=`` names resolve within ``tree``, in document order: one
+          that no earlier call carries raises :class:`ServiceCallError`;
+        * a ``lazy`` call fires: the value of ``eval(d@p)`` is the whole
+          value.  A manual call is activated explicitly by evaluating its
+          :class:`ServiceCallExpr` (definition (6)).
+
+        ``completed`` maps the name of each call met so far to its
+        completion instant, or None if it did not complete.  ``tree`` is
+        only read.
         """
         if not tree.is_service_call():
             for child in tree.children:
                 if isinstance(child, Element) and child.has_service_calls():
-                    self._fire_calls(child, at, ready_at, depth, outcome, responses)
-            return
-        if tree.get("activated") == "true":
-            # already fired by the AXML activation engine; its results
-            # accumulated as siblings — the data fixpoint drops the sc.
-            responses.append(None)
+                    self._fire_calls(
+                        child, at, ready_at, depth, outcome, responses, completed
+                    )
             return
         call = ServiceCall.parse(tree)
+        start = None if call.mode == ActivationMode.MANUAL else ready_at
+        if call.after is not None:
+            if call.after not in completed:
+                raise ServiceCallError(
+                    f"{call} runs after {call.after!r}, "
+                    "which names no earlier call of its tree"
+                )
+            after = completed[call.after]
+            start = None if start is None or after is None else max(start, after)
+        done = None
+        if start is None:
+            responses.append((tree,))  # not fired: it stays the sc it was
+        else:
+            done = self._fire_call(call, at, start, depth, outcome, responses)
+        if call.name is not None:
+            completed[call.name] = done
+
+    def _fire_call(
+        self,
+        call: ServiceCall,
+        at: str,
+        ready_at: float,
+        depth: int,
+        outcome: EvalOutcome,
+        responses: List[Optional[Tuple[Element, ...]]],
+    ) -> Optional[float]:
+        """Evaluate ``call`` per definition (6); returns its completion
+        instant, or None when it was lost (see :meth:`_fire_calls`)."""
         call_expr = ServiceCallExpr(
             provider=call.provider,
             service=call.service,
@@ -352,13 +397,13 @@ class ExpressionEvaluator:
                 "service", f"{call.service}@{call.provider}", (call.provider,), exc
             )
             # tolerated: the call's results never arrive, so the sc node
-            # disappears from the value (exactly what an unactivated call
-            # looks like)
+            # disappears from the value
             responses.append(None)
-            return
+            return None
         outcome.merge_effects(sub)
         outcome.completed_at = max(outcome.completed_at, sub.completed_at)
         responses.append(None if call.forwards else tuple(sub.items))
+        return sub.completed_at
 
     # -- documents ----------------------------------------------------------------
     def _eval_doc(

@@ -3,23 +3,21 @@
 import pytest
 
 from repro.axml import (
-    ActivationEngine,
     ActivationMode,
-    AXMLDocument,
     IncrementalQuery,
     ServiceCall,
     StreamChannel,
-    find_service_calls,
+    Subscription,
     make_service_call,
 )
+from repro.core import DocExpr, ExpressionEvaluator, ServiceCallExpr
 from repro.errors import AXMLError, ServiceCallError
 from repro.peers import AXMLSystem, NativeService
 from repro.xmlcore import NodeId, element, parse, serialize
 from repro.xquery import Query
 
 
-@pytest.fixture()
-def system():
+def make_system():
     sys = AXMLSystem.with_peers(["p0", "p1", "p2"])
     sys.peer("p1").install_query_service("hello", "<greeting>hi</greeting>")
     sys.peer("p1").install_query_service(
@@ -30,9 +28,9 @@ def system():
     return sys
 
 
-def install_doc(system, peer, name, root):
-    system.peer(peer).install_document(name, root)
-    return AXMLDocument(name, peer, root)
+@pytest.fixture()
+def system():
+    return make_system()
 
 
 class TestServiceCallParsing:
@@ -88,29 +86,72 @@ class TestServiceCallParsing:
         (payload,) = ServiceCall.parse(sc).param_payloads()
         assert payload.tag == "param1"
 
-    def test_find_service_calls_document_order(self):
-        root = element(
-            "doc",
-            make_service_call("p1", "a"),
-            element("mid", make_service_call("p1", "b")),
-        )
-        assert [c.service for c in find_service_calls(root)] == ["a", "b"]
+
+class _Recording(ExpressionEvaluator):
+    """The bare evaluator, noting each CALL's provider and ready instant.
+
+    With ``tolerant`` it forgives a lost call, as a ``partial`` run does.
+    """
+
+    def __init__(self, system, tolerant=False):
+        super().__init__(system)
+        self.tolerant = tolerant
+        self.calls = []
+
+    def _call_provider(self, message, ready_at):
+        self.calls.append((message.dst, ready_at))
+        return super()._call_provider(message, ready_at)
+
+    def _lost(self, kind, name, peers, exc):
+        if not self.tolerant:
+            raise exc
+
+
+def activate(system, root, evaluator=None):
+    """Install ``root`` as ``d@p0`` and evaluate ``d@p0`` there (definition
+    (1)): returns the outcome, its one value and the stored document."""
+    system.peer("p0").install_document("d", root)
+    evaluator = evaluator or ExpressionEvaluator(system)
+    outcome = evaluator.eval(DocExpr("d", "p0"), "p0")
+    (value,) = outcome.items
+    return outcome, value, system.peer("p0").document("d")
+
+
+def hello(**attrs):
+    return make_service_call("p1", "hello", **attrs)
+
+
+#: name -> (calls in document order, greetings, indices of the calls left
+#: unfired, messages): what evaluating ``<doc>{calls}</doc>`` does.
+CONTROL = {
+    "immediate": (lambda: [hello()], 1, (), 2),
+    "lazy": (lambda: [hello(mode=ActivationMode.LAZY)], 1, (), 2),
+    "manual": (lambda: [hello(mode=ActivationMode.MANUAL)], 0, (0,), 0),
+    "chained": (lambda: [hello(name="first"), hello(after="first")], 2, (), 4),
+    "after-manual": (
+        lambda: [hello(mode=ActivationMode.MANUAL, name="m"), hello(after="m")],
+        0, (0, 1), 0,
+    ),
+    "after-manual-then-free": (
+        lambda: [
+            hello(mode=ActivationMode.MANUAL, name="m"), hello(after="m"), hello(),
+        ],
+        1, (0, 1), 2,
+    ),
+}
 
 
 class TestActivation:
-    def test_default_forward_is_sibling(self, system):
-        root = element("doc", make_service_call("p1", "hello"))
-        doc = install_doc(system, "p0", "d", root)
-        ActivationEngine(system).run_immediate(doc)
-        assert root.child_by_tag("greeting").string_value() == "hi"
-        # the sc node itself remains (results accumulate as siblings)
-        assert root.child_by_tag("sc") is not None
+    def test_default_forward_replaces_the_call(self, system):
+        _, value, stored = activate(system, element("doc", hello()))
+        # the responses take the call's place, in the value and in Σ
+        assert value is stored
+        assert serialize(stored) == "<doc><greeting>hi</greeting></doc>"
 
     def test_parameters_shipped_and_used(self, system):
         root = element("doc", make_service_call("p1", "double", params=[element("v", "21")]))
-        doc = install_doc(system, "p0", "d", root)
-        ActivationEngine(system).run_immediate(doc)
-        assert root.child_by_tag("out").string_value() == "42"
+        _, value, _ = activate(system, root)
+        assert value.child_by_tag("out").string_value() == "42"
 
     def test_explicit_forward_targets(self, system):
         inbox = element("inbox")
@@ -119,10 +160,9 @@ class TestActivation:
             "doc",
             make_service_call("p1", "hello", forwards=[inbox.node_id]),
         )
-        doc = install_doc(system, "p0", "d", root)
-        ActivationEngine(system).run_immediate(doc)
-        assert inbox.child_by_tag("greeting") is not None
-        assert root.child_by_tag("greeting") is None  # not delivered locally
+        _, value, _ = activate(system, root)
+        assert system.peer("p2").document("acc").child_by_tag("greeting") is not None
+        assert serialize(value) == "<doc/>"  # not delivered locally
 
     def test_multiple_forward_targets(self, system):
         box1, box2 = element("b1"), element("b2")
@@ -134,104 +174,115 @@ class TestActivation:
                 "p1", "hello", forwards=[box1.node_id, box2.node_id]
             ),
         )
-        doc = install_doc(system, "p0", "d", root)
-        ActivationEngine(system).run_immediate(doc)
-        assert box1.child_by_tag("greeting") is not None
-        assert box2.child_by_tag("greeting") is not None
+        activate(system, root)
+        assert system.peer("p2").document("acc1").child_by_tag("greeting") is not None
+        assert system.peer("p0").document("acc2").child_by_tag("greeting") is not None
 
     def test_network_charged(self, system):
-        root = element("doc", make_service_call("p1", "hello"))
-        doc = install_doc(system, "p0", "d", root)
-        ActivationEngine(system).run_immediate(doc)
+        activate(system, element("doc", hello()))
         stats = system.network.stats
         assert stats.messages == 2  # call + result
         assert stats.bytes > 0
 
     def test_unknown_service(self, system):
         root = element("doc", make_service_call("p1", "ghost"))
-        doc = install_doc(system, "p0", "d", root)
         with pytest.raises(ServiceCallError):
-            ActivationEngine(system).run_immediate(doc)
+            activate(system, root)
 
     def test_generic_call_resolved_via_registry(self, system):
         system.registry.register_service("hello", "hello", "p1")
-        root = element("doc", make_service_call("any", "hello"))
-        doc = install_doc(system, "p0", "d", root)
-        results = ActivationEngine(system).run_immediate(doc)
-        assert results[0].provider == "p1"
+        evaluator = _Recording(system)
+        _, value, _ = activate(
+            system, element("doc", make_service_call("any", "hello")), evaluator
+        )
+        assert [provider for provider, _ in evaluator.calls] == ["p1"]
+        assert value.child_by_tag("greeting") is not None
 
-    def test_chained_activation(self, system):
+    @pytest.mark.parametrize("case", list(CONTROL))
+    def test_activation_control(self, system, case):
+        build, greetings, unfired, messages = CONTROL[case]
+        calls = build()
+        expected = [serialize(calls[i]) for i in unfired]
+        _, value, stored = activate(system, element("doc", *calls))
+        assert system.network.stats.messages == messages
+        for tree in (value, stored):
+            assert len(tree.children_by_tag("greeting")) == greetings
+            # an unfired call stays in place as the sc it was
+            assert [serialize(sc) for sc in tree.children_by_tag("sc")] == expected
+
+    def test_chained_call_admitted_at_its_predecessors_completion(self, system):
+        first, _, _ = activate(make_system(), element("doc", hello(name="first")))
+        evaluator = _Recording(system)
+        root = element("doc", hello(name="first"), hello(after="first"))
+        outcome, _, _ = activate(system, root, evaluator)
+        assert first.completed_at > 0.0
+        assert evaluator.calls == [("p1", 0.0), ("p1", first.completed_at)]
+        assert outcome.completed_at > first.completed_at
+
+    def test_after_resolves_across_subtrees_in_document_order(self, system):
         root = element(
             "doc",
-            make_service_call("p1", "hello", name="first"),
-            make_service_call("p1", "hello", after="first"),
+            element("a", hello(name="first")),
+            element("b", hello(after="first")),
         )
-        doc = install_doc(system, "p0", "d", root)
-        ActivationEngine(system).run_immediate(doc)
-        assert len(root.children_by_tag("greeting")) == 2
+        _, value, _ = activate(system, root)
+        assert serialize(value) == (
+            "<doc><a><greeting>hi</greeting></a><b><greeting>hi</greeting></b></doc>"
+        )
 
-    def test_lazy_not_fired_by_immediate_pass(self, system):
-        root = element(
-            "doc", make_service_call("p1", "hello", mode=ActivationMode.LAZY)
-        )
-        doc = install_doc(system, "p0", "d", root)
-        ActivationEngine(system).run_immediate(doc)
-        assert root.child_by_tag("greeting") is None
+    @pytest.mark.parametrize(
+        "calls",
+        [
+            lambda: [hello(after="ghost")],
+            lambda: [hello(after="late"), hello(name="late")],
+        ],
+        ids=["names-no-call", "names-a-later-call"],
+    )
+    def test_after_naming_no_earlier_call_raises(self, system, calls):
+        with pytest.raises(ServiceCallError, match="no earlier call"):
+            activate(system, element("doc", *calls()))
+        assert system.network.stats.messages == 0
 
-    def test_lazy_fired_for_query(self, system):
+    def test_call_after_a_lost_call_stays_unfired(self, system):
+        system.peer("p2").install_query_service("hello", "<greeting>hi</greeting>")
+        system.peer("p2").alive = False
         root = element(
-            "doc", make_service_call("p1", "hello", mode=ActivationMode.LAZY)
+            "doc",
+            make_service_call("p2", "hello", name="gone"),
+            hello(after="gone"),
         )
-        doc = install_doc(system, "p0", "d", root)
-        ActivationEngine(system).activate_for_query(doc)
-        assert root.child_by_tag("greeting") is not None
+        follower = serialize(root.element_children[1])
+        _, value, _ = activate(system, root, _Recording(system, tolerant=True))
+        # the lost call is dropped; the one chained after it never fires
+        assert [serialize(sc) for sc in value.element_children] == [follower]
+        assert system.network.stats.messages == 0
 
-    def test_manual_never_auto_fired(self, system):
-        root = element(
-            "doc", make_service_call("p1", "hello", mode=ActivationMode.MANUAL)
+    def test_manual_fires_only_when_its_call_is_evaluated(self, system):
+        _, value, _ = activate(system, element("doc", hello(mode=ActivationMode.MANUAL)))
+        # a second evaluation of d@p0 leaves the call unfired again
+        (again,) = ExpressionEvaluator(system).eval(DocExpr("d", "p0"), "p0").items
+        assert serialize(again) == serialize(value)
+        assert again.child_by_tag("greeting") is None
+        assert system.network.stats.messages == 0
+        # explicit activation: evaluate the call itself, definition (6)
+        call = ServiceCall.parse(value.child_by_tag("sc"))
+        outcome = ExpressionEvaluator(system).eval(
+            ServiceCallExpr(call.provider, call.service), "p0"
         )
-        doc = install_doc(system, "p0", "d", root)
-        engine = ActivationEngine(system)
-        engine.run_immediate(doc)
-        engine.activate_for_query(doc)
-        assert root.child_by_tag("greeting") is None
-        # explicit activation still possible
-        engine.activate(doc, doc.service_calls()[0])
-        assert root.child_by_tag("greeting") is not None
+        assert [serialize(item) for item in outcome.items] == [
+            "<greeting>hi</greeting>"
+        ]
 
     def test_recursive_responses_reach_fixpoint(self, system):
         # a service whose response embeds another call
-        inner_call = make_service_call("p1", "hello")
+        inner_call = hello()
         def respond(params, host):
             return [element("wrap", inner_call.copy())]
         system.peer("p1").install_service(NativeService("nest", respond))
-        root = element("doc", make_service_call("p1", "nest"))
-        doc = install_doc(system, "p0", "d", root)
-        ActivationEngine(system).run_immediate(doc)
-        wrap = root.child_by_tag("wrap")
+        _, value, _ = activate(system, element("doc", make_service_call("p1", "nest")))
+        wrap = value.child_by_tag("wrap")
         assert wrap.child_by_tag("greeting") is not None
-
-    def test_activation_history(self, system):
-        root = element("doc", make_service_call("p1", "hello"))
-        doc = install_doc(system, "p0", "d", root)
-        engine = ActivationEngine(system)
-        engine.run_immediate(doc)
-        assert len(engine.history) == 1
-        assert engine.history[0].messages == 2
-
-    def test_pending_tracking(self, system):
-        root = element("doc", make_service_call("p1", "hello"))
-        doc = install_doc(system, "p0", "d", root)
-        assert len(doc.pending_calls()) == 1
-        ActivationEngine(system).run_immediate(doc)
-        assert doc.pending_calls() == []
-
-    def test_materialized_view_strips_calls(self, system):
-        root = element("doc", element("keep"), make_service_call("p1", "hello"))
-        doc = install_doc(system, "p0", "d", root)
-        view = doc.materialized_view()
-        assert view.child_by_tag("keep") is not None
-        assert view.child_by_tag("sc") is None
+        assert not value.has_service_calls()
 
 
 class TestStreams:
@@ -272,12 +323,7 @@ class TestStreams:
 
     def test_missing_target_raises(self, system):
         channel = StreamChannel("news", "p0", system)
-        channel.subscriptions.append(
-            type(channel.subscriptions)() if False else
-            __import__("repro.axml.streams", fromlist=["Subscription"]).Subscription(
-                NodeId("p2", 424242)
-            )
-        )
+        channel.subscriptions.append(Subscription(NodeId("p2", 424242)))
         with pytest.raises(AXMLError):
             channel.emit(parse("<item/>"))
 

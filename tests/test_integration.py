@@ -10,8 +10,6 @@ application from the extended version of the paper.
 import pytest
 
 from repro.axml import (
-    ActivationEngine,
-    AXMLDocument,
     IncrementalQuery,
     StreamChannel,
     make_service_call,
@@ -32,7 +30,7 @@ from repro.core import (
     measure,
 )
 from repro.peers import AXMLSystem, NearestPolicy
-from repro.xmlcore import element, equivalent, parse, serialize
+from repro.xmlcore import element, parse, serialize
 from repro.xquery import Query
 
 
@@ -82,7 +80,7 @@ class TestDistributedQueryPipeline:
 
 
 class TestAXMLFeedsAlgebra:
-    """An AXML document materializes via activation, then gets queried."""
+    """An AXML document activates as it is evaluated, then gets queried."""
 
     def test_activation_then_query(self):
         system = AXMLSystem.with_peers(["portal", "newsdesk"])
@@ -92,9 +90,8 @@ class TestAXMLFeedsAlgebra:
         )
         root = element("newspage", make_service_call("newsdesk", "headlines"))
         system.peer("portal").install_document("page", root)
-        doc = AXMLDocument("page", "portal", root)
-        ActivationEngine(system).run_immediate(doc)
 
+        # the query's argument d@p activates the page (definition (1))
         q = Query("count($p//story)", params=("p",), name="nstories")
         evaluator = ExpressionEvaluator(system)
         outcome = evaluator.eval(
@@ -102,26 +99,9 @@ class TestAXMLFeedsAlgebra:
             "portal",
         )
         assert outcome.items[0].string_value() == "1"
-
-    def test_expression_eval_activates_document_calls(self):
-        """Evaluating d@p with embedded sc reaches the same fixpoint as
-        the AXML activation engine — two roads, one semantics."""
-        def build():
-            system = AXMLSystem.with_peers(["a", "b"])
-            system.peer("b").install_query_service("mk", "<leaf>v</leaf>")
-            root = element("doc", make_service_call("b", "mk"))
-            system.peer("a").install_document("d", root)
-            return system, root
-
-        system1, root1 = build()
-        doc = AXMLDocument("d", "a", root1)
-        ActivationEngine(system1).run_immediate(doc)
-        via_engine = doc.materialized_view()
-
-        system2, root2 = build()
-        outcome = ExpressionEvaluator(system2).eval(DocExpr("d", "a"), "a")
-        via_algebra = outcome.items[0]
-        assert equivalent(via_engine, via_algebra)
+        assert serialize(system.peer("portal").document("page")) == (
+            "<newspage><story><title>breaking</title></story></newspage>"
+        )
 
 
 class TestGenericReplicas:
