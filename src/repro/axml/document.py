@@ -42,10 +42,10 @@ class ActivationMode:
     document fires every embedded call unless it is ``manual`` or its
     ``after=`` names a call that did not complete (did not fire, or was
     lost).  An unfired call stays in the value, and so in the stored
-    document, as the ``sc`` it was.  A fired ``after=N`` call is admitted
-    once ``N`` completes; ``after=`` names resolve within one activated
-    tree, in document order, and one that no earlier call carries raises
-    :class:`~repro.errors.ServiceCallError`.
+    document, as the ``sc`` it was; so does a call waited on that did
+    not complete.  A fired ``after=N`` call is admitted once ``N``
+    completes; a non-manual call's ``after=`` that no earlier call of
+    its tree carries raises :class:`~repro.errors.ServiceCallError`.
     """
 
     IMMEDIATE = "immediate"  # fires whenever its document is evaluated

@@ -227,6 +227,8 @@ class ExpressionEvaluator:
         nodes are numbered from that serial.  A hit stores that document
         and advances the allocator exactly as installing would.
         """
+        if value is home.documents.get(name):
+            return value  # no call fired: the stored tree is its value
         allocator = home.allocator
 
         def install() -> Tuple[Element, int]:
@@ -305,7 +307,10 @@ class ExpressionEvaluator:
         tree.freeze()
         outcome = EvalOutcome(completed_at=ready_at)
         responses: List[Optional[Tuple[Element, ...]]] = []
-        self._fire_calls(tree, at, ready_at, depth, outcome, responses, {})
+        if self._fire_calls(tree, at, ready_at, depth, outcome, responses, {}):
+            # no call fired: the value is the tree itself, as for plain data
+            outcome.items = [tree]
+            return outcome
         evaluated = build_tree(
             "activated",
             (tree, tuple(responses)),
@@ -323,8 +328,8 @@ class ExpressionEvaluator:
         depth: int,
         outcome: EvalOutcome,
         responses: List[Optional[Tuple[Element, ...]]],
-        completed: Dict[str, Optional[float]],
-    ) -> None:
+        completed: Dict[str, Tuple[Optional[float], int, Element]],
+    ) -> bool:
         """Definition (1)'s effects: push evaluation into children.
 
         Every embedded ``sc`` element, in document order, appends to
@@ -339,39 +344,49 @@ class ExpressionEvaluator:
         * a fired ``after=N`` call is admitted at the later of
           ``ready_at`` and ``N``'s completion;
         * ``after=`` names resolve within ``tree``, in document order: one
-          that no earlier call carries raises :class:`ServiceCallError`;
+          that no earlier call carries raises :class:`ServiceCallError`.
+          A manual call's is not resolved: it never fires here;
+        * a call waited on that did not complete (a lost one too) stays
+          as the ``sc`` it was, so a later read still resolves its name;
         * a ``lazy`` call fires: the value of ``eval(d@p)`` is the whole
           value.  A manual call is activated explicitly by evaluating its
           :class:`ServiceCallExpr` (definition (6)).
 
-        ``completed`` maps the name of each call met so far to its
-        completion instant, or None if it did not complete.  ``tree`` is
-        only read.
+        ``completed`` maps each call's name to its completion instant
+        (None if it did not complete), index in ``responses`` and node.
+        ``tree`` is only read.  Returns whether no call met fired: the
+        tree is then its own value, though each read still walks it.
         """
         if not tree.is_service_call():
+            unfired = True
             for child in tree.children:
                 if isinstance(child, Element) and child.has_service_calls():
-                    self._fire_calls(
+                    unfired &= self._fire_calls(
                         child, at, ready_at, depth, outcome, responses, completed
                     )
-            return
+            return unfired
         call = ServiceCall.parse(tree)
         start = None if call.mode == ActivationMode.MANUAL else ready_at
-        if call.after is not None:
+        if start is not None and call.after is not None:
             if call.after not in completed:
                 raise ServiceCallError(
                     f"{call} runs after {call.after!r}, "
                     "which names no earlier call of its tree"
                 )
-            after = completed[call.after]
-            start = None if start is None or after is None else max(start, after)
-        done = None
+            after, index, node = completed[call.after]
+            if after is None:
+                start = None
+                responses[index] = (node,)  # kept: a later read resolves it
+            else:
+                start = max(start, after)
+        index, done = len(responses), None
         if start is None:
             responses.append((tree,))  # not fired: it stays the sc it was
         else:
             done = self._fire_call(call, at, start, depth, outcome, responses)
         if call.name is not None:
-            completed[call.name] = done
+            completed[call.name] = (done, index, tree)
+        return start is None
 
     def _fire_call(
         self,

@@ -251,17 +251,46 @@ class TestActivation:
             make_service_call("p2", "hello", name="gone"),
             hello(after="gone"),
         )
-        follower = serialize(root.element_children[1])
-        _, value, _ = activate(system, root, _Recording(system, tolerant=True))
-        # the lost call is dropped; the one chained after it never fires
-        assert [serialize(sc) for sc in value.element_children] == [follower]
+        calls = [serialize(sc) for sc in root.element_children]
+        evaluator = _Recording(system, tolerant=True)
+        _, value, stored = activate(system, root, evaluator)
+        # the one chained after the lost call never fires, and the lost
+        # call it waits on stays too, so its name still resolves
+        for tree in (value, stored):
+            assert [serialize(sc) for sc in tree.element_children] == calls
         assert system.network.stats.messages == 0
+        (again,) = evaluator.eval(DocExpr("d", "p0"), "p0").items
+        assert [serialize(sc) for sc in again.element_children] == calls
+        # once the provider is back, a later read runs the pair
+        system.peer("p2").alive = True
+        (last,) = evaluator.eval(DocExpr("d", "p0"), "p0").items
+        assert serialize(last) == (
+            "<doc><greeting>hi</greeting><greeting>hi</greeting></doc>"
+        )
+        assert [provider for provider, _ in evaluator.calls] == ["p2", "p1"]
+
+    def test_manual_call_after_a_fired_one_reads_again(self, system):
+        root = element(
+            "doc",
+            hello(name="first"),
+            hello(mode=ActivationMode.MANUAL, after="first"),
+        )
+        follower = serialize(root.element_children[1])
+        _, value, stored = activate(system, root)
+        # "first" is replaced by its response; the manual call names it
+        # still, and a manual call's after= is never resolved
+        assert [serialize(sc) for sc in stored.children_by_tag("sc")] == [follower]
+        (again,) = ExpressionEvaluator(system).eval(DocExpr("d", "p0"), "p0").items
+        assert again is stored
+        assert serialize(again) == serialize(value)
+        assert system.network.stats.messages == 2
 
     def test_manual_fires_only_when_its_call_is_evaluated(self, system):
         _, value, _ = activate(system, element("doc", hello(mode=ActivationMode.MANUAL)))
-        # a second evaluation of d@p0 leaves the call unfired again
+        # a second evaluation of d@p0 leaves the call unfired again, and
+        # the stored document, its value, as it was
         (again,) = ExpressionEvaluator(system).eval(DocExpr("d", "p0"), "p0").items
-        assert serialize(again) == serialize(value)
+        assert again is value is system.peer("p0").document("d")
         assert again.child_by_tag("greeting") is None
         assert system.network.stats.messages == 0
         # explicit activation: evaluate the call itself, definition (6)
