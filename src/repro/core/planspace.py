@@ -132,9 +132,8 @@ def relabel(chosen: Plan, planned: Plan, plan: Plan) -> Plan:
     plan up to how its queries are labelled.  The result is the plan a
     search of ``plan`` would have picked: ``chosen`` with every query of
     ``planned`` replaced by its counterpart in ``plan``, and every query
-    the rewrite rules derived from one (``<name>-inner`` / ``-outer`` /
-    ``-composed``) renamed after the counterpart, sharing its parsed
-    module.
+    the rewrite rules derived from one (``<name>-inner`` / ``-outer``)
+    renamed after the counterpart, sharing its parsed module.
     """
     if chosen is planned:
         return plan

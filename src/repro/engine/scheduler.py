@@ -220,7 +220,6 @@ class Scheduler:
             # serving will mutate the live Σ; start planning from
             # coherent stores and let them warm over the run itself
             self.session.optimizer.cache.clear()
-        tracer = self.session.tracer
         try:
             if feed is not None:
                 self.submit_all(feed.initial())
@@ -254,19 +253,17 @@ class Scheduler:
         }
         state = target.network.faults
         metrics = summarize(self.jobs, busy)
-        trace = None
-        if tracer is not None:
-            # the scripted fault windows, as run-level spans next to the
-            # job trees (instants — crash/rejoin — render zero-width)
-            for event in state.plan.events if state is not None else ():
-                tracer.run_span(
-                    f"fault {event.kind}",
-                    "fault",
-                    event.start,
-                    max(event.start, event.end),
-                    detail=event.describe(),
-                )
-            trace = tracer.trace()
+        tracer = target.network.tracer
+        # the scripted fault windows, as run-level spans next to the job
+        # trees (instants — crash/rejoin — render zero-width)
+        for event in state.plan.events if state is not None else ():
+            tracer.run_span(
+                f"fault {event.kind}",
+                "fault",
+                event.start,
+                max(event.start, event.end),
+                detail=event.describe(),
+            )
         return ServingReport(
             jobs=list(self.jobs),
             metrics=metrics,
@@ -277,7 +274,7 @@ class Scheduler:
             registry=self._build_registry(
                 metrics, busy, target.network, evaluator.counters
             ),
-            trace=trace,
+            trace=tracer.trace(),
         )
 
     def _build_registry(self, metrics, busy, network, recovery) -> MetricsRegistry:
@@ -331,8 +328,7 @@ class Scheduler:
     def _note(self, now: float, note: str) -> None:
         """Append one actor note to the placement-action trace."""
         self.actions.append(f"{now:.9f} {note}")
-        if self.session.tracer is not None:
-            self.session.tracer.run_span(note, "placement", now, now)
+        self._target.network.tracer.run_span(note, "placement", now, now)
 
     def _admit(
         self,
@@ -341,36 +337,59 @@ class Scheduler:
         target: AXMLSystem,
         evaluator: RecoveringEvaluator,
     ) -> None:
+        """Plan a read job, claim its peers and run it from ``now``.
+
+        The job's span root opens before planning, which burns wall time
+        but no virtual time: a zero-duration ``plan`` span at ``now``
+        carries the search stats and the wall cost, then come the wait
+        for the site CPU and the ``eval`` subtree.  A job that fails
+        before its ``eval`` subtree opens gets its root closed here.
+        """
         job.status = RUNNING
         job.admitted_at = now
         request = job.request
         if request.write is not None:
             self._admit_write(job, now, target)
             return
-        tracer = self.session.tracer
+        tracer = target.network.tracer
+        tracer.begin_job(job.name, job.arrival, site=request.at)
         report = None
         self._current_job = job
         try:
-            plan_wall = _perf_counter() if tracer is not None else 0.0
+            plan_wall = _perf_counter()
             report = self.session.plan_job(request)
-            job.peers = plan_peers(report.plan.expr, report.plan.site)
+            site = report.plan.site
+            job.peers = plan_peers(report.plan.expr, site)
             for peer_id in job.peers:
                 target.peer(peer_id).enqueue_job()
-            job.started_at = max(
-                now, target.peer(report.plan.site).busy_until
+            job.started_at = max(now, target.peer(site).busy_until)
+            tracer.record(
+                "plan",
+                "plan",
+                now,
+                now,
+                strategy=report.strategy,
+                cost_model=getattr(self.session.cost_model, "name", "custom"),
+                explored=report.explored,
+                site=site,
+                prepared=report.plan_cache.prepared_hits > 0,
+                wall_ms=(_perf_counter() - plan_wall) * 1000.0,
             )
+            if job.started_at > now:
+                tracer.record(
+                    "admission-queue",
+                    "queue",
+                    now,
+                    job.started_at,
+                    resource=f"cpu {site}",
+                )
             self.session._run_report(
                 report,
                 evaluator,
                 job.name,
-                arrival=job.arrival,
                 ready_at=now,
                 deadline=request.deadline,
                 partial=request.partial,
-                trace_admission=lambda tracer: self._trace_admission(
-                    tracer, report, now, job.started_at, plan_wall
-                ),
-                site=request.at,
             )
         except ReproError as exc:
             job.status = FAILED
@@ -379,11 +398,8 @@ class Scheduler:
             # its error carries); anything else failed right at admission
             late = report is not None and report.executed
             job.finished_at = exc.at if late else now
-            if report is None and tracer is not None:
-                # planning failed, so the job never reached the execution
-                # path that owns the span tree: leave its failed root
-                tracer.begin_job(job.name, job.arrival, site=request.at)
-                tracer.end_job(now, status="failed", error=type(exc).__name__)
+            # a no-op once the eval path has closed the root
+            tracer.end_job(now, status="failed", error=type(exc).__name__)
         else:
             job.status = DONE
             job.finished_at = report.completed_at
@@ -392,34 +408,6 @@ class Scheduler:
         finally:
             self._current_job = None
         self._push(job.finished_at, _COMPLETION, job)
-
-    def _trace_admission(self, tracer, report, now, started_at, plan_wall) -> None:
-        """A served job's spans ahead of its ``eval`` subtree.
-
-        Planning burns wall time but zero virtual time: a zero-duration
-        span at the admission instant, carrying the search stats (and
-        the wall cost) as attributes; then the wait for the site CPU.
-        """
-        tracer.record(
-            "plan",
-            "plan",
-            now,
-            now,
-            strategy=report.strategy,
-            cost_model=getattr(self.session.cost_model, "name", "custom"),
-            explored=report.explored,
-            site=report.plan.site,
-            prepared=report.plan_cache.prepared_hits > 0,
-            wall_ms=(_perf_counter() - plan_wall) * 1000.0,
-        )
-        if started_at > now:
-            tracer.record(
-                "admission-queue",
-                "queue",
-                now,
-                started_at,
-                resource=f"cpu {report.plan.site}",
-            )
 
     def _admit_write(self, job: QueryJob, now: float, target: AXMLSystem) -> None:
         """Apply a write job's op against the serving Σ.
@@ -435,19 +423,15 @@ class Scheduler:
 
         request = job.request
         job.started_at = now
-        tracer = self.session.tracer
-        if tracer is not None:
-            tracer.begin_job(job.name, job.arrival, write=True)
+        tracer = target.network.tracer
+        tracer.begin_job(job.name, job.arrival, write=True)
         try:
             result = DocumentWriter(target).apply(request.write, now=now)
         except ReproError as exc:
             job.status = FAILED
             job.error = exc
             job.finished_at = now
-            if tracer is not None:
-                tracer.end_job(
-                    now, status="failed", error=type(exc).__name__
-                )
+            tracer.end_job(now, status="failed", error=type(exc).__name__)
             self._push(now, _COMPLETION, job)
             return
         job.write_result = result
@@ -456,11 +440,8 @@ class Scheduler:
             target.peer(peer_id).enqueue_job()
         job.status = DONE
         job.finished_at = max(now, result.settled_at)
-        if tracer is not None:
-            tracer.mark("settle", "mark", job.finished_at)
-            tracer.end_job(
-                job.finished_at, status="done", primary=result.primary
-            )
+        tracer.mark("settle", "mark", job.finished_at)
+        tracer.end_job(job.finished_at, status="done", primary=result.primary)
         self._push(job.finished_at, _COMPLETION, job)
 
     def _charge_pick(self, peer_id: str) -> None:

@@ -144,17 +144,15 @@ class RecoveringEvaluator(ExpressionEvaluator):
     oracle and the equivalence checker build the bare one).  Overrides
     the bare evaluator's effect seam and nothing else.  With
     no fault state on ``system.network`` (installing it is the caller's
-    job), no ``policy`` (:class:`RetryPolicy`; ``None``: faults propagate
-    typed on first occurrence) and no ``tracer``
-    (:class:`repro.obs.Tracer`; observational only: recording never
-    consults the RNG or the clock), every override falls through to the
-    bare body.
+    job) and no ``policy`` (:class:`RetryPolicy`; ``None``: faults
+    propagate typed on first occurrence), every override falls through
+    to the bare body.  Spans go to ``system.network.tracer``
+    (observational only: recording never consults the RNG or the clock).
     """
 
-    def __init__(self, system, pick_policy=None, *, policy=None, tracer=None) -> None:
+    def __init__(self, system, pick_policy=None, *, policy=None) -> None:
         super().__init__(system, pick_policy)
         self.policy: Optional[RetryPolicy] = policy
-        self.tracer = tracer
         #: Run-wide recovery tallies, folded with the injector's into
         #: ``ServingReport.registry`` as ``faults{kind=…}``.
         self.counters: Counter = Counter()
@@ -180,8 +178,7 @@ class RecoveringEvaluator(ExpressionEvaluator):
         return PartialAnswer(tuple(self.losses), self.job_retries, late)
 
     def _span(self, name: str, cat: str, start: float, end: float, **attrs) -> None:
-        if self.tracer is not None:
-            self.tracer.record(name, cat, start, end, **attrs)
+        self.system.network.tracer.record(name, cat, start, end, **attrs)
 
     def _retry_at(self, attempt, failure, key, what, label, exhausted) -> float:
         """When to retry after 0-based ``attempt`` ended in ``failure``.
@@ -285,11 +282,9 @@ class RecoveringEvaluator(ExpressionEvaluator):
         if start > ready_at:
             self.counters["stall_waits"] += 1
             self._span(f"stall {peer_id}", "stall", ready_at, start, peer=peer_id)
-        if self.tracer is None:
-            return work(start)
         busy_before = self.system.peer(peer_id).busy_until
         value, done = work(start)
-        self.tracer.cpu(peer_id, label, start, busy_before, done)
+        self.system.network.tracer.cpu(peer_id, label, start, busy_before, done)
         return value, done
 
     def _lost(self, kind: str, name: str, peers, exc) -> None:

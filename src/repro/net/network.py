@@ -29,6 +29,7 @@ from ..errors import (
     TransferCorruptionError,
     UnknownPeerError,
 )
+from ..obs.tracer import NO_TRACER
 from .message import Message, MessageKind
 
 __all__ = ["Link", "LinkStats", "NetworkStats", "PeerTraffic", "Network"]
@@ -202,11 +203,13 @@ class Network:
         #: Installed :class:`repro.faults.FaultState`, or ``None`` for the
         #: exact historical fault-free behavior (the default).
         self.faults = None
-        #: Installed :class:`repro.obs.Tracer`, or ``None`` (the default)
-        #: for zero-cost delivery.  Purely observational: the tracer is
-        #: handed the instants :meth:`Link.schedule` already computed and
-        #: never feeds back into timing, routing, or fault decisions.
-        self.tracer = None
+        #: Installed :class:`repro.obs.Tracer`; :data:`~repro.obs.NO_TRACER`
+        #: (the default) costs one no-op call per hop (with the other
+        #: hooks, +0.08 % to +0.35 % ``py_calls_per_op``).  Purely
+        #: observational: the tracer is handed the instants
+        #: :meth:`Link.schedule` already computed and never feeds back
+        #: into timing, routing, or fault decisions.
+        self.tracer = NO_TRACER
 
     # -- construction ---------------------------------------------------------
     def add_peer(self, peer_id: str) -> None:
@@ -250,7 +253,7 @@ class Network:
 
         The twin shares this network's adjacency index and route memo, so
         a route either side computes serves both, until either side calls
-        :meth:`add_link`.  Faults, tracer and message log start unset.
+        :meth:`add_link`.  Faults, tracer and message log start off.
         """
         twin = Network()
         twin._peers = dict(self._peers)
@@ -360,8 +363,7 @@ class Network:
                     faults.counters["hops_degraded"] += 1
             ready = clock
             start, clock = link.schedule(message.size, clock, slow)
-            if tracer is not None:
-                tracer.hop(message, link, ready, start, clock)
+            tracer.hop(message, link, ready, start, clock)
             if faults is None:
                 continue
             verdict = faults.hop_verdict(link.src, link.dst, start)
@@ -404,8 +406,7 @@ class Network:
         """Account for a transfer an injected fault just killed at ``at``."""
         self.faults.counters[tally] += 1
         self.stats.record(message)
-        if self.tracer is not None:
-            self.tracer.mark(mark, "fault", at, kind=message.kind)
+        self.tracer.mark(mark, "fault", at, kind=message.kind)
 
     def send_tree(
         self,

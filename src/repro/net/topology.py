@@ -24,20 +24,10 @@ __all__ = [
     "random_graph",
     "two_tier",
     "clustered",
-    "uniform",
 ]
 
 DEFAULT_LATENCY = 0.01       # 10 ms
 DEFAULT_BANDWIDTH = 1_000_000.0  # 1 MB/s
-
-
-def uniform(
-    peers: Sequence[str],
-    latency: float = DEFAULT_LATENCY,
-    bandwidth: float = DEFAULT_BANDWIDTH,
-) -> Network:
-    """Alias of :func:`full_mesh` with uniform link quality."""
-    return full_mesh(peers, latency, bandwidth)
 
 
 def full_mesh(

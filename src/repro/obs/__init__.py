@@ -5,8 +5,9 @@ The package splits observation along the clock it observes:
 * :class:`Tracer` / :class:`Trace` / :class:`Span` — **virtual-clock**
   span trees, one per served job (admission → plan → eval → settle)
   plus run-level fault-window and placement spans.  Recording spends no
-  RNG and charges no virtual time; with no tracer installed every hook
-  is one ``is None`` check.
+  RNG and charges no virtual time; with tracing off (:data:`NO_TRACER`,
+  the default) every hook is one call to a no-op method (+0.08 % to
+  +0.35 % ``py_calls_per_op`` on the ``bench/`` workloads).
 * :class:`MetricsRegistry` — labeled counters/gauges/histograms; the
   one metrics surface of a serving run (``ServingReport.registry``).
 * :func:`analyze` / :func:`decompose` — critical-path decomposition of
@@ -40,6 +41,7 @@ from .tracer import (
     CAT_PLAN,
     CAT_QUEUE,
     CAT_STALL,
+    NO_TRACER,
     Span,
     Trace,
     Tracer,
@@ -62,6 +64,7 @@ __all__ = [
     "Histogram",
     "JobPath",
     "MetricsRegistry",
+    "NO_TRACER",
     "RunPath",
     "SEGMENTS",
     "Span",

@@ -190,12 +190,6 @@ class Peer:
     def has_service(self, name: str) -> bool:
         return name in self.services
 
-    def fresh_service_name(self, prefix: str = "svc") -> str:
-        index = 0
-        while f"{prefix}-{index}" in self.services:
-            index += 1
-        return f"{prefix}-{index}"
-
     # -- compute accounting ----------------------------------------------------------
     def charge(self, work_units: int, ready_at: float = 0.0) -> float:
         """Run ``work_units`` of computation; returns completion time.

@@ -7,9 +7,10 @@ module provides:
 * :class:`AXMLSystem` — peers + network + generic registry, with
   convenience construction;
 * :meth:`AXMLSystem.snapshot` — a canonical, comparable image of Σ
-  (document canonical forms per peer plus service inventories), used by
-  the rewrite verifier (:mod:`repro.core.verify`) to check
-  ``eval(e)(Σ) = eval(e')(Σ)``;
+  (document canonical forms per peer plus service inventories), which
+  tests compare to show that a run left Σ as it was (the rewrite
+  verifier, :mod:`repro.core.verify`, checks ``eval(e)(Σ) = eval(e')(Σ)``
+  on its own ``observable_state``, which leaves out rewrite artifacts);
 * :meth:`AXMLSystem.clone` — a second Σ so both sides of an equivalence
   can be evaluated from the same starting state.  A clone is *copy on
   write*: its peers hold the same document trees as the original's, by
@@ -126,6 +127,8 @@ class AXMLSystem:
         id-free — matching the paper's tree model) and the service
         inventory (name, declarative source when visible).  Two systems
         with equal snapshots are indistinguishable to further queries.
+        Artifacts count too, unlike in the verifier's
+        :func:`~repro.core.verify.observable_state`.
         """
         image: Dict[str, object] = {}
         for peer_id in sorted(self.peers):

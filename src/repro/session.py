@@ -81,6 +81,7 @@ from .errors import (
     XQueryError,
 )
 from .faults import FaultState, RecoveringEvaluator
+from .obs.tracer import NO_TRACER
 from .peers.system import AXMLSystem
 from .xmlcore.model import Element
 from .xmlcore.serializer import serialize
@@ -350,10 +351,11 @@ class Session:
             )
         #: Record the rewrite-search trace on every report.
         self.trace = trace
-        #: Installed :class:`repro.obs.Tracer`; executions and drains
-        #: reset and fill it, surfacing the result on
-        #: :attr:`ExecutionReport.spans` / ``ServingReport.trace``.
-        self.tracer = tracer
+        #: Installed :class:`repro.obs.Tracer` (``None``:
+        #: :data:`~repro.obs.NO_TRACER`); executions and drains reset and
+        #: fill it, surfacing the result on :attr:`ExecutionReport.spans`
+        #: / ``ServingReport.trace``.
+        self.tracer = tracer or NO_TRACER
         #: Optional :class:`repro.obs.WallProfiler` timing the pipeline's
         #: wall-clock phases (parse / optimize / evaluate).
         self.profiler = profiler
@@ -919,7 +921,7 @@ class Session:
             and self.isolate
             and not self.fault_plan
             and self.retry is None
-            and self.tracer is None
+            and self.tracer is NO_TRACER
             and self.profiler is None
             and deadline is None
             and not partial
@@ -932,19 +934,19 @@ class Session:
                 stats.executions_reused += 1
         else:
             evaluator = self._evaluator(self.pick_policy)
-            self._run_report(
-                report,
-                evaluator,
-                report.name or "query",
-                deadline=deadline,
-                partial=partial,
+            target = evaluator.system
+            job_name = report.name or "query"
+            target.network.tracer.begin_job(
+                job_name,
+                0.0,
                 site=report.plan.site,
                 strategy=report.strategy,
                 explored=report.explored,
             )
-            if self.tracer is not None:
-                report.spans = self.tracer.trace()
-            target = evaluator.system
+            self._run_report(
+                report, evaluator, job_name, deadline=deadline, partial=partial
+            )
+            report.spans = target.network.tracer.trace()
         report.network = target.network.stats.snapshot()
         report.peers = target.stats_snapshot()
         return report
@@ -956,8 +958,10 @@ class Session:
         else the live system reset to a clean measurement baseline.  Here,
         and only here, fault state and tracer are scoped to the run: the
         target's network gets exactly this session's (a fresh
-        :class:`FaultState` for a non-empty plan; this tracer) or
-        ``None`` — never what an earlier run left there.
+        :class:`FaultState` for a non-empty plan, else ``None``; this
+        tracer, reset) — never what an earlier run left there.  That
+        ``network.tracer`` is the run's one tracer: the evaluator and the
+        scheduler record through it.
         """
         if self.isolate:
             target = self.system.clone()
@@ -967,14 +971,8 @@ class Session:
         network = target.network
         network.faults = FaultState(self.fault_plan) if self.fault_plan else None
         network.tracer = self.tracer
-        if self.tracer is not None:
-            self.tracer.reset()
-        return RecoveringEvaluator(
-            target,
-            pick_policy,
-            policy=self.retry,
-            tracer=self.tracer,
-        )
+        self.tracer.reset()
+        return RecoveringEvaluator(target, pick_policy, policy=self.retry)
 
     def _run_report(
         self,
@@ -982,74 +980,59 @@ class Session:
         evaluator: RecoveringEvaluator,
         name: str,
         *,
-        arrival: float = 0.0,
         ready_at: float = 0.0,
         deadline: Optional[float] = None,
         partial: bool = False,
-        trace_admission=None,
-        **job_attrs,
     ) -> None:
         """Run a planned job through ``evaluator``: the one execution path.
 
         Evaluates ``report.plan`` from ``ready_at`` (zero for a lone
         :meth:`query`, the admission instant for a served job), resolves
         ``deadline`` (virtual seconds past ``ready_at``) and ``partial``,
-        and fills in the report's execution half.  A tracer on the
-        evaluator gets the job's span tree: a root ``name`` opened at
-        ``arrival`` with ``job_attrs``, whatever ``trace_admission(tracer)``
-        records, then the ``eval`` subtree — closed however the job ends.
+        and fills in the report's execution half.  The job's span root is
+        already open on the run's tracer (whoever admitted the job opened
+        it); this adds the ``eval`` subtree and closes the root however
+        the job ends.
 
         Raises the evaluator's typed errors unchanged, and
         :class:`~repro.errors.DeadlineExceededError` (``at`` = the
         deadline) for an answer that settled too late without ``partial``;
         only then is the report already marked executed.
         """
-        tracer = evaluator.tracer
+        tracer = evaluator.system.network.tracer
         deadline_at = ready_at + deadline if deadline is not None else math.inf
         evaluator.begin_job(deadline_at=deadline_at, partial=partial)
-        if tracer is not None:
-            tracer.begin_job(name, arrival, **job_attrs)
-            if trace_admission is not None:
-                trace_admission(tracer)
-            tracer.push("eval", "eval", ready_at)
+        tracer.push("eval", "eval", ready_at)
         try:
             with self._phase("evaluate"):
                 outcome: EvalOutcome = evaluator.eval(
                     report.plan.expr, report.plan.site, ready_at=ready_at
                 )
         except BaseException as exc:
-            if tracer is not None:
-                tracer.pop(ready_at)
-                tracer.end_job(
-                    ready_at, status="failed", error=type(exc).__name__
-                )
+            tracer.pop(ready_at)
+            tracer.end_job(ready_at, status="failed", error=type(exc).__name__)
             raise
         report.items = list(outcome.items)
         report.executed = True
         report.completed_at = outcome.completed_at
         late = outcome.completed_at > deadline_at
         report.partial = evaluator.end_job(outcome.completed_at)
-        if tracer is not None:
-            tracer.pop(outcome.completed_at)
-            if late and not partial:
-                tracer.end_job(
-                    deadline_at, status="failed", error="DeadlineExceededError"
-                )
-            else:
-                tracer.mark("settle", "mark", outcome.completed_at)
-                tracer.end_job(
-                    outcome.completed_at,
-                    status="done",
-                    partial=report.partial is not None,
-                )
+        tracer.pop(outcome.completed_at)
         if late and not partial:
             # the answer exists but nobody is waiting for it any more:
             # the client's budget ran out at deadline_at
+            tracer.end_job(
+                deadline_at, status="failed", error="DeadlineExceededError"
+            )
             raise DeadlineExceededError(
                 f"job {name!r} settled at {outcome.completed_at:.6f}, "
                 f"past its deadline {deadline_at:.6f}",
                 at=deadline_at,
             )
+        tracer.mark("settle", "mark", outcome.completed_at)
+        tracer.end_job(
+            outcome.completed_at, status="done", partial=report.partial is not None
+        )
 
 
 def connect(

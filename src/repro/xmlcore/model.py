@@ -355,10 +355,6 @@ class Element(Node):
     def element_children(self) -> List["Element"]:
         return [c for c in self.children if isinstance(c, Element)]
 
-    @property
-    def text_children(self) -> List[Text]:
-        return [c for c in self.children if isinstance(c, Text)]
-
     def child_by_tag(self, tag: str) -> Optional["Element"]:
         """First element child with the given tag, or ``None``."""
         for child in self.element_children:

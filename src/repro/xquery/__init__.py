@@ -2,8 +2,8 @@
 
 High-level facade is :class:`Query` — a parsed, named, possibly
 parameterized query that can be evaluated against documents, shipped as
-text (code shipping, rule (10) of the paper), composed and decomposed
-(rule (11)).
+text (code shipping, rule (10) of the paper) and decomposed (rule
+(11)).
 
 >>> from repro.xquery import Query
 >>> from repro.xmlcore import parse
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import XQueryEvaluationError
-from ..xmlcore.model import Element, Node
+from ..xmlcore.model import Node
 from . import ast
 from .ast import Module, XQNode, unparse
 from .evaluator import DynamicContext, Evaluator, evaluate_query
@@ -39,7 +39,6 @@ __all__ = [
     "Query",
     "Decomposition",
     "push_selection",
-    "compose",
     "free_variables",
     "ast",
     "Module",
@@ -156,16 +155,6 @@ class Query:
 
     __call__ = run
 
-    def run_elements(self, *args, **kwargs) -> List[Element]:
-        """Like :meth:`run` but asserts every result item is an element."""
-        result = self.run(*args, **kwargs)
-        elements = [item for item in result if isinstance(item, Element)]
-        if len(elements) != len(result):
-            raise XQueryEvaluationError(
-                "query produced non-element items where elements were expected"
-            )
-        return elements
-
     def __repr__(self) -> str:
         label = self.name or "anonymous"
         return f"Query({label!r}, params={list(self.params)})"
@@ -185,7 +174,6 @@ def _query_from_module(
 # Imported after Query's definition: decompose builds Query instances.
 from .decompose import (  # noqa: E402
     Decomposition,
-    compose,
     free_variables,
     push_selection,
 )

@@ -1,4 +1,4 @@
-"""Query composition and decomposition (paper Section 3.3, rule (11)).
+"""Query decomposition (paper Section 3.3, rule (11)).
 
 Rule (11) says evaluation distributes over query composition: when
 ``q ≡ q1(q2, ..., qn)``, each ``qi`` may be evaluated wherever it is
@@ -14,16 +14,16 @@ tests and property tests, is::
 
     outer(inner(d)) ≡ q(d)       for every document d
 
-:func:`compose` is the inverse operation — textually composing an outer
-query with inner queries to build ``q1(q2, ..., qn)`` — used by the
-optimizer to *un*-split when shipping whole queries is cheaper.
+The other direction, ``q1(q2, ..., qn)``, needs no text of its own: a
+rewrite rule composes structurally, by nesting query applications
+(rule (16) builds ``QueryApply(q, (QueryApply(q1, params),))``).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from ..errors import DecompositionError, XQuerySyntaxError
 from . import Query, _query_from_module
@@ -34,15 +34,15 @@ from .ast import (
 from .evaluator import replayable
 from .parser import MAX_NESTING
 
-__all__ = ["Decomposition", "push_selection", "compose", "free_variables"]
+__all__ = ["Decomposition", "push_selection", "free_variables"]
 
 #: Envelope tag wrapping the inner query's results so they travel as one tree.
 ENVELOPE_TAG = "q-inner-result"
 
 #: What the name of a query built here adds to the name of the query it
-#: was built from (:func:`push_selection`: ``-inner`` / ``-outer``;
-#: :func:`compose`: ``-composed``), any number of times over.
-DERIVED_SUFFIX = re.compile(r"(?:-inner|-outer|-composed)*")
+#: was built from (:func:`push_selection`: ``-inner`` / ``-outer``), any
+#: number of times over.
+DERIVED_SUFFIX = re.compile(r"(?:-inner|-outer)*")
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,6 @@ class Decomposition:
     inner: Query
     outer: Query
     data_param: str
-
-    def recompose(self) -> Query:
-        """Textual recomposition (used in tests to sanity-check shapes)."""
-        return compose(self.outer, [self.inner], self.data_param)
 
 
 def free_variables(node: XQNode, bound: Optional[Set[str]] = None) -> Set[str]:
@@ -232,53 +228,3 @@ def _levels(node: XQNode) -> int:
 def _envelope_path(data_param: str) -> XQNode:
     """AST for ``$param/*`` — iterate the envelope's children."""
     return PathExpr(VarRef(data_param), (Step("child", NameTest("*")),))
-
-
-def compose(outer: Query, inners: List[Query], data_param: str) -> Query:
-    """Build the composed query ``outer(inner1(...), ...)`` as one text.
-
-    The composition is purely syntactic: the inner queries become ``let``
-    bindings feeding the outer body, mirroring the paper's
-    ``q1(q2, ..., qn)`` notation.  Only single-inner composition is needed
-    by the optimizer today, but the general shape costs nothing extra.
-    """
-    if not inners:
-        raise DecompositionError("compose() needs at least one inner query")
-    lets = []
-    names = []
-    for index, inner in enumerate(inners):
-        bound = f"__c{index}"
-        names.append(bound)
-        inner_body = unparse(inner.module.body)
-        lets.append(f"let ${bound} := ({inner_body})")
-    outer_body = unparse(outer.module.body)
-    # the outer reads the data param; rebind it to the first inner's output
-    preamble = "\n".join(
-        f"declare variable ${p} external;" for p in _merged_params(outer, inners, data_param)
-    )
-    composed_source = (
-        f"{preamble}\n"
-        + "\n".join(lets)
-        + f"\nlet ${data_param} := ${names[0]}"
-        + f"\nreturn ({outer_body})"
-    )
-    # A FLWOR needs a leading clause; wrap as let...return
-    composed_source = composed_source.replace("\nlet", " let", 1).lstrip()
-    # normalize: ensure it parses
-    return Query(
-        composed_source,
-        params=_merged_params(outer, inners, data_param),
-        name=f"{outer.name or 'outer'}-composed",
-    )
-
-
-def _merged_params(outer: Query, inners: List[Query], data_param: str) -> Tuple[str, ...]:
-    params: List[str] = []
-    for inner in inners:
-        for param in inner.params:
-            if param not in params:
-                params.append(param)
-    for param in outer.params:
-        if param != data_param and param not in params:
-            params.append(param)
-    return tuple(params)

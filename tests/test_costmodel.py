@@ -34,7 +34,7 @@ from repro.core import costmodel
 from repro.core.costmodel import COST_MODELS
 from repro.engine import LoadGenerator
 from repro.errors import DifferentialMismatchError, OptimizerError, SessionError
-from repro.obs import Tracer
+from repro.obs import NO_TRACER, Tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.peers import AXMLSystem
 from repro.session import Session
@@ -143,7 +143,7 @@ class TestCostFnShim:
 class TestTraceTracerSplit:
     def test_trace_stays_the_bool_flag(self, system):
         session = Session(system, trace=True)
-        assert session.trace is True and session.tracer is None
+        assert session.trace is True and session.tracer is NO_TRACER
 
     def test_tracer_kwarg_installs_tracer(self, system):
         tracer = Tracer()

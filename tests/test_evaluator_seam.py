@@ -28,7 +28,7 @@ from repro.faults import (
     FaultState,
     RecoveringEvaluator,
 )
-from repro.obs import Tracer
+from repro.obs import NO_TRACER, Tracer
 from repro.workloads import (
     CHAOS_SPEC,
     FRAGMENTED_SPEC,
@@ -192,7 +192,8 @@ class TestBareParity:
         plans = [session.plan(**query.kwargs()) for query in scenario.queries]
         attached = session._evaluator(None)
         assert type(attached) is RecoveringEvaluator
-        assert attached.policy is attached.tracer is None
+        assert attached.policy is None
+        assert attached.system.network.tracer is NO_TRACER
         assert attached.system.network.faults is None
         bare = ExpressionEvaluator(scenario.system.clone())
         assert _observe(attached, plans) == _observe(bare, plans)
@@ -278,5 +279,5 @@ class TestRunScopedInstallation:
         before = recorded()
         assert before[1] > 0
         connect(system, isolate=False).query(**query)
-        assert system.network.tracer is None
+        assert system.network.tracer is NO_TRACER
         assert recorded() == before

@@ -123,6 +123,34 @@ class TestFailureBracket:
         assert tracer.begin_job("next", 0.0) is tracer.jobs["next"]
         assert tracer.jobs["next"] not in list(root.walk())
 
+    def test_planning_failure_leaves_a_closed_failed_root(self):
+        system = slow_pair()
+        system.peer("server").install_document("cat", catalog(0))
+        tracer = Tracer()
+        report = Session(system, tracer=tracer).serve(
+            [
+                # planning raises: the binding names a peer nobody has
+                JobRequest(FILTER_QUERY, "laptop", bind={"d": "cat@nowhere"},
+                           name="unplannable"),
+                JobRequest(FILTER_QUERY, "laptop", bind={"d": "cat@server"},
+                           name="next", arrival=0.01),
+            ]
+        )
+        failed, served = report.jobs
+        assert failed.report is None and failed.error is not None
+        assert served.error is None
+        root = report.trace.jobs["unplannable"]
+        assert root.attrs == {
+            "site": "laptop",
+            "status": "failed",
+            "error": type(failed.error).__name__,
+        }
+        assert root.children == []
+        assert (root.start, root.end) == (0.0, 0.0)
+        following = report.trace.jobs["next"]
+        assert following.attrs["status"] == "done"
+        assert following not in list(root.walk())
+
 
 class TestVerdictKeys:
     """Equivalence verdicts are keyed by content, never by how a plan prints."""

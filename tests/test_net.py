@@ -267,8 +267,8 @@ class TestTopologies:
         hops = [l.dst for l in net.route("e0", "e1")]
         assert hops[0] == "c0" and hops[-1] == "e1"
 
-    def test_uniform_alias(self):
-        net = topology.uniform(["a", "b"], latency=0.5)
+    def test_full_mesh_takes_the_link_latency(self):
+        net = topology.full_mesh(["a", "b"], latency=0.5)
         assert net.link("a", "b").latency == 0.5
 
 

@@ -11,6 +11,7 @@ makespan window spanning failed jobs on faulted runs.  Under ``-m perf``,
 the wall overhead of tracing.
 """
 
+import inspect
 import json
 import time
 
@@ -24,6 +25,7 @@ from repro.obs import (
     CAT_FAULT,
     CAT_JOB,
     CAT_PLAN,
+    NO_TRACER,
     SEGMENTS,
     MetricsRegistry,
     Span,
@@ -37,8 +39,11 @@ from repro.obs import (
     to_jsonl_records,
     write_jsonl,
 )
+from repro.peers import AXMLSystem
 from repro.session import Session
 from repro.workloads import ScenarioGenerator, ScenarioSpec
+from repro.writes import InsertOp
+from repro.xmlcore import parse
 
 SPEC = ScenarioSpec(
     peers=5, topology="mesh", documents=3, axml_documents=1,
@@ -157,6 +162,64 @@ class TestTracingIsInvisible:
                 reference = observed
         ratio = min(seconds[True]) / min(seconds[False])
         assert ratio <= 1.05, seconds
+
+
+class TestNoTracer:
+    """Tracing off is one object: every hook on it records nothing."""
+
+    def test_every_tracer_method_is_a_no_op(self):
+        public = {
+            name: member for name, member in vars(Tracer).items()
+            if callable(member) and not name.startswith("_")
+        }
+        assert "hop" in public and "trace" in public
+        for name, member in public.items():
+            # overridden, so a method added to Tracer later fails here
+            assert getattr(type(NO_TRACER), name) is not member, name
+            params = list(inspect.signature(member).parameters.values())[1:]
+            args = [0.0 for param in params if param.default is param.empty
+                    and param.kind is param.POSITIONAL_OR_KEYWORD]
+            assert getattr(NO_TRACER, name)(*args, attr=1) is None, name
+        assert NO_TRACER.trace() is None
+        assert (NO_TRACER.jobs, NO_TRACER.run, NO_TRACER._stack) == ({}, [], [])
+
+    def test_untraced_faulted_serve_with_a_write_records_nothing(self):
+        def serve(tracer):
+            system = AXMLSystem.with_peers(["laptop", "server"])
+            system.peer("server").install_document(
+                "cat", parse("<c><i><p>40</p></i><i><p>3</p></i></c>")
+            )
+            plan = FaultPlan.generate(1, system, FAULT_SPEC)
+            assert plan.events
+            session = Session(
+                system, isolate=False, fault_plan=plan, tracer=tracer,
+                retry=RetryPolicy(max_attempts=3, backoff=0.005),
+            )
+            read = dict(
+                source="for $i in $d//i where $i/p > 37 return $i/p",
+                at="laptop", bind={"d": "cat@server"}, partial=True,
+            )
+            return session.serve(
+                [
+                    JobRequest(name="before", **read),
+                    JobRequest.for_write(
+                        InsertOp("cat", parse("<i><p>99</p></i>"), None),
+                        arrival=0.005, name="write",
+                    ),
+                    JobRequest(name="after", arrival=0.01, **read),
+                ],
+                actor=FaultActor(plan),
+            )
+
+        traced = serve(Tracer())
+        # traced, the same run records job roots and run-level spans...
+        assert set(traced.trace.jobs) == {"before", "write", "after"}
+        assert traced.trace.run
+        untraced = serve(None)
+        assert untraced.events == traced.events
+        # ...untraced, the shared null tracer still holds none
+        assert untraced.trace is None
+        assert (NO_TRACER.jobs, NO_TRACER.run, NO_TRACER._stack) == ({}, [], [])
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +388,7 @@ class TestTraceContainer:
         query = scenario.queries[0]
         report = session.query(**query.kwargs())
         assert session.trace is True
-        assert session.tracer is None
+        assert session.tracer is NO_TRACER
         assert report.spans is None
 
 

@@ -33,6 +33,7 @@ a caller relay, it does not relocate a call.  The wall-clock experiments
 from __future__ import annotations
 
 import functools
+import gc
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -794,6 +795,9 @@ def test_e11_evaluation_cost_is_linear_in_expression_size():
 
     def wall_ms(expr):
         evaluator = ExpressionEvaluator(system.clone())
+        # collect first, so no garbage left by earlier tests is collected
+        # inside the timed evaluation
+        gc.collect()
         started = time.perf_counter()
         evaluator.eval(expr, "p0")
         return (time.perf_counter() - started) * 1000

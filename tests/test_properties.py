@@ -9,6 +9,7 @@ simulator clock monotonicity.
 
 import string
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -289,12 +290,14 @@ class TestXQueryProperties:
         assert evaluate_query(f"{a} + {b}") == [a + b]
         assert evaluate_query(f"({a}) * ({b})") == [a * b]
 
+    @pytest.mark.parametrize(
+        "returned", ["<hit>{$i/name/text()}</hit>", "$i/name"], ids=["hit", "name"]
+    )
     @given(catalogs(), st.integers(0, 100))
     @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
-    def test_decomposition_equivalence(self, catalog, threshold):
+    def test_decomposition_equivalence(self, returned, catalog, threshold):
         q = Query(
-            f"for $i in $d//item where $i/price > {threshold} "
-            "return <hit>{$i/name/text()}</hit>",
+            f"for $i in $d//item where $i/price > {threshold} return {returned}",
             params=("d",),
             name="q",
         )

@@ -8,7 +8,6 @@ from repro.xquery import Query
 from repro.xquery.decompose import (
     ENVELOPE_TAG,
     _levels,
-    compose,
     free_variables,
     push_selection,
 )
@@ -125,16 +124,6 @@ class TestPushSelection:
         assert dec.data_param == "src"
         assert results_equal(q(catalog), dec.outer(dec.inner(catalog)[0]))
 
-    def test_recompose_matches_original(self, catalog):
-        q = Query(
-            "for $i in $d//item where $i/price > 15 return $i/name",
-            params=("d",),
-            name="q",
-        )
-        dec = push_selection(q)
-        composed = dec.recompose()
-        assert results_equal(q(catalog), composed(catalog))
-
 
 class TestPushSelectionRejections:
     def test_unknown_param(self):
@@ -179,25 +168,6 @@ class TestPushSelectionRejections:
         )
         with pytest.raises(DecompositionError, match="does not range over"):
             push_selection(q)
-
-
-class TestCompose:
-    def test_compose_empty_rejected(self):
-        q = Query("for $x in $d return $x", params=("d",))
-        with pytest.raises(DecompositionError):
-            compose(q, [], "d")
-
-    def test_compose_runs(self, catalog):
-        outer = Query(
-            "for $i in $d/* return <o>{$i/name/text()}</o>", params=("d",)
-        )
-        inner = Query(
-            "<env>{for $i in $d//item where $i/price < 2 return $i}</env>",
-            params=("d",),
-        )
-        composed = compose(outer, [inner], "d")
-        result = composed(catalog)
-        assert [r.string_value() for r in result] == ["n0", "n1"]
 
 
 class TestDerivedQueriesAreNotReparsed:
