@@ -20,6 +20,7 @@ Run:  python examples/edos_distribution.py
 
 import repro
 from repro.axml import StreamChannel
+from repro.core import BeamSearchStrategy
 from repro.peers import AXMLSystem, NearestPolicy
 from repro.xmlcore import parse
 
@@ -81,8 +82,7 @@ def main() -> None:
     session = repro.connect(
         system,
         pick_policy=NearestPolicy(),
-        strategy="beam",
-        strategy_options={"depth": 2, "beam": 4},
+        strategy=BeamSearchStrategy(depth=2, beam=4),
     )
     reports = session.batch(
         [

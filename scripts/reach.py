@@ -7,7 +7,12 @@ process:
 
 * a quick pass of each of the four ``bench/workloads.py`` workloads at
   content seeds 7 and 11, with its naive-plan reference answers;
-* the four ``examples/`` scripts;
+* one traced quick pass of each workload through ``bench/tracing.py``'s
+  ``Tracer`` and ``layer_metrics``, as ``bench/run.py --trace 1`` runs it;
+* the ``examples/`` scripts;
+* the command-line runs of :data:`SCRIPTS`: the CI gates
+  (``chaos_sweep.py``, ``generate_workloads.py --check``) and the
+  scripts README documents (``serve_load.py``, ``trace_view.py``);
 * ``tests/test_paper_figures.py``.
 
 It then prints, per package of ``src/repro`` (a subdirectory, or a
@@ -15,7 +20,8 @@ top-level module), how many functions and function-body lines never ran,
 and lists the unreached functions.  A function is a named ``def``; the
 lambdas, comprehensions and generator expressions inside it count as its
 body.  Its body lines are the source lines that carry its bytecode, the
-``def`` line excluded.  ``bench/`` is imported, never written.
+``def`` line excluded.  ``bench/`` is imported, never written; traces
+and exports go to a temporary directory.
 
 Run:  python scripts/reach.py [PACKAGE ...] [--summary]
       (e.g. ``python scripts/reach.py axml core``)
@@ -30,6 +36,8 @@ import io
 import os
 import runpy
 import sys
+import tempfile
+import time
 from collections import defaultdict
 from types import CodeType
 from typing import Dict, Iterator, List, Set, Tuple
@@ -37,8 +45,20 @@ from typing import Dict, Iterator, List, Set, Tuple
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
 PACKAGE = os.path.join(SRC, "repro")
-sys.path.insert(0, SRC)
-sys.path.insert(0, os.path.join(REPO_ROOT, "bench"))
+
+#: ``(script under scripts/, arguments)``, run in order; ``{tmp}`` is a
+#: temporary directory, so a trace written by one run is read by a later one.
+SCRIPTS = (
+    ("chaos_sweep.py", ("--trace", "{tmp}/chaos.jsonl")),
+    ("generate_workloads.py",
+     ("--seed", "7", "--count", "25", "--check", "--repro-dir", "{tmp}/repros")),
+    ("serve_load.py", ("--jobs", "16", "--concurrency", "4")),
+    ("serve_load.py", ("--jobs", "16", "--rate", "200")),
+    ("serve_load.py",
+     ("--jobs", "16", "--concurrency", "4", "--trace", "{tmp}/serve.jsonl")),
+    ("trace_view.py", ("{tmp}/serve.jsonl", "--export", "{tmp}/serve.json")),
+    ("trace_view.py", ("{tmp}/chaos.jsonl", "--export", "{tmp}/chaos.json")),
+)
 
 _OPTIMIZED = 0x1  # CO_OPTIMIZED: a function body (not a module or class body)
 
@@ -84,20 +104,52 @@ def _package_functions() -> Dict[str, List[Tuple[CodeType, Set[int]]]]:
     return by_package
 
 
-def _run_inputs() -> None:
+def _run_script(name: str, args, tmp: str) -> None:
+    """Run ``scripts/<name>`` as ``__main__``; a non-zero exit is an error."""
+    argv = [os.path.join(REPO_ROOT, "scripts", name)]
+    argv.extend(arg.format(tmp=tmp) for arg in args)
+    saved = sys.argv
+    sys.argv = argv
+    try:
+        runpy.run_path(argv[0], run_name="__main__")
+    except SystemExit as stop:
+        if stop.code:
+            raise RuntimeError(f"{' '.join(argv)} exited {stop.code}") from None
+    finally:
+        sys.argv = saved
+
+
+def _run_inputs(tmp: str) -> None:
     """The end-to-end inputs, in this process (their output discarded)."""
     import workloads  # bench/workloads.py
+    from tracing import Tracer, layer_metrics  # bench/tracing.py
 
     for content_seed in (7, 11):
         for name in workloads.WORKLOADS:
             workload = workloads.make(name, workloads.QUICK, content_seed)
             workload.run(workload.setup(7))
             workload.references(workload.setup(7))
+    for name in workloads.WORKLOADS:
+        workload = workloads.make(name, workloads.QUICK, 7)
+        state = workload.setup(7)
+        tracer = Tracer()
+        tracer.install()
+        try:
+            start = time.perf_counter()
+            result = workload.run(state)
+            wall = time.perf_counter() - start
+        finally:
+            tracer.restore()
+        layer_metrics(tracer, result, start, wall)
+        tracer.write_jsonl(os.path.join(tmp, f"trace-{name}.jsonl"), start)
+        workload.references(workload.setup(7), thorough=True)
     examples = os.path.join(REPO_ROOT, "examples")
     for name in sorted(os.listdir(examples)):
         if name.endswith(".py"):
             with contextlib.suppress(SystemExit):
                 runpy.run_path(os.path.join(examples, name), run_name="__main__")
+    for name, args in SCRIPTS:
+        _run_script(name, args, tmp)
     import pytest
 
     pytest.main(
@@ -114,12 +166,13 @@ def record() -> Set[Tuple[str, int, str]]:
         if event == "call":
             seen.add(frame.f_code)
 
-    sys.setprofile(profile)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            _run_inputs()
-    finally:
-        sys.setprofile(None)
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.setprofile(profile)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                _run_inputs(tmp)
+        finally:
+            sys.setprofile(None)
     return {_code_key(code) for code in seen}
 
 
@@ -132,6 +185,8 @@ def main() -> int:
         "--summary", action="store_true", help="print the table only"
     )
     args = parser.parse_args()
+    sys.path[:0] = [SRC, os.path.join(REPO_ROOT, "bench")]
+    sys.dont_write_bytecode = True  # the inputs write nothing under the repo
     reached = record()
     by_package = _package_functions()
     rows = []

@@ -23,7 +23,7 @@ Two pieces implement this:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from ..errors import AXMLError
 from ..net.message import Message, MessageKind
@@ -144,10 +144,4 @@ class IncrementalQuery:
         self.outputs.extend(fresh)
         if self.on_output and fresh:
             self.on_output(fresh)
-        return fresh
-
-    def push_many(self, trees: Sequence[Element]) -> List:
-        fresh: List = []
-        for tree in trees:
-            fresh.extend(self.push(tree))
         return fresh

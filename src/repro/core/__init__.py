@@ -82,9 +82,7 @@ from .rules import (
 )
 from .serialize import (
     expression_fingerprint,
-    expression_from_text,
     expression_size,
-    expression_to_text,
     from_xml,
     to_xml,
 )
@@ -115,8 +113,7 @@ __all__ = [
     "GreedyStrategy", "ExhaustiveStrategy", "register_strategy",
     "available_strategies", "make_strategy",
     # serialization
-    "to_xml", "from_xml", "expression_to_text", "expression_from_text",
-    "expression_size", "expression_fingerprint",
+    "to_xml", "from_xml", "expression_size", "expression_fingerprint",
     # verification
     "check_equivalence", "VerificationResult", "observable_state",
 ]

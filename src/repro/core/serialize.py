@@ -6,7 +6,7 @@ expression parameters."  This serialization is what :class:`EvalAt` ships
 when delegating an expression to another peer, so expression size —
 ``expression_size()`` — is a real cost the optimizer weighs.
 
-Round trip: ``parse_expression(to_xml(e)) == e`` for every expression not
+Round trip: ``from_xml(to_xml(e)) == e`` for every expression not
 containing in-memory :class:`TreeExpr` literals with node identity (tree
 literals round-trip by content).
 """
@@ -18,8 +18,7 @@ from typing import Callable
 
 from ..errors import ExpressionError
 from ..xmlcore.model import Element, NodeId, element
-from ..xmlcore.parser import parse as parse_xml
-from ..xmlcore.serializer import escape_attr, serialize as serialize_xml
+from ..xmlcore.serializer import escape_attr
 from ..xquery import Query
 from .expressions import (
     ANY,
@@ -45,8 +44,6 @@ __all__ = [
     "to_xml",
     "from_xml",
     "expression_size",
-    "expression_to_text",
-    "expression_from_text",
     "expression_fingerprint",
 ]
 
@@ -218,15 +215,6 @@ def _dest_from_xml(node: Element):
     raise ExpressionError(f"unknown destination kind {kind!r}")
 
 
-def expression_to_text(expr: Expression) -> str:
-    """Wire form of an expression (what :class:`EvalAt` actually ships)."""
-    return serialize_xml(to_xml(expr))
-
-
-def expression_from_text(text: str) -> Expression:
-    return from_xml(parse_xml(text))
-
-
 def expression_size(expr: Expression) -> int:
     """Bytes of the serialized expression — the code-shipping cost."""
     return to_xml(expr).serialized_size()
@@ -241,7 +229,7 @@ def expression_fingerprint(expr: Expression, name_widths: bool = False) -> str:
 
     Two expressions fingerprint equal iff their :func:`to_xml` serializations
     are structurally equal — the canonical identity the plan cache keys on.
-    Unlike ``expression_to_text`` this never copies tree literals: it feeds
+    Unlike ``serialize(to_xml(expr))`` this never copies tree literals: it feeds
     the same constructor/attribute tokens ``to_xml`` would emit straight
     into a hash, and folds in the (cached) content fingerprint of each
     :class:`TreeExpr` subtree.  Cost is one walk of the expression, O(1)

@@ -167,10 +167,6 @@ class EvaluationUndefinedError(AlgebraError):
     """
 
 
-class RewriteError(AlgebraError):
-    """Raised when an equivalence rule is applied to a non-matching tree."""
-
-
 class OptimizerError(AlgebraError):
     """Raised when plan search fails (no plan, budget exhausted, etc.)."""
 

@@ -41,7 +41,7 @@ Fault kinds
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from random import Random
 from typing import List, Tuple
 
@@ -318,16 +318,6 @@ class FaultPlan:
         for event in self.events:
             lines.append(f"  {event.describe()}")
         return "\n".join(lines) + "\n"
-
-    def shifted(self, offset: float) -> "FaultPlan":
-        """The same plan with every window moved ``offset`` later."""
-        return FaultPlan(
-            seed=self.seed,
-            events=tuple(
-                replace(e, start=e.start + offset, end=(e.end + offset if e.kind in _WINDOWED else e.end))
-                for e in self.events
-            ),
-        )
 
     def peer_events(self) -> Tuple[FaultEvent, ...]:
         """The crash/rejoin instants (applied by the FaultActor)."""

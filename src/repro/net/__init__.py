@@ -1,8 +1,8 @@
 """Simulated network substrate: messages, links, statistics, topologies.
 
->>> from repro.net import topology
+>>> from repro.net import Message, MessageKind, topology
 >>> net = topology.full_mesh(["p0", "p1", "p2"])
->>> message, arrival = net.send_tree("p0", "p1", "<a>payload</a>")
+>>> arrival = net.deliver(Message("p0", "p1", MessageKind.DATA, 14))
 >>> net.stats.messages
 1
 """

@@ -30,7 +30,7 @@ from ..errors import (
     UnknownPeerError,
 )
 from ..obs.tracer import NO_TRACER
-from .message import Message, MessageKind
+from .message import Message
 
 __all__ = ["Link", "LinkStats", "NetworkStats", "PeerTraffic", "Network"]
 
@@ -407,22 +407,6 @@ class Network:
         self.faults.counters[tally] += 1
         self.stats.record(message)
         self.tracer.mark(mark, "fault", at, kind=message.kind)
-
-    def send_tree(
-        self,
-        src: str,
-        dst: str,
-        payload: str,
-        kind: str = MessageKind.DATA,
-        ready_at: float = 0.0,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[Message, float]:
-        """Convenience wrapper building the :class:`Message` first (the
-        one sender that takes its payload as text, and measures it)."""
-        size = len(payload.encode("utf-8"))
-        message = Message(src, dst, kind, size, headers or {})
-        arrival = self.deliver(message, ready_at)
-        return message, arrival
 
     # -- reporting -----------------------------------------------------------------
     def peer_traffic(self) -> Dict[str, PeerTraffic]:

@@ -10,8 +10,7 @@ list.
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..errors import NetworkError
 from .network import Network
@@ -21,8 +20,6 @@ __all__ = [
     "star",
     "ring",
     "line",
-    "random_graph",
-    "two_tier",
     "clustered",
 ]
 
@@ -100,39 +97,6 @@ def line(
     return network
 
 
-def random_graph(
-    peers: Sequence[str],
-    edge_probability: float = 0.4,
-    latency_range: Tuple[float, float] = (0.005, 0.05),
-    bandwidth_range: Tuple[float, float] = (100_000.0, 10_000_000.0),
-    seed: int = 0,
-) -> Network:
-    """Erdős–Rényi-style random connectivity with heterogeneous links.
-
-    A spanning line is added first so the network is always connected;
-    the RNG is seeded for reproducible benchmark runs.
-    """
-    rng = random.Random(seed)
-    network = Network()
-    for peer in peers:
-        network.add_peer(peer)
-    for a, b in zip(peers, peers[1:]):
-        network.add_link(
-            a, b,
-            rng.uniform(*latency_range),
-            rng.uniform(*bandwidth_range),
-        )
-    for i, a in enumerate(peers):
-        for b in peers[i + 2:]:
-            if rng.random() < edge_probability:
-                network.add_link(
-                    a, b,
-                    rng.uniform(*latency_range),
-                    rng.uniform(*bandwidth_range),
-                )
-    return network
-
-
 def clustered(
     peers: Sequence[str],
     clusters: int = 2,
@@ -176,30 +140,3 @@ def clustered(
             )
     return network
 
-
-def two_tier(
-    core: Sequence[str],
-    edge: Sequence[str],
-    core_latency: float = 0.002,
-    core_bandwidth: float = 50_000_000.0,
-    edge_latency: float = 0.03,
-    edge_bandwidth: float = 500_000.0,
-) -> Network:
-    """Fast fully-meshed core peers; slow edge peers each homed on one core.
-
-    Models the eDos mirror scenario: well-provisioned mirrors plus
-    consumer-grade clients.  Edge peer ``i`` attaches to core
-    ``i % len(core)``.
-    """
-    if not core:
-        raise NetworkError("two_tier() needs at least one core peer")
-    network = Network()
-    for peer in list(core) + list(edge):
-        network.add_peer(peer)
-    for i, a in enumerate(core):
-        for b in core[i + 1:]:
-            network.add_link(a, b, core_latency, core_bandwidth)
-    for index, peer in enumerate(edge):
-        home = core[index % len(core)]
-        network.add_link(home, peer, edge_latency, edge_bandwidth)
-    return network

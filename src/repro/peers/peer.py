@@ -128,16 +128,6 @@ class Peer:
         """Resolver handed to queries: ``doc(n)`` reads this peer's data."""
         return self.document(name)
 
-    def find_node(self, node_id: NodeId) -> Optional[Element]:
-        """Locate a node by id across all hosted documents (for reading)."""
-        if node_id.peer != self.peer_id:
-            return None
-        for tree in self.documents.values():
-            node = find_by_id(tree, node_id)
-            if node is not None:
-                return node
-        return None
-
     def deliver(self, target: NodeId, tree: Element) -> Optional[Element]:
         """Append an id-free copy of ``tree`` under the node ``target``.
 

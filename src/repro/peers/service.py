@@ -300,10 +300,6 @@ class Service:
 
         return sum(tree_size(p) for p in params) + 1
 
-    @property
-    def is_declarative(self) -> bool:
-        return False
-
     def describe(self) -> str:
         peer = self.provider.peer_id if self.provider else "?"
         return f"{self.name}@{peer}"
@@ -332,10 +328,6 @@ class DeclarativeService(Service):
     ) -> None:
         super().__init__(name, signature, continuous)
         self.query = query
-
-    @property
-    def is_declarative(self) -> bool:
-        return True
 
     @property
     def arity(self) -> int:

@@ -129,7 +129,7 @@ _ANSWER_TEXTS = _SharedTexts(max_chars=1 << 20)
 #: Value types accepted on the right-hand side of a parameter binding.
 Binding = Union[str, Tuple[str, str], Expression, Element]
 #: Requests accepted by :meth:`Session.batch`.
-BatchRequest = Union[Plan, Tuple, Mapping]
+BatchRequest = Union[Plan, Mapping]
 
 
 @dataclass
@@ -270,9 +270,9 @@ class Session:
         A registered strategy name (``"beam"``, ``"greedy"``,
         ``"exhaustive"``, or anything added via
         :func:`~repro.core.strategies.register_strategy`) or an
-        :class:`~repro.core.strategies.OptimizerStrategy` instance.
-        ``strategy_options`` are forwarded to the named factory
-        (e.g. ``strategy_options={"depth": 2, "beam": 4}``).
+        :class:`~repro.core.strategies.OptimizerStrategy` instance,
+        which is how a strategy is configured (e.g.
+        ``strategy=BeamSearchStrategy(depth=2, beam=4)``).
     verify:
         Machine-check every rewrite kept during the search *and* the
         finally chosen plan against the original (slow, sound).
@@ -335,14 +335,13 @@ class Session:
         cost_model: Union[str, CostModel, None] = None,
         pick_policy=None,
         isolate: bool = True,
-        strategy_options: Optional[Mapping] = None,
         plan_cache: Union[PlanCache, None, str] = "auto",
         retry=None,
         fault_plan=None,
         profiler=None,
     ) -> None:
         self.system = system
-        self.strategy = make_strategy(strategy, **dict(strategy_options or {}))
+        self.strategy = make_strategy(strategy)
         self.verify = verify
         if not isinstance(trace, bool):
             raise SessionError(
@@ -564,9 +563,9 @@ class Session:
     ) -> List[ExecutionReport]:
         """Run a sequence of plans/queries, resetting Σ's accounting between runs.
 
-        Each request is a :class:`Plan`, a mapping of :meth:`query` keyword
-        arguments, or a ``(source, at, bind)`` tuple (``at`` may be elided
-        when the batch-level ``at`` is given).
+        Each request is a :class:`Plan` or a mapping of :meth:`query`
+        keyword arguments (``at`` may be elided when the batch-level ``at``
+        is given).
         """
         reports: List[ExecutionReport] = []
         for index, request in enumerate(requests):
@@ -578,20 +577,10 @@ class Session:
                 kwargs = dict(request)
                 kwargs.setdefault("at", at)
                 reports.append(self.query(**kwargs))
-            elif isinstance(request, tuple) and 2 <= len(request) <= 3:
-                source, site = request[0], request[1]
-                bind = request[2] if len(request) == 3 else None
-                if isinstance(site, Mapping):  # (source, bind) with batch-level at
-                    source, site, bind = request[0], at, request[1]
-                if site is None:
-                    raise SessionError(
-                        "batch request has no evaluation site; pass at="
-                    )
-                reports.append(self.query(source, site, bind=bind))
             else:
                 raise SessionError(
-                    f"unsupported batch request {request!r}; expected a Plan, "
-                    "a query-kwargs mapping, or a (source, at, bind) tuple"
+                    f"unsupported batch request {request!r}; expected a Plan "
+                    "or a query-kwargs mapping"
                 )
         return reports
 

@@ -32,6 +32,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.cost import Cost, CostEstimator, measure
 from ..core.planspace import PlanCache
+from ..core.strategies import make_strategy
 from ..dist.fragmenter import Fragmenter
 from ..engine.jobs import DONE, FAILED, JobRequest
 from ..errors import (
@@ -200,6 +201,7 @@ it exits 1 while the disagreement reproduces and 0 once it is fixed.
 
 import sys
 
+from repro.core import make_strategy
 from repro.session import Session
 from repro.workloads import ScenarioGenerator, ScenarioSpec
 from repro.xmlcore.canon import canonical_form
@@ -219,8 +221,7 @@ answers = {{}}
 for strategy in STRATEGIES:
     session = Session(
         scenario.system,
-        strategy=strategy,
-        strategy_options=STRATEGY_OPTIONS.get(strategy),
+        strategy=make_strategy(strategy, **STRATEGY_OPTIONS.get(strategy, {{}})),
     )
     report = session.query(**query.kwargs())
     answers[strategy] = sorted(repr(canonical_form(i)) for i in report.items)
@@ -524,8 +525,9 @@ class DifferentialHarness:
         """A session searching with ``strategy`` under the harness's options."""
         return Session(
             system,
-            strategy=strategy,
-            strategy_options=DEFAULT_STRATEGY_OPTIONS.get(strategy),
+            strategy=make_strategy(
+                strategy, **DEFAULT_STRATEGY_OPTIONS.get(strategy, {})
+            ),
             **session_kwargs,
         )
 

@@ -20,7 +20,6 @@ from .model import (
     Text,
     element,
     find_by_id,
-    find_first,
     iter_elements,
     iter_nodes,
     text,
@@ -28,7 +27,7 @@ from .model import (
 )
 from .canon import canonical_form, canonical_hash, equivalent, ordered_equal
 from .parser import parse, parse_fragment
-from .serializer import pretty, restore_ids, serialize
+from .serializer import pretty, serialize
 from .schema import (
     ANY,
     EMPTY,
@@ -56,7 +55,6 @@ __all__ = [
     "element",
     "text",
     "find_by_id",
-    "find_first",
     "iter_elements",
     "iter_nodes",
     "tree_size",
@@ -67,7 +65,6 @@ __all__ = [
     "parse",
     "parse_fragment",
     "pretty",
-    "restore_ids",
     "serialize",
     "ANY",
     "EMPTY",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from ..errors import FrozenTreeError
 
@@ -306,15 +306,6 @@ class Element(Node):
         self.children.insert(index, child)
         return child
 
-    def insert_after(self, anchor: Node, child: Node) -> Node:
-        """Insert ``child`` immediately after ``anchor`` (a current child).
-
-        This is the accumulation primitive for continuous service results:
-        responses pile up as siblings of the ``sc`` node (Section 2.2).
-        """
-        index = self.index_of(anchor)
-        return self.insert(index + 1, child)
-
     def remove(self, child: Node) -> None:
         self._invalidate_content()
         self.children.remove(child)
@@ -337,12 +328,6 @@ class Element(Node):
         """
         self._invalidate_content()
         self.attrs[name] = value
-
-    def detach(self) -> "Element":
-        """Remove this element from its parent (if any) and return it."""
-        if self.parent is not None:
-            self.parent.remove(self)
-        return self
 
     def index_of(self, child: Node) -> int:
         for index, candidate in enumerate(self.children):
@@ -556,10 +541,3 @@ def find_by_id(root: Node, node_id: NodeId) -> Optional[Element]:
             return node
     return None
 
-
-def find_first(root: Node, predicate: Callable[[Element], bool]) -> Optional[Element]:
-    """First element (pre-order) satisfying ``predicate``, or ``None``."""
-    for node in iter_elements(root):
-        if predicate(node):
-            return node
-    return None

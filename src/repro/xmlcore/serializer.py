@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .model import Element, Node, NodeId, Text
+from .model import Element, Node, Text
 
 __all__ = ["serialize", "pretty", "escape_text", "escape_attr"]
 
@@ -97,16 +97,3 @@ def _pretty_into(node: Node, out: List[str], depth: int, indent: str) -> None:
         _pretty_into(child, out, depth + 1, indent)
     out.append(f"{pad}</{node.tag}>")
 
-
-def restore_ids(root: Element) -> None:
-    """Re-attach node ids carried in ``__id`` attributes after parsing.
-
-    Inverse of ``serialize(..., with_ids=True)``: consumes the reserved
-    attribute and populates ``node_id``.
-    """
-    from .model import iter_elements
-
-    for node in iter_elements(root):
-        raw = node.attrs.pop("__id", None)
-        if raw is not None:
-            node.node_id = NodeId.parse(raw)

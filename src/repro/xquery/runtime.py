@@ -49,9 +49,6 @@ class AttributeNode:
         self.value = value
         self.owner = owner
 
-    def string_value_of(self) -> str:
-        return self.value
-
     def __repr__(self) -> str:
         return f"AttributeNode({self.name}={self.value!r})"
 

@@ -375,8 +375,9 @@ class TestIncrementalQuery:
         trees = [parse(f"<e><v>{n}</v></e>") for n in (5, 11, 20, 3)]
         inc = IncrementalQuery(self._query(), mode="incremental")
         ree = IncrementalQuery(self._query(), mode="reevaluate")
-        inc.push_many([t.copy() for t in trees])
-        ree.push_many([t.copy() for t in trees])
+        for tree in trees:
+            inc.push(tree.copy())
+            ree.push(tree.copy())
         assert [serialize(o) for o in inc.outputs] == [
             serialize(o) for o in ree.outputs
         ]
@@ -385,8 +386,9 @@ class TestIncrementalQuery:
         trees = [parse(f"<e><v>{n}</v></e>") for n in range(20)]
         inc = IncrementalQuery(self._query(), mode="incremental")
         ree = IncrementalQuery(self._query(), mode="reevaluate")
-        inc.push_many([t.copy() for t in trees])
-        ree.push_many([t.copy() for t in trees])
+        for tree in trees:
+            inc.push(tree.copy())
+            ree.push(tree.copy())
         assert inc.trees_processed == 20
         assert ree.trees_processed == 20 * 21 // 2  # quadratic
 

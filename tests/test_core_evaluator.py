@@ -29,7 +29,7 @@ from repro.errors import (
     ExpressionError,
     ServiceCallError,
 )
-from repro.peers.service import QueryMemo
+from repro.peers.service import DeclarativeService, QueryMemo
 from repro.net import MessageKind
 from repro.peers import AXMLSystem, NearestPolicy
 from repro.xmlcore import Element, NodeId, element, equivalent, parse, serialize
@@ -266,7 +266,7 @@ class TestDefinition3And4And8Send:
         ((service_name, peer),) = outcome.deployed
         assert peer == "p1"
         deployed = system.peer("p1").service(service_name)
-        assert deployed.is_declarative
+        assert isinstance(deployed, DeclarativeService)
 
     def test_deployed_service_callable(self, evaluator, system):
         q = QueryRef(

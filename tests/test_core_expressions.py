@@ -17,16 +17,14 @@ from repro.core import (
     Seq,
     ServiceCallExpr,
     TreeExpr,
-    expression_from_text,
     expression_size,
-    expression_to_text,
     from_xml,
     to_xml,
     transform,
     walk,
 )
 from repro.errors import ExpressionError
-from repro.xmlcore import NodeId, element, equivalent, parse
+from repro.xmlcore import NodeId, element, equivalent, parse, serialize
 from repro.xquery import Query
 
 
@@ -145,11 +143,11 @@ class TestXMLSerialization:
 
     def test_text_round_trip(self):
         expr = EvalAt("p2", Send(PeerDest("p1"), DocExpr("d", "p2")))
-        assert expression_from_text(expression_to_text(expr)) == expr
+        assert from_xml(parse(serialize(to_xml(expr)))) == expr
 
     def test_tree_expr_round_trips_by_content(self):
         expr = TreeExpr(parse("<a><b>1</b></a>"), "p1")
-        back = expression_from_text(expression_to_text(expr))
+        back = from_xml(parse(serialize(to_xml(expr))))
         assert isinstance(back, TreeExpr)
         assert back.home == "p1"
         assert equivalent(back.tree, expr.tree)

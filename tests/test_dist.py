@@ -21,11 +21,7 @@ from repro.core.expressions import (
 )
 from repro.core.cost import CostEstimator
 from repro.core.rules import FragmentPrune, FragmentPushSelection, Plan
-from repro.core.serialize import (
-    expression_fingerprint,
-    expression_from_text,
-    expression_to_text,
-)
+from repro.core.serialize import expression_fingerprint, from_xml, to_xml
 from repro.dist import Fragmenter, fragment_can_match, selection_bounds
 from repro.errors import FragmentationError, FrozenTreeError, SessionError
 from repro.peers import AXMLSystem
@@ -36,7 +32,7 @@ from repro.workloads import (
     ScenarioGenerator,
     ScenarioSpec,
 )
-from repro.xmlcore import parse
+from repro.xmlcore import parse, serialize
 from repro.xmlcore.canon import canonical_form
 from repro.xquery import Query
 
@@ -276,8 +272,8 @@ class TestAlgebraPlumbing:
                 EvalAt("d0", DocExpr("cat.f0", "d0")),
             )
         )
-        text = expression_to_text(gather)
-        assert expression_from_text(text) == gather
+        text = serialize(to_xml(gather))
+        assert from_xml(parse(text)) == gather
 
     def test_fingerprints_distinguish_views(self):
         frag = FragmentedDoc("cat")

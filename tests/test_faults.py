@@ -145,14 +145,6 @@ class TestFaultPlan:
         starts = [event.start for event in plan.events]
         assert starts == sorted(starts)
 
-    def test_shifted_moves_windows(self, system):
-        plan = FaultPlan.generate(2, system)
-        shifted = plan.shifted(1.0)
-        assert all(
-            b.start == pytest.approx(a.start + 1.0)
-            for a, b in zip(plan.events, shifted.events)
-        )
-
     def test_event_validation(self):
         with pytest.raises(WorkloadError):
             FaultEvent("not-a-kind", 0.0, 1.0)

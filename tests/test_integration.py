@@ -170,9 +170,6 @@ class TestEDosMiniature:
     def _build(self):
         system = AXMLSystem.with_peers(
             ["hub", "mirror-1", "mirror-2", "alice", "bob"],
-            topology="two_tier",
-        ) if False else AXMLSystem.with_peers(
-            ["hub", "mirror-1", "mirror-2", "alice", "bob"],
             bandwidth=200_000.0,
         )
         catalog = make_catalog(100)

@@ -23,10 +23,11 @@ class TestMessage:
         # a stored value, not a property re-deriving it on every read
         assert "size" in vars(message) and not hasattr(message, "payload")
 
-    def test_send_tree_measures_its_text_in_utf8(self):
+    def test_deliver_charges_the_utf8_length_of_its_text(self):
         net = Network()
         net.add_link("a", "b")
-        message, _ = net.send_tree("a", "b", "héllo")
+        message = Message("a", "b", MessageKind.DATA, len("héllo".encode("utf-8")))
+        net.deliver(message)
         assert message.payload_bytes == 6
         assert net.stats.bytes == message.size == wire_size(6, {})
 
@@ -253,19 +254,17 @@ class TestTopologies:
         net = topology.line(self.PEERS)
         assert len(net.route("p0", "p3")) == 3
 
-    def test_random_graph_connected_and_seeded(self):
-        a = topology.random_graph(self.PEERS, seed=7)
-        b = topology.random_graph(self.PEERS, seed=7)
-        for src in self.PEERS:
-            for dst in self.PEERS:
-                if src != dst:
-                    assert len(a.route(src, dst)) == len(b.route(src, dst))
+    def test_clustered_crosses_clusters_through_gateways(self):
+        # p0, p2 form one cluster and p1, p3 the other; p0 and p1 bridge
+        net = topology.clustered(self.PEERS, clusters=2)
+        assert len(net.route("p0", "p2")) == 1
+        assert [l.dst for l in net.route("p2", "p3")] == ["p0", "p1", "p3"]
 
-    def test_two_tier_homes_edges(self):
-        net = topology.two_tier(["c0", "c1"], ["e0", "e1", "e2"])
-        # e0 homed on c0, e1 on c1: e0 -> e1 goes via both cores
-        hops = [l.dst for l in net.route("e0", "e1")]
-        assert hops[0] == "c0" and hops[-1] == "e1"
+    def test_clustered_needs_peers_and_a_cluster(self):
+        with pytest.raises(NetworkError):
+            topology.clustered([])
+        with pytest.raises(NetworkError):
+            topology.clustered(self.PEERS, clusters=0)
 
     def test_full_mesh_takes_the_link_latency(self):
         net = topology.full_mesh(["a", "b"], latency=0.5)

@@ -65,6 +65,7 @@ from repro.core import (
     TransferReuse,
     TreeExpr,
     check_equivalence,
+    make_strategy,
     measure,
 )
 from repro.peers import (
@@ -596,7 +597,7 @@ def e12(config):
         "beam": {"depth": depth, "beam": 8},
         "exhaustive": {"depth": depth, "max_plans": 512},
     }.get(strategy, {})
-    session = connect(system, strategy=strategy, strategy_options=options)
+    session = connect(system, strategy=make_strategy(strategy, **options))
     started = time.perf_counter()
     report = session.explain(plan)
     search_ms = (time.perf_counter() - started) * 1000

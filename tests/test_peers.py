@@ -12,7 +12,7 @@ from repro.errors import (
     UnknownServiceError,
     ValidationError,
 )
-from repro.net import Network
+from repro.net import Message, MessageKind, Network
 from repro.peers import (
     AXMLSystem,
     DeclarativeService,
@@ -75,17 +75,29 @@ class TestPeerDocuments:
         peer.install_document(name, parse("<a/>"))
         assert peer.fresh_document_name("tmp") != name
 
-    def test_find_node_by_id(self):
+    def test_deliver_appends_a_fresh_copy_under_the_target(self):
         peer = Peer("p")
-        tree = parse("<a><b/></a>")
-        peer.install_document("d", tree)
-        target = tree.element_children[0]
-        assert peer.find_node(target.node_id) is target
+        peer.install_document("d", parse("<a><b/></a>"))
+        target = peer.document("d").element_children[0]
+        item = parse("<item>1</item>")
+        copy = peer.deliver(target.node_id, item)
+        assert copy is not item and copy.tag == "item"
+        assert copy.node_id.peer == "p"
+        host = peer.document("d").element_children[0]
+        assert host.node_id == target.node_id
+        assert host.element_children == [copy]
 
-    def test_find_node_wrong_peer(self):
+    def test_deliver_to_another_peers_node_returns_none(self):
         peer = Peer("p")
         peer.install_document("d", parse("<a/>"))
-        assert peer.find_node(NodeId("other", 1)) is None
+        assert peer.deliver(NodeId("other", 1), parse("<x/>")) is None
+        assert peer.document("d").children == []
+
+    def test_deliver_to_an_unknown_node_returns_none(self):
+        peer = Peer("p")
+        peer.install_document("d", parse("<a/>"))
+        assert peer.deliver(NodeId("p", 999), parse("<x/>")) is None
+        assert peer.document("d").children == []
 
     def test_drop_document(self):
         peer = Peer("p")
@@ -102,7 +114,7 @@ class TestPeerServices:
         )
         assert peer.service("echo") is service
         assert service.provider is peer
-        assert service.is_declarative
+        assert isinstance(service, DeclarativeService)
 
     def test_duplicate_service_rejected(self):
         peer = Peer("p")
@@ -136,7 +148,7 @@ class TestPeerServices:
         peer.install_service(NativeService("ping", impl))
         (result,) = peer.service("ping").invoke([], peer)
         assert result.tag == "pong"
-        assert not peer.service("ping").is_declarative
+        assert not isinstance(peer.service("ping"), DeclarativeService)
 
     def test_native_service_bad_return(self):
         peer = Peer("p")
@@ -364,7 +376,7 @@ class TestCloneIndependence:
 
     def test_clone_starts_with_clean_accounting(self):
         system = self.build()
-        system.network.send_tree("a", "b", "x" * 500)
+        system.network.deliver(Message("a", "b", MessageKind.DATA, 500))
         system.peer("a").charge(5000)
         system.clock = 3.0
         twin = system.clone()
@@ -376,7 +388,7 @@ class TestCloneIndependence:
     def test_traffic_on_original_never_reaches_the_clone(self):
         system = self.build()
         twin = system.clone()
-        system.network.send_tree("a", "b", "x" * 500)
+        system.network.deliver(Message("a", "b", MessageKind.DATA, 500))
         system.peer("b").charge(100)
         assert twin.network.stats.bytes == 0
         assert twin.network.link("a", "b").stats.messages == 0
@@ -385,7 +397,7 @@ class TestCloneIndependence:
     def test_traffic_on_clone_never_reaches_the_original(self):
         system = self.build()
         twin = system.clone()
-        twin.network.send_tree("b", "a", "y" * 200)
+        twin.network.deliver(Message("b", "a", MessageKind.DATA, 200))
         twin.peer("a").charge(100)
         twin.clock = 9.0
         assert system.network.stats.messages == 0
@@ -395,7 +407,7 @@ class TestCloneIndependence:
 
     def test_reset_on_clone_leaves_original_accounting(self):
         system = self.build()
-        system.network.send_tree("a", "b", "x" * 500)
+        system.network.deliver(Message("a", "b", MessageKind.DATA, 500))
         system.peer("a").charge(5000)
         twin = system.clone()
         twin.reset()
@@ -405,7 +417,7 @@ class TestCloneIndependence:
     def test_clone_clock_and_busy_independent_after_reset(self):
         system = self.build()
         twin = system.clone()
-        twin.network.send_tree("a", "b", "x" * 500)
+        twin.network.deliver(Message("a", "b", MessageKind.DATA, 500))
         twin.peer("a").charge(2000)
         system.reset()
         assert twin.network.stats.messages == 1

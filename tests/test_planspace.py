@@ -21,6 +21,7 @@ from repro.core import (
     Seq,
     TreeExpr,
     expression_fingerprint,
+    make_strategy,
     plan_fingerprint,
 )
 from repro.core.cost import Cost, CostEstimator
@@ -249,15 +250,14 @@ class TestCacheDisabledParity:
             replicas=1, queries=3,
         )
         scenario = ScenarioGenerator(seed=5, spec=spec).scenario(0)
-        options = {"depth": 3, "max_plans": 50_000} if strategy == "exhaustive" else None
+        options = {"depth": 3, "max_plans": 50_000} if strategy == "exhaustive" else {}
         for query in scenario.queries:
             kwargs = query.kwargs()
             reports = {}
             for plan_cache in ("auto", None):
                 session = Session(
                     scenario.system,
-                    strategy=strategy,
-                    strategy_options=options,
+                    strategy=make_strategy(strategy, **options),
                     plan_cache=plan_cache,
                 )
                 reports[plan_cache] = session.explain(

@@ -13,16 +13,16 @@ import pytest
 
 import repro.xquery
 from repro import connect
-from repro.core import DEFAULT_RULES, PlanCache, planspace
+from repro.core import DEFAULT_RULES, BeamSearchStrategy, PlanCache, planspace
 from repro.core.rules import PushSelection
-from repro.core.serialize import expression_to_text
+from repro.core.serialize import to_xml
 from repro.engine import ClosedLoopFeed, JobRequest
 from repro.obs import Tracer
 from repro.peers import AXMLSystem
 from repro.peers.registry import FirstPolicy
 from repro.session import Session
 from repro.workloads import ScenarioGenerator, ScenarioSpec
-from repro.xmlcore import parse
+from repro.xmlcore import parse, serialize
 
 SPEC = ScenarioSpec(
     peers=5, topology="mesh", documents=3, axml_documents=1,
@@ -55,7 +55,7 @@ def job(name, doc="cat@d0", **kwargs):
 
 def outcome(report):
     return (
-        expression_to_text(report.plan.expr),
+        serialize(to_xml(report.plan.expr)),
         report.best_cost,
         report.original_cost,
         report.explored,
@@ -114,7 +114,7 @@ class TestEffectiveness:
         served = session.plan_job(job("q#2"))
         assert served.plan_cache.prepared_hits == 1
         assert served.plan is not served.original  # a rewrite won
-        text = expression_to_text(served.plan.expr)
+        text = serialize(to_xml(served.plan.expr))
         assert 'name="q#2"' in text and "q#1" not in text
         assert outcome(served) == outcome(cold(system, job("q#2")))
         assert served.original.expr.query.query.name == "q#2"
@@ -130,8 +130,8 @@ class TestEffectiveness:
         assert (outer.query.name, inner.query.name) == ("new-outer", "new-inner")
         assert inner.query.module is pushed.plan.expr.args[0].expr.query.query.module
         (expected,) = PushSelection().apply(plan, system)
-        assert expression_to_text(relabelled.expr) == expression_to_text(
-            expected.plan.expr
+        assert serialize(to_xml(relabelled.expr)) == serialize(
+            to_xml(expected.plan.expr)
         )
         # an unrewritten plan is answered by the job's own naive plan
         assert planspace.relabel(planned, planned, plan) is plan
@@ -200,8 +200,8 @@ class TestIsolation:
         [
             ({"strategy": "beam"}, {"strategy": "greedy"}),
             (
-                {"strategy_options": {"depth": 3}},
-                {"strategy_options": {"depth": 1}},
+                {"strategy": BeamSearchStrategy(depth=3)},
+                {"strategy": BeamSearchStrategy(depth=1)},
             ),
             ({"cost_model": "oracle"}, {"cost_model": "analytic"}),
             ({"cost_model": "analytic"}, {"cost_model": "hybrid"}),

@@ -1,5 +1,7 @@
 """Tests for the Session façade, ExecutionReport, and repro.connect."""
 
+import inspect
+
 import pytest
 
 import repro
@@ -286,6 +288,17 @@ class TestRunAndExplain:
         assert system.network.stats.bytes == report.network["bytes"]
 
 
+class TestSignature:
+    def test_session_takes_twelve_keywords(self):
+        params = inspect.signature(Session.__init__).parameters.values()
+        keywords = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+        assert keywords == {
+            "strategy", "verify", "trace", "tracer", "rules", "cost_model",
+            "pick_policy", "isolate", "plan_cache", "retry", "fault_plan",
+            "profiler",
+        }
+
+
 class TestBatch:
     def test_batch_of_plans(self, system):
         plan = naive_plan(system)
@@ -308,18 +321,17 @@ class TestBatch:
         assert len(reports[0].items) == 4
         assert len(reports[1].items) == 80
 
-    def test_batch_of_tuples(self, system):
-        reports = connect(system).batch(
-            [(QUICKSTART_QUERY, "laptop", {"d": "catalog@server"})]
-        )
-        assert len(reports) == 1 and reports[0].executed
-
     def test_batch_resets_between_runs(self, system):
         session = connect(system, isolate=False)
         session.batch([naive_plan(system), naive_plan(system)])
         # the live stats reflect only the final run, not the sum
         single = connect(system.clone(), isolate=False).run(naive_plan(system))
         assert system.network.stats.bytes == single.network["bytes"]
+
+    def test_batch_rejects_a_tuple(self, system):
+        request = (QUICKSTART_QUERY, "laptop", {"d": "catalog@server"})
+        with pytest.raises(SessionError, match="unsupported batch request"):
+            connect(system).batch([request])
 
     def test_bad_batch_request_rejected(self, system):
         with pytest.raises(SessionError, match="unsupported batch request"):

@@ -11,7 +11,6 @@ from repro.xmlcore import (
     Text,
     element,
     find_by_id,
-    find_first,
     iter_elements,
     iter_nodes,
     serialize,
@@ -109,11 +108,11 @@ class TestElementConstruction:
 
 
 class TestElementMutation:
-    def test_insert_after(self):
+    def test_insert_places_child_at_index(self):
         parent = element("a", element("b"), element("d"))
-        anchor = parent.children[0]
-        parent.insert_after(anchor, element("c"))
+        inserted = parent.insert(1, element("c"))
         assert [c.tag for c in parent.element_children] == ["b", "c", "d"]
+        assert inserted.parent is parent
 
     def test_remove_clears_parent(self):
         parent = element("a", element("b"))
@@ -128,16 +127,6 @@ class TestElementMutation:
         parent.replace_child(parent.children[0], new)
         assert parent.element_children[0].tag == "new"
         assert new.parent is parent
-
-    def test_detach(self):
-        parent = element("a", element("b"))
-        child = parent.element_children[0]
-        assert child.detach() is child
-        assert parent.children == []
-
-    def test_detach_unparented_is_noop(self):
-        orphan = element("x")
-        assert orphan.detach() is orphan
 
     def test_index_of_uses_identity(self):
         twin1, twin2 = element("t"), element("t")
@@ -205,6 +194,10 @@ class TestTraversal:
         ]
         assert kinds == ["a", "b", "#", "c"]
 
+    def test_iter_elements_preorder_skips_text(self):
+        root = element("a", element("b", "t"), element("c"))
+        assert [e.tag for e in iter_elements(root)] == ["a", "b", "c"]
+
     def test_tree_size_counts_text(self):
         assert tree_size(element("a", "x", element("b"))) == 3
 
@@ -215,11 +208,6 @@ class TestTraversal:
         assert find_by_id(root, NodeId("p", 5)) is target
         assert find_by_id(root, NodeId("p", 6)) is None
 
-    def test_find_first(self):
-        root = element("a", element("b"), element("c", attrs={"hit": "1"}))
-        found = find_first(root, lambda e: "hit" in e.attrs)
-        assert found.tag == "c"
-        assert find_first(root, lambda e: e.tag == "zz") is None
 
 
 class TestSizeAccounting:
