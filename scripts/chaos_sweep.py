@@ -121,7 +121,7 @@ def main(argv=None) -> int:
         # trees for every job (retry backoffs, stalls, fault windows
         # included), written as JSON-lines for scripts/trace_view.py
         from repro.engine.jobs import JobRequest
-        from repro.faults import FaultActor, FaultPlan
+        from repro.faults import FaultPlan
         from repro.obs import Tracer, write_jsonl
         from repro.session import Session
 
@@ -135,8 +135,7 @@ def main(argv=None) -> int:
         traced = session.serve(
             [JobRequest(arrival=i * 0.01, partial=True,
                         deadline=args.deadline, **q.kwargs())
-             for i, q in enumerate(scenario.queries)],
-            actor=FaultActor(plan),
+             for i, q in enumerate(scenario.queries)]
         )
         write_jsonl(traced.trace, args.trace)
         print(f"\ntrace: {len(traced.trace.jobs)} job span trees "

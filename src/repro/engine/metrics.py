@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from ..obs.metrics import percentile
+from ..obs.metrics import MetricsRegistry, percentile
 from .jobs import DONE, FAILED, QueryJob
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -85,18 +85,16 @@ class ServingReport:
     #: Scheduler event trace ``(time, kind, job name)``, admission order —
     #: byte-stable for a fixed seed (the determinism tests pin this).
     events: List[str] = field(default_factory=list)
-    #: Timestamped placement-action trace (replica spawns, migrations,
-    #: churn failover) when a :class:`repro.placement.PlacementActor`
-    #: rode the run; empty for static placement.
+    #: Timestamped placement-action trace: replica spawns and migrations
+    #: of a :class:`repro.placement.PlacementActor`, and the kills,
+    #: failovers and rejoins of the fault plan's crash/rejoin events;
+    #: empty for static placement without crashes.
     actions: List[str] = field(default_factory=list)
-    #: Labeled metrics for the run (:class:`repro.obs.MetricsRegistry`):
-    #: fault/recovery counters (``faults{kind=…}``: messages dropped,
-    #: transfers corrupted, retries spent, parts lost, … merged from the
-    #: installed :class:`repro.faults.FaultState` and the evaluator; none
-    #: for a fault-free run), job latency histogram, per-peer
-    #: utilization, network totals by message kind, placement-action
-    #: count.  Always populated by the scheduler.
-    registry: Optional[object] = None
+    #: The run's ``network.metrics`` (:class:`repro.obs.MetricsRegistry`):
+    #: its ``faults{kind=…}`` tallies — messages dropped, transfers
+    #: corrupted, retries spent, parts lost, peer crashes, … — counted
+    #: where they happened; empty for a fault-free run.
+    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: Virtual-clock span trees (:class:`repro.obs.Trace`) when the
     #: session had a :class:`repro.obs.Tracer` installed; ``None``
     #: otherwise (tracing off is the zero-cost default).
@@ -121,8 +119,7 @@ class ServingReport:
             lines.append("placement actions:")
             for action in self.actions:
                 lines.append(f"  {action}")
-        registry = self.registry
-        faults = registry.counters("faults") if registry is not None else ()
+        faults = self.registry.counters("faults")
         if faults:
             lines.append("faults:")
             for counter in faults:

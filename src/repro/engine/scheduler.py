@@ -46,9 +46,10 @@ from time import perf_counter as _perf_counter
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple, Union
 
 from ..errors import ReproError, SessionError
-from ..obs.metrics import MetricsRegistry
+from ..faults.plan import PEER_CRASH
 from ..peers.registry import POLICIES, PickPolicy
 from ..peers.system import AXMLSystem
+from ..placement.churn import ChurnController
 from .jobs import DONE, FAILED, RUNNING, JobRequest, QueryJob, plan_peers
 from .metrics import ServingReport, summarize
 
@@ -59,12 +60,16 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Scheduler"]
 
 #: Event kinds, in same-instant processing order: free resources first,
-#: then let the placement actor observe, then admit new work against the
-#: (possibly just-rebalanced) catalog.
+#: then let the placement actor observe, then apply the fault plan's
+#: crashes and rejoins, then admit new work against the (possibly just
+#: rebalanced or failed-over) catalog.
 _COMPLETION = 0
 _TICK = 1
-_ARRIVAL = 2
-_KIND_NAMES = {_COMPLETION: "finish", _TICK: "tick", _ARRIVAL: "admit"}
+_MEMBERSHIP = 2
+_ARRIVAL = 3
+_KIND_NAMES = {
+    _COMPLETION: "finish", _TICK: "tick", _MEMBERSHIP: "fault", _ARRIVAL: "admit"
+}
 
 
 class _ChargingPolicy(PickPolicy):
@@ -133,7 +138,8 @@ class Scheduler:
         #: the virtual clock between query events — see
         #: :class:`repro.placement.PlacementActor`.
         self.actor = actor
-        #: Timestamped placement-action trace collected from actor ticks.
+        #: Timestamped placement-action trace: the actor's notes and the
+        #: fault plan's crashes and rejoins.
         self.actions: List[str] = []
         self._rng = Random(f"engine:{seed}")
         if isinstance(admission, str):
@@ -147,15 +153,17 @@ class Scheduler:
         self.admission: Optional[PickPolicy] = (
             admission if admission is not None else session.pick_policy
         )
-        self._heap: List[Tuple[float, int, float, int, QueryJob]] = []
+        self._heap: List[Tuple[float, int, float, int, object]] = []
         self._seq = 0
         self.jobs: List[QueryJob] = []
         self.events: List[str] = []
         #: "open" (accepting submissions) -> "running" -> "drained".
         self._state = "open"
-        #: Serving Σ and the job being admitted (set during drain).
+        #: Serving Σ, the job being admitted, and the controller applying
+        #: the fault plan's crashes and rejoins (set during drain).
         self._target: Optional[AXMLSystem] = None
         self._current_job: Optional[QueryJob] = None
+        self._churn: Optional[ChurnController] = None
 
     @property
     def drained(self) -> bool:
@@ -220,24 +228,32 @@ class Scheduler:
             # serving will mutate the live Σ; start planning from
             # coherent stores and let them warm over the run itself
             self.session.optimizer.cache.clear()
+        # the fault plan's crashes and rejoins are events on the heap, so
+        # each lands at its scripted instant (a fault-free run pushes none)
+        state = target.network.faults
+        membership = state.plan.peer_events() if state is not None else ()
+        if membership:
+            self._churn = ChurnController(target)
+        for event in membership:
+            self._push(event.start, _MEMBERSHIP, event)
         try:
             if feed is not None:
                 self.submit_all(feed.initial())
-            if self.actor is not None and hasattr(self.actor, "on_start"):
-                # fault/churn actors must install their state *before* the
-                # first admission — the first job may already hit a window
-                for note in self.actor.on_start(target) or ():
-                    self._note(0.0, note)
             if self.actor is not None and self._heap:
                 self._push(self.actor.interval, _TICK, None)
             while self._heap:
                 time, kind, _tie, _seq, job = heapq.heappop(self._heap)
-                self.events.append(
-                    f"{time:.9f} {_KIND_NAMES[kind]} "
-                    f"{job.name if job is not None else 'placement'}"
-                )
+                if kind == _TICK:
+                    label = "placement"
+                elif kind == _MEMBERSHIP:
+                    label = f"{job.kind} {job.peer}"
+                else:
+                    label = job.name
+                self.events.append(f"{time:.9f} {_KIND_NAMES[kind]} {label}")
                 if kind == _TICK:
                     self._tick(time, target)
+                elif kind == _MEMBERSHIP:
+                    self._membership(job, time, target)
                 elif kind == _ARRIVAL:
                     self._admit(job, time, target, evaluator)
                 else:
@@ -251,8 +267,6 @@ class Scheduler:
             peer_id: target.peer(peer_id).busy_time
             for peer_id in target.peers
         }
-        state = target.network.faults
-        metrics = summarize(self.jobs, busy)
         tracer = target.network.tracer
         # the scripted fault windows, as run-level spans next to the job
         # trees (instants — crash/rejoin — render zero-width)
@@ -266,69 +280,55 @@ class Scheduler:
             )
         return ServingReport(
             jobs=list(self.jobs),
-            metrics=metrics,
+            metrics=summarize(self.jobs, busy),
             network=target.network.stats.snapshot(),
             peers=target.stats_snapshot(),
             events=list(self.events),
             actions=list(self.actions),
-            registry=self._build_registry(
-                metrics, busy, target.network, evaluator.counters
-            ),
+            registry=target.network.metrics,
             trace=tracer.trace(),
         )
-
-    def _build_registry(self, metrics, busy, network, recovery) -> MetricsRegistry:
-        """Fold the run's counters into a labeled MetricsRegistry.
-
-        Pure dict/list work on values already computed — no RNG, no
-        clock.  ``faults{kind=…}`` sums the evaluator's ``recovery``
-        tallies with the installed fault state's injection tallies.
-        """
-        registry = MetricsRegistry()
-        stats = network.stats
-        for counters in (recovery, getattr(network.faults, "counters", {})):
-            for kind, value in counters.items():
-                registry.counter("faults", kind=kind).inc(value)
-        latency = registry.histogram("job_latency")
-        for job in self.jobs:
-            registry.counter("jobs", status=job.status).inc()
-            if job.status == DONE and job.finished_at is not None:
-                latency.observe(job.latency)
-        for kind, value in stats.by_kind.items():
-            registry.counter("network_messages", kind=kind).inc(value)
-        for kind, value in stats.bytes_by_kind.items():
-            registry.counter("network_bytes", kind=kind).inc(value)
-        for peer_id, seconds in busy.items():
-            registry.gauge("peer_busy_seconds", peer=peer_id).set(seconds)
-            registry.gauge("peer_utilization", peer=peer_id).set(
-                metrics.utilization.get(peer_id, 0.0)
-            )
-        registry.counter("placement_actions").inc(len(self.actions))
-        return registry
 
     def _tick(self, now: float, target: AXMLSystem) -> None:
         """One placement-actor heartbeat on the virtual clock.
 
         The actor observes the serving Σ and may mutate the catalog
-        (replicas, migrations, churn failover).  Any action invalidates
-        prepared plans and estimates — fragment rewrites and replica
-        picks bake catalog state in — so the session's plan cache is
-        cleared before the next admission plans.  The next tick is only
+        (replicas, migrations, splits).  The next tick is only
         scheduled while other events remain, so a quiescent heap drains
         instead of ticking forever.
         """
-        notes = self.actor.on_tick(target, now)
-        for note in notes:
-            self._note(now, note)
-        if notes:
-            self.session.optimizer.cache.clear()
+        self._act(now, self.actor.on_tick(target, now))
         if self._heap:
             self._push(now + self.actor.interval, _TICK, None)
 
-    def _note(self, now: float, note: str) -> None:
-        """Append one actor note to the placement-action trace."""
-        self.actions.append(f"{now:.9f} {note}")
-        self._target.network.tracer.run_span(note, "placement", now, now)
+    def _membership(self, event, now: float, target: AXMLSystem) -> None:
+        """Apply one of the fault plan's crashes or rejoins at its instant.
+
+        A crash kills the peer through
+        :class:`~repro.placement.ChurnController` (catalog failover,
+        registry scrub, in-flight traffic cancelled); a rejoin revives
+        it.  Either is counted as ``faults{kind=peer_crashes|peer_rejoins}``
+        and traced as a placement action.
+        """
+        if event.kind == PEER_CRASH:
+            notes, kind = self._churn.kill(event.peer, now=now), "peer_crashes"
+        else:
+            notes, kind = self._churn.join(event.peer), "peer_rejoins"
+        target.network.metrics.counter("faults", kind=kind).inc()
+        self._act(now, notes)
+
+    def _act(self, now: float, notes: List[str]) -> None:
+        """Trace the catalog changes made at ``now``; drop stale plans.
+
+        Any change invalidates prepared plans and estimates — fragment
+        rewrites and replica picks bake catalog state in — so the
+        session's plan cache is cleared before the next admission plans.
+        """
+        for note in notes:
+            self.actions.append(f"{now:.9f} {note}")
+            self._target.network.tracer.run_span(note, "placement", now, now)
+        if notes:
+            self.session.optimizer.cache.clear()
 
     def _admit(
         self,

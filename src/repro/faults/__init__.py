@@ -2,9 +2,12 @@
 
 The paper's peers live on an unreliable wide-area network; this package
 makes that unreliability a *first-class, reproducible* input.  A
-:class:`FaultPlan` scripts link drops/degradations, transfer
-corruption, service failures/hangs, peer stalls, and crash/rejoin pairs
-on the virtual clock; :class:`RecoveringEvaluator` applies a
+:class:`FaultPlan`, given once as ``Session(fault_plan=)``, scripts link
+drops/degradations, transfer corruption, service failures/hangs, peer
+stalls, and crash/rejoin pairs on the virtual clock (a serving run
+applies each crash and rejoin at its instant); every fault a run meets
+is counted as ``faults{kind=…}`` on its ``network.metrics``.
+:class:`RecoveringEvaluator` applies a
 :class:`RetryPolicy` — bounded retries with seeded exponential backoff,
 a call timeout, replica failover — on the bare evaluator's seam; jobs can
 carry deadlines and opt into graceful degradation, yielding a
@@ -13,7 +16,7 @@ is a subset of the fault-free answer.  An empty plan is a strict no-op:
 fault-free runs stay byte-identical to a build without this package.
 """
 
-from .injector import FaultActor, FaultState
+from .injector import FaultState
 from .plan import (
     CORRUPT,
     LINK_DEGRADE,
@@ -42,7 +45,6 @@ __all__ = [
     "FaultSpec",
     "FaultPlan",
     "FaultState",
-    "FaultActor",
     "RetryPolicy",
     "LostPart",
     "PartialAnswer",

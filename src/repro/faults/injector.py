@@ -1,30 +1,23 @@
-"""Compiled fault state and the serving-clock fault actor.
+"""Compiled fault state.
 
 :class:`FaultState` is a :class:`~repro.faults.FaultPlan` indexed for
 the hot path: the network consults it per hop, the evaluator per
 service call and per compute charge.  Every lookup is a pure function
-of ``(target, virtual instant)`` — no randomness, no hidden state
-besides the fault counters — so retried operations re-observe exactly
-the windows the plan scripted.
-
-:class:`FaultActor` plugs into the scheduler's actor slot (duck-typed
-like :class:`~repro.placement.PlacementActor`): ``on_start`` installs
-the fault state on the serving system's network *before the first
-admission*, and ``on_tick`` applies the plan's crash/rejoin instants
-through :class:`~repro.placement.ChurnController` as the virtual clock
-passes them.
+of ``(target, virtual instant)`` — no randomness, no hidden state — so
+retried operations re-observe exactly the windows the plan scripted.
+The plan's crash/rejoin instants are not looked up: the serving
+scheduler applies them at their instants
+(:meth:`repro.engine.Scheduler.drain`).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, List, Optional
 
 from .plan import (
     CORRUPT,
     LINK_DEGRADE,
     LINK_DROP,
-    PEER_CRASH,
     PEER_STALL,
     SERVICE_FAIL,
     SERVICE_HANG,
@@ -32,21 +25,19 @@ from .plan import (
     FaultPlan,
 )
 
-__all__ = ["FaultState", "FaultActor"]
+__all__ = ["FaultState"]
 
 
 class FaultState:
-    """A plan compiled for fast window lookups, plus fault counters.
+    """A plan compiled for fast window lookups.
 
     Installed as ``network.faults``; ``None`` there (the default) means
-    the exact historical fault-free code path runs.  ``counters``
-    accumulates across the run and is folded into
-    ``ServingReport.registry`` as ``faults{kind=…}`` counters.
+    the exact historical fault-free code path runs.  What the windows
+    cause is counted on ``network.metrics`` as ``faults{kind=…}``.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.counters: Counter = Counter()
         self._drops: Dict[tuple, List[FaultEvent]] = {}
         self._degrades: Dict[tuple, List[FaultEvent]] = {}
         self._corruptions: Dict[tuple, List[FaultEvent]] = {}
@@ -105,69 +96,3 @@ class FaultState:
             if event.covers(ready):
                 ready = event.end
         return ready
-
-
-class FaultActor:
-    """Scheduler actor that installs fault state and drives peer churn.
-
-    ``interval`` paces the membership checks on the scheduler's tick
-    heap; link/service/stall windows need no ticking at all (they are
-    consulted passively), so a plan without crash/rejoin events costs
-    one no-op tick per interval.
-    """
-
-    def __init__(self, plan: FaultPlan, interval: float = 0.01) -> None:
-        self.plan = plan
-        self.interval = interval
-        self._controller = None
-        self._membership = sorted(
-            plan.peer_events(), key=lambda e: (e.start, e.kind, e.peer)
-        )
-        self._cursor = 0
-
-    def _bind(self, target) -> None:
-        from ..placement.churn import ChurnController
-
-        if self._controller is None or self._controller.system is not target:
-            self._controller = ChurnController(target)
-            self._cursor = 0
-            state = getattr(target.network, "faults", None)
-            if state is None or state.plan is not self.plan:
-                target.network.faults = FaultState(self.plan)
-
-    # -- scheduler hooks -------------------------------------------------------
-    def on_start(self, target) -> List[str]:
-        """Install fault state before the first admission."""
-        self._bind(target)
-        if self._membership:
-            return [
-                f"fault plan seed={self.plan.seed}: "
-                f"{len(self.plan.events)} events, "
-                f"{len(self._membership)} membership changes"
-            ]
-        if self.plan.events:
-            return [
-                f"fault plan seed={self.plan.seed}: "
-                f"{len(self.plan.events)} events"
-            ]
-        return []
-
-    def on_tick(self, target, now: float) -> List[str]:
-        self._bind(target)
-        notes: List[str] = []
-        while (
-            self._cursor < len(self._membership)
-            and self._membership[self._cursor].start <= now
-        ):
-            event = self._membership[self._cursor]
-            self._cursor += 1
-            state = target.network.faults
-            if event.kind == PEER_CRASH:
-                notes.extend(self._controller.kill(event.peer, now=now))
-                if state is not None:
-                    state.counters["peer_crashes"] += 1
-            else:
-                notes.extend(self._controller.join(event.peer))
-                if state is not None:
-                    state.counters["peer_rejoins"] += 1
-        return notes

@@ -32,11 +32,10 @@ Fault kinds
     The peer stops computing until the window closes (a GC pause / CPU
     thief): work that would start inside the window starts at its end.
 ``peer-crash`` / ``peer-rejoin``
-    Instantaneous membership events applied through
-    :class:`~repro.placement.ChurnController` by the
-    :class:`~repro.faults.FaultActor` — crash generalizes
-    :class:`~repro.placement.ChurnSchedule` kills (catalog failover,
-    registry scrub, in-flight link traffic cancelled), rejoin revives.
+    Instantaneous membership events that a serving run applies at their
+    instants through :class:`~repro.placement.ChurnController`: a crash
+    kills the peer (catalog failover, registry scrub, in-flight link
+    traffic cancelled), a rejoin revives it.
 """
 
 from __future__ import annotations
@@ -320,7 +319,7 @@ class FaultPlan:
         return "\n".join(lines) + "\n"
 
     def peer_events(self) -> Tuple[FaultEvent, ...]:
-        """The crash/rejoin instants (applied by the FaultActor)."""
+        """The crash/rejoin instants (applied by the serving scheduler)."""
         return tuple(
             e for e in self.events if e.kind in (PEER_CRASH, PEER_REJOIN)
         )

@@ -20,7 +20,6 @@ never invents data.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count
 from random import Random
@@ -146,16 +145,14 @@ class RecoveringEvaluator(ExpressionEvaluator):
     no fault state on ``system.network`` (installing it is the caller's
     job) and no ``policy`` (:class:`RetryPolicy`; ``None``: faults
     propagate typed on first occurrence), every override falls through
-    to the bare body.  Spans go to ``system.network.tracer``
+    to the bare body.  Spans go to ``system.network.tracer`` and
+    recovery tallies to ``system.network.metrics`` as ``faults{kind=…}``
     (observational only: recording never consults the RNG or the clock).
     """
 
     def __init__(self, system, pick_policy=None, *, policy=None) -> None:
         super().__init__(system, pick_policy)
         self.policy: Optional[RetryPolicy] = policy
-        #: Run-wide recovery tallies, folded with the injector's into
-        #: ``ServingReport.registry`` as ``faults{kind=…}``.
-        self.counters: Counter = Counter()
         self.begin_job()
 
     # -- per-job context -----------------------------------------------------------
@@ -171,11 +168,14 @@ class RecoveringEvaluator(ExpressionEvaluator):
         provenance of its answer if that is degraded, else ``None``."""
         late = completed_at > self.deadline_at
         if late:
-            self.counters["deadlines_exceeded"] += 1
+            self._count("deadlines_exceeded")
         if not (self.partial and (self.losses or late)):
             return None
-        self.counters["partial_answers"] += 1
+        self._count("partial_answers")
         return PartialAnswer(tuple(self.losses), self.job_retries, late)
+
+    def _count(self, kind: str) -> None:
+        self.system.network.metrics.counter("faults", kind=kind).inc()
 
     def _span(self, name: str, cat: str, start: float, end: float, **attrs) -> None:
         self.system.network.tracer.record(name, cat, start, end, **attrs)
@@ -199,7 +199,7 @@ class RecoveringEvaluator(ExpressionEvaluator):
                 at=failure.at,
             ) from failure
         self.job_retries += 1
-        self.counters["retries"] += 1
+        self._count("retries")
         self._span(
             f"backoff {label}", "backoff", failure.at, retry_at, attempt=attempt + 1
         )
@@ -217,7 +217,7 @@ class RecoveringEvaluator(ExpressionEvaluator):
             try:
                 return network.deliver(message, ready_at)
             except TransferFaultError as exc:
-                self.counters["transfer_faults"] += 1
+                self._count("transfer_faults")
                 spent = TransferTimeoutError(
                     f"transfer {key} failed {attempt + 1} attempts "
                     f"(retry budget exhausted)",
@@ -249,14 +249,14 @@ class RecoveringEvaluator(ExpressionEvaluator):
             verdict = faults.service_verdict(provider_id, service_name, arrival)
             if verdict is None:
                 return arrival
-            faults.counters["service_faults"] += 1
+            self._count("service_faults")
             failed_at, detail = arrival, "failed"
             if verdict.kind == SERVICE_HANG:
                 failed_at = verdict.end
                 if policy is not None:
                     failed_at = min(failed_at, arrival + policy.call_timeout)
                 cancelled = failed_at < verdict.end
-                faults.counters["calls_cancelled" if cancelled else "calls_hung"] += 1
+                self._count("calls_cancelled" if cancelled else "calls_hung")
                 self._span(
                     f"{'hang-cancel' if cancelled else 'hang'} {where}", "stall",
                     arrival, failed_at, peer=provider_id, service=service_name,
@@ -280,7 +280,7 @@ class RecoveringEvaluator(ExpressionEvaluator):
         faults = self.system.network.faults
         start = ready_at if faults is None else faults.stall_until(peer_id, ready_at)
         if start > ready_at:
-            self.counters["stall_waits"] += 1
+            self._count("stall_waits")
             self._span(f"stall {peer_id}", "stall", ready_at, start, peer=peer_id)
         busy_before = self.system.peer(peer_id).busy_until
         value, done = work(start)
@@ -294,7 +294,7 @@ class RecoveringEvaluator(ExpressionEvaluator):
             raise exc
         at = getattr(exc, "at", 0.0)
         self.losses.append(LostPart(kind, name, tuple(peers), type(exc).__name__, at))
-        self.counters["parts_lost"] += 1
+        self._count("parts_lost")
 
     def _read_fragment(self, fragment, ref, live, at, ready_at, depth) -> EvalOutcome:
         """With a policy, a copy whose transfers kept failing (or whose
@@ -309,7 +309,7 @@ class RecoveringEvaluator(ExpressionEvaluator):
                 return self.eval(ref, at, ready_at, depth + 1)
             except (TransferTimeoutError, PeerDownError) as exc:
                 unreachable = exc
-                self.counters["fragment_failovers"] += 1
+                self._count("fragment_failovers")
                 ready_at = max(ready_at, getattr(exc, "at", ready_at))
         raise unreachable
 

@@ -29,6 +29,7 @@ from ..errors import (
     TransferCorruptionError,
     UnknownPeerError,
 )
+from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NO_TRACER
 from .message import Message
 
@@ -210,6 +211,10 @@ class Network:
         #: :meth:`Link.schedule` already computed and never feeds back
         #: into timing, routing, or fault decisions.
         self.tracer = NO_TRACER
+        #: The run's :class:`repro.obs.MetricsRegistry`: the network, the
+        #: recovering evaluator and the scheduler count ``faults{kind=…}``
+        #: here.
+        self.metrics = MetricsRegistry()
 
     # -- construction ---------------------------------------------------------
     def add_peer(self, peer_id: str) -> None:
@@ -253,7 +258,8 @@ class Network:
 
         The twin shares this network's adjacency index and route memo, so
         a route either side computes serves both, until either side calls
-        :meth:`add_link`.  Faults, tracer and message log start off.
+        :meth:`add_link`.  Faults, tracer and message log start off, and
+        its fault tallies start empty.
         """
         twin = Network()
         twin._peers = dict(self._peers)
@@ -360,7 +366,7 @@ class Network:
             if faults is not None:
                 slow = faults.degrade_factor(link.src, link.dst, clock)
                 if slow > 1.0:
-                    faults.counters["hops_degraded"] += 1
+                    self.metrics.counter("faults", kind="hops_degraded").inc()
             ready = clock
             start, clock = link.schedule(message.size, clock, slow)
             tracer.hop(message, link, ready, start, clock)
@@ -404,7 +410,7 @@ class Network:
 
     def _faulted(self, message: Message, tally: str, mark: str, at: float) -> None:
         """Account for a transfer an injected fault just killed at ``at``."""
-        self.faults.counters[tally] += 1
+        self.metrics.counter("faults", kind=tally).inc()
         self.stats.record(message)
         self.tracer.mark(mark, "fault", at, kind=message.kind)
 

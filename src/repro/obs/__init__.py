@@ -8,8 +8,9 @@ The package splits observation along the clock it observes:
   RNG and charges no virtual time; with tracing off (:data:`NO_TRACER`,
   the default) every hook is one call to a no-op method (+0.08 % to
   +0.35 % ``py_calls_per_op`` on the ``bench/`` workloads).
-* :class:`MetricsRegistry` — labeled counters/gauges/histograms; the
-  one metrics surface of a serving run (``ServingReport.registry``).
+* :class:`MetricsRegistry` — labeled counters; a run's lives on
+  ``network.metrics`` and holds its ``faults{kind=…}`` tallies (a serving
+  run returns it as ``ServingReport.registry``).
 * :func:`analyze` / :func:`decompose` — critical-path decomposition of
   each job's latency into queue/link/cpu/backoff/stall segments that
   sum exactly to the measured latency, naming the bottleneck resource.
@@ -27,7 +28,7 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, MetricsRegistry
 from .profile import WallProfiler
 from .tracer import (
     CAT_BACKOFF,
@@ -60,8 +61,6 @@ __all__ = [
     "CAT_QUEUE",
     "CAT_STALL",
     "Counter",
-    "Gauge",
-    "Histogram",
     "JobPath",
     "MetricsRegistry",
     "NO_TRACER",

@@ -20,9 +20,11 @@ subsystem makes it a feedback loop over the serving engine's telemetry:
   changes: kills fail the catalog over to surviving replicas (the last
   copy's death makes reads raise the typed
   :class:`~repro.errors.FragmentUnavailableError`), joins attract data
-  through ordinary rebalancing;
-* :class:`~repro.placement.rebalancer.PlacementActor` packages it all
-  behind the scheduler's background-actor interface, ticking on the
+  through ordinary rebalancing.  A serving run applies the
+  ``peer-crash`` / ``peer-rejoin`` events of the session's
+  :class:`~repro.faults.FaultPlan` through it, at their instants;
+* :class:`~repro.placement.rebalancer.PlacementActor` packages the
+  rebalancing loop behind the scheduler's background-actor interface, ticking on the
   serving engine's virtual clock between query events (pass it as
   ``actor=`` to :meth:`Session.serve <repro.session.Session.serve>`).
 
@@ -31,7 +33,7 @@ x1.5 the virtual qps under a mid-run hotspot shift, and 100% completion
 under a scripted peer kill that static placement does not survive.
 """
 
-from .churn import ChurnController, ChurnEvent, ChurnSchedule
+from .churn import ChurnController
 from .rebalancer import (
     PlacementActor,
     PlacementPolicy,
@@ -56,8 +58,6 @@ __all__ = [
     "AddReplica",
     "CatalogTransaction",
     "ChurnController",
-    "ChurnEvent",
-    "ChurnSchedule",
     "FragmentLoad",
     "MigrateFragment",
     "PeerLoad",

@@ -2,97 +2,34 @@
 
 The paper's peers are autonomous — they may leave (or arrive) at any
 moment, yet the system must keep answering what it still can answer and
-*refuse loudly* what it cannot.  This module provides:
-
-* :class:`ChurnEvent` / :class:`ChurnSchedule` — a deterministic script
-  of kill/join events on the virtual clock, the workload-side churn
-  knob;
-* :class:`ChurnController` — the Σ-side reaction: a kill marks the peer
-  dead, scrubs it from the generic registry (admission immediately
-  routes around it), and *fails the catalog over* — every fragment
-  primaried on the victim promotes a surviving replica to primary; a
-  fragment whose last copy died keeps its entry, so reads raise the
-  typed :class:`~repro.errors.FragmentUnavailableError` instead of
-  returning a partial answer.  A join adds the peer (with links to
-  every live peer) or revives a known one; the rebalancer then spreads
-  data onto it through ordinary transactions.
+*refuse loudly* what it cannot.  A run scripts its kills and rejoins as
+the ``peer-crash`` / ``peer-rejoin`` events of the session's
+:class:`~repro.faults.FaultPlan`; the serving scheduler applies each at
+its instant through :class:`ChurnController`, the Σ-side reaction: a
+kill marks the peer dead, scrubs it from the generic registry (admission
+immediately routes around it), and *fails the catalog over* — every fragment
+primaried on the victim promotes a surviving replica to primary; a
+fragment whose last copy died keeps its entry, so reads raise the typed
+:class:`~repro.errors.FragmentUnavailableError` instead of returning a
+partial answer.  A join adds the peer (with links to every live peer)
+or revives a known one; the rebalancer then spreads data onto it through
+ordinary transactions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, List
+from dataclasses import replace
+from typing import List
 
 from ..peers.system import AXMLSystem
 
-__all__ = ["ChurnEvent", "ChurnSchedule", "ChurnController"]
-
-KILL = "kill"
-JOIN = "join"
-
-
-@dataclass(frozen=True)
-class ChurnEvent:
-    """One scripted membership change at a virtual instant."""
-
-    time: float
-    action: str  # "kill" or "join"
-    peer: str
-    #: Compute speed for a joining peer (ignored on kill).
-    compute_speed: float = 100_000.0
-    #: Link quality from the joiner to every live peer (ignored on kill).
-    latency: float = 0.01
-    bandwidth: float = 1_000_000.0
-
-    def __post_init__(self) -> None:
-        if self.action not in (KILL, JOIN):
-            raise ValueError(
-                f"churn action must be 'kill' or 'join', got {self.action!r}"
-            )
-
-    def describe(self) -> str:
-        return f"{self.action} {self.peer} @ {self.time * 1000:.2f}ms"
-
-
-class ChurnSchedule:
-    """A time-ordered script of churn events, consumed as time passes."""
-
-    def __init__(self, events: Iterable[ChurnEvent] = ()) -> None:
-        self._events: List[ChurnEvent] = sorted(
-            events, key=lambda e: (e.time, e.peer)
-        )
-        self._cursor = 0
-
-    def __len__(self) -> int:
-        return len(self._events) - self._cursor
-
-    def due(self, now: float) -> List[ChurnEvent]:
-        """Events whose time has arrived, each returned exactly once."""
-        fired: List[ChurnEvent] = []
-        while (
-            self._cursor < len(self._events)
-            and self._events[self._cursor].time <= now
-        ):
-            fired.append(self._events[self._cursor])
-            self._cursor += 1
-        return fired
-
+__all__ = ["ChurnController"]
 
 class ChurnController:
     """Applies membership changes to one Σ and fails the catalog over."""
 
     def __init__(self, system: AXMLSystem) -> None:
         self.system = system
-
-    def apply(self, event: ChurnEvent, now: float = 0.0) -> List[str]:
-        if event.action == KILL:
-            return self.kill(event.peer, now=now)
-        return self.join(
-            event.peer,
-            compute_speed=event.compute_speed,
-            latency=event.latency,
-            bandwidth=event.bandwidth,
-        )
 
     # -- leave -----------------------------------------------------------------
     def kill(self, peer_id: str, now: float = 0.0) -> List[str]:

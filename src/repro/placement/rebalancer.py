@@ -16,9 +16,8 @@ live peer without a copy (up to ``max_copies``); one cold for
 joiner) attracts a migration from the most-crowded peer.  A per-fragment
 ``cooldown`` keeps the loop from thrashing.
 
-:class:`PlacementActor` packages the loop (plus an optional
-:class:`~repro.placement.churn.ChurnSchedule`) behind the duck-typed
-actor interface the scheduler ticks
+:class:`PlacementActor` packages the loop behind the duck-typed actor
+interface the scheduler ticks
 (:class:`repro.engine.scheduler.Scheduler`): ``interval`` and
 ``on_tick(target, now) -> list[str]``.
 """
@@ -29,7 +28,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..peers.system import AXMLSystem
-from .churn import ChurnController, ChurnSchedule
 from .telemetry import (
     FragmentLoad,
     PeerLoad,
@@ -287,43 +285,26 @@ class PlacementActor:
     """The scheduler-facing adaptive-placement agent.
 
     Ticks on the serving engine's virtual clock (``interval`` seconds
-    apart): first applies any due churn events from the schedule, then
-    runs the rebalancing loop.  Binds lazily to the serving Σ handed to
-    the first :meth:`on_tick` — sessions may serve against a clone, and
-    the actor must observe and mutate *that* system, not the blueprint.
+    apart) and runs the rebalancing loop once per tick.  Binds lazily to
+    the serving Σ handed to the first :meth:`on_tick` — sessions may
+    serve against a clone, and the actor must observe and mutate *that*
+    system, not the blueprint.  Crashes and rejoins are not its job: they
+    are events of the session's :class:`~repro.faults.FaultPlan`.
     """
 
     def __init__(
         self,
         interval: float = 0.01,
         policy: Optional[PlacementPolicy] = None,
-        churn: Optional[ChurnSchedule] = None,
-        rebalance: bool = True,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"tick interval must be positive, got {interval!r}")
         self.interval = interval
         self.policy = policy
-        self.churn = churn
-        self.rebalance = rebalance
-        self._system: Optional[AXMLSystem] = None
         self._rebalancer: Optional[Rebalancer] = None
-        self._controller: Optional[ChurnController] = None
-
-    def _bind(self, target: AXMLSystem) -> None:
-        if self._system is target:
-            return
-        self._system = target
-        self._rebalancer = Rebalancer(target, policy=self.policy)
-        self._controller = ChurnController(target)
 
     def on_tick(self, target: AXMLSystem, now: float) -> List[str]:
-        """One heartbeat: churn first, then rebalancing.  Returns notes."""
-        self._bind(target)
-        notes: List[str] = []
-        if self.churn is not None:
-            for event in self.churn.due(now):
-                notes.extend(self._controller.apply(event, now))
-        if self.rebalance:
-            notes.extend(self._rebalancer.tick(now))
-        return notes
+        """One heartbeat of the rebalancing loop.  Returns notes."""
+        if self._rebalancer is None or self._rebalancer.system is not target:
+            self._rebalancer = Rebalancer(target, policy=self.policy)
+        return self._rebalancer.tick(now)

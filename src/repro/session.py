@@ -81,6 +81,7 @@ from .errors import (
     XQueryError,
 )
 from .faults import FaultState, RecoveringEvaluator
+from .obs.metrics import MetricsRegistry
 from .obs.tracer import NO_TRACER
 from .peers.system import AXMLSystem
 from .xmlcore.model import Element
@@ -945,12 +946,13 @@ class Session:
 
         Its ``system`` is the run's target Σ — a clone under ``isolate``,
         else the live system reset to a clean measurement baseline.  Here,
-        and only here, fault state and tracer are scoped to the run: the
-        target's network gets exactly this session's (a fresh
-        :class:`FaultState` for a non-empty plan, else ``None``; this
-        tracer, reset) — never what an earlier run left there.  That
-        ``network.tracer`` is the run's one tracer: the evaluator and the
-        scheduler record through it.
+        and only here, fault state, tracer and fault tallies are scoped
+        to the run: the target's network gets exactly this session's (a
+        fresh :class:`FaultState` for a non-empty plan, else ``None``;
+        this tracer, reset; an empty registry) — never what an earlier run
+        left there.  That ``network.tracer`` is the run's one tracer and
+        ``network.metrics`` its one registry: the network, the evaluator
+        and the scheduler record through them.
         """
         if self.isolate:
             target = self.system.clone()
@@ -960,6 +962,7 @@ class Session:
         network = target.network
         network.faults = FaultState(self.fault_plan) if self.fault_plan else None
         network.tracer = self.tracer
+        network.metrics = MetricsRegistry()
         self.tracer.reset()
         return RecoveringEvaluator(target, pick_policy, policy=self.retry)
 

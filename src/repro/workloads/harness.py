@@ -44,7 +44,7 @@ from ..errors import (
     ReproError,
     WorkloadError,
 )
-from ..faults import FaultActor, FaultPlan, FaultSpec, RetryPolicy
+from ..faults import FaultPlan, FaultSpec, RetryPolicy
 from ..session import Session
 from ..writes import apply_to_tree
 from ..xmlcore.canon import canonical_form
@@ -750,9 +750,9 @@ class DifferentialHarness:
 
         For each strategy the scenario's queries are served once
         fault-free (the baseline answers) and once per fault seed with a
-        generated :class:`~repro.faults.FaultPlan` installed, the
-        :class:`~repro.faults.FaultActor` driving crash/rejoin instants,
-        and the ``retry`` policy recovering transfers and calls.  Every
+        generated :class:`~repro.faults.FaultPlan` as the session's fault
+        plan (the scheduler applies its crash/rejoin instants) and the
+        ``retry`` policy recovering transfers and calls.  Every
         faulted job must land in one of exactly three buckets — answer
         canonically identical to the fault-free run, a well-formed
         partial answer that is a multiset *subset* of it, or a typed
@@ -790,7 +790,7 @@ class DifferentialHarness:
                 session = self._session(
                     scenario.system, strategy, retry=retry, fault_plan=plan
                 )
-                report = session.serve(list(requests), actor=FaultActor(plan))
+                report = session.serve(list(requests))
                 variant = f"fault-seed={fault_seed}"
                 for job in report.jobs:
                     cell = row[job.name]

@@ -197,7 +197,7 @@ class TestBareParity:
         assert attached.system.network.faults is None
         bare = ExpressionEvaluator(scenario.system.clone())
         assert _observe(attached, plans) == _observe(bare, plans)
-        assert attached.counters == {}
+        assert attached.system.network.metrics.counters() == []
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +263,10 @@ class TestRunScopedInstallation:
         for _ in range(2):
             with pytest.raises(MessageLostError):
                 session.query(**query)
-            states.append(system.network.faults)
-        assert states[0] is not states[1]
-        assert states[0].counters == states[1].counters
+            states.append((system.network.faults, system.network.metrics))
+        (faults0, tallies0), (faults1, tallies1) = states
+        assert faults0 is not faults1 and tallies0 is not tallies1
+        assert tallies0.to_dict() == tallies1.to_dict()
 
     def test_untraced_run_leaves_an_earlier_tracer_alone(self):
         system, query = self._scenario()

@@ -41,10 +41,10 @@ from repro.faults import (
     LINK_DEGRADE,
     LINK_DROP,
     PEER_CRASH,
+    PEER_REJOIN,
     PEER_STALL,
     SERVICE_FAIL,
     SERVICE_HANG,
-    FaultActor,
     FaultEvent,
     FaultPlan,
     FaultSpec,
@@ -88,6 +88,11 @@ def install(system, *events):
     state = FaultState(FaultPlan(seed=99, events=tuple(events)))
     system.network.faults = state
     return state
+
+
+def tally(network, kind):
+    """The ``faults{kind=…}`` count on ``network``'s metrics registry."""
+    return network.metrics.counter_value("faults", kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +189,7 @@ class TestLinkFaults:
         with pytest.raises(MessageLostError) as err:
             net.deliver(Message("a", "b", MessageKind.DATA, 100), 0.0)
         assert err.value.at > 0.0
-        assert net.faults.counters["messages_dropped"] == 1
+        assert tally(net, "messages_dropped") == 1
 
     def test_drop_outside_window_is_clean(self):
         net = self._net()
@@ -193,7 +198,7 @@ class TestLinkFaults:
         )))
         arrival = net.deliver(Message("a", "b", MessageKind.DATA, 1), 0.2)
         assert arrival > 0.2
-        assert "messages_dropped" not in net.faults.counters
+        assert tally(net, "messages_dropped") == 0
 
     def test_degrade_slows_by_factor(self):
         clean = self._net()
@@ -204,7 +209,7 @@ class TestLinkFaults:
         )))
         slow = net.deliver(Message("a", "b", MessageKind.DATA, 10_000), 0.0)
         assert slow == pytest.approx(fast * 5.0)
-        assert net.faults.counters["hops_degraded"] == 1
+        assert tally(net, "hops_degraded") == 1
 
     def test_corrupt_charges_bytes_then_raises(self):
         net = self._net()
@@ -218,7 +223,7 @@ class TestLinkFaults:
         # fingerprint check rejected it
         assert net.stats.bytes > 0
         assert net.link("a", "b").stats.messages == 1
-        assert net.faults.counters["transfers_corrupted"] == 1
+        assert tally(net, "transfers_corrupted") == 1
 
     def test_empty_fault_state_is_arithmetically_identical(self):
         clean = self._net()
@@ -258,7 +263,7 @@ class TestTransferRecovery:
         evaluator = RecoveringEvaluator(system, policy=policy)
         outcome = evaluator.eval(DocExpr("cat", "p1"), "p0")
         assert outcome.items[0].tag == "catalog"
-        assert evaluator.counters["retries"] >= 1
+        assert tally(system.network, "retries") >= 1
         # the backoff was charged on the virtual clock: the answer lands
         # after the drop window closed
         assert outcome.completed_at > 0.02
@@ -270,7 +275,7 @@ class TestTransferRecovery:
         with pytest.raises(TransferTimeoutError) as err:
             evaluator.eval(DocExpr("cat", "p1"), "p0")
         assert isinstance(err.value.__cause__, MessageLostError)
-        assert evaluator.counters["transfer_faults"] == 3
+        assert tally(system.network, "transfer_faults") == 3
 
     def test_retry_past_deadline_raises_deadline(self, system):
         install(system, FaultEvent(LINK_DROP, 0.0, 100.0, src="p1", dst="p0"))
@@ -293,7 +298,7 @@ class TestTransferRecovery:
             )
             evaluator = RecoveringEvaluator(target, policy=policy)
             outcome = evaluator.eval(DocExpr("cat", "p1"), "p0")
-            return outcome.completed_at, dict(evaluator.counters)
+            return outcome.completed_at, target.network.metrics.to_dict()
 
         assert run() == run()
 
@@ -313,7 +318,7 @@ class TestServiceFaults:
         evaluator = RecoveringEvaluator(system, policy=policy)
         outcome = evaluator.eval(self.CALL, "p0")
         assert outcome.items[0].tag == "picked"
-        assert evaluator.counters["retries"] >= 1
+        assert tally(system.network, "retries") >= 1
 
     def test_fail_exhausts_attempts(self, system):
         install(system, FaultEvent(SERVICE_FAIL, 0.0, 100.0, peer="p1", service="pick"))
@@ -329,7 +334,7 @@ class TestServiceFaults:
         assert outcome.items[0].tag == "picked"
         # bounded virtual wait, never a real hang
         assert outcome.completed_at >= 0.3
-        assert system.network.faults.counters["calls_hung"] == 1
+        assert tally(system.network, "calls_hung") == 1
 
     def test_hang_with_policy_cancels_at_timeout(self, system):
         install(system, FaultEvent(SERVICE_HANG, 0.0, 0.3, peer="p1", service="pick"))
@@ -337,8 +342,8 @@ class TestServiceFaults:
         evaluator = RecoveringEvaluator(system, policy=policy)
         outcome = evaluator.eval(self.CALL, "p0")
         assert outcome.items[0].tag == "picked"
-        assert system.network.faults.counters["calls_cancelled"] >= 1
-        assert evaluator.counters["retries"] >= 1
+        assert tally(system.network, "calls_cancelled") >= 1
+        assert tally(system.network, "retries") >= 1
 
 
 class TestPeerStall:
@@ -352,7 +357,7 @@ class TestPeerStall:
             ServiceCallExpr("p1", "pick", (DocExpr("cat", "p1"),)), "p0"
         )
         assert stalled.completed_at >= 0.25 > clean.completed_at
-        assert evaluator.counters["stall_waits"] >= 1
+        assert tally(system.network, "stall_waits") >= 1
 
 
 class TestPartialActivationIntegrity:
@@ -439,7 +444,7 @@ class TestFragmentFailover:
         names = [el.tag for el in outcome.items]
         assert names == ["catalog"]
         assert len(outcome.items[0].children) == 12
-        assert evaluator.counters.get("fragment_failovers", 0) >= 1
+        assert tally(system.network, "fragment_failovers") >= 1
 
     def test_partial_mode_records_lost_fragment(self):
         system = self._fragmented_system()
@@ -547,7 +552,33 @@ class TestSessionFaults:
         assert report.metrics.partials == 1
 
 
-class TestFaultActor:
+class TestScriptedCrashes:
+    """The session's fault plan is the one crash script: a serving run
+    applies each crash and rejoin at its own instant, with no actor."""
+
+    def test_session_plan_applies_crash_and_rejoin_at_their_instants(self):
+        scenario = ScenarioGenerator(0, CHAOS_SPEC).scenario(0)
+        plan = FaultPlan.generate(
+            1, scenario.system,
+            FaultSpec(link_drops=0, link_degrades=0, corruptions=0,
+                      service_failures=0, peer_stalls=0, peer_crashes=1,
+                      horizon=0.05),
+        )
+        crash, rejoin = plan.peer_events()
+        assert (crash.kind, rejoin.kind) == (PEER_CRASH, PEER_REJOIN)
+        requests = [
+            JobRequest(arrival=k * 0.02, partial=True, **q.kwargs())
+            for k, q in enumerate(scenario.queries)
+        ]
+        report = Session(
+            scenario.system, fault_plan=plan, retry=RetryPolicy()
+        ).serve(requests)
+        # each lands at its scripted instant, not at some later tick
+        assert f"{crash.start:.9f} kill {crash.peer}" in report.actions
+        assert f"{rejoin.start:.9f} rejoin {rejoin.peer}" in report.actions
+        assert report.registry.counter_value("faults", kind="peer_crashes") == 1
+        assert report.registry.counter_value("faults", kind="peer_rejoins") == 1
+
     def test_crash_and_rejoin_counted(self):
         spec = ScenarioSpec(
             peers=4, documents=2, axml_documents=0, items=8,
@@ -564,17 +595,15 @@ class TestFaultActor:
         session = Session(
             scenario.system, retry=RetryPolicy(), fault_plan=plan
         )
-        from repro.engine import JobRequest
-
         requests = [
             JobRequest(arrival=k * 0.02, partial=True, **q.kwargs())
             for k, q in enumerate(scenario.queries)
         ]
-        report = session.serve(requests, actor=FaultActor(plan))
+        report = session.serve(requests)
         assert report.registry.counter_value("faults", kind="peer_crashes") == 1
         assert report.registry.counter_value("faults", kind="peer_rejoins") == 1
-        # the actor's plan note leads the action trace
-        assert any("fault plan seed=1" in action for action in report.actions)
+        # the registry holds the fault tallies and nothing else
+        assert report.registry.counters() == report.registry.counters("faults")
         # every job settled: no hangs, no unsettled states
         assert all(job.status in ("done", "failed") for job in report.jobs)
 
@@ -593,8 +622,6 @@ class TestFaultActor:
         plain = Session(scenario.system).serve(list(requests))
         # empty plan + retry policy installed: the no-op contract says the
         # event trace (timestamps included) stays byte-for-byte identical
-        # (no actor attached — any actor, fault or placement, adds its own
-        # tick events to the trace)
         guarded = Session(
             scenario.system, retry=RetryPolicy(), fault_plan=FaultPlan()
         ).serve(list(requests))
@@ -636,9 +663,7 @@ class TestAvailabilityUnderChaos:
                 requests.append(JobRequest(
                     arrival=len(requests) * gap, partial=recover, **kwargs
                 ))
-        report = session.serve(
-            requests, actor=FaultActor(plan) if plan is not None else None
-        )
+        report = session.serve(requests)
         done = sorted(j.finished_at - j.arrival for j in report.jobs if j.status == "done")
         p95 = done[min(len(done) - 1, int(0.95 * len(done)))] if done else float("inf")
         return len(done) / len(report.jobs), p95

@@ -20,7 +20,6 @@ from repro.engine import JobRequest
 from repro.engine.jobs import DONE, FAILED, RUNNING, QueryJob
 from repro.errors import DifferentialMismatchError, TransferTimeoutError
 from repro.faults import (
-    FaultActor,
     FaultPlan,
     FaultSpec,
     LostPart,
@@ -121,7 +120,7 @@ class TestFaultInvariantTier1:
                 JobRequest(arrival=k * 0.01, partial=True, **q.kwargs())
                 for k, q in enumerate(scenario.queries)
             ]
-            report = session.serve(requests, actor=FaultActor(plan))
+            report = session.serve(requests)
             faults = {
                 counter.labels: counter.value
                 for counter in report.registry.counters("faults")

@@ -19,7 +19,7 @@ import pytest
 
 from repro.engine import JobRequest, LoadGenerator, ServingReport, percentile
 from repro.engine.jobs import DONE, FAILED
-from repro.faults import FaultActor, FaultPlan, FaultSpec, RetryPolicy
+from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.obs import (
     CAT_EVAL,
     CAT_FAULT,
@@ -82,8 +82,7 @@ def serve_faulted(seed, fault_seed, tracer=None):
         fault_plan=plan, tracer=tracer,
     )
     return session.serve(
-        requests_for(scenario, deadline=5.0, partial=True),
-        actor=FaultActor(plan), seed=seed,
+        requests_for(scenario, deadline=5.0, partial=True), seed=seed,
     )
 
 
@@ -208,7 +207,6 @@ class TestNoTracer:
                     ),
                     JobRequest(name="after", arrival=0.01, **read),
                 ],
-                actor=FaultActor(plan),
             )
 
         traced = serve(Tracer())
@@ -302,16 +300,20 @@ class TestExport:
 # ---------------------------------------------------------------------------
 
 class TestMetricsRegistry:
-    def test_registry_absorbs_fleet_counters(self):
-        report = serve_plain(7)
-        registry = report.registry
-        done = sum(1 for job in report.jobs if job.status == DONE)
-        assert registry.counter_value("jobs", status=DONE) == done
-        snapshot = registry.to_dict()
-        assert any(row["name"] == "job_latency"
-                   for row in snapshot["histograms"])
-        hist = registry.histogram("job_latency")
-        assert hist.count == done
+    def test_serving_registry_is_the_runs_fault_tallies(self):
+        # fault-free: nothing counted, and no copy of another surface
+        assert serve_plain(7).registry.counters() == []
+        scenario = scenario_for(7)
+        plan = FaultPlan.generate(1, scenario.system, FAULT_SPEC)
+        session = Session(
+            scenario.system, isolate=False, fault_plan=plan,
+            retry=RetryPolicy(max_attempts=3, backoff=0.005),
+        )
+        report = session.serve(requests_for(scenario, partial=True), seed=7)
+        # faulted: the serving network's registry itself, faults only
+        assert report.registry is scenario.system.network.metrics
+        counters = report.registry.counters()
+        assert counters and counters == report.registry.counters("faults")
 
     def test_get_or_create_is_stable_across_label_order(self):
         registry = MetricsRegistry()
@@ -426,9 +428,7 @@ class TestMakespanWindow:
             scenario.system, retry=RetryPolicy(max_attempts=1),
             fault_plan=plan,
         )
-        report = session.serve(
-            requests_for(scenario), actor=FaultActor(plan), seed=7,
-        )
+        report = session.serve(requests_for(scenario), seed=7)
         terminal = [j for j in report.jobs if j.finished_at is not None]
         assert terminal
         first = min(j.arrival for j in terminal)

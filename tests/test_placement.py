@@ -24,13 +24,12 @@ from repro.errors import (
     PeerDownError,
     WorkloadError,
 )
+from repro.faults import PEER_CRASH, FaultEvent, FaultPlan
 from repro.peers import AXMLSystem
 from repro.peers.registry import LinkAwarePolicy, QueueDepthPolicy
 from repro.placement import (
     AddReplica,
     ChurnController,
-    ChurnEvent,
-    ChurnSchedule,
     MigrateFragment,
     PlacementActor,
     PlacementMonitor,
@@ -44,6 +43,11 @@ from repro.workloads.generator import GeneratedQuery
 from repro.xmlcore import parse
 
 QUERY = "for $i in $d//item where $i/price >= 0 return $i/name"
+
+
+def crash_plan(at, peer):
+    """A session fault plan whose one event kills ``peer`` at ``at``."""
+    return FaultPlan(events=(FaultEvent(PEER_CRASH, at, peer=peer),))
 
 
 def catalog_doc(n=12, payload=0):
@@ -385,19 +389,6 @@ class TestThresholdPolicy:
 
 
 class TestChurn:
-    def test_event_validation_and_schedule_order(self):
-        with pytest.raises(ValueError):
-            ChurnEvent(0.0, "explode", "p")
-        schedule = ChurnSchedule([
-            ChurnEvent(0.2, "kill", "b"),
-            ChurnEvent(0.1, "kill", "a"),
-        ])
-        assert len(schedule) == 2
-        assert [e.peer for e in schedule.due(0.15)] == ["a"]
-        assert [e.peer for e in schedule.due(0.15)] == []  # fired once
-        assert [e.peer for e in schedule.due(0.3)] == ["b"]
-        assert len(schedule) == 0
-
     def test_kill_fails_over_to_replica(self):
         system = fragmented_system(replicas=1)
         info = system.fragments.info("cat")
@@ -484,10 +475,7 @@ class TestDeadReplicaRouting:
 
     def test_queue_depth_mid_run_death_keeps_serving(self):
         system = fragmented_system(replicas=1, n=8)
-        session = connect(system)
-        schedule = ChurnSchedule([ChurnEvent(0.0001, "kill", "d0")])
-        actor = PlacementActor(interval=0.005, churn=schedule,
-                               rebalance=False)
+        session = connect(system, fault_plan=crash_plan(0.0001, "d0"))
         requests = [
             JobRequest(QUERY, "client", {"d": "cat@dist"},
                        name=f"j{i}", arrival=i * 0.001)
@@ -498,7 +486,7 @@ class TestDeadReplicaRouting:
                         name=f"j{i}", arrival=i * 0.001)
              for i in range(6)]
         )
-        report = session.serve(requests, actor=actor)
+        report = session.serve(requests)
         assert report.metrics.failed == 0
         assert {j.name: tuple(j.answers) for j in report.jobs} == {
             j.name: tuple(j.answers) for j in baseline.jobs
@@ -553,16 +541,13 @@ class TestServingActor:
 
     def test_kill_without_replicas_fails_typed_under_serving(self):
         system = fragmented_system(n=8)
-        session = connect(system)
-        schedule = ChurnSchedule([ChurnEvent(0.004, "kill", "d1")])
-        actor = PlacementActor(interval=0.002, churn=schedule,
-                               rebalance=False)
+        session = connect(system, fault_plan=crash_plan(0.004, "d1"))
         requests = [
             JobRequest(QUERY, "client", {"d": "cat@dist"},
                        name=f"j{i}", arrival=i * 0.004)
             for i in range(6)
         ]
-        report = session.serve(requests, actor=actor)
+        report = session.serve(requests)
         assert report.metrics.failed > 0
         for job in report.jobs:
             if job.status == FAILED:
@@ -678,14 +663,15 @@ def hot_scenario(skew):
                     system=system, documents=[], services=[], queries=queries)
 
 
-def serve_unoptimized(scenario, jobs, actor=None, shift_at=None, seed=7):
+def serve_unoptimized(scenario, jobs, actor=None, shift_at=None, seed=7,
+                      fault_plan=None):
     """A closed loop at concurrency 8 with link-aware admission.  Jobs
     run unoptimized, so two runs differ by placement only."""
     requests = LoadGenerator(scenario, seed=seed + 1).requests(
         jobs, label="closed", shift_at=shift_at
     )
     feed = ClosedLoopFeed([replace(r, optimize=False) for r in requests], 8)
-    return connect(scenario.system).serve(
+    return connect(scenario.system, fault_plan=fault_plan).serve(
         feed=feed, seed=seed, admission="link-aware", actor=actor
     )
 
@@ -715,16 +701,15 @@ class TestAdaptiveAgainstStatic:
     def test_peer_kill_adaptive_completes_everything_static_fails_typed(self):
         scenario = hot_scenario(skew=0.0)
         reference = serve_unoptimized(scenario, 30)
-        kill = [ChurnEvent(0.1, "kill", "p1")]
-        static = serve_unoptimized(scenario, 30, actor=PlacementActor(
-            interval=0.02, churn=ChurnSchedule(kill), rebalance=False,
-        ))
-        adaptive = serve_unoptimized(scenario, 30, actor=PlacementActor(
-            interval=0.02,
-            policy=ThresholdPolicy(hot_reads=2, hysteresis=2, cooldown=2,
-                                   max_copies=2),
-            churn=ChurnSchedule(kill),
-        ))
+        kill = crash_plan(0.1, "p1")
+        static = serve_unoptimized(scenario, 30, fault_plan=kill)
+        adaptive = serve_unoptimized(
+            scenario, 30, fault_plan=kill, actor=PlacementActor(
+                interval=0.02,
+                policy=ThresholdPolicy(hot_reads=2, hysteresis=2, cooldown=2,
+                                       max_copies=2),
+            ),
+        )
         # the adaptive run replicated under load before the kill, so
         # failover promotes a surviving copy of every fragment
         assert adaptive.metrics.failed == 0, adaptive.actions
