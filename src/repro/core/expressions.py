@@ -28,6 +28,30 @@ Expressions are frozen dataclasses: rewrites construct new trees, so plans
 can be enumerated, compared and cached safely.  Section 3.1: "An
 expression can be viewed (serialized) as an XML tree" — that serialization
 lives in :mod:`repro.core.serialize`.
+
+A rewrite rebuilds only the path from the changed node to the root
+(:meth:`Expression.with_children`), so the candidates of one plan search
+share most of their nodes.  What the planner derives from a node is
+therefore computed once and kept on the node, in its instance
+``__dict__`` (outside the dataclass fields, so equality, hashing and
+``repr`` never see it), after hash-consing (Filliâtre & Conchon,
+"Type-safe modular hash-consing", 2006):
+
+* its structural digest, plain and with query names reduced to their
+  widths (a Merkle fold over the children's digests,
+  :func:`~repro.core.serialize.expression_fingerprint`);
+* its serialized size (:func:`~repro.core.serialize.expression_size`);
+* its idle-delegation count per entry site
+  (:func:`~repro.core.rules.idle_delegations`).
+
+(A :class:`~repro.core.rules.Plan` likewise keeps the one enumeration
+of its sub-expressions that every rule expanding it reads.)  Each is a
+function of the node alone — never of Σ, of document epochs
+or of a cost model — so a node shared by two plans, two searches or two
+states Σ carries the same facts in all of them.  The digest and the size
+also read tree literals; they are kept only once every
+:class:`TreeExpr` tree under the node is frozen (freezing is one-way, so
+a kept value never goes stale), and re-read on every call before.
 """
 
 from __future__ import annotations
@@ -95,7 +119,9 @@ class TreeExpr(Expression):
 
     The tree may contain ``sc`` nodes — evaluating it (definition (1) +
     (6)) activates them.  Frozen-ness is shallow; the evaluator always
-    works on copies and never mutates the referenced tree in place.
+    works on copies and never mutates the referenced tree in place (it
+    freezes a root literal the first time it hands it on, after which
+    the node's digest and size are kept).
     """
 
     tree: Element

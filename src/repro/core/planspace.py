@@ -80,6 +80,10 @@ def plan_fingerprint(plan: Plan, name_widths: bool = False) -> str:
 
     Two plans share a key iff they have the same evaluation site and
     structurally equal expressions (tree literals compared by content).
+    The digest is kept on each node of the expression (a Merkle fold,
+    see :func:`~repro.core.serialize.expression_fingerprint`), so keying
+    a rewrite hashes only the nodes it rebuilt; the site is not part of
+    it, so one expression keyed at two sites is hashed once.
     Keys compare by equality.  They are not interned: an interned string
     lives as long as the process, and a serving session builds a key for
     every candidate it ever scores.

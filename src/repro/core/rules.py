@@ -31,8 +31,9 @@ Paper-to-class map:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from hashlib import blake2b
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..dist.pruning import fragment_can_match, selection_bounds
 from ..errors import DecompositionError
@@ -57,7 +58,6 @@ from .expressions import (
     ServiceCallExpr,
     TreeExpr,
     transform,
-    walk,
 )
 
 __all__ = [
@@ -108,35 +108,51 @@ ContextFn = Callable[[Expression], Expression]
 
 def subexpression_contexts(
     expr: Expression,
-) -> Iterator[Tuple[Expression, ContextFn]]:
-    """Yield every sub-expression with a function rebuilding the whole.
+) -> Tuple[Tuple[Expression, ContextFn], ...]:
+    """Every sub-expression, in pre-order, with a function rebuilding the whole.
 
     ``rebuild(replacement)`` returns ``expr`` with that occurrence (by
     position) swapped for ``replacement`` — the generic plumbing all
     rules use to rewrite deep inside a plan.
     """
+    found: List[Tuple[Expression, ContextFn]] = []
+    _enumerate(expr, (), expr, found)
+    return tuple(found)
 
-    def recurse(
-        node: Expression, rebuild: ContextFn
-    ) -> Iterator[Tuple[Expression, ContextFn]]:
-        yield node, rebuild
-        children = node.children()
-        for index, child in enumerate(children):
-            def child_rebuild(
-                replacement: Expression,
-                _node=node,
-                _index=index,
-            ) -> Expression:
-                kids = list(_node.children())
-                kids[_index] = replacement
-                return _node.with_children(tuple(kids))
 
-            yield from recurse(
-                child,
-                lambda r, f=child_rebuild, g=rebuild: g(f(r)),
-            )
+def _contexts(plan: Plan) -> Tuple[Tuple[Expression, ContextFn], ...]:
+    """``subexpression_contexts(plan.expr)``, made once per plan and kept
+    on it: every rule expanding the plan reads the same enumeration.
 
-    yield from recurse(expr, lambda replacement: replacement)
+    Kept on the plan, not on its root node: a rebuild function holds the
+    root, and a node holding its own rebuilders would be a cycle.
+    """
+    contexts = plan.__dict__.get("_contexts")
+    if contexts is None:
+        contexts = plan.__dict__["_contexts"] = subexpression_contexts(plan.expr)
+    return contexts
+
+
+def _enumerate(
+    node: Expression,
+    path: Tuple[int, ...],
+    root: Expression,
+    found: List[Tuple[Expression, ContextFn]],
+) -> None:
+    found.append((node, partial(_replaced, root, path)))
+    for index, child in enumerate(node.children()):
+        _enumerate(child, path + (index,), root, found)
+
+
+def _replaced(
+    node: Expression, path: Tuple[int, ...], replacement: Expression
+) -> Expression:
+    """``node`` with its descendant at child-index ``path`` replaced."""
+    if not path:
+        return replacement
+    kids = list(node.children())
+    kids[path[0]] = _replaced(kids[path[0]], path[1:], replacement)
+    return node.with_children(tuple(kids))
 
 
 def idle_delegations(plan: Plan) -> int:
@@ -146,17 +162,26 @@ def idle_delegations(plan: Plan) -> int:
     ``EvalAt(p, ·)`` and stays unchanged through every other node — as
     the evaluator's definitions carry it.  Such an *idle delegation* is
     the identity: ``eval@p(eval@p(e))`` evaluates as ``eval@p(e)``, with
-    the same value, effects, messages and clocks.
+    the same value, effects, messages and clocks.  The count is a fold
+    over the children's counts, each kept on its node per entry site, so
+    a rewrite recounts only the spine it rebuilt.
     """
-    count = 0
-    pending = [(plan.expr, plan.site)]
-    while pending:
-        node, site = pending.pop()
+    return _idle_at(plan.expr, plan.site)
+
+
+def _idle_at(node: Expression, site: str) -> int:
+    counts = node.__dict__.get("_idle")
+    if counts is None:
+        counts = node.__dict__["_idle"] = {}
+    count = counts.get(site)
+    if count is None:
         if isinstance(node, EvalAt):
-            count += node.peer == site
-            site = node.peer
-        for child in node.children():
-            pending.append((child, site))
+            count = (node.peer == site) + _idle_at(node.expr, node.peer)
+        else:
+            count = 0
+            for child in node.children():
+                count += _idle_at(child, site)
+        counts[site] = count
     return count
 
 
@@ -199,7 +224,7 @@ class QueryDelegation(RewriteRule):
 
     def apply(self, plan: Plan, system: AXMLSystem) -> List[Rewrite]:
         rewrites: List[Rewrite] = []
-        for node, rebuild in subexpression_contexts(plan.expr):
+        for node, rebuild in _contexts(plan):
             if not isinstance(node, QueryApply):
                 continue
             candidates = set()
@@ -240,7 +265,7 @@ class PushSelection(RewriteRule):
 
     def apply(self, plan: Plan, system: AXMLSystem) -> List[Rewrite]:
         rewrites: List[Rewrite] = []
-        for node, rebuild in subexpression_contexts(plan.expr):
+        for node, rebuild in _contexts(plan):
             if not isinstance(node, QueryApply):
                 continue
             if len(node.args) != 1 or not isinstance(node.args[0], (DocExpr, GenericDoc)):
@@ -290,7 +315,7 @@ class Reroute(RewriteRule):
 
     def apply(self, plan: Plan, system: AXMLSystem) -> List[Rewrite]:
         rewrites: List[Rewrite] = []
-        for node, rebuild in subexpression_contexts(plan.expr):
+        for node, rebuild in _contexts(plan):
             if not isinstance(node, Send):
                 continue
             dest_peer = _dest_peer(node.dest)
@@ -349,7 +374,7 @@ class TransferReuse(RewriteRule):
 
     def apply(self, plan: Plan, system: AXMLSystem) -> List[Rewrite]:
         occurrences: dict = {}
-        for node in walk(plan.expr):
+        for node, _ in _contexts(plan):
             if isinstance(node, DocExpr) and node.home != plan.site:
                 occurrences[node] = occurrences.get(node, 0) + 1
         rewrites: List[Rewrite] = []
@@ -437,7 +462,7 @@ class RelocateCall(RewriteRule):
 
     def apply(self, plan: Plan, system: AXMLSystem) -> List[Rewrite]:
         rewrites: List[Rewrite] = []
-        for node, rebuild in subexpression_contexts(plan.expr):
+        for node, rebuild in _contexts(plan):
             if not isinstance(node, ServiceCallExpr) or not node.forwards:
                 continue
             if any(not isinstance(p, TreeExpr) for p in node.params):
@@ -484,7 +509,7 @@ class PushQueryOverCall(RewriteRule):
 
     def apply(self, plan: Plan, system: AXMLSystem) -> List[Rewrite]:
         rewrites: List[Rewrite] = []
-        for node, rebuild in subexpression_contexts(plan.expr):
+        for node, rebuild in _contexts(plan):
             if not isinstance(node, QueryApply):
                 continue
             if len(node.args) != 1 or not isinstance(node.args[0], ServiceCallExpr):
@@ -535,7 +560,7 @@ class _FragmentRuleBase(RewriteRule):
         catalog = system.fragments
         if not len(catalog):
             return
-        for node, rebuild in subexpression_contexts(plan.expr):
+        for node, rebuild in _contexts(plan):
             if not isinstance(node, QueryApply):
                 continue
             if len(node.args) != 1 or not isinstance(node.args[0], FragmentedDoc):

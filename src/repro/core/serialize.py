@@ -9,12 +9,21 @@ when delegating an expression to another peer, so expression size —
 Round trip: ``from_xml(to_xml(e)) == e`` for every expression not
 containing in-memory :class:`TreeExpr` literals with node identity (tree
 literals round-trip by content).
+
+Per-node facts: a plan search sizes and keys thousands of candidates that
+share most of their nodes (see :mod:`repro.core.expressions`), so
+:func:`expression_size` and :func:`expression_fingerprint` are computed
+once per node and kept on it.  The digest is a Merkle fold — a node
+hashes its own tokens and its parts' digests — so keying a rewrite
+hashes only the spine it rebuilt.  *Sealing rule*: both read tree
+literals, so a node keeps them only once every :class:`TreeExpr` tree
+under it is frozen; a node over a still-mutable literal is re-read on
+every call, and freezing, being one-way, never makes a kept value stale.
 """
 
 from __future__ import annotations
 
 from hashlib import blake2b
-from typing import Callable
 
 from ..errors import ExpressionError
 from ..xmlcore.model import Element, NodeId, element
@@ -216,104 +225,131 @@ def _dest_from_xml(node: Element):
 
 
 def expression_size(expr: Expression) -> int:
-    """Bytes of the serialized expression — the code-shipping cost."""
-    return to_xml(expr).serialized_size()
+    """Bytes of the serialized expression — the code-shipping cost.
+
+    Kept on ``expr`` once it is sealed (see the module docstring), so an
+    ``EvalAt`` body shared by many candidates is serialized once.
+    """
+    size = expr.__dict__.get(_SIZE)
+    if size is None:
+        size = to_xml(expr).serialized_size()
+        if _sealed(expr):
+            expr.__dict__[_SIZE] = size
+    return size
 
 
 # ---------------------------------------------------------------------------
 # Structural fingerprints
 # ---------------------------------------------------------------------------
 
+#: Where a node keeps its facts (instance ``__dict__`` keys).
+_SIZE = "_size"
+_DIGEST = "_digest"
+_WIDTH_DIGEST = "_width_digest"
+
+
 def expression_fingerprint(expr: Expression, name_widths: bool = False) -> str:
     """Digest of the expression's XML form, without building or copying it.
 
     Two expressions fingerprint equal iff their :func:`to_xml` serializations
     are structurally equal — the canonical identity the plan cache keys on.
-    Unlike ``serialize(to_xml(expr))`` this never copies tree literals: it feeds
-    the same constructor/attribute tokens ``to_xml`` would emit straight
-    into a hash, and folds in the (cached) content fingerprint of each
-    :class:`TreeExpr` subtree.  Cost is one walk of the expression, O(1)
-    per already-fingerprinted tree literal.
+    Unlike ``serialize(to_xml(expr))`` this never copies tree literals: a
+    node hashes the constructor/attribute tokens ``to_xml`` would emit for
+    it, then its parts' digests (a Merkle fold), and a :class:`TreeExpr`
+    contributes the (cached) content fingerprint of its tree.  Every node
+    keeps its digest once sealed (see the module docstring), so the cost
+    is one hash per node the expression does not share with one already
+    fingerprinted: for a rewrite, the spine it rebuilt.
 
     ``name_widths`` reduces every query name to the number of bytes its
     ``name=`` attribute serializes to.  Evaluation sees a query's name
     only as that many bytes on the wire, so expressions that differ only
     in how their queries are *labelled*, at equal width, then share a
-    digest (the prepared-plan key of :mod:`repro.core.planspace`).
+    digest (the prepared-plan key of :mod:`repro.core.planspace`).  The
+    two spellings are kept apart on the node.
     """
-    digest = blake2b(digest_size=12)
-    _fingerprint_into(expr, digest.update, name_widths)
-    return digest.hexdigest()
+    return _digest(expr, _WIDTH_DIGEST if name_widths else _DIGEST)
 
 
-def _fingerprint_into(
-    expr: Expression, feed: Callable[[bytes], None], name_widths: bool = False
-) -> None:
-    def token(*parts: str) -> None:
-        for part in parts:
-            feed(part.encode("utf-8"))
-            feed(b"\x00")
+def _sealed(expr: Expression) -> bool:
+    """Whether every tree literal under ``expr`` is frozen.
 
+    Exactly then its digest is kept, so a sealed node answers with one
+    lookup.
+    """
+    _digest(expr, _DIGEST)
+    return _DIGEST in expr.__dict__
+
+
+def _digest(expr: Expression, slot: str) -> str:
+    """The digest kept under ``slot``, computed (and kept, once sealed)."""
+    known = expr.__dict__.get(slot)
+    if known is not None:
+        return known
+    parts: tuple = ()
+    sealed = True
     if isinstance(expr, TreeExpr):
-        token("x-tree", expr.home, expr.tree.content_fingerprint())
+        tokens = ["x-tree", expr.home, expr.tree.content_fingerprint()]
+        sealed = expr.tree.frozen
     elif isinstance(expr, DocExpr):
-        token("x-doc", expr.name, expr.home)
+        tokens = ["x-doc", expr.name, expr.home]
     elif isinstance(expr, GenericDoc):
-        token("x-doc", expr.name, ANY)
+        tokens = ["x-doc", expr.name, ANY]
     elif isinstance(expr, FragmentedDoc):
-        token("x-fragdoc", expr.name)
+        tokens = ["x-fragdoc", expr.name]
     elif isinstance(expr, Gather):
-        token("x-gather", str(len(expr.parts)))
-        for part in expr.parts:
-            _fingerprint_into(part, feed, name_widths)
+        parts = expr.parts
+        tokens = ["x-gather", str(len(parts))]
     elif isinstance(expr, QueryRef):
         name = expr.query.name or ""
-        if name and name_widths:
+        if name and slot == _WIDTH_DIGEST:
             name = str(len(escape_attr(name).encode("utf-8")))
-        token(
+        tokens = [
             "x-query",
             expr.home,
             " ".join(expr.query.params),
             name,
             expr.query.source,
-        )
+        ]
     elif isinstance(expr, GenericService):
-        token("x-service", expr.name, ANY)
+        tokens = ["x-service", expr.name, ANY]
     elif isinstance(expr, QueryApply):
-        token("x-apply")
-        _fingerprint_into(expr.query, feed, name_widths)
-        token("x-args", str(len(expr.args)))
-        for arg in expr.args:
-            _fingerprint_into(arg, feed, name_widths)
+        parts = (expr.query,) + expr.args
+        tokens = ["x-apply", str(len(expr.args))]
     elif isinstance(expr, ServiceCallExpr):
-        token("x-sc", expr.provider, expr.service, str(len(expr.params)))
-        for param in expr.params:
-            _fingerprint_into(param, feed, name_widths)
-        for target in expr.forwards:
-            token("x-forw", str(target))
+        parts = expr.params
+        tokens = ["x-sc", expr.provider, expr.service, str(len(parts))]
+        tokens.extend([str(target) for target in expr.forwards])
     elif isinstance(expr, Send):
-        token("x-send", " ".join(expr.via))
-        _fingerprint_dest(expr.dest, token)
-        _fingerprint_into(expr.payload, feed, name_widths)
+        parts = (expr.payload,)
+        tokens = ["x-send", " ".join(expr.via), *_dest_tokens(expr.dest)]
     elif isinstance(expr, EvalAt):
-        token("x-eval", expr.peer)
-        _fingerprint_into(expr.expr, feed, name_widths)
+        parts = (expr.expr,)
+        tokens = ["x-eval", expr.peer]
     elif isinstance(expr, Seq):
-        token("x-seq", str(len(expr.steps)))
-        for step in expr.steps:
-            _fingerprint_into(step, feed, name_widths)
+        parts = expr.steps
+        tokens = ["x-seq", str(len(parts))]
     else:
         raise ExpressionError(f"cannot fingerprint {type(expr).__name__}")
+    for part in parts:
+        tokens.append(_digest(part, slot))
+        if slot not in part.__dict__:
+            sealed = False
+    digest = blake2b(
+        "\x00".join(tokens).encode("utf-8"), digest_size=12
+    ).hexdigest()
+    if sealed:
+        expr.__dict__[slot] = digest
+    return digest
 
 
-def _fingerprint_dest(dest, token) -> None:
+def _dest_tokens(dest) -> list:
     if isinstance(dest, PeerDest):
-        token("x-dest", "peer", dest.peer)
-    elif isinstance(dest, NodesDest):
-        token("x-dest", "nodes", *[str(n) for n in dest.nodes])
-    elif isinstance(dest, DocDest):
-        token("x-dest", "doc", dest.name, dest.peer)
-    else:
-        raise ExpressionError(
-            f"cannot fingerprint destination {type(dest).__name__}"
-        )
+        return ["x-dest", "peer", dest.peer]
+    if isinstance(dest, NodesDest):
+        return ["x-dest", "nodes", *[str(n) for n in dest.nodes]]
+    if isinstance(dest, DocDest):
+        return ["x-dest", "doc", dest.name, dest.peer]
+    raise ExpressionError(
+        f"cannot fingerprint destination {type(dest).__name__}"
+    )

@@ -305,12 +305,14 @@ class BeamSearchStrategy:
                     if key in visited:
                         space.note_dedup()
                         continue
+                    # processed once, whatever the verdict: a candidate
+                    # rejected here is rejected again if re-proposed
+                    visited.add(key)
                     cost = space.score(rewrite.plan)
                     if cost is None:
                         continue
                     if not space.admissible(plan, rewrite.plan):
                         continue
-                    visited.add(key)
                     explored += 1
                     candidates.append((cost, rewrite.plan, rewrite.rule))
                     trace.append((rewrite.plan, cost, rewrite.rule))
@@ -426,12 +428,14 @@ class ExhaustiveStrategy:
                     if key in visited:
                         space.note_dedup()
                         continue
+                    # processed once, whatever the verdict: a candidate
+                    # rejected here is rejected again if re-proposed
+                    visited.add(key)
                     cost = space.score(rewrite.plan)
                     if cost is None:
                         continue
                     if not space.admissible(plan, rewrite.plan):
                         continue
-                    visited.add(key)
                     explored += 1
                     trace.append((rewrite.plan, cost, rewrite.rule))
                     next_frontier.append(rewrite.plan)

@@ -7,8 +7,13 @@ send it.  :meth:`SearchSpace.expand` drops every rewrite with more of
 them than the plan it came from.  These tests pin that the drop is
 sound (the plan without the wrapper answers alike and costs no more),
 that it changes no search outcome, that it compares counts rather than
-mere presence, and what it saves on the ``serve_repeat`` stream.
+mere presence, and what it saves on the ``serve_repeat`` stream.  The
+same generated searches also pin that a plan's key — a Merkle digest
+kept on each node — groups their candidates exactly as the flat token
+stream it replaced did.
 """
+
+from hashlib import blake2b
 
 import pytest
 
@@ -27,6 +32,20 @@ from repro.core import (
     strategies,
 )
 from repro.core.cost import measure
+from repro.core.expressions import (
+    ANY,
+    DocDest,
+    FragmentedDoc,
+    Gather,
+    GenericDoc,
+    GenericService,
+    NodesDest,
+    PeerDest,
+    Send,
+    Seq,
+    ServiceCallExpr,
+    TreeExpr,
+)
 from repro.core.rules import idle_delegations
 from repro.core.strategies import make_strategy
 from repro.engine import ClosedLoopFeed, JobRequest
@@ -39,6 +58,7 @@ from repro.workloads import (
     ScenarioSpec,
 )
 from repro.xmlcore import parse, serialize
+from repro.xmlcore.serializer import escape_attr
 from repro.xquery import Query
 
 FAMILIES = {
@@ -46,6 +66,11 @@ FAMILIES = {
     "fragmented": FRAGMENTED_SPEC,
     "axml": ScenarioSpec(axml_documents=3, services=3),
 }
+
+
+def family_spec(family):
+    return WRITE_MIX_SPEC if family == "write-mix" else FAMILIES[family]
+
 
 #: bench/workloads.py's serve scenario
 SERVE_SPEC = ScenarioSpec(
@@ -183,13 +208,116 @@ def every_search(scenarios):
 @pytest.mark.generated
 @pytest.mark.parametrize("family", sorted(FAMILIES) + ["write-mix"])
 def test_b_dropping_idle_rewrites_changes_no_choice(family, monkeypatch):
-    spec = WRITE_MIX_SPEC if family == "write-mix" else FAMILIES[family]
-    scenarios = list(ScenarioGenerator(seed=7, spec=spec).scenarios(8))
+    scenarios = list(ScenarioGenerator(seed=7, spec=family_spec(family)).scenarios(8))
     filtered, filtered_scored = every_search(scenarios)
     monkeypatch.setattr(strategies, "idle_delegations", lambda plan: 0)
     unfiltered, unfiltered_scored = every_search(scenarios)
     assert filtered == unfiltered
     assert filtered_scored < unfiltered_scored
+
+
+# ---------------------------------------------------------------------------
+# (b') same classes: the kept Merkle digest against the flat token stream
+# ---------------------------------------------------------------------------
+
+def flat_fingerprint(plan, name_widths=False):
+    """The plan key as one flat token stream over the whole expression,
+    as it was computed before each node kept its own digest: the reference
+    the kept digest must split plans like."""
+    digest = blake2b(digest_size=12)
+
+    def token(*parts):
+        for part in parts:
+            digest.update(part.encode("utf-8"))
+            digest.update(b"\x00")
+
+    def feed(expr):
+        if isinstance(expr, TreeExpr):
+            token("x-tree", expr.home, expr.tree.content_fingerprint())
+        elif isinstance(expr, DocExpr):
+            token("x-doc", expr.name, expr.home)
+        elif isinstance(expr, GenericDoc):
+            token("x-doc", expr.name, ANY)
+        elif isinstance(expr, FragmentedDoc):
+            token("x-fragdoc", expr.name)
+        elif isinstance(expr, Gather):
+            token("x-gather", str(len(expr.parts)))
+            for part in expr.parts:
+                feed(part)
+        elif isinstance(expr, QueryRef):
+            name = expr.query.name or ""
+            if name and name_widths:
+                name = str(len(escape_attr(name).encode("utf-8")))
+            token("x-query", expr.home, " ".join(expr.query.params), name,
+                  expr.query.source)
+        elif isinstance(expr, GenericService):
+            token("x-service", expr.name, ANY)
+        elif isinstance(expr, QueryApply):
+            token("x-apply")
+            feed(expr.query)
+            token("x-args", str(len(expr.args)))
+            for arg in expr.args:
+                feed(arg)
+        elif isinstance(expr, ServiceCallExpr):
+            token("x-sc", expr.provider, expr.service, str(len(expr.params)))
+            for param in expr.params:
+                feed(param)
+            for target in expr.forwards:
+                token("x-forw", str(target))
+        elif isinstance(expr, Send):
+            token("x-send", " ".join(expr.via))
+            dest = expr.dest
+            if isinstance(dest, PeerDest):
+                token("x-dest", "peer", dest.peer)
+            elif isinstance(dest, NodesDest):
+                token("x-dest", "nodes", *[str(n) for n in dest.nodes])
+            else:
+                assert isinstance(dest, DocDest)
+                token("x-dest", "doc", dest.name, dest.peer)
+            feed(expr.payload)
+        elif isinstance(expr, EvalAt):
+            token("x-eval", expr.peer)
+            feed(expr.expr)
+        else:
+            assert isinstance(expr, Seq)
+            token("x-seq", str(len(expr.steps)))
+            for step in expr.steps:
+                feed(step)
+
+    feed(plan.expr)
+    return f"{plan.site}|{digest.hexdigest()}"
+
+
+def assert_same_classes(scenarios, monkeypatch):
+    """Every candidate the searches key falls into the same classes under
+    :func:`plan_fingerprint` as under :func:`flat_fingerprint`, for both
+    spellings: no new collision, no new split."""
+    pairs = {False: set(), True: set()}
+    keyed = strategies.plan_fingerprint
+
+    def recording(plan, name_widths=False):
+        for widths, seen in pairs.items():
+            seen.add((keyed(plan, widths), flat_fingerprint(plan, widths)))
+        return keyed(plan, name_widths)
+
+    monkeypatch.setattr(strategies, "plan_fingerprint", recording)
+    every_search(scenarios)
+    for seen in pairs.values():
+        assert len(seen) > 1
+        assert len(seen) == len({new for new, _ in seen}) == len({old for _, old in seen})
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES) + ["write-mix"])
+def test_b_the_kept_digest_groups_candidates_as_the_flat_stream(family, monkeypatch):
+    scenarios = list(ScenarioGenerator(seed=7, spec=family_spec(family)).scenarios(1))
+    assert_same_classes(scenarios, monkeypatch)
+
+
+@pytest.mark.generated
+@pytest.mark.parametrize("family", sorted(FAMILIES) + ["write-mix"])
+def test_b_the_kept_digest_groups_every_sweep_candidate_alike(family, monkeypatch):
+    scenarios = list(ScenarioGenerator(seed=7, spec=family_spec(family)).scenarios(8))
+    assert_same_classes(scenarios, monkeypatch)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from collections.abc import Sized
 import pytest
 
 from repro.core import (
+    BeamSearchStrategy,
     DocExpr,
     EvalAt,
     ExhaustiveStrategy,
@@ -21,11 +22,14 @@ from repro.core import (
     Seq,
     TreeExpr,
     expression_fingerprint,
+    expression_size,
     make_strategy,
     plan_fingerprint,
+    serialize,
 )
 from repro.core.cost import Cost, CostEstimator
 from repro.core.expressions import PeerDest
+from repro.core.rules import Rewrite, RewriteRule
 from repro.errors import FragmentUnavailableError
 from repro.session import Session, connect
 from repro.peers import AXMLSystem
@@ -110,6 +114,49 @@ class TestFingerprints:
         )
         assert plan_fingerprint(route_a) == plan_fingerprint(route_b)
 
+    def test_kept_facts_go_stale_never_and_are_recomputed_never(self, monkeypatch):
+        """A node keeps its digest and size only once its literals are
+        frozen (no false hit), and then answers without serializing or
+        re-walking anything it already hashed (no false miss)."""
+        tree = parse("<a><b>x</b></a>")
+        literal = TreeExpr(tree, "client")
+        apply = QueryApply(naive_plan().expr.query, (literal,))
+        plan = Plan(apply, "client")
+
+        def facts():
+            return (
+                plan_fingerprint(plan),
+                plan_fingerprint(plan, name_widths=True),
+                expression_size(apply),
+            )
+
+        before = facts()
+        tree.append(parse("<c/>"))
+        after = facts()
+        assert all(old != new for old, new in zip(before, after))
+
+        tree.freeze()
+        assert facts() == after  # the first sealed call computes and keeps
+        serialized, hashed = [], []
+        real_to_xml, real_digest = serialize.to_xml, serialize._digest
+        monkeypatch.setattr(
+            serialize, "to_xml", lambda e: serialized.append(e) or real_to_xml(e)
+        )
+        monkeypatch.setattr(
+            serialize,
+            "_digest",
+            lambda e, slot: hashed.append(e) or real_digest(e, slot),
+        )
+        assert facts() == after
+        assert serialized == []
+        assert literal not in hashed
+
+        # a rewrite around the sealed node hashes only the node it added
+        hashed.clear()
+        wrapped = EvalAt("data", apply)
+        plan_fingerprint(Plan(wrapped, "client"))
+        assert [id(e) for e in hashed] == [id(wrapped), id(apply)]
+
     def test_no_collision_across_w1_query_shapes(self):
         """Every naive plan of every W1 query shape keys distinctly."""
         spec = ScenarioSpec(
@@ -140,13 +187,14 @@ QUERY = "for $i in $d//item where $i/price > 30 return $i/name"
 
 
 def count_measures(monkeypatch):
-    """Count oracle simulations from here on; returns the live tally."""
+    """Count oracle simulations from here on; returns the live list of
+    the plans simulated."""
     from repro.core import costmodel
 
     calls = []
     real = costmodel.measure
     monkeypatch.setattr(
-        costmodel, "measure", lambda *a, **k: calls.append(1) or real(*a, **k)
+        costmodel, "measure", lambda plan, *a, **k: calls.append(plan) or real(plan, *a, **k)
     )
     return calls
 
@@ -202,6 +250,32 @@ class TestOneSearchRemembers:
             assert report.plan_cache.plans_scored <= report.explored
             explored += report.explored
         assert (len(calls), explored) == (39, 44)
+
+    @pytest.mark.parametrize("strategy", [BeamSearchStrategy, ExhaustiveStrategy])
+    def test_a_rejected_candidate_is_simulated_once(self, system, monkeypatch, strategy):
+        """A candidate proposed again from a second frontier plan is not
+        simulated again, even when the first verdict was "unevaluable"."""
+        start = naive_plan()
+        frontier = [Plan(EvalAt(peer, start.expr), "client") for peer in ("data", "helper")]
+        unevaluable = Plan(DocExpr("missing", "data"), "client")
+
+        class Stub(RewriteRule):
+            name = "stub"
+
+            def apply(self, plan, system):
+                if plan == start:
+                    return [Rewrite(p, self.name) for p in frontier]
+                if plan in frontier:
+                    return [Rewrite(unevaluable, self.name)]
+                return []
+
+        space = SearchSpace(system, rules=[Stub()])
+        calls = count_measures(monkeypatch)
+        result = strategy().search(start, space)
+        assert calls.count(unevaluable) == 1
+        assert len(calls) == 4  # the start, two frontier plans, the rejected one
+        assert result.explored == 3
+        assert space.stats.plans_deduped == 1
 
     def test_failing_original_is_simulated_once(self, monkeypatch):
         from repro.dist import Fragmenter
