@@ -191,6 +191,15 @@ class Network:
 
     def __init__(self) -> None:
         self._peers: Dict[str, None] = {}
+        #: (src, dst) -> the link as added: the whole topology, in
+        #: add_link order.  Shared with every clone() as a read-only
+        #: template (a link's latency and bandwidth are fixed once built),
+        #: so whichever side adds a link first copies it.
+        self._fabric: Dict[Tuple[str, str], Link] = {}
+        self._fabric_shared = False
+        #: (src, dst) -> this network's own link (clock and statistics):
+        #: every link a transfer or lookup has touched.  A clone starts
+        #: with none and builds each from the fabric on first use.
         self._links: Dict[Tuple[str, str], Link] = {}
         # The topology as routing reads it, shared with every clone() until
         # either side calls add_link — which rebinds both, never edits them:
@@ -247,26 +256,30 @@ class Network:
             )
         self.add_peer(src)
         self.add_peer(dst)
-        self._links[(src, dst)] = Link(src, dst, latency, bandwidth)
-        if symmetric:
-            self._links[(dst, src)] = Link(dst, src, latency, bandwidth)
+        if self._fabric_shared:
+            self._fabric = dict(self._fabric)
+            self._fabric_shared = False
+        pairs = [(src, dst), (dst, src)] if symmetric else [(src, dst)]
+        for key in pairs:
+            self._fabric[key] = self._links[key] = Link(*key, latency, bandwidth)
         self._adjacency = None
         self._routes = {}
 
     def clone(self) -> "Network":
         """The same fabric with fresh link clocks and statistics.
 
-        The twin shares this network's adjacency index and route memo, so
-        a route either side computes serves both, until either side calls
+        The twin shares this network's links as a read-only template and
+        builds its own :class:`Link` for a pair the first time a transfer
+        or lookup needs it, so a clone costs O(peers), not O(links).  It
+        also shares the adjacency index and route memo, so a route either
+        side computes serves both, until either side calls
         :meth:`add_link`.  Faults, tracer and message log start off, and
         its fault tallies start empty.
         """
         twin = Network()
         twin._peers = dict(self._peers)
-        twin._links = {
-            key: Link(link.src, link.dst, link.latency, link.bandwidth)
-            for key, link in self._links.items()
-        }
+        twin._fabric = self._fabric
+        twin._fabric_shared = self._fabric_shared = True
         twin._adjacency = self._topology()
         twin._routes = self._routes
         return twin
@@ -276,17 +289,43 @@ class Network:
         return sorted(self._peers)
 
     def link(self, src: str, dst: str) -> Optional[Link]:
-        return self._links.get((src, dst))
+        key = (src, dst)
+        if key in self._links:
+            return self._links[key]
+        return self._build(key) if key in self._fabric else None
 
-    def links(self) -> Iterable[Link]:
+    def links(self) -> List[Link]:
+        """Every link of the topology, in :meth:`add_link` order.
+
+        Builds the links a clone has not touched yet, so this is the walk
+        for whoever draws from the whole topology (fault plans, scenario
+        files).  The statistics walks (:meth:`peer_traffic`,
+        :meth:`reset_clocks`, :meth:`reset_stats`,
+        :meth:`cancel_peer_traffic`) go over :meth:`built_links` only: a
+        link not built yet is idle and has carried nothing.
+        """
+        own = self._links
+        return [own[key] if key in own else self._build(key) for key in self._fabric]
+
+    def built_links(self) -> Iterable[Link]:
+        """The links this network has built (all of them, unless a clone)."""
         return self._links.values()
+
+    def _build(self, key: Tuple[str, str]) -> Link:
+        """This network's own link for ``key``: the template's qualities,
+        a fresh clock and statistics."""
+        template = self._fabric[key]
+        link = self._links[key] = Link(
+            template.src, template.dst, template._latency, template._bandwidth
+        )
+        return link
 
     # -- routing ----------------------------------------------------------------
     def _topology(self) -> Dict[str, List[Tuple[str, float]]]:
         """The adjacency index: per source, its links in insertion order."""
         if self._adjacency is None:
             adjacency: Dict[str, List[Tuple[str, float]]] = {}
-            for (src, dst), link in self._links.items():
+            for (src, dst), link in self._fabric.items():
                 step = link.latency + _NOMINAL_BYTES / link.bandwidth
                 adjacency.setdefault(src, []).append((dst, step))
             self._adjacency = adjacency
@@ -315,7 +354,7 @@ class Network:
         if hops is None:
             raise NoRouteError(f"no route from {src!r} to {dst!r}")
         links = self._links
-        return [links[hop] for hop in hops]
+        return [links[hop] if hop in links else self._build(hop) for hop in hops]
 
     def _cheapest_hops(self, src: str, dst: str) -> Optional[_Hops]:
         """Dijkstra from ``src``; the (src, dst) pairs of the path, or None."""
@@ -424,7 +463,13 @@ class Network:
         row per peer, zeros and all.
         """
         traffic = {peer_id: PeerTraffic() for peer_id in self._peers}
-        for link in self._links.values():
+        # fabric order, not build order: the float sums stay the same
+        # whichever order a clone happened to touch its links in
+        own = self._links
+        for key in self._fabric:
+            if key not in own:
+                continue
+            link = own[key]
             stats = link.stats
             sender = traffic[link.src]
             sender.sent_bytes += stats.bytes

@@ -23,7 +23,13 @@ from ..errors import (
 )
 from ..xmlcore.model import Element, NodeId, NodeIdAllocator, find_by_id, tree_size
 from ..xquery import Query
-from .service import DeclarativeService, QueryMemo, Service, run_query
+from .service import (
+    DeclarativeService,
+    NativeService,
+    QueryMemo,
+    Service,
+    run_query,
+)
 
 __all__ = ["Peer"]
 
@@ -170,12 +176,24 @@ class Peer:
         return service
 
     def service(self, name: str) -> Service:
+        """The service to invoke: this peer's own, bound to it.
+
+        A clone of Σ starts out holding its original's services (bound to
+        the original's peer, so their invocation counts and ``doc()``
+        reads are the original's).  The first lookup here replaces one by
+        a copy bound to this peer; the copy reads only fields that are
+        fixed once a service is built, so nothing the original did in
+        between shows on it.
+        """
         try:
-            return self.services[name]
+            service = self.services[name]
         except KeyError:
             raise UnknownServiceError(
                 f"no service {name!r} on peer {self.peer_id!r}"
             ) from None
+        if service.provider is not self:
+            service = self.services[name] = _clone_service(service).bind(self)
+        return service
 
     def has_service(self, name: str) -> bool:
         return name in self.services
@@ -239,3 +257,22 @@ class Peer:
             f"Peer({self.peer_id!r}, docs={len(self.documents)}, "
             f"services={len(self.services)})"
         )
+
+
+def _clone_service(service: Service) -> Service:
+    if isinstance(service, DeclarativeService):
+        return DeclarativeService(
+            service.name,
+            service.query.copy(service.query.name),
+            service.signature,
+            service.continuous,
+        )
+    if isinstance(service, NativeService):
+        return NativeService(
+            service.name,
+            service.impl,
+            service.signature,
+            service.continuous,
+            service.cost_units,
+        )
+    raise TypeError(f"cannot clone service of type {type(service).__name__}")

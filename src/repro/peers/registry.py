@@ -224,6 +224,13 @@ class GenericRegistry:
         self._documents: Dict[str, List[GenericMember]] = {}
         self._services: Dict[str, List[GenericMember]] = {}
 
+    def copy(self) -> "GenericRegistry":
+        """An independent registry with the same classes and members."""
+        twin = GenericRegistry()
+        twin._documents = {g: list(m) for g, m in self._documents.items()}
+        twin._services = {g: list(m) for g, m in self._services.items()}
+        return twin
+
     # -- registration ----------------------------------------------------------
     def register_document(self, generic_name: str, name: str, peer: str) -> None:
         members = self._documents.setdefault(generic_name, [])

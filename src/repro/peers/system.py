@@ -22,8 +22,10 @@ module provides:
   does — so an edit on one side never shows on the other, and an in-place
   edit of what :meth:`Peer.document <repro.peers.peer.Peer.document>`
   returns raises :class:`~repro.errors.FrozenTreeError` instead of
-  corrupting the other Σ.  Cloning costs O(documents + links), not
-  O(nodes), and builds no route: the twin shares the original's.
+  corrupting the other Σ.  Cloning costs O(peers + documents), with no
+  term per node or link: the twin shares the original's routes, builds
+  its own link the first time a transfer crosses it, and copies a service
+  the first time it is looked up.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from ..net import topology as topo
 from ..xmlcore.canon import canonical_form
 from .peer import Peer
 from .registry import GenericRegistry
-from .service import DeclarativeService, NativeService, Service
+from .service import DeclarativeService
 
 __all__ = ["AXMLSystem"]
 
@@ -154,28 +156,34 @@ class AXMLSystem:
         for the copy-before-write rule, and call ``tree.copy()`` for
         physically distinct nodes).  The network is :meth:`Network.clone
         <repro.net.network.Network.clone>`: the same topology, adjacency
-        index and route memo, with fresh link clocks and statistics, so
-        both sides of an equivalence check begin from the same ground.
-        Node-id allocators resume where the original's stand, so ids
-        handed out on the twin never collide with ids its trees already
-        carry.
+        index and route memo, and links built on first use with fresh
+        clocks and statistics, so both sides of an equivalence check begin
+        from the same ground.  Services are the original's until
+        :meth:`Peer.service <repro.peers.peer.Peer.service>` first hands
+        one out, which copies it.  The peer, document, service, registry,
+        fragment and epoch tables are copied whole, and what they share is
+        fixed once built (link qualities, frozen trees, the fields a
+        service copy reads), so neither side's later edits show on the
+        other and no staleness check is needed.  Node-id allocators
+        resume where the original's stand, so ids handed out on the twin
+        never collide with ids its trees already carry.
         """
         twin = AXMLSystem(self.network.clone())
+        peers = twin.peers
         for peer_id, peer in self.peers.items():
-            twin_peer = twin.add_peer(peer_id, peer.compute_speed)
+            # the network clone already knows every peer: no add_peer
+            twin_peer = peers[peer_id] = Peer(peer_id, peer.compute_speed)
             twin_peer.alive = peer.alive
             twin_peer.allocator.next_serial = peer.allocator.next_serial
-            for name, tree in peer.documents.items():
-                tree.freeze()
-                twin_peer.documents[name] = tree
-            for name, service in peer.services.items():
-                twin_peer.install_service(_clone_service(service))
-        for generic, members in self.registry._documents.items():
-            for member in members:
-                twin.registry.register_document(generic, member.name, member.peer)
-        for generic, members in self.registry._services.items():
-            for member in members:
-                twin.registry.register_service(generic, member.name, member.peer)
+            documents = peer.documents
+            for tree in documents.values():
+                if not tree._frozen:
+                    tree.freeze()
+            twin_peer.documents = dict(documents)
+            # still bound to their provider here: Peer.service copies one
+            # for the twin on its first lookup
+            twin_peer.services = dict(peer.services)
+        twin.registry = self.registry.copy()
         # fragment *documents* were shared with their hosting peers above;
         # the catalog copy is independent, so registering/dropping on one
         # side never shows through to the other.
@@ -220,7 +228,7 @@ class AXMLSystem:
         for peer in self.peers.values():
             peer.reset_clock()
         assert all(
-            link.busy_until == 0.0 for link in self.network.links()
+            link.busy_until == 0.0 for link in self.network.built_links()
         ), "reset_clocks left a link occupied"
         assert all(
             peer.busy_until == 0.0 and peer.queued == 0
@@ -248,21 +256,3 @@ class AXMLSystem:
     def __repr__(self) -> str:
         return f"AXMLSystem(peers={sorted(self.peers)})"
 
-
-def _clone_service(service: Service) -> Service:
-    if isinstance(service, DeclarativeService):
-        return DeclarativeService(
-            service.name,
-            service.query.copy(service.query.name),
-            service.signature,
-            service.continuous,
-        )
-    if isinstance(service, NativeService):
-        return NativeService(
-            service.name,
-            service.impl,
-            service.signature,
-            service.continuous,
-            service.cost_units,
-        )
-    raise TypeError(f"cannot clone service of type {type(service).__name__}")

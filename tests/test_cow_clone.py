@@ -10,15 +10,18 @@ path on one side ever shows on the other, in either direction),
 and changes nothing), *oracle purity* (``measure`` leaves Σ
 byte-identical and un-advanced), *inert reads* (a document without
 ``sc`` nodes is read and shipped without a copy; one with them
-activates exactly as before) and *identity* (``is`` and ``|`` see what
-they saw when every shipment copied).
+activates exactly as before), *identity* (``is`` and ``|`` see what
+they saw when every shipment copied) and the *twin's cost* (a clone
+builds a link the first time a transfer crosses it and copies a service
+the first time it is looked up, yet enumerates, mutates and accounts
+exactly as an eagerly built Σ would).
 """
 
 import pytest
 
 from repro import connect
 from repro.axml import StreamChannel, make_service_call
-from repro.core import ExpressionEvaluator, measure
+from repro.core import ExpressionEvaluator, Plan, measure
 from repro.core.expressions import (
     DocExpr,
     EvalAt,
@@ -32,8 +35,12 @@ from repro.core.expressions import (
 )
 from repro.core.planspace import CacheStats
 from repro.core.strategies import SearchSpace
+from repro.dist import FragmentedDocInfo, FragmentInfo
 from repro.errors import FrozenTreeError, ReproError
-from repro.peers import AXMLSystem
+from repro.faults import FaultPlan, FaultSpec
+from repro.net import Message, MessageKind, Network
+from repro.net.network import Link, LinkStats
+from repro.peers import AXMLSystem, peer as peer_module
 from repro.peers.service import QueryMemo
 from repro.workloads import WRITE_MIX_SPEC, ScenarioGenerator
 from repro.xmlcore import Element, NodeId, element, parse, serialize
@@ -475,3 +482,223 @@ class TestInertReads:
         # now plain data: the next read is inert
         again = ExpressionEvaluator(system).eval(DocExpr("d", "a"), "a")
         assert again.items[0] is activated
+
+
+def six_peers(builder="full_mesh"):
+    """Six peers, a document, a query service and a generic class."""
+    system = AXMLSystem.with_peers([f"p{i}" for i in range(6)], topology=builder)
+    system.peer("p0").install_document("d", parse("<r><x>1</x><x>2</x></r>"))
+    system.peer("p1").install_query_service("s", "<n>{count($a//x)}</n>", ("a",))
+    system.registry.register_document("g", "d", "p0")
+    return system
+
+
+def fabric(system):
+    """The whole topology as a clone must still enumerate it."""
+    return [
+        (link.src, link.dst, link.latency, link.bandwidth)
+        for link in system.network.links()
+    ]
+
+
+def state(system):
+    """Everything the mutations below can change, on one Σ."""
+    network = system.network
+    return (
+        image(system),
+        fabric(system),
+        [link.dst for link in network.route("p0", "p3")],
+        system.live_peers(),
+        system.registry.document_members("g"),
+        system.fragments.is_fragmented("cat"),
+        dict(system.doc_epochs),
+    )
+
+
+def relink(system):
+    system.network.add_link("p0", "p3", latency=0.0001)
+
+
+def kill(system):
+    system.peer("p2").alive = False
+
+
+def install(system):
+    system.peer("p4").install_query_service("t", "1 + 1")
+
+
+def replace_service(system):
+    system.peer("p1").install_query_service("s", "2 + 2", replace=True)
+
+
+def register(system):
+    system.registry.register_document("g", "d", "p5")
+
+
+def fragment(system):
+    piece = FragmentInfo("cat", 0, "cat.f0", "p3")
+    system.fragments.register(FragmentedDocInfo("cat", "r", fragments=(piece,)))
+
+
+def bump(system):
+    system.bump_doc_epoch("d")
+
+
+def write(system):
+    system.peer("p0").own_document("d").append(element("new"))
+
+
+MUTATIONS = [relink, kill, install, replace_service, register, fragment, bump, write]
+
+
+class TestTwinIndependence:
+    """A clone, and a clone of it, stay whole and apart from Σ."""
+
+    def test_the_fabric_stays_whole(self):
+        system = six_peers("ring")
+        spec = FaultSpec(link_drops=4, link_degrades=3, horizon=0.2)
+        twin = system.clone()
+        again = twin.clone()
+        for copy in (twin, again):
+            # drawn before anything enumerated the copy's links
+            assert FaultPlan.generate(3, copy, spec) == FaultPlan.generate(
+                3, system, spec
+            )
+            assert fabric(copy) == fabric(system)
+
+    @pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda m: m.__name__)
+    @pytest.mark.parametrize("side", [0, 1, 2], ids=["sigma", "twin", "twin-of-twin"])
+    def test_a_mutation_shows_on_its_side_only(self, mutate, side):
+        system = six_peers("ring")
+        twin = system.clone()
+        chain = [system, twin, twin.clone()]
+        before = [state(each) for each in chain]
+        mutate(chain[side])
+        after = [state(each) for each in chain]
+        assert after[side] != before[side]
+        del after[side], before[side]
+        assert after == before
+
+    def test_a_twin_serves_its_own_copy_of_a_service(self):
+        system = six_peers()
+        original = system.peer("p1").service("s")
+        original.invocations = 5
+        twin = system.clone()
+        replace_service(system)
+        served = twin.peer("p1").service("s")
+        assert served is not original and served.provider is twin.peer("p1")
+        assert served.invocations == 0
+        assert served.query.source == original.query.source
+        assert twin.peer("p1").service("s") is served
+
+
+@pytest.fixture()
+def built(monkeypatch):
+    """(link, service copy) constructions, counted as they happen."""
+    counts = {"links": [], "services": 0}
+    link_init = Link.__init__
+    clone_service = peer_module._clone_service
+
+    def counted_link(self, src, dst, *args):
+        counts["links"].append((src, dst))
+        link_init(self, src, dst, *args)
+
+    def counted_service(service):
+        counts["services"] += 1
+        return clone_service(service)
+
+    monkeypatch.setattr(Link, "__init__", counted_link)
+    monkeypatch.setattr(peer_module, "_clone_service", counted_service)
+    return counts
+
+
+class TestTwinCost:
+    """A twin builds only what its simulation touches."""
+
+    def test_a_clone_builds_no_link_and_copies_no_service(self, built):
+        system = six_peers()
+        built["links"].clear()
+        twin = system.clone()
+        again = twin.clone()
+        assert built == {"links": [], "services": 0}
+        # the statistics walks build nothing either: an unbuilt link is idle
+        for copy in (twin, again):
+            copy.stats_snapshot()
+            copy.reset()
+        assert built == {"links": [], "services": 0}
+
+    @pytest.mark.parametrize("builder", ["full_mesh", "ring"])
+    def test_measure_builds_the_route_it_crosses(self, built, builder):
+        system = six_peers(builder)
+        hops = [(link.src, link.dst) for link in system.network.route("p0", "p2")]
+        built["links"].clear()
+        cost = measure(Plan(DocExpr("d", "p0"), "p2"), system)
+        assert cost.messages == 1
+        assert built["links"] == hops
+
+    def test_one_service_call_copies_one_service(self, built):
+        system = six_peers()
+        twin = system.clone()
+        assert built["services"] == 0
+        call = ServiceCallExpr("p1", "s", (DocExpr("d", "p0"),))
+        outcome = ExpressionEvaluator(twin).eval(call, "p1")
+        assert [serialize(item) for item in outcome.items] == ["<n>2</n>"]
+        assert built["services"] == 1
+        assert twin.peer("p1").service("s").invocations == 1
+        assert system.peer("p1").service("s").invocations == 0
+
+
+class TestLazyAccounting:
+    """A twin that built its links out of order still adds in fabric order."""
+
+    #: bytes/second: a 100-byte message occupies its link for 0.1 s
+    BANDWIDTH = 1000.0
+    LINKS = [("a", "b"), ("a", "c"), ("a", "d")]
+    #: (src, dst, wire bytes) in reverse fabric order, so the first-use
+    #: order differs from add_link's
+    SENDS = [("a", "d", 300), ("a", "c", 200), ("a", "b", 100)]
+
+    def networks(self):
+        def build():
+            network = Network()
+            for src, dst in self.LINKS:
+                network.add_link(src, dst, latency=0.001, bandwidth=self.BANDWIDTH)
+            return network
+
+        eager, base = build(), build()
+        lazy = base.clone()
+        for network in (eager, lazy):
+            for src, dst, size in self.SENDS:
+                payload = size - Message.ENVELOPE_OVERHEAD
+                network.deliver(Message(src, dst, MessageKind.DATA, payload))
+        return eager, lazy
+
+    def test_traffic_sums_in_fabric_order(self):
+        eager, lazy = self.networks()
+        assert [(l.src, l.dst) for l in lazy.built_links()] == [
+            (src, dst) for src, dst, _ in self.SENDS
+        ]
+        busy = [size / self.BANDWIDTH for _src, _dst, size in self.SENDS]
+        in_use_order = 0.0
+        for duration in busy:
+            in_use_order += duration
+        in_fabric_order = 0.0
+        for duration in reversed(busy):
+            in_fabric_order += duration
+        assert in_use_order != in_fabric_order  # the order is observable
+        assert lazy.peer_traffic() == eager.peer_traffic()
+        assert lazy.peer_traffic()["a"].link_busy_time == in_fabric_order
+
+    def test_system_accounting_matches_an_eager_build(self):
+        eager, lazy = self.networks()
+        systems = []
+        for network in (eager, lazy):
+            system = AXMLSystem(network)
+            for peer_id in "abcd":
+                system.add_peer(peer_id)
+            systems.append(system)
+        assert systems[1].stats_snapshot() == systems[0].stats_snapshot()
+        for system in systems:
+            system.reset()
+            for link in system.network.built_links():
+                assert link.busy_until == 0.0 and link.stats == LinkStats()
