@@ -48,11 +48,9 @@ Underneath, the package implements, from scratch:
   and per-document epochs that invalidate exactly the cached plans,
   cost memos, and statistics the write touched
   (``session.insert()`` / ``update()`` / ``delete()``);
-* :mod:`repro.placement` — adaptive placement: telemetry-driven
-  rebalancing (replica lifecycle, fragment migration and re-splits as
-  atomic catalog transactions) and peer-churn survival (catalog
-  failover, typed unavailability), ticking on the scheduler's virtual
-  clock as a background actor.
+* :mod:`repro.faults` — seeded fault plans on the virtual clock and their
+  recovery, peer crashes and rejoins included (catalog failover, typed
+  unavailability).
 
 Start with ``examples/quickstart.py`` or the README.
 """
@@ -75,6 +73,5 @@ __all__ = [
     "session",
     "workloads",
     "engine",
-    "placement",
     "writes",
 ]

@@ -73,22 +73,12 @@ class LoadGenerator:
         self,
         scenario: Scenario,
         seed: int = 0,
-        skew: Optional[float] = None,
         flash: Optional[float] = None,
     ) -> None:
         if not scenario.queries:
             raise WorkloadError("scenario has no queries to serve")
         self.scenario = scenario
         self.seed = seed
-        if skew is None:
-            skew = float(getattr(scenario.spec, "zipf_skew", 0.0) or 0.0)
-        if skew < 0:
-            raise WorkloadError(f"zipf skew must be >= 0, got {skew!r}")
-        #: Zipf popularity exponent over the scenario's query list: query
-        #: at rank ``r`` (0-based) is drawn with weight ``1/(r+1)^skew``.
-        #: 0 is the exact uniform draw the streams always used — the
-        #: byte-identity property the workload tests pin.
-        self.skew = skew
         if flash is None:
             flash = float(getattr(scenario.spec, "flash_crowd", 0.0) or 0.0)
         if flash != 0 and flash < 1:
@@ -105,65 +95,20 @@ class LoadGenerator:
         # open-loop rate never perturbs a closed-loop run's query mix
         return Random(f"loadgen:{self.seed}:{label}")
 
-    def _pool(self, shifted: bool) -> List:
-        """The rank-ordered query pool, rotated by half after a shift.
+    def requests(self, count: int, label: str = "requests") -> List[JobRequest]:
+        """``count`` requests drawn uniformly over the scenario's queries.
 
-        Rotating moves the tail queries to the head ranks, so under skew
-        the *hot* queries change mid-stream — the hotspot shift the
-        adaptive-placement bench throws at the rebalancer.
-        """
-        queries = list(self.scenario.queries)
-        if shifted and len(queries) > 1:
-            half = len(queries) // 2
-            queries = queries[half:] + queries[:half]
-        return queries
-
-    def _draw(self, rng: Random, pool: List):
-        if not self.skew:
-            # exact historical code path: byte-identical uniform streams
-            return rng.choice(pool)
-        weights = [1.0 / (rank + 1) ** self.skew for rank in range(len(pool))]
-        point = rng.random() * sum(weights)
-        acc = 0.0
-        for query, weight in zip(pool, weights):
-            acc += weight
-            if point < acc:
-                return query
-        return pool[-1]
-
-    def requests(
-        self,
-        count: int,
-        label: str = "requests",
-        shift_at: Optional[float] = None,
-    ) -> List[JobRequest]:
-        """``count`` requests drawn over the scenario's queries.
-
-        The draw is uniform by default, Zipf-weighted when the generator
-        (or the scenario's spec) carries a nonzero ``skew``.  With
-        ``shift_at`` (a fraction of ``count`` in (0, 1]) the popularity
-        ranking rotates by half at that point in the stream — a mid-run
-        hotspot shift.  All arrivals are 0.0 — feed them to a closed
-        loop, or re-time them via :meth:`open_loop`.  Job names are
-        ``<query>#<k>`` so a served job traces back to the generated
-        query it instantiates.
+        All arrivals are 0.0 — feed them to a closed loop, or re-time
+        them via :meth:`open_loop`.  Job names are ``<query>#<k>`` so a
+        served job traces back to the generated query it instantiates.
         """
         if count < 1:
             raise WorkloadError(f"need at least one request, got {count!r}")
-        shift_index: Optional[int] = None
-        if shift_at is not None:
-            if not 0.0 < shift_at <= 1.0:
-                raise WorkloadError(
-                    f"shift_at must be a fraction in (0, 1], got {shift_at!r}"
-                )
-            shift_index = int(count * shift_at)
         rng = self._rng(label)
-        pool = self._pool(False)
+        queries = self.scenario.queries
         out: List[JobRequest] = []
         for k in range(count):
-            if shift_index is not None and k == shift_index:
-                pool = self._pool(True)
-            query = self._draw(rng, pool)
+            query = rng.choice(queries)
             out.append(
                 JobRequest(
                     source=query.source,
@@ -178,7 +123,6 @@ class LoadGenerator:
         self,
         count: int,
         rate: float,
-        shift_at: Optional[float] = None,
         flash_at: float = 0.4,
         flash_width: float = 0.2,
         flash_factor: Optional[float] = None,
@@ -215,7 +159,7 @@ class LoadGenerator:
         clock = 0.0
         out: List[JobRequest] = []
         for k, request in enumerate(
-            self.requests(count, label=f"open:{rate!r}:mix", shift_at=shift_at)
+            self.requests(count, label=f"open:{rate!r}:mix")
         ):
             gap = rng.expovariate(rate)
             if factor and burst_lo <= k < burst_hi:
@@ -224,15 +168,11 @@ class LoadGenerator:
             out.append(replace(request, arrival=clock))
         return out
 
-    def closed_loop(
-        self, count: int, concurrency: int, shift_at: Optional[float] = None
-    ) -> ClosedLoopFeed:
+    def closed_loop(self, count: int, concurrency: int) -> ClosedLoopFeed:
         """A fixed-concurrency feed over ``count`` requests.
 
         The request mix depends only on ``(seed, count)`` — *not* on the
         concurrency — so sweeping concurrency levels compares identical
         work (the throughput bench's apples-to-apples requirement).
         """
-        return ClosedLoopFeed(
-            self.requests(count, label="closed", shift_at=shift_at), concurrency
-        )
+        return ClosedLoopFeed(self.requests(count, label="closed"), concurrency)

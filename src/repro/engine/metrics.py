@@ -85,10 +85,9 @@ class ServingReport:
     #: Scheduler event trace ``(time, kind, job name)``, admission order —
     #: byte-stable for a fixed seed (the determinism tests pin this).
     events: List[str] = field(default_factory=list)
-    #: Timestamped placement-action trace: replica spawns and migrations
-    #: of a :class:`repro.placement.PlacementActor`, and the kills,
-    #: failovers and rejoins of the fault plan's crash/rejoin events;
-    #: empty for static placement without crashes.
+    #: Timestamped placement-action trace: the kills, failovers and
+    #: rejoins of the fault plan's crash/rejoin events; empty for a run
+    #: without crashes.
     actions: List[str] = field(default_factory=list)
     #: The run's ``network.metrics`` (:class:`repro.obs.MetricsRegistry`):
     #: its ``faults{kind=…}`` tallies — messages dropped, transfers

@@ -46,10 +46,10 @@ from time import perf_counter as _perf_counter
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple, Union
 
 from ..errors import ReproError, SessionError
+from ..faults.churn import ChurnController
 from ..faults.plan import PEER_CRASH
 from ..peers.registry import POLICIES, PickPolicy
 from ..peers.system import AXMLSystem
-from ..placement.churn import ChurnController
 from .jobs import DONE, FAILED, RUNNING, JobRequest, QueryJob, plan_peers
 from .metrics import ServingReport, summarize
 
@@ -60,16 +60,12 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Scheduler"]
 
 #: Event kinds, in same-instant processing order: free resources first,
-#: then let the placement actor observe, then apply the fault plan's
-#: crashes and rejoins, then admit new work against the (possibly just
-#: rebalanced or failed-over) catalog.
+#: then apply the fault plan's crashes and rejoins, then admit new work
+#: against the (possibly just failed-over) catalog.
 _COMPLETION = 0
-_TICK = 1
-_MEMBERSHIP = 2
-_ARRIVAL = 3
-_KIND_NAMES = {
-    _COMPLETION: "finish", _TICK: "tick", _MEMBERSHIP: "fault", _ARRIVAL: "admit"
-}
+_MEMBERSHIP = 1
+_ARRIVAL = 2
+_KIND_NAMES = {_COMPLETION: "finish", _MEMBERSHIP: "fault", _ARRIVAL: "admit"}
 
 
 class _ChargingPolicy(PickPolicy):
@@ -129,17 +125,11 @@ class Scheduler:
         session: "Session",
         seed: int = 0,
         admission: Union[str, PickPolicy, None] = "queue-depth",
-        actor=None,
     ) -> None:
         self.session = session
         self.seed = seed
-        #: Optional background placement actor (duck-typed: ``interval``
-        #: attribute plus ``on_tick(target, now) -> list[str]``) ticked on
-        #: the virtual clock between query events — see
-        #: :class:`repro.placement.PlacementActor`.
-        self.actor = actor
-        #: Timestamped placement-action trace: the actor's notes and the
-        #: fault plan's crashes and rejoins.
+        #: Timestamped action trace of the fault plan's crashes and
+        #: rejoins (kills, failovers, rejoins).
         self.actions: List[str] = []
         self._rng = Random(f"engine:{seed}")
         if isinstance(admission, str):
@@ -239,20 +229,14 @@ class Scheduler:
         try:
             if feed is not None:
                 self.submit_all(feed.initial())
-            if self.actor is not None and self._heap:
-                self._push(self.actor.interval, _TICK, None)
             while self._heap:
                 time, kind, _tie, _seq, job = heapq.heappop(self._heap)
-                if kind == _TICK:
-                    label = "placement"
-                elif kind == _MEMBERSHIP:
+                if kind == _MEMBERSHIP:
                     label = f"{job.kind} {job.peer}"
                 else:
                     label = job.name
                 self.events.append(f"{time:.9f} {_KIND_NAMES[kind]} {label}")
-                if kind == _TICK:
-                    self._tick(time, target)
-                elif kind == _MEMBERSHIP:
+                if kind == _MEMBERSHIP:
                     self._membership(job, time, target)
                 elif kind == _ARRIVAL:
                     self._admit(job, time, target, evaluator)
@@ -289,23 +273,11 @@ class Scheduler:
             trace=tracer.trace(),
         )
 
-    def _tick(self, now: float, target: AXMLSystem) -> None:
-        """One placement-actor heartbeat on the virtual clock.
-
-        The actor observes the serving Σ and may mutate the catalog
-        (replicas, migrations, splits).  The next tick is only
-        scheduled while other events remain, so a quiescent heap drains
-        instead of ticking forever.
-        """
-        self._act(now, self.actor.on_tick(target, now))
-        if self._heap:
-            self._push(now + self.actor.interval, _TICK, None)
-
     def _membership(self, event, now: float, target: AXMLSystem) -> None:
         """Apply one of the fault plan's crashes or rejoins at its instant.
 
         A crash kills the peer through
-        :class:`~repro.placement.ChurnController` (catalog failover,
+        :class:`~repro.faults.ChurnController` (catalog failover,
         registry scrub, in-flight traffic cancelled); a rejoin revives
         it.  Either is counted as ``faults{kind=peer_crashes|peer_rejoins}``
         and traced as a placement action.
@@ -318,11 +290,13 @@ class Scheduler:
         self._act(now, notes)
 
     def _act(self, now: float, notes: List[str]) -> None:
-        """Trace the catalog changes made at ``now``; drop stale plans.
+        """Trace the catalog changes a crash or rejoin made at ``now``;
+        drop stale plans.
 
         Any change invalidates prepared plans and estimates — fragment
         rewrites and replica picks bake catalog state in — so the
         session's plan cache is cleared before the next admission plans.
+        The run span keeps its historical category, ``"placement"``.
         """
         for note in notes:
             self.actions.append(f"{now:.9f} {note}")

@@ -128,9 +128,9 @@ class GenericResolutionError(PeerError):
 class PeerDownError(PeerError):
     """Raised when an operation needs a peer that has left the system.
 
-    Peers die under churn (:mod:`repro.placement`): a dead peer keeps its
-    identity (so in-flight accounting can settle) but can no longer host
-    evaluations, serve documents, or answer service calls.
+    Peers die under churn (:class:`repro.faults.ChurnController`): a dead
+    peer keeps its identity (so in-flight accounting can settle) but can
+    no longer host evaluations, serve documents, or answer service calls.
     """
 
 

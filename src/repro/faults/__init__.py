@@ -5,8 +5,10 @@ makes that unreliability a *first-class, reproducible* input.  A
 :class:`FaultPlan`, given once as ``Session(fault_plan=)``, scripts link
 drops/degradations, transfer corruption, service failures/hangs, peer
 stalls, and crash/rejoin pairs on the virtual clock (a serving run
-applies each crash and rejoin at its instant); every fault a run meets
-is counted as ``faults{kind=…}`` on its ``network.metrics``.
+applies each crash and rejoin at its instant through
+:class:`ChurnController`: catalog failover, registry scrub, typed
+unavailability of a fragment whose last copy died); every fault a run
+meets is counted as ``faults{kind=…}`` on its ``network.metrics``.
 :class:`RecoveringEvaluator` applies a
 :class:`RetryPolicy` — bounded retries with seeded exponential backoff,
 a call timeout, replica failover — on the bare evaluator's seam; jobs can
@@ -16,6 +18,7 @@ is a subset of the fault-free answer.  An empty plan is a strict no-op:
 fault-free runs stay byte-identical to a build without this package.
 """
 
+from .churn import ChurnController
 from .injector import FaultState
 from .plan import (
     CORRUPT,
@@ -45,6 +48,7 @@ __all__ = [
     "FaultSpec",
     "FaultPlan",
     "FaultState",
+    "ChurnController",
     "RetryPolicy",
     "LostPart",
     "PartialAnswer",

@@ -12,8 +12,7 @@ primaried on the victim promotes a surviving replica to primary; a
 fragment whose last copy died keeps its entry, so reads raise the typed
 :class:`~repro.errors.FragmentUnavailableError` instead of returning a
 partial answer.  A join adds the peer (with links to every live peer)
-or revives a known one; the rebalancer then spreads data onto it through
-ordinary transactions.
+or revives a known one.
 """
 
 from __future__ import annotations
@@ -109,10 +108,10 @@ class ChurnController:
         """Peer ``peer_id`` joins (or re-joins) the system.
 
         A brand-new peer gets symmetric links to every live peer; a
-        known dead peer is revived in place (its stale copies were
-        already scrubbed from registry and catalog at kill time — the
-        rebalancer treats it as empty and re-fragments onto it through
-        ordinary transactions).
+        known dead peer is revived in place.  Its generic memberships
+        and replica entries were scrubbed at kill time and stay gone; a
+        fragment whose last copy it held kept its catalog entry, so that
+        fragment reads again.
         """
         if peer_id in self.system.peers:
             peer = self.system.peers[peer_id]

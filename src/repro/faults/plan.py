@@ -33,7 +33,7 @@ Fault kinds
     thief): work that would start inside the window starts at its end.
 ``peer-crash`` / ``peer-rejoin``
     Instantaneous membership events that a serving run applies at their
-    instants through :class:`~repro.placement.ChurnController`: a crash
+    instants through :class:`~repro.faults.ChurnController`: a crash
     kills the peer (catalog failover, registry scrub, in-flight link
     traffic cancelled), a rejoin revives it.
 """

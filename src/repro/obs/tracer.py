@@ -19,7 +19,7 @@ arrival → settle, with ``plan`` (prepared or searched, strategy, plans
 explored), ``queue`` (admission + CPU waits), and ``eval`` children —
 the ``eval`` span owning one leaf per transfer hop (bytes included),
 per CPU charge, per retry-backoff window, and per injected stall/hang.
-Run-level spans (placement actions, fault windows, scheduler marks)
+Run-level spans (crash/rejoin actions, fault windows, scheduler marks)
 live next to the jobs on :attr:`Trace.run`.
 """
 
@@ -57,6 +57,7 @@ CAT_CPU = "cpu"
 CAT_BACKOFF = "backoff"
 CAT_STALL = "stall"
 CAT_FAULT = "fault"
+#: a crash's or rejoin's catalog changes (kill, failover, rejoin)
 CAT_PLACEMENT = "placement"
 CAT_MARK = "mark"
 

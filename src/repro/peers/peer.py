@@ -56,14 +56,11 @@ class Peer:
         #: (:mod:`repro.engine.scheduler`); replica-aware admission policies
         #: read it to route generic picks toward shallow queues.
         self.queued = 0
-        #: Whether the peer is part of the live system.  Churn
-        #: (:mod:`repro.placement`) marks peers dead instead of deleting
-        #: them so in-flight accounting can settle; dead peers refuse
-        #: evaluations and document reads via the evaluator.
+        #: Whether the peer is part of the live system.  A scripted crash
+        #: (:class:`repro.faults.ChurnController`) marks peers dead instead
+        #: of deleting them so in-flight accounting can settle; dead peers
+        #: refuse evaluations and document reads via the evaluator.
         self.alive = True
-        #: Per-document read counter (``document()`` hits), the demand
-        #: signal consumed by :class:`repro.placement.PlacementMonitor`.
-        self.doc_reads: Dict[str, int] = {}
 
     # -- documents ---------------------------------------------------------------
     def install_document(
@@ -88,14 +85,12 @@ class Peer:
         return tree
 
     def document(self, name: str) -> Element:
-        """The stored tree, for *reading* (counted in :attr:`doc_reads`).
+        """The stored tree, for *reading*.
 
         The tree may be shared with a clone of Σ and frozen; to edit it
         in place, ask :meth:`own_document` instead.
         """
-        tree = self._stored(name)
-        self.doc_reads[name] = self.doc_reads.get(name, 0) + 1
-        return tree
+        return self._stored(name)
 
     def own_document(self, name: str) -> Element:
         """The stored tree, for *editing in place* (not counted as a read).

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from ..errors import GenericResolutionError, ReproError
+from ..errors import GenericResolutionError
 from ..xmlcore.canon import canonical_hash
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -33,7 +33,6 @@ __all__ = [
     "NearestPolicy",
     "LeastLoadedPolicy",
     "QueueDepthPolicy",
-    "LinkAwarePolicy",
     "POLICIES",
 ]
 
@@ -137,58 +136,12 @@ class QueueDepthPolicy(PickPolicy):
         return min(enumerate(members), key=depth)[1]
 
 
-class LinkAwarePolicy(PickPolicy):
-    """Queue-depth admission that can also see the *network* clock.
-
-    :class:`QueueDepthPolicy` balances compute queues, but replica
-    *reads* are usually transfer-bound: shipping a fragment occupies the
-    FIFO link from the holder to the reader, and link occupancy never
-    shows up in any peer's CPU clock.  This policy keeps the queue-depth
-    ordering and inserts the route's ``busy_until`` (the instant the
-    last link on the member→requester route frees) ahead of the CPU
-    tie-breaks, so concurrent reads of a replicated fragment fan out
-    across copies instead of convoying on the primary's link.  A member
-    on the requesting peer always wins: a local read touches neither the
-    network nor the host's compute queue, so no amount of congestion
-    elsewhere makes a remote copy cheaper.  Fully deterministic, like
-    every serving policy.
-
-    The adaptive-placement loop (:mod:`repro.placement`) is what makes
-    this matter: replicas it spawns only relieve a hot link if picks can
-    notice the hot link.  Opt in with ``admission="link-aware"``.
-    """
-
-    def choose(self, members, requester, system):
-        def route_clock(member: GenericMember) -> float:
-            if member.peer == requester:
-                return 0.0
-            try:
-                links = system.network.route(member.peer, requester)
-            except ReproError:
-                return float("inf")
-            return max((link.busy_until for link in links), default=0.0)
-
-        def depth(indexed: Tuple[int, GenericMember]):
-            index, member = indexed
-            peer = system.peer(member.peer)
-            return (
-                member.peer != requester,
-                peer.queued,
-                route_clock(member),
-                peer.busy_until,
-                index,
-            )
-
-        return min(enumerate(members), key=depth)[1]
-
-
 POLICIES: Dict[str, Callable[[], PickPolicy]] = {
     "first": FirstPolicy,
     "random": RandomPolicy,
     "nearest": NearestPolicy,
     "least-loaded": LeastLoadedPolicy,
     "queue-depth": QueueDepthPolicy,
-    "link-aware": LinkAwarePolicy,
 }
 
 
@@ -197,7 +150,7 @@ def _live(
 ) -> List[GenericMember]:
     """Members whose hosting peer is still alive (or unknown to Σ).
 
-    :class:`ChurnController <repro.placement.ChurnController>` eagerly
+    :class:`ChurnController <repro.faults.ChurnController>` eagerly
     unregisters dead peers' members; this filter is the belt-and-braces
     guarantee that even an un-reacted kill never routes a pick to a dead
     peer mid-run.
@@ -263,7 +216,7 @@ class GenericRegistry:
     def remove_peer(self, peer: str) -> int:
         """Drop every membership hosted on ``peer`` (churn cleanup).
 
-        Called by :class:`repro.placement.ChurnController` when a peer
+        Called by :class:`repro.faults.ChurnController` when a peer
         dies, so generic resolution never routes a pick to it.  Returns
         the number of memberships removed.
         """

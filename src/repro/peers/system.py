@@ -100,8 +100,9 @@ class AXMLSystem:
     def live_peers(self) -> List[str]:
         """Identifiers of peers currently in the system, sorted.
 
-        Dead peers (churn victims, see :mod:`repro.placement`) keep their
-        entry in :attr:`peers` for accounting but are excluded here.
+        Dead peers (crash victims, see
+        :class:`repro.faults.ChurnController`) keep their entry in
+        :attr:`peers` for accounting but are excluded here.
         """
         return sorted(pid for pid, peer in self.peers.items() if peer.alive)
 
@@ -210,7 +211,6 @@ class AXMLSystem:
                 "busy_time": peer.busy_time,
                 "queued": peer.queued,
                 "alive": peer.alive,
-                "doc_reads": dict(peer.doc_reads),
             }
         return image
 
@@ -240,7 +240,6 @@ class AXMLSystem:
         for peer in self.peers.values():
             peer.work_done = 0
             peer.busy_time = 0.0
-            peer.doc_reads = {}
 
     def reset(self) -> None:
         """Fresh measurement baseline: clocks *and* statistics, same Σ.

@@ -627,12 +627,11 @@ class Session:
         return self.write(DeleteOp(doc, ordinal), now=now)
 
     # -- concurrent serving --------------------------------------------------------
-    def engine(self, seed: int = 0, admission="queue-depth", actor=None):
+    def engine(self, seed: int = 0, admission="queue-depth"):
         """The session's open serving engine, created on first use.
 
-        Call explicitly to pick a tie-breaking ``seed``, an ``admission``
-        policy, or a background placement ``actor``
-        (:class:`repro.placement.PlacementActor`) before the first
+        Call explicitly to pick a tie-breaking ``seed`` or an
+        ``admission`` policy before the first
         :meth:`submit`; once open, the same engine is returned until
         :meth:`drain` closes it.  An engine drained directly (or killed
         mid-drain) is replaced by a fresh one on the next call.
@@ -640,9 +639,7 @@ class Session:
         from .engine.scheduler import Scheduler
 
         if self._engine is None or self._engine.drained:
-            self._engine = Scheduler(
-                self, seed=seed, admission=admission, actor=actor
-            )
+            self._engine = Scheduler(self, seed=seed, admission=admission)
         return self._engine
 
     def submit(
@@ -726,7 +723,6 @@ class Session:
         feed=None,
         seed: int = 0,
         admission="queue-depth",
-        actor=None,
     ):
         """Submit a request stream and drain it, in one call.
 
@@ -735,9 +731,9 @@ class Session:
         :class:`~repro.engine.jobs.JobRequest` (e.g. from
         :meth:`LoadGenerator.open_loop
         <repro.engine.loadgen.LoadGenerator.open_loop>`), ``feed`` a
-        closed-loop source, ``actor`` an optional background placement
-        actor ticked on the virtual clock between query events (its
-        action trace lands on :attr:`ServingReport.actions
+        closed-loop source.  The session's fault plan applies its crashes
+        and rejoins at their instants (their action trace lands on
+        :attr:`ServingReport.actions
         <repro.engine.metrics.ServingReport.actions>`).  Raises if the
         session already has an open engine, so pending :meth:`submit`
         state is never mixed in.
@@ -747,7 +743,7 @@ class Session:
                 "session has an open engine with pending jobs; "
                 "drain() it before calling serve()"
             )
-        self.engine(seed, admission, actor).submit_all(requests)
+        self.engine(seed, admission).submit_all(requests)
         return self.drain(feed)
 
     def plan_job(self, request) -> ExecutionReport:

@@ -97,12 +97,6 @@ class ScenarioSpec:
     #: Replicas of each fragment, mirrored onto other peers and resolved
     #: through the generic registry (pick policies choose the copy).
     fragment_replicas: int = 0
-    #: Zipf popularity exponent for *request streams* over the generated
-    #: queries (:class:`repro.engine.LoadGenerator` reads it as its
-    #: default skew).  0 (the default) keeps the historical uniform
-    #: draw; the knob never feeds the generation RNG, so scenarios
-    #: themselves are byte-identical whatever its value.
-    zipf_skew: float = 0.0
     #: Number of seeded write operations (:mod:`repro.writes`) to draw
     #: over the passive documents — the read/write-mix family.  Only
     #: drawn from the rng when > 0, so existing seeds reproduce
@@ -154,10 +148,6 @@ class ScenarioSpec:
             raise WorkloadError("documents need at least one item")
         if self.queries < 1:
             raise WorkloadError("a scenario needs at least one query")
-        if self.zipf_skew < 0:
-            raise WorkloadError(
-                f"zipf_skew must be >= 0, got {self.zipf_skew!r}"
-            )
         unknown = sorted(set(self.query_shapes) - set(QUERY_SHAPES))
         if unknown:
             raise WorkloadError(

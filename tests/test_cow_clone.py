@@ -60,13 +60,13 @@ def image(system):
 
 
 def accounting(system):
-    """Everything an evaluation advances: reads, clocks, traffic."""
+    """Everything an evaluation advances: work, clocks, traffic."""
     return (
         system.clock,
         system.network.stats.snapshot(),
         [link.busy_until for link in system.network.links()],
         {
-            pid: (peer.busy_until, peer.work_done, dict(peer.doc_reads))
+            pid: (peer.busy_until, peer.work_done, peer.busy_time)
             for pid, peer in sorted(system.peers.items())
         },
     )
@@ -266,7 +266,7 @@ class TestIsolation:
         assert len(top_level) == 1
         assert peer.own_document("d1") is owned
         assert len([n for n in count_copies if n.parent is None]) == 1
-        assert peer.doc_reads == {}
+        assert (peer.work_done, peer.busy_time) == (0, 0.0)
 
 
 class TestByReference:
@@ -432,7 +432,7 @@ class TestInertReads:
         assert outcome.items == [stored] and outcome.items[0] is stored
         assert system.peer("a").documents["d1"] is stored
         assert count_copies == []
-        assert system.peer("a").doc_reads == {"d1": 1}
+        assert system.peer("a").work_done == 0
 
     def test_shipping_it_copies_nothing_and_still_counts_the_read(self, count_copies):
         system = two_docs()
@@ -444,7 +444,7 @@ class TestInertReads:
         assert stored.frozen
         assert serialize(outcome.items[0]) == "<r><x/><y/></r>"
         assert system.peer("a").documents["d1"] is stored
-        assert system.peer("a").doc_reads == {"d1": 1}
+        assert system.peer("a").work_done == 0
         assert system.network.stats.messages == 1
 
     def test_the_verdict_follows_the_content(self):
@@ -476,7 +476,7 @@ class TestInertReads:
         assert stored.has_service_calls()
         assert activated.node_id == stored.node_id
         assert activated.element_children[1].node_id.serial == next_serial
-        assert system.peer("a").doc_reads == {"d": 1}
+        assert (system.peer("a").work_done, system.peer("b").work_done) == (0, 1)
         if shared:
             assert image(held) == before
         # now plain data: the next read is inert

@@ -45,6 +45,7 @@ from repro.faults import (
     PEER_STALL,
     SERVICE_FAIL,
     SERVICE_HANG,
+    ChurnController,
     FaultEvent,
     FaultPlan,
     FaultSpec,
@@ -55,7 +56,6 @@ from repro.faults import (
 )
 from repro.net import Message, MessageKind, Network
 from repro.peers import AXMLSystem, NativeService
-from repro.placement.churn import ChurnController
 from repro.workloads import CHAOS_SPEC, ScenarioGenerator, ScenarioSpec
 from repro.xmlcore import Element, parse
 

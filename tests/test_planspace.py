@@ -279,7 +279,7 @@ class TestOneSearchRemembers:
 
     def test_failing_original_is_simulated_once(self, monkeypatch):
         from repro.dist import Fragmenter
-        from repro.placement import ChurnController
+        from repro.faults import ChurnController
 
         sys_ = AXMLSystem.with_peers(["client", "p0", "p1"])
         sys_.peer("p0").install_document("cat", catalog(8))

@@ -17,11 +17,17 @@ from repro.core import DEFAULT_RULES, BeamSearchStrategy, PlanCache, planspace
 from repro.core.rules import PushSelection
 from repro.core.serialize import to_xml
 from repro.engine import ClosedLoopFeed, JobRequest
+from repro.faults import PEER_CRASH, PEER_REJOIN, FaultEvent, FaultPlan
 from repro.obs import Tracer
 from repro.peers import AXMLSystem
 from repro.peers.registry import FirstPolicy
 from repro.session import Session
-from repro.workloads import ScenarioGenerator, ScenarioSpec
+from repro.workloads import (
+    FRAGMENTED_SPEC,
+    WRITE_MIX_SPEC,
+    ScenarioGenerator,
+    ScenarioSpec,
+)
 from repro.xmlcore import parse, serialize
 
 SPEC = ScenarioSpec(
@@ -144,28 +150,159 @@ class TestEffectiveness:
         assert outcome(again) == outcome(first)
 
 
-class TestExactness:
-    def test_served_stream_equals_the_uncached_stream(self):
-        def serve(**session_kwargs):
-            scenario = ScenarioGenerator(seed=7, spec=SPEC).scenario(0)
-            requests = [
-                JobRequest(
-                    source=q.source, at=q.at, bind=q.bindings,
-                    name=f"{q.name}#{k}",
-                )
-                for k, q in enumerate(scenario.queries * 4)
-            ]
-            session = connect(scenario.system, **session_kwargs)
-            return session.serve(feed=ClosedLoopFeed(requests, 4), seed=7)
+#: bench/workloads.py's serve scenario (the serve_repeat stream)
+SERVE_SPEC = ScenarioSpec(
+    peers=6, topology="mesh", documents=4, axml_documents=1, items=20,
+    services=2, replicas=2, queries=6,
+)
+PARITY_SPECS = {
+    "serve": SERVE_SPEC,
+    "default": ScenarioSpec(),
+    "fragmented": FRAGMENTED_SPEC,
+}
 
-        warm, uncached = serve(), serve(plan_cache=None)
+
+def serve_stream(spec, seed, index=0, churn=None, writes=False,
+                 **session_kwargs):
+    """Serve scenario ``index``'s queries four times over in a closed loop
+    of 4, optionally under a fault plan that crashes ``churn = (peer
+    rank, crash at, rejoin at)`` and with the scenario's writes
+    interleaved as write jobs (on a non-isolated session)."""
+    scenario = ScenarioGenerator(seed=seed, spec=spec).scenario(index)
+    requests = [
+        JobRequest(
+            source=q.source, at=q.at, bind=q.bindings, name=f"{q.name}#{k}",
+        )
+        for k, q in enumerate(scenario.queries * 4)
+    ]
+    if writes:
+        step = max(1, len(requests) // (len(scenario.writes) + 1))
+        for k, write in enumerate(scenario.writes):
+            requests.insert(
+                (k + 1) * step + k,
+                JobRequest.for_write(write.op(), name=f"w:{write.name}"),
+            )
+        session_kwargs["isolate"] = False
+    if churn is not None:
+        rank, crash_at, rejoin_at = churn
+        peer = sorted(scenario.system.peers)[rank]
+        session_kwargs["fault_plan"] = FaultPlan(events=(
+            FaultEvent(PEER_CRASH, crash_at, peer=peer),
+            FaultEvent(PEER_REJOIN, rejoin_at, peer=peer),
+        ))
+    session = connect(scenario.system, **session_kwargs)
+    return session.serve(feed=ClosedLoopFeed(requests, 4), seed=seed)
+
+
+class StalePreparedCost(AssertionError):
+    """A prepared hit reported another cost than a fresh search would.
+
+    Known on non-isolated serving: a job that activates an AXML document
+    installs the activated value on the live Σ, which bumps no epoch, so
+    a later prepared hit over that document still reports the cost its
+    search priced before the activation.  The plan, answers, events and
+    traffic agree.
+    """
+
+
+def assert_same_serving(warm, uncached):
+    """Equal events, traffic, per-job status, answers and plan outcome;
+    a prepared hit whose plan agrees but whose reported costs do not
+    raises :class:`StalePreparedCost` once everything else is checked."""
+    assert [j.name for j in warm.jobs] == [j.name for j in uncached.jobs]
+    stale = []
+    for left, right in zip(warm.jobs, uncached.jobs):
+        assert left.status == right.status, left.name
+        assert type(left.error) is type(right.error), left.name
+        assert left.answers == right.answers, left.name
+        assert (left.report is None) == (right.report is None), left.name
+        if left.report is None or left.request.write is not None:
+            continue
+        mine, theirs = outcome(left.report), outcome(right.report)
+        if mine != theirs and left.report.plan_cache.prepared_hits:
+            assert mine[0] == theirs[0], left.name
+            stale.append(left.name)
+        else:
+            assert mine == theirs, left.name
+    assert warm.events == uncached.events
+    assert warm.network == uncached.network
+    assert warm.actions == uncached.actions
+    if stale:
+        raise StalePreparedCost(stale)
+
+
+#: no fault, then a crash at 0.03 and a rejoin at 0.08 of each of the
+#: first four peers (sorted by id)
+CHURN = [None] + [(rank, 0.03, 0.08) for rank in range(4)]
+#: where a prepared hit reports a pre-activation cost (StalePreparedCost)
+STALE = pytest.mark.xfail(raises=StalePreparedCost, strict=True)
+
+
+class TestExactness:
+    @pytest.mark.parametrize("churn", CHURN)
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("family", sorted(PARITY_SPECS))
+    def test_cache_on_and_off_serve_alike_under_churn(
+        self, family, seed, churn
+    ):
+        spec = PARITY_SPECS[family]
+        assert_same_serving(
+            serve_stream(spec, seed, churn=churn),
+            serve_stream(spec, seed, churn=churn, plan_cache=None),
+        )
+
+    @pytest.mark.parametrize("seed,churn", [
+        pytest.param(seed, churn, marks=STALE)
+        if (seed, churn) == (7, None) else (seed, churn)
+        for seed in (7, 11)
+        for churn in CHURN
+    ])
+    def test_cache_on_and_off_serve_writes_alike_under_churn(self, seed, churn):
+        warm = serve_stream(WRITE_MIX_SPEC, seed, churn=churn, writes=True)
+        assert any(j.request.write is not None for j in warm.jobs)
+        assert_same_serving(
+            warm,
+            serve_stream(
+                WRITE_MIX_SPEC, seed, churn=churn, writes=True, plan_cache=None
+            ),
+        )
+
+    @pytest.mark.generated
+    @pytest.mark.parametrize("index", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("family", [
+        *sorted(PARITY_SPECS), pytest.param("write-mix", marks=STALE)
+    ])
+    def test_cache_parity_sweep(self, family, seed, index):
+        # every peer crashes once, early, mid-stream or late, and rejoins
+        spec = PARITY_SPECS.get(family, WRITE_MIX_SPEC)
+        writes = family == "write-mix"
+        peers = ScenarioGenerator(seed=seed, spec=spec).scenario(index).system.peers
+        cases = [None] + [
+            (rank, crash_at, crash_at + 0.05)
+            for rank in range(len(peers))
+            for crash_at in (0.01, 0.03, 0.06)
+        ]
+        stale = []
+        for churn in cases:
+            try:
+                assert_same_serving(
+                    serve_stream(spec, seed, index, churn, writes),
+                    serve_stream(
+                        spec, seed, index, churn, writes, plan_cache=None
+                    ),
+                )
+            except StalePreparedCost as exc:
+                stale.extend(exc.args[0])
+        if stale:
+            raise StalePreparedCost(stale)
+
+    def test_served_stream_equals_the_uncached_stream(self):
+        warm = serve_stream(SPEC, 7)
+        uncached = serve_stream(SPEC, 7, plan_cache=None)
         assert len(warm.jobs) == 24
-        for left, right in zip(warm.jobs, uncached.jobs):
-            assert left.name == right.name and left.error is None
-            assert outcome(left.report) == outcome(right.report)
-            assert left.answers == right.answers
-        assert warm.events == uncached.events
-        assert warm.network == uncached.network
+        assert all(job.error is None for job in warm.jobs)
+        assert_same_serving(warm, uncached)
         # 6 queries x 4 under names #0..#23: one- and two-digit suffixes
         # are two widths, so each query is searched twice and served twice
         hits = sum(j.report.plan_cache.prepared_hits for j in warm.jobs)
@@ -257,22 +394,19 @@ class TestInvalidation:
         session.plan_cache.clear()
         assert session.plan_job(job("q")).plan_cache.prepared_hits == 0
 
-    def test_placement_tick_empties_the_table(self):
-        class Actor:
-            interval = 0.5
+    def test_scripted_crash_and_rejoin_empty_the_table(self):
+        churn = FaultPlan(events=(
+            FaultEvent(PEER_CRASH, 0.4, peer="d1"),
+            FaultEvent(PEER_REJOIN, 0.6, peer="d1"),
+        ))
 
-            def on_tick(self, target, now):
-                return ["moved something"]
-
-        def second_job(actor):
-            session = connect(two_docs())
-            report = session.serve(
-                [job("q#1"), job("q#2", arrival=1.0)], actor=actor
-            )
+        def second_job(fault_plan):
+            session = connect(two_docs(), fault_plan=fault_plan)
+            report = session.serve([job("q#1"), job("q#2", arrival=1.0)])
             return report.jobs[1].report.plan_cache
 
         assert second_job(None).prepared_hits == 1
-        assert second_job(Actor()).prepared_hits == 0
+        assert second_job(churn).prepared_hits == 0
 
     def test_non_isolated_runs_never_hit(self):
         session = connect(two_docs(), isolate=False)
