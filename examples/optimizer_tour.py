@@ -176,6 +176,9 @@ def main():
             f"  {mode:9s} best {report.best_cost.describe():32s} "
             f"plan {report.plan.describe()}  ({wall:.1f}ms wall)"
         )
+        # what the search left in the session's plan cache: the oracle's
+        # query memo, the estimator's memo, or (hybrid) both
+        print(f"  {'':9s} {session.plan_cache.describe()}")
     print(
         "  (analytic prices candidates from the catalog and samples,\n"
         "   hybrid oracle-checks only the chosen plan — same best plan,\n"

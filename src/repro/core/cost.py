@@ -26,8 +26,9 @@ talk about both shipped volume and response time).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import NoRouteError, ReproError, UnknownPeerError
 from ..net.message import wire_size
@@ -56,7 +57,7 @@ from .expressions import (
 from .rules import Plan
 from .serialize import expression_fingerprint, expression_size
 
-__all__ = ["Cost", "measure", "Simulation", "CostEstimator"]
+__all__ = ["Cost", "measure", "Simulation", "Simulations", "CostEstimator"]
 
 #: Fraction of its input an application that cannot be sampled is
 #: assumed to return (also the size of a call over computed parameters).
@@ -95,18 +96,19 @@ def measure(
     system: AXMLSystem,
     pick_policy=None,
     memo: Optional[QueryMemo] = None,
+    simulations: Optional[Simulations] = None,
 ) -> Cost:
     """Oracle cost: evaluate on a clone of Σ, return the real accounting.
 
     ``system`` is left as it was — documents, read counters, clocks and
     network statistics: the clone shares its trees (frozen) and the
-    evaluation copies what it changes.  ``memo`` is the running search's
+    evaluation copies what it changes.  ``memo`` is the plan cache's
     :class:`~repro.peers.service.QueryMemo`: the simulation is complete
-    either way — every message, byte and work unit — but a query the
-    search already evaluated over the same content is not run again.
-    The run itself is offered to the memo as a :class:`Simulation`: if
-    ``plan`` is the search's pick, an isolated session executes it by
-    this run instead of evaluating it a second time.
+    either way — every message, byte and work unit — but a query already
+    evaluated over the same content is not run again.  The run itself is
+    offered to the running search's ``simulations``: if ``plan`` is the
+    search's pick, an isolated session executes it by this run instead
+    of evaluating it a second time.
     """
     twin = system.clone()
     evaluator = ExpressionEvaluator(twin, pick_policy)
@@ -114,8 +116,8 @@ def measure(
     outcome = evaluator.eval(plan.expr, plan.site)
     stats = twin.network.stats
     cost = Cost(stats.bytes, stats.messages, outcome.completed_at)
-    if memo is not None:
-        memo.offer(plan, cost.scalar(), Simulation(outcome, twin))
+    if simulations is not None:
+        simulations.offer(plan, cost.scalar(), Simulation(outcome, twin))
     return cost
 
 
@@ -124,12 +126,51 @@ class Simulation(NamedTuple):
 
     The same as executing the plan with the bare evaluator on a clone of
     Σ — same value, completion time, network and per-peer statistics —
-    except that answer items the search's memo produced are frozen.
+    except that answer items the oracle's memo produced are frozen.
     """
 
     outcome: EvalOutcome
     #: the clone of Σ the run mutated
     system: AXMLSystem
+
+
+class Simulations:
+    """One search's cheapest oracle runs; they go with the search.
+
+    Every :func:`measure` of the search is :meth:`offer`-ed, and
+    :attr:`winners` holds the plans at the lowest cost seen so far, each
+    with the run that priced it, so the search's pick can be executed by
+    its simulation (:meth:`simulation`) instead of a second evaluation.
+    The rest are dropped as soon as something cheaper is offered.  Each
+    run holds its clone of Σ, so ``Optimizer.optimize_with`` creates one
+    of these per search and drops it on the way out: no twin outlives
+    its search.
+    """
+
+    def __init__(self) -> None:
+        #: (plan, simulation) for every plan offered at ``_winning``
+        self.winners: List[tuple] = []
+        #: the lowest cost scalar offered so far
+        self._winning = math.inf
+
+    def offer(self, plan: Plan, scalar: float, simulation: Simulation) -> None:
+        """Keep ``simulation`` of ``plan`` while no cheaper plan is offered.
+
+        ``scalar`` is the plan's ``Cost.scalar()``.  Plans are matched by
+        identity (:meth:`simulation`), so nothing is fingerprinted here.
+        """
+        if scalar < self._winning:
+            self._winning = scalar
+            self.winners = [(plan, simulation)]
+        elif scalar == self._winning:
+            self.winners.append((plan, simulation))
+
+    def simulation(self, plan: Plan) -> Optional[Simulation]:
+        """What :meth:`offer` kept for this very ``plan`` object, or None."""
+        for offered, simulation in self.winners:
+            if offered is plan:
+                return simulation
+        return None
 
 
 class _CallSample(NamedTuple):

@@ -97,12 +97,14 @@ class OracleCostModel:
     virtual completion time and real traffic — but each score costs a
     full simulation, which dominates serving wall time (see ROADMAP).
     What it does not repeat is query evaluation: given a ``cache``,
-    every simulation of one ``Optimizer.optimize_with`` call looks a
-    query application up in that search's ``cache.query_results``
-    (:class:`~repro.peers.service.QueryMemo`) before running it.  Without
-    a cache, or outside a search, every score evaluates everything.  Nor
-    is the chosen plan evaluated twice: the same memo keeps the cheapest
-    simulations, and an isolated session executes the pick by its own
+    every simulation looks a query application (and an activated,
+    installed or reassembled tree) up in ``cache.query_memo``
+    (:class:`~repro.peers.service.QueryMemo`) before running it — the
+    cache's store, so a later search over the same content hits what an
+    earlier one evaluated.  Without a cache every score evaluates
+    everything.  Nor is the chosen plan evaluated twice: the running
+    search keeps its cheapest simulations (``cache.simulations``), and
+    an isolated session executes the pick by its own
     (``OptimizationResult.simulation``, ``CacheStats.executions_reused``).
     """
 
@@ -119,15 +121,19 @@ class OracleCostModel:
         pick_policy=None,
         cache: Optional[PlanCache] = None,
     ) -> None:
-        # of the cache the oracle uses the running search's query
-        # results, which are gone when the search returns
+        # of the cache the oracle uses the query memo, and the running
+        # search's simulations, which are gone when the search returns
         self.system = system
         self.pick_policy = pick_policy
         self.cache = cache
 
     def score(self, plan: Plan) -> Cost:
-        memo = self.cache.query_results if self.cache is not None else None
-        return measure(plan, self.system, self.pick_policy, memo)
+        cache = self.cache
+        if cache is None:
+            return measure(plan, self.system, self.pick_policy)
+        return measure(
+            plan, self.system, self.pick_policy, cache.query_memo, cache.simulations
+        )
 
     def cache_token(self) -> str:
         """Empty: the model's name says everything about an oracle search."""

@@ -52,11 +52,10 @@ tree itself (:func:`_handed_on` names the two cases that still copy), so
 its cached size, fingerprint and node count travel with it.  What is
 still built is a *new* tree — an activated value (:func:`_activated`),
 the stored document it is installed as (:meth:`_install`), a
-reassembled fragmented document (:func:`_reassembled`) — and under a
-plan search's memo (:attr:`memo`, set by
-:func:`repro.core.cost.measure`) each of those is built once per search
-from the same frozen inputs and then handed out, caches warm, by
-reference.
+reassembled fragmented document (:func:`_reassembled`) — and under the
+oracle's memo (:attr:`memo`, set by :func:`repro.core.cost.measure`)
+each of those is built once per plan cache from the same frozen inputs
+and then handed out, caches warm, by reference.
 A :class:`~repro.session.Session` runs a subclass that is that layer;
 :func:`repro.core.cost.measure` and
 :func:`repro.core.verify.check_equivalence` run this class as is.
@@ -221,11 +220,16 @@ class ExpressionEvaluator:
         """``home.install_document(name, value, replace=True)``.
 
         Not a seam primitive: every body of :meth:`_activate_document`
-        installs through it.  A plan search's memo keeps the installed
+        installs through it.  The oracle's memo keeps the installed
         form under the value, the peer and the serial its ids start from
         — all it depends on: a copy of the frozen value whose id-less
         nodes are numbered from that serial.  A hit stores that document
         and advances the allocator exactly as installing would.
+
+        Either way the stored document changed, as a write changes it:
+        its epoch, and that of every generic class it belongs to, is
+        bumped, so plans and estimates priced over its calls stop
+        matching (:func:`~repro.core.planspace.doc_epoch_signature`).
         """
         if value is home.documents.get(name):
             return value  # no call fired: the stored tree is its value
@@ -240,6 +244,10 @@ class ExpressionEvaluator:
             "installed", inputs, install, self.memo
         )
         home.documents[name] = installed
+        system = self.system
+        system.bump_doc_epoch(name)
+        for generic in system.registry.document_classes(name, home.peer_id):
+            system.bump_doc_epoch(generic)
         return installed
 
     # -- entry point -------------------------------------------------------------
@@ -298,7 +306,7 @@ class ExpressionEvaluator:
                 completed_at=ready_at,
             )
         # embedded calls: fire them via (6), then build the value from the
-        # tree and their responses (once per search, under a memo).  The
+        # tree and their responses (once, under the oracle's memo).  The
         # tree is frozen first, as shipping it would: an effect of a call
         # (a forward into this very document) edits a private copy of it,
         # never the tree being walked.
@@ -478,13 +486,13 @@ class ExpressionEvaluator:
         resolve through the generic registry, i.e. the session/serving
         pick policy chooses which copy serves the read.
 
-        Under a plan search's memo the reassembled document is built
-        once per search: it is keyed by the name and the identities of
+        Under the oracle's memo the reassembled document is built once:
+        it is keyed by the name, the catalog's root and the identities of
         the fragment trees that arrived, in order — stored fragments and
         the frozen trees shipped from them, the same objects in every
-        candidate's clone of Σ.  That is sound because the value is a
-        pure function of them: the catalog's root under the name (Σ does
-        not change under a search) and copies of their children.
+        candidate's clone of Σ, and in every later search until a write
+        replaces one.  That is sound because the value is a pure function
+        of them: that root over copies of their children.
         """
         info = self.system.fragments.info(expr.name)
         outcome = EvalOutcome(completed_at=ready_at)
@@ -501,7 +509,7 @@ class ExpressionEvaluator:
         outcome.items = [
             build_tree(
                 "reassembled",
-                (expr.name, tuple(parts)),
+                (expr.name, info.root_tag, info.root_attrs, tuple(parts)),
                 lambda: _reassembled(info, parts),
                 self.memo,
             )

@@ -26,8 +26,8 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence, Union
 
 from ..obs.metrics import MetricsRegistry
-from ..peers.service import QueryMemo
 from ..peers.system import AXMLSystem
+from .cost import Simulations
 from .costmodel import CostModel, make_cost_model
 from .planspace import PlanCache
 from .rules import DEFAULT_RULES, Plan, RewriteRule
@@ -131,9 +131,9 @@ class Optimizer:
         """
         before = self.cache.stats.copy()
         space = self.search_space(verify)
-        # Σ does not change under a running search, so within one the
-        # oracle evaluates a query over given inputs once
-        memo = self.cache.query_results = QueryMemo(self.cache.stats)
+        # the oracle's query memo is the cache's and outlives the search;
+        # its cheapest simulations each hold a clone of Σ, and go with it
+        runs = self.cache.simulations = Simulations()
         try:
             if strategy is None:
                 cost = space.score_original(plan)
@@ -149,10 +149,10 @@ class Optimizer:
                 result = make_strategy(strategy, **options).search(plan, space)
                 result = self._finalize(plan, result, space)
         finally:
-            del self.cache.query_results
+            del self.cache.simulations
         # the search's own share of the cache's lifetime counters,
         # final checks included
         result.cache = self.cache.stats.delta_since(before)
-        if memo.winners:  # no oracle score, no lookup
-            result.simulation = memo.simulation(result.best)
+        if runs.winners:  # no oracle score, no lookup
+            result.simulation = runs.simulation(result.best)
         return result

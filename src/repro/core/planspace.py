@@ -1,4 +1,4 @@
-"""Plan keys and the planner's two stores.
+"""Plan keys and the planner's three stores.
 
 The rewrite space of Section 3.3 is a graph, not a tree: the same plan
 is reachable through many rule orders.  It is also *small* — rules
@@ -6,10 +6,9 @@ is reachable through many rule orders.  It is also *small* — rules
 query on every ``BENCHMARK.json`` workload — so the search itself keeps
 only what one search needs (a ``visited`` set, greedy's score map; see
 :mod:`repro.core.strategies`), keyed by a *canonical fingerprint* and
-dropped with the search — as is what the oracle's simulations learn
-while it runs, the query results and built trees of
-:attr:`PlanCache.query_results`.
-What outlives a search is two stores, both on :class:`PlanCache`:
+dropped with the search — as are the oracle's cheapest simulations,
+each holding its clone of Σ (:attr:`PlanCache.simulations`).
+What outlives a search is three stores, all on :class:`PlanCache`:
 
 * the *prepared-plan table*, in front of the search: whole search
   outcomes per (naive plan, search configuration), so a job repeating an
@@ -17,15 +16,20 @@ What outlives a search is two stores, both on :class:`PlanCache`:
   stored plan the new job's query names);
 * the *estimator memo*, behind the analytic cost model: everything
   :class:`~repro.core.cost.CostEstimator` learns about Σ — subtree cost
-  deltas, document sizes and call profiles, service / query samples.
+  deltas, document sizes and call profiles, service / query samples;
+* the *query memo*, behind the oracle cost model: the query results and
+  built trees of its simulations
+  (:class:`~repro.peers.service.QueryMemo`), so a later search that
+  activates the same AXML document or runs the same sub-query over the
+  same content does not evaluate it again.
 
-A third layer used to sit between them — a transposition table of plan
-costs and rule expansions per fingerprint, after the unique/computed
-tables of decision-diagram packages.  Measured on one pass of each
-workload it took 1 537 + 928 stores and answered 0 lookups: ``visited``
-already skips revisits inside a search, the prepared table catches
-repeats across searches, and no strategy expands a plan twice.  It is
-gone, with its four key salts.
+A fourth layer used to sit between the first two — a transposition
+table of plan costs and rule expansions per fingerprint, after the
+unique/computed tables of decision-diagram packages.  Measured on one
+pass of each workload it took 1 537 + 928 stores and answered 0
+lookups: ``visited`` already skips revisits inside a search, the
+prepared table catches repeats across searches, and no strategy expands
+a plan twice.  It is gone, with its four key salts.
 
 * :func:`plan_fingerprint` — a structural digest of a plan derived from
   the XML serialization of :mod:`repro.core.serialize` (never from object
@@ -36,9 +40,11 @@ gone, with its four key salts.
 
 One :class:`PlanCache` may be shared across searches and sessions, under
 one contract: **the stored values are only valid while Σ's observable
-statistics are stable**.  Both stores key written documents by epoch
-(:func:`doc_epoch_signature`); any other mutation of the system calls
-for :meth:`~PlanCache.clear`.
+statistics are stable**.  The first two stores key written documents by
+epoch (:func:`doc_epoch_signature`); any other mutation of the system
+calls for :meth:`~PlanCache.clear`.  The query memo needs neither: its
+keys are content- or identity-exact, so a changed Σ makes an entry miss,
+never answer wrongly; ``clear()`` empties it with the rest.
 """
 
 from __future__ import annotations
@@ -202,7 +208,7 @@ class CacheStats:
     prepared_hits: int = 0
     prepared_misses: int = 0
     prepared_evictions: int = 0
-    #: Query applications inside the oracle's simulations that a search's
+    #: Query applications inside the oracle's simulations that the
     #: :class:`~repro.peers.service.QueryMemo` answered / had to evaluate.
     query_memo_hits: int = 0
     query_memo_misses: int = 0
@@ -246,27 +252,29 @@ class CacheStats:
 
 
 class PlanCache:
-    """The planner's two stores, and the counters of everything it did.
+    """The planner's three stores, and the counters of everything it did.
 
     ``_prepared`` — per (naive plan with query names reduced to their
     widths, doc epochs, search configuration) the whole outcome of a
     search: at most :data:`PREPARED_PLANS` of them, least recently
     served evicted first.  ``estimates`` — the one memo of the static
     :class:`~repro.core.cost.CostEstimator`, keyed by ``(kind, ...)``
-    tuples (see there).  Both live under the module's one contract
-    (valid while Σ's observable statistics are stable) and :meth:`clear`
-    empties both.  ``stats`` accumulates over the cache's lifetime;
-    callers wanting one search's numbers snapshot and diff via
-    :meth:`CacheStats.delta_since`.
+    tuples (see there).  ``query_memo`` — the oracle's
+    :class:`~repro.peers.service.QueryMemo`: query results and built
+    trees of every simulation of every search through this cache.  The
+    first two live under the module's one contract (valid while Σ's
+    observable statistics are stable), the query memo's keys are exact,
+    and :meth:`clear` empties all three.  ``stats`` accumulates over the
+    cache's lifetime; callers wanting one search's numbers snapshot and
+    diff via :meth:`CacheStats.delta_since`.
     """
 
-    #: The running search's query results, built trees and cheapest
-    #: simulations, for the oracle model.  Not a store:
-    #: ``Optimizer.optimize_with`` sets it on the instance while it runs
-    #: and deletes it again, so nothing in it
-    #: outlives the search that computed it and ``clear()`` has nothing
-    #: to forget.
-    query_results: Optional[QueryMemo] = None
+    #: The running search's cheapest oracle runs
+    #: (:class:`~repro.core.cost.Simulations`).  Not a store: each run
+    #: holds a clone of Σ, so ``Optimizer.optimize_with`` sets it on the
+    #: instance while it runs and deletes it again — no twin outlives the
+    #: search that made it, and ``clear()`` has nothing to forget.
+    simulations = None
 
     def __init__(self) -> None:
         self.stats = CacheStats()
@@ -274,6 +282,8 @@ class PlanCache:
         self._prepared: "OrderedDict[Hashable, object]" = OrderedDict()
         #: estimator memo key -> whatever the estimator stored under it
         self.estimates: Dict[Tuple, object] = {}
+        #: what the oracle's simulations evaluated and built
+        self.query_memo = QueryMemo(self.stats)
 
     # -- prepared plans ------------------------------------------------------
     def lookup_prepared(self, key: Hashable) -> Optional[object]:
@@ -303,10 +313,12 @@ class PlanCache:
         """Forget everything (call after mutating Σ); counters survive."""
         self._prepared.clear()
         self.estimates.clear()
+        self.query_memo.clear()
 
     def describe(self) -> str:
         return (
             f"{len(self._prepared)} prepared plans, "
-            f"{len(self.estimates)} estimator entries; "
+            f"{len(self.estimates)} estimator entries, "
+            f"{len(self.query_memo)} query memo entries; "
             + self.stats.describe()
         )

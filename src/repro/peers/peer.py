@@ -217,9 +217,9 @@ class Peer:
         """Evaluate ``query`` locally; returns (result_items, done_time).
 
         ``doc()`` resolves against this peer.  Work is estimated as the
-        size of all inputs plus referenced documents.  With a plan
-        search's ``memo``, a result the search already computed is
-        looked up instead; the work is charged all the same.
+        size of all inputs plus referenced documents.  With the oracle's
+        ``memo``, a result a simulation already computed is looked up
+        instead; the work is charged all the same.
         """
         result = run_query(query, params, self, memo)
         work = 1

@@ -17,7 +17,6 @@ Two implementations:
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING, TypeVar
 
 from ..errors import ServiceCallError, UnknownDocumentError
@@ -38,7 +37,7 @@ def run_query(
     query: Query, args: Sequence, peer: "Peer", memo: Optional["QueryMemo"] = None
 ) -> List:
     """``query`` over ``args`` with ``doc()`` resolving on ``peer``; looked
-    up in ``memo`` first when a plan search supplies one."""
+    up in ``memo`` first when the oracle supplies one."""
     if memo is not None:
         return memo.run(query, args, peer)
     return query.bind_resolver(peer.doc_resolver).run(*args)
@@ -48,30 +47,35 @@ def build_tree(
     kind: str, inputs: tuple, build: Callable[[], T], memo: Optional["QueryMemo"] = None
 ) -> T:
     """``build()``, a pure function of ``inputs``; looked up in ``memo``
-    first when a plan search supplies one (see :meth:`QueryMemo.built`)."""
+    first when the oracle supplies one (see :meth:`QueryMemo.built`)."""
     if memo is not None:
         return memo.built(kind, inputs, build)
     return build()
 
 
 class QueryMemo:
-    """What queries evaluated to during one plan search, keyed by content,
-    and the trees the evaluator built from frozen inputs, keyed by identity.
+    """What queries evaluated to in the oracle's simulations, keyed by
+    content, and the trees they built from frozen inputs, keyed by identity.
 
     Rules (10)-(16) move *where* a query runs far more often than *what*
-    it computes, so the oracle's simulations of one search keep applying
-    the same query to the same inputs.  The key is the parsed module, the
+    it computes, so the oracle's simulations — of one search's candidates,
+    and of every later search over the same documents — keep applying
+    the same query to the same inputs.  The memo is a store of the
+    :class:`~repro.core.planspace.PlanCache` and lives as long as it: no
+    entry can answer wrongly after Σ changes, because every key is
+    content- or identity-exact.  The key is the parsed module, the
     parameter names and the *content* of every argument (one shipped
     between peers is the same frozen tree, or an equal one); the
     documents a run resolved through ``doc()`` are recorded with their
     fingerprints, and with which argument each read *is*, if any, and
     read again, through the *current* peer, before an entry answers: the
-    same body over a different replica misses, and so does
-    ``$x is doc("d")`` once ``$x`` is an equal tree instead of ``d``
-    itself.  A run that raises stores nothing.  Results are kept as
-    frozen copies, cut loose from the arguments they were selected from,
-    and handed out *by reference* in a fresh list: a consumer that edits
-    one takes a ``copy()`` first or gets ``FrozenTreeError``.
+    same body over a different replica, or over a written document,
+    misses, and so does ``$x is doc("d")`` once ``$x`` is an equal tree
+    instead of ``d`` itself.  A run that raises stores nothing.  Results
+    are kept as frozen copies, cut loose from the arguments they were
+    selected from, and handed out *by reference* in a fresh list: a
+    consumer that edits one takes a ``copy()`` first or gets
+    ``FrozenTreeError``.
 
     The same simulations also rebuild the same *trees*, from stored
     documents and query results that are the same frozen objects in
@@ -88,15 +92,10 @@ class QueryMemo:
     Only wall time is saved: callers charge compute, count invocations,
     fire calls and ship bytes as if nothing were kept.  Lookups are
     counted on ``stats`` (``query_memo_hits`` / ``query_memo_misses``,
-    ``tree_memo_hits`` / ``tree_memo_misses``).
-
-    Last, the memo keeps the search's cheapest *simulations*: every
-    oracle measurement is :meth:`offer`-ed, and :attr:`winners` holds the
-    plans at the lowest cost seen so far, each with the run that priced
-    it, so the search's pick can be executed by its simulation
-    (:meth:`simulation`) instead of a second evaluation.  The rest are
-    dropped as soon as something cheaper is offered, and the winners go
-    with the memo when the search returns.
+    ``tree_memo_hits`` / ``tree_memo_misses``).  The simulations
+    themselves — each holds its clone of Σ — are no part of the memo:
+    a search keeps its cheapest ones (:class:`~repro.core.cost.Simulations`)
+    and drops them when it returns.
     """
 
     def __init__(self, stats) -> None:
@@ -107,34 +106,16 @@ class QueryMemo:
         self._entries: Dict[tuple, list] = {}
         #: (kind, identity key) -> (inputs, what ``build`` returned)
         self._trees: Dict[tuple, tuple] = {}
-        #: (plan, simulation) for every plan offered at ``_winning``
-        self.winners: List[tuple] = []
-        #: the lowest cost scalar offered so far
-        self._winning = math.inf
-
-    def offer(self, plan, scalar: float, simulation) -> None:
-        """Keep ``simulation`` of ``plan`` while no cheaper plan is offered.
-
-        ``scalar`` is the plan's ``Cost.scalar()``.  Plans are matched by
-        identity (:meth:`simulation`), so nothing is fingerprinted here.
-        """
-        if scalar < self._winning:
-            self._winning = scalar
-            self.winners = [(plan, simulation)]
-        elif scalar == self._winning:
-            self.winners.append((plan, simulation))
-
-    def simulation(self, plan):
-        """What :meth:`offer` kept for this very ``plan`` object, or None."""
-        for offered, simulation in self.winners:
-            if offered is plan:
-                return simulation
-        return None
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._entries.values()) + len(
             self._trees
         )
+
+    def clear(self) -> None:
+        """Forget every query result and built tree."""
+        self._entries.clear()
+        self._trees.clear()
 
     def built(self, kind: str, inputs: tuple, build: Callable[[], T]) -> T:
         """:func:`build_tree`, building only what no entry answers.
@@ -289,7 +270,7 @@ class Service:
     ) -> List[Element]:
         """Produce the response forest for one activation.
 
-        ``memo`` is a plan search's :class:`QueryMemo`; only a service
+        ``memo`` is the oracle's :class:`QueryMemo`; only a service
         whose body is a visible query has a use for it.
         """
         raise NotImplementedError

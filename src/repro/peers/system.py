@@ -116,7 +116,9 @@ class AXMLSystem:
 
         Callers (:class:`repro.writes.DocumentWriter`) bump every name a
         write made observable through: the logical document, the owning
-        fragment, whole-document mirrors, and generic classes.
+        fragment, whole-document mirrors, and generic classes.  Activation
+        is a write too: the evaluator bumps a document, and its generic
+        classes, when it installs the document's activated value.
         """
         epoch = self.doc_epochs.get(name, 0) + 1
         self.doc_epochs[name] = epoch

@@ -166,7 +166,7 @@ class ExecutionReport:
     #: The answer forest (empty for :meth:`Session.explain` / pure sends).
     #: Items are read-only values: they may be frozen and shared — with
     #: stored documents, with other answers, and, when the job was
-    #: executed by the search's simulation, with what the search's memo
+    #: executed by the search's simulation, with what the oracle's memo
     #: kept — so editing one raises
     #: :class:`~repro.errors.FrozenTreeError`.  Take ``item.copy()``
     #: before editing.

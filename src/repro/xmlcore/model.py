@@ -368,9 +368,18 @@ class Element(Node):
         without calls is plain data, and activating it is the identity.
         """
         if self._sc_cache is None:
-            self._sc_cache = any(
-                node.tag == SC_LABEL for node in iter_elements(self)
-            )
+            # one loop over the elements, no generator per node
+            found = False
+            stack = [self]
+            while stack:
+                node = stack.pop()
+                if node.tag == SC_LABEL:
+                    found = True
+                    break
+                for child in node.children:
+                    if type(child) is Element:
+                        stack.append(child)
+            self._sc_cache = found
         return self._sc_cache
 
     # -- lifecycle ---------------------------------------------------------

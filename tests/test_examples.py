@@ -3,6 +3,7 @@ headline facts it promises.  Keeps the examples from rotting as the API
 evolves."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -59,3 +60,8 @@ class TestExamples:
         ):
             assert rule in out
         assert "≠(!)" not in out
+        # each cost model's search leaves its memo in the plan cache: the
+        # oracle's query memo, the estimator's, or (hybrid) both
+        assert re.search(r" 0 estimator entries, [1-9]\d* query memo entries", out)
+        assert re.search(r" [1-9]\d* estimator entries, 0 query memo entries", out)
+        assert re.search(r" [1-9]\d* estimator entries, [1-9]\d* query memo", out)

@@ -1,4 +1,5 @@
-"""Plan keys, the planner's two stores (prepared plans, estimator memo),
+"""Plan keys, the planner's three stores (prepared plans, estimator memo,
+query memo),
 what one search remembers on its own, and the cache-on/cache-off contract
 (same plans either way)."""
 
@@ -213,13 +214,15 @@ class TestPlanCache:
         assert cache.stats.plans_scored == cache.distinct_plans == 3
 
     def test_clear_empties_every_store(self, system):
-        """Two stores, and ``clear()`` knows both: a container added to
-        the cache later fails here until ``clear()`` empties it too."""
-        session = Session(system, cost_model="analytic")
+        """Three stores, and ``clear()`` knows all three: a container
+        added to the cache later fails here until ``clear()`` empties it
+        too.  ``hybrid`` fills both memos: an analytic frontier, then
+        the oracle's final check."""
+        session = Session(system, cost_model="hybrid")
         session.query(QUERY, at="client", bind={"d": "cat@data"})
         cache = session.plan_cache
         stores = {k: v for k, v in vars(cache).items() if isinstance(v, Sized)}
-        assert set(stores) == {"_prepared", "estimates"}
+        assert set(stores) == {"_prepared", "estimates", "query_memo"}
         assert set(vars(cache)) - set(stores) == {"stats"}
         assert all(len(store) > 0 for store in stores.values())
         cache.clear()

@@ -13,7 +13,14 @@ import pytest
 
 import repro.xquery
 from repro import connect
-from repro.core import DEFAULT_RULES, BeamSearchStrategy, PlanCache, planspace
+from repro.axml import make_service_call
+from repro.core import (
+    DEFAULT_RULES,
+    BeamSearchStrategy,
+    Optimizer,
+    PlanCache,
+    planspace,
+)
 from repro.core.rules import PushSelection
 from repro.core.serialize import to_xml
 from repro.engine import ClosedLoopFeed, JobRequest
@@ -28,7 +35,7 @@ from repro.workloads import (
     ScenarioGenerator,
     ScenarioSpec,
 )
-from repro.xmlcore import parse, serialize
+from repro.xmlcore import element, parse, serialize
 
 SPEC = ScenarioSpec(
     peers=5, topology="mesh", documents=3, axml_documents=1,
@@ -194,23 +201,10 @@ def serve_stream(spec, seed, index=0, churn=None, writes=False,
     return session.serve(feed=ClosedLoopFeed(requests, 4), seed=seed)
 
 
-class StalePreparedCost(AssertionError):
-    """A prepared hit reported another cost than a fresh search would.
-
-    Known on non-isolated serving: a job that activates an AXML document
-    installs the activated value on the live Σ, which bumps no epoch, so
-    a later prepared hit over that document still reports the cost its
-    search priced before the activation.  The plan, answers, events and
-    traffic agree.
-    """
-
-
 def assert_same_serving(warm, uncached):
-    """Equal events, traffic, per-job status, answers and plan outcome;
-    a prepared hit whose plan agrees but whose reported costs do not
-    raises :class:`StalePreparedCost` once everything else is checked."""
+    """Equal events, traffic, per-job status, answers and plan outcome
+    (plan, reported costs, plans explored, strategy)."""
     assert [j.name for j in warm.jobs] == [j.name for j in uncached.jobs]
-    stale = []
     for left, right in zip(warm.jobs, uncached.jobs):
         assert left.status == right.status, left.name
         assert type(left.error) is type(right.error), left.name
@@ -218,24 +212,15 @@ def assert_same_serving(warm, uncached):
         assert (left.report is None) == (right.report is None), left.name
         if left.report is None or left.request.write is not None:
             continue
-        mine, theirs = outcome(left.report), outcome(right.report)
-        if mine != theirs and left.report.plan_cache.prepared_hits:
-            assert mine[0] == theirs[0], left.name
-            stale.append(left.name)
-        else:
-            assert mine == theirs, left.name
+        assert outcome(left.report) == outcome(right.report), left.name
     assert warm.events == uncached.events
     assert warm.network == uncached.network
     assert warm.actions == uncached.actions
-    if stale:
-        raise StalePreparedCost(stale)
 
 
 #: no fault, then a crash at 0.03 and a rejoin at 0.08 of each of the
 #: first four peers (sorted by id)
 CHURN = [None] + [(rank, 0.03, 0.08) for rank in range(4)]
-#: where a prepared hit reports a pre-activation cost (StalePreparedCost)
-STALE = pytest.mark.xfail(raises=StalePreparedCost, strict=True)
 
 
 class TestExactness:
@@ -252,10 +237,7 @@ class TestExactness:
         )
 
     @pytest.mark.parametrize("seed,churn", [
-        pytest.param(seed, churn, marks=STALE)
-        if (seed, churn) == (7, None) else (seed, churn)
-        for seed in (7, 11)
-        for churn in CHURN
+        (seed, churn) for seed in (7, 11) for churn in CHURN
     ])
     def test_cache_on_and_off_serve_writes_alike_under_churn(self, seed, churn):
         warm = serve_stream(WRITE_MIX_SPEC, seed, churn=churn, writes=True)
@@ -270,9 +252,7 @@ class TestExactness:
     @pytest.mark.generated
     @pytest.mark.parametrize("index", [1, 2, 3])
     @pytest.mark.parametrize("seed", [7, 11])
-    @pytest.mark.parametrize("family", [
-        *sorted(PARITY_SPECS), pytest.param("write-mix", marks=STALE)
-    ])
+    @pytest.mark.parametrize("family", [*sorted(PARITY_SPECS), "write-mix"])
     def test_cache_parity_sweep(self, family, seed, index):
         # every peer crashes once, early, mid-stream or late, and rejoins
         spec = PARITY_SPECS.get(family, WRITE_MIX_SPEC)
@@ -283,19 +263,11 @@ class TestExactness:
             for rank in range(len(peers))
             for crash_at in (0.01, 0.03, 0.06)
         ]
-        stale = []
         for churn in cases:
-            try:
-                assert_same_serving(
-                    serve_stream(spec, seed, index, churn, writes),
-                    serve_stream(
-                        spec, seed, index, churn, writes, plan_cache=None
-                    ),
-                )
-            except StalePreparedCost as exc:
-                stale.extend(exc.args[0])
-        if stale:
-            raise StalePreparedCost(stale)
+            assert_same_serving(
+                serve_stream(spec, seed, index, churn, writes),
+                serve_stream(spec, seed, index, churn, writes, plan_cache=None),
+            )
 
     def test_served_stream_equals_the_uncached_stream(self):
         warm = serve_stream(SPEC, 7)
@@ -308,6 +280,72 @@ class TestExactness:
         hits = sum(j.report.plan_cache.prepared_hits for j in warm.jobs)
         assert hits == 12
         assert all(j.report.plan_cache.prepared_hits == 0 for j in uncached.jobs)
+
+
+def fresh_memo_per_search(monkeypatch):
+    """From here on every search starts from an empty query memo: the
+    oracle's memory before the memo became a store of the cache."""
+    real = Optimizer.optimize_with
+
+    def optimize_with(self, *args, **kwargs):
+        self.cache.query_memo.clear()
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Optimizer, "optimize_with", optimize_with)
+
+
+def memo_hits(served):
+    return sum(
+        job.report.plan_cache.query_memo_hits
+        for job in served.jobs
+        if job.report is not None
+    )
+
+
+class TestQueryMemoStore:
+    """The oracle's query memo outlives a search (``PlanCache.query_memo``):
+    a run with it kept is the run with a fresh memo per search — plans,
+    reported costs, answers, events and traffic — only with more hits."""
+
+    @pytest.mark.parametrize("churn", [None, (0, 0.03, 0.08)])
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("family", [*sorted(PARITY_SPECS), "write-mix"])
+    def test_kept_and_per_search_memo_serve_alike(
+        self, family, seed, churn, monkeypatch
+    ):
+        spec = PARITY_SPECS.get(family, WRITE_MIX_SPEC)
+        # write-mix interleaves its writes between the searches
+        writes = family == "write-mix"
+        kept = serve_stream(spec, seed, churn=churn, writes=writes)
+        fresh_memo_per_search(monkeypatch)
+        fresh = serve_stream(spec, seed, churn=churn, writes=writes)
+        assert_same_serving(kept, fresh)
+        assert memo_hits(kept) >= memo_hits(fresh)
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_a_write_between_two_searches(self, seed, monkeypatch):
+        """bench/workloads.py's ``rw_frag`` pattern: each write, then
+        every read, on one isolated session."""
+
+        def run():
+            scenario = ScenarioGenerator(seed=seed, spec=WRITE_MIX_SPEC).scenario(1)
+            session = connect(scenario.system.clone())
+            reports = []
+            for write in scenario.writes:
+                session.write(write.op())
+                reports += [session.query(**q.kwargs()) for q in scenario.queries]
+            return session.plan_cache.stats, reports
+
+        kept_stats, kept = run()
+        fresh_memo_per_search(monkeypatch)
+        fresh_stats, fresh = run()
+        assert len(kept) == len(fresh) > 0
+        for left, right in zip(kept, fresh):
+            assert outcome(left) == outcome(right)
+            assert left.answers == right.answers
+            assert left.network == right.network
+            assert left.peers == right.peers
+        assert kept_stats.query_memo_hits > fresh_stats.query_memo_hits
 
 
 class TestNameWidth:
@@ -407,6 +445,26 @@ class TestInvalidation:
 
         assert second_job(None).prepared_hits == 1
         assert second_job(churn).prepared_hits == 0
+
+    def test_a_served_activation_orphans_plans_over_its_document(self):
+        # non-isolated serving installs the activated value on the live Σ:
+        # that bumps the document's epoch (and its generic class's), so
+        # the next job over it is searched again, and the one after hits
+        system = two_docs()
+        system.peer("d1").install_query_service("hot", "doc('inv')//i[p > 190]")
+        system.peer("d0").install_document(
+            "ax", element("d", make_service_call("d1", "hot"))
+        )
+        system.registry.register_document("g-ax", "ax", "d0")
+        session = connect(system, isolate=False)
+        report = session.serve([
+            job(f"q#{k}", doc="ax@d0", arrival=float(k)) for k in (1, 2, 3)
+        ])
+        assert all(j.status == "done" for j in report.jobs)
+        hits = [j.report.plan_cache.prepared_hits for j in report.jobs]
+        assert hits == [0, 0, 1]
+        assert system.doc_epoch("ax") == system.doc_epoch("g-ax") == 1
+        assert system.doc_epoch("inv") == 0
 
     def test_non_isolated_runs_never_hit(self):
         session = connect(two_docs(), isolate=False)

@@ -1,4 +1,5 @@
-"""The oracle's per-search query memo (:class:`repro.peers.service.QueryMemo`).
+"""The oracle's query memo (:class:`repro.peers.service.QueryMemo`), a
+store of the plan cache.
 
 Soundness — memoised scoring prices every candidate exactly like the
 unmemoised ``measure`` and so picks the same plan; the key is content,
@@ -81,14 +82,17 @@ def scored(result):
 def assert_memo_changes_no_cost(scenario):
     """Every search of ``scenario``, memoised and not, scores alike.
 
-    The reference is a bare ``SearchSpace(system)``: no cache, so every
-    score is ``measure(plan, system)`` with nothing remembered.  Returns
-    the (query, tree) memo hits of the memoised searches.
+    The memoised searches share one optimizer, so each starts from what
+    the earlier ones left in its cache's query memo.  The reference is a
+    bare ``SearchSpace(system)``: no cache, so every score is
+    ``measure(plan, system)`` with nothing remembered.  Returns the
+    (query, tree) memo hits of the memoised searches.
     """
     session = Session(scenario.system.clone())
     for record in scenario.writes:
         session.write(record.op())
     system = session.system
+    optimizer = Optimizer(system)
     hits = trees = 0
     for query in scenario.queries:
         kwargs = query.kwargs()
@@ -96,7 +100,7 @@ def assert_memo_changes_no_cost(scenario):
             kwargs["source"], at=kwargs["at"], bind=kwargs["bind"], name=kwargs["name"]
         )
         for strategy in STRATEGIES:
-            memoised = Optimizer(system).optimize_with(strategy, plan)
+            memoised = optimizer.optimize_with(strategy, plan)
             reference = make_strategy(strategy).search(plan, SearchSpace(system))
             assert scored(memoised) == scored(reference), (query.name, strategy)
             assert plan_fingerprint(memoised.best) == plan_fingerprint(reference.best)
@@ -402,7 +406,7 @@ class TestTreeMemo:
 
 
 # ---------------------------------------------------------------------------
-# (v) lifetime: one search
+# (v) lifetime: the plan cache's; the simulations: one search
 # ---------------------------------------------------------------------------
 
 class TestLifetime:
@@ -414,35 +418,100 @@ class TestLifetime:
         system.peer("data").install_document("cat", catalog(40))
         return system
 
-    def test_the_memo_is_gone_when_the_search_returns(self, wide):
+    def plan(self):
+        query = Query(self.QUERY, params=("d",), name="sel")
+        return Plan(QueryApply(QueryRef(query, "client"), (DocExpr("cat", "data"),)), "client")
+
+    def test_the_memo_outlives_the_search_and_its_simulations_do_not(self, wide):
         cache = PlanCache()
         optimizer = Optimizer(wide, cache=cache)
-        query = Query(self.QUERY, params=("d",), name="sel")
-        plan = Plan(QueryApply(QueryRef(query, "client"), (DocExpr("cat", "data"),)), "client")
+        plan = self.plan()
         seen = []
         score = optimizer.cost_model.score
 
         def spying(candidate):
-            seen.append(cache.query_results)
+            seen.append((cache.query_memo, cache.simulations))
             return score(candidate)
 
         optimizer.cost_model.score = spying
         result = optimizer.optimize_with("beam", plan)
-        assert seen and all(memo is seen[0] for memo in seen) and len(seen[0]) > 0
-        assert cache.query_results is None and "query_results" not in vars(cache)
+        store = cache.query_memo
+        assert seen and all(memo is store for memo, _ in seen) and len(store) > 0
+        assert all(runs is seen[0][1] for _, runs in seen) and seen[0][1] is not None
+        assert cache.simulations is None and "simulations" not in vars(cache)
+        assert result.simulation is not None  # the pick's run is handed on
         assert result.cache.query_memo_hits > 0
         assert "query memo" in result.describe()
-        # the next search starts from nothing
+        entries = len(store)
+        assert f"{entries} query memo entries" in cache.describe()
+        # the next search over the same content evaluates nothing
         again = optimizer.optimize_with("beam", plan)
-        assert again.cache.query_memo_misses == result.cache.query_memo_misses
+        assert cache.query_memo is store and len(store) == entries
+        assert again.cache.query_memo_misses == 0
+        assert again.cache.query_memo_hits > result.cache.query_memo_hits
+        assert cache.simulations is None
+        # clear() empties it: the search after starts from nothing
+        cache.clear()
+        assert cache.query_memo is store and len(store) == 0
+        cold = optimizer.optimize_with("beam", plan)
+        assert cold.cache.query_memo_misses == result.cache.query_memo_misses
 
-    def test_the_memo_is_dropped_when_the_search_raises(self, wide):
+    def test_the_memo_survives_a_search_that_raises(self, wide):
         cache = PlanCache()
         optimizer = Optimizer(wide, cache=cache)
-        plan = Plan(DocExpr("nowhere", "data"), "client")
+        optimizer.optimize_with("beam", self.plan())
+        entries = len(cache.query_memo)
+        assert entries > 0
         with pytest.raises(Exception):
-            optimizer.optimize_with("beam", plan)
-        assert cache.query_results is None
+            optimizer.optimize_with("beam", Plan(DocExpr("nowhere", "data"), "client"))
+        assert len(cache.query_memo) == entries
+        assert cache.simulations is None and "simulations" not in vars(cache)
+
+    def test_a_document_written_between_two_searches_misses(self, wide):
+        wide.peer("data").install_query_service("pricey", READS_DOC)
+        plan = Plan(ServiceCallExpr("data", "pricey", ()), "client")
+        cache = PlanCache()
+        optimizer = Optimizer(wide, cache=cache)
+        first = optimizer.optimize_with("beam", plan)
+        entries = len(cache.query_memo)
+        assert entries > 0
+        Session(wide, plan_cache=cache).insert(
+            "cat", parse("<item><name>new</name><price>99</price></item>")
+        )
+        # no clear: the entry's doc() read is re-checked, and misses
+        after = optimizer.optimize_with("beam", plan)
+        assert after.cache.query_memo_misses > 0
+        assert len(cache.query_memo) > entries
+        assert after.best_cost == Optimizer(wide).optimize_with("beam", plan).best_cost
+        assert after.best_cost.bytes > first.best_cost.bytes
+
+    def test_another_query_over_the_same_axml_document_reuses_its_activation(
+        self, wide
+    ):
+        wide.peer("data").install_query_service("pricey", READS_DOC)
+        wide.peer("helper").install_document(
+            "ax", element("d", make_service_call("data", "pricey"))
+        )
+
+        def plan(source, name):
+            query = Query(source, params=("d",), name=name)
+            return Plan(
+                QueryApply(QueryRef(query, "client"), (DocExpr("ax", "helper"),)),
+                "client",
+            )
+
+        first = plan("$d//name", "names")
+        second = plan("count($d//name)", "count")
+        # priced alone, one simulation of the second plan builds each tree once
+        alone = Optimizer(wide).optimize_with(None, second)
+        assert alone.cache.tree_memo_hits == 0 and alone.cache.tree_memo_misses > 0
+        optimizer = Optimizer(wide)
+        optimizer.optimize_with("beam", first)
+        after = optimizer.optimize_with(None, second)
+        # after a search over the first, the activated value and its
+        # installed form are the first search's
+        assert after.cache.tree_memo_hits > 0
+        assert after.best_cost == alone.best_cost
 
     def test_an_answer_is_evaluated_not_looked_up(self, wide, monkeypatch):
         session = Session(wide)

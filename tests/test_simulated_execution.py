@@ -23,14 +23,13 @@ import pytest
 
 import repro
 from repro.core import DocExpr, ExpressionEvaluator, Plan
-from repro.core.planspace import CacheStats
+from repro.core.cost import Simulations
 from repro.engine import ClosedLoopFeed, JobRequest
 from repro.errors import FrozenTreeError
 from repro.faults import FaultPlan, RetryPolicy
 from repro.faults.plan import LINK_DEGRADE, FaultEvent
 from repro.obs import Tracer, WallProfiler
 from repro.peers import AXMLSystem
-from repro.peers.service import QueryMemo
 from repro.session import Session
 from repro.workloads import (
     FRAGMENTED_SPEC,
@@ -294,30 +293,30 @@ def test_rw_frag_reuses_every_searched_read_and_no_prepared_hit():
 # no leaked twins
 # ---------------------------------------------------------------------------
 
-def test_the_memo_keeps_every_plan_at_the_lowest_cost_by_identity():
-    memo = QueryMemo(CacheStats())
+def test_a_search_keeps_every_plan_at_the_lowest_cost_by_identity():
+    runs = Simulations()
     first, tie, dearer, cheaper = (Plan(DocExpr("d", "p"), "p") for _ in range(4))
-    memo.offer(first, 2.0, "first")
-    memo.offer(dearer, 3.0, "dearer")
-    memo.offer(tie, 2.0, "tie")
-    assert memo.simulation(first) == "first" and memo.simulation(tie) == "tie"
-    assert memo.simulation(dearer) is None
-    assert first == cheaper and memo.simulation(cheaper) is None  # equal, not it
-    memo.offer(cheaper, 1.0, "cheaper")
-    assert memo.winners == [(cheaper, "cheaper")]
-    assert memo.simulation(first) is None
+    runs.offer(first, 2.0, "first")
+    runs.offer(dearer, 3.0, "dearer")
+    runs.offer(tie, 2.0, "tie")
+    assert runs.simulation(first) == "first" and runs.simulation(tie) == "tie"
+    assert runs.simulation(dearer) is None
+    assert first == cheaper and runs.simulation(cheaper) is None  # equal, not it
+    runs.offer(cheaper, 1.0, "cheaper")
+    assert runs.winners == [(cheaper, "cheaper")]
+    assert runs.simulation(first) is None
 
 
 def simulated_twins(monkeypatch):
     """A weak reference to the clone of Σ behind every simulation offered."""
     twins = []
-    real = QueryMemo.offer
+    real = Simulations.offer
 
     def offer(self, plan, scalar, simulation):
         twins.append(weakref.ref(simulation.system))
         return real(self, plan, scalar, simulation)
 
-    monkeypatch.setattr(QueryMemo, "offer", offer)
+    monkeypatch.setattr(Simulations, "offer", offer)
     return twins
 
 
