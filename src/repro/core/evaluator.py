@@ -891,7 +891,7 @@ def _handed_on(item: Element, site: Peer) -> Element:
     """
     if item.parent is not None or item in site.documents.values():
         return item.copy()
-    item.freeze()
+    item._frozen = True  # a root: nothing above it to walk to
     return item
 
 

@@ -53,16 +53,19 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from ..peers.service import QueryMemo
+from ..peers.service import DeclarativeService, QueryMemo, _doc_references
 from ..xquery import Query
 from ..xquery.decompose import DERIVED_SUFFIX
 from .expressions import (
+    ANY,
     DocExpr,
     Expression,
     FragmentedDoc,
     GenericDoc,
+    GenericService,
     QueryApply,
     QueryRef,
+    ServiceCallExpr,
     transform,
     walk,
 )
@@ -105,23 +108,58 @@ def doc_epoch_signature(system, expr) -> str:
     Document-reference expressions (:class:`DocExpr`, :class:`GenericDoc`,
     :class:`FragmentedDoc`) fingerprint by *name* only, so a mutation
     (see :mod:`repro.writes`) would be invisible to :func:`plan_fingerprint`.
-    This signature makes it visible: every referenced name with a
-    non-zero epoch contributes ``name:epoch``, sorted and joined.  While
-    nothing has ever been written (``system.doc_epochs`` empty) the
-    signature is ``""`` — callers skip the salt entirely and every key
-    stays byte-identical to the read-only regime.  Tree literals need no
-    salting: their content fingerprint already changes under mutation.
+    This signature makes it visible: every name the expression reads with
+    a non-zero epoch contributes ``name:epoch``, sorted and joined.  The
+    names read are the documents it names, and the ``doc()`` names of
+    every query it can run: each query of a :class:`QueryRef` or
+    :class:`QueryApply`, and the query of every declarative service a
+    :class:`ServiceCallExpr` or an applied :class:`GenericService` can
+    reach (``doc()`` there reads the provider's documents).  While
+    nothing has ever been written
+    (``system.doc_epochs`` empty) the signature is ``""`` — callers skip
+    the salt entirely and every key stays byte-identical to the read-only
+    regime.  Tree literals need no salting: their content fingerprint
+    already changes under mutation.
     """
     epochs = getattr(system, "doc_epochs", None)
     if not epochs:
         return ""
-    touched = set()
+    names = set()
     for node in walk(expr):
         if isinstance(node, (DocExpr, GenericDoc, FragmentedDoc)):
-            epoch = epochs.get(node.name)
-            if epoch:
-                touched.add(f"{node.name}:{epoch}")
+            names.add(node.name)
+        elif isinstance(node, QueryRef):
+            names.update(_doc_references(node.query))
+        elif isinstance(node, QueryApply):
+            if isinstance(node.query, QueryRef):
+                names.update(_doc_references(node.query.query))
+            else:
+                names.update(_service_reads(system, ANY, node.query.name))
+        elif isinstance(node, ServiceCallExpr):
+            names.update(_service_reads(system, node.provider, node.service))
+    touched = set()
+    for name in names:
+        epoch = epochs.get(name)
+        if epoch:
+            touched.add(f"{name}:{epoch}")
     return ",".join(sorted(touched))
+
+
+def _service_reads(system, provider: str, service: str) -> List[str]:
+    """The ``doc()`` names read by the declarative services a call of
+    ``service`` on ``provider`` can reach: every member of the generic
+    class when ``provider`` is ``ANY``."""
+    if provider == ANY:
+        members = [(m.peer, m.name) for m in system.registry.service_members(service)]
+    else:
+        members = [(provider, service)]
+    names: List[str] = []
+    for peer_id, name in members:
+        peer = system.peers.get(peer_id)
+        found = peer.services.get(name) if peer is not None else None
+        if isinstance(found, DeclarativeService):
+            names.extend(_doc_references(found.query))
+    return names
 
 
 def _query_refs(expr: Expression) -> List[QueryRef]:

@@ -17,7 +17,7 @@ Two implementations:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple, TypeVar
 
 from ..errors import ServiceCallError, UnknownDocumentError
 from ..xmlcore.model import Element, Text
@@ -360,8 +360,22 @@ def _value_tree(item) -> Element:
     return wrapper
 
 
-def _doc_references(query: Query) -> List[str]:
-    """Names passed to doc() with literal arguments, best effort."""
+def _doc_references(query: Query) -> Tuple[str, ...]:
+    """Names passed to doc() with literal arguments, best effort.
+
+    Walked once per parsed module and kept on it
+    (:attr:`~repro.xquery.ast.Module.doc_names`), so every query sharing
+    the module asks again for free.
+    """
+    module = query.module
+    names = module.doc_names
+    if names is None:
+        names = _walk_doc_names(module)
+        object.__setattr__(module, "doc_names", names)
+    return names
+
+
+def _walk_doc_names(module) -> Tuple[str, ...]:
     from ..xquery.ast import FunctionCall, Literal, XQNode
 
     names: List[str] = []
@@ -385,10 +399,10 @@ def _doc_references(query: Query) -> List[str]:
                             if isinstance(sub, XQNode):
                                 walk(sub)
 
-    walk(query.module.body)
-    for declared in query.module.functions:
+    walk(module.body)
+    for declared in module.functions:
         walk(declared.body)
-    return names
+    return tuple(names)
 
 
 class NativeService(Service):

@@ -15,6 +15,15 @@ Two node kinds exist:
 Node identifiers (:class:`NodeId`) are ``n@p`` pairs: a serial number plus
 the identifier of the hosting peer, so forward lists (``forw`` children of
 ``sc`` nodes) can address "add the response under node n on peer p".
+
+The tree kernels — :meth:`Element.serialized_size`,
+:meth:`Element.content_fingerprint`, :func:`tree_size`,
+:meth:`Element.copy`, :meth:`Element.string_value`,
+:meth:`NodeIdAllocator.assign` (and the writers in
+:mod:`repro.xmlcore.serializer`) — each walk a tree in one loop, with no
+Python call per node: a text child is read inline, and a tree built in
+code deeper than the interpreter's recursion limit is handled like a
+shallow one.
 """
 
 from __future__ import annotations
@@ -88,10 +97,23 @@ class NodeIdAllocator:
         return NodeId(self.peer, serial)
 
     def assign(self, root: "Element") -> None:
-        """Assign fresh ids to every element in ``root`` lacking one."""
-        for node in iter_elements(root):
+        """Assign fresh ids to every element in ``root`` lacking one.
+
+        Numbered in pre-order (document order), by one loop over the
+        elements.
+        """
+        peer = self.peer
+        serial = self.next_serial
+        stack = [root]
+        while stack:
+            node = stack.pop()
             if node.node_id is None:
-                node.node_id = self.fresh()
+                node.node_id = NodeId(peer, serial)
+                serial += 1
+            for child in reversed(node.children):
+                if type(child) is not Text:
+                    stack.append(child)
+        self.next_serial = serial
 
 
 class Node:
@@ -101,9 +123,6 @@ class Node:
 
     #: Only an :class:`Element` root is ever frozen (its slot shadows this).
     _frozen = False
-
-    def __init__(self) -> None:
-        self.parent: Optional["Element"] = None
 
     # -- interface -------------------------------------------------------
     def copy(self) -> "Node":
@@ -143,7 +162,7 @@ class Text(Node):
     __slots__ = ("value",)
 
     def __init__(self, value: str) -> None:
-        super().__init__()
+        self.parent = None
         self.value = value
 
     def copy(self) -> "Text":
@@ -154,14 +173,15 @@ class Text(Node):
 
     def serialized_size(self) -> int:
         value = self.value  # escaped on the wire: &amp; &lt; &gt;
-        escapes = 4 * value.count("&") + 3 * (value.count("<") + value.count(">"))
-        return len(value.encode("utf-8")) + escapes
+        size = len(value) if value.isascii() else len(value.encode("utf-8"))
+        if "&" in value or "<" in value or ">" in value:
+            size += 4 * value.count("&") + 3 * (value.count("<") + value.count(">"))
+        return size
 
     def content_fingerprint(self) -> str:
-        digest = blake2b(digest_size=_FP_BYTES)
-        digest.update(b"t\x00")
-        digest.update(self.value.encode("utf-8"))
-        return digest.hexdigest()
+        return blake2b(
+            ("t\x00" + self.value).encode("utf-8"), digest_size=_FP_BYTES
+        ).hexdigest()
 
     def __repr__(self) -> str:
         return f"Text({self.value!r})"
@@ -214,7 +234,7 @@ class Element(Node):
         children: Optional[Iterable[Node]] = None,
         node_id: Optional[NodeId] = None,
     ) -> None:
-        super().__init__()
+        self.parent: Optional[Element] = None
         self.tag = tag
         self.attrs: Dict[str, str] = dict(attrs) if attrs else {}
         self.children: List[Node] = []
@@ -265,16 +285,13 @@ class Element(Node):
                 f"{child!r} is, or hangs in, a frozen tree; adopt a copy()"
             )
 
-    def _root(self) -> "Element":
-        node = self
-        while node.parent is not None:
-            node = node.parent
-        return node
-
     @property
     def frozen(self) -> bool:
         """Whether the tree this element hangs in is frozen."""
-        return self._root()._frozen
+        node = self
+        while node.parent is not None:
+            node = node.parent
+        return node._frozen
 
     def freeze(self) -> None:
         """Freeze the whole tree this element hangs in (one-way).
@@ -283,7 +300,10 @@ class Element(Node):
         From then on it cannot change, which is what makes sharing it —
         cached size, fingerprint and all — sound.
         """
-        self._root()._frozen = True
+        node = self
+        while node.parent is not None:
+            node = node.parent
+        node._frozen = True
 
     def append(self, child: Node) -> Node:
         """Append ``child`` as the last child and set its parent pointer."""
@@ -354,7 +374,16 @@ class Element(Node):
         return self.attrs.get(name, default)
 
     def string_value(self) -> str:
-        return "".join(child.string_value() for child in self.children)
+        # one loop over the subtree in document order, at any depth
+        parts: List[str] = []
+        stack: List[Node] = self.children[::-1]
+        while stack:
+            node = stack.pop()
+            if type(node) is Text:
+                parts.append(node.value)
+            else:
+                stack.extend(reversed(node.children))
+        return "".join(parts)
 
     def is_service_call(self) -> bool:
         """True when this element is an ``sc`` (service-call) node."""
@@ -399,29 +428,34 @@ class Element(Node):
         """
         return self._copy(self.frozen)
 
-    def _copy(self, warm: bool) -> "Element":
-        clone = Element(self.tag, self.attrs, node_id=self.node_id)
-        children = clone.children
-        for child in self.children:
-            if isinstance(child, Element):
-                child = child._copy(warm)
-            else:
-                child = child.copy()
-            child.parent = clone
-            children.append(child)
-        if warm:
-            clone._size_cache = self._size_cache
-            clone._fp_cache = self._fp_cache
-            clone._sc_cache = self._sc_cache
-            clone._count_cache = self._count_cache
-        return clone
+    def _copy(self, warm: bool, ids: bool = True) -> "Element":
+        """The copy behind :meth:`copy` and :meth:`copy_without_ids`: one
+        loop over the elements (``pending`` is the queue of originals and
+        their copies still to fill), never a call per node."""
+        root = Element(self.tag, self.attrs, None, self.node_id if ids else None)
+        pending = [(self, root)]
+        for source, clone in pending:
+            if warm:
+                clone._size_cache = source._size_cache
+                clone._fp_cache = source._fp_cache
+                clone._sc_cache = source._sc_cache
+                clone._count_cache = source._count_cache
+            children = clone.children = source.children[:]
+            for index, child in enumerate(children):
+                if type(child) is Text:
+                    twin = Text(child.value)
+                else:
+                    twin = Element(
+                        child.tag, child.attrs, None, child.node_id if ids else None
+                    )
+                    pending.append((child, twin))
+                twin.parent = clone
+                children[index] = twin
+        return root
 
     def copy_without_ids(self) -> "Element":
         """Deep copy with every node id cleared (fresh-document semantics)."""
-        clone = self.copy()
-        for node in iter_elements(clone):
-            node.node_id = None
-        return clone
+        return self._copy(self.frozen, ids=False)
 
     def serialized_size(self) -> int:
         """Exact UTF-8 byte size of ``<tag attrs>children</tag>`` (``<tag
@@ -429,23 +463,50 @@ class Element(Node):
         string: what a message shipping this subtree weighs, and what the
         estimator prices.
 
-        Computed once per finished subtree and cached; the mutating helpers
-        invalidate the cache up the ancestor chain, so sizing a stable
-        document again is O(1) instead of a tree walk.
+        Cached on every element; the mutating helpers invalidate the cache
+        up the ancestor chain.  One walk sizes every element of the
+        subtree that has no size yet, children before parents, and stops
+        at cached ones: sizing a stable document again is O(1), and
+        sizing one after an edit re-walks only the edited path.
         """
-        if self._size_cache is not None:
-            return self._size_cache
-        tag_bytes = len(self.tag.encode("utf-8"))
-        size = tag_bytes + 3  # <tag/>
-        for name, value in self.attrs.items():
-            # ` name="value"`, with &amp; &lt; &quot; escaped in the value
-            size += len(name.encode("utf-8")) + len(value.encode("utf-8")) + 4
-            size += 4 * value.count("&") + 3 * value.count("<") + 5 * value.count('"')
-        if self.children:
-            size += tag_bytes + 2  # <tag>...</tag> instead of <tag/>
-            for child in self.children:
-                size += child.serialized_size()
-        self._size_cache = size
+        size = self._size_cache
+        if size is not None:
+            return size
+        # breadth-first, so in reverse every child comes before its parent
+        order = [self]
+        for node in order:
+            for child in node.children:
+                if type(child) is not Text and child._size_cache is None:
+                    order.append(child)
+        for node in reversed(order):
+            tag = node.tag
+            tag_bytes = len(tag) if tag.isascii() else len(tag.encode("utf-8"))
+            size = tag_bytes + 3  # <tag/>
+            attrs = node.attrs
+            if attrs:
+                for name, value in attrs.items():
+                    # ` name="value"`, with &amp; &lt; &quot; escaped
+                    size += 4 + (len(name) if name.isascii() else len(name.encode("utf-8")))
+                    size += len(value) if value.isascii() else len(value.encode("utf-8"))
+                    if "&" in value or "<" in value or '"' in value:
+                        size += (
+                            4 * value.count("&") + 3 * value.count("<")
+                            + 5 * value.count('"')
+                        )
+            children = node.children
+            if children:
+                size += tag_bytes + 2  # <tag>...</tag> instead of <tag/>
+                for child in children:
+                    if type(child) is Text:
+                        value = child.value
+                        size += len(value) if value.isascii() else len(value.encode("utf-8"))
+                        if "&" in value or "<" in value or ">" in value:
+                            size += 4 * value.count("&") + 3 * (
+                                value.count("<") + value.count(">")
+                            )
+                    else:
+                        size += child._size_cache
+            node._size_cache = size
         return size
 
     def content_fingerprint(self) -> str:
@@ -456,22 +517,38 @@ class Element(Node):
         plans — and :class:`~repro.core.expressions.TreeExpr` literals on
         opposite sides of an :meth:`AXMLSystem.clone` — dedupe to one
         plan-cache key.  Invalidated together with the size cache.
+
+        Each element's digest is one ``blake2b`` over ``e\\0`` + tag, then
+        ``\\0a`` + name + ``\\0`` + value per attribute in name order, then
+        ``\\0c`` + digest per child (a text's digest hashes ``t\\0`` +
+        value).  Like :meth:`serialized_size`, one walk fills every
+        element of the subtree that has no digest yet.
         """
-        if self._fp_cache is not None:
-            return self._fp_cache
-        digest = blake2b(digest_size=_FP_BYTES)
-        digest.update(b"e\x00")
-        digest.update(self.tag.encode("utf-8"))
-        for name in sorted(self.attrs):
-            digest.update(b"\x00a")
-            digest.update(name.encode("utf-8"))
-            digest.update(b"\x00")
-            digest.update(self.attrs[name].encode("utf-8"))
-        for child in self.children:
-            digest.update(b"\x00c")
-            digest.update(child.content_fingerprint().encode("ascii"))
-        fingerprint = digest.hexdigest()
-        self._fp_cache = fingerprint
+        fingerprint = self._fp_cache
+        if fingerprint is not None:
+            return fingerprint
+        order = [self]
+        for node in order:
+            for child in node.children:
+                if type(child) is not Text and child._fp_cache is None:
+                    order.append(child)
+        for node in reversed(order):
+            data = "e\x00" + node.tag
+            attrs = node.attrs
+            if attrs:
+                for name in sorted(attrs):
+                    data += "\x00a" + name + "\x00" + attrs[name]
+            for child in node.children:
+                if type(child) is Text:
+                    data += "\x00c" + blake2b(
+                        ("t\x00" + child.value).encode("utf-8"), digest_size=_FP_BYTES
+                    ).hexdigest()
+                else:
+                    data += "\x00c" + child._fp_cache
+            fingerprint = blake2b(
+                data.encode("utf-8"), digest_size=_FP_BYTES
+            ).hexdigest()
+            node._fp_cache = fingerprint
         return fingerprint
 
     def __repr__(self) -> str:
@@ -521,25 +598,39 @@ def iter_nodes(root: Node) -> Iterator[Node]:
 
 def iter_elements(root: Node) -> Iterator[Element]:
     """Pre-order traversal over element nodes only."""
-    for node in iter_nodes(root):
-        if isinstance(node, Element):
-            yield node
+    if not isinstance(root, Element):
+        return
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        for child in reversed(node.children):
+            if type(child) is not Text:
+                stack.append(child)
 
 
 def tree_size(root: Node) -> int:
     """Total node count of the subtree (elements + text leaves).
 
     Cached on every element beside its serialized size, and dropped with
-    it by the mutating helpers: counting a stable tree again is O(1).
+    it by the mutating helpers: counting a stable tree again is O(1).  As
+    for the size, one walk counts every element that has no count yet.
     """
-    if not isinstance(root, Element):
+    if type(root) is Text:
         return 1
     count = root._count_cache
-    if count is None:
+    if count is not None:
+        return count
+    order = [root]
+    for node in order:
+        for child in node.children:
+            if type(child) is not Text and child._count_cache is None:
+                order.append(child)
+    for node in reversed(order):
         count = 1
-        for child in root.children:
-            count += tree_size(child)
-        root._count_cache = count
+        for child in node.children:
+            count += 1 if type(child) is Text else child._count_cache
+        node._count_cache = count
     return count
 
 

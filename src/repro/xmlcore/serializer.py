@@ -44,25 +44,36 @@ def serialize(node: Node, with_ids: bool = False) -> str:
     When ``with_ids`` is true, element node identifiers are emitted as a
     reserved ``__id`` attribute so identifiers survive a round trip — used
     when shipping subtrees whose nodes may appear in forward lists.
+
+    One loop at any depth: the stack holds the nodes still to write, and
+    each open element's closing tag, in reverse document order.
     """
     out: List[str] = []
-    _serialize_into(node, out, with_ids)
+    stack: List[object] = [node]
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is str:
+            out.append(item)  # a closing tag
+        elif kind is Text:
+            value = item.value
+            if "&" in value or "<" in value or ">" in value:
+                value = escape_text(value)
+            out.append(value)
+        else:
+            tag = item.tag
+            if item.attrs or (with_ids and item.node_id is not None):
+                head = "<" + _open_tag(item, with_ids)
+            else:
+                head = "<" + tag
+            children = item.children
+            if not children:
+                out.append(head + "/>")
+            else:
+                out.append(head + ">")
+                stack.append("</" + tag + ">")
+                stack.extend(reversed(children))
     return "".join(out)
-
-
-def _serialize_into(node: Node, out: List[str], with_ids: bool) -> None:
-    if isinstance(node, Text):
-        out.append(escape_text(node.value))
-        return
-    assert isinstance(node, Element)
-    open_tag = _open_tag(node, with_ids)
-    if not node.children:
-        out.append(f"<{open_tag}/>")
-        return
-    out.append(f"<{open_tag}>")
-    for child in node.children:
-        _serialize_into(child, out, with_ids)
-    out.append(f"</{node.tag}>")
 
 
 def pretty(node: Node, indent: str = "  ") -> str:
@@ -72,28 +83,27 @@ def pretty(node: Node, indent: str = "  ") -> str:
     compactly to avoid changing its string value.
     """
     out: List[str] = []
-    _pretty_into(node, out, 0, indent)
+    # (node, depth) still to print, or (closing line, depth), in reverse
+    stack: List[tuple] = [(node, 0)]
+    while stack:
+        item, depth = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        pad = indent * depth
+        if type(item) is Text:
+            if item.value.strip():
+                out.append(pad + escape_text(item.value.strip()))
+            continue
+        open_tag = _open_tag(item, with_ids=False)
+        if not item.children:
+            out.append(f"{pad}<{open_tag}/>")
+            continue
+        if not any(isinstance(c, Element) for c in item.children):
+            value = escape_text(item.string_value())
+            out.append(f"{pad}<{open_tag}>{value}</{item.tag}>")
+            continue
+        out.append(f"{pad}<{open_tag}>")
+        stack.append((f"{pad}</{item.tag}>", depth))
+        stack.extend((child, depth + 1) for child in reversed(item.children))
     return "\n".join(out)
-
-
-def _pretty_into(node: Node, out: List[str], depth: int, indent: str) -> None:
-    pad = indent * depth
-    if isinstance(node, Text):
-        if node.value.strip():
-            out.append(pad + escape_text(node.value.strip()))
-        return
-    assert isinstance(node, Element)
-    open_tag = _open_tag(node, with_ids=False)
-    if not node.children:
-        out.append(f"{pad}<{open_tag}/>")
-        return
-    has_element_child = any(isinstance(c, Element) for c in node.children)
-    if not has_element_child:
-        value = escape_text(node.string_value())
-        out.append(f"{pad}<{open_tag}>{value}</{node.tag}>")
-        return
-    out.append(f"{pad}<{open_tag}>")
-    for child in node.children:
-        _pretty_into(child, out, depth + 1, indent)
-    out.append(f"{pad}</{node.tag}>")
-

@@ -292,6 +292,12 @@ class Module(XQNode):
     plan: Optional[object] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: The literal ``doc()`` names the module reads, in walk order: set on
+    #: first use by :func:`repro.peers.service._doc_references`, for the
+    #: module's life, and ignored like :attr:`plan`.
+    doc_names: Optional[Tuple[str, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 # ---------------------------------------------------------------------------

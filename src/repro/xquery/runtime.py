@@ -311,8 +311,18 @@ class DocumentOrder:
         Trees rank in the order their nodes are first keyed, so a caller
         that skips a sort it knows to be the identity notes what the sort
         would have keyed first, and later sorts across trees agree.
+
+        :func:`_root_of` and :meth:`_rank` written out: one call per note.
         """
-        self._rank(_root_of(node))
+        if type(node) is AttributeNode:
+            node = node.owner if node.owner is not None else Text(node.value)
+        parent = node.parent
+        while parent is not None:
+            node, parent = parent, parent.parent
+        key = id(node)
+        if key not in self._root_ids:
+            self._root_ids[key] = len(self._roots)
+            self._roots.append(node)
 
     def key(self, node: Union[Node, AttributeNode]) -> Tuple:
         """Sort key implementing global document order."""

@@ -181,6 +181,27 @@ class TestPeerServices:
         big = service.work_units([parse("<a>" + "<b/>" * 50 + "</a>")])
         assert big > small
 
+    def test_doc_names_are_walked_once_per_module(self, monkeypatch):
+        from repro.peers import service as service_module
+
+        source = (
+            "declare function local:f() { doc('inv') }; "
+            "for $i in doc('cat')//i return (local:f(), doc($i))"
+        )
+        query = Query(source)
+        walks = []
+        real = service_module._walk_doc_names
+        monkeypatch.setattr(
+            service_module, "_walk_doc_names",
+            lambda module: walks.append(module) or real(module),
+        )
+        assert service_module._doc_references(query) == ("cat", "inv")
+        # a relabelled copy shares the parsed module, and its names
+        assert service_module._doc_references(query.copy("other")) == ("cat", "inv")
+        assert walks == [query.module]
+        assert query.module.doc_names == ("cat", "inv")
+        assert query.module == Query(source).module  # not part of equality
+
 
 class TestPeerCompute:
     def test_charge_serializes_cpu(self):

@@ -21,7 +21,8 @@ from repro.core import (
     PlanCache,
     planspace,
 )
-from repro.core.rules import PushSelection
+from repro.core.expressions import ANY, QueryApply, QueryRef, ServiceCallExpr
+from repro.core.rules import Plan, PushSelection
 from repro.core.serialize import to_xml
 from repro.engine import ClosedLoopFeed, JobRequest
 from repro.faults import PEER_CRASH, PEER_REJOIN, FaultEvent, FaultPlan
@@ -425,6 +426,45 @@ class TestInvalidation:
         written = session.plan_job(job("q", doc="inv@d1"))
         assert written.plan_cache.prepared_hits == 0
         assert written.plan_cache.plans_scored > 0
+
+    @pytest.mark.parametrize("generic", [False, True], ids=["data", "any"])
+    def test_write_orphans_plans_calling_a_service_that_reads_the_document(
+        self, generic
+    ):
+        # the plan names no document: its service reads one through doc()
+        system = AXMLSystem.with_peers(["client", "data"], bandwidth=50_000.0)
+        system.peer("data").install_document("cat", parse(
+            "<catalog>" + "".join(
+                f"<item><name>nm{n}</name><price>{n}</price></item>"
+                for n in range(40)
+            ) + "</catalog>"
+        ))
+        system.peer("data").install_query_service(
+            "pricey", "for $i in doc('cat')//item where $i/price > 5 return $i/name"
+        )
+        call = ServiceCallExpr("data", "pricey", ())
+        if generic:
+            system.registry.register_service("pricey-any", "pricey", "data")
+            call = ServiceCallExpr(ANY, "pricey-any", ())
+        plan = Plan(call, "client")
+        session = Session(system)
+        before = session.explain(plan)
+        assert session.explain(plan).plan_cache.prepared_hits == 1
+        session.insert("cat", parse("<item><name>new</name><price>99</price></item>"))
+        after = session.explain(plan)
+        fresh = Session(system, plan_cache=None).explain(plan)
+        assert after.plan_cache.prepared_hits == 0
+        assert after.best_cost == fresh.best_cost
+        assert after.best_cost.bytes == before.best_cost.bytes + 16  # the new item
+
+    def test_write_orphans_plans_applying_a_query_that_reads_the_document(self):
+        source = "count(doc('cat')//i)"
+        session = connect(two_docs())
+        plan = Plan(QueryApply(QueryRef(repro.xquery.Query(source), "d0")), "d0")
+        session.explain(plan)
+        assert session.explain(plan).plan_cache.prepared_hits == 1
+        session.update("cat", 1, "p", "0")
+        assert session.explain(plan).plan_cache.prepared_hits == 0
 
     def test_clear_empties_the_table(self):
         session = connect(two_docs())

@@ -643,11 +643,11 @@ def rw_frag(**session_kwargs):
 
 def test_rw_frag_builds_each_derived_tree_once_per_search(monkeypatch):
     copied = []
-    original = Element._copy  # one call per element node copied
+    original = Element._copy  # one call per tree: count its element nodes
 
-    def counting(self, warm):
-        copied.append(self)
-        return original(self, warm)
+    def counting(self, warm, ids=True):
+        copied.extend(iter_elements(self))
+        return original(self, warm, ids)
 
     monkeypatch.setattr(Element, "_copy", counting)
     stats = rw_frag()

@@ -1,5 +1,7 @@
 """Unit tests for the XML data model (repro.xmlcore.model)."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from repro.xmlcore import (
     find_by_id,
     iter_elements,
     iter_nodes,
+    pretty,
     serialize,
     text,
     tree_size,
@@ -340,3 +343,256 @@ class TestContentFingerprint:
         root.set_attr("k", "v")
         two = element("a", element("b", "xy"))
         assert root.content_fingerprint() != two.content_fingerprint()
+
+
+# ---------------------------------------------------------------------------
+# The tree kernels: pinned values, warm and cold copies, depth
+# ---------------------------------------------------------------------------
+
+def golden_trees():
+    """Fixed trees: non-ASCII text, ``& < > "`` in text and attributes,
+    empty elements, mixed content, node ids."""
+    catalog = element(
+        "catalog",
+        element(
+            "item", element("name", "naïve café"), element("price", "12"),
+            attrs={"id": "1", "note": 'a "quoted" & <tagged> value'},
+        ),
+        element("item", element("name", "数据 & <more>"), element("empty"), attrs={"id": "2"}),
+        "tail > text",
+        attrs={"src": "données"},
+    )
+    NodeIdAllocator("p1").assign(catalog)
+    mixed = element("p", "Hello ", element("b", "bold"), " & ", element("i"), " <end>")
+    call = element(
+        "doc",
+        element("sc", element("peer", "p2"), element("service", "pricey"), attrs={"mode": "lazy"}),
+        "x",
+    )
+    NodeIdAllocator("p9", 40).assign(call)
+    return {"catalog": catalog, "mixed": mixed, "empty": element("q-inner-result"), "call": call}
+
+
+#: name -> (size, fingerprint, node count, wire form, wire form with ids,
+#: pretty form), as computed by the recursive kernels these loops replace.
+GOLDEN = {
+    "catalog": (
+        228, "ec4e00128e650d610aa73c04", 11,
+        '<catalog src="données"><item id="1" note="a &quot;quoted&quot; &amp; '
+        '&lt;tagged> value"><name>naïve café</name><price>12</price></item>'
+        '<item id="2"><name>数据 &amp; &lt;more&gt;</name><empty/></item>'
+        'tail &gt; text</catalog>',
+        '<catalog __id="n1@p1" src="données"><item __id="n2@p1" id="1" '
+        'note="a &quot;quoted&quot; &amp; &lt;tagged> value"><name __id="n3@p1">'
+        'naïve café</name><price __id="n4@p1">12</price></item><item __id="n5@p1" '
+        'id="2"><name __id="n6@p1">数据 &amp; &lt;more&gt;</name><empty __id="n7@p1"/>'
+        '</item>tail &gt; text</catalog>',
+        '<catalog src="données">\n  <item id="1" note="a &quot;quoted&quot; &amp; '
+        '&lt;tagged> value">\n    <name>naïve café</name>\n    <price>12</price>\n'
+        '  </item>\n  <item id="2">\n    <name>数据 &amp; &lt;more&gt;</name>\n'
+        '    <empty/>\n  </item>\n  tail &gt; text\n</catalog>',
+    ),
+    "mixed": (
+        47, "368495c0f0f92c8fda14598f", 7,
+        "<p>Hello <b>bold</b> &amp; <i/> &lt;end&gt;</p>",
+        "<p>Hello <b>bold</b> &amp; <i/> &lt;end&gt;</p>",
+        "<p>\n  Hello\n  <b>bold</b>\n  &amp;\n  <i/>\n  &lt;end&gt;\n</p>",
+    ),
+    "empty": (
+        17, "9afbdf3e78c4b7471a97993d", 1,
+        "<q-inner-result/>", "<q-inner-result/>", "<q-inner-result/>",
+    ),
+    "call": (
+        73, "a5c78f7afd2b0cb7d27144dd", 7,
+        '<doc><sc mode="lazy"><peer>p2</peer><service>pricey</service></sc>x</doc>',
+        '<doc __id="n40@p9"><sc __id="n41@p9" mode="lazy"><peer __id="n42@p9">p2'
+        '</peer><service __id="n43@p9">pricey</service></sc>x</doc>',
+        '<doc>\n  <sc mode="lazy">\n    <peer>p2</peer>\n    <service>pricey'
+        '</service>\n  </sc>\n  x\n</doc>',
+    ),
+}
+
+
+class TestGoldenKernels:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_values_are_pinned(self, name):
+        tree = golden_trees()[name]
+        size, fingerprint, count, wire, wire_ids, shown = GOLDEN[name]
+        assert tree.serialized_size() == size == wire_len(tree)
+        assert tree.content_fingerprint() == fingerprint
+        assert tree_size(tree) == count
+        assert serialize(tree) == wire
+        assert serialize(tree, with_ids=True) == wire_ids
+        assert pretty(tree) == shown
+
+    def test_text_values_are_pinned(self):
+        leaf = text("naïve & <x>")
+        assert leaf.content_fingerprint() == "396d8f2e0f52c9a4b5dbd71b"
+        assert leaf.serialized_size() == 22 == wire_len(leaf)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_one_walk_fills_every_element(self, name):
+        tree = golden_trees()[name]
+        tree.serialized_size()
+        tree.content_fingerprint()
+        tree_size(tree)
+        reference = golden_trees()[name]
+        for node, fresh in zip(iter_elements(tree), iter_elements(reference)):
+            assert node._size_cache == fresh.serialized_size() == wire_len(node)
+            assert node._fp_cache == fresh.content_fingerprint()
+            assert node._count_cache == tree_size(fresh)
+
+    def test_a_walk_stops_at_cached_subtrees(self):
+        tree = golden_trees()["catalog"]
+        first = tree.element_children[0]
+        size, fingerprint = first.serialized_size(), first.content_fingerprint()
+        first._size_cache, first._fp_cache = size + 1000, "f" * 24  # planted
+        assert tree.serialized_size() == GOLDEN["catalog"][0] + 1000
+        assert tree.content_fingerprint() != GOLDEN["catalog"][1]
+        assert first.serialized_size() == size + 1000
+
+    @given(TREES, st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_size_is_the_wire_length_cold_copied_and_edited(self, root, data):
+        assert root.serialized_size() == wire_len(root)
+        copied = root.copy()
+        assert copied.serialized_size() == wire_len(copied) == wire_len(root)
+        assert copied.content_fingerprint() == root.content_fingerprint()
+        root.freeze()
+        warm = root.copy()
+        assert warm._size_cache is not None
+        target = data.draw(st.sampled_from(list(iter_elements(warm))))
+        target.append(data.draw(NODES))
+        assert warm.serialized_size() == wire_len(warm)
+        assert tree_size(warm) == sum(1 for _ in iter_nodes(warm))
+        assert warm.content_fingerprint() == cold_fingerprint(warm)
+
+
+def cold_fingerprint(root):
+    """The fingerprint of a cache-cold copy of ``root``."""
+    cold = root.copy()
+    for node in iter_elements(cold):
+        assert node._fp_cache is None
+    return cold.content_fingerprint()
+
+
+class TestKernelCopies:
+    def test_copy_of_a_frozen_tree_is_warm_node_by_node(self):
+        tree = golden_trees()["call"]
+        tree.serialized_size(), tree.content_fingerprint(), tree_size(tree)
+        tree.has_service_calls()
+        tree.freeze()
+        for copy in (tree.copy(), tree.copy_without_ids()):
+            assert not copy.frozen
+            for node, twin in zip(iter_elements(tree), iter_elements(copy)):
+                assert twin is not node
+                assert twin._size_cache == node._size_cache is not None
+                assert twin._fp_cache == node._fp_cache is not None
+                assert twin._count_cache == node._count_cache is not None
+                assert twin._sc_cache == node._sc_cache
+
+    def test_copy_of_an_unfrozen_tree_is_cold(self):
+        tree = golden_trees()["catalog"]
+        tree.serialized_size(), tree.content_fingerprint(), tree_size(tree)
+        for copy in (tree.copy(), tree.copy_without_ids()):
+            for node in iter_elements(copy):
+                assert node._size_cache is node._fp_cache is node._count_cache is None
+            assert copy.serialized_size() == GOLDEN["catalog"][0]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_parents_and_ids_survive_a_copy(self, name):
+        tree = golden_trees()[name]
+        copy, bare = tree.copy(), tree.copy_without_ids()
+        assert copy.parent is None and bare.parent is None
+        triples = zip(iter_nodes(tree), iter_nodes(copy), iter_nodes(bare))
+        for node, twin, blank in triples:
+            assert type(twin) is type(node) is type(blank)
+            assert twin is not node and blank is not node
+            if isinstance(node, Element):
+                assert twin.node_id == node.node_id
+                assert blank.node_id is None
+                assert twin.attrs == node.attrs and twin.attrs is not node.attrs
+                assert [c.parent for c in twin.children] == [twin] * len(twin.children)
+                assert [c.parent for c in blank.children] == [blank] * len(blank.children)
+            else:
+                assert twin.value == node.value == blank.value
+        assert serialize(copy, with_ids=True) == GOLDEN[name][4]
+        assert serialize(bare) == GOLDEN[name][3]
+
+
+class TestAssignOrder:
+    def test_assign_numbers_in_preorder_skipping_set_ids(self):
+        tree = golden_trees()["mixed"]
+        tree.element_children[0].node_id = NodeId("other", 7)
+        allocator = NodeIdAllocator("p", 5)
+        allocator.assign(tree)
+        assert [str(node.node_id) for node in iter_elements(tree)] == [
+            "n5@p", "n7@other", "n6@p",
+        ]
+        assert allocator.next_serial == 7
+        deep = element("a", element("b", element("c"), "t", element("d")), element("e"))
+        NodeIdAllocator("q").assign(deep)
+        assert serialize(deep, with_ids=True) == (
+            '<a __id="n1@q"><b __id="n2@q"><c __id="n3@q"/>t<d __id="n4@q"/></b>'
+            '<e __id="n5@q"/></a>'
+        )
+
+
+DEPTH = 3_000
+
+
+def chain(depth=DEPTH):
+    """``<l><l>…<sc>leaf &amp; &lt;x&gt;</sc>…</l></l>``, ``depth`` levels of
+    ``<l>`` built bottom-up (each append is O(1))."""
+    node = element("sc", "leaf & <x>")
+    for _ in range(depth):
+        node = element("l", node)
+    return node
+
+
+class TestDepth:
+    """Every kernel is a loop: a tree deeper than the interpreter's
+    recursion limit is measured, copied and written like a shallow one."""
+
+    def test_deep_trees_are_measured(self):
+        root = chain()
+        wire = "<l>" * DEPTH + "<sc>leaf &amp; &lt;x&gt;</sc>" + "</l>" * DEPTH
+        assert serialize(root) == wire
+        assert root.serialized_size() == len(wire)
+        assert tree_size(root) == DEPTH + 2
+        assert root.string_value() == "leaf & <x>"
+        assert root.has_service_calls()
+        # the digest spelled out level by level, from the leaf up
+        digest = hashlib.blake2b(b"t\x00leaf & <x>", digest_size=12).hexdigest()
+        digest = hashlib.blake2b(
+            b"e\x00sc\x00c" + digest.encode(), digest_size=12
+        ).hexdigest()
+        for _ in range(DEPTH):
+            digest = hashlib.blake2b(
+                b"e\x00l\x00c" + digest.encode(), digest_size=12
+            ).hexdigest()
+        assert root.content_fingerprint() == digest
+        lines = pretty(root).split("\n")
+        assert len(lines) == 2 * DEPTH + 1
+        assert lines[DEPTH] == "  " * DEPTH + "<sc>leaf &amp; &lt;x&gt;</sc>"
+
+    def test_deep_trees_are_copied(self):
+        root = chain()
+        NodeIdAllocator("p").assign(root)
+        copy, bare = root.copy(), root.copy_without_ids()
+        assert serialize(copy, with_ids=True) == serialize(root, with_ids=True)
+        assert serialize(bare) == serialize(root)
+        assert all(node.node_id is None for node in iter_elements(bare))
+        assert tree_size(copy) == tree_size(bare) == DEPTH + 2
+        assert copy.content_fingerprint() == bare.content_fingerprint() == (
+            root.content_fingerprint()
+        )
+
+    def test_a_deep_edit_is_measured_again(self):
+        root = chain()
+        root.serialized_size()
+        leaf = root
+        while leaf.tag != "sc":
+            leaf = leaf.children[0]
+        leaf.append(text("!"))
+        assert root.serialized_size() == wire_len(root)
