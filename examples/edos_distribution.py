@@ -77,21 +77,18 @@ def main() -> None:
     print("mirrors equivalent:", consistent)
 
     print("\n== per-client resolution (generic document + nearest pick) ==")
-    # One session, one pick policy; each client's resolution is a batch
-    # entry binding $d to the *generic* document packages@any (def. (9)).
+    # One session, one pick policy; each client's query binds $d to the
+    # *generic* document packages@any (def. (9)).
     session = repro.connect(
         system,
         pick_policy=NearestPolicy(),
         strategy=BeamSearchStrategy(depth=2, beam=4),
     )
-    reports = session.batch(
-        [
-            {"source": DEPENDENCY_QUERY, "at": client,
-             "bind": {"d": "packages@any"}, "name": f"deps-{client}"}
-            for client in ("alice", "bob")
-        ]
-    )
-    for client, report in zip(("alice", "bob"), reports):
+    for client in ("alice", "bob"):
+        report = session.query(
+            DEPENDENCY_QUERY, at=client, bind={"d": "packages@any"},
+            name=f"deps-{client}",
+        )
         print(
             f"{client:6s} naive {report.original_cost.describe():>32s}   "
             f"optimized {report.best_cost.describe():>30s}"

@@ -40,14 +40,14 @@ Underneath, the package implements, from scratch:
 * :mod:`repro.engine` — the concurrent serving layer: a multi-query
   scheduler interleaving jobs as discrete events on one shared Σ, with
   per-peer compute queues, replica-aware admission, and seeded open- /
-  closed-loop load generation (``session.submit()`` / ``drain()`` /
-  ``serve()``);
+  closed-loop load generation (``session.serve(requests)``);
 * :mod:`repro.writes` — the mutable-document write path: node-targeted
   inserts/updates/deletes routed to the owning fragment through the
   catalog, primary-copy replica coherence with charged delta shipping,
   and per-document epochs that invalidate exactly the cached plans,
   cost memos, and statistics the write touched
-  (``session.insert()`` / ``update()`` / ``delete()``);
+  (``session.write(InsertOp(...))``, likewise ``UpdateOp`` /
+  ``DeleteOp``);
 * :mod:`repro.faults` — seeded fault plans on the virtual clock and their
   recovery, peer crashes and rejoins included (catalog failover, typed
   unavailability).

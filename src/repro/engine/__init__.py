@@ -16,16 +16,16 @@ serial CPUs.  ``repro.engine`` is that serving layer:
   :class:`FleetMetrics`: makespan, latency percentiles, queries/sec,
   per-peer utilization.
 
-The documented entry point is the session façade::
+The documented entry point is the session façade: hand
+:meth:`Session.serve <repro.session.Session.serve>` a list of requests
+(or a :class:`LoadGenerator` feed for whole arrival streams)::
 
     session = repro.connect(system)
-    session.submit(query_source, at="edge", bind={"d": "cat@any"})
-    session.submit(other_source, at="laptop", bind={"d": "cat@any"})
-    report = session.drain()          # -> ServingReport
+    report = session.serve([
+        JobRequest(query_source, at="edge", bind={"d": "cat@any"}),
+        JobRequest(other_source, at="laptop", bind={"d": "cat@any"}),
+    ])                                # -> ServingReport
     print(report.describe())
-
-or, for whole arrival streams, :meth:`Session.serve
-<repro.session.Session.serve>` with a :class:`LoadGenerator` feed.
 """
 
 from .jobs import JobRequest, QueryJob, plan_peers

@@ -69,26 +69,11 @@ class LoadGenerator:
     True
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        seed: int = 0,
-        flash: Optional[float] = None,
-    ) -> None:
+    def __init__(self, scenario: Scenario, seed: int = 0) -> None:
         if not scenario.queries:
             raise WorkloadError("scenario has no queries to serve")
         self.scenario = scenario
         self.seed = seed
-        if flash is None:
-            flash = float(getattr(scenario.spec, "flash_crowd", 0.0) or 0.0)
-        if flash != 0 and flash < 1:
-            raise WorkloadError(
-                f"flash-crowd factor must be 0 (off) or >= 1, got {flash!r}"
-            )
-        #: Flash-crowd burst factor for :meth:`open_loop`: inside the
-        #: burst window the arrival rate multiplies by this.  0 (off) is
-        #: the exact historical Poisson stream, byte for byte.
-        self.flash = flash
 
     def _rng(self, label: str) -> Random:
         # one private stream per (seed, process shape): changing the
@@ -119,52 +104,15 @@ class LoadGenerator:
             )
         return out
 
-    def open_loop(
-        self,
-        count: int,
-        rate: float,
-        flash_at: float = 0.4,
-        flash_width: float = 0.2,
-        flash_factor: Optional[float] = None,
-    ) -> List[JobRequest]:
-        """Poisson arrivals at ``rate`` queries per virtual second.
-
-        With a flash-crowd factor (``flash_factor`` argument, else the
-        generator's / spec's ``flash_crowd`` knob), the requests whose
-        index falls in ``[flash_at, flash_at + flash_width)`` (fractions
-        of ``count``) arrive ``factor`` times faster — an open-loop
-        burst the queues must absorb.  The exponential draw itself is
-        unconditional and only *divided* inside the burst, so factor 0
-        (off) consumes the RNG identically and the stream stays
-        byte-identical to the plain mix.
-        """
+    def open_loop(self, count: int, rate: float) -> List[JobRequest]:
+        """Poisson arrivals at ``rate`` queries per virtual second."""
         if rate <= 0:
             raise WorkloadError(f"open-loop rate must be positive, got {rate!r}")
-        factor = self.flash if flash_factor is None else float(flash_factor)
-        if factor != 0 and factor < 1:
-            raise WorkloadError(
-                f"flash-crowd factor must be 0 (off) or >= 1, got {factor!r}"
-            )
-        if not 0.0 <= flash_at < 1.0:
-            raise WorkloadError(
-                f"flash_at must be a fraction in [0, 1), got {flash_at!r}"
-            )
-        if not 0.0 < flash_width <= 1.0:
-            raise WorkloadError(
-                f"flash_width must be a fraction in (0, 1], got {flash_width!r}"
-            )
-        burst_lo = int(count * flash_at)
-        burst_hi = int(count * (flash_at + flash_width))
         rng = self._rng(f"open:{rate!r}")
         clock = 0.0
         out: List[JobRequest] = []
-        for k, request in enumerate(
-            self.requests(count, label=f"open:{rate!r}:mix")
-        ):
-            gap = rng.expovariate(rate)
-            if factor and burst_lo <= k < burst_hi:
-                gap /= factor
-            clock += gap
+        for request in self.requests(count, label=f"open:{rate!r}:mix"):
+            clock += rng.expovariate(rate)
             out.append(replace(request, arrival=clock))
         return out
 

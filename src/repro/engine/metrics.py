@@ -1,7 +1,7 @@
 """Fleet-level serving metrics: what the throughput benchmarks report.
 
-A :class:`ServingReport` is what :meth:`Session.drain
-<repro.session.Session.drain>` returns: every :class:`~repro.engine.jobs.QueryJob`
+A :class:`ServingReport` is what :meth:`Session.serve
+<repro.session.Session.serve>` returns: every :class:`~repro.engine.jobs.QueryJob`
 (each carrying its own per-job :class:`~repro.session.ExecutionReport`)
 plus the fleet aggregates the paper's shared-network regime is about —
 makespan, latency percentiles, queries per second, and per-peer

@@ -100,6 +100,11 @@ class _ChargingPolicy(PickPolicy):
 class Scheduler:
     """Admits jobs against a shared system and drains them as events.
 
+    One scheduler serves one stream: :meth:`Session.serve
+    <repro.session.Session.serve>` builds a fresh one, submits the
+    requests and drains it once (a second :meth:`drain` raises); a feed
+    submits follow-on requests while it drains.
+
     Parameters
     ----------
     session:
@@ -147,29 +152,25 @@ class Scheduler:
         self._seq = 0
         self.jobs: List[QueryJob] = []
         self.events: List[str] = []
-        #: "open" (accepting submissions) -> "running" -> "drained".
-        self._state = "open"
+        self._drained = False
         #: Serving Σ, the job being admitted, and the controller applying
         #: the fault plan's crashes and rejoins (set during drain).
         self._target: Optional[AXMLSystem] = None
         self._current_job: Optional[QueryJob] = None
         self._churn: Optional[ChurnController] = None
 
-    @property
-    def drained(self) -> bool:
-        """True once :meth:`drain` ran (or died trying): one-shot engine."""
-        return self._state != "open"
-
     # -- submission --------------------------------------------------------------
     def submit(self, request: JobRequest) -> QueryJob:
         """Enqueue one request; returns its (pending) job."""
-        if self._state == "drained":
+        try:
+            arrival = request.arrival
+        except AttributeError:
             raise SessionError(
-                "this engine was already drained; open a new one via submit()"
-            )
-        if request.arrival < 0:
+                f"unsupported request {request!r}; pass a JobRequest"
+            ) from None
+        if arrival < 0:
             raise SessionError(
-                f"job arrival must be non-negative, got {request.arrival!r}"
+                f"job arrival must be non-negative, got {arrival!r}"
             )
         if request.write is not None and self.session.isolate:
             # a write admitted against an isolated clone would mutate a Σ
@@ -182,11 +183,9 @@ class Scheduler:
                 "(connect(..., isolate=False)): the serving system must be "
                 "the one the optimizer plans against"
             )
-        job = QueryJob(
-            job_id=len(self.jobs), request=request, arrival=request.arrival
-        )
+        job = QueryJob(job_id=len(self.jobs), request=request, arrival=arrival)
         self.jobs.append(job)
-        self._push(request.arrival, _ARRIVAL, job)
+        self._push(arrival, _ARRIVAL, job)
         return job
 
     def submit_all(self, requests: Iterable[JobRequest]) -> List[QueryJob]:
@@ -207,9 +206,9 @@ class Scheduler:
         now)`` is consulted at every completion for follow-on work (it
         may return a request, a list of requests, or ``None``).
         """
-        if self._state != "open":
-            raise SessionError("this engine was already drained")
-        self._state = "running"
+        if self._drained:
+            raise SessionError("this scheduler was already drained")
+        self._drained = True
         evaluator = self.session._evaluator(
             _ChargingPolicy(self.admission, self)
         )
@@ -226,27 +225,21 @@ class Scheduler:
             self._churn = ChurnController(target)
         for event in membership:
             self._push(event.start, _MEMBERSHIP, event)
-        try:
-            if feed is not None:
-                self.submit_all(feed.initial())
-            while self._heap:
-                time, kind, _tie, _seq, job = heapq.heappop(self._heap)
-                if kind == _MEMBERSHIP:
-                    label = f"{job.kind} {job.peer}"
-                else:
-                    label = job.name
-                self.events.append(f"{time:.9f} {_KIND_NAMES[kind]} {label}")
-                if kind == _MEMBERSHIP:
-                    self._membership(job, time, target)
-                elif kind == _ARRIVAL:
-                    self._admit(job, time, target, evaluator)
-                else:
-                    self._complete(job, time, target, feed)
-        finally:
-            # even a non-ReproError escaping mid-drain (a buggy feed, an
-            # internal assertion) closes the engine for good; the partial
-            # jobs stay inspectable on :attr:`jobs`
-            self._state = "drained"
+        if feed is not None:
+            self.submit_all(feed.initial())
+        while self._heap:
+            time, kind, _tie, _seq, job = heapq.heappop(self._heap)
+            if kind == _MEMBERSHIP:
+                label = f"{job.kind} {job.peer}"
+            else:
+                label = job.name
+            self.events.append(f"{time:.9f} {_KIND_NAMES[kind]} {label}")
+            if kind == _MEMBERSHIP:
+                self._membership(job, time, target)
+            elif kind == _ARRIVAL:
+                self._admit(job, time, target, evaluator)
+            else:
+                self._complete(job, time, target, feed)
         busy = {
             peer_id: target.peer(peer_id).busy_time
             for peer_id in target.peers

@@ -247,9 +247,9 @@ class AXMLSystem:
         """Fresh measurement baseline: clocks *and* statistics, same Σ.
 
         Documents and services are untouched; only virtual time and the
-        accounting counters go back to zero.  :meth:`Session.batch
-        <repro.session.Session.batch>` calls this between runs so every
-        report measures exactly one plan.
+        accounting counters go back to zero.  A non-isolated session
+        calls this before every run (``Session._evaluator``) so every
+        report measures exactly that run.
         """
         self.reset_clocks()
         self.reset_stats()

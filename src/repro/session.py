@@ -23,14 +23,13 @@ transfer/compute statistics pulled from the network simulator.
 >>> report.best_cost.bytes < report.original_cost.bytes
 True
 
-Entry points: :meth:`Session.query` (XQuery text in, report out),
-:meth:`Session.run` (pre-built :class:`~repro.core.rules.Plan` in),
-:meth:`Session.explain` (optimize only, execute nothing),
-:meth:`Session.batch` (a sequence of either, with the system reset to a
-clean measurement baseline between runs), and — for *concurrent*
-workloads — :meth:`Session.submit` / :meth:`Session.drain` /
-:meth:`Session.serve`, which hand a stream of jobs to the
-:mod:`repro.engine` scheduler and return a fleet-level
+Entry points, one per operation: :meth:`Session.query` (XQuery text
+in, report out), :meth:`Session.run` (pre-built
+:class:`~repro.core.rules.Plan` in), :meth:`Session.explain` (optimize
+only, execute nothing), :meth:`Session.write` (one update op on the live
+system), and — for *concurrent* workloads — :meth:`Session.serve`, which
+hands a list of :class:`~repro.engine.jobs.JobRequest` (or a closed-loop
+feed) to the :mod:`repro.engine` scheduler and returns a fleet-level
 :class:`~repro.engine.metrics.ServingReport`.  :func:`connect` is the
 one-line constructor re-exported as ``repro.connect``.
 """
@@ -42,7 +41,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import (
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -129,8 +127,6 @@ _ANSWER_TEXTS = _SharedTexts(max_chars=1 << 20)
 
 #: Value types accepted on the right-hand side of a parameter binding.
 Binding = Union[str, Tuple[str, str], Expression, Element]
-#: Requests accepted by :meth:`Session.batch`.
-BatchRequest = Union[Plan, Mapping]
 
 
 @dataclass
@@ -263,6 +259,12 @@ class ExecutionReport:
 class Session:
     """The documented entry point: a system plus a configured pipeline.
 
+    One method per operation: :meth:`compile` and :meth:`plan` build,
+    :meth:`query` / :meth:`run` plan and execute one job,
+    :meth:`explain` only plans, :meth:`write` applies one update op,
+    :meth:`serve` runs a stream of jobs concurrently, and
+    :meth:`plan_job` is the scheduler's planning half.
+
     Parameters
     ----------
     system:
@@ -385,8 +387,6 @@ class Session:
         #: The first :class:`Query` compiled from each source text; later
         #: :meth:`compile` calls copy it instead of parsing again.
         self._compiled: Dict[str, Query] = {}
-        #: The open serving engine, created lazily by :meth:`submit`.
-        self._engine = None
         self.optimizer = Optimizer(
             system,
             rules=rules,
@@ -559,32 +559,6 @@ class Session:
             decomposition=self._try_decompose(query),
         )
 
-    def batch(
-        self, requests: Iterable[BatchRequest], at: Optional[str] = None
-    ) -> List[ExecutionReport]:
-        """Run a sequence of plans/queries, resetting Σ's accounting between runs.
-
-        Each request is a :class:`Plan` or a mapping of :meth:`query`
-        keyword arguments (``at`` may be elided when the batch-level ``at``
-        is given).
-        """
-        reports: List[ExecutionReport] = []
-        for index, request in enumerate(requests):
-            if index:
-                self.system.reset()
-            if isinstance(request, Plan):
-                reports.append(self.run(request))
-            elif isinstance(request, Mapping):
-                kwargs = dict(request)
-                kwargs.setdefault("at", at)
-                reports.append(self.query(**kwargs))
-            else:
-                raise SessionError(
-                    f"unsupported batch request {request!r}; expected a Plan "
-                    "or a query-kwargs mapping"
-                )
-        return reports
-
     # -- writes --------------------------------------------------------------------
     def write(self, op, now: float = 0.0):
         """Apply one node-targeted mutation to the live Σ; returns a
@@ -608,115 +582,7 @@ class Session:
 
         return DocumentWriter(self.system).apply(op, now=now)
 
-    def insert(self, doc: str, item, ordinal: Optional[int] = None, now: float = 0.0):
-        """Insert ``item`` as child ``ordinal`` of ``doc`` (None appends)."""
-        from .writes import InsertOp
-
-        return self.write(InsertOp(doc, item, ordinal), now=now)
-
-    def update(self, doc: str, ordinal: int, tag: str, value: str, now: float = 0.0):
-        """Set item ``ordinal``'s ``<tag>`` child of ``doc`` to ``value``."""
-        from .writes import UpdateOp
-
-        return self.write(UpdateOp(doc, ordinal, tag, value), now=now)
-
-    def delete(self, doc: str, ordinal: int, now: float = 0.0):
-        """Remove item ``ordinal`` from ``doc``."""
-        from .writes import DeleteOp
-
-        return self.write(DeleteOp(doc, ordinal), now=now)
-
     # -- concurrent serving --------------------------------------------------------
-    def engine(self, seed: int = 0, admission="queue-depth"):
-        """The session's open serving engine, created on first use.
-
-        Call explicitly to pick a tie-breaking ``seed`` or an
-        ``admission`` policy before the first
-        :meth:`submit`; once open, the same engine is returned until
-        :meth:`drain` closes it.  An engine drained directly (or killed
-        mid-drain) is replaced by a fresh one on the next call.
-        """
-        from .engine.scheduler import Scheduler
-
-        if self._engine is None or self._engine.drained:
-            self._engine = Scheduler(self, seed=seed, admission=admission)
-        return self._engine
-
-    def submit(
-        self,
-        source,
-        at: Optional[str] = None,
-        bind: Optional[Mapping[str, Binding]] = None,
-        name: Optional[str] = None,
-        arrival: float = 0.0,
-        optimize: bool = True,
-        deadline: Optional[float] = None,
-        partial: bool = False,
-    ):
-        """Admit one query to the serving engine; returns its pending job.
-
-        Unlike :meth:`query`, nothing executes yet — jobs interleave as
-        discrete events on one shared virtual clock when :meth:`drain`
-        runs them, so transfers and compute of *different* queries
-        contend for the same FIFO links and serial CPUs.  ``arrival`` is
-        the job's virtual arrival time (its evaluation clock starts
-        there, not at zero).  Accepts a pre-built
-        :class:`~repro.engine.jobs.JobRequest` in place of ``source``.
-        """
-        from .engine.jobs import JobRequest
-
-        if isinstance(source, JobRequest):
-            request = source
-        else:
-            if at is None:
-                raise SessionError("submit(source, ...) needs the site 'at'")
-            request = JobRequest(
-                source=source,
-                at=at,
-                bind=dict(bind) if bind else None,
-                name=name,
-                arrival=arrival,
-                optimize=optimize,
-                deadline=deadline,
-                partial=partial,
-            )
-        return self.engine().submit(request)
-
-    def submit_write(self, op, arrival: float = 0.0, name: Optional[str] = None):
-        """Admit one write op to the serving engine; returns its pending job.
-
-        The write interleaves with queries on the shared virtual clock —
-        its coherence deltas contend for the same FIFO links.  Requires
-        a non-isolated session (``connect(..., isolate=False)``) so the
-        serving Σ is the one the optimizer plans against.
-        """
-        from .engine.jobs import JobRequest
-
-        return self.engine().submit(
-            JobRequest.for_write(op, arrival=arrival, name=name)
-        )
-
-    def drain(self, feed=None):
-        """Run every submitted job to quiescence; returns the fleet report.
-
-        Processes the engine's event heap in virtual-time order (seeded
-        deterministic tie-breaking), then closes the engine — the next
-        :meth:`submit` opens a fresh one.  ``feed`` is an optional
-        closed-loop source (see
-        :class:`~repro.engine.loadgen.ClosedLoopFeed`) consulted at every
-        completion for follow-on requests.  Returns a
-        :class:`~repro.engine.metrics.ServingReport`: per-job
-        :class:`ExecutionReport`\\ s plus fleet metrics (makespan,
-        latency percentiles, queries/sec, per-peer utilization).
-        """
-        if self._engine is None and feed is None:
-            raise SessionError("nothing submitted; call submit() first")
-        engine = self.engine()
-        try:
-            return engine.drain(feed)
-        finally:
-            self._engine = None
-
     def serve(
         self,
         requests=(),
@@ -724,27 +590,34 @@ class Session:
         seed: int = 0,
         admission="queue-depth",
     ):
-        """Submit a request stream and drain it, in one call.
+        """Run a stream of jobs to quiescence; returns the fleet report.
 
-        Convenience over :meth:`submit` + :meth:`drain` for whole arrival
-        processes: ``requests`` is an iterable of
+        ``requests`` is an iterable of
         :class:`~repro.engine.jobs.JobRequest` (e.g. from
         :meth:`LoadGenerator.open_loop
-        <repro.engine.loadgen.LoadGenerator.open_loop>`), ``feed`` a
-        closed-loop source.  The session's fault plan applies its crashes
-        and rejoins at their instants (their action trace lands on
-        :attr:`ServingReport.actions
-        <repro.engine.metrics.ServingReport.actions>`).  Raises if the
-        session already has an open engine, so pending :meth:`submit`
-        state is never mixed in.
+        <repro.engine.loadgen.LoadGenerator.open_loop>`; a write job,
+        :meth:`JobRequest.for_write <repro.engine.jobs.JobRequest.for_write>`,
+        needs an ``isolate=False`` session), ``feed`` an optional
+        closed-loop source (see :class:`~repro.engine.loadgen.ClosedLoopFeed`)
+        consulted at every completion for follow-on requests.  Unlike
+        :meth:`query`, jobs interleave as discrete events on one shared
+        virtual clock — each starting at its ``arrival`` — so transfers
+        and compute of *different* queries contend for the same FIFO
+        links and serial CPUs.  Each call drains a fresh
+        :class:`~repro.engine.scheduler.Scheduler` (``seed`` breaks
+        same-instant ties, ``admission`` picks generic replicas).  The
+        session's fault plan applies its crashes and rejoins at their
+        instants (their action trace lands on :attr:`ServingReport.actions
+        <repro.engine.metrics.ServingReport.actions>`).  Returns a
+        :class:`~repro.engine.metrics.ServingReport`: per-job
+        :class:`ExecutionReport`\\ s plus fleet metrics (makespan,
+        latency percentiles, queries/sec, per-peer utilization).
         """
-        if self._engine is not None and not self._engine.drained:
-            raise SessionError(
-                "session has an open engine with pending jobs; "
-                "drain() it before calling serve()"
-            )
-        self.engine(seed, admission).submit_all(requests)
-        return self.drain(feed)
+        from .engine.scheduler import Scheduler
+
+        scheduler = Scheduler(self, seed=seed, admission=admission)
+        scheduler.submit_all(requests)
+        return scheduler.drain(feed)
 
     def plan_job(self, request) -> ExecutionReport:
         """Plan (and optimize) one serving job without executing it.

@@ -108,10 +108,6 @@ class ScenarioSpec:
     #: nothing and keeps scenarios byte-identical.
     slow_peers: int = 0
     slow_factor: float = 4.0
-    #: Flash-crowd burst factor read by :class:`repro.engine.LoadGenerator`
-    #: as its default ``flash`` knob for open-loop streams (0 = off; the
-    #: knob never feeds the generation RNG).
-    flash_crowd: float = 0.0
 
     def validate(self) -> None:
         if self.peers < 1:
@@ -136,11 +132,6 @@ class ScenarioSpec:
         if self.slow_factor < 1:
             raise WorkloadError(
                 f"slow_factor must be >= 1, got {self.slow_factor!r}"
-            )
-        if self.flash_crowd != 0 and self.flash_crowd < 1:
-            raise WorkloadError(
-                f"flash_crowd must be 0 (off) or >= 1, "
-                f"got {self.flash_crowd!r}"
             )
         if self.documents + self.axml_documents < 1:
             raise WorkloadError("a scenario needs at least one document")
@@ -817,7 +808,7 @@ WRITE_MIX_SPEC = ScenarioSpec(
 )
 
 #: The chaos scenario family: fragmented + replicated + service-call
-#: documents with a correlated slow peer and a flash-crowd knob —
+#: documents with a correlated slow peer —
 #: everything the fault-injection layer can break, with enough copies
 #: that recovery has somewhere to fail over to.  Query shapes are
 #: restricted to the *monotone* subset (no ``count``): dropping a
@@ -838,5 +829,4 @@ CHAOS_SPEC = ScenarioSpec(
     fragments=1,
     fragment_replicas=1,
     slow_peers=1,
-    flash_crowd=4.0,
 )

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from ..errors import XQueryError, XQueryEvaluationError, XQueryTypeError
@@ -308,13 +309,22 @@ class _Plan:
         ctx.variables, ctx.context_item = dict(variables) if variables else {}, context_item
         ctx.position = ctx.size = None
         ctx.doc_resolver, ctx.order, ctx.depth = doc_resolver, DocumentOrder(), 0
-        for name, value in self.variables:
-            if value is not None:
-                ctx.variables[name] = value(ctx)
-            elif name not in ctx.variables:
-                raise XQueryEvaluationError(f"external variable ${name} not bound")
-        # a plan may hand back a bound variable's own list: return a copy
-        return list(self.body(ctx))
+        try:
+            for name, value in self.variables:
+                if value is not None:
+                    ctx.variables[name] = value(ctx)
+                elif name not in ctx.variables:
+                    raise XQueryEvaluationError(f"external variable ${name} not bound")
+            # a plan may hand back a bound variable's own list: return a copy
+            return list(self.body(ctx))
+        except RecursionError:
+            # the closures recurse on the caller's stack, so how deep a
+            # query may nest depends on how deep its caller already is
+            raise XQueryEvaluationError(
+                "query nests deeper than the Python stack left to it "
+                f"(recursion limit {sys.getrecursionlimit()}; declared "
+                f"functions nest at most {_MAX_RECURSION} calls deep)"
+            ) from None
 
 
 class _Compiler:

@@ -27,6 +27,7 @@ from repro.peers import AXMLSystem
 from repro.session import Session
 from repro.workloads import ScenarioGenerator, ScenarioSpec
 from repro.xmlcore import iter_elements, parse
+from repro.writes import InsertOp
 
 
 def priced(plan, system):
@@ -164,7 +165,7 @@ class TestWritesReachCallers:
         session = Session(system)
         plan = Plan(DocExpr("ax", "a"), "c")
         before = session.explain(plan).best_cost
-        written = session.insert("x", parse("<i>" + "z" * 2000 + "</i>"))
+        written = session.write(InsertOp("x", parse("<i>" + "z" * 2000 + "</i>")))
         after = session.explain(plan).best_cost
         assert after.bytes > before.bytes + 2000
         assert after == measure(plan, system)
@@ -174,5 +175,5 @@ class TestWritesReachCallers:
     def test_documents_calling_elsewhere_keep_their_epoch(self, system):
         system.peer("b").install_document("other", parse("<o/>"))
         session = Session(system)
-        session.insert("other", parse("<i/>"))
+        session.write(InsertOp("other", parse("<i/>")))
         assert system.doc_epoch("ax") == 0

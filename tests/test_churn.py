@@ -17,6 +17,7 @@ from repro.faults import PEER_CRASH, ChurnController, FaultEvent, FaultPlan
 from repro.peers import AXMLSystem
 from repro.peers.registry import QueueDepthPolicy
 from repro.xmlcore import parse
+from repro.writes import UpdateOp
 
 QUERY = "for $i in $d//item where $i/price >= 0 return $i/name"
 
@@ -111,12 +112,12 @@ class TestWritesUnderChurn:
         # ordinal 5 lives in cat.f1 (home d1); with the home dead the
         # writer must promote the surviving mirror to primary copy.
         reference = fragmented_system(replicas=1)
-        connect(reference).update("cat", 5, "price", "9999")
+        connect(reference).write(UpdateOp("cat", 5, "price", "9999"))
         expected = query_answers(reference)
 
         system = fragmented_system(replicas=1)
         ChurnController(system).kill("d1")
-        result = connect(system).update("cat", 5, "price", "9999")
+        result = connect(system).write(UpdateOp("cat", 5, "price", "9999"))
         assert result.fragment == "cat.f1"
         assert result.primary != "d1"
         assert system.peer(result.primary).alive
@@ -130,7 +131,7 @@ class TestWritesUnderChurn:
         ChurnController(system).kill("d1")
         session = connect(system)
         try:
-            session.update("cat", 5, "price", "9999")
+            session.write(UpdateOp("cat", 5, "price", "9999"))
         except FragmentUnavailableError as exc:
             assert exc.fragment == "cat.f1"
             assert "d1" in exc.peers
@@ -142,7 +143,7 @@ class TestWritesUnderChurn:
         system.peer("d0").install_document("plain", catalog_doc(4))
         ChurnController(system).kill("d0")
         with pytest.raises(PeerDownError):
-            connect(system).update("plain", 1, "price", "7")
+            connect(system).write(UpdateOp("plain", 1, "price", "7"))
 
 
 # ---------------------------------------------------------------------------

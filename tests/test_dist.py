@@ -23,6 +23,7 @@ from repro.core.cost import CostEstimator
 from repro.core.rules import FragmentPrune, FragmentPushSelection, Plan
 from repro.core.serialize import expression_fingerprint, from_xml, to_xml
 from repro.dist import Fragmenter, fragment_can_match, selection_bounds
+from repro.engine import JobRequest
 from repro.errors import FragmentationError, FrozenTreeError, SessionError
 from repro.peers import AXMLSystem
 from repro.peers.registry import GenericMember, QueueDepthPolicy
@@ -450,13 +451,13 @@ class TestReplicaAdmission:
         sequential = session.query(
             query, at="client", bind={"d": "cat@dist"}
         )
-        serving = connect(system)
-        for k in range(4):
-            serving.submit(
+        report = connect(system).serve([
+            JobRequest(
                 query, at="client", bind={"d": "cat@dist"},
                 name=f"j{k}", arrival=k * 0.001,
             )
-        report = serving.drain()
+            for k in range(4)
+        ])
         assert len(report.jobs) == 4
         for job in report.jobs:
             assert job.report.answers == sequential.answers

@@ -61,11 +61,11 @@ def scenario():
 
 class TestSubmitDrain:
     def test_submit_returns_pending_job_and_drain_completes_it(self, mesh_system):
-        session = connect(mesh_system)
-        job = session.submit(FILTER_QUERY, at="laptop", bind={"d": "cat@server"})
+        scheduler = Scheduler(connect(mesh_system))
+        job = scheduler.submit(JobRequest(FILTER_QUERY, "laptop", {"d": "cat@server"}))
         assert isinstance(job, QueryJob)
         assert job.status == "pending"
-        report = session.drain()
+        report = scheduler.drain()
         assert isinstance(report, ServingReport)
         assert job.status == DONE
         assert job.finished_at > 0
@@ -73,8 +73,7 @@ class TestSubmitDrain:
 
     def test_answers_match_single_query_pipeline(self, mesh_system):
         session = connect(mesh_system)
-        job = session.submit(FILTER_QUERY, at="laptop", bind={"d": "cat@server"})
-        session.drain()
+        (job,) = session.serve([JobRequest(FILTER_QUERY, "laptop", {"d": "cat@server"})]).jobs
         solo = connect(mesh_system).query(
             FILTER_QUERY, at="laptop", bind={"d": "cat@server"}
         )
@@ -83,17 +82,16 @@ class TestSubmitDrain:
 
     def test_per_job_reports_carry_optimization(self, mesh_system):
         session = connect(mesh_system)
-        session.submit(FILTER_QUERY, at="laptop", bind={"d": "cat@server"})
-        report = session.drain()
+        report = session.serve([JobRequest(FILTER_QUERY, "laptop", {"d": "cat@server"})])
         (execution,) = report.reports
         assert execution.best_cost.scalar() <= execution.original_cost.scalar()
         assert execution.plan_cache is not None
 
     def test_timestamps_are_ordered(self, mesh_system):
         session = connect(mesh_system)
-        session.submit(FILTER_QUERY, at="laptop", bind={"d": "cat@server"},
-                       arrival=0.25)
-        report = session.drain()
+        report = session.serve(
+            [JobRequest(FILTER_QUERY, "laptop", {"d": "cat@server"}, arrival=0.25)]
+        )
         job = report.jobs[0]
         assert job.arrival == 0.25
         assert job.admitted_at >= job.arrival
@@ -103,48 +101,51 @@ class TestSubmitDrain:
 
     def test_failed_job_does_not_sink_the_fleet(self, mesh_system):
         session = connect(mesh_system)
-        bad = session.submit(FILTER_QUERY, at="laptop", bind={"d": "nope@server"})
-        good = session.submit(FILTER_QUERY, at="laptop", bind={"d": "cat@server"})
-        report = session.drain()
+        report = session.serve([
+            JobRequest(FILTER_QUERY, "laptop", {"d": "nope@server"}),
+            JobRequest(FILTER_QUERY, "laptop", {"d": "cat@server"}),
+        ])
+        bad, good = report.jobs
         assert bad.status == FAILED and bad.error is not None
         assert good.status == DONE
         assert report.metrics.failed == 1 and report.metrics.jobs == 1
 
-    def test_drain_without_submit_raises(self, mesh_system):
-        with pytest.raises(SessionError):
-            connect(mesh_system).drain()
+    def test_serve_without_requests_returns_an_empty_report(self, mesh_system):
+        report = connect(mesh_system).serve()
+        assert report.jobs == [] and report.events == []
+        assert report.metrics.jobs == 0 and report.metrics.failed == 0
+        assert report.metrics.makespan == 0.0
 
-    def test_submit_needs_a_site(self, mesh_system):
-        with pytest.raises(SessionError):
-            connect(mesh_system).submit(FILTER_QUERY)
+    def test_request_needs_a_site(self):
+        with pytest.raises(TypeError):
+            JobRequest(FILTER_QUERY)
 
-    def test_engine_closes_after_drain(self, mesh_system):
+    def test_each_serve_drains_a_fresh_scheduler(self, mesh_system):
         session = connect(mesh_system)
-        engine = session.engine(seed=5)
-        session.submit(FILTER_QUERY, at="laptop", bind={"d": "cat@server"})
-        session.drain()
-        with pytest.raises(SessionError):
-            engine.submit(JobRequest(FILTER_QUERY, "laptop"))
-        # ...but the session opens a fresh engine transparently
-        session.submit(FILTER_QUERY, at="laptop", bind={"d": "cat@server"})
-        assert session.drain().metrics.jobs == 1
+        request = JobRequest(FILTER_QUERY, "laptop", {"d": "cat@server"})
+        first = session.serve([request], seed=5)
+        second = session.serve([request], seed=5)
+        # nothing carries over: the second stream numbers and times its
+        # job as the first did
+        assert [job.job_id for job in second.jobs] == [0]
+        assert second.metrics.jobs == 1
+        assert second.events == first.events
 
-    def test_serve_refuses_pending_engine(self, mesh_system):
+    def test_a_rejected_stream_leaves_the_session_serving(self, mesh_system):
         session = connect(mesh_system)
-        session.submit(FILTER_QUERY, at="laptop", bind={"d": "cat@server"})
+        request = JobRequest(FILTER_QUERY, "laptop", {"d": "cat@server"})
         with pytest.raises(SessionError):
-            session.serve([JobRequest(FILTER_QUERY, "laptop")])
+            session.serve([JobRequest(FILTER_QUERY, "laptop", arrival=-1.0)])
+        assert session.serve([request]).metrics.jobs == 1
 
-    def test_session_recovers_after_direct_engine_drain(self, mesh_system):
-        # draining through the engine handle must not wedge the session
-        session = connect(mesh_system)
-        session.submit(FILTER_QUERY, at="laptop", bind={"d": "cat@server"})
-        session.engine().drain()
-        job = session.submit(
-            FILTER_QUERY, at="laptop", bind={"d": "cat@server"}
-        )
-        report = session.drain()
-        assert job.status == DONE and report.metrics.jobs == 1
+    def test_serve_rejects_a_tuple(self, mesh_system):
+        request = (FILTER_QUERY, "laptop", {"d": "cat@server"})
+        with pytest.raises(SessionError, match="unsupported request"):
+            connect(mesh_system).serve([request])
+
+    def test_bad_serve_request_rejected(self, mesh_system):
+        with pytest.raises(SessionError, match="unsupported request"):
+            connect(mesh_system).serve([42])
 
     def test_crashing_feed_still_closes_the_engine(self, mesh_system):
         class ExplodingFeed:
@@ -156,22 +157,20 @@ class TestSubmitDrain:
 
         session = connect(mesh_system)
         with pytest.raises(TypeError):
-            session.drain(feed=ExplodingFeed())
-        # the dead engine is replaced; serving still works afterwards
-        session.submit(FILTER_QUERY, at="laptop", bind={"d": "cat@server"})
-        assert session.drain().metrics.jobs == 1
+            session.serve(feed=ExplodingFeed())
+        # serving still works afterwards
+        request = JobRequest(FILTER_QUERY, "laptop", {"d": "cat@server"})
+        assert session.serve([request]).metrics.jobs == 1
 
     def test_isolated_serving_leaves_session_system_untouched(self, mesh_system):
         session = connect(mesh_system)
-        session.submit(FILTER_QUERY, at="laptop", bind={"d": "cat@server"})
-        session.drain()
+        session.serve([JobRequest(FILTER_QUERY, "laptop", {"d": "cat@server"})])
         assert mesh_system.network.stats.messages == 0
         assert all(p.busy_until == 0.0 for p in mesh_system.peers.values())
 
     def test_non_isolated_serving_lands_on_live_system(self, mesh_system):
         session = connect(mesh_system, isolate=False)
-        session.submit(FILTER_QUERY, at="laptop", bind={"d": "cat@server"})
-        report = session.drain()
+        report = session.serve([JobRequest(FILTER_QUERY, "laptop", {"d": "cat@server"})])
         assert mesh_system.network.stats.messages > 0
         assert report.network["messages"] == mesh_system.network.stats.messages
 
@@ -326,8 +325,7 @@ class TestQueueDepthAdmission:
 
     def test_engine_charges_and_releases_compute_queues(self, mesh_system):
         session = connect(mesh_system, isolate=False)
-        job = session.submit(FILTER_QUERY, at="laptop", bind={"d": "cat@server"})
-        session.drain()
+        (job,) = session.serve([JobRequest(FILTER_QUERY, "laptop", {"d": "cat@server"})]).jobs
         assert set(job.peers) >= {"laptop", "server"}
         # drained: every queue emptied again
         assert all(p.queued == 0 for p in mesh_system.peers.values())
@@ -397,6 +395,22 @@ class TestLoadGenerator:
         }
         assert mixes[1] == mixes[4] == mixes[8]
 
+    def test_open_loop_is_seed_deterministic(self, scenario):
+        a = LoadGenerator(scenario, seed=5).open_loop(20, 200.0)
+        assert a == LoadGenerator(scenario, seed=5).open_loop(20, 200.0)
+        assert a != LoadGenerator(scenario, seed=6).open_loop(20, 200.0)
+
+    def test_open_loop_only_times_scenario_queries(self, scenario):
+        queries = {(q.source, q.at): q for q in scenario.queries}
+        for k, request in enumerate(
+            LoadGenerator(scenario, seed=5).open_loop(12, 200.0)
+        ):
+            query = queries[(request.source, request.at)]
+            assert request.bind == query.bindings
+            assert request.name == f"{query.name}#{k}"
+            assert request.optimize and request.deadline is None
+            assert request.write is None
+
     def test_validation(self, scenario):
         gen = LoadGenerator(scenario, seed=5)
         with pytest.raises(WorkloadError):
@@ -420,9 +434,9 @@ class TestMetrics:
 
     def test_describe_smoke(self, mesh_system):
         session = connect(mesh_system)
-        session.submit(FILTER_QUERY, at="laptop", bind={"d": "cat@server"},
-                       name="smoke")
-        report = session.drain()
+        report = session.serve(
+            [JobRequest(FILTER_QUERY, "laptop", {"d": "cat@server"}, name="smoke")]
+        )
         text = report.describe()
         assert "queries/sec" in text and "smoke" in text
         assert isinstance(report.metrics, FleetMetrics)
@@ -465,8 +479,7 @@ class TestResetPath:
 
     def test_reset_clears_every_link_and_peer_clock(self, mesh_system):
         session = connect(mesh_system, isolate=False)
-        session.submit(FILTER_QUERY, at="laptop", bind={"d": "cat@server"})
-        session.drain()
+        session.serve([JobRequest(FILTER_QUERY, "laptop", {"d": "cat@server"})])
         assert any(
             link.busy_until > 0 for link in mesh_system.network.links()
         ) or any(p.busy_until > 0 for p in mesh_system.peers.values())
@@ -532,9 +545,8 @@ class TestSchedulerUnit:
 
     def test_unoptimized_jobs_serve_the_naive_plan(self, mesh_system):
         session = connect(mesh_system)
-        job = session.submit(
-            FILTER_QUERY, at="laptop", bind={"d": "cat@server"}, optimize=False
-        )
-        session.drain()
+        (job,) = session.serve(
+            [JobRequest(FILTER_QUERY, "laptop", {"d": "cat@server"}, optimize=False)]
+        ).jobs
         assert job.report.strategy == "none"
         assert job.report.plan.describe() == job.report.original.describe()

@@ -9,8 +9,10 @@ knob at its zero setting, and availability under a dense chaos schedule
 with and without recovery.
 """
 
+import ast
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import pytest
 
@@ -24,7 +26,7 @@ from repro.core import (
     ServiceCallExpr,
 )
 from repro.core.expressions import FragmentedDoc
-from repro.engine import JobRequest, LoadGenerator
+from repro.engine import JobRequest
 from repro.errors import (
     DeadlineExceededError,
     FaultError,
@@ -518,10 +520,10 @@ class TestSessionFaults:
             system, retry=RetryPolicy(max_attempts=3, backoff=0.001),
             fault_plan=plan,
         )
-        job = session.submit(
-            self.QUERY, at="p0", bind={"d": "cat@p1"}, name="doomed"
+        report = session.serve(
+            [JobRequest(self.QUERY, at="p0", bind={"d": "cat@p1"}, name="doomed")]
         )
-        report = session.drain()
+        (job,) = report.jobs
         assert job.status == "failed"
         assert isinstance(job.error, FaultError)
         registry = report.registry
@@ -530,22 +532,21 @@ class TestSessionFaults:
 
     def test_engine_deadline_fails_at_deadline_instant(self, system):
         session = connect(system)
-        job = session.submit(
+        (job,) = session.serve([JobRequest(
             self.QUERY, at="p0", bind={"d": "cat@p1"},
             name="late", deadline=1e-9,
-        )
-        session.drain()
+        )]).jobs
         assert job.status == "failed"
         assert isinstance(job.error, DeadlineExceededError)
         assert job.finished_at == pytest.approx(job.arrival + 1e-9)
 
     def test_engine_partial_answer_on_served_job(self, system):
         session = connect(system)
-        job = session.submit(
+        report = session.serve([JobRequest(
             self.QUERY, at="p0", bind={"d": "cat@p1"},
             name="soft", deadline=1e-9, partial=True,
-        )
-        report = session.drain()
+        )])
+        (job,) = report.jobs
         assert job.status == "done"
         assert isinstance(job.partial, PartialAnswer)
         assert job.partial.deadline_exceeded
@@ -776,11 +777,23 @@ class TestWorkloadKnobs:
         base = ScenarioSpec(peers=4, documents=2, items=8, queries=3)
         explicit = ScenarioSpec(
             peers=4, documents=2, items=8, queries=3,
-            slow_peers=0, slow_factor=4.0, flash_crowd=0.0,
+            slow_peers=0, slow_factor=4.0,
         )
         a = ScenarioGenerator(seed=6, spec=base).scenario(0)
         b = ScenarioGenerator(seed=6, spec=explicit).scenario(0)
         assert a.serialize() == b.serialize()
+
+    def test_spec_line_names_every_spec_field(self):
+        spec = ScenarioSpec(peers=4, documents=2, items=8, queries=3, slow_peers=1)
+        text = ScenarioGenerator(seed=6, spec=spec).scenario(0).serialize()
+        line = text.splitlines()[1]
+        assert line.startswith("spec ")
+        pairs = dict(
+            item.split("=", 1) for item in re.split(r" (?=\w+=)", line[5:])
+        )
+        assert list(pairs) == sorted(f.name for f in fields(ScenarioSpec))
+        rebuilt = {key: ast.literal_eval(value) for key, value in pairs.items()}
+        assert ScenarioSpec(**rebuilt) == spec
 
     def test_slow_peers_divide_the_correlated_set(self):
         base = ScenarioSpec(peers=5, documents=2, items=8, queries=3)
@@ -807,49 +820,9 @@ class TestWorkloadKnobs:
         with pytest.raises(WorkloadError):
             ScenarioSpec(peers=2, slow_peers=3).validate()
 
-    def test_flash_crowd_zero_stream_is_byte_identical(self):
-        scenario = ScenarioGenerator(seed=2).scenario(0)
-        plain = LoadGenerator(scenario, seed=5).open_loop(20, rate=200.0)
-        explicit = LoadGenerator(scenario, seed=5, flash=0.0).open_loop(
-            20, rate=200.0, flash_factor=0.0
-        )
-        assert plain == explicit
-
-    def test_flash_crowd_compresses_burst_only(self):
-        scenario = ScenarioGenerator(seed=2).scenario(0)
-        plain = LoadGenerator(scenario, seed=5).open_loop(
-            20, rate=200.0, flash_at=0.4, flash_width=0.2
-        )
-        burst = LoadGenerator(scenario, seed=5, flash=4.0).open_loop(
-            20, rate=200.0, flash_at=0.4, flash_width=0.2
-        )
-        # identical query mix (the mix draws from its own rng stream)
-        assert [r.name for r in plain] == [r.name for r in burst]
-        # gaps before the burst are untouched; burst gaps divide by 4
-        lo, hi = 8, 12  # int(20*0.4), int(20*0.6)
-        prev_p, prev_b = 0.0, 0.0
-        for k, (p, b) in enumerate(zip(plain, burst)):
-            gap_p = p.arrival - prev_p
-            gap_b = b.arrival - prev_b
-            prev_p, prev_b = p.arrival, b.arrival
-            if k < lo:
-                assert gap_b == pytest.approx(gap_p)
-            elif k < hi:
-                assert gap_b == pytest.approx(gap_p / 4.0)
-
-    def test_flash_crowd_validation(self):
-        scenario = ScenarioGenerator(seed=2).scenario(0)
-        with pytest.raises(WorkloadError):
-            LoadGenerator(scenario, seed=5, flash=0.5)
-        with pytest.raises(WorkloadError):
-            LoadGenerator(scenario, seed=5).open_loop(5, 10.0, flash_factor=0.2)
-        with pytest.raises(WorkloadError):
-            ScenarioSpec(flash_crowd=0.5).validate()
-
     def test_chaos_spec_is_monotone_and_valid(self):
         CHAOS_SPEC.validate()
         assert "count" not in CHAOS_SPEC.query_shapes
         assert CHAOS_SPEC.slow_peers == 1
-        assert CHAOS_SPEC.flash_crowd == 4.0
         scenario = ScenarioGenerator(seed=1, spec=CHAOS_SPEC).scenario(0)
         assert len(scenario.queries) == CHAOS_SPEC.queries

@@ -14,7 +14,8 @@ import repro.session as session_module
 from repro import connect
 from repro.axml import make_service_call
 from repro.core.expressions import TreeExpr
-from repro.engine import JobRequest
+from repro.engine import JobRequest, Scheduler
+from repro.errors import SessionError
 from repro.obs import CAT_EVAL, Tracer, WallProfiler
 from repro.peers import AXMLSystem, NativeService
 from repro.session import Session
@@ -107,15 +108,15 @@ class TestFailureBracket:
             "d", element("doc", make_service_call("server", "flaky"))
         )
         tracer = Tracer()
-        session = connect(system, isolate=False, tracer=tracer)
-        engine = session.engine()
-        job = session.submit(
+        scheduler = Scheduler(connect(system, isolate=False, tracer=tracer))
+        job = scheduler.submit(JobRequest(
             "for $x in $d/* return $x", at="laptop", bind={"d": "d@laptop"},
             name="crashing",
-        )
+        ))
         with pytest.raises(_Crash):
-            session.drain()
-        assert engine.drained
+            scheduler.drain()
+        with pytest.raises(SessionError):  # the crashed drain closed it
+            scheduler.drain()
         root = tracer.jobs[job.name]
         assert root.attrs["status"] == "failed"
         assert root.attrs["error"] == "_Crash"

@@ -36,6 +36,7 @@ from repro.workloads import (
     ScenarioGenerator,
     ScenarioSpec,
 )
+from repro.writes import InsertOp, UpdateOp
 from repro.xmlcore import element, parse, serialize
 
 SPEC = ScenarioSpec(
@@ -419,10 +420,10 @@ class TestInvalidation:
     def test_write_orphans_only_plans_reading_the_written_document(self):
         session = connect(two_docs())
         session.plan_job(job("q", doc="inv@d1"))
-        session.update("cat", 1, "p", "0")
+        session.write(UpdateOp("cat", 1, "p", "0"))
         untouched = session.plan_job(job("q", doc="inv@d1"))
         assert untouched.plan_cache.prepared_hits == 1
-        session.update("inv", 1, "p", "0")
+        session.write(UpdateOp("inv", 1, "p", "0"))
         written = session.plan_job(job("q", doc="inv@d1"))
         assert written.plan_cache.prepared_hits == 0
         assert written.plan_cache.plans_scored > 0
@@ -450,7 +451,9 @@ class TestInvalidation:
         session = Session(system)
         before = session.explain(plan)
         assert session.explain(plan).plan_cache.prepared_hits == 1
-        session.insert("cat", parse("<item><name>new</name><price>99</price></item>"))
+        session.write(
+            InsertOp("cat", parse("<item><name>new</name><price>99</price></item>"))
+        )
         after = session.explain(plan)
         fresh = Session(system, plan_cache=None).explain(plan)
         assert after.plan_cache.prepared_hits == 0
@@ -463,7 +466,7 @@ class TestInvalidation:
         plan = Plan(QueryApply(QueryRef(repro.xquery.Query(source), "d0")), "d0")
         session.explain(plan)
         assert session.explain(plan).plan_cache.prepared_hits == 1
-        session.update("cat", 1, "p", "0")
+        session.write(UpdateOp("cat", 1, "p", "0"))
         assert session.explain(plan).plan_cache.prepared_hits == 0
 
     def test_clear_empties_the_table(self):

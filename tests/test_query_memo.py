@@ -41,6 +41,7 @@ from repro.workloads import (
     ScenarioSpec,
 )
 from repro.xmlcore import Element, element, iter_elements, parse
+from repro.writes import InsertOp
 from repro.xquery import Query
 
 STRATEGIES = ("beam", "greedy", "exhaustive")
@@ -475,9 +476,9 @@ class TestLifetime:
         first = optimizer.optimize_with("beam", plan)
         entries = len(cache.query_memo)
         assert entries > 0
-        Session(wide, plan_cache=cache).insert(
+        Session(wide, plan_cache=cache).write(InsertOp(
             "cat", parse("<item><name>new</name><price>99</price></item>")
-        )
+        ))
         # no clear: the entry's doc() read is re-checked, and misses
         after = optimizer.optimize_with("beam", plan)
         assert after.cache.query_memo_misses > 0

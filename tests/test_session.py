@@ -96,6 +96,20 @@ class TestSessionQuery:
         assert len(report.items) == 4
         assert all("<expensive>" in answer for answer in report.answers)
 
+    def test_queries_in_a_loop_answer_as_alone(self, system):
+        session = connect(system)
+        sources = (QUICKSTART_QUERY, "for $i in $d//item return $i/name")
+        looped = [
+            session.query(source, at="laptop", bind={"d": "catalog@server"})
+            for source in sources
+        ]
+        assert [len(report.items) for report in looped] == [4, 80]
+        for source, report in zip(sources, looped):
+            alone = connect(system).query(
+                source, at="laptop", bind={"d": "catalog@server"}
+            )
+            assert report.answers == alone.answers
+
     def test_optimizer_beats_naive_on_slow_network(self, system):
         report = connect(system).query(
             QUICKSTART_QUERY, at="laptop", bind={"d": "catalog@server"}
@@ -287,6 +301,22 @@ class TestRunAndExplain:
         # the live network carries the run's traffic
         assert system.network.stats.bytes == report.network["bytes"]
 
+    def test_isolated_runs_of_one_plan_measure_from_the_same_baseline(self, system):
+        session = connect(system)
+        first = session.run(naive_plan(system))
+        second = session.run(naive_plan(system))
+        assert first.executed and second.executed
+        assert first.completed_at == pytest.approx(second.completed_at)
+        assert first.network["bytes"] == second.network["bytes"]
+
+    def test_consecutive_non_isolated_runs_reset_the_live_stats(self, system):
+        session = connect(system, isolate=False)
+        session.run(naive_plan(system))
+        session.run(naive_plan(system))
+        # the live stats reflect only the final run, not the sum
+        single = connect(system.clone(), isolate=False).run(naive_plan(system))
+        assert system.network.stats.bytes == single.network["bytes"]
+
 
 class TestSignature:
     def test_session_takes_twelve_keywords(self):
@@ -298,44 +328,12 @@ class TestSignature:
             "profiler",
         }
 
-
-class TestBatch:
-    def test_batch_of_plans(self, system):
-        plan = naive_plan(system)
-        reports = connect(system).batch([plan, plan])
-        assert len(reports) == 2
-        assert all(r.executed for r in reports)
-        # reset between runs: both reports measured from a clean baseline
-        assert reports[0].completed_at == pytest.approx(reports[1].completed_at)
-
-    def test_batch_of_query_kwargs(self, system):
-        reports = connect(system).batch(
-            [
-                {"source": QUICKSTART_QUERY, "bind": {"d": "catalog@server"}},
-                {"source": "for $i in $d//item return $i/name",
-                 "bind": {"d": "catalog@server"}},
-            ],
-            at="laptop",
-        )
-        assert len(reports) == 2
-        assert len(reports[0].items) == 4
-        assert len(reports[1].items) == 80
-
-    def test_batch_resets_between_runs(self, system):
-        session = connect(system, isolate=False)
-        session.batch([naive_plan(system), naive_plan(system)])
-        # the live stats reflect only the final run, not the sum
-        single = connect(system.clone(), isolate=False).run(naive_plan(system))
-        assert system.network.stats.bytes == single.network["bytes"]
-
-    def test_batch_rejects_a_tuple(self, system):
-        request = (QUICKSTART_QUERY, "laptop", {"d": "catalog@server"})
-        with pytest.raises(SessionError, match="unsupported batch request"):
-            connect(system).batch([request])
-
-    def test_bad_batch_request_rejected(self, system):
-        with pytest.raises(SessionError, match="unsupported batch request"):
-            connect(system).batch([42])
+    def test_session_has_one_method_per_operation(self):
+        public = {name for name in vars(Session) if not name.startswith("_")}
+        assert public == {
+            "compile", "plan", "query", "run", "explain", "write", "serve",
+            "plan_job",
+        }
 
 
 class TestDescribe:

@@ -19,6 +19,7 @@ from repro import connect
 from repro.core.planspace import doc_epoch_signature
 from repro.core.expressions import DocExpr, FragmentedDoc, GenericDoc
 from repro.dist import Fragmenter
+from repro.engine import JobRequest
 from repro.dist.pruning import fragment_can_match
 from repro.errors import (
     DifferentialMismatchError,
@@ -203,7 +204,7 @@ class TestWholeDocumentWrites:
 class TestFragmentedWrites:
     def test_update_routes_to_owning_fragment(self):
         system = fragmented_system()
-        result = Session(system).update("cat", 5, "price", "9999")
+        result = Session(system).write(UpdateOp("cat", 5, "price", "9999"))
         assert result.fragment == "cat.f1"
         assert result.primary == "d1"
         f1 = system.peer("d1").documents["cat.f1"]
@@ -214,7 +215,7 @@ class TestFragmentedWrites:
 
     def test_insert_shifts_downstream_ordinals(self):
         system = fragmented_system()  # 12 items -> (0,4) (4,8) (8,12)
-        Session(system).insert("cat", new_item("x", 50), ordinal=0)
+        Session(system).write(InsertOp("cat", new_item("x", 50), ordinal=0))
         info = system.fragments.info("cat")
         assert info.total_items == 13
         assert [f.ordinals for f in info.fragments] == [(0, 5), (5, 9), (9, 13)]
@@ -222,7 +223,7 @@ class TestFragmentedWrites:
 
     def test_append_lands_in_last_fragment(self):
         system = fragmented_system()
-        result = Session(system).insert("cat", new_item("tail", 50))
+        result = Session(system).write(InsertOp("cat", new_item("tail", 50)))
         assert result.fragment == "cat.f2"
         assert result.ordinal == 12
         f2 = system.peer("d2").documents["cat.f2"]
@@ -230,7 +231,7 @@ class TestFragmentedWrites:
 
     def test_delete_shrinks_owner_and_shifts(self):
         system = fragmented_system()
-        Session(system).delete("cat", 4)
+        Session(system).write(DeleteOp("cat", 4))
         info = system.fragments.info("cat")
         assert [f.ordinals for f in info.fragments] == [(0, 4), (4, 7), (7, 11)]
         assert item_names(system.peer("d1").documents["cat.f1"]) == ["n5", "n6", "n7"]
@@ -239,13 +240,13 @@ class TestFragmentedWrites:
         system = fragmented_system()
         before = system.fragments.info("cat").fragments[1]
         assert before.bounds("price") == (4.0, 7.0)
-        Session(system).update("cat", 5, "price", "9999")
+        Session(system).write(UpdateOp("cat", 5, "price", "9999"))
         after = system.fragments.info("cat").fragments[1]
         assert after.bounds("price") == (4.0, 9999.0)
 
     def test_replicas_stay_byte_identical_and_ship_is_charged(self):
         system = fragmented_system(replicas=1)
-        result = Session(system).update("cat", 5, "price", "123")
+        result = Session(system).write(UpdateOp("cat", 5, "price", "123"))
         assert result.replicas  # at least the fragment mirror
         assert result.settled_at > 0.0
         owner = system.fragments.info("cat").fragments[1]
@@ -258,15 +259,15 @@ class TestFragmentedWrites:
     def test_out_of_bounds_ordinal_raises(self):
         system = fragmented_system()
         with pytest.raises(WriteError):
-            Session(system).delete("cat", 12)
+            Session(system).write(DeleteOp("cat", 12))
         with pytest.raises(WriteError):
-            Session(system).insert("cat", new_item("x", 1), ordinal=13)
+            Session(system).write(InsertOp("cat", new_item("x", 1), ordinal=13))
 
     def test_write_then_query_sees_the_write(self):
         system = fragmented_system()
         session = connect(system)
         before = session.query(QUERY, at="client", bind={"d": "cat@dist"}).answers
-        session.insert("cat", new_item("brand-new", 3), ordinal=2)
+        session.write(InsertOp("cat", new_item("brand-new", 3), ordinal=2))
         after = session.query(QUERY, at="client", bind={"d": "cat@dist"}).answers
         assert "<name>brand-new</name>" in after
         assert len(after) == len(before) + 1
@@ -311,7 +312,7 @@ class TestEpochs:
 
         ask("cat"), ask("inv")
         inv_before = tuple(ask("inv").answers)
-        session.update("cat", 1, "price", "424242")
+        session.write(UpdateOp("cat", 1, "price", "424242"))
 
         # the untouched doc keeps serving its warm memos (the whole
         # search outcome: nothing is re-costed)...
@@ -351,11 +352,12 @@ class TestEngineWrites:
     def test_submit_write_interleaves_with_queries(self):
         system = fragmented_system()
         session = connect(system, isolate=False)
-        session.submit_write(DeleteOp("cat", 0), arrival=0.0, name="w0")
-        session.submit(
-            QUERY, at="client", bind={"d": "cat@dist"}, arrival=1.0, name="q0"
-        )
-        report = session.drain()
+        report = session.serve([
+            JobRequest.for_write(DeleteOp("cat", 0), arrival=0.0, name="w0"),
+            JobRequest(
+                QUERY, at="client", bind={"d": "cat@dist"}, arrival=1.0, name="q0"
+            ),
+        ])
         jobs = {job.name: job for job in report.jobs}
         assert jobs["w0"].write_result is not None
         assert jobs["w0"].write_result.kind == "delete"
@@ -365,13 +367,12 @@ class TestEngineWrites:
     def test_submit_write_requires_non_isolated_session(self):
         session = connect(fragmented_system())  # isolate=True default
         with pytest.raises(SessionError):
-            session.submit_write(DeleteOp("cat", 0))
+            session.serve([JobRequest.for_write(DeleteOp("cat", 0))])
 
     def test_failed_write_job_carries_typed_error(self):
         system = fragmented_system()
         session = connect(system, isolate=False)
-        session.submit_write(DeleteOp("ghost", 0), name="bad")
-        report = session.drain()
+        report = session.serve([JobRequest.for_write(DeleteOp("ghost", 0), name="bad")])
         (job,) = report.jobs
         assert isinstance(job.error, UnknownDocumentError)
 
@@ -555,18 +556,18 @@ class TestPruneSoundnessUnderWrites:
         for k in range(15):
             roll = rng.random()
             if roll < 0.4:
-                session.insert(
+                session.write(InsertOp(
                     "cat", new_item(f"w{k}", rng.randint(0, 40)),
                     ordinal=rng.randint(0, live),
-                )
+                ))
                 live += 1
             elif roll < 0.8 or live <= 3:
-                session.update(
+                session.write(UpdateOp(
                     "cat", rng.randint(0, live - 1), "price",
                     str(rng.randint(0, 40)),
-                )
+                ))
             else:
-                session.delete("cat", rng.randint(0, live - 1))
+                session.write(DeleteOp("cat", rng.randint(0, live - 1)))
                 live -= 1
 
         probes = {0.0, 5.5, 12.0, 20.0, 40.0, 41.0}
@@ -593,7 +594,7 @@ class TestPruneSoundnessUnderWrites:
         # that now holds a matching item.
         system = fragmented_system()
         stale = system.fragments.info("cat").fragments[1]  # prices 4..7
-        connect(system).update("cat", 5, "price", "9999")
+        connect(system).write(UpdateOp("cat", 5, "price", "9999"))
         assert not fragment_can_match(stale, "price", ">", 5000.0)
         prices = [
             float(item.child_by_tag("price").string_value())

@@ -385,6 +385,15 @@ class TestVariablesAndFunctions:
 
         assert descend(400) == [0]
 
+    def test_recursion_past_the_python_stack_is_a_typed_error(self):
+        # 200 calls need about 400 frames; 600 frames down, with the
+        # default limit of 1000, the Python stack runs out first
+        def descend(frames):
+            return descend(frames - 1) if frames else evaluate_query(self.COUNTDOWN % 200)
+
+        with pytest.raises(XQueryEvaluationError, match="recursion limit 1000"):
+            descend(600)
+
     @pytest.mark.parametrize("n", (256, 300))
     def test_recursion_past_the_limit_is_a_typed_error(self, n):
         with pytest.raises(XQueryEvaluationError, match=r"recursion limit exceeded in local:f\(\)"):
