@@ -8,7 +8,7 @@ Two interchangeable cost functions drive the optimizer:
   document trees are shared with Σ, not copied
   (:meth:`AXMLSystem.clone <repro.peers.system.AXMLSystem.clone>`).
   This is the reference the estimator is validated against, and, for
-  the plan a search picks, the execution an isolated session reports
+  the plan a search picks, the execution a session reports
   (:class:`Simulation`).
 * :class:`CostEstimator` — a static model walking the expression:
   document sizes come from Σ, link costs from the topology.  No plan is
@@ -107,7 +107,7 @@ def measure(
     either way — every message, byte and work unit — but a query already
     evaluated over the same content is not run again.  The run itself is
     offered to the running search's ``simulations``: if ``plan`` is the
-    search's pick, an isolated session executes it by this run instead
+    search's pick, a session executes it by this run instead
     of evaluating it a second time.
     """
     twin = system.clone()
@@ -235,8 +235,8 @@ class CostEstimator:
     the estimator was given — shared with whoever else holds that cache,
     emptied by its ``clear()`` — or of a private one.  Entries assume
     Σ's documents are stable: written documents key by
-    epoch, so a write orphans their stale entries; any other mutation of
-    the system calls for ``cache.clear()``.
+    epoch, so a write orphans their stale entries.  Every read runs on a
+    clone, so only an edit of Σ by hand calls for ``cache.clear()``.
     """
 
     def __init__(self, system: AXMLSystem, cache: Optional[PlanCache] = None,

@@ -104,7 +104,7 @@ class OracleCostModel:
     earlier one evaluated.  Without a cache every score evaluates
     everything.  Nor is the chosen plan evaluated twice: the running
     search keeps its cheapest simulations (``cache.simulations``), and
-    an isolated session executes the pick by its own
+    a session executes the pick by its own
     (``OptimizationResult.simulation``, ``CacheStats.executions_reused``).
     """
 

@@ -254,7 +254,7 @@ class CacheStats:
     #: installed documents, reassembled fragmented documents).
     tree_memo_hits: int = 0
     tree_memo_misses: int = 0
-    #: Jobs an isolated session executed by the search's simulation of
+    #: Jobs a session executed by the search's simulation of
     #: their plan instead of evaluating it again.
     executions_reused: int = 0
 
@@ -348,7 +348,7 @@ class PlanCache:
         return self.stats.plans_scored
 
     def clear(self) -> None:
-        """Forget everything (call after mutating Σ); counters survive."""
+        """Forget everything (call after editing Σ by hand); counters survive."""
         self._prepared.clear()
         self.estimates.clear()
         self.query_memo.clear()

@@ -99,7 +99,7 @@ class OptimizationResult:
     #: :class:`~repro.core.cost.Simulation`) when the search made one,
     #: filled in by ``optimize_with``; it holds a whole clone of Σ, so
     #: whoever keeps a result for longer drops it (the session executes
-    #: an isolated job by it, see ``Session._pipeline``).
+    #: a lone job by it, see ``Session._pipeline``).
     simulation: Optional[Simulation] = field(default=None, repr=False, compare=False)
 
     @property
@@ -221,8 +221,8 @@ class SearchSpace:
         last copy died, PeerDownError when the site left,
         ActivationCycleError when a service keeps calling itself) and any
         other typed failure is the classic optimizer-level "not
-        evaluable".  An untyped crash is a bug, not a verdict on the
-        plan: it propagates.
+        evaluable", naming that failure and chained to it.  An untyped
+        crash is a bug, not a verdict on the plan: it propagates.
         """
         self.stats.plans_scored += 1
         try:
@@ -230,10 +230,13 @@ class SearchSpace:
         except (FragmentUnavailableError, PeerDownError, ActivationCycleError):
             if strict:
                 raise
-        except ReproError:
-            pass  # unevaluable candidate (e.g. undefined send)
-        if strict:
-            raise OptimizerError("the original plan is not evaluable")
+        except ReproError as exc:
+            # unevaluable candidate (e.g. undefined send)
+            if strict:
+                raise OptimizerError(
+                    "the original plan is not evaluable: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
         return None
 
     def score(self, plan: Plan, strict: bool = False) -> Optional[Cost]:

@@ -60,18 +60,6 @@ class JobRequest:
     #: lost fragments/services/branches are dropped from the answer and
     #: recorded as :class:`~repro.faults.PartialAnswer` provenance.
     partial: bool = False
-    #: Optional write operation (:mod:`repro.writes`).  When set, the
-    #: job is a *write job*: ``source``/``at``/``bind`` are ignored and
-    #: the scheduler routes the op through
-    #: :class:`~repro.writes.DocumentWriter` against the serving system.
-    write: Optional[object] = None
-
-    @classmethod
-    def for_write(
-        cls, op, arrival: float = 0.0, name: Optional[str] = None
-    ) -> "JobRequest":
-        """A request carrying a write op instead of a query."""
-        return cls(source="", at="", name=name, arrival=arrival, write=op)
 
 
 @dataclass
@@ -96,9 +84,6 @@ class QueryJob:
     peers: Tuple[str, ...] = ()
     report: Optional["ExecutionReport"] = None
     error: Optional[BaseException] = None
-    #: Outcome of a write job (:class:`~repro.writes.WriteResult`);
-    #: ``report`` stays ``None`` for writes.
-    write_result: Optional[object] = None
     #: Provenance of a degraded answer (:class:`~repro.faults.PartialAnswer`)
     #: when the job ran with ``partial=True`` and faults cost it parts or
     #: its deadline; ``None`` means the answer is complete and exact.

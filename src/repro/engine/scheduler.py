@@ -109,11 +109,10 @@ class Scheduler:
     ----------
     session:
         The configured :class:`~repro.session.Session` whose optimizer
-        (strategy, rules, shared plan cache) plans every job.  With
-        ``session.isolate`` (the default) serving runs against a clone of
-        Σ taken at :meth:`drain` time; otherwise side effects land on the
-        live system, which is reset to a clean measurement baseline
-        first.
+        (strategy, rules, shared plan cache) plans every job against
+        the live Σ; serving runs against a clone of Σ taken at
+        :meth:`drain` time, so nothing a job does lands on the session's
+        system.
     seed:
         Seeds the tie-breaking jitter for same-instant events; the whole
         event trace is a pure function of (submissions, feed, seed).
@@ -172,17 +171,6 @@ class Scheduler:
             raise SessionError(
                 f"job arrival must be non-negative, got {arrival!r}"
             )
-        if request.write is not None and self.session.isolate:
-            # a write admitted against an isolated clone would mutate a Σ
-            # the session never plans against: subsequent read jobs would
-            # be planned (and pruned) from stale catalog state.  Writes
-            # in the serving mix require a session opened with
-            # ``isolate=False`` so planning and serving share one system.
-            raise SessionError(
-                "write jobs need a non-isolated session "
-                "(connect(..., isolate=False)): the serving system must be "
-                "the one the optimizer plans against"
-            )
         job = QueryJob(job_id=len(self.jobs), request=request, arrival=arrival)
         self.jobs.append(job)
         self._push(arrival, _ARRIVAL, job)
@@ -213,10 +201,6 @@ class Scheduler:
             _ChargingPolicy(self.admission, self)
         )
         target = self._target = evaluator.system
-        if not self.session.isolate:
-            # serving will mutate the live Σ; start planning from
-            # coherent stores and let them warm over the run itself
-            self.session.optimizer.cache.clear()
         # the fault plan's crashes and rejoins are events on the heap, so
         # each lands at its scripted instant (a fault-free run pushes none)
         state = target.network.faults
@@ -283,19 +267,16 @@ class Scheduler:
         self._act(now, notes)
 
     def _act(self, now: float, notes: List[str]) -> None:
-        """Trace the catalog changes a crash or rejoin made at ``now``;
-        drop stale plans.
+        """Trace the catalog changes a crash or rejoin made at ``now``.
 
-        Any change invalidates prepared plans and estimates — fragment
-        rewrites and replica picks bake catalog state in — so the
-        session's plan cache is cleared before the next admission plans.
-        The run span keeps its historical category, ``"placement"``.
+        The plan cache keeps its entries: a crash or rejoin changes only
+        the serving clone, while every job is planned against the live Σ,
+        so a prepared plan and a fresh search read the same state.  The
+        run span keeps its historical category, ``"placement"``.
         """
         for note in notes:
             self.actions.append(f"{now:.9f} {note}")
             self._target.network.tracer.run_span(note, "placement", now, now)
-        if notes:
-            self.session.optimizer.cache.clear()
 
     def _admit(
         self,
@@ -304,7 +285,7 @@ class Scheduler:
         target: AXMLSystem,
         evaluator: RecoveringEvaluator,
     ) -> None:
-        """Plan a read job, claim its peers and run it from ``now``.
+        """Plan a job, claim its peers and run it from ``now``.
 
         The job's span root opens before planning, which burns wall time
         but no virtual time: a zero-duration ``plan`` span at ``now``
@@ -315,9 +296,6 @@ class Scheduler:
         job.status = RUNNING
         job.admitted_at = now
         request = job.request
-        if request.write is not None:
-            self._admit_write(job, now, target)
-            return
         tracer = target.network.tracer
         tracer.begin_job(job.name, job.arrival, site=request.at)
         report = None
@@ -374,41 +352,6 @@ class Scheduler:
             job.report = report
         finally:
             self._current_job = None
-        self._push(job.finished_at, _COMPLETION, job)
-
-    def _admit_write(self, job: QueryJob, now: float, target: AXMLSystem) -> None:
-        """Apply a write job's op against the serving Σ.
-
-        The write runs through :class:`~repro.writes.DocumentWriter`:
-        primary-copy application, coherence deltas charged on the shared
-        virtual clock (so they contend with query traffic), catalog stats
-        refresh, and epoch bumps.  No plan-cache clear — the epoch salt
-        in the memo keys retires exactly the stale entries, so reads over
-        *other* documents keep planning from a warm cache mid-stream.
-        """
-        from ..writes import DocumentWriter
-
-        request = job.request
-        job.started_at = now
-        tracer = target.network.tracer
-        tracer.begin_job(job.name, job.arrival, write=True)
-        try:
-            result = DocumentWriter(target).apply(request.write, now=now)
-        except ReproError as exc:
-            job.status = FAILED
-            job.error = exc
-            job.finished_at = now
-            tracer.end_job(now, status="failed", error=type(exc).__name__)
-            self._push(now, _COMPLETION, job)
-            return
-        job.write_result = result
-        job.peers = tuple(dict.fromkeys((result.primary,) + result.replicas))
-        for peer_id in job.peers:
-            target.peer(peer_id).enqueue_job()
-        job.status = DONE
-        job.finished_at = max(now, result.settled_at)
-        tracer.mark("settle", "mark", job.finished_at)
-        tracer.end_job(job.finished_at, status="done", primary=result.primary)
         self._push(job.finished_at, _COMPLETION, job)
 
     def _charge_pick(self, peer_id: str) -> None:

@@ -174,8 +174,9 @@ class OptimizerError(AlgebraError):
 class SessionError(ReproError):
     """Raised for misuse of the high-level :class:`repro.session.Session`.
 
-    Examples: a binding string without a ``name@peer`` shape, a write
-    job served by an isolated session, or ``connect()`` without a system.
+    Examples: a binding string without a ``name@peer`` shape, a served
+    request that is not a :class:`~repro.engine.jobs.JobRequest`, or
+    ``connect()`` without a system.
     """
 
 

@@ -181,8 +181,8 @@ class Network:
 
     * :meth:`deliver` — ship a :class:`Message`, returning its arrival
       time, charging link occupancy and statistics;
-    * :meth:`reset_clocks` — clear busy state between benchmark runs while
-      keeping the topology.
+    * :meth:`clone` — a twin with the same topology and fresh clocks,
+      which is how every run starts from a clean measurement baseline.
 
     The paper makes no assumption about network structure (Section 2);
     accordingly, any digraph is accepted and routing falls back to the
@@ -300,7 +300,6 @@ class Network:
         Builds the links a clone has not touched yet, so this is the walk
         for whoever draws from the whole topology (fault plans, scenario
         files).  The statistics walks (:meth:`peer_traffic`,
-        :meth:`reset_clocks`, :meth:`reset_stats`,
         :meth:`cancel_peer_traffic`) go over :meth:`built_links` only: a
         link not built yet is idle and has carried nothing.
         """
@@ -495,8 +494,8 @@ class Network:
             if peer_id in (src, dst) and link.busy_until > now:
                 link.busy_until = now
                 cancelled += 1
-        # reset_clocks-style postcondition: nothing adjacent to the dead
-        # peer is still occupying a link past this instant
+        # postcondition: nothing adjacent to the dead peer is still
+        # occupying a link past this instant
         assert all(
             link.busy_until <= now
             for (src, dst), link in self._links.items()
@@ -504,23 +503,3 @@ class Network:
         ), f"pending traffic survived cancel_peer_traffic({peer_id!r})"
         return cancelled
 
-    # -- lifecycle ----------------------------------------------------------------
-    def reset_clocks(self) -> None:
-        """Clear busy windows (new virtual-time experiment, same fabric).
-
-        The one reset entry point, named to match
-        :meth:`repro.peers.system.AXMLSystem.reset_clocks` so the serving
-        engine can treat systems and networks uniformly.
-        """
-        for link in self._links.values():
-            link.busy_until = 0.0
-
-    def reset_stats(self) -> None:
-        self.stats = NetworkStats()
-        self.log.clear()
-        for link in self._links.values():
-            link.stats = LinkStats()
-
-    def reset(self) -> None:
-        self.reset_clocks()
-        self.reset_stats()

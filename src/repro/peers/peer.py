@@ -242,11 +242,6 @@ class Peer:
             self.queued -= 1
         return self.queued
 
-    def reset_clock(self) -> None:
-        """Zero occupancy state: the CPU clock and the compute queue."""
-        self.busy_until = 0.0
-        self.queued = 0
-
     def __repr__(self) -> str:
         return (
             f"Peer({self.peer_id!r}, docs={len(self.documents)}, "

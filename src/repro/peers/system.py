@@ -216,44 +216,6 @@ class AXMLSystem:
             }
         return image
 
-    # -- lifecycle -----------------------------------------------------------------
-    def reset_clocks(self) -> None:
-        """Zero all virtual-time state (new measurement, same Σ).
-
-        The single reset entry point the serving engine relies on: after
-        this call *every* link's ``busy_until``, every peer's CPU clock
-        and compute queue, and the system clock are zero — guaranteed
-        below so stale occupancy can never leak into the next run.
-        """
-        self.clock = 0.0
-        self.network.reset_clocks()
-        for peer in self.peers.values():
-            peer.reset_clock()
-        assert all(
-            link.busy_until == 0.0 for link in self.network.built_links()
-        ), "reset_clocks left a link occupied"
-        assert all(
-            peer.busy_until == 0.0 and peer.queued == 0
-            for peer in self.peers.values()
-        ), "reset_clocks left a peer busy"
-
-    def reset_stats(self) -> None:
-        self.network.reset_stats()
-        for peer in self.peers.values():
-            peer.work_done = 0
-            peer.busy_time = 0.0
-
-    def reset(self) -> None:
-        """Fresh measurement baseline: clocks *and* statistics, same Σ.
-
-        Documents and services are untouched; only virtual time and the
-        accounting counters go back to zero.  A non-isolated session
-        calls this before every run (``Session._evaluator``) so every
-        report measures exactly that run.
-        """
-        self.reset_clocks()
-        self.reset_stats()
-
     def __repr__(self) -> str:
         return f"AXMLSystem(peers={sorted(self.peers)})"
 

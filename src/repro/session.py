@@ -79,7 +79,6 @@ from .errors import (
     XQueryError,
 )
 from .faults import FaultState, RecoveringEvaluator
-from .obs.metrics import MetricsRegistry
 from .obs.tracer import NO_TRACER
 from .peers.system import AXMLSystem
 from .xmlcore.model import Element
@@ -296,21 +295,11 @@ class Session:
         ``plan -> Cost`` callable.
     rules / pick_policy:
         Forwarded to the optimizer and evaluator.
-    isolate:
-        When true (default), plans execute against a clone of Σ so the
-        session's system is never mutated by a run — matching the
-        measurement semantics of :func:`repro.core.cost.measure`.  When
-        the oracle already simulated the chosen plan on such a clone
-        during the search, that simulation *is* the execution (see
-        :meth:`_pipeline` for when; ``executions_reused`` counts it).  Set
-        to false to let side effects (sends, deployments) land on the
-        live system; the system is then :meth:`~AXMLSystem.reset` before
-        each run so the report's accounting covers exactly that run.
     plan_cache:
         The planner's stores (:class:`~repro.core.planspace.PlanCache`):
         the prepared-plan table and the estimator memo.  By default the
-        session creates its own, and, because isolated runs never
-        mutate Σ, it pays off across runs: a job repeating an
+        session creates its own, and, because runs never mutate Σ, it
+        pays off across runs: a job repeating an
         already-planned query (same text, site, bindings and name
         width, same document epochs) skips the search altogether and
         runs the *prepared plan*, relabelled with its own query names.
@@ -320,10 +309,16 @@ class Session:
         serve each other's), or ``plan_cache=None`` for no prepared
         table: every job is searched (same best plans, at a search
         each; the estimator then keeps a private memo).  Sessions with
-        ``isolate=False`` clear the stores before each run, since
-        executions mutate Σ; sessions with ``verify=True`` or
-        ``trace=True`` always search, because they report what only a
-        search produces.
+        ``verify=True`` or ``trace=True`` always search, because they
+        report what only a search produces.
+
+    Every read — :meth:`query`, :meth:`run`, :meth:`serve` — executes on
+    a clone of Σ, so the session's system is never mutated by a run,
+    matching the measurement semantics of :func:`repro.core.cost.measure`.
+    When the oracle already simulated the chosen plan on such a clone
+    during the search, that simulation *is* the execution (see
+    :meth:`_pipeline` for when; ``executions_reused`` counts it).
+    :meth:`write` is the one operation that changes the live Σ.
     """
 
     def __init__(
@@ -337,7 +332,6 @@ class Session:
         rules: Sequence[RewriteRule] = DEFAULT_RULES,
         cost_model: Union[str, CostModel, None] = None,
         pick_policy=None,
-        isolate: bool = True,
         plan_cache: Union[PlanCache, None, str] = "auto",
         retry=None,
         fault_plan=None,
@@ -362,7 +356,6 @@ class Session:
         #: wall-clock phases (parse / optimize / evaluate).
         self.profiler = profiler
         self.pick_policy = pick_policy
-        self.isolate = isolate
         #: Recovery policy (:class:`repro.faults.RetryPolicy`) wired into
         #: every evaluator this session creates; ``None`` (default) means
         #: faults propagate typed on first occurrence.
@@ -568,9 +561,9 @@ class Session:
         :class:`~repro.writes.UpdateOp` / :class:`~repro.writes.DeleteOp`)
         is routed to the owning fragment via the catalog's ordinal
         ranges, lands on the primary copy, and propagates to replicas
-        and mirrors as charged ships on the virtual clock.  Unlike
-        :meth:`query` under ``isolate=True``, a write always mutates
-        ``self.system`` — that is the point.
+        and mirrors as charged ships on the virtual clock.  It is the one
+        operation that mutates ``self.system``: every read runs on a
+        clone, so a later read sees the write.
 
         The plan cache is deliberately *not* cleared: the write bumps
         the touched documents' epochs, and epoch-salted keys
@@ -595,9 +588,7 @@ class Session:
         ``requests`` is an iterable of
         :class:`~repro.engine.jobs.JobRequest` (e.g. from
         :meth:`LoadGenerator.open_loop
-        <repro.engine.loadgen.LoadGenerator.open_loop>`; a write job,
-        :meth:`JobRequest.for_write <repro.engine.jobs.JobRequest.for_write>`,
-        needs an ``isolate=False`` session), ``feed`` an optional
+        <repro.engine.loadgen.LoadGenerator.open_loop>`), ``feed`` an optional
         closed-loop source (see :class:`~repro.engine.loadgen.ClosedLoopFeed`)
         consulted at every completion for follow-on requests.  Unlike
         :meth:`query`, jobs interleave as discrete events on one shared
@@ -633,7 +624,7 @@ class Session:
             request.source, params=tuple(request.bind or {}), name=request.name
         )
         plan = self.plan(query, request.at, bind=request.bind, name=request.name)
-        # a served job runs on the shared Σ at its admission instant: the
+        # a served job runs on the serving clone at its admission instant: the
         # search's run on a clone of Σ at time zero is not its execution
         return self._plan_report(
             plan, request.optimize, source=query.source, name=query.name
@@ -755,8 +746,8 @@ class Session:
     ) -> ExecutionReport:
         """Plan, then execute one lone job (:meth:`query` / :meth:`run`).
 
-        A job the bare evaluator would run — isolated, no fault plan, no
-        retry policy, no tracer, no profiler, no deadline, not
+        A job the bare evaluator would run — no fault plan, no retry
+        policy, no tracer, no profiler, no deadline, not
         ``partial`` — is executed by the search's own simulation of its
         plan when there is one (an oracle search that scored the pick):
         the report's answers, completion time, network and per-peer
@@ -766,10 +757,6 @@ class Session:
         draws the simulation made).  Every other job goes through
         :meth:`_evaluator` and :meth:`_run_report`.
         """
-        if not self.isolate:
-            # non-isolated executions mutate Σ: prepared plans and
-            # estimates are stale
-            self.optimizer.cache.clear()
         report, simulation = self._plan_report(
             plan, optimize, source, name, decomposition
         )
@@ -777,7 +764,6 @@ class Session:
             return report
         if (
             simulation is not None
-            and self.isolate
             and not self.fault_plan
             and self.retry is None
             and self.tracer is NO_TRACER
@@ -813,25 +799,20 @@ class Session:
     def _evaluator(self, pick_policy) -> RecoveringEvaluator:
         """The evaluator every job of one run goes through.
 
-        Its ``system`` is the run's target Σ — a clone under ``isolate``,
-        else the live system reset to a clean measurement baseline.  Here,
-        and only here, fault state, tracer and fault tallies are scoped
-        to the run: the target's network gets exactly this session's (a
-        fresh :class:`FaultState` for a non-empty plan, else ``None``;
-        this tracer, reset; an empty registry) — never what an earlier run
-        left there.  That ``network.tracer`` is the run's one tracer and
-        ``network.metrics`` its one registry: the network, the evaluator
-        and the scheduler record through them.
+        Its ``system`` is the run's target Σ, a fresh clone, whose network
+        starts with no fault state, the no-op tracer and an empty registry
+        (:meth:`~repro.net.network.Network.clone`).  Here, and only here,
+        this session's fault plan (a fresh :class:`FaultState` for a
+        non-empty plan) and tracer, reset, are installed on it.  That
+        ``network.tracer`` is the run's one tracer and ``network.metrics``
+        its one registry: the network, the evaluator and the scheduler
+        record through them.
         """
-        if self.isolate:
-            target = self.system.clone()
-        else:
-            target = self.system
-            target.reset()
+        target = self.system.clone()
         network = target.network
-        network.faults = FaultState(self.fault_plan) if self.fault_plan else None
+        if self.fault_plan:
+            network.faults = FaultState(self.fault_plan)
         network.tracer = self.tracer
-        network.metrics = MetricsRegistry()
         self.tracer.reset()
         return RecoveringEvaluator(target, pick_policy, policy=self.retry)
 

@@ -66,6 +66,8 @@ _ITEM_TAGS = ("item", "entry", "record", "product", "row")
 _NAME_TAGS = ("name", "title", "label", "id")
 _NUM_TAGS = ("price", "score", "qty", "rank", "weight")
 _WORDS = ("alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "zeta")
+#: How many times slower a ``slow_peers`` peer computes.
+SLOW_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -103,11 +105,10 @@ class ScenarioSpec:
     #: byte-identically.
     writes: int = 0
     #: Correlated slow peers: this many peers (drawn together, one gated
-    #: draw) get their compute speed divided by ``slow_factor`` — the
+    #: draw) get their compute speed divided by :data:`SLOW_FACTOR` — the
     #: "one rack is overloaded" long-tail family.  0 (the default) draws
     #: nothing and keeps scenarios byte-identical.
     slow_peers: int = 0
-    slow_factor: float = 4.0
 
     def validate(self) -> None:
         if self.peers < 1:
@@ -128,10 +129,6 @@ class ScenarioSpec:
             raise WorkloadError(
                 f"slow_peers ({self.slow_peers}) cannot exceed "
                 f"peers ({self.peers})"
-            )
-        if self.slow_factor < 1:
-            raise WorkloadError(
-                f"slow_factor must be >= 1, got {self.slow_factor!r}"
             )
         if self.documents + self.axml_documents < 1:
             raise WorkloadError("a scenario needs at least one document")
@@ -393,7 +390,7 @@ class ScenarioGenerator:
             )
             for peer_id in slowed:
                 peer = system.peers[peer_id]
-                peer.compute_speed = peer.compute_speed / spec.slow_factor
+                peer.compute_speed = peer.compute_speed / SLOW_FACTOR
 
         services = self._install_services(rng, spec, system, peer_ids)
         documents = self._install_documents(rng, spec, system, peer_ids, services)

@@ -261,3 +261,18 @@ class TestServingCrash:
             if job.status == FAILED:
                 assert isinstance(job.error, FragmentUnavailableError)
         assert any("kill d1" in a for a in report.actions)
+
+    def test_a_scripted_crash_changes_only_the_serving_clone(self):
+        system = fragmented_system(n=8)
+        before = (system.snapshot(), system.fragments.describe())
+        session = connect(system, fault_plan=crash_plan(0.004, "d1"))
+        report = session.serve([
+            JobRequest(QUERY, "client", {"d": "cat@dist"}, name="j0"),
+            JobRequest(QUERY, "client", {"d": "cat@dist"}, name="j1",
+                       arrival=0.01),
+        ])
+        assert any("kill d1" in a for a in report.actions)
+        assert system.peer("d1").alive
+        assert (system.snapshot(), system.fragments.describe()) == before
+        # the live Σ still answers every fragment
+        assert len(query_answers(system)) == 8

@@ -20,7 +20,12 @@ from repro.core import (
 )
 from repro.core import costmodel
 from repro.core.strategies import STRATEGIES
-from repro.errors import EvaluationUndefinedError, OptimizerError
+from repro import connect
+from repro.errors import (
+    EvaluationUndefinedError,
+    OptimizerError,
+    UnknownDocumentError,
+)
 from repro.peers import AXMLSystem
 from repro.xmlcore import parse
 from repro.xquery import Query
@@ -215,6 +220,17 @@ class TestScoringFailures:
         assert result.best is plan
         assert [rule for _, _, rule in result.trace] == ["original"]
         assert result.cache.plans_scored > 1  # candidates were scored, and dropped
+
+    def test_an_unevaluable_original_names_and_chains_its_cause(self, system):
+        # the document the plan reads does not exist: a typed verdict on Σ
+        # that no search can route around
+        with pytest.raises(OptimizerError, match="UnknownDocumentError") as excinfo:
+            connect(system).explain(
+                "for $i in $d//i return $i/p", at="client",
+                bind={"d": "nope@data"},
+            )
+        assert "not evaluable" in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, UnknownDocumentError)
 
 
 class TestImprovementRatio:

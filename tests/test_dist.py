@@ -207,12 +207,13 @@ class TestScatterGatherEvaluation:
         )
         assert frag.answers == base.answers  # order, not just multiset
 
-    def test_local_fragment_survives_non_isolated_reassembly(self):
+    def test_local_fragment_survives_reassembly(self):
         # regression: reassembly must copy, not reparent — a fragment
-        # local to the evaluation site hands back the stored tree, and
-        # moving its children out emptied the fragment on the live Σ
+        # local to the evaluation site hands back the stored tree (shared
+        # with the live Σ by the run's clone), and moving its children
+        # out emptied the fragment
         system = fragmented_system(n=30)
-        session = connect(system, isolate=False)
+        session = connect(system)
         q = "for $i in $d//item return $i/price"
         first = session.query(q, at="d0", bind={"d": "cat@dist"}, optimize=False)
         assert len(system.peer("d0").document("cat.f0").children) == 10
@@ -396,13 +397,12 @@ class TestSystemLifecycleWithCatalog:
         system.fragments.drop("cat")
         assert twin.fragments.is_fragmented("cat")
 
-    def test_reset_keeps_catalog_and_answers(self):
+    def test_repeated_queries_keep_catalog_and_answers(self):
         system = fragmented_system(n=12)
-        session = connect(system, isolate=False)
+        session = connect(system)
         first = session.query(
             "count($d//item)", at="client", bind={"d": "cat@dist"}
         )
-        system.reset()
         assert system.fragments.is_fragmented("cat")
         second = session.query(
             "count($d//item)", at="client", bind={"d": "cat@dist"}

@@ -168,11 +168,13 @@ class TestSubmitDrain:
         assert mesh_system.network.stats.messages == 0
         assert all(p.busy_until == 0.0 for p in mesh_system.peers.values())
 
-    def test_non_isolated_serving_lands_on_live_system(self, mesh_system):
-        session = connect(mesh_system, isolate=False)
+    def test_serving_reports_the_traffic_of_its_clone(self, mesh_system):
+        session = connect(mesh_system)
         report = session.serve([JobRequest(FILTER_QUERY, "laptop", {"d": "cat@server"})])
-        assert mesh_system.network.stats.messages > 0
-        assert report.network["messages"] == mesh_system.network.stats.messages
+        assert report.network["messages"] > 0
+        assert sum(p["work_done"] for p in report.peers.values()) > 0
+        assert mesh_system.network.stats.messages == 0
+        assert all(p.work_done == 0 for p in mesh_system.peers.values())
 
 
 class TestAcceptance:
@@ -324,11 +326,12 @@ class TestQueueDepthAdmission:
         assert QueueDepthPolicy().choose(members, "p0", system).peer == "p0"
 
     def test_engine_charges_and_releases_compute_queues(self, mesh_system):
-        session = connect(mesh_system, isolate=False)
-        (job,) = session.serve([JobRequest(FILTER_QUERY, "laptop", {"d": "cat@server"})]).jobs
+        session = connect(mesh_system)
+        report = session.serve([JobRequest(FILTER_QUERY, "laptop", {"d": "cat@server"})])
+        (job,) = report.jobs
         assert set(job.peers) >= {"laptop", "server"}
-        # drained: every queue emptied again
-        assert all(p.queued == 0 for p in mesh_system.peers.values())
+        # drained: every queue of the serving system emptied again
+        assert all(p["queued"] == 0 for p in report.peers.values())
 
     def test_replicated_serving_spreads_over_replicas(self):
         # one generic document with replicas on two peers; a burst of
@@ -409,7 +412,7 @@ class TestLoadGenerator:
             assert request.bind == query.bindings
             assert request.name == f"{query.name}#{k}"
             assert request.optimize and request.deadline is None
-            assert request.write is None
+            assert not request.partial
 
     def test_validation(self, scenario):
         gen = LoadGenerator(scenario, seed=5)
@@ -474,26 +477,24 @@ class TestPlanPeers:
         assert plan_peers(expr, "data") == ("data", "hub", "sink")
 
 
-class TestResetPath:
-    """Satellites: reset clears all occupancy; one naming scheme."""
+class TestCleanBaseline:
+    """Every run starts from idle links and clocks: a clone of Σ."""
 
-    def test_reset_clears_every_link_and_peer_clock(self, mesh_system):
-        session = connect(mesh_system, isolate=False)
-        session.serve([JobRequest(FILTER_QUERY, "laptop", {"d": "cat@server"})])
+    def test_each_serve_starts_from_idle_links_and_clocks(self, mesh_system):
+        session = connect(mesh_system)
+        request = JobRequest(FILTER_QUERY, "laptop", {"d": "cat@server"})
+        first = session.serve([request])
         assert any(
-            link.busy_until > 0 for link in mesh_system.network.links()
-        ) or any(p.busy_until > 0 for p in mesh_system.peers.values())
-        mesh_system.reset()
-        assert all(
-            link.busy_until == 0.0 for link in mesh_system.network.links()
+            p["busy_until"] > 0 for p in first.peers.values()
         )
-        assert all(p.busy_until == 0.0 for p in mesh_system.peers.values())
-        assert all(p.queued == 0 for p in mesh_system.peers.values())
-        assert mesh_system.clock == 0.0
+        second = session.serve([request])
+        assert second.jobs[0].started_at == first.jobs[0].started_at
+        assert second.jobs[0].finished_at == first.jobs[0].finished_at
+        assert second.network == first.network
 
-    def test_back_to_back_non_isolated_runs_identical(self, mesh_system):
+    def test_back_to_back_runs_identical(self, mesh_system):
         """Stale link occupancy must never leak between Session runs."""
-        session = connect(mesh_system, isolate=False)
+        session = connect(mesh_system)
         first = session.query(
             FILTER_QUERY, at="laptop", bind={"d": "cat@server"}
         )
@@ -503,13 +504,16 @@ class TestResetPath:
         assert first.completed_at == second.completed_at
         assert first.answers == second.answers
 
-    def test_network_reset_clocks_is_the_primary_name(self, mesh_system):
+    def test_a_busy_live_network_does_not_slow_a_run(self, mesh_system):
+        kwargs = dict(at="laptop", bind={"d": "cat@server"})
+        calm = connect(mesh_system.clone()).query(FILTER_QUERY, **kwargs)
         for link in mesh_system.network.links():
             link.busy_until = 9.0
-        mesh_system.network.reset_clocks()
-        assert all(
-            link.busy_until == 0.0 for link in mesh_system.network.links()
-        )
+        for peer in mesh_system.peers.values():
+            peer.busy_until = 9.0
+        busy = connect(mesh_system).query(FILTER_QUERY, **kwargs)
+        assert busy.completed_at == calm.completed_at < 9.0
+        assert busy.answers == calm.answers
 
     def test_evaluator_advances_system_clock(self, mesh_system):
         from repro.core import ExpressionEvaluator

@@ -236,7 +236,7 @@ class TestOracleBlindness:
 
 
 # ---------------------------------------------------------------------------
-# run-scoped installation (regressions: both leaked on a live system)
+# run-scoped installation (regressions: both once leaked past their run)
 # ---------------------------------------------------------------------------
 
 class TestRunScopedInstallation:
@@ -249,24 +249,33 @@ class TestRunScopedInstallation:
         system, query = self._scenario()
         expected = connect(system.clone()).query(**query).answers
         with pytest.raises(MessageLostError):
-            connect(
-                system, isolate=False, fault_plan=drop_everything(system)
-            ).query(**query)
-        report = connect(system, isolate=False).query(**query)
+            connect(system, fault_plan=drop_everything(system)).query(**query)
+        report = connect(system).query(**query)
         assert report.answers == expected
         assert system.network.faults is None
 
-    def test_faulted_session_gets_fresh_state_per_run(self):
+    def test_faulted_session_gets_fresh_state_per_run(self, monkeypatch):
         system, query = self._scenario()
-        session = connect(system, isolate=False, fault_plan=drop_everything(system))
-        states = []
+        networks = []
+        real = Session._evaluator
+
+        def spy(self, pick_policy):
+            evaluator = real(self, pick_policy)
+            networks.append(evaluator.system.network)
+            return evaluator
+
+        monkeypatch.setattr(Session, "_evaluator", spy)
+        session = connect(system, fault_plan=drop_everything(system))
         for _ in range(2):
             with pytest.raises(MessageLostError):
                 session.query(**query)
-            states.append((system.network.faults, system.network.metrics))
-        (faults0, tallies0), (faults1, tallies1) = states
+        (faults0, tallies0), (faults1, tallies1) = [
+            (network.faults, network.metrics) for network in networks
+        ]
+        assert faults0 is not None and faults1 is not None
         assert faults0 is not faults1 and tallies0 is not tallies1
         assert tallies0.to_dict() == tallies1.to_dict()
+        assert system.network.faults is None
 
     def test_untraced_run_leaves_an_earlier_tracer_alone(self):
         system, query = self._scenario()
@@ -276,9 +285,9 @@ class TestRunScopedInstallation:
             spans = sum(1 for job in tracer.jobs.values() for _ in job.walk())
             return len(tracer.run), spans
 
-        connect(system, isolate=False, tracer=tracer).query(**query)
+        connect(system, tracer=tracer).query(**query)
         before = recorded()
         assert before[1] > 0
-        connect(system, isolate=False).query(**query)
+        connect(system).query(**query)
         assert system.network.tracer is NO_TRACER
         assert recorded() == before

@@ -777,7 +777,7 @@ class TestWorkloadKnobs:
         base = ScenarioSpec(peers=4, documents=2, items=8, queries=3)
         explicit = ScenarioSpec(
             peers=4, documents=2, items=8, queries=3,
-            slow_peers=0, slow_factor=4.0,
+            slow_peers=0,
         )
         a = ScenarioGenerator(seed=6, spec=base).scenario(0)
         b = ScenarioGenerator(seed=6, spec=explicit).scenario(0)
@@ -799,7 +799,7 @@ class TestWorkloadKnobs:
         base = ScenarioSpec(peers=5, documents=2, items=8, queries=3)
         slow = ScenarioSpec(
             peers=5, documents=2, items=8, queries=3,
-            slow_peers=2, slow_factor=4.0,
+            slow_peers=2,
         )
         plain = ScenarioGenerator(seed=6, spec=base).scenario(0)
         slowed = ScenarioGenerator(seed=6, spec=slow).scenario(0)

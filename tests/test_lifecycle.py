@@ -94,21 +94,22 @@ class TestFailureBracket:
     def test_untyped_crash_mid_serve_closes_the_span_tree(self):
         system = slow_pair()
 
-        def crash_on_live_system(params, peer):
-            # planning measures candidates on clones; only the serving
-            # system's own peer is the buggy one
-            if peer is system.peer("server"):
+        def crash_on_serving_system(params, peer):
+            # planning measures candidates on clones of its own; only the
+            # serving clone's peer is the buggy one
+            serving = scheduler._target
+            if serving is not None and peer is serving.peer("server"):
                 raise _Crash("implementation bug")
             return [element("ok")]
 
         system.peer("server").install_service(
-            NativeService("flaky", crash_on_live_system)
+            NativeService("flaky", crash_on_serving_system)
         )
         system.peer("laptop").install_document(
             "d", element("doc", make_service_call("server", "flaky"))
         )
         tracer = Tracer()
-        scheduler = Scheduler(connect(system, isolate=False, tracer=tracer))
+        scheduler = Scheduler(connect(system, tracer=tracer))
         job = scheduler.submit(JobRequest(
             "for $x in $d/* return $x", at="laptop", bind={"d": "d@laptop"},
             name="crashing",
@@ -194,24 +195,18 @@ class TestVerdictKeys:
         assert [len(job.answers) for job in report.jobs] == [2, 32]
         assert len(count_checks) == 2 * per_job
 
-    def test_write_job_between_two_reads_invalidates_verdicts(
+    def test_a_write_between_two_serves_invalidates_verdicts(
         self, count_checks
     ):
         system = slow_pair()
         system.peer("server").install_document("cat", catalog(0))
-        session = connect(system, verify=True, isolate=False)
-
-        def read(arrival):
-            return JobRequest(
-                FILTER_QUERY, "laptop", bind={"d": "cat@server"},
-                name="read", arrival=arrival,
-            )
-
-        write = JobRequest.for_write(
-            InsertOp("cat", parse("<i><p>99</p></i>"), None), arrival=0.005
+        session = connect(system, verify=True)
+        read = JobRequest(
+            FILTER_QUERY, "laptop", bind={"d": "cat@server"}, name="read"
         )
-        report = session.serve([read(0.0), write, read(0.01)])
-        first, _, second = report.jobs
+        (first,) = session.serve([read]).jobs
+        session.write(InsertOp("cat", parse("<i><p>99</p></i>"), None))
+        (second,) = session.serve([read]).jobs
         assert len(second.answers) == len(first.answers) + 1
         assert len(count_checks) % 2 == 0 and count_checks
         half = len(count_checks) // 2

@@ -76,12 +76,12 @@ class TestLinks:
         assert arrival == 1.0
         assert net.stats.messages == 0
 
-    def test_reset_clocks_clears_busy(self):
+    def test_clone_starts_with_idle_links(self):
         net = Network()
         net.add_link("a", "b", latency=0.0, bandwidth=100.0)
         net.deliver(Message("a", "b", MessageKind.DATA, 1000), 0.0)
-        net.reset_clocks()
-        assert net.link("a", "b").busy_until == 0.0
+        assert net.clone().link("a", "b").busy_until == 0.0
+        assert net.link("a", "b").busy_until > 0.0
 
 
 class TestRouting:
@@ -212,13 +212,14 @@ class TestStats:
         assert link.stats.messages == 1
         assert link.stats.bytes == 100 + Message.ENVELOPE_OVERHEAD
 
-    def test_reset_stats(self):
+    def test_clone_starts_with_empty_stats(self):
         net = Network()
         net.add_link("a", "b")
         net.deliver(Message("a", "b", MessageKind.DATA, 1))
-        net.reset_stats()
-        assert net.stats.messages == 0
-        assert net.link("a", "b").stats.messages == 0
+        twin = net.clone()
+        assert twin.stats.messages == 0
+        assert twin.link("a", "b").stats.messages == 0
+        assert net.stats.messages == 1
 
     def test_log_when_enabled(self):
         net = Network()

@@ -182,7 +182,7 @@ class TestNoTracer:
         assert NO_TRACER.trace() is None
         assert (NO_TRACER.jobs, NO_TRACER.run, NO_TRACER._stack) == ({}, [], [])
 
-    def test_untraced_faulted_serve_with_a_write_records_nothing(self):
+    def test_untraced_faulted_serves_around_a_write_record_nothing(self):
         def serve(tracer):
             system = AXMLSystem.with_peers(["laptop", "server"])
             system.peer("server").install_document(
@@ -191,32 +191,28 @@ class TestNoTracer:
             plan = FaultPlan.generate(1, system, FAULT_SPEC)
             assert plan.events
             session = Session(
-                system, isolate=False, fault_plan=plan, tracer=tracer,
+                system, fault_plan=plan, tracer=tracer,
                 retry=RetryPolicy(max_attempts=3, backoff=0.005),
             )
             read = dict(
                 source="for $i in $d//i where $i/p > 37 return $i/p",
                 at="laptop", bind={"d": "cat@server"}, partial=True,
             )
-            return session.serve(
-                [
-                    JobRequest(name="before", **read),
-                    JobRequest.for_write(
-                        InsertOp("cat", parse("<i><p>99</p></i>"), None),
-                        arrival=0.005, name="write",
-                    ),
-                    JobRequest(name="after", arrival=0.01, **read),
-                ],
-            )
+            before = session.serve([JobRequest(name="before", **read)])
+            session.write(InsertOp("cat", parse("<i><p>99</p></i>"), None))
+            after = session.serve([JobRequest(name="after", **read)])
+            return before, after
 
         traced = serve(Tracer())
-        # traced, the same run records job roots and run-level spans...
-        assert set(traced.trace.jobs) == {"before", "write", "after"}
-        assert traced.trace.run
+        # traced, the same runs record job roots and run-level spans...
+        assert [set(report.trace.jobs) for report in traced] == [
+            {"before"}, {"after"}
+        ]
+        assert all(report.trace.run for report in traced)
         untraced = serve(None)
-        assert untraced.events == traced.events
+        assert [r.events for r in untraced] == [r.events for r in traced]
         # ...untraced, the shared null tracer still holds none
-        assert untraced.trace is None
+        assert [r.trace for r in untraced] == [None, None]
         assert (NO_TRACER.jobs, NO_TRACER.run, NO_TRACER._stack) == ({}, [], [])
 
 
@@ -306,12 +302,14 @@ class TestMetricsRegistry:
         scenario = scenario_for(7)
         plan = FaultPlan.generate(1, scenario.system, FAULT_SPEC)
         session = Session(
-            scenario.system, isolate=False, fault_plan=plan,
+            scenario.system, fault_plan=plan,
             retry=RetryPolicy(max_attempts=3, backoff=0.005),
         )
         report = session.serve(requests_for(scenario, partial=True), seed=7)
-        # faulted: the serving network's registry itself, faults only
-        assert report.registry is scenario.system.network.metrics
+        # faulted: the serving clone's registry, faults only; the live
+        # network counts nothing
+        assert report.registry is not scenario.system.network.metrics
+        assert scenario.system.network.metrics.counters() == []
         counters = report.registry.counters()
         assert counters and counters == report.registry.counters("faults")
 

@@ -221,11 +221,13 @@ class TestPeerCompute:
         result, done = peer.evaluate(Query("2 + 2"))
         assert result == [4] and done > 0
 
-    def test_reset_clock(self):
+    def test_job_queue_counts_down_to_zero(self):
         peer = Peer("p")
-        peer.charge(1000)
-        peer.reset_clock()
-        assert peer.busy_until == 0.0
+        assert peer.enqueue_job() == 1
+        assert peer.enqueue_job() == 2
+        assert peer.dequeue_job() == 1
+        assert peer.dequeue_job() == 0
+        assert peer.dequeue_job() == 0
 
 
 class TestRegistry:
@@ -378,13 +380,14 @@ class TestSystem:
             id(l) for l in system.network.links()
         }
 
-    def test_reset_clocks(self):
+    def test_clone_peers_start_idle(self):
         system = AXMLSystem.with_peers(["a", "b"])
         system.peer("a").charge(1000)
-        system.clock = 5.0
-        system.reset_clocks()
-        assert system.clock == 0.0
-        assert system.peer("a").busy_until == 0.0
+        system.peer("a").enqueue_job()
+        twin = system.clone()
+        assert twin.peer("a").busy_until == 0.0
+        assert twin.peer("a").queued == 0
+        assert system.peer("a").queued == 1
 
 
 class TestCloneIndependence:
@@ -426,21 +429,14 @@ class TestCloneIndependence:
         assert system.peer("a").busy_until == 0.0
         assert system.clock == 0.0
 
-    def test_reset_on_clone_leaves_original_accounting(self):
-        system = self.build()
-        system.network.deliver(Message("a", "b", MessageKind.DATA, 500))
-        system.peer("a").charge(5000)
-        twin = system.clone()
-        twin.reset()
-        assert system.network.stats.messages == 1
-        assert system.peer("a").work_done == 5000
-
-    def test_clone_clock_and_busy_independent_after_reset(self):
+    def test_clone_of_a_busy_clone_leaves_it_busy(self):
         system = self.build()
         twin = system.clone()
         twin.network.deliver(Message("a", "b", MessageKind.DATA, 500))
         twin.peer("a").charge(2000)
-        system.reset()
+        grandchild = twin.clone()
+        assert grandchild.network.stats.messages == 0
+        assert grandchild.peer("a").work_done == 0
         assert twin.network.stats.messages == 1
         assert twin.peer("a").work_done == 2000
         assert twin.peer("a").busy_until > 0.0

@@ -31,6 +31,7 @@ from repro.core import (
 from repro.core.cost import Cost, CostEstimator
 from repro.core.expressions import PeerDest
 from repro.core.rules import Rewrite, RewriteRule
+from repro.engine import JobRequest
 from repro.errors import FragmentUnavailableError
 from repro.session import Session, connect
 from repro.peers import AXMLSystem
@@ -391,21 +392,20 @@ class TestSessionIntegration:
         assert second.plan_cache.prepared_hits == 1
         assert second.plan.describe() == first.plan.describe()
 
-    def test_non_isolated_session_clears_cache_between_runs(self, system):
-        session = Session(system, strategy="beam", isolate=False)
-        session.query(
+    def test_serving_keeps_the_session_cache(self, system):
+        session = Session(system, strategy="beam")
+        request = JobRequest(
             "for $i in $d//item where $i/price > 30 return $i/name",
             at="client",
             bind={"d": "cat@data"},
+            name="q",
         )
+        session.serve([request])
         assert session.plan_cache.distinct_plans > 0
-        second = session.query(
-            "for $i in $d//item where $i/price > 30 return $i/name",
-            at="client",
-            bind={"d": "cat@data"},
-        )
-        # Σ was mutated by the first execution, so nothing stale survives
-        assert second.plan_cache.plans_scored > 0
+        served = session.serve([request]).jobs[0].report
+        # a serve runs on a clone of Σ, so its plans stay good
+        assert served.plan_cache.prepared_hits == 1
+        assert served.plan_cache.plans_scored == 0
 
     @pytest.mark.parametrize("full_first", [True, False])
     def test_shared_cache_keeps_rule_sets_apart(self, system, full_first):

@@ -173,25 +173,19 @@ PARITY_SPECS = {
 
 def serve_stream(spec, seed, index=0, churn=None, writes=False,
                  **session_kwargs):
-    """Serve scenario ``index``'s queries four times over in a closed loop
-    of 4, optionally under a fault plan that crashes ``churn = (peer
-    rank, crash at, rejoin at)`` and with the scenario's writes
-    interleaved as write jobs (on a non-isolated session)."""
+    """Serve scenario ``index``'s queries in a closed loop of 4, optionally
+    under a fault plan that crashes ``churn = (peer rank, crash at, rejoin
+    at)``; returns the serving reports.  Without ``writes`` that is one
+    stream of every query four times over; with it, the scenario's writes
+    are applied in order through :meth:`Session.write`, and every query is
+    served once after each."""
     scenario = ScenarioGenerator(seed=seed, spec=spec).scenario(index)
     requests = [
         JobRequest(
             source=q.source, at=q.at, bind=q.bindings, name=f"{q.name}#{k}",
         )
-        for k, q in enumerate(scenario.queries * 4)
+        for k, q in enumerate(scenario.queries * (1 if writes else 4))
     ]
-    if writes:
-        step = max(1, len(requests) // (len(scenario.writes) + 1))
-        for k, write in enumerate(scenario.writes):
-            requests.insert(
-                (k + 1) * step + k,
-                JobRequest.for_write(write.op(), name=f"w:{write.name}"),
-            )
-        session_kwargs["isolate"] = False
     if churn is not None:
         rank, crash_at, rejoin_at = churn
         peer = sorted(scenario.system.peers)[rank]
@@ -200,24 +194,30 @@ def serve_stream(spec, seed, index=0, churn=None, writes=False,
             FaultEvent(PEER_REJOIN, rejoin_at, peer=peer),
         ))
     session = connect(scenario.system, **session_kwargs)
-    return session.serve(feed=ClosedLoopFeed(requests, 4), seed=seed)
+    reports = []
+    for write in scenario.writes if writes else [None]:
+        if write is not None:
+            session.write(write.op())
+        reports.append(session.serve(feed=ClosedLoopFeed(requests, 4), seed=seed))
+    return reports
 
 
 def assert_same_serving(warm, uncached):
-    """Equal events, traffic, per-job status, answers and plan outcome
-    (plan, reported costs, plans explored, strategy)."""
-    assert [j.name for j in warm.jobs] == [j.name for j in uncached.jobs]
-    for left, right in zip(warm.jobs, uncached.jobs):
-        assert left.status == right.status, left.name
-        assert type(left.error) is type(right.error), left.name
-        assert left.answers == right.answers, left.name
-        assert (left.report is None) == (right.report is None), left.name
-        if left.report is None or left.request.write is not None:
-            continue
-        assert outcome(left.report) == outcome(right.report), left.name
-    assert warm.events == uncached.events
-    assert warm.network == uncached.network
-    assert warm.actions == uncached.actions
+    """Serve by serve: equal events, traffic, per-job status, answers and
+    plan outcome (plan, reported costs, plans explored, strategy)."""
+    assert len(warm) == len(uncached)
+    for served, other in zip(warm, uncached):
+        assert [j.name for j in served.jobs] == [j.name for j in other.jobs]
+        for left, right in zip(served.jobs, other.jobs):
+            assert left.status == right.status, left.name
+            assert type(left.error) is type(right.error), left.name
+            assert left.answers == right.answers, left.name
+            assert (left.report is None) == (right.report is None), left.name
+            if left.report is not None:
+                assert outcome(left.report) == outcome(right.report), left.name
+        assert served.events == other.events
+        assert served.network == other.network
+        assert served.actions == other.actions
 
 
 #: no fault, then a crash at 0.03 and a rejoin at 0.08 of each of the
@@ -243,7 +243,7 @@ class TestExactness:
     ])
     def test_cache_on_and_off_serve_writes_alike_under_churn(self, seed, churn):
         warm = serve_stream(WRITE_MIX_SPEC, seed, churn=churn, writes=True)
-        assert any(j.request.write is not None for j in warm.jobs)
+        assert len(warm) == WRITE_MIX_SPEC.writes > 1
         assert_same_serving(
             warm,
             serve_stream(
@@ -274,9 +274,10 @@ class TestExactness:
     def test_served_stream_equals_the_uncached_stream(self):
         warm = serve_stream(SPEC, 7)
         uncached = serve_stream(SPEC, 7, plan_cache=None)
+        assert_same_serving(warm, uncached)
+        ((warm,), (uncached,)) = (warm, uncached)
         assert len(warm.jobs) == 24
         assert all(job.error is None for job in warm.jobs)
-        assert_same_serving(warm, uncached)
         # 6 queries x 4 under names #0..#23: one- and two-digit suffixes
         # are two widths, so each query is searched twice and served twice
         hits = sum(j.report.plan_cache.prepared_hits for j in warm.jobs)
@@ -296,9 +297,10 @@ def fresh_memo_per_search(monkeypatch):
     monkeypatch.setattr(Optimizer, "optimize_with", optimize_with)
 
 
-def memo_hits(served):
+def memo_hits(reports):
     return sum(
         job.report.plan_cache.query_memo_hits
+        for served in reports
         for job in served.jobs
         if job.report is not None
     )
@@ -475,7 +477,9 @@ class TestInvalidation:
         session.plan_cache.clear()
         assert session.plan_job(job("q")).plan_cache.prepared_hits == 0
 
-    def test_scripted_crash_and_rejoin_empty_the_table(self):
+    def test_scripted_crash_and_rejoin_keep_the_table(self):
+        # a crash or rejoin changes the serving clone, never the live Σ
+        # every job is planned against: the prepared plan still holds
         churn = FaultPlan(events=(
             FaultEvent(PEER_CRASH, 0.4, peer="d1"),
             FaultEvent(PEER_REJOIN, 0.6, peer="d1"),
@@ -484,36 +488,39 @@ class TestInvalidation:
         def second_job(fault_plan):
             session = connect(two_docs(), fault_plan=fault_plan)
             report = session.serve([job("q#1"), job("q#2", arrival=1.0)])
-            return report.jobs[1].report.plan_cache
+            return report.jobs[1].report
 
-        assert second_job(None).prepared_hits == 1
-        assert second_job(churn).prepared_hits == 0
+        calm, churned = second_job(None), second_job(churn)
+        assert calm.plan_cache.prepared_hits == 1
+        assert churned.plan_cache.prepared_hits == 1
+        assert outcome(churned) == outcome(calm)
+        assert churned.answers == calm.answers
 
-    def test_a_served_activation_orphans_plans_over_its_document(self):
-        # non-isolated serving installs the activated value on the live Σ:
-        # that bumps the document's epoch (and its generic class's), so
-        # the next job over it is searched again, and the one after hits
+    def test_a_served_activation_leaves_the_live_epochs(self):
+        # serving installs the activated value on its clone of Σ: the live
+        # document and its generic class keep their epochs, so every job
+        # after the first is a prepared hit
         system = two_docs()
         system.peer("d1").install_query_service("hot", "doc('inv')//i[p > 190]")
         system.peer("d0").install_document(
             "ax", element("d", make_service_call("d1", "hot"))
         )
         system.registry.register_document("g-ax", "ax", "d0")
-        session = connect(system, isolate=False)
+        session = connect(system)
         report = session.serve([
             job(f"q#{k}", doc="ax@d0", arrival=float(k)) for k in (1, 2, 3)
         ])
         assert all(j.status == "done" for j in report.jobs)
         hits = [j.report.plan_cache.prepared_hits for j in report.jobs]
-        assert hits == [0, 0, 1]
-        assert system.doc_epoch("ax") == system.doc_epoch("g-ax") == 1
-        assert system.doc_epoch("inv") == 0
+        assert hits == [0, 1, 1]
+        assert len({tuple(j.answers) for j in report.jobs}) == 1
+        assert system.doc_epoch("ax") == system.doc_epoch("g-ax") == 0
 
-    def test_non_isolated_runs_never_hit(self):
-        session = connect(two_docs(), isolate=False)
-        kwargs = dict(at="laptop", bind={"d": "cat@d0"})
-        session.query(QUERY, **kwargs)
-        assert session.query(QUERY, **kwargs).plan_cache.prepared_hits == 0
+    def test_a_lone_query_hits_the_plan_a_serve_prepared(self):
+        session = connect(two_docs())
+        session.serve([job("q")])
+        again = session.query(QUERY, at="laptop", bind={"d": "cat@d0"}, name="q")
+        assert again.plan_cache.prepared_hits == 1
 
     def test_least_recently_served_plan_is_evicted(self, monkeypatch):
         monkeypatch.setattr(planspace, "PREPARED_PLANS", 2)

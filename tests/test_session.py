@@ -16,9 +16,11 @@ from repro.core import (
     QueryRef,
     Send,
 )
+from repro.engine import JobRequest
 from repro.errors import OptimizerError, SessionError, UnknownPeerError
 from repro.peers import AXMLSystem
-from repro.xmlcore import parse
+from repro.writes import DeleteOp, UpdateOp
+from repro.xmlcore import parse, serialize
 from repro.xmlcore.canon import canonical_form
 from repro.xquery import Query
 
@@ -286,20 +288,22 @@ class TestRunAndExplain:
         assert report.executed
         assert not system.peer("helper").has_document("copy")  # Σ untouched
 
-    def test_run_side_effect_plan_lands_when_not_isolated(self, system):
-        send_plan = Plan(
-            Send(DocDest("copy", "helper"), DocExpr("catalog", "server")),
-            "server",
+    def test_write_is_the_one_operation_on_the_live_system(self, system):
+        session = connect(system)
+        session.write(UpdateOp("catalog", 0, "price", "99"))
+        report = session.query(
+            QUICKSTART_QUERY, at="laptop", bind={"d": "catalog@server"}
         )
-        connect(system, isolate=False).run(send_plan, optimize=False)
-        assert system.peer("helper").has_document("copy")
+        assert "item-0" in "".join(report.answers)
+        assert "<price>99</price>" in serialize(
+            system.peer("server").document("catalog").children[0]
+        )
 
-    def test_isolate_false_executes_on_live_system(self, system):
-        session = connect(system, isolate=False)
-        report = session.run(naive_plan(system), optimize=False)
-        assert report.executed
-        # the live network carries the run's traffic
-        assert system.network.stats.bytes == report.network["bytes"]
+    def test_runs_leave_the_live_network_idle(self, system):
+        report = connect(system).run(naive_plan(system), optimize=False)
+        assert report.executed and report.network["bytes"] > 0
+        # the run's traffic went over a clone's links
+        assert system.network.stats.bytes == 0
 
     def test_isolated_runs_of_one_plan_measure_from_the_same_baseline(self, system):
         session = connect(system)
@@ -309,23 +313,23 @@ class TestRunAndExplain:
         assert first.completed_at == pytest.approx(second.completed_at)
         assert first.network["bytes"] == second.network["bytes"]
 
-    def test_consecutive_non_isolated_runs_reset_the_live_stats(self, system):
-        session = connect(system, isolate=False)
+    def test_consecutive_runs_leave_the_live_accounting_at_zero(self, system):
+        session = connect(system)
         session.run(naive_plan(system))
         session.run(naive_plan(system))
-        # the live stats reflect only the final run, not the sum
-        single = connect(system.clone(), isolate=False).run(naive_plan(system))
-        assert system.network.stats.bytes == single.network["bytes"]
+        assert system.network.stats.messages == 0
+        assert system.clock == 0.0
+        assert all(p.busy_until == 0.0 for p in system.peers.values())
+        assert all(p.work_done == 0 for p in system.peers.values())
 
 
 class TestSignature:
-    def test_session_takes_twelve_keywords(self):
+    def test_session_takes_eleven_keywords(self):
         params = inspect.signature(Session.__init__).parameters.values()
         keywords = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
         assert keywords == {
             "strategy", "verify", "trace", "tracer", "rules", "cost_model",
-            "pick_policy", "isolate", "plan_cache", "retry", "fault_plan",
-            "profiler",
+            "pick_policy", "plan_cache", "retry", "fault_plan", "profiler",
         }
 
     def test_session_has_one_method_per_operation(self):
@@ -385,20 +389,26 @@ class TestConnect:
         assert repro.ExecutionReport is ExecutionReport
 
 
-class TestSystemReset:
-    def test_reset_combines_clocks_and_stats(self, system):
-        session = connect(system, isolate=False)
-        session.run(naive_plan(system), optimize=False)
-        assert system.network.stats.bytes > 0
-        system.clock = 5.0
-        system.reset()
-        assert system.clock == 0.0
-        assert system.network.stats.bytes == 0
-        assert system.network.stats.messages == 0
-        assert all(p.busy_until == 0.0 for p in system.peers.values())
-        assert all(p.work_done == 0 for p in system.peers.values())
-
-    def test_reset_keeps_documents(self, system):
+class TestLiveSystem:
+    def test_reads_keep_the_live_documents(self, system):
         before = system.snapshot()
-        system.reset()
+        session = connect(system)
+        session.run(
+            Plan(
+                Send(DocDest("copy", "helper"), DocExpr("catalog", "server")),
+                "server",
+            ),
+            optimize=False,
+        )
+        session.query(QUICKSTART_QUERY, at="laptop", bind={"d": "catalog@server"})
+        session.serve(
+            [JobRequest(QUICKSTART_QUERY, "laptop", bind={"d": "catalog@server"})]
+        )
         assert system.snapshot() == before
+
+    def test_a_write_changes_only_its_document(self, system):
+        system.peer("helper").install_document("notes", parse("<n><x>1</x></n>"))
+        notes = serialize(system.peer("helper").document("notes"))
+        connect(system).write(DeleteOp("catalog", 0))
+        assert len(system.peer("server").document("catalog").children) == 79
+        assert serialize(system.peer("helper").document("notes")) == notes

@@ -1,9 +1,9 @@
-"""An isolated job is executed by the search's simulation of its plan.
+"""A lone job is executed by the search's simulation of its plan.
 
 Under the oracle model the search runs every candidate on a clone of Σ
 (:func:`repro.core.cost.measure`).  When the bare evaluator would run the
-chosen plan — ``isolate=True``, no fault plan, retry policy, tracer,
-profiler or deadline, not ``partial`` — ``Session._pipeline`` fills the
+chosen plan — no fault plan, retry policy, tracer, profiler or
+deadline, not ``partial`` — ``Session._pipeline`` fills the
 report from the search's run of that plan instead of evaluating it on a
 second clone.  These tests pin that the report is the one a forced
 re-execution gives (answers, completion time, network and per-peer
@@ -181,7 +181,7 @@ def quiet_fault_plan(system):
 
 
 @pytest.mark.parametrize(
-    "case", ["tracer", "retry", "fault_plan", "deadline", "partial", "profiler", "shared"]
+    "case", ["tracer", "retry", "fault_plan", "deadline", "partial", "profiler"]
 )
 def test_every_other_job_re_executes(system, monkeypatch, case):
     session_kwargs, query_kwargs = {}, {}
@@ -193,8 +193,6 @@ def test_every_other_job_re_executes(system, monkeypatch, case):
         session_kwargs["fault_plan"] = quiet_fault_plan(system)
     elif case == "profiler":
         session_kwargs["profiler"] = WallProfiler()
-    elif case == "shared":
-        session_kwargs["isolate"] = False
     elif case == "deadline":
         query_kwargs["deadline"] = 10.0
     else:

@@ -24,7 +24,6 @@ from repro.dist.pruning import fragment_can_match
 from repro.errors import (
     DifferentialMismatchError,
     FragmentUnavailableError,
-    SessionError,
     UnknownDocumentError,
     WriteError,
 )
@@ -348,33 +347,39 @@ class TestEpochs:
 # ---------------------------------------------------------------------------
 
 
-class TestEngineWrites:
-    def test_submit_write_interleaves_with_queries(self):
+class TestSessionWrites:
+    def test_served_query_after_a_write_sees_it(self):
         system = fragmented_system()
-        session = connect(system, isolate=False)
+        session = connect(system)
+        result = session.write(DeleteOp("cat", 0))
+        assert result.kind == "delete"
         report = session.serve([
-            JobRequest.for_write(DeleteOp("cat", 0), arrival=0.0, name="w0"),
             JobRequest(
                 QUERY, at="client", bind={"d": "cat@dist"}, arrival=1.0, name="q0"
             ),
         ])
-        jobs = {job.name: job for job in report.jobs}
-        assert jobs["w0"].write_result is not None
-        assert jobs["w0"].write_result.kind == "delete"
-        assert "<name>n0</name>" not in jobs["q0"].answers
-        assert len(jobs["q0"].answers) == 11
-
-    def test_submit_write_requires_non_isolated_session(self):
-        session = connect(fragmented_system())  # isolate=True default
-        with pytest.raises(SessionError):
-            session.serve([JobRequest.for_write(DeleteOp("cat", 0))])
-
-    def test_failed_write_job_carries_typed_error(self):
-        system = fragmented_system()
-        session = connect(system, isolate=False)
-        report = session.serve([JobRequest.for_write(DeleteOp("ghost", 0), name="bad")])
         (job,) = report.jobs
-        assert isinstance(job.error, UnknownDocumentError)
+        assert "<name>n0</name>" not in job.answers
+        assert len(job.answers) == 11
+
+    def test_a_write_between_serves_replans_the_written_doc(self):
+        session = connect(fragmented_system())
+        request = JobRequest(QUERY, at="client", bind={"d": "cat@dist"})
+        first = session.serve([request]).jobs[0]
+        assert first.report.plan_cache.prepared_misses == 1
+        assert session.serve([request]).jobs[0].report.plan_cache.prepared_hits == 1
+        session.write(UpdateOp("cat", 0, "name", "renamed"))
+        third = session.serve([request]).jobs[0]
+        assert third.report.plan_cache.prepared_misses == 1
+        assert "<name>renamed</name>" in third.answers
+        assert "<name>n0</name>" in first.answers
+
+    def test_failed_write_raises_typed_error_and_changes_nothing(self):
+        system = fragmented_system()
+        before = system.snapshot()
+        with pytest.raises(UnknownDocumentError):
+            connect(system).write(DeleteOp("ghost", 0))
+        assert system.snapshot() == before
 
 
 # ---------------------------------------------------------------------------
