@@ -1,12 +1,16 @@
-"""The evaluator's answers, pinned: a digest table of the AST walker's.
+"""The evaluator's answers, pinned: a digest table of earlier evaluators'.
 
 The compiled plan (:mod:`repro.xquery.evaluator`) replaced a tree walker
 that evaluated the AST node by node.  Before the walker was deleted, both
 ran every ``tests/test_xquery_*.py`` case, the whole tier-1 suite and the
 generated sweeps, and agreed item for item, error for error and on the
-order in which each run ranked its trees.  The table below is the
-walker's answers, so a bug the optimized plan and the naive plan would
-share — the other differentials compare the two — still shows here.
+order in which each run ranked its trees.  The rows up to
+``constructed-sort`` are the walker's answers.  The ``flwor-*`` rows
+were added later, before the FLWOR moved from one context per binding
+tuple to columns of iterations: they are the answers of that
+tuple-at-a-time closure plan, not the walker's.  Either way a bug the
+optimized plan and the naive plan would share — the other differentials
+compare the two — still shows here.
 
 An outcome is described by :func:`describe` and reduced to a short
 digest.  A node of an input tree is named by (tree, pre-order rank),
@@ -154,6 +158,16 @@ CASES = [
     ("computed-name-error", "element {()} {1}"),
     ("constructed-identity", "let $x := <a><b/></a> return ($x/b, $x/b is $x/b, $x | $x)"),
     ("constructed-sort", "let $x := <a/>, $y := <b/> return ($y | $x)"),
+    ("flwor-where-missing", "for $i in $d/item where $i/qty > 0 return $i/name"),
+    ("flwor-where-text", "for $i in $d/item where $i/name > 0 or $i/name = 'ink' return $i/@id"),
+    ("flwor-let-empty", "for $i in $d/item let $z := $i/zz, $n := $i/name return ($z, $n, count($z))"),
+    ("flwor-construct", "for $i in $d/item return <hit>{$i/name/text()}</hit>"),
+    ("flwor-mixed-text", "for $i in $d/item return $i/note/text()"),
+    ("flwor-atomic-source", "for $x in (1, 2) return $x/name"),
+    ("flwor-two-trees", "for $x in ($e/row, $d/item) return ($x/k | $x/name)"),
+    ("flwor-join-duplicates", "for $i in $d/item, $j in $d/item where $i/name = $j/name return ($i/@id, $j/price)"),
+    ("flwor-where-order", "for $i in $d/item where $i/price > 4 order by $i/price descending return $i/name"),
+    ("flwor-at", "for $t at $p in $d//tag, $r at $q in $e/row where $p = $q return ($p, $t, $r/k)"),
 ]
 
 
@@ -252,7 +266,8 @@ FAMILIES = {
     "write-mix": WRITE_MIX_SPEC,
 }
 
-#: The walker's answers: case -> digest of its outcome.
+#: The walker's answers (and, for ``flwor-*``, the tuple-at-a-time
+#: closure plan's): case -> digest of its outcome.
 EXPECTED = {
     'arith': 'ed5ed0095ecb',
     'arith-node': '65477d2f05cf',
@@ -356,6 +371,16 @@ EXPECTED = {
     'computed-name-error': '9fb38c951f07',
     'constructed-identity': 'ea3cf1ae0547',
     'constructed-sort': 'ea77d65c12d3',
+    'flwor-where-missing': '4f53cda18c2b',
+    'flwor-where-text': 'b85d7d0dc6de',
+    'flwor-let-empty': '3ee1115e0031',
+    'flwor-construct': 'b9990783c901',
+    'flwor-mixed-text': '5e03fd1d609e',
+    'flwor-atomic-source': 'ca352bd9d2cc',
+    'flwor-two-trees': 'b4d94d50a495',
+    'flwor-join-duplicates': 'fadda581440e',
+    'flwor-where-order': 'b533f19d4042',
+    'flwor-at': '986dbd5b156c',
 }
 
 #: The walker's answers on generated scenarios: family/seed -> digest.
