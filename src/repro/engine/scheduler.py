@@ -345,6 +345,10 @@ class Scheduler:
             job.finished_at = exc.at if late else now
             # a no-op once the eval path has closed the root
             tracer.end_job(now, status="failed", error=type(exc).__name__)
+        except BaseException as exc:
+            # an untyped crash propagates, but never with the root open
+            tracer.end_job(now, status="failed", error=type(exc).__name__)
+            raise
         else:
             job.status = DONE
             job.finished_at = report.completed_at

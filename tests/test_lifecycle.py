@@ -125,6 +125,31 @@ class TestFailureBracket:
         assert tracer.begin_job("next", 0.0) is tracer.jobs["next"]
         assert tracer.jobs["next"] not in list(root.walk())
 
+    def test_untyped_crash_mid_planning_closes_the_span_tree(self):
+        system = slow_pair()
+
+        def crash(params, peer):
+            raise _Crash("implementation bug")
+
+        # the oracle's measure runs the call on a clone: planning crashes
+        system.peer("server").install_service(NativeService("flaky", crash))
+        system.peer("laptop").install_document(
+            "d", element("doc", make_service_call("server", "flaky"))
+        )
+        tracer = Tracer()
+        scheduler = Scheduler(connect(system, tracer=tracer))
+        job = scheduler.submit(JobRequest(
+            "for $x in $d/* return $x", at="laptop", bind={"d": "d@laptop"},
+            name="crashing",
+        ))
+        with pytest.raises(_Crash):
+            scheduler.drain()
+        root = tracer.jobs[job.name]
+        assert root.attrs == {"site": "laptop", "status": "failed", "error": "_Crash"}
+        assert root.children == []
+        assert tracer.begin_job("next", 0.0) is tracer.jobs["next"]
+        assert tracer.jobs["next"] not in list(root.walk())
+
     def test_planning_failure_leaves_a_closed_failed_root(self):
         system = slow_pair()
         system.peer("server").install_document("cat", catalog(0))
