@@ -60,7 +60,7 @@ from .ast import (
 from .functions import lookup_builtin
 from .parser import parse_query
 from .runtime import (
-    AttributeNode, DocumentOrder, Item, atomize, atomize_single,
+    XSD_DOUBLE, AttributeNode, DocumentOrder, Item, atomize, atomize_single,
     effective_boolean_value, general_compare, is_node, string_value,
     to_number, value_compare,
 )
@@ -555,17 +555,15 @@ class _Compiler:
         number = node.right.value if isinstance(node.right, Literal) else None
         if type(number) not in (int, float):
             return lambda ctx: [general_compare(op, left(ctx), right(ctx))]
-        compare = _GENERAL[op]
+        compare, is_double = _GENERAL[op], XSD_DOUBLE.fullmatch
 
         def against_number(ctx: DynamicContext) -> List[Item]:
             """``general_compare`` against a number: a node's text is cast
             as ``to_number`` casts it, any other item compares as usual."""
             for item in left(ctx):
                 if type(item) in _NODE_TYPES:
-                    try:
-                        value = float(string_value(item).strip())
-                    except ValueError:
-                        value = math.nan
+                    text = string_value(item)
+                    value = float(text) if is_double(text) else math.nan
                     if compare(value, number):
                         return [True]
                 elif general_compare(op, [item], [number]):

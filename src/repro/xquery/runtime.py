@@ -13,6 +13,7 @@ document-order utilities shared by path evaluation and node comparisons.
 from __future__ import annotations
 
 import math
+import re
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import XQueryTypeError
@@ -142,16 +143,25 @@ def atomize_single(
     return atoms[0]
 
 
+#: The lexical space of xs:double (ASCII digits with an optional
+#: exponent, ``INF``, ``+INF``, ``-INF``, ``NaN``) inside XML whitespace.
+#: Every text cast to a number is matched here first: ``float()`` alone
+#: would also read ``1_000``, ``infinity`` or full-width digits.  A match
+#: is a spelling ``float()`` reads, surrounding whitespace included.
+XSD_DOUBLE = re.compile(
+    r"[ \t\n\r]*(?:[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    r"|[+-]?INF|NaN)[ \t\n\r]*"
+)
+
+
 def to_number(value: Any) -> float:
     """Cast an atomic value to xs:double; NaN on failure (like fn:number)."""
     if isinstance(value, bool):
         return 1.0 if value else 0.0
     if isinstance(value, (int, float)):
         return float(value)
-    try:
-        return float(str(value).strip())
-    except ValueError:
-        return float("nan")
+    text = str(value)
+    return float(text) if XSD_DOUBLE.fullmatch(text) else math.nan
 
 
 def effective_boolean_value(sequence: Sequence[Item]) -> bool:

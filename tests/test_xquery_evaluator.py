@@ -107,6 +107,17 @@ class TestComparisons:
             "(//item)[1] << (//item)[2]", context_item=catalog
         ) == [True]
 
+    @pytest.mark.parametrize("text,expected", [
+        ("1_000", []), ("infinity", []), ("\uff11\uff12\uff13", []), ("NaN", []),
+        (" 200 ", ["p"]), ("INF", ["p"]), ("1e3", ["p"]),
+    ])
+    def test_node_against_a_number_casts_as_xs_double(self, text, expected):
+        d = parse(f"<d><p>{text}</p></d>")
+        for query in ("$d/p > 100", "$d/p[true()] > 100", "for $x in $d return $x/p > 100"):
+            assert evaluate_query(query, variables={"d": [d]}) == [bool(expected)]
+        found = evaluate_query("for $x in $d where $x/p > 100 return $x/p", variables={"d": [d]})
+        assert [item.tag for item in found] == expected
+
     def test_boolean_cross_type_rejected(self):
         with pytest.raises(XQueryTypeError):
             evaluate_query("true() eq 1")

@@ -47,6 +47,21 @@ class TestNumeric:
         assert math.isnan(q("number('abc')")[0])
         assert math.isnan(q("number(())")[0])
 
+    @pytest.mark.parametrize("text,value", [
+        (" 7 ", 7.0), ("\t-1.5e2\n", -150.0), (".5", 0.5), ("5.", 5.0), ("+3", 3.0),
+        ("INF", math.inf), ("+INF", math.inf), ("-INF", -math.inf),
+    ])
+    def test_number_reads_the_xsd_double_lexical_space(self, text, value):
+        assert q("number(.)", context_item=parse(f"<p>{text}</p>")) == [value]
+
+    @pytest.mark.parametrize("text", [
+        "1_000", "infinity", "inf", "nan", "\uff11\uff12", "\u00a012", "1 2", "0x10", "", " ",
+    ])
+    def test_number_of_any_other_spelling_is_nan(self, text):
+        assert math.isnan(q("number(.)", context_item=parse(f"<p>{text}</p>"))[0])
+        assert math.isnan(q(f"number('{text}')")[0])
+        assert math.isnan(q("number(' NaN ')")[0])
+
     def test_abs_floor_ceiling_round(self):
         assert q("abs(-4)") == [4]
         assert q("floor(2.7)") == [2]
