@@ -14,9 +14,9 @@ current state; the AXML layer re-runs them as input trees arrive
 
 Compiling decides once what each evaluation would otherwise look up:
 which function a call names, which test a step's candidates pass (a name
-test is a tag compare), and three shortcuts that skip work whose result
-is already known.  None changes an answer or an error; where a shortcut
-cannot be sure, the plain evaluation runs.
+test is a tag compare), and the shortcuts below that skip work whose
+result is already known.  None changes an answer or an error; where a
+shortcut cannot be sure, the plain evaluation runs.
 
 * **Ordered steps.**  A step along a forward axis (``child``,
   ``descendant``, ``descendant-or-self``, ``self``, ``attribute``,
@@ -24,21 +24,36 @@ cannot be sure, the plain evaluation runs.
   nodes in document order without duplicates, so it is not sorted.
   ``descendant-or-self::node()/child::T`` — what ``//T`` abbreviates —
   runs as one ``descendant::T`` step when ``T`` has no predicate.
+* **Columns of iterations.**  A FLWOR is loop-lifted: each variable it
+  binds is a column with one item list per iteration, and each clause
+  runs once over all iterations — a ``for`` turns every iteration into
+  one per item of its source, a ``let`` adds a column, ``where`` yields a
+  mask, ``order by`` a permutation and ``return`` one item list per
+  iteration left.  Each operand gets a *lifted kernel* when its shape is
+  covered (:meth:`_Compiler._lift`): a bound variable (its column), a
+  path from one down child name tests, the last possibly ``text()``,
+  without predicates (children read directly, tree noted once per
+  parent), a general comparison of such an operand with a number in
+  ``where``, and a direct constructor over such parts.  Any other
+  operand runs its closure once per iteration, on a context that binds
+  the iteration's variables, built the first time one is needed.
 * **Invariant sources.**  A ``for`` source that reads no variable bound
   earlier in its FLWOR and is :func:`replayable` is evaluated once per
-  FLWOR evaluation, not once per binding tuple.
+  FLWOR evaluation, not once per iteration.
 * **Hash join.**  ``for $a in A, $b in B where L = R ...`` whose ``L``
   reads ``$a`` and ``R`` reads ``$b`` (either way round; both
   replayable), with ``B`` invariant and no ``at $j`` on ``$b``: ``R``'s
-  keys are hashed once and probed with each ``$a``'s.  The tuples come
-  out in nested-loop order and run the rest of ``where``; a key that is
-  not a string, or any XQuery error, discards the join and the nested
-  loop runs from the start.
+  keys are hashed once and probed with each ``$a``'s, each side's keys a
+  column at a time.  The pairs come out in nested-loop order and run
+  the rest of ``where``; a key that is not a string, or any XQuery
+  error, discards the join and the clauses run from the start.
 
 A plan evaluates in the order the definitions do: ``doc()`` reads are
 counted, the first error raised is the one reported, and a run's
 ``DocumentOrder`` first ranks each tree where the definitions would,
-which decides how nodes of different trees sort.
+which decides how nodes of different trees sort.  A kernel runs an
+operand column by column only where at most one path in it can note a
+tree or raise, so it notes and raises in the order row by row would.
 """
 
 from __future__ import annotations
@@ -79,6 +94,9 @@ _ORDERED_AXES = frozenset({
 })
 
 _ANY_NODE = KindTest("node")
+_TEXT = KindTest("text")
+
+_is_double = XSD_DOUBLE.fullmatch
 
 _CONSTRUCTORS = (DirectElement, ComputedElement, ComputedAttribute, ComputedText)
 
@@ -245,7 +263,7 @@ class DynamicContext:
     """Evaluation-time state: variables, focus, resolver, document order.
 
     Builtins get the calling context.  A plan builds a run's first context
-    (:meth:`_Plan.run`) and derives the others (per binding tuple,
+    (:meth:`_Plan.run`) and derives the others (per FLWOR iteration,
     predicate item, function call) with :func:`_frame`, field by field:
     the class has no constructor to run.  A context's ``variables`` are
     never changed once it is handed on, so contexts that differ only in
@@ -286,9 +304,76 @@ def _frame(ctx: DynamicContext, variables, item, position, size, depth) -> Dynam
     return frame
 
 
+class _Loop:
+    """The iterations of one FLWOR evaluation: a column per bound variable.
+
+    ``columns`` maps each variable the FLWOR has bound so far to one item
+    list per iteration (a ``for`` variable's holds its one item).  A loop
+    is not changed once a kernel has seen it: binding a variable, keeping
+    some iterations or reordering them makes a new one.  The operands no
+    kernel covers run on :meth:`contexts`, built the first time one asks.
+    """
+
+    __slots__ = ("ctx", "columns", "size", "_contexts")
+
+    def __init__(self, ctx: DynamicContext, columns: Dict[str, List[List[Item]]], size: int) -> None:
+        self.ctx, self.columns, self.size = ctx, columns, size
+        self._contexts: Optional[List[DynamicContext]] = None
+
+    def contexts(self) -> List[DynamicContext]:
+        """One context per iteration: the FLWOR's, its variables bound."""
+        if self._contexts is None:
+            ctx, columns = self.ctx, list(self.columns.items())
+            contexts = [ctx] * self.size
+            if columns:
+                for row in range(self.size):
+                    variables = {**ctx.variables}
+                    for name, column in columns:
+                        variables[name] = column[row]
+                    contexts[row] = _frame(
+                        ctx, variables, ctx.context_item, ctx.position, ctx.size, ctx.depth
+                    )
+            self._contexts = contexts
+        return self._contexts
+
+    def bind(self, name: str, at: Optional[str], results: List[List[Item]]) -> "_Loop":
+        """A ``for`` clause: each row gives way to one row per item of its
+        ``results`` entry, in order, ``$name`` bound to it (``$at`` to its
+        position)."""
+        rows: List[int] = []
+        items: List[Item] = []
+        positions: List[int] = []
+        for row, found in enumerate(results):
+            if found:
+                count = len(found)
+                rows += [row] * count
+                items += found
+                if at:
+                    positions += range(1, count + 1)
+        loop = self.select(rows)
+        loop.columns[name] = [[item] for item in items]
+        if at:
+            loop.columns[at] = [[position] for position in positions]
+        return loop
+
+    def let(self, name: str, column: List[List[Item]]) -> "_Loop":
+        """A ``let`` clause: ``$name`` bound to ``column``'s list per row."""
+        return _Loop(self.ctx, {**self.columns, name: column}, self.size)
+
+    def select(self, rows: Union[List[int], range]) -> "_Loop":
+        """The iterations ``rows``, in that order."""
+        return _Loop(
+            self.ctx,
+            {name: [column[row] for row in rows] for name, column in self.columns.items()},
+            len(rows),
+        )
+
+
 Fn = Callable[[DynamicContext], List[Item]]
 #: A path step: the context nodes and the context to the step's nodes.
 StepFn = Callable[[List[Item], DynamicContext], List[Item]]
+#: An operand over a FLWOR's iterations: one item list per iteration.
+Kernel = Callable[[_Loop], List[List[Item]]]
 
 
 class _Plan:
@@ -401,135 +486,320 @@ class _Compiler:
     # -- FLWOR -------------------------------------------------------------------
     def _flwor(self, node: FLWORExpr) -> Fn:
         once, join = _flwor_shape(node, self.declared)
-        clauses = [
-            (clause.variable, getattr(clause, "position_variable", None),
-             self.expr(clause.source) if isinstance(clause, ForClause) else None,
-             None if isinstance(clause, ForClause) else self.expr(clause.value),
-             index in once)
-            for index, clause in enumerate(node.clauses)
-        ]
-        where = self.expr(node.where) if node.where is not None else None
-        order_by = self._order_by(node) if node.order_by else None
-        return_expr = self.expr(node.return_expr)
-        hash_join = self._hash_join(node, clauses, *join) if join is not None else None
-
-        def nested_loop(ctx: DynamicContext, sources: Dict[int, List[Item]]) -> List[DynamicContext]:
-            """The binding tuples that pass ``where``, by definition: each
-            clause over every tuple so far, then ``where`` over each tuple."""
-            tuples = [ctx.child()]
-            for index, (name, at, source, value, is_once) in enumerate(clauses):
-                next_tuples: List[DynamicContext] = []
-                for scope in tuples:
-                    if value is not None:  # let
-                        bound = scope.child()
-                        bound.variables[name] = value(bound)
-                        next_tuples.append(bound)
-                        continue
-                    items = sources.get(index) if is_once else None
-                    if items is None:
-                        items = source(scope)
-                        if is_once:
-                            sources[index] = items
-                    next_tuples += _bind(scope, name, at, items)
-                tuples = next_tuples
-            if where is None:
-                return tuples
-            return [scope for scope in tuples if effective_boolean_value(where(scope))]
+        scope: Dict[str, bool] = {}
+        clauses = []
+        for index, clause in enumerate(node.clauses):
+            if isinstance(clause, ForClause):
+                clauses.append(self._for(clause, index, index in once, scope))
+            else:
+                clauses.append(_let(clause.variable, self._operand(clause.value, scope)))
+                scope[clause.variable] = False
+        where = self._test(node.where, scope) if node.where is not None else None
+        order_by = self._order_by(node, scope) if node.order_by else None
+        return_expr = self._operand(node.return_expr, scope)
+        hash_join = self._hash_join(node, *join) if join is not None else None
 
         def flwor(ctx: DynamicContext) -> List[Item]:
             sources: Dict[int, List[Item]] = {}
-            tuples = hash_join(ctx, sources) if hash_join is not None else None
-            if tuples is None:
-                tuples = nested_loop(ctx, sources)
+            loop = hash_join(ctx, sources) if hash_join is not None else None
+            if loop is None:
+                loop = _Loop(ctx, {}, 1)
+                for clause in clauses:
+                    loop = clause(loop, sources)
+                if where is not None:
+                    mask = where(loop)
+                    if False in mask:
+                        loop = loop.select([row for row, keep in enumerate(mask) if keep])
             if order_by is not None:
-                tuples = order_by(tuples)
+                loop = loop.select(order_by(loop))
             result: List[Item] = []
-            for scope in tuples:
-                result += return_expr(scope)
+            for items in return_expr(loop):
+                result += items
             return result
         return flwor
 
-    def _hash_join(self, node: FLWORExpr, clauses, test: ComparisonOp, outer_left: bool):
-        """What the nested loop returns, with the inner keys hashed.
+    def _for(self, clause: ForClause, index: int, is_once: bool, scope: Dict[str, bool]):
+        """A ``for`` clause: its source per iteration, or once per FLWOR
+        evaluation (on the FLWOR's context: the source reads no variable
+        the FLWOR binds) when some iteration reaches it."""
+        name, at = clause.variable, clause.position_variable
+        if is_once:
+            source = self.expr(clause.source)
 
-        The first outer tuple meets the inner ones pair by pair, evaluating
-        the keys in the nested loop's order, so every tree is first ranked
-        where the nested loop would rank it; its inner keys fill the table
-        that every later outer tuple probes.  A pair whose keys share a
-        string runs the rest of ``where``, in nested-loop order.  ``None``
-        when the nested loop must decide: a key that is not a string (only
-        strings compare by plain equality) or any XQuery error.
+            def bind(loop: _Loop, sources: Dict[int, List[Item]]) -> _Loop:
+                if not loop.size:
+                    return loop.bind(name, at, [])
+                items = sources.get(index)
+                if items is None:
+                    items = sources[index] = source(loop.ctx)
+                return loop.bind(name, at, [items] * loop.size)
+        else:
+            each = self._operand(clause.source, scope)
+
+            def bind(loop: _Loop, sources: Dict[int, List[Item]]) -> _Loop:
+                return loop.bind(name, at, each(loop))
+        scope[name] = True
+        if at:
+            scope[at] = True
+        return bind
+
+    def _hash_join(self, node: FLWORExpr, test: ComparisonOp, outer_left: bool):
+        """The iterations the nested loop keeps, with the inner keys hashed.
+
+        The first outer row meets the inner rows in the nested loop's
+        order, so every tree is first ranked where the nested loop would
+        rank it; its inner keys fill the table that every later outer row
+        probes.  Without a rest of ``where`` the keys are evaluated a
+        column at a time (the inner rows', then the later outer rows');
+        with one, a row at a time, the rest running on each pair whose
+        keys share a string, in nested-loop order.  ``None`` when the
+        nested loop must decide: a key that is not a string (only strings
+        compare by plain equality) or any XQuery error.
         """
-        outer_key = _join_keys(self.expr(test.left if outer_left else test.right))
-        inner_key = _join_keys(self.expr(test.right if outer_left else test.left))
-        (outer_name, outer_at, outer_source, _, _), (inner_name, _, inner_source, _, _) = clauses
-        where = None if node.where is test else self.expr(node.where)
+        outer, inner = node.clauses
+        outer_scope = {outer.variable: True}
+        if outer.position_variable:
+            outer_scope[outer.position_variable] = True
+        outer_side, inner_side = (test.left, test.right) if outer_left else (test.right, test.left)
+        outer_key = _join_keys(self._operand(outer_side, outer_scope))
+        inner_key = _join_keys(self._operand(inner_side, {inner.variable: True}))
+        outer_source, inner_source = self.expr(outer.source), self.expr(inner.source)
+        rest = None if node.where is test else self.expr(node.where)
+        inner_name = inner.variable
 
-        def passes(pair: DynamicContext) -> bool:
-            return where is None or effective_boolean_value(where(pair))
+        def hash_join(ctx: DynamicContext, sources: Dict[int, List[Item]]) -> Optional[_Loop]:
+            items = sources[0] = outer_source(ctx)
+            outers = _Loop(ctx, {}, 1).bind(outer.variable, outer.position_variable, [items])
+            if not outers.size:
+                return outers.bind(inner_name, None, [])
+            items = sources[1] = inner_source(ctx)
+            inners = _Loop(ctx, {}, 1).bind(inner_name, None, [items])
+            if not inners.size:
+                return outers.bind(inner_name, None, [[]] * outers.size)
 
-        def hash_join(ctx: DynamicContext, sources: Dict[int, List[Item]]) -> Optional[List[DynamicContext]]:
-            start = ctx.child()
-            items = sources[0] = outer_source(start)
-            outers = _bind(start, outer_name, outer_at, items)
-            if not outers:
-                return []
-            inner_items = sources[1] = inner_source(outers[0])
-            first_pairs = _bind(outers[0], inner_name, None, inner_items)
-            if not first_pairs:
-                return []
+            def passes(row: int, position: int) -> bool:
+                if rest is None:
+                    return True
+                pair = outers.select([row])
+                pair.columns[inner_name] = inners.columns[inner_name][position:position + 1]
+                return effective_boolean_value(rest(pair.contexts()[0]))
+
             table: Dict[str, List[int]] = {}
-            kept: List[DynamicContext] = []
+            outer_rows: List[int] = []
+            inner_rows: List[int] = []
             try:
-                probe = outer_key(first_pairs[0]) if outer_left else None
-                for position, pair in enumerate(first_pairs):
-                    keys = inner_key(pair)
-                    if position == 0 and not outer_left:
-                        probe = outer_key(pair)
-                    if keys is None or probe is None:
-                        return None
-                    for key in keys:
-                        table.setdefault(key, []).append(position)
-                    if not probe.isdisjoint(keys) and passes(pair):
-                        kept.append(pair)
-                for scope in outers[1:]:
-                    probe = outer_key(scope)
-                    if probe is None:
-                        return None
-                    hits: Set[int] = set()
-                    for key in probe:
-                        hits.update(table.get(key, ()))
-                    matched = [inner_items[position] for position in sorted(hits)]
-                    kept += [p for p in _bind(scope, inner_name, None, matched) if passes(p)]
+                first = outers.select([0])
+                probe = outer_key(first)[0] if outer_left else None
+                position = 0
+                while position < inners.size:
+                    # a row at a time where a rest of ``where`` runs between
+                    # keys; for ``R = L`` the first inner key comes alone
+                    if rest is not None or not (outer_left or position):
+                        stop = position + 1
+                    else:
+                        stop = inners.size
+                    for keys in inner_key(inners.select(range(position, stop))):
+                        if not (outer_left or position):
+                            probe = outer_key(first)[0]
+                        if keys is None or probe is None:
+                            return None
+                        for key in keys:
+                            table.setdefault(key, []).append(position)
+                        if not probe.isdisjoint(keys) and passes(0, position):
+                            outer_rows += [0]
+                            inner_rows += [position]
+                        position += 1
+                row, get = 1, table.get
+                while row < outers.size:
+                    stop = outers.size if rest is None else row + 1
+                    for probe in outer_key(outers.select(range(row, stop))):
+                        if probe is None:
+                            return None
+                        matched: Any = ()
+                        for key in probe:
+                            found = get(key, ())
+                            matched = found if not matched else sorted({*matched, *found})
+                        if rest is not None:
+                            matched = [position for position in matched if passes(row, position)]
+                        outer_rows += [row] * len(matched)
+                        inner_rows += matched
+                        row += 1
             except XQueryError:
                 return None
-            return kept
+            joined = outers.select(outer_rows)
+            column = inners.columns[inner_name]
+            joined.columns[inner_name] = [column[position] for position in inner_rows]
+            return joined
         return hash_join
 
-    def _order_by(self, node: FLWORExpr) -> Callable[[List[DynamicContext]], List[DynamicContext]]:
-        specs = [(self.expr(spec.key), spec.descending) for spec in node.order_by]
+    def _order_by(self, node: FLWORExpr, scope: Dict[str, bool]) -> Callable[[_Loop], List[int]]:
+        """The rows in ``order by`` order.  The keys are evaluated a column
+        at a time where at most one path among them notes trees or raises,
+        else row by row, each row's keys in turn."""
+        lifted = [self._lift(spec.key, scope) for spec in node.order_by]
+        descending = [spec.descending for spec in node.order_by]
+        if len(lifted) == 1 or (None not in lifted and sum(effects for _, effects in lifted) <= 1):
+            keys = [
+                _per_iteration(self.expr(spec.key)) if entry is None else entry[0]
+                for entry, spec in zip(lifted, node.order_by)
+            ]
 
-        def key_for(scope: DynamicContext) -> Tuple:
-            keys = []
-            for key, _ in specs:
-                atom = atomize_single(key(scope), "order by key")
-                if atom is None:
-                    keys.append((0, 0, ""))  # empty sorts least
-                elif isinstance(atom, bool):
-                    keys.append((1, int(atom), ""))
-                elif isinstance(atom, (int, float)):
-                    keys.append((1, float(atom), ""))
-                else:
-                    keys.append((2, 0, str(atom)))
-            return tuple(keys)
+            def tuples(loop: _Loop) -> List[Tuple]:
+                return list(zip(*[[_sort_key(items) for items in key(loop)] for key in keys]))
+        else:
+            closures = [self.expr(spec.key) for spec in node.order_by]
 
-        def order_by(tuples: List[DynamicContext]) -> List[DynamicContext]:
-            decorated = [(key_for(scope), index, scope) for index, scope in enumerate(tuples)]
+            def tuples(loop: _Loop) -> List[Tuple]:
+                return [
+                    tuple(_sort_key(key(ctx)) for key in closures) for ctx in loop.contexts()
+                ]
+
+        def order_by(loop: _Loop) -> List[int]:
+            decorated = list(enumerate(tuples(loop)))
             # stable sort per key, honouring per-key direction
-            for position in range(len(specs) - 1, -1, -1):
-                decorated.sort(key=lambda entry: entry[0][position], reverse=specs[position][1])
-            return [scope for _, _, scope in decorated]
+            for position in range(len(descending) - 1, -1, -1):
+                decorated.sort(key=lambda entry: entry[1][position], reverse=descending[position])
+            return [row for row, _ in decorated]
         return order_by
+
+    # -- lifted kernels -----------------------------------------------------------
+    def _operand(self, node: XQNode, scope: Dict[str, bool]) -> "Kernel":
+        """``node`` over a FLWOR's iterations: its lifted kernel, or its
+        closure run once per iteration on that iteration's context."""
+        lifted = self._lift(node, scope)
+        return _per_iteration(self.expr(node)) if lifted is None else lifted[0]
+
+    def _lift(self, node: XQNode, scope: Dict[str, bool]) -> Optional[Tuple["Kernel", int]]:
+        """The lifted kernel of ``node`` and the number of paths in it (each
+        may note a tree or raise), or ``None`` where no kernel covers it.
+
+        Covered: a variable the FLWOR binds; a path from one through child
+        name tests, the last step possibly ``text()``, without predicates;
+        a direct constructor over such parts, with literal attributes, in
+        which at most one path runs — column by column it then notes trees
+        and raises errors in the order that row by row would.
+        """
+        if isinstance(node, VarRef) and node.name in scope:
+            name = node.name
+            return (lambda loop: loop.columns[name]), 0
+        if isinstance(node, PathExpr):
+            path = self._lift_path(node, scope)
+            return None if path is None else (path, 1)
+        if not isinstance(node, DirectElement) or any(
+            not all(isinstance(part, str) for part in attribute.value_parts)
+            for attribute in node.attributes
+        ):
+            return None
+        content: List[Union[str, Kernel]] = []
+        paths = 0
+        for part in node.content:
+            if isinstance(part, str):
+                if part.strip():
+                    content.append(part)
+                continue
+            lifted = self._lift(part.expr, scope) if isinstance(part, EnclosedExpr) else None
+            if lifted is None:
+                return None
+            content.append(lifted[0])
+            paths += lifted[1]
+        if paths > 1:
+            return None
+        tag = node.tag
+        attributes = [(a.name, "".join(a.value_parts)) for a in node.attributes]
+
+        def direct_element(loop: _Loop) -> List[List[Item]]:
+            columns = [part if isinstance(part, str) else part(loop) for part in content]
+            built_all: List[List[Item]] = []
+            for row in range(loop.size):
+                built = Element(tag)
+                for name, value in attributes:
+                    built.set_attr(name, value)
+                for part in columns:
+                    if type(part) is str:
+                        built.append(Text(part))
+                    else:
+                        _append_sequence(built, part[row])
+                built_all += [[built]]
+            return built_all
+        return direct_element, paths
+
+    def _lift_path(self, node: PathExpr, scope: Dict[str, bool]) -> Optional["Kernel"]:
+        """A relative path from a bound variable down child name tests
+        (the last step possibly ``text()``), without predicates.
+
+        A row whose start is one element walks the children directly: a
+        chain of child steps from one node gathers nodes of one depth, so
+        each step's nodes are in document order without duplicates.  The
+        first step notes the tree, as ``axis_step`` would, unless the
+        previous row's element had the same parent (its tree is ranked).
+        Any other start (several items, a document node, an atomic value)
+        runs the compiled steps, so it sorts, notes and raises as they do.
+        """
+        start, steps = node.start, node.steps
+        if not (isinstance(start, VarRef) and start.name in scope) or not steps:
+            return None
+        tags: List[Optional[str]] = []
+        for index, step in enumerate(steps):
+            if not isinstance(step, Step) or step.axis != "child" or step.predicates:
+                return None
+            if isinstance(step.test, NameTest) and step.test.name != "*":
+                tags.append(step.test.name)
+            elif step.test == _TEXT and index == len(steps) - 1:
+                tags.append(None)
+            else:
+                return None
+        name, single = start.name, scope[start.name]
+        first, later = tags[0], tags[1:]
+        compiled = [self._step(step) for step in steps]
+
+        def path(loop: _Loop) -> List[List[Item]]:
+            ctx = loop.ctx
+            out: List[List[Item]] = []
+            ranked = None  # a parent whose children's tree is ranked
+            for items in loop.columns[name]:
+                if (single or len(items) == 1) and type(items[0]) is Element:
+                    item = items[0]
+                    if first is None:
+                        found = [c for c in item.children if type(c) is Text]
+                    else:
+                        found = [c for c in item.children if type(c) is Element and c.tag == first]
+                    if found:
+                        parent = item.parent
+                        if parent is None or parent is not ranked:
+                            ctx.order.note(found[0])
+                            ranked = parent
+                    for tag in later:
+                        if not found:
+                            break
+                        if tag is None:
+                            found = [c for n in found for c in n.children if type(c) is Text]
+                        else:
+                            found = [
+                                c for n in found for c in n.children
+                                if type(c) is Element and c.tag == tag
+                            ]
+                else:
+                    found = items
+                    for step in compiled:
+                        found = step(found, ctx)
+                out += [found]
+            return out
+        return path
+
+    def _test(self, node: XQNode, scope: Dict[str, bool]) -> Callable[[_Loop], List[bool]]:
+        """``where``: one effective boolean value per iteration.  A general
+        comparison of a lifted operand with a number runs
+        :func:`_against_number` on each iteration's items."""
+        lifted = number = None
+        if isinstance(node, ComparisonOp) and node.op in _GENERAL and isinstance(node.right, Literal):
+            number = node.right.value
+            if type(number) in (int, float):
+                lifted = self._lift(node.left, scope)
+        if lifted is None:
+            operand = self._operand(node, scope)
+            return lambda loop: [effective_boolean_value(items) for items in operand(loop)]
+        left, op = lifted[0], node.op
+        return lambda loop: [_against_number(items, op, number) for items in left(loop)]
 
     # -- operators ------------------------------------------------------------------
     def _binary(self, node: BinaryOp) -> Fn:
@@ -555,21 +825,7 @@ class _Compiler:
         number = node.right.value if isinstance(node.right, Literal) else None
         if type(number) not in (int, float):
             return lambda ctx: [general_compare(op, left(ctx), right(ctx))]
-        compare, is_double = _GENERAL[op], XSD_DOUBLE.fullmatch
-
-        def against_number(ctx: DynamicContext) -> List[Item]:
-            """``general_compare`` against a number: a node's text is cast
-            as ``to_number`` casts it, any other item compares as usual."""
-            for item in left(ctx):
-                if type(item) in _NODE_TYPES:
-                    text = string_value(item)
-                    value = float(text) if is_double(text) else math.nan
-                    if compare(value, number):
-                        return [True]
-                elif general_compare(op, [item], [number]):
-                    return [True]
-            return [False]
-        return against_number
+        return lambda ctx: [_against_number(left(ctx), op, number)]
 
     def _range(self, node: RangeExpr) -> Fn:
         start, end = self.expr(node.start), self.expr(node.end)
@@ -809,26 +1065,59 @@ def _raiser(error: type, message: str) -> Callable[..., List[Item]]:
     return fail
 
 
-def _bind(scope: DynamicContext, name: str, at: Optional[str], items: List[Item]) -> List[DynamicContext]:
-    """One tuple per item: ``scope`` with ``$name`` (and ``$at``) bound."""
-    tuples = []
-    for position, item in enumerate(items, start=1):
-        variables = dict(scope.variables)
-        variables[name] = [item]
-        if at:
-            variables[at] = [position]
-        tuples.append(_frame(
-            scope, variables, scope.context_item, scope.position, scope.size, scope.depth
-        ))
-    return tuples
+def _against_number(items: List[Item], op: str, number: Union[int, float]) -> bool:
+    """``general_compare`` against a number: a node's text is cast as
+    ``to_number`` casts it, any other item compares as usual."""
+    compare = _GENERAL[op]
+    for item in items:
+        if type(item) in _NODE_TYPES:
+            text = string_value(item)
+            if compare(float(text) if _is_double(text) else math.nan, number):
+                return True
+        elif general_compare(op, [item], [number]):
+            return True
+    return False
 
 
-def _join_keys(key: Fn) -> Callable[[DynamicContext], Optional[FrozenSet[str]]]:
-    """The atomized values of ``key``, or ``None`` if one is no string."""
-    def keys(scope: DynamicContext) -> Optional[FrozenSet[str]]:
-        atoms = atomize(key(scope))
-        return frozenset(atoms) if all(isinstance(atom, str) for atom in atoms) else None
+def _per_iteration(compiled: Fn) -> Kernel:
+    """An operand no kernel covers: its closure on each iteration's context."""
+    return lambda loop: [compiled(ctx) for ctx in loop.contexts()]
+
+
+def _let(name: str, value: Kernel):
+    return lambda loop, sources: loop.let(name, value(loop))
+
+
+def _join_keys(value: Kernel) -> Callable[[_Loop], List[Optional[FrozenSet[str]]]]:
+    """Per iteration, the atomized values of ``value``, or ``None`` if one
+    is no string."""
+    def keys(loop: _Loop) -> List[Optional[FrozenSet[str]]]:
+        out: List[Optional[FrozenSet[str]]] = []
+        for items in value(loop):
+            atoms: Optional[List[str]] = []
+            for item in items:
+                if type(item) in _NODE_TYPES:
+                    atoms += [string_value(item)]
+                elif isinstance(item, str):
+                    atoms += [item]
+                else:
+                    atoms = None
+                    break
+            out += [None if atoms is None else frozenset(atoms)]
+        return out
     return keys
+
+
+def _sort_key(items: List[Item]) -> Tuple:
+    """An ``order by`` key: empty sorts least, then numbers, then strings."""
+    atom = atomize_single(items, "order by key")
+    if atom is None:
+        return (0, 0, "")
+    if isinstance(atom, bool):
+        return (1, int(atom), "")
+    if isinstance(atom, (int, float)):
+        return (1, float(atom), "")
+    return (2, 0, str(atom))
 
 
 def _joined(compiled: Fn) -> Callable[[DynamicContext], str]:
