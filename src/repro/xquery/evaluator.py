@@ -495,7 +495,7 @@ class _Compiler:
                 clauses.append(_let(clause.variable, self._operand(clause.value, scope)))
                 scope[clause.variable] = False
         where = self._test(node.where, scope) if node.where is not None else None
-        order_by = self._order_by(node, scope) if node.order_by else None
+        order_by = self._order_by(node) if node.order_by else None
         return_expr = self._operand(node.return_expr, scope)
         hash_join = self._hash_join(node, *join) if join is not None else None
 
@@ -632,33 +632,21 @@ class _Compiler:
             return joined
         return hash_join
 
-    def _order_by(self, node: FLWORExpr, scope: Dict[str, bool]) -> Callable[[_Loop], List[int]]:
-        """The rows in ``order by`` order.  The keys are evaluated a column
-        at a time where at most one path among them notes trees or raises,
-        else row by row, each row's keys in turn."""
-        lifted = [self._lift(spec.key, scope) for spec in node.order_by]
-        descending = [spec.descending for spec in node.order_by]
-        if len(lifted) == 1 or (None not in lifted and sum(effects for _, effects in lifted) <= 1):
-            keys = [
-                _per_iteration(self.expr(spec.key)) if entry is None else entry[0]
-                for entry, spec in zip(lifted, node.order_by)
-            ]
-
-            def tuples(loop: _Loop) -> List[Tuple]:
-                return list(zip(*[[_sort_key(items) for items in key(loop)] for key in keys]))
-        else:
-            closures = [self.expr(spec.key) for spec in node.order_by]
-
-            def tuples(loop: _Loop) -> List[Tuple]:
-                return [
-                    tuple(_sort_key(key(ctx)) for key in closures) for ctx in loop.contexts()
-                ]
+    def _order_by(self, node: FLWORExpr) -> Callable[[_Loop], List[int]]:
+        """The rows in ``order by`` order.  The keys run row by row, each
+        row's in turn, on the closures: atomizing a key may raise, so a
+        lifted key's later rows must not run before an earlier row's
+        atomization."""
+        specs = [(self.expr(spec.key), spec.descending) for spec in node.order_by]
 
         def order_by(loop: _Loop) -> List[int]:
-            decorated = list(enumerate(tuples(loop)))
+            decorated = [
+                (row, [_sort_key(key(ctx)) for key, _ in specs])
+                for row, ctx in enumerate(loop.contexts())
+            ]
             # stable sort per key, honouring per-key direction
-            for position in range(len(descending) - 1, -1, -1):
-                decorated.sort(key=lambda entry: entry[1][position], reverse=descending[position])
+            for position in range(len(specs) - 1, -1, -1):
+                decorated.sort(key=lambda entry: entry[1][position], reverse=specs[position][1])
             return [row for row, _ in decorated]
         return order_by
 
@@ -790,16 +778,21 @@ class _Compiler:
         """``where``: one effective boolean value per iteration.  A general
         comparison of a lifted operand with a number runs
         :func:`_against_number` on each iteration's items."""
-        lifted = number = None
-        if isinstance(node, ComparisonOp) and node.op in _GENERAL and isinstance(node.right, Literal):
-            number = node.right.value
-            if type(number) in (int, float):
-                lifted = self._lift(node.left, scope)
-        if lifted is None:
-            operand = self._operand(node, scope)
+        if (
+            isinstance(node, ComparisonOp) and node.op in _GENERAL
+            and isinstance(node.right, Literal) and type(node.right.value) in (int, float)
+        ):
+            lifted = self._lift(node.left, scope)
+            if lifted is not None:
+                left, op, number = lifted[0], node.op, node.right.value
+                return lambda loop: [_against_number(items, op, number) for items in left(loop)]
+        lifted = self._lift(node, scope)
+        if lifted is not None:
+            operand = lifted[0]
             return lambda loop: [effective_boolean_value(items) for items in operand(loop)]
-        left, op = lifted[0], node.op
-        return lambda loop: [_against_number(items, op, number) for items in left(loop)]
+        compiled = self.expr(node)
+        # a row's effective boolean value may raise before the next row runs
+        return lambda loop: [effective_boolean_value(compiled(ctx)) for ctx in loop.contexts()]
 
     # -- operators ------------------------------------------------------------------
     def _binary(self, node: BinaryOp) -> Fn:

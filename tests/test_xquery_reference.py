@@ -168,6 +168,8 @@ CASES = [
     ("flwor-join-duplicates", "for $i in $d/item, $j in $d/item where $i/name = $j/name return ($i/@id, $j/price)"),
     ("flwor-where-order", "for $i in $d/item where $i/price > 4 order by $i/price descending return $i/name"),
     ("flwor-at", "for $t at $p in $d//tag, $r at $q in $e/row where $p = $q return ($p, $t, $r/k)"),
+    ("flwor-order-errors", "for $x in ($d/item, 1) order by $x/tag return $x"),
+    ("flwor-where-errors", "for $x in ($d/item, 1) where if ($x = 1) then $x/name else (1, 2) return $x"),
 ]
 
 
@@ -381,6 +383,8 @@ EXPECTED = {
     'flwor-join-duplicates': 'fadda581440e',
     'flwor-where-order': 'b533f19d4042',
     'flwor-at': '986dbd5b156c',
+    'flwor-order-errors': '22b7dfb2382c',
+    'flwor-where-errors': 'ea5f63a46579',
 }
 
 #: The walker's answers on generated scenarios: family/seed -> digest.
