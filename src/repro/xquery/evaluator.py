@@ -651,33 +651,29 @@ class _Compiler:
         return order_by
 
     # -- lifted kernels -----------------------------------------------------------
-    def _operand(self, node: XQNode, scope: Dict[str, bool]) -> "Kernel":
+    def _operand(self, node: XQNode, scope: Dict[str, bool]) -> Kernel:
         """``node`` over a FLWOR's iterations: its lifted kernel, or its
         closure run once per iteration on that iteration's context."""
-        lifted = self._lift(node, scope)
-        return _per_iteration(self.expr(node)) if lifted is None else lifted[0]
+        return self._lift(node, scope) or _per_iteration(self.expr(node))
 
-    def _lift(self, node: XQNode, scope: Dict[str, bool]) -> Optional[Tuple["Kernel", int]]:
-        """The lifted kernel of ``node`` and the number of paths in it (each
-        may note a tree or raise), or ``None`` where no kernel covers it.
-
-        Covered: a variable the FLWOR binds; a path from one through child
-        name tests, the last step possibly ``text()``, without predicates;
-        a direct constructor over such parts, with literal attributes, in
-        which at most one path runs — column by column it then notes trees
-        and raises errors in the order that row by row would.
-        """
+    def _lift(self, node: XQNode, scope: Dict[str, bool]) -> Optional[Kernel]:
+        """The lifted kernel of ``node``, or ``None`` where none covers it:
+        a variable the FLWOR binds (its column), a path from one
+        (:meth:`_lift_path`), or a direct constructor over such parts."""
         if isinstance(node, VarRef) and node.name in scope:
             name = node.name
-            return (lambda loop: loop.columns[name]), 0
+            return lambda loop: loop.columns[name]
         if isinstance(node, PathExpr):
-            path = self._lift_path(node, scope)
-            return None if path is None else (path, 1)
-        if not isinstance(node, DirectElement) or any(
-            not all(isinstance(part, str) for part in attribute.value_parts)
-            for attribute in node.attributes
-        ):
-            return None
+            return self._lift_path(node, scope)
+        if isinstance(node, DirectElement) and not node.attributes:
+            return self._lift_element(node, scope)
+        return None
+
+    def _lift_element(self, node: DirectElement, scope: Dict[str, bool]) -> Optional[Kernel]:
+        """A direct constructor without attributes whose enclosed parts are
+        lifted variables and paths, at most one a path: column by column
+        it then notes trees and raises errors in the order row by row
+        would.  Each row's element copies its parts as the closure does."""
         content: List[Union[str, Kernel]] = []
         paths = 0
         for part in node.content:
@@ -685,23 +681,21 @@ class _Compiler:
                 if part.strip():
                     content.append(part)
                 continue
-            lifted = self._lift(part.expr, scope) if isinstance(part, EnclosedExpr) else None
-            if lifted is None:
+            expr = part.expr if isinstance(part, EnclosedExpr) else None
+            kernel = self._lift(expr, scope) if isinstance(expr, (VarRef, PathExpr)) else None
+            if kernel is None:
                 return None
-            content.append(lifted[0])
-            paths += lifted[1]
+            content.append(kernel)
+            paths += isinstance(expr, PathExpr)
         if paths > 1:
             return None
         tag = node.tag
-        attributes = [(a.name, "".join(a.value_parts)) for a in node.attributes]
 
         def direct_element(loop: _Loop) -> List[List[Item]]:
             columns = [part if isinstance(part, str) else part(loop) for part in content]
             built_all: List[List[Item]] = []
             for row in range(loop.size):
                 built = Element(tag)
-                for name, value in attributes:
-                    built.set_attr(name, value)
                 for part in columns:
                     if type(part) is str:
                         built.append(Text(part))
@@ -709,9 +703,9 @@ class _Compiler:
                         _append_sequence(built, part[row])
                 built_all += [[built]]
             return built_all
-        return direct_element, paths
+        return direct_element
 
-    def _lift_path(self, node: PathExpr, scope: Dict[str, bool]) -> Optional["Kernel"]:
+    def _lift_path(self, node: PathExpr, scope: Dict[str, bool]) -> Optional[Kernel]:
         """A relative path from a bound variable down child name tests
         (the last step possibly ``text()``), without predicates.
 
@@ -782,13 +776,12 @@ class _Compiler:
             isinstance(node, ComparisonOp) and node.op in _GENERAL
             and isinstance(node.right, Literal) and type(node.right.value) in (int, float)
         ):
-            lifted = self._lift(node.left, scope)
-            if lifted is not None:
-                left, op, number = lifted[0], node.op, node.right.value
+            left = self._lift(node.left, scope)
+            if left is not None:
+                op, number = node.op, node.right.value
                 return lambda loop: [_against_number(items, op, number) for items in left(loop)]
-        lifted = self._lift(node, scope)
-        if lifted is not None:
-            operand = lifted[0]
+        operand = self._lift(node, scope)
+        if operand is not None:
             return lambda loop: [effective_boolean_value(items) for items in operand(loop)]
         compiled = self.expr(node)
         # a row's effective boolean value may raise before the next row runs

@@ -78,7 +78,8 @@ SHAPES = (
     "for $x in {S} let $y := {x:k} where {x:n} >= 1 return {y:}",
     "for $x in {S} let $y := {x:a} return {y:b}",
     "for $x in {S} return <hit>{{{x:k/text()}}}</hit>",
-    "for $x in {S} return <hit id=\"h\">{{{x:n}}} and {{{x:}}}</hit>",
+    "for $x in {S} return <hit>{{{x:n}}} and {{{x:}}}</hit>",
+    "for $x in {S} let $y := <hit>{{{x:k}}}</hit> return {y:k}",
     "for $x in {S} order by {x:n} return {x:}",
     "for $x at $i in {S} where {x:n} > 1 return ({i:}, {x:k})",
     "for $x in {S}, $y in {x:a} return {y:b/text()}",
