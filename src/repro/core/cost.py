@@ -108,11 +108,18 @@ def measure(
     evaluated over the same content is not run again.  The run itself is
     offered to the running search's ``simulations``: if ``plan`` is the
     search's pick, a session executes it by this run instead
-    of evaluating it a second time.
+    of evaluating it a second time.  With both, the evaluator also gets
+    the search's transcripts: a stored AXML document an earlier
+    candidate activated is replayed into this twin, message by message
+    and charge by charge, instead of firing its calls again
+    (:meth:`ExpressionEvaluator._activate_document
+    <repro.core.evaluator.ExpressionEvaluator._activate_document>`).
     """
     twin = system.clone()
     evaluator = ExpressionEvaluator(twin, pick_policy)
     evaluator.memo = memo
+    if simulations is not None:
+        evaluator.transcripts = simulations.transcripts
     outcome = evaluator.eval(plan.expr, plan.site)
     stats = twin.network.stats
     cost = Cost(stats.bytes, stats.messages, outcome.completed_at)
@@ -145,6 +152,12 @@ class Simulations:
     run holds its clone of Σ, so ``Optimizer.optimize_with`` creates one
     of these per search and drops it on the way out: no twin outlives
     its search.
+
+    :attr:`transcripts` goes with the search too: the first activation
+    of each stored AXML document, recorded by one candidate's run and
+    replayed into every later candidate's twin.  Its keys name stored
+    trees by identity, which is exact only while Σ is the one the
+    search started from, so it must never outlive the search.
     """
 
     def __init__(self) -> None:
@@ -152,6 +165,9 @@ class Simulations:
         self.winners: List[tuple] = []
         #: the lowest cost scalar offered so far
         self._winning = math.inf
+        #: (home peer, document name, tree identity) -> recorded
+        #: activation (see :func:`measure`)
+        self.transcripts: dict = {}
 
     def offer(self, plan: Plan, scalar: float, simulation: Simulation) -> None:
         """Keep ``simulation`` of ``plan`` while no cheaper plan is offered.

@@ -55,7 +55,11 @@ the stored document it is installed as (:meth:`_install`), a
 reassembled fragmented document (:func:`_reassembled`) — and under the
 oracle's memo (:attr:`memo`, set by :func:`repro.core.cost.measure`)
 each of those is built once per plan cache from the same frozen inputs
-and then handed out, caches warm, by reference.
+and then handed out, caches warm, by reference.  Within one search
+(:attr:`~ExpressionEvaluator.transcripts`) a stored document's calls
+are not even fired again: the first candidate to activate it records
+its messages and CPU charges, and every later candidate replays them
+through the seam (:meth:`~ExpressionEvaluator._activate_document`).
 A :class:`~repro.session.Session` runs a subclass that is that layer;
 :func:`repro.core.cost.measure` and
 :func:`repro.core.verify.check_equivalence` run this class as is.
@@ -64,7 +68,7 @@ A :class:`~repro.session.Session` runs a subclass that is that layer;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..axml.document import ActivationMode, ServiceCall
 from ..errors import (
@@ -110,6 +114,10 @@ from .serialize import expression_size
 __all__ = ["EvalOutcome", "ExpressionEvaluator"]
 
 _MAX_ACTIVATION_DEPTH = 64
+#: How deep a recorded activation nests below its document: the tree,
+#: each call, each call's parameters.  A replay starting deeper would
+#: skip the depth check that firing the calls there fails.
+_RECORDED_NESTING = 3
 
 #: Expression type -> the evaluator method applying its definition.
 _DEFINITIONS = {
@@ -125,6 +133,34 @@ _DEFINITIONS = {
     EvalAt: "_eval_eval_at",
     Seq: "_eval_seq",
 }
+
+
+class _FiredCall(NamedTuple):
+    """One call a recorded activation fired, with what it cost."""
+
+    provider: str
+    service: str
+    #: the parsed module of the service's query
+    module: object
+    #: the parameters the provider received
+    params: Tuple[Element, ...]
+    #: the CALL message, and one RESULT message per response
+    call: Message
+    sent: Tuple[Message, ...]
+    #: the query memo's results tuple the call was answered from
+    results: tuple
+    #: what replaced the ``sc`` node in the value
+    responses: Tuple[Element, ...]
+
+
+class _Transcript(NamedTuple):
+    """A stored document's activation: its calls in document order and
+    the value built from their responses (see
+    :meth:`ExpressionEvaluator._activate_document`)."""
+
+    tree: Element
+    calls: Tuple[_FiredCall, ...]
+    value: Element
 
 
 @dataclass
@@ -164,6 +200,14 @@ class ExpressionEvaluator:
     #: put in front of the three tree builds; only
     #: :func:`repro.core.cost.measure` sets one.
     memo: Optional[QueryMemo] = None
+    #: One search's recorded activations, keyed by (home peer, document
+    #: name, stored tree identity); set, with :attr:`memo`, only by
+    #: :func:`repro.core.cost.measure`, from the search's
+    #: :class:`~repro.core.cost.Simulations`.
+    transcripts: Optional[Dict[tuple, _Transcript]] = None
+    #: The fired calls of the activation being recorded (None in a slot
+    #: spoils it), or None when nothing is recorded.
+    _notes: Optional[List[Optional[_FiredCall]]] = None
 
     def __init__(
         self, system: AXMLSystem, pick_policy: Optional[PickPolicy] = None
@@ -208,12 +252,123 @@ class ExpressionEvaluator:
         "p2 has replaced this local tree with the result of eval" — the
         activated version (a new tree, definition (1)) becomes the stored
         document, and the value is that document.
+
+        Under a search's :attr:`transcripts` (and the memo) the first
+        activation of a frozen stored tree is recorded: per fired call,
+        in document order, its messages, parameters and the memo entry
+        that answered it, and the value.  A later candidate's twin
+        replays it (:meth:`_replay`) instead of walking the tree, and
+        the value is installed as here.  Only a plain shape is recorded:
+        every call ``immediate`` or ``lazy``, without ``after=``, on a
+        named provider, by a declarative service without a schema,
+        under the default forward list, over plain parameters and
+        returning plain responses, with no installed, deployed or
+        delivered effect.  Anything else is simulated every time.
         """
-        outcome = self.eval(
-            TreeExpr(tree, home.peer_id), home.peer_id, ready_at, depth + 1
-        )
+        outcome = self._activation(home, name, tree, ready_at, depth)
         if len(outcome.items) == 1:
             outcome.items = [self._install(home, name, outcome.items[0])]
+        return outcome
+
+    def _activation(
+        self, home: Peer, name: str, tree: Element, ready_at: float, depth: int
+    ) -> EvalOutcome:
+        """The value of ``name@home`` before it is installed: replayed,
+        recorded or simulated (see :meth:`_activate_document`)."""
+        here = home.peer_id
+        transcripts = self.transcripts if self.memo is not None else None
+        if transcripts is None:
+            return self.eval(TreeExpr(tree, here), here, ready_at, depth + 1)
+        key = (here, name, id(tree))
+        transcript = transcripts.get(key)
+        if transcript is not None:
+            if depth + _RECORDED_NESTING <= _MAX_ACTIVATION_DEPTH:
+                replayed = self._replay(transcript, ready_at)
+                if replayed is not None:
+                    return replayed
+            return self.eval(TreeExpr(tree, here), here, ready_at, depth + 1)
+        self._notes = notes = []
+        try:
+            outcome = self.eval(TreeExpr(tree, here), here, ready_at, depth + 1)
+        finally:
+            self._notes = None
+        if (
+            None not in notes
+            and len(outcome.items) == 1
+            and outcome.items[0].frozen  # it is handed to other twins
+            and not (outcome.installed or outcome.deployed or outcome.delivered)
+        ):
+            # the entry holds the tree (frozen by the evaluation), so its
+            # id cannot be handed out again
+            transcripts[key] = _Transcript(tree, tuple(notes), outcome.items[0])
+            self.memo.stats.activation_records += 1
+        return outcome
+
+    def _replay(
+        self, transcript: _Transcript, ready_at: float
+    ) -> Optional[EvalOutcome]:
+        """``transcript`` played into this Σ from ``ready_at``, or None
+        when it would not be what firing the calls gives here.
+
+        First, without an effect: every call's service is still the
+        recorded query, and the memo still answers it with the recorded
+        entry (re-reading every ``doc()`` it read).  Then each call, in
+        document order, sends the same messages and charges the same
+        work through the seam as firing it does, so links, peers and
+        statistics end up exactly as they would.  A part the seam loses
+        is handed to :meth:`_lost`, as :meth:`_fire_call` does.
+        """
+        peers = self.system.peers
+        recall = self.memo.recall
+        for call in transcript.calls:
+            provider = peers[call.provider]
+            service = provider.services.get(call.service)
+            if (
+                not provider.alive
+                or type(service) is not DeclarativeService
+                or service.signature.schema is not None
+                or service.query.module is not call.module
+                or recall(service.query, [[p] for p in call.params], provider)
+                is not call.results
+            ):
+                return None
+        self.memo.stats.activation_replays += 1
+        outcome = EvalOutcome(completed_at=ready_at)
+        responses: List[Optional[Tuple[Element, ...]]] = []
+        for call in transcript.calls:
+            provider = peers[call.provider]
+            service = provider.service(call.service)
+
+            def serve(start: float) -> Tuple[None, float]:
+                service.invocations += 1
+                return None, provider.charge(service.work_units(call.params), start)
+
+            try:
+                arrival = self._call_provider(call.call, ready_at)
+                _, done = self._on_cpu(
+                    call.provider, f"service {call.service}", arrival, serve
+                )
+                last = done
+                for message in call.sent:
+                    last = max(last, self._deliver(message, done))
+            except (FaultError, PeerDownError) as exc:
+                self._lost(
+                    "service", f"{call.service}@{call.provider}", (call.provider,), exc
+                )
+                responses.append(None)
+                continue
+            outcome.completed_at = max(outcome.completed_at, last)
+            responses.append(call.responses)
+        value: Optional[Element] = transcript.value
+        if None in responses:  # a call was lost: its node drops out
+            tree = transcript.tree
+            value = build_tree(
+                "activated",
+                (tree, tuple(responses)),
+                lambda: _activated(tree, iter(responses)),
+                self.memo,
+            )
+        outcome.items = [value] if value is not None else []
         return outcome
 
     def _install(self, home: Peer, name: str, value: Element) -> Element:
@@ -374,6 +529,10 @@ class ExpressionEvaluator:
                     )
             return unfired
         call = ServiceCall.parse(tree)
+        if self._notes is not None and (
+            call.mode == ActivationMode.MANUAL or call.after is not None
+        ):
+            self._notes.append(None)  # activation control: not recorded
         start = None if call.mode == ActivationMode.MANUAL else ready_at
         if start is not None and call.after is not None:
             if call.after not in completed:
@@ -422,6 +581,8 @@ class ExpressionEvaluator:
             # tolerated: the call's results never arrive, so the sc node
             # disappears from the value
             responses.append(None)
+            if self._notes is not None:
+                self._notes.append(None)  # a lost call is not recorded
             return None
         outcome.merge_effects(sub)
         outcome.completed_at = max(outcome.completed_at, sub.completed_at)
@@ -611,6 +772,9 @@ class ExpressionEvaluator:
     def _eval_service_call(
         self, expr: ServiceCallExpr, at: str, ready_at: float, depth: int
     ) -> EvalOutcome:
+        notes = self._notes
+        if notes is not None:
+            noted = len(notes)
         provider_id = expr.provider
         if provider_id == ANY:
             member = self._pick("pick_service", expr.service, at)
@@ -677,6 +841,10 @@ class ExpressionEvaluator:
         # provider before shipping (the response must be a data tree).
         settled: List[Element] = []
         for response in responses:
+            if not response.has_service_calls():
+                # plain data: its own value, as evaluating it would give
+                settled.append(_handed_on(response, provider))
+                continue
             sub = self.eval(
                 TreeExpr(response, provider_id), provider_id, done, depth + 1
             )
@@ -688,21 +856,54 @@ class ExpressionEvaluator:
             outcome.completed_at = self._deliver_to_nodes(
                 provider_id, expr.forwards, settled, done, outcome
             )
+            if notes is not None:
+                notes.append(None)  # forwarded: not recorded
             return outcome
 
         # default: results return to the caller (siblings of the sc node).
         last = done
+        sent: List[Message] = []
         if provider_id != at:
-            for response in settled:
-                message = Message(
+            sent = [
+                Message(
                     src=provider_id,
                     dst=at,
                     kind=MessageKind.RESULT,
                     payload_bytes=response.serialized_size(),
                 )
+                for response in settled
+            ]
+            for message in sent:
                 last = max(last, self._deliver(message, done))
         outcome.items = [_handed_on(response, caller) for response in settled]
         outcome.completed_at = last
+        if notes is not None:
+            # a call is recorded only if nothing nested in it fired (its
+            # parameters and responses are plain data)
+            results = None
+            if (
+                len(notes) == noted
+                and expr.provider != ANY
+                and type(service) is DeclarativeService
+                and service.signature.schema is None
+            ):
+                results = self.memo.recall(
+                    service.query, [[p] for p in param_values], provider
+                )
+            notes.append(
+                None
+                if results is None
+                else _FiredCall(
+                    provider_id,
+                    service_name,
+                    service.query.module,
+                    tuple(param_values),
+                    call_message,
+                    tuple(sent),
+                    results,
+                    tuple(outcome.items),
+                )
+            )
         return outcome
 
     # -- definitions (3), (4), (8): send -------------------------------------------------

@@ -257,6 +257,11 @@ class CacheStats:
     #: Jobs a session executed by the search's simulation of
     #: their plan instead of evaluating it again.
     executions_reused: int = 0
+    #: Activations of a stored AXML document the oracle recorded (the
+    #: first in a search) / replayed into a later candidate's twin
+    #: instead of firing its calls again.
+    activation_records: int = 0
+    activation_replays: int = 0
 
     # the counters are exactly the instance's attributes: reading them
     # through vars() costs the same however many counters there are
@@ -284,6 +289,8 @@ class CacheStats:
             f"{self.query_memo_misses} misses; "
             f"tree memo {self.tree_memo_hits} hits / "
             f"{self.tree_memo_misses} misses; "
+            f"activations {self.activation_records} recorded / "
+            f"{self.activation_replays} replayed; "
             f"{self.prepared_hits} searches skipped; "
             f"{self.executions_reused} executions reused"
         )

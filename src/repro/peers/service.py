@@ -146,9 +146,17 @@ class QueryMemo:
         self._trees[key] = (inputs, value)
         return value
 
-    def run(self, query: Query, args: Sequence, peer: "Peer") -> List:
-        """:func:`run_query`, evaluating only what no entry answers."""
-        args = [arg if isinstance(arg, list) else [arg] for arg in args]
+    def recall(self, query: Query, args: List[list], peer: "Peer") -> Optional[tuple]:
+        """The results :meth:`run` would hand out for ``query`` over
+        ``args`` (a list per argument) on ``peer``, or None when no entry
+        answers.  Nothing is evaluated, stored or counted; the same entry
+        answers as long as this returns the same tuple."""
+        return self._lookup(query, args, peer)[2]
+
+    def _lookup(self, query: Query, args: List[list], peer: "Peer") -> tuple:
+        """``(key, argument roots, results)``: ``results`` is what the
+        entry answering on ``peer`` holds, or None; ``key`` is None when
+        an argument cannot be keyed."""
         tokens: List = []
         roots: List[Element] = []
         for arg in args:
@@ -161,7 +169,7 @@ class QueryMemo:
                 else:
                     # a node inside a larger tree: its axes reach content
                     # its own fingerprint does not cover
-                    return run_query(query, args, peer)
+                    return None, roots, None
             tokens.append(None)  # argument boundary
         if len({id(root) for root in roots}) < len(roots):
             # one tree bound twice: ``is`` and ``|`` tell it from two copies
@@ -170,8 +178,18 @@ class QueryMemo:
         key = (id(query.module), query.params, tuple(tokens))
         for _, reads, results in self._entries.get(key, ()):
             if _reads_same(peer, reads, roots):
-                self.stats.query_memo_hits += 1
-                return list(results)
+                return key, roots, results
+        return key, roots, None
+
+    def run(self, query: Query, args: Sequence, peer: "Peer") -> List:
+        """:func:`run_query`, evaluating only what no entry answers."""
+        args = [arg if isinstance(arg, list) else [arg] for arg in args]
+        key, roots, results = self._lookup(query, args, peer)
+        if key is None:
+            return run_query(query, args, peer)
+        if results is not None:
+            self.stats.query_memo_hits += 1
+            return list(results)
         self.stats.query_memo_misses += 1
         reads: List[tuple] = []
 

@@ -1223,15 +1223,18 @@ def _children_named(name: str) -> Callable[[Item], List[Item]]:
 
 
 def _descendants_named(name: str) -> Callable[[Item], List[Item]]:
-    """``descendant::name``: a tag compare over a pre-order walk."""
+    """``descendant::name``: a tag compare over a pre-order walk.
+
+    The stack is popped by ``del``, not ``list.pop()``: no call per node.
+    """
     def descendants(node: Item) -> List[Item]:
         found: List[Item] = []
         if type(node) is not Element and type(node) is not _DocumentNode:
             return found
         stack = node.children[::-1]
-        pop = stack.pop
         while stack:
-            current = pop()
+            current = stack[-1]
+            del stack[-1]
             if type(current) is Element:
                 if current.tag == name:
                     found.append(current)
