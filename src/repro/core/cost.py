@@ -462,7 +462,7 @@ class CostEstimator:
             result = query.run(*forests)
         except ReproError:
             return None
-        out_bytes = sum(item.serialized_size() for item in _as_forest(result))
+        out_bytes = _as_forest(result)[1]
         work = 1 + sum(tree_size(value) for forest in forests for value in forest)
         sample = (out_bytes, work)
         self.memo[key] = sample

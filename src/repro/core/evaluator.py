@@ -48,9 +48,9 @@ weighs is not among them: it is a fact about the value shipped — the
 exact, cached ``serialized_size()`` of its trees, or
 ``Query.source_bytes`` — and nothing is serialized to learn it.  Nor is
 anything copied to ship it: a value crossing the network is the frozen
-tree itself (:func:`_handed_on` names the two cases that still copy), so
-its cached size, fingerprint and node count travel with it.  What is
-still built is a *new* tree — an activated value (:func:`_activated`),
+tree itself (:func:`_as_forest`, one loop that sizes a forest and hands
+it on, names the two cases that still copy), so its cached size,
+fingerprint and node count travel with it.  What is still built is a *new* tree — an activated value (:func:`_activated`),
 the stored document it is installed as (:meth:`_install`), a
 reassembled fragmented document (:func:`_reassembled`) — and under the
 oracle's memo (:attr:`memo`, set by :func:`repro.core.cost.measure`)
@@ -457,7 +457,7 @@ class ExpressionEvaluator:
         tree = expr.tree
         if not tree.has_service_calls():
             return EvalOutcome(
-                items=[_handed_on(tree, self.system.peer(at))],
+                items=_as_forest((tree,), self.system.peer(at))[0],
                 completed_at=ready_at,
             )
         # embedded calls: fire them via (6), then build the value from the
@@ -734,7 +734,7 @@ class ExpressionEvaluator:
         outcome = EvalOutcome()
         peer = self.system.peer(at)
         arg_values: List[List[Element]] = []
-        bound: set = set()
+        bound: dict = {}
         latest = query_ready
         for arg in expr.args:
             sub = self.eval(arg, at, ready_at, depth + 1)
@@ -748,7 +748,7 @@ class ExpressionEvaluator:
             latest,
             lambda start: peer.evaluate(query, arg_values, start, self.memo),
         )
-        outcome.items = _as_forest(result, peer)
+        outcome.items = _as_forest(result, peer)[0]
         outcome.completed_at = done
         return outcome
 
@@ -797,24 +797,25 @@ class ExpressionEvaluator:
         outcome = EvalOutcome()
         caller = self.system.peer(at)
         param_values: List[Element] = []
-        bound: set = set()
+        bound: dict = {}
         latest = ready_at
         for param in expr.params:
             sub = self.eval(param, at, ready_at, depth + 1)
             outcome.merge_effects(sub)
             latest = max(latest, sub.completed_at)
             param_values.extend(_unaliased(sub.items, bound, caller))
-        if provider_id != at:
-            # the CALL hands each parameter on to the provider, where a
-            # parameter that is one of its stored documents arrives a copy
-            param_values = [_handed_on(p, provider) for p in param_values]
+        # the CALL hands each parameter on to a remote provider, where a
+        # parameter that is one of its stored documents arrives a copy
+        param_values, payload = _as_forest(
+            param_values, provider if provider_id != at else None
+        )
 
         # ship parameters to the provider (one CALL message)
         call_message = Message(
             src=at,
             dst=provider_id,
             kind=MessageKind.CALL,
-            payload_bytes=sum(p.serialized_size() for p in param_values),
+            payload_bytes=payload,
             headers={"service": service_name},
         )
         arrival = self._call_provider(call_message, latest)
@@ -843,7 +844,7 @@ class ExpressionEvaluator:
         for response in responses:
             if not response.has_service_calls():
                 # plain data: its own value, as evaluating it would give
-                settled.append(_handed_on(response, provider))
+                settled += _as_forest((response,), provider)[0]
                 continue
             sub = self.eval(
                 TreeExpr(response, provider_id), provider_id, done, depth + 1
@@ -875,7 +876,7 @@ class ExpressionEvaluator:
             ]
             for message in sent:
                 last = max(last, self._deliver(message, done))
-        outcome.items = [_handed_on(response, caller) for response in settled]
+        outcome.items = _as_forest(settled, caller)[0]
         outcome.completed_at = last
         if notes is not None:
             # a call is recorded only if nothing nested in it fired (its
@@ -932,7 +933,7 @@ class ExpressionEvaluator:
         clock = inner.completed_at
         relay_from = at
         # rule (12) relays: explicit intermediary stops, store-and-forward.
-        size = sum(item.serialized_size() for item in inner.items)
+        size = _as_forest(inner.items)[1]
         for hop in expr.via:
             message = Message(relay_from, hop, MessageKind.DATA, size)
             clock = self._deliver(message, clock)
@@ -1033,22 +1034,17 @@ class ExpressionEvaluator:
         """Ship a settled value from src to dst; returns the dst-side outcome."""
         ready_at = outcome.completed_at
         query = outcome.query
-        if src == dst or (not outcome.items and query is None):
+        items, size = _as_forest(outcome.items, self.system.peer(dst))
+        if src == dst or (not items and query is None):
             arrival = ready_at  # nothing crosses the network
-        elif not outcome.items:
+        elif not items:
             message = Message(src, dst, MessageKind.QUERY, query.source_bytes)
             arrival = self._deliver(message, ready_at)
         else:
-            size = sum(item.serialized_size() for item in outcome.items)
             message = Message(src, dst, MessageKind.DATA, size)
             arrival = self._deliver(message, ready_at)
             query = None  # a forest ships as data alone
-        site = self.system.peer(dst)
-        shipped = EvalOutcome(
-            items=[_handed_on(item, site) for item in outcome.items],
-            query=query,
-            completed_at=arrival,
-        )
+        shipped = EvalOutcome(items=items, query=query, completed_at=arrival)
         shipped.merge_effects(outcome)
         return shipped
 
@@ -1081,35 +1077,22 @@ class ExpressionEvaluator:
         return last
 
 
-def _handed_on(item: Element, site: Peer) -> Element:
-    """``item`` as a value arriving at ``site``: the tree itself, frozen.
-
-    A definition hands a value on by reference wherever it used to make
-    a copy.  It still copies where sharing would be observable: a node
-    inside a larger tree (its ``..`` axes must not reach the source), and
-    one of ``site``'s stored documents (``doc()`` there must not be
-    ``is``-identical to a value that arrived, e.g. after a round trip).
-    """
-    if item.parent is not None or item in site.documents.values():
-        return item.copy()
-    item._frozen = True  # a root: nothing above it to walk to
-    return item
-
-
-def _unaliased(items: List[Element], bound: set, site: Peer) -> List[Element]:
+def _unaliased(items: List[Element], bound: dict, site: Peer) -> List[Element]:
     """``items`` bound as one more argument of one apply or call at ``site``.
 
-    A tree already in ``bound`` (ids of what earlier arguments bound) is
-    bound again as a copy: two bindings of one shipped tree used to be two
+    A tree already in ``bound`` (what earlier arguments bound) is bound
+    again as a copy: two bindings of one shipped tree used to be two
     copies, and ``is`` and ``|`` tell them apart.  A stored document of
     ``site`` read twice was always one tree and stays one.
     """
-    forest: List[Element] = []
-    for item in items:
-        if id(item) in bound and item not in site.documents.values():
-            item = item.copy()
-        bound.add(id(item))
-        forest.append(item)
+    forest = [*items]
+    stored = site.documents.values()
+    index = 0
+    for item in forest:
+        if item in bound and item not in stored:
+            item = forest[index] = item.copy()
+        bound[item] = None
+        index += 1
     return forest
 
 
@@ -1162,17 +1145,36 @@ def _reassembled(info, parts: List[Element]) -> Element:
     return root
 
 
-def _as_forest(result: List, site: Optional[Peer] = None) -> List[Element]:
-    """Normalize query results to a forest of elements: atomics wrapped,
-    trees handed on to ``site`` (kept as they are without one)."""
-    forest: List[Element] = []
-    for item in result:
-        if not isinstance(item, Element):
-            item = _value_tree(item)
-        elif site is not None:
-            item = _handed_on(item, site)
-        forest.append(item)
-    return forest
+def _as_forest(
+    items: Sequence, site: Optional[Peer] = None
+) -> Tuple[List[Element], int]:
+    """``items`` as a forest arriving at ``site``, and the bytes it weighs.
+
+    One loop: an atomic query result becomes a ``<value>`` tree, and an
+    element is handed on by reference, its root frozen, except where
+    sharing would be observable: a node inside a larger tree (its ``..``
+    axes must not reach the source) and a stored document of ``site``
+    (``doc()`` there must not be ``is``-identical to a value that
+    arrived, e.g. after a round trip) are copied.  Without a ``site``
+    elements stay as they are.  The size sums each item's cached
+    ``serialized_size()`` as given.
+    """
+    forest = [*items]
+    stored = site.documents.values() if site is not None else None
+    size = 0
+    index = 0
+    for item in forest:
+        if type(item) is not Element and not isinstance(item, Element):
+            item = forest[index] = _value_tree(item)
+        elif stored is not None:
+            if item.parent is not None or item in stored:
+                forest[index] = item.copy()
+            else:
+                item._frozen = True  # a root: nothing above it to walk to
+        cached = item._size_cache
+        size += cached if cached is not None else item.serialized_size()
+        index += 1
+    return forest, size
 
 
 def _forest_to_document(items: List[Element], name: str) -> Element:

@@ -14,8 +14,7 @@ of :attr:`Message.size`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 __all__ = ["Message", "MessageKind", "wire_size"]
 
@@ -36,30 +35,32 @@ class MessageKind:
     ALL = (DATA, QUERY, CALL, RESULT, INSTALL, FORWARD, CONTROL)
 
 
-@dataclass
 class Message:
-    """One network message.
+    """One network message, built by one ``__init__``.
 
     ``headers`` carry small routing metadata (target node ids, document
     names); they are charged to the byte count at a fixed small overhead
     so that "many tiny messages" is visibly worse than "one big one".
+    The fields are plain attributes (``vars(message)`` lists them).
     """
-
-    src: str
-    dst: str
-    kind: str
-    #: Exact UTF-8 length of the serialized payload.
-    payload_bytes: int
-    headers: Dict[str, str] = field(default_factory=dict)
-    seq: int = field(default_factory=lambda: next(_SEQ))
-    #: Total bytes on the wire, fixed at construction (:func:`wire_size`).
-    size: int = field(init=False)
 
     #: Fixed per-message envelope overhead in bytes (transport framing).
     ENVELOPE_OVERHEAD = 64
 
-    def __post_init__(self) -> None:
-        self.size = wire_size(self.payload_bytes, self.headers)
+    def __init__(
+        self, src: str, dst: str, kind: str, payload_bytes: int,
+        headers: Optional[Dict[str, str]] = None, seq: Optional[int] = None,
+    ) -> None:
+        self.src, self.dst, self.kind = src, dst, kind
+        #: Exact UTF-8 length of the serialized payload.
+        self.payload_bytes = payload_bytes
+        self.headers = {} if headers is None else headers
+        #: Total bytes on the wire (:func:`wire_size`), fixed here.
+        self.size = (
+            wire_size(payload_bytes, headers) if headers
+            else payload_bytes + self.ENVELOPE_OVERHEAD
+        )
+        self.seq = next(_SEQ) if seq is None else seq
 
     def __repr__(self) -> str:
         return (

@@ -7,11 +7,15 @@ bandwidth (bytes/second) and serialize transfers FIFO — two large
 transfers on one link queue behind each other, which is exactly the
 effect rule (13) (transfer reuse) trades against parallelism.
 
-Time is virtual.  A transfer scheduled at ``ready_at`` on a link free at
-``busy_until`` starts at ``max(ready_at, busy_until)``, occupies the link
-for ``size / bandwidth``, and arrives one ``latency`` after it starts.
-Multi-hop routes (no direct link) are store-and-forward over the
-lowest-cost path.
+Time is virtual.  A transfer ready at ``ready`` on a link free at
+``busy_until`` starts at ``max(ready, busy_until)``, occupies the link for
+``size / bandwidth * slow`` and arrives ``latency * slow`` after that.
+``slow`` is an injected link degrade, 1.0 without fault state, and
+``x * 1.0 == x`` exactly: the instants are the fault-free ones bit for
+bit.  Multi-hop routes (no direct link) are store-and-forward over the
+lowest-cost path.  :meth:`Network.deliver` simulates a message in one
+loop over its route's links (the network's own, memoised per pair), with
+each hop's arithmetic and accounting inline.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NoReturn, Optional, Tuple
 
 from ..errors import (
     MessageLostError,
@@ -49,11 +53,6 @@ class LinkStats:
     messages: int = 0
     bytes: int = 0
     busy_time: float = 0.0
-
-    def record(self, size: int, duration: float) -> None:
-        self.messages += 1
-        self.bytes += size
-        self.busy_time += duration
 
 
 def _fixed(name: str) -> property:
@@ -102,27 +101,6 @@ class Link:
             f"bandwidth={self._bandwidth!r}, busy_until={self.busy_until!r})"
         )
 
-    def transfer_cost(self, size: int) -> float:
-        """Time the link is occupied by a transfer of ``size`` bytes."""
-        return size / self.bandwidth
-
-    def schedule(
-        self, size: int, ready_at: float, slow: float = 1.0
-    ) -> Tuple[float, float]:
-        """Occupy the link; returns (start_time, arrival_time).
-
-        ``slow`` multiplies both occupancy and latency — the injected
-        link-degrade fault.  The default 1.0 leaves every arithmetic
-        result bit-identical to the pre-fault code path (``x * 1.0 == x``
-        exactly in IEEE 754), preserving the empty-plan no-op contract.
-        """
-        start = max(ready_at, self.busy_until)
-        occupancy = self.transfer_cost(size) * slow
-        self.busy_until = start + occupancy
-        arrival = start + occupancy + self.latency * slow
-        self.stats.record(size, occupancy)
-        return start, arrival
-
 
 @dataclass
 class NetworkStats:
@@ -132,14 +110,6 @@ class NetworkStats:
     bytes: int = 0
     by_kind: Dict[str, int] = field(default_factory=dict)
     bytes_by_kind: Dict[str, int] = field(default_factory=dict)
-
-    def record(self, message: Message) -> None:
-        self.messages += 1
-        self.bytes += message.size
-        self.by_kind[message.kind] = self.by_kind.get(message.kind, 0) + 1
-        self.bytes_by_kind[message.kind] = (
-            self.bytes_by_kind.get(message.kind, 0) + message.size
-        )
 
     def snapshot(self) -> Dict[str, object]:
         """The totals execution and serving reports carry (copied dicts)."""
@@ -207,6 +177,9 @@ class Network:
         self._adjacency: Optional[Dict[str, List[Tuple[str, float]]]] = None
         #: (src, dst) -> the hops of the cheapest route, None for no route.
         self._routes: Dict[Tuple[str, str], Optional[_Hops]] = {}
+        #: (src, dst) -> this network's own links on that route, what
+        #: :meth:`deliver` walks; a clone starts with none, add_link drops it.
+        self._paths: Dict[Tuple[str, str], Tuple[Link, ...]] = {}
         self.stats = NetworkStats()
         self.log: List[Tuple[float, Message]] = []
         self.keep_log = False
@@ -215,9 +188,9 @@ class Network:
         self.faults = None
         #: Installed :class:`repro.obs.Tracer`; :data:`~repro.obs.NO_TRACER`
         #: (the default) costs one no-op call per hop (with the other
-        #: hooks, +0.08 % to +0.35 % ``py_calls_per_op``).  Purely
+        #: hooks, +0.13 % to +0.99 % ``py_calls_per_op``).  Purely
         #: observational: the tracer is handed the instants
-        #: :meth:`Link.schedule` already computed and never feeds back
+        #: :meth:`deliver` already computed and never feeds back
         #: into timing, routing, or fault decisions.
         self.tracer = NO_TRACER
         #: The run's :class:`repro.obs.MetricsRegistry`: the network, the
@@ -240,8 +213,8 @@ class Network:
         """Add a link (and its reverse when ``symmetric``).
 
         Link quality must be physical: a zero or negative bandwidth would
-        make :meth:`Link.transfer_cost` divide by zero (or run time
-        backwards) deep inside a simulation, so it is rejected here at
+        make :meth:`deliver` divide by zero (or run time backwards) deep
+        inside a simulation, so it is rejected here at
         construction time, as is a negative latency.
         """
         if bandwidth <= 0:
@@ -264,6 +237,7 @@ class Network:
             self._fabric[key] = self._links[key] = Link(*key, latency, bandwidth)
         self._adjacency = None
         self._routes = {}
+        self._paths = {}
 
     def clone(self) -> "Network":
         """The same fabric with fresh link clocks and statistics.
@@ -339,12 +313,17 @@ class Network:
         Each (src, dst) pair is searched once per topology; later calls
         read the memo.
         """
+        try:
+            return list(self._paths[src, dst])
+        except KeyError:
+            return list(self._path(src, dst))
+
+    def _path(self, src: str, dst: str) -> Tuple[Link, ...]:
+        """This network's own links from ``src`` to ``dst``, memoised."""
         if src not in self._peers:
             raise UnknownPeerError(f"unknown peer {src!r}")
         if dst not in self._peers:
             raise UnknownPeerError(f"unknown peer {dst!r}")
-        if src == dst:
-            return []
         key = (src, dst)
         try:
             hops = self._routes[key]
@@ -353,7 +332,10 @@ class Network:
         if hops is None:
             raise NoRouteError(f"no route from {src!r} to {dst!r}")
         links = self._links
-        return [links[hop] if hop in links else self._build(hop) for hop in hops]
+        path = self._paths[key] = tuple(
+            links[hop] if hop in links else self._build(hop) for hop in hops
+        )
+        return path
 
     def _cheapest_hops(self, src: str, dst: str) -> Optional[_Hops]:
         """Dijkstra from ``src``; the (src, dst) pairs of the path, or None."""
@@ -391,66 +373,81 @@ class Network:
         at each hop before the next link starts.  Loopback (src == dst)
         is free and instantaneous — local "transfers" cost nothing, as in
         the paper's model where only inter-peer communication matters.
+
+        One loop over the route's links (the module docstring has a hop's
+        arithmetic); a dropped or corrupted transfer is charged, then raises.
         """
-        if message.src == message.dst:
+        src, dst = message.src, message.dst
+        if src == dst:
             return ready_at
-        links = self.route(message.src, message.dst)
+        try:
+            path = self._paths[src, dst]
+        except KeyError:
+            path = self._path(src, dst)
         faults = self.faults
-        tracer = self.tracer
+        hop = self.tracer.hop
+        size = message.size
         clock = ready_at
-        slow = 1.0  # no fault state: the exact fault-free arithmetic
+        slow = 1.0
+        lost: Optional[Link] = None
         corrupted = False
-        for link in links:
+        for link in path:
             if faults is not None:
                 slow = faults.degrade_factor(link.src, link.dst, clock)
                 if slow > 1.0:
                     self.metrics.counter("faults", kind="hops_degraded").inc()
-            ready = clock
-            start, clock = link.schedule(message.size, clock, slow)
-            tracer.hop(message, link, ready, start, clock)
-            if faults is None:
-                continue
-            verdict = faults.hop_verdict(link.src, link.dst, start)
-            if verdict == "drop":
-                # the hop was charged (the bytes left the sender) but the
-                # message never completes; the sender detects the loss at
-                # the would-be hop completion and may retry from there
-                self._faulted(
-                    message, "messages_dropped", f"lost {link.src}->{link.dst}", clock
-                )
-                raise MessageLostError(
-                    f"message {message.src!r}->{message.dst!r} "
-                    f"({message.kind}) lost on hop "
-                    f"{link.src!r}->{link.dst!r}",
-                    at=clock,
-                )
-            if verdict == "corrupt":
-                corrupted = True
-        if corrupted:
-            # every hop was charged; the receiver's content-fingerprint
-            # check rejects the payload at arrival time
-            self._faulted(
-                message,
-                "transfers_corrupted",
-                f"corrupt {message.src}->{message.dst}",
-                clock,
-            )
-            raise TransferCorruptionError(
-                f"message {message.src!r}->{message.dst!r} "
-                f"({message.kind}) arrived corrupted "
-                f"(fingerprint mismatch)",
-                at=clock,
-            )
-        self.stats.record(message)
+            busy = link.busy_until
+            start = busy if busy > clock else clock  # max(clock, busy)
+            occupancy = size / link._bandwidth * slow
+            link.busy_until = start + occupancy
+            arrival = start + occupancy + link._latency * slow
+            stats = link.stats
+            stats.messages += 1
+            stats.bytes += size
+            stats.busy_time += occupancy
+            hop(message, link, clock, start, arrival)
+            clock = arrival
+            if faults is not None:
+                verdict = faults.hop_verdict(link.src, link.dst, start)
+                if verdict == "drop":
+                    # the bytes left the sender, but the message never
+                    # completes; the sender detects the loss at the
+                    # would-be hop completion and may retry from there
+                    lost = link
+                    break
+                if verdict == "corrupt":
+                    corrupted = True
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes += size
+        kind = message.kind
+        counts, volumes = stats.by_kind, stats.bytes_by_kind
+        counts[kind] = counts[kind] + 1 if kind in counts else 1
+        volumes[kind] = volumes[kind] + size if kind in volumes else size
+        if lost is not None or corrupted:
+            self._faulted(message, lost, clock)
         if self.keep_log:
             self.log.append((clock, message))
         return clock
 
-    def _faulted(self, message: Message, tally: str, mark: str, at: float) -> None:
-        """Account for a transfer an injected fault just killed at ``at``."""
+    def _faulted(self, message: Message, lost: Optional[Link], at: float) -> NoReturn:
+        """Count and raise a transfer an injected fault killed at ``at``:
+        dropped on hop ``lost``, or (``lost`` None) arrived corrupted, so
+        the receiver's content-fingerprint check rejects it."""
+        what = f"{message.src!r}->{message.dst!r} ({message.kind})"
+        if lost is not None:
+            tally, mark = "messages_dropped", f"lost {lost.src}->{lost.dst}"
+            error = MessageLostError(
+                f"message {what} lost on hop {lost.src!r}->{lost.dst!r}", at=at
+            )
+        else:
+            tally, mark = "transfers_corrupted", f"corrupt {message.src}->{message.dst}"
+            error = TransferCorruptionError(
+                f"message {what} arrived corrupted (fingerprint mismatch)", at=at
+            )
         self.metrics.counter("faults", kind=tally).inc()
-        self.stats.record(message)
         self.tracer.mark(mark, "fault", at, kind=message.kind)
+        raise error
 
     # -- reporting -----------------------------------------------------------------
     def peer_traffic(self) -> Dict[str, PeerTraffic]:

@@ -6,8 +6,8 @@ The package splits observation along the clock it observes:
   span trees, one per served job (admission → plan → eval → settle)
   plus run-level fault-window and placement spans.  Recording spends no
   RNG and charges no virtual time; with tracing off (:data:`NO_TRACER`,
-  the default) every hook is one call to a no-op method (+0.08 % to
-  +0.35 % ``py_calls_per_op`` on the ``bench/`` workloads).
+  the default) every hook is one call to a no-op method (+0.13 % to
+  +0.99 % ``py_calls_per_op`` on the ``bench/`` workloads).
 * :class:`MetricsRegistry` — labeled counters; a run's lives on
   ``network.metrics`` and holds its ``faults{kind=…}`` tallies (a serving
   run returns it as ``ServingReport.registry``).

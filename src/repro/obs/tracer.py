@@ -9,8 +9,8 @@ on the **virtual clock**.  Recording is purely observational:
 * it charges no virtual time (spans copy instants the engine computed
   anyway),
 * and with tracing off (:data:`NO_TRACER`, the default) every
-  instrumentation point is one call to a no-op method (+0.08 % to
-  +0.35 % ``py_calls_per_op`` on the four ``bench/`` workloads) — the
+  instrumentation point is one call to a no-op method (+0.13 % to
+  +0.99 % ``py_calls_per_op`` on the four ``bench/`` workloads) — the
   event traces and answers are byte-identical to an untraced run
   (differential-tested).
 

@@ -414,12 +414,21 @@ def rw_frag(content_seed, **session_kwargs):
 
 
 @pytest.mark.parametrize("content_seed", [7, 11])
-def test_rw_frag_replays_and_answers_as_an_uncached_session(content_seed, monkeypatch):
+def test_rw_frag_replays_and_answers_as_an_uncached_session(
+    content_seed, monkeypatch, bare_oracle
+):
     cached, session = rw_frag(content_seed)
     stats = session.plan_cache.stats
     assert stats.activation_replays > 0
     assert stats.activation_records > 0
     assert rw_frag(content_seed, plan_cache=None)[0] == cached
+    with bare_oracle():
+        bare, unmemoised = rw_frag(content_seed, plan_cache=None)
+    assert bare == cached
+    stats = unmemoised.optimizer.cache.stats
+    assert stats.plans_scored > 0
+    assert stats.query_memo_hits == stats.query_memo_misses == 0
+    assert stats.activation_records == stats.executions_reused == 0
     never_replay(monkeypatch)
     uncached, simulated = rw_frag(content_seed, plan_cache=None)
     assert uncached == cached
@@ -449,9 +458,13 @@ def serve(content_seed, **session_kwargs):
 
 
 @pytest.mark.parametrize("content_seed", [7, 11])
-def test_serve_repeat_serves_as_an_uncached_session(content_seed, monkeypatch):
+def test_serve_repeat_serves_as_an_uncached_session(
+    content_seed, monkeypatch, bare_oracle
+):
     cached, session = serve(content_seed)
     assert session.plan_cache.stats.activation_replays > 0
     assert serve(content_seed, plan_cache=None)[0] == cached
+    with bare_oracle():
+        assert serve(content_seed, plan_cache=None)[0] == cached
     never_replay(monkeypatch)
     assert serve(content_seed, plan_cache=None)[0] == cached

@@ -22,6 +22,7 @@ from repro.core import (
     TreeExpr,
 )
 from repro.core.cost import measure
+from repro.core.evaluator import EvalOutcome, _as_forest, _unaliased
 from repro.core.planspace import CacheStats
 from repro.errors import (
     ActivationCycleError,
@@ -30,7 +31,7 @@ from repro.errors import (
     ServiceCallError,
 )
 from repro.peers.service import DeclarativeService, QueryMemo
-from repro.net import MessageKind
+from repro.net import MessageKind, wire_size
 from repro.peers import AXMLSystem, NearestPolicy
 from repro.xmlcore import Element, NodeId, element, equivalent, parse, serialize
 from repro.xquery import Query
@@ -372,3 +373,86 @@ class TestActivationCycles:
         with pytest.raises(ActivationCycleError) as raised:
             measure(plan, cyclic, memo=QueryMemo(CacheStats()) if memo else None)
         assert isinstance(raised.value, ExpressionError)
+
+
+class TestForestKernel:
+    """``_as_forest`` sizes a forest and hands it on in one loop, and
+    ``_unaliased`` binds one; both must do per item what the rule says."""
+
+    @staticmethod
+    def forest(system):
+        """A stored document of p1, a node that has a parent, a fresh
+        root, and one more tree twice."""
+        stored = system.peer("p1").document("cat")
+        inner = parse("<box><item><name>in</name></item></box>").children[0]
+        fresh = element("fresh", "root")
+        twice = parse("<twice><a>1</a></twice>")
+        return [stored, inner, fresh, twice, twice]
+
+    @staticmethod
+    def per_item(item, site):
+        """The hand-on rule for one item, as each caller applied it."""
+        if item.parent is not None or item in site.documents.values():
+            return "copy"
+        return "shared"
+
+    @staticmethod
+    def outcome(given, arrived):
+        if arrived is given:
+            assert arrived.parent is None and arrived.frozen
+            return "shared"
+        assert arrived.parent is None and not arrived.frozen
+        assert serialize(arrived) == serialize(given)
+        return "copy"
+
+    def test_each_item_is_copied_or_shared_as_the_rule_says(self, system):
+        site = system.peer("p1")
+        items = self.forest(system)
+        expected = [self.per_item(item, site) for item in items]
+        assert expected == ["copy", "copy", "shared", "shared", "shared"]
+        sizes = [item.serialized_size() for item in items]
+        forest, size = _as_forest(items, site)
+        assert [self.outcome(g, a) for g, a in zip(items, forest)] == expected
+        assert forest[3] is forest[4]  # handing on does not unalias
+        assert size == sum(sizes)
+        assert [item.serialized_size() for item in forest] == sizes
+
+    def test_without_a_site_items_are_only_sized_and_atomics_wrapped(self, system):
+        items = self.forest(system)
+        forest, size = _as_forest([*items, 7, "x"])
+        assert forest[:5] == items and all(a is g for a, g in zip(forest, items))
+        assert [serialize(item) for item in forest[5:]] == [
+            "<value>7</value>", "<value>x</value>"
+        ]
+        assert size == sum(item.serialized_size() for item in forest)
+
+    def test_the_shipped_message_weighs_the_forest(self, system):
+        items = self.forest(system)
+        size = sum(item.serialized_size() for item in items)
+        evaluator = ExpressionEvaluator(system)
+        network = system.network
+        network.keep_log = True
+        shipped = evaluator._ship_items(
+            EvalOutcome(items=items, completed_at=1.0), "p2", "p1"
+        )
+        ((arrival, message),) = network.log
+        assert (message.kind, message.payload_bytes) == (MessageKind.DATA, size)
+        assert message.size == wire_size(size, {})
+        assert shipped.completed_at == arrival
+        site = system.peer("p1")
+        assert [
+            self.outcome(g, a) for g, a in zip(items, shipped.items)
+        ] == [self.per_item(item, site) for item in items]
+
+    def test_unaliased_binds_a_repeated_tree_as_a_copy(self, system):
+        site = system.peer("p1")
+        stored, _, fresh, twice, _ = self.forest(system)
+        bound = {}
+        first = _unaliased([stored, twice, twice], bound, site)
+        assert first[0] is stored and first[1] is twice
+        assert first[2] is not twice and serialize(first[2]) == serialize(twice)
+        second = _unaliased([stored, twice, fresh], bound, site)
+        # a stored document read twice stays one tree; a bound tree is copied
+        assert second[0] is stored and second[2] is fresh
+        assert second[1] is not twice and second[1] is not first[2]
+        assert set(map(id, bound)) == set(map(id, [*first, *second]))

@@ -1,8 +1,18 @@
 """Unit tests for the network simulator (repro.net)."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
-from repro.errors import NetworkError, NoRouteError, UnknownPeerError
+from repro.errors import (
+    MessageLostError,
+    NetworkError,
+    NoRouteError,
+    TransferCorruptionError,
+    UnknownPeerError,
+)
+from repro.faults import CORRUPT, LINK_DEGRADE, LINK_DROP, FaultEvent, FaultPlan, FaultState
 from repro.net import Message, MessageKind, Network, topology, wire_size
 
 
@@ -352,3 +362,219 @@ class TestRoutingRegressions:
             net.route("a", "y")
         with pytest.raises(NoRouteError):
             net.route("y", "a")
+
+
+# ---------------------------------------------------------------------------
+# Network.deliver is one loop with each hop inline; the reference below is
+# the per-hop arithmetic it replaced (Link.schedule and the two record
+# helpers), run over route() on an identically built network.
+# ---------------------------------------------------------------------------
+
+
+def reference_schedule(link, size, ready_at, slow=1.0):
+    """One hop as ``Link.schedule`` computed it: (start, arrival)."""
+    start = max(ready_at, link.busy_until)
+    occupancy = size / link.bandwidth * slow
+    link.busy_until = start + occupancy
+    arrival = start + occupancy + link.latency * slow
+    link.stats.messages += 1
+    link.stats.bytes += size
+    link.stats.busy_time += occupancy
+    return start, arrival
+
+
+def reference_record(stats, message):
+    stats.messages += 1
+    stats.bytes += message.size
+    stats.by_kind[message.kind] = stats.by_kind.get(message.kind, 0) + 1
+    stats.bytes_by_kind[message.kind] = (
+        stats.bytes_by_kind.get(message.kind, 0) + message.size
+    )
+
+
+def reference_deliver(net, message, ready_at):
+    """``Network.deliver`` hop by hop, faults and tracer included."""
+    if message.src == message.dst:
+        return ready_at
+    faults = net.faults
+    clock = ready_at
+    slow = 1.0
+    corrupted = False
+    for link in net.route(message.src, message.dst):
+        if faults is not None:
+            slow = faults.degrade_factor(link.src, link.dst, clock)
+            if slow > 1.0:
+                net.metrics.counter("faults", kind="hops_degraded").inc()
+        ready = clock
+        start, clock = reference_schedule(link, message.size, clock, slow)
+        net.tracer.hop(message, link, ready, start, clock)
+        if faults is None:
+            continue
+        verdict = faults.hop_verdict(link.src, link.dst, start)
+        if verdict == "drop":
+            net.metrics.counter("faults", kind="messages_dropped").inc()
+            reference_record(net.stats, message)
+            net.tracer.mark(
+                f"lost {link.src}->{link.dst}", "fault", clock, kind=message.kind
+            )
+            raise MessageLostError(
+                f"message {message.src!r}->{message.dst!r} ({message.kind}) "
+                f"lost on hop {link.src!r}->{link.dst!r}",
+                at=clock,
+            )
+        if verdict == "corrupt":
+            corrupted = True
+    if corrupted:
+        net.metrics.counter("faults", kind="transfers_corrupted").inc()
+        reference_record(net.stats, message)
+        net.tracer.mark(
+            f"corrupt {message.src}->{message.dst}", "fault", clock, kind=message.kind
+        )
+        raise TransferCorruptionError(
+            f"message {message.src!r}->{message.dst!r} ({message.kind}) "
+            f"arrived corrupted (fingerprint mismatch)",
+            at=clock,
+        )
+    reference_record(net.stats, message)
+    if net.keep_log:
+        net.log.append((clock, message))
+    return clock
+
+
+class HopRecorder:
+    """A tracer that keeps what the network hands its two hooks."""
+
+    def __init__(self):
+        self.calls = []
+
+    def hop(self, message, link, ready, start, arrival):
+        self.calls.append(("hop", message.seq, link.src, link.dst, ready, start, arrival))
+
+    def mark(self, name, cat, at, **attrs):
+        self.calls.append(("mark", name, cat, at, attrs))
+
+
+def random_network(rng, peers):
+    """A ring with random chords, some one-way, random link qualities: the
+    cheapest routes are often several hops long."""
+    links = [(a, b, True) for a, b in zip(peers, peers[1:] + peers[:1])]
+    for _ in range(len(peers)):
+        a, b = rng.sample(peers, 2)
+        links.append((a, b, rng.random() < 0.7))
+    qualities = [
+        (rng.choice([0.0, 0.001, 0.01, 0.05]), rng.choice([800.0, 5e3, 1e5, 1e6]))
+        for _ in links
+    ]
+
+    def build():
+        net = Network()
+        for (a, b, symmetric), (latency, bandwidth) in zip(links, qualities):
+            net.add_link(a, b, latency=latency, bandwidth=bandwidth, symmetric=symmetric)
+        return net
+
+    return build
+
+
+def random_faults(rng, net, horizon):
+    events = []
+    for link in net.links():
+        for kind in (LINK_DEGRADE, LINK_DROP, CORRUPT):
+            if rng.random() < 0.3:
+                start = rng.uniform(0.0, horizon)
+                events.append(FaultEvent(
+                    kind, start, start + rng.uniform(0.01, horizon / 3),
+                    src=link.src, dst=link.dst,
+                    factor=rng.choice([1.5, 2.0, 4.0]) if kind == LINK_DEGRADE else 1.0,
+                ))
+    return FaultPlan(events=tuple(events))
+
+
+def delivered(deliver, message, ready_at):
+    try:
+        return ("arrived", deliver(message, ready_at))
+    except (MessageLostError, TransferCorruptionError) as exc:
+        return (type(exc).__name__, exc.at, str(exc))
+
+
+class TestDeliveryLoop:
+    KINDS = (MessageKind.DATA, MessageKind.CALL, MessageKind.RESULT, MessageKind.QUERY)
+    FAULT_KINDS = ("hops_degraded", "messages_dropped", "transfers_corrupted")
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["fault-free", "faults"])
+    def test_equals_the_per_hop_reference(self, faulty):
+        seen = {"multi-hop": 0, "queued": 0, **{kind: 0 for kind in self.FAULT_KINDS}}
+        for seed in range(12):
+            rng = random.Random(seed)
+            peers = [f"p{index}" for index in range(rng.randint(4, 7))]
+            build = random_network(rng, peers)
+            kernel, reference = build(), build()
+            plan = random_faults(rng, kernel, horizon=0.5) if faulty else None
+            for net in (kernel, reference):
+                net.faults = FaultState(plan) if faulty else None
+                net.tracer = HopRecorder()
+                net.keep_log = True
+            for _ in range(80):
+                src, dst = rng.choice(peers), rng.choice(peers)
+                headers = {"target": "n1@" + dst} if rng.random() < 0.3 else {}
+                message = Message(
+                    src, dst, rng.choice(self.KINDS), rng.randint(0, 3000), headers
+                )
+                ready_at = rng.choice([0.0, rng.uniform(0.0, 0.5)])
+                try:
+                    hops = len(reference.route(src, dst))
+                except NoRouteError:
+                    with pytest.raises(NoRouteError):
+                        kernel.deliver(message, ready_at)
+                    continue
+                seen["multi-hop"] += hops > 1
+                seen["queued"] += any(
+                    link.busy_until > ready_at for link in reference.route(src, dst)
+                )
+                assert delivered(kernel.deliver, message, ready_at) == delivered(
+                    lambda m, r: reference_deliver(reference, m, r), message, ready_at
+                )
+            assert [
+                (l.src, l.dst, l.busy_until, l.stats) for l in kernel.links()
+            ] == [(l.src, l.dst, l.busy_until, l.stats) for l in reference.links()]
+            assert kernel.stats == reference.stats
+            assert kernel.log == reference.log
+            assert kernel.tracer.calls == reference.tracer.calls
+            for kind in self.FAULT_KINDS:
+                count = kernel.metrics.counter_value("faults", kind=kind)
+                assert count == reference.metrics.counter_value("faults", kind=kind)
+                seen[kind] += count
+        assert seen["multi-hop"] > 100 and seen["queued"] > 100
+        if faulty:
+            assert all(seen[kind] > 0 for kind in self.FAULT_KINDS), seen
+        else:
+            assert not any(seen[kind] for kind in self.FAULT_KINDS)
+
+    def test_add_link_reroutes_the_memoised_path(self):
+        net = topology.line(["a", "b", "c"], latency=0.01)
+        first = net.deliver(Message("a", "c", MessageKind.DATA, 100))
+        assert net.link("a", "b").stats.messages == 1
+        net.add_link("a", "c", latency=0.001)  # a faster direct link
+        direct = net.link("a", "c")
+        arrival = net.deliver(Message("a", "c", MessageKind.DATA, 100), first)
+        assert direct.stats.messages == 1 and net.route("a", "c") == [direct]
+        assert net.link("a", "b").stats.messages == 1  # the old route is idle
+        assert net.link("b", "c").stats.messages == 1
+        size = 100 + Message.ENVELOPE_OVERHEAD
+        assert arrival == first + size / direct.bandwidth + direct.latency
+
+    def test_a_twin_delivers_on_its_own_links(self):
+        net = topology.ring(["a", "b", "c", "d"])
+        net.deliver(Message("a", "c", MessageKind.DATA, 500))  # memoised here
+        before = {
+            (l.src, l.dst): (l, l.busy_until, replace(l.stats)) for l in net.links()
+        }
+        twin = net.clone()
+        for ready in (0.0, 0.0, 0.5):
+            twin.deliver(Message("a", "c", MessageKind.DATA, 900), ready)
+            twin.deliver(Message("c", "a", MessageKind.DATA, 900), ready)
+        assert {
+            (l.src, l.dst): (l, l.busy_until, l.stats) for l in net.links()
+        } == before
+        assert net.stats.messages == 1 and twin.stats.messages == 6
+        assert not {id(l) for l in twin.built_links()} & {id(l) for l in net.links()}
+        assert sum(l.stats.messages for l in twin.built_links()) == 12

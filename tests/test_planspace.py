@@ -3,6 +3,7 @@ query memo),
 what one search remembers on its own, and the cache-on/cache-off contract
 (same plans either way)."""
 
+import contextlib
 from collections.abc import Sized
 
 import pytest
@@ -322,7 +323,7 @@ class TestCacheDisabledParity:
     """plan_cache=None must change the price of search, not its outcome."""
 
     @pytest.mark.parametrize("strategy", ["beam", "greedy", "exhaustive"])
-    def test_identical_best_plan_and_cost(self, strategy):
+    def test_identical_best_plan_and_cost(self, strategy, bare_oracle):
         spec = ScenarioSpec(
             peers=4, documents=2, axml_documents=1, items=8, services=1,
             replicas=1, queries=3,
@@ -331,19 +332,25 @@ class TestCacheDisabledParity:
         options = {"depth": 3, "max_plans": 50_000} if strategy == "exhaustive" else {}
         for query in scenario.queries:
             kwargs = query.kwargs()
-            reports = {}
-            for plan_cache in ("auto", None):
+            reports = []
+            for plan_cache, oracle in (
+                ("auto", contextlib.nullcontext()),
+                (None, contextlib.nullcontext()),
+                (None, bare_oracle()),
+            ):
                 session = Session(
                     scenario.system,
                     strategy=make_strategy(strategy, **options),
                     plan_cache=plan_cache,
                 )
-                reports[plan_cache] = session.explain(
-                    kwargs["source"], at=kwargs["at"], bind=kwargs.get("bind")
-                )
-            memo, unmemo = reports["auto"], reports[None]
-            assert memo.plan.describe() == unmemo.plan.describe()
-            assert memo.best_cost == unmemo.best_cost
+                with oracle:
+                    reports.append(session.explain(
+                        kwargs["source"], at=kwargs["at"], bind=kwargs.get("bind")
+                    ))
+            memo, *unmemo = reports
+            for other in unmemo:
+                assert memo.plan.describe() == other.plan.describe()
+                assert memo.best_cost == other.best_cost
 
     def test_unmemoized_space_repays_across_searches(self, system):
         plan = naive_plan()

@@ -230,32 +230,36 @@ class TestExactness:
     @pytest.mark.parametrize("seed", [7, 11])
     @pytest.mark.parametrize("family", sorted(PARITY_SPECS))
     def test_cache_on_and_off_serve_alike_under_churn(
-        self, family, seed, churn
+        self, family, seed, churn, bare_oracle
     ):
         spec = PARITY_SPECS[family]
+        warm = serve_stream(spec, seed, churn=churn)
         assert_same_serving(
-            serve_stream(spec, seed, churn=churn),
-            serve_stream(spec, seed, churn=churn, plan_cache=None),
+            warm, serve_stream(spec, seed, churn=churn, plan_cache=None)
         )
+        with bare_oracle():
+            bare = serve_stream(spec, seed, churn=churn, plan_cache=None)
+        assert_same_serving(warm, bare)
 
     @pytest.mark.parametrize("seed,churn", [
         (seed, churn) for seed in (7, 11) for churn in CHURN
     ])
-    def test_cache_on_and_off_serve_writes_alike_under_churn(self, seed, churn):
+    def test_cache_on_and_off_serve_writes_alike_under_churn(
+        self, seed, churn, bare_oracle
+    ):
         warm = serve_stream(WRITE_MIX_SPEC, seed, churn=churn, writes=True)
         assert len(warm) == WRITE_MIX_SPEC.writes > 1
-        assert_same_serving(
-            warm,
-            serve_stream(
-                WRITE_MIX_SPEC, seed, churn=churn, writes=True, plan_cache=None
-            ),
-        )
+        uncached = dict(churn=churn, writes=True, plan_cache=None)
+        assert_same_serving(warm, serve_stream(WRITE_MIX_SPEC, seed, **uncached))
+        with bare_oracle():
+            bare = serve_stream(WRITE_MIX_SPEC, seed, **uncached)
+        assert_same_serving(warm, bare)
 
     @pytest.mark.generated
     @pytest.mark.parametrize("index", [1, 2, 3])
     @pytest.mark.parametrize("seed", [7, 11])
     @pytest.mark.parametrize("family", [*sorted(PARITY_SPECS), "write-mix"])
-    def test_cache_parity_sweep(self, family, seed, index):
+    def test_cache_parity_sweep(self, family, seed, index, bare_oracle):
         # every peer crashes once, early, mid-stream or late, and rejoins
         spec = PARITY_SPECS.get(family, WRITE_MIX_SPEC)
         writes = family == "write-mix"
@@ -266,15 +270,20 @@ class TestExactness:
             for crash_at in (0.01, 0.03, 0.06)
         ]
         for churn in cases:
+            warm = serve_stream(spec, seed, index, churn, writes)
             assert_same_serving(
-                serve_stream(spec, seed, index, churn, writes),
-                serve_stream(spec, seed, index, churn, writes, plan_cache=None),
+                warm, serve_stream(spec, seed, index, churn, writes, plan_cache=None)
             )
+            with bare_oracle():
+                bare = serve_stream(spec, seed, index, churn, writes, plan_cache=None)
+            assert_same_serving(warm, bare)
 
-    def test_served_stream_equals_the_uncached_stream(self):
+    def test_served_stream_equals_the_uncached_stream(self, bare_oracle):
         warm = serve_stream(SPEC, 7)
         uncached = serve_stream(SPEC, 7, plan_cache=None)
         assert_same_serving(warm, uncached)
+        with bare_oracle():
+            assert_same_serving(warm, serve_stream(SPEC, 7, plan_cache=None))
         ((warm,), (uncached,)) = (warm, uncached)
         assert len(warm.jobs) == 24
         assert all(job.error is None for job in warm.jobs)
