@@ -27,13 +27,10 @@ True
 from .cost import Cost, CostEstimator, measure
 from .costmodel import (
     AnalyticCostModel,
-    CallableCostModel,
     CostModel,
     HybridCostModel,
     OracleCostModel,
-    available_cost_models,
     make_cost_model,
-    register_cost_model,
 )
 from .evaluator import EvalOutcome, ExpressionEvaluator
 from .expressions import (
@@ -104,7 +101,6 @@ __all__ = [
     "Optimizer", "OptimizationResult",
     # cost models
     "CostModel", "OracleCostModel", "AnalyticCostModel", "HybridCostModel",
-    "CallableCostModel", "register_cost_model", "available_cost_models",
     "make_cost_model",
     # plan keys and the planner stores
     "PlanCache", "CacheStats", "plan_fingerprint",

@@ -282,8 +282,6 @@ class CostEstimator:
         self._visit(plan.expr, plan.site)
         return Cost(self._bytes, self._messages, self._time)
 
-    __call__ = estimate
-
     # -- transfer helpers --------------------------------------------------------
     def _route(self, src: str, dst: str):
         """Links ``src`` -> ``dst``; none when Σ has no such path (the

@@ -1,18 +1,13 @@
 """First-class cost models: ``oracle`` / ``analytic`` / ``hybrid``.
 
-The optimizer's search needs one number per candidate plan, and until
-now the only way to get it was a bare ``cost_fn`` lambda — in practice
-always :func:`~repro.core.cost.measure`, which *clone-and-simulates* Σ
-for every candidate.  Profiling (ROADMAP "raw speed") showed that this
-simulation is essentially the whole serving wall time: ~100% of the T1
-bench is plan search, and inside it the per-candidate oracle.
-
-This module redesigns the cost wiring as an API, mirroring the
-:class:`~repro.core.strategies.OptimizerStrategy` registry:
+The optimizer's search needs one number per candidate plan.  The exact
+one, :func:`~repro.core.cost.measure`, *clone-and-simulates* Σ for every
+candidate, which is most of an oracle search's wall time; the models
+trade that exactness for speed in different measures:
 
 * :class:`CostModel` — the protocol: ``score(plan) -> Cost`` ranks
-  candidates during the search; ``final_check`` marks models whose
-  chosen plan must be re-judged by the oracle after the search;
+  candidates during the search; a model that also has ``check(plan)``
+  has its chosen plan re-judged by that exact scorer after the search;
 * :class:`OracleCostModel` (``"oracle"``) — the historical exact model:
   every score is a full clone-and-simulate.  Slow, perfectly informed;
 * :class:`AnalyticCostModel` (``"analytic"``) — System-R-style static
@@ -24,30 +19,19 @@ This module redesigns the cost wiring as an API, mirroring the
 * :class:`HybridCostModel` (``"hybrid"``) — scores the whole search
   frontier analytically and oracle-checks only the final plan (plus the
   original, so the reported costs and the improvement ratio stay
-  oracle-true, and the chosen plan is provably never worse than naive);
-* :class:`CallableCostModel` — any bare ``plan -> Cost`` callable
-  handed to ``cost_model=``, wrapped as an anonymous model.
+  oracle-true, and the chosen plan is provably never worse than naive).
 
-Models are registered by name (:func:`register_cost_model`) so callers
-write ``Session(cost_model="hybrid")`` and third parties can plug in
-their own costing without touching the search code.
-
-Cache tokens
-------------
-
-A shared :class:`~repro.core.planspace.PlanCache` may serve several
-sessions over the same Σ, each with its own model.  Scores are never
-stored per plan — only whole search outcomes are, in the prepared-plan
-table — so every model exposes a ``cache_token()``: the salt the session
-folds into the prepared-plan key next to the model's name.  The oracle's
-token is ``""``; the analytic model's carries its pick policy, so two
-searches resolving replicas differently never serve each other's
-outcomes.  (The estimator salts its own memo the same way.)
+``cost_model=`` is one of the three names in :data:`COST_MODELS` or an
+object with a ``name`` and a ``score``; :func:`make_cost_model` rejects
+anything else.  A shared :class:`~repro.core.planspace.PlanCache` may
+serve several sessions over the same Σ, each with its own model: the
+prepared-plan key (``Session._prepared_key``) holds the model's name
+beside the session's pick policy, so no model salts it further.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol, Union, runtime_checkable
+from typing import Callable, Dict, Optional, Protocol, Union, runtime_checkable
 
 from ..errors import OptimizerError
 from ..peers.system import AXMLSystem
@@ -60,10 +44,7 @@ __all__ = [
     "OracleCostModel",
     "AnalyticCostModel",
     "HybridCostModel",
-    "CallableCostModel",
     "COST_MODELS",
-    "register_cost_model",
-    "available_cost_models",
     "make_cost_model",
 ]
 
@@ -73,9 +54,9 @@ class CostModel(Protocol):
     """One way of pricing a plan during (and after) the search.
 
     ``score`` is the search-time ranking function — called once per
-    distinct candidate of a search.  Models with ``final_check = True``
-    additionally expose ``check(plan)``, the expensive exact judgment
-    the optimizer applies to the chosen plan only.  A model may declare
+    distinct candidate of a search.  A model may also have
+    ``check(plan)``, the expensive exact judgment the optimizer applies
+    to the chosen plan only.  A model may declare
     ``name_blind = True``:
     its scores see a query's name only through the name's serialized
     width, so one prepared plan (:mod:`repro.core.planspace`) serves
@@ -109,8 +90,6 @@ class OracleCostModel:
     """
 
     name = "oracle"
-    #: The score is already exact; nothing to re-check after the search.
-    final_check = False
     #: A simulated run ships the name (``name=`` on every ``x-query``,
     #: the names of deployed services) and never reads it.
     name_blind = True
@@ -135,10 +114,6 @@ class OracleCostModel:
             plan, self.system, self.pick_policy, cache.query_memo, cache.simulations
         )
 
-    def cache_token(self) -> str:
-        """Empty: the model's name says everything about an oracle search."""
-        return ""
-
     def describe(self) -> str:
         return "oracle: clone-and-simulate every candidate"
 
@@ -158,7 +133,6 @@ class AnalyticCostModel:
     """
 
     name = "analytic"
-    final_check = False
     #: The estimator never reads a query's name.
     name_blind = True
 
@@ -173,17 +147,6 @@ class AnalyticCostModel:
 
     def score(self, plan: Plan) -> Cost:
         return self.estimator.estimate(plan)
-
-    def cache_token(self) -> str:
-        """``analytic`` plus the pick-policy tag.
-
-        Salts the prepared-plan key, so two analytic sessions with
-        different pick policies sharing one cache never serve each
-        other's search outcomes.
-        """
-        policy = self.estimator.pick_policy
-        tag = type(policy).__name__ if policy is not None else ""
-        return f"analytic:{tag}"
 
     def describe(self) -> str:
         return "analytic: static estimation from the catalog and samples"
@@ -202,8 +165,6 @@ class HybridCostModel:
     """
 
     name = "hybrid"
-    #: The chosen plan is re-judged (and possibly rejected) by the oracle.
-    final_check = True
     name_blind = True
 
     def __init__(
@@ -222,111 +183,40 @@ class HybridCostModel:
         """The exact final-plan judgment (one oracle simulation)."""
         return self.oracle.score(plan)
 
-    def cache_token(self) -> str:
-        return self.analytic.cache_token()
-
     def describe(self) -> str:
         return "hybrid: analytic frontier, oracle-checked final plan"
 
 
-class CallableCostModel:
-    """Anonymous model wrapping a bare ``plan -> Cost`` callable.
-
-    What ``cost_model=<callable>`` resolves to: the callable becomes a
-    model with an empty cache token.
-    """
-
-    final_check = False
-
-    def __init__(self, fn: Callable[[Plan], Cost], name: Optional[str] = None) -> None:
-        if not callable(fn):
-            raise OptimizerError(
-                f"a cost model callable must be plan -> Cost, got {fn!r}"
-            )
-        self.fn = fn
-        self.name = name or getattr(fn, "__name__", None) or "custom"
-        if self.name == "<lambda>":
-            self.name = "custom"
-
-    def score(self, plan: Plan) -> Cost:
-        return self.fn(plan)
-
-    def cache_token(self) -> str:
-        return ""
-
-    def describe(self) -> str:
-        return f"custom callable ({self.name})"
-
-
-# -- registry --------------------------------------------------------------------
-
-#: Name -> factory for every registered cost model.  Factories receive
-#: ``(system, pick_policy=..., cache=..., **options)``.
-COST_MODELS: Dict[str, Callable[..., CostModel]] = {}
-
-
-def register_cost_model(
-    name: str, factory: Callable[..., CostModel], replace: bool = False
-) -> None:
-    """Register ``factory`` under ``name`` for ``Session(cost_model=name)``."""
-    if name in COST_MODELS and not replace:
-        raise OptimizerError(
-            f"cost model {name!r} is already registered "
-            "(pass replace=True to override)"
-        )
-    COST_MODELS[name] = factory
-
-
-def available_cost_models() -> List[str]:
-    return sorted(COST_MODELS)
+#: Name -> model class, for ``Session(cost_model=name)``.  Each is built
+#: as ``(system, pick_policy=..., cache=...)``.
+COST_MODELS: Dict[str, Callable[..., CostModel]] = {
+    "oracle": OracleCostModel,
+    "analytic": AnalyticCostModel,
+    "hybrid": HybridCostModel,
+}
 
 
 def make_cost_model(
-    spec: Union[str, CostModel, Callable[[Plan], Cost]],
+    spec: Union[str, CostModel],
     system: AXMLSystem,
     *,
     pick_policy=None,
     cache: Optional[PlanCache] = None,
-    **options,
 ) -> CostModel:
-    """Resolve a cost-model name, pass through an instance, wrap a callable.
+    """Build the model a name stands for, or pass a model through.
 
-    The one resolver every entry point (``Session``, ``Optimizer``,
-    ``SearchSpace``) shares.  A registered *name* is instantiated with
-    the caller's system/policy/cache plus any factory
-    ``options``; a :class:`CostModel` instance passes through untouched
-    (options are then rejected); any other callable is wrapped by the
-    :class:`CallableCostModel` shim.
+    The one resolver every entry point (``Session``, ``Optimizer``)
+    shares.  A name of :data:`COST_MODELS` is instantiated with the
+    caller's system, policy and cache; an object with a ``name`` and a
+    callable ``score`` passes through untouched.  Anything else — a bare
+    ``plan -> Cost`` callable included — is an :class:`OptimizerError`.
     """
-    if isinstance(spec, str):
-        try:
-            factory = COST_MODELS[spec]
-        except KeyError:
-            raise OptimizerError(
-                f"unknown cost model {spec!r}; "
-                f"available: {', '.join(available_cost_models())}"
-            ) from None
-        return factory(system, pick_policy=pick_policy, cache=cache, **options)
-    if callable(getattr(spec, "score", None)) and hasattr(spec, "name"):
-        if options:
-            raise OptimizerError(
-                "cost-model options are only accepted with a model *name*; "
-                f"got an instance plus options {sorted(options)}"
-            )
+    if isinstance(spec, str) and spec in COST_MODELS:
+        return COST_MODELS[spec](system, pick_policy=pick_policy, cache=cache)
+    if hasattr(spec, "name") and callable(getattr(spec, "score", None)):
         return spec
-    if callable(spec):
-        if options:
-            raise OptimizerError(
-                "cost-model options are only accepted with a model *name*; "
-                f"got a callable plus options {sorted(options)}"
-            )
-        return CallableCostModel(spec)
     raise OptimizerError(
-        f"not a cost model: {spec!r} (need a registered name, a CostModel "
-        "instance, or a plan -> Cost callable)"
+        f"not a cost model: {spec!r}; pass one of the names "
+        f"{', '.join(sorted(COST_MODELS))} or an object with a name and a "
+        "score(plan) -> Cost method"
     )
-
-
-register_cost_model("oracle", OracleCostModel)
-register_cost_model("analytic", AnalyticCostModel)
-register_cost_model("hybrid", HybridCostModel)

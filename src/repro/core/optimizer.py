@@ -9,14 +9,14 @@ binds a system, a rule set, a cost model and a plan cache, and
 or instance — over that space.
 
 Every strategy result passes through one finalize step: for models with
-a final check (``hybrid``), the chosen and original plans are re-judged
+a ``check`` (``hybrid``), the chosen and original plans are re-judged
 by the oracle, and the original is kept whenever the oracle disagrees
 that the pick beats it — so an estimator mis-ranking can cost speedup,
 never correctness or a regression versus not optimizing.
 
-Every explored plan can optionally be *verified* equivalent to the
-original on a sample state (``verify=True``), turning the paper's
-on-paper equivalences into machine-checked ones.  New code should prefer
+Given a ``verifier``, every explored plan is *verified* equivalent to
+the original on a sample state, turning the paper's on-paper
+equivalences into machine-checked ones.  New code should prefer
 the :class:`repro.session.Session` façade, which wraps this search in a
 full parse → optimize → verify → evaluate pipeline.
 """
@@ -32,7 +32,6 @@ from .costmodel import CostModel, make_cost_model
 from .planspace import PlanCache
 from .rules import DEFAULT_RULES, Plan, RewriteRule
 from .strategies import (
-    CostFn,
     OptimizationResult,
     OptimizerStrategy,
     SearchSpace,
@@ -51,9 +50,8 @@ class Optimizer:
         rules: Sequence[RewriteRule] = DEFAULT_RULES,
         verifier: Optional[Callable[[Plan, Plan], bool]] = None,
         cache: Optional[PlanCache] = None,
-        cost_model: Union[str, CostModel, CostFn, None] = None,
+        cost_model: Union[str, CostModel, None] = None,
         pick_policy=None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.system = system
         self.rules = list(rules)
@@ -62,7 +60,7 @@ class Optimizer:
         #: caller's, shared with whoever else holds it, or a private one.
         self.cache = cache or PlanCache()
         #: Labeled metrics shared by every search space (rule_errors etc.).
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.cost_model: CostModel = make_cost_model(
             cost_model if cost_model is not None else "oracle",
             system,
@@ -71,14 +69,13 @@ class Optimizer:
         )
 
     # -- search space ----------------------------------------------------------
-    def search_space(self, verify: bool = False) -> SearchSpace:
+    def search_space(self) -> SearchSpace:
         """The rewrite space strategies search (see :class:`SearchSpace`)."""
         return SearchSpace(
             self.system,
             rules=self.rules,
             cost_model=self.cost_model,
             verifier=self.verifier,
-            verify=verify,
             cache=self.cache,
             registry=self.registry,
         )
@@ -87,7 +84,7 @@ class Optimizer:
     def _finalize(
         self, plan: Plan, result: OptimizationResult, space: SearchSpace
     ) -> OptimizationResult:
-        """Oracle-check the chosen plan for final-check models (``hybrid``).
+        """Oracle-check the chosen plan for models with a ``check`` (``hybrid``).
 
         The frontier was ranked by estimates; the *reported* costs (and
         the improvement ratio) must be exact.  One oracle measurement of
@@ -96,7 +93,7 @@ class Optimizer:
         cannot run it at all), the original plan is kept, so hybrid
         search never does worse than not optimizing.
         """
-        if not getattr(space.cost_model, "final_check", False):
+        if not hasattr(space.cost_model, "check"):
             return result
         original_cost = space.check_cost(plan, strict=True)
         best_cost = (
@@ -117,7 +114,6 @@ class Optimizer:
         self,
         strategy: Union[str, OptimizerStrategy, None],
         plan: Plan,
-        verify: bool = False,
         **options,
     ) -> OptimizationResult:
         """Run ``plan`` through a strategy named in the registry (or given).
@@ -130,7 +126,7 @@ class Optimizer:
         check included — or ``None`` when the pick was never simulated.
         """
         before = self.cache.stats.copy()
-        space = self.search_space(verify)
+        space = self.search_space()
         # the oracle's query memo is the cache's and outlives the search;
         # its cheapest simulations each hold a clone of Σ, and go with it
         runs = self.cache.simulations = Simulations()

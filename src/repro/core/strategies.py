@@ -155,7 +155,6 @@ class SearchSpace:
         system: AXMLSystem,
         rules: Sequence[RewriteRule] = DEFAULT_RULES,
         verifier: Optional[Callable[[Plan, Plan], bool]] = None,
-        verify: bool = False,
         cache: Optional[PlanCache] = None,
         cost_model: Optional[CostModel] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -164,7 +163,6 @@ class SearchSpace:
         self.rules = list(rules)
         self.cost_model: CostModel = cost_model or OracleCostModel(system)
         self.verifier = verifier
-        self.verify = verify
         self.stats = cache.stats if cache is not None else CacheStats()
         self.registry = registry if registry is not None else MetricsRegistry()
 
@@ -250,16 +248,16 @@ class SearchSpace:
     def check_cost(self, plan: Plan, strict: bool = False) -> Optional[Cost]:
         """Exact post-search judgment of ``plan`` (hybrid's oracle check).
 
-        Models with ``final_check`` expose a ``check(plan)`` scorer;
-        others are judged by their own score.  ``strict`` is
+        Models with a ``check(plan)`` scorer are judged by it; others
+        by their own score.  ``strict`` is
         :meth:`score_original`'s contract.
         """
         checker = getattr(self.cost_model, "check", self.cost_model.score)
         return self._scored(plan, checker, strict)
 
     def admissible(self, original: Plan, candidate: Plan) -> bool:
-        """Equivalence check gate, active only in ``verify`` mode."""
-        if not self.verify or self.verifier is None:
+        """Equivalence check gate, active only with a ``verifier``."""
+        if self.verifier is None:
             return True
         return self.verifier(original, candidate)
 

@@ -314,7 +314,7 @@ class Scheduler:
                 now,
                 now,
                 strategy=report.strategy,
-                cost_model=getattr(self.session.cost_model, "name", "custom"),
+                cost_model=self.session.cost_model.name,
                 explored=report.explored,
                 site=site,
                 prepared=report.plan_cache.prepared_hits > 0,

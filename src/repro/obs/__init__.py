@@ -1,4 +1,4 @@
-"""Deterministic observability: tracing, metrics, critical paths, profiling.
+"""Deterministic observability: tracing, metrics, critical paths, export.
 
 The package splits observation along the clock it observes:
 
@@ -14,8 +14,6 @@ The package splits observation along the clock it observes:
 * :func:`analyze` / :func:`decompose` — critical-path decomposition of
   each job's latency into queue/link/cpu/backoff/stall segments that
   sum exactly to the measured latency, naming the bottleneck resource.
-* :class:`WallProfiler` — **wall-clock** per-phase timers and opt-in
-  cProfile capture for the raw-speed roadmap work.
 * :func:`to_chrome_trace` / :func:`write_jsonl` / :func:`load_trace` —
   Perfetto-loadable Chrome-trace JSON and round-trippable JSON-lines.
 """
@@ -29,7 +27,6 @@ from .export import (
     write_jsonl,
 )
 from .metrics import Counter, MetricsRegistry
-from .profile import WallProfiler
 from .tracer import (
     CAT_BACKOFF,
     CAT_CPU,
@@ -69,7 +66,6 @@ __all__ = [
     "Span",
     "Trace",
     "Tracer",
-    "WallProfiler",
     "analyze",
     "decompose",
     "load_trace",

@@ -37,7 +37,6 @@ one-line constructor re-exported as ``repro.connect``.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import (
     Dict,
@@ -87,9 +86,6 @@ from .xquery import Query
 from .xquery.decompose import Decomposition, free_variables, push_selection
 
 __all__ = ["ExecutionReport", "Session", "connect"]
-
-#: What :meth:`Session._phase` hands out when no profiler is installed.
-_NO_PHASE = nullcontext()
 
 
 class _SharedTexts:
@@ -284,15 +280,15 @@ class Session:
         A :class:`repro.obs.Tracer` instance turning on virtual-clock
         span recording for executions and serving runs.
     cost_model:
-        How candidate plans are priced during the search: a registered
-        name (``"oracle"`` — clone-and-simulate every candidate, the
+        How candidate plans are priced during the search: one of the
+        names of :data:`~repro.core.costmodel.COST_MODELS`
+        (``"oracle"`` — clone-and-simulate every candidate, the
         historical default; ``"analytic"`` — static estimation from
         the catalog and one run of each call site and query
         application, no plan simulation; ``"hybrid"`` — analytic
-        frontier, oracle-checked final plan; or anything added via
-        :func:`~repro.core.costmodel.register_cost_model`), a
-        :class:`~repro.core.costmodel.CostModel` instance, or any
-        ``plan -> Cost`` callable.
+        frontier, oracle-checked final plan) or an object with a
+        ``name`` and a ``score(plan) -> Cost``
+        (:class:`~repro.core.costmodel.CostModel`).
     rules / pick_policy:
         Forwarded to the optimizer and evaluator.
     plan_cache:
@@ -335,7 +331,6 @@ class Session:
         plan_cache: Union[PlanCache, None, str] = "auto",
         retry=None,
         fault_plan=None,
-        profiler=None,
     ) -> None:
         self.system = system
         self.strategy = make_strategy(strategy)
@@ -352,9 +347,6 @@ class Session:
         #: fill it, surfacing the result on :attr:`ExecutionReport.spans`
         #: / ``ServingReport.trace``.
         self.tracer = tracer or NO_TRACER
-        #: Optional :class:`repro.obs.WallProfiler` timing the pipeline's
-        #: wall-clock phases (parse / optimize / evaluate).
-        self.profiler = profiler
         self.pick_policy = pick_policy
         #: Recovery policy (:class:`repro.faults.RetryPolicy`) wired into
         #: every evaluator this session creates; ``None`` (default) means
@@ -416,12 +408,11 @@ class Session:
         """
         if isinstance(source, Query):
             return source
-        with self._phase("parse"):
-            known = self._compiled.get(source)
-            if known is not None:
-                return known.copy(name, params)
-            query = self._compiled[source] = Query(source, params=params, name=name)
-            return query
+        known = self._compiled.get(source)
+        if known is not None:
+            return known.copy(name, params)
+        query = self._compiled[source] = Query(source, params=params, name=name)
+        return query
 
     def plan(
         self,
@@ -637,10 +628,6 @@ class Session:
         except (DecompositionError, XQueryError):
             return None
 
-    def _phase(self, name: str):
-        """The profiler's wall-clock timer for ``name`` (a no-op without one)."""
-        return self.profiler.phase(name) if self.profiler is not None else _NO_PHASE
-
     def _prepared_key(self, plan: Plan, optimize: bool) -> Tuple:
         """Everything the outcome of searching ``plan`` depends on.
 
@@ -648,11 +635,9 @@ class Session:
         serialized widths when the cost model sees no more of them
         (``name_blind``), exact otherwise — the epochs of the documents
         it reads, and what shapes this session's searches: strategy type
-        and options, cost model and its cache token, rule set, pick
-        policy, and which Σ.
+        and options, cost model name, rule set, pick policy, and which Σ.
         """
         model = self.cost_model
-        token = getattr(model, "cache_token", None)
         strategy = self.strategy
         options = getattr(strategy, "__dict__", None)
         return (
@@ -662,7 +647,6 @@ class Session:
             type(strategy),
             strategy if options is None else repr(sorted(options.items())),
             model.name,
-            token() if callable(token) else "",
             tuple(self.optimizer.rules),
             self.pick_policy,
             self.system,
@@ -697,14 +681,13 @@ class Session:
         if table is not None:
             key = self._prepared_key(plan, optimize)
             prepared = table.lookup_prepared(key)
-        with self._phase("optimize"):
-            if prepared is not None:
-                planned, found = prepared
-                result = replace(found, best=relabel(found.best, planned, plan))
-            else:
-                result = self.optimizer.optimize_with(
-                    self.strategy if optimize else None, plan, verify=self.verify
-                )
+        if prepared is not None:
+            planned, found = prepared
+            result = replace(found, best=relabel(found.best, planned, plan))
+        else:
+            result = self.optimizer.optimize_with(
+                self.strategy if optimize else None, plan
+            )
         if table is not None and prepared is None:
             # without the trace (it pins every plan scored), the counters
             # (they are this job's) and the simulation (it is this job's
@@ -747,7 +730,7 @@ class Session:
         """Plan, then execute one lone job (:meth:`query` / :meth:`run`).
 
         A job the bare evaluator would run — no fault plan, no retry
-        policy, no tracer, no profiler, no deadline, not
+        policy, no tracer, no deadline, not
         ``partial`` — is executed by the search's own simulation of its
         plan when there is one (an oracle search that scored the pick):
         the report's answers, completion time, network and per-peer
@@ -767,7 +750,6 @@ class Session:
             and not self.fault_plan
             and self.retry is None
             and self.tracer is NO_TRACER
-            and self.profiler is None
             and deadline is None
             and not partial
         ):
@@ -846,10 +828,9 @@ class Session:
         evaluator.begin_job(deadline_at=deadline_at, partial=partial)
         tracer.push("eval", "eval", ready_at)
         try:
-            with self._phase("evaluate"):
-                outcome: EvalOutcome = evaluator.eval(
-                    report.plan.expr, report.plan.site, ready_at=ready_at
-                )
+            outcome: EvalOutcome = evaluator.eval(
+                report.plan.expr, report.plan.site, ready_at=ready_at
+            )
         except BaseException as exc:
             tracer.pop(ready_at)
             tracer.end_job(ready_at, status="failed", error=type(exc).__name__)

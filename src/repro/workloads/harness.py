@@ -713,8 +713,8 @@ class DifferentialHarness:
             ratio = estimate / exact if exact > 0 else None
             for strategy in self.strategies:
                 # one cache per row, so the estimator memo is filled
-                # once for both estimating models; prepared plans are
-                # salted per model, so sharing is safe
+                # once for both estimating models; the prepared-plan key
+                # holds the model's name, so sharing is safe
                 plan_cache = PlanCache()
                 answers = {}
                 for model in DEFAULT_COST_MODELS:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import (
+    AnalyticCostModel,
     Cost,
     CostEstimator,
     DocDest,
@@ -10,6 +11,7 @@ from repro.core import (
     EvalAt,
     Optimizer,
     Plan,
+    PlanCache,
     QueryApply,
     QueryRef,
     Send,
@@ -196,8 +198,9 @@ class TestOptimizer:
         assert full.best_cost.scalar() <= greedy.best_cost.scalar() * 1.001
 
     def test_estimator_driven_search(self, system):
-        estimator = CostEstimator(system)
-        result = Optimizer(system, cost_model=estimator).optimize_with(
+        cache = PlanCache()
+        model = AnalyticCostModel(system, cache=cache)
+        result = Optimizer(system, cost_model=model, cache=cache).optimize_with(
             "beam", naive_plan(), depth=2
         )
         # judged by *measured* cost, the estimator's pick must still win
@@ -211,7 +214,7 @@ class TestOptimizer:
             system,
             verifier=lambda a, b: check_equivalence(a, b, system).equivalent,
         )
-        result = optimizer.optimize_with("beam", plan, depth=2, verify=True)
+        result = optimizer.optimize_with("beam", plan, depth=2)
         assert check_equivalence(plan, result.best, system).equivalent
 
     def test_unevaluable_plan_rejected(self, system):

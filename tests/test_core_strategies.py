@@ -175,16 +175,31 @@ class TestStrategyParity:
         assert result.best_cost.scalar() <= result.original_cost.scalar()
 
     def test_greedy_verify_gates_trace_like_beam(self, system):
-        # with verify on, rejected rewrites must not leak into the trace
+        # with a verifier, rejected rewrites must not leak into the trace
         # or the explored count (parity with beam/exhaustive accounting)
         plan = naive_plan()
-        rejecting = SearchSpace(
-            system, verifier=lambda a, b: False, verify=True
-        )
+        rejecting = SearchSpace(system, verifier=lambda a, b: False)
         result = GreedyStrategy().search(plan, rejecting)
         assert result.explored == 1
         assert [rule for _, _, rule in result.trace] == ["original"]
         assert result.best.describe() == plan.describe()
+
+    def test_space_checks_exactly_when_it_has_a_verifier(self, system):
+        plan = naive_plan()
+        asked = []
+
+        def verifier(original, candidate):
+            asked.append(candidate)
+            return True
+
+        checked = GreedyStrategy().search(
+            plan, SearchSpace(system, verifier=verifier)
+        )
+        assert asked and checked.explored > 1
+        unchecked = GreedyStrategy().search(plan, SearchSpace(system))
+        # an admitting verifier changes nothing but the checks it makes
+        assert unchecked.best.describe() == checked.best.describe()
+        assert unchecked.explored == checked.explored
 
     def test_strategy_name_recorded(self, system):
         plan = naive_plan()

@@ -1,5 +1,5 @@
-"""The CostModel API: registry, shims, parity, hybrid safety, cache salts,
-and how many simulations each model spends planning.
+"""The CostModel API: name resolution, parity, hybrid safety, shared
+caches, and how many simulations each model spends planning.
 
 The fast parity subset runs in tier-1; the full generated sweep is
 marked ``generated`` and runs on demand:
@@ -13,7 +13,6 @@ import pytest
 
 from repro.core import (
     AnalyticCostModel,
-    CallableCostModel,
     Cost,
     CostEstimator,
     DocExpr,
@@ -25,10 +24,8 @@ from repro.core import (
     QueryApply,
     QueryRef,
     SearchSpace,
-    available_cost_models,
     make_cost_model,
     measure,
-    register_cost_model,
 )
 from repro.core import costmodel
 from repro.core.costmodel import COST_MODELS
@@ -79,23 +76,7 @@ def naive_plan(name="sel", threshold=55):
     )
 
 
-class TestRegistry:
-    def test_builtins_registered(self):
-        assert {"oracle", "analytic", "hybrid"} <= set(available_cost_models())
-
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(OptimizerError, match="already registered"):
-            register_cost_model("oracle", OracleCostModel)
-
-    def test_replace_allows_override(self, system):
-        register_cost_model("_cm_test", OracleCostModel)
-        try:
-            register_cost_model("_cm_test", AnalyticCostModel, replace=True)
-            model = make_cost_model("_cm_test", system)
-            assert isinstance(model, AnalyticCostModel)
-        finally:
-            COST_MODELS.pop("_cm_test", None)
-
+class TestResolution:
     def test_unknown_name_lists_available(self, system):
         with pytest.raises(OptimizerError, match="analytic.*hybrid.*oracle"):
             make_cost_model("psychic", system)
@@ -103,16 +84,6 @@ class TestRegistry:
     def test_instance_passes_through(self, system):
         model = OracleCostModel(system)
         assert make_cost_model(model, system) is model
-
-    def test_instance_plus_options_rejected(self, system):
-        with pytest.raises(OptimizerError, match="model \\*name\\*"):
-            make_cost_model(OracleCostModel(system), system, count_time=False)
-
-    def test_callable_wrapped_as_anonymous_model(self, system):
-        model = make_cost_model(lambda plan: measure(plan, system), system)
-        assert isinstance(model, CallableCostModel)
-        assert model.name == "custom"
-        assert model.cache_token() == ""
 
     @pytest.mark.parametrize("name", ["oracle", "analytic", "hybrid"])
     def test_builtins_are_name_blind_by_class(self, name):
@@ -124,12 +95,35 @@ class TestRegistry:
         with pytest.raises(OptimizerError, match="not a cost model"):
             make_cost_model(42, system)
 
-    def test_estimator_instance_is_usable(self, system):
-        # a bare CostEstimator is a plan -> Cost callable: it wraps
+    def test_analytic_instance_is_usable(self, system):
+        cache = PlanCache()
         result = Optimizer(
-            system, cost_model=CostEstimator(system)
+            system, cost_model=AnalyticCostModel(system, cache=cache), cache=cache
         ).optimize_with("beam", naive_plan(), depth=2)
         assert result.best_cost.scalar() <= result.original_cost.scalar()
+
+    @pytest.mark.parametrize(
+        "spec", ["lambda", "estimator", "unknown name", "no score"]
+    )
+    def test_session_rejects_what_is_not_a_model(self, system, spec):
+        # a model is a name of COST_MODELS or an object with a name and a
+        # score: a bare plan -> Cost callable is neither, and nothing
+        # wraps it into one
+        class NoScore:
+            name = "no-score"
+
+        cost_model = {
+            "lambda": lambda plan: measure(plan, system),
+            "estimator": CostEstimator(system),
+            "unknown name": "psychic",
+            "no score": NoScore(),
+        }[spec]
+        with pytest.raises(
+            OptimizerError,
+            match="one of the names analytic, hybrid, oracle "
+            "or an object with a name and a score",
+        ):
+            Session(system, cost_model=cost_model)
 
 
 class TestCostFnShim:
@@ -190,7 +184,6 @@ class _MisleadingModel:
     """Adversarial hybrid: ranks candidates *inversely* to their true cost."""
 
     name = "misleading"
-    final_check = True
 
     def __init__(self, system):
         self.system = system
@@ -202,8 +195,47 @@ class _MisleadingModel:
     def check(self, plan):
         return measure(plan, self.system)
 
-    def cache_token(self):
-        return "misleading"
+
+class _Exact:
+    """An oracle-priced model that counts what it scores and checks."""
+
+    name = "exact"
+
+    def __init__(self, system):
+        self.system = system
+        self.scored = 0
+
+    def score(self, plan):
+        self.scored += 1
+        return measure(plan, self.system)
+
+
+class _ExactChecked(_Exact):
+    checked = 0
+
+    def check(self, plan):
+        self.checked += 1
+        return measure(plan, self.system)
+
+
+class TestFinalCheck:
+    def test_a_model_without_check_is_judged_by_its_scores(self, system):
+        model = _Exact(system)
+        result = Optimizer(system, cost_model=model).optimize_with(
+            "beam", naive_plan(), depth=2
+        )
+        assert result.cache.plans_scored == model.scored
+
+    def test_a_model_with_check_is_final_checked(self, system):
+        plan = naive_plan()
+        model = _ExactChecked(system)
+        result = Optimizer(system, cost_model=model).optimize_with(
+            "beam", plan, depth=2
+        )
+        # the original and the pick, each judged once more by check()
+        assert model.checked == (1 if result.best is plan else 2)
+        assert result.cache.plans_scored == model.scored + model.checked
+        assert result.original_cost == measure(plan, system)
 
 
 class TestHybridSafetyNet:

@@ -3,7 +3,7 @@
 Both entry points plan through ``Session._plan_report`` and execute
 through ``Session._run_report``; these tests pin what that sharing
 promises — a lone query and a one-job serving run are the same job, the
-profiler and the tracer see served jobs exactly as they see queries, and
+tracer sees served jobs exactly as it sees queries, and
 equivalence verdicts are never replayed across jobs that merely *print*
 alike.
 """
@@ -16,7 +16,7 @@ from repro.axml import make_service_call
 from repro.core.expressions import TreeExpr
 from repro.engine import JobRequest, Scheduler
 from repro.errors import SessionError
-from repro.obs import CAT_EVAL, Tracer, WallProfiler
+from repro.obs import CAT_EVAL, Tracer
 from repro.peers import AXMLSystem, NativeService
 from repro.session import Session
 from repro.workloads import ScenarioGenerator, ScenarioSpec
@@ -68,22 +68,6 @@ class TestQueryServeParity:
             (solo_root,) = solo.spans.jobs.values()
             (served_root,) = served.trace.jobs.values()
             assert eval_subtree(served_root) == eval_subtree(solo_root)
-
-
-class TestServedJobsAreProfiled:
-    def test_serve_reports_one_evaluate_phase_per_executed_job(self):
-        scenario = ScenarioGenerator(seed=3, spec=SPEC).scenario(0)
-        profiler = WallProfiler()
-        report = Session(scenario.system, profiler=profiler).serve(
-            [
-                JobRequest(arrival=k * 0.01, **query.kwargs())
-                for k, query in enumerate(scenario.queries)
-            ]
-        )
-        executed = [job for job in report.jobs if job.report is not None]
-        assert executed
-        assert profiler.calls("evaluate") == len(executed)
-        assert profiler.calls("optimize") == len(report.jobs)
 
 
 class _Crash(BaseException):

@@ -4,8 +4,8 @@ Covers the tracer's zero-cost contract (tracing off and tracing on both
 leave the scheduler event trace and every answer byte-identical, across
 fault-free and faulted seeded scenarios), the critical-path analyzer's
 exactness invariant (segments sum to the measured latency), the JSONL
-round trip and Chrome-trace export schema, the metrics registry, the
-wall-clock profiler, and the satellite fixes that rode along: the
+round trip and Chrome-trace export schema, the metrics registry, and
+the satellite fixes that rode along: the
 ``percentile`` edge cases, ``ServingReport.job`` KeyError, and the
 makespan window spanning failed jobs on faulted runs.  Under ``-m perf``,
 the wall overhead of tracing.
@@ -31,7 +31,6 @@ from repro.obs import (
     Span,
     Trace,
     Tracer,
-    WallProfiler,
     analyze,
     decompose,
     load_trace,
@@ -319,42 +318,6 @@ class TestMetricsRegistry:
         b = registry.counter("net", dir="in", kind="doc")
         a.inc(2)
         assert b.value == 2
-
-
-# ---------------------------------------------------------------------------
-# Wall-clock profiler
-# ---------------------------------------------------------------------------
-
-class TestWallProfiler:
-    def test_phases_accumulate_and_nest(self):
-        profiler = WallProfiler()
-        with profiler.phase("outer"):
-            with profiler.phase("outer"):  # reentrant: timed once
-                pass
-            with profiler.phase("inner"):
-                pass
-        # calls counts every entry; seconds only the outermost window,
-        # so reentrant phases never double-count wall time
-        assert profiler.calls("outer") == 2
-        assert profiler.calls("inner") == 1
-        assert profiler.seconds("outer") >= profiler.seconds("inner")
-
-    def test_capture_produces_hotspots(self):
-        profiler = WallProfiler(capture=True)
-        with profiler.phase("work"):
-            sum(i * i for i in range(5000))
-        rows = profiler.hotspots(5)
-        assert rows and all(len(row) == 4 for row in rows)
-
-    def test_session_profiler_times_the_pipeline(self):
-        scenario = scenario_for(3)
-        profiler = WallProfiler()
-        session = Session(scenario.system, profiler=profiler)
-        query = scenario.queries[0]
-        session.query(**query.kwargs())
-        names = [name for name, _, _ in profiler.phases()]
-        # exactly these: sizing a message is arithmetic, not a timed phase
-        assert sorted(set(names)) == ["evaluate", "optimize", "parse"]
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ import pytest
 from repro import connect
 from repro.axml import IncrementalQuery
 from repro.core import (
-    CostEstimator,
+    AnalyticCostModel,
     DelegateExpression,
     DocDest,
     DocExpr,
@@ -52,6 +52,7 @@ from repro.core import (
     GenericDoc,
     NodesDest,
     Optimizer,
+    OracleCostModel,
     Plan,
     PushQueryOverCall,
     PushSelection,
@@ -630,8 +631,8 @@ def a1(model):
     best = plan
     if model != "naive (no optimizer)":
         cost_model = {
-            "oracle (measure)": lambda p: measure(p, system),
-            "estimator full": CostEstimator(system),
+            "oracle (measure)": OracleCostModel(system),
+            "estimator full": AnalyticCostModel(system),
         }[model]
         optimizer = Optimizer(system, cost_model=cost_model)
         best = optimizer.optimize_with("beam", plan, depth=2, beam=8).best
@@ -840,13 +841,13 @@ def test_a3_verification_cost_scales_and_stays_bounded():
     plain_ms = (time.perf_counter() - started) * 1000
     verifier = lambda a, b: check_equivalence(a, b, system).equivalent  # noqa: E731
     started = time.perf_counter()
-    Optimizer(system, verifier=verifier).optimize_with("beam", plan, depth=2, beam=4, verify=True)
+    Optimizer(system, verifier=verifier).optimize_with("beam", plan, depth=2, beam=4)
     verified_ms = (time.perf_counter() - started) * 1000
 
     table = format_table(
         ("items", "wall ms", "note"),
         [(*row, "one check") for row in rows]
-        + [("-", plain_ms, "optimizer, unverified"), ("-", verified_ms, "optimizer, verify=True")],
+        + [("-", plain_ms, "optimizer, unverified"), ("-", verified_ms, "optimizer, verified")],
     )
     # scales sub-quadratically: 16x the doc costs < 64x the time
     assert rows[-1][1] < max(rows[0][1], 0.5) * 64, table

@@ -9,6 +9,7 @@ from collections.abc import Sized
 import pytest
 
 from repro.core import (
+    AnalyticCostModel,
     BeamSearchStrategy,
     DocExpr,
     EvalAt,
@@ -298,7 +299,6 @@ class TestOneSearchRemembers:
     def test_failing_final_check_is_run_once(self, system):
         class Checked:
             name = "checked"
-            final_check = True
             checks = 0
 
             def score(self, plan):
@@ -498,8 +498,8 @@ class TestIncrementalEstimator:
 
     def test_estimator_driven_search_with_shared_cache(self, system):
         cache = PlanCache()
-        estimator = CostEstimator(system, cache=cache)
-        optimizer = Optimizer(system, cost_model=estimator, cache=cache)
+        model = AnalyticCostModel(system, cache=cache)
+        optimizer = Optimizer(system, cost_model=model, cache=cache)
         result = optimizer.optimize_with(
             ExhaustiveStrategy(depth=2, max_plans=5_000), naive_plan()
         )

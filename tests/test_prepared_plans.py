@@ -18,6 +18,7 @@ from repro.core import (
     DEFAULT_RULES,
     BeamSearchStrategy,
     Optimizer,
+    OracleCostModel,
     PlanCache,
     planspace,
 )
@@ -395,10 +396,21 @@ class TestIsolation:
             ({"cost_model": "analytic"}, {"cost_model": "hybrid"}),
             ({}, {"rules": DEFAULT_RULES[:2]}),
             ({}, {"pick_policy": FirstPolicy()}),
+            # the key holds the session's pick policy beside the model's
+            # name: no per-model salt is needed to keep these apart
+            (
+                {"cost_model": "analytic"},
+                {"cost_model": "analytic", "pick_policy": FirstPolicy()},
+            ),
+            (
+                {"cost_model": "hybrid"},
+                {"cost_model": "hybrid", "pick_policy": FirstPolicy()},
+            ),
         ],
         ids=[
             "strategy", "strategy-options", "cost-model", "final-check",
-            "rules", "pick-policy",
+            "rules", "pick-policy", "analytic-pick-policy",
+            "hybrid-pick-policy",
         ],
     )
     def test_no_hit_across_differing_search_configuration(self, left, right):
@@ -581,3 +593,18 @@ class TestObservability:
             if span.name == "plan"
         ]
         assert prepared == [False, True]
+
+    def test_plan_span_names_a_model_instance(self):
+        class Renamed(OracleCostModel):
+            name = "renamed-oracle"
+
+        system = two_docs()
+        session = connect(system, tracer=Tracer(), cost_model=Renamed(system))
+        report = session.serve([job("q")])
+        models = [
+            span.attrs["cost_model"]
+            for root in report.trace.jobs.values()
+            for span in root.walk()
+            if span.name == "plan"
+        ]
+        assert models == ["renamed-oracle"]

@@ -11,9 +11,11 @@ from repro.core import (
     DocExpr,
     ExpressionEvaluator,
     GenericDoc,
+    Optimizer,
     Plan,
     QueryApply,
     QueryRef,
+    SearchSpace,
     Send,
 )
 from repro.engine import JobRequest
@@ -324,13 +326,28 @@ class TestRunAndExplain:
 
 
 class TestSignature:
-    def test_session_takes_eleven_keywords(self):
+    def test_session_takes_ten_keywords(self):
         params = inspect.signature(Session.__init__).parameters.values()
         keywords = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
         assert keywords == {
             "strategy", "verify", "trace", "tracer", "rules", "cost_model",
-            "pick_policy", "plan_cache", "retry", "fault_plan", "profiler",
+            "pick_policy", "plan_cache", "retry", "fault_plan",
         }
+
+    def test_planner_takes_no_switch_only_tests_set(self):
+        # the space checks candidates exactly when it has a verifier, and
+        # the optimizer keeps its own metrics registry
+        def names(function):
+            params = inspect.signature(function).parameters
+            return set(params) - {"self"}
+
+        assert names(Optimizer.__init__) == {
+            "system", "rules", "verifier", "cache", "cost_model", "pick_policy",
+        }
+        assert names(SearchSpace.__init__) == {
+            "system", "rules", "verifier", "cache", "cost_model", "registry",
+        }
+        assert names(Optimizer.optimize_with) == {"strategy", "plan", "options"}
 
     def test_session_has_one_method_per_operation(self):
         public = {name for name in vars(Session) if not name.startswith("_")}

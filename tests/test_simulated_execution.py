@@ -2,8 +2,8 @@
 
 Under the oracle model the search runs every candidate on a clone of Σ
 (:func:`repro.core.cost.measure`).  When the bare evaluator would run the
-chosen plan — no fault plan, retry policy, tracer, profiler or
-deadline, not ``partial`` — ``Session._pipeline`` fills the
+chosen plan — no fault plan, retry policy, tracer or deadline, not
+``partial`` — ``Session._pipeline`` fills the
 report from the search's run of that plan instead of evaluating it on a
 second clone.  These tests pin that the report is the one a forced
 re-execution gives (answers, completion time, network and per-peer
@@ -28,7 +28,7 @@ from repro.engine import ClosedLoopFeed, JobRequest
 from repro.errors import FrozenTreeError
 from repro.faults import FaultPlan, RetryPolicy
 from repro.faults.plan import LINK_DEGRADE, FaultEvent
-from repro.obs import Tracer, WallProfiler
+from repro.obs import Tracer
 from repro.peers import AXMLSystem
 from repro.session import Session
 from repro.workloads import (
@@ -181,7 +181,7 @@ def quiet_fault_plan(system):
 
 
 @pytest.mark.parametrize(
-    "case", ["tracer", "retry", "fault_plan", "deadline", "partial", "profiler"]
+    "case", ["tracer", "retry", "fault_plan", "deadline", "partial"]
 )
 def test_every_other_job_re_executes(system, monkeypatch, case):
     session_kwargs, query_kwargs = {}, {}
@@ -191,8 +191,6 @@ def test_every_other_job_re_executes(system, monkeypatch, case):
         session_kwargs["retry"] = RetryPolicy()
     elif case == "fault_plan":
         session_kwargs["fault_plan"] = quiet_fault_plan(system)
-    elif case == "profiler":
-        session_kwargs["profiler"] = WallProfiler()
     elif case == "deadline":
         query_kwargs["deadline"] = 10.0
     else:
@@ -208,8 +206,6 @@ def test_every_other_job_re_executes(system, monkeypatch, case):
     assert "executed by the search's simulation" not in report.describe()
     if case == "tracer":
         assert report.spans is not None and len(report.spans) > 0
-    if case == "profiler":
-        assert session.profiler.calls("evaluate") == 1
 
 
 def test_a_prepared_hit_re_executes(system, monkeypatch):
