@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""The benchmark workloads' exact results, pinned in ``tests/golden/workloads.json``.
+"""Exact results pinned in ``tests/golden/``: the benchmark workloads and the plan searches.
 
-For each workload of ``bench/workloads.py`` at content seeds 7 and 11,
+``tests/golden/workloads.json`` pins the benchmark workloads.  For each
+workload of ``bench/workloads.py`` at content seeds 7 and 11,
 one pass over the first quarter of its stream (the part ``bench/run.py``
 counts calls on, at full sizes) yields what repeats exactly per commit:
 
@@ -12,10 +13,24 @@ counts calls on, at full sizes) yields what repeats exactly per commit:
 * for the two serving workloads, a digest of ``ServingReport.events``.
 
 A change that moves one message byte, one virtual instant or one answer
-changes the file.  ``tests/test_golden.py`` compares against it.
+changes the file.
 
-Run:  python scripts/golden.py            # print the table
-      python scripts/golden.py --write    # regenerate the file
+``tests/golden/searches.json`` pins what the planner chooses.  Protocol:
+for each of ``ScenarioSpec()``, ``bench/workloads.py``'s ``SERVE_SPEC``
+and ``WRITE_MIX_SPEC``, all at 60 items, content seeds 7 and 11 and
+scenarios 0-7, every generated query is explained (planned, not run, no
+write applied) by a fresh ``Session(system, plan_cache=None,
+trace=True)``: 272 searches.  Per search it records the chosen plan's
+``expression_fingerprint`` and site, the best and original ``Cost`` and
+the rule that produced the chosen plan (``"original"`` when the search
+kept it).  198 of the 272 keep the original, whether counted by that
+rule, by fingerprint and site, by cost or by ``plan.describe()`` text
+(the count ROADMAP's (M4) gives); 40 are won by rule (10), 34 by (14).
+
+``tests/test_golden.py`` compares both files.
+
+Run:  python scripts/golden.py            # print both tables
+      python scripts/golden.py --write    # regenerate both files
 """
 
 from __future__ import annotations
@@ -31,12 +46,21 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from dataclasses import replace  # noqa: E402
+
+from repro import Session  # noqa: E402
+from repro.core import expression_fingerprint  # noqa: E402
 from repro.engine import percentile  # noqa: E402
+from repro.workloads import WRITE_MIX_SPEC, ScenarioGenerator, ScenarioSpec  # noqa: E402
 
 GOLDEN = REPO_ROOT / "tests" / "golden" / "workloads.json"
+SEARCHES = REPO_ROOT / "tests" / "golden" / "searches.json"
 CONTENT_SEEDS = (7, 11)
 #: The operation-order seed ``bench/run.py`` defaults to.
 SEED = 7
+#: Items per document and scenarios per family of the search protocol.
+SEARCH_ITEMS = 60
+SEARCH_SCENARIOS = range(8)
 
 
 def _workloads():
@@ -78,6 +102,44 @@ def compute() -> dict:
     }
 
 
+def _cost(cost) -> list:
+    return [cost.bytes, cost.messages, cost.time]
+
+
+def record_search(report) -> dict:
+    """The chosen plan of one explained query, its costs and its rule."""
+    rule = next(rule for plan, _, rule in report.trace if plan is report.plan)
+    return {
+        "plan": expression_fingerprint(report.plan.expr),
+        "site": report.plan.site,
+        "best": _cost(report.best_cost),
+        "original": _cost(report.original_cost),
+        "rule": rule,
+    }
+
+
+def compute_searches() -> dict:
+    families = {
+        "default": ScenarioSpec(items=SEARCH_ITEMS),
+        "serve": replace(_workloads().SERVE_SPEC, items=SEARCH_ITEMS),
+        "write-mix": replace(WRITE_MIX_SPEC, items=SEARCH_ITEMS),
+    }
+    table = {}
+    for family, spec in families.items():
+        for content_seed in CONTENT_SEEDS:
+            generator = ScenarioGenerator(content_seed, spec)
+            for index in SEARCH_SCENARIOS:
+                scenario = generator.scenario(index)
+                for query in scenario.queries:
+                    session = Session(scenario.system, plan_cache=None, trace=True)
+                    report = session.explain(
+                        query.source, at=query.at, bind=query.bindings, name=query.name
+                    )
+                    key = f"{family}@{content_seed}#{index}/{query.name}"
+                    table[key] = record_search(report)
+    return table
+
+
 def render(table: dict) -> str:
     return json.dumps(table, indent=2, sort_keys=True) + "\n"
 
@@ -86,13 +148,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--write", action="store_true", help="regenerate the file")
     args = parser.parse_args(argv)
-    text = render(compute())
-    if not args.write:
-        sys.stdout.write(text)
-        return 0
-    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN.write_text(text)
-    print(f"wrote {GOLDEN.relative_to(REPO_ROOT)}")
+    for path, table in ((GOLDEN, compute()), (SEARCHES, compute_searches())):
+        text = render(table)
+        if not args.write:
+            sys.stdout.write(text)
+            continue
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        print(f"wrote {path.relative_to(REPO_ROOT)}")
     return 0
 
 

@@ -1,10 +1,13 @@
-"""The benchmark workloads' virtual results, answers and event traces are pinned.
+"""The benchmark workloads' results and the planner's choices are pinned.
 
 ``tests/golden/workloads.json`` holds, per ``bench/workloads.py`` workload
 and content seed, what one counted-quarter pass produces exactly: every
 ``virt_*`` metric, the failed count, and digests of the answers and of the
-serving event trace.  A change that moves any of them must regenerate the
-file with ``python scripts/golden.py --write`` and say why.
+serving event trace.  ``tests/golden/searches.json`` holds, per generated
+search of the script's protocol, the chosen plan's fingerprint and site,
+its best and original costs and the rule that produced it.  A change that
+moves any of them must regenerate the files with ``python
+scripts/golden.py --write`` and say why.
 """
 
 import importlib.util
@@ -25,6 +28,15 @@ def test_workloads_match_the_golden_file():
     golden = _golden()
     expected = json.loads(golden.GOLDEN.read_text())
     actual = golden.compute()
+    assert sorted(actual) == sorted(expected)
+    differing = {key: actual[key] for key in actual if actual[key] != expected[key]}
+    assert not differing, f"regenerate with scripts/golden.py --write if intended: {differing}"
+
+
+def test_searches_match_the_golden_file():
+    golden = _golden()
+    expected = json.loads(golden.SEARCHES.read_text())
+    actual = golden.compute_searches()
     assert sorted(actual) == sorted(expected)
     differing = {key: actual[key] for key in actual if actual[key] != expected[key]}
     assert not differing, f"regenerate with scripts/golden.py --write if intended: {differing}"
