@@ -80,7 +80,6 @@ from .rules import (
 from .serialize import (
     expression_fingerprint,
     expression_size,
-    from_xml,
     to_xml,
 )
 from .verify import VerificationResult, check_equivalence, observable_state
@@ -109,7 +108,7 @@ __all__ = [
     "GreedyStrategy", "ExhaustiveStrategy", "register_strategy",
     "available_strategies", "make_strategy",
     # serialization
-    "to_xml", "from_xml", "expression_size", "expression_fingerprint",
+    "to_xml", "expression_size", "expression_fingerprint",
     # verification
     "check_equivalence", "VerificationResult", "observable_state",
 ]

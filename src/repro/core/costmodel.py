@@ -114,9 +114,6 @@ class OracleCostModel:
             plan, self.system, self.pick_policy, cache.query_memo, cache.simulations
         )
 
-    def describe(self) -> str:
-        return "oracle: clone-and-simulate every candidate"
-
 
 class AnalyticCostModel:
     """Static estimation: price plans from the catalog, never run them.
@@ -147,9 +144,6 @@ class AnalyticCostModel:
 
     def score(self, plan: Plan) -> Cost:
         return self.estimator.estimate(plan)
-
-    def describe(self) -> str:
-        return "analytic: static estimation from the catalog and samples"
 
 
 class HybridCostModel:
@@ -182,9 +176,6 @@ class HybridCostModel:
     def check(self, plan: Plan) -> Cost:
         """The exact final-plan judgment (one oracle simulation)."""
         return self.oracle.score(plan)
-
-    def describe(self) -> str:
-        return "hybrid: analytic frontier, oracle-checked final plan"
 
 
 #: Name -> model class, for ``Session(cost_model=name)``.  Each is built

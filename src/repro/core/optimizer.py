@@ -4,7 +4,9 @@ The search algorithms themselves live in :mod:`repro.core.strategies`
 behind the :class:`~repro.core.strategies.OptimizerStrategy` protocol,
 and candidate pricing lives in :mod:`repro.core.costmodel` behind the
 :class:`~repro.core.costmodel.CostModel` protocol; :class:`Optimizer`
-binds a system, a rule set, a cost model and a plan cache, and
+binds a system, a rule set, a cost model and a plan cache into one
+:class:`~repro.core.strategies.SearchSpace`, built once (a space
+remembers nothing about plans, so one serves every search), and
 :meth:`Optimizer.optimize_with` runs any strategy — by registered name
 or instance — over that space.
 
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence, Union
 
-from ..obs.metrics import MetricsRegistry
 from ..peers.system import AXMLSystem
 from .cost import Simulations
 from .costmodel import CostModel, make_cost_model
@@ -53,37 +54,29 @@ class Optimizer:
         cost_model: Union[str, CostModel, None] = None,
         pick_policy=None,
     ) -> None:
-        self.system = system
-        self.rules = list(rules)
-        self.verifier = verifier
         #: The planner's stores and counters (see planspace): the
         #: caller's, shared with whoever else holds it, or a private one.
         self.cache = cache or PlanCache()
-        #: Labeled metrics shared by every search space (rule_errors etc.).
-        self.registry = MetricsRegistry()
         self.cost_model: CostModel = make_cost_model(
             cost_model if cost_model is not None else "oracle",
             system,
             pick_policy=pick_policy,
             cache=self.cache,
         )
-
-    # -- search space ----------------------------------------------------------
-    def search_space(self) -> SearchSpace:
-        """The rewrite space strategies search (see :class:`SearchSpace`)."""
-        return SearchSpace(
-            self.system,
-            rules=self.rules,
+        #: The rewrite space every search walks (see :class:`SearchSpace`).
+        self.space = SearchSpace(
+            system,
+            rules=rules,
             cost_model=self.cost_model,
-            verifier=self.verifier,
+            verifier=verifier,
             cache=self.cache,
-            registry=self.registry,
         )
+        self.rules = self.space.rules
+        #: Labeled metrics of every search (rule_errors etc.).
+        self.registry = self.space.registry
 
     # -- finalize --------------------------------------------------------------
-    def _finalize(
-        self, plan: Plan, result: OptimizationResult, space: SearchSpace
-    ) -> OptimizationResult:
+    def _finalize(self, plan: Plan, result: OptimizationResult) -> OptimizationResult:
         """Oracle-check the chosen plan for models with a ``check`` (``hybrid``).
 
         The frontier was ranked by estimates; the *reported* costs (and
@@ -93,13 +86,13 @@ class Optimizer:
         cannot run it at all), the original plan is kept, so hybrid
         search never does worse than not optimizing.
         """
-        if not hasattr(space.cost_model, "check"):
+        if not hasattr(self.space.cost_model, "check"):
             return result
-        original_cost = space.check_cost(plan, strict=True)
+        original_cost = self.space.check_cost(plan, strict=True)
         best_cost = (
             original_cost
             if result.best is plan
-            else space.check_cost(result.best)
+            else self.space.check_cost(result.best)
         )
         if best_cost is None or original_cost.scalar() <= best_cost.scalar():
             result.best = plan
@@ -126,13 +119,12 @@ class Optimizer:
         check included — or ``None`` when the pick was never simulated.
         """
         before = self.cache.stats.copy()
-        space = self.search_space()
         # the oracle's query memo is the cache's and outlives the search;
         # its cheapest simulations each hold a clone of Σ, and go with it
         runs = self.cache.simulations = Simulations()
         try:
             if strategy is None:
-                cost = space.score_original(plan)
+                cost = self.space.score_original(plan)
                 result = OptimizationResult(
                     best=plan,
                     best_cost=cost,
@@ -142,8 +134,8 @@ class Optimizer:
                     strategy="none",
                 )
             else:
-                result = make_strategy(strategy, **options).search(plan, space)
-                result = self._finalize(plan, result, space)
+                result = make_strategy(strategy, **options).search(plan, self.space)
+                result = self._finalize(plan, result)
         finally:
             del self.cache.simulations
         # the search's own share of the cache's lifetime counters,

@@ -6,10 +6,6 @@ expression parameters."  This serialization is what :class:`EvalAt` ships
 when delegating an expression to another peer, so expression size —
 ``expression_size()`` — is a real cost the optimizer weighs.
 
-Round trip: ``from_xml(to_xml(e)) == e`` for every expression not
-containing in-memory :class:`TreeExpr` literals with node identity (tree
-literals round-trip by content).
-
 Per-node facts: a plan search sizes and keys thousands of candidates that
 share most of their nodes (see :mod:`repro.core.expressions`), so
 :func:`expression_size` and :func:`expression_fingerprint` are computed
@@ -26,9 +22,8 @@ from __future__ import annotations
 from hashlib import blake2b
 
 from ..errors import ExpressionError
-from ..xmlcore.model import Element, NodeId, element
+from ..xmlcore.model import Element, element
 from ..xmlcore.serializer import escape_attr
-from ..xquery import Query
 from .expressions import (
     ANY,
     DocDest,
@@ -51,7 +46,6 @@ from .expressions import (
 
 __all__ = [
     "to_xml",
-    "from_xml",
     "expression_size",
     "expression_fingerprint",
 ]
@@ -138,90 +132,6 @@ def _dest_to_xml(dest) -> Element:
             "x-dest", attrs={"kind": "doc", "name": dest.name, "peer": dest.peer}
         )
     raise ExpressionError(f"cannot serialize destination {type(dest).__name__}")
-
-
-def from_xml(node: Element) -> Expression:
-    """Reconstruct an expression from its XML form."""
-    tag = node.tag
-    if tag == "x-tree":
-        inner = node.element_children
-        if len(inner) != 1:
-            raise ExpressionError("x-tree must wrap exactly one tree")
-        return TreeExpr(inner[0].copy(), node.attrs["home"])
-    if tag == "x-doc":
-        home = node.attrs["home"]
-        if home == ANY:
-            return GenericDoc(node.attrs["name"])
-        return DocExpr(node.attrs["name"], home)
-    if tag == "x-fragdoc":
-        return FragmentedDoc(node.attrs["name"])
-    if tag == "x-gather":
-        return Gather(tuple(from_xml(c) for c in node.element_children))
-    if tag == "x-query":
-        params = tuple(p for p in node.attrs.get("params", "").split() if p)
-        query = Query(
-            node.string_value(), params=params, name=node.attrs.get("name")
-        )
-        return QueryRef(query, node.attrs["home"])
-    if tag == "x-service":
-        return GenericService(node.attrs["name"])
-    if tag == "x-apply":
-        children = node.element_children
-        query = from_xml(children[0])
-        if not isinstance(query, (QueryRef, GenericService)):
-            raise ExpressionError("x-apply head must be a query or service ref")
-        args_node = node.child_by_tag("x-args")
-        args = tuple(from_xml(c) for c in args_node.element_children) if args_node else ()
-        return QueryApply(query, args)
-    if tag == "x-sc":
-        params_node = node.child_by_tag("x-params")
-        params = (
-            tuple(from_xml(c) for c in params_node.element_children)
-            if params_node
-            else ()
-        )
-        forwards = tuple(
-            NodeId.parse(f.string_value().strip())
-            for f in node.children_by_tag("x-forw")
-        )
-        return ServiceCallExpr(
-            node.attrs["provider"], node.attrs["service"], params, forwards
-        )
-    if tag == "x-send":
-        dest_node = node.child_by_tag("x-dest")
-        if dest_node is None:
-            raise ExpressionError("x-send missing destination")
-        payload_nodes = [
-            c for c in node.element_children if c.tag != "x-dest"
-        ]
-        if len(payload_nodes) != 1:
-            raise ExpressionError("x-send must have exactly one payload")
-        via = tuple(node.attrs.get("via", "").split())
-        return Send(_dest_from_xml(dest_node), from_xml(payload_nodes[0]), via)
-    if tag == "x-eval":
-        inner = node.element_children
-        if len(inner) != 1:
-            raise ExpressionError("x-eval must wrap exactly one expression")
-        return EvalAt(node.attrs["peer"], from_xml(inner[0]))
-    if tag == "x-seq":
-        return Seq(tuple(from_xml(c) for c in node.element_children))
-    raise ExpressionError(f"unknown expression element <{tag}>")
-
-
-def _dest_from_xml(node: Element):
-    kind = node.attrs.get("kind")
-    if kind == "peer":
-        return PeerDest(node.attrs["peer"])
-    if kind == "nodes":
-        return NodesDest(
-            tuple(
-                NodeId.parse(c.string_value().strip())
-                for c in node.children_by_tag("x-node")
-            )
-        )
-    if kind == "doc":
-        return DocDest(node.attrs["name"], node.attrs["peer"])
-    raise ExpressionError(f"unknown destination kind {kind!r}")
 
 
 def expression_size(expr: Expression) -> int:

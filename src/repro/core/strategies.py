@@ -14,6 +14,10 @@ is a :class:`OptimizerStrategy`:
   rewrite space, bounded only by depth and a plan budget; the quality
   yardstick the cheaper strategies are judged against.
 
+Beam and exhaustive are one level-synchronous walk (:func:`_walk_levels`)
+that differs only in how many plans of a level go on to the next — the
+``beam`` cheapest, or all of them — and in exhaustive's plan budget.
+
 Strategies are registered by name (:func:`register_strategy`) so callers
 can ask for ``Session(strategy="greedy")`` and third parties can plug in
 their own search without touching this module.
@@ -21,6 +25,7 @@ their own search without touching this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -107,17 +112,6 @@ class OptimizationResult:
         """See :func:`improvement_ratio` (0/0 reports ``1.0``)."""
         return improvement_ratio(self.original_cost, self.best_cost)
 
-    def describe(self) -> str:
-        lines = [
-            f"original: {self.original_cost.describe()}",
-            f"best:     {self.best_cost.describe()}  (x{self.improvement:.2f})",
-            f"explored: {self.explored} plans",
-            f"plan:     {self.best.describe()}",
-        ]
-        if self.cache is not None:
-            lines.append(self.cache.describe())
-        return "\n".join(lines)
-
 
 class SearchSpace:
     """The rewrite space one strategy searches: expand, score, admit.
@@ -157,14 +151,13 @@ class SearchSpace:
         verifier: Optional[Callable[[Plan, Plan], bool]] = None,
         cache: Optional[PlanCache] = None,
         cost_model: Optional[CostModel] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.system = system
         self.rules = list(rules)
         self.cost_model: CostModel = cost_model or OracleCostModel(system)
         self.verifier = verifier
         self.stats = cache.stats if cache is not None else CacheStats()
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
 
     def note_dedup(self) -> None:
         """A strategy skipped a candidate already processed this search."""
@@ -273,6 +266,83 @@ class OptimizerStrategy(Protocol):
         ...
 
 
+def _entry_scalar(entry: Tuple[Cost, Plan]) -> float:
+    return entry[0].scalar()
+
+
+def _walk_levels(
+    name: str,
+    plan: Plan,
+    space: SearchSpace,
+    depth: int,
+    width: Optional[int] = None,
+    budget: float = math.inf,
+) -> OptimizationResult:
+    """The level-by-level walk of the rewrite graph beam and exhaustive share.
+
+    Each of at most ``depth`` levels expands every frontier plan; a
+    rewrite is scored and gated the first time this search sees its
+    fingerprint, whatever the verdict (a candidate rejected here is
+    rejected again if re-proposed), and the admitted ones make up the
+    level.  With a ``width`` the level's ``width`` cheapest go on (a
+    stable sort by scalar); without one, all of them in proposal order.
+    The level's first cheapest plan becomes the best when it beats the
+    best so far.  ``budget`` caps ``explored``: it is checked before
+    each frontier plan is expanded and before each rewrite, and when it
+    trips the result is the best of everything scored so far.
+    """
+    original_cost = space.score_original(plan)
+    # keyed on canonical fingerprints so plans reached by different
+    # rewrite orders — or differing only in tree-literal identity —
+    # count as one
+    visited = {plan_fingerprint(plan)}
+    trace: List[Tuple[Plan, Cost, str]] = [(plan, original_cost, "original")]
+    frontier: List[Tuple[Cost, Plan]] = [(original_cost, plan)]
+    best_cost, best_plan = original_cost, plan
+    explored = 1
+
+    for _ in range(depth):
+        level: List[Tuple[Cost, Plan]] = []
+        for _, current in frontier:
+            if explored >= budget:
+                break
+            for rewrite in space.expand(current):
+                if explored >= budget:
+                    break
+                key = plan_fingerprint(rewrite.plan)
+                if key in visited:
+                    space.note_dedup()
+                    continue
+                visited.add(key)
+                cost = space.score(rewrite.plan)
+                if cost is None or not space.admissible(plan, rewrite.plan):
+                    continue
+                explored += 1
+                level.append((cost, rewrite.plan))
+                trace.append((rewrite.plan, cost, rewrite.rule))
+        if not level:
+            break
+        if width is None:
+            top = min(level, key=_entry_scalar)
+        else:
+            level.sort(key=_entry_scalar)
+            del level[width:]
+            top = level[0]
+        if top[0] < best_cost:
+            best_cost, best_plan = top
+        frontier = level
+
+    trace.sort(key=lambda entry: entry[1].scalar())
+    return OptimizationResult(
+        best=best_plan,
+        best_cost=best_cost,
+        original_cost=original_cost,
+        explored=explored,
+        trace=trace,
+        strategy=name,
+    )
+
+
 class BeamSearchStrategy:
     """Bounded best-first search.
 
@@ -287,54 +357,7 @@ class BeamSearchStrategy:
         self.beam = beam
 
     def search(self, plan: Plan, space: SearchSpace) -> OptimizationResult:
-        original_cost = space.score_original(plan)
-        # visited is part of the algorithm (revisits waste beam slots),
-        # keyed on canonical fingerprints so plans reached by different
-        # rewrite orders — or differing only in tree-literal identity —
-        # count as one.
-        visited = {plan_fingerprint(plan)}
-        trace: List[Tuple[Plan, Cost, str]] = [(plan, original_cost, "original")]
-        frontier: List[Tuple[Cost, Plan]] = [(original_cost, plan)]
-        best_plan, best_cost = plan, original_cost
-        explored = 1
-
-        for _ in range(self.depth):
-            candidates: List[Tuple[Cost, Plan, str]] = []
-            for _, current in frontier:
-                for rewrite in space.expand(current):
-                    key = plan_fingerprint(rewrite.plan)
-                    if key in visited:
-                        space.note_dedup()
-                        continue
-                    # processed once, whatever the verdict: a candidate
-                    # rejected here is rejected again if re-proposed
-                    visited.add(key)
-                    cost = space.score(rewrite.plan)
-                    if cost is None:
-                        continue
-                    if not space.admissible(plan, rewrite.plan):
-                        continue
-                    explored += 1
-                    candidates.append((cost, rewrite.plan, rewrite.rule))
-                    trace.append((rewrite.plan, cost, rewrite.rule))
-            if not candidates:
-                break
-            candidates.sort(key=lambda entry: entry[0].scalar())
-            frontier = [
-                (cost, candidate) for cost, candidate, _ in candidates[: self.beam]
-            ]
-            if frontier[0][0] < best_cost:
-                best_cost, best_plan = frontier[0]
-
-        trace.sort(key=lambda entry: entry[1].scalar())
-        return OptimizationResult(
-            best=best_plan,
-            best_cost=best_cost,
-            original_cost=original_cost,
-            explored=explored,
-            trace=trace,
-            strategy=self.name,
-        )
+        return _walk_levels(self.name, plan, space, self.depth, width=self.beam)
 
 
 class GreedyStrategy:
@@ -389,18 +412,18 @@ class GreedyStrategy:
 class ExhaustiveStrategy:
     """Breadth-first enumeration of the whole rewrite space, bounded.
 
-    No beam pruning: every rewrite reachable within ``depth`` steps is
-    scored, up to a ``max_plans`` budget that keeps combinatorial rule
-    sets from running away.  The budget is a safety rail, not a tuning
-    knob — when it trips, the result is still the best of everything
-    scored so far.
+    Beam's walk without a width: every rewrite reachable within
+    ``depth`` steps is scored, up to a ``max_plans`` budget that keeps
+    combinatorial rule sets from running away.  The budget is a safety
+    rail, not a tuning knob — when it trips, the result is still the
+    best of everything scored so far.
 
-    A per-search visited set (canonical fingerprints) keeps the BFS on
-    *distinct* plans whatever rewrite order reaches them — so the
-    ``max_plans`` budget is spent on genuinely new plans, each scored
-    and expanded once.  Nothing is carried to the next search: a
-    repeated query is the prepared-plan table's business
-    (:mod:`repro.core.planspace`), not the enumeration's.
+    The walk's per-search visited set keeps it on *distinct* plans
+    whatever rewrite order reaches them — so the budget is spent on
+    genuinely new plans, each scored and expanded once.  Nothing is
+    carried to the next search: a repeated query is the prepared-plan
+    table's business (:mod:`repro.core.planspace`), not the
+    enumeration's.
     """
 
     name = "exhaustive"
@@ -410,51 +433,7 @@ class ExhaustiveStrategy:
         self.max_plans = max_plans
 
     def search(self, plan: Plan, space: SearchSpace) -> OptimizationResult:
-        original_cost = space.score_original(plan)
-        visited = {plan_fingerprint(plan)}
-        trace: List[Tuple[Plan, Cost, str]] = [(plan, original_cost, "original")]
-        frontier: List[Plan] = [plan]
-        best_plan, best_cost = plan, original_cost
-        explored = 1
-
-        for _ in range(self.depth):
-            next_frontier: List[Plan] = []
-            for current in frontier:
-                if explored >= self.max_plans:
-                    break
-                for rewrite in space.expand(current):
-                    if explored >= self.max_plans:
-                        break
-                    key = plan_fingerprint(rewrite.plan)
-                    if key in visited:
-                        space.note_dedup()
-                        continue
-                    # processed once, whatever the verdict: a candidate
-                    # rejected here is rejected again if re-proposed
-                    visited.add(key)
-                    cost = space.score(rewrite.plan)
-                    if cost is None:
-                        continue
-                    if not space.admissible(plan, rewrite.plan):
-                        continue
-                    explored += 1
-                    trace.append((rewrite.plan, cost, rewrite.rule))
-                    next_frontier.append(rewrite.plan)
-                    if cost < best_cost:
-                        best_cost, best_plan = cost, rewrite.plan
-            frontier = next_frontier
-            if not frontier or explored >= self.max_plans:
-                break
-
-        trace.sort(key=lambda entry: entry[1].scalar())
-        return OptimizationResult(
-            best=best_plan,
-            best_cost=best_cost,
-            original_cost=original_cost,
-            explored=explored,
-            trace=trace,
-            strategy=self.name,
-        )
+        return _walk_levels(self.name, plan, space, self.depth, budget=self.max_plans)
 
 
 # -- registry --------------------------------------------------------------------

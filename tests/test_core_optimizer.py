@@ -222,11 +222,6 @@ class TestOptimizer:
         with pytest.raises(OptimizerError):
             Optimizer(system).optimize_with("beam", bad)
 
-    def test_describe_mentions_costs(self, system):
-        result = Optimizer(system).optimize_with("beam", naive_plan(), depth=1)
-        text = result.describe()
-        assert "original:" in text and "best:" in text
-
 
 class TestVerifier:
     def test_equivalent_plans(self, system):

@@ -32,7 +32,6 @@ from repro.core.costmodel import COST_MODELS
 from repro.engine import LoadGenerator
 from repro.errors import DifferentialMismatchError, OptimizerError, SessionError
 from repro.obs import NO_TRACER, Tracer
-from repro.obs.metrics import MetricsRegistry
 from repro.peers import AXMLSystem
 from repro.session import Session
 from repro.workloads import (
@@ -158,12 +157,9 @@ class _ExplodingRule:
 
 class TestRuleErrors:
     def test_rule_failure_is_counted_not_fatal(self, system):
-        registry = MetricsRegistry()
-        space = SearchSpace(
-            system, rules=[_ExplodingRule()], registry=registry
-        )
+        space = SearchSpace(system, rules=[_ExplodingRule()])
         assert space.expand(naive_plan()) == []
-        assert registry.counter_value("rule_errors", rule="exploding") == 1
+        assert space.registry.counter_value("rule_errors", rule="exploding") == 1
 
     def test_search_survives_a_broken_rule(self, system):
         from repro.core.rules import DEFAULT_RULES

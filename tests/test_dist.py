@@ -21,7 +21,7 @@ from repro.core.expressions import (
 )
 from repro.core.cost import CostEstimator
 from repro.core.rules import FragmentPrune, FragmentPushSelection, Plan
-from repro.core.serialize import expression_fingerprint, from_xml, to_xml
+from repro.core.serialize import expression_fingerprint
 from repro.dist import Fragmenter, fragment_can_match, selection_bounds
 from repro.engine import JobRequest
 from repro.errors import FragmentationError, FrozenTreeError, SessionError
@@ -33,7 +33,7 @@ from repro.workloads import (
     ScenarioGenerator,
     ScenarioSpec,
 )
-from repro.xmlcore import parse, serialize
+from repro.xmlcore import parse
 from repro.xmlcore.canon import canonical_form
 from repro.xquery import Query
 
@@ -267,16 +267,6 @@ class TestFragmentsAgainstWholeDocument:
 
 
 class TestAlgebraPlumbing:
-    def test_serialization_round_trip(self):
-        gather = Gather(
-            (
-                FragmentedDoc("cat"),
-                EvalAt("d0", DocExpr("cat.f0", "d0")),
-            )
-        )
-        text = serialize(to_xml(gather))
-        assert from_xml(parse(text)) == gather
-
     def test_fingerprints_distinguish_views(self):
         frag = FragmentedDoc("cat")
         doc = DocExpr("cat", "dist")

@@ -442,7 +442,7 @@ class TestLifetime:
         assert cache.simulations is None and "simulations" not in vars(cache)
         assert result.simulation is not None  # the pick's run is handed on
         assert result.cache.query_memo_hits > 0
-        assert "query memo" in result.describe()
+        assert "query memo" in result.cache.describe()
         entries = len(store)
         assert f"{entries} query memo entries" in cache.describe()
         # the next search over the same content evaluates nothing

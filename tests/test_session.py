@@ -336,7 +336,7 @@ class TestSignature:
 
     def test_planner_takes_no_switch_only_tests_set(self):
         # the space checks candidates exactly when it has a verifier, and
-        # the optimizer keeps its own metrics registry
+        # keeps its own metrics registry (the optimizer's is the space's)
         def names(function):
             params = inspect.signature(function).parameters
             return set(params) - {"self"}
@@ -345,7 +345,7 @@ class TestSignature:
             "system", "rules", "verifier", "cache", "cost_model", "pick_policy",
         }
         assert names(SearchSpace.__init__) == {
-            "system", "rules", "verifier", "cache", "cost_model", "registry",
+            "system", "rules", "verifier", "cache", "cost_model",
         }
         assert names(Optimizer.optimize_with) == {"strategy", "plan", "options"}
 
