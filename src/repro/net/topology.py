@@ -10,12 +10,13 @@ list.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import NetworkError
 from .network import Network
 
 __all__ = [
+    "BUILDERS",
     "full_mesh",
     "star",
     "ring",
@@ -140,3 +141,13 @@ def clustered(
             )
     return network
 
+
+#: Topology name -> builder, the names :meth:`AXMLSystem.with_peers
+#: <repro.peers.system.AXMLSystem.with_peers>` accepts.
+BUILDERS: Dict[str, Callable[..., Network]] = {
+    "full_mesh": full_mesh,
+    "star": star,
+    "ring": ring,
+    "line": line,
+    "clustered": clustered,
+}

@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..dist.catalog import FragmentCatalog
-from ..errors import UnknownPeerError
+from ..errors import NetworkError, UnknownPeerError
 from ..net.network import Network
 from ..net import topology as topo
 from ..xmlcore.canon import canonical_form
@@ -74,10 +74,14 @@ class AXMLSystem:
         topology: str = "full_mesh",
         **topology_kwargs,
     ) -> "AXMLSystem":
-        """Build a system with the named peers on a standard topology."""
-        builder = getattr(topo, topology, None)
+        """Build a system with the named peers on a topology named in
+        :data:`repro.net.topology.BUILDERS`."""
+        builder = topo.BUILDERS.get(topology)
         if builder is None:
-            raise ValueError(f"unknown topology {topology!r}")
+            raise NetworkError(
+                f"unknown topology {topology!r}; "
+                f"pick one of {', '.join(sorted(topo.BUILDERS))}"
+            )
         system = cls(builder(list(peer_ids), **topology_kwargs))
         for peer_id in peer_ids:
             system.add_peer(peer_id)

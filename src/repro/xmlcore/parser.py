@@ -1,9 +1,16 @@
-"""A from-scratch XML 1.0 subset parser.
+"""A from-scratch XML 1.0 subset parser, and the one home of XML's lexical rules.
 
 Supports the constructs the framework needs: elements, attributes
 (single- or double-quoted), character data, CDATA sections, comments,
 processing instructions (skipped), an XML declaration (skipped), and the
 five predefined entities plus decimal / hexadecimal character references.
+
+The XQuery front end (:mod:`repro.xquery`) reads XML's syntax through the
+two rules defined here: :func:`name_end` reads a whole Name (or NCName)
+per call, and :func:`read_reference` decodes a reference, checking a
+character reference against XML's ``Char`` production (no ``&#0;``, no
+surrogate, nothing past ``0x10FFFF``), so a parsed tree always
+serializes.  Each reader raises its own typed error at its own position.
 
 Not supported (not needed here and rejected loudly where relevant):
 DTDs / internal subsets, namespaces-as-URIs (prefixes are kept verbatim
@@ -13,36 +20,76 @@ the parser safe against entity-expansion attacks by construction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import re
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..errors import DocumentTooDeepError, XMLSyntaxError
+from ..errors import DocumentTooDeepError, ReproError, XMLSyntaxError
 from .model import Element, Node, Text
 
-__all__ = ["MAX_DEPTH", "parse", "parse_fragment"]
+__all__ = [
+    "MAX_DEPTH", "location", "name_end", "parse", "parse_fragment", "read_reference",
+]
 
 #: Deepest element nesting accepted (root = 1): what a recursive parser reached
 #: under the default recursion limit, so the recursive copy/serialize walks cope.
 MAX_DEPTH = 497
 
-_PREDEFINED_ENTITIES = {
-    "lt": "<",
-    "gt": ">",
-    "amp": "&",
-    "quot": '"',
-    "apos": "'",
-}
+_PREDEFINED_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
+_CHAR_REFERENCE = re.compile(r"#(?:x([0-9a-fA-F]+)|([0-9]+))")
 
-# sets, not strings: the end of input reads as "", which a string contains
-_NAME_START_EXTRA = frozenset("_:")
-_NAME_EXTRA = frozenset("_:-.")
+# A Name starts with a letter, "_" or ":" and goes on with letters, digits,
+# "_", "-", "." and ":"; an NCName is a Name without ":".  Letters and
+# digits are Unicode's: str.isalpha, and str.isalnum, which with "_" is
+# what the regex "\w" matches.
+_NAME_REST = re.compile(r"[\w.:-]*")
+_NCNAME_REST = re.compile(r"[\w.-]*")
 
 
-def _is_name_start(ch: str) -> bool:
-    return ch.isalpha() or ch in _NAME_START_EXTRA
+def name_end(source: str, pos: int, colons: bool = True) -> int:
+    """Offset just past the Name (NCName if not ``colons``) at ``source[pos]``,
+    or ``pos`` if none starts there.
+
+    >>> name_end("ns:a-1 b", 0), name_end("ns:a-1 b", 0, colons=False), name_end("1a", 0)
+    (6, 2, 0)
+    """
+    first = source[pos : pos + 1]
+    if first.isalpha() or first == "_" or (colons and first == ":"):
+        return (_NAME_REST if colons else _NCNAME_REST).match(source, pos + 1).end()
+    return pos
 
 
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _NAME_EXTRA
+def location(source: str, pos: int) -> Tuple[int, int]:
+    """(line, column), both 1-based, of offset ``pos`` in ``source``."""
+    return source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)
+
+
+def read_reference(
+    source: str, pos: int, error: Callable[[str, int], ReproError]
+) -> Tuple[str, int]:
+    """The character the reference whose ``&`` is ``source[pos]`` stands for,
+    and the offset after its ``;``.
+
+    A malformed or unknown reference, or a character reference to a code
+    point outside XML's ``Char``, raises ``error(message, pos)``.
+    """
+    semi = source.find(";", pos + 1, pos + 13)
+    if semi < 0:
+        raise error("malformed entity reference", pos)
+    body = source[pos + 1 : semi]
+    value = _PREDEFINED_ENTITIES.get(body)
+    if value is not None:
+        return value, semi + 1
+    match = _CHAR_REFERENCE.fullmatch(body)
+    if match is None:
+        raise error(f"unknown or malformed reference &{body};", pos)
+    digits, decimal = match.groups()
+    code = int(digits, 16) if digits else int(decimal)
+    if not (
+        0x20 <= code <= 0xD7FF or code in (0x9, 0xA, 0xD)
+        or 0xE000 <= code <= 0xFFFD or 0x10000 <= code <= 0x10FFFF
+    ):
+        raise error(f"&{body}; is not an XML character", pos)
+    return chr(code), semi + 1
 
 
 class _Cursor:
@@ -68,16 +115,8 @@ class _Cursor:
     def startswith(self, prefix: str) -> bool:
         return self.source.startswith(prefix, self.pos)
 
-    def location(self) -> Tuple[int, int]:
-        """(line, column), both 1-based, of the current position."""
-        consumed = self.source[: self.pos]
-        line = consumed.count("\n") + 1
-        column = self.pos - (consumed.rfind("\n") + 1) + 1
-        return line, column
-
-    def error(self, message: str) -> XMLSyntaxError:
-        line, column = self.location()
-        return XMLSyntaxError(message, line, column)
+    def error(self, message: str, pos: Optional[int] = None) -> XMLSyntaxError:
+        return XMLSyntaxError(message, *location(self.source, self.pos if pos is None else pos))
 
 
 class _Parser:
@@ -215,25 +254,37 @@ class _Parser:
         return Text(value)
 
     def _parse_text(self) -> Text:
+        end = self.cursor.source.find("<", self.cursor.pos)
+        return Text(self._decoded(self.cursor.length if end < 0 else end))
+
+    def _decoded(self, end: int) -> str:
+        """The text up to ``end`` with its references decoded; the cursor moves to ``end``.
+
+        No reference spans ``end`` (a ``<`` or the closing quote): a body
+        holding one is refused.
+        """
+        source, pos = self.cursor.source, self.cursor.pos
+        self.cursor.pos = end
+        amp = source.find("&", pos, end)
+        if amp < 0:
+            return source[pos:end]
         parts: List[str] = []
-        while not self.cursor.at_end() and self.cursor.peek() != "<":
-            ch = self.cursor.peek()
-            if ch == "&":
-                parts.append(self._parse_entity())
-            else:
-                parts.append(ch)
-                self.cursor.advance()
-        return Text("".join(parts))
+        while amp >= 0:
+            parts.append(source[pos:amp])
+            value, pos = read_reference(source, amp, self.cursor.error)
+            parts.append(value)
+            amp = source.find("&", pos, end)
+        parts.append(source[pos:end])
+        return "".join(parts)
 
     # -- lexical pieces --------------------------------------------------------
     def _parse_name(self) -> str:
         start = self.cursor.pos
-        if not _is_name_start(self.cursor.peek()):
+        end = name_end(self.cursor.source, start)
+        if end == start:
             raise self.cursor.error("expected a name")
-        self.cursor.advance()
-        while _is_name_char(self.cursor.peek()):
-            self.cursor.advance()
-        return self.cursor.source[start : self.cursor.pos]
+        self.cursor.pos = end
+        return self.cursor.source[start:end]
 
     def _parse_attributes(self) -> Dict[str, str]:
         attrs: Dict[str, str] = {}
@@ -252,33 +303,14 @@ class _Parser:
             if quote not in ('"', "'"):
                 raise self.cursor.error(f"attribute {name!r} value must be quoted")
             self.cursor.advance()
-            parts: List[str] = []
-            while self.cursor.peek() != quote:
-                if self.cursor.at_end():
-                    raise self.cursor.error(f"unterminated attribute {name!r}")
-                if self.cursor.peek() == "&":
-                    parts.append(self._parse_entity())
-                else:
-                    parts.append(self.cursor.peek())
-                    self.cursor.advance()
+            end = self.cursor.source.find(quote, self.cursor.pos)
+            if end < 0:
+                raise self.cursor.error(f"unterminated attribute {name!r}", self.cursor.length)
+            value = self._decoded(end)
             self.cursor.advance()
             if name in attrs:
                 raise self.cursor.error(f"duplicate attribute {name!r}")
-            attrs[name] = "".join(parts)
-
-    def _parse_entity(self) -> str:
-        semi = self.cursor.source.find(";", self.cursor.pos + 1)
-        if semi < 0 or semi - self.cursor.pos > 12:
-            raise self.cursor.error("malformed entity reference")
-        body = self.cursor.source[self.cursor.pos + 1 : semi]
-        self.cursor.pos = semi + 1
-        if body.startswith("#x") or body.startswith("#X"):
-            return chr(int(body[2:], 16))
-        if body.startswith("#"):
-            return chr(int(body[1:]))
-        if body in _PREDEFINED_ENTITIES:
-            return _PREDEFINED_ENTITIES[body]
-        raise self.cursor.error(f"unknown entity &{body};")
+            attrs[name] = value
 
 
 def parse(source: str) -> Element:

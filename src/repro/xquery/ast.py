@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
+from ..xmlcore.serializer import escape_attr, escape_text
+
 __all__ = [
     "XQNode", "Literal", "VarRef", "ContextItem", "Sequence", "IfExpr",
     "QuantifiedExpr", "ForClause", "LetClause", "OrderSpec", "FLWORExpr",
@@ -305,7 +307,7 @@ class Module(XQNode):
 # ---------------------------------------------------------------------------
 
 def _unparse_string(value: str) -> str:
-    return '"' + value.replace('"', '""') + '"'
+    return '"' + value.replace("&", "&amp;").replace('"', '""') + '"'
 
 
 def _paren(node: XQNode) -> str:
@@ -416,11 +418,8 @@ def unparse(node: XQNode) -> str:
     raise TypeError(f"cannot unparse {type(node).__name__}")
 
 
-def _escape_direct_text(value: str) -> str:
-    return (
-        value.replace("&", "&amp;").replace("<", "&lt;")
-        .replace("{", "{{").replace("}", "}}")
-    )
+def _escape_braces(value: str) -> str:
+    return value.replace("{", "{{").replace("}", "}}")
 
 
 def _unparse_direct(node: DirectElement) -> str:
@@ -429,10 +428,7 @@ def _unparse_direct(node: DirectElement) -> str:
         rendered = []
         for part in attribute.value_parts:
             if isinstance(part, str):
-                rendered.append(
-                    part.replace("&", "&amp;").replace('"', "&quot;")
-                    .replace("{", "{{").replace("}", "}}")
-                )
+                rendered.append(_escape_braces(escape_attr(part)))
             else:
                 rendered.append(unparse(part))
         attrs.append(f' {attribute.name}="{"".join(rendered)}"')
@@ -442,7 +438,7 @@ def _unparse_direct(node: DirectElement) -> str:
     body = []
     for part in node.content:
         if isinstance(part, str):
-            body.append(_escape_direct_text(part))
+            body.append(_escape_braces(escape_text(part)))
         else:
             body.append(unparse(part))
     return f"<{head}>{''.join(body)}</{node.tag}>"

@@ -65,6 +65,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple, U
 
 from ..errors import XQueryError, XQueryEvaluationError, XQueryTypeError
 from ..xmlcore.model import Element, Node, Text
+from ..xmlcore.parser import name_end
 from .ast import (
     BinaryOp, ComparisonOp, ComputedAttribute, ComputedElement, ComputedText,
     ContextItem, DirectElement, EnclosedExpr, FilterExpr, FLWORExpr, ForClause,
@@ -992,7 +993,13 @@ class _Compiler:
         if isinstance(name, str):
             return lambda ctx: name
         compiled = self.expr(name)
-        return lambda ctx: string_value(atomize_single(compiled(ctx), what, allow_empty=False))
+
+        def computed_name(ctx: DynamicContext) -> str:
+            value = string_value(atomize_single(compiled(ctx), what, allow_empty=False))
+            if not value or name_end(value, 0) != len(value):
+                raise XQueryEvaluationError(f"{what} {value!r} is not an XML name (err:XQDY0074)")
+            return value
+        return computed_name
 
     def _computed_element(self, node: ComputedElement) -> Fn:
         name = self._name(node.name, "element name")

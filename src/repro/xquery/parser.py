@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple, Union
 
 from ..errors import XQuerySyntaxError
+from ..xmlcore.parser import name_end, read_reference
 from .ast import (
     BinaryOp, ComparisonOp, ComputedAttribute, ComputedElement, ComputedText,
     ContextItem, DirectAttribute, DirectElement, EnclosedExpr, FilterExpr,
@@ -563,9 +564,10 @@ class _Parser:
 
     # -- direct element constructors -----------------------------------------------
     #
-    # The interior of <a ...>...</a> follows XML lexical rules, so the
-    # parser scans raw characters from the '<' token's offset and then
-    # re-synchronizes the lexer.
+    # The interior of <a ...>...</a> follows XML lexical rules (names and
+    # references as repro.xmlcore.parser reads them), so the parser scans
+    # raw characters from the '<' token's offset and then re-synchronizes
+    # the lexer.
 
     def _parse_direct_constructor(self, open_token: Token) -> DirectElement:
         source = self.lexer.source
@@ -586,7 +588,7 @@ class _Parser:
         return element, pos
 
     def _scan_direct_body(self, source: str, pos: int) -> Tuple[DirectElement, int]:
-        tag, pos = self._scan_xml_name(source, pos)
+        tag, pos = self._name_at(source, pos)
         attributes: List[DirectAttribute] = []
         while True:
             pos = self._skip_ws(source, pos)
@@ -602,13 +604,11 @@ class _Parser:
         content, pos = self._scan_direct_content(source, pos, tag)
         return DirectElement(tag, tuple(attributes), tuple(content)), pos
 
-    def _scan_xml_name(self, source: str, pos: int) -> Tuple[str, int]:
-        start = pos
-        while pos < len(source) and (source[pos].isalnum() or source[pos] in "_-.:"):
-            pos += 1
-        if pos == start:
+    def _name_at(self, source: str, pos: int) -> Tuple[str, int]:
+        end = name_end(source, pos)
+        if end == pos:
             raise self._scan_error("expected a name", pos)
-        return source[start:pos], pos
+        return source[pos:end], end
 
     @staticmethod
     def _skip_ws(source: str, pos: int) -> int:
@@ -617,7 +617,7 @@ class _Parser:
         return pos
 
     def _scan_direct_attribute(self, source: str, pos: int) -> Tuple[DirectAttribute, int]:
-        name, pos = self._scan_xml_name(source, pos)
+        name, pos = self._name_at(source, pos)
         pos = self._skip_ws(source, pos)
         if pos >= len(source) or source[pos] != "=":
             raise self._scan_error(f"attribute {name!r} missing '='", pos)
@@ -625,58 +625,22 @@ class _Parser:
         if pos >= len(source) or source[pos] not in "\"'":
             raise self._scan_error(f"attribute {name!r} must be quoted", pos)
         quote = source[pos]
-        pos += 1
-        parts: List[Union[str, XQNode]] = []
-        buffer: List[str] = []
-        while True:
-            if pos >= len(source):
-                raise self._scan_error(f"unterminated attribute {name!r}", pos)
-            ch = source[pos]
-            if ch == quote:
-                pos += 1
-                break
-            if ch == "{":
-                if source.startswith("{{", pos):
-                    buffer.append("{")
-                    pos += 2
-                    continue
-                if buffer:
-                    parts.append("".join(buffer))
-                    buffer = []
-                expr, pos = self._scan_enclosed_expr(source, pos)
-                parts.append(expr)
-                continue
-            if ch == "}":
-                if source.startswith("}}", pos):
-                    buffer.append("}")
-                    pos += 2
-                    continue
-                raise self._scan_error("unescaped '}' in attribute value", pos)
-            buffer.append(ch)
-            pos += 1
-        if buffer:
-            parts.append("".join(buffer))
-        return DirectAttribute(name, tuple(parts)), pos
+        parts, pos = self._scan_template(source, pos + 1, quote, "attribute value")
+        if pos >= len(source):
+            raise self._scan_error(f"unterminated attribute {name!r}", pos)
+        return DirectAttribute(name, tuple(parts)), pos + 1
 
     def _scan_direct_content(
         self, source: str, pos: int, tag: str
     ) -> Tuple[List[Union[str, XQNode]], int]:
-        parts: List[Union[str, XQNode]] = []
-        buffer: List[str] = []
-
-        def flush() -> None:
-            if buffer:
-                parts.append("".join(buffer))
-                buffer.clear()
-
+        content: List[Union[str, XQNode]] = []
         while True:
+            parts, pos = self._scan_template(source, pos, "<", "element content")
+            content.extend(parts)
             if pos >= len(source):
                 raise self._scan_error(f"unterminated element <{tag}>", pos)
-            ch = source[pos]
             if source.startswith("</", pos):
-                flush()
-                pos += 2
-                close, pos = self._scan_xml_name(source, pos)
+                close, pos = self._name_at(source, pos + 2)
                 if close != tag:
                     raise self._scan_error(
                         f"mismatched end tag </{close}>, expected </{tag}>", pos
@@ -684,45 +648,40 @@ class _Parser:
                 pos = self._skip_ws(source, pos)
                 if pos >= len(source) or source[pos] != ">":
                     raise self._scan_error(f"malformed end tag </{close}>", pos)
-                return parts, pos + 1
-            if ch == "<":
-                flush()
-                child, pos = self._scan_direct_element(source, pos)
-                parts.append(child)
-                continue
-            if ch == "{":
-                if source.startswith("{{", pos):
-                    buffer.append("{")
-                    pos += 2
-                    continue
-                flush()
+                return content, pos + 1
+            child, pos = self._scan_direct_element(source, pos)
+            content.append(child)
+
+    def _scan_template(
+        self, source: str, pos: int, stop: str, where: str
+    ) -> Tuple[List[Union[str, XQNode]], int]:
+        """The parts before the next ``stop`` character, which is not consumed:
+        runs of text (``{{`` / ``}}`` read as braces, references decoded) and
+        enclosed expressions."""
+        parts: List[Union[str, XQNode]] = []
+        buffer: List[str] = []
+        while pos < len(source) and source[pos] != stop:
+            ch = source[pos]
+            if ch == "{" and not source.startswith("{{", pos):
+                if buffer:
+                    parts.append("".join(buffer))
+                    buffer = []
                 expr, pos = self._scan_enclosed_expr(source, pos)
                 parts.append(expr)
-                continue
-            if ch == "}":
-                if source.startswith("}}", pos):
-                    buffer.append("}")
-                    pos += 2
-                    continue
-                raise self._scan_error("unescaped '}' in element content", pos)
-            if ch == "&":
-                semi = source.find(";", pos + 1)
-                if semi < 0 or semi - pos > 12:
-                    raise self._scan_error("malformed entity reference", pos)
-                body = source[pos + 1 : semi]
-                entities = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
-                if body.startswith("#x") or body.startswith("#X"):
-                    buffer.append(chr(int(body[2:], 16)))
-                elif body.startswith("#"):
-                    buffer.append(chr(int(body[1:])))
-                elif body in entities:
-                    buffer.append(entities[body])
-                else:
-                    raise self._scan_error(f"unknown entity &{body};", pos)
-                pos = semi + 1
-                continue
-            buffer.append(ch)
-            pos += 1
+            elif ch == "{" or ch == "}":
+                if not source.startswith(ch * 2, pos):
+                    raise self._scan_error(f"unescaped '}}' in {where}", pos)
+                buffer.append(ch)
+                pos += 2
+            elif ch == "&":
+                value, pos = read_reference(source, pos, self._scan_error)
+                buffer.append(value)
+            else:
+                buffer.append(ch)
+                pos += 1
+        if buffer:
+            parts.append("".join(buffer))
+        return parts, pos
 
     def _scan_enclosed_expr(self, source: str, pos: int) -> Tuple[XQNode, int]:
         """Parse '{ Expr }' starting at the '{'; returns (expr, pos after '}')."""

@@ -8,14 +8,25 @@ The lexer is *on demand*: the parser pulls tokens one at a time and may
 take over raw character scanning for direct element constructors
 (``<a>{...}</a>``), whose interior follows XML rules, then hand control
 back.  :meth:`Lexer.sync_to` supports that hand-off.
+
+XML's lexical rules come from :mod:`repro.xmlcore.parser`, not from here:
+a name is an NCName, optionally prefixed (``ns:local``), as
+:func:`~repro.xmlcore.parser.name_end` reads it; a string literal's
+``&...;`` references are decoded by
+:func:`~repro.xmlcore.parser.read_reference`; and positions are counted
+by :func:`~repro.xmlcore.parser.location`.  What is XQuery's own stays
+here: ``""`` in a literal, ``(: comments :)``, and numbers, whose digits
+are ASCII ``[0-9]`` only.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List, Optional
 
 from ..errors import XQuerySyntaxError
+from ..xmlcore.parser import location, name_end, read_reference
 
 __all__ = ["Token", "Lexer", "TokenType"]
 
@@ -40,9 +51,12 @@ _SYMBOLS = [
 ]
 _SYMBOLS.sort(key=len, reverse=True)
 
-_STRING_ENTITIES = {
-    "lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'",
-}
+_DIGITS = frozenset("0123456789")
+# digits, a fraction (not the first dot of "..") and an exponent; an "e"
+# followed by neither a digit nor a sign is not an exponent
+_NUMBER = re.compile(
+    r"(?:[0-9]+(?:\.(?!\.)[0-9]*)?|\.[0-9]+)(?:[eE](?=[0-9+-])[+-]?([0-9]*))?"
+)
 
 
 @dataclass(frozen=True)
@@ -64,14 +78,6 @@ class Token:
 
     def __str__(self) -> str:
         return f"{self.type}({self.value!r})@{self.line}:{self.column}"
-
-
-def _is_name_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_-."
 
 
 class Lexer:
@@ -104,18 +110,8 @@ class Lexer:
         self.pos = pos
         self._buffer.clear()
 
-    def location(self, pos: Optional[int] = None) -> tuple:
-        """(line, column) of offset ``pos`` (default: current position)."""
-        if pos is None:
-            pos = self.pos
-        consumed = self.source[:pos]
-        line = consumed.count("\n") + 1
-        column = pos - (consumed.rfind("\n") + 1) + 1
-        return line, column
-
     def error(self, message: str, pos: Optional[int] = None) -> XQuerySyntaxError:
-        line, column = self.location(pos)
-        return XQuerySyntaxError(message, line, column)
+        return XQuerySyntaxError(message, *location(self.source, self.pos if pos is None else pos))
 
     # -- scanning -------------------------------------------------------------
     def _skip_trivia(self) -> None:
@@ -144,7 +140,7 @@ class Lexer:
     def _scan(self) -> Token:
         self._skip_trivia()
         start = self.pos
-        line, column = self.location(start)
+        line, column = location(self.source, start)
         if start >= len(self.source):
             return Token(TokenType.EOF, "", line, column, start)
         ch = self.source[start]
@@ -161,14 +157,11 @@ class Lexer:
                 TokenType.STRING, self._scan_string(ch), line, column, start
             )
 
-        if ch.isdigit() or (
-            ch == "." and start + 1 < len(self.source)
-            and self.source[start + 1].isdigit()
-        ):
+        if ch in _DIGITS or (ch == "." and self.source[start + 1 : start + 2] in _DIGITS):
             return self._scan_number(line, column, start)
 
-        if _is_name_start(ch):
-            name = self._scan_qname()
+        name = self._scan_qname()
+        if name:
             return Token(TokenType.NAME, name, line, column, start)
 
         for symbol in _SYMBOLS:
@@ -179,25 +172,16 @@ class Lexer:
         raise self.error(f"unexpected character {ch!r}")
 
     def _scan_qname(self) -> str:
-        start = self.pos
-        if self.pos >= len(self.source) or not _is_name_start(self.source[self.pos]):
-            return ""
-        self.pos += 1
-        while self.pos < len(self.source) and _is_name_char(self.source[self.pos]):
-            self.pos += 1
-        # one optional ':' for a QName prefix — but not '::' (axis) and the
-        # local part must start immediately (so 'a :=' lexes as NAME, SYMBOL).
-        if (
-            self.pos < len(self.source)
-            and self.source[self.pos] == ":"
-            and not self.source.startswith("::", self.pos)
-            and self.pos + 1 < len(self.source)
-            and _is_name_start(self.source[self.pos + 1])
-        ):
-            self.pos += 1
-            while self.pos < len(self.source) and _is_name_char(self.source[self.pos]):
-                self.pos += 1
-        return self.source[start : self.pos]
+        """An NCName, then an optional ``:NCName`` right after it (so
+        ``a::b`` is an axis step and ``a :=`` lexes as NAME, SYMBOL)."""
+        source, start = self.source, self.pos
+        end = name_end(source, start, colons=False)
+        if end > start and source.startswith(":", end):
+            local = name_end(source, end + 1, colons=False)
+            if local > end + 1:
+                end = local
+        self.pos = end
+        return source[start:end]
 
     def _scan_string(self, quote: str) -> str:
         self.pos += 1
@@ -215,47 +199,17 @@ class Lexer:
                 self.pos += 1
                 return "".join(parts)
             if ch == "&":
-                semi = self.source.find(";", self.pos + 1)
-                if semi < 0 or semi - self.pos > 12:
-                    raise self.error("malformed entity in string literal")
-                body = self.source[self.pos + 1 : semi]
-                if body.startswith("#x") or body.startswith("#X"):
-                    parts.append(chr(int(body[2:], 16)))
-                elif body.startswith("#"):
-                    parts.append(chr(int(body[1:])))
-                elif body in _STRING_ENTITIES:
-                    parts.append(_STRING_ENTITIES[body])
-                else:
-                    raise self.error(f"unknown entity &{body};")
-                self.pos = semi + 1
+                value, self.pos = read_reference(self.source, self.pos, self.error)
+                parts.append(value)
                 continue
             parts.append(ch)
             self.pos += 1
 
     def _scan_number(self, line: int, column: int, start: int) -> Token:
-        seen_dot = False
-        seen_exp = False
-        while self.pos < len(self.source):
-            ch = self.source[self.pos]
-            if ch.isdigit():
-                self.pos += 1
-            elif ch == "." and not seen_dot and not seen_exp:
-                # ".." after digits is a range-ish construct, not a decimal
-                if self.source.startswith("..", self.pos):
-                    break
-                seen_dot = True
-                self.pos += 1
-            elif ch in "eE" and not seen_exp:
-                peek = self.source[self.pos + 1 : self.pos + 3]
-                if peek and (peek[0].isdigit() or peek[0] in "+-"):
-                    seen_exp = True
-                    self.pos += 1
-                    if self.source[self.pos] in "+-":
-                        self.pos += 1
-                else:
-                    break
-            else:
-                break
-        literal = self.source[start : self.pos]
-        kind = TokenType.DECIMAL if (seen_dot or seen_exp) else TokenType.INTEGER
+        match = _NUMBER.match(self.source, start)
+        self.pos = match.end()
+        if match.group(1) == "":
+            raise self.error("expected a digit in the exponent")
+        literal = match.group()
+        kind = TokenType.INTEGER if literal.isdigit() else TokenType.DECIMAL
         return Token(kind, literal, line, column, start)

@@ -2,10 +2,13 @@
 
 import pytest
 
+import repro
+
 from repro.errors import (
     DuplicateNameError,
     FrozenTreeError,
     GenericResolutionError,
+    NetworkError,
     ServiceCallError,
     UnknownDocumentError,
     UnknownPeerError,
@@ -307,13 +310,17 @@ class TestRegistry:
 
 class TestSystem:
     def test_with_peers_topologies(self):
-        for topo in ("full_mesh", "star", "ring", "line"):
+        for topo in ("full_mesh", "star", "ring", "line", "clustered"):
             system = AXMLSystem.with_peers(["a", "b", "c"], topology=topo)
             assert sorted(system.peers) == ["a", "b", "c"]
 
-    def test_unknown_topology(self):
-        with pytest.raises(ValueError):
-            AXMLSystem.with_peers(["a"], topology="nope")
+    # names the topology module defines that are not builders fail alike
+    @pytest.mark.parametrize("name", ["bogus", "Network", "DEFAULT_LATENCY", "List"])
+    def test_unknown_topology(self, name):
+        with pytest.raises(NetworkError, match="pick one of clustered, full_mesh"):
+            AXMLSystem.with_peers(["a"], topology=name)
+        with pytest.raises(NetworkError):
+            repro.connect(peers=["a", "b"], topology=name)
 
     def test_unknown_peer(self):
         with pytest.raises(UnknownPeerError):

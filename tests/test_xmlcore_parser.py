@@ -88,6 +88,25 @@ class TestEntities:
         with pytest.raises(XMLSyntaxError):
             parse("<a>&ltnosemicolonforveryverylong</a>")
 
+    # a reference must be well formed and name a Char (XML 1.0 §2.2, §4.1):
+    # not NUL, a surrogate or a code point past 0x10FFFF
+    @pytest.mark.parametrize("reference", [
+        "&#xZZ;", "&#;", "&#x;", "&#X41;", "&#-1;", "&#99999999;", "&#x110000;",
+        "&#0;", "&#x1F;", "&#xD800;", "&#xDFFF;", "&#xFFFE;",
+    ])
+    def test_bad_character_reference_rejected(self, reference):
+        for source in (f"<a>{reference}</a>", f"<a b='{reference}'/>"):
+            with pytest.raises(XMLSyntaxError) as exc:
+                parse(source)
+            assert exc.value.column == source.index("&") + 1
+
+    def test_character_references_at_the_edges_of_char(self):
+        tree = parse("<a>&#9;&#xA;&#xD;&#x20;&#xD7FF;&#xE000;&#xFFFD;&#x10000;&#x10FFFF;</a>")
+        assert tree.string_value() == (
+            "\t\n\r \ud7ff\ue000\ufffd\U00010000\U0010ffff"
+        )
+        assert tree.serialized_size() == len(serialize(tree).encode("utf-8"))
+
 
 class TestErrors:
     @pytest.mark.parametrize(
@@ -108,6 +127,8 @@ class TestErrors:
             "<a",  # ends inside a name: scanning must stop at the end
             "<a><b",
             "<a></a",
+            "<1a/>",
+            "<-a/>",
         ],
     )
     def test_rejects_malformed(self, source):

@@ -331,6 +331,20 @@ class TestConstructors:
         (result,) = evaluate_query("element {concat('a', 'b')} { 1 }")
         assert result.tag == "ab"
 
+    # a computed name must be an XML Name, or the answer would not parse back
+    @pytest.mark.parametrize("source", [
+        'element {"a b"} {1}', 'element {""} {1}', "element {1} {1}",
+        '<a>{attribute {"x y"} {1}}</a>',
+    ])
+    def test_computed_name_must_be_a_name(self, source):
+        with pytest.raises(XQueryEvaluationError, match="XQDY0074"):
+            evaluate_query(source)
+
+    def test_direct_attribute_references_decoded(self):
+        (result,) = evaluate_query('<a b="x&amp;y"/>')
+        assert result.attrs["b"] == "x&y"
+        assert parse(serialize(result)).attrs["b"] == "x&y"
+
     def test_nested_constructors(self):
         (result,) = evaluate_query("<o>{for $i in (1, 2) return <i>{$i}</i>}</o>")
         assert [c.string_value() for c in result.element_children] == ["1", "2"]

@@ -67,6 +67,21 @@ class TestBasicTokens:
         with pytest.raises(XQuerySyntaxError):
             tokens_of('"&nope;"')
 
+    @pytest.mark.parametrize("literal", ['"&#;"', '"&#xZZ;"', '"&#99999999;"', "'&#xD800;'"])
+    def test_bad_character_reference_in_string(self, literal):
+        with pytest.raises(XQuerySyntaxError) as exc:
+            tokens_of("1,\n " + literal)
+        assert (exc.value.line, exc.value.column) == (2, 3)
+
+    # Digits are ASCII [0-9], and an exponent's sign needs a digit after it
+    @pytest.mark.parametrize("source", ["1e+", "1.5e-", "2E+x", "1\u00b2", "\u00b2", "\u0663 + 1"])
+    def test_malformed_numbers_rejected(self, source):
+        with pytest.raises(XQuerySyntaxError):
+            tokens_of(source)
+
+    def test_e_without_a_digit_or_sign_ends_the_number(self):
+        assert tokens_of("1eq 2") == [("INTEGER", "1"), ("NAME", "eq"), ("INTEGER", "2")]
+
 
 class TestSymbols:
     def test_multi_char_symbols_win(self):

@@ -278,6 +278,23 @@ class TestConstructors:
         with pytest.raises(XQuerySyntaxError):
             parse_expression("<a></b>")
 
+    # constructor names are XML Names: no leading digit, "-" or "."
+    @pytest.mark.parametrize("source", ["<1a/>", "<-a/>", "<.a/>", '<a 1b="x"/>', "<a></1a>"])
+    def test_direct_name_must_be_a_name(self, source):
+        with pytest.raises(XQuerySyntaxError):
+            parse_expression(source)
+
+    def test_direct_attribute_references_decoded(self):
+        expr = parse_expression('<a b="x&amp;y&quot;{1}&#65;"/>')
+        parts = expr.attributes[0].value_parts
+        assert parts[0] == 'x&y"' and parts[2] == "A"
+
+    @pytest.mark.parametrize("source", ["<a>&#xZZ;</a>", "<a>&#99999999;</a>", '<a b="&#;"/>'])
+    def test_bad_character_reference_rejected(self, source):
+        with pytest.raises(XQuerySyntaxError) as exc:
+            parse_expression(source)
+        assert exc.value.column == source.index("&") + 1
+
     def test_computed_element_literal_name(self):
         expr = parse_expression("element foo { 1 }")
         assert isinstance(expr, ComputedElement) and expr.name == "foo"
@@ -395,6 +412,9 @@ class TestUnparseRoundTrip:
         "-(1 + 2)",
         "a/(b | c)/d",
         "declare variable $v external; declare function local:f($x) { $x * 2 }; local:f($v)",
+        '"a&amp;b"',
+        '<a b="x&amp;y&quot;{1}&#65;"/>',
+        "<a>&lt;&amp;{{}}&#x41;</a>",
     ]
 
     @pytest.mark.parametrize("source", CASES)
