@@ -20,11 +20,14 @@ for each of ``ScenarioSpec()``, ``bench/workloads.py``'s ``SERVE_SPEC``
 and ``WRITE_MIX_SPEC``, all at 60 items, content seeds 7 and 11 and
 scenarios 0-7, every generated query is explained (planned, not run, no
 write applied) by a fresh ``Session(system, plan_cache=None,
-trace=True)``: 272 searches.  Per search it records the chosen plan's
-``expression_fingerprint`` and site, the best and original ``Cost`` and
-the rule that produced the chosen plan (``"original"`` when the search
-kept it).  198 of the 272 keep the original, whether counted by that
-rule, by fingerprint and site, by cost or by ``plan.describe()`` text
+trace=True)``: 272 searches.  Per search it records a sha256 of the
+chosen plan's XML form (``serialize(to_xml(plan.expr))``, Section 3.1)
+and its site, the best and original ``Cost`` and the rule that produced
+the chosen plan (``"original"`` when the search kept it).  The full text
+names a plan independently of how the planner keys plans internally, so
+a change to ``expression_fingerprint`` leaves the file as it is.  198 of
+the 272 keep the original, whether counted by that rule, by plan and
+site, by cost or by ``plan.describe()`` text
 (the count ROADMAP's (M4) gives); 40 are won by rule (10), 34 by (14).
 
 ``tests/test_golden.py`` compares both files.
@@ -49,9 +52,10 @@ if str(REPO_ROOT / "src") not in sys.path:
 from dataclasses import replace  # noqa: E402
 
 from repro import Session  # noqa: E402
-from repro.core import expression_fingerprint  # noqa: E402
+from repro.core import to_xml  # noqa: E402
 from repro.engine import percentile  # noqa: E402
 from repro.workloads import WRITE_MIX_SPEC, ScenarioGenerator, ScenarioSpec  # noqa: E402
+from repro.xmlcore import serialize  # noqa: E402
 
 GOLDEN = REPO_ROOT / "tests" / "golden" / "workloads.json"
 SEARCHES = REPO_ROOT / "tests" / "golden" / "searches.json"
@@ -110,7 +114,9 @@ def record_search(report) -> dict:
     """The chosen plan of one explained query, its costs and its rule."""
     rule = next(rule for plan, _, rule in report.trace if plan is report.plan)
     return {
-        "plan": expression_fingerprint(report.plan.expr),
+        "plan": hashlib.sha256(
+            serialize(to_xml(report.plan.expr)).encode("utf-8")
+        ).hexdigest(),
         "site": report.plan.site,
         "best": _cost(report.best_cost),
         "original": _cost(report.original_cost),

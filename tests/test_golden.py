@@ -4,9 +4,9 @@
 and content seed, what one counted-quarter pass produces exactly: every
 ``virt_*`` metric, the failed count, and digests of the answers and of the
 serving event trace.  ``tests/golden/searches.json`` holds, per generated
-search of the script's protocol, the chosen plan's fingerprint and site,
-its best and original costs and the rule that produced it.  A change that
-moves any of them must regenerate the files with ``python
+search of the script's protocol, a sha256 of the chosen plan's XML text
+and its site, its best and original costs and the rule that produced it.
+A change that moves any of them must regenerate the files with ``python
 scripts/golden.py --write`` and say why.
 """
 
