@@ -124,13 +124,14 @@ def record_search(report) -> dict:
     }
 
 
-def compute_searches() -> dict:
+def search_protocol():
+    """``(key, session, query)`` for each of the protocol's 272 searches,
+    in order; ``session`` is fresh per search."""
     families = {
         "default": ScenarioSpec(items=SEARCH_ITEMS),
         "serve": replace(_workloads().SERVE_SPEC, items=SEARCH_ITEMS),
         "write-mix": replace(WRITE_MIX_SPEC, items=SEARCH_ITEMS),
     }
-    table = {}
     for family, spec in families.items():
         for content_seed in CONTENT_SEEDS:
             generator = ScenarioGenerator(content_seed, spec)
@@ -138,12 +139,18 @@ def compute_searches() -> dict:
                 scenario = generator.scenario(index)
                 for query in scenario.queries:
                     session = Session(scenario.system, plan_cache=None, trace=True)
-                    report = session.explain(
-                        query.source, at=query.at, bind=query.bindings, name=query.name
-                    )
-                    key = f"{family}@{content_seed}#{index}/{query.name}"
-                    table[key] = record_search(report)
-    return table
+                    yield f"{family}@{content_seed}#{index}/{query.name}", session, query
+
+
+def explain(session, query):
+    return session.explain(query.source, at=query.at, bind=query.bindings, name=query.name)
+
+
+def compute_searches() -> dict:
+    return {
+        key: record_search(explain(session, query))
+        for key, session, query in search_protocol()
+    }
 
 
 def render(table: dict) -> str:

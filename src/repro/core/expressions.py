@@ -38,9 +38,10 @@ therefore computed once and kept on the node, in its instance
 "Type-safe modular hash-consing", 2006):
 
 * its structural digest, plain and with query names reduced to their
-  widths (a Merkle fold over the children's digests,
-  :func:`~repro.core.serialize.expression_fingerprint`);
-* its serialized size (:func:`~repro.core.serialize.expression_size`);
+  widths, and its serialized size — two Merkle folds of the node's one
+  XML form over its parts' kept values
+  (:func:`~repro.core.serialize.expression_fingerprint`,
+  :func:`~repro.core.serialize.expression_size`);
 * its idle-delegation count per entry site
   (:func:`~repro.core.rules.idle_delegations`).
 

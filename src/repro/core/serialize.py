@@ -6,15 +6,20 @@ expression parameters."  This serialization is what :class:`EvalAt` ships
 when delegating an expression to another peer, so expression size —
 ``expression_size()`` — is a real cost the optimizer weighs.
 
-Per-node facts: a plan search sizes and keys thousands of candidates that
-share most of their nodes (see :mod:`repro.core.expressions`), so
-:func:`expression_size` and :func:`expression_fingerprint` are computed
-once per node and kept on it.  The digest is a Merkle fold — a node
-hashes its own tokens and its parts' digests — so keying a rewrite
-hashes only the spine it rebuilt.  *Sealing rule*: both read tree
-literals, so a node keeps them only once every :class:`TreeExpr` tree
-under it is frozen; a node over a still-mutable literal is re-read on
-every call, and freezing, being one-way, never makes a kept value stale.
+``_FORMS`` declares each E constructor's (and each :class:`Send`
+destination's) XML form once: tag, attributes in the order they are
+written, and parts — texts, tree literals, sub-expressions and the
+nested forms of the ``x-args`` / ``x-params`` / ``x-dest`` / ``x-node`` /
+``x-forw`` wrappers.  :func:`to_xml`, :func:`expression_fingerprint` and
+:func:`expression_size` are three folds of it.  A plan search sizes and
+keys thousands of candidates that share most of their nodes (see
+:mod:`repro.core.expressions`), so the digest and the size are Merkle
+folds kept on each node: a node combines its own markup with its parts'
+kept values, and a rewrite reads only the spine it rebuilt.  *Sealing
+rule*: both read tree literals, so a node keeps them only once every
+:class:`TreeExpr` tree under it is frozen; a node over a still-mutable
+literal is re-read on every call, and freezing, being one-way, never
+makes a kept value stale.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 from hashlib import blake2b
 
 from ..errors import ExpressionError
-from ..xmlcore.model import Element, element
+from ..xmlcore.model import Element, Text
 from ..xmlcore.serializer import escape_attr
 from .expressions import (
     ANY,
@@ -50,107 +55,36 @@ __all__ = [
     "expression_fingerprint",
 ]
 
-
-def to_xml(expr: Expression) -> Element:
-    """Serialize an expression into its XML-tree form."""
-    if isinstance(expr, TreeExpr):
-        node = element("x-tree", attrs={"home": expr.home})
-        node.append(expr.tree.copy())
-        return node
-    if isinstance(expr, DocExpr):
-        return element("x-doc", attrs={"name": expr.name, "home": expr.home})
-    if isinstance(expr, GenericDoc):
-        return element("x-doc", attrs={"name": expr.name, "home": ANY})
-    if isinstance(expr, FragmentedDoc):
-        return element("x-fragdoc", attrs={"name": expr.name})
-    if isinstance(expr, Gather):
-        node = element("x-gather")
-        for part in expr.parts:
-            node.append(to_xml(part))
-        return node
-    if isinstance(expr, QueryRef):
-        node = element(
-            "x-query",
-            expr.query.source,
-            attrs={
-                "home": expr.home,
-                "params": " ".join(expr.query.params),
-                **({"name": expr.query.name} if expr.query.name else {}),
-            },
-        )
-        return node
-    if isinstance(expr, GenericService):
-        return element("x-service", attrs={"name": expr.name, "home": ANY})
-    if isinstance(expr, QueryApply):
-        node = element("x-apply")
-        node.append(to_xml(expr.query))
-        args = element("x-args")
-        for arg in expr.args:
-            args.append(to_xml(arg))
-        node.append(args)
-        return node
-    if isinstance(expr, ServiceCallExpr):
-        node = element(
-            "x-sc", attrs={"provider": expr.provider, "service": expr.service}
-        )
-        params = element("x-params")
-        for param in expr.params:
-            params.append(to_xml(param))
-        node.append(params)
-        for target in expr.forwards:
-            node.append(element("x-forw", str(target)))
-        return node
-    if isinstance(expr, Send):
-        node = element("x-send")
-        node.append(_dest_to_xml(expr.dest))
-        if expr.via:
-            node.set_attr("via", " ".join(expr.via))
-        node.append(to_xml(expr.payload))
-        return node
-    if isinstance(expr, EvalAt):
-        node = element("x-eval", attrs={"peer": expr.peer})
-        node.append(to_xml(expr.expr))
-        return node
-    if isinstance(expr, Seq):
-        node = element("x-seq")
-        for step in expr.steps:
-            node.append(to_xml(step))
-        return node
-    raise ExpressionError(f"cannot serialize {type(expr).__name__}")
-
-
-def _dest_to_xml(dest) -> Element:
-    if isinstance(dest, PeerDest):
-        return element("x-dest", attrs={"kind": "peer", "peer": dest.peer})
-    if isinstance(dest, NodesDest):
-        node = element("x-dest", attrs={"kind": "nodes"})
-        for target in dest.nodes:
-            node.append(element("x-node", str(target)))
-        return node
-    if isinstance(dest, DocDest):
-        return element(
-            "x-dest", attrs={"kind": "doc", "name": dest.name, "peer": dest.peer}
-        )
-    raise ExpressionError(f"cannot serialize destination {type(dest).__name__}")
-
-
-def expression_size(expr: Expression) -> int:
-    """Bytes of the serialized expression — the code-shipping cost.
-
-    Kept on ``expr`` once it is sealed (see the module docstring), so an
-    ``EvalAt`` body shared by many candidates is serialized once.
-    """
-    size = expr.__dict__.get(_SIZE)
-    if size is None:
-        size = to_xml(expr).serialized_size()
-        if _sealed(expr):
-            expr.__dict__[_SIZE] = size
-    return size
-
-
-# ---------------------------------------------------------------------------
-# Structural fingerprints
-# ---------------------------------------------------------------------------
+#: ``(tag, attrs, parts)`` per constructor; a part is a text (``str``), a
+#: tree literal (:class:`Element`), a sub-expression or a nested form.
+_FORMS = {
+    TreeExpr: lambda e: ("x-tree", {"home": e.home}, (e.tree,)),
+    DocExpr: lambda e: ("x-doc", {"home": e.home, "name": e.name}, ()),
+    GenericDoc: lambda e: ("x-doc", {"home": ANY, "name": e.name}, ()),
+    FragmentedDoc: lambda e: ("x-fragdoc", {"name": e.name}, ()),
+    Gather: lambda e: ("x-gather", {}, e.parts),
+    QueryRef: lambda e: ("x-query", {
+        "home": e.home,
+        **({"name": e.query.name} if e.query.name else {}),
+        "params": " ".join(e.query.params),
+    }, (e.query.source,)),
+    GenericService: lambda e: ("x-service", {"home": ANY, "name": e.name}, ()),
+    QueryApply: lambda e: ("x-apply", {}, (e.query, ("x-args", {}, e.args))),
+    ServiceCallExpr: lambda e: ("x-sc", {"provider": e.provider, "service": e.service}, (
+        ("x-params", {}, e.params),
+        *[("x-forw", {}, (str(target),)) for target in e.forwards],
+    )),
+    Send: lambda e: (
+        "x-send", {"via": " ".join(e.via)} if e.via else {}, (_form(e.dest), e.payload)
+    ),
+    EvalAt: lambda e: ("x-eval", {"peer": e.peer}, (e.expr,)),
+    Seq: lambda e: ("x-seq", {}, e.steps),
+    PeerDest: lambda d: ("x-dest", {"kind": "peer", "peer": d.peer}, ()),
+    NodesDest: lambda d: ("x-dest", {"kind": "nodes"}, tuple(
+        [("x-node", {}, (str(target),)) for target in d.nodes]
+    )),
+    DocDest: lambda d: ("x-dest", {"kind": "doc", "name": d.name, "peer": d.peer}, ()),
+}
 
 #: Where a node keeps its facts (instance ``__dict__`` keys).
 _SIZE = "_size"
@@ -158,18 +92,79 @@ _DIGEST = "_digest"
 _WIDTH_DIGEST = "_width_digest"
 
 
+def _form(node) -> tuple:
+    """The XML form of an expression or a destination."""
+    try:
+        form = _FORMS[type(node)]
+    except KeyError:
+        raise ExpressionError(f"no XML form for {type(node).__name__}") from None
+    return form(node)
+
+
+def to_xml(expr: Expression) -> Element:
+    """Serialize an expression into its XML-tree form."""
+    return _build(_form(expr))
+
+
+def _build(form: tuple) -> Element:
+    tag, attrs, parts = form
+    node = Element(tag, attrs)
+    for part in parts:
+        kind = type(part)
+        if kind is str:
+            node.append(Text(part))
+        elif kind is Element:
+            node.append(part.copy())
+        else:
+            node.append(_build(part if kind is tuple else _form(part)))
+    return node
+
+
+def expression_size(expr: Expression) -> int:
+    """Bytes of the serialized expression — the code-shipping cost.
+
+    ``len(serialize(to_xml(expr)).encode("utf-8"))``, without building
+    the element; kept on ``expr`` once it is sealed, so an ``EvalAt``
+    body shared by many candidates is sized once.
+    """
+    size = expr.__dict__.get(_SIZE)
+    if size is None:
+        size = _size(_form(expr))
+        _digest(expr, _DIGEST)  # kept exactly when ``expr`` is sealed
+        if _DIGEST in expr.__dict__:
+            expr.__dict__[_SIZE] = size
+    return size
+
+
+def _size(form: tuple) -> int:
+    """A form's own markup, sized on a childless element, plus its parts."""
+    tag, attrs, parts = form
+    size = Element(tag, attrs).serialized_size()
+    if parts:
+        size += len(tag) + 2  # <tag ...>...</tag> rather than <tag .../>
+        for part in parts:
+            kind = type(part)
+            if kind is str:
+                size += Text(part).serialized_size()
+            elif kind is Element:
+                size += part.serialized_size()
+            elif kind is tuple:
+                size += _size(part)
+            else:
+                size += expression_size(part)
+    return size
+
+
 def expression_fingerprint(expr: Expression, name_widths: bool = False) -> str:
     """Digest of the expression's XML form, without building or copying it.
 
     Two expressions fingerprint equal iff their :func:`to_xml` serializations
     are structurally equal — the canonical identity the plan cache keys on.
-    Unlike ``serialize(to_xml(expr))`` this never copies tree literals: a
-    node hashes the constructor/attribute tokens ``to_xml`` would emit for
-    it, then its parts' digests (a Merkle fold), and a :class:`TreeExpr`
-    contributes the (cached) content fingerprint of its tree.  Every node
-    keeps its digest once sealed (see the module docstring), so the cost
-    is one hash per node the expression does not share with one already
-    fingerprinted: for a rewrite, the spine it rebuilt.
+    A node hashes its form's tokens, then its parts' digests, a tree
+    literal contributing its (cached) content fingerprint.  Kept once
+    sealed, so the cost is one hash per node the expression does not
+    share with one already fingerprinted: for a rewrite, the spine it
+    rebuilt.
 
     ``name_widths`` reduces every query name to the number of bytes its
     ``name=`` attribute serializes to.  Evaluation sees a query's name
@@ -181,85 +176,46 @@ def expression_fingerprint(expr: Expression, name_widths: bool = False) -> str:
     return _digest(expr, _WIDTH_DIGEST if name_widths else _DIGEST)
 
 
-def _sealed(expr: Expression) -> bool:
-    """Whether every tree literal under ``expr`` is frozen.
-
-    Exactly then its digest is kept, so a sealed node answers with one
-    lookup.
-    """
-    _digest(expr, _DIGEST)
-    return _DIGEST in expr.__dict__
-
-
 def _digest(expr: Expression, slot: str) -> str:
     """The digest kept under ``slot``, computed (and kept, once sealed)."""
     known = expr.__dict__.get(slot)
     if known is not None:
         return known
-    parts: tuple = ()
-    sealed = True
-    if isinstance(expr, TreeExpr):
-        tokens = ["x-tree", expr.home, expr.tree.content_fingerprint()]
-        sealed = expr.tree.frozen
-    elif isinstance(expr, DocExpr):
-        tokens = ["x-doc", expr.name, expr.home]
-    elif isinstance(expr, GenericDoc):
-        tokens = ["x-doc", expr.name, ANY]
-    elif isinstance(expr, FragmentedDoc):
-        tokens = ["x-fragdoc", expr.name]
-    elif isinstance(expr, Gather):
-        parts = expr.parts
-        tokens = ["x-gather", str(len(parts))]
-    elif isinstance(expr, QueryRef):
-        name = expr.query.name or ""
-        if name and slot == _WIDTH_DIGEST:
-            name = str(len(escape_attr(name).encode("utf-8")))
-        tokens = [
-            "x-query",
-            expr.home,
-            " ".join(expr.query.params),
-            name,
-            expr.query.source,
-        ]
-    elif isinstance(expr, GenericService):
-        tokens = ["x-service", expr.name, ANY]
-    elif isinstance(expr, QueryApply):
-        parts = (expr.query,) + expr.args
-        tokens = ["x-apply", str(len(expr.args))]
-    elif isinstance(expr, ServiceCallExpr):
-        parts = expr.params
-        tokens = ["x-sc", expr.provider, expr.service, str(len(parts))]
-        tokens.extend([str(target) for target in expr.forwards])
-    elif isinstance(expr, Send):
-        parts = (expr.payload,)
-        tokens = ["x-send", " ".join(expr.via), *_dest_tokens(expr.dest)]
-    elif isinstance(expr, EvalAt):
-        parts = (expr.expr,)
-        tokens = ["x-eval", expr.peer]
-    elif isinstance(expr, Seq):
-        parts = expr.steps
-        tokens = ["x-seq", str(len(parts))]
-    else:
-        raise ExpressionError(f"cannot fingerprint {type(expr).__name__}")
-    for part in parts:
-        tokens.append(_digest(part, slot))
-        if slot not in part.__dict__:
-            sealed = False
-    digest = blake2b(
-        "\x00".join(tokens).encode("utf-8"), digest_size=12
-    ).hexdigest()
+    data, sealed = _tokens(_form(expr), slot)
+    digest = blake2b(data.encode("utf-8"), digest_size=12).hexdigest()
     if sealed:
         expr.__dict__[slot] = digest
     return digest
 
 
-def _dest_tokens(dest) -> list:
-    if isinstance(dest, PeerDest):
-        return ["x-dest", "peer", dest.peer]
-    if isinstance(dest, NodesDest):
-        return ["x-dest", "nodes", *[str(n) for n in dest.nodes]]
-    if isinstance(dest, DocDest):
-        return ["x-dest", "doc", dest.name, dest.peer]
-    raise ExpressionError(
-        f"cannot fingerprint destination {type(dest).__name__}"
-    )
+def _tokens(form: tuple, slot: str) -> tuple:
+    """The text a form hashes to, and whether every part of it is sealed.
+
+    The tag, then ``\\0a`` + name + ``\\0`` + value per attribute,
+    ``\\0t`` + text, ``\\0c`` + digest per literal or sub-expression, and
+    a nested form's own text between ``\\0(`` and ``\\0)``: every token is
+    marked, so equal text means equal forms.
+    """
+    tag, attrs, parts = form
+    if slot is _WIDTH_DIGEST and tag == "x-query" and "name" in attrs:
+        width = len(escape_attr(attrs["name"]).encode("utf-8"))
+        attrs = {**attrs, "name": str(width)}
+    data = tag
+    for name, value in attrs.items():
+        data += "\x00a" + name + "\x00" + value
+    sealed = True
+    for part in parts:
+        kind = type(part)
+        if kind is str:
+            data += "\x00t" + part
+        elif kind is Element:
+            data += "\x00c" + part.content_fingerprint()
+            sealed = sealed and part.frozen
+        elif kind is tuple:
+            inner, inner_sealed = _tokens(part, slot)
+            data += "\x00(" + inner + "\x00)"
+            sealed = sealed and inner_sealed
+        else:
+            data += "\x00c" + _digest(part, slot)
+            sealed = sealed and slot in part.__dict__
+    return data, sealed

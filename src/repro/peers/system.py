@@ -30,6 +30,7 @@ module provides:
 
 from __future__ import annotations
 
+import inspect
 from typing import Dict, List, Optional, Sequence
 
 from ..dist.catalog import FragmentCatalog
@@ -75,12 +76,20 @@ class AXMLSystem:
         **topology_kwargs,
     ) -> "AXMLSystem":
         """Build a system with the named peers on a topology named in
-        :data:`repro.net.topology.BUILDERS`."""
+        :data:`repro.net.topology.BUILDERS`; ``topology_kwargs`` go to its
+        builder, which names the ones it accepts when given another."""
         builder = topo.BUILDERS.get(topology)
         if builder is None:
             raise NetworkError(
                 f"unknown topology {topology!r}; "
                 f"pick one of {', '.join(sorted(topo.BUILDERS))}"
+            )
+        accepted = list(inspect.signature(builder).parameters)[1:]
+        unknown = sorted(set(topology_kwargs) - set(accepted))
+        if unknown:
+            raise NetworkError(
+                f"topology {topology!r} takes no {', '.join(unknown)}; "
+                f"it accepts {', '.join(accepted)}"
             )
         system = cls(builder(list(peer_ids), **topology_kwargs))
         for peer_id in peer_ids:

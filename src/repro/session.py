@@ -36,6 +36,7 @@ one-line constructor re-exported as ``repro.connect``.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -868,15 +869,20 @@ def connect(
     """Open a :class:`Session` — the documented top-level entry point.
 
     Either hand over an existing :class:`AXMLSystem`, or name the peers
-    and let ``connect`` build one on a standard topology::
+    and let ``connect`` build one on a standard topology, to whose builder
+    go the keywords :class:`Session` does not take::
 
         session = repro.connect(system, strategy="greedy", verify=True)
-        session = repro.connect(peers=["laptop", "server"])
+        session = repro.connect(peers=["laptop", "server"], bandwidth=20_000.0)
     """
     if system is None:
         if not peers:
             raise SessionError("connect() needs an AXMLSystem or peers=[...]")
-        system = AXMLSystem.with_peers(list(peers), topology=topology)
+        own = inspect.signature(Session).parameters
+        topology_kwargs = {
+            key: session_kwargs.pop(key) for key in list(session_kwargs) if key not in own
+        }
+        system = AXMLSystem.with_peers(list(peers), topology=topology, **topology_kwargs)
     elif peers:
         raise SessionError("pass either a system or peers=[...], not both")
     return Session(system, **session_kwargs)

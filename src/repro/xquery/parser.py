@@ -52,10 +52,10 @@ _RESERVED_FUNCTION_NAMES = {"if", "text", "node", "element"}
 
 
 class _Parser:
-    def __init__(self, source: str, depth: int = 0) -> None:
+    def __init__(self, source: str) -> None:
         self.lexer = Lexer(source)
         #: Open expressions and constructors (see :data:`MAX_NESTING`).
-        self.depth = depth
+        self.depth = 0
 
     def _nest(self, pos: int) -> None:
         """Enter one more level of nesting, at source offset ``pos``."""
@@ -656,13 +656,19 @@ class _Parser:
         self, source: str, pos: int, stop: str, where: str
     ) -> Tuple[List[Union[str, XQNode]], int]:
         """The parts before the next ``stop`` character, which is not consumed:
-        runs of text (``{{`` / ``}}`` read as braces, references decoded) and
-        enclosed expressions."""
+        runs of text (``{{`` / ``}}`` read as braces, references decoded, and
+        a doubled quote read as one when ``stop`` is that quote — XQuery
+        1.0 §3.7.1.1 EscapeQuot / EscapeApos) and enclosed expressions."""
         parts: List[Union[str, XQNode]] = []
         buffer: List[str] = []
-        while pos < len(source) and source[pos] != stop:
+        while pos < len(source):
             ch = source[pos]
-            if ch == "{" and not source.startswith("{{", pos):
+            if ch == stop:
+                if stop == "<" or not source.startswith(stop * 2, pos):
+                    break
+                buffer.append(stop)
+                pos += 2
+            elif ch == "{" and not source.startswith("{{", pos):
                 if buffer:
                     parts.append("".join(buffer))
                     buffer = []
@@ -686,14 +692,13 @@ class _Parser:
     def _scan_enclosed_expr(self, source: str, pos: int) -> Tuple[XQNode, int]:
         """Parse '{ Expr }' starting at the '{'; returns (expr, pos after '}')."""
         assert source[pos] == "{"
-        sub_parser = _Parser(source, self.depth)
-        sub_parser.lexer.sync_to(pos + 1)
-        expr = sub_parser.parse_expr()
-        closing = sub_parser.lexer.next()
+        self.lexer.sync_to(pos + 1)
+        expr = self.parse_expr()
+        closing = self.lexer.next()
         if not closing.is_symbol("}"):
             raise self._scan_error("expected '}' to close enclosed expression", closing.pos)
-        # Resume right after the '}' itself; the sub-parser's lookahead may
-        # have scanned further, so lexer.pos is not a reliable resume point.
+        # Resume right after the '}' itself; the lexer's lookahead may have
+        # scanned further, so lexer.pos is not a reliable resume point.
         return EnclosedExpr(expr), closing.pos + 1
 
 

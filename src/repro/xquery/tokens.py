@@ -13,20 +13,20 @@ XML's lexical rules come from :mod:`repro.xmlcore.parser`, not from here:
 a name is an NCName, optionally prefixed (``ns:local``), as
 :func:`~repro.xmlcore.parser.name_end` reads it; a string literal's
 ``&...;`` references are decoded by
-:func:`~repro.xmlcore.parser.read_reference`; and positions are counted
-by :func:`~repro.xmlcore.parser.location`.  What is XQuery's own stays
+:func:`~repro.xmlcore.parser.read_reference`.  What is XQuery's own stays
 here: ``""`` in a literal, ``(: comments :)``, and numbers, whose digits
-are ASCII ``[0-9]`` only.
+are ASCII ``[0-9]`` only.  A token's line and column are counted on
+from the previous token's, so lexing is linear in the query's length.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..errors import XQuerySyntaxError
-from ..xmlcore.parser import location, name_end, read_reference
+from ..xmlcore.parser import name_end, read_reference
 
 __all__ = ["Token", "Lexer", "TokenType"]
 
@@ -87,6 +87,7 @@ class Lexer:
         self.source = source
         self.pos = 0
         self._buffer: List[Token] = []
+        self._mark = (0, 1, 0)  # the last offset located, its line, line start
 
     # -- public API ---------------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
@@ -111,7 +112,20 @@ class Lexer:
         self._buffer.clear()
 
     def error(self, message: str, pos: Optional[int] = None) -> XQuerySyntaxError:
-        return XQuerySyntaxError(message, *location(self.source, self.pos if pos is None else pos))
+        return XQuerySyntaxError(message, *self._location(self.pos if pos is None else pos))
+
+    def _location(self, pos: int) -> Tuple[int, int]:
+        """(line, column), both 1-based, of offset ``pos``, counted from the
+        last offset located: the cost is the distance between the two."""
+        mark, line, start = self._mark  # start: offset of mark's line
+        if pos >= mark:
+            line += self.source.count("\n", mark, pos)
+            start = max(start, self.source.rfind("\n", mark, pos) + 1)
+        elif pos < start:
+            line -= self.source.count("\n", pos, start)
+            start = self.source.rfind("\n", 0, pos) + 1
+        self._mark = (pos, line, start)
+        return line, pos - start + 1
 
     # -- scanning -------------------------------------------------------------
     def _skip_trivia(self) -> None:
@@ -140,7 +154,7 @@ class Lexer:
     def _scan(self) -> Token:
         self._skip_trivia()
         start = self.pos
-        line, column = location(self.source, start)
+        line, column = self._location(start)
         if start >= len(self.source):
             return Token(TokenType.EOF, "", line, column, start)
         ch = self.source[start]

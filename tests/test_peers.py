@@ -322,6 +322,23 @@ class TestSystem:
         with pytest.raises(NetworkError):
             repro.connect(peers=["a", "b"], topology=name)
 
+    # a keyword the topology's builder does not take is named, with the
+    # ones it does, whether the system is built directly or by connect()
+    @pytest.mark.parametrize("topology, accepted", [
+        ("full_mesh", "latency, bandwidth"), ("star", "hub, latency, bandwidth"),
+    ])
+    def test_unknown_topology_keyword(self, topology, accepted):
+        message = f"topology '{topology}' takes no bogus; it accepts {accepted}$"
+        with pytest.raises(NetworkError, match=message):
+            AXMLSystem.with_peers(["a", "b"], topology, bogus=1)
+        with pytest.raises(NetworkError, match=message):
+            repro.connect(peers=["a", "b"], topology=topology, bogus=1, verify=True)
+
+    def test_connect_hands_topology_keywords_to_the_builder(self):
+        session = repro.connect(peers=["a", "b"], bandwidth=20_000.0, strategy="greedy")
+        assert session.system.network.link("a", "b").bandwidth == 20_000.0
+        assert session.strategy.name == "greedy"
+
     def test_unknown_peer(self):
         with pytest.raises(UnknownPeerError):
             AXMLSystem().peer("ghost")

@@ -345,6 +345,12 @@ class TestConstructors:
         assert result.attrs["b"] == "x&y"
         assert parse(serialize(result)).attrs["b"] == "x&y"
 
+    @pytest.mark.parametrize("source, value", [('<a b="x""y"/>', 'x"y'), ("<a b='x''y'/>", "x'y")])
+    def test_direct_attribute_doubled_quote(self, source, value):
+        (result,) = evaluate_query(source)
+        assert result.attrs["b"] == value
+        assert parse(serialize(result)).attrs["b"] == value
+
     def test_nested_constructors(self):
         (result,) = evaluate_query("<o>{for $i in (1, 2) return <i>{$i}</i>}</o>")
         assert [c.string_value() for c in result.element_children] == ["1", "2"]

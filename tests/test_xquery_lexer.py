@@ -1,8 +1,12 @@
 """Unit tests for the XQuery lexer (repro.xquery.tokens)."""
 
+from random import Random
+
 import pytest
 
 from repro.errors import XQuerySyntaxError
+from repro.xmlcore.parser import location
+from repro.xquery.parser import parse_expression
 from repro.xquery.tokens import Lexer, TokenType
 
 
@@ -135,6 +139,39 @@ class TestLexerMechanics:
         token = lexer.next()
         assert (token.line, token.column) == (2, 3)
 
+    def test_positions_are_counted_on_in_either_direction(self):
+        source = "for $i in (1,\n  2)\nreturn\n\n  <a b='{$i}'>\n{$i}</a>"
+        lexer = Lexer(source)
+        rng = Random(3)
+        for pos in [rng.randrange(len(source) + 1) for _ in range(300)]:
+            assert lexer._location(pos) == location(source, pos), pos
+        lexer.sync_to(0)
+        while True:
+            token = lexer.next()
+            assert (token.line, token.column) == location(source, token.pos)
+            if token.type == TokenType.EOF:
+                break
+
+    def test_lexing_is_linear_in_the_query_length(self):
+        # every search of the source a token's position costs is counted;
+        # a count from offset 0 per token spans ~3e9 characters here
+        source = SearchCounted("(" + "1,\n" * 31_999 + "1)")
+        assert len(source) == 96_000
+        lexer = Lexer(source)
+        while (token := lexer.next()).type != TokenType.EOF:
+            pass
+        assert (token.line, token.column) == (32_000, 3)
+        assert source.spanned <= 2 * len(source)
+
+    def test_parsing_enclosed_expressions_is_linear_too(self):
+        # each "{...}" of a direct constructor resumes tokenizing mid-source
+        source = SearchCounted("<a>" + "{1}\n" * 20_000 + "</a>")
+        parse_expression(source)
+        assert source.spanned <= 2 * len(source)
+        with pytest.raises(XQuerySyntaxError) as exc:
+            parse_expression("<a>" + "{1}\n" * 3 + "{1 1}</a>")
+        assert (exc.value.line, exc.value.column) == (4, 4)
+
     def test_unexpected_character(self):
         with pytest.raises(XQuerySyntaxError):
             tokens_of("#")
@@ -147,3 +184,24 @@ class TestLexerMechanics:
         plus = lexer.next()
         assert plus.is_symbol("+", "-")
         assert not plus.is_name("for")
+
+
+class SearchCounted(str):
+    """A source that adds up the characters its ``count`` / ``find`` /
+    ``rfind`` calls are asked to search."""
+
+    spanned = 0
+
+    def _searched(self, method, sub, start=0, end=None):
+        end = len(self) if end is None else end
+        self.spanned += max(0, end - start)
+        return method(self, sub, start, end)
+
+    def count(self, *args):
+        return self._searched(str.count, *args)
+
+    def find(self, *args):
+        return self._searched(str.find, *args)
+
+    def rfind(self, *args):
+        return self._searched(str.rfind, *args)

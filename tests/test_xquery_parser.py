@@ -289,6 +289,20 @@ class TestConstructors:
         parts = expr.attributes[0].value_parts
         assert parts[0] == 'x&y"' and parts[2] == "A"
 
+    # XQuery 1.0 §3.7.1.1 EscapeQuot / EscapeApos: the delimiting quote,
+    # doubled, is one quote; the other quote is an ordinary character
+    @pytest.mark.parametrize("source, value", [
+        ('<a b="x""y"/>', 'x"y'), ("<a b='x''y'/>", "x'y"),
+        ('<a b=""""/>', '"'), ("<a b=\"x''y\"/>", "x''y"),
+        ('<a b="{1}""{2}"/>', None),
+    ])
+    def test_direct_attribute_doubled_quote(self, source, value):
+        parts = parse_expression(source).attributes[0].value_parts
+        if value is None:
+            assert len(parts) == 3 and parts[1] == '"'
+        else:
+            assert parts == (value,)
+
     @pytest.mark.parametrize("source", ["<a>&#xZZ;</a>", "<a>&#99999999;</a>", '<a b="&#;"/>'])
     def test_bad_character_reference_rejected(self, source):
         with pytest.raises(XQuerySyntaxError) as exc:
@@ -415,6 +429,7 @@ class TestUnparseRoundTrip:
         '"a&amp;b"',
         '<a b="x&amp;y&quot;{1}&#65;"/>',
         "<a>&lt;&amp;{{}}&#x41;</a>",
+        '<a b="x""y" c=\'x\'\'y\'/>',
     ]
 
     @pytest.mark.parametrize("source", CASES)
