@@ -859,6 +859,10 @@ class Session:
         )
 
 
+#: The keywords :class:`Session` takes, the only ones :func:`connect` passes on.
+_SESSION_KEYWORDS = list(inspect.signature(Session).parameters)[1:]
+
+
 def connect(
     system: Optional[AXMLSystem] = None,
     *,
@@ -869,20 +873,21 @@ def connect(
     """Open a :class:`Session` — the documented top-level entry point.
 
     Either hand over an existing :class:`AXMLSystem`, or name the peers
-    and let ``connect`` build one on a standard topology, to whose builder
-    go the keywords :class:`Session` does not take::
+    and let ``connect`` build one on a standard topology::
 
         session = repro.connect(system, strategy="greedy", verify=True)
-        session = repro.connect(peers=["laptop", "server"], bandwidth=20_000.0)
+        session = repro.connect(peers=["laptop", "server"])
     """
+    unknown = sorted(set(session_kwargs) - set(_SESSION_KEYWORDS))
+    if unknown:
+        raise SessionError(
+            f"connect() takes no {', '.join(unknown)}; "
+            f"Session accepts {', '.join(_SESSION_KEYWORDS)}"
+        )
     if system is None:
         if not peers:
             raise SessionError("connect() needs an AXMLSystem or peers=[...]")
-        own = inspect.signature(Session).parameters
-        topology_kwargs = {
-            key: session_kwargs.pop(key) for key in list(session_kwargs) if key not in own
-        }
-        system = AXMLSystem.with_peers(list(peers), topology=topology, **topology_kwargs)
+        system = AXMLSystem.with_peers(list(peers), topology=topology)
     elif peers:
         raise SessionError("pass either a system or peers=[...], not both")
     return Session(system, **session_kwargs)

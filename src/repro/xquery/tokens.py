@@ -15,13 +15,15 @@ a name is an NCName, optionally prefixed (``ns:local``), as
 ``&...;`` references are decoded by
 :func:`~repro.xmlcore.parser.read_reference`.  What is XQuery's own stays
 here: ``""`` in a literal, ``(: comments :)``, and numbers, whose digits
-are ASCII ``[0-9]`` only.  A token's line and column are counted on
-from the previous token's, so lexing is linear in the query's length.
+are ASCII ``[0-9]`` only.  A token's line and column are looked up in
+the source's line starts, found once per lexer, so lexing is linear in
+the query's length.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -52,6 +54,7 @@ _SYMBOLS = [
 _SYMBOLS.sort(key=len, reverse=True)
 
 _DIGITS = frozenset("0123456789")
+_NEWLINE = re.compile("\n")
 # digits, a fraction (not the first dot of "..") and an exponent; an "e"
 # followed by neither a digit nor a sign is not an exponent
 _NUMBER = re.compile(
@@ -87,7 +90,7 @@ class Lexer:
         self.source = source
         self.pos = 0
         self._buffer: List[Token] = []
-        self._mark = (0, 1, 0)  # the last offset located, its line, line start
+        self._line_starts = [0] + [m.end() for m in _NEWLINE.finditer(source)]
 
     # -- public API ---------------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
@@ -115,17 +118,9 @@ class Lexer:
         return XQuerySyntaxError(message, *self._location(self.pos if pos is None else pos))
 
     def _location(self, pos: int) -> Tuple[int, int]:
-        """(line, column), both 1-based, of offset ``pos``, counted from the
-        last offset located: the cost is the distance between the two."""
-        mark, line, start = self._mark  # start: offset of mark's line
-        if pos >= mark:
-            line += self.source.count("\n", mark, pos)
-            start = max(start, self.source.rfind("\n", mark, pos) + 1)
-        elif pos < start:
-            line -= self.source.count("\n", pos, start)
-            start = self.source.rfind("\n", 0, pos) + 1
-        self._mark = (pos, line, start)
-        return line, pos - start + 1
+        """(line, column), both 1-based, of offset ``pos``."""
+        line = bisect_right(self._line_starts, pos)
+        return line, pos - self._line_starts[line - 1] + 1
 
     # -- scanning -------------------------------------------------------------
     def _skip_trivia(self) -> None:

@@ -10,6 +10,7 @@ from repro.errors import (
     GenericResolutionError,
     NetworkError,
     ServiceCallError,
+    SessionError,
     UnknownDocumentError,
     UnknownPeerError,
     UnknownServiceError,
@@ -323,7 +324,7 @@ class TestSystem:
             repro.connect(peers=["a", "b"], topology=name)
 
     # a keyword the topology's builder does not take is named, with the
-    # ones it does, whether the system is built directly or by connect()
+    # ones it does
     @pytest.mark.parametrize("topology, accepted", [
         ("full_mesh", "latency, bandwidth"), ("star", "hub, latency, bandwidth"),
     ])
@@ -331,13 +332,14 @@ class TestSystem:
         message = f"topology '{topology}' takes no bogus; it accepts {accepted}$"
         with pytest.raises(NetworkError, match=message):
             AXMLSystem.with_peers(["a", "b"], topology, bogus=1)
-        with pytest.raises(NetworkError, match=message):
-            repro.connect(peers=["a", "b"], topology=topology, bogus=1, verify=True)
 
-    def test_connect_hands_topology_keywords_to_the_builder(self):
-        session = repro.connect(peers=["a", "b"], bandwidth=20_000.0, strategy="greedy")
-        assert session.system.network.link("a", "b").bandwidth == 20_000.0
-        assert session.strategy.name == "greedy"
+    # connect() passes on only Session's keywords, with or without a system
+    def test_connect_names_the_keywords_session_takes(self):
+        message = "connect\\(\\) takes no bogus; Session accepts strategy, verify, "
+        with pytest.raises(SessionError, match=message):
+            repro.connect(AXMLSystem.with_peers(["a", "b"]), bogus=1)
+        with pytest.raises(SessionError, match=message):
+            repro.connect(peers=["a", "b"], bogus=1, verify=True)
 
     def test_unknown_peer(self):
         with pytest.raises(UnknownPeerError):

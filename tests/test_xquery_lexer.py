@@ -1,7 +1,5 @@
 """Unit tests for the XQuery lexer (repro.xquery.tokens)."""
 
-from random import Random
-
 import pytest
 
 from repro.errors import XQuerySyntaxError
@@ -139,13 +137,11 @@ class TestLexerMechanics:
         token = lexer.next()
         assert (token.line, token.column) == (2, 3)
 
-    def test_positions_are_counted_on_in_either_direction(self):
-        source = "for $i in (1,\n  2)\nreturn\n\n  <a b='{$i}'>\n{$i}</a>"
+    def test_positions_agree_with_the_xml_parsers(self):
+        source = "\nfor $i in (1,\n  2)\nreturn\n\n  <a b='{$i}'>\n{$i}</a>\n"
         lexer = Lexer(source)
-        rng = Random(3)
-        for pos in [rng.randrange(len(source) + 1) for _ in range(300)]:
+        for pos in range(len(source) + 1):
             assert lexer._location(pos) == location(source, pos), pos
-        lexer.sync_to(0)
         while True:
             token = lexer.next()
             assert (token.line, token.column) == location(source, token.pos)
