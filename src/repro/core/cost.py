@@ -10,6 +10,10 @@ Two interchangeable cost functions drive the optimizer:
   This is the reference the estimator is validated against, and, for
   the plan a search picks, the execution a session reports
   (:class:`Simulation`).
+* :func:`lower_bound` — one walk of the expression that charges only
+  what :func:`measure` certainly charges: a provable lower bound on
+  its bytes, messages and time, which the oracle search prices before
+  it simulates (:class:`~repro.core.costmodel.OracleCostModel`).
 * :class:`CostEstimator` — a static model walking the expression:
   document sizes come from Σ, link costs from the topology.  No plan is
   evaluated.  A service call is priced by running *the call* once with
@@ -30,9 +34,23 @@ import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from ..errors import NoRouteError, ReproError, UnknownPeerError
-from ..net.message import wire_size
-from ..peers.service import QueryMemo, _doc_references
+from ..errors import (
+    DuplicateNameError,
+    EvaluationUndefinedError,
+    ExpressionError,
+    FragmentUnavailableError,
+    GenericResolutionError,
+    NoRouteError,
+    PeerDownError,
+    ReproError,
+    ServiceCallError,
+    UnknownDocumentError,
+    UnknownPeerError,
+    UnknownServiceError,
+)
+from ..net.message import Message, wire_size
+from ..peers.registry import FirstPolicy, NearestPolicy
+from ..peers.service import DeclarativeService, QueryMemo, _doc_references
 from ..peers.system import AXMLSystem
 from ..xmlcore.model import Element, tree_size
 from .evaluator import EvalOutcome, ExpressionEvaluator, _as_forest
@@ -47,6 +65,7 @@ from .expressions import (
     Gather,
     GenericDoc,
     NodesDest,
+    PeerDest,
     QueryApply,
     QueryRef,
     Send,
@@ -57,7 +76,9 @@ from .expressions import (
 from .rules import Plan
 from .serialize import expression_fingerprint, expression_size
 
-__all__ = ["Cost", "measure", "Simulation", "Simulations", "CostEstimator"]
+__all__ = [
+    "Cost", "measure", "lower_bound", "Simulation", "Simulations", "CostEstimator",
+]
 
 #: Fraction of its input an application that cannot be sampled is
 #: assumed to return (also the size of a call over computed parameters).
@@ -187,6 +208,559 @@ class Simulations:
             if offered is plan:
                 return simulation
         return None
+
+
+def lower_bound(
+    plan: Plan,
+    system: AXMLSystem,
+    memo: Optional[QueryMemo] = None,
+    transcripts: Optional[dict] = None,
+    pick_policy=None,
+) -> Cost:
+    """A cost no greater, field by field, than what :func:`measure` charges.
+
+    One walk of ``plan.expr`` in the evaluator's order; nothing is
+    cloned or simulated, and ``system`` is only read (a query the walk
+    evaluates is stored in ``memo``, as a simulation would store it).
+    Bytes and messages count only messages the run certainly sends at an
+    exactly known ``wire_size``: stored documents and tree literals at
+    their cached ``serialized_size``, query text (``source_bytes``),
+    shipped code (``expression_size``), a query result ``memo`` holds or
+    computes — ``memo`` and ``transcripts`` are the ones the search's
+    simulations use — and a stored AXML document's activation where
+    ``transcripts`` holds it and its replay's preconditions hold.  Time
+    is the critical path over idle links: per hop latency plus size over
+    bandwidth, the slowest of parallel parts, no compute.  Each hop is
+    computed as :meth:`~repro.net.network.Network.deliver` computes it,
+    from an instant no later than the run's, so the rounding of every
+    sum is no greater either.
+
+    What the walk cannot know — a value some service call returns, a
+    replica a stateful pick policy chooses — counts 0, and so does
+    every message whose size depends on it (its latency still counts
+    where the message itself is certain).  After an effect it cannot
+    follow, such as calls fired with no transcript, it reads no stored
+    document again.  It raises the typed error the run would raise
+    (unknown or dead peer, missing route, document or service, an
+    undefined send) where the run is certain to reach it.
+    """
+    walk = _Bound(system, memo, transcripts, pick_policy)
+    walk.site(plan.site)
+    clock = walk.visit(plan.expr, plan.site, 0.0)[3]
+    return Cost(walk.bytes, walk.messages, clock)
+
+
+#: A value of unknown size holding at least one tree (a size of ``None``
+#: is unknown, and may be empty).
+_SOME = -1
+
+#: Bytes a message carries beside its payload when it has no headers.
+_ENVELOPE = Message.ENVELOPE_OVERHEAD
+
+#: Pick policies whose choice depends on the topology and registry
+#: alone, so the walk may pick as the run will.
+_STATIC_POLICIES = (type(None), FirstPolicy, NearestPolicy)
+
+
+class _Everything:
+    """Every document name: what a peer's changes are once unknown."""
+
+    def __contains__(self, name: object) -> bool:
+        return True
+
+
+_EVERYTHING = _Everything()
+
+
+def _joined(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    """The size of two values side by side (see :data:`_SOME`)."""
+    if a is None or b is None:
+        return _SOME if (a or b) else None
+    if a == _SOME or b == _SOME:
+        return _SOME
+    return a + b
+
+
+class _Bound:
+    """The state of one :func:`lower_bound` walk.
+
+    Each ``_visit_*`` method mirrors the evaluator's definition for its
+    node and returns ``(size, items, query, clock)``: the value's
+    serialized size (``None`` or :data:`_SOME` when unknown), the very
+    trees the run hands on or ``None`` when their identity is unknown,
+    the query of a query value, and an instant no later than the one the
+    run completes at.  A query value has size 0 and no trees.
+    """
+
+    def __init__(self, system: AXMLSystem, memo, transcripts, pick_policy) -> None:
+        self.system = system
+        self.peers = system.peers
+        self.hop_qualities = system.network.hop_qualities
+        self.memo = memo
+        self.transcripts = transcripts if memo is not None else None
+        self.pick_policy = pick_policy
+        self.static_picks = type(pick_policy) in _STATIC_POLICIES
+        self.bytes = 0
+        self.messages = 0
+        #: peer -> names of its documents the run has changed so far
+        #: (:data:`_EVERYTHING` when unknown)
+        self.changed: dict = {}
+        #: (peer, name) -> (size, trees) of a changed document whose new
+        #: form is known, plain data
+        self.stored: dict = {}
+        #: an effect the walk could not follow happened: any stored
+        #: document may have changed
+        self.blind = False
+        #: a service was deployed, so a service name may now resolve
+        self.deployed = False
+
+    # -- helpers ---------------------------------------------------------------
+    def site(self, at: str):
+        """The peer evaluating at ``at``, checked as the evaluator checks it."""
+        peer = self.peers.get(at)
+        if peer is None:
+            raise UnknownPeerError(f"unknown peer {at!r}")
+        if not peer.alive:
+            raise PeerDownError(f"evaluation site {at!r} has left the system")
+        return peer
+
+    def visit(self, expr: Expression, at: str, clock: float) -> tuple:
+        try:
+            method = _VISITS[type(expr)]
+        except KeyError:
+            raise ExpressionError(f"cannot evaluate {type(expr).__name__}") from None
+        return method(self, expr, at, clock)
+
+    def changes(self, peer_id: str):
+        """Names of ``peer_id``'s documents the run may have changed, or None."""
+        if self.blind:
+            return _EVERYTHING
+        return self.changed.get(peer_id)
+
+    def change(self, peer_id: str, name: Optional[str] = None) -> None:
+        """The run changed document ``name`` of ``peer_id`` (None: any)."""
+        names = self.changed.get(peer_id)
+        if name is None:
+            self.changed[peer_id] = _EVERYTHING
+        elif names is None:
+            self.changed[peer_id] = {name}
+        elif names is not _EVERYTHING:
+            names.add(name)
+
+    def send(self, src: str, dst: str, size: Optional[int], clock: float) -> float:
+        """One certain message of ``size`` wire bytes (None: unknown,
+        charged as empty and not counted) ready at ``clock``; its arrival."""
+        if src == dst:
+            return clock
+        hops = self.hop_qualities[src, dst]
+        if size is None:
+            for latency, _ in hops:
+                clock = clock + latency
+            return clock
+        self.bytes += size
+        self.messages += 1
+        for latency, bandwidth in hops:
+            clock = clock + size / bandwidth + latency
+        return clock
+
+    def arrived(self, items: Optional[list], at: str) -> Optional[list]:
+        """``items`` as :func:`~repro.core.evaluator._as_forest` hands them
+        to ``at``, or None where it would copy one (a new identity)."""
+        if not items:
+            return items
+        if at in self.changed:
+            return None
+        stored = self.peers[at].documents.values()
+        for item in items:
+            if item.parent is not None or item in stored:
+                return None
+        return items
+
+    def ship(self, value: tuple, src: str, dst: str) -> tuple:
+        """``_ship_items``: a settled value from ``src`` to ``dst``."""
+        size, items, query, clock = value
+        if query is not None:
+            if src != dst:
+                clock = self.send(src, dst, query.source_bytes + _ENVELOPE, clock)
+            return value[:3] + (clock,)
+        items = self.arrived(items, dst)
+        if src == dst or not size:  # the same site, or possibly nothing
+            return (size, items, None, clock)
+        wire = None if size == _SOME else size + _ENVELOPE
+        return (size, items, None, self.send(src, dst, wire, clock))
+
+    def bind(self, items: list, bound: dict, site) -> Optional[list]:
+        """``_unaliased``: None where the run would bind a copy."""
+        if items and site.peer_id in self.changed:
+            return None
+        stored = site.documents.values()
+        for item in items:
+            if item in bound and item not in stored:
+                return None
+            bound[item] = None
+        return items
+
+    # -- documents ---------------------------------------------------------------
+    def read(self, name: str, home: str, at: str, clock: float) -> tuple:
+        """``name@home`` evaluated at ``at`` (``_eval_doc``)."""
+        peer = self.peers.get(home)
+        if peer is None:
+            raise UnknownPeerError(f"unknown peer {home!r}")
+        if not peer.alive:
+            raise PeerDownError(
+                f"document {name!r} is homed on dead peer {home!r}"
+            )
+        changes = self.changes(home)
+        if changes is not None and name in changes:
+            known = None if self.blind else self.stored.get((home, name))
+            if known is None:
+                self.blind = True  # it may embed calls by now
+                value = (None, None, None, clock)
+            else:
+                value = (known[0], known[1], None, clock)
+        else:
+            tree = peer.documents.get(name)
+            if tree is None:
+                raise UnknownDocumentError(f"no document {name!r} on peer {home!r}")
+            if tree.has_service_calls():
+                value = self.activate(peer, name, tree, clock)
+            else:
+                value = (tree.serialized_size(), [tree], None, clock)
+        if at == home:
+            return value
+        return self.ship(value, home, at)
+
+    def activate(self, peer, name: str, tree: Element, clock: float) -> tuple:
+        """``_activate_document``: the replay of this search's transcript
+        of the document, when the run will replay it."""
+        home = peer.peer_id
+        transcripts = self.transcripts
+        transcript = (
+            transcripts.get((home, name, id(tree))) if transcripts is not None else None
+        )
+        if transcript is None or not self.replays(transcript):
+            self.blind = True
+            return (None if tree.is_service_call() else _SOME, None, None, clock)
+        finished = clock
+        for call in transcript.calls:
+            message = call.call
+            arrival = self.send(message.src, message.dst, message.size, clock)
+            if arrival > finished:
+                finished = arrival
+            for message in call.sent:
+                done = self.send(message.src, message.dst, message.size, arrival)
+                if done > finished:
+                    finished = done
+        value = transcript.value
+        installed = None
+        if home not in self.changed:
+            # what ``_install`` built: the stored form and the next serial
+            installed = self.memo.peek(
+                "installed", (value, home, peer.allocator.next_serial)
+            )
+        known = self.stored[home, name] = (
+            value.serialized_size(),
+            [installed[0]] if installed is not None else None,
+        )
+        self.change(home, name)
+        return (known[0], known[1], None, finished)
+
+    def replays(self, transcript) -> bool:
+        """``_replay``'s preconditions, on this run's Σ as far as known."""
+        peers = self.peers
+        foresee = self.memo.foresee
+        for call in transcript.calls:
+            provider = peers[call.provider]
+            service = provider.services.get(call.service)
+            if (
+                not provider.alive
+                or type(service) is not DeclarativeService
+                or service.signature.schema is not None
+                or service.query.module is not call.module
+            ):
+                return False
+            args = []
+            for param in call.params:
+                args.append([param])
+            if (
+                foresee(service.query, args, provider, self.changes(call.provider))
+                is not call.results
+            ):
+                return False
+        return True
+
+    def pick(self, kind: str, name: str, at: str):
+        """The registry's pick, or None when the policy may choose
+        otherwise in the run; raises when no member is live."""
+        registry = self.system.registry
+        pick = getattr(registry, kind)
+        if self.static_picks:
+            return pick(name, at, self.system, self.pick_policy)
+        pick(name, at, self.system, None)  # raises as the run would
+        return None
+
+    # -- definitions ---------------------------------------------------------------
+    def _visit_tree(self, expr: TreeExpr, at: str, clock: float) -> tuple:
+        home = expr.home
+        if at != home:
+            self.site(home)
+            return self.ship(self._visit_tree(expr, home, clock), home, at)
+        tree = expr.tree
+        if tree.has_service_calls():
+            self.blind = True
+            return (None if tree.is_service_call() else _SOME, None, None, clock)
+        return (tree.serialized_size(), self.arrived([tree], at), None, clock)
+
+    def _visit_doc(self, expr: DocExpr, at: str, clock: float) -> tuple:
+        return self.read(expr.name, expr.home, at, clock)
+
+    def _visit_generic_doc(self, expr: GenericDoc, at: str, clock: float) -> tuple:
+        return self.read_generic(expr.name, at, clock)
+
+    def read_generic(self, name: str, at: str, clock: float) -> tuple:
+        """``name@any`` evaluated at ``at`` (definition (9))."""
+        member = self.pick("pick_document", name, at)
+        if member is None:
+            self.blind = True  # whichever copy is read may embed calls
+            return (None, None, None, clock)
+        return self.read(member.name, member.peer, at, clock)
+
+    def _visit_fragmented_doc(
+        self, expr: FragmentedDoc, at: str, clock: float
+    ) -> tuple:
+        info = self.system.fragments.info(expr.name)
+        finished = clock
+        parts: Optional[list] = []
+        for fragment in info.fragments:
+            live = fragment.live_copies(self.system)
+            if fragment.generic is None:
+                part = self.read(fragment.name, live[0], at, clock)
+            else:
+                try:
+                    part = self.read_generic(fragment.generic, at, clock)
+                except GenericResolutionError:
+                    raise FragmentUnavailableError(
+                        fragment.name, fragment.peers
+                    ) from None
+            if part[3] > finished:
+                finished = part[3]
+            if parts is not None:
+                parts = None if part[1] is None else parts + part[1]
+        whole = None
+        if parts is not None and self.memo is not None:
+            whole = self.memo.peek(
+                "reassembled",
+                (expr.name, info.root_tag, info.root_attrs, tuple(parts)),
+            )
+        if whole is None:
+            return (_SOME, None, None, finished)
+        return (whole.serialized_size(), [whole], None, finished)
+
+    def _visit_gather(self, expr: Gather, at: str, clock: float) -> tuple:
+        finished = clock
+        size: Optional[int] = 0
+        items: Optional[list] = []
+        for part in expr.parts:
+            part_size, part_items, _, done = self.visit(part, at, clock)
+            if done > finished:
+                finished = done
+            size = _joined(size, part_size)
+            items = None if items is None or part_items is None else items + part_items
+        return (size, items, None, finished)
+
+    def _visit_query_ref(self, expr: QueryRef, at: str, clock: float) -> tuple:
+        if at != expr.home:
+            clock = self.send(
+                expr.home, at, expr.query.source_bytes + _ENVELOPE, clock
+            )
+        return (0, [], expr.query, clock)
+
+    def _visit_apply(self, expr: QueryApply, at: str, clock: float) -> tuple:
+        head = expr.query
+        query = None
+        if type(head) is QueryRef:
+            query = head.query
+            ready = self._visit_query_ref(head, at, clock)[3]
+        else:  # definition (9): the picked member's query ships here
+            member = self.pick("pick_service", head.name, at)
+            service = None
+            if member is not None:
+                service = self.peers[member.peer].services.get(member.name)
+                if service is None and not self.deployed:
+                    raise UnknownServiceError(
+                        f"no service {member.name!r} on peer {member.peer!r}"
+                    )
+            ready = clock
+            if service is not None:
+                if not isinstance(service, DeclarativeService):
+                    raise ExpressionError(
+                        f"generic service {head.name!r} resolved to a "
+                        "non-declarative implementation; cannot apply as a query"
+                    )
+                query = service.query
+                ready = self.send(
+                    member.peer, at, query.source_bytes + _ENVELOPE, clock
+                )
+        site = self.peers[at]
+        args: Optional[list] = []
+        bound: dict = {}
+        latest = ready
+        for arg in expr.args:
+            _, items, _, done = self.visit(arg, at, clock)
+            if done > latest:
+                latest = done
+            if args is not None:
+                items = None if items is None else self.bind(items, bound, site)
+                if items is None:
+                    args = None
+                else:
+                    args.append(items)
+        if query is None or args is None or self.memo is None:
+            return (None, None, None, latest)
+        changes = self.changes(at)
+        results = self.memo.foresee(query, args, site, changes, evaluate=True)
+        if results is None:
+            return (None, None, None, latest)
+        items, size = _as_forest(results, site)
+        return (size, items, None, latest)
+
+    def _visit_service_call(
+        self, expr: ServiceCallExpr, at: str, clock: float
+    ) -> tuple:
+        provider_id, name = expr.provider, expr.service
+        if provider_id == ANY:
+            member = self.pick("pick_service", name, at)
+            provider_id = None if member is None else member.peer
+            name = None if member is None else member.name
+        if provider_id is not None:
+            provider = self.peers.get(provider_id)
+            if provider is None:
+                raise UnknownPeerError(f"unknown peer {provider_id!r}")
+            if not provider.alive:
+                raise PeerDownError(
+                    f"service provider {provider_id!r} has left the system"
+                )
+            if name not in provider.services and not self.deployed:
+                raise ServiceCallError(
+                    f"service {name!r} not found on peer {provider_id!r}"
+                )
+        latest = clock
+        payload: Optional[int] = 0
+        for param in expr.params:
+            size, _, _, done = self.visit(param, at, clock)
+            if done > latest:
+                latest = done
+            payload = _joined(payload, size)
+        # the responses are unknown: they may embed calls, and forward
+        # lists deliver anywhere
+        self.blind = True
+        if provider_id is None:
+            return (None, None, None, latest)
+        wire = None
+        if payload is not None and payload != _SOME:
+            wire = wire_size(payload, {"service": name})
+        return (None, None, None, self.send(at, provider_id, wire, latest))
+
+    def _visit_send(self, expr: Send, at: str, clock: float) -> tuple:
+        payload = expr.payload
+        kind = type(payload)
+        if (kind is TreeExpr or kind is DocExpr) and payload.home != at:
+            raise EvaluationUndefinedError(
+                f"send at {at!r} of data homed at {payload.home!r} is undefined"
+            )
+        if kind is QueryRef and payload.home != at:
+            raise EvaluationUndefinedError(
+                f"send at {at!r} of a query defined at {payload.home!r} is undefined"
+            )
+        size, items, query, clock = self.visit(payload, at, clock)
+        dest = expr.dest
+        if query is not None:
+            # definition (8): the query is deployed as a service there
+            if type(dest) is not PeerDest:
+                raise ExpressionError("a query can only be sent to a peer destination")
+            clock = self.ship((size, items, query, clock), at, dest.peer)[3]
+            self.deployed = True
+            return (0, [], None, clock)
+        wire = None if size is None or size == _SOME else size + _ENVELOPE
+        relay = at
+        for hop in expr.via:
+            clock = self.send(relay, hop, wire, clock)
+            relay = hop
+        dest_kind = type(dest)
+        if dest_kind is PeerDest:
+            clock = self.send(relay, dest.peer, wire, clock)
+            self.change(dest.peer)
+        elif dest_kind is DocDest:
+            peer = self.peers.get(dest.peer)
+            installed = self.changed.get(dest.peer)  # names that exist by now
+            if (peer is not None and dest.name in peer.documents) or (
+                installed is not None
+                and installed is not _EVERYTHING
+                and dest.name in installed
+            ):
+                raise DuplicateNameError(
+                    f"document {dest.name!r} already exists on peer {dest.peer!r}"
+                )
+            if wire is not None:
+                wire = wire_size(size, {"doc": dest.name})
+            clock = self.send(relay, dest.peer, wire, clock)
+            if (
+                items is not None
+                and len(items) == 1
+                and not items[0].has_service_calls()
+            ):
+                self.stored[dest.peer, dest.name] = (size, None)
+            self.change(dest.peer, dest.name)
+        elif dest_kind is NodesDest:
+            finished = clock
+            for target in dest.nodes:
+                headers = {"target": str(target)}
+                if items is not None:
+                    sizes = [wire_size(item.serialized_size(), headers) for item in items]
+                else:
+                    sizes = [None] if size else []
+                for item_wire in sizes:
+                    done = self.send(relay, target.peer, item_wire, clock)
+                    if done > finished:
+                        finished = done
+                self.change(target.peer)
+            clock = finished
+        else:
+            raise ExpressionError(f"unknown destination {type(dest).__name__}")
+        return (0, [], None, clock)
+
+    def _visit_eval_at(self, expr: EvalAt, at: str, clock: float) -> tuple:
+        peer = expr.peer
+        if peer == at:
+            return self.visit(expr.expr, at, clock)
+        self.site(peer)
+        clock = self.send(at, peer, expression_size(expr.expr) + _ENVELOPE, clock)
+        remote = self.visit(expr.expr, peer, clock)
+        if remote[0] == 0 and remote[2] is None:
+            return remote  # pure side effects: nothing ships back
+        return self.ship(remote, peer, at)
+
+    def _visit_seq(self, expr: Seq, at: str, clock: float) -> tuple:
+        for step in expr.steps:
+            value = self.visit(step, at, clock)
+            clock = value[3]
+        return value
+
+
+#: Expression type -> the :class:`_Bound` method mirroring its definition.
+_VISITS = {
+    TreeExpr: _Bound._visit_tree,
+    DocExpr: _Bound._visit_doc,
+    GenericDoc: _Bound._visit_generic_doc,
+    FragmentedDoc: _Bound._visit_fragmented_doc,
+    Gather: _Bound._visit_gather,
+    QueryRef: _Bound._visit_query_ref,
+    QueryApply: _Bound._visit_apply,
+    ServiceCallExpr: _Bound._visit_service_call,
+    Send: _Bound._visit_send,
+    EvalAt: _Bound._visit_eval_at,
+    Seq: _Bound._visit_seq,
+}
 
 
 class _CallSample(NamedTuple):

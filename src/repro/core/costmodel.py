@@ -7,9 +7,14 @@ trade that exactness for speed in different measures:
 
 * :class:`CostModel` — the protocol: ``score(plan) -> Cost`` ranks
   candidates during the search; a model that also has ``check(plan)``
-  has its chosen plan re-judged by that exact scorer after the search;
+  has its chosen plan re-judged by that exact scorer after the search,
+  and one that also has ``bound(plan)`` lets the search skip every
+  candidate whose lower bound cannot beat the best so far;
 * :class:`OracleCostModel` (``"oracle"``) — the historical exact model:
-  every score is a full clone-and-simulate.  Slow, perfectly informed;
+  every score is a full clone-and-simulate, and every candidate is
+  first bounded by :func:`~repro.core.cost.lower_bound`, one walk of its
+  expression, so a candidate that cannot win is never simulated.
+  Perfectly informed where it simulates;
 * :class:`AnalyticCostModel` (``"analytic"``) — System-R-style static
   estimation via :class:`~repro.core.cost.CostEstimator`: document
   sizes from Σ, fragment fan-outs from the catalog, replica resolution
@@ -35,7 +40,7 @@ from typing import Callable, Dict, Optional, Protocol, Union, runtime_checkable
 
 from ..errors import OptimizerError
 from ..peers.system import AXMLSystem
-from .cost import Cost, CostEstimator, measure
+from .cost import Cost, CostEstimator, lower_bound, measure
 from .planspace import PlanCache
 from .rules import Plan
 
@@ -54,9 +59,12 @@ class CostModel(Protocol):
     """One way of pricing a plan during (and after) the search.
 
     ``score`` is the search-time ranking function — called once per
-    distinct candidate of a search.  A model may also have
-    ``check(plan)``, the expensive exact judgment the optimizer applies
-    to the chosen plan only.  A model may declare
+    distinct candidate of a search that is not pruned.  A model may also
+    have ``check(plan)``, the expensive exact judgment the optimizer
+    applies to the chosen plan only, and ``bound(plan)``, a cost no
+    greater in any field than ``score(plan)``: a strategy simulates no
+    candidate whose bound's scalar is at least the best so far
+    (:mod:`repro.core.strategies`).  A model may declare
     ``name_blind = True``:
     its scores see a query's name only through the name's serialized
     width, so one prepared plan (:mod:`repro.core.planspace`) serves
@@ -72,11 +80,16 @@ class CostModel(Protocol):
 
 
 class OracleCostModel:
-    """Exact measurement: clone Σ and actually evaluate every candidate.
+    """Exact measurement: clone Σ and actually evaluate a candidate.
 
     The historical default.  Perfectly informed — the score *is* the
     virtual completion time and real traffic — but each score costs a
     full simulation, which dominates serving wall time (see ROADMAP).
+    So each candidate is first priced by :meth:`bound`
+    (:func:`~repro.core.cost.lower_bound`: what the simulation certainly
+    charges, from one walk of the expression, over the same memo and
+    transcripts), and the search simulates only candidates whose bound
+    could still beat the best plan so far.
     What it does not repeat is query evaluation: given a ``cache``,
     every simulation looks a query application (and an activated,
     installed or reassembled tree) up in ``cache.query_memo``
@@ -112,6 +125,24 @@ class OracleCostModel:
             return measure(plan, self.system, self.pick_policy)
         return measure(
             plan, self.system, self.pick_policy, cache.query_memo, cache.simulations
+        )
+
+    def bound(self, plan: Plan) -> Cost:
+        """A cost no greater in any field than :meth:`score`'s, unsimulated.
+
+        Raises the typed error the simulation would raise where the walk
+        sees it coming (an unevaluable candidate).
+        """
+        cache = self.cache
+        if cache is None:
+            return lower_bound(plan, self.system, pick_policy=self.pick_policy)
+        runs = cache.simulations
+        return lower_bound(
+            plan,
+            self.system,
+            cache.query_memo,
+            runs.transcripts if runs is not None else None,
+            self.pick_policy,
         )
 
 

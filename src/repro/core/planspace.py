@@ -1,11 +1,12 @@
 """Plan keys and the planner's three stores.
 
 The rewrite space of Section 3.3 is a graph, not a tree: the same plan
-is reachable through many rule orders.  It is also *small* — rules
-(10)–(16) under the bytes-moved measure give 14–24 candidate plans per
-query on every ``BENCHMARK.json`` workload — so the search itself keeps
-only what one search needs (a ``visited`` set, greedy's score map; see
-:mod:`repro.core.strategies`), keyed by a *canonical fingerprint* and
+is reachable through many rule orders.  It is also *small* — the 272
+searches of ``scripts/golden.py`` price 2 543 plans in all, originals
+included, and none of their 495 levels admits more than 8 — so the
+search itself keeps only what one search needs (a ``visited`` set,
+greedy's price map; see :mod:`repro.core.strategies`), keyed by a
+*canonical fingerprint* and
 dropped with the search — as are the oracle's cheapest simulations,
 each holding its clone of Σ (:attr:`PlanCache.simulations`).
 What outlives a search is three stores, all on :class:`PlanCache`:
@@ -231,10 +232,13 @@ class CacheStats:
     candidates a strategy skipped because their fingerprint was already
     processed this search; ``idle_rewrites_dropped`` counts rewrites the
     rule set proposed and the search space dropped, because they add an
-    idle delegation (:func:`~repro.core.rules.idle_delegations`).
+    idle delegation (:func:`~repro.core.rules.idle_delegations`);
+    ``candidates_pruned`` counts candidates a strategy did not score
+    because their lower bound could not beat the best so far.
     """
 
     plans_scored: int = 0
+    candidates_pruned: int = 0
     plans_expanded: int = 0
     plans_deduped: int = 0
     idle_rewrites_dropped: int = 0
@@ -281,6 +285,7 @@ class CacheStats:
     def describe(self) -> str:
         return (
             f"planner: {self.plans_scored} plans scored, "
+            f"{self.candidates_pruned} pruned by their bound, "
             f"{self.plans_expanded} expanded, {self.plans_deduped} deduped, "
             f"{self.idle_rewrites_dropped} idle rewrites dropped; "
             f"estimator memo {self.estimator_hits} hits / "

@@ -18,6 +18,18 @@ Beam and exhaustive are one level-synchronous walk (:func:`_walk_levels`)
 that differs only in how many plans of a level go on to the next — the
 ``beam`` cheapest, or all of them — and in exhaustive's plan budget.
 
+Every strategy scores the original plan first.  After that, where the
+cost model has a ``bound`` (the oracle's
+:func:`~repro.core.cost.lower_bound`), a candidate whose bound's scalar
+is at least the best cost so far — lowered by every admitted candidate
+scored before it in the same level or step — is *pruned*: it is not
+scored, since its cost is at least its bound and so cannot beat that
+best.  A pruned candidate is otherwise a candidate like any other: it
+is gated by ``admissible``, counts in ``explored`` (so exhaustive's
+budget means what it meant), and stays in its level, ranked by its
+bound, so it can still be expanded.  It is listed, with its bound, on
+:attr:`OptimizationResult.pruned`, apart from the scored ``trace``.
+
 Strategies are registered by name (:func:`register_strategy`) so callers
 can ask for ``Session(strategy="greedy")`` and third parties can plug in
 their own search without touching this module.
@@ -93,6 +105,9 @@ class OptimizationResult:
     explored: int
     #: (plan, cost, producing rule) for everything scored, best first.
     trace: List[Tuple[Plan, Cost, str]] = field(default_factory=list)
+    #: (plan, bound, producing rule) for every candidate pruned unscored,
+    #: lowest bound first.
+    pruned: List[Tuple[Plan, Cost, str]] = field(default_factory=list)
     #: Name of the strategy that produced this result.
     strategy: str = ""
     #: What this search did (plans scored, expanded, deduped, estimator
@@ -114,7 +129,7 @@ class OptimizationResult:
 
 
 class SearchSpace:
-    """The rewrite space one strategy searches: expand, score, admit.
+    """The rewrite space one strategy searches: expand, bound, score, admit.
 
     Bundles the system Σ, the rule set, the cost model and the
     (optional) equivalence verifier so every strategy sees the same
@@ -122,13 +137,16 @@ class SearchSpace:
     rewrite that adds an *idle delegation* — an ``EvalAt(p, e)``
     evaluated at ``p`` already, which costs what ``e`` costs or more —
     so no strategy, cost model or third-party rule ever pays to score
-    one (:meth:`expand`).  A space remembers nothing
-    about plans: every :meth:`score` invokes the cost model and every
-    :meth:`expand` runs the rules.  What one search must not do twice it
-    keeps itself, for exactly as long as it runs — beam and exhaustive a
-    ``visited`` set of plan fingerprints, greedy a score map over its
-    overlapping neighbourhoods — which needs no salt (Σ does not change
-    under a running search), no invalidation and no soundness argument.
+    one (:meth:`expand`).  A candidate is priced by :meth:`price`: its
+    :meth:`bound` first, where the cost model has one, and its score
+    only if that bound could still beat the best so far.  A space
+    remembers nothing about plans: every :meth:`score` invokes the cost
+    model and every :meth:`expand` runs the rules.  What one search must
+    not do twice it keeps itself, for exactly as long as it runs — beam
+    and exhaustive a ``visited`` set of plan fingerprints, greedy a price
+    map over its overlapping neighbourhoods — which needs no salt (Σ does
+    not change under a running search), no invalidation and no soundness
+    argument.
     Whole searches are remembered in front of the space (the
     prepared-plan table of :mod:`repro.core.planspace`), Σ's statistics
     behind it (the estimator memo).
@@ -234,6 +252,34 @@ class SearchSpace:
         """Search-time cost of ``plan`` (``None`` when unevaluable)."""
         return self._scored(plan, self.cost_model.score, strict)
 
+    def bound(self, plan: Plan) -> Optional[Cost]:
+        """The cost model's lower bound on :meth:`score`, or ``None``
+        when the model has no ``bound`` (``analytic``, ``hybrid``).
+
+        Raises the typed error the model raises for a plan it already
+        sees to be unevaluable.
+        """
+        bound = getattr(self.cost_model, "bound", None)
+        return None if bound is None else bound(plan)
+
+    def price(self, plan: Plan, limit: float) -> Tuple[Optional[Cost], bool]:
+        """``(cost, pruned)`` of a candidate that must beat ``limit``.
+
+        ``limit`` is the scalar of the best cost so far.  When the
+        candidate's :meth:`bound` has a scalar at least ``limit``, the
+        candidate is not scored: the bound comes back, pruned.  A bound
+        that raises a typed error makes the candidate unevaluable, as a
+        failed score does: ``(None, False)``.
+        """
+        try:
+            low = self.bound(plan)
+        except ReproError:
+            return None, False
+        if low is not None and low.scalar() >= limit:
+            self.stats.candidates_pruned += 1
+            return low, True
+        return self.score(plan), False
+
     def score_original(self, plan: Plan) -> Cost:
         """Cost of the plan a search starts from, which must be evaluable."""
         return self.score(plan, strict=True)
@@ -281,15 +327,20 @@ def _walk_levels(
     """The level-by-level walk of the rewrite graph beam and exhaustive share.
 
     Each of at most ``depth`` levels expands every frontier plan; a
-    rewrite is scored and gated the first time this search sees its
+    rewrite is priced and gated the first time this search sees its
     fingerprint, whatever the verdict (a candidate rejected here is
     rejected again if re-proposed), and the admitted ones make up the
-    level.  With a ``width`` the level's ``width`` cheapest go on (a
-    stable sort by scalar); without one, all of them in proposal order.
-    The level's first cheapest plan becomes the best when it beats the
-    best so far.  ``budget`` caps ``explored``: it is checked before
-    each frontier plan is expanded and before each rewrite, and when it
-    trips the result is the best of everything scored so far.
+    level.  Pricing (:meth:`SearchSpace.price`) prunes a rewrite whose
+    bound is at least the level's running minimum — the best so far,
+    lowered by each admitted rewrite scored earlier in the level — and
+    a pruned rewrite joins the level at its bound.  With a ``width`` the
+    level's ``width`` lowest go on (a stable sort by scalar, scored
+    cost or bound); without one, all of them in proposal order.  The
+    level's first lowest plan becomes the best when it beats the best
+    so far.  ``budget`` caps ``explored``, pruned rewrites included: it
+    is checked before each frontier plan is expanded and before each
+    rewrite, and when it trips the result is the best of everything
+    scored so far.
     """
     original_cost = space.score_original(plan)
     # keyed on canonical fingerprints so plans reached by different
@@ -297,12 +348,14 @@ def _walk_levels(
     # count as one
     visited = {plan_fingerprint(plan)}
     trace: List[Tuple[Plan, Cost, str]] = [(plan, original_cost, "original")]
+    pruned: List[Tuple[Plan, Cost, str]] = []
     frontier: List[Tuple[Cost, Plan]] = [(original_cost, plan)]
     best_cost, best_plan = original_cost, plan
     explored = 1
 
     for _ in range(depth):
         level: List[Tuple[Cost, Plan]] = []
+        limit = best_cost.scalar()
         for _, current in frontier:
             if explored >= budget:
                 break
@@ -314,14 +367,24 @@ def _walk_levels(
                     space.note_dedup()
                     continue
                 visited.add(key)
-                cost = space.score(rewrite.plan)
+                cost, skipped = space.price(rewrite.plan, limit)
                 if cost is None or not space.admissible(plan, rewrite.plan):
                     continue
                 explored += 1
                 level.append((cost, rewrite.plan))
+                if skipped:
+                    pruned.append((rewrite.plan, cost, rewrite.rule))
+                    continue
                 trace.append((rewrite.plan, cost, rewrite.rule))
+                scalar = cost.scalar()
+                if scalar < limit:
+                    limit = scalar
         if not level:
             break
+        # A pruned entry never becomes the best: its bound is at least
+        # the minimum when it was pruned — the best so far, or a scored
+        # entry ahead of it in the level, which a stable order keeps
+        # ahead on a tie.
         if width is None:
             top = min(level, key=_entry_scalar)
         else:
@@ -332,15 +395,26 @@ def _walk_levels(
             best_cost, best_plan = top
         frontier = level
 
-    trace.sort(key=lambda entry: entry[1].scalar())
+    return _result(name, best_plan, best_cost, original_cost, explored, trace, pruned)
+
+
+def _result(name, best, best_cost, original_cost, explored, trace, pruned):
+    """A strategy's result, its trace and pruned candidates lowest first."""
+    trace.sort(key=_listed_scalar)
+    pruned.sort(key=_listed_scalar)
     return OptimizationResult(
-        best=best_plan,
+        best=best,
         best_cost=best_cost,
         original_cost=original_cost,
         explored=explored,
         trace=trace,
+        pruned=pruned,
         strategy=name,
     )
+
+
+def _listed_scalar(entry: Tuple[Plan, Cost, str]) -> float:
+    return entry[1].scalar()
 
 
 class BeamSearchStrategy:
@@ -372,40 +446,47 @@ class GreedyStrategy:
         original_cost = space.score_original(plan)
         current, current_cost = plan, original_cost
         trace: List[Tuple[Plan, Cost, str]] = [(plan, original_cost, "original")]
+        pruned: List[Tuple[Plan, Cost, str]] = []
         explored = 1
         # hill climbing deliberately re-visits its whole neighborhood each
-        # step (a revisit is explored and traced again), and consecutive
+        # step (a revisit is explored and listed again), and consecutive
         # neighborhoods overlap: the map keeps a revisit from being
-        # re-scored
-        scores: Dict[str, Optional[Cost]] = {plan_fingerprint(plan): original_cost}
+        # re-priced.  A pruned revisit stays pruned: its bound is at
+        # least the minimum it was pruned at, which is at least the cost
+        # the step it was pruned in moved to, and every later step's
+        # minimum is at most that cost.
+        prices: Dict[str, Tuple[Optional[Cost], bool]] = {
+            plan_fingerprint(plan): (original_cost, False)
+        }
         for _ in range(self.max_steps):
             best_step: Optional[Tuple[Cost, Plan, str]] = None
+            limit = current_cost.scalar()
             for rewrite in space.expand(current):
                 key = plan_fingerprint(rewrite.plan)
-                if key not in scores:
-                    scores[key] = space.score(rewrite.plan)
-                cost = scores[key]
+                if key not in prices:
+                    prices[key] = space.price(rewrite.plan, limit)
+                cost, skipped = prices[key]
                 if cost is None:
                     continue
                 if not space.admissible(plan, rewrite.plan):
                     continue
                 explored += 1
+                if skipped:
+                    pruned.append((rewrite.plan, cost, rewrite.rule))
+                    continue
                 trace.append((rewrite.plan, cost, rewrite.rule))
                 if cost < current_cost and (
                     best_step is None or cost < best_step[0]
                 ):
                     best_step = (cost, rewrite.plan, rewrite.rule)
+                scalar = cost.scalar()
+                if scalar < limit:
+                    limit = scalar
             if best_step is None:
                 break
             current_cost, current, _ = best_step
-        trace.sort(key=lambda entry: entry[1].scalar())
-        return OptimizationResult(
-            best=current,
-            best_cost=current_cost,
-            original_cost=original_cost,
-            explored=explored,
-            trace=trace,
-            strategy=self.name,
+        return _result(
+            self.name, current, current_cost, original_cost, explored, trace, pruned
         )
 
 

@@ -143,6 +143,24 @@ class PeerTraffic:
         )
 
 
+class _HopQualities(dict):
+    """A network's ``(src, dst) -> ((latency, bandwidth), ...)`` memo
+    (``Network.hop_qualities``); a missing route is read from the fabric."""
+
+    def __init__(self, network: "Network") -> None:
+        super().__init__()
+        self.network = network
+
+    def __missing__(self, key: Tuple[str, str]) -> Tuple[Tuple[float, float], ...]:
+        network = self.network
+        fabric = network._fabric
+        qualities = self[key] = tuple(
+            (fabric[hop]._latency, fabric[hop]._bandwidth)
+            for hop in network._hops(*key)
+        )
+        return qualities
+
+
 class Network:
     """The peer-to-peer transport fabric.
 
@@ -180,6 +198,8 @@ class Network:
         #: (src, dst) -> this network's own links on that route, what
         #: :meth:`deliver` walks; a clone starts with none, add_link drops it.
         self._paths: Dict[Tuple[str, str], Tuple[Link, ...]] = {}
+        #: :attr:`hop_qualities`, made on first use; add_link drops it.
+        self._qualities: Optional[_HopQualities] = None
         self.stats = NetworkStats()
         self.log: List[Tuple[float, Message]] = []
         self.keep_log = False
@@ -238,6 +258,7 @@ class Network:
         self._adjacency = None
         self._routes = {}
         self._paths = {}
+        self._qualities = None
 
     def clone(self) -> "Network":
         """The same fabric with fresh link clocks and statistics.
@@ -257,6 +278,18 @@ class Network:
         twin._adjacency = self._topology()
         twin._routes = self._routes
         return twin
+
+    @property
+    def hop_qualities(self) -> Dict[Tuple[str, str], Tuple[Tuple[float, float], ...]]:
+        """``(src, dst) -> ((latency, bandwidth), ...)`` of each link on
+        that route, as :meth:`deliver` charges them: read from the fabric
+        on first lookup (building no link) and kept.  A lookup raises
+        what routing raises.  Made on first use, so a clone that never
+        asks holds none."""
+        qualities = self._qualities
+        if qualities is None:
+            qualities = self._qualities = _HopQualities(self)
+        return qualities
 
     @property
     def peers(self) -> List[str]:
@@ -320,6 +353,16 @@ class Network:
 
     def _path(self, src: str, dst: str) -> Tuple[Link, ...]:
         """This network's own links from ``src`` to ``dst``, memoised."""
+        links = self._links
+        path = self._paths[src, dst] = tuple(
+            links[hop] if hop in links else self._build(hop)
+            for hop in self._hops(src, dst)
+        )
+        return path
+
+    def _hops(self, src: str, dst: str) -> _Hops:
+        """The (src, dst) pairs of the cheapest route, memoised; raises
+        for an unknown peer or a missing route."""
         if src not in self._peers:
             raise UnknownPeerError(f"unknown peer {src!r}")
         if dst not in self._peers:
@@ -331,11 +374,7 @@ class Network:
             hops = self._routes[key] = self._cheapest_hops(src, dst)
         if hops is None:
             raise NoRouteError(f"no route from {src!r} to {dst!r}")
-        links = self._links
-        path = self._paths[key] = tuple(
-            links[hop] if hop in links else self._build(hop) for hop in hops
-        )
-        return path
+        return hops
 
     def _cheapest_hops(self, src: str, dst: str) -> Optional[_Hops]:
         """Dijkstra from ``src``; the (src, dst) pairs of the path, or None."""

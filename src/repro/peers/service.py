@@ -17,7 +17,9 @@ Two implementations:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple, TypeVar
+from typing import (
+    Callable, Container, Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple, TypeVar,
+)
 
 from ..errors import ServiceCallError, UnknownDocumentError
 from ..xmlcore.model import Element, Text
@@ -153,10 +155,48 @@ class QueryMemo:
         answers as long as this returns the same tuple."""
         return self._lookup(query, args, peer)[2]
 
-    def _lookup(self, query: Query, args: List[list], peer: "Peer") -> tuple:
+    def foresee(
+        self,
+        query: Query,
+        args: List[list],
+        peer: "Peer",
+        changed: Optional[Container[str]] = None,
+        evaluate: bool = False,
+    ) -> Optional[tuple]:
+        """:meth:`recall` for a caller who knows ``peer``'s documents
+        except those named in ``changed``: None, too, when an entry
+        that would be tried reads one of them, since whether it answers
+        is then unknown.  With ``evaluate`` and nothing ``changed``, a
+        miss is evaluated and stored, and counted, as :meth:`run` does.
+        """
+        key, roots, results = self._lookup(query, args, peer, changed)
+        if results is None and evaluate and changed is None and key is not None:
+            self.stats.query_memo_misses += 1
+            results = self._evaluate(key, roots, query, args, peer)
+        return results
+
+    def peek(self, kind: str, inputs: tuple):
+        """What :meth:`built` keeps for these inputs, or None; nothing
+        is built or counted."""
+        trees: List[Element] = []
+        key = (kind, _identities(inputs, trees))
+        for tree in trees:
+            if not tree.frozen:
+                return None
+        entry = self._trees.get(key)
+        return None if entry is None else entry[1]
+
+    def _lookup(
+        self,
+        query: Query,
+        args: List[list],
+        peer: "Peer",
+        changed: Optional[Container[str]] = None,
+    ) -> tuple:
         """``(key, argument roots, results)``: ``results`` is what the
-        entry answering on ``peer`` holds, or None; ``key`` is None when
-        an argument cannot be keyed."""
+        entry answering on ``peer`` holds, or None (also when an entry
+        tried first reads a document named in ``changed``); ``key`` is
+        None when an argument cannot be keyed."""
         tokens: List = []
         roots: List[Element] = []
         for arg in args:
@@ -177,6 +217,10 @@ class QueryMemo:
         # the entry holds the module, so its id cannot be handed out again
         key = (id(query.module), query.params, tuple(tokens))
         for _, reads, results in self._entries.get(key, ()):
+            if changed is not None:
+                for read in reads:
+                    if read[0] in changed:
+                        return key, roots, None
             if _reads_same(peer, reads, roots):
                 return key, roots, results
         return key, roots, None
@@ -191,6 +235,13 @@ class QueryMemo:
             self.stats.query_memo_hits += 1
             return list(results)
         self.stats.query_memo_misses += 1
+        return list(self._evaluate(key, roots, query, args, peer))
+
+    def _evaluate(
+        self, key: tuple, roots: List[Element], query: Query, args: List[list],
+        peer: "Peer",
+    ) -> tuple:
+        """Run ``query`` and store its results under ``key``."""
         reads: List[tuple] = []
 
         def resolver(name: str) -> Element:
@@ -204,7 +255,7 @@ class QueryMemo:
         self._entries.setdefault(key, []).append(
             (query.module, tuple(reads), results)
         )
-        return list(results)
+        return results
 
 
 def _identities(value, trees: List[Element]):

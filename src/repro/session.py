@@ -151,6 +151,9 @@ class ExecutionReport:
     #: (plan, cost, producing rule) search trace, best first (empty unless
     #: the session was created with ``trace=True``).
     trace: List[Tuple[Plan, Cost, str]] = field(default_factory=list)
+    #: (plan, lower bound, producing rule) for every candidate the search
+    #: pruned unscored, lowest bound first (empty unless ``trace=True``).
+    pruned: List[Tuple[Plan, Cost, str]] = field(default_factory=list)
     #: Machine-checked equivalence of original vs chosen plan (``verify=True``).
     verification: Optional[VerificationResult] = None
     #: Rule-(11) split of the query, when it is decomposable.
@@ -249,6 +252,10 @@ class ExecutionReport:
             lines.append("trace:")
             for plan, cost, rule in self.trace:
                 lines.append(f"  {rule:32s} {cost.describe():>34s}")
+            if self.pruned:
+                lines.append("pruned (not simulated; cost at least):")
+                for plan, bound, rule in self.pruned:
+                    lines.append(f"  {rule:32s} {'≥ ' + bound.describe():>34s}")
         return "\n".join(lines)
 
 
@@ -690,11 +697,12 @@ class Session:
                 self.strategy if optimize else None, plan
             )
         if table is not None and prepared is None:
-            # without the trace (it pins every plan scored), the counters
-            # (they are this job's) and the simulation (it is this job's
-            # execution, and pins a clone of Σ)
+            # without the trace and the pruned list (they pin every plan
+            # priced), the counters (they are this job's) and the
+            # simulation (it is this job's execution, and pins a clone of Σ)
             table.store_prepared(
-                key, (plan, replace(result, trace=[], cache=None, simulation=None))
+                key,
+                (plan, replace(result, trace=[], pruned=[], cache=None, simulation=None)),
             )
         verification: Optional[VerificationResult] = None
         if self.verify:
@@ -712,6 +720,7 @@ class Session:
             source=source,
             name=name,
             trace=list(result.trace) if self.trace else [],
+            pruned=list(result.pruned) if self.trace else [],
             verification=verification,
             decomposition=decomposition,
             plan_cache=stats.delta_since(before),

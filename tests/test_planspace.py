@@ -236,31 +236,46 @@ class TestOneSearchRemembers:
     """What the deleted cost table did for a single search, the search
     now does for itself."""
 
-    def test_greedy_never_rescores_an_overlapping_neighbourhood(self, monkeypatch):
-        # the bench's serve scenario; 39 simulations for 44 explored
-        # plans: every revisit of an overlapping neighbourhood is re-used,
-        # not re-simulated.  (It was 40 for 45 while the search space
-        # still held one idle delegation, an EvalAt at its own site.)
+    def test_greedy_never_rescores_an_overlapping_neighbourhood(
+        self, monkeypatch, no_bound
+    ):
+        # the bench's serve scenario; with nothing pruned, 39 simulations
+        # for 44 explored plans: every revisit of an overlapping
+        # neighbourhood is re-used, not re-simulated.  (It was 40 for 45
+        # while the search space still held one idle delegation, an
+        # EvalAt at its own site.)  Pruned by the bound, fewer plans are
+        # simulated and as many explored.
         spec = ScenarioSpec(
             peers=6, topology="mesh", documents=4, axml_documents=1,
             items=20, services=2, replicas=2, queries=6,
         )
         scenario = ScenarioGenerator(seed=7, spec=spec).scenario(0)
-        calls = count_measures(monkeypatch)
-        explored = 0
-        for query in scenario.queries:
-            session = Session(scenario.system, strategy="greedy", plan_cache=None)
-            report = session.explain(
-                query.source, at=query.at, bind=query.bindings, name=query.name
-            )
-            assert report.plan_cache.plans_scored <= report.explored
-            explored += report.explored
-        assert (len(calls), explored) == (39, 44)
+
+        def search():
+            calls = count_measures(monkeypatch)
+            explored = 0
+            for query in scenario.queries:
+                session = Session(scenario.system, strategy="greedy", plan_cache=None)
+                report = session.explain(
+                    query.source, at=query.at, bind=query.bindings, name=query.name
+                )
+                assert report.plan_cache.plans_scored <= report.explored
+                explored += report.explored
+            return len(calls), explored
+
+        with no_bound():
+            assert search() == (39, 44)
+        simulated, explored = search()
+        assert simulated < 39 and explored == 44
 
     @pytest.mark.parametrize("strategy", [BeamSearchStrategy, ExhaustiveStrategy])
-    def test_a_rejected_candidate_is_simulated_once(self, system, monkeypatch, strategy):
+    def test_a_rejected_candidate_is_simulated_once(
+        self, system, monkeypatch, strategy, no_bound
+    ):
         """A candidate proposed again from a second frontier plan is not
-        simulated again, even when the first verdict was "unevaluable"."""
+        simulated again, even when the first verdict was "unevaluable".
+        (With its bound, the missing document is seen and it is never
+        simulated: the count is of the unpruned search.)"""
         start = naive_plan()
         frontier = [Plan(EvalAt(peer, start.expr), "client") for peer in ("data", "helper")]
         unevaluable = Plan(DocExpr("missing", "data"), "client")
@@ -277,7 +292,8 @@ class TestOneSearchRemembers:
 
         space = SearchSpace(system, rules=[Stub()])
         calls = count_measures(monkeypatch)
-        result = strategy().search(start, space)
+        with no_bound():
+            result = strategy().search(start, space)
         assert calls.count(unevaluable) == 1
         assert len(calls) == 4  # the start, two frontier plans, the rejected one
         assert result.explored == 3
@@ -433,12 +449,17 @@ class TestSessionIntegration:
                 plan_cache=cache, trace=True,
             )
             report = session.explain(naive_plan())
-            proposed[len(rules)] = {rule for _, _, rule in report.trace}
+            # scored or pruned by its bound: priced either way
+            proposed[len(rules)] = {
+                rule for _, _, rule in report.trace + report.pruned
+            }
             alone = Session(
                 system, strategy="exhaustive", rules=rules,
                 plan_cache=None, trace=True,
             ).explain(naive_plan())
-            assert proposed[len(rules)] == {rule for _, _, rule in alone.trace}
+            assert proposed[len(rules)] == {
+                rule for _, _, rule in alone.trace + alone.pruned
+            }
             assert report.best_cost == alone.best_cost
         assert PushSelection.name in proposed[len(DEFAULT_RULES)]
         assert PushSelection.name not in proposed[len(reduced)]

@@ -112,10 +112,11 @@ def assert_memo_changes_no_cost(scenario):
 
 
 @pytest.mark.parametrize("family", sorted(SPECS))
-def test_memoised_scoring_equals_unmemoised_measure(family):
+def test_memoised_scoring_equals_unmemoised_measure(family, no_bound):
     hits = trees = 0
     for scenario in ScenarioGenerator(seed=7, spec=SPECS[family]).scenarios(5):
-        query_hits, tree_hits = assert_memo_changes_no_cost(scenario)
+        with no_bound():  # every candidate scored, on both sides
+            query_hits, tree_hits = assert_memo_changes_no_cost(scenario)
         hits, trees = hits + query_hits, trees + tree_hits
     assert hits > 0, "the sweep never exercised a memo hit"
     assert trees > 0, "the sweep never handed out a built tree"
@@ -123,9 +124,10 @@ def test_memoised_scoring_equals_unmemoised_measure(family):
 
 @pytest.mark.generated
 @pytest.mark.parametrize("family", sorted(SPECS))
-def test_memoised_scoring_equals_unmemoised_measure_generated(family):
+def test_memoised_scoring_equals_unmemoised_measure_generated(family, no_bound):
     for scenario in ScenarioGenerator(seed=11, spec=SPECS[family]).scenarios(50):
-        assert_memo_changes_no_cost(scenario)
+        with no_bound():
+            assert_memo_changes_no_cost(scenario)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ walk must pick the same plan at the same costs, explore the same count,
 trace the same plans in the same order with the same rules, and do the
 same planner work (every ``CacheStats`` counter).  Exhaustive runs at
 budgets that trip mid-level, and the test checks that they did trip.
+The loops scored every candidate, so the walk is compared with its
+pruning off (the ``no_bound`` fixture); ``tests/test_bound.py`` compares
+it with pruning on.
 """
 
 from typing import List, Tuple
@@ -206,6 +209,9 @@ class ScriptedSpace:
 
     score_original = score
 
+    def price(self, plan, limit):
+        return self.score(plan), False  # no bound: every candidate is scored
+
     def expand(self, plan):
         return [Rewrite(self.plan(name), f"to-{name}") for name in self.graph.get(plan.expr.name, ())]
 
@@ -227,13 +233,14 @@ def test_a_tie_goes_to_the_first_proposed():
         assert walked.best.expr.name == reference.search(space.plan("o"), space).best.expr.name == "a"
 
 
-def test_the_walk_searches_as_the_two_loops_did():
+def test_the_walk_searches_as_the_two_loops_did(no_bound):
     searches = 0
     tripped = {budget: 0 for budget in (5, 13)}
     for family in FAMILIES:
         for system, plan in searched_plans(family):
             for label, strategy, reference in PAIRS:
-                walked = outcome(system, plan, strategy)
+                with no_bound():
+                    walked = outcome(system, plan, strategy)
                 assert walked == outcome(system, plan, reference), (family, label)
                 searches += 1
                 budget = getattr(strategy, "max_plans", None)

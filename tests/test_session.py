@@ -148,7 +148,7 @@ class TestSessionQuery:
         report = connect(system, trace=True).query(
             QUICKSTART_QUERY, at="laptop", bind={"d": "catalog@server"}
         )
-        assert len(report.trace) == report.explored
+        assert len(report.trace) + len(report.pruned) == report.explored
         rules = {rule for _, _, rule in report.trace}
         assert "original" in rules
 
