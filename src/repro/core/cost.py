@@ -570,6 +570,11 @@ class _Bound:
 
     def _visit_query_ref(self, expr: QueryRef, at: str, clock: float) -> tuple:
         if at != expr.home:
+            peer = self.peers.get(expr.home)  # an unknown one fails in send
+            if peer is not None and not peer.alive:
+                raise PeerDownError(
+                    f"query {expr.describe()!r} is homed on dead peer {expr.home!r}"
+                )
             clock = self.send(
                 expr.home, at, expr.query.source_bytes + _ENVELOPE, clock
             )

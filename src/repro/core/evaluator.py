@@ -719,6 +719,10 @@ class ExpressionEvaluator:
     ) -> EvalOutcome:
         if at == expr.home:
             return EvalOutcome(query=expr.query, completed_at=ready_at)
+        if not self.system.peer(expr.home).alive:
+            raise PeerDownError(
+                f"query {expr.describe()!r} is homed on dead peer {expr.home!r}"
+            )
         message = Message(
             expr.home, at, MessageKind.QUERY, expr.query.source_bytes
         )

@@ -42,8 +42,8 @@ from repro.core.expressions import (
 from repro.core.planspace import CacheStats, PlanCache, plan_fingerprint
 from repro.core.rules import Plan, Rewrite, RewriteRule
 from repro.engine import ClosedLoopFeed, JobRequest
-from repro.errors import ReproError
-from repro.faults import PEER_CRASH, PEER_REJOIN, FaultEvent, FaultPlan
+from repro.errors import PeerDownError, ReproError
+from repro.faults import PEER_CRASH, PEER_REJOIN, ChurnController, FaultEvent, FaultPlan
 from repro.peers import AXMLSystem
 from repro.peers.service import QueryMemo
 from repro.workloads import (
@@ -323,6 +323,25 @@ def test_bounding_leaves_the_system_as_it_was():
         assert system.snapshot() == before
         assert system.doc_epochs == epochs
         assert len(list(system.network.built_links())) == links
+
+
+# -- a dead peer -------------------------------------------------------------------
+
+
+def test_a_query_homed_on_a_dead_peer_raises_in_both():
+    """``q@qhome`` ships its text from ``qhome``: once that peer is dead,
+    the simulation and the bound both refuse the plan, as they do for a
+    document homed on a dead peer."""
+    system = AXMLSystem.with_peers(["client", "qhome", "data"])
+    system.peer("data").install_document("cat", parse("<c><i>1</i></c>"))
+    query = Query("for $i in $d//i return $i", params=("d",), name="q")
+    plan = Plan(QueryApply(QueryRef(query, "qhome"), (DocExpr("cat", "data"),)), "client")
+    assert admissible(lower_bound(plan, system), measure(plan, system))
+    ChurnController(system).kill("qhome")
+    with pytest.raises(PeerDownError, match="'q@qhome' is homed on dead peer 'qhome'"):
+        measure(plan, system)
+    with pytest.raises(PeerDownError, match="'q@qhome' is homed on dead peer 'qhome'"):
+        lower_bound(plan, system)
 
 
 # -- generated plans ---------------------------------------------------------------

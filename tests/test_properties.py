@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) over the library's core invariants.
 
-DESIGN.md §6 lists the invariants; each gets a strategy-driven test here:
+Each of these invariants gets a strategy-driven test here:
 parse∘serialize identity, canonical-form order independence, rewrite-rule
 state equivalence over random system states, byte-accurate send
 accounting, XQuery path result ordering, decomposition correctness, and

@@ -172,15 +172,6 @@ class TestLexerMechanics:
         with pytest.raises(XQuerySyntaxError):
             tokens_of("#")
 
-    def test_is_name_and_is_symbol_helpers(self):
-        lexer = Lexer("for +")
-        token = lexer.next()
-        assert token.is_name("for", "let")
-        assert not token.is_symbol("+")
-        plus = lexer.next()
-        assert plus.is_symbol("+", "-")
-        assert not plus.is_name("for")
-
 
 class SearchCounted(str):
     """A source that adds up the characters its ``count`` / ``find`` /

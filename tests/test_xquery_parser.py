@@ -378,10 +378,11 @@ class TestNesting:
         with pytest.raises(XQuerySyntaxError, match="deeper than the limit"):
             parse_query("<a>" * MAX_NESTING + "</a>" * MAX_NESTING)
 
-    def test_the_limit_holds_deep_inside_a_plan_search(self, monkeypatch):
-        """Rule (11) decomposes inside the search; a parse there, with 400
-        more frames on the stack, still parses at the limit and still
-        reports a typed error past it."""
+    @staticmethod
+    def _parses_inside_a_plan_search(monkeypatch, frames):
+        """What a parse at the limit and one past it give, run ``frames``
+        more frames down the stack each time rule (11) decomposes inside
+        an exhaustive search."""
         import repro
         import repro.core.rules as rules
         from repro.workloads import ScenarioGenerator, ScenarioSpec
@@ -399,7 +400,7 @@ class TestNesting:
             return None
 
         def push_selection(query, *args):
-            outcomes.append(descend(400))
+            outcomes.append(descend(frames))
             return split(query, *args)
 
         split = rules.push_selection
@@ -407,6 +408,20 @@ class TestNesting:
         scenario = ScenarioGenerator(7, ScenarioSpec()).scenario(0)
         query = next(q for q in scenario.queries if q.shape == "filter")
         repro.connect(scenario.system, strategy="exhaustive").query(**query.kwargs())
+        return outcomes
+
+    def test_the_limit_holds_deep_inside_a_plan_search(self, monkeypatch):
+        """Rule (11) decomposes inside the search; a parse there, with 400
+        more frames on the stack, still parses at the limit and still
+        reports a typed error past it."""
+        outcomes = self._parses_inside_a_plan_search(monkeypatch, 400)
+        assert outcomes and all(isinstance(error, XQuerySyntaxError) for error in outcomes)
+
+    def test_the_limit_holds_600_frames_deep_inside_a_plan_search(self, monkeypatch):
+        """A parse at the limit takes about 200 frames (it took over 500
+        when the parser had a function per precedence level), so it fits
+        600 frames down as well."""
+        outcomes = self._parses_inside_a_plan_search(monkeypatch, 600)
         assert outcomes and all(isinstance(error, XQuerySyntaxError) for error in outcomes)
 
 
