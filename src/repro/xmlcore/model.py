@@ -520,9 +520,12 @@ class Element(Node):
 
         Each element's digest is one ``blake2b`` over ``e\\0`` + tag, then
         ``\\0a`` + name + ``\\0`` + value per attribute in name order, then
-        ``\\0c`` + digest per child (a text's digest hashes ``t\\0`` +
-        value).  Like :meth:`serialized_size`, one walk fills every
-        element of the subtree that has no digest yet.
+        per child ``\\0c`` + the child's digest, or ``\\0t`` + value for a
+        text without NUL: NUL is the only delimiter, so the preimage stays
+        injective, and a text child costs no hash of its own (a text
+        holding NUL adds ``\\0c`` + its :meth:`Text.content_fingerprint`,
+        a hash of ``t\\0`` + value).  Like :meth:`serialized_size`, one
+        walk fills every element of the subtree that has no digest yet.
         """
         fingerprint = self._fp_cache
         if fingerprint is not None:
@@ -539,12 +542,14 @@ class Element(Node):
                 for name in sorted(attrs):
                     data += "\x00a" + name + "\x00" + attrs[name]
             for child in node.children:
-                if type(child) is Text:
+                if type(child) is not Text:
+                    data += "\x00c" + child._fp_cache
+                elif "\x00" in child.value:
                     data += "\x00c" + blake2b(
                         ("t\x00" + child.value).encode("utf-8"), digest_size=_FP_BYTES
                     ).hexdigest()
                 else:
-                    data += "\x00c" + child._fp_cache
+                    data += "\x00t" + child.value
             fingerprint = blake2b(
                 data.encode("utf-8"), digest_size=_FP_BYTES
             ).hexdigest()
