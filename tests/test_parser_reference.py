@@ -16,8 +16,10 @@ same message at the same line and column:
 
 Then over seeded one-character mutants of that corpus: a character
 deleted, inserted, replaced or doubled, the inserted ones drawn from the
-characters the lexer treats specially.  Tier-1 runs one mutant per source;
-``-m generated`` runs 60 per source.
+characters the lexer treats specially; and over seeded string-literal
+mutants, which insert quotes, doubled quotes and references (good, bad
+and unterminated) inside a literal.  Tier-1 runs one mutant of each kind
+per source; ``-m generated`` runs 60 per source.
 """
 
 from __future__ import annotations
@@ -51,6 +53,14 @@ LONGEST_LITERAL = 2_000
 MUTANT_CHARS = "()[]{}<>/=!:;,.$@&#*+-|?\"' \n\tax1e_"
 TIER1_MUTANTS_PER_SOURCE = 1
 GENERATED_MUTANTS_PER_SOURCE = 60
+#: What a string-literal mutant inserts inside a literal: lone and doubled
+#: quotes of both kinds, references good, bad and unterminated, a lone
+#: ``&``, and character references outside XML's Char.
+STRING_EDITS = (
+    '"', "'", '""', "''", '"""', "&amp;", "&lt;&gt;", "&quot;&apos;", "&#65;",
+    "&#x42;", "&#0;", "&#xD800;", "&bogus;", "&amp", "&", "&;", "&#;", "&#x;",
+    "&amp;&#10;\"\"''", "a&amp;b",
+)
 
 
 def _nested(levels: int) -> str:
@@ -74,6 +84,9 @@ EDGE_CASES = (
     "declare variable $x 'unterminated", "declare function f($a) { $a }; f('",
     "for $x in 1 return", "if (1) then 2", "child::", "@", "a/@'",
     "some $x in (1, 2) satisfies $x = 1 = 2",
+    '"a""b"', "'it''s'", "''''", '""""', '"&amp;&#65;&#x42;&lt;"', "'\"&apos;\"'",
+    '"a&amp;b""c&#x41;"', '"unterminated &amp;', '"a""', '"&bogus;"', '"&"',
+    '"&#0;"', "concat('a''', \"b\"\"\", 'c&amp;')",
 )
 
 
@@ -145,6 +158,21 @@ def mutants(source: str, count: int):
             yield source[:at] + source[at] + source[at:]
 
 
+def string_mutants(source: str, count: int):
+    """``count`` seeded edits inside string literals of ``source``: one
+    of ``STRING_EDITS`` inserted between a quote and the next quote like
+    it.  None for a source without quotes."""
+    quotes = [at for at, char in enumerate(source) if char in "\"'"]
+    if not quotes:
+        return
+    rng = random.Random("string " + source)
+    for _ in range(count):
+        opening = rng.choice(quotes)
+        closing = source.find(source[opening], opening + 1)
+        at = rng.randint(opening + 1, len(source) if closing < 0 else closing)
+        yield source[:at] + rng.choice(STRING_EDITS) + source[at:]
+
+
 # -- the comparison ----------------------------------------------------------------
 
 
@@ -201,10 +229,29 @@ def test_seeded_mutants_parse_as_before():
     assert not found, _report(found)
 
 
+def test_seeded_string_mutants_parse_as_before():
+    sample = [
+        m for source in corpus() for m in string_mutants(source, TIER1_MUTANTS_PER_SOURCE)
+    ]
+    assert len(sample) > 500  # one per source holding a quote
+    found = disagreements(sample)
+    assert not found, _report(found)
+
+
 @pytest.mark.generated
 def test_many_seeded_mutants_parse_as_before():
     sources = corpus(scenarios=8)
     sample = (m for source in sources for m in mutants(source, GENERATED_MUTANTS_PER_SOURCE))
+    found = disagreements(sample)
+    assert not found, _report(found)
+
+
+@pytest.mark.generated
+def test_many_seeded_string_mutants_parse_as_before():
+    sources = corpus(scenarios=8)
+    sample = (
+        m for source in sources for m in string_mutants(source, GENERATED_MUTANTS_PER_SOURCE)
+    )
     found = disagreements(sample)
     assert not found, _report(found)
 
