@@ -16,9 +16,10 @@ Node identifiers (:class:`NodeId`) are ``n@p`` pairs: a serial number plus
 the identifier of the hosting peer, so forward lists (``forw`` children of
 ``sc`` nodes) can address "add the response under node n on peer p".
 
-The tree kernels — :meth:`Element.serialized_size`,
-:meth:`Element.content_fingerprint`, :func:`tree_size`,
-:meth:`Element.copy`, :meth:`Element.string_value`,
+The tree kernels — :meth:`Element.serialized_size` (whose walk also
+sets what :meth:`Element.has_service_calls` and :func:`tree_size` read),
+:meth:`Element.content_fingerprint`, :meth:`Element.copy`,
+:meth:`Element.string_value`,
 :meth:`NodeIdAllocator.assign` (and the writers in
 :mod:`repro.xmlcore.serializer`) — each walk a tree in one loop, with no
 Python call per node: a text child is read inline, and a tree built in
@@ -392,24 +393,16 @@ class Element(Node):
     def has_service_calls(self) -> bool:
         """True when an ``sc`` node lives anywhere in this subtree.
 
-        Cached with the size and the fingerprint (same invalidation), so
-        asking again of an unchanged document costs nothing: a document
-        without calls is plain data, and activating it is the identity.
+        Set by the :meth:`serialized_size` walk beside the size and the
+        node count (same invalidation), so asking again of an unchanged
+        document costs nothing: a document without calls is plain data,
+        and activating it is the identity.
         """
-        if self._sc_cache is None:
-            # one loop over the elements, no generator per node
-            found = False
-            stack = [self]
-            while stack:
-                node = stack.pop()
-                if node.tag == SC_LABEL:
-                    found = True
-                    break
-                for child in node.children:
-                    if type(child) is Element:
-                        stack.append(child)
-            self._sc_cache = found
-        return self._sc_cache
+        found = self._sc_cache
+        if found is None:
+            self.serialized_size()
+            found = self._sc_cache
+        return found
 
     # -- lifecycle ---------------------------------------------------------
     def copy(self) -> "Element":
@@ -467,7 +460,10 @@ class Element(Node):
         up the ancestor chain.  One walk sizes every element of the
         subtree that has no size yet, children before parents, and stops
         at cached ones: sizing a stable document again is O(1), and
-        sizing one after an edit re-walks only the edited path.
+        sizing one after an edit re-walks only the edited path.  The same
+        walk sets each element's :meth:`has_service_calls` flag and
+        :func:`tree_size` count, so the three caches are always set
+        together (and dropped together, by ``_invalidate_content``).
         """
         size = self._size_cache
         if size is not None:
@@ -493,11 +489,14 @@ class Element(Node):
                             4 * value.count("&") + 3 * value.count("<")
                             + 5 * value.count('"')
                         )
+            calls = tag == SC_LABEL
+            count = 1
             children = node.children
             if children:
                 size += tag_bytes + 2  # <tag>...</tag> instead of <tag/>
                 for child in children:
                     if type(child) is Text:
+                        count += 1
                         value = child.value
                         size += len(value) if value.isascii() else len(value.encode("utf-8"))
                         if "&" in value or "<" in value or ">" in value:
@@ -505,8 +504,12 @@ class Element(Node):
                                 value.count("<") + value.count(">")
                             )
                     else:
+                        count += child._count_cache
+                        calls = calls or child._sc_cache
                         size += child._size_cache
             node._size_cache = size
+            node._sc_cache = calls
+            node._count_cache = count
         return size
 
     def content_fingerprint(self) -> str:
@@ -617,25 +620,16 @@ def iter_elements(root: Node) -> Iterator[Element]:
 def tree_size(root: Node) -> int:
     """Total node count of the subtree (elements + text leaves).
 
-    Cached on every element beside its serialized size, and dropped with
-    it by the mutating helpers: counting a stable tree again is O(1).  As
-    for the size, one walk counts every element that has no count yet.
+    Set on every element by the :meth:`Element.serialized_size` walk, and
+    dropped with the size by the mutating helpers: counting a stable tree
+    again is O(1), and counting a fresh one sizes it too.
     """
     if type(root) is Text:
         return 1
     count = root._count_cache
-    if count is not None:
-        return count
-    order = [root]
-    for node in order:
-        for child in node.children:
-            if type(child) is not Text and child._count_cache is None:
-                order.append(child)
-    for node in reversed(order):
-        count = 1
-        for child in node.children:
-            count += 1 if type(child) is Text else child._count_cache
-        node._count_cache = count
+    if count is None:
+        root.serialized_size()
+        count = root._count_cache
     return count
 
 

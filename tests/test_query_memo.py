@@ -8,6 +8,7 @@ stored, results are handed out frozen — and a count-based regression
 gate on the ``serve_repeat`` stream (query evaluations, not seconds).
 """
 
+import contextlib
 from dataclasses import replace
 
 import pytest
@@ -296,6 +297,90 @@ class TestHandOuts:
         text, attribute = system.peer("a").evaluate(both, [[tree]], memo=memo)[0]
         assert (text.value, text.parent) == ("seven", None)
         assert (attribute.value, attribute.owner) == ("7", None)
+
+
+def count_copies(monkeypatch):
+    """Every whole-tree copy from here on appends its original to the list."""
+    copied = []
+    original = Element._copy
+
+    def counting(self, warm, ids=True):
+        copied.append(self)
+        return original(self, warm, ids)
+
+    monkeypatch.setattr(Element, "_copy", counting)
+    return copied
+
+
+class TestSharing:
+    """A tree the run built is frozen in place and shared; whatever the
+    run was handed, or selected from inside a tree, is still a copy."""
+
+    def test_a_constructed_result_is_frozen_in_place_and_the_hit_is_it(
+        self, system, memo, monkeypatch
+    ):
+        peer = system.peer("a")
+        built = Query("<n>{count($d//item)}</n>", params=("d",))
+        copied = count_copies(monkeypatch)
+        (first,), _ = peer.evaluate(built, [[catalog()]], memo=memo)
+        assert first.frozen and first.parent is None
+        assert first.string_value() == "8" and copied == []
+        (again,), _ = peer.evaluate(built, [[catalog()]], memo=memo)
+        assert again is first and traffic(memo) == (1, 1)
+        with pytest.raises(FrozenTreeError):
+            again.append(parse("<x/>"))
+
+    @pytest.mark.parametrize("source, handed", [
+        ("$d", lambda peer, tree: tree),
+        ("doc('cat')", lambda peer, tree: peer.documents["cat"]),
+        ("$d/item[1]", lambda peer, tree: tree.element_children[0]),
+        ("doc('cat')/item[2]", lambda peer, tree: peer.documents["cat"].element_children[1]),
+        ("<a><b>{$d/item[1]/name/text()}</b></a>/b", None),
+    ])
+    def test_an_argument_a_read_or_a_node_inside_a_tree_is_a_copy(
+        self, system, memo, monkeypatch, source, handed
+    ):
+        peer = system.peer("a")
+        tree = catalog()
+        query = Query(source, params=("d",))
+        copied = count_copies(monkeypatch)
+        (expected,) = query.bind_resolver(peer.doc_resolver).run([tree])
+        built = len(copied)  # a nested constructor copies its content
+        (item,), _ = peer.evaluate(query, [[tree]], memo=memo)
+        assert len(copied) == 2 * built + 1 and item is not expected
+        assert item.frozen and item.parent is None
+        assert item.content_fingerprint() == expected.content_fingerprint()
+        if handed is not None:
+            assert copied[-1] is handed(peer, tree) and not copied[-1].frozen
+        assert not tree.frozen and not peer.documents["cat"].frozen
+
+    @pytest.mark.parametrize("source", [
+        "let $x := <a/> return ($x, $x)", "($d, $d/item[1], $d)",
+    ])
+    def test_a_tree_returned_twice_is_kept_once(self, system, memo, source):
+        peer = system.peer("a")
+        query = Query(source, params=("d",))
+        first, *_, last = query.run([catalog()])
+        assert first is last  # unmemoised: one tree, twice
+        for _ in range(2):
+            first, *_, last = peer.evaluate(query, [[catalog()]], memo=memo)[0]
+            assert first is last and first.frozen
+        assert traffic(memo) == (1, 1)
+
+    def test_an_outer_is_test_answers_as_unmemoised(self, bare_oracle):
+        system = AXMLSystem.with_peers(["a", "b"])
+        twice = Query("let $x := <a/> return ($x, $x)", name="twice")
+        outer = "($r[1] is $r[2], count($r | $r), $r[2] is $r[2]/.)"
+        for home in ("a", "b"):
+            bind = {"r": QueryApply(QueryRef(twice, home), ())}
+            answers = []
+            for bare in (False, True):
+                session = Session(system.clone())
+                with bare_oracle() if bare else contextlib.nullcontext():
+                    items = session.query(outer, at="a", bind=bind).items
+                answers.append([item.string_value() for item in items])
+            # binding one tree twice binds the repeat as a copy
+            assert answers[0] == answers[1] == ["false", "2", "true"]
 
 
 class TestFailures:

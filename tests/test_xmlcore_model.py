@@ -1,6 +1,10 @@
 """Unit tests for the XML data model (repro.xmlcore.model)."""
 
+import cProfile
 import hashlib
+import itertools
+import sys
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from repro.xmlcore import (
     find_by_id,
     iter_elements,
     iter_nodes,
+    parse,
     pretty,
     serialize,
     text,
@@ -596,3 +601,215 @@ class TestDepth:
             leaf = leaf.children[0]
         leaf.append(text("!"))
         assert root.serialized_size() == wire_len(root)
+
+
+# ---------------------------------------------------------------------------
+# The kernels against naive references: any first order, after any edit
+# ---------------------------------------------------------------------------
+
+def reference_digest(node):
+    """The fingerprint by its definition, recursively: ``e\\0`` + tag,
+    ``\\0a`` + name + ``\\0`` + value per attribute in name order, then per
+    child ``\\0t`` + value for a text without NUL, else ``\\0c`` + the
+    child's digest (a text's hashes ``t\\0`` + value)."""
+    if isinstance(node, Text):
+        data = "t\x00" + node.value
+    else:
+        data = "e\x00" + node.tag
+        for name in sorted(node.attrs):
+            data += "\x00a" + name + "\x00" + node.attrs[name]
+        for child in node.children:
+            if isinstance(child, Text) and "\x00" not in child.value:
+                data += "\x00t" + child.value
+            else:
+                data += "\x00c" + reference_digest(child)
+    return hashlib.blake2b(data.encode("utf-8"), digest_size=12).hexdigest()
+
+
+def reference_summary(tree):
+    """What the four kernels must return, computed without them."""
+    return {
+        "size": wire_len(tree),
+        "sc": any(node.tag == "sc" for node in iter_elements(tree)),
+        "count": sum(1 for _ in iter_nodes(tree)),
+        "digest": reference_digest(tree),
+    }
+
+
+KERNELS = {
+    "size": Element.serialized_size,
+    "sc": Element.has_service_calls,
+    "count": tree_size,
+    "digest": Element.content_fingerprint,
+}
+#: Every order the four can first be asked in.
+ORDERS = list(itertools.permutations(KERNELS))
+
+
+@lru_cache(maxsize=None)
+def generated_documents():
+    """Stored documents of generated scenarios: the first with ``sc``
+    nodes, then the first two without."""
+    from repro.workloads import WRITE_MIX_SPEC, ScenarioGenerator, ScenarioSpec
+
+    calls, plain = [], []
+    for spec in (ScenarioSpec(), WRITE_MIX_SPEC):
+        system = ScenarioGenerator(7, spec).scenario(0).system
+        for _, peer in sorted(system.peers.items()):
+            for _, document in sorted(peer.documents.items()):
+                (calls if document.has_service_calls() else plain).append(document)
+    return {"generated-sc": calls[0], "generated-0": plain[0], "generated-1": plain[1]}
+
+
+#: name -> a function building a fresh tree.
+SOURCES = {
+    **{name: (lambda name=name: golden_trees()[name]) for name in GOLDEN},
+    **{
+        name: (lambda name=name: generated_documents()[name].copy())
+        for name in ("generated-sc", "generated-0", "generated-1")
+    },
+    "nul": lambda: element(
+        "n", "a\x00b", element("sc", "\x00c" + "0" * 24), "", "tail", attrs={"k": "v"}
+    ),
+}
+
+
+def _set_node(tree):
+    """The element a mutator edits: the last in document order (the
+    deepest leaf of a chain), so every ancestor's caches must drop."""
+    *_, last = iter_elements(tree)
+    return last
+
+
+MUTATORS = {
+    "none": lambda node: None,
+    "append": lambda node: node.append(element("sc", "new & <text>")),
+    "insert": lambda node: node.insert(0, text("x\x00ty")),
+    "remove": lambda node: node.remove(node.children[-1]) if node.children else None,
+    "replace_child": lambda node: (
+        node.replace_child(node.children[0], text("\x00c"))
+        if node.children else node.append(element("r"))
+    ),
+    "set_attr": lambda node: node.set_attr("sc", 'v "&" <w>'),
+}
+
+
+def prepared(build, state, order):
+    """A tree from ``build`` in ``state``: as built, measured (all four
+    asked, in ``order``), or a warm or cold copy of a measured tree."""
+    tree = build()
+    if state == "fresh":
+        return tree
+    for name in order:
+        KERNELS[name](tree)
+    if state == "warm-copy":
+        tree.freeze()
+    return tree if state == "measured" else tree.copy()
+
+
+def assert_kernels(tree, order):
+    """The four asked in ``order`` match the references, and every
+    element holds its size, ``sc`` flag and count together or none."""
+    expected = reference_summary(tree)
+    assert {name: KERNELS[name](tree) for name in order} == expected
+    for node in iter_elements(tree):
+        caches = (node._size_cache, node._sc_cache, node._count_cache)
+        assert None not in caches or caches == (None, None, None)
+
+
+class TestSummaryKernel:
+    """One walk sets the size, the ``sc`` flag and the node count; texts
+    are hashed inline.  Each value, asked first or last, before or after
+    an edit, on the tree or a copy, is what a naive reference says."""
+
+    @pytest.mark.parametrize("state", ["fresh", "measured", "warm-copy", "cold-copy"])
+    @pytest.mark.parametrize("mutator", sorted(MUTATORS))
+    def test_every_first_order_matches_the_reference(self, state, mutator):
+        for build in SOURCES.values():
+            for order in ORDERS:
+                tree = prepared(build, state, order)
+                MUTATORS[mutator](_set_node(tree))
+                assert_kernels(tree, order)
+
+    @pytest.mark.parametrize("mutator", sorted(MUTATORS))
+    def test_a_deep_chain_in_each_first_order(self, mutator):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(2 * DEPTH + 100)  # for the recursive reference
+        try:
+            for index, order in enumerate(ORDERS[:: len(MUTATORS)]):
+                states = ("fresh", "measured", "warm-copy", "cold-copy")
+                tree = prepared(chain, states[index % len(states)], order)
+                MUTATORS[mutator](_set_node(tree))
+                assert_kernels(tree, order)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_every_element_holds_its_subtree_summary(self, name):
+        tree = SOURCES[name]()
+        tree.has_service_calls()
+        for node in iter_elements(tree):
+            fresh = node.copy()
+            assert node._size_cache == wire_len(node)
+            assert node._sc_cache == reference_summary(fresh)["sc"]
+            assert node._count_cache == reference_summary(fresh)["count"]
+
+    def test_a_split_between_adjacent_texts_changes_the_digest(self):
+        assert element("a", "ab", "c").content_fingerprint() != (
+            element("a", "a", "bc").content_fingerprint()
+        )
+        assert element("a", "x\x00ty").content_fingerprint() != (
+            element("a", "x", "y").content_fingerprint()
+        )
+
+    def test_a_text_never_digests_as_an_element_child(self):
+        child = element("b")
+        digest = child.content_fingerprint()
+        holder = element("a", element("b")).content_fingerprint()
+        assert element("a", "\x00c" + digest).content_fingerprint() != holder
+        assert element("a", digest).content_fingerprint() != holder
+        assert element("a", "b").content_fingerprint() != holder
+
+
+def counted_calls(ask, *args):
+    """cProfile's calls made by ``ask(*args)``, the profiler's own
+    ``disable`` left out."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    ask(*args)
+    profiler.disable()
+    return sum(
+        entry.callcount for entry in profiler.getstats()
+        if not (isinstance(entry.code, str) and "disable" in entry.code)
+    )
+
+
+@pytest.mark.perf
+def test_measuring_a_fresh_tree_is_one_walk():
+    """Sizing a fresh generated document, then asking its ``sc`` flag and
+    node count, walks it once: about 2.6 calls per node (an ``isascii``
+    and a ``len`` per node, an ``append`` per element), and the two later
+    asks make no call of their own.  Counted, not timed."""
+    for document in generated_documents().values():
+        fresh = parse(serialize(document))
+        nodes = sum(1 for _ in iter_nodes(fresh))
+        walk = counted_calls(fresh.serialized_size)
+        assert walk <= 3 * nodes
+        assert counted_calls(fresh.has_service_calls) == counted_calls(tree_size, fresh) == 1
+        # asked first, either one pays for the same walk
+        for first in (Element.has_service_calls, tree_size):
+            again = parse(serialize(document))
+            assert counted_calls(first, again) == walk + 1
+
+
+@pytest.mark.perf
+def test_a_fingerprint_makes_no_call_per_text_child():
+    """Counted, not timed: a hundred text children cost what one does,
+    and a generated document about three calls per element."""
+    one = counted_calls(element("a", "t0").content_fingerprint)
+    many = element("a", *(f"t{i}" for i in range(100)))
+    assert counted_calls(many.content_fingerprint) == one
+    for document in generated_documents().values():
+        fresh = parse(serialize(document))
+        elements = sum(1 for _ in iter_elements(fresh))
+        assert counted_calls(fresh.content_fingerprint) <= 3.5 * elements
