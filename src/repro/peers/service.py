@@ -74,12 +74,10 @@ class QueryMemo:
     same body over a different replica, or over a written document,
     misses, and so does ``$x is doc("d")`` once ``$x`` is an equal tree
     instead of ``d`` itself.  A run that raises stores nothing.  Results
-    are kept frozen and handed out *by reference* in a fresh list: a tree
-    the run built is frozen in place (no one else holds it), and any
-    other element — an argument, a ``doc()`` read or a node inside one —
-    is kept as a frozen copy, cut loose from the tree it was selected
-    from.  A consumer that edits one takes a ``copy()`` first or gets
-    ``FrozenTreeError``.
+    are kept frozen — a tree the run built in place, any other element
+    as a copy cut loose from the tree it was selected from — and handed
+    out *by reference* in a fresh list: a consumer that edits one takes
+    a ``copy()`` first or gets ``FrozenTreeError``.
 
     The same simulations also rebuild the same *trees*, from stored
     documents and query results that are the same frozen objects in
@@ -245,19 +243,21 @@ class QueryMemo:
     ) -> tuple:
         """Run ``query`` and store its results under ``key``."""
         reads: List[tuple] = []
-        # id -> what a result element is kept as; None for a tree the run
-        # was handed (an argument root or a doc() read) and has not copied
-        kept: Dict[int, Optional[Element]] = {id(root): None for root in roots}
+        held = {id(root) for root in roots}
 
         def resolver(name: str) -> Element:
             tree = peer.doc_resolver(name)
             reads.append((name, tree.content_fingerprint(), _position(tree, roots)))
-            kept[id(tree)] = None
+            held.add(id(tree))
             return tree
 
-        results = tuple(
-            _cut_loose(item, kept) for item in query.bind_resolver(resolver).run(*args)
-        )
+        items = query.bind_resolver(resolver).run(*args)
+        # a root the run built, and was not handed, no one else holds
+        built = {
+            id(item) for item in items
+            if type(item) is Element and item.parent is None and not item._frozen
+        } - held
+        results = tuple(_cut_loose(item, built) for item in items)
         self._entries.setdefault(key, []).append(
             (query.module, tuple(reads), results)
         )
@@ -299,36 +299,17 @@ def _reads_same(peer: "Peer", reads, roots: Sequence[Element]) -> bool:
     return True
 
 
-#: What ``kept.get`` returns for an element :func:`_cut_loose` has not seen.
-_UNSEEN = object()
-
-
-def _cut_loose(item, kept: Dict[int, Optional[Element]]):
-    """A result item as the memo keeps it: frozen, holding no argument.
-
-    An element root that is not frozen and not in ``kept`` was built by
-    the run, and no one else holds it: it is frozen in place.  Any other
-    element is kept as a frozen copy.  ``kept`` records what each element
-    became, so one returned twice is kept once, and ``is`` and ``|`` see
-    the repeat as they would unmemoised.
-    """
+def _cut_loose(item, built: Container[int]):
+    """A result item as the memo keeps it: frozen, holding no argument;
+    an element is copied first unless its ``id`` is in ``built``."""
     if isinstance(item, Element):
-        key = id(item)
-        cut = kept.get(key, _UNSEEN)
-        if cut is _UNSEEN and item.parent is None and not item._frozen:
-            cut = item
-            item.freeze()
-        elif cut is None or cut is _UNSEEN:
-            cut = item.copy()
-            cut.freeze()
-        else:
-            return cut
-        kept[key] = cut
-        return cut
-    if isinstance(item, Text):
-        return Text(item.value)
-    if isinstance(item, AttributeNode):
-        return AttributeNode(item.name, item.value, None)
+        if id(item) not in built:
+            item = item.copy()
+        item.freeze()
+    elif isinstance(item, Text):
+        item = Text(item.value)
+    elif isinstance(item, AttributeNode):
+        item = AttributeNode(item.name, item.value, None)
     return item
 
 

@@ -16,10 +16,9 @@ Node identifiers (:class:`NodeId`) are ``n@p`` pairs: a serial number plus
 the identifier of the hosting peer, so forward lists (``forw`` children of
 ``sc`` nodes) can address "add the response under node n on peer p".
 
-The tree kernels — :meth:`Element.serialized_size` (whose walk also
-sets what :meth:`Element.has_service_calls` and :func:`tree_size` read),
-:meth:`Element.content_fingerprint`, :meth:`Element.copy`,
-:meth:`Element.string_value`,
+The tree kernels — :meth:`Element.serialized_size`,
+:meth:`Element.content_fingerprint`, :func:`tree_size`,
+:meth:`Element.copy`, :meth:`Element.string_value`,
 :meth:`NodeIdAllocator.assign` (and the writers in
 :mod:`repro.xmlcore.serializer`) — each walk a tree in one loop, with no
 Python call per node: a text child is read inline, and a tree built in
@@ -393,10 +392,9 @@ class Element(Node):
     def has_service_calls(self) -> bool:
         """True when an ``sc`` node lives anywhere in this subtree.
 
-        Set by the :meth:`serialized_size` walk beside the size and the
-        node count (same invalidation), so asking again of an unchanged
-        document costs nothing: a document without calls is plain data,
-        and activating it is the identity.
+        Set by the :meth:`serialized_size` walk (same invalidation), so
+        asking again of an unchanged document costs nothing: a document
+        without calls is plain data, and activating it is the identity.
         """
         found = self._sc_cache
         if found is None:
@@ -460,10 +458,9 @@ class Element(Node):
         up the ancestor chain.  One walk sizes every element of the
         subtree that has no size yet, children before parents, and stops
         at cached ones: sizing a stable document again is O(1), and
-        sizing one after an edit re-walks only the edited path.  The same
-        walk sets each element's :meth:`has_service_calls` flag and
-        :func:`tree_size` count, so the three caches are always set
-        together (and dropped together, by ``_invalidate_content``).
+        sizing one after an edit re-walks only the edited path.  The walk
+        also sets :meth:`has_service_calls` and :func:`tree_size`: the
+        three caches are set, dropped and copied together.
         """
         size = self._size_cache
         if size is not None:
@@ -523,12 +520,11 @@ class Element(Node):
 
         Each element's digest is one ``blake2b`` over ``e\\0`` + tag, then
         ``\\0a`` + name + ``\\0`` + value per attribute in name order, then
-        per child ``\\0c`` + the child's digest, or ``\\0t`` + value for a
-        text without NUL: NUL is the only delimiter, so the preimage stays
-        injective, and a text child costs no hash of its own (a text
-        holding NUL adds ``\\0c`` + its :meth:`Text.content_fingerprint`,
-        a hash of ``t\\0`` + value).  Like :meth:`serialized_size`, one
-        walk fills every element of the subtree that has no digest yet.
+        per child ``\\0t`` + value for a text without NUL (the only
+        delimiter, so the preimage stays injective), else ``\\0c`` + its
+        digest (a text's hashes ``t\\0`` + value).  Like
+        :meth:`serialized_size`, one walk fills every element of the
+        subtree that has no digest yet.
         """
         fingerprint = self._fp_cache
         if fingerprint is not None:

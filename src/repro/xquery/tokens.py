@@ -55,7 +55,7 @@ _SYMBOLS = (
 _SYMBOL = re.compile("|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))))
 _SYMBOL_CHARS = frozenset("".join(_SYMBOLS))
 
-#: A string literal's run up to its closing quote or a reference.
+#: A string literal's run up to a quote or a reference.
 _STRING_RUNS = {'"': re.compile('[^"&]*'), "'": re.compile("[^'&]*")}
 _DIGITS = frozenset("0123456789")
 _NEWLINE = re.compile("\n")
@@ -191,11 +191,8 @@ class Lexer:
         return source[start:end]
 
     def _scan_string(self, quote: str) -> str:
-        """The literal opening at ``self.pos``: each run up to a quote or
-        an ``&`` is one regex match, a doubled quote stands for one, and a
-        reference is decoded."""
-        source = self.source
-        run = _STRING_RUNS[quote]
+        """The literal opening at ``self.pos``, one regex match per run."""
+        source, run = self.source, _STRING_RUNS[quote]
         pos = self.pos + 1
         parts: List[str] = []
         while True:
@@ -205,11 +202,9 @@ class Lexer:
                 self.pos = end
                 raise self.error("unterminated string literal")
             if source[end] == "&":
-                self.pos = end
                 value, pos = read_reference(source, end, self.error)
                 parts.append(value)
-            elif source.startswith(quote, end + 1):
-                # doubled quote is an escaped quote in XQuery
+            elif source.startswith(quote, end + 1):  # "" is an escaped quote
                 parts.append(quote)
                 pos = end + 2
             else:
