@@ -420,6 +420,34 @@ GOLDEN = {
 }
 
 
+@lru_cache(maxsize=None)
+def generated_documents():
+    """Stored documents of generated scenarios: the first with ``sc``
+    nodes, then the first two without."""
+    from repro.workloads import WRITE_MIX_SPEC, ScenarioGenerator, ScenarioSpec
+
+    calls, plain = [], []
+    for spec in (ScenarioSpec(), WRITE_MIX_SPEC):
+        system = ScenarioGenerator(7, spec).scenario(0).system
+        for _, peer in sorted(system.peers.items()):
+            for _, document in sorted(peer.documents.items()):
+                (calls if document.has_service_calls() else plain).append(document)
+    return {"generated-sc": calls[0], "generated-0": plain[0], "generated-1": plain[1]}
+
+
+#: name -> a function building a fresh tree.
+SOURCES = {
+    **{name: (lambda name=name: golden_trees()[name]) for name in GOLDEN},
+    **{
+        name: (lambda name=name: generated_documents()[name].copy())
+        for name in ("generated-sc", "generated-0", "generated-1")
+    },
+    "nul": lambda: element(
+        "n", "a\x00b", element("sc", "\x00c" + "0" * 24), "", "tail", attrs={"k": "v"}
+    ),
+}
+
+
 class TestGoldenKernels:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_values_are_pinned(self, name):
@@ -437,17 +465,17 @@ class TestGoldenKernels:
         assert leaf.content_fingerprint() == "396d8f2e0f52c9a4b5dbd71b"
         assert leaf.serialized_size() == 22 == wire_len(leaf)
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    @pytest.mark.parametrize("name", sorted(SOURCES))
     def test_one_walk_fills_every_element(self, name):
-        tree = golden_trees()[name]
-        tree.serialized_size()
+        tree = SOURCES[name]()
+        tree.serialized_size()  # sets the sc flag and the count too
         tree.content_fingerprint()
-        tree_size(tree)
-        reference = golden_trees()[name]
-        for node, fresh in zip(iter_elements(tree), iter_elements(reference)):
-            assert node._size_cache == fresh.serialized_size() == wire_len(node)
-            assert node._fp_cache == fresh.content_fingerprint()
-            assert node._count_cache == tree_size(fresh)
+        for node in iter_elements(tree):
+            expected = reference_summary(node.copy())
+            assert node._size_cache == expected["size"] == wire_len(node)
+            assert node._sc_cache == expected["sc"]
+            assert node._count_cache == expected["count"]
+            assert node._fp_cache == expected["digest"]
 
     def test_a_walk_stops_at_cached_subtrees(self):
         tree = golden_trees()["catalog"]
@@ -646,35 +674,7 @@ KERNELS = {
 ORDERS = list(itertools.permutations(KERNELS))
 
 
-@lru_cache(maxsize=None)
-def generated_documents():
-    """Stored documents of generated scenarios: the first with ``sc``
-    nodes, then the first two without."""
-    from repro.workloads import WRITE_MIX_SPEC, ScenarioGenerator, ScenarioSpec
-
-    calls, plain = [], []
-    for spec in (ScenarioSpec(), WRITE_MIX_SPEC):
-        system = ScenarioGenerator(7, spec).scenario(0).system
-        for _, peer in sorted(system.peers.items()):
-            for _, document in sorted(peer.documents.items()):
-                (calls if document.has_service_calls() else plain).append(document)
-    return {"generated-sc": calls[0], "generated-0": plain[0], "generated-1": plain[1]}
-
-
-#: name -> a function building a fresh tree.
-SOURCES = {
-    **{name: (lambda name=name: golden_trees()[name]) for name in GOLDEN},
-    **{
-        name: (lambda name=name: generated_documents()[name].copy())
-        for name in ("generated-sc", "generated-0", "generated-1")
-    },
-    "nul": lambda: element(
-        "n", "a\x00b", element("sc", "\x00c" + "0" * 24), "", "tail", attrs={"k": "v"}
-    ),
-}
-
-
-def _set_node(tree):
+def _edited(tree):
     """The element a mutator edits: the last in document order (the
     deepest leaf of a chain), so every ancestor's caches must drop."""
     *_, last = iter_elements(tree)
@@ -728,7 +728,7 @@ class TestSummaryKernel:
         for build in SOURCES.values():
             for order in ORDERS:
                 tree = prepared(build, state, order)
-                MUTATORS[mutator](_set_node(tree))
+                MUTATORS[mutator](_edited(tree))
                 assert_kernels(tree, order)
 
     @pytest.mark.parametrize("mutator", sorted(MUTATORS))
@@ -739,20 +739,10 @@ class TestSummaryKernel:
             for index, order in enumerate(ORDERS[:: len(MUTATORS)]):
                 states = ("fresh", "measured", "warm-copy", "cold-copy")
                 tree = prepared(chain, states[index % len(states)], order)
-                MUTATORS[mutator](_set_node(tree))
+                MUTATORS[mutator](_edited(tree))
                 assert_kernels(tree, order)
         finally:
             sys.setrecursionlimit(limit)
-
-    @pytest.mark.parametrize("name", sorted(SOURCES))
-    def test_every_element_holds_its_subtree_summary(self, name):
-        tree = SOURCES[name]()
-        tree.has_service_calls()
-        for node in iter_elements(tree):
-            fresh = node.copy()
-            assert node._size_cache == wire_len(node)
-            assert node._sc_cache == reference_summary(fresh)["sc"]
-            assert node._count_cache == reference_summary(fresh)["count"]
 
     def test_a_split_between_adjacent_texts_changes_the_digest(self):
         assert element("a", "ab", "c").content_fingerprint() != (
