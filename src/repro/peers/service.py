@@ -252,7 +252,6 @@ class QueryMemo:
             return tree
 
         items = query.bind_resolver(resolver).run(*args)
-        # a root the run built, and was not handed, no one else holds
         built = {
             id(item) for item in items
             if type(item) is Element and item.parent is None and not item._frozen

@@ -396,11 +396,9 @@ class Element(Node):
         asking again of an unchanged document costs nothing: a document
         without calls is plain data, and activating it is the identity.
         """
-        found = self._sc_cache
-        if found is None:
+        if self._sc_cache is None:
             self.serialized_size()
-            found = self._sc_cache
-        return found
+        return self._sc_cache
 
     # -- lifecycle ---------------------------------------------------------
     def copy(self) -> "Element":
@@ -520,10 +518,10 @@ class Element(Node):
 
         Each element's digest is one ``blake2b`` over ``e\\0`` + tag, then
         ``\\0a`` + name + ``\\0`` + value per attribute in name order, then
-        per child ``\\0t`` + value for a text without NUL (the only
-        delimiter, so the preimage stays injective), else ``\\0c`` + its
-        digest (a text's hashes ``t\\0`` + value).  Like
-        :meth:`serialized_size`, one walk fills every element of the
+        ``\\0t`` + value per text child, ``\\0c`` + digest per element child.
+        NUL is the only delimiter, so a value holding one is hashed (``\\0A``
+        + name + ``\\0`` + digest; ``\\0c`` + the digest of ``t\\0`` + value).
+        Like :meth:`serialized_size`, one walk fills every element of the
         subtree that has no digest yet.
         """
         fingerprint = self._fp_cache
@@ -539,7 +537,12 @@ class Element(Node):
             attrs = node.attrs
             if attrs:
                 for name in sorted(attrs):
-                    data += "\x00a" + name + "\x00" + attrs[name]
+                    value = attrs[name]
+                    if "\x00" in value:  # hashed: NUL stays the only delimiter
+                        value = blake2b(value.encode("utf-8"), digest_size=_FP_BYTES)
+                        data += "\x00A" + name + "\x00" + value.hexdigest()
+                    else:
+                        data += "\x00a" + name + "\x00" + value
             for child in node.children:
                 if type(child) is not Text:
                     data += "\x00c" + child._fp_cache
@@ -622,11 +625,9 @@ def tree_size(root: Node) -> int:
     """
     if type(root) is Text:
         return 1
-    count = root._count_cache
-    if count is None:
+    if root._count_cache is None:
         root.serialized_size()
-        count = root._count_cache
-    return count
+    return root._count_cache
 
 
 def find_by_id(root: Node, node_id: NodeId) -> Optional[Element]:

@@ -443,7 +443,8 @@ SOURCES = {
         for name in ("generated-sc", "generated-0", "generated-1")
     },
     "nul": lambda: element(
-        "n", "a\x00b", element("sc", "\x00c" + "0" * 24), "", "tail", attrs={"k": "v"}
+        "n", "a\x00b", element("sc", "\x00c" + "0" * 24), "", "tail",
+        attrs={"k": "v", "z": "a\x00tb"},
     ),
 }
 
@@ -637,15 +638,20 @@ class TestDepth:
 
 def reference_digest(node):
     """The fingerprint by its definition, recursively: ``e\\0`` + tag,
-    ``\\0a`` + name + ``\\0`` + value per attribute in name order, then per
+    ``\\0a`` + name + ``\\0`` + value per attribute in name order (``\\0A``
+    + name + ``\\0`` + the value's digest if it holds NUL), then per
     child ``\\0t`` + value for a text without NUL, else ``\\0c`` + the
     child's digest (a text's hashes ``t\\0`` + value)."""
     if isinstance(node, Text):
         data = "t\x00" + node.value
     else:
         data = "e\x00" + node.tag
-        for name in sorted(node.attrs):
-            data += "\x00a" + name + "\x00" + node.attrs[name]
+        for name, value in sorted(node.attrs.items()):
+            if "\x00" in value:
+                digest = hashlib.blake2b(value.encode("utf-8"), digest_size=12)
+                data += "\x00A" + name + "\x00" + digest.hexdigest()
+            else:
+                data += "\x00a" + name + "\x00" + value
         for child in node.children:
             if isinstance(child, Text) and "\x00" not in child.value:
                 data += "\x00t" + child.value
@@ -750,6 +756,10 @@ class TestSummaryKernel:
         )
         assert element("a", "x\x00ty").content_fingerprint() != (
             element("a", "x", "y").content_fingerprint()
+        )
+        # an attribute value holding NUL cannot pose as a text child
+        assert element("a", attrs={"k": "v\x00tX"}).content_fingerprint() != (
+            element("a", "X", attrs={"k": "v"}).content_fingerprint()
         )
 
     def test_a_text_never_digests_as_an_element_child(self):
