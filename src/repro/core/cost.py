@@ -34,26 +34,24 @@ import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from ..errors import (
-    DuplicateNameError,
-    EvaluationUndefinedError,
-    ExpressionError,
-    FragmentUnavailableError,
-    GenericResolutionError,
-    NoRouteError,
-    PeerDownError,
-    ReproError,
-    ServiceCallError,
-    UnknownDocumentError,
-    UnknownPeerError,
-    UnknownServiceError,
-)
+from ..errors import DuplicateNameError, NoRouteError, ReproError, UnknownPeerError
 from ..net.message import Message, wire_size
 from ..peers.registry import FirstPolicy, NearestPolicy
 from ..peers.service import DeclarativeService, QueryMemo, _doc_references
 from ..peers.system import AXMLSystem
 from ..xmlcore.model import Element, tree_size
-from .evaluator import EvalOutcome, ExpressionEvaluator, _as_forest
+from .evaluator import (
+    EvalOutcome,
+    ExpressionEvaluator,
+    _as_forest,
+    applied_query,
+    called_service,
+    live_peer,
+    read_fragment,
+    refuse_node,
+    send_destination,
+    sendable,
+)
 from .planspace import PlanCache, doc_epoch_signature
 from .expressions import (
     ANY,
@@ -240,12 +238,15 @@ def lower_bound(
     every message whose size depends on it (its latency still counts
     where the message itself is certain).  After an effect it cannot
     follow, such as calls fired with no transcript, it reads no stored
-    document again.  It raises the typed error the run would raise
-    (unknown or dead peer, missing route, document or service, an
-    undefined send) where the run is certain to reach it.
+    document again.  Where the run is certain to reach a refusal, the
+    walk refuses through the evaluator's own checks (its module's *E's
+    refusals*, ``Peer.document``), with the run's type and message; a
+    missing route raises as the network does.  Its one refusal of its
+    own is a document destination whose name is taken, maybe by the
+    walk itself (in the run, ``Peer.install_document`` refuses it).
     """
     walk = _Bound(system, memo, transcripts, pick_policy)
-    walk.site(plan.site)
+    live_peer(system, plan.site, "evaluation site")
     clock = walk.visit(plan.expr, plan.site, 0.0)[3]
     return Cost(walk.bytes, walk.messages, clock)
 
@@ -315,20 +316,11 @@ class _Bound:
         self.deployed = False
 
     # -- helpers ---------------------------------------------------------------
-    def site(self, at: str):
-        """The peer evaluating at ``at``, checked as the evaluator checks it."""
-        peer = self.peers.get(at)
-        if peer is None:
-            raise UnknownPeerError(f"unknown peer {at!r}")
-        if not peer.alive:
-            raise PeerDownError(f"evaluation site {at!r} has left the system")
-        return peer
-
     def visit(self, expr: Expression, at: str, clock: float) -> tuple:
         try:
             method = _VISITS[type(expr)]
         except KeyError:
-            raise ExpressionError(f"cannot evaluate {type(expr).__name__}") from None
+            refuse_node(expr)
         return method(self, expr, at, clock)
 
     def changes(self, peer_id: str):
@@ -403,13 +395,7 @@ class _Bound:
     # -- documents ---------------------------------------------------------------
     def read(self, name: str, home: str, at: str, clock: float) -> tuple:
         """``name@home`` evaluated at ``at`` (``_eval_doc``)."""
-        peer = self.peers.get(home)
-        if peer is None:
-            raise UnknownPeerError(f"unknown peer {home!r}")
-        if not peer.alive:
-            raise PeerDownError(
-                f"document {name!r} is homed on dead peer {home!r}"
-            )
+        peer = live_peer(self.system, home, "document", name)
         changes = self.changes(home)
         if changes is not None and name in changes:
             known = None if self.blind else self.stored.get((home, name))
@@ -419,9 +405,7 @@ class _Bound:
             else:
                 value = (known[0], known[1], None, clock)
         else:
-            tree = peer.documents.get(name)
-            if tree is None:
-                raise UnknownDocumentError(f"no document {name!r} on peer {home!r}")
+            tree = peer.document(name)
             if tree.has_service_calls():
                 value = self.activate(peer, name, tree, clock)
             else:
@@ -503,7 +487,7 @@ class _Bound:
     def _visit_tree(self, expr: TreeExpr, at: str, clock: float) -> tuple:
         home = expr.home
         if at != home:
-            self.site(home)
+            live_peer(self.system, home, "evaluation site")
             return self.ship(self._visit_tree(expr, home, clock), home, at)
         tree = expr.tree
         if tree.has_service_calls():
@@ -515,11 +499,7 @@ class _Bound:
         return self.read(expr.name, expr.home, at, clock)
 
     def _visit_generic_doc(self, expr: GenericDoc, at: str, clock: float) -> tuple:
-        return self.read_generic(expr.name, at, clock)
-
-    def read_generic(self, name: str, at: str, clock: float) -> tuple:
-        """``name@any`` evaluated at ``at`` (definition (9))."""
-        member = self.pick("pick_document", name, at)
+        member = self.pick("pick_document", expr.name, at)  # definition (9)
         if member is None:
             self.blind = True  # whichever copy is read may embed calls
             return (None, None, None, clock)
@@ -532,16 +512,9 @@ class _Bound:
         finished = clock
         parts: Optional[list] = []
         for fragment in info.fragments:
-            live = fragment.live_copies(self.system)
-            if fragment.generic is None:
-                part = self.read(fragment.name, live[0], at, clock)
-            else:
-                try:
-                    part = self.read_generic(fragment.generic, at, clock)
-                except GenericResolutionError:
-                    raise FragmentUnavailableError(
-                        fragment.name, fragment.peers
-                    ) from None
+            part = read_fragment(
+                fragment, self.system, lambda ref, live: self.visit(ref, at, clock)
+            )
             if part[3] > finished:
                 finished = part[3]
             if parts is not None:
@@ -570,11 +543,7 @@ class _Bound:
 
     def _visit_query_ref(self, expr: QueryRef, at: str, clock: float) -> tuple:
         if at != expr.home:
-            peer = self.peers.get(expr.home)  # an unknown one fails in send
-            if peer is not None and not peer.alive:
-                raise PeerDownError(
-                    f"query {expr.describe()!r} is homed on dead peer {expr.home!r}"
-                )
+            live_peer(self.system, expr.home, "query", expr)
             clock = self.send(
                 expr.home, at, expr.query.source_bytes + _ENVELOPE, clock
             )
@@ -588,21 +557,13 @@ class _Bound:
             ready = self._visit_query_ref(head, at, clock)[3]
         else:  # definition (9): the picked member's query ships here
             member = self.pick("pick_service", head.name, at)
-            service = None
-            if member is not None:
-                service = self.peers[member.peer].services.get(member.name)
-                if service is None and not self.deployed:
-                    raise UnknownServiceError(
-                        f"no service {member.name!r} on peer {member.peer!r}"
-                    )
+            provider = None if member is None else self.system.peer(member.peer)
             ready = clock
-            if service is not None:
-                if not isinstance(service, DeclarativeService):
-                    raise ExpressionError(
-                        f"generic service {head.name!r} resolved to a "
-                        "non-declarative implementation; cannot apply as a query"
-                    )
-                query = service.query
+            # once the walk deployed a service, a missing name may resolve
+            if provider is not None and (
+                not self.deployed or member.name in provider.services
+            ):
+                query = applied_query(provider.declared_service(member.name), head.name)
                 ready = self.send(
                     member.peer, at, query.source_bytes + _ENVELOPE, clock
                 )
@@ -638,17 +599,9 @@ class _Bound:
             provider_id = None if member is None else member.peer
             name = None if member is None else member.name
         if provider_id is not None:
-            provider = self.peers.get(provider_id)
-            if provider is None:
-                raise UnknownPeerError(f"unknown peer {provider_id!r}")
-            if not provider.alive:
-                raise PeerDownError(
-                    f"service provider {provider_id!r} has left the system"
-                )
-            if name not in provider.services and not self.deployed:
-                raise ServiceCallError(
-                    f"service {name!r} not found on peer {provider_id!r}"
-                )
+            provider = live_peer(self.system, provider_id, "service provider")
+            if not self.deployed:  # else a deployed service may answer
+                called_service(provider.declared_service, name, provider_id)
         latest = clock
         payload: Optional[int] = 0
         for param in expr.params:
@@ -668,27 +621,19 @@ class _Bound:
 
     def _visit_send(self, expr: Send, at: str, clock: float) -> tuple:
         payload = expr.payload
-        kind = type(payload)
-        if (kind is TreeExpr or kind is DocExpr) and payload.home != at:
-            raise EvaluationUndefinedError(
-                f"send at {at!r} of data homed at {payload.home!r} is undefined"
-            )
-        if kind is QueryRef and payload.home != at:
-            raise EvaluationUndefinedError(
-                f"send at {at!r} of a query defined at {payload.home!r} is undefined"
-            )
+        sendable(payload, at)
         size, items, query, clock = self.visit(payload, at, clock)
         dest = expr.dest
+        peer = send_destination(self.system, dest, query is not None)
         if query is not None:
             # definition (8): the query is deployed as a service there
-            if type(dest) is not PeerDest:
-                raise ExpressionError("a query can only be sent to a peer destination")
             clock = self.ship((size, items, query, clock), at, dest.peer)[3]
             self.deployed = True
             return (0, [], None, clock)
         wire = None if size is None or size == _SOME else size + _ENVELOPE
         relay = at
         for hop in expr.via:
+            live_peer(self.system, hop, "relay")
             clock = self.send(relay, hop, wire, clock)
             relay = hop
         dest_kind = type(dest)
@@ -696,9 +641,8 @@ class _Bound:
             clock = self.send(relay, dest.peer, wire, clock)
             self.change(dest.peer)
         elif dest_kind is DocDest:
-            peer = self.peers.get(dest.peer)
             installed = self.changed.get(dest.peer)  # names that exist by now
-            if (peer is not None and dest.name in peer.documents) or (
+            if dest.name in peer.documents or (
                 installed is not None
                 and installed is not _EVERYTHING
                 and dest.name in installed
@@ -716,7 +660,9 @@ class _Bound:
             ):
                 self.stored[dest.peer, dest.name] = (size, None)
             self.change(dest.peer, dest.name)
-        elif dest_kind is NodesDest:
+        else:
+            for target in dest.nodes:
+                live_peer(self.system, target.peer, "target peer")
             finished = clock
             for target in dest.nodes:
                 headers = {"target": str(target)}
@@ -730,15 +676,13 @@ class _Bound:
                         finished = done
                 self.change(target.peer)
             clock = finished
-        else:
-            raise ExpressionError(f"unknown destination {type(dest).__name__}")
         return (0, [], None, clock)
 
     def _visit_eval_at(self, expr: EvalAt, at: str, clock: float) -> tuple:
         peer = expr.peer
         if peer == at:
             return self.visit(expr.expr, at, clock)
-        self.site(peer)
+        live_peer(self.system, peer, "evaluation site")
         clock = self.send(at, peer, expression_size(expr.expr) + _ENVELOPE, clock)
         remote = self.visit(expr.expr, peer, clock)
         if remote[0] == 0 and remote[2] is None:

@@ -68,7 +68,9 @@ A :class:`~repro.session.Session` runs a subclass that is that layer;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, NoReturn, Optional, Sequence, Tuple,
+)
 
 from ..axml.document import ActivationMode, ServiceCall
 from ..errors import (
@@ -184,6 +186,98 @@ class EvalOutcome:
         self.installed.extend(other.installed)
         self.deployed.extend(other.deployed)
         self.delivered.extend(other.delivered)
+
+
+# -- E's refusals: one check per precondition of the definitions.  The
+# evaluator applies each where it reaches it, and repro.core.cost's lower
+# bound refuses through the same checks, so the two walks raise alike.
+
+
+def live_peer(system: AXMLSystem, peer_id: str, role: str, homed=None) -> Peer:
+    """``system.peer(peer_id)``, refused with :class:`PeerDownError` once the
+    peer has left.  ``role`` is what it is to the definition or, with
+    ``homed`` (a document's name, or a :class:`QueryRef`, described only
+    in the refusal), what is homed there."""
+    peer = system.peer(peer_id)
+    if not peer.alive:
+        if homed is None:
+            raise PeerDownError(f"{role} {peer_id!r} has left the system")
+        what = homed if type(homed) is str else homed.describe()
+        raise PeerDownError(f"{role} {what!r} is homed on dead peer {peer_id!r}")
+    return peer
+
+
+def called_service(lookup: Callable, name: str, provider_id: str):
+    """``lookup(name)`` on a call's provider (its ``service``, or the
+    read-only ``declared_service``), refused when it declares no ``name``."""
+    try:
+        return lookup(name)
+    except UnknownServiceError:
+        raise ServiceCallError(
+            f"service {name!r} not found on peer {provider_id!r}"
+        ) from None
+
+
+def applied_query(service, generic: str) -> Query:
+    """The query of ``service``, which the apply head ``generic@any`` named."""
+    if not isinstance(service, DeclarativeService):
+        raise ExpressionError(
+            f"generic service {generic!r} resolved to a "
+            "non-declarative implementation; cannot apply as a query"
+        )
+    return service.query
+
+
+def sendable(payload: Expression, at: str) -> None:
+    """"p2 cannot send something it doesn't have": a direct reference to
+    data or a query homed elsewhere makes a send at ``at`` undefined."""
+    kind = type(payload)
+    if (kind is TreeExpr or kind is DocExpr) and payload.home != at:
+        raise EvaluationUndefinedError(
+            f"send at {at!r} of data homed at {payload.home!r} is undefined"
+        )
+    if kind is QueryRef and payload.home != at:
+        raise EvaluationUndefinedError(
+            f"send at {at!r} of a query defined at {payload.home!r} is undefined"
+        )
+
+
+def send_destination(system: AXMLSystem, dest, deploys: bool) -> Optional[Peer]:
+    """The live peer a send delivers to, checked before anything ships; None
+    for nodes (:meth:`ExpressionEvaluator._deliver_to_nodes` checks theirs)."""
+    kind = type(dest)
+    if kind is PeerDest or (kind is DocDest and not deploys):
+        return live_peer(system, dest.peer, "destination")
+    if deploys:  # definition (8) deploys a query at a peer
+        raise ExpressionError("a query can only be sent to a peer destination")
+    if kind is not NodesDest:
+        raise ExpressionError(f"unknown destination {kind.__name__}")
+    return None
+
+
+def refuse_node(expr: Expression) -> NoReturn:
+    """No definition evaluates ``expr``: it is not a node of E."""
+    message = f"cannot evaluate {type(expr).__name__}"
+    if isinstance(expr, GenericService):
+        message = "a generic service can only appear as a call/apply head"
+    raise ExpressionError(message) from None
+
+
+def read_fragment(fragment, system: AXMLSystem, read: Callable):
+    """``read(ref, live)`` of a fragment: ``ref`` is its generic class when
+    replicated (the pick policy chooses), else its first live holder, and
+    ``live`` every live holder.  With no copy left, in the catalog or in
+    the registry (churn cleanup raced a retire), it refuses loudly rather
+    than reassemble an incomplete document (a wrong answer)."""
+    live = fragment.live_copies(system)
+    if fragment.generic is None:
+        ref: Expression = DocExpr(fragment.name, live[0])
+    else:
+        ref = GenericDoc(fragment.generic)
+    try:
+        return read(ref, live)
+    except GenericResolutionError:
+        raise FragmentUnavailableError(fragment.name, fragment.peers) from None
 
 
 class ExpressionEvaluator:
@@ -432,17 +526,11 @@ class ExpressionEvaluator:
     def _dispatch(
         self, expr: Expression, at: str, ready_at: float, _depth: int
     ) -> EvalOutcome:
-        site = self.system.peer(at)  # validate the site exists
-        if not site.alive:
-            raise PeerDownError(f"evaluation site {at!r} has left the system")
+        live_peer(self.system, at, "evaluation site")
         definition = _DEFINITIONS.get(type(expr))
-        if definition is not None:
-            return getattr(self, definition)(expr, at, ready_at, _depth)
-        if isinstance(expr, GenericService):
-            raise ExpressionError(
-                "a generic service can only appear as a call/apply head"
-            )
-        raise ExpressionError(f"cannot evaluate {type(expr).__name__}")
+        if definition is None:
+            refuse_node(expr)
+        return getattr(self, definition)(expr, at, ready_at, _depth)
 
     # -- definitions (1) and (5): trees ----------------------------------------------
     def _eval_tree(
@@ -593,11 +681,7 @@ class ExpressionEvaluator:
     def _eval_doc(
         self, expr: DocExpr, at: str, ready_at: float, depth: int
     ) -> EvalOutcome:
-        home = self.system.peer(expr.home)
-        if not home.alive:
-            raise PeerDownError(
-                f"document {expr.name!r} is homed on dead peer {expr.home!r}"
-            )
+        home = live_peer(self.system, expr.home, "document", expr.name)
         tree = home.document(expr.name)
         if tree.has_service_calls():
             home_outcome = self._activate_document(
@@ -660,7 +744,9 @@ class ExpressionEvaluator:
         parts: List[Element] = []
         for fragment in info.fragments:
             try:
-                sub = self._eval_fragment(fragment, at, ready_at, depth)
+                sub = read_fragment(fragment, self.system, lambda ref, live: (
+                    self._read_fragment(fragment, ref, live, at, ready_at, depth)
+                ))
             except (FaultError, FragmentUnavailableError, PeerDownError) as exc:
                 self._lost("fragment", fragment.name, fragment.peers, exc)
                 continue  # tolerated: reassemble what did arrive
@@ -676,26 +762,6 @@ class ExpressionEvaluator:
             )
         ]
         return outcome
-
-    def _eval_fragment(
-        self, fragment, at: str, ready_at: float, depth: int
-    ) -> EvalOutcome:
-        """Fetch one fragment from a surviving copy: the generic class
-        when it is replicated (the pick policy chooses), else the first
-        live holder.  With every copy dead it refuses loudly rather than
-        reassemble an incomplete document (a wrong answer)."""
-        live = fragment.live_copies(self.system)
-        ref: Expression = (
-            GenericDoc(fragment.generic)
-            if fragment.generic is not None
-            else DocExpr(fragment.name, live[0])
-        )
-        try:
-            return self._read_fragment(fragment, ref, live, at, ready_at, depth)
-        except GenericResolutionError:
-            # the registry lost the last live member (e.g. churn
-            # cleanup raced a concurrent retire): same typed failure.
-            raise FragmentUnavailableError(fragment.name, fragment.peers) from None
 
     def _eval_gather(
         self, expr: Gather, at: str, ready_at: float, depth: int
@@ -719,10 +785,7 @@ class ExpressionEvaluator:
     ) -> EvalOutcome:
         if at == expr.home:
             return EvalOutcome(query=expr.query, completed_at=ready_at)
-        if not self.system.peer(expr.home).alive:
-            raise PeerDownError(
-                f"query {expr.describe()!r} is homed on dead peer {expr.home!r}"
-            )
+        live_peer(self.system, expr.home, "query", expr)
         message = Message(
             expr.home, at, MessageKind.QUERY, expr.query.source_bytes
         )
@@ -762,12 +825,7 @@ class ExpressionEvaluator:
         if isinstance(head, GenericService):
             member = self._pick("pick_service", head.name, at)
             service = self.system.peer(member.peer).service(member.name)
-            if not isinstance(service, DeclarativeService):
-                raise ExpressionError(
-                    f"generic service {head.name!r} resolved to a "
-                    "non-declarative implementation; cannot apply as a query"
-                )
-            head = QueryRef(service.query, member.peer)
+            head = QueryRef(applied_query(service, head.name), member.peer)
         assert isinstance(head, QueryRef)
         # definition (7): the defining peer ships the query text here.
         return head.query, self._eval_query_ref(head, at, ready_at, 0).completed_at
@@ -786,17 +844,8 @@ class ExpressionEvaluator:
             service_name = member.name
         else:
             service_name = expr.service
-        provider = self.system.peer(provider_id)
-        if not provider.alive:
-            raise PeerDownError(
-                f"service provider {provider_id!r} has left the system"
-            )
-        try:
-            service = provider.service(service_name)
-        except UnknownServiceError:
-            raise ServiceCallError(
-                f"service {service_name!r} not found on peer {provider_id!r}"
-            ) from None
+        provider = live_peer(self.system, provider_id, "service provider")
+        service = called_service(provider.service, service_name, provider_id)
 
         outcome = EvalOutcome()
         caller = self.system.peer(at)
@@ -916,38 +965,30 @@ class ExpressionEvaluator:
         self, expr: Send, at: str, ready_at: float, depth: int
     ) -> EvalOutcome:
         payload = expr.payload
-        # "p2 cannot send something it doesn't have": a direct reference to
-        # data or a query homed elsewhere makes the send undefined.
-        if isinstance(payload, (TreeExpr, DocExpr)) and payload.home != at:
-            raise EvaluationUndefinedError(
-                f"send at {at!r} of data homed at {payload.home!r} is undefined"
-            )
-        if isinstance(payload, QueryRef) and payload.home != at:
-            raise EvaluationUndefinedError(
-                f"send at {at!r} of a query defined at {payload.home!r} is undefined"
-            )
-
+        sendable(payload, at)
         inner = self.eval(payload, at, ready_at, depth + 1)
         outcome = EvalOutcome(completed_at=inner.completed_at)
         outcome.merge_effects(inner)
 
-        if inner.query is not None and not inner.items:
-            return self._deploy_query(expr, inner, at, outcome)
+        dest = expr.dest
+        deploys = inner.query is not None and not inner.items
+        peer = send_destination(self.system, dest, deploys)
+        if deploys:
+            return self._deploy_query(inner, at, peer, outcome)
 
         clock = inner.completed_at
         relay_from = at
         # rule (12) relays: explicit intermediary stops, store-and-forward.
         size = _as_forest(inner.items)[1]
         for hop in expr.via:
+            live_peer(self.system, hop, "relay")
             message = Message(relay_from, hop, MessageKind.DATA, size)
             clock = self._deliver(message, clock)
             relay_from = hop
 
-        dest = expr.dest
         if isinstance(dest, PeerDest):
             message = Message(relay_from, dest.peer, MessageKind.DATA, size)
             clock = self._deliver(message, clock)
-            peer = self.system.peer(dest.peer)
             self._install_counter += 1
             name = peer.fresh_document_name(f"recv-{self._install_counter}")
             peer.install_document(name, _forest_to_document(inner.items, name))
@@ -962,32 +1003,22 @@ class ExpressionEvaluator:
             )
             clock = self._deliver(message, clock)
             root = _forest_to_document(inner.items, dest.name)
-            self.system.peer(dest.peer).install_document(dest.name, root)
+            peer.install_document(dest.name, root)
             outcome.installed.append((dest.name, dest.peer))
-        elif isinstance(dest, NodesDest):
+        else:
             clock = self._deliver_to_nodes(
                 relay_from, dest.nodes, inner.items, clock, outcome
-            )
-        else:
-            raise ExpressionError(
-                f"unknown destination {type(dest).__name__}"
             )
         outcome.completed_at = clock
         outcome.items = []  # definition (3): ∅ at the sender
         return outcome
 
     def _deploy_query(
-        self, expr: Send, inner: EvalOutcome, at: str, outcome: EvalOutcome
+        self, inner: EvalOutcome, at: str, target: Peer, outcome: EvalOutcome
     ) -> EvalOutcome:
         # definition (8): deploy the query as a new service at the target.
-        dest = expr.dest
-        if not isinstance(dest, PeerDest):
-            raise ExpressionError(
-                "a query can only be sent to a peer destination"
-            )
         query = inner.query
-        clock = self._ship_items(inner, at, dest.peer).completed_at
-        target = self.system.peer(dest.peer)
+        clock = self._ship_items(inner, at, target.peer_id).completed_at
         # The paper names the deployed service send_{p→p'}(q); we use a
         # fresh concrete name with the same flavour.
         self._deploy_counter += 1
@@ -996,7 +1027,7 @@ class ExpressionEvaluator:
         target.install_service(
             DeclarativeService(service_name, query.copy(service_name))
         )
-        outcome.deployed.append((service_name, dest.peer))
+        outcome.deployed.append((service_name, target.peer_id))
         outcome.completed_at = clock
         return outcome  # its value is ∅, like any send's
 
@@ -1061,7 +1092,9 @@ class ExpressionEvaluator:
         outcome: EvalOutcome,
     ) -> float:
         """Forward every item to every target node, all from ``ready_at``;
-        returns the last arrival."""
+        returns the last arrival.  Every target's peer is live first."""
+        for target in targets:
+            live_peer(self.system, target.peer, "target peer")
         last = ready_at
         for item in items:
             for target in targets:

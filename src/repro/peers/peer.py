@@ -88,9 +88,15 @@ class Peer:
         """The stored tree, for *reading*.
 
         The tree may be shared with a clone of Σ and frozen; to edit it
-        in place, ask :meth:`own_document` instead.
+        in place, ask :meth:`own_document` instead.  A pure read: the
+        evaluator and its bound both refuse a missing document here.
         """
-        return self._stored(name)
+        try:
+            return self.documents[name]
+        except KeyError:
+            raise UnknownDocumentError(
+                f"no document {name!r} on peer {self.peer_id!r}"
+            ) from None
 
     def own_document(self, name: str) -> Element:
         """The stored tree, for *editing in place* (not counted as a read).
@@ -100,18 +106,10 @@ class Peer:
         (node ids kept) and the copy is returned; the other holder keeps
         the frozen original.  An unshared tree is returned as is.
         """
-        tree = self._stored(name)
+        tree = self.document(name)
         if tree.frozen:
             tree = self.documents[name] = tree.copy()
         return tree
-
-    def _stored(self, name: str) -> Element:
-        try:
-            return self.documents[name]
-        except KeyError:
-            raise UnknownDocumentError(
-                f"no document {name!r} on peer {self.peer_id!r}"
-            ) from None
 
     def has_document(self, name: str) -> bool:
         return name in self.documents
@@ -180,15 +178,21 @@ class Peer:
         fixed once a service is built, so nothing the original did in
         between shows on it.
         """
+        service = self.declared_service(name)
+        if service.provider is not self:
+            service = self.services[name] = _clone_service(service).bind(self)
+        return service
+
+    def declared_service(self, name: str) -> Service:
+        """The service ``name`` as declared here, for *reading*: a pure
+        lookup, which on a clone may hand out its original's service (to
+        invoke one, ask :meth:`service`)."""
         try:
-            service = self.services[name]
+            return self.services[name]
         except KeyError:
             raise UnknownServiceError(
                 f"no service {name!r} on peer {self.peer_id!r}"
             ) from None
-        if service.provider is not self:
-            service = self.services[name] = _clone_service(service).bind(self)
-        return service
 
     def has_service(self, name: str) -> bool:
         return name in self.services

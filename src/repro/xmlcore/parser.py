@@ -11,6 +11,8 @@ per call, and :func:`read_reference` decodes a reference, checking a
 character reference against XML's ``Char`` production (no ``&#0;``, no
 surrogate, nothing past ``0x10FFFF``), so a parsed tree always
 serializes.  Each reader raises its own typed error at its own position.
+The parser holds raw text to the same production: a source character
+outside ``Char`` is an :class:`XMLSyntaxError` at its line and column.
 
 Not supported (not needed here and rejected loudly where relevant):
 DTDs / internal subsets, namespaces-as-URIs (prefixes are kept verbatim
@@ -36,6 +38,8 @@ MAX_DEPTH = 497
 
 _PREDEFINED_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 _CHAR_REFERENCE = re.compile(r"#(?:x([0-9a-fA-F]+)|([0-9]+))")
+#: One character outside XML 1.0's Char production (§2.2).
+_NOT_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 # A Name starts with a letter, "_" or ":" and goes on with letters, digits,
 # "_", "-", "." and ":"; an NCName is a Name without ":".  Letters and
@@ -122,6 +126,11 @@ class _Cursor:
 class _Parser:
     def __init__(self, source: str) -> None:
         self.cursor = _Cursor(source)
+        stray = _NOT_CHAR.search(source)
+        if stray is not None:
+            raise self.cursor.error(
+                f"U+{ord(stray.group()):04X} is not an XML character", stray.start()
+            )
 
     # -- top level ---------------------------------------------------------
     def parse_document(self) -> Element:

@@ -29,20 +29,36 @@ from repro.core import BeamSearchStrategy, Optimizer
 from repro.core.cost import Cost, Simulations, lower_bound, measure
 from repro.core.costmodel import OracleCostModel
 from repro.core.expressions import (
+    ANY,
     DocDest,
     DocExpr,
     EvalAt,
     Gather,
+    GenericDoc,
+    GenericService,
+    NodesDest,
     PeerDest,
     QueryApply,
     QueryRef,
     Send,
     Seq,
+    ServiceCallExpr,
+    TreeExpr,
 )
 from repro.core.planspace import CacheStats, PlanCache, plan_fingerprint
 from repro.core.rules import Plan, Rewrite, RewriteRule
 from repro.engine import ClosedLoopFeed, JobRequest
-from repro.errors import PeerDownError, ReproError
+from repro.errors import (
+    DuplicateNameError,
+    EvaluationUndefinedError,
+    ExpressionError,
+    GenericResolutionError,
+    PeerDownError,
+    ReproError,
+    ServiceCallError,
+    UnknownDocumentError,
+    UnknownPeerError,
+)
 from repro.faults import PEER_CRASH, PEER_REJOIN, ChurnController, FaultEvent, FaultPlan
 from repro.peers import AXMLSystem
 from repro.peers.service import QueryMemo
@@ -52,7 +68,7 @@ from repro.workloads import (
     ScenarioGenerator,
     ScenarioSpec,
 )
-from repro.xmlcore import parse
+from repro.xmlcore import NodeId, parse
 from repro.xquery import Query
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden.py"
@@ -344,6 +360,96 @@ def test_a_query_homed_on_a_dead_peer_raises_in_both():
         lower_bound(plan, system)
 
 
+# -- both walks refuse alike ------------------------------------------------------
+
+_QUERY = Query("for $i in $d//i return $i", params=("d",), name="q")
+_TREE = parse("<t><i>1</i></t>")
+_CAT = DocExpr("cat", "data")
+
+
+def _apply(head):
+    return QueryApply(head, (_CAT,))
+
+
+#: case -> (plan expression evaluated at ``client``, the error both raise).
+#: ``gone`` is a peer that has left; ``nowhere`` is no peer at all.
+REFUSALS = {
+    "unknown site (EvalAt)": (EvalAt("nowhere", _CAT), UnknownPeerError),
+    "dead site (EvalAt)": (EvalAt("gone", _CAT), PeerDownError),
+    "unknown site (tree home)": (TreeExpr(_TREE, "nowhere"), UnknownPeerError),
+    "dead site (tree home)": (TreeExpr(_TREE, "gone"), PeerDownError),
+    "unknown document home": (DocExpr("cat", "nowhere"), UnknownPeerError),
+    "missing document": (DocExpr("nope", "data"), UnknownDocumentError),
+    "unknown query home": (_apply(QueryRef(_QUERY, "nowhere")), UnknownPeerError),
+    "dead query home": (_apply(QueryRef(_QUERY, "gone")), PeerDownError),
+    "unknown provider": (ServiceCallExpr("nowhere", "svc"), UnknownPeerError),
+    "dead provider": (ServiceCallExpr("gone", "svc"), PeerDownError),
+    "missing service": (ServiceCallExpr("prov", "nope"), ServiceCallError),
+    "generic document, no live member": (GenericDoc("lost"), GenericResolutionError),
+    "generic apply head, no live member": (
+        _apply(GenericService("lost-svc")), GenericResolutionError,
+    ),
+    "generic call, no live member": (
+        ServiceCallExpr(ANY, "lost-svc"), GenericResolutionError,
+    ),
+    "top-level generic service": (GenericService("svc-any"), ExpressionError),
+    "send of data homed elsewhere": (
+        Send(PeerDest("sink"), _CAT), EvaluationUndefinedError,
+    ),
+    "send of a query homed elsewhere": (
+        Send(PeerDest("sink"), QueryRef(_QUERY, "data")), EvaluationUndefinedError,
+    ),
+    "query sent to a document": (
+        Send(DocDest("q-copy", "sink"), QueryRef(_QUERY, "client")), ExpressionError,
+    ),
+    "duplicate document": (
+        Send(DocDest("cat", "data"), TreeExpr(_TREE, "client")), DuplicateNameError,
+    ),
+    "send to a dead peer": (
+        Send(PeerDest("gone"), TreeExpr(_TREE, "client")), PeerDownError,
+    ),
+    "send to a dead document home": (
+        Send(DocDest("copy", "gone"), TreeExpr(_TREE, "client")), PeerDownError,
+    ),
+    "send via a dead relay": (
+        Send(PeerDest("sink"), TreeExpr(_TREE, "client"), via=("gone",)),
+        PeerDownError,
+    ),
+    "send to a node on a dead peer": (
+        Send(NodesDest((NodeId("gone", 0),)), TreeExpr(_TREE, "client")),
+        PeerDownError,
+    ),
+}
+
+
+def _refusing_system():
+    system = AXMLSystem.with_peers(["client", "data", "prov", "sink", "gone"])
+    system.peer("data").install_document("cat", parse("<c><i>1</i></c>"))
+    system.peer("gone").install_document("cat", parse("<c><i>1</i></c>"))
+    for peer in ("prov", "gone"):
+        system.peer(peer).install_query_service("svc", "<ok/>")
+    system.registry.register_document("lost", "cat", "gone")
+    system.registry.register_service("lost-svc", "svc", "gone")
+    system.registry.register_service("svc-any", "svc", "prov")
+    ChurnController(system).kill("gone")
+    return system
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_both_walks_refuse_alike(case):
+    """Every refusal of E's definitions: the run and its bound raise the
+    same type with the same message."""
+    expr, error = REFUSALS[case]
+    plan = Plan(expr, "client")
+    system = _refusing_system()
+    with pytest.raises(error) as run:
+        measure(plan, system)
+    with pytest.raises(error) as bound:
+        lower_bound(plan, system)
+    assert type(bound.value) is type(run.value)
+    assert str(bound.value) == str(run.value)
+
+
 # -- generated plans ---------------------------------------------------------------
 
 #: Scenario families the generated plans are drawn over.
@@ -354,7 +460,8 @@ FAMILIES = (ScenarioSpec(items=8), replace(FRAGMENTED_SPEC, items=8),
 @st.composite
 def plans(draw):
     """A system, its naive plan of one query, and a plan derived from it by
-    up to three rewrites and up to two constructors drawn around parts."""
+    up to three rewrites and up to two constructors drawn around parts;
+    in a quarter of the draws one peer is then killed."""
     spec = draw(st.sampled_from(FAMILIES))
     scenario = ScenarioGenerator(draw(st.integers(0, 30)), spec).scenario(0)
     system = scenario.system
@@ -378,7 +485,7 @@ def plans(draw):
         peer = draw(st.sampled_from(peers))
         name, home = draw(st.sampled_from(docs))
         shape = draw(st.sampled_from(
-            ["eval", "gather", "seq", "send-peer", "send-doc", "doc-first"]
+            ["eval", "gather", "seq", "send-peer", "send-via", "send-doc", "doc-first"]
         ))
         if shape == "eval":
             expr = EvalAt(peer, expr)
@@ -388,6 +495,10 @@ def plans(draw):
             expr = Seq((DocExpr(name, home), expr))
         elif shape == "send-peer":
             expr = Seq((EvalAt(home, Send(PeerDest(peer), DocExpr(name, home))), expr))
+        elif shape == "send-via":
+            relay = draw(st.sampled_from(peers))
+            send = Send(PeerDest(peer), DocExpr(name, home), via=(relay,))
+            expr = Seq((EvalAt(home, send), expr))
         elif shape == "send-doc":
             expr = Seq((
                 EvalAt(home, Send(DocDest(f"copy-{name}", peer), DocExpr(name, home))),
@@ -395,6 +506,8 @@ def plans(draw):
             ))
         else:
             expr = Gather((DocExpr(name, home), expr, DocExpr(name, home)))
+    if draw(st.integers(0, 3)) == 0:
+        ChurnController(system).kill(draw(st.sampled_from(peers)))
     return system, naive, Plan(expr, plan.site)
 
 
@@ -406,9 +519,12 @@ def test_the_bound_is_admissible_on_generated_plans(drawn):
     # cold: no memo, no transcripts
     try:
         bound = lower_bound(plan, system)
-    except ReproError:
-        with pytest.raises(ReproError):
+    except ReproError as refused:
+        with pytest.raises(ReproError) as run:
             measure(plan, system)
+        assert type(run.value) is type(refused), (
+            refused, run.value, plan.expr.describe(),
+        )
         return
     try:
         cost = measure(plan, system)
@@ -417,7 +533,10 @@ def test_the_bound_is_admissible_on_generated_plans(drawn):
     assert admissible(bound, cost), (bound, cost, plan.expr.describe())
     # warm, as inside a search: the naive plan simulated first
     memo, runs = QueryMemo(CacheStats()), Simulations()
-    measure(naive, system, None, memo, runs)
+    try:
+        measure(naive, system, None, memo, runs)
+    except ReproError:
+        pass  # the killed peer refuses it: the memo keeps what it holds
     warm = lower_bound(plan, system, memo, runs.transcripts)
     assert admissible(warm, measure(plan, system, None, memo, runs)), (
         warm, plan.expr.describe(),

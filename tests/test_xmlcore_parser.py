@@ -107,6 +107,25 @@ class TestEntities:
         )
         assert tree.serialized_size() == len(serialize(tree).encode("utf-8"))
 
+    # raw text is held to the same production as a reference
+    @pytest.mark.parametrize("source, line, column", [
+        ('<a k="v\x01"/>', 1, 8),
+        ("<a>x\x01y\x00</a>", 1, 5),
+        ("<a>\n<b>\ufffe</b></a>", 2, 4),
+        ("<a>" + chr(0xD800) + "</a>", 1, 4),  # a lone surrogate
+    ])
+    def test_raw_characters_outside_char_rejected(self, source, line, column):
+        for parser in (parse, parse_fragment):
+            with pytest.raises(XMLSyntaxError) as exc:
+                parser(source)
+            assert (exc.value.line, exc.value.column) == (line, column)
+
+    def test_raw_tab_lf_and_cr_accepted(self):
+        tree = parse('<a k="1\t2">x\ty\nz\r</a>')
+        assert tree.attrs["k"] == "1\t2"
+        assert tree.string_value() == "x\ty\nz\r"
+        assert [n.tag for n in parse_fragment("<a/>\t\r\n<b/>")] == ["a", "b"]
+
 
 class TestErrors:
     @pytest.mark.parametrize(
